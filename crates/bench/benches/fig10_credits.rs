@@ -6,7 +6,7 @@
 //! begins to dominate at very large pools — and at one million credits
 //! Hyper-Q ran out of memory and crashed.
 //!
-//! Here: a 50-column workload in the per-chunk converter mode (one worker
+//! Here: a 50-column workload with per-chunk converter sizing (one worker
 //! per in-flight chunk, the paper's process model), sweeping the pool
 //! size; the final row reproduces the crash as a *deterministic,
 //! reportable* out-of-memory job failure under a configured memory cap.
@@ -16,17 +16,25 @@ use std::time::Duration;
 use criterion::{BenchmarkId, Criterion};
 use etlv_bench::{connector, rate_mb_s, run_import, virtualizer_with_latency};
 use etlv_core::workload::wide_workload;
-use etlv_core::{ConverterMode, VirtualizerConfig};
+use etlv_core::VirtualizerConfig;
 use etlv_legacy_client::{ClientOptions, LegacyEtlClient};
 use etlv_script::{compile, parse_script, JobPlan};
 
 const CREDITS: [usize; 6] = [2, 8, 32, 128, 512, 1024];
 const ROWS: u64 = 30_000;
 
+/// The paper's process-per-chunk model: one converter per in-flight chunk,
+/// i.e. per credit — capped, so a huge credit pool queues chunks on the
+/// pool instead of turning into a huge OS-thread count.
+fn per_chunk_converters(credits: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
+    credits.clamp(1, (cores * 8).clamp(16, 256))
+}
+
 fn config_for(credits: usize) -> VirtualizerConfig {
     VirtualizerConfig {
         credits,
-        converter_mode: ConverterMode::PerChunk,
+        converter_threads: per_chunk_converters(credits),
         ..Default::default()
     }
 }

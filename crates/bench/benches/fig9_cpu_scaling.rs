@@ -15,7 +15,7 @@ use std::time::Duration;
 use criterion::{BenchmarkId, Criterion};
 use etlv_bench::{run_import, secs};
 use etlv_core::workload::{customer_workload, CustomerSpec};
-use etlv_core::{ConverterMode, VirtualizerConfig};
+use etlv_core::VirtualizerConfig;
 use etlv_legacy_client::ClientOptions;
 
 const WORKERS: [usize; 5] = [2, 4, 8, 12, 16];
@@ -23,7 +23,7 @@ const ROWS: u64 = 25_000;
 
 fn config_for(workers: usize) -> VirtualizerConfig {
     VirtualizerConfig {
-        converter_mode: ConverterMode::Pool(workers),
+        converter_threads: workers,
         file_writers: (workers / 4).max(1),
         credits: workers * 4,
         // On hosts with fewer cores than the paper's 16-core testbed, model

@@ -9,42 +9,15 @@ use crate::apply::ApplyStrategy;
 use crate::fault::{FaultPlan, RetryPolicy};
 use crate::obs::SloPolicy;
 
-/// How DataConverter work is scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConverterMode {
-    /// A fixed pool of converter worker threads (the production default).
-    Pool(usize),
-    /// One worker per in-flight chunk — the paper's process-per-chunk
-    /// model. Concurrency is bounded only by the credit pool, which is
-    /// how large credit counts translate into scheduling overhead
-    /// (Figure 10).
-    PerChunk,
-}
-
-/// How pipeline worker threads relate to jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RuntimeMode {
-    /// One node-wide [`WorkerRuntime`](crate::pipeline::WorkerRuntime):
-    /// converter and writer threads are sized once from the config and
-    /// multiplex every concurrent job's chunk queues round-robin, so the
-    /// node's thread count is fixed regardless of job concurrency.
-    #[default]
-    Shared,
-    /// The original design: every `BeginLoad` spawns its own converter and
-    /// writer threads and joins them at `EndLoad`. Thread count grows with
-    /// concurrent jobs — kept as the baseline the shared runtime is
-    /// benchmarked against.
-    PerJob,
-}
-
 /// All virtualizer tuning knobs.
 #[derive(Debug, Clone)]
 pub struct VirtualizerConfig {
     /// CreditManager pool size (shared per node across jobs, §5). Must be
     /// at least 1.
     pub credits: usize,
-    /// Converter scheduling mode.
-    pub converter_mode: ConverterMode,
+    /// DataConverter worker threads in the node-wide pool, shared by
+    /// every concurrent job (0 is treated as 1).
+    pub converter_threads: usize,
     /// Number of parallel FileWriter stages.
     pub file_writers: usize,
     /// Staged-file rotation threshold in bytes (§6: tuned to the CDW's
@@ -110,7 +83,7 @@ pub struct VirtualizerConfig {
     pub journal_jsonl: Option<std::path::PathBuf>,
     /// Time-series sampler tick. `Duration::ZERO` (the default) disables
     /// the background sampler entirely; a nonzero tick snapshots the
-    /// metrics named in `sampler_metrics` every tick into bounded rings
+    /// metrics named in [`SAMPLER_METRICS`] every tick into bounded rings
     /// (see `Virtualizer::sampler_json`). Irrelevant when the `obs`
     /// feature is compiled out.
     pub sampler_tick: Duration,
@@ -118,19 +91,6 @@ pub struct VirtualizerConfig {
     /// when the sampler is enabled, so rates can be derived from
     /// consecutive deltas.
     pub sampler_capacity: usize,
-    /// Registry counter/gauge names the sampler tracks. The default set
-    /// covers the paper's Fig. 8/9 series: rows/sec, bytes/sec, credit
-    /// occupancy, and adaptive/upload retry rates.
-    pub sampler_metrics: Vec<String>,
-    /// Ceiling on converter worker threads regardless of mode. Per-chunk
-    /// mode historically spawned one OS thread per in-flight chunk, so a
-    /// large credit pool (Figure 10 sweeps up to 10⁶) translated directly
-    /// into thread-creation overhead — or resource exhaustion. The
-    /// persistent pool sizes itself to `min(credits, max_converter_threads)`
-    /// instead; chunks beyond that simply queue on the bounded channel.
-    pub max_converter_threads: usize,
-    /// How pipeline worker threads are provisioned across jobs.
-    pub runtime_mode: RuntimeMode,
     /// Maximum concurrently connected sessions per node. A logon beyond
     /// this limit is refused with retryable `SERVER_BUSY`. Must be ≥ 1.
     pub max_sessions: usize,
@@ -148,23 +108,6 @@ pub struct VirtualizerConfig {
     /// by the `Health` endpoint. Irrelevant when the `obs` feature is
     /// compiled out (health then reports `enabled: false`).
     pub slo: SloPolicy,
-    /// Ceiling on distinct per-tenant metric blocks. Tenants interned
-    /// beyond this share one `~overflow` block so label cardinality stays
-    /// bounded no matter how many usernames connect. Must be ≥ 1.
-    pub max_tenants: usize,
-    /// Tenant-block metric names the background sampler tracks per tenant
-    /// (in addition to the node-global `sampler_metrics`).
-    pub sampler_tenant_metrics: Vec<String>,
-    /// Event-loop threads the TCP reactor runs. Each loop multiplexes
-    /// its share of the connection fds with epoll; connection count is
-    /// independent of this number. Must be ≥ 1.
-    pub reactor_threads: usize,
-    /// Dispatch-pool threads executing blocking-capable session
-    /// requests (loads, chunks, exports, stats) off the event loops.
-    /// At most one request per session is in flight at a time, so this
-    /// bounds *concurrently progressing* requests, not connections.
-    /// Must be ≥ 1.
-    pub dispatch_threads: usize,
     /// Granularity of the reactor's timer wheel (idle timeouts, accept
     /// backoff). Finer ticks wake the loops more often. Must be
     /// nonzero.
@@ -173,12 +116,10 @@ pub struct VirtualizerConfig {
 
 impl Default for VirtualizerConfig {
     fn default() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
+        let cores = host_cores();
         VirtualizerConfig {
             credits: cores * 4,
-            converter_mode: ConverterMode::Pool(cores),
+            converter_threads: cores,
             file_writers: 2,
             file_size_threshold: 4 * 1024 * 1024,
             compress_staged: false,
@@ -202,73 +143,51 @@ impl Default for VirtualizerConfig {
             journal_jsonl: None,
             sampler_tick: Duration::ZERO,
             sampler_capacity: 512,
-            sampler_metrics: default_sampler_metrics(),
-            max_converter_threads: (cores * 8).clamp(16, 256),
-            runtime_mode: RuntimeMode::Shared,
             max_sessions: 256,
             max_concurrent_jobs: 64,
             session_idle_timeout: Duration::ZERO,
             slo: SloPolicy::default(),
-            max_tenants: 64,
-            sampler_tenant_metrics: default_sampler_tenant_metrics(),
-            reactor_threads: 2,
-            dispatch_threads: cores.clamp(8, 32),
             reactor_tick: Duration::from_millis(25),
         }
     }
 }
 
-/// The default per-tenant sampled-metric set: enough to plot each
-/// tenant's throughput and error contribution over time.
-pub fn default_sampler_tenant_metrics() -> Vec<String> {
-    [
-        "chunks",
-        "rows_applied",
-        "errors_et",
-        "errors_uv",
-        "active_jobs",
-    ]
-    .into_iter()
-    .map(String::from)
-    .collect()
+/// CPUs available to this process (4 when the host will not say): what
+/// the default pool sizes derive from.
+pub(crate) fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(4, |n| n.get())
 }
 
-/// The default sampled-metric set: the series the paper's Fig. 8/9 plots
-/// are built from.
-pub fn default_sampler_metrics() -> Vec<String> {
-    [
-        "pipeline.convert_rows",
-        "pipeline.convert_bytes",
-        "gateway.chunks_received",
-        "gateway.chunk_bytes",
-        "cloudstore.put_bytes",
-        "credit.in_flight",
-        "memory.in_flight",
-        "pipeline.upload_retries",
-        "adaptive.transient_retries",
-        "gateway.active_sessions",
-        "gateway.active_jobs",
-        "pool.busy_workers",
-        "lock.wait_us",
-    ]
-    .into_iter()
-    .map(String::from)
-    .collect()
-}
+/// Tenant-block metrics the background sampler tracks per tenant: enough
+/// to plot each tenant's throughput and error contribution over time.
+pub const SAMPLER_TENANT_METRICS: [&str; 5] = [
+    "chunks",
+    "rows_applied",
+    "errors_et",
+    "errors_uv",
+    "active_jobs",
+];
+
+/// Node-global counters and gauges the background sampler tracks: the
+/// series the paper's Fig. 8/9 plots are built from (rows/sec, bytes/sec,
+/// credit occupancy, adaptive/upload retry rates).
+pub const SAMPLER_METRICS: [&str; 13] = [
+    "pipeline.convert_rows",
+    "pipeline.convert_bytes",
+    "gateway.chunks_received",
+    "gateway.chunk_bytes",
+    "cloudstore.put_bytes",
+    "credit.in_flight",
+    "memory.in_flight",
+    "pipeline.upload_retries",
+    "adaptive.transient_retries",
+    "gateway.active_sessions",
+    "gateway.active_jobs",
+    "pool.busy_workers",
+    "lock.wait_us",
+];
 
 impl VirtualizerConfig {
-    /// Number of converter workers the current mode implies for a job.
-    pub fn converter_workers(&self) -> usize {
-        match self.converter_mode {
-            ConverterMode::Pool(n) => n.max(1),
-            // Per-chunk semantics: enough workers that every in-flight
-            // chunk (bounded by the credit pool) can convert concurrently —
-            // but capped, so huge credit counts don't translate into huge
-            // thread counts.
-            ConverterMode::PerChunk => self.credits.clamp(1, self.max_converter_threads.max(1)),
-        }
-    }
-
     /// Validate invariants; returns a description of the first violation.
     pub fn validate(&self) -> Result<(), String> {
         if self.credits == 0 {
@@ -286,9 +205,6 @@ impl VirtualizerConfig {
         if self.retry_base_delay > self.retry_max_delay {
             return Err("retry_base_delay must not exceed retry_max_delay".into());
         }
-        if self.max_converter_threads == 0 {
-            return Err("max_converter_threads must be at least 1".into());
-        }
         if self.max_sessions == 0 {
             return Err("max_sessions must be at least 1".into());
         }
@@ -303,15 +219,6 @@ impl VirtualizerConfig {
         }
         if !self.sampler_tick.is_zero() && self.sampler_capacity < 2 {
             return Err("sampler_capacity must be at least 2 when the sampler is enabled".into());
-        }
-        if self.max_tenants == 0 {
-            return Err("max_tenants must be at least 1".into());
-        }
-        if self.reactor_threads == 0 {
-            return Err("reactor_threads must be at least 1".into());
-        }
-        if self.dispatch_threads == 0 {
-            return Err("dispatch_threads must be at least 1".into());
         }
         if self.reactor_tick.is_zero() {
             return Err("reactor_tick must be nonzero".into());
@@ -429,21 +336,6 @@ mod tests {
         };
         assert!(c.validate().is_ok());
         let c = VirtualizerConfig {
-            max_tenants: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = VirtualizerConfig {
-            reactor_threads: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = VirtualizerConfig {
-            dispatch_threads: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = VirtualizerConfig {
             reactor_tick: Duration::ZERO,
             ..Default::default()
         };
@@ -456,34 +348,6 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = VirtualizerConfig::default();
         c.slo.fast_burn = 0.0;
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn converter_workers_by_mode() {
-        let mut c = VirtualizerConfig {
-            converter_mode: ConverterMode::Pool(3),
-            ..Default::default()
-        };
-        assert_eq!(c.converter_workers(), 3);
-        c.converter_mode = ConverterMode::PerChunk;
-        c.credits = 7;
-        assert_eq!(c.converter_workers(), 7);
-    }
-
-    #[test]
-    fn per_chunk_workers_capped() {
-        let c = VirtualizerConfig {
-            converter_mode: ConverterMode::PerChunk,
-            credits: 100_000,
-            max_converter_threads: 32,
-            ..Default::default()
-        };
-        assert_eq!(c.converter_workers(), 32);
-        let c = VirtualizerConfig {
-            max_converter_threads: 0,
-            ..Default::default()
-        };
         assert!(c.validate().is_err());
     }
 }

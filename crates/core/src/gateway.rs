@@ -36,7 +36,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::adaptive::{AdaptiveParams, ErrorRows, RecordedError};
 use crate::apply::apply;
-use crate::config::{RuntimeMode, VirtualizerConfig};
+use crate::config::{VirtualizerConfig, SAMPLER_METRICS, SAMPLER_TENANT_METRICS};
 use crate::convert::DataConverter;
 use crate::credit::CreditManager;
 use crate::cursor::TdfCursor;
@@ -106,9 +106,8 @@ pub(crate) struct Node {
     pub(crate) reports: Mutex<VecDeque<JobReport>>,
     /// Background time-series sampler (`config.sampler_tick > 0` only).
     pub(crate) sampler: Option<Sampler>,
-    /// The node-wide worker runtime (`RuntimeMode::Shared`); `None` in
-    /// per-job-spawn mode, where every `BeginLoad` starts its own.
-    pub(crate) runtime: Option<WorkerRuntime>,
+    /// The node-wide worker runtime every load job registers with.
+    pub(crate) runtime: WorkerRuntime,
     /// Per-tenant SLO burn-rate engine behind the `Health` endpoint.
     pub(crate) slo: SloEngine,
     /// Active-session table (logon admission + per-session owned jobs).
@@ -259,20 +258,13 @@ impl Virtualizer {
                 refresh,
                 config.sampler_tick,
                 config.sampler_capacity,
-                config.sampler_metrics.clone(),
-                config.sampler_tenant_metrics.clone(),
+                &SAMPLER_METRICS,
+                &SAMPLER_TENANT_METRICS,
             ))
         } else {
             None
         };
-        let runtime = match config.runtime_mode {
-            RuntimeMode::Shared => Some(WorkerRuntime::start(
-                &config,
-                Arc::clone(&obs),
-                injector.clone(),
-            )),
-            RuntimeMode::PerJob => None,
-        };
+        let runtime = WorkerRuntime::start(&config, Arc::clone(&obs), injector.clone());
         let registry = SessionRegistry::new(
             config.max_sessions,
             obs.registry.lock_site("gateway.sessions"),
@@ -607,32 +599,23 @@ impl Virtualizer {
                 throttle: node.config.upload_throttle,
             },
         ));
-        let pipeline = match &node.runtime {
-            Some(runtime) => runtime.begin_job(
-                converter,
-                loader,
-                prefix.clone(),
-                token,
-                ids,
-                node.config.drain_timeout,
-                Arc::clone(&tenant),
-            ),
-            None => Pipeline::spawn(
-                &node.config,
-                converter,
-                loader,
-                prefix.clone(),
-                node.injector.clone(),
-                Arc::clone(&node.obs),
-                token,
-                ids,
-                Arc::clone(&tenant),
-            ),
-        };
+        let pipeline = node.runtime.begin_job(
+            converter,
+            loader,
+            prefix.clone(),
+            token,
+            ids,
+            node.config.drain_timeout,
+            Arc::clone(&tenant),
+        );
         let sink = pipeline.sink();
         node.obs.gateway.jobs_started.inc();
         tenant.jobs_started.inc();
         tenant.active_jobs.add(1);
+        // The job clock starts before `job.begin` is stamped, so the trace
+        // window `[job.begin, job.begin + wall]` reaches past every span
+        // the job emits before `job.end`.
+        let started = Instant::now();
         node.obs.journal.emit_span(
             "job.begin",
             ids,
@@ -657,7 +640,7 @@ impl Virtualizer {
                 sink: Mutex::new(Some(sink)),
                 rows_received: AtomicU64::new(0),
                 oom: Mutex::new(None),
-                started: Instant::now(),
+                started,
                 tenant,
             })),
         );
@@ -1002,7 +985,6 @@ impl Virtualizer {
         }
 
         // Error tables: acquisition errors + application errors.
-        let teardown_started = Instant::now();
         self.write_error_tables(job, &pipe_report, &outcome.errors, &mut cdw_retries)
             .map_err(|e| (ErrCode::INTERNAL, e))?;
         self.cleanup_job(job);
@@ -1021,7 +1003,6 @@ impl Virtualizer {
             errors_uv,
             acquisition,
             application,
-            other: teardown_started.elapsed(),
             files_staged: pipe_report.files.len() as u64,
             bytes_staged: pipe_report.bytes_staged,
             upload_retries: pipe_report.upload_retries,
@@ -1032,6 +1013,14 @@ impl Virtualizer {
                 .map(|i| i.counts().total())
                 .unwrap_or(0),
             aborted: false,
+            // Taken last: the three phases partition the job's one clock,
+            // so whatever the phase stopwatches did not cover (span
+            // emission, metric recording, teardown) is `other` and
+            // `total()` is the wall time since the job began.
+            other: job
+                .started
+                .elapsed()
+                .saturating_sub(acquisition + application),
         })
     }
 
@@ -1355,9 +1344,10 @@ fn refresh_gauges_into(
 
 /// The node's observability hub, shaped by the config's journal knobs.
 fn build_obs(config: &VirtualizerConfig) -> Arc<Obs> {
-    let obs = Obs::new(config.journal_capacity, config.journal_jsonl.as_deref());
-    obs.registry.set_tenant_limit(config.max_tenants);
-    Arc::new(obs)
+    Arc::new(Obs::new(
+        config.journal_capacity,
+        config.journal_jsonl.as_deref(),
+    ))
 }
 
 /// The callback an [`ObservedStore`] feeds: op counts, byte totals, error

@@ -80,7 +80,7 @@ pub mod workload;
 pub mod xcompile;
 
 pub use apply::ApplyStrategy;
-pub use config::{ConverterMode, RuntimeMode, VirtualizerConfig};
+pub use config::VirtualizerConfig;
 pub use credit::{Credit, CreditManager};
 pub use fault::{
     Backoff, FaultCounts, FaultInjector, FaultPlan, FaultSpec, InjectionPoint, RetryPolicy,

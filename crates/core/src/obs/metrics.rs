@@ -13,9 +13,10 @@ use super::{
     TenantSnapshot,
 };
 
-/// Default cap on distinct tenant label values (see
-/// [`MetricsRegistry::set_tenant_limit`]).
-const DEFAULT_TENANT_LIMIT: usize = 64;
+/// Cap on distinct tenant label values: tenants interned past it share
+/// the `~overflow` block, so label cardinality stays bounded no matter
+/// how many usernames connect.
+const TENANT_LIMIT: usize = 64;
 
 /// Cap on distinct lock-site labels. Sites are static names plus a
 /// bounded per-table family (`cdw.table/<name>`), so the bound exists
@@ -242,9 +243,6 @@ struct RegistryInner {
     histograms: Mutex<Vec<(String, Histogram)>>,
     /// Interned per-tenant handle blocks, indexed by [`TenantId`].
     tenants: Mutex<Vec<Arc<TenantObs>>>,
-    /// Cardinality bound on distinct tenant labels; tenants interned past
-    /// the limit share the `~overflow` block.
-    tenant_limit: AtomicUsize,
     /// Interned per-site lock statistics (PR 9), bounded like tenants.
     lock_sites: Mutex<Vec<Arc<LockSiteObs>>>,
     /// The registry's own lock site (`metrics.registry`), lazily interned
@@ -259,7 +257,6 @@ impl Default for RegistryInner {
             gauges: Mutex::default(),
             histograms: Mutex::default(),
             tenants: Mutex::default(),
-            tenant_limit: AtomicUsize::new(DEFAULT_TENANT_LIMIT),
             lock_sites: Mutex::default(),
             self_site: std::sync::OnceLock::new(),
         }
@@ -346,7 +343,7 @@ impl MetricsRegistry {
     }
 
     /// Intern (or fetch) the per-tenant handle block for `name`. The
-    /// distinct-label cardinality is bounded: once `tenant_limit` blocks
+    /// distinct-label cardinality is bounded: once [`TENANT_LIMIT`] blocks
     /// exist, further names all share the [`super::TENANT_OVERFLOW`]
     /// block, so a hostile stream of logon usernames cannot grow the
     /// registry without bound.
@@ -355,8 +352,7 @@ impl MetricsRegistry {
         if let Some(t) = tenants.iter().find(|t| t.name == name) {
             return Arc::clone(t);
         }
-        let limit = self.inner.tenant_limit.load(Ordering::Relaxed).max(1);
-        let effective = if tenants.len() < limit {
+        let effective = if tenants.len() < TENANT_LIMIT {
             name
         } else {
             super::TENANT_OVERFLOW
@@ -367,14 +363,6 @@ impl MetricsRegistry {
         let t = Arc::new(new_tenant(TenantId(tenants.len() as u16), effective));
         tenants.push(Arc::clone(&t));
         t
-    }
-
-    /// Adjust the tenant cardinality bound (node assembly applies the
-    /// configured `max_tenants`). Already-interned blocks are kept.
-    pub fn set_tenant_limit(&self, limit: usize) {
-        self.inner
-            .tenant_limit
-            .store(limit.max(1), Ordering::Relaxed);
     }
 
     /// Live handles of every interned tenant (SLO engine + sampler walk
@@ -610,13 +598,15 @@ mod tests {
     #[test]
     fn tenant_interning_is_idempotent_and_bounded() {
         let reg = MetricsRegistry::new();
-        reg.set_tenant_limit(2);
         let a = reg.tenant("alice");
         let a2 = reg.tenant("alice");
         assert!(Arc::ptr_eq(&a, &a2), "same name, same block");
         assert_eq!(a.id, a2.id);
         let b = reg.tenant("bob");
         assert_ne!(a.id, b.id);
+        for i in 2..TENANT_LIMIT {
+            reg.tenant(&format!("filler{i:02}"));
+        }
         // Limit reached: every further name shares the overflow block.
         let c = reg.tenant("carol");
         let d = reg.tenant("dave");
@@ -626,10 +616,15 @@ mod tests {
         d.jobs_started.inc();
         assert_eq!(c.jobs_started.value(), 2);
         let snap = reg.snapshot();
-        assert_eq!(snap.tenants.len(), 3, "alice, bob, ~overflow");
+        assert_eq!(
+            snap.tenants.len(),
+            TENANT_LIMIT + 1,
+            "the limit + ~overflow"
+        );
         let names: Vec<&str> = snap.tenants.iter().map(|t| t.tenant.as_str()).collect();
         // `~` sorts after ASCII lowercase, so overflow renders last.
-        assert_eq!(names, vec!["alice", "bob", crate::obs::TENANT_OVERFLOW]);
+        assert_eq!(names[..2], ["alice", "bob"]);
+        assert_eq!(names[TENANT_LIMIT], crate::obs::TENANT_OVERFLOW);
     }
 
     #[test]

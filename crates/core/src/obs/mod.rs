@@ -22,7 +22,7 @@
 //! `--no-default-features` (dropping the `obs` feature) swaps in zero-size
 //! no-op handles with the same API, so call sites stay unconditional and
 //! the instrumentation cost can be *measured* against a compiled-out
-//! build (see `bench_pr3`).
+//! build.
 
 use std::time::Duration;
 

@@ -1,8 +1,7 @@
 //! Zero-size no-op stand-ins for the metrics and journal types, compiled
 //! when the `obs` feature is off. Same API as the live versions in
 //! `metrics.rs`/`journal.rs`, so instrumentation call sites stay
-//! unconditional and the compiler deletes them entirely — this is the
-//! "compiled out" baseline `bench_pr3` measures overhead against.
+//! unconditional and the compiler deletes them entirely.
 
 use std::path::Path;
 use std::time::Duration;
@@ -133,9 +132,6 @@ impl MetricsRegistry {
         })
     }
 
-    /// No-op.
-    pub fn set_tenant_limit(&self, _limit: usize) {}
-
     /// Always empty.
     pub fn tenant_handles(&self) -> Vec<std::sync::Arc<super::TenantObs>> {
         Vec::new()
@@ -258,8 +254,8 @@ impl Sampler {
         _refresh: Box<dyn Fn() + Send + Sync>,
         _tick: Duration,
         _capacity: usize,
-        _metrics: Vec<String>,
-        _tenant_metrics: Vec<String>,
+        _metrics: &'static [&'static str],
+        _tenant_metrics: &'static [&'static str],
     ) -> Sampler {
         Sampler
     }

@@ -16,12 +16,11 @@
 //!   (`rate_per_s`); gauges render their raw value with a zero rate.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use super::Obs;
 
@@ -41,7 +40,7 @@ struct Point {
 }
 
 struct Series {
-    metric: String,
+    metric: &'static str,
     /// `None` for node-global series; `Some(name)` for a per-tenant ring
     /// discovered dynamically from registry snapshots.
     tenant: Option<String>,
@@ -55,9 +54,12 @@ struct SamplerInner {
     capacity: usize,
     /// Tenant-block metric names (e.g. `chunks`, `rows_applied`) to track
     /// per tenant; tenants themselves are discovered at snapshot time.
-    tenant_metrics: Vec<String>,
+    tenant_metrics: &'static [&'static str],
     series: Mutex<Vec<Series>>,
-    stop: AtomicBool,
+    /// Set by [`Sampler::stop`], which also notifies `wake` so the
+    /// thread leaves its between-ticks wait at once.
+    stop: Mutex<bool>,
+    wake: Condvar,
     thread: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -81,8 +83,8 @@ impl Sampler {
         refresh: Box<dyn Fn() + Send + Sync>,
         tick: Duration,
         capacity: usize,
-        metrics: Vec<String>,
-        tenant_metrics: Vec<String>,
+        metrics: &'static [&'static str],
+        tenant_metrics: &'static [&'static str],
     ) -> Sampler {
         let inner = Arc::new(SamplerInner {
             epoch: Instant::now(),
@@ -91,8 +93,8 @@ impl Sampler {
             tenant_metrics,
             series: Mutex::new(
                 metrics
-                    .into_iter()
-                    .map(|metric| Series {
+                    .iter()
+                    .map(|&metric| Series {
                         metric,
                         tenant: None,
                         // Kind is resolved on first observation; counters
@@ -102,7 +104,8 @@ impl Sampler {
                     })
                     .collect(),
             ),
-            stop: AtomicBool::new(false),
+            stop: Mutex::new(false),
+            wake: Condvar::new(),
             thread: Mutex::new(None),
         });
         let sampler = Sampler {
@@ -111,7 +114,9 @@ impl Sampler {
         let handle = std::thread::Builder::new()
             .name("etlv-sampler".into())
             .spawn(move || {
-                while !inner.stop.load(Ordering::Relaxed) {
+                // Sample first, then check for stop: even a sampler
+                // stopped right after start() holds one point per metric.
+                loop {
                     refresh();
                     let snap = obs.registry.snapshot();
                     let now = inner.epoch.elapsed().as_micros() as u64;
@@ -142,7 +147,7 @@ impl Sampler {
                     // Tenant series: discovered from the snapshot so a
                     // tenant interned after start() still gets rings.
                     for t in &snap.tenants {
-                        for metric in &inner.tenant_metrics {
+                        for &metric in inner.tenant_metrics {
                             let (value, kind) = if let Some((_, v)) =
                                 t.counters.iter().find(|(n, _)| n == metric)
                             {
@@ -154,12 +159,12 @@ impl Sampler {
                                 continue;
                             };
                             let s = match series.iter_mut().find(|s| {
-                                s.metric == *metric && s.tenant.as_deref() == Some(&t.tenant)
+                                s.metric == metric && s.tenant.as_deref() == Some(&t.tenant)
                             }) {
                                 Some(s) => s,
                                 None => {
                                     series.push(Series {
-                                        metric: metric.clone(),
+                                        metric,
                                         tenant: Some(t.tenant.clone()),
                                         kind,
                                         points: VecDeque::new(),
@@ -178,13 +183,13 @@ impl Sampler {
                         }
                     }
                     drop(series);
-                    // Sleep in short slices so stop() never blocks a full
-                    // tick.
-                    let mut left = inner.tick;
-                    while !left.is_zero() && !inner.stop.load(Ordering::Relaxed) {
-                        let slice = left.min(Duration::from_millis(20));
-                        std::thread::sleep(slice);
-                        left = left.saturating_sub(slice);
+                    let deadline = Instant::now() + inner.tick;
+                    let mut stop = inner.stop.lock();
+                    while !*stop && Instant::now() < deadline {
+                        inner.wake.wait_until(&mut stop, deadline);
+                    }
+                    if *stop {
+                        break;
                     }
                 }
             })
@@ -196,7 +201,8 @@ impl Sampler {
     /// Stop the sampling thread and join it. Idempotent; the rings stay
     /// readable afterwards.
     pub fn stop(&self) {
-        self.inner.stop.store(true, Ordering::Relaxed);
+        *self.inner.stop.lock() = true;
+        self.inner.wake.notify_all();
         if let Some(handle) = self.inner.thread.lock().take() {
             let _ = handle.join();
         }
@@ -271,15 +277,6 @@ impl Sampler {
     }
 }
 
-impl Drop for SamplerInner {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.thread.lock().take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,12 +289,12 @@ mod tests {
             Box::new(|| {}),
             Duration::from_millis(5),
             4,
-            vec![
-                "pipeline.convert_rows".to_string(),
-                "credit.in_flight".to_string(),
-                "no.such.metric".to_string(),
+            &[
+                "pipeline.convert_rows",
+                "credit.in_flight",
+                "no.such.metric",
             ],
-            Vec::new(),
+            &[],
         );
         for i in 0..10 {
             obs.pipeline.convert_rows.add(100 + i);
@@ -333,8 +330,8 @@ mod tests {
             Box::new(|| {}),
             Duration::from_millis(2),
             3,
-            vec!["pipeline.convert_rows".to_string()],
-            Vec::new(),
+            &["pipeline.convert_rows"],
+            &[],
         );
         // Run for many more ticks than the ring holds so it wraps several
         // times over.
@@ -365,8 +362,8 @@ mod tests {
             Box::new(|| {}),
             Duration::from_millis(2),
             4,
-            Vec::new(),
-            vec!["rows_applied".to_string(), "active_jobs".to_string()],
+            &[],
+            &["rows_applied", "active_jobs"],
         );
         // Tenant interned *after* the sampler starts: discovered from the
         // snapshot on the next tick.
@@ -405,8 +402,8 @@ mod tests {
             Box::new(|| {}),
             Duration::from_millis(2),
             3,
-            vec!["pool.busy_workers".to_string(), "lock.wait_us".to_string()],
-            Vec::new(),
+            &["pool.busy_workers", "lock.wait_us"],
+            &[],
         );
         // Drive both sources long enough for the 3-point rings to wrap:
         // the busy-worker gauge through the pool block, the aggregate
@@ -447,8 +444,8 @@ mod tests {
             Box::new(|| {}),
             Duration::from_secs(3600),
             8,
-            vec!["gateway.chunks_received".to_string()],
-            Vec::new(),
+            &["gateway.chunks_received"],
+            &[],
         );
         let t0 = Instant::now();
         sampler.stop();

@@ -9,13 +9,12 @@
 //! uploading full parts; the credit is returned *just before the write*,
 //! exactly as Figure 4 shows.
 //!
-//! Unlike the original per-job design (a fresh set of converter/writer/
-//! uploader threads per `BeginLoad`), a [`WorkerRuntime`] is created once
-//! per node and shared by every concurrent job: `converter_workers()`
-//! converter threads and `file_writers` writer threads scan the registered
-//! jobs' queues round-robin, so N concurrent jobs still cost a fixed
-//! number of OS threads and no job can starve another of workers. A
-//! [`Pipeline`] is now the lightweight per-job handle onto that runtime:
+//! A [`WorkerRuntime`] is created once per node and shared by every
+//! concurrent job: `converter_threads` converter threads and
+//! `file_writers` writer threads scan the registered jobs' queues
+//! round-robin, so N concurrent jobs still cost a fixed number of OS
+//! threads and no job can starve another of workers. A [`Pipeline`] is
+//! the lightweight per-job handle onto that runtime:
 //! it registers the job at `BeginLoad`, collects its accounting, and
 //! deregisters at `finish()` (clean drain) or `abort()` (discard, used by
 //! session teardown when a client disconnects mid-load).
@@ -268,22 +267,21 @@ impl RtShared {
 
 /// The node-wide worker runtime: a fixed set of converter and writer
 /// threads multiplexing every registered job's queues. Created once at
-/// node assembly (or per job when the config selects the per-job-spawn
-/// baseline) and stopped when the node drops.
+/// node assembly and stopped when the node drops.
 pub struct WorkerRuntime {
     shared: Arc<RtShared>,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl WorkerRuntime {
-    /// Start the worker pool: `converter_workers()` converters plus
+    /// Start the worker pool: `converter_threads` converters plus
     /// `file_writers` writers, sized once from config.
     pub fn start(
         config: &VirtualizerConfig,
         obs: Arc<Obs>,
         injector: Option<Arc<FaultInjector>>,
     ) -> WorkerRuntime {
-        let converters = config.converter_workers();
+        let converters = config.converter_threads.max(1);
         let writers = config.file_writers.max(1);
         let buffers = Arc::new(BufferPool::with_obs(
             converters + writers + 2,
@@ -397,7 +395,6 @@ impl WorkerRuntime {
         Pipeline {
             shared: Arc::clone(&self.shared),
             job: job_rt,
-            own: None,
             drain_timeout,
         }
     }
@@ -481,42 +478,10 @@ impl ChunkSink {
 pub struct Pipeline {
     shared: Arc<RtShared>,
     job: Arc<JobRt>,
-    /// In per-job-spawn mode the pipeline owns a dedicated runtime that
-    /// dies with it; in shared mode this is `None`.
-    own: Option<WorkerRuntime>,
     drain_timeout: Duration,
 }
 
 impl Pipeline {
-    /// Spawn a *dedicated* runtime for one load job — the per-job thread
-    /// model the original design used, kept as the `RuntimeMode::PerJob`
-    /// baseline the shared runtime is benchmarked against.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn(
-        config: &VirtualizerConfig,
-        converter: DataConverter,
-        loader: Arc<BulkLoader>,
-        prefix: String,
-        injector: Option<Arc<FaultInjector>>,
-        obs: Arc<Obs>,
-        job: u64,
-        ids: SpanIds,
-        tenant: Arc<TenantObs>,
-    ) -> Pipeline {
-        let runtime = WorkerRuntime::start(config, obs, injector);
-        let mut pipeline = runtime.begin_job(
-            converter,
-            loader,
-            prefix,
-            job,
-            ids,
-            config.drain_timeout,
-            tenant,
-        );
-        pipeline.own = Some(runtime);
-        pipeline
-    }
-
     /// A sink for pushing chunks in (one clone per data session).
     pub fn sink(&self) -> ChunkSink {
         ChunkSink {
@@ -603,7 +568,7 @@ impl Pipeline {
 
     /// Close the input, wait for the job's chunks to drain, upload the
     /// final partial staging file, and assemble the report.
-    pub fn finish(mut self) -> PipelineReport {
+    pub fn finish(self) -> PipelineReport {
         self.close();
         if !self.wait_drained(self.drain_timeout) {
             // Give up on the stragglers: discard whatever is still queued
@@ -623,28 +588,20 @@ impl Pipeline {
             upload_part(&self.shared, &self.job, tail, part);
         }
         self.unregister();
-        let report = self.report();
-        if let Some(runtime) = self.own.take() {
-            runtime.stop();
-        }
-        report
+        self.report()
     }
 
     /// Abort the job: discard queued and in-flight chunks (credits and
     /// memory release immediately), skip the final upload, and deregister.
     /// Used by session teardown when a client disconnects mid-load.
-    pub fn abort(mut self) -> PipelineReport {
+    pub fn abort(self) -> PipelineReport {
         self.mark_aborted();
         // In-flight chunks are bounded by the worker count; discarding is
         // quick, but never wait forever on a wedged worker.
         let _ = self.wait_drained(Duration::from_secs(60));
         self.job.accum.lock().clear();
         self.unregister();
-        let report = self.report();
-        if let Some(runtime) = self.own.take() {
-            runtime.stop();
-        }
-        report
+        self.report()
     }
 }
 
@@ -878,7 +835,6 @@ fn upload_part(shared: &RtShared, job: &JobRt, file: Vec<u8>, part: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ConverterMode;
     use crate::credit::CreditManager;
     use crate::memory::MemoryGauge;
     use etlv_cloudstore::{LoaderConfig, MemStore, ObjectStore};
@@ -912,25 +868,33 @@ mod tests {
         ))
     }
 
+    /// Start a runtime sized from `config` and register one job on it.
+    /// The runtime is returned alongside: dropping it stops the workers.
+    fn start_job(
+        config: &VirtualizerConfig,
+        loader: Arc<BulkLoader>,
+        injector: Option<Arc<FaultInjector>>,
+    ) -> (WorkerRuntime, Pipeline) {
+        let runtime = WorkerRuntime::start(config, Arc::new(Obs::default()), injector);
+        let pipeline = runtime.begin_job(
+            DataConverter::new(layout(), WIRE_VT, config.staging_delimiter),
+            loader,
+            "j/".into(),
+            1,
+            SpanIds::default(),
+            config.drain_timeout,
+            test_tenant(),
+        );
+        (runtime, pipeline)
+    }
+
     fn run_pipeline(
         config: &VirtualizerConfig,
         nchunks: u64,
         rows_per_chunk: u64,
     ) -> (PipelineReport, Arc<MemStore>) {
         let store = Arc::new(MemStore::new());
-        let loader = loader_for(config, Arc::clone(&store));
-        let converter = DataConverter::new(layout(), WIRE_VT, config.staging_delimiter);
-        let pipeline = Pipeline::spawn(
-            config,
-            converter,
-            loader,
-            "job1/".into(),
-            None,
-            Arc::new(Obs::default()),
-            1,
-            SpanIds::default(),
-            test_tenant(),
-        );
+        let (runtime, pipeline) = start_job(config, loader_for(config, Arc::clone(&store)), None);
         let credits = CreditManager::new(config.credits);
         let memory = MemoryGauge::new(config.memory_cap);
         let sink = pipeline.sink();
@@ -952,6 +916,14 @@ mod tests {
         let report = pipeline.finish();
         assert_eq!(credits.available(), config.credits, "credits all returned");
         assert_eq!(memory.in_flight(), 0, "memory all released");
+        // Joining first makes the count exact: a worker the scheduler has
+        // not run yet still counts itself before it sees the stop flag.
+        runtime.stop();
+        assert_eq!(
+            runtime.threads_started(),
+            runtime.total_workers(),
+            "worker threads spawned once for the runtime, not per chunk"
+        );
         (report, store)
     }
 
@@ -987,9 +959,12 @@ mod tests {
     }
 
     #[test]
-    fn per_chunk_mode_stages_everything() {
+    fn one_converter_per_credit_stages_everything() {
+        // The paper's process-per-chunk sizing (Figure 10): as many
+        // converters as credits, so every in-flight chunk can convert at
+        // once.
         let config = VirtualizerConfig {
-            converter_mode: ConverterMode::PerChunk,
+            converter_threads: 8,
             credits: 8,
             ..Default::default()
         };
@@ -1001,26 +976,14 @@ mod tests {
     }
 
     #[test]
-    fn workers_spawned_once_per_pipeline_not_per_chunk() {
+    fn workers_spawned_once_per_runtime_not_per_chunk() {
         let config = VirtualizerConfig {
-            converter_mode: ConverterMode::Pool(3),
+            converter_threads: 3,
             ..Default::default()
         };
         let (report, _) = run_pipeline(&config, 50, 4);
         assert_eq!(report.rows_staged, 200);
         assert_eq!(report.converter_workers, 3);
-
-        // Per-chunk mode with a credit count above the thread cap: the
-        // pool clamps instead of spawning unbounded threads.
-        let config = VirtualizerConfig {
-            converter_mode: ConverterMode::PerChunk,
-            credits: 10_000,
-            max_converter_threads: 4,
-            ..Default::default()
-        };
-        let (report, _) = run_pipeline(&config, 30, 2);
-        assert_eq!(report.rows_staged, 60);
-        assert_eq!(report.converter_workers, 4);
     }
 
     #[test]
@@ -1040,19 +1003,7 @@ mod tests {
     fn acquisition_errors_collected_sorted() {
         let config = VirtualizerConfig::default();
         let store = Arc::new(MemStore::new());
-        let loader = loader_for(&config, store);
-        let converter = DataConverter::new(layout(), WIRE_VT, b'|');
-        let pipeline = Pipeline::spawn(
-            &config,
-            converter,
-            loader,
-            "j/".into(),
-            None,
-            Arc::new(Obs::default()),
-            1,
-            SpanIds::default(),
-            test_tenant(),
-        );
+        let (_runtime, pipeline) = start_job(&config, loader_for(&config, store), None);
         let credits = CreditManager::new(4);
         let memory = MemoryGauge::new(0);
         let sink = pipeline.sink();
@@ -1101,18 +1052,7 @@ mod tests {
             chaos,
             LoaderConfig::new(config.staging_bucket.clone()),
         ));
-        let converter = DataConverter::new(layout(), WIRE_VT, b'|');
-        let pipeline = Pipeline::spawn(
-            &config,
-            converter,
-            loader,
-            "j/".into(),
-            Some(Arc::clone(&injector)),
-            Arc::new(Obs::default()),
-            1,
-            SpanIds::default(),
-            test_tenant(),
-        );
+        let (_runtime, pipeline) = start_job(&config, loader, Some(Arc::clone(&injector)));
         let credits = CreditManager::new(config.credits);
         let memory = MemoryGauge::new(0);
         let sink = pipeline.sink();
@@ -1154,19 +1094,8 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let loader = loader_for(&config, store);
         // One pool worker so chunk order = op order.
-        config.converter_mode = ConverterMode::Pool(1);
-        let converter = DataConverter::new(layout(), WIRE_VT, b'|');
-        let pipeline = Pipeline::spawn(
-            &config,
-            converter,
-            loader,
-            "j/".into(),
-            Some(injector),
-            Arc::new(Obs::default()),
-            1,
-            SpanIds::default(),
-            test_tenant(),
-        );
+        config.converter_threads = 1;
+        let (_runtime, pipeline) = start_job(&config, loader, Some(injector));
         let credits = CreditManager::new(4);
         let memory = MemoryGauge::new(0);
         let sink = pipeline.sink();
@@ -1210,7 +1139,7 @@ mod tests {
         // per-job (no cross-talk), and the thread count is the configured
         // pool size, not jobs × pool size.
         let config = VirtualizerConfig {
-            converter_mode: ConverterMode::Pool(2),
+            converter_threads: 2,
             file_writers: 2,
             file_size_threshold: 128,
             ..Default::default()
@@ -1261,6 +1190,7 @@ mod tests {
             }
         }
         assert_eq!(runtime.active_jobs(), 0, "jobs deregister at finish");
+        runtime.stop();
         assert_eq!(
             runtime.threads_started(),
             runtime.total_workers(),
@@ -1268,13 +1198,12 @@ mod tests {
         );
         assert_eq!(credits.available(), config.credits);
         assert_eq!(memory.in_flight(), 0);
-        runtime.stop();
     }
 
     #[test]
     fn abort_discards_and_releases_everything() {
         let config = VirtualizerConfig {
-            converter_mode: ConverterMode::Pool(2),
+            converter_threads: 2,
             // Make conversion slow enough that chunks are still queued
             // and in flight when the abort lands.
             simulated_convert_cost_per_mb: Duration::from_millis(2000),
@@ -1282,18 +1211,7 @@ mod tests {
         };
         let store = Arc::new(MemStore::new());
         let loader = loader_for(&config, Arc::clone(&store));
-        let converter = DataConverter::new(layout(), WIRE_VT, b'|');
-        let pipeline = Pipeline::spawn(
-            &config,
-            converter,
-            loader,
-            "j/".into(),
-            None,
-            Arc::new(Obs::default()),
-            1,
-            SpanIds::default(),
-            test_tenant(),
-        );
+        let (_runtime, pipeline) = start_job(&config, loader, None);
         let credits = CreditManager::new(16);
         let memory = MemoryGauge::new(0);
         let sink = pipeline.sink();

@@ -3,11 +3,11 @@
 //!
 //! The old front end spent one OS thread per connection — fine at 16
 //! legacy job slots, hopeless at 10k keepalive sessions. Here a small
-//! number of loops ([`crate::config::VirtualizerConfig::reactor_threads`])
-//! own all the sockets through one epoll instance each; every
-//! connection is a [`SessionCore`] state machine fed whole frames by
-//! the nonblocking decoder and drained through a resumable
-//! [`FrameWriter`]. Nothing on a loop thread may block:
+//! number of loops ([`LOOP_THREADS`]) own all the sockets through one
+//! epoll instance each; every connection is a [`SessionCore`] state
+//! machine fed whole frames by the nonblocking decoder and drained
+//! through a resumable [`FrameWriter`]. Nothing on a loop thread may
+//! block:
 //!
 //! - inline steps (logon, keepalive, logoff, protocol errors) are
 //!   answered on the loop;
@@ -122,6 +122,10 @@ struct Shared {
     loops: Vec<LoopShared>,
 }
 
+/// Event-loop threads. Each loop multiplexes its share of the connection
+/// fds with epoll; connection count is independent of this number.
+const LOOP_THREADS: usize = 2;
+
 /// One unit of blocking-capable work in the dispatch channel.
 struct DispatchJob {
     loop_id: usize,
@@ -143,8 +147,11 @@ impl Reactor {
     /// be nonblocking; loop 0 owns it.
     pub(crate) fn start(v: Virtualizer, listener: TcpListener) -> io::Result<Reactor> {
         let config = v.config();
-        let n_loops = config.reactor_threads.max(1);
-        let n_dispatch = config.dispatch_threads.max(1);
+        let n_loops = LOOP_THREADS;
+        // Sized from the host: enough dispatchers that a burst of jobs
+        // progresses concurrently even on a small box, capped so a large
+        // one does not spend threads it cannot use.
+        let n_dispatch = crate::config::host_cores().clamp(8, 32);
         let tick = config.reactor_tick;
         let idle_timeout = config.session_idle_timeout;
 

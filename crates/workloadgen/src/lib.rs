@@ -4,7 +4,7 @@
 //! virtualizer — the harness that turns "fast on a uniform load" claims
 //! into "fast under production-shaped traffic" claims.
 //!
-//! The paper's evaluation (and BENCH_PR2–PR5) drives the system with one
+//! The paper's evaluation drives the system with one
 //! job shape at a time. Real cloud-warehouse traffic is nothing like
 //! that: arrivals are bursty or diurnal, table and job sizes follow a
 //! Zipf skew where a few hot tables absorb most rows, tenants share one
@@ -28,14 +28,14 @@
 //!    seed its payload bytes derive from. Same scenario, same trace,
 //!    event for event.
 //! 3. [`replay`] executes a trace against a node through any
-//!    [`Connect`](etlv_legacy_client::Connect)or (TCP in the benches):
+//!    [`Connect`](etlv_legacy_client::Connect)or (TCP in the tests):
 //!    one dispatcher per tenant issues that tenant's jobs at their
 //!    scheduled offsets through the real client with `busy_retry`, and
 //!    records per-job latency, admission retries, rejections, server
 //!    retries, and error-table attribution.
 //! 4. [`ReplayReport::slo`] folds the outcomes into an [`SloSummary`] —
 //!    p50/p95/p99 job latency, admission-rejection rate, retry and error
-//!    totals — rendered to JSON by the `bench_pr6` binary.
+//!    totals.
 //!
 //! Determinism model (DESIGN.md §12): every random draw comes from
 //! [`SeededRng`](etlv_protocol::rng::SeededRng) streams derived from the

@@ -160,7 +160,7 @@ impl ReplayReport {
         c
     }
 
-    /// Fold to the SLO rollup for `BENCH_PR6.json`.
+    /// Fold to the SLO rollup, labelled `scenario`.
     pub fn slo(&self, scenario: &str) -> SloSummary {
         let c = self.counts();
         let mut latencies: Vec<u64> = self

@@ -59,7 +59,7 @@ impl std::error::Error for ScenarioParseError {}
 /// form; field order here matches line order there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
-    /// Scenario name (also the key in `BENCH_PR6.json`).
+    /// Scenario name (labels the replay's [`SloSummary`](crate::SloSummary)).
     pub name: String,
     /// Master seed — the only source of randomness anywhere downstream.
     pub seed: u64,
@@ -185,27 +185,6 @@ impl Scenario {
             date_error_ppm: 60_000,
             dup_key_ppm: 40_000,
             sessions_per_import: 1,
-        }
-    }
-
-    /// `error_heavy` scaled past the comfort zone of a scan-bound apply
-    /// path: more jobs, bigger batches, and few tables per tenant so the
-    /// hot tables accumulate rows across repeat imports. With the same
-    /// error rates as `error_heavy`, every dirty batch triggers adaptive
-    /// bisection plus uniqueness probes against an ever-growing target —
-    /// quadratic for a scanning engine, n·log n for an indexed one.
-    ///
-    /// Deliberately *not* part of [`Scenario::presets`]: `bench_pr6`
-    /// pins that set; `bench_pr7` runs this scenario by name.
-    pub fn error_heavy_big(seed: u64) -> Scenario {
-        Scenario {
-            name: "error_heavy_big".into(),
-            jobs: 24,
-            horizon_ms: 1200,
-            tables_per_tenant: 3,
-            rows_base: 150,
-            rows_hot: 600,
-            ..Scenario::error_heavy(seed)
         }
     }
 
@@ -341,7 +320,7 @@ impl Scenario {
         Ok(s)
     }
 
-    /// The three named regression scenarios `bench_pr6` runs.
+    /// The three named regression scenarios `tests/workload.rs` replays.
     pub fn presets(seed: u64) -> Vec<Scenario> {
         vec![
             Scenario::steady(seed),
@@ -363,17 +342,6 @@ mod tests {
             assert_eq!(back, s, "{}", s.name);
             assert_eq!(back.render(), text, "render is canonical");
         }
-    }
-
-    #[test]
-    fn error_heavy_big_round_trips_and_stays_out_of_presets() {
-        let s = Scenario::error_heavy_big(77);
-        let back = Scenario::parse(&s.render()).unwrap();
-        assert_eq!(back, s);
-        assert!(
-            Scenario::presets(77).iter().all(|p| p.name != s.name),
-            "bench_pr6 pins the preset set; error_heavy_big rides bench_pr7"
-        );
     }
 
     #[test]

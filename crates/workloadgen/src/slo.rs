@@ -1,5 +1,4 @@
-//! SLO summarization: fold per-job outcomes into the percentile report
-//! the regression suite and `BENCH_PR6.json` pin.
+//! SLO summarization: fold per-job outcomes into a percentile report.
 
 /// Nearest-rank percentile over a sorted slice (µs). `p` in `(0, 100]`.
 pub fn percentile(sorted_us: &[u64], p: f64) -> u64 {
@@ -56,8 +55,7 @@ pub struct SloSummary {
 }
 
 impl SloSummary {
-    /// Render as a JSON object (no serde in this tree — hand-built, same
-    /// convention as the other bench binaries).
+    /// Render as a JSON object (no serde in this tree — hand-built).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"scenario\":\"{}\",\"jobs\":{},\"completed\":{},\"rejected\":{},\"failed\":{},\

@@ -180,6 +180,7 @@ fn profile_wire_round_trip_and_trace_reconciliation() {
     );
     // Stage CPU/wall accounting saw the pipeline stages.
     let report = v.profile();
+    assert_eq!(report.folded_jobs, 1, "the flamegraph folds the one job");
     let convert = report.stages.iter().find(|s| s.stage == "convert").unwrap();
     assert!(convert.samples >= 1, "convert stage sampled");
     // Single-threaded spans can't burn (much) more CPU than wall; the

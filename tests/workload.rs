@@ -30,7 +30,23 @@ fn small_scenario() -> Scenario {
     }
 }
 
-fn replay_on_fresh_tcp_node(trace: &etlv_workloadgen::WorkloadTrace) -> OutcomeCounts {
+/// The presets at smoke size: the gates below hold at any scale, so the
+/// replays stay short.
+fn smoke_presets(seed: u64) -> Vec<Scenario> {
+    let mut presets = Scenario::presets(seed);
+    for s in &mut presets {
+        s.jobs = (s.jobs / 4).max(6);
+        s.tenants = s.tenants.min(3);
+        s.horizon_ms /= 4;
+        s.rows_hot = (s.rows_hot / 4).max(s.rows_base.min(40));
+        s.rows_base = s.rows_base.min(40);
+    }
+    presets
+}
+
+/// Replay on a fresh TCP node; returns the outcome counts and how many
+/// index seeks the CDW planner recorded.
+fn replay_on_fresh_tcp_node(trace: &etlv_workloadgen::WorkloadTrace) -> (OutcomeCounts, u64) {
     let v = Virtualizer::new(VirtualizerConfig::default());
     let handle = v.listen_tcp("127.0.0.1:0").expect("bind");
     let connector: Arc<dyn Connect> = Arc::new(TcpConnector::new(handle.addr().to_string()));
@@ -42,7 +58,7 @@ fn replay_on_fresh_tcp_node(trace: &etlv_workloadgen::WorkloadTrace) -> OutcomeC
     let report = replay(&connector, trace, &options).expect("replay");
     common::assert_quiescent(&v);
     handle.shutdown();
-    report.counts()
+    (report.counts(), v.obs().cdw.plan_index_seek.value())
 }
 
 /// Same seed, same trace — different seed, different trace.
@@ -151,28 +167,37 @@ fn small_scenario_exercises_the_full_mix() {
 }
 
 /// The tentpole end to end: replay the same trace over real TCP against
-/// two fresh nodes. Every job completes, both runs produce identical
-/// outcome counts, and the nodes' ET/UV attribution equals the planned
-/// error mix row for row.
+/// two fresh nodes — the acceptance scenario and every preset at smoke
+/// size. Every job completes, both runs produce identical outcome counts,
+/// the nodes' ET/UV attribution equals the planned error mix row for row,
+/// and the dirty preset's uniqueness probes and bisection run as index
+/// seeks.
 #[test]
 fn tcp_replay_outcomes_are_deterministic() {
-    let trace = synthesize(&small_scenario());
-    let truth = trace.ground_truth();
+    for scenario in std::iter::once(small_scenario()).chain(smoke_presets(0x00E7_C006)) {
+        let name = &scenario.name;
+        let trace = synthesize(&scenario);
+        let truth = trace.ground_truth();
 
-    let first = replay_on_fresh_tcp_node(&trace);
-    let second = replay_on_fresh_tcp_node(&trace);
+        let (first, index_seeks) = replay_on_fresh_tcp_node(&trace);
+        let (second, _) = replay_on_fresh_tcp_node(&trace);
 
-    assert_eq!(first, second, "replays of the same trace must agree");
-    assert_eq!(first.jobs, u64::from(trace.scenario.jobs));
-    assert_eq!(
-        first.completed, first.jobs,
-        "{} rejected, {} failed",
-        first.rejected, first.failed
-    );
-    assert_eq!(first.errors_et, truth.bad_dates);
-    assert_eq!(first.errors_uv, truth.dup_keys);
-    assert_eq!(
-        first.rows_applied,
-        truth.rows - truth.bad_dates - truth.dup_keys
-    );
+        assert_eq!(first, second, "'{name}': replays of one trace must agree");
+        assert_eq!(first.jobs, u64::from(scenario.jobs), "'{name}'");
+        assert_eq!(
+            first.completed, first.jobs,
+            "'{name}': {} rejected, {} failed",
+            first.rejected, first.failed
+        );
+        assert_eq!(first.errors_et, truth.bad_dates, "'{name}'");
+        assert_eq!(first.errors_uv, truth.dup_keys, "'{name}'");
+        assert_eq!(
+            first.rows_applied,
+            truth.rows - truth.bad_dates - truth.dup_keys,
+            "'{name}'"
+        );
+        if name == "error_heavy" && etlv_core::obs::enabled() {
+            assert!(index_seeks > 0, "'{name}' replay recorded no index seeks");
+        }
+    }
 }
