@@ -22,7 +22,7 @@ use crate::error::{BulkAbortKind, CdwError};
 use crate::eval::{conv_err, eval, truthy, Env};
 use crate::key::{cmp_values, RowKey};
 use crate::plan::{
-    choose_access, family_of, normalize_probe, plan_equi_join, Access, Family, PlanStats,
+    choose_access, family_of, normalize_probe, plan_equi_join, Access, Family, PlanStats, SeekPlan,
 };
 use crate::staged::StagedFormat;
 
@@ -586,7 +586,7 @@ fn select_source(ctx: &mut ExecCtx<'_>, sel: &SelectStmt) -> Result<Relation, Cd
             single_table_select(ctx, name, alias.as_deref(), sel.selection.as_ref())
         }
         Some(from) => {
-            let rel = resolve_from(ctx, from)?;
+            let rel = resolve_from(ctx, from, sel.selection.as_ref())?;
             let rows = match &sel.selection {
                 Some(w) => filter_owned(&rel.bindings, w, rel.rows)?,
                 None => rel.rows,
@@ -626,13 +626,13 @@ fn single_table_select(
         }
         Access::Seek(p) => {
             ctx.stats.index_seeks += 1;
-            let ix = &table.indexes[p.index];
-            let mut rowids = ix.seek(&p.prefix, p.lo.as_ref(), p.hi.as_ref());
-            // Emit in rowid order so results are byte-identical to a scan.
-            rowids.sort_unstable();
             if p.consumed {
-                rowids.iter().map(|&i| table.rows[i].clone()).collect()
+                seek_rows(table, p)
             } else {
+                let ix = &table.indexes[p.index];
+                let mut rowids = ix.seek(&p.prefix, p.lo.as_ref(), p.hi.as_ref());
+                // Emit in rowid order so results are byte-identical to a scan.
+                rowids.sort_unstable();
                 let w = selection.expect("a seek implies a filter");
                 let mut out = Vec::with_capacity(rowids.len());
                 for &i in &rowids {
@@ -649,6 +649,48 @@ fn single_table_select(
         }
     };
     Ok(Relation { bindings, rows })
+}
+
+/// The rows a seek selects, in rowid order so results are byte-identical
+/// to a scan. A seek that returned every row clones the row vector, like
+/// the scan it replaces, instead of sorting rowids and cloning row by row.
+fn seek_rows(table: &Table, p: &SeekPlan) -> Vec<Vec<Value>> {
+    let mut rowids = table.indexes[p.index].seek(&p.prefix, p.lo.as_ref(), p.hi.as_ref());
+    if rowids.len() == table.rows.len() {
+        return table.rows.clone();
+    }
+    rowids.sort_unstable();
+    rowids.iter().map(|&i| table.rows[i].clone()).collect()
+}
+
+/// Access path for the named left input of a join, with the enclosing
+/// SELECT's WHERE pushed through the join. The planner sees the whole
+/// WHERE but a resolver that admits only columns resolving — in the
+/// combined bindings of both inputs, unambiguously — to the left table,
+/// so only left-only `col OP literal` conjuncts can drive the seek. The
+/// caller still applies the whole WHERE after the join: the seek is a
+/// pre-filter dropping left rows that provably fail one conjunct (left
+/// columns are never NULL-padded, so this holds for LEFT joins too).
+/// Anything unprovable — including a right input whose bindings cannot be
+/// computed — is a scan.
+fn join_left_access(
+    ctx: &ExecCtx<'_>,
+    left: &Table,
+    left_alias: Option<&str>,
+    right: &TableRef,
+    selection: Option<&Expr>,
+) -> Access {
+    if !ctx.planner || selection.is_none() {
+        return Access::Scan;
+    }
+    let Ok(right_bindings) = bindings_of(ctx, right) else {
+        return Access::Scan;
+    };
+    let mut bindings = table_bindings(left, left_alias);
+    let left_len = bindings.len();
+    bindings.extend(right_bindings);
+    let mut resolve = |n: &ObjectName| resolve_column(&bindings, n).ok().filter(|&i| i < left_len);
+    choose_access(left, selection, &mut resolve)
 }
 
 /// Filter borrowed rows, cloning only the hits. Tries the columnar batch
@@ -715,7 +757,15 @@ fn filter_owned(
     Ok(out)
 }
 
-fn resolve_from(ctx: &mut ExecCtx<'_>, from: &TableRef) -> Result<Relation, CdwError> {
+/// Resolve a FROM tree into its joined row set. `selection` is the
+/// enclosing SELECT's WHERE, which the caller applies in full afterwards;
+/// here it only narrows a join's named left input (see
+/// [`join_left_access`]).
+fn resolve_from(
+    ctx: &mut ExecCtx<'_>,
+    from: &TableRef,
+    selection: Option<&Expr>,
+) -> Result<Relation, CdwError> {
     match from {
         TableRef::Named { name, alias } => {
             let table = ctx.tables.get(&name.dotted())?;
@@ -747,7 +797,28 @@ fn resolve_from(ctx: &mut ExecCtx<'_>, from: &TableRef) -> Result<Relation, CdwE
             kind,
             on,
         } => {
-            let l = resolve_from(ctx, left)?;
+            let l = match &**left {
+                TableRef::Named { name, alias } => {
+                    let table = ctx.tables.get(&name.dotted())?;
+                    let rows =
+                        match join_left_access(ctx, table, alias.as_deref(), right, selection) {
+                            Access::Scan => {
+                                ctx.stats.full_scans += 1;
+                                table.rows.clone()
+                            }
+                            Access::Empty => Vec::new(),
+                            Access::Seek(p) => {
+                                ctx.stats.index_seeks += 1;
+                                seek_rows(table, &p)
+                            }
+                        };
+                    Relation {
+                        bindings: table_bindings(table, alias.as_deref()),
+                        rows,
+                    }
+                }
+                other => resolve_from(ctx, other, None)?,
+            };
             if ctx.planner {
                 if let TableRef::Named { name, alias } = &**right {
                     if let Some(rel) = try_index_join(ctx, &l, name, alias.as_deref(), kind, on)? {
@@ -755,7 +826,7 @@ fn resolve_from(ctx: &mut ExecCtx<'_>, from: &TableRef) -> Result<Relation, CdwE
                     }
                 }
             }
-            let r = resolve_from(ctx, right)?;
+            let r = resolve_from(ctx, right, None)?;
             let mut bindings = l.bindings.clone();
             bindings.extend(r.bindings.iter().cloned());
             let mut rows = Vec::new();
@@ -972,14 +1043,16 @@ fn explain_select(
             };
             lines.push(format!("{}{}", indent(depth + 1), access.describe(table)));
         }
-        Some(from) => explain_from(ctx, from, depth + 1, lines)?,
+        Some(from) => explain_from(ctx, from, sel.selection.as_ref(), depth + 1, lines)?,
     }
     Ok(())
 }
 
+/// `selection` is the enclosing SELECT's WHERE, as in [`resolve_from`].
 fn explain_from(
     ctx: &ExecCtx<'_>,
     from: &TableRef,
+    selection: Option<&Expr>,
     depth: usize,
     lines: &mut Vec<String>,
 ) -> Result<(), CdwError> {
@@ -993,37 +1066,44 @@ fn explain_from(
             left, right, on, ..
         } => {
             let lb = bindings_of(ctx, left)?;
-            if ctx.planner {
-                if let TableRef::Named { name, alias } = &**right {
-                    if let Ok(rtable) = ctx.tables.get(&name.dotted()) {
+            let index_join = match &**right {
+                TableRef::Named { name, alias } if ctx.planner => {
+                    ctx.tables.get(&name.dotted()).ok().and_then(|rtable| {
                         let mut bindings = lb.clone();
                         bindings.extend(table_bindings(rtable, alias.as_deref()));
                         let mut resolve = |n: &ObjectName| resolve_column(&bindings, n).ok();
-                        if let Some(plan) = plan_equi_join(rtable, on, lb.len(), &mut resolve) {
-                            let ix = &rtable.indexes[plan.index];
-                            lines.push(format!(
-                                "{}index_lookup_join table={} index={} keys={}",
-                                indent(depth),
-                                rtable.name,
-                                ix.name,
-                                plan.keys.len()
-                            ));
-                            explain_from(ctx, left, depth + 1, lines)?;
-                            return Ok(());
-                        }
-                    }
+                        let plan = plan_equi_join(rtable, on, lb.len(), &mut resolve)?;
+                        Some(format!(
+                            "index_lookup_join table={} index={} keys={}",
+                            rtable.name,
+                            rtable.indexes[plan.index].name,
+                            plan.keys.len()
+                        ))
+                    })
                 }
+                _ => None,
+            };
+            let nested = index_join.is_none();
+            let join = index_join.unwrap_or_else(|| "nested_loop_join".into());
+            lines.push(format!("{}{join}", indent(depth)));
+            match &**left {
+                TableRef::Named { name, alias } => {
+                    let table = ctx.tables.get(&name.dotted())?;
+                    let access = join_left_access(ctx, table, alias.as_deref(), right, selection);
+                    lines.push(format!("{}{}", indent(depth + 1), access.describe(table)));
+                }
+                other => explain_from(ctx, other, None, depth + 1, lines)?,
             }
-            lines.push(format!("{}nested_loop_join", indent(depth)));
-            explain_from(ctx, left, depth + 1, lines)?;
-            explain_from(ctx, right, depth + 1, lines)?;
+            if nested {
+                explain_from(ctx, right, None, depth + 1, lines)?;
+            }
         }
     }
     Ok(())
 }
 
 /// Visible bindings of a FROM tree, computed without executing anything
-/// (EXPLAIN only).
+/// (EXPLAIN, and the planner's view of a join's right input).
 fn bindings_of(ctx: &ExecCtx<'_>, from: &TableRef) -> Result<Vec<Binding>, CdwError> {
     match from {
         TableRef::Named { name, alias } => Ok(table_bindings(

@@ -8,10 +8,14 @@
 //! error renderings, and every index must validate against its table.
 //!
 //! The generator sticks to type-consistent predicates (integer columns
-//! vs integer literals, varchar vs string literals, no NULL literals in
-//! WHERE) so evaluation is error-free by construction; the interesting
+//! vs integer literals, varchar vs string literals, no NULL literal in a
+//! WHERE but the one whole-statement `K < NULL` probe) so evaluation is
+//! error-free by construction; the interesting
 //! divergences — seek bounds, probe normalization, rowid ordering,
-//! residual re-evaluation, join padding — are all exercised.
+//! residual re-evaluation, join padding — are all exercised. The join
+//! shapes (arm 9) cover the WHERE pushed through a join's left input:
+//! what may be pushed, what must not be, and what raises the same error
+//! either way.
 
 use etlv_cdw::{Cdw, CdwConfig};
 
@@ -43,7 +47,9 @@ fn setup(planner: bool, native_unique: bool) -> Cdw {
     );
     cdw.execute_script(
         "CREATE TABLE T1 (A INTEGER, B INTEGER, C VARCHAR(10), PRIMARY KEY (A));
-         CREATE TABLE T2 (K INTEGER, V VARCHAR(10), PRIMARY KEY (K));",
+         CREATE TABLE T2 (K INTEGER, V VARCHAR(10), PRIMARY KEY (K));
+         CREATE TABLE T3 (J INTEGER, V VARCHAR(10), PRIMARY KEY (J));
+         INSERT INTO T3 VALUES (1, 'c1'), (2, 'c2'), (3, 'c1'), (50, 'u9');",
     )
     .unwrap();
     cdw.create_index("T1", "IX_B", &["B".into()], false)
@@ -54,7 +60,7 @@ fn setup(planner: bool, native_unique: bool) -> Cdw {
 /// One random statement. Key domains are deliberately small so inserts
 /// collide (exercising uniqueness paths) and predicates actually match.
 fn gen_stmt(rng: &mut Rng) -> String {
-    match rng.below(10) {
+    match rng.below(11) {
         0..=2 => {
             // Multi-row INSERT into T1.
             let n = 1 + rng.below(3);
@@ -112,6 +118,51 @@ fn gen_stmt(rng: &mut Rng) -> String {
             "SELECT T1.A, T2.V FROM T1 JOIN T2 ON T1.B = T2.K ORDER BY T1.A, T2.V LIMIT {}",
             1 + rng.below(40)
         ),
+        // WHERE over a join: T2 (or T1) is the named left input.
+        9 => match rng.below(7) {
+            // Left-only range + right-only conjunct + a mixed one.
+            0 => format!(
+                "SELECT T2.K, T2.V, T1.A FROM T2 JOIN T1 ON T1.B = T2.K \
+                 WHERE T2.K >= {} AND T2.K < {} AND T1.A < {} AND T1.A > T2.K + 1 \
+                 ORDER BY T2.K, T1.A",
+                rng.below(25),
+                25 + rng.below(25),
+                rng.below(400)
+            ),
+            // LEFT JOIN filtered on the nullable side: must not be pushed.
+            1 => format!(
+                "SELECT T2.K, T1.C FROM T2 LEFT JOIN T1 ON T1.A = T2.K \
+                 WHERE T1.C IS NULL AND T2.K BETWEEN {} AND {} ORDER BY T2.K",
+                rng.below(50),
+                50 + rng.below(50)
+            ),
+            // Unqualified but unambiguous left column: pushed.
+            2 => format!(
+                "SELECT K, A FROM T2 JOIN T1 ON T1.B = T2.K WHERE K <= {} ORDER BY K, A",
+                rng.below(50)
+            ),
+            // Unqualified name both inputs carry: the same AmbiguousColumn
+            // error in both modes, nothing pushed.
+            3 => "SELECT T2.K FROM T2 JOIN T3 ON T3.J = T2.K WHERE V = 'v1'".into(),
+            // A left-only conjunct that is not sargable beside one that is.
+            4 => format!(
+                "SELECT T2.K, T2.V, T1.A FROM T2 LEFT JOIN T1 ON T1.B = T2.K \
+                 WHERE T2.V LIKE 'v1%' AND T2.K > {} ORDER BY T2.K, T1.A",
+                rng.below(100)
+            ),
+            // NULL probe on the left input: no rows, inner or LEFT.
+            5 => format!(
+                "SELECT T2.K FROM T2 {} T1 ON T1.A = T2.K WHERE T2.K < NULL",
+                if rng.below(2) == 0 { "JOIN" } else { "LEFT JOIN" }
+            ),
+            // Nested-loop join (no index on T3.V) over a pushed left seek.
+            _ => format!(
+                "SELECT T1.A, T3.J FROM T1 JOIN T3 ON T3.V = T1.C WHERE T1.A >= {} AND T1.A < {} \
+                 ORDER BY T1.A, T3.J",
+                rng.below(200),
+                200 + rng.below(200)
+            ),
+        },
         _ => match rng.below(3) {
             0 => format!("SELECT COUNT(*) FROM T1 WHERE A >= {} AND A < {}", rng.below(200), 200 + rng.below(200)),
             1 => "SELECT T1.C, COUNT(*) AS N FROM T1 GROUP BY T1.C ORDER BY T1.C".into(),

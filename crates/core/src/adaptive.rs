@@ -96,65 +96,6 @@ pub struct AdaptiveOutcome {
     pub transient_retries: u64,
 }
 
-impl AdaptiveOutcome {
-    /// Individual (non-range) errors recorded so far.
-    fn individual_errors(&self) -> u64 {
-        self.errors
-            .iter()
-            .filter(|e| matches!(e.rows, ErrorRows::Single(_)))
-            .count() as u64
-    }
-}
-
-/// Lazily-fetched snapshot of the staging rows, keyed by `__SEQ`.
-///
-/// Singleton error recording needs the failing tuple (for UV rows and
-/// field attribution); fetching the whole staging range once costs one
-/// statement instead of one per error — the difference matters at high
-/// error rates (Figure 11).
-struct StagingCache {
-    rows: Option<HashMap<u64, Vec<Value>>>,
-}
-
-impl StagingCache {
-    #[allow(clippy::too_many_arguments)]
-    fn tuple(
-        &mut self,
-        cdw: &Cdw,
-        compiled: &CompiledDml,
-        lo: u64,
-        hi: u64,
-        seq: u64,
-        params: AdaptiveParams,
-        outcome: &mut AdaptiveOutcome,
-    ) -> Result<Vec<Value>, CdwError> {
-        if self.rows.is_none() {
-            outcome.statements += 1;
-            let scan = compiled.staging_scan(Some(lo), Some(hi));
-            let result = retry_cdw(
-                params.retry,
-                params.retry_seed ^ 0x5ca9,
-                &mut outcome.transient_retries,
-                || cdw.execute_stmt(&scan),
-            )?;
-            let mut map = HashMap::with_capacity(result.rows.len());
-            for row in result.rows {
-                if let Some(Value::Int(s)) = row.first() {
-                    map.insert(*s as u64, row[1..].to_vec());
-                }
-            }
-            self.rows = Some(map);
-        }
-        Ok(self
-            .rows
-            .as_ref()
-            .expect("populated above")
-            .get(&seq)
-            .cloned()
-            .unwrap_or_default())
-    }
-}
-
 /// Apply `compiled` to staging rows `[lo, hi)` with adaptive error
 /// handling. `obs` (when supplied) journals every bisection decision and
 /// range failure under the owning job's token.
@@ -169,163 +110,192 @@ pub fn apply_adaptive(
     params: AdaptiveParams,
     obs: Option<&JobObs>,
 ) -> Result<AdaptiveOutcome, CdwError> {
-    let mut outcome = AdaptiveOutcome::default();
-    let mut cache = StagingCache { rows: None };
-    recurse(
+    let mut job = Bisection {
         cdw,
         compiled,
         emulation,
         layout,
-        lo,
-        hi,
-        0,
         params,
-        &mut outcome,
-        lo,
-        hi,
-        &mut cache,
         obs,
-    )?;
-    Ok(outcome)
+        job_range: (lo, hi),
+        staged: None,
+        individual_errors: 0,
+        outcome: AdaptiveOutcome::default(),
+    };
+    job.recurse(lo, hi, 0, false)?;
+    Ok(job.outcome)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn recurse(
-    cdw: &Cdw,
-    compiled: &CompiledDml,
-    emulation: Option<&UniqueEmulation>,
-    layout: &Layout,
-    lo: u64,
-    hi: u64,
-    depth: u32,
+/// What one job's bisection shares across its recursion.
+struct Bisection<'a> {
+    cdw: &'a Cdw,
+    compiled: &'a CompiledDml,
+    emulation: Option<&'a UniqueEmulation>,
+    layout: &'a Layout,
     params: AdaptiveParams,
-    outcome: &mut AdaptiveOutcome,
-    job_lo: u64,
-    job_hi: u64,
-    cache: &mut StagingCache,
-    obs: Option<&JobObs>,
-) -> Result<(), CdwError> {
-    if lo >= hi {
-        return Ok(());
-    }
-    match try_apply_range(cdw, compiled, emulation, lo, hi, params, outcome) {
-        Ok(applied) => {
-            outcome.applied += applied;
-            Ok(())
-        }
-        Err(err) if err.is_bulk_abort() => {
-            if let Some(obs) = obs {
-                obs.range_error(lo, hi - 1);
-            }
-            if hi - lo == 1 {
-                let tuple = cache.tuple(cdw, compiled, job_lo, job_hi, lo, params, outcome)?;
-                record_singleton(compiled, layout, lo, tuple, &err, outcome);
-                return Ok(());
-            }
-            if params.max_errors > 0 && outcome.individual_errors() >= params.max_errors {
-                outcome.errors.push(RecordedError {
-                    code: ErrCode::MAX_ERRORS,
-                    field: None,
-                    message: format!(
-                        "Max number of errors reached during DML on {}, row numbers: ({}, {})",
-                        compiled.target.dotted(),
-                        lo,
-                        hi - 1
-                    ),
-                    rows: ErrorRows::Range(lo, hi - 1),
-                    uv_tuple: None,
-                });
-                return Ok(());
-            }
-            if depth >= params.max_retries {
-                outcome.errors.push(RecordedError {
-                    code: ErrCode::MAX_RETRIES,
-                    field: None,
-                    message: format!(
-                        "Max number of retries reached during DML on {}, row numbers: ({}, {})",
-                        compiled.target.dotted(),
-                        lo,
-                        hi - 1
-                    ),
-                    rows: ErrorRows::Range(lo, hi - 1),
-                    uv_tuple: None,
-                });
-                return Ok(());
-            }
-            outcome.splits += 1;
-            if let Some(obs) = obs {
-                obs.split(lo, hi - 1);
-            }
-            let mid = lo + (hi - lo) / 2;
-            recurse(
-                cdw,
-                compiled,
-                emulation,
-                layout,
-                lo,
-                mid,
-                depth + 1,
-                params,
-                outcome,
-                job_lo,
-                job_hi,
-                cache,
-                obs,
+    obs: Option<&'a JobObs<'a>>,
+    /// The job's whole staging range `[lo, hi)`.
+    job_range: (u64, u64),
+    /// Lazily-fetched snapshot of the staging rows, keyed by `__SEQ`.
+    staged: Option<HashMap<u64, Vec<Value>>>,
+    /// Individual (non-range) errors recorded so far: `max_errors` is
+    /// checked at every failing range, so it is counted, not rescanned.
+    individual_errors: u64,
+    outcome: AdaptiveOutcome,
+}
+
+impl Bisection<'_> {
+    /// The staging tuple of row `seq`.
+    ///
+    /// Singleton error recording needs the failing tuple (for UV rows and
+    /// field attribution); fetching the whole staging range once costs one
+    /// statement instead of one per error — the difference matters at high
+    /// error rates (Figure 11).
+    fn tuple(&mut self, seq: u64) -> Result<Vec<Value>, CdwError> {
+        if self.staged.is_none() {
+            self.outcome.statements += 1;
+            let (lo, hi) = self.job_range;
+            let scan = self.compiled.staging_scan(Some(lo), Some(hi));
+            let cdw = self.cdw;
+            let result = retry_cdw(
+                self.params.retry,
+                self.params.retry_seed ^ 0x5ca9,
+                &mut self.outcome.transient_retries,
+                || cdw.execute_stmt(&scan),
             )?;
-            recurse(
-                cdw,
-                compiled,
-                emulation,
-                layout,
-                mid,
-                hi,
-                depth + 1,
-                params,
-                outcome,
-                job_lo,
-                job_hi,
-                cache,
-                obs,
-            )
+            let mut map = HashMap::with_capacity(result.rows.len());
+            for row in result.rows {
+                if let Some(Value::Int(s)) = row.first() {
+                    map.insert(*s as u64, row[1..].to_vec());
+                }
+            }
+            self.staged = Some(map);
         }
-        // Structural failures (missing tables, SQL errors) abort the job.
-        Err(err) => Err(err),
+        Ok(self
+            .staged
+            .as_ref()
+            .expect("populated above")
+            .get(&seq)
+            .cloned()
+            .unwrap_or_default())
     }
-}
 
-/// One application attempt: emulated uniqueness pre-check, then the
-/// range-restricted DML. Transient CDW failures are retried in place —
-/// both statements are safe to re-issue (the pre-check is a read, the
-/// DML validates every tuple before mutating) — so infrastructure blips
-/// never masquerade as data errors and trigger a pointless bisection.
-fn try_apply_range(
-    cdw: &Cdw,
-    compiled: &CompiledDml,
-    emulation: Option<&UniqueEmulation>,
-    lo: u64,
-    hi: u64,
-    params: AdaptiveParams,
-    outcome: &mut AdaptiveOutcome,
-) -> Result<u64, CdwError> {
-    let seed = params.retry_seed ^ lo ^ (hi << 20);
-    if let Some(emu) = emulation {
-        outcome.statements += 1;
-        let violations = retry_cdw(params.retry, seed, &mut outcome.transient_retries, || {
-            emu.violations_in_range(cdw, lo, hi)
-        })?;
-        if violations > 0 {
-            return Err(emu.violation_error());
+    /// Apply `[lo, hi)`, bisecting on a bulk abort.
+    ///
+    /// `unique_clean` is probe inheritance: an ancestor range's uniqueness
+    /// probe counted zero violations and only its DML aborted (a conversion
+    /// error). Then no row of that ancestor collides with the target as it
+    /// was, its keys are pairwise distinct, and the target has since gained
+    /// only rows of that same ancestor — so every sub-range is unique-clean
+    /// and goes straight to its DML. The one assumption: no other writer
+    /// inserts into the target mid-job, which probe-then-insert does not
+    /// protect against either.
+    fn recurse(
+        &mut self,
+        lo: u64,
+        hi: u64,
+        depth: u32,
+        mut unique_clean: bool,
+    ) -> Result<(), CdwError> {
+        if lo >= hi {
+            return Ok(());
         }
+        let err = match self.try_apply_range(lo, hi, &mut unique_clean) {
+            Ok(applied) => {
+                self.outcome.applied += applied;
+                return Ok(());
+            }
+            Err(err) if err.is_bulk_abort() => err,
+            // Structural failures (missing tables, SQL errors) abort the job.
+            Err(err) => return Err(err),
+        };
+        if let Some(obs) = self.obs {
+            obs.range_error(lo, hi - 1);
+        }
+        if hi - lo == 1 {
+            let tuple = self.tuple(lo)?;
+            record_singleton(
+                self.compiled,
+                self.layout,
+                lo,
+                tuple,
+                &err,
+                &mut self.outcome,
+            );
+            self.individual_errors += 1;
+            return Ok(());
+        }
+        let limit =
+            if self.params.max_errors > 0 && self.individual_errors >= self.params.max_errors {
+                Some((ErrCode::MAX_ERRORS, "errors"))
+            } else if depth >= self.params.max_retries {
+                Some((ErrCode::MAX_RETRIES, "retries"))
+            } else {
+                None
+            };
+        if let Some((code, what)) = limit {
+            self.outcome.errors.push(RecordedError {
+                code,
+                field: None,
+                message: format!(
+                    "Max number of {what} reached during DML on {}, row numbers: ({}, {})",
+                    self.compiled.target.dotted(),
+                    lo,
+                    hi - 1
+                ),
+                rows: ErrorRows::Range(lo, hi - 1),
+                uv_tuple: None,
+            });
+            return Ok(());
+        }
+        self.outcome.splits += 1;
+        if let Some(obs) = self.obs {
+            obs.split(lo, hi - 1);
+        }
+        let mid = lo + (hi - lo) / 2;
+        self.recurse(lo, mid, depth + 1, unique_clean)?;
+        self.recurse(mid, hi, depth + 1, unique_clean)
     }
-    outcome.statements += 1;
-    let stmt = compiled.range_stmt(Some(lo), Some(hi));
-    retry_cdw(
-        params.retry,
-        seed ^ 1,
-        &mut outcome.transient_retries,
-        || cdw.execute_stmt(&stmt),
-    )
-    .map(|r| r.affected)
+
+    /// One application attempt: emulated uniqueness pre-check (unless
+    /// `unique_clean` is inherited; a check that counts zero sets it),
+    /// then the range-restricted DML. Transient CDW failures are retried
+    /// in place — both statements are safe to re-issue (the pre-check is a
+    /// read, the DML validates every tuple before mutating) — so
+    /// infrastructure blips never masquerade as data errors and trigger a
+    /// pointless bisection.
+    fn try_apply_range(
+        &mut self,
+        lo: u64,
+        hi: u64,
+        unique_clean: &mut bool,
+    ) -> Result<u64, CdwError> {
+        let cdw = self.cdw;
+        let params = self.params;
+        let seed = params.retry_seed ^ lo ^ (hi << 20);
+        if let (Some(emu), false) = (self.emulation, *unique_clean) {
+            self.outcome.statements += 1;
+            let violations = retry_cdw(
+                params.retry,
+                seed,
+                &mut self.outcome.transient_retries,
+                || emu.violations_in_range(cdw, lo, hi),
+            )?;
+            if violations > 0 {
+                return Err(emu.violation_error());
+            }
+            *unique_clean = true;
+        }
+        self.outcome.statements += 1;
+        let stmt = self.compiled.range_stmt(Some(lo), Some(hi));
+        retry_cdw(
+            params.retry,
+            seed ^ 1,
+            &mut self.outcome.transient_retries,
+            || cdw.execute_stmt(&stmt),
+        )
+        .map(|r| r.affected)
+    }
 }
 
 /// Record the error for a single failing row given its staging tuple.

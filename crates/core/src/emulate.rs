@@ -18,9 +18,7 @@
 use etlv_cdw::error::{BulkAbortKind, CdwError};
 use etlv_cdw::Cdw;
 use etlv_protocol::data::Value;
-use etlv_sql::ast::{
-    BinaryOp, Expr, ObjectName, OrderItem, SelectItem, SelectStmt, Stmt, TableRef,
-};
+use etlv_sql::ast::{BinaryOp, Expr, ObjectName, SelectItem, SelectStmt, Stmt, TableRef};
 use etlv_sql::transform::map_expr;
 
 use crate::xcompile::{CompiledDml, DmlKind, SEQ_COL};
@@ -234,26 +232,6 @@ impl UniqueEmulation {
                 self.target_key_cols.join(", ")
             ),
         }
-    }
-
-    /// ORDER-BY-seq scan of the violating staging rows in a singleton
-    /// range — used to fetch the UV tuple.
-    pub fn staging_row_stmt(&self, seq: u64) -> Stmt {
-        let mut sel = SelectStmt::new(vec![SelectItem::Wildcard]);
-        sel.from = Some(TableRef::Named {
-            name: ObjectName::simple(self.staging.clone()),
-            alias: None,
-        });
-        sel.selection = Some(Expr::binary(
-            Expr::col(SEQ_COL),
-            BinaryOp::Eq,
-            Expr::Literal(etlv_sql::ast::Literal::Integer(seq as i64)),
-        ));
-        sel.order_by = vec![OrderItem {
-            expr: Expr::col(SEQ_COL),
-            desc: false,
-        }];
-        Stmt::Select(sel)
     }
 }
 

@@ -7,7 +7,12 @@
 //!    the target's PK index;
 //! 2. the adaptive handler's bisection COUNT over a `__SEQ` range on the
 //!    staging table — must seek the staging PK index;
-//! 3. singleton staging-row fetches by `__SEQ` — must be a point seek.
+//! 3. the error-tuple fetch (one `__SEQ`-range read of the job's staging
+//!    rows) and the range apply itself — must seek the staging PK index.
+//!
+//! In (1) the staging table is the join's *left* input: the `__SEQ` range
+//! in the WHERE must reach it as an index seek too, or every probe of a
+//! bisection reads the whole batch.
 
 use etlv_cdw::Cdw;
 use etlv_core::emulate;
@@ -32,7 +37,7 @@ fn setup() -> (Cdw, etlv_core::xcompile::CompiledDml) {
     )
     .unwrap();
     cdw.execute(&staging_ddl("STG", &layout)).unwrap();
-    for seq in 0..8 {
+    for seq in 0..64 {
         cdw.execute(&format!(
             "INSERT INTO STG VALUES ({seq}, 'i{seq}', 'n{seq}', '2012-01-01')"
         ))
@@ -48,7 +53,7 @@ fn uv_probe_is_an_index_lookup_join_on_the_target_pk() {
         .unwrap()
         .expect("emulation planned");
     let plan = cdw
-        .explain_stmt(&emu.existing_conflicts_stmt(0, 8))
+        .explain_stmt(&emu.existing_conflicts_stmt(8, 12))
         .unwrap();
     let text = plan.join("\n");
     assert!(
@@ -61,6 +66,23 @@ fn uv_probe_is_an_index_lookup_join_on_the_target_pk() {
         !text.contains("nested_loop_join"),
         "no nested loop in the probe:\n{text}"
     );
+    let left = plan
+        .iter()
+        .find(|l| l.contains("table=STG"))
+        .unwrap_or_else(|| panic!("no staging access in the plan:\n{text}"));
+    assert!(
+        left.contains("index_seek") && left.contains("range=true"),
+        "the probe's __SEQ range must seek the staging index:\n{text}"
+    );
+    assert!(!text.contains("full_scan"), "no scan in the probe:\n{text}");
+
+    // The plan that runs is the plan EXPLAIN shows: executing the probe
+    // scans nothing.
+    let before = cdw.plan_stats();
+    assert_eq!(emu.violations_in_range(&cdw, 8, 12).unwrap(), 0);
+    let after = cdw.plan_stats();
+    assert_eq!(after.full_scans, before.full_scans, "probe scanned");
+    assert!(after.index_seeks > before.index_seeks, "probe did not seek");
 }
 
 #[test]
@@ -79,15 +101,16 @@ fn bisection_count_probe_seeks_the_staging_seq_index() {
 
 #[test]
 fn singleton_row_fetch_is_a_point_seek() {
+    // The statement `adaptive` issues to fetch error tuples: one read of
+    // the job's staging range, made once however many singletons fail.
     let (cdw, compiled) = setup();
-    let emu = emulate::plan(&cdw, &compiled)
-        .unwrap()
-        .expect("emulation planned");
-    let plan = cdw.explain_stmt(&emu.staging_row_stmt(3)).unwrap();
+    let plan = cdw
+        .explain_stmt(&compiled.staging_scan(Some(3), Some(4)))
+        .unwrap();
     let text = plan.join("\n");
     assert!(
         text.contains("index_seek") && text.contains("table=STG"),
-        "singleton staging fetch must be a point seek:\n{text}"
+        "staging tuple fetch must seek the staging index:\n{text}"
     );
 
     // The row-wise apply statement itself (INSERT..SELECT over a range)
@@ -114,4 +137,71 @@ fn intra_range_dup_probe_rides_the_staging_index() {
         text.contains("index_seek") && text.contains("table=STG"),
         "intra-range duplicate probe must seek the staging index:\n{text}"
     );
+}
+
+/// Which WHERE conjuncts reach a join's left input as a seek: left-only
+/// sargable ones, and nothing else.
+#[test]
+fn where_reaches_a_join_left_input_only_when_provably_left_only() {
+    let cdw = Cdw::new();
+    cdw.execute_script(
+        "CREATE TABLE L (K INTEGER, V VARCHAR(10), PRIMARY KEY (K));
+         CREATE TABLE R (A INTEGER, V VARCHAR(10), PRIMARY KEY (A));
+         INSERT INTO L VALUES (1, 'a'), (2, 'b'), (3, 'c');
+         INSERT INTO R VALUES (1, 'x'), (3, 'y');",
+    )
+    .unwrap();
+    let left_line = |sql: &str| -> String {
+        let plan = cdw.explain(sql).unwrap();
+        plan.iter()
+            .find(|l| l.contains("table=L"))
+            .unwrap_or_else(|| panic!("no access to L in:\n{}", plan.join("\n")))
+            .trim()
+            .to_string()
+    };
+    for (sql, marker) in [
+        // Pushed: qualified, unqualified-but-unambiguous, beside a mixed
+        // conjunct, and through a LEFT JOIN or a nested loop.
+        (
+            "SELECT * FROM L JOIN R ON R.A = L.K WHERE L.K >= 2",
+            "index_seek",
+        ),
+        (
+            "SELECT * FROM L JOIN R ON R.A = L.K WHERE K >= 2 AND R.A > L.K - 1",
+            "index_seek",
+        ),
+        (
+            "SELECT * FROM L LEFT JOIN R ON R.A = L.K WHERE L.K = 2 AND R.A IS NULL",
+            "index_seek",
+        ),
+        (
+            "SELECT * FROM L JOIN R ON R.V = L.V WHERE L.K < 3",
+            "index_seek",
+        ),
+        (
+            "SELECT * FROM L LEFT JOIN R ON R.A = L.K WHERE L.K < NULL",
+            "const_empty",
+        ),
+        // Not pushed: the nullable side, a name both inputs carry, a
+        // left-only conjunct no index serves, a disjunction.
+        (
+            "SELECT * FROM L LEFT JOIN R ON R.A = L.K WHERE R.A IS NULL",
+            "full_scan",
+        ),
+        (
+            "SELECT * FROM L JOIN R ON R.A = L.K WHERE V = 'a'",
+            "full_scan",
+        ),
+        (
+            "SELECT * FROM L JOIN R ON R.A = L.K WHERE L.V LIKE 'a%'",
+            "full_scan",
+        ),
+        (
+            "SELECT * FROM L JOIN R ON R.A = L.K WHERE L.K = 1 OR R.A = 3",
+            "full_scan",
+        ),
+    ] {
+        let line = left_line(sql);
+        assert!(line.starts_with(marker), "{sql}\n  left input: {line}");
+    }
 }
