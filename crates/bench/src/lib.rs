@@ -12,19 +12,16 @@ use etlv_core::report::JobReport;
 use etlv_core::workload::Workload;
 use etlv_core::{Virtualizer, VirtualizerConfig};
 use etlv_legacy_client::{ClientOptions, Connect, FnConnector, ImportResult, LegacyEtlClient};
-use etlv_protocol::transport::{duplex, Transport};
+use etlv_protocol::transport::{TcpTransport, Transport};
 use etlv_script::{compile, parse_script, JobPlan};
 
-/// Build an in-memory connector for a virtualizer node.
+/// Serve `v` on a loopback port through the reactor and return a
+/// connector to it. The connector owns the server handle: dropping it
+/// stops the server and joins its threads.
 pub fn connector(v: &Virtualizer) -> Arc<dyn Connect> {
-    let v = v.clone();
+    let server = v.listen_tcp("127.0.0.1:0").expect("bind loopback");
     Arc::new(FnConnector(move || {
-        let (client_end, server_end) = duplex();
-        let v = v.clone();
-        std::thread::spawn(move || {
-            let _ = v.serve(server_end);
-        });
-        Ok(Box::new(client_end) as Box<dyn Transport>)
+        Ok(Box::new(TcpTransport::connect(&server.addr().to_string())?) as Box<dyn Transport>)
     }))
 }
 

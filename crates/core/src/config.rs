@@ -75,7 +75,7 @@ pub struct VirtualizerConfig {
     /// `recent_job_reports()` and the stats snapshot. Must be ≥ 1.
     pub report_history: usize,
     /// Capacity of the in-memory span/event journal (ring buffer). Must
-    /// be ≥ 1. Irrelevant when the `obs` feature is compiled out.
+    /// be ≥ 1.
     pub journal_capacity: usize,
     /// Optional JSONL sink: every journal event is appended to this file
     /// as one JSON object per line. `None` (the default) keeps the
@@ -84,8 +84,7 @@ pub struct VirtualizerConfig {
     /// Time-series sampler tick. `Duration::ZERO` (the default) disables
     /// the background sampler entirely; a nonzero tick snapshots the
     /// metrics named in [`SAMPLER_METRICS`] every tick into bounded rings
-    /// (see `Virtualizer::sampler_json`). Irrelevant when the `obs`
-    /// feature is compiled out.
+    /// (see `Virtualizer::sampler_json`).
     pub sampler_tick: Duration,
     /// Points retained per sampled metric (sliding window). Must be ≥ 2
     /// when the sampler is enabled, so rates can be derived from
@@ -105,8 +104,7 @@ pub struct VirtualizerConfig {
     /// released, exactly as on disconnect.
     pub session_idle_timeout: Duration,
     /// Per-tenant SLO objectives and burn-rate alerting policy evaluated
-    /// by the `Health` endpoint. Irrelevant when the `obs` feature is
-    /// compiled out (health then reports `enabled: false`).
+    /// by the `Health` endpoint.
     pub slo: SloPolicy,
     /// Granularity of the reactor's timer wheel (idle timeouts, accept
     /// backoff). Finer ticks wake the loops more often. Must be

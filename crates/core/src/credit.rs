@@ -274,14 +274,12 @@ mod tests {
         thread::sleep(Duration::from_millis(30));
         drop(held);
         t.join().unwrap();
-        if crate::obs::enabled() {
-            assert_eq!(obs.credit.acquires.value(), 2);
-            assert_eq!(obs.credit.stalls.value(), 1);
-            let stall = obs.credit.stall_us.snapshot("credit.stall_us");
-            assert_eq!(stall.count, 1);
-            assert!(stall.max >= 20_000, "stall_us max {}", stall.max);
-        }
-        // The built-in atomics stay authoritative either way.
+        assert_eq!(obs.credit.acquires.value(), 2);
+        assert_eq!(obs.credit.stalls.value(), 1);
+        let stall = obs.credit.stall_us.snapshot("credit.stall_us");
+        assert_eq!(stall.count, 1);
+        assert!(stall.max >= 20_000, "stall_us max {}", stall.max);
+        // The manager's own atomics agree with the obs handles.
         assert_eq!(mgr.stalls(), 1);
         assert_eq!(mgr.total_acquired(), 2);
     }

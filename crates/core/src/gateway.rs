@@ -12,7 +12,6 @@
 //! handlers they dispatch into.
 
 use std::collections::{HashMap, VecDeque};
-use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,7 +28,6 @@ use etlv_protocol::message::{
 };
 use etlv_protocol::record::encode_rows;
 use etlv_protocol::trace::TraceContext;
-use etlv_protocol::transport::Transport;
 use etlv_sql::types::SqlType;
 use etlv_sql::Dialect;
 use parking_lot::{Condvar, Mutex};
@@ -217,27 +215,25 @@ impl Virtualizer {
             plan_obs.plan_full_scan.add(stats.full_scans);
             plan_obs.index_maintain.add(stats.index_maintains);
         })));
-        if crate::obs::enabled() {
-            // Lock-contention attribution: every catalog/table acquisition
-            // the engine reports lands in a named lock site
-            // (`cdw.catalog`, `cdw.table/<name>`). Interning is bounded by
-            // the registry's site limit, so hostile table churn cannot
-            // grow the registry without bound. Hold time is not tracked
-            // for CDW sites — the engine only reports the acquisition.
-            let lock_reg = obs.registry.clone();
-            cdw.set_lock_observer(Some(Arc::new(move |site, wait, contended| {
-                let site = lock_reg.lock_site(site);
-                if contended {
-                    site.acquired_after(wait);
-                } else {
-                    site.acquired_uncontended();
-                }
-            })));
-        }
+        // Lock-contention attribution: every catalog/table acquisition
+        // the engine reports lands in a named lock site
+        // (`cdw.catalog`, `cdw.table/<name>`). Interning is bounded by
+        // the registry's site limit, so hostile table churn cannot
+        // grow the registry without bound. Hold time is not tracked
+        // for CDW sites — the engine only reports the acquisition.
+        let lock_reg = obs.registry.clone();
+        cdw.set_lock_observer(Some(Arc::new(move |site, wait, contended| {
+            let site = lock_reg.lock_site(site);
+            if contended {
+                site.acquired_after(wait);
+            } else {
+                site.acquired_uncontended();
+            }
+        })));
         let credits = CreditManager::with_obs(config.credits, obs.credit.clone());
         let memory = MemoryGauge::new(config.memory_cap);
         let slo = SloEngine::new(config.slo.clone());
-        let sampler = if crate::obs::enabled() && !config.sampler_tick.is_zero() {
+        let sampler = if !config.sampler_tick.is_zero() {
             // The sampler's refresh mirrors `refresh_gauges` so gauge
             // series (credit occupancy, memory) are current every tick;
             // it also feeds the SLO engine's burn-rate windows, so health
@@ -393,8 +389,7 @@ impl Virtualizer {
 
     /// Evaluate per-tenant SLO burn rates and node overload right now.
     /// Feeds the engine a fresh observation first, so health answers are
-    /// current even when the background sampler is disabled. With `obs`
-    /// compiled out the report comes back `enabled: false` and empty.
+    /// current even when the background sampler is disabled.
     pub fn health(&self) -> HealthReport {
         let node = &self.node;
         self.refresh_gauges();
@@ -423,7 +418,7 @@ impl Virtualizer {
 
     /// Assemble the causal trace of one job from the journal's retained
     /// events. `None` when the journal no longer holds the job's
-    /// `job.begin` (ring evicted it, job unknown, or `obs` compiled out).
+    /// `job.begin` (ring evicted it, or job unknown).
     pub fn trace(&self, job: u64) -> Option<JobTrace> {
         JobTrace::assemble(&self.node.obs.journal.events_for_job(job))
     }
@@ -436,8 +431,7 @@ impl Virtualizer {
     /// The continuous-profiling report: per-stage CPU/wall accounting,
     /// top-K contended lock sites, worker-pool utilization, and the
     /// folded-stack flamegraph aggregated from the journal's retained
-    /// spans. With `obs` compiled out the report comes back
-    /// `enabled: false` and empty.
+    /// spans.
     pub fn profile(&self) -> ProfileReport {
         ProfileReport::collect(&self.node.obs)
     }
@@ -447,9 +441,9 @@ impl Virtualizer {
         self.profile().to_json()
     }
 
-    /// The background sampler's time-series rings as JSON. A disabled (or
-    /// compiled-out) sampler yields `{"enabled": false, ...}` so callers
-    /// can always parse the same shape.
+    /// The background sampler's time-series rings as JSON. A disabled
+    /// sampler (`sampler_tick = 0`) yields `{"enabled": false, ...}` so
+    /// callers can always parse the same shape.
     pub fn sampler_json(&self) -> String {
         match &self.node.sampler {
             Some(sampler) => sampler.series_json(),
@@ -465,16 +459,6 @@ impl Virtualizer {
         if let Some(sampler) = &self.node.sampler {
             sampler.stop();
         }
-    }
-
-    /// Serve one connection on the calling thread until
-    /// logoff/disconnect. Registers a session on logon and tears it
-    /// down — aborting any jobs it still owns — when the connection
-    /// ends for any reason. The loop lives in
-    /// [`crate::session::serve_session`]; TCP connections are served by
-    /// the reactor instead (`listen_tcp`).
-    pub fn serve(&self, transport: impl Transport) -> io::Result<()> {
-        crate::session::serve_session(self, transport)
     }
 
     /// Jobs currently registered (imports + exports).

@@ -27,13 +27,13 @@
 //!
 //! - [`gateway`]: node state + request handlers
 //!   (Alpha/Coalescer/PXC, §3).
-//! - [`session`]: per-connection serve loop, session registry, and
-//!   disconnect-safe teardown (DESIGN §11).
+//! - [`session`]: per-connection protocol state machine, session
+//!   registry, and disconnect-safe teardown (DESIGN §11).
 //! - [`server`]: TCP bind and [`server::ServerHandle`] lifecycle —
 //!   `shutdown()` and graceful `drain()` (DESIGN §11).
 //! - [`reactor`]: the event-driven front end — a fixed pool of
 //!   epoll loops multiplexing every TCP session, plus the dispatch
-//!   pool for blocking-capable work (DESIGN §16).
+//!   pool for blocking-capable work (DESIGN §11).
 //! - [`xcompile`]: SQL cross-compilation, placeholder → staging-column
 //!   mapping, staging DDL, type mapping (§3, §6).
 //! - [`convert`]: DataConverter — binary/vartext → CDW staged text (§4).

@@ -1,6 +1,5 @@
 //! The live span/event journal: a bounded in-memory ring of fixed-shape
-//! [`SpanEvent`]s with an optional JSONL sink. Compiled only with the
-//! `obs` feature.
+//! [`SpanEvent`]s with an optional JSONL sink.
 
 use std::collections::VecDeque;
 use std::fs::File;

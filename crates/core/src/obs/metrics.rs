@@ -1,6 +1,5 @@
 //! The live metrics registry: sharded counters, gauges, and log-linear
-//! histograms. Compiled only with the `obs` feature; `noop.rs` supplies
-//! the same API as zero-size stubs otherwise.
+//! histograms.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;

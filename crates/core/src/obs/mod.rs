@@ -18,11 +18,7 @@
 //!
 //! Everything is pre-registered: subsystems hold [`Counter`]/[`Gauge`]/
 //! [`Histogram`] handles resolved once at node assembly, so the record
-//! path is a single relaxed atomic op. Compiling with
-//! `--no-default-features` (dropping the `obs` feature) swaps in zero-size
-//! no-op handles with the same API, so call sites stay unconditional and
-//! the instrumentation cost can be *measured* against a compiled-out
-//! build.
+//! path is a single relaxed atomic op.
 
 use std::time::Duration;
 
@@ -41,28 +37,12 @@ pub use profile::{
     TrackedMutexGuard, TrackedReadGuard, TrackedRwLock, TrackedWriteGuard, PROFILE_TOP_K,
 };
 
-#[cfg(feature = "obs")]
 mod journal;
-#[cfg(feature = "obs")]
 mod metrics;
-#[cfg(feature = "obs")]
 mod sampler;
-#[cfg(feature = "obs")]
 pub use journal::Journal;
-#[cfg(feature = "obs")]
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-#[cfg(feature = "obs")]
 pub use sampler::Sampler;
-
-#[cfg(not(feature = "obs"))]
-mod noop;
-#[cfg(not(feature = "obs"))]
-pub use noop::{Counter, Gauge, Histogram, Journal, MetricsRegistry, Sampler};
-
-/// Whether instrumentation is compiled in (the `obs` feature).
-pub const fn enabled() -> bool {
-    cfg!(feature = "obs")
-}
 
 /// Point-in-time view of one histogram.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -112,8 +92,7 @@ pub const TENANT_OVERFLOW: &str = "~overflow";
 /// Pre-registered per-tenant handles: one block per interned Logon
 /// username, covering the whole job lifecycle (admission → queue →
 /// convert → upload → apply) plus error/retry attribution and resources
-/// currently held. All field types are the feature-aliased handles, so a
-/// `--no-default-features` build collapses every field to a ZST.
+/// currently held.
 pub struct TenantObs {
     /// Interned dense id.
     pub id: TenantId,
@@ -164,8 +143,7 @@ pub struct TenantObs {
 }
 
 impl TenantObs {
-    /// Snapshot this tenant's block. Works identically for live and noop
-    /// handle types (noop values are all zero).
+    /// Snapshot this tenant's block.
     pub fn snapshot(&self) -> TenantSnapshot {
         let counters = vec![
             ("admission_rejections", self.admission_rejections.value()),
@@ -224,8 +202,8 @@ pub struct TenantSnapshot {
 
 /// Causal identity of a journal event: which trace it belongs to, which
 /// span it *is*, and which span caused it. All-zero means "untraced" —
-/// events emitted through the legacy [`Journal::emit`] path and events in
-/// a `--no-default-features` build carry zero ids.
+/// events emitted through the legacy [`Journal::emit`] path carry zero
+/// ids.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanIds {
     /// Trace identifier shared by every span of one job (0 = untraced).
@@ -833,22 +811,18 @@ mod tests {
         obs.cdw.statements.inc();
         obs.credit.acquires.inc();
         let snap = obs.snapshot();
-        if enabled() {
-            let find = |name: &str| {
-                snap.counters
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .unwrap_or_else(|| panic!("missing counter {name}"))
-                    .1
-            };
-            assert_eq!(find("gateway.chunks_received"), 2);
-            assert_eq!(find("pipeline.convert_rows"), 10);
-            assert_eq!(find("cloudstore.put_ops"), 1);
-            assert_eq!(find("cdw.statements"), 1);
-            assert_eq!(find("credit.acquires"), 1);
-            assert!(snap.histograms.iter().any(|h| h.name == "cdw.exec_us"));
-        } else {
-            assert!(snap.counters.is_empty());
-        }
+        let find = |name: &str| {
+            snap.counters
+                .iter()
+                .find(|(n, _)| n == name)
+                .unwrap_or_else(|| panic!("missing counter {name}"))
+                .1
+        };
+        assert_eq!(find("gateway.chunks_received"), 2);
+        assert_eq!(find("pipeline.convert_rows"), 10);
+        assert_eq!(find("cloudstore.put_ops"), 1);
+        assert_eq!(find("cdw.statements"), 1);
+        assert_eq!(find("credit.acquires"), 1);
+        assert!(snap.histograms.iter().any(|h| h.name == "cdw.exec_us"));
     }
 }

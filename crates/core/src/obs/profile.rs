@@ -13,19 +13,12 @@
 //! 2. **Tracked locks** — [`TrackedMutex`]/[`TrackedRwLock`]/
 //!    [`TrackedCondvar`] wrap the parking_lot primitives with a static
 //!    site name, counting acquisitions, contended acquisitions (the fast
-//!    `try_lock` missed), wait-time and hold-time histograms. With `obs`
-//!    compiled out every probe folds to nothing at compile time — the
-//!    wrappers still lock, they just never look at the clock.
+//!    `try_lock` missed), wait-time and hold-time histograms.
 //! 3. **The span journal** — completed jobs' critical-path attribution
 //!    (PR 4, [`crate::trace::JobTrace`]) is re-aggregated into folded
 //!    flamegraph lines (`job;acquisition;convert 1234`), the input format
 //!    of every flamegraph renderer, plus the ASCII flame tree
 //!    `obs_dump --profile` prints.
-//!
-//! This module is compiled regardless of the `obs` feature: the handle
-//! types it stores are the feature-aliased ones from [`crate::obs`], so a
-//! `--no-default-features` build collapses the instrumentation to ZSTs
-//! while the lock wrappers keep locking.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -74,21 +67,16 @@ pub fn thread_cpu_time() -> Option<Duration> {
 }
 
 /// A started CPU-time measurement on the current thread. `start` samples
-/// the thread CPU clock (or nothing with `obs` compiled out / clock
-/// unavailable); `elapsed` yields the CPU consumed since, `None` when
+/// the thread CPU clock (or nothing when the clock is unavailable);
+/// `elapsed` yields the CPU consumed since, `None` when
 /// either sample failed. Must be read on the thread that started it.
 pub struct CpuTimer(Option<Duration>);
 
 impl CpuTimer {
-    /// Sample the thread CPU clock now. With `obs` compiled out this is a
-    /// constant `None` and the optimizer deletes the whole measurement.
+    /// Sample the thread CPU clock now.
     #[inline]
     pub fn start() -> CpuTimer {
-        if super::enabled() {
-            CpuTimer(thread_cpu_time())
-        } else {
-            CpuTimer(None)
-        }
+        CpuTimer(thread_cpu_time())
     }
 
     /// CPU time consumed by this thread since `start`.
@@ -201,8 +189,7 @@ impl LockSiteSnapshot {
 // --------------------------------------------------------- tracked locks
 
 /// A `parking_lot::Mutex` that reports to a [`LockSiteObs`]. The fast
-/// path is one `try_lock`; only a miss looks at the clock. With `obs`
-/// compiled out the wrapper locks without ever reading time.
+/// path is one `try_lock`; only a miss times the wait.
 pub struct TrackedMutex<T> {
     inner: Mutex<T>,
     site: Arc<LockSiteObs>,
@@ -219,13 +206,6 @@ impl<T> TrackedMutex<T> {
 
     /// Acquire, recording contention and (on drop) hold time.
     pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
-        if !super::enabled() {
-            return TrackedMutexGuard {
-                guard: self.inner.lock(),
-                site: &self.site,
-                held_from: None,
-            };
-        }
         let guard = match self.inner.try_lock() {
             Some(guard) => {
                 self.site.acquired_uncontended();
@@ -241,7 +221,7 @@ impl<T> TrackedMutex<T> {
         TrackedMutexGuard {
             guard,
             site: &self.site,
-            held_from: Some(Instant::now()),
+            held_from: Instant::now(),
         }
     }
 
@@ -255,7 +235,7 @@ impl<T> TrackedMutex<T> {
 pub struct TrackedMutexGuard<'a, T> {
     guard: MutexGuard<'a, T>,
     site: &'a Arc<LockSiteObs>,
-    held_from: Option<Instant>,
+    held_from: Instant,
 }
 
 impl<T> Deref for TrackedMutexGuard<'_, T> {
@@ -273,9 +253,7 @@ impl<T> DerefMut for TrackedMutexGuard<'_, T> {
 
 impl<T> Drop for TrackedMutexGuard<'_, T> {
     fn drop(&mut self) {
-        if let Some(held) = self.held_from {
-            self.site.held(held.elapsed());
-        }
+        self.site.held(self.held_from.elapsed());
     }
 }
 
@@ -299,17 +277,11 @@ impl TrackedCondvar {
     /// Block until notified. Records the sleep as a contended acquire of
     /// the site (wait histogram + contended counter).
     pub fn wait<T>(&self, guard: &mut TrackedMutexGuard<'_, T>) {
-        if !super::enabled() {
-            self.inner.wait(&mut guard.guard);
-            return;
-        }
-        if let Some(held) = guard.held_from.take() {
-            guard.site.held(held.elapsed());
-        }
+        guard.site.held(guard.held_from.elapsed());
         let slept = Instant::now();
         self.inner.wait(&mut guard.guard);
         self.site.acquired_after(slept.elapsed());
-        guard.held_from = Some(Instant::now());
+        guard.held_from = Instant::now();
     }
 
     /// Wake one waiter.
@@ -347,13 +319,6 @@ impl<T> TrackedRwLock<T> {
 
     /// Shared acquire.
     pub fn read(&self) -> TrackedReadGuard<'_, T> {
-        if !super::enabled() {
-            return TrackedReadGuard {
-                guard: self.inner.read(),
-                site: &self.site,
-                held_from: None,
-            };
-        }
         let guard = match self.inner.try_read() {
             Some(guard) => {
                 self.site.acquired_uncontended();
@@ -369,19 +334,12 @@ impl<T> TrackedRwLock<T> {
         TrackedReadGuard {
             guard,
             site: &self.site,
-            held_from: Some(Instant::now()),
+            held_from: Instant::now(),
         }
     }
 
     /// Exclusive acquire.
     pub fn write(&self) -> TrackedWriteGuard<'_, T> {
-        if !super::enabled() {
-            return TrackedWriteGuard {
-                guard: self.inner.write(),
-                site: &self.site,
-                held_from: None,
-            };
-        }
         let guard = match self.inner.try_write() {
             Some(guard) => {
                 self.site.acquired_uncontended();
@@ -397,7 +355,7 @@ impl<T> TrackedRwLock<T> {
         TrackedWriteGuard {
             guard,
             site: &self.site,
-            held_from: Some(Instant::now()),
+            held_from: Instant::now(),
         }
     }
 
@@ -411,7 +369,7 @@ impl<T> TrackedRwLock<T> {
 pub struct TrackedReadGuard<'a, T> {
     guard: RwLockReadGuard<'a, T>,
     site: &'a Arc<LockSiteObs>,
-    held_from: Option<Instant>,
+    held_from: Instant,
 }
 
 impl<T> Deref for TrackedReadGuard<'_, T> {
@@ -423,9 +381,7 @@ impl<T> Deref for TrackedReadGuard<'_, T> {
 
 impl<T> Drop for TrackedReadGuard<'_, T> {
     fn drop(&mut self) {
-        if let Some(held) = self.held_from {
-            self.site.held(held.elapsed());
-        }
+        self.site.held(self.held_from.elapsed());
     }
 }
 
@@ -433,7 +389,7 @@ impl<T> Drop for TrackedReadGuard<'_, T> {
 pub struct TrackedWriteGuard<'a, T> {
     guard: RwLockWriteGuard<'a, T>,
     site: &'a Arc<LockSiteObs>,
-    held_from: Option<Instant>,
+    held_from: Instant,
 }
 
 impl<T> Deref for TrackedWriteGuard<'_, T> {
@@ -451,9 +407,7 @@ impl<T> DerefMut for TrackedWriteGuard<'_, T> {
 
 impl<T> Drop for TrackedWriteGuard<'_, T> {
     fn drop(&mut self) {
-        if let Some(held) = self.held_from {
-            self.site.held(held.elapsed());
-        }
+        self.site.held(self.held_from.elapsed());
     }
 }
 
@@ -610,8 +564,6 @@ pub const PROFILE_TOP_K: usize = 16;
 /// the folded flamegraph.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileReport {
-    /// Whether the `obs` feature is compiled in.
-    pub enabled: bool,
     /// Per-stage CPU/wall accounting.
     pub stages: Vec<StageCpuProfile>,
     /// Top-K lock sites with at least one contended acquire, ranked by
@@ -666,7 +618,6 @@ impl ProfileReport {
         };
         let (folded, folded_jobs) = folded_flamegraph(&obs.journal.tail(obs.journal.retained()));
         ProfileReport {
-            enabled: super::enabled(),
             stages,
             locks,
             pool,
@@ -680,7 +631,6 @@ impl ProfileReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(2048);
         out.push_str("{\n");
-        out.push_str(&format!("  \"enabled\": {},\n", self.enabled));
         out.push_str("  \"stages\": [");
         for (i, s) in self.stages.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -721,7 +671,7 @@ impl ProfileReport {
     /// line, and the ASCII flame tree.
     pub fn render_ascii(&self) -> String {
         let mut out = String::with_capacity(2048);
-        out.push_str(&format!("profile (enabled: {})\n\n", self.enabled));
+        out.push_str("profile\n\n");
         out.push_str("stage      wall_us      cpu_us  samples  cpu/wall\n");
         for s in &self.stages {
             let ratio = if s.wall_us > 0 {
@@ -785,19 +735,14 @@ mod tests {
             *guard += 1;
         }
         assert_eq!(*m.lock(), 8);
-        if super::super::enabled() {
-            let snap = m.site().snapshot();
-            assert_eq!(snap.acquires, 2);
-            assert_eq!(snap.contended, 0);
-            assert_eq!(snap.hold_us.count, 2, "hold recorded on both drops");
-        }
+        let snap = m.site().snapshot();
+        assert_eq!(snap.acquires, 2);
+        assert_eq!(snap.contended, 0);
+        assert_eq!(snap.hold_us.count, 2, "hold recorded on both drops");
     }
 
     #[test]
     fn tracked_mutex_detects_contention() {
-        if !super::super::enabled() {
-            return;
-        }
         let reg = super::super::MetricsRegistry::new();
         let m = Arc::new(TrackedMutex::new(site(&reg, "test.contended"), 0u64));
         let m2 = Arc::clone(&m);
@@ -826,16 +771,11 @@ mod tests {
         assert_eq!(l.read().len(), 3);
         l.write().push(4);
         assert_eq!(l.read().len(), 4);
-        if super::super::enabled() {
-            assert_eq!(l.site().snapshot().acquires, 3);
-        }
+        assert_eq!(l.site().snapshot().acquires, 3);
     }
 
     #[test]
     fn tracked_condvar_records_wait_and_pauses_hold() {
-        if !super::super::enabled() {
-            return;
-        }
         let reg = super::super::MetricsRegistry::new();
         let m = Arc::new(TrackedMutex::new(site(&reg, "test.cv.lock"), false));
         let cv = Arc::new(TrackedCondvar::new(site(&reg, "test.cv")));
@@ -938,17 +878,16 @@ mod tests {
         std::hint::black_box(acc);
         match timer.elapsed() {
             Some(cpu) => assert!(cpu >= Duration::ZERO),
-            None => assert!(
-                !super::super::enabled() || !cfg!(target_os = "linux"),
-                "linux obs build must expose the thread CPU clock"
-            ),
+            None if cfg!(target_os = "linux") => {
+                panic!("a linux build must expose the thread CPU clock")
+            }
+            None => {}
         }
     }
 
     #[test]
     fn profile_report_json_shape() {
         let report = ProfileReport {
-            enabled: true,
             stages: vec![StageCpuProfile {
                 stage: "convert",
                 wall_us: 100,
@@ -971,7 +910,6 @@ mod tests {
         };
         let json = report.to_json();
         for needle in [
-            "\"enabled\": true",
             "\"stage\": \"convert\"",
             "\"wall_us\": 100",
             "\"cpu_us\": 80",

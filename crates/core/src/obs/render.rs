@@ -1,8 +1,6 @@
 //! Snapshot renderers: the JSON document behind
 //! `Virtualizer::stats_snapshot()` and the Prometheus text exposition.
-//! Hand-rolled (the workspace carries no serialization dependency) and
-//! compiled regardless of the `obs` feature — with instrumentation off
-//! the registry snapshot is simply empty.
+//! Hand-rolled (the workspace carries no serialization dependency).
 
 use crate::report::{JobReport, NodeMetrics};
 
@@ -84,7 +82,6 @@ pub fn stats_json(
 ) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\n");
-    out.push_str(&format!("  \"obs_enabled\": {},\n", super::enabled()));
     out.push_str("  \"node\": {\n");
     push_node_fields(&mut out, node, "    ");
     out.push_str("  },\n");
@@ -445,7 +442,6 @@ mod tests {
         };
         let doc = stats_json(&sample_node(), &sample_snapshot(), &[job], 40, 30, 10);
         for needle in [
-            "\"obs_enabled\"",
             "\"jobs_completed\": 2",
             "\"jobs_aborted\": 1",
             "\"aborted\": true",

@@ -1,8 +1,6 @@
 //! Background time-series sampler: snapshots selected counters and gauges
 //! on a fixed tick into bounded per-metric rings, turning the registry's
-//! monotonic totals into Fig. 8/9-style rate-over-time series. Compiled
-//! only with the `obs` feature; the noop build substitutes a zero-size
-//! stub that never spawns a thread.
+//! monotonic totals into Fig. 8/9-style rate-over-time series.
 //!
 //! Design constraints:
 //!

@@ -12,14 +12,6 @@
 //! alert fires only when **both** the fast and the slow window burn
 //! exceed their thresholds — the fast window gives detection latency,
 //! the slow window keeps a short blip from paging.
-//!
-//! The engine reads only the public registry surface
-//! ([`MetricsRegistry::tenant_handles`] + counter values), so the same
-//! implementation compiles against the live and the noop registry; with
-//! obs compiled out every sample is zero and [`HealthReport::enabled`]
-//! says so.
-//!
-//! [`MetricsRegistry::tenant_handles`]: super::MetricsRegistry::tenant_handles
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -159,8 +151,6 @@ pub struct OverloadInput {
 /// The full health document behind the `Health` wire request.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HealthReport {
-    /// Whether the obs feature (and thus real data) is compiled in.
-    pub enabled: bool,
     /// Node overload standing.
     pub overload: OverloadState,
     /// Per-tenant SLO standings, sorted by tenant name.
@@ -181,11 +171,10 @@ impl HealthReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str(&format!(
-            "{{\n  \"obs_enabled\": {},\n  \"overload\": {{\"overloaded\": {}, \
+            "{{\n  \"overload\": {{\"overloaded\": {}, \
              \"job_saturation\": {}, \"session_saturation\": {}, \
              \"credit_saturation\": {}, \"memory_saturation\": {}, \
              \"recent_rejections\": {}}},\n  \"tenants\": [",
-            self.enabled,
             self.overload.overloaded,
             num(self.overload.job_saturation),
             num(self.overload.session_saturation),
@@ -549,7 +538,6 @@ impl SloEngine {
             .any(|s| *s >= policy.overload_ratio);
 
         HealthReport {
-            enabled: super::enabled(),
             overload: OverloadState {
                 job_saturation,
                 session_saturation,
@@ -604,7 +592,6 @@ mod tests {
         assert_eq!(origin.completed, 0, "window predates all points");
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn heavy_error_tenant_alerts_light_tenant_stays_green() {
         let obs = Obs::default();
@@ -625,7 +612,6 @@ mod tests {
             engine.observe(&obs);
         }
         let report = engine.evaluate(&OverloadInput::default());
-        assert!(report.enabled);
         let tenant = |name: &str| {
             report
                 .tenants
@@ -649,7 +635,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn latency_objective_burns_on_slow_jobs() {
         let obs = Obs::default();
@@ -670,7 +655,6 @@ mod tests {
         assert!(health.alerts.contains(&"latency"));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn alert_clears_after_bad_window_passes() {
         let obs = Obs::default();
@@ -726,7 +710,6 @@ mod tests {
         assert!(hot.overload.overloaded, "job saturation 1.0");
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn node_rejections_mark_overload_within_fast_window() {
         let obs = Obs::default();
@@ -743,7 +726,6 @@ mod tests {
     #[test]
     fn health_report_renders_valid_json_and_prometheus() {
         let report = HealthReport {
-            enabled: true,
             overload: OverloadState {
                 job_saturation: 0.5,
                 recent_rejections: 2,
@@ -766,7 +748,10 @@ mod tests {
             }],
         };
         let json = report.to_json();
-        assert!(json.contains("\"obs_enabled\": true"), "{json}");
+        assert!(
+            json.contains("\"overload\": {\"overloaded\": true"),
+            "{json}"
+        );
         assert!(json.contains("\"tenant\": \"we\\\"ird\\\\name\""), "{json}");
         assert!(json.contains("\"alerts\": [\"latency\"]"), "{json}");
         let prom = report.to_prometheus();

@@ -610,7 +610,9 @@ impl Pipeline {
 fn convert_work(shared: &RtShared, job: &JobRt, chunk: RawChunk, scratch: &mut ConvertScratch) {
     let raw_len = chunk.data.len() as u64;
     if job.aborted.load(Ordering::Relaxed) {
-        // Guards release when the chunk drops.
+        // Release the guards before retiring: `abort()` returns as soon
+        // as the last chunk retires and its caller counts credits.
+        drop(chunk);
         shared.retire(job, raw_len);
         return;
     }

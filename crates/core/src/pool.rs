@@ -16,8 +16,7 @@ use parking_lot::Mutex;
 
 use crate::obs::{Counter, Gauge};
 
-/// Observability handles a pool reports through (all feature-aliased, so
-/// a `--no-default-features` build carries three ZSTs here).
+/// Observability handles a pool reports through.
 struct PoolHandles {
     idle: Gauge,
     hits: Counter,
@@ -130,11 +129,9 @@ mod tests {
         let b = pool.take(); // recycled → hit
         pool.put(b);
         pool.put(Vec::new());
-        if crate::obs::enabled() {
-            assert_eq!(misses.value(), 1);
-            assert_eq!(hits.value(), 1);
-            assert_eq!(idle.value(), 2, "gauge tracks the freelist depth");
-        }
+        assert_eq!(misses.value(), 1);
+        assert_eq!(hits.value(), 1);
+        assert_eq!(idle.value(), 2, "gauge tracks the freelist depth");
         assert_eq!(pool.idle(), 2);
     }
 }

@@ -1,9 +1,8 @@
 //! The reactor front end: a fixed pool of event-loop threads
-//! multiplexing every TCP session (PR 10, DESIGN §16).
+//! multiplexing every TCP session (DESIGN §11).
 //!
-//! The old front end spent one OS thread per connection — fine at 16
-//! legacy job slots, hopeless at 10k keepalive sessions. Here a small
-//! number of loops ([`LOOP_THREADS`]) own all the sockets through one
+//! One OS thread per connection is fine at 16 legacy job slots and
+//! hopeless at 10k keepalive sessions. Here a small number of loops ([`LOOP_THREADS`]) own all the sockets through one
 //! epoll instance each; every connection is a [`SessionCore`] state
 //! machine fed whole frames by the nonblocking decoder and drained
 //! through a resumable [`FrameWriter`]. Nothing on a loop thread may
@@ -21,11 +20,10 @@
 //! Idle timeouts ride the lazy [`TimerWheel`] — a keepalive costs one
 //! field write, not a timer reschedule.
 //!
-//! Shutdown keeps the old per-thread semantics: a connection with a
-//! dispatch in flight is always waited for (the reply is delivered,
-//! then the `SHUTTING_DOWN` farewell, then the close); idle
-//! connections get the farewell immediately and a bounded grace period
-//! to drain it.
+//! On shutdown a connection with a dispatch in flight is always waited
+//! for (the reply is delivered, then the `SHUTTING_DOWN` farewell, then
+//! the close); idle connections get the farewell immediately and a
+//! bounded grace period to drain it.
 
 mod poll;
 mod wheel;
@@ -616,8 +614,8 @@ impl EventLoop {
                 Ok(ReadStatus::Open) => {}
                 Ok(ReadStatus::Closed) => conn.read_closed = true,
                 Err(_) => {
-                    // Torn stream or corrupt framing: same as the
-                    // blocking path — drop the connection, no farewell.
+                    // Torn stream or corrupt framing: drop the
+                    // connection, no farewell.
                     self.pump_buf.clear();
                     self.finalize(token, conn);
                     return;

@@ -6,10 +6,8 @@
 //! inline reply (logon, keepalive, logoff, protocol errors — nothing
 //! that can block) or a [`DispatchCall`]: a self-contained description
 //! of blocking-capable gateway work (loads, chunks, exports, stats)
-//! that the caller runs wherever it likes — the reactor hands it to a
-//! fixed dispatch pool and feeds the completion back through
-//! [`SessionCore::complete`]; the blocking driver ([`serve_session`],
-//! used for in-memory transports) just runs it in place.
+//! that the reactor hands to a fixed dispatch pool, feeding the
+//! completion back through [`SessionCore::complete`].
 //!
 //! A successful logon registers a [`SessionEntry`] in the node's
 //! [`SessionRegistry`] (bounded by `max_sessions` — a full table
@@ -21,27 +19,19 @@
 //! reservations, staging tables, or staged objects.
 
 use std::collections::HashMap;
-use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use etlv_protocol::errcode::ErrCode;
 use etlv_protocol::frame::Frame;
 use etlv_protocol::message::{
     HealthReply, Message, ProfileReply, SessionRole, StatsFormat, StatsReply, TraceReply,
 };
-use etlv_protocol::transport::{RecvOutcome, Transport};
 use parking_lot::Mutex;
 
 use crate::gateway::{error_msg, Virtualizer};
 use crate::obs::{LockSiteObs, TenantObs, TrackedMutex};
-
-/// How often a polling serve loop wakes to check the idle clock. Only
-/// blocking-driver sessions with a nonzero idle timeout pay this; the
-/// reactor uses its timer wheel, and plain `serve()` blocks on the
-/// socket.
-const POLL_TICK: Duration = Duration::from_millis(20);
 
 /// One logged-on session's registry entry.
 pub(crate) struct SessionEntry {
@@ -137,11 +127,11 @@ impl DispatchCall {
                 Message::StatsReply(StatsReply { format, body })
             }
             Message::HealthReq { format } => {
-                let body = match format {
-                    StatsFormat::Prometheus => v.health_prometheus(),
-                    // Series has no health rendering; JSON is the
-                    // universal fallback.
-                    StatsFormat::Json | StatsFormat::Series => v.health_json(),
+                // Series has no health rendering; JSON is the fallback,
+                // and the reply's `format` names what was sent.
+                let (format, body) = match format {
+                    StatsFormat::Prometheus => (format, v.health_prometheus()),
+                    StatsFormat::Json | StatsFormat::Series => (StatsFormat::Json, v.health_json()),
                 };
                 Message::HealthReply(HealthReply { format, body })
             }
@@ -154,11 +144,14 @@ impl DispatchCall {
                 })
             }
             Message::ProfileReq { format } => {
-                let body = match format {
-                    StatsFormat::Json => v.profile_json(),
-                    // Series and Prometheus both answer with the raw
-                    // folded-stack text — the flamegraph input format.
-                    StatsFormat::Series | StatsFormat::Prometheus => v.profile().folded,
+                // Series is the raw folded-stack text (the flamegraph
+                // input format); Prometheus has no profile rendering
+                // and gets the same, labelled as what it is.
+                let (format, body) = match format {
+                    StatsFormat::Json => (format, v.profile_json()),
+                    StatsFormat::Series | StatsFormat::Prometheus => {
+                        (StatsFormat::Series, v.profile().folded)
+                    }
                 };
                 Message::ProfileReply(ProfileReply { format, body })
             }
@@ -173,8 +166,8 @@ impl DispatchCall {
 
 /// The per-connection protocol state machine: sequence counter, logon
 /// state, role, and the implicit job binding legacy data sessions carry.
-/// Drivers own the I/O (blocking transport or reactor) and push one
-/// frame at a time through [`on_frame`](SessionCore::on_frame).
+/// The reactor owns the I/O and pushes one frame at a time through
+/// [`on_frame`](SessionCore::on_frame).
 pub(crate) struct SessionCore {
     seq: u32,
     session: Option<Arc<SessionEntry>>,
@@ -220,6 +213,12 @@ impl SessionCore {
         self.seq = self.seq.wrapping_add(1);
         let seq = self.seq;
         let reply = match msg {
+            // A second logon would register a fresh entry and orphan the
+            // first; teardown after this fatal reply closes the one real
+            // session.
+            Message::Logon(_) if self.session.is_some() => {
+                error_msg(ErrCode::PROTOCOL, "session already logged on", true)
+            }
             Message::Logon(logon) => {
                 if logon.username.is_empty() || logon.password.is_empty() {
                     error_msg(ErrCode::LOGON_FAILED, "missing credentials", true)
@@ -291,15 +290,21 @@ impl SessionCore {
             | Message::StatsReq { .. }
             | Message::HealthReq { .. }
             | Message::TraceReq { .. }
-            | Message::ProfileReq { .. }) => {
-                return Step::Dispatch(DispatchCall {
-                    msg,
-                    job_token: self.job_token,
-                    tenant: self.tenant(v),
-                    session_id,
-                    seq,
-                });
-            }
+            | Message::ProfileReq { .. }) => match &self.session {
+                Some(s) => {
+                    return Step::Dispatch(DispatchCall {
+                        msg,
+                        job_token: self.job_token,
+                        tenant: Arc::clone(&s.tenant),
+                        session_id,
+                        seq,
+                    });
+                }
+                // Jobs are owned (and torn down) through the session
+                // entry: without one a BeginLoad would open a job no
+                // disconnect could ever abort.
+                None => error_msg(ErrCode::LOGON_FAILED, "request before logon", true),
+            },
             other => error_msg(
                 ErrCode::PROTOCOL,
                 format!("unexpected message {:?}", other.kind()),
@@ -357,16 +362,6 @@ impl SessionCore {
             .into_frame(self.session_id(), self.seq)
     }
 
-    /// The tenant a request charges to: the logged-on session's
-    /// interned block, or the shared `~anonymous` block for pre-logon
-    /// requests (directly-served test transports mostly).
-    fn tenant(&self, v: &Virtualizer) -> Arc<TenantObs> {
-        match &self.session {
-            Some(s) => Arc::clone(&s.tenant),
-            None => v.node.obs.registry.tenant("~anonymous"),
-        }
-    }
-
     /// Tear down the session if one is registered. Idempotent — safe
     /// to call from both the happy path and error unwinding.
     pub(crate) fn finish(&mut self, v: &Virtualizer) {
@@ -374,64 +369,6 @@ impl SessionCore {
             close_session(v, &entry, self.clean);
         }
     }
-}
-
-/// Serve one connection on the calling thread until logoff, disconnect,
-/// or idle timeout. This is the blocking driver for transports that are
-/// not OS sockets (the in-memory duplex used by tests and embedded
-/// callers); TCP connections are served by the reactor instead.
-pub(crate) fn serve_session(v: &Virtualizer, mut transport: impl Transport) -> io::Result<()> {
-    let idle_timeout = v.node.config.session_idle_timeout;
-    // A blocking recv cannot observe the idle clock; poll only when a
-    // timeout is configured so the common path stays wake-free.
-    let poll = !idle_timeout.is_zero();
-    let mut core = SessionCore::new();
-    let mut last_activity = Instant::now();
-
-    let result = (|| -> io::Result<()> {
-        loop {
-            let frame: Frame = if poll {
-                match transport.recv_wait(POLL_TICK)? {
-                    RecvOutcome::Frame(f) => {
-                        last_activity = Instant::now();
-                        f
-                    }
-                    RecvOutcome::TimedOut => {
-                        if last_activity.elapsed() >= idle_timeout {
-                            let _ = transport.send(&core.idle_timeout_frame());
-                            return Ok(());
-                        }
-                        continue;
-                    }
-                    RecvOutcome::Closed => return Ok(()),
-                }
-            } else {
-                match transport.recv()? {
-                    Some(f) => f,
-                    None => return Ok(()),
-                }
-            };
-            match core.on_frame(v, &frame, false) {
-                Step::Reply { frame, end } => {
-                    transport.send(&frame)?;
-                    if end {
-                        return Ok(());
-                    }
-                }
-                Step::Dispatch(call) => {
-                    let (session_id, seq) = (call.session_id, call.seq);
-                    let reply = call.run(v);
-                    let (frame, end) = core.complete(reply, session_id, seq);
-                    transport.send(&frame)?;
-                    if end {
-                        return Ok(());
-                    }
-                }
-            }
-        }
-    })();
-    core.finish(v);
-    result
 }
 
 /// Tear a session down: abort every job it still owns (releasing the

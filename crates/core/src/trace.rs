@@ -13,10 +13,6 @@
 //! the measured wall time — no double counting under parallelism, which a
 //! naive sum of span durations would suffer from the moment two converter
 //! workers overlap.
-//!
-//! This module is compiled regardless of the `obs` feature: with
-//! instrumentation off the journal yields no events and `assemble`
-//! returns `None`, so callers stay unconditional.
 
 use crate::obs::{SpanEvent, SpanIds};
 

@@ -176,7 +176,7 @@ impl Session {
 
     /// Request the assembled span tree for a finished (or failed) load
     /// job. `found` is false when the job's events have aged out of the
-    /// server's journal ring or tracing is compiled out.
+    /// server's journal ring.
     pub fn trace(&mut self, job: u64) -> Result<TraceReply, ClientError> {
         match self.request(Message::TraceReq { job })? {
             Message::TraceReply(reply) => Ok(reply),

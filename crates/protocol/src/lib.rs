@@ -59,4 +59,4 @@ pub use message::Message;
 pub use nio::{pump_frames, FrameWriter, NioError, ReadStatus};
 pub use record::{RecordDecoder, RecordEncoder};
 pub use trace::TraceContext;
-pub use transport::{duplex, MemTransport, RecvOutcome, Transport};
+pub use transport::{duplex, MemTransport, Transport};

@@ -272,9 +272,9 @@ pub struct HealthReply {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileReply {
     /// The format `body` is rendered in: `Json` carries the full report
-    /// (stage CPU/wall, lock sites, pool, folded stacks); `Series` and
-    /// `Prometheus` requests are answered with the raw folded-stack text
-    /// alone — the flamegraph input format.
+    /// (stage CPU/wall, lock sites, pool, folded stacks); `Series` is the
+    /// raw folded-stack text alone — the flamegraph input format (a
+    /// `Prometheus` request is answered in `Series`).
     pub format: StatsFormat,
     /// The rendered profile document.
     pub body: String,

@@ -5,8 +5,8 @@
 //! - [`TcpTransport`]: frames over a real TCP socket, the configuration a
 //!   deployed legacy client uses when repointed at the virtualizer.
 //! - [`MemTransport`]: an in-process duplex pipe built on channels, used by
-//!   tests and benchmarks to remove kernel networking from the measurement
-//!   while exercising the identical framing/coalescing code.
+//!   the blocking legacy-server oracle and by unit tests; it exercises the
+//!   identical framing/coalescing code without kernel networking.
 //!
 //! Both deliberately expose a *byte* interface internally: the receiver side
 //! always runs the [`FrameDecoder`] (the paper's Coalescer), so arbitrary
@@ -19,20 +19,6 @@ use std::time::Duration;
 
 use crate::frame::{Frame, FrameDecoder};
 
-/// Outcome of a bounded receive ([`Transport::recv_wait`]): unlike
-/// [`Transport::recv_timeout`], it distinguishes "nothing yet" from "the
-/// peer is gone", which a server poll loop must tell apart to reap
-/// disconnected sessions promptly instead of waiting out an idle timer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecvOutcome {
-    /// A complete frame arrived.
-    Frame(Frame),
-    /// The timeout elapsed with no complete frame; the link is still up.
-    TimedOut,
-    /// The peer closed the connection (clean end-of-stream).
-    Closed,
-}
-
 /// A bidirectional, blocking frame transport.
 pub trait Transport: Send {
     /// Send one frame.
@@ -43,18 +29,6 @@ pub trait Transport: Send {
 
     /// Receive with a timeout; `Ok(None)` means timeout or end-of-stream.
     fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<Frame>>;
-
-    /// Receive with a timeout, reporting timeout and end-of-stream as
-    /// distinct outcomes. The default conservatively blocks via
-    /// [`recv`](Transport::recv) (no timeout support); both built-in
-    /// transports override it with a real bounded wait.
-    fn recv_wait(&mut self, timeout: Duration) -> io::Result<RecvOutcome> {
-        let _ = timeout;
-        match self.recv()? {
-            Some(frame) => Ok(RecvOutcome::Frame(frame)),
-            None => Ok(RecvOutcome::Closed),
-        }
-    }
 
     /// Write raw bytes to the peer without framing — they land in the
     /// peer's [`FrameDecoder`] as-is. Only fault injection uses this (to
@@ -150,31 +124,6 @@ impl Transport for TcpTransport {
         self.stream.set_read_timeout(None)?;
         result
     }
-
-    fn recv_wait(&mut self, timeout: Duration) -> io::Result<RecvOutcome> {
-        if let Some(frame) = self.decoder.next_frame().map_err(frame_err)? {
-            return Ok(RecvOutcome::Frame(frame));
-        }
-        self.stream.set_read_timeout(Some(timeout))?;
-        let result = (|| loop {
-            if let Some(frame) = self.decoder.next_frame().map_err(frame_err)? {
-                return Ok(RecvOutcome::Frame(frame));
-            }
-            match self.fill() {
-                Ok(0) => return Ok(RecvOutcome::Closed),
-                Ok(_) => continue,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(RecvOutcome::TimedOut)
-                }
-                Err(e) => return Err(e),
-            }
-        })();
-        self.stream.set_read_timeout(None)?;
-        result
-    }
 }
 
 /// One end of an in-process duplex frame pipe.
@@ -236,19 +185,6 @@ impl Transport for MemTransport {
                 Ok(bytes) => self.decoder.feed(&bytes),
                 Err(mpsc::RecvTimeoutError::Timeout) => return Ok(None),
                 Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(None),
-            }
-        }
-    }
-
-    fn recv_wait(&mut self, timeout: Duration) -> io::Result<RecvOutcome> {
-        loop {
-            if let Some(frame) = self.decoder.next_frame().map_err(frame_err)? {
-                return Ok(RecvOutcome::Frame(frame));
-            }
-            match self.rx.recv_timeout(timeout) {
-                Ok(bytes) => self.decoder.feed(&bytes),
-                Err(mpsc::RecvTimeoutError::Timeout) => return Ok(RecvOutcome::TimedOut),
-                Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(RecvOutcome::Closed),
             }
         }
     }
@@ -340,13 +276,6 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         }
     }
 
-    fn recv_wait(&mut self, timeout: Duration) -> io::Result<RecvOutcome> {
-        match self.inner.as_mut() {
-            Some(inner) => inner.recv_wait(timeout),
-            None => Err(Self::severed()),
-        }
-    }
-
     fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
         match self.inner.as_mut() {
             Some(inner) => inner.send_raw(bytes),
@@ -391,57 +320,6 @@ mod tests {
         let (mut a, _b) = duplex();
         let got = a.recv_timeout(Duration::from_millis(10)).unwrap();
         assert!(got.is_none());
-    }
-
-    #[test]
-    fn recv_wait_distinguishes_timeout_from_eof() {
-        let (mut a, b) = duplex();
-        assert_eq!(
-            a.recv_wait(Duration::from_millis(5)).unwrap(),
-            RecvOutcome::TimedOut,
-            "live but idle peer times out"
-        );
-        drop(b);
-        assert_eq!(
-            a.recv_wait(Duration::from_millis(5)).unwrap(),
-            RecvOutcome::Closed,
-            "dropped peer is a close, not a timeout"
-        );
-    }
-
-    #[test]
-    fn tcp_recv_wait_reports_peer_close() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut t = TcpTransport::new(stream).unwrap();
-            assert_eq!(
-                t.recv_wait(Duration::from_millis(20)).unwrap(),
-                RecvOutcome::TimedOut
-            );
-            let frame = match t.recv_wait(Duration::from_secs(2)).unwrap() {
-                RecvOutcome::Frame(f) => f,
-                other => panic!("expected frame, got {other:?}"),
-            };
-            assert_eq!(frame.kind, MsgKind::Keepalive);
-            // Client drops after the frame: next wait must observe close.
-            loop {
-                match t.recv_wait(Duration::from_millis(20)).unwrap() {
-                    RecvOutcome::TimedOut => continue,
-                    RecvOutcome::Closed => break,
-                    RecvOutcome::Frame(f) => panic!("unexpected frame {f:?}"),
-                }
-            }
-        });
-
-        let mut client = TcpTransport::connect(&addr.to_string()).unwrap();
-        std::thread::sleep(Duration::from_millis(40));
-        client
-            .send(&Frame::new(MsgKind::Keepalive, 0, 0, Vec::new()))
-            .unwrap();
-        drop(client);
-        server.join().unwrap();
     }
 
     #[test]

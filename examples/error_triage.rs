@@ -12,9 +12,8 @@
 use std::sync::Arc;
 
 use etlv_core::{Virtualizer, VirtualizerConfig};
-use etlv_legacy_client::{FnConnector, LegacyEtlClient, Session};
+use etlv_legacy_client::{LegacyEtlClient, Session, TcpConnector};
 use etlv_protocol::message::SessionRole;
-use etlv_protocol::transport::{duplex, Transport};
 use etlv_script::{compile, parse_script, JobPlan};
 
 const SCRIPT: &str = r#"
@@ -46,15 +45,8 @@ fn run_with(max_errors: u64) {
         ..Default::default()
     });
 
-    let v = virtualizer.clone();
-    let connector = Arc::new(FnConnector(move || {
-        let (client_end, server_end) = duplex();
-        let v = v.clone();
-        std::thread::spawn(move || {
-            let _ = v.serve(server_end);
-        });
-        Ok(Box::new(client_end) as Box<dyn Transport>)
-    }));
+    let server = virtualizer.listen_tcp("127.0.0.1:0").unwrap();
+    let connector = Arc::new(TcpConnector::new(server.addr().to_string()));
 
     let mut session =
         Session::logon(connector.as_ref(), "admin", "pw", SessionRole::Control, 0).unwrap();

@@ -13,22 +13,14 @@ use std::sync::Arc;
 
 use etlv_core::workload::{customer_workload, CustomerSpec};
 use etlv_core::{Virtualizer, VirtualizerConfig};
-use etlv_legacy_client::{ClientOptions, FnConnector, LegacyEtlClient, Session};
+use etlv_legacy_client::{ClientOptions, LegacyEtlClient, Session, TcpConnector};
 use etlv_protocol::message::SessionRole;
-use etlv_protocol::transport::{duplex, Transport};
 use etlv_script::{compile, parse_script, JobPlan};
 
 fn main() {
     let virtualizer = Virtualizer::new(VirtualizerConfig::default());
-    let v = virtualizer.clone();
-    let connector = Arc::new(FnConnector(move || {
-        let (client_end, server_end) = duplex();
-        let v = v.clone();
-        std::thread::spawn(move || {
-            let _ = v.serve(server_end);
-        });
-        Ok(Box::new(client_end) as Box<dyn Transport>)
-    }));
+    let server = virtualizer.listen_tcp("127.0.0.1:0").unwrap();
+    let connector = Arc::new(TcpConnector::new(server.addr().to_string()));
 
     // Generate and load 2,000 clean customer rows.
     let workload = customer_workload(&CustomerSpec {

@@ -15,15 +15,14 @@
 //!    cleanly as a timeout instead of hanging, and the node's credit pool
 //!    drains back to capacity.
 
-use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
 use etlv::prelude::*;
 use etlv_core::{FaultPlan, FaultSpec, StorePutFailure, TransportFailure};
-use etlv_legacy_client::ClientError;
+use etlv_legacy_client::{ClientError, TcpConnector};
 use etlv_protocol::message::SessionRole;
-use etlv_protocol::transport::ChaosTransport;
+use etlv_protocol::transport::{ChaosTransport, TcpTransport};
 use etlv_script::ImportJob;
 
 const SCRIPT: &str = r#"
@@ -49,20 +48,6 @@ fn rows(n: usize) -> Vec<u8> {
     (0..n)
         .flat_map(|i| format!("k{i:04}|value-{i:04}\n").into_bytes())
         .collect()
-}
-
-fn connector(
-    v: &Virtualizer,
-) -> Arc<FnConnector<impl Fn() -> io::Result<Box<dyn Transport>> + Send + Sync>> {
-    let v = v.clone();
-    Arc::new(FnConnector(move || {
-        let (client_end, server_end) = duplex();
-        let v = v.clone();
-        std::thread::spawn(move || {
-            let _ = v.serve(server_end);
-        });
-        Ok(Box::new(client_end) as Box<dyn Transport>)
-    }))
 }
 
 fn create_target(connector: &dyn Connect) {
@@ -91,7 +76,8 @@ fn flaky_store_recovers() {
         }),
         ..Default::default()
     });
-    let connector = connector(&v);
+    let server = v.listen_tcp("127.0.0.1:0").unwrap();
+    let connector = Arc::new(TcpConnector::new(server.addr().to_string()));
     create_target(connector.as_ref());
 
     let client = LegacyEtlClient::new(connector.clone());
@@ -124,7 +110,8 @@ fn same_seed_reproduces() {
             }),
             ..Default::default()
         });
-        let connector = connector(&v);
+        let server = v.listen_tcp("127.0.0.1:0").unwrap();
+        let connector = Arc::new(TcpConnector::new(server.addr().to_string()));
         create_target(connector.as_ref());
         // Small chunks so the job stages several files — several put ops
         // for the random spec to dice over.
@@ -165,14 +152,11 @@ fn dropped_frame_times_out_cleanly() {
         ..Default::default()
     });
     let hook = v.fault_injector().unwrap().transport_hook();
-    let vc = v.clone();
+    let server = v.listen_tcp("127.0.0.1:0").unwrap();
+    let addr = server.addr().to_string();
     let chaos = Arc::new(FnConnector(move || {
-        let (client_end, server_end) = duplex();
-        let vc = vc.clone();
-        std::thread::spawn(move || {
-            let _ = vc.serve(server_end);
-        });
-        Ok(Box::new(ChaosTransport::new(client_end, hook.clone())) as Box<dyn Transport>)
+        let transport = TcpTransport::connect(&addr)?;
+        Ok(Box::new(ChaosTransport::new(transport, hook.clone())) as Box<dyn Transport>)
     }));
     create_target(chaos.as_ref());
 

@@ -26,13 +26,11 @@
 //! accounting, the top contended lock sites, and the folded-stack text
 //! fetched over the wire with the `Profile` request.
 
-use std::io;
 use std::sync::Arc;
 
 use etlv_core::{Virtualizer, VirtualizerConfig};
-use etlv_legacy_client::{ClientOptions, FnConnector, LegacyEtlClient};
+use etlv_legacy_client::{ClientOptions, LegacyEtlClient, TcpConnector};
 use etlv_protocol::message::{SessionRole, StatsFormat};
-use etlv_protocol::transport::{duplex, Transport};
 use etlv_script::{compile, parse_script, JobPlan};
 
 const IMPORT_SCRIPT: &str = r#"
@@ -52,20 +50,6 @@ insert into PROD.CUSTOMER values (
     apply InsApply;
 .end load
 "#;
-
-fn connector(
-    v: &Virtualizer,
-) -> Arc<FnConnector<impl Fn() -> io::Result<Box<dyn Transport>> + Send + Sync>> {
-    let v = v.clone();
-    Arc::new(FnConnector(move || {
-        let (client_end, server_end) = duplex();
-        let v = v.clone();
-        std::thread::spawn(move || {
-            let _ = v.serve(server_end);
-        });
-        Ok(Box::new(client_end) as Box<dyn Transport>)
-    }))
-}
 
 fn main() {
     // `--trace <job>`: render the span tree for <job> after the load
@@ -87,6 +71,8 @@ fn main() {
     v.cdw()
         .execute("CREATE TABLE PROD.CUSTOMER (CUST_ID VARCHAR(8), CUST_NAME VARCHAR(50), JOIN_DATE DATE)")
         .unwrap();
+    let server = v.listen_tcp("127.0.0.1:0").unwrap();
+    let connector = Arc::new(TcpConnector::new(server.addr().to_string()));
     let job = match compile(&parse_script(IMPORT_SCRIPT).unwrap()).unwrap() {
         JobPlan::Import(j) => j,
         _ => unreachable!(),
@@ -97,10 +83,10 @@ fn main() {
 
     // Run the load on a background thread; this thread watches the journal.
     let loader = {
-        let v = v.clone();
+        let connector = connector.clone();
         std::thread::spawn(move || {
             let client = LegacyEtlClient::with_options(
-                connector(&v),
+                connector,
                 ClientOptions {
                     chunk_rows: 250,
                     sessions: Some(2),
@@ -149,7 +135,7 @@ fn main() {
             None => println!("\nno trace for job {job} (aged out, or obs compiled off)"),
         }
         // The same tree over the wire: a control session's Trace request.
-        let client = LegacyEtlClient::new(connector(&v));
+        let client = LegacyEtlClient::new(connector.clone());
         let mut session = etlv_legacy_client::Session::logon(
             client.connector().as_ref(),
             "admin",
@@ -194,7 +180,7 @@ fn main() {
 
         // The folded-stack text over the wire: a control session's
         // Profile request with the Series rendering.
-        let client = LegacyEtlClient::new(connector(&v));
+        let client = LegacyEtlClient::new(connector.clone());
         let mut session = etlv_legacy_client::Session::logon(
             client.connector().as_ref(),
             "admin",
@@ -229,7 +215,7 @@ fn main() {
 
             // The same report over the wire: a control session's Health
             // request, in both renderings.
-            let client = LegacyEtlClient::new(connector(&v));
+            let client = LegacyEtlClient::new(connector.clone());
             let mut session = etlv_legacy_client::Session::logon(
                 client.connector().as_ref(),
                 "admin",
@@ -256,7 +242,7 @@ fn main() {
 
     // The same surface over the wire: a control session's Stats request.
     println!("\n== Stats over the legacy wire protocol ==");
-    let client = LegacyEtlClient::new(connector(&v));
+    let client = LegacyEtlClient::new(connector.clone());
     let mut session = etlv_legacy_client::Session::logon(
         client.connector().as_ref(),
         "admin",
@@ -266,11 +252,6 @@ fn main() {
     )
     .unwrap();
     let reply = session.stats(StatsFormat::Json).unwrap();
-    println!(
-        "StatsReply({:?}): {} bytes, obs_enabled={}",
-        reply.format,
-        reply.body.len(),
-        etlv_core::obs::enabled()
-    );
+    println!("StatsReply({:?}): {} bytes", reply.format, reply.body.len());
     session.logoff();
 }

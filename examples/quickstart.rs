@@ -14,9 +14,8 @@
 use std::sync::Arc;
 
 use etlv_core::{Virtualizer, VirtualizerConfig};
-use etlv_legacy_client::{FnConnector, LegacyEtlClient, Session};
+use etlv_legacy_client::{LegacyEtlClient, Session, TcpConnector};
 use etlv_protocol::message::SessionRole;
-use etlv_protocol::transport::{duplex, Transport};
 use etlv_script::{compile, parse_script, JobPlan};
 
 const SCRIPT: &str = r#"
@@ -49,17 +48,11 @@ fn main() {
     //    are in-process simulations.
     let virtualizer = Virtualizer::new(VirtualizerConfig::default());
 
-    // Legacy clients reach it through any transport; this connector opens
-    // in-memory pipes (swap for TcpConnector against a listening node).
-    let v = virtualizer.clone();
-    let connector = Arc::new(FnConnector(move || {
-        let (client_end, server_end) = duplex();
-        let v = v.clone();
-        std::thread::spawn(move || {
-            let _ = v.serve(server_end);
-        });
-        Ok(Box::new(client_end) as Box<dyn Transport>)
-    }));
+    // Legacy clients reach it over TCP, exactly as they reached the
+    // legacy EDW. The handle owns the server threads; dropping it (end
+    // of `main`) shuts the server down.
+    let server = virtualizer.listen_tcp("127.0.0.1:0").unwrap();
+    let connector = Arc::new(TcpConnector::new(server.addr().to_string()));
 
     // 2. Create the target table — in *legacy* DDL, over the legacy
     //    protocol. The virtualizer cross-compiles it for the CDW.

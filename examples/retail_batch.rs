@@ -18,9 +18,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use etlv_core::{Virtualizer, VirtualizerConfig};
-use etlv_legacy_client::{ClientOptions, FnConnector, LegacyEtlClient, Session};
+use etlv_legacy_client::{ClientOptions, LegacyEtlClient, Session, TcpConnector};
 use etlv_protocol::message::SessionRole;
-use etlv_protocol::transport::{duplex, Transport};
 use etlv_script::{compile, parse_script, JobPlan};
 use parking_lot::Mutex;
 
@@ -31,18 +30,6 @@ struct BatchGroup {
     depends_on: Vec<String>,
     table: String,
     rows: u64,
-}
-
-fn connector_for(v: &Virtualizer) -> Arc<dyn etlv_legacy_client::Connect> {
-    let v = v.clone();
-    Arc::new(FnConnector(move || {
-        let (client_end, server_end) = duplex();
-        let v = v.clone();
-        std::thread::spawn(move || {
-            let _ = v.serve(server_end);
-        });
-        Ok(Box::new(client_end) as Box<dyn Transport>)
-    }))
 }
 
 fn main() {
@@ -88,7 +75,9 @@ fn main() {
     }
 
     let virtualizer = Virtualizer::new(VirtualizerConfig::default());
-    let connector = connector_for(&virtualizer);
+    let server = virtualizer.listen_tcp("127.0.0.1:0").unwrap();
+    let connector: Arc<dyn etlv_legacy_client::Connect> =
+        Arc::new(TcpConnector::new(server.addr().to_string()));
 
     // DDL for every table, through the legacy protocol.
     let mut session =

@@ -19,8 +19,8 @@ use etlv_legacy_client::{ClientError, ClientOptions, LegacyEtlClient, Session, T
 use etlv_protocol::message::{BeginLoad, DataChunk, Message, SessionRole};
 mod common;
 use common::{
-    assert_quiescent, chaos_mem_connector, create_simple_target, kv_rows, mem_connector,
-    simple_import_job,
+    assert_quiescent, chaos_tcp_connector, create_simple_target, kv_rows, simple_import_job,
+    tcp_connector,
 };
 
 fn config_with(plan: FaultPlan) -> VirtualizerConfig {
@@ -35,7 +35,7 @@ fn store_put_flake_is_retried_to_success() {
     let mut plan = FaultPlan::seeded(11);
     plan.store_put = FaultSpec::FirstN(2);
     let v = Virtualizer::new(config_with(plan));
-    let connector = mem_connector(&v);
+    let connector = tcp_connector(&v);
     create_simple_target(connector.as_ref(), "T");
 
     let client = LegacyEtlClient::new(connector.clone());
@@ -57,7 +57,7 @@ fn store_put_partial_write_is_absorbed_by_retry() {
     plan.store_put = FaultSpec::FirstN(1);
     plan.store_put_failure = StorePutFailure::PartialWrite;
     let v = Virtualizer::new(config_with(plan));
-    let connector = mem_connector(&v);
+    let connector = tcp_connector(&v);
     create_simple_target(connector.as_ref(), "T");
 
     let client = LegacyEtlClient::new(connector.clone());
@@ -85,7 +85,7 @@ fn persistent_store_failure_fails_job_cleanly() {
     let mut config = config_with(plan);
     config.retry_budget = 2; // keep the exhaustion quick
     let v = Virtualizer::new(config);
-    let connector = mem_connector(&v);
+    let connector = tcp_connector(&v);
     create_simple_target(connector.as_ref(), "T");
 
     let client = LegacyEtlClient::new(connector.clone());
@@ -112,7 +112,7 @@ fn store_get_flake_during_copy_is_retried() {
     let mut plan = FaultPlan::seeded(14);
     plan.store_get = FaultSpec::FirstN(1);
     let v = Virtualizer::new(config_with(plan));
-    let connector = mem_connector(&v);
+    let connector = tcp_connector(&v);
     create_simple_target(connector.as_ref(), "T");
 
     let client = LegacyEtlClient::new(connector.clone());
@@ -136,7 +136,7 @@ fn cdw_transient_faults_are_retried_to_success() {
     let mut plan = FaultPlan::seeded(15);
     plan.cdw_exec = FaultSpec::AtOps(vec![6, 7]);
     let v = Virtualizer::new(config_with(plan));
-    let connector = mem_connector(&v);
+    let connector = tcp_connector(&v);
 
     // Setup DDL runs with the hook disarmed so the scenario's op indices
     // start at the load itself.
@@ -167,7 +167,7 @@ fn cdw_transient_budget_exhaustion_fails_cleanly() {
     let mut config = config_with(plan);
     config.retry_budget = 3;
     let v = Virtualizer::new(config);
-    let connector = mem_connector(&v);
+    let connector = tcp_connector(&v);
 
     v.cdw().set_transient_fault(None);
     create_simple_target(connector.as_ref(), "T");
@@ -194,7 +194,7 @@ fn converter_worker_fault_fails_job_cleanly() {
     let mut plan = FaultPlan::seeded(17);
     plan.convert = FaultSpec::AtOps(vec![0]);
     let v = Virtualizer::new(config_with(plan));
-    let connector = mem_connector(&v);
+    let connector = tcp_connector(&v);
     create_simple_target(connector.as_ref(), "T");
 
     let client = LegacyEtlClient::new(connector.clone());
@@ -223,7 +223,7 @@ fn transport_drop_surfaces_as_timeout_not_hang() {
     plan.transport = FaultSpec::AtOps(vec![1]);
     plan.transport_failure = TransportFailure::Drop;
     let v = Virtualizer::new(config_with(plan));
-    let connector = chaos_mem_connector(&v);
+    let connector = chaos_tcp_connector(&v);
     create_simple_target(connector.as_ref(), "T");
 
     let client = LegacyEtlClient::with_options(
@@ -257,7 +257,7 @@ fn transport_truncate_mid_chunk_surfaces_as_error() {
     plan.transport = FaultSpec::AtOps(vec![1]);
     plan.transport_failure = TransportFailure::Truncate;
     let v = Virtualizer::new(config_with(plan));
-    let connector = chaos_mem_connector(&v);
+    let connector = chaos_tcp_connector(&v);
     create_simple_target(connector.as_ref(), "T");
 
     let client = LegacyEtlClient::with_options(
@@ -286,7 +286,7 @@ fn transport_sever_fails_fast() {
     plan.transport = FaultSpec::AtOps(vec![0]);
     plan.transport_failure = TransportFailure::Sever;
     let v = Virtualizer::new(config_with(plan));
-    let connector = chaos_mem_connector(&v);
+    let connector = chaos_tcp_connector(&v);
     create_simple_target(connector.as_ref(), "T");
 
     let client = LegacyEtlClient::with_options(
@@ -323,7 +323,7 @@ fn random_faults_with_same_seed_reproduce_exactly() {
         let mut config = config_with(plan);
         config.file_size_threshold = 256; // several staged files per job
         let v = Virtualizer::new(config);
-        let connector = mem_connector(&v);
+        let connector = tcp_connector(&v);
         create_simple_target(connector.as_ref(), "T");
         let client = LegacyEtlClient::with_options(
             connector.clone(),
@@ -357,7 +357,7 @@ fn fault_free_plan_changes_nothing() {
     // An armed injector whose specs are all Never must be a no-op: no
     // faults, no retries, same outcome as an unfaulted run.
     let v = Virtualizer::new(config_with(FaultPlan::seeded(99)));
-    let connector = mem_connector(&v);
+    let connector = tcp_connector(&v);
     create_simple_target(connector.as_ref(), "T");
 
     let client = LegacyEtlClient::new(connector.clone());
@@ -493,7 +493,7 @@ fn workload_trace_replays_clean_under_fault_matrix() {
         limit: 4,
     };
     let v = Virtualizer::new(config_with(plan));
-    let connector: Arc<dyn etlv_legacy_client::Connect> = mem_connector(&v);
+    let connector: Arc<dyn etlv_legacy_client::Connect> = tcp_connector(&v);
 
     // Create the trace's tables with the CDW hook disarmed so setup DDL
     // cannot fault, then arm it for the replay proper (the same shape the

@@ -1,59 +1,44 @@
 //! Shared harness for the integration suites: server spin-up, client
 //! connectors, canned jobs, and quiescence checks.
 //!
-//! Every suite used to carry its own copy of the duplex-pair connector
-//! and script boilerplate; they live here once now. Each test binary
-//! compiles this module independently and uses a different subset, hence
-//! the file-wide `dead_code` allowance.
+//! Each test binary compiles this module independently and uses a
+//! different subset, hence the file-wide `dead_code` allowance.
 #![allow(dead_code)]
 
-use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use etlv_core::{Virtualizer, VirtualizerConfig};
 use etlv_legacy_client::{Connect, FnConnector, Session};
 use etlv_protocol::message::SessionRole;
-use etlv_protocol::transport::{duplex, ChaosTransport, Transport};
+use etlv_protocol::transport::{ChaosTransport, TcpTransport, Transport};
 use etlv_script::{compile, parse_script, ExportJob, ImportJob, JobPlan};
 
-/// In-process duplex connector: each connect is a fresh duplex pair with
-/// a server thread on the far end — the node exactly as TCP clients see
-/// it, minus the socket.
-pub fn mem_connector(
-    v: &Virtualizer,
-) -> Arc<FnConnector<impl Fn() -> io::Result<Box<dyn Transport>> + Send + Sync>> {
-    let v = v.clone();
+/// Serve `v` on a loopback port through the reactor — the path
+/// production clients take — and return a connector to it. The connector
+/// owns the [`ServerHandle`](etlv_core::server::ServerHandle): dropping
+/// it stops the server and joins its threads.
+pub fn tcp_connector(v: &Virtualizer) -> Arc<dyn Connect> {
+    let server = v.listen_tcp("127.0.0.1:0").expect("bind loopback");
     Arc::new(FnConnector(move || {
-        let (client_end, server_end) = duplex();
-        let v = v.clone();
-        std::thread::spawn(move || {
-            let _ = v.serve(server_end);
-        });
-        Ok(Box::new(client_end) as Box<dyn Transport>)
+        Ok(Box::new(TcpTransport::connect(&server.addr().to_string())?) as Box<dyn Transport>)
     }))
 }
 
-/// Like [`mem_connector`], but the client end runs through a
+/// Like [`tcp_connector`], but the client end runs through a
 /// [`ChaosTransport`] driven by the virtualizer's own fault injector —
 /// the plan's `transport` spec decides which outgoing data-chunk frames
 /// are dropped, truncated, or severed. Panics if the node's config
 /// carries no fault plan.
-pub fn chaos_mem_connector(
-    v: &Virtualizer,
-) -> Arc<FnConnector<impl Fn() -> io::Result<Box<dyn Transport>> + Send + Sync>> {
+pub fn chaos_tcp_connector(v: &Virtualizer) -> Arc<dyn Connect> {
     let hook = v
         .fault_injector()
         .expect("config must carry a fault plan")
         .transport_hook();
-    let v = v.clone();
+    let server = v.listen_tcp("127.0.0.1:0").expect("bind loopback");
     Arc::new(FnConnector(move || {
-        let (client_end, server_end) = duplex();
-        let v = v.clone();
-        std::thread::spawn(move || {
-            let _ = v.serve(server_end);
-        });
-        Ok(Box::new(ChaosTransport::new(client_end, hook.clone())) as Box<dyn Transport>)
+        let transport = TcpTransport::connect(&server.addr().to_string())?;
+        Ok(Box::new(ChaosTransport::new(transport, hook.clone())) as Box<dyn Transport>)
     }))
 }
 

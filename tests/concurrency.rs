@@ -34,7 +34,7 @@ fn options() -> ClientOptions {
         ..Default::default()
     }
 }
-use common::{export_job, labeled_kv_rows, mem_connector, simple_import_job, wait_idle};
+use common::{export_job, labeled_kv_rows, simple_import_job, tcp_connector, wait_idle};
 
 /// 16 real TCP clients at once — 10 imports into distinct tables, 3
 /// exports, 3 SQL sessions — multiplexed over ONE fixed worker pool.
@@ -174,7 +174,7 @@ fn job_admission_limit_bounces_then_recovers() {
     v.cdw()
         .execute("CREATE TABLE HOLD (A VARCHAR(8), B VARCHAR(32))")
         .unwrap();
-    let connector = mem_connector(&v);
+    let connector = tcp_connector(&v);
 
     // Occupy the single job slot by hand.
     let hold = simple_import_job("HOLD");
@@ -246,7 +246,7 @@ fn session_limit_rejects_logon_until_a_slot_frees() {
         ..Default::default()
     };
     let v = Virtualizer::new(config);
-    let connector = mem_connector(&v);
+    let connector = tcp_connector(&v);
 
     let s1 = Session::logon(connector.as_ref(), "a", "p", SessionRole::Control, 0).unwrap();
     let s2 = Session::logon(connector.as_ref(), "b", "p", SessionRole::Control, 0).unwrap();

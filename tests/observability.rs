@@ -9,7 +9,7 @@ use etlv_legacy_client::{ClientOptions, LegacyEtlClient};
 use etlv_protocol::message::{SessionRole, StatsFormat};
 use etlv_script::{compile, parse_script, JobPlan};
 mod common;
-use common::{counter, customer_import_job, customer_rows, customer_virtualizer, mem_connector};
+use common::{counter, customer_import_job, customer_rows, customer_virtualizer, tcp_connector};
 
 /// Counters registered once, hammered from many threads, summed at
 /// snapshot: the shard merge must never lose an increment, and histogram
@@ -32,9 +32,6 @@ fn concurrent_counter_and_histogram_aggregation() {
     }
     for h in handles {
         h.join().unwrap();
-    }
-    if !etlv_core::obs::enabled() {
-        return;
     }
     let total = THREADS as u64 * PER_THREAD;
     assert_eq!(obs.pipeline.convert_rows.value(), total);
@@ -61,7 +58,7 @@ fn import_populates_every_subsystem() {
         ..Default::default()
     });
     let client = LegacyEtlClient::with_options(
-        mem_connector(&v),
+        tcp_connector(&v),
         ClientOptions {
             chunk_rows: 10,
             sessions: Some(4),
@@ -75,9 +72,6 @@ fn import_populates_every_subsystem() {
         .unwrap();
     assert_eq!(result.report.rows_applied, rows as u64);
 
-    if !etlv_core::obs::enabled() {
-        return;
-    }
     let obs = v.obs();
     assert_eq!(obs.pipeline.convert_rows.value(), rows as u64);
     assert_eq!(obs.gateway.chunks_received.value(), 20);
@@ -111,7 +105,7 @@ fn stats_snapshot_consistent_with_node_metrics() {
         ..Default::default()
     });
     let client = LegacyEtlClient::with_options(
-        mem_connector(&v),
+        tcp_connector(&v),
         ClientOptions {
             chunk_rows: 5,
             sessions: Some(2),
@@ -127,24 +121,22 @@ fn stats_snapshot_consistent_with_node_metrics() {
     assert_eq!(counter(&snapshot, "credit_stalls"), metrics.credit_stalls);
     assert_eq!(counter(&snapshot, "peak_memory"), metrics.peak_memory);
     assert_eq!(counter(&snapshot, "rows_ingested"), 100);
-    if etlv_core::obs::enabled() {
-        for subsystem in ["gateway.", "pipeline.", "cloudstore.", "cdw.", "credit."] {
-            assert!(snapshot.contains(subsystem), "snapshot missing {subsystem}");
-        }
-        assert_eq!(
-            counter(&snapshot, "memory.peak"),
-            metrics.peak_memory,
-            "gauge refreshed at snapshot"
-        );
-        assert_eq!(counter(&snapshot, "credit.stalls"), metrics.credit_stalls);
+    for subsystem in ["gateway.", "pipeline.", "cloudstore.", "cdw.", "credit."] {
+        assert!(snapshot.contains(subsystem), "snapshot missing {subsystem}");
     }
+    assert_eq!(
+        counter(&snapshot, "memory.peak"),
+        metrics.peak_memory,
+        "gauge refreshed at snapshot"
+    );
+    assert_eq!(counter(&snapshot, "credit.stalls"), metrics.credit_stalls);
 }
 
 /// The `Stats` request round-trips over the wire in both renderings.
 #[test]
 fn stats_wire_round_trip() {
     let v = customer_virtualizer(VirtualizerConfig::default());
-    let client = LegacyEtlClient::new(mem_connector(&v));
+    let client = LegacyEtlClient::new(tcp_connector(&v));
     client
         .run_import_data(&customer_import_job(), &customer_rows(10))
         .unwrap();
@@ -170,14 +162,12 @@ fn stats_wire_round_trip() {
         "{}",
         prom.body
     );
-    if etlv_core::obs::enabled() {
-        assert!(
-            prom.body.contains("etlv_gateway_chunks_received"),
-            "{}",
-            prom.body
-        );
-        assert!(prom.body.contains("quantile=\"0.99\""), "{}", prom.body);
-    }
+    assert!(
+        prom.body.contains("etlv_gateway_chunks_received"),
+        "{}",
+        prom.body
+    );
+    assert!(prom.body.contains("quantile=\"0.99\""), "{}", prom.body);
     session.logoff();
 }
 
@@ -189,7 +179,7 @@ fn report_ring_is_bounded() {
         ..Default::default()
     });
     for n in [10usize, 20, 30] {
-        let client = LegacyEtlClient::new(mem_connector(&v));
+        let client = LegacyEtlClient::new(tcp_connector(&v));
         client
             .run_import_data(&customer_import_job(), &customer_rows(n))
             .unwrap();
@@ -226,7 +216,7 @@ fn export_rows_and_bytes_counted() {
     let JobPlan::Export(job) = compile(&parse_script(src).unwrap()).unwrap() else {
         panic!()
     };
-    let client = LegacyEtlClient::new(mem_connector(&v));
+    let client = LegacyEtlClient::new(tcp_connector(&v));
     let result = client.run_export(&job).unwrap();
     assert_eq!(result.rows, 50);
 
@@ -236,12 +226,10 @@ fn export_rows_and_bytes_counted() {
         metrics.bytes_exported >= result.data.len() as u64,
         "encoded bytes counted"
     );
-    if etlv_core::obs::enabled() {
-        let obs = v.obs();
-        assert_eq!(obs.export.rows.value(), 50);
-        assert_eq!(obs.export.bytes.value(), metrics.bytes_exported);
-        assert!(obs.export.chunks.value() >= 1);
-    }
+    let obs = v.obs();
+    assert_eq!(obs.export.rows.value(), 50);
+    assert_eq!(obs.export.bytes.value(), metrics.bytes_exported);
+    assert!(obs.export.chunks.value() >= 1);
 }
 
 /// A fault plan that hits both the uploader and the CDW: the wire report's
@@ -265,7 +253,7 @@ fn load_report_retry_split_consistent() {
         .execute("CREATE TABLE PROD.CUSTOMER (CUST_ID VARCHAR(5), CUST_NAME VARCHAR(50), JOIN_DATE DATE)")
         .unwrap();
     let client = LegacyEtlClient::with_options(
-        mem_connector(&v),
+        tcp_connector(&v),
         ClientOptions {
             chunk_rows: 20,
             sessions: Some(1),
@@ -287,14 +275,12 @@ fn load_report_retry_split_consistent() {
     let node_report = v.last_job_report().unwrap();
     assert_eq!(node_report.upload_retries, report.upload_retries);
     assert_eq!(node_report.cdw_retries, report.cdw_retries);
-    if etlv_core::obs::enabled() {
-        assert_eq!(
-            v.obs().pipeline.upload_retries.value(),
-            report.upload_retries
-        );
-        let snapshot = v.stats_snapshot();
-        assert!(counter(&snapshot, "fault.injected_total") >= 3);
-    }
+    assert_eq!(
+        v.obs().pipeline.upload_retries.value(),
+        report.upload_retries
+    );
+    let snapshot = v.stats_snapshot();
+    assert!(counter(&snapshot, "fault.injected_total") >= 3);
 }
 
 /// The PR 7 plan counters: an import into a unique-keyed target makes
@@ -312,7 +298,7 @@ fn plan_counters_reach_the_wire() {
             "CREATE TABLE PROD.CUSTOMER (CUST_ID VARCHAR(5), CUST_NAME VARCHAR(50), JOIN_DATE DATE, PRIMARY KEY (CUST_ID))",
         )
         .unwrap();
-    let client = LegacyEtlClient::new(mem_connector(&v));
+    let client = LegacyEtlClient::new(tcp_connector(&v));
     // 20 clean rows plus one duplicate key: the uniqueness emulation has
     // to probe the target's PK and bisect the staging range by __SEQ.
     let mut data = customer_rows(20);
@@ -322,9 +308,6 @@ fn plan_counters_reach_the_wire() {
         .unwrap();
     assert_eq!(result.report.rows_applied, 20);
 
-    if !etlv_core::obs::enabled() {
-        return;
-    }
     let obs = v.obs();
     assert!(
         obs.cdw.plan_index_seek.value() > 0,
@@ -395,7 +378,7 @@ fn session_lifecycle_metrics_are_symmetric_and_rendered() {
     v.cdw()
         .execute("CREATE TABLE T (A VARCHAR(5), B VARCHAR(50))")
         .unwrap();
-    let connector = mem_connector(&v);
+    let connector = tcp_connector(&v);
 
     // One clean import...
     let client = LegacyEtlClient::with_options(
@@ -411,7 +394,7 @@ fn session_lifecycle_metrics_are_symmetric_and_rendered() {
         .unwrap();
 
     // ...and one abandoned one: logon, begin a load, vanish without
-    // EndLoad or Logoff. The serve loop notices the dead link and aborts.
+    // EndLoad or Logoff. The reactor notices the dead link and aborts.
     let job = customer_import_job();
     let mut control =
         Session::logon(connector.as_ref(), "u", "p", SessionRole::Control, 0).unwrap();
@@ -440,9 +423,6 @@ fn session_lifecycle_metrics_are_symmetric_and_rendered() {
     }
     assert_eq!(v.metrics().jobs_aborted, 1);
 
-    if !etlv_core::obs::enabled() {
-        return;
-    }
     let obs = v.obs();
     assert_eq!(
         obs.gateway.sessions_opened.value(),
@@ -493,7 +473,7 @@ fn pool_recycling_observed_in_stats() {
         ..Default::default()
     });
     let client = LegacyEtlClient::with_options(
-        mem_connector(&v),
+        tcp_connector(&v),
         ClientOptions {
             chunk_rows: 10,
             sessions: Some(2),
@@ -504,9 +484,6 @@ fn pool_recycling_observed_in_stats() {
         .run_import_data(&customer_import_job(), &customer_rows(200))
         .unwrap();
 
-    if !etlv_core::obs::enabled() {
-        return;
-    }
     let obs = v.obs();
     let hits = obs.pool.recycle_hits.value();
     let misses = obs.pool.recycle_misses.value();
@@ -549,7 +526,7 @@ fn rejections_and_idle_timeouts_attributed_to_their_tenant() {
         session_idle_timeout: std::time::Duration::from_millis(40),
         ..Default::default()
     });
-    let connector = mem_connector(&v);
+    let connector = tcp_connector(&v);
 
     // "holder" fills the one-slot registry; "noisy" is turned away.
     let holder = Session::logon(connector.as_ref(), "holder", "pw", SessionRole::Control, 0)
@@ -563,7 +540,7 @@ fn rejections_and_idle_timeouts_attributed_to_their_tenant() {
         Ok(_) => panic!("second logon must be refused"),
     }
 
-    // "holder" now sits idle past the timeout; the serve loop closes it.
+    // "holder" now sits idle past the timeout; the timer wheel reaps it.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     while v.active_sessions() > 0 {
         assert!(
@@ -574,9 +551,6 @@ fn rejections_and_idle_timeouts_attributed_to_their_tenant() {
     }
     drop(holder);
 
-    if !etlv_core::obs::enabled() {
-        return;
-    }
     let registry = &v.obs().registry;
     assert_eq!(
         registry.tenant("noisy").admission_rejections.value(),

@@ -5,40 +5,29 @@
 //! the reason "less than 1% of the queries in ETL jobs had to be rewritten
 //! manually" (§8).
 
-use std::io;
 use std::sync::Arc;
 
 use etlv_core::workload::{customer_workload, CustomerSpec};
 use etlv_core::{Virtualizer, VirtualizerConfig};
-use etlv_legacy_client::{ClientOptions, FnConnector, LegacyEtlClient};
+use etlv_legacy_client::{ClientOptions, Connect, FnConnector, LegacyEtlClient};
 use etlv_legacy_server::LegacyServer;
 use etlv_protocol::transport::{duplex, Transport};
 use etlv_script::{compile, parse_script, JobPlan};
 
-type Conn = Arc<FnConnector<Box<dyn Fn() -> io::Result<Box<dyn Transport>> + Send + Sync>>>;
+mod common;
+use common::tcp_connector;
 
-fn server_connector(server: &Arc<LegacyServer>) -> Conn {
+/// The blocking oracle over the in-memory duplex it serves.
+fn server_connector(server: &Arc<LegacyServer>) -> Arc<dyn Connect> {
     let server = Arc::clone(server);
-    Arc::new(FnConnector(Box::new(move || {
+    Arc::new(FnConnector(move || {
         let (client_end, server_end) = duplex();
         let server = Arc::clone(&server);
         std::thread::spawn(move || {
             let _ = server.serve(server_end);
         });
         Ok(Box::new(client_end) as Box<dyn Transport>)
-    })))
-}
-
-fn virtualizer_connector(v: &Virtualizer) -> Conn {
-    let v = v.clone();
-    Arc::new(FnConnector(Box::new(move || {
-        let (client_end, server_end) = duplex();
-        let v = v.clone();
-        std::thread::spawn(move || {
-            let _ = v.serve(server_end);
-        });
-        Ok(Box::new(client_end) as Box<dyn Transport>)
-    })))
+    }))
 }
 
 /// Run the workload against both systems (creating the target through the
@@ -54,7 +43,7 @@ fn run_both(
         panic!()
     };
 
-    let run = |connector: Conn| {
+    let run = |connector: Arc<dyn Connect>| {
         let mut session = etlv_legacy_client::Session::logon(
             connector.as_ref(),
             "admin",
@@ -79,7 +68,7 @@ fn run_both(
     let server = LegacyServer::new();
     let legacy = run(server_connector(&server));
     let v = Virtualizer::new(VirtualizerConfig::default());
-    let virt = run(virtualizer_connector(&v));
+    let virt = run(tcp_connector(&v));
     (legacy, virt)
 }
 
@@ -131,7 +120,7 @@ fn error_rows_match_ground_truth() {
         panic!()
     };
     let v = Virtualizer::new(VirtualizerConfig::default());
-    let connector = virtualizer_connector(&v);
+    let connector = tcp_connector(&v);
     let mut session = etlv_legacy_client::Session::logon(
         connector.as_ref(),
         "admin",

@@ -1,4 +1,4 @@
-//! Reactor front-end suite (DESIGN §16): the event-driven TCP path
+//! Reactor front-end suite (DESIGN §11): the event-driven TCP path
 //! under connection-scale pressure, torn frames, floods, idle reaping,
 //! and abrupt disconnects.
 //!
@@ -267,7 +267,7 @@ fn idle_sessions_are_reaped_with_a_farewell() {
 }
 
 /// Yanking the cable mid-job aborts the session's open load and frees
-/// every resource, exactly like the blocking path did.
+/// every resource.
 #[test]
 fn abrupt_disconnect_aborts_owned_jobs() {
     let v = Virtualizer::new(VirtualizerConfig::default());
@@ -306,6 +306,108 @@ fn abrupt_disconnect_aborts_owned_jobs() {
     assert_eq!(v.metrics().jobs_aborted, 1);
     assert_eq!(v.credits().available(), v.credits().capacity());
     assert_eq!(v.memory().in_flight(), 0);
+    server.shutdown();
+}
+
+/// A request before Logon has no session to own the job it would open,
+/// so no teardown could ever abort it: the node refuses it with a fatal
+/// error and opens nothing.
+#[test]
+fn request_before_logon_is_refused_and_leaves_no_job() {
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    v.cdw()
+        .execute("CREATE TABLE T0 (A VARCHAR(8), B VARCHAR(32))")
+        .unwrap();
+    let server = v.listen_tcp("127.0.0.1:0").expect("bind");
+
+    let job = simple_import_job("T0");
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .write_all(&encode(
+            Message::BeginLoad(BeginLoad {
+                target_table: job.target.clone(),
+                error_table_et: job.error_table_et.clone(),
+                error_table_uv: job.error_table_uv.clone(),
+                layout: job.layout.clone(),
+                format: job.format,
+                sessions: 1,
+                error_limit: 0,
+                trace: None,
+            }),
+            0,
+            1,
+        ))
+        .unwrap();
+    match &read_messages(&mut stream, 1)[0] {
+        Message::Error(e) => {
+            assert_eq!(e.code, ErrCode::LOGON_FAILED.0);
+            assert!(e.fatal, "the connection ends with the refusal");
+        }
+        other => panic!("expected a fatal LOGON_FAILED, got {other:?}"),
+    }
+    drop(stream);
+    server.shutdown();
+
+    assert_eq!(v.active_jobs(), 0, "no job without an owner");
+    assert_eq!(v.active_sessions(), 0);
+    for table in [
+        "T0_ET".to_string(),
+        "T0_UV".to_string(),
+        etlv_core::xcompile::staging_table_name(1),
+    ] {
+        assert!(!v.cdw().table_exists(&table), "{table} must not exist");
+    }
+    assert_eq!(v.credits().available(), v.credits().capacity());
+    assert_eq!(v.memory().in_flight(), 0);
+}
+
+/// A second Logon on a logged-on connection would register a second
+/// registry entry and orphan the first: it is a fatal protocol error,
+/// and the close that follows releases the one real session.
+#[test]
+fn second_logon_is_refused_and_sessions_return_to_zero() {
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    let server = v.listen_tcp("127.0.0.1:0").expect("bind");
+
+    let logon = encode(
+        Message::Logon(Logon {
+            username: "twice".into(),
+            password: "p".into(),
+            role: SessionRole::Control,
+            job_token: 0,
+            trace: None,
+        }),
+        0,
+        0,
+    );
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.write_all(&logon).unwrap();
+    assert!(matches!(
+        read_messages(&mut stream, 1)[0],
+        Message::LogonOk(_)
+    ));
+    assert_eq!(v.active_sessions(), 1);
+
+    stream.write_all(&logon).unwrap();
+    match &read_messages(&mut stream, 1)[0] {
+        Message::Error(e) => {
+            assert_eq!(e.code, ErrCode::PROTOCOL.0);
+            assert!(e.fatal, "the connection ends with the refusal");
+        }
+        other => panic!("expected a fatal PROTOCOL error, got {other:?}"),
+    }
+    drop(stream);
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while v.active_sessions() > 0 {
+        assert!(Instant::now() < deadline, "the close must deregister");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let gateway = &v.obs().gateway;
+    assert_eq!(
+        gateway.sessions_opened.value(),
+        gateway.sessions_closed.value()
+    );
     server.shutdown();
 }
 

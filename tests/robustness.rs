@@ -2,36 +2,21 @@
 //! pass-through DML, script-level errlimit, wide tables, session-error
 //! recovery, and binary-format loads.
 
-use std::io;
-use std::sync::Arc;
-
 use etlv_core::workload::wide_workload;
 use etlv_core::{Virtualizer, VirtualizerConfig};
-use etlv_legacy_client::{ClientOptions, FnConnector, LegacyEtlClient, Session};
+use etlv_legacy_client::{ClientOptions, LegacyEtlClient, Session};
 use etlv_protocol::data::{LegacyType, Value};
 use etlv_protocol::message::SessionRole;
 use etlv_protocol::record::RecordEncoder;
-use etlv_protocol::transport::{duplex, Transport};
 use etlv_script::{compile, parse_script, JobPlan};
 
-fn connector(
-    v: &Virtualizer,
-) -> Arc<FnConnector<impl Fn() -> io::Result<Box<dyn Transport>> + Send + Sync>> {
-    let v = v.clone();
-    Arc::new(FnConnector(move || {
-        let (client_end, server_end) = duplex();
-        let v = v.clone();
-        std::thread::spawn(move || {
-            let _ = v.serve(server_end);
-        });
-        Ok(Box::new(client_end) as Box<dyn Transport>)
-    }))
-}
+mod common;
+use common::tcp_connector;
 
 #[test]
 fn sql_passthrough_dml_and_recovery() {
     let v = Virtualizer::new(VirtualizerConfig::default());
-    let connector = connector(&v);
+    let connector = tcp_connector(&v);
     let mut session =
         Session::logon(connector.as_ref(), "ops", "pw", SessionRole::Control, 0).unwrap();
 
@@ -68,7 +53,7 @@ fn sql_passthrough_dml_and_recovery() {
 fn script_errlimit_produces_range_records() {
     // errlimit 1 in the script becomes the adaptive max_errors bound.
     let v = Virtualizer::new(VirtualizerConfig::default());
-    let connector = connector(&v);
+    let connector = tcp_connector(&v);
     let mut session =
         Session::logon(connector.as_ref(), "ops", "pw", SessionRole::Control, 0).unwrap();
     session
@@ -115,7 +100,7 @@ insert into T values (:ID, cast(:D as DATE format 'YYYY-MM-DD'));
 #[test]
 fn wide_table_50_columns() {
     let v = Virtualizer::new(VirtualizerConfig::default());
-    let connector = connector(&v);
+    let connector = tcp_connector(&v);
     let workload = wide_workload(200, 50, 10, 3);
     let mut session =
         Session::logon(connector.as_ref(), "ops", "pw", SessionRole::Control, 0).unwrap();
@@ -141,7 +126,7 @@ fn wide_table_50_columns() {
 #[test]
 fn binary_format_load_with_typed_fields() {
     let v = Virtualizer::new(VirtualizerConfig::default());
-    let connector = connector(&v);
+    let connector = tcp_connector(&v);
     let mut session =
         Session::logon(connector.as_ref(), "ops", "pw", SessionRole::Control, 0).unwrap();
     session
@@ -209,7 +194,7 @@ fn throttled_compressed_upload_still_correct() {
         file_size_threshold: 4096,
         ..Default::default()
     });
-    let connector = connector(&v);
+    let connector = tcp_connector(&v);
     let mut session =
         Session::logon(connector.as_ref(), "ops", "pw", SessionRole::Control, 0).unwrap();
     session

@@ -14,7 +14,7 @@ use etlv_protocol::message::{SessionRole, StatsFormat};
 use etlv_workloadgen::{tenant_user, ImportSpec};
 
 mod common;
-use common::mem_connector;
+use common::tcp_connector;
 
 /// Burn-rate windows small enough that a test's worth of traffic spans
 /// both; the latency target is generous so only deliberate error budgets
@@ -50,7 +50,7 @@ fn tenant_import(tenant: u16, rows: u32, date_error_ppm: u32) -> ImportSpec {
 fn run_spec(v: &Virtualizer, spec: &ImportSpec) -> u64 {
     v.cdw().execute(&spec.target_ddl()).unwrap();
     let client = LegacyEtlClient::with_options(
-        mem_connector(v),
+        tcp_connector(v),
         ClientOptions {
             chunk_rows: 50,
             sessions: Some(2),
@@ -79,15 +79,7 @@ fn heavy_tenant_burn_alert_fires_light_tenant_stays_green() {
     assert!(heavy_errors > 0, "seeded payload must carry bad dates");
     assert_eq!(light_errors, 0, "clean payload must stay clean");
 
-    if !etlv_core::obs::enabled() {
-        let report = v.health();
-        assert!(!report.enabled);
-        assert!(report.tenants.is_empty(), "noop registry has no tenants");
-        return;
-    }
-
     let report = v.health();
-    assert!(report.enabled);
     let tenant = |name: &str| {
         report
             .tenants
@@ -167,11 +159,8 @@ fn tenant_labeled_stats_conform_over_the_wire() {
     let v = Virtualizer::new(VirtualizerConfig::default());
     run_spec(&v, &tenant_import(0, 120, 0));
     run_spec(&v, &tenant_import(1, 120, 0));
-    if !etlv_core::obs::enabled() {
-        return;
-    }
 
-    let client = LegacyEtlClient::new(mem_connector(&v));
+    let client = LegacyEtlClient::new(tcp_connector(&v));
     let mut session = Session::logon(
         client.connector().as_ref(),
         "admin",
@@ -221,7 +210,7 @@ fn health_wire_round_trip() {
     });
     run_spec(&v, &tenant_import(0, 200, 150_000));
 
-    let client = LegacyEtlClient::new(mem_connector(&v));
+    let client = LegacyEtlClient::new(tcp_connector(&v));
     let mut session = Session::logon(
         client.connector().as_ref(),
         "ops",
@@ -239,33 +228,24 @@ fn health_wire_round_trip() {
     assert_prometheus_conforms(&prom.body);
     assert!(prom.body.contains("etlv_node_overloaded "), "{}", prom.body);
 
+    // Series has no health rendering: the reply is the JSON document and
+    // its `format` says so.
     let series = session.health(StatsFormat::Series).unwrap();
-    assert!(
-        series.body.contains("\"obs_enabled\""),
-        "series falls back to the JSON document: {}",
-        series.body
-    );
+    assert_eq!(series.format, StatsFormat::Json);
+    assert!(series.body.contains("\"overload\""), "{}", series.body);
 
-    if etlv_core::obs::enabled() {
-        let user = tenant_user(0);
-        assert!(
-            json.body.contains(&format!("\"tenant\": \"{user}\"")),
-            "{}",
-            json.body
-        );
-        assert!(
-            prom.body.contains(&format!(
-                "etlv_slo_alert{{tenant=\"{user}\",objective=\"error_rate\"}} 1\n"
-            )),
-            "{}",
-            prom.body
-        );
-    } else {
-        assert!(
-            json.body.contains("\"obs_enabled\": false"),
-            "{}",
-            json.body
-        );
-    }
+    let user = tenant_user(0);
+    assert!(
+        json.body.contains(&format!("\"tenant\": \"{user}\"")),
+        "{}",
+        json.body
+    );
+    assert!(
+        prom.body.contains(&format!(
+            "etlv_slo_alert{{tenant=\"{user}\",objective=\"error_rate\"}} 1\n"
+        )),
+        "{}",
+        prom.body
+    );
     session.logoff();
 }

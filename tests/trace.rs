@@ -9,7 +9,7 @@ use etlv_core::VirtualizerConfig;
 use etlv_legacy_client::{ClientOptions, LegacyEtlClient, Session};
 use etlv_protocol::message::{BeginLoad, DataChunk, EndLoad, Message, SessionRole, StatsFormat};
 mod common;
-use common::{customer_import_job, customer_rows, customer_virtualizer, mem_connector};
+use common::{customer_import_job, customer_rows, customer_virtualizer, tcp_connector};
 
 /// The acceptance scenario: a seeded multi-chunk import yields a complete
 /// span tree via the `Trace` wire request — chunk convert/upload/copy
@@ -22,7 +22,7 @@ fn multi_chunk_import_yields_complete_span_tree() {
         ..Default::default()
     });
     let client = LegacyEtlClient::with_options(
-        mem_connector(&v),
+        tcp_connector(&v),
         ClientOptions {
             chunk_rows: 10, // 20 chunks
             sessions: Some(3),
@@ -33,9 +33,6 @@ fn multi_chunk_import_yields_complete_span_tree() {
         .run_import_data(&customer_import_job(), &customer_rows(200))
         .unwrap();
     assert_eq!(result.report.rows_applied, 200);
-    if !etlv_core::obs::enabled() {
-        return;
-    }
     assert_ne!(result.trace_id, 0, "client minted a trace id");
 
     // Assembled server-side: a complete tree rooted at job.begin.
@@ -97,7 +94,7 @@ fn multi_chunk_import_yields_complete_span_tree() {
                 ..Default::default()
             });
             let client = LegacyEtlClient::with_options(
-                mem_connector(&v),
+                tcp_connector(&v),
                 ClientOptions {
                     chunk_rows: 10,
                     sessions: Some(3),
@@ -166,7 +163,7 @@ fn sampler_records_rows_per_second_series() {
         ..Default::default()
     });
     let client = LegacyEtlClient::with_options(
-        mem_connector(&v),
+        tcp_connector(&v),
         ClientOptions {
             chunk_rows: 25,
             sessions: Some(2),
@@ -177,9 +174,6 @@ fn sampler_records_rows_per_second_series() {
         .run_import_data(&customer_import_job(), &customer_rows(400))
         .unwrap();
     assert_eq!(result.report.rows_applied, 400);
-    if !etlv_core::obs::enabled() {
-        return;
-    }
 
     let json = v.sampler_json();
     assert!(json.contains("\"enabled\": true"), "{json}");
@@ -227,7 +221,7 @@ fn sampler_records_rows_per_second_series() {
 #[test]
 fn series_request_with_sampler_disabled() {
     let v = customer_virtualizer(VirtualizerConfig::default());
-    let client = LegacyEtlClient::new(mem_connector(&v));
+    let client = LegacyEtlClient::new(tcp_connector(&v));
     let mut session = Session::logon(
         client.connector().as_ref(),
         "admin",
@@ -247,7 +241,7 @@ fn series_request_with_sampler_disabled() {
 #[test]
 fn trace_free_legacy_client_still_loads() {
     let v = customer_virtualizer(VirtualizerConfig::default());
-    let client = LegacyEtlClient::new(mem_connector(&v));
+    let client = LegacyEtlClient::new(tcp_connector(&v));
     let job = customer_import_job();
 
     // Hand-run the wire conversation run_import performs, with trace: None
@@ -308,13 +302,11 @@ fn trace_free_legacy_client_still_loads() {
     };
     assert_eq!(report.rows_applied, 30, "trace-free load applied fully");
 
-    if etlv_core::obs::enabled() {
-        // The gateway minted a trace of its own: the tree is still
-        // complete and queryable.
-        let trace = v.trace(load_token).expect("gateway-minted trace");
-        assert!(trace.complete);
-        assert_ne!(trace.trace_id, 0, "server minted a nonzero trace id");
-        assert!(trace.nodes.iter().any(|n| n.kind == "chunk.convert"));
-    }
+    // The gateway minted a trace of its own: the tree is still
+    // complete and queryable.
+    let trace = v.trace(load_token).expect("gateway-minted trace");
+    assert!(trace.complete);
+    assert_ne!(trace.trace_id, 0, "server minted a nonzero trace id");
+    assert!(trace.nodes.iter().any(|n| n.kind == "chunk.convert"));
     control.logoff();
 }

@@ -2,28 +2,13 @@
 //! legacy wire encoding → client output file. Includes full
 //! import-then-export roundtrips.
 
-use std::io;
-use std::sync::Arc;
-
 use etlv_core::{Virtualizer, VirtualizerConfig};
-use etlv_legacy_client::{ClientOptions, FnConnector, LegacyEtlClient};
+use etlv_legacy_client::{ClientOptions, LegacyEtlClient};
 use etlv_protocol::data::{Date, Value};
-use etlv_protocol::transport::{duplex, Transport};
 use etlv_script::{compile, parse_script, JobPlan};
 
-fn connector(
-    v: &Virtualizer,
-) -> Arc<FnConnector<impl Fn() -> io::Result<Box<dyn Transport>> + Send + Sync>> {
-    let v = v.clone();
-    Arc::new(FnConnector(move || {
-        let (client_end, server_end) = duplex();
-        let v = v.clone();
-        std::thread::spawn(move || {
-            let _ = v.serve(server_end);
-        });
-        Ok(Box::new(client_end) as Box<dyn Transport>)
-    }))
-}
+mod common;
+use common::tcp_connector;
 
 fn seeded_virtualizer(rows: usize) -> Virtualizer {
     let v = Virtualizer::new(VirtualizerConfig::default());
@@ -55,7 +40,7 @@ fn export_job(select: &str, sessions: u16, format: &str) -> etlv_script::ExportJ
 fn vartext_export_with_parallel_sessions() {
     let v = seeded_virtualizer(100);
     let client = LegacyEtlClient::with_options(
-        connector(&v),
+        tcp_connector(&v),
         ClientOptions {
             chunk_rows: 7, // many chunks across 3 sessions
             sessions: None,
@@ -83,7 +68,7 @@ fn vartext_export_with_parallel_sessions() {
 #[test]
 fn binary_export_decodes_with_derived_layout() {
     let v = seeded_virtualizer(10);
-    let client = LegacyEtlClient::new(connector(&v));
+    let client = LegacyEtlClient::new(tcp_connector(&v));
     let job = export_job(
         "select CUST_ID, JOIN_DATE from PROD.CUSTOMER order by CUST_ID",
         2,
@@ -102,7 +87,7 @@ fn export_select_is_cross_compiled() {
     // The export SELECT uses legacy-only syntax (SEL + FORMAT cast); the
     // virtualizer must translate it for the CDW.
     let v = seeded_virtualizer(3);
-    let client = LegacyEtlClient::new(connector(&v));
+    let client = LegacyEtlClient::new(tcp_connector(&v));
     let job = export_job(
         "sel CUST_ID, cast(JOIN_DATE as VARCHAR(8) format 'MM/DD/YY') from PROD.CUSTOMER order by CUST_ID",
         1,
@@ -116,7 +101,7 @@ fn export_select_is_cross_compiled() {
 #[test]
 fn empty_export() {
     let v = seeded_virtualizer(0);
-    let client = LegacyEtlClient::new(connector(&v));
+    let client = LegacyEtlClient::new(tcp_connector(&v));
     let job = export_job("select CUST_ID from PROD.CUSTOMER", 2, "vartext '|'");
     let result = client.run_export(&job).unwrap();
     assert_eq!(result.rows, 0);
@@ -129,7 +114,7 @@ fn import_then_export_roundtrip() {
     v.cdw()
         .execute("CREATE TABLE PROD.CUSTOMER (CUST_ID VARCHAR(5), CUST_NAME VARCHAR(50), JOIN_DATE DATE, PRIMARY KEY (CUST_ID))")
         .unwrap();
-    let client = LegacyEtlClient::new(connector(&v));
+    let client = LegacyEtlClient::new(tcp_connector(&v));
 
     let import_src = r#"
 .logon host/user,pass;

@@ -6,28 +6,15 @@
 //! `legacy-client` crate's tests) are repointed at the virtualizer and
 //! produce the same logical outcome — loaded rows, ET errors, UV errors.
 
-use std::io;
 use std::sync::Arc;
 
 use etlv_core::{Virtualizer, VirtualizerConfig};
-use etlv_legacy_client::{ClientOptions, FnConnector, LegacyEtlClient};
+use etlv_legacy_client::{ClientOptions, LegacyEtlClient};
 use etlv_protocol::data::{Date, Value};
-use etlv_protocol::transport::{duplex, Transport};
 use etlv_script::{compile, parse_script, JobPlan};
 
-fn connector(
-    v: &Virtualizer,
-) -> Arc<FnConnector<impl Fn() -> io::Result<Box<dyn Transport>> + Send + Sync>> {
-    let v = v.clone();
-    Arc::new(FnConnector(move || {
-        let (client_end, server_end) = duplex();
-        let v = v.clone();
-        std::thread::spawn(move || {
-            let _ = v.serve(server_end);
-        });
-        Ok(Box::new(client_end) as Box<dyn Transport>)
-    }))
-}
+mod common;
+use common::tcp_connector;
 
 const IMPORT_SCRIPT: &str = r#"
 .logon host/user,pass;
@@ -65,7 +52,7 @@ fn new_virtualizer(mut config: VirtualizerConfig) -> Virtualizer {
     let v = Virtualizer::new(config);
     // The target table is created through the virtualizer itself using
     // *legacy* DDL — exercising the cross-compiler's type mapping.
-    let client = LegacyEtlClient::new(connector(&v));
+    let client = LegacyEtlClient::new(tcp_connector(&v));
     let mut session = etlv_legacy_client::Session::logon(
         client.connector().as_ref(),
         "admin",
@@ -86,7 +73,7 @@ fn new_virtualizer(mut config: VirtualizerConfig) -> Virtualizer {
 #[test]
 fn figure5_semantics_through_virtualizer() {
     let v = new_virtualizer(VirtualizerConfig::default());
-    let client = LegacyEtlClient::new(connector(&v));
+    let client = LegacyEtlClient::new(tcp_connector(&v));
     let result = client.run_import_data(&import_job(), FIGURE5_DATA).unwrap();
 
     assert_eq!(result.report.rows_received, 5);
@@ -165,7 +152,7 @@ fn figure6_adaptive_error_table_max_errors_2() {
         max_errors: 2,
         ..Default::default()
     });
-    let client = LegacyEtlClient::new(connector(&v));
+    let client = LegacyEtlClient::new(tcp_connector(&v));
     let result = client.run_import_data(&import_job(), FIGURE5_DATA).unwrap();
 
     // Figure 6: rows 2 and 3 individually (3103), then the residual range
@@ -197,7 +184,7 @@ fn figure6_adaptive_error_table_max_errors_2() {
 fn parallel_sessions_small_chunks_same_outcome() {
     let v = new_virtualizer(VirtualizerConfig::default());
     let client = LegacyEtlClient::with_options(
-        connector(&v),
+        tcp_connector(&v),
         ClientOptions {
             chunk_rows: 1,
             sessions: Some(4),
@@ -218,7 +205,7 @@ fn clean_bulk_load_with_compression_and_rotation() {
         ..Default::default()
     });
     let client = LegacyEtlClient::with_options(
-        connector(&v),
+        tcp_connector(&v),
         ClientOptions {
             chunk_rows: 50, // several chunks -> several staged files
             sessions: None,
@@ -249,7 +236,7 @@ fn clean_bulk_load_with_compression_and_rotation() {
 #[test]
 fn acquisition_data_errors_reach_et_table() {
     let v = new_virtualizer(VirtualizerConfig::default());
-    let client = LegacyEtlClient::new(connector(&v));
+    let client = LegacyEtlClient::new(tcp_connector(&v));
     // Row 2 has the wrong field count: a pure acquisition-phase error.
     let data = b"123|Smith|2012-01-01\nbroken_row\n157|Jones|2012-12-01\n";
     let result = client.run_import_data(&import_job(), data).unwrap();
@@ -270,7 +257,7 @@ fn oom_cap_fails_job_not_process() {
         ..Default::default()
     });
     let client = LegacyEtlClient::with_options(
-        connector(&v),
+        tcp_connector(&v),
         ClientOptions {
             chunk_rows: 1000,
             sessions: Some(1),
@@ -296,7 +283,7 @@ fn singleton_baseline_matches_adaptive_results() {
         apply_strategy: etlv_core::ApplyStrategy::Singleton,
         ..Default::default()
     });
-    let client = LegacyEtlClient::new(connector(&v));
+    let client = LegacyEtlClient::new(tcp_connector(&v));
     let result = client.run_import_data(&import_job(), FIGURE5_DATA).unwrap();
     assert_eq!(result.report.rows_applied, 2);
     assert_eq!(result.report.errors_et, 2);
@@ -310,7 +297,7 @@ fn concurrent_jobs_share_one_credit_pool() {
         ..Default::default()
     });
     {
-        let client = LegacyEtlClient::new(connector(&v));
+        let client = LegacyEtlClient::new(tcp_connector(&v));
         let mut s = etlv_legacy_client::Session::logon(
             client.connector().as_ref(),
             "a",
@@ -341,7 +328,7 @@ fn concurrent_jobs_share_one_credit_pool() {
     let data1 = data.clone();
     let t1 = std::thread::spawn(move || {
         let client = LegacyEtlClient::with_options(
-            connector(&v1),
+            tcp_connector(&v1),
             ClientOptions {
                 chunk_rows: 10,
                 sessions: Some(2),
@@ -353,7 +340,7 @@ fn concurrent_jobs_share_one_credit_pool() {
     let v2 = v.clone();
     let t2 = std::thread::spawn(move || {
         let client = LegacyEtlClient::with_options(
-            connector(&v2),
+            tcp_connector(&v2),
             ClientOptions {
                 chunk_rows: 10,
                 sessions: Some(2),

@@ -196,7 +196,7 @@ fn tcp_replay_outcomes_are_deterministic() {
             truth.rows - truth.bad_dates - truth.dup_keys,
             "'{name}'"
         );
-        if name == "error_heavy" && etlv_core::obs::enabled() {
+        if name == "error_heavy" {
             assert!(index_seeks > 0, "'{name}' replay recorded no index seeks");
         }
     }
