@@ -84,7 +84,7 @@ pub struct VirtualizerConfig {
     /// Time-series sampler tick. `Duration::ZERO` (the default) disables
     /// the background sampler entirely; a nonzero tick snapshots the
     /// metrics named in [`SAMPLER_METRICS`] every tick into bounded rings
-    /// (see `Virtualizer::sampler_json`).
+    /// (the `Series` introspection topic).
     pub sampler_tick: Duration,
     /// Points retained per sampled metric (sliding window). Must be ≥ 2
     /// when the sampler is enabled, so rates can be derived from

@@ -24,7 +24,8 @@ use etlv_protocol::data::Value;
 use etlv_protocol::errcode::ErrCode;
 use etlv_protocol::layout::Layout;
 use etlv_protocol::message::{
-    BeginExportOk, BeginLoad, ExportChunk, Message, RecordFormat, SqlResult, WireError,
+    BeginExportOk, BeginLoad, ExportChunk, Format, IntrospectReply, Message, RecordFormat,
+    SqlResult, Topic, WireError,
 };
 use etlv_protocol::record::encode_rows;
 use etlv_protocol::trace::TraceContext;
@@ -359,34 +360,6 @@ impl Virtualizer {
         );
     }
 
-    /// The full stats surface as one JSON document: node metrics, every
-    /// registered counter/gauge/histogram, the recent-report ring, and
-    /// journal occupancy. This is what a `Stats` wire request returns.
-    pub fn stats_snapshot(&self) -> String {
-        self.refresh_gauges();
-        let snap = self.node.obs.snapshot();
-        let recent = self.recent_job_reports();
-        stats_json(
-            &self.metrics(),
-            &snap,
-            &recent,
-            self.node.obs.journal.emitted(),
-            self.node.obs.journal.retained(),
-            self.node.obs.journal.dropped(),
-        )
-    }
-
-    /// The same registry rendered as Prometheus text exposition.
-    pub fn stats_prometheus(&self) -> String {
-        self.refresh_gauges();
-        stats_prometheus(
-            &self.metrics(),
-            &self.node.obs.snapshot(),
-            self.node.obs.journal.emitted(),
-            self.node.obs.journal.dropped(),
-        )
-    }
-
     /// Evaluate per-tenant SLO burn rates and node overload right now.
     /// Feeds the engine a fresh observation first, so health answers are
     /// current even when the background sampler is disabled.
@@ -406,26 +379,11 @@ impl Virtualizer {
         })
     }
 
-    /// The health report as JSON (the `Health` wire reply body).
-    pub fn health_json(&self) -> String {
-        self.health().to_json()
-    }
-
-    /// The health report as Prometheus text exposition.
-    pub fn health_prometheus(&self) -> String {
-        self.health().to_prometheus()
-    }
-
     /// Assemble the causal trace of one job from the journal's retained
     /// events. `None` when the journal no longer holds the job's
     /// `job.begin` (ring evicted it, or job unknown).
     pub fn trace(&self, job: u64) -> Option<JobTrace> {
         JobTrace::assemble(&self.node.obs.journal.events_for_job(job))
-    }
-
-    /// The trace rendered as JSON (the `Trace` wire reply body).
-    pub fn trace_json(&self, job: u64) -> Option<String> {
-        self.trace(job).map(|t| t.to_json())
     }
 
     /// The continuous-profiling report: per-stage CPU/wall accounting,
@@ -436,24 +394,56 @@ impl Virtualizer {
         ProfileReport::collect(&self.node.obs)
     }
 
-    /// The profile report as JSON (the `Profile` wire reply body).
-    pub fn profile_json(&self) -> String {
-        self.profile().to_json()
-    }
-
-    /// The background sampler's time-series rings as JSON. A disabled
-    /// sampler (`sampler_tick = 0`) yields `{"enabled": false, ...}` so
-    /// callers can always parse the same shape.
-    pub fn sampler_json(&self) -> String {
-        match &self.node.sampler {
-            Some(sampler) => sampler.series_json(),
-            None => "{\"enabled\": false, \"tick_micros\": 0, \"series\": []}\n".to_string(),
+    /// Render one monitoring document — what an `Introspect` wire request
+    /// returns, and the only place a (topic, format) pair is mapped to a
+    /// renderer. [`Format`] states which topics have a text rendering.
+    pub fn introspect(&self, topic: Topic, format: Format) -> IntrospectReply {
+        let format = match topic {
+            Topic::Series | Topic::Trace { .. } => Format::Json,
+            Topic::Stats | Topic::Health | Topic::Profile => format,
+        };
+        let body = match (topic, format) {
+            (Topic::Stats, _) => {
+                self.refresh_gauges();
+                let (metrics, snap) = (self.metrics(), self.node.obs.snapshot());
+                let journal = &self.node.obs.journal;
+                Some(match format {
+                    Format::Json => stats_json(
+                        &metrics,
+                        &snap,
+                        &self.recent_job_reports(),
+                        journal.emitted(),
+                        journal.retained(),
+                        journal.dropped(),
+                    ),
+                    Format::Text => {
+                        stats_prometheus(&metrics, &snap, journal.emitted(), journal.dropped())
+                    }
+                })
+            }
+            // A disabled sampler (`sampler_tick = 0`) still answers, so
+            // callers can always parse the same shape.
+            (Topic::Series, _) => Some(match &self.node.sampler {
+                Some(sampler) => sampler.series_json(),
+                None => "{\"enabled\": false, \"tick_micros\": 0, \"series\": []}\n".to_string(),
+            }),
+            (Topic::Health, Format::Json) => Some(self.health().to_json()),
+            (Topic::Health, Format::Text) => Some(self.health().to_prometheus()),
+            (Topic::Profile, Format::Json) => Some(self.profile().to_json()),
+            (Topic::Profile, Format::Text) => Some(self.profile().folded),
+            (Topic::Trace { job }, _) => self.trace(job).map(|t| t.to_json()),
+        };
+        IntrospectReply {
+            topic,
+            format,
+            found: body.is_some(),
+            body: body.unwrap_or_default(),
         }
     }
 
     /// Stop the background sampler (idempotent). Freezes the series
-    /// document — after this, successive [`Self::sampler_json`] calls
-    /// (local or over the wire) return identical bytes, which is what
+    /// document — after this, successive `Topic::Series` requests (local
+    /// or over the wire) return identical bytes, which is what
     /// exact-comparison tests need.
     pub fn stop_sampler(&self) {
         if let Some(sampler) = &self.node.sampler {

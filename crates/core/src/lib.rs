@@ -28,12 +28,12 @@
 //! - [`gateway`]: node state + request handlers
 //!   (Alpha/Coalescer/PXC, §3).
 //! - [`session`]: per-connection protocol state machine, session
-//!   registry, and disconnect-safe teardown (DESIGN §11).
+//!   registry, and disconnect-safe teardown (DESIGN §9).
 //! - [`server`]: TCP bind and [`server::ServerHandle`] lifecycle —
-//!   `shutdown()` and graceful `drain()` (DESIGN §11).
+//!   `shutdown()` and graceful `drain()` (DESIGN §9).
 //! - [`reactor`]: the event-driven front end — a fixed pool of
 //!   epoll loops multiplexing every TCP session, plus the dispatch
-//!   pool for blocking-capable work (DESIGN §11).
+//!   pool for blocking-capable work (DESIGN §9).
 //! - [`xcompile`]: SQL cross-compilation, placeholder → staging-column
 //!   mapping, staging DDL, type mapping (§3, §6).
 //! - [`convert`]: DataConverter — binary/vartext → CDW staged text (§4).
@@ -52,7 +52,7 @@
 //! - [`obs`]: observability — sharded metrics registry, span journal,
 //!   time-series sampler, and the stats snapshot renderers (§9, DESIGN §9).
 //! - [`trace`]: causal job tracing — assembles journal events into a
-//!   per-job span tree with critical-path attribution (DESIGN §10).
+//!   per-job span tree with critical-path attribution (DESIGN §9).
 //! - [`report`]: phase-timed job reports and node metrics (§9).
 //! - [`workload`]: deterministic workload generators for tests, examples,
 //!   and the figure benches.

@@ -124,11 +124,6 @@ impl Journal {
         ring.iter().filter(|e| e.job == job).copied().collect()
     }
 
-    /// Microseconds since the journal epoch (the `at_micros` clock).
-    pub fn now_micros(&self) -> u64 {
-        self.inner.epoch.elapsed().as_micros() as u64
-    }
-
     /// The most recent `n` events, oldest first.
     pub fn tail(&self, n: usize) -> Vec<SpanEvent> {
         let ring = self.inner.ring.lock();

@@ -242,7 +242,7 @@ struct RegistryInner {
     histograms: Mutex<Vec<(String, Histogram)>>,
     /// Interned per-tenant handle blocks, indexed by [`TenantId`].
     tenants: Mutex<Vec<Arc<TenantObs>>>,
-    /// Interned per-site lock statistics (PR 9), bounded like tenants.
+    /// Interned per-site lock statistics, bounded like tenants.
     lock_sites: Mutex<Vec<Arc<LockSiteObs>>>,
     /// The registry's own lock site (`metrics.registry`), lazily interned
     /// so registries that never serve a tenant pay nothing.

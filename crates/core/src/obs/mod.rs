@@ -1,5 +1,5 @@
 //! Observability: sharded metrics registry, structured span journal, and
-//! the snapshot renderers behind `Virtualizer::stats_snapshot()`.
+//! the snapshot renderers behind `Virtualizer::introspect`.
 //!
 //! The paper's §9 experiments (phase breakdowns in Fig. 8, credit and
 //! adaptive behaviour in Fig. 10) presume the operator can see *inside* a
@@ -34,7 +34,7 @@ mod profile;
 pub use profile::{
     folded_flamegraph, render_flame_ascii, thread_cpu_time, CpuTimer, LockSiteObs,
     LockSiteSnapshot, PoolProfile, ProfileReport, StageCpuProfile, TrackedCondvar, TrackedMutex,
-    TrackedMutexGuard, TrackedReadGuard, TrackedRwLock, TrackedWriteGuard, PROFILE_TOP_K,
+    TrackedMutexGuard, PROFILE_TOP_K,
 };
 
 mod journal;
@@ -316,7 +316,7 @@ pub struct ServerObs {
 }
 
 /// Reactor front-end handles: the event-loop threads multiplexing all
-/// TCP sessions (PR 10).
+/// TCP sessions.
 #[derive(Clone)]
 pub struct ReactorObs {
     /// Connection fds currently registered across all event loops.
@@ -469,7 +469,7 @@ pub struct ExportObs {
     pub bytes: Counter,
 }
 
-/// One pipeline stage's CPU/wall accounting (PR 9). `record` adds the
+/// One pipeline stage's CPU/wall accounting. `record` adds the
 /// wall time unconditionally; CPU time and the sample count accrue only
 /// when the thread CPU clock produced a pair, so `cpu_us / samples` stays
 /// meaningful on platforms without the clock.
@@ -495,7 +495,7 @@ impl StageProf {
     }
 }
 
-/// Per-stage CPU/wall profiles (PR 9): the four attributable stages the
+/// Per-stage CPU/wall profiles: the four attributable stages the
 /// Profile report breaks down.
 #[derive(Clone)]
 pub struct ProfileObs {
@@ -509,7 +509,7 @@ pub struct ProfileObs {
     pub apply: StageProf,
 }
 
-/// Worker-pool utilization handles (PR 9): saturation timelines for the
+/// Worker-pool utilization handles: saturation timelines for the
 /// shared runtime and recycle stats for the buffer freelist.
 #[derive(Clone)]
 pub struct PoolObs {
@@ -764,11 +764,6 @@ impl JobObs<'_> {
     /// (the trigger for bisection or singleton isolation).
     pub fn range_error(&self, lo: u64, hi: u64) {
         self.emit("apply.range_error", lo, hi);
-    }
-
-    /// Record a transient failure retried during application.
-    pub fn transient_retry(&self, lo: u64, hi: u64) {
-        self.emit("apply.retry", lo, hi);
     }
 }
 

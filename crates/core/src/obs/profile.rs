@@ -1,6 +1,6 @@
-//! Always-on continuous profiling (PR 9): per-stage CPU vs wall
+//! Always-on continuous profiling: per-stage CPU vs wall
 //! accounting, instrumented lock primitives, and the collapsed-stack
-//! ("folded") flamegraph behind the `Profile` wire request.
+//! ("folded") flamegraph behind the `Profile` introspection topic.
 //!
 //! Three data sources feed one report:
 //!
@@ -10,12 +10,12 @@
 //!    stage whose CPU ≪ wall is blocked (lock, I/O, sleep); CPU ≈ wall
 //!    means compute-bound. Platforms without the clock degrade to
 //!    wall-only (samples stay 0, nothing breaks).
-//! 2. **Tracked locks** — [`TrackedMutex`]/[`TrackedRwLock`]/
-//!    [`TrackedCondvar`] wrap the parking_lot primitives with a static
-//!    site name, counting acquisitions, contended acquisitions (the fast
-//!    `try_lock` missed), wait-time and hold-time histograms.
+//! 2. **Tracked locks** — [`TrackedMutex`]/[`TrackedCondvar`] wrap the
+//!    parking_lot primitives with a static site name, counting
+//!    acquisitions, contended acquisitions (the fast `try_lock` missed),
+//!    wait-time and hold-time histograms.
 //! 3. **The span journal** — completed jobs' critical-path attribution
-//!    (PR 4, [`crate::trace::JobTrace`]) is re-aggregated into folded
+//!    ([`crate::trace::JobTrace`]) is re-aggregated into folded
 //!    flamegraph lines (`job;acquisition;convert 1234`), the input format
 //!    of every flamegraph renderer, plus the ASCII flame tree
 //!    `obs_dump --profile` prints.
@@ -24,7 +24,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use super::{Counter, Histogram, HistogramSnapshot, Obs, SpanEvent};
 use crate::trace::JobTrace;
@@ -300,120 +300,9 @@ impl TrackedCondvar {
     }
 }
 
-/// A `parking_lot::RwLock` that reports to a [`LockSiteObs`]. Reader and
-/// writer acquisitions share the site's counters and histograms — the
-/// contended counter fires whenever the fast `try_` path misses.
-pub struct TrackedRwLock<T> {
-    inner: RwLock<T>,
-    site: Arc<LockSiteObs>,
-}
-
-impl<T> TrackedRwLock<T> {
-    /// Wrap `value` under the given site.
-    pub fn new(site: Arc<LockSiteObs>, value: T) -> TrackedRwLock<T> {
-        TrackedRwLock {
-            inner: RwLock::new(value),
-            site,
-        }
-    }
-
-    /// Shared acquire.
-    pub fn read(&self) -> TrackedReadGuard<'_, T> {
-        let guard = match self.inner.try_read() {
-            Some(guard) => {
-                self.site.acquired_uncontended();
-                guard
-            }
-            None => {
-                let blocked = Instant::now();
-                let guard = self.inner.read();
-                self.site.acquired_after(blocked.elapsed());
-                guard
-            }
-        };
-        TrackedReadGuard {
-            guard,
-            site: &self.site,
-            held_from: Instant::now(),
-        }
-    }
-
-    /// Exclusive acquire.
-    pub fn write(&self) -> TrackedWriteGuard<'_, T> {
-        let guard = match self.inner.try_write() {
-            Some(guard) => {
-                self.site.acquired_uncontended();
-                guard
-            }
-            None => {
-                let blocked = Instant::now();
-                let guard = self.inner.write();
-                self.site.acquired_after(blocked.elapsed());
-                guard
-            }
-        };
-        TrackedWriteGuard {
-            guard,
-            site: &self.site,
-            held_from: Instant::now(),
-        }
-    }
-
-    /// The site this lock reports to.
-    pub fn site(&self) -> &Arc<LockSiteObs> {
-        &self.site
-    }
-}
-
-/// Shared guard for [`TrackedRwLock`]; records hold time on drop.
-pub struct TrackedReadGuard<'a, T> {
-    guard: RwLockReadGuard<'a, T>,
-    site: &'a Arc<LockSiteObs>,
-    held_from: Instant,
-}
-
-impl<T> Deref for TrackedReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T> Drop for TrackedReadGuard<'_, T> {
-    fn drop(&mut self) {
-        self.site.held(self.held_from.elapsed());
-    }
-}
-
-/// Exclusive guard for [`TrackedRwLock`]; records hold time on drop.
-pub struct TrackedWriteGuard<'a, T> {
-    guard: RwLockWriteGuard<'a, T>,
-    site: &'a Arc<LockSiteObs>,
-    held_from: Instant,
-}
-
-impl<T> Deref for TrackedWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T> DerefMut for TrackedWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
-}
-
-impl<T> Drop for TrackedWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        self.site.held(self.held_from.elapsed());
-    }
-}
-
 // ------------------------------------------------------- folded flamegraph
 
-/// Map a PR 4 attribution stage to its folded-stack path. The hierarchy
+/// Map a trace attribution stage to its folded-stack path. The hierarchy
 /// mirrors the job phases: acquisition (ack wait, queue, convert, upload,
 /// COPY) and application (apply), with unattributed time under
 /// `job;other`. Leaf values are the attribution values verbatim, so
@@ -559,7 +448,7 @@ pub struct PoolProfile {
 pub const PROFILE_TOP_K: usize = 16;
 
 /// The full profiling view behind `Virtualizer::profile()` and the
-/// `Profile` wire request: per-stage CPU/wall, top-K contended lock
+/// `Profile` introspection topic: per-stage CPU/wall, top-K contended lock
 /// sites (ranked by total wait, contended-only), pool utilization, and
 /// the folded flamegraph.
 #[derive(Debug, Clone, Default)]
@@ -762,16 +651,6 @@ mod tests {
             "blocked ≥ 10ms, saw {}us",
             snap.wait_us.sum
         );
-    }
-
-    #[test]
-    fn tracked_rwlock_reads_and_writes() {
-        let reg = super::super::MetricsRegistry::new();
-        let l = TrackedRwLock::new(site(&reg, "test.rw"), vec![1, 2, 3]);
-        assert_eq!(l.read().len(), 3);
-        l.write().push(4);
-        assert_eq!(l.read().len(), 4);
-        assert_eq!(l.site().snapshot().acquires, 3);
     }
 
     #[test]

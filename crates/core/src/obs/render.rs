@@ -1,5 +1,5 @@
-//! Snapshot renderers: the JSON document behind
-//! `Virtualizer::stats_snapshot()` and the Prometheus text exposition.
+//! Snapshot renderers: the JSON document and the Prometheus text
+//! exposition behind the `Stats` introspection topic.
 //! Hand-rolled (the workspace carries no serialization dependency).
 
 use crate::report::{JobReport, NodeMetrics};
@@ -316,7 +316,7 @@ pub fn stats_prometheus(
             }
         }
     }
-    // Lock-site families (PR 9), metric-major like tenants: one TYPE per
+    // Lock-site families, metric-major like tenants: one TYPE per
     // family, one `site`-labelled sample per interned site.
     if !snap.lock_sites.is_empty() {
         for (name, pick) in [("lock.site.acquires", 0usize), ("lock.site.contended", 1)] {

@@ -5,7 +5,7 @@
 //! Design constraints:
 //!
 //! - The sampled subsystems never see the sampler: it reads the same
-//!   [`MetricsRegistry`] snapshots the Stats endpoint does, so the hot
+//!   [`MetricsRegistry`] snapshots the Stats topic does, so the hot
 //!   path cost is zero regardless of tick rate.
 //! - Rings are bounded (`capacity` points per metric); old points fall
 //!   off the front, so a long-running node holds a sliding window rather

@@ -148,7 +148,7 @@ pub struct OverloadInput {
     pub memory_cap: u64,
 }
 
-/// The full health document behind the `Health` wire request.
+/// The full health document behind the `Health` introspection topic.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HealthReport {
     /// Node overload standing.
@@ -314,17 +314,17 @@ pub struct SloEngine {
 /// Locate the cumulative value at `now - window`: the newest point no
 /// younger than the window start, else the implicit zero origin (every
 /// counter was zero when the tenant first appeared).
-fn at_window_start(
-    points: &VecDeque<(Instant, CumCounts)>,
+fn at_window_start<T: Copy + Default>(
+    points: &VecDeque<(Instant, T)>,
     now: Instant,
     window: Duration,
-) -> CumCounts {
+) -> T {
     let start = now.checked_sub(window);
-    let mut origin = CumCounts::default();
+    let mut origin = T::default();
     if let Some(start) = start {
-        for (at, counts) in points {
+        for (at, value) in points {
             if *at <= start {
-                origin = *counts;
+                origin = *value;
             } else {
                 break;
             }
@@ -499,20 +499,7 @@ impl SloEngine {
 
         let node = self.inner.node_rejections.lock();
         let latest_rejections = node.back().map(|(_, v)| *v).unwrap_or(0);
-        let origin = {
-            let start = now.checked_sub(policy.fast_window);
-            let mut origin = 0;
-            if let Some(start) = start {
-                for (at, v) in node.iter() {
-                    if *at <= start {
-                        origin = *v;
-                    } else {
-                        break;
-                    }
-                }
-            }
-            origin
-        };
+        let origin = at_window_start(&node, now, policy.fast_window);
         drop(node);
         let recent_rejections = latest_rejections.saturating_sub(origin);
 

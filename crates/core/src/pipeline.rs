@@ -641,19 +641,16 @@ fn convert_work(shared: &RtShared, job: &JobRt, chunk: RawChunk, scratch: &mut C
         .as_deref()
         .is_some_and(|i| i.convert_should_fail())
     {
-        obs.pipeline.convert_errors.inc();
-        job.fatal.lock().push(format!(
+        let message = format!(
             "injected fault: converter worker failed on chunk at row {}",
             chunk.base_seq
-        ));
-        // Dropping the chunk releases its credit and memory reservation —
-        // the guards, not the happy path, own the cleanup.
-        shared.retire(job, raw_len);
+        );
+        fail_chunk(shared, job, chunk, message);
         return;
     }
     let mut out = shared.buffers.take();
-    // A panicking converter must not wedge the pipeline: contain it, record
-    // a fatal error, and let the chunk's guards release credit + memory.
+    // A panicking converter must not wedge the pipeline: contain it and
+    // fail the chunk.
     let convert_started = Instant::now();
     let cpu = CpuTimer::start();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -669,12 +666,13 @@ fn convert_work(shared: &RtShared, job: &JobRt, chunk: RawChunk, scratch: &mut C
                 .map(|s| s.to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "unknown panic".into());
-            obs.pipeline.convert_errors.inc();
-            job.fatal
-                .lock()
-                .push(format!("converter worker panicked: {what}"));
             shared.buffers.put(out);
-            shared.retire(job, raw_len);
+            fail_chunk(
+                shared,
+                job,
+                chunk,
+                format!("converter worker panicked: {what}"),
+            );
             return;
         }
     };
@@ -712,13 +710,22 @@ fn convert_work(shared: &RtShared, job: &JobRt, chunk: RawChunk, scratch: &mut C
             );
         }
         Err(e) => {
-            obs.pipeline.convert_errors.inc();
-            job.fatal.lock().push(e.to_string());
             shared.buffers.put(out);
-            shared.retire(job, raw_len);
-            // Credit and memory release on drop.
+            fail_chunk(shared, job, chunk, e.to_string());
         }
     }
+}
+
+/// Fail one chunk with a job-fatal `message`. The chunk's guards — not
+/// the happy path — own its credit and memory reservation, and they
+/// release *before* the chunk retires: `finish()`/`abort()` return as
+/// soon as the last chunk retires, and their callers count credits.
+fn fail_chunk(shared: &RtShared, job: &JobRt, chunk: RawChunk, message: String) {
+    let raw_len = chunk.data.len() as u64;
+    shared.obs.pipeline.convert_errors.inc();
+    job.fatal.lock().push(message);
+    drop(chunk);
+    shared.retire(job, raw_len);
 }
 
 /// Append one converted chunk to the job's staging buffer on a writer
@@ -1121,6 +1128,54 @@ mod tests {
         // The dropped chunk's credit and memory came back via the guards.
         assert_eq!(credits.available(), 4);
         assert_eq!(memory.in_flight(), 0);
+    }
+
+    /// The job's only — hence last-retired — chunk fails: `finish()`
+    /// returns on that retirement, so the chunk's guards must already be
+    /// released when it does. Looped, because the losing interleaving is
+    /// a few instructions wide.
+    #[test]
+    fn last_chunk_failure_releases_guards_before_finish_returns() {
+        use crate::fault::{FaultPlan, FaultSpec};
+
+        const JOBS: u64 = 2_000;
+        let config = VirtualizerConfig {
+            converter_threads: 1,
+            ..Default::default()
+        };
+        let mut plan = FaultPlan::seeded(3);
+        plan.convert = FaultSpec::AtOps((0..JOBS).collect());
+        let injector = Arc::new(FaultInjector::new(plan));
+        let runtime = WorkerRuntime::start(&config, Arc::new(Obs::default()), Some(injector));
+        let loader = loader_for(&config, Arc::new(MemStore::new()));
+        let credits = CreditManager::new(1);
+        let memory = MemoryGauge::new(0);
+        for j in 0..JOBS {
+            let pipeline = runtime.begin_job(
+                DataConverter::new(layout(), WIRE_VT, config.staging_delimiter),
+                Arc::clone(&loader),
+                format!("j{j}/"),
+                j + 1,
+                SpanIds::default(),
+                config.drain_timeout,
+                test_tenant(),
+            );
+            assert!(pipeline.sink().push(RawChunk {
+                base_seq: 1,
+                data: Bytes::copy_from_slice(b"a|b\n"),
+                credit: credits.acquire(),
+                memory: memory.reserve(4).unwrap(),
+                enqueued: Instant::now(),
+            }));
+            let report = pipeline.finish();
+            assert_eq!(
+                (credits.available(), memory.in_flight()),
+                (1, 0),
+                "job {j}: guards still alive after finish()"
+            );
+            assert_eq!(report.fatal.len(), 1, "{:?}", report.fatal);
+        }
+        runtime.stop();
     }
 
     #[test]

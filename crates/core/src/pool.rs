@@ -7,7 +7,7 @@
 //! capped: when the pipeline drains and workers outnumber writers, excess
 //! buffers are simply dropped instead of pinning peak memory forever.
 //!
-//! PR 9 makes recycling observable: a pool built with
+//! Recycling is observable: a pool built with
 //! [`BufferPool::with_obs`] maintains an idle-buffer gauge and hit/miss
 //! counters, so Stats and the Profile report show whether the freelist
 //! actually absorbs the steady-state allocation traffic.

@@ -1,5 +1,5 @@
 //! The reactor front end: a fixed pool of event-loop threads
-//! multiplexing every TCP session (DESIGN §11).
+//! multiplexing every TCP session (DESIGN §10).
 //!
 //! One OS thread per connection is fine at 16 legacy job slots and
 //! hopeless at 10k keepalive sessions. Here a small number of loops ([`LOOP_THREADS`]) own all the sockets through one

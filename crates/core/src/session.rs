@@ -25,9 +25,7 @@ use std::time::Duration;
 
 use etlv_protocol::errcode::ErrCode;
 use etlv_protocol::frame::Frame;
-use etlv_protocol::message::{
-    HealthReply, Message, ProfileReply, SessionRole, StatsFormat, StatsReply, TraceReply,
-};
+use etlv_protocol::message::{Message, SessionRole};
 use parking_lot::Mutex;
 
 use crate::gateway::{error_msg, Virtualizer};
@@ -118,42 +116,8 @@ impl DispatchCall {
             Message::EndLoad(end) => v.handle_end_load(self.job_token, &end.dml),
             Message::BeginExport(spec) => v.handle_begin_export(spec, self.tenant),
             Message::ExportChunkReq { index } => v.handle_export_req(self.job_token, index),
-            Message::StatsReq { format } => {
-                let body = match format {
-                    StatsFormat::Json => v.stats_snapshot(),
-                    StatsFormat::Prometheus => v.stats_prometheus(),
-                    StatsFormat::Series => v.sampler_json(),
-                };
-                Message::StatsReply(StatsReply { format, body })
-            }
-            Message::HealthReq { format } => {
-                // Series has no health rendering; JSON is the fallback,
-                // and the reply's `format` names what was sent.
-                let (format, body) = match format {
-                    StatsFormat::Prometheus => (format, v.health_prometheus()),
-                    StatsFormat::Json | StatsFormat::Series => (StatsFormat::Json, v.health_json()),
-                };
-                Message::HealthReply(HealthReply { format, body })
-            }
-            Message::TraceReq { job } => {
-                let body = v.trace_json(job);
-                Message::TraceReply(TraceReply {
-                    job,
-                    found: body.is_some(),
-                    body: body.unwrap_or_default(),
-                })
-            }
-            Message::ProfileReq { format } => {
-                // Series is the raw folded-stack text (the flamegraph
-                // input format); Prometheus has no profile rendering
-                // and gets the same, labelled as what it is.
-                let (format, body) = match format {
-                    StatsFormat::Json => (format, v.profile_json()),
-                    StatsFormat::Series | StatsFormat::Prometheus => {
-                        (StatsFormat::Series, v.profile().folded)
-                    }
-                };
-                Message::ProfileReply(ProfileReply { format, body })
+            Message::Introspect { topic, format } => {
+                Message::IntrospectReply(v.introspect(topic, format))
             }
             other => error_msg(
                 ErrCode::PROTOCOL,
@@ -287,10 +251,7 @@ impl SessionCore {
             | Message::EndLoad(_)
             | Message::BeginExport(_)
             | Message::ExportChunkReq { .. }
-            | Message::StatsReq { .. }
-            | Message::HealthReq { .. }
-            | Message::TraceReq { .. }
-            | Message::ProfileReq { .. }) => match &self.session {
+            | Message::Introspect { .. }) => match &self.session {
                 Some(s) => {
                     return Step::Dispatch(DispatchCall {
                         msg,

@@ -294,7 +294,7 @@ impl JobTrace {
         self.attribution.iter().map(|(_, m)| m).sum()
     }
 
-    /// Render the trace as a JSON document (the `TraceReply` body).
+    /// Render the trace as a JSON document (the `Trace` introspection body).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024 + self.nodes.len() * 128);
         out.push_str(&format!(

@@ -3,8 +3,7 @@
 use std::time::Duration;
 
 use etlv_protocol::message::{
-    HealthReply, Logon, Message, ProfileReply, SessionRole, SqlResult, StatsFormat, StatsReply,
-    TraceReply,
+    Format, IntrospectReply, Logon, Message, SessionRole, SqlResult, Topic,
 };
 use etlv_protocol::trace::TraceContext;
 use etlv_protocol::transport::Transport;
@@ -117,24 +116,6 @@ impl Session {
         }
     }
 
-    /// Receive with a timeout; `None` on timeout.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, ClientError> {
-        match self.transport.recv_timeout(timeout)? {
-            Some(frame) => {
-                let msg = Message::from_frame(&frame)
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                if let Message::Error(e) = &msg {
-                    return Err(ClientError::Server {
-                        code: e.code,
-                        message: e.message.clone(),
-                    });
-                }
-                Ok(Some(msg))
-            }
-            None => Ok(None),
-        }
-    }
-
     /// Run a SQL statement on this (control) session.
     pub fn sql(&mut self, text: &str) -> Result<SqlResult, ClientError> {
         match self.request(Message::Sql {
@@ -145,42 +126,19 @@ impl Session {
         }
     }
 
-    /// Request a server statistics snapshot in the given rendering
-    /// (JSON document or Prometheus text exposition).
-    pub fn stats(&mut self, format: StatsFormat) -> Result<StatsReply, ClientError> {
-        match self.request(Message::StatsReq { format })? {
-            Message::StatsReply(reply) => Ok(reply),
-            other => Err(unexpected("StatsReply", &other)),
-        }
-    }
-
-    /// Request the node's SLO/overload health report: per-tenant burn
-    /// rates, active alerts, and node saturation (JSON or Prometheus).
-    pub fn health(&mut self, format: StatsFormat) -> Result<HealthReply, ClientError> {
-        match self.request(Message::HealthReq { format })? {
-            Message::HealthReply(reply) => Ok(reply),
-            other => Err(unexpected("HealthReply", &other)),
-        }
-    }
-
-    /// Request the node's continuous-profiling report: per-stage CPU/wall
-    /// accounting, top-K contended lock sites, pool utilization, and the
-    /// folded-stack flamegraph. `Json` returns the full report; `Series`
-    /// (or `Prometheus`) returns the raw folded-stack text alone.
-    pub fn profile(&mut self, format: StatsFormat) -> Result<ProfileReply, ClientError> {
-        match self.request(Message::ProfileReq { format })? {
-            Message::ProfileReply(reply) => Ok(reply),
-            other => Err(unexpected("ProfileReply", &other)),
-        }
-    }
-
-    /// Request the assembled span tree for a finished (or failed) load
-    /// job. `found` is false when the job's events have aged out of the
-    /// server's journal ring.
-    pub fn trace(&mut self, job: u64) -> Result<TraceReply, ClientError> {
-        match self.request(Message::TraceReq { job })? {
-            Message::TraceReply(reply) => Ok(reply),
-            other => Err(unexpected("TraceReply", &other)),
+    /// Request one of the node's monitoring documents: metrics snapshot,
+    /// sampler series, SLO health, profile, or a job's trace (see
+    /// [`Topic`]; [`Format`] says which renderings each has). For a
+    /// trace, `found` is false when the job's events have aged out of
+    /// the server's journal ring.
+    pub fn introspect(
+        &mut self,
+        topic: Topic,
+        format: Format,
+    ) -> Result<IntrospectReply, ClientError> {
+        match self.request(Message::Introspect { topic, format })? {
+            Message::IntrospectReply(reply) => Ok(reply),
+            other => Err(unexpected("IntrospectReply", &other)),
         }
     }
 

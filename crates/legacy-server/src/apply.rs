@@ -165,7 +165,7 @@ mod tests {
     use super::*;
     use etlv_cdw::CdwConfig;
     use etlv_protocol::data::LegacyType;
-    use etlv_sql::{parse_legacy, Dialect};
+    use etlv_sql::{parse_statement, Dialect};
 
     fn setup() -> (Cdw, Stmt, Layout) {
         let engine = Cdw::with_config(
@@ -176,14 +176,15 @@ mod tests {
             None,
         );
         // Target with a unique CUST_ID (legacy servers enforce natively).
-        let create = etlv_sql::parse_statement(
+        let create = parse_statement(
             "CREATE TABLE PROD.CUSTOMER (CUST_ID VARCHAR(5), CUST_NAME VARCHAR(50), JOIN_DATE DATE, PRIMARY KEY (CUST_ID))",
             Dialect::Cdw,
         )
         .unwrap();
         engine.execute_stmt(&create).unwrap();
-        let dml = parse_legacy(
+        let dml = parse_statement(
             "insert into PROD.CUSTOMER values (trim(:CUST_ID), trim(:CUST_NAME), cast(:JOIN_DATE as DATE format 'YYYY-MM-DD'))",
+            Dialect::Legacy,
         )
         .unwrap();
         let layout = Layout::new("CustLayout")
@@ -285,7 +286,8 @@ mod tests {
     #[test]
     fn structural_error_aborts() {
         let engine = Cdw::new();
-        let dml = parse_legacy("insert into NO_SUCH_TABLE values (:A)").unwrap();
+        let dml =
+            parse_statement("insert into NO_SUCH_TABLE values (:A)", Dialect::Legacy).unwrap();
         let layout = Layout::new("L").field("A", LegacyType::VarChar(5));
         let rows = vec![(1, vec![Value::Str("x".into())])];
         let outcome = apply_per_tuple(&engine, &dml, &layout, &rows, 0);

@@ -70,22 +70,11 @@ pub enum MsgKind {
     LogoffOk = 17,
     /// Liveness probe.
     Keepalive = 18,
-    /// Request a server statistics snapshot (control sessions).
-    StatsReq = 19,
-    /// Statistics snapshot response.
-    StatsReply = 20,
-    /// Request a job's causal trace (control sessions).
-    TraceReq = 21,
-    /// Trace response (span tree + attribution as JSON).
-    TraceReply = 22,
-    /// Request the node's SLO/overload health report (control sessions).
-    HealthReq = 23,
-    /// Health report response.
-    HealthReply = 24,
-    /// Request the node's continuous-profiling report (control sessions).
-    ProfileReq = 25,
-    /// Profile report response (stage CPU/wall, lock sites, flamegraph).
-    ProfileReply = 26,
+    /// Introspection request: one of the node's monitoring documents,
+    /// named by topic and rendering (control sessions).
+    Introspect = 19,
+    /// Introspection response carrying the rendered document.
+    IntrospectReply = 20,
 }
 
 impl MsgKind {
@@ -110,14 +99,8 @@ impl MsgKind {
             16 => MsgKind::Logoff,
             17 => MsgKind::LogoffOk,
             18 => MsgKind::Keepalive,
-            19 => MsgKind::StatsReq,
-            20 => MsgKind::StatsReply,
-            21 => MsgKind::TraceReq,
-            22 => MsgKind::TraceReply,
-            23 => MsgKind::HealthReq,
-            24 => MsgKind::HealthReply,
-            25 => MsgKind::ProfileReq,
-            26 => MsgKind::ProfileReply,
+            19 => MsgKind::Introspect,
+            20 => MsgKind::IntrospectReply,
             _ => return None,
         })
     }
@@ -394,11 +377,11 @@ mod tests {
 
     #[test]
     fn kind_byte_roundtrip() {
-        for k in 1..=26u8 {
+        for k in 1..=20u8 {
             let kind = MsgKind::from_u8(k).unwrap();
             assert_eq!(kind as u8, k);
         }
         assert_eq!(MsgKind::from_u8(0), None);
-        assert_eq!(MsgKind::from_u8(27), None);
+        assert_eq!(MsgKind::from_u8(21), None);
     }
 }

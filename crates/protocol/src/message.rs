@@ -214,81 +214,105 @@ pub struct ExportChunk {
     pub data: Bytes,
 }
 
-/// Rendering requested for a [`Message::StatsReq`] snapshot.
+/// The monitoring document a [`Message::Introspect`] request asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StatsFormat {
-    /// JSON document (the `Virtualizer::stats_snapshot` output).
-    Json,
-    /// Prometheus text exposition.
-    Prometheus,
-    /// Time-series sampler rings rendered as JSON (Fig. 8/9-style
+pub enum Topic {
+    /// Metrics snapshot: node metrics, every registered counter, gauge
+    /// and histogram, the recent-report ring, journal occupancy.
+    Stats,
+    /// The background sampler's time-series rings (Fig. 8/9-style
     /// rate-over-time data).
     Series,
+    /// Per-tenant SLO burn rates, active alerts, node overload state.
+    Health,
+    /// Continuous-profiling report: stage CPU/wall, lock sites, worker
+    /// pool, folded stacks.
+    Profile,
+    /// One job's causal trace: span tree plus critical-path attribution.
+    Trace {
+        /// The job id to trace.
+        job: u64,
+    },
 }
 
-impl StatsFormat {
+impl Topic {
     fn encode(self, buf: &mut impl BufMut) {
-        buf.put_u8(match self {
-            StatsFormat::Json => 0,
-            StatsFormat::Prometheus => 1,
-            StatsFormat::Series => 2,
-        });
+        match self {
+            Topic::Stats => buf.put_u8(0),
+            Topic::Series => buf.put_u8(1),
+            Topic::Health => buf.put_u8(2),
+            Topic::Profile => buf.put_u8(3),
+            Topic::Trace { job } => {
+                buf.put_u8(4);
+                buf.put_u64_le(job);
+            }
+        }
     }
 
-    fn decode(buf: &mut impl Buf) -> Result<StatsFormat, FrameError> {
+    fn decode(buf: &mut impl Buf) -> Result<Topic, FrameError> {
         if buf.remaining() < 1 {
             return Err(FrameError::Truncated);
         }
         match buf.get_u8() {
-            0 => Ok(StatsFormat::Json),
-            1 => Ok(StatsFormat::Prometheus),
-            2 => Ok(StatsFormat::Series),
-            _ => Err(FrameError::Malformed("unknown stats format")),
+            0 => Ok(Topic::Stats),
+            1 => Ok(Topic::Series),
+            2 => Ok(Topic::Health),
+            3 => Ok(Topic::Profile),
+            4 => {
+                if buf.remaining() < 8 {
+                    return Err(FrameError::Truncated);
+                }
+                Ok(Topic::Trace {
+                    job: buf.get_u64_le(),
+                })
+            }
+            _ => Err(FrameError::Malformed("unknown introspection topic")),
         }
     }
 }
 
-/// A server statistics snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StatsReply {
-    /// The format `body` is rendered in.
-    pub format: StatsFormat,
-    /// The rendered snapshot document.
-    pub body: String,
+/// Rendering requested for an introspection document. `Text` is
+/// Prometheus text exposition for [`Topic::Stats`] and [`Topic::Health`]
+/// and folded-stack text (the flamegraph input format) for
+/// [`Topic::Profile`]. [`Topic::Series`] and [`Topic::Trace`] have only a
+/// JSON rendering: a `Text` request for them is answered in JSON. The
+/// reply's `format` always names the rendering that was sent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Format {
+    /// JSON document.
+    Json,
+    /// The topic's line-oriented text rendering.
+    Text,
 }
 
-/// The node's SLO/overload health report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HealthReply {
-    /// The format `body` is rendered in (JSON or Prometheus; a `Series`
-    /// request is answered in JSON).
-    pub format: StatsFormat,
-    /// The rendered health document: per-tenant burn rates, active
-    /// alerts, and node overload state.
-    pub body: String,
+impl Format {
+    fn encode(self, buf: &mut impl BufMut) {
+        buf.put_u8(matches!(self, Format::Text) as u8);
+    }
+
+    fn decode(buf: &mut impl Buf) -> Result<Format, FrameError> {
+        if buf.remaining() < 1 {
+            return Err(FrameError::Truncated);
+        }
+        match buf.get_u8() {
+            0 => Ok(Format::Json),
+            1 => Ok(Format::Text),
+            _ => Err(FrameError::Malformed("unknown introspection format")),
+        }
+    }
 }
 
-/// The node's continuous-profiling report.
+/// One rendered monitoring document.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProfileReply {
-    /// The format `body` is rendered in: `Json` carries the full report
-    /// (stage CPU/wall, lock sites, pool, folded stacks); `Series` is the
-    /// raw folded-stack text alone — the flamegraph input format (a
-    /// `Prometheus` request is answered in `Series`).
-    pub format: StatsFormat,
-    /// The rendered profile document.
-    pub body: String,
-}
-
-/// A job's causal trace rendered as a span tree with critical-path
-/// attribution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceReply {
-    /// The job id the trace was requested for.
-    pub job: u64,
-    /// Whether the journal still held the job's spans.
+pub struct IntrospectReply {
+    /// The topic the document answers.
+    pub topic: Topic,
+    /// The format `body` is rendered in (see [`Format`]).
+    pub format: Format,
+    /// False only for [`Topic::Trace`] of a job whose spans the journal
+    /// no longer holds; `body` is then empty.
     pub found: bool,
-    /// JSON document (empty when `found` is false).
+    /// The rendered document.
     pub body: String,
 }
 
@@ -354,34 +378,15 @@ pub enum Message {
     LogoffOk,
     /// Liveness probe.
     Keepalive,
-    /// Request a statistics snapshot (control sessions).
-    StatsReq {
-        /// Rendering requested for the snapshot body.
-        format: StatsFormat,
+    /// Request one of the node's monitoring documents (control sessions).
+    Introspect {
+        /// The document asked for.
+        topic: Topic,
+        /// Rendering requested for the reply body.
+        format: Format,
     },
-    /// Statistics snapshot response.
-    StatsReply(StatsReply),
-    /// Request a job's causal trace (control sessions).
-    TraceReq {
-        /// The job id to trace.
-        job: u64,
-    },
-    /// Trace response.
-    TraceReply(TraceReply),
-    /// Request the node's SLO/overload health report (control sessions).
-    HealthReq {
-        /// Rendering requested for the report body.
-        format: StatsFormat,
-    },
-    /// Health report response.
-    HealthReply(HealthReply),
-    /// Request the node's continuous-profiling report (control sessions).
-    ProfileReq {
-        /// Rendering requested for the report body.
-        format: StatsFormat,
-    },
-    /// Profile report response.
-    ProfileReply(ProfileReply),
+    /// Introspection response.
+    IntrospectReply(IntrospectReply),
 }
 
 impl Message {
@@ -406,14 +411,8 @@ impl Message {
             Message::Logoff => MsgKind::Logoff,
             Message::LogoffOk => MsgKind::LogoffOk,
             Message::Keepalive => MsgKind::Keepalive,
-            Message::StatsReq { .. } => MsgKind::StatsReq,
-            Message::StatsReply(_) => MsgKind::StatsReply,
-            Message::TraceReq { .. } => MsgKind::TraceReq,
-            Message::TraceReply(_) => MsgKind::TraceReply,
-            Message::HealthReq { .. } => MsgKind::HealthReq,
-            Message::HealthReply(_) => MsgKind::HealthReply,
-            Message::ProfileReq { .. } => MsgKind::ProfileReq,
-            Message::ProfileReply(_) => MsgKind::ProfileReply,
+            Message::Introspect { .. } => MsgKind::Introspect,
+            Message::IntrospectReply(_) => MsgKind::IntrospectReply,
         }
     }
 
@@ -512,25 +511,14 @@ impl Message {
                 buf.put_u8(m.fatal as u8);
                 write_lstring(buf, &m.message);
             }
-            Message::StatsReq { format } => format.encode(buf),
-            Message::StatsReply(m) => {
-                m.format.encode(buf);
-                write_lstring(buf, &m.body);
+            Message::Introspect { topic, format } => {
+                topic.encode(buf);
+                format.encode(buf);
             }
-            Message::TraceReq { job } => buf.put_u64_le(*job),
-            Message::TraceReply(m) => {
-                buf.put_u64_le(m.job);
+            Message::IntrospectReply(m) => {
+                m.topic.encode(buf);
+                m.format.encode(buf);
                 buf.put_u8(m.found as u8);
-                write_lstring(buf, &m.body);
-            }
-            Message::HealthReq { format } => format.encode(buf),
-            Message::HealthReply(m) => {
-                m.format.encode(buf);
-                write_lstring(buf, &m.body);
-            }
-            Message::ProfileReq { format } => format.encode(buf),
-            Message::ProfileReply(m) => {
-                m.format.encode(buf);
                 write_lstring(buf, &m.body);
             }
             Message::Logoff | Message::LogoffOk | Message::Keepalive => {}
@@ -758,46 +746,24 @@ impl Message {
             MsgKind::Logoff => Message::Logoff,
             MsgKind::LogoffOk => Message::LogoffOk,
             MsgKind::Keepalive => Message::Keepalive,
-            MsgKind::StatsReq => Message::StatsReq {
-                format: StatsFormat::decode(buf)?,
+            MsgKind::Introspect => Message::Introspect {
+                topic: Topic::decode(buf)?,
+                format: Format::decode(buf)?,
             },
-            MsgKind::StatsReply => {
-                let format = StatsFormat::decode(buf)?;
-                let body = read_lstring(buf)?;
-                Message::StatsReply(StatsReply { format, body })
-            }
-            MsgKind::TraceReq => {
-                if buf.remaining() < 8 {
+            MsgKind::IntrospectReply => {
+                let topic = Topic::decode(buf)?;
+                let format = Format::decode(buf)?;
+                if buf.remaining() < 1 {
                     return Err(FrameError::Truncated);
                 }
-                Message::TraceReq {
-                    job: buf.get_u64_le(),
-                }
-            }
-            MsgKind::TraceReply => {
-                if buf.remaining() < 9 {
-                    return Err(FrameError::Truncated);
-                }
-                let job = buf.get_u64_le();
                 let found = buf.get_u8() != 0;
                 let body = read_lstring(buf)?;
-                Message::TraceReply(TraceReply { job, found, body })
-            }
-            MsgKind::HealthReq => Message::HealthReq {
-                format: StatsFormat::decode(buf)?,
-            },
-            MsgKind::HealthReply => {
-                let format = StatsFormat::decode(buf)?;
-                let body = read_lstring(buf)?;
-                Message::HealthReply(HealthReply { format, body })
-            }
-            MsgKind::ProfileReq => Message::ProfileReq {
-                format: StatsFormat::decode(buf)?,
-            },
-            MsgKind::ProfileReply => {
-                let format = StatsFormat::decode(buf)?;
-                let body = read_lstring(buf)?;
-                Message::ProfileReply(ProfileReply { format, body })
+                Message::IntrospectReply(IntrospectReply {
+                    topic,
+                    format,
+                    found,
+                    body,
+                })
             }
         })
     }
@@ -1119,90 +1085,60 @@ mod tests {
     }
 
     #[test]
-    fn stats_roundtrip() {
-        for msg in [
-            Message::StatsReq {
-                format: StatsFormat::Json,
-            },
-            Message::StatsReq {
-                format: StatsFormat::Prometheus,
-            },
-            Message::StatsReply(StatsReply {
-                format: StatsFormat::Json,
-                body: "{\"counters\": {\"gateway.chunks_received\": 12}}".into(),
-            }),
-            Message::StatsReply(StatsReply {
-                format: StatsFormat::Prometheus,
-                body: "etlv_gateway_chunks_received 12\n".into(),
-            }),
-            Message::StatsReq {
-                format: StatsFormat::Series,
-            },
-        ] {
-            assert_eq!(roundtrip(msg.clone()), msg);
+    fn introspect_roundtrip() {
+        let topics = [
+            Topic::Stats,
+            Topic::Series,
+            Topic::Health,
+            Topic::Profile,
+            Topic::Trace { job: 17 },
+        ];
+        let bodies = [
+            "{\"counters\": {\"gateway.chunks_received\": 12}}",
+            "etlv_gateway_chunks_received 12\n",
+            "etlv_slo_alert{tenant=\"wg_t00\",objective=\"error_rate\"} 1\n",
+            "job;acquisition;convert 300\njob;application;apply 500\n",
+            "{\"job\": 17, \"wall_micros\": 1200}",
+        ];
+        for (topic, body) in topics.into_iter().zip(bodies) {
+            for format in [Format::Json, Format::Text] {
+                for msg in [
+                    Message::Introspect { topic, format },
+                    Message::IntrospectReply(IntrospectReply {
+                        topic,
+                        format,
+                        found: true,
+                        body: body.into(),
+                    }),
+                ] {
+                    assert_eq!(roundtrip(msg.clone()), msg);
+                }
+            }
         }
-    }
+        let msg = Message::IntrospectReply(IntrospectReply {
+            topic: Topic::Trace { job: 99 },
+            format: Format::Json,
+            found: false,
+            body: String::new(),
+        });
+        assert_eq!(roundtrip(msg.clone()), msg);
 
-    #[test]
-    fn health_roundtrip() {
-        for msg in [
-            Message::HealthReq {
-                format: StatsFormat::Json,
-            },
-            Message::HealthReq {
-                format: StatsFormat::Prometheus,
-            },
-            Message::HealthReply(HealthReply {
-                format: StatsFormat::Json,
-                body: "{\"enabled\": true, \"overload\": {\"overloaded\": false}}".into(),
-            }),
-            Message::HealthReply(HealthReply {
-                format: StatsFormat::Prometheus,
-                body: "etlv_slo_alert{tenant=\"wg_t00\",objective=\"error_rate\"} 1\n".into(),
-            }),
-        ] {
-            assert_eq!(roundtrip(msg.clone()), msg);
+        // Unknown topic and format bytes are malformed, not defaulted.
+        for payload in [&[5u8, 0][..], &[0, 2]] {
+            let frame = Frame::new(MsgKind::Introspect, 0, 0, payload.to_vec());
+            assert!(matches!(
+                Message::from_frame(&frame),
+                Err(FrameError::Malformed(_))
+            ));
         }
-    }
-
-    #[test]
-    fn profile_roundtrip() {
-        for msg in [
-            Message::ProfileReq {
-                format: StatsFormat::Json,
-            },
-            Message::ProfileReq {
-                format: StatsFormat::Series,
-            },
-            Message::ProfileReply(ProfileReply {
-                format: StatsFormat::Json,
-                body: "{\"enabled\": true, \"stages\": [], \"locks\": []}".into(),
-            }),
-            Message::ProfileReply(ProfileReply {
-                format: StatsFormat::Series,
-                body: "job;acquisition;convert 300\njob;application;apply 500\n".into(),
-            }),
-        ] {
-            assert_eq!(roundtrip(msg.clone()), msg);
-        }
-    }
-
-    #[test]
-    fn trace_req_reply_roundtrip() {
-        for msg in [
-            Message::TraceReq { job: 17 },
-            Message::TraceReply(TraceReply {
-                job: 17,
-                found: true,
-                body: "{\"job\": 17, \"wall_micros\": 1200}".into(),
-            }),
-            Message::TraceReply(TraceReply {
-                job: 99,
-                found: false,
-                body: String::new(),
-            }),
-        ] {
-            assert_eq!(roundtrip(msg.clone()), msg);
+        // The kinds the four request/reply pairs used to travel as are
+        // unknown to the frame layer.
+        let mut bytes = Message::Keepalive.into_frame(0, 0).to_bytes();
+        for kind in 21..=26u8 {
+            bytes[3] = kind;
+            let mut dec = FrameDecoder::new();
+            dec.feed(&bytes);
+            assert_eq!(dec.next_frame(), Err(FrameError::BadKind(kind)));
         }
     }
 

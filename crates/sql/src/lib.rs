@@ -33,13 +33,3 @@ pub use dialect::Dialect;
 pub use lexer::{Lexer, Token};
 pub use parser::{parse_statement, parse_statements, ParseError, Parser};
 pub use types::SqlType;
-
-/// Parse a statement in the legacy dialect.
-pub fn parse_legacy(sql: &str) -> Result<Stmt, ParseError> {
-    parse_statement(sql, Dialect::Legacy)
-}
-
-/// Parse a statement in the CDW dialect.
-pub fn parse_cdw(sql: &str) -> Result<Stmt, ParseError> {
-    parse_statement(sql, Dialect::Cdw)
-}

@@ -23,13 +23,6 @@ pub fn render_stmt(stmt: &Stmt, dialect: Dialect) -> String {
     out
 }
 
-/// Render an expression as SQL text in `dialect`.
-pub fn render_expr(expr: &Expr, dialect: Dialect) -> String {
-    let mut out = String::with_capacity(32);
-    write_expr(&mut out, expr, dialect);
-    out
-}
-
 fn ident(out: &mut String, name: &str) {
     let plain = !name.is_empty()
         && !name.as_bytes()[0].is_ascii_digit()

@@ -37,7 +37,7 @@
 //!    p50/p95/p99 job latency, admission-rejection rate, retry and error
 //!    totals.
 //!
-//! Determinism model (DESIGN.md §12): every random draw comes from
+//! Determinism model (DESIGN.md §11): every random draw comes from
 //! [`SeededRng`](etlv_protocol::rng::SeededRng) streams derived from the
 //! scenario seed — synthesis order, per-job payload bytes, and error
 //! placement are all pure functions of it. Replay wall-clock timings are

@@ -1,14 +1,14 @@
 //! Dump the virtualizer's observability surface while a load job runs:
 //! live journal events mid-flight, then the full stats snapshot (JSON),
 //! a Prometheus excerpt, and the same document fetched over the wire with
-//! a legacy `Stats` request.
+//! an `Introspect` request for the `Stats` topic.
 //!
 //! Run with `cargo run --example obs_dump`.
 //!
 //! With `--trace <job>` the example instead renders the finished job's
 //! span tree — per-stage durations with the critical path highlighted —
 //! plus the wall-clock attribution and the raw trace JSON fetched over
-//! the wire with the `Trace` request (the example's own load is job 1):
+//! the wire with the `Trace` topic (the example's own load is job 1):
 //!
 //! ```text
 //! cargo run --example obs_dump -- --trace 1
@@ -19,18 +19,18 @@
 //! `tenants` section of the JSON snapshot); with `--slo` it prints the
 //! SLO/overload health report — burn rates, active alerts, node
 //! saturation — both directly and fetched over the wire with the
-//! `Health` request. The two flags compose.
+//! `Health` topic. The two flags compose.
 //!
 //! With `--profile` the example prints the continuous-profiling report:
 //! the ASCII flame tree aggregated from the journal, per-stage CPU/wall
 //! accounting, the top contended lock sites, and the folded-stack text
-//! fetched over the wire with the `Profile` request.
+//! fetched over the wire with the `Profile` topic's text rendering.
 
 use std::sync::Arc;
 
 use etlv_core::{Virtualizer, VirtualizerConfig};
 use etlv_legacy_client::{ClientOptions, LegacyEtlClient, TcpConnector};
-use etlv_protocol::message::{SessionRole, StatsFormat};
+use etlv_protocol::message::{Format, SessionRole, Topic};
 use etlv_script::{compile, parse_script, JobPlan};
 
 const IMPORT_SCRIPT: &str = r#"
@@ -132,9 +132,9 @@ fn main() {
                     println!("  {stage:<12} {micros:>10} us  {share:5.1}%");
                 }
             }
-            None => println!("\nno trace for job {job} (aged out, or obs compiled off)"),
+            None => println!("\nno trace for job {job} (aged out)"),
         }
-        // The same tree over the wire: a control session's Trace request.
+        // The same tree over the wire: a control session's Trace topic.
         let client = LegacyEtlClient::new(connector.clone());
         let mut session = etlv_legacy_client::Session::logon(
             client.connector().as_ref(),
@@ -144,11 +144,13 @@ fn main() {
             0,
         )
         .unwrap();
-        let reply = session.trace(job).unwrap();
+        let reply = session
+            .introspect(Topic::Trace { job }, Format::Json)
+            .unwrap();
         println!("\n== Trace over the legacy wire protocol ==");
         println!(
-            "TraceReply(job={}, found={}): {} bytes",
-            reply.job,
+            "IntrospectReply({:?}, found={}): {} bytes",
+            reply.topic,
             reply.found,
             reply.body.len()
         );
@@ -179,7 +181,7 @@ fn main() {
         }
 
         // The folded-stack text over the wire: a control session's
-        // Profile request with the Series rendering.
+        // Profile topic in its text rendering.
         let client = LegacyEtlClient::new(connector.clone());
         let mut session = etlv_legacy_client::Session::logon(
             client.connector().as_ref(),
@@ -189,7 +191,7 @@ fn main() {
             0,
         )
         .unwrap();
-        let reply = session.profile(StatsFormat::Series).unwrap();
+        let reply = session.introspect(Topic::Profile, Format::Text).unwrap();
         println!("\n== Profile over the legacy wire protocol (folded stacks) ==");
         print!("{}", reply.body);
         session.logoff();
@@ -202,7 +204,8 @@ fn main() {
             // so its work shows up under that tenant label.
             println!("\n== per-tenant metrics (tenant-labeled Prometheus families) ==");
             for line in v
-                .stats_prometheus()
+                .introspect(Topic::Stats, Format::Text)
+                .body
                 .lines()
                 .filter(|l| l.contains("etlv_tenant_"))
             {
@@ -211,10 +214,10 @@ fn main() {
         }
         if show_slo {
             println!("\n== SLO / overload health report (JSON) ==");
-            println!("{}", v.health_json());
+            println!("{}", v.introspect(Topic::Health, Format::Json).body);
 
             // The same report over the wire: a control session's Health
-            // request, in both renderings.
+            // topic, in its Prometheus rendering.
             let client = LegacyEtlClient::new(connector.clone());
             let mut session = etlv_legacy_client::Session::logon(
                 client.connector().as_ref(),
@@ -224,7 +227,7 @@ fn main() {
                 0,
             )
             .unwrap();
-            let reply = session.health(StatsFormat::Prometheus).unwrap();
+            let reply = session.introspect(Topic::Health, Format::Text).unwrap();
             println!("== Health over the legacy wire protocol (Prometheus) ==");
             print!("{}", reply.body);
             session.logoff();
@@ -232,15 +235,20 @@ fn main() {
         return;
     }
 
-    println!("\n== stats_snapshot() (JSON) ==");
-    println!("{}", v.stats_snapshot());
+    println!("\n== Stats snapshot (JSON) ==");
+    println!("{}", v.introspect(Topic::Stats, Format::Json).body);
 
     println!("== Prometheus excerpt (first 20 lines) ==");
-    for line in v.stats_prometheus().lines().take(20) {
+    for line in v
+        .introspect(Topic::Stats, Format::Text)
+        .body
+        .lines()
+        .take(20)
+    {
         println!("{line}");
     }
 
-    // The same surface over the wire: a control session's Stats request.
+    // The same surface over the wire: a control session's Stats topic.
     println!("\n== Stats over the legacy wire protocol ==");
     let client = LegacyEtlClient::new(connector.clone());
     let mut session = etlv_legacy_client::Session::logon(
@@ -251,7 +259,12 @@ fn main() {
         0,
     )
     .unwrap();
-    let reply = session.stats(StatsFormat::Json).unwrap();
-    println!("StatsReply({:?}): {} bytes", reply.format, reply.body.len());
+    let reply = session.introspect(Topic::Stats, Format::Json).unwrap();
+    println!(
+        "IntrospectReply({:?}, {:?}): {} bytes",
+        reply.topic,
+        reply.format,
+        reply.body.len()
+    );
     session.logoff();
 }

@@ -1,4 +1,4 @@
-//! Multi-session concurrency suite (DESIGN §11): many real TCP clients
+//! Multi-session concurrency suite (DESIGN §10): many real TCP clients
 //! against one node exercising the shared job-worker runtime, admission
 //! control, the session registry, and the drain/shutdown lifecycle.
 //!

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use etlv_core::{Virtualizer, VirtualizerConfig};
 use etlv_legacy_client::{ClientOptions, LegacyEtlClient};
-use etlv_protocol::message::{SessionRole, StatsFormat};
+use etlv_protocol::message::{Format, SessionRole, Topic};
 use etlv_script::{compile, parse_script, JobPlan};
 mod common;
 use common::{counter, customer_import_job, customer_rows, customer_virtualizer, tcp_connector};
@@ -116,7 +116,7 @@ fn stats_snapshot_consistent_with_node_metrics() {
         .run_import_data(&customer_import_job(), &customer_rows(100))
         .unwrap();
 
-    let snapshot = v.stats_snapshot();
+    let snapshot = v.introspect(Topic::Stats, Format::Json).body;
     let metrics = v.metrics();
     assert_eq!(counter(&snapshot, "credit_stalls"), metrics.credit_stalls);
     assert_eq!(counter(&snapshot, "peak_memory"), metrics.peak_memory);
@@ -132,7 +132,7 @@ fn stats_snapshot_consistent_with_node_metrics() {
     assert_eq!(counter(&snapshot, "credit.stalls"), metrics.credit_stalls);
 }
 
-/// The `Stats` request round-trips over the wire in both renderings.
+/// The `Stats` topic round-trips over the wire in both renderings.
 #[test]
 fn stats_wire_round_trip() {
     let v = customer_virtualizer(VirtualizerConfig::default());
@@ -149,14 +149,14 @@ fn stats_wire_round_trip() {
         0,
     )
     .unwrap();
-    let json = session.stats(StatsFormat::Json).unwrap();
-    assert_eq!(json.format, StatsFormat::Json);
+    let json = session.introspect(Topic::Stats, Format::Json).unwrap();
+    assert_eq!(json.format, Format::Json);
     assert!(json.body.contains("\"node\""), "{}", json.body);
     assert!(json.body.contains("\"recent_jobs\""), "{}", json.body);
     assert_eq!(counter(&json.body, "jobs_completed"), 1);
 
-    let prom = session.stats(StatsFormat::Prometheus).unwrap();
-    assert_eq!(prom.format, StatsFormat::Prometheus);
+    let prom = session.introspect(Topic::Stats, Format::Text).unwrap();
+    assert_eq!(prom.format, Format::Text);
     assert!(
         prom.body.contains("etlv_node_jobs_completed 1"),
         "{}",
@@ -168,6 +168,19 @@ fn stats_wire_round_trip() {
         prom.body
     );
     assert!(prom.body.contains("quantile=\"0.99\""), "{}", prom.body);
+    assert_eq!((prom.topic, prom.found), (Topic::Stats, true));
+
+    // A trace has no text rendering: answered in JSON and labelled so.
+    let trace = Topic::Trace { job: 1 };
+    let text = session.introspect(trace, Format::Text).unwrap();
+    assert_eq!(
+        (text.topic, text.format, text.found),
+        (trace, Format::Json, true)
+    );
+    assert_eq!(
+        text.body,
+        session.introspect(trace, Format::Json).unwrap().body
+    );
     session.logoff();
 }
 
@@ -189,7 +202,7 @@ fn report_ring_is_bounded() {
     assert_eq!(recent[0].rows_received, 20);
     assert_eq!(recent[1].rows_received, 30);
     assert_eq!(v.last_job_report().unwrap().rows_received, 30);
-    let snapshot = v.stats_snapshot();
+    let snapshot = v.introspect(Topic::Stats, Format::Json).body;
     assert_eq!(
         snapshot.matches("\"rows_received\"").count(),
         2,
@@ -279,7 +292,7 @@ fn load_report_retry_split_consistent() {
         v.obs().pipeline.upload_retries.value(),
         report.upload_retries
     );
-    let snapshot = v.stats_snapshot();
+    let snapshot = v.introspect(Topic::Stats, Format::Json).body;
     assert!(counter(&snapshot, "fault.injected_total") >= 3);
 }
 
@@ -318,7 +331,7 @@ fn plan_counters_reach_the_wire() {
         "staging/target index maintenance counted"
     );
 
-    let snapshot = v.stats_snapshot();
+    let snapshot = v.introspect(Topic::Stats, Format::Json).body;
     assert_eq!(
         counter(&snapshot, "cdw.plan.index_seek"),
         obs.cdw.plan_index_seek.value()
@@ -341,13 +354,13 @@ fn plan_counters_reach_the_wire() {
         0,
     )
     .unwrap();
-    let json = session.stats(StatsFormat::Json).unwrap();
+    let json = session.introspect(Topic::Stats, Format::Json).unwrap();
     assert!(
         json.body.contains("\"cdw.plan.index_seek\""),
         "{}",
         json.body
     );
-    let prom = session.stats(StatsFormat::Prometheus).unwrap();
+    let prom = session.introspect(Topic::Stats, Format::Text).unwrap();
     for metric in [
         "etlv_cdw_plan_index_seek",
         "etlv_cdw_plan_full_scan",
@@ -435,7 +448,7 @@ fn session_lifecycle_metrics_are_symmetric_and_rendered() {
     assert!(obs.runtime.threads_started.value() >= 1, "shared pool ran");
 
     // JSON snapshot carries the new counters and the node-level total.
-    let snapshot = v.stats_snapshot();
+    let snapshot = v.introspect(Topic::Stats, Format::Json).body;
     assert!(counter(&snapshot, "gateway.sessions_opened") >= 4);
     assert_eq!(
         counter(&snapshot, "gateway.sessions_opened"),
@@ -447,7 +460,7 @@ fn session_lifecycle_metrics_are_symmetric_and_rendered() {
     assert_eq!(counter(&snapshot, "jobs_aborted"), 1, "node section");
 
     // Prometheus: samples present, each under its own TYPE line.
-    let prom = v.stats_prometheus();
+    let prom = v.introspect(Topic::Stats, Format::Text).body;
     assert!(prom.contains("etlv_node_jobs_aborted 1\n"), "{prom}");
     for metric in [
         "etlv_gateway_sessions_closed",
@@ -498,10 +511,10 @@ fn pool_recycling_observed_in_stats() {
         "all workers idle after the job"
     );
 
-    let snapshot = v.stats_snapshot();
+    let snapshot = v.introspect(Topic::Stats, Format::Json).body;
     assert_eq!(counter(&snapshot, "pool.recycle_hits"), hits);
     assert_eq!(counter(&snapshot, "pool.recycle_misses"), misses);
-    let prom = v.stats_prometheus();
+    let prom = v.introspect(Topic::Stats, Format::Text).body;
     for metric in [
         "etlv_pool_recycle_hits",
         "etlv_pool_recycle_misses",
@@ -570,7 +583,7 @@ fn rejections_and_idle_timeouts_attributed_to_their_tenant() {
         "node total"
     );
 
-    let prom = v.stats_prometheus();
+    let prom = v.introspect(Topic::Stats, Format::Text).body;
     assert!(
         prom.contains("etlv_tenant_admission_rejections{tenant=\"noisy\"} 1\n"),
         "{prom}"

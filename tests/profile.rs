@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use etlv_core::{Virtualizer, VirtualizerConfig};
 use etlv_legacy_client::{ClientOptions, LegacyEtlClient, Session};
-use etlv_protocol::message::{SessionRole, StatsFormat};
+use etlv_protocol::message::{Format, SessionRole, Topic};
 mod common;
 use common::{customer_import_job, customer_rows, customer_virtualizer, tcp_connector};
 
@@ -108,8 +108,8 @@ fn hot_table_contention_ranks_its_lock_site() {
     assert!(hot.acquires >= 100, "cold acquires still counted");
 }
 
-/// The `Profile` request round-trips over the wire from a legacy client:
-/// JSON carries the full report, `Series` carries the raw folded-stack
+/// The `Profile` topic round-trips over the wire from a legacy client:
+/// JSON carries the full report, `Text` carries the raw folded-stack
 /// text, and after a real load the folded totals reconcile with the
 /// job's trace attribution.
 #[test]
@@ -138,20 +138,20 @@ fn profile_wire_round_trip_and_trace_reconciliation() {
         0,
     )
     .unwrap();
-    let json = session.profile(StatsFormat::Json).unwrap();
-    assert_eq!(json.format, StatsFormat::Json);
+    let json = session.introspect(Topic::Profile, Format::Json).unwrap();
+    assert_eq!(json.format, Format::Json);
     assert!(json.body.contains("\"stages\""), "{}", json.body);
     assert!(json.body.contains("\"locks\""), "{}", json.body);
     assert!(json.body.contains("\"folded\""), "{}", json.body);
 
-    let folded = session.profile(StatsFormat::Series).unwrap();
-    assert_eq!(folded.format, StatsFormat::Series);
-    // Prometheus has no profile rendering: the reply is the folded text
-    // and its `format` says so.
-    let prom = session.profile(StatsFormat::Prometheus).unwrap();
-    assert_eq!(prom.format, StatsFormat::Series);
-    assert_eq!(prom.body, folded.body);
+    let folded = session.introspect(Topic::Profile, Format::Text).unwrap();
+    assert_eq!(
+        (folded.topic, folded.format),
+        (Topic::Profile, Format::Text)
+    );
     session.logoff();
+    // The text rendering is the report's folded stacks, nothing else.
+    assert_eq!(folded.body, v.profile().folded);
 
     assert!(folded.body.contains("job;acquisition;"), "{}", folded.body);
     assert!(
@@ -199,10 +199,10 @@ fn profile_wire_round_trip_and_trace_reconciliation() {
 /// that.)
 #[test]
 fn profile_surface_is_feature_symmetric() {
-    use etlv_core::obs::{TrackedCondvar, TrackedMutex, TrackedRwLock};
+    use etlv_core::obs::{TrackedCondvar, TrackedMutex};
 
     let v = Virtualizer::new(VirtualizerConfig::default());
-    let json = v.profile_json();
+    let json = v.introspect(Topic::Profile, Format::Json).body;
     assert!(json.contains("\"stages\""), "{json}");
     assert!(json.contains("\"pool\""), "{json}");
 
@@ -210,10 +210,6 @@ fn profile_surface_is_feature_symmetric() {
     let m = TrackedMutex::new(registry.lock_site("sym.mutex"), 1u32);
     *m.lock() += 1;
     assert_eq!(*m.lock(), 2);
-    let rw = TrackedRwLock::new(registry.lock_site("sym.rwlock"), 7u32);
-    assert_eq!(*rw.read(), 7);
-    *rw.write() = 8;
-    assert_eq!(*rw.read(), 8);
     let _cv = TrackedCondvar::new(registry.lock_site("sym.condvar"));
 
     let sites = registry.lock_site_snapshots();

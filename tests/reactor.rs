@@ -1,4 +1,4 @@
-//! Reactor front-end suite (DESIGN §11): the event-driven TCP path
+//! Reactor front-end suite (DESIGN §10): the event-driven TCP path
 //! under connection-scale pressure, torn frames, floods, idle reaping,
 //! and abrupt disconnects.
 //!
@@ -403,6 +403,59 @@ fn second_logon_is_refused_and_sessions_return_to_zero() {
         assert!(Instant::now() < deadline, "the close must deregister");
         std::thread::sleep(Duration::from_millis(5));
     }
+    let gateway = &v.obs().gateway;
+    assert_eq!(
+        gateway.sessions_opened.value(),
+        gateway.sessions_closed.value()
+    );
+    server.shutdown();
+}
+
+/// A well-framed frame of a kind the protocol does not define (23 was a
+/// monitoring request before `Introspect` replaced it) is corrupt
+/// framing: the server drops the connection, and the close releases the
+/// logged-on session while the client still holds its end open.
+#[test]
+fn unknown_frame_kind_closes_the_connection_and_the_session() {
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    let server = v.listen_tcp("127.0.0.1:0").expect("bind");
+
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .write_all(&encode(
+            Message::Logon(Logon {
+                username: "stale".into(),
+                password: "p".into(),
+                role: SessionRole::Control,
+                job_token: 0,
+                trace: None,
+            }),
+            0,
+            0,
+        ))
+        .unwrap();
+    let Message::LogonOk(ok) = &read_messages(&mut stream, 1)[0] else {
+        panic!("expected LogonOk");
+    };
+    assert_eq!(v.active_sessions(), 1);
+
+    let mut frame = encode(Message::Keepalive, ok.session, 1);
+    frame[3] = 23;
+    let body = frame.len() - 4;
+    let crc = etlv_protocol::crc::crc32(&frame[..body]);
+    frame[body..].copy_from_slice(&crc.to_le_bytes());
+    stream.write_all(&frame).unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while v.active_sessions() > 0 {
+        assert!(Instant::now() < deadline, "the server must close first");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut buf = [0u8; 64];
+    assert!(
+        matches!(stream.read(&mut buf), Ok(0) | Err(_)),
+        "no reply to an unknown kind, just the close"
+    );
     let gateway = &v.obs().gateway;
     assert_eq!(
         gateway.sessions_opened.value(),

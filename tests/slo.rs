@@ -10,7 +10,7 @@ use std::time::Duration;
 use etlv_core::obs::SloPolicy;
 use etlv_core::{Virtualizer, VirtualizerConfig};
 use etlv_legacy_client::{ClientOptions, LegacyEtlClient, Session};
-use etlv_protocol::message::{SessionRole, StatsFormat};
+use etlv_protocol::message::{Format, SessionRole, Topic};
 use etlv_workloadgen::{tenant_user, ImportSpec};
 
 mod common;
@@ -169,7 +169,7 @@ fn tenant_labeled_stats_conform_over_the_wire() {
         0,
     )
     .unwrap();
-    let prom = session.stats(StatsFormat::Prometheus).unwrap().body;
+    let prom = session.introspect(Topic::Stats, Format::Text).unwrap().body;
     assert_prometheus_conforms(&prom);
     for user in [tenant_user(0), tenant_user(1)] {
         assert!(
@@ -192,16 +192,16 @@ fn tenant_labeled_stats_conform_over_the_wire() {
         "tenant families are metric-major: one TYPE line for both tenants"
     );
 
-    let json = session.stats(StatsFormat::Json).unwrap().body;
+    let json = session.introspect(Topic::Stats, Format::Json).unwrap().body;
     for user in [tenant_user(0), tenant_user(1)] {
         assert!(json.contains(&format!("\"tenant\": \"{user}\"")), "{json}");
     }
     session.logoff();
 }
 
-/// The `Health` request from an unmodified legacy-client session: JSON
-/// and Prometheus bodies round-trip, the Prometheus body conforms, and a
-/// `Series` format request degrades to JSON like the stats surface.
+/// The `Health` topic from an unmodified legacy-client session: JSON and
+/// Prometheus bodies round-trip, each labelled as what it is, and the
+/// Prometheus body conforms.
 #[test]
 fn health_wire_round_trip() {
     let v = Virtualizer::new(VirtualizerConfig {
@@ -220,19 +220,15 @@ fn health_wire_round_trip() {
     )
     .unwrap();
 
-    let json = session.health(StatsFormat::Json).unwrap();
-    assert_eq!(json.format, StatsFormat::Json);
+    let json = session.introspect(Topic::Health, Format::Json).unwrap();
+    assert_eq!(json.format, Format::Json);
     assert!(json.body.contains("\"overload\""), "{}", json.body);
-    let prom = session.health(StatsFormat::Prometheus).unwrap();
-    assert_eq!(prom.format, StatsFormat::Prometheus);
+    let prom = session.introspect(Topic::Health, Format::Text).unwrap();
+    assert_eq!(prom.format, Format::Text);
     assert_prometheus_conforms(&prom.body);
     assert!(prom.body.contains("etlv_node_overloaded "), "{}", prom.body);
 
-    // Series has no health rendering: the reply is the JSON document and
-    // its `format` says so.
-    let series = session.health(StatsFormat::Series).unwrap();
-    assert_eq!(series.format, StatsFormat::Json);
-    assert!(series.body.contains("\"overload\""), "{}", series.body);
+    assert_eq!((json.topic, prom.topic), (Topic::Health, Topic::Health));
 
     let user = tenant_user(0);
     assert!(

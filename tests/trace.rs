@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use etlv_core::VirtualizerConfig;
 use etlv_legacy_client::{ClientOptions, LegacyEtlClient, Session};
-use etlv_protocol::message::{BeginLoad, DataChunk, EndLoad, Message, SessionRole, StatsFormat};
+use etlv_protocol::message::{BeginLoad, DataChunk, EndLoad, Format, Message, SessionRole, Topic};
 mod common;
 use common::{customer_import_job, customer_rows, customer_virtualizer, tcp_connector};
 
@@ -123,9 +123,11 @@ fn multi_chunk_import_yields_complete_span_tree() {
         0,
     )
     .unwrap();
-    let reply = session.trace(1).unwrap();
+    let reply = session
+        .introspect(Topic::Trace { job: 1 }, Format::Json)
+        .unwrap();
     assert!(reply.found);
-    assert_eq!(reply.job, 1);
+    assert_eq!(reply.topic, Topic::Trace { job: 1 });
     for needle in [
         "\"kind\": \"job.begin\"",
         "\"kind\": \"chunk.convert\"",
@@ -143,15 +145,17 @@ fn multi_chunk_import_yields_complete_span_tree() {
     }
 
     // Unknown jobs answer found=false rather than erroring.
-    let missing = session.trace(999).unwrap();
+    let missing = session
+        .introspect(Topic::Trace { job: 999 }, Format::Json)
+        .unwrap();
     assert!(!missing.found);
     assert!(missing.body.is_empty());
     session.logoff();
 }
 
 /// The background sampler captures a non-empty rows/sec series during a
-/// load, renderable as JSON locally and over the wire (`Stats` with the
-/// `Series` format).
+/// load, renderable as JSON locally and over the wire (the `Series`
+/// topic).
 #[test]
 fn sampler_records_rows_per_second_series() {
     let v = customer_virtualizer(VirtualizerConfig {
@@ -175,7 +179,7 @@ fn sampler_records_rows_per_second_series() {
         .unwrap();
     assert_eq!(result.report.rows_applied, 400);
 
-    let json = v.sampler_json();
+    let json = v.introspect(Topic::Series, Format::Json).body;
     assert!(json.contains("\"enabled\": true"), "{json}");
     assert!(
         json.contains("\"metric\": \"pipeline.convert_rows\", \"kind\": \"counter\""),
@@ -199,7 +203,7 @@ fn sampler_records_rows_per_second_series() {
     // appending points between the local snapshot and the wire request,
     // so exact equality would race the tick.
     v.stop_sampler();
-    let json = v.sampler_json();
+    let json = v.introspect(Topic::Series, Format::Json).body;
 
     // The same series over the wire.
     let mut session = Session::logon(
@@ -210,14 +214,15 @@ fn sampler_records_rows_per_second_series() {
         0,
     )
     .unwrap();
-    let reply = session.stats(StatsFormat::Series).unwrap();
-    assert_eq!(reply.format, StatsFormat::Series);
+    let reply = session.introspect(Topic::Series, Format::Json).unwrap();
+    assert_eq!((reply.topic, reply.format), (Topic::Series, Format::Json));
     assert_eq!(reply.body, json, "wire body is the sampler document");
     session.logoff();
 }
 
 /// A sampler that is configured off (the default) answers the Series
-/// stats request with a disabled document instead of failing.
+/// request with a disabled document instead of failing — in JSON, the
+/// topic's only rendering, whichever format was asked for.
 #[test]
 fn series_request_with_sampler_disabled() {
     let v = customer_virtualizer(VirtualizerConfig::default());
@@ -230,8 +235,10 @@ fn series_request_with_sampler_disabled() {
         0,
     )
     .unwrap();
-    let reply = session.stats(StatsFormat::Series).unwrap();
+    let reply = session.introspect(Topic::Series, Format::Json).unwrap();
     assert!(reply.body.contains("\"enabled\": false"), "{}", reply.body);
+    let text = session.introspect(Topic::Series, Format::Text).unwrap();
+    assert_eq!((text.format, &text.body), (Format::Json, &reply.body));
     session.logoff();
 }
 
