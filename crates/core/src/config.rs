@@ -156,20 +156,12 @@ pub(crate) fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())
 }
 
-/// Tenant-block metrics the background sampler tracks per tenant: enough
-/// to plot each tenant's throughput and error contribution over time.
-pub const SAMPLER_TENANT_METRICS: [&str; 5] = [
-    "chunks",
-    "rows_applied",
-    "errors_et",
-    "errors_uv",
-    "active_jobs",
-];
-
-/// Node-global counters and gauges the background sampler tracks: the
-/// series the paper's Fig. 8/9 plots are built from (rows/sec, bytes/sec,
-/// credit occupancy, adaptive/upload retry rates).
-pub const SAMPLER_METRICS: [&str; 13] = [
+/// Counters and gauges the background sampler tracks: the series the
+/// paper's Fig. 8/9 plots are built from (rows/sec, bytes/sec, credit
+/// occupancy, adaptive/upload retry rates), plus — one ring per tenant —
+/// enough `tenant.*` series to plot each tenant's throughput and error
+/// contribution over time.
+pub const SAMPLER_METRICS: [&str; 18] = [
     "pipeline.convert_rows",
     "pipeline.convert_bytes",
     "gateway.chunks_received",
@@ -183,6 +175,11 @@ pub const SAMPLER_METRICS: [&str; 13] = [
     "gateway.active_jobs",
     "pool.busy_workers",
     "lock.wait_us",
+    "tenant.chunks",
+    "tenant.rows_applied",
+    "tenant.errors_et",
+    "tenant.errors_uv",
+    "tenant.active_jobs",
 ];
 
 impl VirtualizerConfig {

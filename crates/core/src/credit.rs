@@ -9,28 +9,21 @@
 //! chunk has already been sent, stalls exactly one chunk of client
 //! progress per session: lightweight, self-clocking back-pressure.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::obs::CreditObs;
+use crate::obs::{Counter, CreditObs, Gauge, Histogram};
 
 struct Pool {
     available: Mutex<usize>,
     returned: Condvar,
     capacity: usize,
-    /// Times an acquirer had to block (pool was empty).
-    stalls: AtomicU64,
-    /// Total time spent blocked, micros.
-    stall_micros: AtomicU64,
-    /// Total credits ever acquired.
-    acquired: AtomicU64,
-    /// Optional registry handles: per-stall latency histogram plus
-    /// acquire/stall counters (the atomics above remain authoritative
-    /// for `NodeMetrics`).
-    obs: Option<CreditObs>,
+    /// The pool's only counters: acquires, stalls, and the per-stall
+    /// latency histogram `stalls()`/`stall_time()`/`total_acquired()`
+    /// read back.
+    obs: CreditObs,
 }
 
 /// A shared credit pool.
@@ -48,26 +41,28 @@ pub struct Credit {
 }
 
 impl CreditManager {
-    /// Pool with `capacity` credits (clamped to ≥ 1).
+    /// Pool with `capacity` credits (clamped to ≥ 1), counting into
+    /// handles no registry exposes.
     pub fn new(capacity: usize) -> CreditManager {
-        CreditManager::build(capacity, None)
+        CreditManager::with_obs(
+            capacity,
+            CreditObs {
+                acquires: Counter::new(),
+                stalls: Counter::new(),
+                stall_us: Histogram::new(),
+                in_flight: Gauge::new(),
+            },
+        )
     }
 
-    /// Pool reporting into pre-registered observability handles.
+    /// Pool counting into pre-registered observability handles.
     pub fn with_obs(capacity: usize, obs: CreditObs) -> CreditManager {
-        CreditManager::build(capacity, Some(obs))
-    }
-
-    fn build(capacity: usize, obs: Option<CreditObs>) -> CreditManager {
         let capacity = capacity.max(1);
         CreditManager {
             pool: Arc::new(Pool {
                 available: Mutex::new(capacity),
                 returned: Condvar::new(),
                 capacity,
-                stalls: AtomicU64::new(0),
-                stall_micros: AtomicU64::new(0),
-                acquired: AtomicU64::new(0),
                 obs,
             }),
         }
@@ -78,25 +73,15 @@ impl CreditManager {
     pub fn acquire(&self) -> Credit {
         let mut available = self.pool.available.lock();
         if *available == 0 {
-            self.pool.stalls.fetch_add(1, Ordering::Relaxed);
+            self.pool.obs.stalls.inc();
             let start = Instant::now();
             while *available == 0 {
                 self.pool.returned.wait(&mut available);
             }
-            let stalled = start.elapsed();
-            self.pool
-                .stall_micros
-                .fetch_add(stalled.as_micros() as u64, Ordering::Relaxed);
-            if let Some(obs) = &self.pool.obs {
-                obs.stalls.inc();
-                obs.stall_us.record_duration(stalled);
-            }
+            self.pool.obs.stall_us.record_duration(start.elapsed());
         }
         *available -= 1;
-        self.pool.acquired.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.pool.obs {
-            obs.acquires.inc();
-        }
+        self.pool.obs.acquires.inc();
         Credit {
             pool: Arc::clone(&self.pool),
         }
@@ -122,10 +107,7 @@ impl CreditManager {
             }
         }
         *available -= 1;
-        self.pool.acquired.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.pool.obs {
-            obs.acquires.inc();
-        }
+        self.pool.obs.acquires.inc();
         Some(Credit {
             pool: Arc::clone(&self.pool),
         })
@@ -148,17 +130,17 @@ impl CreditManager {
 
     /// Number of acquisitions that had to block.
     pub fn stalls(&self) -> u64 {
-        self.pool.stalls.load(Ordering::Relaxed)
+        self.pool.obs.stalls.value()
     }
 
     /// Total blocked time across all acquirers.
     pub fn stall_time(&self) -> Duration {
-        Duration::from_micros(self.pool.stall_micros.load(Ordering::Relaxed))
+        Duration::from_micros(self.pool.obs.stall_us.sum())
     }
 
     /// Total credits ever acquired.
     pub fn total_acquired(&self) -> u64 {
-        self.pool.acquired.load(Ordering::Relaxed)
+        self.pool.obs.acquires.value()
     }
 }
 
@@ -185,6 +167,7 @@ impl std::fmt::Debug for CreditManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::thread;
 
     #[test]
@@ -276,7 +259,7 @@ mod tests {
         t.join().unwrap();
         assert_eq!(obs.credit.acquires.value(), 2);
         assert_eq!(obs.credit.stalls.value(), 1);
-        let stall = obs.credit.stall_us.snapshot("credit.stall_us");
+        let stall = obs.credit.stall_us.snapshot();
         assert_eq!(stall.count, 1);
         assert!(stall.max >= 20_000, "stall_us max {}", stall.max);
         // The manager's own atomics agree with the obs handles.

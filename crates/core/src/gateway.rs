@@ -35,7 +35,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::adaptive::{AdaptiveParams, ErrorRows, RecordedError};
 use crate::apply::apply;
-use crate::config::{VirtualizerConfig, SAMPLER_METRICS, SAMPLER_TENANT_METRICS};
+use crate::config::{VirtualizerConfig, SAMPLER_METRICS};
 use crate::convert::DataConverter;
 use crate::credit::CreditManager;
 use crate::cursor::TdfCursor;
@@ -88,6 +88,13 @@ pub(crate) enum Job {
     Export(Arc<ExportJobState>),
 }
 
+/// How a job left the job table — what [`Virtualizer::end_job`] books.
+enum JobOutcome {
+    Completed(JobReport),
+    Failed(ErrCode),
+    Aborted,
+}
+
 pub(crate) struct Node {
     pub(crate) config: VirtualizerConfig,
     pub(crate) cdw: Cdw,
@@ -99,7 +106,6 @@ pub(crate) struct Node {
     pub(crate) jobs: Mutex<HashMap<u64, Job>>,
     pub(crate) next_token: AtomicU64,
     pub(crate) next_session: AtomicU32,
-    pub(crate) metrics: Mutex<NodeMetrics>,
     /// Ring of the most recent completed load reports, newest last
     /// (capacity `config.report_history`).
     pub(crate) reports: Mutex<VecDeque<JobReport>>,
@@ -256,7 +262,6 @@ impl Virtualizer {
                 config.sampler_tick,
                 config.sampler_capacity,
                 &SAMPLER_METRICS,
-                &SAMPLER_TENANT_METRICS,
             ))
         } else {
             None
@@ -278,7 +283,6 @@ impl Virtualizer {
                 jobs: Mutex::new(HashMap::new()),
                 next_token: AtomicU64::new(1),
                 next_session: AtomicU32::new(1),
-                metrics: Mutex::new(NodeMetrics::default()),
                 reports: Mutex::new(VecDeque::new()),
                 sampler,
                 runtime,
@@ -322,13 +326,23 @@ impl Virtualizer {
         &self.node.config
     }
 
-    /// Snapshot of node metrics.
+    /// Node-level totals: a view read off the registry handles, the
+    /// credit pool and the memory gauge — nothing is counted twice.
     pub fn metrics(&self) -> NodeMetrics {
-        let mut m = self.node.metrics.lock().clone();
-        m.credit_stalls = self.node.credits.stalls();
-        m.credit_stall_time = self.node.credits.stall_time();
-        m.peak_memory = self.node.memory.peak();
-        m
+        let node = &self.node;
+        let (gateway, export) = (&node.obs.gateway, &node.obs.export);
+        NodeMetrics {
+            jobs_completed: gateway.jobs_completed.value(),
+            jobs_failed: gateway.jobs_failed.value(),
+            exports_completed: export.jobs.value(),
+            jobs_aborted: gateway.jobs_aborted.value(),
+            rows_ingested: gateway.rows_ingested.value(),
+            rows_exported: export.rows.value(),
+            bytes_exported: export.bytes.value(),
+            credit_stalls: node.credits.stalls(),
+            credit_stall_time: node.credits.stall_time(),
+            peak_memory: node.memory.peak(),
+        }
     }
 
     /// The most recent completed load job's report (benches read phase
@@ -765,13 +779,49 @@ impl Virtualizer {
         };
         match self.finish_load(token, &job, dml) {
             Ok(report) => {
-                let mut metrics = self.node.metrics.lock();
-                metrics.jobs_completed += 1;
-                metrics.rows_ingested += report.rows_received;
-                drop(metrics);
-                self.node.obs.gateway.jobs_completed.inc();
+                let wire = report.to_wire();
+                self.end_job(token, &Job::Import(job), JobOutcome::Completed(report));
+                Message::LoadReport(wire)
+            }
+            Err((code, message)) => {
+                self.cleanup_job(&job);
+                self.end_job(token, &Job::Import(job), JobOutcome::Failed(code));
+                // A failed load is a clean job failure, not a session
+                // failure: the client gets the error reply and the control
+                // session stays usable for diagnostics or another attempt.
+                error_msg(code, message, false)
+            }
+        }
+    }
+
+    /// The one place a job's outcome is booked, once each: the node
+    /// counter, the tenant's counter and `active_jobs`, a completed job's
+    /// tenant totals, the terminal journal span, and the report ring. The
+    /// caller has already taken the job out of the job table.
+    fn end_job(&self, token: u64, job: &Job, outcome: JobOutcome) {
+        let node = &self.node;
+        let gateway = &node.obs.gateway;
+        match outcome {
+            JobOutcome::Completed(_) => gateway.jobs_completed.inc(),
+            JobOutcome::Failed(_) => gateway.jobs_failed.inc(),
+            JobOutcome::Aborted => gateway.jobs_aborted.inc(),
+        }
+        let Job::Import(job) = job else {
+            // An abandoned export counts on the node only: exports never
+            // entered a tenant's `jobs_started`, so booking their aborts
+            // there would bend the SLO availability ratio.
+            node.obs
+                .journal
+                .emit("job.abort", token, 0, 0, 0, Duration::ZERO);
+            return;
+        };
+        let t = &job.tenant;
+        t.active_jobs.sub(1);
+        let elapsed = job.started.elapsed();
+        let (kind, value, wall, report) = match outcome {
+            JobOutcome::Completed(report) => {
+                gateway.rows_ingested.add(report.rows_received);
                 let total = report.total();
-                let t = &job.tenant;
                 t.jobs_completed.inc();
                 t.rows_applied.add(report.rows_applied);
                 t.errors_et.add(report.errors_et);
@@ -780,47 +830,36 @@ impl Virtualizer {
                 t.job_us.record_duration(total);
                 // A job slower than the tenant's latency target is an SLO
                 // "bad event" for the latency objective.
-                if total > self.node.config.slo.latency_target {
+                if total > node.config.slo.latency_target {
                     t.slow_jobs.inc();
                 }
-                t.active_jobs.sub(1);
-                self.node.obs.journal.emit_span(
-                    "job.end",
-                    job.ids,
-                    token,
-                    0,
-                    0,
-                    report.rows_received,
-                    report.total(),
-                );
-                let mut reports = self.node.reports.lock();
-                while reports.len() >= self.node.config.report_history {
-                    reports.pop_front();
-                }
-                reports.push_back(report.clone());
-                drop(reports);
-                Message::LoadReport(report.to_wire())
+                ("job.end", report.rows_received, total, Some(report))
             }
-            Err((code, message)) => {
-                self.node.metrics.lock().jobs_failed += 1;
-                self.node.obs.gateway.jobs_failed.inc();
-                job.tenant.jobs_failed.inc();
-                job.tenant.active_jobs.sub(1);
-                self.node.obs.journal.emit_span(
-                    "job.fail",
-                    job.ids,
-                    token,
-                    0,
-                    0,
-                    code.0 as u64,
-                    Duration::ZERO,
-                );
-                self.cleanup_job(&job);
-                // A failed load is a clean job failure, not a session
-                // failure: the client gets the error reply and the control
-                // session stays usable for diagnostics or another attempt.
-                error_msg(code, message, false)
+            JobOutcome::Failed(code) => {
+                t.jobs_failed.inc();
+                ("job.fail", code.0 as u64, elapsed, None)
             }
+            JobOutcome::Aborted => {
+                t.jobs_aborted.inc();
+                let rows_received = job.rows_received.load(Ordering::Relaxed);
+                let report = JobReport {
+                    rows_received,
+                    acquisition: elapsed,
+                    aborted: true,
+                    ..JobReport::default()
+                };
+                ("job.abort", rows_received, elapsed, Some(report))
+            }
+        };
+        node.obs
+            .journal
+            .emit_span(kind, job.ids, token, 0, 0, value, wall);
+        if let Some(report) = report {
+            let mut reports = node.reports.lock();
+            while reports.len() >= node.config.report_history {
+                reports.pop_front();
+            }
+            reports.push_back(report);
         }
     }
 
@@ -878,7 +917,6 @@ impl Virtualizer {
                 .profile
                 .copy
                 .record(copy_elapsed, copy_cpu.elapsed());
-            node.obs.adaptive.copy_us.record_duration(copy_elapsed);
             node.obs.journal.emit_span(
                 "copy",
                 job.ids.child(node.obs.journal.next_span_id()),
@@ -934,7 +972,6 @@ impl Virtualizer {
             .adaptive
             .transient_retries
             .add(outcome.transient_retries);
-        node.obs.adaptive.apply_us.record_duration(application);
         job.tenant.apply_us.record_duration(application);
         node.obs.journal.emit_span(
             "apply",
@@ -1114,61 +1151,29 @@ impl Virtualizer {
         let node = &self.node;
         let job = {
             let mut jobs = node.jobs.lock();
-            let job = jobs.remove(&token);
-            if job.is_some() {
-                node.obs.gateway.active_jobs.set(jobs.len() as u64);
-                node.jobs_drained.notify_all();
-            }
+            let Some(job) = jobs.remove(&token) else {
+                return;
+            };
+            node.obs.gateway.active_jobs.set(jobs.len() as u64);
+            node.jobs_drained.notify_all();
             job
         };
-        match job {
-            Some(Job::Import(job)) => {
-                let pipeline = job.pipeline.lock().take();
-                drop(job.sink.lock().take());
+        match &job {
+            Job::Import(import) => {
+                let pipeline = import.pipeline.lock().take();
+                drop(import.sink.lock().take());
                 if let Some(pipeline) = pipeline {
                     let _ = pipeline.abort();
                 }
-                self.cleanup_job(&job);
-                let _ = node
-                    .cdw
-                    .execute(&format!("DROP TABLE IF EXISTS {}", job.spec.error_table_et));
-                let _ = node
-                    .cdw
-                    .execute(&format!("DROP TABLE IF EXISTS {}", job.spec.error_table_uv));
-                node.obs.gateway.jobs_aborted.inc();
-                job.tenant.jobs_aborted.inc();
-                job.tenant.active_jobs.sub(1);
-                node.metrics.lock().jobs_aborted += 1;
-                node.obs.journal.emit_span(
-                    "job.abort",
-                    job.ids,
-                    token,
-                    0,
-                    0,
-                    job.rows_received.load(Ordering::Relaxed),
-                    job.started.elapsed(),
-                );
-                let report = JobReport {
-                    rows_received: job.rows_received.load(Ordering::Relaxed),
-                    acquisition: job.started.elapsed(),
-                    aborted: true,
-                    ..JobReport::default()
-                };
-                let mut reports = node.reports.lock();
-                while reports.len() >= node.config.report_history {
-                    reports.pop_front();
+                self.cleanup_job(import);
+                for table in [&import.spec.error_table_et, &import.spec.error_table_uv] {
+                    let _ = node.cdw.execute(&format!("DROP TABLE IF EXISTS {table}"));
                 }
-                reports.push_back(report);
             }
-            Some(Job::Export(_)) if !clean => {
-                node.obs.gateway.jobs_aborted.inc();
-                node.metrics.lock().jobs_aborted += 1;
-                node.obs
-                    .journal
-                    .emit("job.abort", token, 0, 0, 0, Duration::ZERO);
-            }
-            Some(Job::Export(_)) | None => {}
+            Job::Export(_) if clean => return,
+            Job::Export(_) => {}
         }
+        self.end_job(token, &job, JobOutcome::Aborted);
     }
 
     // ------------------------------------------------------------ export
@@ -1233,7 +1238,7 @@ impl Virtualizer {
             );
             node.obs.gateway.active_jobs.set(jobs.len() as u64);
         }
-        node.metrics.lock().exports_completed += 1;
+        node.obs.export.jobs.inc();
         Message::BeginExportOk(BeginExportOk {
             export_token: token,
             layout,
@@ -1266,11 +1271,6 @@ impl Virtualizer {
             Ok(d) => d,
             Err(e) => return error_msg(ErrCode::INTERNAL, e.to_string(), true),
         };
-        {
-            let mut metrics = self.node.metrics.lock();
-            metrics.rows_exported += rows.len() as u64;
-            metrics.bytes_exported += data.len() as u64;
-        }
         let export = &self.node.obs.export;
         export.chunks.inc();
         export.rows.add(rows.len() as u64);

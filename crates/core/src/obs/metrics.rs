@@ -8,8 +8,8 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use super::{
-    HistogramSnapshot, LockSiteObs, LockSiteSnapshot, RegistrySnapshot, TenantId, TenantObs,
-    TenantSnapshot,
+    HistogramSnapshot, LockSiteObs, LockSiteSnapshot, RegistrySnapshot, SeriesSnapshot,
+    SeriesValue, TenantObs,
 };
 
 /// Cap on distinct tenant label values: tenants interned past it share
@@ -58,7 +58,7 @@ pub struct Counter {
 }
 
 impl Counter {
-    fn new() -> Counter {
+    pub(crate) fn new() -> Counter {
         Counter {
             shards: Arc::new(std::array::from_fn(|_| PaddedCell::default())),
         }
@@ -94,7 +94,7 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    fn new() -> Gauge {
+    pub(crate) fn new() -> Gauge {
         Gauge {
             cell: Arc::new(AtomicU64::new(0)),
         }
@@ -177,7 +177,7 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn new() -> Histogram {
+    pub(crate) fn new() -> Histogram {
         Histogram {
             inner: Arc::new(HistInner {
                 buckets: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -201,8 +201,13 @@ impl Histogram {
         self.record(d.as_micros() as u64);
     }
 
+    /// Sum of recorded values.
+    pub fn sum(&self) -> u64 {
+        self.inner.sum.load(Ordering::Relaxed)
+    }
+
     /// Summarize as count/sum/max plus p50/p95/p99.
-    pub fn snapshot(&self, name: &str) -> HistogramSnapshot {
+    pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets: Vec<u64> = self
             .inner
             .buckets
@@ -225,9 +230,8 @@ impl Histogram {
             bucket_upper_bound(BUCKETS - 1)
         };
         HistogramSnapshot {
-            name: name.to_string(),
             count,
-            sum: self.inner.sum.load(Ordering::Relaxed),
+            sum: self.sum(),
             max: self.inner.max.load(Ordering::Relaxed),
             p50: quantile(0.50),
             p95: quantile(0.95),
@@ -236,70 +240,46 @@ impl Histogram {
     }
 }
 
+/// The live handle of one registered series.
+#[derive(Clone)]
+enum Handle {
+    Counter(Counter),
+    Gauge(Gauge),
+    Histogram(Histogram),
+}
+
+/// One row of the series table: a family name, at most one label, and
+/// the handle the record path writes through.
+struct Series {
+    name: String,
+    label: Option<(&'static str, String)>,
+    handle: Handle,
+}
+
+#[derive(Default)]
 struct RegistryInner {
-    counters: Mutex<Vec<(String, Counter)>>,
-    gauges: Mutex<Vec<(String, Gauge)>>,
-    histograms: Mutex<Vec<(String, Histogram)>>,
-    /// Interned per-tenant handle blocks, indexed by [`TenantId`].
+    /// Every registered series — the one place a metric's value lives.
+    series: Mutex<Vec<Series>>,
+    /// Interned per-tenant views over `tenant.*{tenant=…}` series.
     tenants: Mutex<Vec<Arc<TenantObs>>>,
-    /// Interned per-site lock statistics, bounded like tenants.
+    /// Interned per-site views over `lock.site.*{site=…}` series,
+    /// bounded like tenants.
     lock_sites: Mutex<Vec<Arc<LockSiteObs>>>,
     /// The registry's own lock site (`metrics.registry`), lazily interned
     /// so registries that never serve a tenant pay nothing.
     self_site: std::sync::OnceLock<Arc<LockSiteObs>>,
 }
 
-impl Default for RegistryInner {
-    fn default() -> RegistryInner {
-        RegistryInner {
-            counters: Mutex::default(),
-            gauges: Mutex::default(),
-            histograms: Mutex::default(),
-            tenants: Mutex::default(),
-            lock_sites: Mutex::default(),
-            self_site: std::sync::OnceLock::new(),
-        }
-    }
-}
-
-/// Build one tenant's pre-registered handle block. Tenant metrics live in
-/// their own table (not the flat name-keyed lists), so the per-node
-/// metric namespace stays label-free and rendering attaches the tenant
-/// label exactly once.
-fn new_tenant(id: TenantId, name: &str) -> TenantObs {
-    TenantObs {
-        id,
-        name: name.to_string(),
-        jobs_started: Counter::new(),
-        jobs_completed: Counter::new(),
-        jobs_failed: Counter::new(),
-        jobs_aborted: Counter::new(),
-        admission_rejections: Counter::new(),
-        idle_timeouts: Counter::new(),
-        chunks: Counter::new(),
-        chunk_bytes: Counter::new(),
-        rows_applied: Counter::new(),
-        errors_et: Counter::new(),
-        errors_uv: Counter::new(),
-        retries: Counter::new(),
-        slow_jobs: Counter::new(),
-        active_jobs: Gauge::new(),
-        credit_held: Gauge::new(),
-        memory_held: Gauge::new(),
-        job_us: Histogram::new(),
-        queue_wait_us: Histogram::new(),
-        convert_us: Histogram::new(),
-        upload_us: Histogram::new(),
-        apply_us: Histogram::new(),
-    }
-}
-
-/// Owns every registered metric; handles stay valid for the registry's
-/// lifetime. Registration is idempotent by name, so subsystems can share
-/// a metric without coordinating.
+/// Owns every registered series; handles stay valid for the registry's
+/// lifetime. A series is a family name plus at most one label, and
+/// registration is idempotent by that pair, so subsystems can share a
+/// metric without coordinating. [`MetricsRegistry::labelled`] yields a
+/// view that registers under one label; everything else acts on the whole
+/// registry whichever view it is called on.
 #[derive(Clone, Default)]
 pub struct MetricsRegistry {
     inner: Arc<RegistryInner>,
+    label: Option<(&'static str, String)>,
 }
 
 impl MetricsRegistry {
@@ -308,37 +288,66 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    fn view(&self, label: Option<(&'static str, String)>) -> MetricsRegistry {
+        MetricsRegistry {
+            inner: Arc::clone(&self.inner),
+            label,
+        }
+    }
+
+    /// A view of this registry whose `counter`/`gauge`/`histogram`
+    /// register under the label `key="value"`.
+    pub fn labelled(&self, key: &'static str, value: &str) -> MetricsRegistry {
+        self.view(Some((key, value.to_string())))
+    }
+
+    fn register(&self, name: &str, new: fn() -> Handle) -> Handle {
+        let mut series = self.inner.series.lock();
+        if let Some(s) = series
+            .iter()
+            .find(|s| s.name == name && s.label == self.label)
+        {
+            return s.handle.clone();
+        }
+        // Prometheus forbids one family carrying both labelled and
+        // unlabelled samples.
+        debug_assert!(
+            series
+                .iter()
+                .all(|s| s.name != name || s.label.is_some() == self.label.is_some()),
+            "series {name} registered both with and without a label"
+        );
+        let handle = new();
+        series.push(Series {
+            name: name.to_string(),
+            label: self.label.clone(),
+            handle: handle.clone(),
+        });
+        handle
+    }
+
     /// Register (or fetch) the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut counters = self.inner.counters.lock();
-        if let Some((_, c)) = counters.iter().find(|(n, _)| n == name) {
-            return c.clone();
+        match self.register(name, || Handle::Counter(Counter::new())) {
+            Handle::Counter(c) => c,
+            _ => panic!("series {name} is not a counter"),
         }
-        let c = Counter::new();
-        counters.push((name.to_string(), c.clone()));
-        c
     }
 
     /// Register (or fetch) the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut gauges = self.inner.gauges.lock();
-        if let Some((_, g)) = gauges.iter().find(|(n, _)| n == name) {
-            return g.clone();
+        match self.register(name, || Handle::Gauge(Gauge::new())) {
+            Handle::Gauge(g) => g,
+            _ => panic!("series {name} is not a gauge"),
         }
-        let g = Gauge::new();
-        gauges.push((name.to_string(), g.clone()));
-        g
     }
 
     /// Register (or fetch) the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut histograms = self.inner.histograms.lock();
-        if let Some((_, h)) = histograms.iter().find(|(n, _)| n == name) {
-            return h.clone();
+        match self.register(name, || Handle::Histogram(Histogram::new())) {
+            Handle::Histogram(h) => h,
+            _ => panic!("series {name} is not a histogram"),
         }
-        let h = Histogram::new();
-        histograms.push((name.to_string(), h.clone()));
-        h
     }
 
     /// Intern (or fetch) the per-tenant handle block for `name`. The
@@ -359,21 +368,48 @@ impl MetricsRegistry {
         if let Some(t) = tenants.iter().find(|t| t.name == effective) {
             return Arc::clone(t);
         }
-        let t = Arc::new(new_tenant(TenantId(tenants.len() as u16), effective));
+        // The one list of tenant metrics: each is the `tenant.*` series
+        // carrying this tenant's label.
+        let r = self.labelled("tenant", effective);
+        let t = Arc::new(TenantObs {
+            name: effective.to_string(),
+            jobs_started: r.counter("tenant.jobs_started"),
+            jobs_completed: r.counter("tenant.jobs_completed"),
+            jobs_failed: r.counter("tenant.jobs_failed"),
+            jobs_aborted: r.counter("tenant.jobs_aborted"),
+            admission_rejections: r.counter("tenant.admission_rejections"),
+            idle_timeouts: r.counter("tenant.idle_timeouts"),
+            chunks: r.counter("tenant.chunks"),
+            chunk_bytes: r.counter("tenant.chunk_bytes"),
+            rows_applied: r.counter("tenant.rows_applied"),
+            errors_et: r.counter("tenant.errors_et"),
+            errors_uv: r.counter("tenant.errors_uv"),
+            retries: r.counter("tenant.retries"),
+            slow_jobs: r.counter("tenant.slow_jobs"),
+            active_jobs: r.gauge("tenant.active_jobs"),
+            credit_held: r.gauge("tenant.credit_held"),
+            memory_held: r.gauge("tenant.memory_held"),
+            job_us: r.histogram("tenant.job_us"),
+            queue_wait_us: r.histogram("tenant.queue_wait_us"),
+            convert_us: r.histogram("tenant.convert_us"),
+            upload_us: r.histogram("tenant.upload_us"),
+            apply_us: r.histogram("tenant.apply_us"),
+        });
         tenants.push(Arc::clone(&t));
         t
     }
 
-    /// Live handles of every interned tenant (SLO engine + sampler walk
-    /// these directly rather than going through a full snapshot).
+    /// Live handles of every interned tenant (the SLO engine walks these
+    /// directly rather than going through a full snapshot).
     pub fn tenant_handles(&self) -> Vec<Arc<TenantObs>> {
         self.inner.tenants.lock().clone()
     }
 
     /// Intern (or fetch) the lock-site block for `name`. Bounded like
     /// tenants: past [`LOCK_SITE_LIMIT`] distinct sites, further names
-    /// share one `~overflow` block. The block's aggregate handles are the
-    /// registry-level `lock.*` counters, registered idempotently here.
+    /// share one `~overflow` block. Lookup scans the site table only, so
+    /// the CDW lock observer's per-acquisition call never walks the
+    /// series table.
     pub fn lock_site(&self, name: &str) -> Arc<LockSiteObs> {
         let mut sites = self.inner.lock_sites.lock();
         if let Some(s) = sites.iter().find(|s| s.site == name) {
@@ -387,15 +423,16 @@ impl MetricsRegistry {
         if let Some(s) = sites.iter().find(|s| s.site == effective) {
             return Arc::clone(s);
         }
+        let (r, all) = (self.labelled("site", effective), self.view(None));
         let s = Arc::new(LockSiteObs {
             site: effective.to_string(),
-            acquires: Counter::new(),
-            contended: Counter::new(),
-            wait_us: Histogram::new(),
-            hold_us: Histogram::new(),
-            agg_acquires: self.counter("lock.acquires"),
-            agg_contended: self.counter("lock.contended"),
-            agg_wait_us: self.counter("lock.wait_us"),
+            acquires: r.counter("lock.site.acquires"),
+            contended: r.counter("lock.site.contended"),
+            wait_us: r.histogram("lock.site.wait_us"),
+            hold_us: r.histogram("lock.site.hold_us"),
+            agg_acquires: all.counter("lock.acquires"),
+            agg_contended: all.counter("lock.contended"),
+            agg_wait_us: all.counter("lock.wait_us"),
         });
         sites.push(Arc::clone(&s));
         s
@@ -415,7 +452,7 @@ impl MetricsRegistry {
     }
 
     /// The registry's own lock site — the tenant table is the one
-    /// registry structure on a request path (chunk intake resolves tenant
+    /// registry structure on a request path (logon resolves tenant
     /// blocks), so its mutex is tracked like any other hot lock.
     fn self_site(&self) -> &Arc<LockSiteObs> {
         self.inner
@@ -443,42 +480,25 @@ impl MetricsRegistry {
         }
     }
 
-    /// Snapshot every metric, name-sorted.
+    /// Snapshot every series, sorted by name then label.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let mut counters: Vec<(String, u64)> = self
+        let mut series: Vec<SeriesSnapshot> = self
             .inner
-            .counters
+            .series
             .lock()
             .iter()
-            .map(|(n, c)| (n.clone(), c.value()))
+            .map(|s| SeriesSnapshot {
+                name: s.name.clone(),
+                label: s.label.clone(),
+                value: match &s.handle {
+                    Handle::Counter(c) => SeriesValue::Counter(c.value()),
+                    Handle::Gauge(g) => SeriesValue::Gauge(g.value()),
+                    Handle::Histogram(h) => SeriesValue::Histogram(h.snapshot()),
+                },
+            })
             .collect();
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut gauges: Vec<(String, u64)> = self
-            .inner
-            .gauges
-            .lock()
-            .iter()
-            .map(|(n, g)| (n.clone(), g.value()))
-            .collect();
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut histograms: Vec<HistogramSnapshot> = self
-            .inner
-            .histograms
-            .lock()
-            .iter()
-            .map(|(n, h)| h.snapshot(n))
-            .collect();
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut tenants: Vec<TenantSnapshot> =
-            self.lock_tenants().iter().map(|t| t.snapshot()).collect();
-        tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-        RegistrySnapshot {
-            counters,
-            gauges,
-            histograms,
-            tenants,
-            lock_sites: self.lock_site_snapshots(),
-        }
+        series.sort_by(|a, b| (&a.name, &a.label).cmp(&(&b.name, &b.label)));
+        RegistrySnapshot { series }
     }
 }
 
@@ -527,7 +547,7 @@ mod tests {
         for v in 1..=100u64 {
             h.record(v);
         }
-        let snap = h.snapshot("t");
+        let snap = h.snapshot();
         assert_eq!(snap.count, 100);
         assert_eq!(snap.sum, 5050);
         assert_eq!(snap.max, 100);
@@ -566,8 +586,8 @@ mod tests {
         b.add(3);
         assert_eq!(reg.counter("same").value(), 5);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters.len(), 1);
-        assert_eq!(snap.counters[0], ("same".to_string(), 5));
+        assert_eq!(snap.series.len(), 1);
+        assert_eq!(snap.get("same", None), Some(&SeriesValue::Counter(5)));
     }
 
     #[test]
@@ -600,9 +620,8 @@ mod tests {
         let a = reg.tenant("alice");
         let a2 = reg.tenant("alice");
         assert!(Arc::ptr_eq(&a, &a2), "same name, same block");
-        assert_eq!(a.id, a2.id);
         let b = reg.tenant("bob");
-        assert_ne!(a.id, b.id);
+        assert!(!Arc::ptr_eq(&a, &b));
         for i in 2..TENANT_LIMIT {
             reg.tenant(&format!("filler{i:02}"));
         }
@@ -615,12 +634,19 @@ mod tests {
         d.jobs_started.inc();
         assert_eq!(c.jobs_started.value(), 2);
         let snap = reg.snapshot();
-        assert_eq!(
-            snap.tenants.len(),
-            TENANT_LIMIT + 1,
-            "the limit + ~overflow"
-        );
-        let names: Vec<&str> = snap.tenants.iter().map(|t| t.tenant.as_str()).collect();
+        let names: Vec<&str> = snap
+            .series
+            .iter()
+            .filter(|s| s.name == "tenant.jobs_started")
+            .map(|s| {
+                s.label
+                    .as_ref()
+                    .expect("tenant series are labelled")
+                    .1
+                    .as_str()
+            })
+            .collect();
+        assert_eq!(names.len(), TENANT_LIMIT + 1, "the limit + ~overflow");
         // `~` sorts after ASCII lowercase, so overflow renders last.
         assert_eq!(names[..2], ["alice", "bob"]);
         assert_eq!(names[TENANT_LIMIT], crate::obs::TENANT_OVERFLOW);
@@ -635,27 +661,26 @@ mod tests {
         t.active_jobs.add(2);
         t.active_jobs.sub(1);
         t.job_us.record(5000);
-        let snap = t.snapshot();
-        let counter = |name: &str| {
-            snap.counters
-                .iter()
-                .find(|(n, _)| n == name)
+        let snap = reg.snapshot();
+        let get = |name: &str| {
+            snap.get(name, Some("wg_t00"))
                 .unwrap_or_else(|| panic!("missing {name}"))
-                .1
         };
-        assert_eq!(counter("rows_applied"), 100);
-        assert_eq!(counter("errors_et"), 3);
-        assert_eq!(
-            snap.gauges
-                .iter()
-                .find(|(n, _)| n == "active_jobs")
-                .unwrap()
-                .1,
-            1
-        );
-        let h = snap.histograms.iter().find(|h| h.name == "job_us").unwrap();
+        assert_eq!(get("tenant.rows_applied"), &SeriesValue::Counter(100));
+        assert_eq!(get("tenant.errors_et"), &SeriesValue::Counter(3));
+        assert_eq!(get("tenant.active_jobs"), &SeriesValue::Gauge(1));
+        let SeriesValue::Histogram(h) = get("tenant.job_us") else {
+            panic!("job_us is a histogram")
+        };
         assert_eq!(h.count, 1);
         assert_eq!(h.max, 5000);
+        assert_eq!(
+            snap.series
+                .iter()
+                .find(|s| s.name == "tenant.job_us")
+                .and_then(|s| s.label.clone()),
+            Some(("tenant", "wg_t00".to_string()))
+        );
     }
 
     #[test]
@@ -670,7 +695,7 @@ mod tests {
             for v in 1..=1000u64 {
                 h.record(v * scale);
             }
-            let snap = h.snapshot("q");
+            let snap = h.snapshot();
             for (q, exact) in [
                 (snap.p50, 500 * scale),
                 (snap.p95, 950 * scale),
@@ -695,23 +720,29 @@ mod tests {
         a.acquired_uncontended();
         a.acquired_after(Duration::from_micros(150));
         a.held(Duration::from_micros(40));
-        let snap = reg.snapshot();
-        let site = snap
-            .lock_sites
+        let sites = reg.lock_site_snapshots();
+        let site = sites
             .iter()
             .find(|s| s.site == "runtime.state")
-            .expect("site in snapshot");
+            .expect("site in the typed view");
         assert_eq!(site.acquires, 2);
         assert_eq!(site.contended, 1);
         assert!(site.wait_us.sum >= 150);
         assert_eq!(site.hold_us.count, 1);
+        // The view reads the registered series, not a copy of them.
+        let snap = reg.snapshot();
+        assert_eq!(
+            snap.get("lock.site.acquires", Some("runtime.state")),
+            Some(&SeriesValue::Counter(2))
+        );
+        assert_eq!(
+            snap.get("lock.site.wait_us", Some("runtime.state")),
+            Some(&SeriesValue::Histogram(site.wait_us.clone()))
+        );
         // Aggregates follow every per-site record.
-        let agg = |name: &str| {
-            snap.counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .unwrap_or_else(|| panic!("missing {name}"))
-                .1
+        let agg = |name: &str| match snap.get(name, None) {
+            Some(SeriesValue::Counter(v)) => *v,
+            other => panic!("missing {name}: {other:?}"),
         };
         assert_eq!(agg("lock.acquires"), 2);
         assert_eq!(agg("lock.contended"), 1);
@@ -731,9 +762,8 @@ mod tests {
     fn tenant_lock_self_instrumented() {
         let reg = MetricsRegistry::new();
         reg.tenant("alice");
-        let snap = reg.snapshot();
-        let site = snap
-            .lock_sites
+        let sites = reg.lock_site_snapshots();
+        let site = sites
             .iter()
             .find(|s| s.site == "metrics.registry")
             .expect("registry self-site interned on first tenant access");
@@ -748,9 +778,38 @@ mod tests {
         reg.histogram("m");
         reg.histogram("b");
         let snap = reg.snapshot();
-        assert_eq!(snap.counters[0].0, "a");
-        assert_eq!(snap.counters[1].0, "z");
-        assert_eq!(snap.histograms[0].name, "b");
-        assert_eq!(snap.histograms[1].name, "m");
+        let names: Vec<&str> = snap.series.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "m", "z"]);
+    }
+
+    #[test]
+    fn one_family_many_label_values() {
+        let reg = MetricsRegistry::new();
+        reg.labelled("tenant", "bob").counter("t.rows").add(2);
+        reg.labelled("tenant", "alice").counter("t.rows").add(1);
+        reg.labelled("tenant", "alice").counter("t.rows").add(4);
+        let snap = reg.snapshot();
+        let rows: Vec<_> = snap.series.iter().filter(|s| s.name == "t.rows").collect();
+        assert_eq!(rows.len(), 2, "one entry per label value");
+        assert_eq!(rows[0].label, Some(("tenant", "alice".to_string())));
+        assert_eq!(
+            rows[0].value,
+            SeriesValue::Counter(5),
+            "same pair, same series"
+        );
+        assert_eq!(rows[1].label, Some(("tenant", "bob".to_string())));
+        let text = crate::obs::stats_prometheus(&Default::default(), &snap, 0, 0);
+        assert_eq!(text.matches("# TYPE etlv_t_rows counter\n").count(), 1);
+        assert!(text.contains("etlv_t_rows{tenant=\"alice\"} 5\n"), "{text}");
+        assert!(text.contains("etlv_t_rows{tenant=\"bob\"} 2\n"), "{text}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "both with and without a label")]
+    fn family_cannot_be_both_labelled_and_unlabelled() {
+        let reg = MetricsRegistry::new();
+        reg.labelled("tenant", "alice").counter("mixed");
+        reg.counter("mixed");
     }
 }

@@ -47,8 +47,6 @@ pub use sampler::Sampler;
 /// Point-in-time view of one histogram.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Registered metric name.
-    pub name: String,
     /// Number of recorded values.
     pub count: u64,
     /// Sum of recorded values.
@@ -63,26 +61,46 @@ pub struct HistogramSnapshot {
     pub p99: u64,
 }
 
-/// Point-in-time view of the whole registry, name-sorted.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RegistrySnapshot {
-    /// Counter names and merged shard sums.
-    pub counters: Vec<(String, u64)>,
-    /// Gauge names and current values.
-    pub gauges: Vec<(String, u64)>,
-    /// Histogram summaries.
-    pub histograms: Vec<HistogramSnapshot>,
-    /// Per-tenant metric blocks, sorted by tenant name.
-    pub tenants: Vec<TenantSnapshot>,
-    /// Interned lock-site blocks, sorted by site name.
-    pub lock_sites: Vec<LockSiteSnapshot>,
+/// Point-in-time value of one series.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SeriesValue {
+    /// Merged shard sum of a counter.
+    Counter(u64),
+    /// Current level of a gauge.
+    Gauge(u64),
+    /// Summary of a histogram.
+    Histogram(HistogramSnapshot),
 }
 
-/// Interned tenant identity: a small dense index into the registry's
-/// tenant table, derived from the Logon username. Cheap to copy and to
-/// stamp on jobs; the registry bounds how many distinct ids ever exist.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct TenantId(pub u16);
+/// Point-in-time view of one registered series.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SeriesSnapshot {
+    /// Family name, e.g. `gateway.chunks_received` or `tenant.rows_applied`.
+    pub name: String,
+    /// The series' one label as `(key, value)`, e.g. `("tenant", "alice")`.
+    pub label: Option<(&'static str, String)>,
+    /// The value read.
+    pub value: SeriesValue,
+}
+
+/// Point-in-time view of the whole registry: every series, sorted by
+/// name then label, so one family's label values are contiguous.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RegistrySnapshot {
+    /// Every registered series.
+    pub series: Vec<SeriesSnapshot>,
+}
+
+impl RegistrySnapshot {
+    /// The value of series `name` under label value `label` (`None` for
+    /// an unlabelled series).
+    pub fn get(&self, name: &str, label: Option<&str>) -> Option<&SeriesValue> {
+        self.series
+            .iter()
+            .find(|s| s.name == name && s.label.as_ref().map(|(_, v)| v.as_str()) == label)
+            .map(|s| &s.value)
+    }
+}
 
 /// The catch-all tenant name used once the registry's tenant cardinality
 /// bound is reached — further usernames share this block instead of
@@ -92,10 +110,9 @@ pub const TENANT_OVERFLOW: &str = "~overflow";
 /// Pre-registered per-tenant handles: one block per interned Logon
 /// username, covering the whole job lifecycle (admission → queue →
 /// convert → upload → apply) plus error/retry attribution and resources
-/// currently held.
+/// currently held. A typed view: each handle is the registered series
+/// `tenant.<field>{tenant="<name>"}`.
 pub struct TenantObs {
-    /// Interned dense id.
-    pub id: TenantId,
     /// Tenant (logon username) this block belongs to.
     pub name: String,
     /// Import jobs begun.
@@ -140,64 +157,6 @@ pub struct TenantObs {
     pub upload_us: Histogram,
     /// Whole-application (apply) time per job, µs.
     pub apply_us: Histogram,
-}
-
-impl TenantObs {
-    /// Snapshot this tenant's block.
-    pub fn snapshot(&self) -> TenantSnapshot {
-        let counters = vec![
-            ("admission_rejections", self.admission_rejections.value()),
-            ("chunk_bytes", self.chunk_bytes.value()),
-            ("chunks", self.chunks.value()),
-            ("errors_et", self.errors_et.value()),
-            ("errors_uv", self.errors_uv.value()),
-            ("idle_timeouts", self.idle_timeouts.value()),
-            ("jobs_aborted", self.jobs_aborted.value()),
-            ("jobs_completed", self.jobs_completed.value()),
-            ("jobs_failed", self.jobs_failed.value()),
-            ("jobs_started", self.jobs_started.value()),
-            ("retries", self.retries.value()),
-            ("rows_applied", self.rows_applied.value()),
-            ("slow_jobs", self.slow_jobs.value()),
-        ];
-        let gauges = vec![
-            ("active_jobs", self.active_jobs.value()),
-            ("credit_held", self.credit_held.value()),
-            ("memory_held", self.memory_held.value()),
-        ];
-        TenantSnapshot {
-            tenant: self.name.clone(),
-            counters: counters
-                .into_iter()
-                .map(|(n, v)| (n.to_string(), v))
-                .collect(),
-            gauges: gauges
-                .into_iter()
-                .map(|(n, v)| (n.to_string(), v))
-                .collect(),
-            histograms: vec![
-                self.apply_us.snapshot("apply_us"),
-                self.convert_us.snapshot("convert_us"),
-                self.job_us.snapshot("job_us"),
-                self.queue_wait_us.snapshot("queue_wait_us"),
-                self.upload_us.snapshot("upload_us"),
-            ],
-        }
-    }
-}
-
-/// Point-in-time view of one tenant's metric block, name-sorted like the
-/// node-level lists.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TenantSnapshot {
-    /// Tenant (logon username).
-    pub tenant: String,
-    /// Counter names and values.
-    pub counters: Vec<(String, u64)>,
-    /// Gauge names and values.
-    pub gauges: Vec<(String, u64)>,
-    /// Histogram summaries.
-    pub histograms: Vec<HistogramSnapshot>,
 }
 
 /// Causal identity of a journal event: which trace it belongs to, which
@@ -291,6 +250,8 @@ pub struct GatewayObs {
     pub jobs_started: Counter,
     /// Load jobs completed successfully.
     pub jobs_completed: Counter,
+    /// Records received by completed load jobs.
+    pub rows_ingested: Counter,
     /// Load jobs failed.
     pub jobs_failed: Counter,
     /// Jobs aborted by session teardown (disconnect, idle timeout, or
@@ -374,10 +335,6 @@ pub struct PipelineObs {
     pub upload_bytes: Counter,
     /// Upload attempts retried after transient store failures.
     pub upload_retries: Counter,
-    /// Per-chunk conversion time, µs.
-    pub convert_us: Histogram,
-    /// Per-part upload time (including retries), µs.
-    pub upload_us: Histogram,
 }
 
 /// Object-store handles, fed by the `ObservedStore` decorator.
@@ -452,15 +409,13 @@ pub struct AdaptiveObs {
     pub statements: Counter,
     /// Application statements retried after transient failures.
     pub transient_retries: Counter,
-    /// COPY INTO wall time, µs.
-    pub copy_us: Histogram,
-    /// Whole-application wall time per job, µs.
-    pub apply_us: Histogram,
 }
 
 /// Export-path handles.
 #[derive(Clone)]
 pub struct ExportObs {
+    /// Export jobs begun.
+    pub jobs: Counter,
     /// Export chunks served.
     pub chunks: Counter,
     /// Rows exported.
@@ -469,14 +424,15 @@ pub struct ExportObs {
     pub bytes: Counter,
 }
 
-/// One pipeline stage's CPU/wall accounting. `record` adds the
+/// One pipeline stage's CPU/wall accounting. `record` records the
 /// wall time unconditionally; CPU time and the sample count accrue only
 /// when the thread CPU clock produced a pair, so `cpu_us / samples` stays
 /// meaningful on platforms without the clock.
 #[derive(Clone)]
 pub struct StageProf {
-    /// Wall time across sampled executions, µs.
-    pub wall_us: Counter,
+    /// Wall time per execution, µs — the stage's latency histogram, whose
+    /// `sum` is the total the Profile report shows.
+    pub wall_us: Histogram,
     /// Thread CPU time across sampled executions, µs.
     pub cpu_us: Counter,
     /// Executions where a CPU sample pair succeeded.
@@ -487,7 +443,7 @@ impl StageProf {
     /// Record one execution: wall always, CPU when sampled.
     #[inline]
     pub fn record(&self, wall: Duration, cpu: Option<Duration>) {
-        self.wall_us.add(wall.as_micros() as u64);
+        self.wall_us.record_duration(wall);
         if let Some(cpu) = cpu {
             self.cpu_us.add(cpu.as_micros() as u64);
             self.samples.inc();
@@ -499,13 +455,15 @@ impl StageProf {
 /// Profile report breaks down.
 #[derive(Clone)]
 pub struct ProfileObs {
-    /// Chunk conversion (converter workers).
+    /// Per-chunk conversion (converter workers): `pipeline.convert_us`.
     pub convert: StageProf,
-    /// Part upload (writer workers).
+    /// Per-part upload including retries (writer workers):
+    /// `pipeline.upload_us`.
     pub upload: StageProf,
-    /// COPY INTO (gateway finish path).
+    /// COPY INTO (gateway finish path): `adaptive.copy_us`.
     pub copy: StageProf,
-    /// Adaptive application (gateway finish path).
+    /// Whole adaptive application per job (gateway finish path):
+    /// `adaptive.apply_us`.
     pub apply: StageProf,
 }
 
@@ -588,14 +546,8 @@ impl Obs {
     pub fn new(journal_capacity: usize, jsonl: Option<&std::path::Path>) -> Obs {
         let registry = MetricsRegistry::new();
         let r = &registry;
-        // Pre-register the lock.* aggregates so the sampler and the
-        // Prometheus exposition see the families even before any tracked
-        // lock is interned.
-        r.counter("lock.acquires");
-        r.counter("lock.contended");
-        r.counter("lock.wait_us");
-        let stage = |name: &str| StageProf {
-            wall_us: r.counter(&format!("profile.{name}.wall_us")),
+        let stage = |name: &str, wall_us: &str| StageProf {
+            wall_us: r.histogram(wall_us),
             cpu_us: r.counter(&format!("profile.{name}.cpu_us")),
             samples: r.counter(&format!("profile.{name}.samples")),
         };
@@ -609,6 +561,7 @@ impl Obs {
                 chunk_bytes: r.counter("gateway.chunk_bytes"),
                 jobs_started: r.counter("gateway.jobs_started"),
                 jobs_completed: r.counter("gateway.jobs_completed"),
+                rows_ingested: r.counter("gateway.rows_ingested"),
                 jobs_failed: r.counter("gateway.jobs_failed"),
                 jobs_aborted: r.counter("gateway.jobs_aborted"),
                 admission_rejections: r.counter("gateway.admission_rejections"),
@@ -646,8 +599,6 @@ impl Obs {
                 upload_parts: r.counter("pipeline.upload_parts"),
                 upload_bytes: r.counter("pipeline.upload_bytes"),
                 upload_retries: r.counter("pipeline.upload_retries"),
-                convert_us: r.histogram("pipeline.convert_us"),
-                upload_us: r.histogram("pipeline.upload_us"),
             },
             store: StoreObs {
                 put_ops: r.counter("cloudstore.put_ops"),
@@ -682,10 +633,9 @@ impl Obs {
                 splits: r.counter("adaptive.splits"),
                 statements: r.counter("adaptive.statements"),
                 transient_retries: r.counter("adaptive.transient_retries"),
-                copy_us: r.histogram("adaptive.copy_us"),
-                apply_us: r.histogram("adaptive.apply_us"),
             },
             export: ExportObs {
+                jobs: r.counter("export.jobs"),
                 chunks: r.counter("export.chunks"),
                 rows: r.counter("export.rows"),
                 bytes: r.counter("export.bytes"),
@@ -699,10 +649,10 @@ impl Obs {
                 injected_transport: r.gauge("fault.injected_transport"),
             },
             profile: ProfileObs {
-                convert: stage("convert"),
-                upload: stage("upload"),
-                copy: stage("copy"),
-                apply: stage("apply"),
+                convert: stage("convert", "pipeline.convert_us"),
+                upload: stage("upload", "pipeline.upload_us"),
+                copy: stage("copy", "adaptive.copy_us"),
+                apply: stage("apply", "adaptive.apply_us"),
             },
             pool: PoolObs {
                 busy_workers: r.gauge("pool.busy_workers"),
@@ -806,18 +756,21 @@ mod tests {
         obs.cdw.statements.inc();
         obs.credit.acquires.inc();
         let snap = obs.snapshot();
-        let find = |name: &str| {
-            snap.counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .unwrap_or_else(|| panic!("missing counter {name}"))
-                .1
-        };
-        assert_eq!(find("gateway.chunks_received"), 2);
-        assert_eq!(find("pipeline.convert_rows"), 10);
-        assert_eq!(find("cloudstore.put_ops"), 1);
-        assert_eq!(find("cdw.statements"), 1);
-        assert_eq!(find("credit.acquires"), 1);
-        assert!(snap.histograms.iter().any(|h| h.name == "cdw.exec_us"));
+        let find = |name: &str| snap.get(name, None).cloned();
+        assert_eq!(
+            find("gateway.chunks_received"),
+            Some(SeriesValue::Counter(2))
+        );
+        assert_eq!(
+            find("pipeline.convert_rows"),
+            Some(SeriesValue::Counter(10))
+        );
+        assert_eq!(find("cloudstore.put_ops"), Some(SeriesValue::Counter(1)));
+        assert_eq!(find("cdw.statements"), Some(SeriesValue::Counter(1)));
+        assert_eq!(find("credit.acquires"), Some(SeriesValue::Counter(1)));
+        assert!(matches!(
+            find("cdw.exec_us"),
+            Some(SeriesValue::Histogram(_))
+        ));
     }
 }

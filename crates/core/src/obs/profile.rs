@@ -90,8 +90,10 @@ impl CpuTimer {
 // ----------------------------------------------------------- lock sites
 
 /// Per-site lock statistics: one block per static site name, interned in
-/// the registry like tenants (bounded cardinality). Wait time is how long
-/// a contended acquire blocked; hold time is how long the guard lived.
+/// the registry like tenants (bounded cardinality) — a typed view whose
+/// handles are the registered `lock.site.*{site="<name>"}` series. Wait
+/// time is how long a contended acquire blocked; hold time is how long
+/// the guard lived.
 /// Every record also bumps the registry-level `lock.*` aggregates so the
 /// sampler can follow total contention as one rate series.
 pub struct LockSiteObs {
@@ -144,8 +146,8 @@ impl LockSiteObs {
             site: self.site.clone(),
             acquires: self.acquires.value(),
             contended: self.contended.value(),
-            wait_us: self.wait_us.snapshot("wait_us"),
-            hold_us: self.hold_us.snapshot("hold_us"),
+            wait_us: self.wait_us.snapshot(),
+            hold_us: self.hold_us.snapshot(),
         }
     }
 }
@@ -166,14 +168,9 @@ pub struct LockSiteSnapshot {
 }
 
 impl LockSiteSnapshot {
-    /// One JSON object (embedded in Stats and Profile documents).
+    /// One JSON object (embedded in the Profile document).
     pub fn to_json(&self) -> String {
-        let h = |h: &HistogramSnapshot| {
-            format!(
-                "{{\"count\": {}, \"sum\": {}, \"max\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                h.count, h.sum, h.max, h.p50, h.p95, h.p99
-            )
-        };
+        let h = super::render::histogram_json;
         format!(
             "{{\"site\": \"{}\", \"acquires\": {}, \"contended\": {}, \
              \"wait_us\": {}, \"hold_us\": {}}}",
@@ -473,7 +470,7 @@ impl ProfileReport {
     pub fn collect(obs: &Obs) -> ProfileReport {
         let stage = |name: &'static str, p: &super::StageProf| StageCpuProfile {
             stage: name,
-            wall_us: p.wall_us.value(),
+            wall_us: p.wall_us.sum(),
             cpu_us: p.cpu_us.value(),
             samples: p.samples.value(),
         };

@@ -4,7 +4,7 @@
 
 use crate::report::{JobReport, NodeMetrics};
 
-use super::RegistrySnapshot;
+use super::{HistogramSnapshot, RegistrySnapshot, SeriesSnapshot, SeriesValue};
 
 /// Escape a string for embedding in a JSON string literal.
 pub(crate) fn json_escape(s: &str) -> String {
@@ -23,29 +23,32 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-fn push_node_fields(out: &mut String, node: &NodeMetrics, indent: &str) {
-    out.push_str(&format!(
-        "{indent}\"jobs_completed\": {},\n\
-         {indent}\"jobs_failed\": {},\n\
-         {indent}\"jobs_aborted\": {},\n\
-         {indent}\"exports_completed\": {},\n\
-         {indent}\"rows_ingested\": {},\n\
-         {indent}\"rows_exported\": {},\n\
-         {indent}\"bytes_exported\": {},\n\
-         {indent}\"credit_stalls\": {},\n\
-         {indent}\"credit_stall_micros\": {},\n\
-         {indent}\"peak_memory\": {}\n",
-        node.jobs_completed,
-        node.jobs_failed,
-        node.jobs_aborted,
-        node.exports_completed,
-        node.rows_ingested,
-        node.rows_exported,
-        node.bytes_exported,
-        node.credit_stalls,
-        node.credit_stall_time.as_micros(),
-        node.peak_memory,
-    ));
+/// The node-level totals, named once for both renderings (the JSON
+/// `node` object's keys, the `etlv_node_*` gauges).
+fn node_fields(node: &NodeMetrics) -> [(&'static str, u64); 10] {
+    [
+        ("jobs_completed", node.jobs_completed),
+        ("jobs_failed", node.jobs_failed),
+        ("jobs_aborted", node.jobs_aborted),
+        ("exports_completed", node.exports_completed),
+        ("rows_ingested", node.rows_ingested),
+        ("rows_exported", node.rows_exported),
+        ("bytes_exported", node.bytes_exported),
+        ("credit_stalls", node.credit_stalls),
+        (
+            "credit_stall_micros",
+            node.credit_stall_time.as_micros() as u64,
+        ),
+        ("peak_memory", node.peak_memory),
+    ]
+}
+
+/// One histogram summary as a JSON object.
+pub(crate) fn histogram_json(h: &HistogramSnapshot) -> String {
+    format!(
+        "{{\"count\": {}, \"sum\": {}, \"max\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
+        h.count, h.sum, h.max, h.p50, h.p95, h.p99
+    )
 }
 
 fn push_job(out: &mut String, job: &JobReport) {
@@ -71,7 +74,9 @@ fn push_job(out: &mut String, job: &JobReport) {
     ));
 }
 
-/// Render the full stats snapshot as a JSON document.
+/// Render the full stats snapshot as a JSON document. `series` holds one
+/// object per registered series: its name keyed to its value (a number,
+/// or a histogram summary), its kind, and its label when it has one.
 pub fn stats_json(
     node: &NodeMetrics,
     snap: &RegistrySnapshot,
@@ -81,75 +86,29 @@ pub fn stats_json(
     journal_dropped: u64,
 ) -> String {
     let mut out = String::with_capacity(4096);
-    out.push_str("{\n");
-    out.push_str("  \"node\": {\n");
-    push_node_fields(&mut out, node, "    ");
-    out.push_str("  },\n");
-
-    out.push_str("  \"counters\": {");
-    for (i, (name, value)) in snap.counters.iter().enumerate() {
+    out.push_str("{\n  \"node\": {");
+    for (i, (name, value)) in node_fields(node).iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push_str(&format!("    \"{name}\": {value}"));
     }
     out.push_str("\n  },\n");
 
-    out.push_str("  \"gauges\": {");
-    for (i, (name, value)) in snap.gauges.iter().enumerate() {
+    out.push_str("  \"series\": [");
+    for (i, s) in snap.series.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!("    \"{name}\": {value}"));
-    }
-    out.push_str("\n  },\n");
-
-    out.push_str("  \"histograms\": {");
-    for (i, h) in snap.histograms.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        let (kind, value) = match &s.value {
+            SeriesValue::Counter(v) => ("counter", v.to_string()),
+            SeriesValue::Gauge(v) => ("gauge", v.to_string()),
+            SeriesValue::Histogram(h) => ("histogram", histogram_json(h)),
+        };
         out.push_str(&format!(
-            "    \"{}\": {{\"count\": {}, \"sum\": {}, \"max\": {}, \
-             \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-            h.name, h.count, h.sum, h.max, h.p50, h.p95, h.p99
+            "    {{\"{}\": {value}, \"kind\": \"{kind}\"",
+            s.name
         ));
-    }
-    out.push_str("\n  },\n");
-
-    out.push_str("  \"tenants\": [");
-    for (i, t) in snap.tenants.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "    {{\"tenant\": \"{}\", \"counters\": {{",
-            json_escape(&t.tenant)
-        ));
-        for (j, (name, value)) in t.counters.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{name}\": {value}"));
+        if let Some((key, label)) = &s.label {
+            out.push_str(&format!(", \"{key}\": \"{}\"", json_escape(label)));
         }
-        out.push_str("}, \"gauges\": {");
-        for (j, (name, value)) in t.gauges.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{name}\": {value}"));
-        }
-        out.push_str("}, \"histograms\": {");
-        for (j, h) in t.histograms.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "\"{}\": {{\"count\": {}, \"sum\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                h.name, h.count, h.sum, h.max, h.p50, h.p95, h.p99
-            ));
-        }
-        out.push_str("}}");
-    }
-    out.push_str("\n  ],\n");
-
-    out.push_str("  \"lock_sites\": [");
-    for (i, s) in snap.lock_sites.iter().enumerate() {
-        out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        out.push_str(&s.to_json());
+        out.push('}');
     }
     out.push_str("\n  ],\n");
 
@@ -194,153 +153,71 @@ pub fn prom_escape_label(value: &str) -> String {
 }
 
 /// Render the stats snapshot as Prometheus text exposition: counters and
-/// gauges as single samples (with `# TYPE` metadata), histograms as
-/// `summary` families with `_count`/`_sum`/`_max` plus
-/// `quantile`-labelled samples.
+/// gauges as single samples, histograms as `summary` families with
+/// `_count`/`_sum`/`_max` plus `quantile`-labelled samples. Metric-major:
+/// the snapshot is name-sorted, so a family's label values are adjacent
+/// and it gets exactly one `# TYPE` line however many there are.
 pub fn stats_prometheus(
     node: &NodeMetrics,
     snap: &RegistrySnapshot,
     journal_emitted: u64,
     journal_dropped: u64,
 ) -> String {
-    let mut out = String::with_capacity(4096);
-    let node_samples: [(&str, u64); 10] = [
-        ("node.jobs_completed", node.jobs_completed),
-        ("node.jobs_failed", node.jobs_failed),
-        ("node.jobs_aborted", node.jobs_aborted),
-        ("node.exports_completed", node.exports_completed),
-        ("node.rows_ingested", node.rows_ingested),
-        ("node.rows_exported", node.rows_exported),
-        ("node.bytes_exported", node.bytes_exported),
-        ("node.credit_stalls", node.credit_stalls),
-        (
-            "node.credit_stall_micros",
-            node.credit_stall_time.as_micros() as u64,
-        ),
-        ("node.peak_memory", node.peak_memory),
-    ];
-    for (name, value) in node_samples {
-        let base = prom_name(name);
-        out.push_str(&format!("# TYPE {base} gauge\n{base} {value}\n"));
-    }
-    for (name, value) in &snap.counters {
-        let base = prom_name(name);
-        out.push_str(&format!("# TYPE {base} counter\n{base} {value}\n"));
-    }
-    for (name, value) in &snap.gauges {
-        let base = prom_name(name);
-        out.push_str(&format!("# TYPE {base} gauge\n{base} {value}\n"));
-    }
-    for (name, value) in [
+    let scalar = |name: String, value: SeriesValue| SeriesSnapshot {
+        name,
+        label: None,
+        value,
+    };
+    let node_series =
+        node_fields(node).map(|(name, v)| scalar(format!("node.{name}"), SeriesValue::Gauge(v)));
+    let journal_series = [
         ("journal.events_emitted", journal_emitted),
         ("journal.events_dropped", journal_dropped),
-    ] {
-        let base = prom_name(name);
-        out.push_str(&format!("# TYPE {base} counter\n{base} {value}\n"));
-    }
-    for h in &snap.histograms {
-        let base = prom_name(&h.name);
-        out.push_str(&format!("# TYPE {base} summary\n"));
-        out.push_str(&format!("{base}_count {}\n", h.count));
-        out.push_str(&format!("{base}_sum {}\n", h.sum));
-        out.push_str(&format!("{base}_max {}\n", h.max));
-        for (q, v) in [("0.5", h.p50), ("0.95", h.p95), ("0.99", h.p99)] {
-            out.push_str(&format!(
-                "{base}{{quantile=\"{}\"}} {v}\n",
-                prom_escape_label(q)
-            ));
-        }
-    }
-    // Tenant-labelled families, metric-major: one `# TYPE` per family,
-    // then one `tenant`-labelled sample per tenant, so the conformance
-    // contract (exactly one TYPE line per family) holds no matter how
-    // many tenants are interned.
-    use std::collections::BTreeSet;
-    let counter_names: BTreeSet<&str> = snap
-        .tenants
+    ]
+    .map(|(name, v)| scalar(name.to_string(), SeriesValue::Counter(v)));
+
+    let mut out = String::with_capacity(4096);
+    let mut family = "";
+    for s in node_series
         .iter()
-        .flat_map(|t| t.counters.iter().map(|(n, _)| n.as_str()))
-        .collect();
-    for name in counter_names {
-        let base = prom_name(&format!("tenant.{name}"));
-        out.push_str(&format!("# TYPE {base} counter\n"));
-        for t in &snap.tenants {
-            if let Some((_, v)) = t.counters.iter().find(|(n, _)| n == name) {
-                out.push_str(&format!(
-                    "{base}{{tenant=\"{}\"}} {v}\n",
-                    prom_escape_label(&t.tenant)
-                ));
-            }
-        }
-    }
-    let gauge_names: BTreeSet<&str> = snap
-        .tenants
-        .iter()
-        .flat_map(|t| t.gauges.iter().map(|(n, _)| n.as_str()))
-        .collect();
-    for name in gauge_names {
-        let base = prom_name(&format!("tenant.{name}"));
-        out.push_str(&format!("# TYPE {base} gauge\n"));
-        for t in &snap.tenants {
-            if let Some((_, v)) = t.gauges.iter().find(|(n, _)| n == name) {
-                out.push_str(&format!(
-                    "{base}{{tenant=\"{}\"}} {v}\n",
-                    prom_escape_label(&t.tenant)
-                ));
-            }
-        }
-    }
-    let hist_names: BTreeSet<&str> = snap
-        .tenants
-        .iter()
-        .flat_map(|t| t.histograms.iter().map(|h| h.name.as_str()))
-        .collect();
-    for name in hist_names {
-        let base = prom_name(&format!("tenant.{name}"));
-        out.push_str(&format!("# TYPE {base} summary\n"));
-        for t in &snap.tenants {
-            let Some(h) = t.histograms.iter().find(|h| h.name == name) else {
-                continue;
+        .chain(&snap.series)
+        .chain(&journal_series)
+    {
+        let base = prom_name(&s.name);
+        if s.name != family {
+            let kind = match s.value {
+                SeriesValue::Counter(_) => "counter",
+                SeriesValue::Gauge(_) => "gauge",
+                SeriesValue::Histogram(_) => "summary",
             };
-            let tenant = prom_escape_label(&t.tenant);
-            out.push_str(&format!(
-                "{base}_count{{tenant=\"{tenant}\"}} {}\n",
-                h.count
-            ));
-            out.push_str(&format!("{base}_sum{{tenant=\"{tenant}\"}} {}\n", h.sum));
-            out.push_str(&format!("{base}_max{{tenant=\"{tenant}\"}} {}\n", h.max));
-            for (q, v) in [("0.5", h.p50), ("0.95", h.p95), ("0.99", h.p99)] {
-                out.push_str(&format!(
-                    "{base}{{tenant=\"{tenant}\",quantile=\"{q}\"}} {v}\n"
-                ));
-            }
+            out.push_str(&format!("# TYPE {base} {kind}\n"));
+            family = &s.name;
         }
-    }
-    // Lock-site families, metric-major like tenants: one TYPE per
-    // family, one `site`-labelled sample per interned site.
-    if !snap.lock_sites.is_empty() {
-        for (name, pick) in [("lock.site.acquires", 0usize), ("lock.site.contended", 1)] {
-            let base = prom_name(name);
-            out.push_str(&format!("# TYPE {base} counter\n"));
-            for s in &snap.lock_sites {
-                let v = if pick == 0 { s.acquires } else { s.contended };
-                out.push_str(&format!(
-                    "{base}{{site=\"{}\"}} {v}\n",
-                    prom_escape_label(&s.site)
-                ));
+        let label = s
+            .label
+            .as_ref()
+            .map(|(key, v)| format!("{key}=\"{}\"", prom_escape_label(v)));
+        let mut sample = |suffix: &str, quantile: Option<&str>, v: u64| {
+            let labels: Vec<String> = label
+                .iter()
+                .cloned()
+                .chain(quantile.map(|q| format!("quantile=\"{q}\"")))
+                .collect();
+            out.push_str(&base);
+            out.push_str(suffix);
+            if !labels.is_empty() {
+                out.push_str(&format!("{{{}}}", labels.join(",")));
             }
-        }
-        for (name, wait) in [("lock.site.wait_us", true), ("lock.site.hold_us", false)] {
-            let base = prom_name(name);
-            out.push_str(&format!("# TYPE {base} summary\n"));
-            for s in &snap.lock_sites {
-                let h = if wait { &s.wait_us } else { &s.hold_us };
-                let site = prom_escape_label(&s.site);
-                out.push_str(&format!("{base}_count{{site=\"{site}\"}} {}\n", h.count));
-                out.push_str(&format!("{base}_sum{{site=\"{site}\"}} {}\n", h.sum));
-                out.push_str(&format!("{base}_max{{site=\"{site}\"}} {}\n", h.max));
+            out.push_str(&format!(" {v}\n"));
+        };
+        match &s.value {
+            SeriesValue::Counter(v) | SeriesValue::Gauge(v) => sample("", None, *v),
+            SeriesValue::Histogram(h) => {
+                sample("_count", None, h.count);
+                sample("_sum", None, h.sum);
+                sample("_max", None, h.max);
                 for (q, v) in [("0.5", h.p50), ("0.95", h.p95), ("0.99", h.p99)] {
-                    out.push_str(&format!("{base}{{site=\"{site}\",quantile=\"{q}\"}} {v}\n"));
+                    sample("", Some(q), v);
                 }
             }
         }
@@ -351,72 +228,51 @@ pub fn stats_prometheus(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::HistogramSnapshot;
     use std::time::Duration;
 
     fn sample_snapshot() -> RegistrySnapshot {
-        let tenant = |name: &str, rows: u64| super::super::TenantSnapshot {
-            tenant: name.into(),
-            counters: vec![("jobs_started".into(), 3), ("rows_applied".into(), rows)],
-            gauges: vec![("active_jobs".into(), 1)],
-            histograms: vec![HistogramSnapshot {
-                name: "job_us".into(),
-                count: 3,
-                sum: 9000,
-                max: 4000,
-                p50: 3000,
-                p95: 4000,
-                p99: 4000,
-            }],
+        let hist = |count, sum, max, p50, p95, p99| {
+            SeriesValue::Histogram(HistogramSnapshot {
+                count,
+                sum,
+                max,
+                p50,
+                p95,
+                p99,
+            })
         };
-        RegistrySnapshot {
-            counters: vec![
-                ("gateway.chunks_received".into(), 12),
-                ("pipeline.convert_rows".into(), 480),
-            ],
-            gauges: vec![("credit.in_flight".into(), 3)],
-            histograms: vec![HistogramSnapshot {
-                name: "pipeline.convert_us".into(),
-                count: 12,
-                sum: 600,
-                max: 90,
-                p50: 47,
-                p95: 85,
-                p99: 90,
-            }],
-            tenants: vec![tenant("alice", 400), tenant("bo\"b", 80)],
-            lock_sites: vec![
-                super::super::LockSiteSnapshot {
-                    site: "cdw.table/or\"ders".into(),
-                    acquires: 20,
-                    contended: 5,
-                    wait_us: HistogramSnapshot {
-                        name: "wait_us".into(),
-                        count: 5,
-                        sum: 750,
-                        max: 300,
-                        p50: 100,
-                        p95: 280,
-                        p99: 300,
-                    },
-                    hold_us: HistogramSnapshot {
-                        name: "hold_us".into(),
-                        count: 20,
-                        sum: 400,
-                        max: 60,
-                        p50: 15,
-                        p95: 50,
-                        p99: 60,
-                    },
-                },
-                super::super::LockSiteSnapshot {
-                    site: "runtime.state".into(),
-                    acquires: 100,
-                    contended: 2,
-                    ..Default::default()
-                },
-            ],
+        let mut series = Vec::new();
+        let mut push = |name: &str, label: Option<(&'static str, &str)>, value| {
+            series.push(SeriesSnapshot {
+                name: name.to_string(),
+                label: label.map(|(k, v)| (k, v.to_string())),
+                value,
+            })
+        };
+        push("gateway.chunks_received", None, SeriesValue::Counter(12));
+        push("pipeline.convert_rows", None, SeriesValue::Counter(480));
+        push("credit.in_flight", None, SeriesValue::Gauge(3));
+        push("pipeline.convert_us", None, hist(12, 600, 90, 47, 85, 90));
+        for (tenant, rows) in [("alice", 400), ("bo\"b", 80)] {
+            let t = Some(("tenant", tenant));
+            push("tenant.jobs_started", t, SeriesValue::Counter(3));
+            push("tenant.rows_applied", t, SeriesValue::Counter(rows));
+            push("tenant.active_jobs", t, SeriesValue::Gauge(1));
+            push("tenant.job_us", t, hist(3, 9000, 4000, 3000, 4000, 4000));
         }
+        let hot = Some(("site", "cdw.table/or\"ders"));
+        push("lock.site.acquires", hot, SeriesValue::Counter(20));
+        push("lock.site.contended", hot, SeriesValue::Counter(5));
+        push("lock.site.wait_us", hot, hist(5, 750, 300, 100, 280, 300));
+        push("lock.site.hold_us", hot, hist(20, 400, 60, 15, 50, 60));
+        let quiet = Some(("site", "runtime.state"));
+        push("lock.site.acquires", quiet, SeriesValue::Counter(100));
+        push("lock.site.contended", quiet, SeriesValue::Counter(2));
+        push("lock.site.wait_us", quiet, hist(0, 0, 0, 0, 0, 0));
+        push("lock.site.hold_us", quiet, hist(0, 0, 0, 0, 0, 0));
+        // Name-then-label order, as `MetricsRegistry::snapshot` yields it.
+        series.sort_by(|a, b| (&a.name, &a.label).cmp(&(&b.name, &b.label)));
+        RegistrySnapshot { series }
     }
 
     fn sample_node() -> NodeMetrics {
@@ -456,12 +312,12 @@ mod tests {
             "\"journal\": {\"emitted\": 40, \"retained\": 30, \"dropped\": 10}",
             "\"tenant\": \"alice\"",
             "\"tenant\": \"bo\\\"b\"",
-            "\"rows_applied\": 400",
-            "\"job_us\": {\"count\": 3",
-            "\"lock_sites\": [",
+            "\"series\": [",
+            "\"tenant.rows_applied\": 400, \"kind\": \"counter\", \"tenant\": \"alice\"",
+            "\"tenant.job_us\": {\"count\": 3",
             "\"site\": \"cdw.table/or\\\"ders\"",
-            "\"contended\": 5",
-            "\"wait_us\": {\"count\": 5, \"sum\": 750",
+            "\"lock.site.contended\": 5",
+            "\"lock.site.wait_us\": {\"count\": 5, \"sum\": 750",
             "\"site\": \"runtime.state\"",
         ] {
             assert!(doc.contains(needle), "missing {needle} in:\n{doc}");

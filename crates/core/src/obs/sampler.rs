@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use super::Obs;
+use super::{Obs, SeriesValue};
 
 /// Whether a sampled metric is a monotonic counter (rates are meaningful)
 /// or a gauge (instantaneous level).
@@ -39,9 +39,8 @@ struct Point {
 
 struct Series {
     metric: &'static str,
-    /// `None` for node-global series; `Some(name)` for a per-tenant ring
-    /// discovered dynamically from registry snapshots.
-    tenant: Option<String>,
+    /// The sampled series' label, if it has one (e.g. the tenant).
+    label: Option<(&'static str, String)>,
     kind: SampleKind,
     points: VecDeque<Point>,
 }
@@ -50,9 +49,9 @@ struct SamplerInner {
     epoch: Instant,
     tick: Duration,
     capacity: usize,
-    /// Tenant-block metric names (e.g. `chunks`, `rows_applied`) to track
-    /// per tenant; tenants themselves are discovered at snapshot time.
-    tenant_metrics: &'static [&'static str],
+    /// Series names to track, under whatever labels they are registered.
+    metrics: &'static [&'static str],
+    /// One ring per (metric, label) seen in a snapshot so far.
     series: Mutex<Vec<Series>>,
     /// Set by [`Sampler::stop`], which also notifies `wake` so the
     /// thread leaves its between-ticks wait at once.
@@ -70,38 +69,26 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    /// Start sampling `metrics` (registry counter/gauge names) every
-    /// `tick`, retaining up to `capacity` points per metric. `refresh` is
-    /// invoked before each snapshot so gauge-backed values (credit
-    /// occupancy, memory, fault totals) are current. `tenant_metrics`
-    /// names tenant-block metrics sampled per tenant; tenant series are
-    /// created lazily as tenants appear in snapshots.
+    /// Start sampling the counters and gauges named in `metrics` every
+    /// `tick`, retaining up to `capacity` points per series. A name
+    /// matches every label it is registered under, and rings are created
+    /// as series appear in snapshots, so a tenant interned after `start`
+    /// still gets its own. `refresh` is invoked before each snapshot so
+    /// gauge-backed values (credit occupancy, memory, fault totals) are
+    /// current.
     pub fn start(
         obs: Arc<Obs>,
         refresh: Box<dyn Fn() + Send + Sync>,
         tick: Duration,
         capacity: usize,
         metrics: &'static [&'static str],
-        tenant_metrics: &'static [&'static str],
     ) -> Sampler {
         let inner = Arc::new(SamplerInner {
             epoch: Instant::now(),
             tick,
             capacity: capacity.max(2),
-            tenant_metrics,
-            series: Mutex::new(
-                metrics
-                    .iter()
-                    .map(|&metric| Series {
-                        metric,
-                        tenant: None,
-                        // Kind is resolved on first observation; counters
-                        // dominate the default set, so start there.
-                        kind: SampleKind::Counter,
-                        points: VecDeque::new(),
-                    })
-                    .collect(),
-            ),
+            metrics,
+            series: Mutex::new(Vec::new()),
             stop: Mutex::new(false),
             wake: Condvar::new(),
             thread: Mutex::new(None),
@@ -119,66 +106,36 @@ impl Sampler {
                     let snap = obs.registry.snapshot();
                     let now = inner.epoch.elapsed().as_micros() as u64;
                     let mut series = inner.series.lock();
-                    for s in series.iter_mut() {
-                        let (value, kind) = if let Some((_, v)) =
-                            snap.counters.iter().find(|(n, _)| *n == s.metric)
-                        {
-                            (Some(*v), SampleKind::Counter)
-                        } else if let Some((_, v)) =
-                            snap.gauges.iter().find(|(n, _)| *n == s.metric)
-                        {
-                            (Some(*v), SampleKind::Gauge)
-                        } else {
-                            (None, s.kind)
+                    for sampled in &snap.series {
+                        let Some(&metric) = inner.metrics.iter().find(|m| **m == sampled.name)
+                        else {
+                            continue;
                         };
-                        if let Some(value) = value {
-                            s.kind = kind;
-                            if s.points.len() == inner.capacity {
-                                s.points.pop_front();
-                            }
-                            s.points.push_back(Point {
-                                t_micros: now,
-                                value,
+                        let (value, kind) = match sampled.value {
+                            SeriesValue::Counter(v) => (v, SampleKind::Counter),
+                            SeriesValue::Gauge(v) => (v, SampleKind::Gauge),
+                            SeriesValue::Histogram(_) => continue,
+                        };
+                        let at = series
+                            .iter()
+                            .position(|s| s.metric == metric && s.label == sampled.label)
+                            .unwrap_or_else(|| {
+                                series.push(Series {
+                                    metric,
+                                    label: sampled.label.clone(),
+                                    kind,
+                                    points: VecDeque::new(),
+                                });
+                                series.len() - 1
                             });
+                        let points = &mut series[at].points;
+                        if points.len() == inner.capacity {
+                            points.pop_front();
                         }
-                    }
-                    // Tenant series: discovered from the snapshot so a
-                    // tenant interned after start() still gets rings.
-                    for t in &snap.tenants {
-                        for &metric in inner.tenant_metrics {
-                            let (value, kind) = if let Some((_, v)) =
-                                t.counters.iter().find(|(n, _)| n == metric)
-                            {
-                                (*v, SampleKind::Counter)
-                            } else if let Some((_, v)) = t.gauges.iter().find(|(n, _)| n == metric)
-                            {
-                                (*v, SampleKind::Gauge)
-                            } else {
-                                continue;
-                            };
-                            let s = match series.iter_mut().find(|s| {
-                                s.metric == metric && s.tenant.as_deref() == Some(&t.tenant)
-                            }) {
-                                Some(s) => s,
-                                None => {
-                                    series.push(Series {
-                                        metric,
-                                        tenant: Some(t.tenant.clone()),
-                                        kind,
-                                        points: VecDeque::new(),
-                                    });
-                                    series.last_mut().expect("just pushed")
-                                }
-                            };
-                            s.kind = kind;
-                            if s.points.len() == inner.capacity {
-                                s.points.pop_front();
-                            }
-                            s.points.push_back(Point {
-                                t_micros: now,
-                                value,
-                            });
-                        }
+                        points.push_back(Point {
+                            t_micros: now,
+                            value,
+                        });
                     }
                     drop(series);
                     let deadline = Instant::now() + inner.tick;
@@ -218,12 +175,12 @@ impl Sampler {
         ));
         for (i, s) in series.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let tenant = match &s.tenant {
-                Some(t) => format!("\"tenant\": \"{}\", ", super::render::json_escape(t)),
+            let label = match &s.label {
+                Some((key, v)) => format!("\"{key}\": \"{}\", ", super::render::json_escape(v)),
                 None => String::new(),
             };
             out.push_str(&format!(
-                "  {{\"metric\": \"{}\", {tenant}\"kind\": \"{}\", \"points\": [",
+                "  {{\"metric\": \"{}\", {label}\"kind\": \"{}\", \"points\": [",
                 s.metric,
                 match s.kind {
                     SampleKind::Counter => "counter",
@@ -252,25 +209,14 @@ impl Sampler {
         out
     }
 
-    /// Number of points currently held for the node-global `metric`
-    /// (0 if unknown).
-    pub fn points_for(&self, metric: &str) -> usize {
+    /// Number of points currently held for `metric` under label value
+    /// `label` (`None` for an unlabelled series; 0 if no such ring).
+    pub fn points_for(&self, metric: &str, label: Option<&str>) -> usize {
         self.inner
             .series
             .lock()
             .iter()
-            .find(|s| s.metric == metric && s.tenant.is_none())
-            .map_or(0, |s| s.points.len())
-    }
-
-    /// Number of points currently held for `metric` under `tenant`
-    /// (0 if that series does not exist).
-    pub fn tenant_points_for(&self, metric: &str, tenant: &str) -> usize {
-        self.inner
-            .series
-            .lock()
-            .iter()
-            .find(|s| s.metric == metric && s.tenant.as_deref() == Some(tenant))
+            .find(|s| s.metric == metric && s.label.as_ref().map(|(_, v)| v.as_str()) == label)
             .map_or(0, |s| s.points.len())
     }
 }
@@ -292,7 +238,6 @@ mod tests {
                 "credit.in_flight",
                 "no.such.metric",
             ],
-            &[],
         );
         for i in 0..10 {
             obs.pipeline.convert_rows.add(100 + i);
@@ -300,12 +245,12 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         sampler.stop();
-        assert!(sampler.points_for("pipeline.convert_rows") >= 2);
+        assert!(sampler.points_for("pipeline.convert_rows", None) >= 2);
         assert!(
-            sampler.points_for("pipeline.convert_rows") <= 4,
+            sampler.points_for("pipeline.convert_rows", None) <= 4,
             "ring bounded"
         );
-        assert_eq!(sampler.points_for("no.such.metric"), 0);
+        assert_eq!(sampler.points_for("no.such.metric", None), 0);
 
         let json = sampler.series_json();
         assert!(json.contains("\"enabled\": true"), "{json}");
@@ -329,7 +274,6 @@ mod tests {
             Duration::from_millis(2),
             3,
             &["pipeline.convert_rows"],
-            &[],
         );
         // Run for many more ticks than the ring holds so it wraps several
         // times over.
@@ -339,7 +283,7 @@ mod tests {
         }
         sampler.stop();
         assert_eq!(
-            sampler.points_for("pipeline.convert_rows"),
+            sampler.points_for("pipeline.convert_rows", None),
             3,
             "after overflow the ring reports exactly its capacity"
         );
@@ -360,8 +304,7 @@ mod tests {
             Box::new(|| {}),
             Duration::from_millis(2),
             4,
-            &[],
-            &["rows_applied", "active_jobs"],
+            &["tenant.rows_applied", "tenant.active_jobs"],
         );
         // Tenant interned *after* the sampler starts: discovered from the
         // snapshot on the next tick.
@@ -372,21 +315,25 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         sampler.stop();
-        let n = sampler.tenant_points_for("rows_applied", "alice");
+        let n = sampler.points_for("tenant.rows_applied", Some("alice"));
         assert!((2..=4).contains(&n), "bounded tenant ring, got {n}");
-        assert_eq!(sampler.tenant_points_for("rows_applied", "bob"), 0);
-        assert_eq!(sampler.points_for("rows_applied"), 0, "tenant-only series");
+        assert_eq!(sampler.points_for("tenant.rows_applied", Some("bob")), 0);
+        assert_eq!(
+            sampler.points_for("tenant.rows_applied", None),
+            0,
+            "tenant-only series"
+        );
 
         let json = sampler.series_json();
         assert!(
             json.contains(
-                "\"metric\": \"rows_applied\", \"tenant\": \"alice\", \"kind\": \"counter\""
+                "\"metric\": \"tenant.rows_applied\", \"tenant\": \"alice\", \"kind\": \"counter\""
             ),
             "{json}"
         );
         assert!(
             json.contains(
-                "\"metric\": \"active_jobs\", \"tenant\": \"alice\", \"kind\": \"gauge\""
+                "\"metric\": \"tenant.active_jobs\", \"tenant\": \"alice\", \"kind\": \"gauge\""
             ),
             "{json}"
         );
@@ -401,7 +348,6 @@ mod tests {
             Duration::from_millis(2),
             3,
             &["pool.busy_workers", "lock.wait_us"],
-            &[],
         );
         // Drive both sources long enough for the 3-point rings to wrap:
         // the busy-worker gauge through the pool block, the aggregate
@@ -414,12 +360,12 @@ mod tests {
         }
         sampler.stop();
         assert_eq!(
-            sampler.points_for("pool.busy_workers"),
+            sampler.points_for("pool.busy_workers", None),
             3,
             "gauge ring wrapped to exactly its capacity"
         );
         assert_eq!(
-            sampler.points_for("lock.wait_us"),
+            sampler.points_for("lock.wait_us", None),
             3,
             "counter ring wrapped to exactly its capacity"
         );
@@ -443,13 +389,12 @@ mod tests {
             Duration::from_secs(3600),
             8,
             &["gateway.chunks_received"],
-            &[],
         );
         let t0 = Instant::now();
         sampler.stop();
         sampler.stop();
         assert!(t0.elapsed() < Duration::from_secs(2), "stop joins promptly");
         // One sample was taken on entry before the long sleep.
-        assert!(sampler.points_for("gateway.chunks_received") >= 1);
+        assert!(sampler.points_for("gateway.chunks_received", None) >= 1);
     }
 }

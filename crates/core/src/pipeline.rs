@@ -684,7 +684,6 @@ fn convert_work(shared: &RtShared, job: &JobRt, chunk: RawChunk, scratch: &mut C
             obs.pipeline.convert_chunks.inc();
             obs.pipeline.convert_rows.add(rows as u64);
             obs.pipeline.convert_bytes.add(out.len() as u64);
-            obs.pipeline.convert_us.record_duration(elapsed);
             obs.profile.convert.record(elapsed, cpu.elapsed());
             job.tenant.convert_us.record_duration(elapsed);
             obs.journal.emit_span(
@@ -806,7 +805,6 @@ fn upload_part(shared: &RtShared, job: &JobRt, file: Vec<u8>, part: u32) {
         || job.loader.upload_part_from(&key, &file),
     );
     let elapsed = upload_started.elapsed();
-    obs.pipeline.upload_us.record_duration(elapsed);
     obs.profile.upload.record(elapsed, cpu.elapsed());
     job.tenant.upload_us.record_duration(elapsed);
     if retries > 0 {

@@ -109,9 +109,10 @@ pub struct JobTrace {
     pub begin_micros: u64,
     /// Measured job wall time, µs.
     pub wall_micros: u64,
-    /// Whether `job.end` was observed (false = job still running or the
-    /// ring evicted it).
-    pub complete: bool,
+    /// Which terminal event ended the job: `"end"` (completed), `"fail"`
+    /// or `"abort"`; `None` while the job is still running or when the
+    /// ring evicted the event.
+    pub outcome: Option<&'static str>,
     /// Events whose parent span was not retained (evicted or untraced);
     /// they are re-anchored under the root.
     pub orphans: u64,
@@ -132,11 +133,20 @@ impl JobTrace {
         let root_ids: SpanIds = begin.ids;
         let job = begin.job;
 
-        // Wall time: job.end carries the measured duration; fall back to
-        // the latest event timestamp for in-flight jobs.
-        let end = events
-            .iter()
-            .find(|e| e.kind == "job.end" && e.ids.span == root_ids.span);
+        // The terminal event — emitted with the root's own ids, whichever
+        // way the job ended — folds into the root rather than becoming a
+        // node. It carries the measured wall time; fall back to the latest
+        // event timestamp for in-flight jobs.
+        let terminal = |e: &SpanEvent| {
+            let outcome = match e.kind {
+                "job.end" => "end",
+                "job.fail" => "fail",
+                "job.abort" => "abort",
+                _ => return None,
+            };
+            (e.ids.span == root_ids.span).then_some(outcome)
+        };
+        let end = events.iter().find(|e| terminal(e).is_some());
         let last_at = events
             .iter()
             .map(|e| e.at_micros)
@@ -148,11 +158,11 @@ impl JobTrace {
             None => last_at.saturating_sub(begin.at_micros),
         };
 
-        // First pass: one node per event (job.end folds into the root).
+        // First pass: one node per non-terminal event.
         let mut nodes: Vec<SpanNode> = Vec::with_capacity(events.len());
         let mut root = 0usize;
         for e in events {
-            if e.kind == "job.end" && e.ids.span == root_ids.span {
+            if terminal(e).is_some() {
                 continue;
             }
             if e.kind == "job.begin" {
@@ -281,11 +291,16 @@ impl JobTrace {
             nodes,
             begin_micros: t0,
             wall_micros,
-            complete: end.is_some(),
+            outcome: end.and_then(terminal),
             orphans,
             attribution,
             critical_stage,
         })
+    }
+
+    /// Whether the job's terminal event was observed.
+    pub fn complete(&self) -> bool {
+        self.outcome.is_some()
     }
 
     /// Sum of all attributed buckets — equals `wall_micros` by
@@ -298,9 +313,15 @@ impl JobTrace {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024 + self.nodes.len() * 128);
         out.push_str(&format!(
-            "{{\n  \"job\": {}, \"trace_id\": {}, \"complete\": {}, \
+            "{{\n  \"job\": {}, \"trace_id\": {}, \"complete\": {}, \"outcome\": {}, \
              \"wall_micros\": {}, \"orphans\": {},\n",
-            self.job, self.trace_id, self.complete, self.wall_micros, self.orphans
+            self.job,
+            self.trace_id,
+            self.complete(),
+            self.outcome
+                .map_or("null".to_string(), |o| format!("\"{o}\"")),
+            self.wall_micros,
+            self.orphans
         ));
         out.push_str("  \"attribution\": {");
         for (i, (name, micros)) in self.attribution.iter().enumerate() {
@@ -330,11 +351,11 @@ impl JobTrace {
     pub fn render_ascii(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "job {} trace {:#x} wall {}us{}\n",
+            "job {} trace {:#x} wall {}us ({})\n",
             self.job,
             self.trace_id,
             self.wall_micros,
-            if self.complete { "" } else { " (incomplete)" }
+            self.outcome.unwrap_or("incomplete")
         ));
         out.push_str("attribution:\n");
         for (name, micros) in &self.attribution {
@@ -439,7 +460,8 @@ mod tests {
         let t = JobTrace::assemble(&events).expect("trace assembles");
         assert_eq!(t.job, 7);
         assert_eq!(t.trace_id, 0xABC);
-        assert!(t.complete);
+        assert!(t.complete());
+        assert_eq!(t.outcome, Some("end"));
         assert_eq!(t.wall_micros, 1500);
         assert_eq!(t.orphans, 0);
         assert_eq!(t.nodes[t.root].children.len(), 6);
@@ -467,6 +489,41 @@ mod tests {
     }
 
     #[test]
+    fn failed_job_folds_its_terminal_event_into_the_root() {
+        let r = root_ids();
+        let events = vec![
+            ev("job.begin", r, 1000, 0, 0, 1),
+            ev("chunk.convert", r.child(2), 1400, 400, 1, 100),
+            ev("file.upload", r.child(3), 1700, 300, 1, 4096),
+            // Emitted with the root's own ids, like job.end.
+            ev("job.fail", r, 1800, 800, 0, 3707),
+        ];
+        let t = JobTrace::assemble(&events).expect("trace assembles");
+        assert!(t.complete(), "a failed job is over");
+        assert_eq!(t.outcome, Some("fail"));
+        assert_eq!(t.wall_micros, 800);
+        assert_eq!(t.orphans, 0);
+        assert_eq!(t.nodes.len(), 3, "job.fail is not a node");
+        let kinds: Vec<&str> = t.nodes[t.root]
+            .children
+            .iter()
+            .map(|&c| t.nodes[c].kind)
+            .collect();
+        assert_eq!(
+            kinds,
+            ["chunk.convert", "file.upload"],
+            "stage spans stay under job.begin"
+        );
+        assert_eq!(t.attributed_total(), t.wall_micros);
+        assert!(t.to_json().contains("\"outcome\": \"fail\""));
+        assert!(t.render_ascii().contains("(fail)"));
+
+        let aborted = vec![events[0], ev("job.abort", r, 1500, 500, 0, 0)];
+        let t = JobTrace::assemble(&aborted).unwrap();
+        assert_eq!(t.outcome, Some("abort"));
+    }
+
+    #[test]
     fn orphan_events_anchor_to_root() {
         let r = root_ids();
         let lost_parent = SpanIds {
@@ -481,7 +538,8 @@ mod tests {
         let t = JobTrace::assemble(&events).unwrap();
         assert_eq!(t.orphans, 1);
         assert_eq!(t.nodes[t.root].children.len(), 1);
-        assert!(!t.complete);
+        assert!(!t.complete());
+        assert_eq!(t.outcome, None);
         assert_eq!(t.wall_micros, 500, "falls back to last event");
     }
 

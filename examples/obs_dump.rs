@@ -1,7 +1,7 @@
 //! Dump the virtualizer's observability surface while a load job runs:
 //! live journal events mid-flight, then the full stats snapshot (JSON),
-//! a Prometheus excerpt, and the same document fetched over the wire with
-//! an `Introspect` request for the `Stats` topic.
+//! its Prometheus exposition, and the same document fetched over the wire
+//! with an `Introspect` request for the `Stats` topic.
 //!
 //! Run with `cargo run --example obs_dump`.
 //!
@@ -14,12 +14,11 @@
 //! cargo run --example obs_dump -- --trace 1
 //! ```
 //!
-//! With `--tenants` the example prints the per-tenant dimensional
-//! metrics instead (the tenant-labeled Prometheus families plus the
-//! `tenants` section of the JSON snapshot); with `--slo` it prints the
-//! SLO/overload health report — burn rates, active alerts, node
-//! saturation — both directly and fetched over the wire with the
-//! `Health` topic. The two flags compose.
+//! With `--tenants` the example prints the Prometheus exposition alone
+//! (node totals plus the tenant-labeled families); with `--slo` it prints
+//! the SLO/overload health report — burn rates, active alerts, node
+//! saturation — both directly and fetched over the wire with the `Health`
+//! topic. The two flags compose.
 //!
 //! With `--profile` the example prints the continuous-profiling report:
 //! the ASCII flame tree aggregated from the journal, per-stage CPU/wall
@@ -201,16 +200,11 @@ fn main() {
     if show_tenants || show_slo {
         if show_tenants {
             // The load above logged on as "user" (the script's .logon),
-            // so its work shows up under that tenant label.
-            println!("\n== per-tenant metrics (tenant-labeled Prometheus families) ==");
-            for line in v
-                .introspect(Topic::Stats, Format::Text)
-                .body
-                .lines()
-                .filter(|l| l.contains("etlv_tenant_"))
-            {
-                println!("{line}");
-            }
+            // so its work shows up under that tenant label. The whole
+            // exposition is printed so node totals can be checked against
+            // the tenant-labelled families.
+            println!("\n== Stats exposition (Prometheus; etlv_tenant_* carry the tenant label) ==");
+            print!("{}", v.introspect(Topic::Stats, Format::Text).body);
         }
         if show_slo {
             println!("\n== SLO / overload health report (JSON) ==");
@@ -238,15 +232,8 @@ fn main() {
     println!("\n== Stats snapshot (JSON) ==");
     println!("{}", v.introspect(Topic::Stats, Format::Json).body);
 
-    println!("== Prometheus excerpt (first 20 lines) ==");
-    for line in v
-        .introspect(Topic::Stats, Format::Text)
-        .body
-        .lines()
-        .take(20)
-    {
-        println!("{line}");
-    }
+    println!("== Stats exposition (Prometheus) ==");
+    print!("{}", v.introspect(Topic::Stats, Format::Text).body);
 
     // The same surface over the wire: a control session's Stats topic.
     println!("\n== Stats over the legacy wire protocol ==");

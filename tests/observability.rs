@@ -4,12 +4,16 @@
 
 use std::sync::Arc;
 
+use etlv_core::obs::SeriesValue;
 use etlv_core::{Virtualizer, VirtualizerConfig};
 use etlv_legacy_client::{ClientOptions, LegacyEtlClient};
 use etlv_protocol::message::{Format, SessionRole, Topic};
 use etlv_script::{compile, parse_script, JobPlan};
 mod common;
-use common::{counter, customer_import_job, customer_rows, customer_virtualizer, tcp_connector};
+use common::{
+    counter, customer_import_job, customer_rows, customer_virtualizer, export_job, tcp_connector,
+    wait_idle,
+};
 
 /// Counters registered once, hammered from many threads, summed at
 /// snapshot: the shard merge must never lose an increment, and histogram
@@ -26,7 +30,10 @@ fn concurrent_counter_and_histogram_aggregation() {
             for i in 0..PER_THREAD {
                 obs.pipeline.convert_rows.inc();
                 obs.pipeline.convert_bytes.add(3);
-                obs.pipeline.convert_us.record(t as u64 * PER_THREAD + i);
+                obs.profile
+                    .convert
+                    .wall_us
+                    .record(t as u64 * PER_THREAD + i);
             }
         }));
     }
@@ -37,11 +44,9 @@ fn concurrent_counter_and_histogram_aggregation() {
     assert_eq!(obs.pipeline.convert_rows.value(), total);
     assert_eq!(obs.pipeline.convert_bytes.value(), 3 * total);
     let snap = obs.snapshot();
-    let hist = snap
-        .histograms
-        .iter()
-        .find(|h| h.name == "pipeline.convert_us")
-        .unwrap();
+    let Some(SeriesValue::Histogram(hist)) = snap.get("pipeline.convert_us", None) else {
+        panic!("pipeline.convert_us is a registered histogram")
+    };
     assert_eq!(hist.count, total, "every recorded value landed in a bucket");
     assert_eq!(hist.max, total - 1);
     assert!(hist.p50 >= total / 2, "p50 {} conservative", hist.p50);
@@ -592,4 +597,147 @@ fn rejections_and_idle_timeouts_attributed_to_their_tenant() {
         prom.contains("etlv_tenant_idle_timeouts{tenant=\"holder\"} 1\n"),
         "{prom}"
     );
+}
+
+/// One ledger, checked at all four job exits: a completed load, a failed
+/// one, an abandoned one and an export, spread over two tenants. The node
+/// counter, the sum of the tenant-labelled series and the `NodeMetrics`
+/// view must tell the same story, and nothing may stay "held" afterwards.
+#[test]
+fn node_totals_equal_the_sum_over_tenants() {
+    use etlv_legacy_client::Session;
+    use etlv_protocol::message::{BeginLoad, DataChunk, Message};
+
+    let v = customer_virtualizer(VirtualizerConfig::default());
+    let connector = tcp_connector(&v);
+    let client = LegacyEtlClient::with_options(
+        connector.clone(),
+        ClientOptions {
+            chunk_rows: 20,
+            sessions: Some(2),
+            ..Default::default()
+        },
+    );
+
+    // alice: one load completes, one fails on a DML naming no table.
+    let mut job = customer_import_job();
+    job.logon.user = "alice".into();
+    let done = client.run_import_data(&job, &customer_rows(60)).unwrap();
+    assert_eq!(done.report.rows_applied, 60);
+    let mut bad = job.clone();
+    bad.dml = "insert into PROD.NO_SUCH_TABLE values (:CUST_ID)".into();
+    assert!(client.run_import_data(&bad, &customer_rows(40)).is_err());
+
+    // bob: one load abandoned mid-flight (socket dropped after a chunk
+    // was accepted), one export read to its last chunk.
+    let mut control =
+        Session::logon(connector.as_ref(), "bob", "pw", SessionRole::Control, 0).unwrap();
+    let load_token = match control
+        .request(Message::BeginLoad(BeginLoad {
+            target_table: job.target.clone(),
+            error_table_et: job.error_table_et.clone(),
+            error_table_uv: job.error_table_uv.clone(),
+            layout: job.layout.clone(),
+            format: job.format,
+            sessions: 1,
+            error_limit: 0,
+            trace: None,
+        }))
+        .unwrap()
+    {
+        Message::BeginLoadOk { load_token } => load_token,
+        other => panic!("expected BeginLoadOk, got {:?}", other.kind()),
+    };
+    let mut data = Session::logon(
+        connector.as_ref(),
+        "bob",
+        "pw",
+        SessionRole::Data,
+        load_token,
+    )
+    .unwrap();
+    let reply = data
+        .request(Message::DataChunk(DataChunk {
+            chunk_seq: 1,
+            base_seq: 1,
+            record_count: 10,
+            data: customer_rows(10).into(),
+        }))
+        .unwrap();
+    assert!(matches!(reply, Message::Ack { chunk_seq: 1 }));
+    drop(data);
+    drop(control);
+    wait_idle(&v);
+    let mut export = export_job("select CUST_ID, CUST_NAME from PROD.CUSTOMER order by CUST_ID");
+    export.logon.user = "bob".into();
+    let exported = client.run_export(&export).unwrap();
+    assert_eq!(exported.rows, 60);
+    wait_idle(&v);
+
+    let (obs, metrics, snap) = (v.obs(), v.metrics(), v.obs().snapshot());
+    let over_tenants = |name: &str| -> u64 {
+        let values: Vec<u64> = snap
+            .series
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| match s.value {
+                SeriesValue::Counter(v) | SeriesValue::Gauge(v) => v,
+                SeriesValue::Histogram(_) => panic!("{name} is a scalar"),
+            })
+            .collect();
+        assert!(values.len() >= 2, "{name}: one series per tenant");
+        values.iter().sum()
+    };
+    let gateway = &obs.gateway;
+    assert_eq!(gateway.jobs_started.value(), 3, "exports are not load jobs");
+    assert_eq!(over_tenants("tenant.jobs_started"), 3);
+    for (what, node, tenants, view) in [
+        (
+            "completed",
+            &gateway.jobs_completed,
+            "tenant.jobs_completed",
+            metrics.jobs_completed,
+        ),
+        (
+            "failed",
+            &gateway.jobs_failed,
+            "tenant.jobs_failed",
+            metrics.jobs_failed,
+        ),
+        (
+            "aborted",
+            &gateway.jobs_aborted,
+            "tenant.jobs_aborted",
+            metrics.jobs_aborted,
+        ),
+    ] {
+        assert_eq!(node.value(), 1, "node counter: one job {what}");
+        assert_eq!(over_tenants(tenants), 1, "tenant series: one job {what}");
+        assert_eq!(view, 1, "NodeMetrics: one job {what}");
+    }
+    assert_eq!(obs.registry.tenant("alice").jobs_completed.value(), 1);
+    assert_eq!(obs.registry.tenant("alice").jobs_failed.value(), 1);
+    assert_eq!(obs.registry.tenant("bob").jobs_aborted.value(), 1);
+
+    assert_eq!(metrics.rows_ingested, 60, "the completed job's rows only");
+    assert_eq!(gateway.rows_ingested.value(), 60);
+    assert_eq!(over_tenants("tenant.rows_applied"), 60);
+    assert_eq!(metrics.exports_completed, 1);
+    assert_eq!(metrics.rows_exported, 60);
+    assert_eq!(metrics.rows_exported, obs.export.rows.value());
+    assert_eq!(metrics.bytes_exported, obs.export.bytes.value());
+    assert!(metrics.bytes_exported >= exported.data.len() as u64);
+
+    assert_eq!(gateway.active_jobs.value(), 0);
+    for held in [
+        "tenant.active_jobs",
+        "tenant.credit_held",
+        "tenant.memory_held",
+    ] {
+        assert_eq!(
+            over_tenants(held),
+            0,
+            "{held} back to zero for every tenant"
+        );
+    }
 }

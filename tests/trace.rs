@@ -37,7 +37,7 @@ fn multi_chunk_import_yields_complete_span_tree() {
 
     // Assembled server-side: a complete tree rooted at job.begin.
     let trace = v.trace(1).expect("trace for job 1");
-    assert!(trace.complete, "job.end folded into the root");
+    assert!(trace.complete(), "job.end folded into the root");
     assert_eq!(trace.job, 1);
     assert_eq!(
         trace.trace_id, result.trace_id,
@@ -151,6 +151,31 @@ fn multi_chunk_import_yields_complete_span_tree() {
     assert!(!missing.found);
     assert!(missing.body.is_empty());
     session.logoff();
+
+    // A load that fails — its DML names no table — is over too: the
+    // terminal `job.fail` folds into the root exactly as `job.end` does,
+    // and the stage spans stay under the root.
+    let mut bad = customer_import_job();
+    bad.dml = "insert into PROD.NO_SUCH_TABLE values (:CUST_ID)".into();
+    assert!(client.run_import_data(&bad, &customer_rows(50)).is_err());
+    let failed = v.trace(2).expect("trace for the failed job");
+    assert!(failed.complete(), "a failed job is not still running");
+    assert_eq!(failed.outcome, Some("fail"));
+    assert_eq!(failed.orphans, 0);
+    assert_eq!(failed.attributed_total(), failed.wall_micros);
+    assert!(failed.nodes.iter().all(|n| n.kind != "job.fail"));
+    let root_span = failed.nodes[failed.root].span;
+    let converts: Vec<_> = failed
+        .nodes
+        .iter()
+        .filter(|n| n.kind == "chunk.convert")
+        .collect();
+    assert_eq!(converts.len(), 5, "one convert span per chunk");
+    assert!(converts.iter().all(|n| n.parent == root_span));
+    assert_eq!(
+        failed.nodes[failed.root].children.len(),
+        failed.nodes.len() - 1
+    );
 }
 
 /// The background sampler captures a non-empty rows/sec series during a
@@ -312,7 +337,7 @@ fn trace_free_legacy_client_still_loads() {
     // The gateway minted a trace of its own: the tree is still
     // complete and queryable.
     let trace = v.trace(load_token).expect("gateway-minted trace");
-    assert!(trace.complete);
+    assert!(trace.complete());
     assert_ne!(trace.trace_id, 0, "server minted a nonzero trace id");
     assert!(trace.nodes.iter().any(|n| n.kind == "chunk.convert"));
     control.logoff();
