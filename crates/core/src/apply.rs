@@ -19,9 +19,6 @@ use crate::xcompile::CompiledDml;
 /// How the application phase executes the job's DML.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApplyStrategy {
-    /// One set-oriented statement over the whole staging table; any error
-    /// fails the job. Fastest when the data is known-clean.
-    Bulk,
     /// Set-oriented with adaptive error handling (the paper's design).
     BulkAdaptive,
     /// Row-at-a-time singleton inserts with immediate error logging — the
@@ -43,31 +40,6 @@ pub fn apply(
     obs: Option<&JobObs>,
 ) -> Result<AdaptiveOutcome, CdwError> {
     match strategy {
-        ApplyStrategy::Bulk => {
-            let mut outcome = AdaptiveOutcome::default();
-            if let Some(emu) = emulation {
-                outcome.statements += 1;
-                let violations = retry_cdw(
-                    params.retry,
-                    params.retry_seed,
-                    &mut outcome.transient_retries,
-                    || emu.violations_in_range(cdw, lo, hi),
-                )?;
-                if violations > 0 {
-                    return Err(emu.violation_error());
-                }
-            }
-            outcome.statements += 1;
-            let stmt = compiled.range_stmt(Some(lo), Some(hi));
-            let result = retry_cdw(
-                params.retry,
-                params.retry_seed ^ 1,
-                &mut outcome.transient_retries,
-                || cdw.execute_stmt(&stmt),
-            )?;
-            outcome.applied = result.affected;
-            Ok(outcome)
-        }
         ApplyStrategy::BulkAdaptive => {
             apply_adaptive(cdw, compiled, emulation, layout, lo, hi, params, obs)
         }
@@ -241,47 +213,6 @@ mod tests {
         // Per-row statement cost: scan + 5×(check + insert) minus the
         // skipped insert for the UV row.
         assert!(outcome.statements >= 10, "{}", outcome.statements);
-    }
-
-    #[test]
-    fn bulk_fails_fast_on_dirty_data() {
-        let (cdw, compiled, layout) = setup();
-        let emu = emulate::plan(&cdw, &compiled).unwrap();
-        let err = apply(
-            &cdw,
-            &compiled,
-            emu.as_ref(),
-            &layout,
-            1,
-            6,
-            ApplyStrategy::Bulk,
-            AdaptiveParams::default(),
-            None,
-        )
-        .unwrap_err();
-        assert!(err.is_bulk_abort());
-        assert_eq!(cdw.table_len("PROD.CUSTOMER").unwrap(), 0);
-    }
-
-    #[test]
-    fn bulk_succeeds_on_clean_range() {
-        let (cdw, compiled, layout) = setup();
-        let emu = emulate::plan(&cdw, &compiled).unwrap();
-        // Row 1 alone is clean.
-        let outcome = apply(
-            &cdw,
-            &compiled,
-            emu.as_ref(),
-            &layout,
-            1,
-            2,
-            ApplyStrategy::Bulk,
-            AdaptiveParams::default(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(outcome.applied, 1);
-        assert_eq!(outcome.statements, 2);
     }
 
     #[test]

@@ -48,7 +48,10 @@ pub struct VirtualizerConfig {
     pub memory_cap: usize,
     /// Rows per export chunk handed to client sessions.
     pub export_chunk_rows: u32,
-    /// TDFCursor read-ahead, in chunks.
+    /// Ignored: export read-ahead, in chunks. The export cursor serves
+    /// slices of a result the CDW returns whole, so there is nothing to
+    /// read ahead. Kept because `etlv-bench` passes it to
+    /// `TdfCursor::open`.
     pub export_prefetch_chunks: usize,
     /// How long EndLoad waits for the acquisition pipeline to drain before
     /// declaring the job wedged.

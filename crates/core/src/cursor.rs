@@ -1,155 +1,86 @@
-//! TDFCursor: on-demand, buffered retrieval of export result chunks
-//! (paper §3/§4).
+//! TDFCursor: retrieval of export result chunks by index (paper §3/§4).
 //!
-//! The cursor executes the cross-compiled SELECT on the CDW, slices the
-//! result into TDF chunks, and serves them **by index** to parallel client
-//! export sessions. A background prefetcher keeps up to `prefetch` chunks
-//! encoded ahead of demand; when a session requests an index beyond the
-//! read-ahead window (parallel sessions fetch round-robin, so this is
-//! normal), the prefetcher runs forward to cover it rather than stalling
-//! the session.
-
-use std::collections::HashMap;
-use std::sync::Arc;
+//! The cursor executes the cross-compiled SELECT on the CDW once and
+//! keeps the typed result it returns. Chunk `i` is the slice of rows
+//! `[i·n, (i+1)·n)`, served **by index** to parallel client export
+//! sessions in any order, as often as they ask: the cursor is immutable
+//! after `open`, so concurrent sessions need no lock and a repeated
+//! request is answered again, as the legacy server answers it.
 
 use etlv_cdw::{Cdw, CdwError};
-use parking_lot::{Condvar, Mutex};
-
-use crate::tdf::TdfPacket;
+use etlv_protocol::data::{LegacyType, Value};
 
 /// A chunk served to an export session.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CursorChunk {
+pub struct CursorChunk<'a> {
     /// Chunk index.
     pub index: u64,
-    /// Encoded TDF packet.
-    pub packet: TdfPacket,
+    /// The chunk's rows, borrowed from the cursor's result.
+    pub rows: &'a [Vec<Value>],
     /// Whether this is at/after the end of the result.
     pub last: bool,
 }
 
-#[derive(Default)]
-struct State {
-    ready: HashMap<u64, CursorChunk>,
-    /// Highest index any consumer has asked for.
-    demanded: u64,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    produced: Condvar,
-    consumed: Condvar,
-    total_chunks: u64,
-}
-
-/// The TDF cursor.
+/// The TDF cursor: an immutable view over one query result.
 pub struct TdfCursor {
-    shared: Arc<Shared>,
-    columns: Vec<(String, etlv_protocol::data::LegacyType)>,
-    rows_total: u64,
+    columns: Vec<(String, LegacyType)>,
+    rows: Vec<Vec<Value>>,
+    chunk_rows: usize,
 }
 
 impl TdfCursor {
     /// Execute `select_cdw` (CDW dialect text) and open a cursor over the
-    /// result with `chunk_rows` rows per chunk and `prefetch` chunks of
-    /// read-ahead.
+    /// result with `chunk_rows` rows per chunk. `_prefetch` is ignored:
+    /// the whole result is in memory once the CDW returns it, so there is
+    /// nothing to read ahead. It stays in the signature because
+    /// `etlv-bench` passes `VirtualizerConfig::export_prefetch_chunks`.
     pub fn open(
         cdw: &Cdw,
         select_cdw: &str,
         chunk_rows: u32,
-        prefetch: usize,
+        _prefetch: usize,
     ) -> Result<TdfCursor, CdwError> {
         let result = cdw.execute(select_cdw)?;
-        let columns: Vec<(String, etlv_protocol::data::LegacyType)> = result
-            .columns
-            .iter()
-            .map(|(n, ty)| (n.clone(), ty.to_legacy()))
-            .collect();
-        let rows_total = result.rows.len() as u64;
-        let chunk_rows = chunk_rows.max(1) as usize;
-        let chunks: Vec<Vec<Vec<etlv_protocol::data::Value>>> = if result.rows.is_empty() {
-            Vec::new()
-        } else {
-            result.rows.chunks(chunk_rows).map(|c| c.to_vec()).collect()
-        };
-        let total_chunks = chunks.len() as u64;
-
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State::default()),
-            produced: Condvar::new(),
-            consumed: Condvar::new(),
-            total_chunks,
-        });
-
-        // Background prefetcher: encodes chunks into TDF packets, keeping
-        // `prefetch` in the buffer — but never stalling behind an index a
-        // consumer is already waiting for.
-        {
-            let shared = Arc::clone(&shared);
-            let columns = columns.clone();
-            let prefetch = prefetch.max(1);
-            std::thread::spawn(move || {
-                for (i, rows) in chunks.into_iter().enumerate() {
-                    let index = i as u64;
-                    let packet = TdfPacket::from_rows(columns.clone(), rows);
-                    let chunk = CursorChunk {
-                        index,
-                        packet,
-                        last: index + 1 >= total_chunks,
-                    };
-                    let mut state = shared.state.lock();
-                    while state.ready.len() >= prefetch && index > state.demanded {
-                        shared.consumed.wait(&mut state);
-                    }
-                    state.ready.insert(index, chunk);
-                    shared.produced.notify_all();
-                }
-            });
-        }
-
         Ok(TdfCursor {
-            shared,
-            columns,
-            rows_total,
+            columns: result
+                .columns
+                .iter()
+                .map(|(n, ty)| (n.clone(), ty.to_legacy()))
+                .collect(),
+            rows: result.rows,
+            chunk_rows: chunk_rows.max(1) as usize,
         })
     }
 
     /// Result columns (legacy wire types).
-    pub fn columns(&self) -> &[(String, etlv_protocol::data::LegacyType)] {
+    pub fn columns(&self) -> &[(String, LegacyType)] {
         &self.columns
     }
 
     /// Total rows in the result.
     pub fn rows_total(&self) -> u64 {
-        self.rows_total
+        self.rows.len() as u64
     }
 
     /// Total number of chunks.
     pub fn total_chunks(&self) -> u64 {
-        self.shared.total_chunks
+        self.rows.len().div_ceil(self.chunk_rows) as u64
     }
 
-    /// Fetch chunk `index`, blocking until the prefetcher has produced it.
-    /// Indexes at/after the end return an empty terminal chunk.
-    pub fn chunk(&self, index: u64) -> CursorChunk {
-        if index >= self.shared.total_chunks {
-            return CursorChunk {
-                index,
-                packet: TdfPacket::from_rows(self.columns.clone(), Vec::new()),
-                last: true,
-            };
-        }
-        let mut state = self.shared.state.lock();
-        if index > state.demanded {
-            state.demanded = index;
-            self.shared.consumed.notify_all();
-        }
-        loop {
-            if let Some(chunk) = state.ready.remove(&index) {
-                self.shared.consumed.notify_all();
-                return chunk;
-            }
-            self.shared.produced.wait(&mut state);
+    /// Chunk `index`. Indexes at/after the end return an empty terminal
+    /// chunk.
+    pub fn chunk(&self, index: u64) -> CursorChunk<'_> {
+        let total = self.total_chunks();
+        let rows = if index < total {
+            let start = index as usize * self.chunk_rows;
+            &self.rows[start..(start + self.chunk_rows).min(self.rows.len())]
+        } else {
+            &[]
+        };
+        CursorChunk {
+            index,
+            rows,
+            last: index + 1 >= total,
         }
     }
 }
@@ -157,7 +88,9 @@ impl TdfCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etlv_protocol::data::Value;
+    use std::sync::mpsc;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn cdw_with_rows(n: usize) -> Cdw {
         let cdw = Cdw::new();
@@ -176,18 +109,17 @@ mod tests {
         let cursor = TdfCursor::open(&cdw, "SELECT A, B FROM T ORDER BY A", 3, 2).unwrap();
         assert_eq!(cursor.total_chunks(), 4);
         assert_eq!(cursor.rows_total(), 10);
-        // Request out of order — including an index beyond the prefetch
-        // window, which must not deadlock.
+        // Request out of order.
         let c2 = cursor.chunk(2);
         let c0 = cursor.chunk(0);
         let c3 = cursor.chunk(3);
         let c1 = cursor.chunk(1);
         assert!(!c0.last && !c1.last && !c2.last);
         assert!(c3.last);
-        assert_eq!(c3.packet.rows.len(), 1);
+        assert_eq!(c3.rows.len(), 1);
         let all: Vec<i64> = [c0, c1, c2, c3]
             .iter()
-            .flat_map(|c| c.packet.scalar_rows().unwrap())
+            .flat_map(|c| c.rows)
             .map(|row| match &row[0] {
                 Value::Int(v) => *v,
                 _ => panic!(),
@@ -200,13 +132,36 @@ mod tests {
     fn reverse_order_consumption() {
         let cdw = cdw_with_rows(20);
         let cursor = TdfCursor::open(&cdw, "SELECT A FROM T ORDER BY A", 2, 1).unwrap();
-        // Fetch every chunk strictly backwards with a 1-chunk window.
+        // Fetch every chunk strictly backwards.
         let total = cursor.total_chunks();
         let mut rows = 0usize;
         for index in (0..total).rev() {
-            rows += cursor.chunk(index).packet.rows.len();
+            rows += cursor.chunk(index).rows.len();
         }
         assert_eq!(rows, 20);
+    }
+
+    /// A chunk already served is served again, with the same rows. The
+    /// second request runs on another thread and is awaited with a
+    /// timeout, so a cursor that cannot answer it fails the test instead
+    /// of hanging it.
+    #[test]
+    fn repeated_request_returns_the_same_rows() {
+        let cdw = cdw_with_rows(10);
+        let cursor =
+            Arc::new(TdfCursor::open(&cdw, "SELECT A, B FROM T ORDER BY A", 3, 2).unwrap());
+        let (tx, rx) = mpsc::channel();
+        let reader = Arc::clone(&cursor);
+        std::thread::spawn(move || {
+            let first = reader.chunk(0).rows.to_vec();
+            let again = reader.chunk(0).rows.to_vec();
+            let _ = tx.send((first, again));
+        });
+        let (first, again) = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a served chunk must be servable again");
+        assert_eq!(first.len(), 3);
+        assert_eq!(first, again);
     }
 
     #[test]
@@ -216,7 +171,7 @@ mod tests {
         assert_eq!(cursor.total_chunks(), 1);
         let c5 = cursor.chunk(5);
         assert!(c5.last);
-        assert!(c5.packet.rows.is_empty());
+        assert!(c5.rows.is_empty());
     }
 
     #[test]
@@ -243,7 +198,7 @@ mod tests {
                 loop {
                     let idx = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                     let chunk = cursor.chunk(idx);
-                    rows += chunk.packet.rows.len() as u64;
+                    rows += chunk.rows.len() as u64;
                     if chunk.last {
                         return rows;
                     }

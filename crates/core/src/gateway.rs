@@ -1245,9 +1245,8 @@ impl Virtualizer {
         })
     }
 
-    /// Serve one export chunk: pull the TDF packet from the cursor, unwrap
-    /// it, and re-encode rows in the legacy wire format (the PXC's result
-    /// conversion, §4).
+    /// Serve one export chunk: encode the cursor's slice of the result in
+    /// the legacy wire format (the PXC's result conversion, §4).
     pub(crate) fn handle_export_req(&self, token: u64, index: u64) -> Message {
         let job = {
             let jobs = self.node.jobs.lock();
@@ -1263,21 +1262,17 @@ impl Virtualizer {
             }
         };
         let chunk = job.cursor.chunk(index);
-        let rows = match chunk.packet.scalar_rows() {
-            Ok(r) => r,
-            Err(e) => return error_msg(ErrCode::INTERNAL, e.to_string(), true),
-        };
-        let data = match encode_rows(&job.layout, job.format, &rows) {
+        let data = match encode_rows(&job.layout, job.format, chunk.rows) {
             Ok(d) => d,
             Err(e) => return error_msg(ErrCode::INTERNAL, e.to_string(), true),
         };
         let export = &self.node.obs.export;
         export.chunks.inc();
-        export.rows.add(rows.len() as u64);
+        export.rows.add(chunk.rows.len() as u64);
         export.bytes.add(data.len() as u64);
         Message::ExportChunk(ExportChunk {
             index,
-            record_count: rows.len() as u32,
+            record_count: chunk.rows.len() as u32,
             last: chunk.last,
             data: data.into(),
         })

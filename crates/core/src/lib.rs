@@ -41,14 +41,14 @@
 //! - [`credit`]: the CreditManager back-pressure mechanism (§5, Fig. 4).
 //! - [`memory`]: in-flight memory accounting — the guard that turns the
 //!   paper's one-million-credit OOM crash into a reportable error (§9).
-//! - [`apply`]: DML application strategies — bulk, adaptive, and the
+//! - [`apply`]: DML application strategies — adaptive, and the
 //!   singleton baseline from Figure 11 (§7).
 //! - [`adaptive`]: recursive chunk-splitting error handler (§7, Fig. 6).
 //! - [`emulate`]: uniqueness emulation on CDWs without native UNIQUE (§7).
 //! - [`fault`]: seeded deterministic fault injection + retry/backoff
 //!   policy hardening the acquisition pipeline (§9, DESIGN §7).
-//! - [`tdf`] / [`cursor`]: the Tabular Data Format and TDFCursor serving
-//!   parallel export sessions (§3, §4).
+//! - [`cursor`]: TDFCursor, serving slices of the CDW's query result by
+//!   index to parallel export sessions (§3, §4).
 //! - [`obs`]: observability — sharded metrics registry, span journal,
 //!   time-series sampler, and the stats snapshot renderers (§9, DESIGN §9).
 //! - [`trace`]: causal job tracing — assembles journal events into a
@@ -74,7 +74,6 @@ pub mod reactor;
 pub mod report;
 pub mod server;
 pub mod session;
-pub mod tdf;
 pub mod trace;
 pub mod workload;
 pub mod xcompile;

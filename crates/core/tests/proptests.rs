@@ -3,8 +3,7 @@
 //! - the adaptive error handler finds **exactly** the seeded bad rows for
 //!   any error pattern, and loads exactly the good ones;
 //! - the credit pool never exceeds capacity and never leaks under
-//!   arbitrary acquire/release interleavings;
-//! - TDF packets roundtrip for arbitrary scalar tables.
+//!   arbitrary acquire/release interleavings.
 
 use std::collections::HashSet;
 
@@ -13,9 +12,8 @@ use proptest::prelude::*;
 use etlv_cdw::Cdw;
 use etlv_core::adaptive::{apply_adaptive, AdaptiveParams, ErrorRows};
 use etlv_core::emulate;
-use etlv_core::tdf::TdfPacket;
 use etlv_core::xcompile::{compile_dml, staging_ddl};
-use etlv_protocol::data::{LegacyType as T, Value};
+use etlv_protocol::data::LegacyType as T;
 use etlv_protocol::layout::Layout;
 
 fn setup(
@@ -253,32 +251,5 @@ proptest! {
         }
         drop(held);
         prop_assert_eq!(mgr.available(), capacity);
-    }
-
-    #[test]
-    fn tdf_roundtrip_scalar_tables(
-        rows in proptest::collection::vec(
-            (any::<i32>(), "[ -~]{0,20}", proptest::option::of(any::<i16>())),
-            0..30
-        )
-    ) {
-        let packet = TdfPacket::from_rows(
-            vec![
-                ("A".into(), T::Integer),
-                ("B".into(), T::VarChar(20)),
-                ("C".into(), T::SmallInt),
-            ],
-            rows.into_iter()
-                .map(|(a, b, c)| {
-                    vec![
-                        Value::Int(a as i64),
-                        Value::Str(b),
-                        c.map(|v| Value::Int(v as i64)).unwrap_or(Value::Null),
-                    ]
-                })
-                .collect(),
-        );
-        let decoded = TdfPacket::decode(&packet.encode()).unwrap();
-        prop_assert_eq!(decoded, packet);
     }
 }

@@ -5,14 +5,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use etlv_protocol::message::{BeginLoad, DataChunk, EndLoad, LoadReport, Message, SessionRole};
 use etlv_protocol::trace::TraceContext;
 use etlv_script::ImportJob;
+use parking_lot::Mutex;
 
 use crate::connect::Connect;
 use crate::error::ClientError;
-use crate::input::{split_chunks, InputChunk};
+use crate::input::split_chunks;
 use crate::retry::with_busy_retry_counted;
 use crate::session::{unexpected, Session};
 use crate::ClientOptions;
@@ -116,15 +116,11 @@ pub fn run_import(
     // acked before the session takes the next (the synchronous legacy
     // protocol the paper describes in §5).
     let acquisition_started = Instant::now();
-    let (tx, rx) = channel::unbounded::<InputChunk>();
-    for chunk in chunks {
-        tx.send(chunk).expect("queue open");
-    }
-    drop(tx);
+    let queue = Arc::new(Mutex::new(chunks.into_iter()));
 
     let mut workers = Vec::new();
     for worker_id in 0..sessions {
-        let rx = rx.clone();
+        let queue = Arc::clone(&queue);
         let connector = Arc::clone(connector);
         let user = job.logon.user.clone();
         let password = job.logon.password.clone();
@@ -146,7 +142,12 @@ pub fn run_import(
                 })?;
             session.set_read_timeout(read_timeout);
             let mut chunk_seq = (worker_id as u64) << 32;
-            while let Ok(chunk) = rx.recv() {
+            loop {
+                // Its own statement, so the lock is released before the
+                // request: a guard in the loop condition would be held
+                // across the round trip and serialise the sessions.
+                let next = queue.lock().next();
+                let Some(chunk) = next else { break };
                 chunk_seq += 1;
                 let reply = session.request(Message::DataChunk(DataChunk {
                     chunk_seq,

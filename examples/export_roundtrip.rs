@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Demonstrates the reverse data path of the paper's Figure 2(b): SELECT
-//! on the CDW → TDFCursor chunk buffering → legacy record encoding →
+//! on the CDW → TDFCursor result slices by index → legacy record encoding →
 //! parallel export sessions → ordered reassembly at the client.
 
 use std::sync::Arc;

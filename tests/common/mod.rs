@@ -42,6 +42,16 @@ pub fn chaos_tcp_connector(v: &Virtualizer) -> Arc<dyn Connect> {
     }))
 }
 
+/// OS threads of this process right now (`/proc/self/status`).
+pub fn os_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("proc status");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("Threads: line")
+}
+
 /// Two-column import script against `table` (error tables `{table}_ET` /
 /// `{table}_UV`).
 pub fn simple_import_script(table: &str) -> String {

@@ -24,20 +24,10 @@ use etlv_core::{Virtualizer, VirtualizerConfig};
 use etlv_legacy_client::{Session, TcpConnector};
 use etlv_protocol::errcode::ErrCode;
 use etlv_protocol::frame::FrameDecoder;
-use etlv_protocol::message::{BeginLoad, Logon, Message, SessionRole};
+use etlv_protocol::message::{BeginExport, BeginLoad, Logon, Message, RecordFormat, SessionRole};
 
 mod common;
-use common::simple_import_job;
-
-/// OS threads of this process right now (`/proc/self/status`).
-fn os_threads() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("proc status");
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("Threads: line")
-}
+use common::{os_threads, simple_import_job};
 
 fn encode(msg: Message, session: u32, seq: u32) -> Vec<u8> {
     let mut buf = bytes::BytesMut::new();
@@ -480,4 +470,70 @@ fn empty_drain_returns_promptly() {
         t0.elapsed() < Duration::from_secs(5),
         "drain with no jobs must not wait on the timeout"
     );
+}
+
+/// An export chunk requested twice is served twice, byte for byte, as
+/// the legacy server serves it. Reads carry a timeout and the server is
+/// only shut down on success: a dispatch thread stuck on the repeat
+/// must fail this test, not hang its teardown.
+#[test]
+fn repeated_export_chunk_request_is_served_again() {
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    v.cdw()
+        .execute("CREATE TABLE EXP_T (A INTEGER, B VARCHAR(16))")
+        .unwrap();
+    for i in 0..10 {
+        v.cdw()
+            .execute(&format!("INSERT INTO EXP_T VALUES ({i}, 'row{i}')"))
+            .unwrap();
+    }
+    let server = std::mem::ManuallyDrop::new(v.listen_tcp("127.0.0.1:0").expect("bind"));
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+
+    let logon = Message::Logon(Logon {
+        username: "again".into(),
+        password: "p".into(),
+        role: SessionRole::Control,
+        job_token: 0,
+        trace: None,
+    });
+    stream.write_all(&encode(logon, 0, 0)).unwrap();
+    let Message::LogonOk(ok) = &read_messages(&mut stream, 1)[0] else {
+        panic!("expected LogonOk");
+    };
+    let session = ok.session;
+
+    let begin = Message::BeginExport(BeginExport {
+        select: "SELECT A, B FROM EXP_T ORDER BY A".into(),
+        format: RecordFormat::Vartext {
+            delimiter: b'|',
+            quote: b'"',
+        },
+        sessions: 1,
+        chunk_rows: 3,
+    });
+    stream.write_all(&encode(begin, session, 1)).unwrap();
+    assert!(matches!(
+        read_messages(&mut stream, 1)[0],
+        Message::BeginExportOk(_)
+    ));
+
+    let mut replies = Vec::new();
+    for seq in [2, 3] {
+        let req = Message::ExportChunkReq { index: 1 };
+        stream.write_all(&encode(req, session, seq)).unwrap();
+        match read_messages(&mut stream, 1).remove(0) {
+            Message::ExportChunk(chunk) => replies.push(chunk),
+            other => panic!("expected ExportChunk, got {other:?}"),
+        }
+    }
+    assert_eq!((replies[0].index, replies[0].record_count), (1, 3));
+    assert!(!replies[0].last);
+    assert_eq!(replies[0], replies[1], "the repeat must be byte-identical");
+
+    drop(stream);
+    std::mem::ManuallyDrop::into_inner(server).shutdown();
 }

@@ -1,5 +1,5 @@
-//! Export jobs through the virtualizer: SELECT on the CDW → TDFCursor →
-//! legacy wire encoding → client output file. Includes full
+//! Export jobs through the virtualizer: SELECT on the CDW → TDFCursor
+//! slice by index → legacy wire encoding → client output file. Includes full
 //! import-then-export roundtrips.
 
 use etlv_core::{Virtualizer, VirtualizerConfig};
