@@ -24,7 +24,6 @@ const ROWS: u64 = 25_000;
 fn config_for(workers: usize) -> VirtualizerConfig {
     VirtualizerConfig {
         converter_threads: workers,
-        file_writers: (workers / 4).max(1),
         credits: workers * 4,
         // On hosts with fewer cores than the paper's 16-core testbed, model
         // conversion as overlappable work (see VirtualizerConfig docs) so

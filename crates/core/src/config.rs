@@ -15,11 +15,10 @@ pub struct VirtualizerConfig {
     /// CreditManager pool size (shared per node across jobs, §5). Must be
     /// at least 1.
     pub credits: usize,
-    /// DataConverter worker threads in the node-wide pool, shared by
-    /// every concurrent job (0 is treated as 1).
+    /// Worker threads in the node-wide pool, shared by every concurrent
+    /// job; each converts a chunk, then appends it to its job's staging
+    /// file (0 is treated as 1).
     pub converter_threads: usize,
-    /// Number of parallel FileWriter stages.
-    pub file_writers: usize,
     /// Staged-file rotation threshold in bytes (§6: tuned to the CDW's
     /// preferred load size).
     pub file_size_threshold: usize,
@@ -121,7 +120,6 @@ impl Default for VirtualizerConfig {
         VirtualizerConfig {
             credits: cores * 4,
             converter_threads: cores,
-            file_writers: 2,
             file_size_threshold: 4 * 1024 * 1024,
             compress_staged: false,
             staging_bucket: "etlv-staging".into(),
@@ -190,9 +188,6 @@ impl VirtualizerConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.credits == 0 {
             return Err("credits must be at least 1".into());
-        }
-        if self.file_writers == 0 {
-            return Err("file_writers must be at least 1".into());
         }
         if self.file_size_threshold == 0 {
             return Err("file_size_threshold must be positive".into());
@@ -282,11 +277,6 @@ mod tests {
     fn validation_catches_zeros() {
         let c = VirtualizerConfig {
             credits: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = VirtualizerConfig {
-            file_writers: 0,
             ..Default::default()
         };
         assert!(c.validate().is_err());

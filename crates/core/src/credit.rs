@@ -3,8 +3,8 @@
 //! One CreditManager exists per virtualizer node and is shared by all
 //! concurrent jobs. A session handler must acquire a credit before it
 //! hands a data chunk to conversion; the credit travels with the chunk
-//! through the converter and file-writer stages and is returned to the
-//! pool just before the data is written out. When the pool is empty the
+//! through conversion and is returned to the pool just before the same
+//! worker writes the data out (the FileWriter step). When the pool is empty the
 //! acquiring session blocks — which, because the ack for the *previous*
 //! chunk has already been sent, stalls exactly one chunk of client
 //! progress per session: lightweight, self-clocking back-pressure.

@@ -13,11 +13,11 @@
 //!  legacy client ──frames──▶ gateway (Alpha) ─▶ Coalescer ─▶ PXC
 //!                                │   data chunks: credit + immediate ack
 //!                                ▼
-//!      DataConverter workers (legacy binary/vartext → staged text)
+//!      runtime workers: DataConverter (legacy binary/vartext → staged
+//!      text), then FileWriter (credit back, append, rotate at threshold)
 //!                                ▼
-//!      FileWriters (rotate at size threshold, optional compression)
-//!                                ▼
-//!      Bulk uploader → object store → COPY INTO staging table
+//!      Bulk uploader (optional compression) → object store → COPY INTO
+//!      staging table
 //!                                ▼
 //!      Application phase: cross-compiled DML (adaptive error handling,
 //!      uniqueness emulation) → target table → LoadReport
@@ -37,7 +37,8 @@
 //! - [`xcompile`]: SQL cross-compilation, placeholder → staging-column
 //!   mapping, staging DDL, type mapping (§3, §6).
 //! - [`convert`]: DataConverter — binary/vartext → CDW staged text (§4).
-//! - [`pipeline`]: the acquisition pipeline, converter/writer stages (§5).
+//! - [`pipeline`]: the acquisition pipeline — one kind of runtime worker
+//!   that converts a chunk, then appends it to its job's staging file (§5).
 //! - [`credit`]: the CreditManager back-pressure mechanism (§5, Fig. 4).
 //! - [`memory`]: in-flight memory accounting — the guard that turns the
 //!   paper's one-million-credit OOM crash into a reportable error (§9).
@@ -69,7 +70,6 @@ pub mod gateway;
 pub mod memory;
 pub mod obs;
 pub mod pipeline;
-pub mod pool;
 pub mod reactor;
 pub mod report;
 pub mod server;

@@ -112,25 +112,6 @@ impl MemoryGauge {
     }
 }
 
-impl MemGuard {
-    /// Shrink the reservation (e.g. after conversion produced smaller
-    /// output than the raw input).
-    pub fn shrink_to(&mut self, new_bytes: usize) {
-        let new_bytes = new_bytes as u64;
-        if new_bytes < self.bytes {
-            self.gauge
-                .in_flight
-                .fetch_sub(self.bytes - new_bytes, Ordering::AcqRel);
-            self.bytes = new_bytes;
-        }
-    }
-
-    /// Reserved size.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
 impl Drop for MemGuard {
     fn drop(&mut self) {
         self.gauge.in_flight.fetch_sub(self.bytes, Ordering::AcqRel);
@@ -181,20 +162,6 @@ mod tests {
         assert_eq!(err.in_flight, 8);
         assert_eq!(err.requested, 5);
         assert_eq!(err.cap, 10);
-    }
-
-    #[test]
-    fn shrink_reduces_in_flight() {
-        let g = MemoryGauge::new(100);
-        let mut a = g.reserve(80).unwrap();
-        a.shrink_to(30);
-        assert_eq!(g.in_flight(), 30);
-        assert_eq!(a.bytes(), 30);
-        // Growing via shrink_to is a no-op.
-        a.shrink_to(50);
-        assert_eq!(g.in_flight(), 30);
-        drop(a);
-        assert_eq!(g.in_flight(), 0);
     }
 
     #[test]

@@ -308,7 +308,9 @@ pub struct ReactorObs {
 /// Shared job-worker runtime handles.
 #[derive(Clone)]
 pub struct RuntimeObs {
-    /// Worker threads (converters + writers) the runtime is sized to.
+    /// Worker threads the runtime is sized to (`converter_threads`: each
+    /// worker converts a chunk, then appends it to its job's staging
+    /// file).
     pub workers: Gauge,
     /// Worker threads actually started over the runtime's lifetime.
     pub threads_started: Counter,
@@ -316,7 +318,8 @@ pub struct RuntimeObs {
     pub queue_depth: Histogram,
 }
 
-/// Acquisition-pipeline handles: converter workers, writers, uploader.
+/// Acquisition-pipeline handles: the runtime workers' convert and
+/// append/rotate steps, and the uploader.
 #[derive(Clone)]
 pub struct PipelineObs {
     /// Chunks converted.
@@ -457,8 +460,8 @@ impl StageProf {
 pub struct ProfileObs {
     /// Per-chunk conversion (converter workers): `pipeline.convert_us`.
     pub convert: StageProf,
-    /// Per-part upload including retries (writer workers):
-    /// `pipeline.upload_us`.
+    /// Per-part upload including retries (runtime workers at rotation,
+    /// the gateway finish path for the last part): `pipeline.upload_us`.
     pub upload: StageProf,
     /// COPY INTO (gateway finish path): `adaptive.copy_us`.
     pub copy: StageProf,
@@ -468,17 +471,11 @@ pub struct ProfileObs {
 }
 
 /// Worker-pool utilization handles: saturation timelines for the
-/// shared runtime and recycle stats for the buffer freelist.
+/// shared runtime.
 #[derive(Clone)]
 pub struct PoolObs {
     /// Workers executing a chunk right now.
     pub busy_workers: Gauge,
-    /// Idle buffers currently in the freelist.
-    pub idle_buffers: Gauge,
-    /// Buffer takes served from the freelist.
-    pub recycle_hits: Counter,
-    /// Buffer takes that allocated fresh.
-    pub recycle_misses: Counter,
     /// Worker wakeups that scanned every job slot and found no work.
     pub idle_wakeups: Counter,
     /// Round-robin job slots scanned past while finding work.
@@ -656,9 +653,6 @@ impl Obs {
             },
             pool: PoolObs {
                 busy_workers: r.gauge("pool.busy_workers"),
-                idle_buffers: r.gauge("pool.idle_buffers"),
-                recycle_hits: r.counter("pool.recycle_hits"),
-                recycle_misses: r.counter("pool.recycle_misses"),
                 idle_wakeups: r.counter("pool.idle_wakeups"),
                 rr_skips: r.counter("pool.rr_skips"),
             },

@@ -429,12 +429,6 @@ pub struct PoolProfile {
     pub workers: u64,
     /// Workers executing a chunk right now.
     pub busy_workers: u64,
-    /// Idle buffers in the freelist.
-    pub idle_buffers: u64,
-    /// Buffer takes served from the freelist.
-    pub recycle_hits: u64,
-    /// Buffer takes that allocated fresh.
-    pub recycle_misses: u64,
     /// Worker wakeups that found no work.
     pub idle_wakeups: u64,
     /// Round-robin job slots scanned past while finding work.
@@ -496,9 +490,6 @@ impl ProfileReport {
         let pool = PoolProfile {
             workers: obs.runtime.workers.value(),
             busy_workers: obs.pool.busy_workers.value(),
-            idle_buffers: obs.pool.idle_buffers.value(),
-            recycle_hits: obs.pool.recycle_hits.value(),
-            recycle_misses: obs.pool.recycle_misses.value(),
             idle_wakeups: obs.pool.idle_wakeups.value(),
             rr_skips: obs.pool.rr_skips.value(),
         };
@@ -533,16 +524,9 @@ impl ProfileReport {
         }
         out.push_str("\n  ],\n");
         out.push_str(&format!(
-            "  \"pool\": {{\"workers\": {}, \"busy_workers\": {}, \"idle_buffers\": {}, \
-             \"recycle_hits\": {}, \"recycle_misses\": {}, \"idle_wakeups\": {}, \
+            "  \"pool\": {{\"workers\": {}, \"busy_workers\": {}, \"idle_wakeups\": {}, \
              \"rr_skips\": {}}},\n",
-            self.pool.workers,
-            self.pool.busy_workers,
-            self.pool.idle_buffers,
-            self.pool.recycle_hits,
-            self.pool.recycle_misses,
-            self.pool.idle_wakeups,
-            self.pool.rr_skips,
+            self.pool.workers, self.pool.busy_workers, self.pool.idle_wakeups, self.pool.rr_skips,
         ));
         out.push_str(&format!("  \"folded_jobs\": {},\n", self.folded_jobs));
         out.push_str(&format!(
@@ -584,15 +568,8 @@ impl ProfileReport {
             }
         }
         out.push_str(&format!(
-            "\npool: {}/{} busy, {} idle buffers, recycle {}/{} hit/miss, \
-             {} idle wakeups, {} rr skips\n\n",
-            self.pool.busy_workers,
-            self.pool.workers,
-            self.pool.idle_buffers,
-            self.pool.recycle_hits,
-            self.pool.recycle_misses,
-            self.pool.idle_wakeups,
-            self.pool.rr_skips,
+            "\npool: {}/{} busy, {} idle wakeups, {} rr skips\n\n",
+            self.pool.busy_workers, self.pool.workers, self.pool.idle_wakeups, self.pool.rr_skips,
         ));
         out.push_str(&format!(
             "folded stacks from {} job(s):\n",

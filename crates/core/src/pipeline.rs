@@ -3,18 +3,17 @@
 //!
 //! Stage 1 — the session handler (PXC) — receives a raw chunk, acquires a
 //! **credit**, reserves **memory**, pushes the chunk onto its job's queue,
-//! and acks the client immediately. Stage 2 — **DataConverter** workers —
-//! decode and convert chunks. Stage 3 — **FileWriters** — append converted
-//! chunks to the job's staging buffer, rotating at the size threshold and
-//! uploading full parts; the credit is returned *just before the write*,
-//! exactly as Figure 4 shows.
+//! and acks the client immediately. Stage 2 — a runtime worker — runs the
+//! paper's **DataConverter** and **FileWriter** back to back: it converts
+//! the chunk, returns the credit *just before the write* (exactly as
+//! Figure 4 shows), then appends the staged text to the job's staging
+//! buffer, rotating at the size threshold and uploading full parts.
 //!
 //! A [`WorkerRuntime`] is created once per node and shared by every
-//! concurrent job: `converter_threads` converter threads and
-//! `file_writers` writer threads scan the registered jobs' queues
-//! round-robin, so N concurrent jobs still cost a fixed number of OS
-//! threads and no job can starve another of workers. A [`Pipeline`] is
-//! the lightweight per-job handle onto that runtime:
+//! concurrent job: `converter_threads` worker threads scan the registered
+//! jobs' queues round-robin, so N concurrent jobs still cost a fixed
+//! number of OS threads and no job can starve another of workers. A
+//! [`Pipeline`] is the lightweight per-job handle onto that runtime:
 //! it registers the job at `BeginLoad`, collects its accounting, and
 //! deregisters at `finish()` (clean drain) or `abort()` (discard, used by
 //! session teardown when a client disconnects mid-load).
@@ -35,7 +34,6 @@ use crate::credit::Credit;
 use crate::fault::{retry_with, FaultInjector, RetryPolicy};
 use crate::memory::MemGuard;
 use crate::obs::{CpuTimer, Obs, SpanIds, TenantObs, TrackedCondvar, TrackedMutex};
-use crate::pool::BufferPool;
 
 /// A raw chunk travelling from a session handler into the pipeline. The
 /// credit and memory reservation ride along.
@@ -48,20 +46,9 @@ pub struct RawChunk {
     pub credit: Credit,
     /// The in-flight memory reservation (released once staged).
     pub memory: MemGuard,
-    /// When the session handler enqueued the chunk — converter workers
+    /// When the session handler enqueued the chunk — runtime workers
     /// derive the `chunk.queue` wait span from this.
     pub enqueued: Instant,
-}
-
-struct Converted {
-    bytes: Vec<u8>,
-    rows: u32,
-    credit: Credit,
-    memory: MemGuard,
-    /// The raw wire size of the source chunk — what the tenant's
-    /// `memory_held` gauge was incremented by at admission, so retirement
-    /// can decrement the same amount after the reservation shrank.
-    raw_len: u64,
 }
 
 /// Final accounting for a drained pipeline.
@@ -84,7 +71,7 @@ pub struct PipelineReport {
     pub converter_workers: usize,
 }
 
-/// Per-job state registered with the runtime. Queue fields are only ever
+/// Per-job state registered with the runtime. The queue is only ever
 /// touched under the runtime's state lock (see [`RtShared::state`]);
 /// accounting fields are atomics or their own locks.
 struct JobRt {
@@ -97,7 +84,6 @@ struct JobRt {
     loader: Arc<BulkLoader>,
     prefix: String,
     chunks: Mutex<VecDeque<RawChunk>>,
-    converted: Mutex<VecDeque<Converted>>,
     /// Chunks accepted via the sink.
     queued: AtomicU64,
     /// Chunks fully processed: staged, failed, or discarded.
@@ -125,13 +111,12 @@ impl JobRt {
     }
 }
 
-/// Round-robin job table: worker threads scan from the saved cursor so
-/// every registered job gets chunks converted and written at the same
-/// rate regardless of arrival order.
+/// Round-robin job table: workers scan from the saved cursor so every
+/// registered job gets chunks staged at the same rate regardless of
+/// arrival order.
 struct RtState {
     jobs: Vec<Arc<JobRt>>,
-    next_convert: usize,
-    next_write: usize,
+    next: usize,
 }
 
 struct RtShared {
@@ -140,26 +125,21 @@ struct RtShared {
     /// is what makes the wait/notify protocol race-free. The critical
     /// sections are a queue op plus a notify — conversion and upload work
     /// happen outside it. Tracked (site `runtime.state`) because this is
-    /// the runtime's hottest shared lock: every chunk crosses it twice.
+    /// the runtime's hottest shared lock: every chunk crosses it on push
+    /// and on pop.
     state: TrackedMutex<RtState>,
-    /// Converters sleep here; signalled once per raw chunk enqueued.
-    /// Tracked (site `runtime.raw_work`): the wait histogram is how long
-    /// converters sat idle waiting for work.
+    /// Workers sleep here; signalled `notify_one` per chunk enqueued, so
+    /// a push wakes one worker rather than the whole pool. Tracked (site
+    /// `runtime.raw_work`): the wait histogram is how long workers sat
+    /// idle waiting for work.
     raw_work: TrackedCondvar,
-    /// Writers sleep here; signalled once per converted chunk enqueued.
-    /// Separate condvars (with `notify_one` on the push paths) keep a
-    /// chunk push from waking the whole pool just to have all but one
-    /// thread find nothing and sleep again. Tracked as `runtime.conv_work`.
-    conv_work: TrackedCondvar,
     stop: AtomicBool,
     converters: usize,
-    writers: usize,
     threshold: usize,
     sim_cost: Duration,
     retry_policy: RetryPolicy,
     retry_seed: u64,
     injector: Option<Arc<FaultInjector>>,
-    buffers: Arc<BufferPool>,
     obs: Arc<Obs>,
     threads_started: AtomicUsize,
 }
@@ -188,7 +168,7 @@ impl RtShared {
             }
             let n = state.jobs.len();
             for i in 0..n {
-                let idx = (state.next_convert + i) % n;
+                let idx = (state.next + i) % n;
                 let popped = state.jobs[idx].chunks.lock().pop_front();
                 if let Some(chunk) = popped {
                     if i > 0 {
@@ -197,7 +177,7 @@ impl RtShared {
                         self.obs.pool.rr_skips.add(i as u64);
                     }
                     let job = Arc::clone(&state.jobs[idx]);
-                    state.next_convert = (idx + 1) % n;
+                    state.next = (idx + 1) % n;
                     return Some((job, chunk));
                 }
             }
@@ -210,142 +190,63 @@ impl RtShared {
             woken = true;
         }
     }
-
-    /// Pop the next converted chunk, round-robin across jobs.
-    fn next_converted(&self) -> Option<(Arc<JobRt>, Converted)> {
-        let mut state = self.state.lock();
-        let mut woken = false;
-        loop {
-            if self.stop.load(Ordering::Relaxed) {
-                return None;
-            }
-            let n = state.jobs.len();
-            for i in 0..n {
-                let idx = (state.next_write + i) % n;
-                let popped = state.jobs[idx].converted.lock().pop_front();
-                if let Some(conv) = popped {
-                    if i > 0 {
-                        self.obs.pool.rr_skips.add(i as u64);
-                    }
-                    let job = Arc::clone(&state.jobs[idx]);
-                    state.next_write = (idx + 1) % n;
-                    return Some((job, conv));
-                }
-            }
-            if woken {
-                self.obs.pool.idle_wakeups.inc();
-            }
-            self.conv_work.wait(&mut state);
-            woken = true;
-        }
-    }
-
-    /// Hand a conversion result to the writers — unless the job was
-    /// aborted in the meantime, in which case the chunk is discarded and
-    /// its credit/memory released right here. The aborted check happens
-    /// under the state lock, so it cannot race `Pipeline::abort`'s drain.
-    fn push_converted(&self, job: &JobRt, conv: Converted) {
-        let discard = {
-            let state = self.state.lock();
-            if job.aborted.load(Ordering::Relaxed) {
-                Some(conv)
-            } else {
-                job.converted.lock().push_back(conv);
-                self.conv_work.notify_one();
-                drop(state);
-                None
-            }
-        };
-        if let Some(conv) = discard {
-            let raw_len = conv.raw_len;
-            self.buffers.put(conv.bytes);
-            // credit + memory release via guard drops.
-            self.retire(job, raw_len);
-        }
-    }
 }
 
-/// The node-wide worker runtime: a fixed set of converter and writer
-/// threads multiplexing every registered job's queues. Created once at
-/// node assembly and stopped when the node drops.
+/// The node-wide worker runtime: a fixed set of worker threads, each
+/// converting and staging chunks from every registered job's queue.
+/// Created once at node assembly and stopped when the node drops.
 pub struct WorkerRuntime {
     shared: Arc<RtShared>,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl WorkerRuntime {
-    /// Start the worker pool: `converter_threads` converters plus
-    /// `file_writers` writers, sized once from config.
+    /// Start the worker pool: `converter_threads` workers, sized once
+    /// from config.
     pub fn start(
         config: &VirtualizerConfig,
         obs: Arc<Obs>,
         injector: Option<Arc<FaultInjector>>,
     ) -> WorkerRuntime {
         let converters = config.converter_threads.max(1);
-        let writers = config.file_writers.max(1);
-        let buffers = Arc::new(BufferPool::with_obs(
-            converters + writers + 2,
-            obs.pool.idle_buffers.clone(),
-            obs.pool.recycle_hits.clone(),
-            obs.pool.recycle_misses.clone(),
-        ));
         let state_site = obs.registry.lock_site("runtime.state");
         let raw_site = obs.registry.lock_site("runtime.raw_work");
-        let conv_site = obs.registry.lock_site("runtime.conv_work");
         let shared = Arc::new(RtShared {
             state: TrackedMutex::new(
                 state_site,
                 RtState {
                     jobs: Vec::new(),
-                    next_convert: 0,
-                    next_write: 0,
+                    next: 0,
                 },
             ),
             raw_work: TrackedCondvar::new(raw_site),
-            conv_work: TrackedCondvar::new(conv_site),
             stop: AtomicBool::new(false),
             converters,
-            writers,
             threshold: config.file_size_threshold,
             sim_cost: config.simulated_convert_cost_per_mb,
             retry_policy: config.retry_policy(),
             retry_seed: config.fault_seed(),
             injector,
-            buffers,
             obs,
             threads_started: AtomicUsize::new(0),
         });
-        shared
-            .obs
-            .runtime
-            .workers
-            .set((converters + writers) as u64);
-        let mut threads = Vec::with_capacity(converters + writers);
-        for _ in 0..converters {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || {
-                shared.threads_started.fetch_add(1, Ordering::Relaxed);
-                shared.obs.runtime.threads_started.inc();
-                let mut scratch = ConvertScratch::new();
-                while let Some((job, chunk)) = shared.next_chunk() {
-                    shared.obs.pool.busy_workers.add(1);
-                    convert_work(&shared, &job, chunk, &mut scratch);
-                    shared.obs.pool.busy_workers.sub(1);
-                }
-            }));
-        }
-        for _ in 0..writers {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || {
-                shared.threads_started.fetch_add(1, Ordering::Relaxed);
-                shared.obs.runtime.threads_started.inc();
-                while let Some((job, conv)) = shared.next_converted() {
-                    shared.obs.pool.busy_workers.add(1);
-                    write_work(&shared, &job, conv);
-                    shared.obs.pool.busy_workers.sub(1);
-                }
-            }));
-        }
+        shared.obs.runtime.workers.set(converters as u64);
+        let threads = (0..converters)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    shared.threads_started.fetch_add(1, Ordering::Relaxed);
+                    shared.obs.runtime.threads_started.inc();
+                    let mut scratch = ConvertScratch::new();
+                    let mut out = Vec::new();
+                    while let Some((job, chunk)) = shared.next_chunk() {
+                        shared.obs.pool.busy_workers.add(1);
+                        convert_work(&shared, &job, chunk, &mut scratch, &mut out);
+                        shared.obs.pool.busy_workers.sub(1);
+                    }
+                })
+            })
+            .collect();
         WorkerRuntime {
             shared,
             threads: Mutex::new(threads),
@@ -375,7 +276,6 @@ impl WorkerRuntime {
             loader,
             prefix,
             chunks: Mutex::new(VecDeque::new()),
-            converted: Mutex::new(VecDeque::new()),
             queued: AtomicU64::new(0),
             retired: AtomicU64::new(0),
             closed: AtomicBool::new(false),
@@ -399,19 +299,14 @@ impl WorkerRuntime {
         }
     }
 
-    /// Converter threads in the pool.
+    /// Worker threads in the pool.
     pub fn converter_workers(&self) -> usize {
         self.shared.converters
     }
 
-    /// Total worker threads (converters + writers) the pool is sized to.
-    pub fn total_workers(&self) -> usize {
-        self.shared.converters + self.shared.writers
-    }
-
     /// Worker threads actually started over the runtime's lifetime —
-    /// the bounded-thread-count evidence: stays at `total_workers()` no
-    /// matter how many jobs run.
+    /// the bounded-thread-count evidence: stays at `converter_workers()`
+    /// no matter how many jobs run.
     pub fn threads_started(&self) -> usize {
         self.shared.threads_started.load(Ordering::Relaxed)
     }
@@ -429,7 +324,6 @@ impl WorkerRuntime {
             let _state = self.shared.state.lock();
             self.shared.stop.store(true, Ordering::Relaxed);
             self.shared.raw_work.notify_all();
-            self.shared.conv_work.notify_all();
         }
         for handle in self.threads.lock().drain(..) {
             let _ = handle.join();
@@ -496,40 +390,27 @@ impl Pipeline {
     }
 
     /// Mark the job aborted and drop everything still queued, releasing
-    /// each chunk's credit/memory on the spot. In-flight chunks (already
-    /// popped by a worker) are discarded by the worker when it observes
-    /// the flag.
+    /// each chunk's credit/memory before it retires. In-flight chunks
+    /// (already popped by a worker) are discarded by the worker when it
+    /// observes the flag.
     fn mark_aborted(&self) {
-        let mut discarded: Vec<Converted> = Vec::new();
-        let mut retired = 0u64;
-        let mut raw_bytes = 0u64;
-        {
+        let queued = {
             let _state = self.shared.state.lock();
             self.job.closed.store(true, Ordering::Relaxed);
             self.job.aborted.store(true, Ordering::Relaxed);
-            while let Some(chunk) = self.job.chunks.lock().pop_front() {
-                raw_bytes += chunk.data.len() as u64;
-                drop(chunk); // credit + memory release
-                retired += 1;
-            }
-            while let Some(conv) = self.job.converted.lock().pop_front() {
-                raw_bytes += conv.raw_len;
-                discarded.push(conv);
-                retired += 1;
-            }
+            std::mem::take(&mut *self.job.chunks.lock())
+        };
+        if queued.is_empty() {
+            return;
         }
-        for conv in discarded {
-            self.shared.buffers.put(conv.bytes);
-        }
-        if retired > 0 {
-            self.job.tenant.credit_held.sub(retired);
-            self.job.tenant.memory_held.sub(raw_bytes);
-        }
-        if retired > 0 {
-            let _guard = self.job.done_lock.lock();
-            self.job.retired.fetch_add(retired, Ordering::Release);
-            self.job.done.notify_all();
-        }
+        let retired = queued.len() as u64;
+        let raw_bytes: u64 = queued.iter().map(|c| c.data.len() as u64).sum();
+        drop(queued); // credit + memory release
+        self.job.tenant.credit_held.sub(retired);
+        self.job.tenant.memory_held.sub(raw_bytes);
+        let _guard = self.job.done_lock.lock();
+        self.job.retired.fetch_add(retired, Ordering::Release);
+        self.job.done.notify_all();
     }
 
     /// Wait until every accepted chunk is retired; `false` on timeout.
@@ -605,15 +486,18 @@ impl Pipeline {
     }
 }
 
-/// Convert one chunk on a runtime worker: the queue-wait span, the
-/// (possibly fault-injected) conversion, and hand-off to the writers.
-fn convert_work(shared: &RtShared, job: &JobRt, chunk: RawChunk, scratch: &mut ConvertScratch) {
-    let raw_len = chunk.data.len() as u64;
+/// Convert one chunk on a runtime worker into the worker's reused `out`
+/// buffer — the queue-wait span, the (possibly fault-injected)
+/// conversion — then stage it.
+fn convert_work(
+    shared: &RtShared,
+    job: &JobRt,
+    chunk: RawChunk,
+    scratch: &mut ConvertScratch,
+    out: &mut Vec<u8>,
+) {
     if job.aborted.load(Ordering::Relaxed) {
-        // Release the guards before retiring: `abort()` returns as soon
-        // as the last chunk retires and its caller counts credits.
-        drop(chunk);
-        shared.retire(job, raw_len);
+        discard(shared, job, chunk);
         return;
     }
     let obs = &shared.obs;
@@ -648,14 +532,14 @@ fn convert_work(shared: &RtShared, job: &JobRt, chunk: RawChunk, scratch: &mut C
         fail_chunk(shared, job, chunk, message);
         return;
     }
-    let mut out = shared.buffers.take();
+    out.clear();
     // A panicking converter must not wedge the pipeline: contain it and
     // fail the chunk.
     let convert_started = Instant::now();
     let cpu = CpuTimer::start();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         job.converter
-            .convert_into(chunk.base_seq, &chunk.data, &mut out, scratch)
+            .convert_into(chunk.base_seq, &chunk.data, out, scratch)
     }));
     let elapsed = convert_started.elapsed();
     let result = match outcome {
@@ -666,7 +550,6 @@ fn convert_work(shared: &RtShared, job: &JobRt, chunk: RawChunk, scratch: &mut C
                 .map(|s| s.to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "unknown panic".into());
-            shared.buffers.put(out);
             fail_chunk(
                 shared,
                 job,
@@ -695,67 +578,33 @@ fn convert_work(shared: &RtShared, job: &JobRt, chunk: RawChunk, scratch: &mut C
                 rows as u64,
                 elapsed,
             );
-            let mut memory = chunk.memory;
-            memory.shrink_to(out.len());
-            shared.push_converted(
-                job,
-                Converted {
-                    bytes: out,
-                    rows,
-                    credit: chunk.credit,
-                    memory,
-                    raw_len,
-                },
-            );
+            stage_chunk(shared, job, chunk, out, rows);
         }
-        Err(e) => {
-            shared.buffers.put(out);
-            fail_chunk(shared, job, chunk, e.to_string());
-        }
+        Err(e) => fail_chunk(shared, job, chunk, e.to_string()),
     }
 }
 
-/// Fail one chunk with a job-fatal `message`. The chunk's guards — not
-/// the happy path — own its credit and memory reservation, and they
-/// release *before* the chunk retires: `finish()`/`abort()` return as
-/// soon as the last chunk retires, and their callers count credits.
-fn fail_chunk(shared: &RtShared, job: &JobRt, chunk: RawChunk, message: String) {
-    let raw_len = chunk.data.len() as u64;
-    shared.obs.pipeline.convert_errors.inc();
-    job.fatal.lock().push(message);
-    drop(chunk);
-    shared.retire(job, raw_len);
-}
-
-/// Append one converted chunk to the job's staging buffer on a writer
-/// worker, rotating (and uploading) at the size threshold.
-fn write_work(shared: &RtShared, job: &JobRt, conv: Converted) {
-    let Converted {
-        bytes: staged,
-        rows,
-        credit,
-        memory,
-        raw_len,
-    } = conv;
+/// The paper's FileWriter step, run by the worker that converted the
+/// chunk: return the credit just before the write (Figure 4), append the
+/// staged text to the job's staging buffer, release the memory
+/// reservation, and — at the size threshold — rotate the buffer and
+/// upload the full part outside the lock. The chunk retires last, so
+/// `finish()` finds every staged byte in the buffer or the store.
+fn stage_chunk(shared: &RtShared, job: &JobRt, chunk: RawChunk, staged: &[u8], rows: u32) {
     if job.aborted.load(Ordering::Relaxed) {
-        drop(credit);
-        shared.buffers.put(staged);
-        drop(memory);
-        shared.retire(job, raw_len);
+        discard(shared, job, chunk);
         return;
     }
+    let raw_len = chunk.data.len() as u64;
     // Figure 4: the credit returns to the pool just before the data is
     // written out.
-    drop(credit);
-    let staged_len = staged.len();
+    drop(chunk.credit);
     let full = {
         let mut accum = job.accum.lock();
-        accum.extend_from_slice(&staged);
-        // The chunk's output buffer goes back to the freelist for the
-        // next conversion; the staged bytes now live in the accumulator,
-        // so the in-flight reservation releases.
-        shared.buffers.put(staged);
-        drop(memory);
+        accum.extend_from_slice(staged);
+        // The staged bytes now live in the accumulator, so the in-flight
+        // reservation releases.
+        drop(chunk.memory);
         if accum.len() >= shared.threshold {
             let part = job.next_part.fetch_add(1, Ordering::Relaxed);
             let full = std::mem::replace(
@@ -769,7 +618,7 @@ fn write_work(shared: &RtShared, job: &JobRt, conv: Converted) {
     };
     job.rows_staged.fetch_add(rows as u64, Ordering::Relaxed);
     job.bytes_staged
-        .fetch_add(staged_len as u64, Ordering::Relaxed);
+        .fetch_add(staged.len() as u64, Ordering::Relaxed);
     if let Some((data, part)) = full {
         shared.obs.pipeline.files_rotated.inc();
         shared.obs.journal.emit_span(
@@ -784,6 +633,23 @@ fn write_work(shared: &RtShared, job: &JobRt, conv: Converted) {
         upload_part(shared, job, data, part);
     }
     shared.retire(job, raw_len);
+}
+
+/// Retire a chunk that will not be staged. Its guards — not the happy
+/// path — own its credit and memory reservation, and they release
+/// *before* the chunk retires: `finish()`/`abort()` return as soon as the
+/// last chunk retires, and their callers count credits.
+fn discard(shared: &RtShared, job: &JobRt, chunk: RawChunk) {
+    let raw_len = chunk.data.len() as u64;
+    drop(chunk);
+    shared.retire(job, raw_len);
+}
+
+/// Fail one chunk with a job-fatal `message`, then [`discard`] it.
+fn fail_chunk(shared: &RtShared, job: &JobRt, chunk: RawChunk, message: String) {
+    shared.obs.pipeline.convert_errors.inc();
+    job.fatal.lock().push(message);
+    discard(shared, job, chunk);
 }
 
 /// Upload one finalized staging part. Each part gets `retry_budget`
@@ -928,7 +794,7 @@ mod tests {
         runtime.stop();
         assert_eq!(
             runtime.threads_started(),
-            runtime.total_workers(),
+            runtime.converter_workers(),
             "worker threads spawned once for the runtime, not per chunk"
         );
         (report, store)
@@ -938,7 +804,6 @@ mod tests {
     fn stages_all_rows_small_files() {
         let config = VirtualizerConfig {
             file_size_threshold: 64, // force many rotations
-            file_writers: 3,
             ..Default::default()
         };
         let (report, store) = run_pipeline(&config, 10, 20);
@@ -1176,10 +1041,67 @@ mod tests {
         runtime.stop();
     }
 
+    /// Abort lands while the job's only chunk is mid-conversion: the
+    /// worker discards that chunk once it has converted it, and `abort()`
+    /// returns on its retirement — so the chunk's guards must already be
+    /// released when it does. Looped, because the losing interleaving is a
+    /// few instructions wide.
+    #[test]
+    fn abort_mid_conversion_releases_guards_before_abort_returns() {
+        const JOBS: u64 = 3_000;
+        let config = VirtualizerConfig {
+            converter_threads: 1,
+            // A 4-byte chunk asks for a 20 µs conversion; timer slack
+            // stretches the sleep to tens of µs.
+            simulated_convert_cost_per_mb: Duration::from_secs(5),
+            ..Default::default()
+        };
+        let obs = Arc::new(Obs::default());
+        let runtime = WorkerRuntime::start(&config, Arc::clone(&obs), None);
+        let loader = loader_for(&config, Arc::new(MemStore::new()));
+        let credits = CreditManager::new(1);
+        let memory = MemoryGauge::new(0);
+        for j in 0..JOBS {
+            while obs.pool.busy_workers.value() != 0 {
+                std::thread::yield_now();
+            }
+            let spans = obs.journal.emitted();
+            let pipeline = runtime.begin_job(
+                DataConverter::new(layout(), WIRE_VT, config.staging_delimiter),
+                Arc::clone(&loader),
+                format!("j{j}/"),
+                j + 1,
+                SpanIds::default(),
+                config.drain_timeout,
+                test_tenant(),
+            );
+            assert!(pipeline.sink().push(RawChunk {
+                base_seq: 1,
+                data: Bytes::copy_from_slice(b"a|b\n"),
+                credit: credits.acquire(),
+                memory: memory.reserve(4).unwrap(),
+                enqueued: Instant::now(),
+            }));
+            // The worker is busy with the chunk once its `chunk.queue`
+            // span, emitted just before the conversion, is out
+            // (`busy_workers` alone can rise and fall between two looks).
+            while obs.journal.emitted() == spans {
+                std::thread::yield_now();
+            }
+            pipeline.abort();
+            assert_eq!(
+                (credits.available(), memory.in_flight()),
+                (1, 0),
+                "job {j}: guards still alive after abort()"
+            );
+        }
+        runtime.stop();
+    }
+
     #[test]
     fn back_pressure_blocks_when_out_of_credits() {
         // 1 credit: the second acquire blocks until the pipeline returns
-        // the first — proving credits flow through to the writer stage.
+        // the first — proving credits flow through to the staging step.
         let config = VirtualizerConfig {
             credits: 1,
             ..Default::default()
@@ -1195,7 +1117,6 @@ mod tests {
         // pool size, not jobs × pool size.
         let config = VirtualizerConfig {
             converter_threads: 2,
-            file_writers: 2,
             file_size_threshold: 128,
             ..Default::default()
         };
@@ -1248,7 +1169,7 @@ mod tests {
         runtime.stop();
         assert_eq!(
             runtime.threads_started(),
-            runtime.total_workers(),
+            runtime.converter_workers(),
             "worker threads spawned once for the runtime, not per job"
         );
         assert_eq!(credits.available(), config.credits);
