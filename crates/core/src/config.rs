@@ -108,10 +108,6 @@ pub struct VirtualizerConfig {
     /// Per-tenant SLO objectives and burn-rate alerting policy evaluated
     /// by the `Health` endpoint.
     pub slo: SloPolicy,
-    /// Granularity of the reactor's timer wheel (idle timeouts, accept
-    /// backoff). Finer ticks wake the loops more often. Must be
-    /// nonzero.
-    pub reactor_tick: Duration,
 }
 
 impl Default for VirtualizerConfig {
@@ -146,7 +142,6 @@ impl Default for VirtualizerConfig {
             max_concurrent_jobs: 64,
             session_idle_timeout: Duration::ZERO,
             slo: SloPolicy::default(),
-            reactor_tick: Duration::from_millis(25),
         }
     }
 }
@@ -212,9 +207,6 @@ impl VirtualizerConfig {
         }
         if !self.sampler_tick.is_zero() && self.sampler_capacity < 2 {
             return Err("sampler_capacity must be at least 2 when the sampler is enabled".into());
-        }
-        if self.reactor_tick.is_zero() {
-            return Err("reactor_tick must be nonzero".into());
         }
         if self.slo.fast_window.is_zero() || self.slo.slow_window.is_zero() {
             return Err("slo windows must be nonzero".into());
@@ -323,11 +315,6 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_ok());
-        let c = VirtualizerConfig {
-            reactor_tick: Duration::ZERO,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
         let mut c = VirtualizerConfig::default();
         c.slo.fast_window = c.slo.slow_window;
         assert!(c.validate().is_err());

@@ -12,7 +12,7 @@
 //! handlers they dispatch into.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -104,6 +104,10 @@ pub(crate) struct Node {
     pub(crate) memory: MemoryGauge,
     pub(crate) obs: Arc<Obs>,
     pub(crate) jobs: Mutex<HashMap<u64, Job>>,
+    /// Jobs admitted but still in setup, not yet in `jobs`; they count
+    /// against `max_concurrent_jobs` too. Raised only under the `jobs`
+    /// lock, so admission's check-and-claim is one step.
+    admitting: AtomicUsize,
     pub(crate) next_token: AtomicU64,
     pub(crate) next_session: AtomicU32,
     /// Ring of the most recent completed load reports, newest last
@@ -130,6 +134,31 @@ impl Drop for Node {
         if let Some(sampler) = &self.sampler {
             sampler.stop();
         }
+    }
+}
+
+/// A job slot claimed by [`Virtualizer::admit`] and held while the job
+/// is set up. [`enter`](Admission::enter) moves the job into the table
+/// and the slot with it; dropping the admission gives the slot back.
+struct Admission<'a> {
+    node: &'a Node,
+}
+
+impl Admission<'_> {
+    fn enter(self, token: u64, job: Job) {
+        let node = self.node;
+        let mut jobs = node.jobs.lock();
+        jobs.insert(token, job);
+        node.obs.gateway.active_jobs.set(jobs.len() as u64);
+        // The slot moves to the table under the lock: no admission sees
+        // it counted twice or not at all.
+        drop(self);
+    }
+}
+
+impl Drop for Admission<'_> {
+    fn drop(&mut self) {
+        self.node.admitting.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -281,6 +310,7 @@ impl Virtualizer {
                 injector,
                 obs,
                 jobs: Mutex::new(HashMap::new()),
+                admitting: AtomicUsize::new(0),
                 next_token: AtomicU64::new(1),
                 next_session: AtomicU32::new(1),
                 reports: Mutex::new(VecDeque::new()),
@@ -535,25 +565,10 @@ impl Virtualizer {
 
     pub(crate) fn handle_begin_load(&self, spec: BeginLoad, tenant: Arc<TenantObs>) -> Message {
         let node = &self.node;
-        if node.draining.load(Ordering::Relaxed) {
-            return error_msg(ErrCode::SHUTTING_DOWN, "server is draining", false);
-        }
-        // Admission control: a node already running its configured job
-        // complement answers with retryable SERVER_BUSY instead of
-        // accepting unbounded concurrent pipelines. The legacy client
-        // backs off and re-issues BeginLoad.
-        if node.jobs.lock().len() >= node.config.max_concurrent_jobs {
-            node.obs.gateway.admission_rejections.inc();
-            tenant.admission_rejections.inc();
-            return error_msg(
-                ErrCode::SERVER_BUSY,
-                format!(
-                    "job limit reached ({} active), retry later",
-                    node.config.max_concurrent_jobs
-                ),
-                false,
-            );
-        }
+        let admission = match self.admit(&tenant) {
+            Ok(admission) => admission,
+            Err((code, message)) => return error_msg(code, message, false),
+        };
         let token = node.next_token.fetch_add(1, Ordering::Relaxed);
         let staging_table = xcompile::staging_table_name(token);
         let prefix = xcompile::staging_prefix(token);
@@ -614,8 +629,7 @@ impl Virtualizer {
             Duration::ZERO,
         );
 
-        let mut jobs = node.jobs.lock();
-        jobs.insert(
+        admission.enter(
             token,
             Job::Import(Arc::new(ImportJobState {
                 spec,
@@ -632,8 +646,34 @@ impl Virtualizer {
                 tenant,
             })),
         );
-        node.obs.gateway.active_jobs.set(jobs.len() as u64);
         Message::BeginLoadOk { load_token: token }
+    }
+
+    /// Job admission, the one check both `BeginLoad` and `BeginExport`
+    /// pass: refuse while draining, and answer a node already running
+    /// `max_concurrent_jobs` with retryable `SERVER_BUSY` (the legacy
+    /// client backs off and re-issues). An admitted job holds its slot
+    /// through setup — concurrent requests cannot all pass the check —
+    /// until [`Admission::enter`] hands it to the job table, or until
+    /// setup fails and the [`Admission`] is dropped.
+    fn admit(&self, tenant: &TenantObs) -> Result<Admission<'_>, (ErrCode, String)> {
+        let node = &self.node;
+        if node.draining.load(Ordering::Relaxed) {
+            return Err((ErrCode::SHUTTING_DOWN, "server is draining".into()));
+        }
+        let jobs = node.jobs.lock();
+        if jobs.len() + node.admitting.load(Ordering::Relaxed) >= node.config.max_concurrent_jobs {
+            drop(jobs);
+            node.obs.gateway.admission_rejections.inc();
+            tenant.admission_rejections.inc();
+            let limit = node.config.max_concurrent_jobs;
+            return Err((
+                ErrCode::SERVER_BUSY,
+                format!("job limit reached ({limit} active), retry later"),
+            ));
+        }
+        node.admitting.fetch_add(1, Ordering::Relaxed);
+        Ok(Admission { node })
     }
 
     /// Create the job's staging + error tables; returns how many setup
@@ -1184,21 +1224,10 @@ impl Virtualizer {
         tenant: Arc<TenantObs>,
     ) -> Message {
         let node = &self.node;
-        if node.draining.load(Ordering::Relaxed) {
-            return error_msg(ErrCode::SHUTTING_DOWN, "server is draining", false);
-        }
-        if node.jobs.lock().len() >= node.config.max_concurrent_jobs {
-            node.obs.gateway.admission_rejections.inc();
-            tenant.admission_rejections.inc();
-            return error_msg(
-                ErrCode::SERVER_BUSY,
-                format!(
-                    "job limit reached ({} active), retry later",
-                    node.config.max_concurrent_jobs
-                ),
-                false,
-            );
-        }
+        let admission = match self.admit(&tenant) {
+            Ok(admission) => admission,
+            Err((code, message)) => return error_msg(code, message, false),
+        };
         let translated = match xcompile::translate_sql(&spec.select) {
             Ok(t) => t,
             Err(e) => return error_msg(ErrCode::SQL_ERROR, e.to_string(), true),
@@ -1226,18 +1255,14 @@ impl Virtualizer {
                 .collect(),
         };
         let token = node.next_token.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut jobs = node.jobs.lock();
-            jobs.insert(
-                token,
-                Job::Export(Arc::new(ExportJobState {
-                    cursor,
-                    format: spec.format,
-                    layout: layout.clone(),
-                })),
-            );
-            node.obs.gateway.active_jobs.set(jobs.len() as u64);
-        }
+        admission.enter(
+            token,
+            Job::Export(Arc::new(ExportJobState {
+                cursor,
+                format: spec.format,
+                layout: layout.clone(),
+            })),
+        );
         node.obs.export.jobs.inc();
         Message::BeginExportOk(BeginExportOk {
             export_token: token,

@@ -298,7 +298,8 @@ pub struct ReactorObs {
     pub conns_dispatching: Gauge,
     /// Sessions with undrained reply bytes right now.
     pub conns_writing: Gauge,
-    /// Sessions reaped by the idle-timeout timer wheel.
+    /// Sessions whose idle deadline passed with nothing in flight: each
+    /// got the `IDLE_TIMEOUT` farewell and was closed.
     pub idle_closes: Counter,
     /// Accept-error backoff rounds (EMFILE and friends back off
     /// exponentially instead of spinning).

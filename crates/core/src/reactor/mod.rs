@@ -17,18 +17,22 @@
 //! One dispatch may be in flight per connection; while it runs the
 //! connection's read interest is dropped, so the kernel socket buffer
 //! is the backpressure and frame order is preserved without queues.
-//! Idle timeouts ride the lazy [`TimerWheel`] — a keepalive costs one
-//! field write, not a timer reschedule.
+//!
+//! Each connection has one deadline — its idle deadline while serving,
+//! the end of the flush grace once closing — and each loop keeps a heap
+//! of exact deadlines and sleeps until the earliest. A heap entry is a
+//! hint revalidated when it fires, so a keepalive that pushes the idle
+//! deadline out costs one field write, not a heap operation.
 //!
 //! On shutdown a connection with a dispatch in flight is always waited
 //! for (the reply is delivered, then the `SHUTTING_DOWN` farewell, then
-//! the close); idle connections get the farewell immediately and a
-//! bounded grace period to drain it.
+//! the close); idle connections get the farewell immediately. Every
+//! close, shutdown included, gets the same bounded grace to drain.
 
 mod poll;
-mod wheel;
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -48,18 +52,19 @@ use crate::gateway::Virtualizer;
 use crate::obs::ReactorObs;
 use crate::session::{DispatchCall, SessionCore, Step};
 use poll::{Event, Interest, Poller};
-use wheel::TimerWheel;
 
 /// Token of each loop's waker pipe.
 const TOKEN_WAKER: u64 = 0;
-/// Token of the listener registration (loop 0 only) — also its timer
+/// Token of the listener registration (loop 0 only) — also its heap
 /// token while parked in accept backoff.
 const TOKEN_LISTENER: u64 = 1;
-/// First connection token; everything below is reserved.
+/// First connection token; everything below is reserved. Tokens are
+/// never reused, so a heap entry cannot outlive its connection into a
+/// successor's.
 const TOKEN_CONN_BASE: u64 = 16;
 
-/// How long a closing connection gets to drain its farewell bytes
-/// before the loop force-closes it.
+/// How long a closing connection — whatever closes it — gets to drain
+/// its last bytes before the loop force-closes it.
 const SHUTDOWN_FLUSH_GRACE: Duration = Duration::from_secs(2);
 
 /// Accept-error backoff bounds (EMFILE and friends). The listener is
@@ -150,8 +155,7 @@ impl Reactor {
         // progresses concurrently even on a small box, capped so a large
         // one does not spend threads it cannot use.
         let n_dispatch = crate::config::host_cores().clamp(8, 32);
-        let tick = config.reactor_tick;
-        let idle_timeout = config.session_idle_timeout;
+        let idle_timeout = Some(config.session_idle_timeout).filter(|timeout| !timeout.is_zero());
 
         let mut loop_shareds = Vec::with_capacity(n_loops);
         let mut waker_rxs = Vec::with_capacity(n_loops);
@@ -223,13 +227,12 @@ impl Reactor {
                 rr: id,
                 dispatch_tx: dispatch_tx.clone(),
                 conns: HashMap::new(),
-                wheel: TimerWheel::new(tick, Instant::now()),
+                timers: BinaryHeap::new(),
                 next_token: TOKEN_CONN_BASE,
                 idle_timeout,
                 scratch: vec![0; SCRATCH_BYTES],
                 pump_buf: Vec::new(),
                 shutting_down: false,
-                shutdown_at: None,
                 obs: v.obs().reactor.clone(),
             };
             loops.push(
@@ -332,9 +335,25 @@ struct Conn {
     read_closed: bool,
     /// Mirror of `!writer.is_empty()` for the `conns_writing` gauge.
     was_writing: bool,
-    idle_deadline: Instant,
-    /// At most one wheel entry per connection (lazy reschedule).
-    wheel_armed: bool,
+    /// The one instant the loop acts on this connection unprompted: the
+    /// idle deadline while serving (`None` with idle timeouts off), the
+    /// end of the flush grace once closing.
+    deadline: Option<Instant>,
+    /// Instant of the connection's live heap entry; entries at any
+    /// other instant are stale and skipped.
+    armed: Option<Instant>,
+}
+
+impl Conn {
+    /// Queue `frame`; a final one starts the close, and from then on
+    /// the deadline is the end of the flush grace, whatever was armed.
+    fn queue(&mut self, frame: &Frame, end: bool) {
+        self.writer.queue(frame);
+        if end {
+            self.closing = true;
+            self.deadline = Some(Instant::now() + SHUTDOWN_FLUSH_GRACE);
+        }
+    }
 }
 
 /// What to do with a connection after processing.
@@ -360,30 +379,28 @@ struct EventLoop {
     rr: usize,
     dispatch_tx: Sender<DispatchJob>,
     conns: HashMap<u64, Conn>,
-    wheel: TimerWheel,
+    /// `(deadline, token)` entries, earliest on top: connection
+    /// deadlines and the parked listener's backoff.
+    timers: BinaryHeap<Reverse<(Instant, u64)>>,
     next_token: u64,
-    idle_timeout: Duration,
+    /// `None` when idle timeouts are off.
+    idle_timeout: Option<Duration>,
     scratch: Vec<u8>,
     pump_buf: Vec<Frame>,
     shutting_down: bool,
-    shutdown_at: Option<Instant>,
     obs: ReactorObs,
 }
 
 impl EventLoop {
     fn run(&mut self) {
         let mut events: Vec<Event> = Vec::with_capacity(256);
-        let mut due: Vec<u64> = Vec::new();
         loop {
-            let timeout = if self.shutting_down {
-                // Bounded ticks while draining farewells so the grace
-                // deadline is observed even with no socket activity.
-                Some(Duration::from_millis(50))
-            } else if !self.wheel.is_empty() {
-                Some(self.v.config().reactor_tick)
-            } else {
-                None
-            };
+            // Sleep until the earliest deadline; with none armed, until
+            // a socket or the waker stirs.
+            let timeout = self
+                .timers
+                .peek()
+                .map(|Reverse((at, _))| at.saturating_duration_since(Instant::now()));
             if self.poller.wait(&mut events, timeout).is_err() {
                 // A broken epoll fd is unrecoverable; tear down rather
                 // than spin.
@@ -402,17 +419,17 @@ impl EventLoop {
                 }
             }
             self.drain_queue();
-            due.clear();
-            self.wheel.advance(Instant::now(), &mut due);
-            for token in due.drain(..) {
-                self.timer_fired(token);
-            }
-            self.check_stop();
-            if self.shutting_down {
-                self.shutdown_tick();
-                if self.conns.is_empty() {
+            let now = Instant::now();
+            while let Some(&Reverse((at, token))) = self.timers.peek() {
+                if at > now {
                     break;
                 }
+                self.timers.pop();
+                self.timer_fired(token, at);
+            }
+            self.check_stop();
+            if self.shutting_down && self.conns.is_empty() {
+                break;
             }
             self.obs.loop_iter_us.record_duration(t0.elapsed());
         }
@@ -506,10 +523,15 @@ impl EventLoop {
         if let Some(listener) = &self.listener {
             let _ = self.poller.remove(listener.as_raw_fd());
             self.listener_parked = true;
-            self.wheel
-                .schedule(TOKEN_LISTENER, Instant::now() + self.accept_backoff);
-            self.accept_backoff = (self.accept_backoff * 2).min(ACCEPT_BACKOFF_CAP);
+            self.back_off_listener();
         }
+    }
+
+    /// Retry the parked listener after the current backoff, doubling it.
+    fn back_off_listener(&mut self) {
+        let at = Instant::now() + self.accept_backoff;
+        self.timers.push(Reverse((at, TOKEN_LISTENER)));
+        self.accept_backoff = (self.accept_backoff * 2).min(ACCEPT_BACKOFF_CAP);
     }
 
     fn unpark_listener(&mut self) {
@@ -539,9 +561,7 @@ impl EventLoop {
             self.accept_burst();
         } else {
             // Still starved; keep backing off.
-            self.wheel
-                .schedule(TOKEN_LISTENER, Instant::now() + self.accept_backoff);
-            self.accept_backoff = (self.accept_backoff * 2).min(ACCEPT_BACKOFF_CAP);
+            self.back_off_listener();
         }
     }
 
@@ -568,7 +588,6 @@ impl EventLoop {
         self.v.obs().server.connections.inc();
         let n = self.shared.conns.fetch_add(1, Ordering::Relaxed) + 1;
         self.obs.conns.set(n as u64);
-        let now = Instant::now();
         let mut conn = Conn {
             stream,
             core: SessionCore::new(),
@@ -584,14 +603,28 @@ impl EventLoop {
             closing: false,
             read_closed: false,
             was_writing: false,
-            idle_deadline: now + self.idle_timeout,
-            wheel_armed: false,
+            deadline: self.idle_deadline(),
+            armed: None,
         };
-        if !self.idle_timeout.is_zero() {
-            self.wheel.schedule(token, conn.idle_deadline);
-            conn.wheel_armed = true;
-        }
+        self.arm(&mut conn, token);
         self.conns.insert(token, conn);
+    }
+
+    /// A serving connection's deadline when it hears from its peer now.
+    fn idle_deadline(&self) -> Option<Instant> {
+        self.idle_timeout.map(|timeout| Instant::now() + timeout)
+    }
+
+    /// Push a heap entry for `conn`'s deadline unless one at or before
+    /// it is already armed: a deadline that moved out is found when the
+    /// earlier entry fires.
+    fn arm(&mut self, conn: &mut Conn, token: u64) {
+        if let Some(at) = conn.deadline {
+            if conn.armed.is_none_or(|armed| at < armed) {
+                self.timers.push(Reverse((at, token)));
+                conn.armed = Some(at);
+            }
+        }
     }
 
     /// Readiness on a connection socket: pump bytes, advance the state
@@ -622,13 +655,7 @@ impl EventLoop {
                 }
             }
             if !self.pump_buf.is_empty() {
-                if !self.idle_timeout.is_zero() {
-                    conn.idle_deadline = Instant::now() + self.idle_timeout;
-                    if !conn.wheel_armed {
-                        self.wheel.schedule(token, conn.idle_deadline);
-                        conn.wheel_armed = true;
-                    }
-                }
+                conn.deadline = self.idle_deadline();
                 conn.inbox.extend(self.pump_buf.drain(..));
             }
         }
@@ -651,10 +678,7 @@ impl EventLoop {
             match conn.core.on_frame(&self.v, &frame, self.shutting_down) {
                 Step::Reply { frame, end } => {
                     self.obs.inline_replies.inc();
-                    conn.writer.queue(&frame);
-                    if end {
-                        conn.closing = true;
-                    }
+                    conn.queue(&frame, end);
                 }
                 Step::Dispatch(call) => {
                     self.obs.dispatches.inc();
@@ -674,10 +698,7 @@ impl EventLoop {
                         conn.dispatching = false;
                         self.obs.conns_dispatching.sub(1);
                         let (frame, end) = conn.core.complete(reply, session_id, seq);
-                        conn.writer.queue(&frame);
-                        if end {
-                            conn.closing = true;
-                        }
+                        conn.queue(&frame, end);
                     }
                 }
             }
@@ -698,14 +719,10 @@ impl EventLoop {
             self.retire(conn);
             return;
         }
-        conn.writer.queue(&frame);
-        if end {
-            conn.closing = true;
-        }
+        conn.queue(&frame, end);
         if self.shutting_down && !conn.closing {
             let farewell = conn.core.shutdown_frame();
-            conn.writer.queue(&farewell);
-            conn.closing = true;
+            conn.queue(&farewell, true);
         }
         self.advance_session(&mut conn, token);
         match self.flush_and_rearm(&mut conn, token) {
@@ -758,20 +775,14 @@ impl EventLoop {
             }
             conn.interest = desired;
         }
-        if conn.closing && !conn.wheel_armed {
-            // Bound the farewell drain: force-close via the wheel if
-            // the peer never reads it.
-            self.wheel
-                .schedule(token, Instant::now() + SHUTDOWN_FLUSH_GRACE);
-            conn.wheel_armed = true;
-            conn.idle_deadline = Instant::now() + SHUTDOWN_FLUSH_GRACE;
-        }
+        self.arm(conn, token);
         Disposition::Keep
     }
 
-    /// A wheel entry fired. Timers are hints: revalidate against the
-    /// connection's real deadline and reschedule if activity moved it.
-    fn timer_fired(&mut self, token: u64) {
+    /// A heap entry at `at` came due. Entries are hints: one superseded
+    /// by an earlier entry is skipped, and the connection's real
+    /// deadline is revalidated — re-armed if activity moved it out.
+    fn timer_fired(&mut self, token: u64, at: Instant) {
         if token == TOKEN_LISTENER {
             self.unpark_listener();
             return;
@@ -779,52 +790,34 @@ impl EventLoop {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
-        conn.wheel_armed = false;
-        if conn.dead {
+        if conn.armed != Some(at) || conn.dead {
+            // Stale, or waiting on the completion that retires it.
             self.conns.insert(token, conn);
             return;
         }
+        conn.armed = None;
         let now = Instant::now();
-        if conn.closing {
-            if now < conn.idle_deadline {
-                self.wheel.schedule(token, conn.idle_deadline);
-                conn.wheel_armed = true;
-                self.conns.insert(token, conn);
-            } else {
-                // Farewell never drained; close anyway.
-                self.finalize(token, conn);
-            }
+        if conn.deadline.is_none_or(|deadline| now < deadline) {
+            self.arm(&mut conn, token);
+        } else if conn.closing {
+            // Farewell never drained; close anyway.
+            self.finalize(token, conn);
             return;
-        }
-        if self.idle_timeout.is_zero() {
-            self.conns.insert(token, conn);
-            return;
-        }
-        if conn.dispatching {
+        } else if conn.dispatching {
             // Busy is not idle: push the deadline a full period out.
-            conn.idle_deadline = now + self.idle_timeout;
-            self.wheel.schedule(token, conn.idle_deadline);
-            conn.wheel_armed = true;
-            self.conns.insert(token, conn);
-            return;
-        }
-        if now < conn.idle_deadline {
-            self.wheel.schedule(token, conn.idle_deadline);
-            conn.wheel_armed = true;
-            self.conns.insert(token, conn);
-            return;
-        }
-        // Genuinely idle: farewell + close.
-        self.obs.idle_closes.inc();
-        let farewell = conn.core.idle_timeout_frame();
-        conn.writer.queue(&farewell);
-        conn.closing = true;
-        match self.flush_and_rearm(&mut conn, token) {
-            Disposition::Keep => {
-                self.conns.insert(token, conn);
+            conn.deadline = self.idle_deadline();
+            self.arm(&mut conn, token);
+        } else {
+            // Genuinely idle: farewell + close.
+            self.obs.idle_closes.inc();
+            let farewell = conn.core.idle_timeout_frame();
+            conn.queue(&farewell, true);
+            if let Disposition::Close = self.flush_and_rearm(&mut conn, token) {
+                self.finalize(token, conn);
+                return;
             }
-            Disposition::Close => self.finalize(token, conn),
         }
+        self.conns.insert(token, conn);
     }
 
     /// Deregister and retire a connection — unless a dispatch is in
@@ -871,16 +864,15 @@ impl EventLoop {
         }
     }
 
-    /// Send every quiet connection its farewell. Dispatching
-    /// connections are left alone — their completion path appends the
-    /// farewell after the reply, preserving the old "handler finishes,
-    /// reply delivered, then close" semantics.
+    /// Send every quiet connection its farewell, which starts its flush
+    /// grace. Dispatching connections are left alone — their completion
+    /// path appends the farewell after the reply ("handler finishes,
+    /// reply delivered, then close") and starts the grace there.
     fn begin_shutdown(&mut self) {
         if self.shutting_down {
             return;
         }
         self.shutting_down = true;
-        self.shutdown_at = Some(Instant::now());
         self.close_listener();
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
@@ -893,8 +885,7 @@ impl EventLoop {
             }
             if !conn.dispatching && !conn.closing {
                 let farewell = conn.core.shutdown_frame();
-                conn.writer.queue(&farewell);
-                conn.closing = true;
+                conn.queue(&farewell, true);
             }
             match self.flush_and_rearm(&mut conn, token) {
                 Disposition::Keep => {
@@ -902,26 +893,6 @@ impl EventLoop {
                 }
                 Disposition::Close => self.finalize(token, conn),
             }
-        }
-    }
-
-    /// Force-close farewell stragglers once the grace period expires.
-    /// Connections with a dispatch in flight are always waited for.
-    fn shutdown_tick(&mut self) {
-        let Some(at) = self.shutdown_at else { return };
-        if Instant::now() < at + SHUTDOWN_FLUSH_GRACE {
-            return;
-        }
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
-            let Some(conn) = self.conns.remove(&token) else {
-                continue;
-            };
-            if conn.dispatching || conn.dead {
-                self.conns.insert(token, conn);
-                continue;
-            }
-            self.finalize(token, conn);
         }
     }
 }

@@ -131,8 +131,9 @@ impl Poller {
     pub(crate) fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         out.clear();
         let timeout_ms = match timeout {
-            // Round up so a 0.4 ms residue doesn't busy-spin at 0.
-            Some(t) => i32::try_from(t.as_millis().max(1)).unwrap_or(i32::MAX),
+            // Round up, so a deadline 0.4 ms away is slept past rather
+            // than spun on at 0 ms; only a due deadline polls at 0.
+            Some(t) => i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX),
             None => -1,
         };
         const CAP: usize = 256;

@@ -31,8 +31,9 @@ impl Connect for TcpConnector {
     }
 }
 
-/// Adapts any closure into a connector — used for in-memory transports in
-/// tests and benchmarks.
+/// Adapts any closure into a connector — for a connector that owns
+/// state, such as the server it reaches or a fault-injecting wrapper
+/// around each transport it opens.
 pub struct FnConnector<F>(pub F);
 
 impl<F> Connect for FnConnector<F>

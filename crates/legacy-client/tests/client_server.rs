@@ -1,29 +1,18 @@
-//! End-to-end tests: legacy client ↔ reference legacy server, over both
-//! in-memory and TCP transports. Reproduces the paper's Figure 5 error
-//! semantics on the legacy side.
+//! End-to-end tests: legacy client ↔ reference legacy server over
+//! loopback TCP. Reproduces the paper's Figure 5 error semantics on the
+//! legacy side.
 
-use std::io;
 use std::sync::Arc;
 
-use etlv_legacy_client::{ClientOptions, FnConnector, LegacyEtlClient, ScriptResult, TcpConnector};
+use etlv_legacy_client::{ClientOptions, LegacyEtlClient, ScriptResult, TcpConnector};
 use etlv_legacy_server::LegacyServer;
 use etlv_protocol::data::{Date, Value};
-use etlv_protocol::transport::{duplex, Transport};
 use etlv_script::{compile, parse_script, JobPlan};
 
-/// Connector that opens in-memory duplex pipes served by `server`.
-fn mem_connector(
-    server: &Arc<LegacyServer>,
-) -> Arc<FnConnector<impl Fn() -> io::Result<Box<dyn Transport>> + Send + Sync>> {
-    let server = Arc::clone(server);
-    Arc::new(FnConnector(move || {
-        let (client_end, server_end) = duplex();
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || {
-            let _ = server.serve(server_end);
-        });
-        Ok(Box::new(client_end) as Box<dyn Transport>)
-    }))
+/// Serve `server` on a loopback port and return a connector to it.
+fn tcp_connector(server: &Arc<LegacyServer>) -> Arc<TcpConnector> {
+    let addr = server.listen_tcp("127.0.0.1:0").unwrap();
+    Arc::new(TcpConnector::new(addr.to_string()))
 }
 
 const IMPORT_SCRIPT: &str = r#"
@@ -70,7 +59,7 @@ fn import_job() -> etlv_script::ImportJob {
 fn figure5_error_tables_on_legacy_server() {
     let server = LegacyServer::new();
     create_target(&server);
-    let client = LegacyEtlClient::new(mem_connector(&server));
+    let client = LegacyEtlClient::new(tcp_connector(&server));
 
     let result = client.run_import_data(&import_job(), FIGURE5_DATA).unwrap();
     assert_eq!(result.rows_sent, 5);
@@ -138,7 +127,7 @@ fn parallel_sessions_and_small_chunks() {
     let server = LegacyServer::new();
     create_target(&server);
     let client = LegacyEtlClient::with_options(
-        mem_connector(&server),
+        tcp_connector(&server),
         ClientOptions {
             chunk_rows: 1, // one record per chunk: maximum protocol churn
             sessions: Some(4),
@@ -173,7 +162,7 @@ fn import_over_tcp() {
 fn export_roundtrip_vartext() {
     let server = LegacyServer::new();
     create_target(&server);
-    let connector = mem_connector(&server);
+    let connector = tcp_connector(&server);
     let client = LegacyEtlClient::new(connector);
     client.run_import_data(&import_job(), FIGURE5_DATA).unwrap();
 
@@ -198,7 +187,7 @@ select CUST_ID, CUST_NAME, JOIN_DATE from PROD.CUSTOMER order by CUST_ID;
 fn export_binary_roundtrip() {
     let server = LegacyServer::new();
     create_target(&server);
-    let client = LegacyEtlClient::new(mem_connector(&server));
+    let client = LegacyEtlClient::new(tcp_connector(&server));
     client.run_import_data(&import_job(), FIGURE5_DATA).unwrap();
 
     let export_src = r#"
@@ -227,7 +216,7 @@ fn run_script_end_to_end_with_files() {
 
     let server = LegacyServer::new();
     create_target(&server);
-    let client = LegacyEtlClient::new(mem_connector(&server));
+    let client = LegacyEtlClient::new(tcp_connector(&server));
     let ScriptResult::Import(result) = client.run_script(IMPORT_SCRIPT, &dir).unwrap() else {
         panic!()
     };
@@ -238,7 +227,7 @@ fn run_script_end_to_end_with_files() {
 #[test]
 fn control_session_sql_access() {
     let server = LegacyServer::new();
-    let connector = mem_connector(&server);
+    let connector = tcp_connector(&server);
     let mut session = etlv_legacy_client::Session::logon(
         connector.as_ref(),
         "user",
@@ -266,7 +255,7 @@ fn control_session_sql_access() {
 fn errlimit_respected() {
     let server = LegacyServer::new();
     create_target(&server);
-    let client = LegacyEtlClient::new(mem_connector(&server));
+    let client = LegacyEtlClient::new(tcp_connector(&server));
     let mut job = import_job();
     job.errlimit = 1;
     let result = client.run_import_data(&job, FIGURE5_DATA).unwrap();

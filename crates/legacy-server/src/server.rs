@@ -93,9 +93,9 @@ impl LegacyServer {
         &self.engine
     }
 
-    /// Serve one connection until the peer logs off or disconnects.
-    /// Callers run this on its own thread per connection.
-    pub fn serve(self: &Arc<Self>, mut transport: impl Transport) -> io::Result<()> {
+    /// Serve one connection until the peer logs off or disconnects, on
+    /// the connection's own thread.
+    fn serve(self: &Arc<Self>, mut transport: impl Transport) -> io::Result<()> {
         let mut session_id = 0u32;
         let mut seq = 0u32;
         let mut role = SessionRole::Control;

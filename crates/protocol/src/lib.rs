@@ -27,7 +27,8 @@
 //! - [`errcode`]: the legacy error-code table (2666, 2794, 3103, 9057, ...).
 //! - [`trace`]: wire-propagated causal trace context (optional payload
 //!   trailer; legacy peers interoperate unchanged).
-//! - [`transport`]: byte transports (TCP and in-memory duplex).
+//! - [`transport`]: the TCP frame transport and its fault-injecting
+//!   wrapper.
 //! - [`nio`]: nonblocking frame I/O (readiness read pump, resumable
 //!   write-buffer draining) for reactor-served connections.
 //! - [`backoff`]: deterministic capped-jitter retry schedule, shared by
@@ -59,4 +60,4 @@ pub use message::Message;
 pub use nio::{pump_frames, FrameWriter, NioError, ReadStatus};
 pub use record::{RecordDecoder, RecordEncoder};
 pub use trace::TraceContext;
-pub use transport::{duplex, MemTransport, Transport};
+pub use transport::Transport;

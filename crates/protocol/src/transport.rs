@@ -1,20 +1,14 @@
 //! Byte transports carrying protocol frames.
 //!
-//! Two implementations are provided:
-//!
-//! - [`TcpTransport`]: frames over a real TCP socket, the configuration a
-//!   deployed legacy client uses when repointed at the virtualizer.
-//! - [`MemTransport`]: an in-process duplex pipe built on channels, used by
-//!   the blocking legacy-server oracle and by unit tests; it exercises the
-//!   identical framing/coalescing code without kernel networking.
-//!
-//! Both deliberately expose a *byte* interface internally: the receiver side
+//! [`TcpTransport`] carries frames over a real TCP socket — the one
+//! transport every client, server and test uses, as a deployed legacy
+//! client does when repointed at the virtualizer. Its receive side
 //! always runs the [`FrameDecoder`] (the paper's Coalescer), so arbitrary
-//! fragmentation is handled uniformly.
+//! fragmentation is handled uniformly. [`ChaosTransport`] wraps any
+//! [`Transport`] to inject frame-delivery faults.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::mpsc;
 use std::time::Duration;
 
 use crate::frame::{Frame, FrameDecoder};
@@ -126,70 +120,6 @@ impl Transport for TcpTransport {
     }
 }
 
-/// One end of an in-process duplex frame pipe.
-pub struct MemTransport {
-    tx: mpsc::Sender<Vec<u8>>,
-    rx: mpsc::Receiver<Vec<u8>>,
-    decoder: FrameDecoder,
-}
-
-/// Create a connected pair of in-memory transports.
-pub fn duplex() -> (MemTransport, MemTransport) {
-    let (tx_a, rx_b) = mpsc::channel();
-    let (tx_b, rx_a) = mpsc::channel();
-    (
-        MemTransport {
-            tx: tx_a,
-            rx: rx_a,
-            decoder: FrameDecoder::new(),
-        },
-        MemTransport {
-            tx: tx_b,
-            rx: rx_b,
-            decoder: FrameDecoder::new(),
-        },
-    )
-}
-
-impl Transport for MemTransport {
-    fn send(&mut self, frame: &Frame) -> io::Result<()> {
-        self.tx
-            .send(frame.to_bytes())
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer disconnected"))
-    }
-
-    fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.tx
-            .send(bytes.to_vec())
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer disconnected"))
-    }
-
-    fn recv(&mut self) -> io::Result<Option<Frame>> {
-        loop {
-            if let Some(frame) = self.decoder.next_frame().map_err(frame_err)? {
-                return Ok(Some(frame));
-            }
-            match self.rx.recv() {
-                Ok(bytes) => self.decoder.feed(&bytes),
-                Err(_) => return Ok(None),
-            }
-        }
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<Frame>> {
-        loop {
-            if let Some(frame) = self.decoder.next_frame().map_err(frame_err)? {
-                return Ok(Some(frame));
-            }
-            match self.rx.recv_timeout(timeout) {
-                Ok(bytes) => self.decoder.feed(&bytes),
-                Err(mpsc::RecvTimeoutError::Timeout) => return Ok(None),
-                Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(None),
-            }
-        }
-    }
-}
-
 /// The verdict for one outgoing frame on a [`ChaosTransport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportFault {
@@ -291,35 +221,23 @@ mod tests {
     use std::net::TcpListener;
     use std::thread;
 
-    #[test]
-    fn mem_duplex_roundtrip() {
-        let (mut a, mut b) = duplex();
-        let f1 = Frame::new(MsgKind::Keepalive, 1, 1, Vec::new());
-        let f2 = Frame::new(MsgKind::Ack, 1, 2, vec![9u8; 8]);
-        a.send(&f1).unwrap();
-        a.send(&f2).unwrap();
-        assert_eq!(b.recv().unwrap().unwrap(), f1);
-        assert_eq!(b.recv().unwrap().unwrap(), f2);
-        b.send(&f1).unwrap();
-        assert_eq!(a.recv().unwrap().unwrap(), f1);
+    /// Both ends of one loopback TCP connection.
+    fn tcp_pair() -> (TcpTransport, TcpTransport) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpTransport::connect(&listener.local_addr().unwrap().to_string()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (client, TcpTransport::new(stream).unwrap())
     }
 
+    /// `recv_timeout` backs the client's `read_timeout`: a silent peer
+    /// times out, and the socket still reads normally afterwards.
     #[test]
-    fn mem_eof_on_drop() {
-        let (mut a, b) = duplex();
-        drop(b);
-        assert!(
-            a.recv().unwrap().is_none()
-                || a.send(&Frame::new(MsgKind::Keepalive, 0, 0, Vec::new()))
-                    .is_err()
-        );
-    }
-
-    #[test]
-    fn mem_recv_timeout() {
-        let (mut a, _b) = duplex();
-        let got = a.recv_timeout(Duration::from_millis(10)).unwrap();
-        assert!(got.is_none());
+    fn tcp_recv_timeout() {
+        let (mut a, mut b) = tcp_pair();
+        assert!(a.recv_timeout(Duration::from_millis(10)).unwrap().is_none());
+        let f = Frame::new(MsgKind::Keepalive, 1, 1, Vec::new());
+        b.send(&f).unwrap();
+        assert_eq!(a.recv_timeout(Duration::from_secs(5)).unwrap(), Some(f));
     }
 
     #[test]
@@ -327,7 +245,7 @@ mod tests {
         use std::sync::Arc;
 
         // Frame 1 dropped, frame 2 truncated (then severed).
-        let (client, mut server) = duplex();
+        let (client, mut server) = tcp_pair();
         let hook: TransportFaultHook = Arc::new(|index, _kind| match index {
             0 => TransportFault::Deliver,
             1 => TransportFault::Drop,
@@ -349,7 +267,7 @@ mod tests {
     #[test]
     fn chaos_sever_fails_send_and_disconnects_peer() {
         use std::sync::Arc;
-        let (client, mut server) = duplex();
+        let (client, mut server) = tcp_pair();
         let hook: TransportFaultHook = Arc::new(|_, _| TransportFault::Sever);
         let mut chaos = ChaosTransport::new(client, hook);
         let f = Frame::new(MsgKind::Keepalive, 0, 0, Vec::new());

@@ -34,6 +34,6 @@ pub mod prelude {
         ClientOptions, Connect, FnConnector, LegacyEtlClient, Session, TcpConnector,
     };
     pub use etlv_legacy_server::LegacyServer;
-    pub use etlv_protocol::transport::{duplex, Transport};
+    pub use etlv_protocol::transport::Transport;
     pub use etlv_script::{compile, parse_script, JobPlan};
 }

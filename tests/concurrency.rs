@@ -15,9 +15,11 @@
 //! - **Lifecycle**: `drain()` finishes in-flight jobs while rejecting new
 //!   logons; `shutdown()` aborts sessions and joins the accept loop.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use etlv_cdw::{Cdw, CdwConfig};
+use etlv_cloudstore::{MemStore, ObjectStore};
 use etlv_core::{Virtualizer, VirtualizerConfig};
 use etlv_legacy_client::{
     ClientError, ClientOptions, LegacyEtlClient, RetryPolicy, Session, TcpConnector,
@@ -235,6 +237,86 @@ fn job_admission_limit_bounces_then_recovers() {
     releaser.join().unwrap();
     assert_eq!(v.cdw().table_len("T0").unwrap(), 20);
     wait_idle(&v);
+}
+
+/// Admission is one step, not check-then-insert: four `BeginLoad`s
+/// released at once against a one-job node, with job setup slowed by a
+/// 20 ms statement latency, admit exactly one job and bounce three.
+#[test]
+fn concurrent_begin_loads_respect_the_job_limit() {
+    const SESSIONS: usize = 4;
+    let store: Arc<dyn ObjectStore> = Arc::new(MemStore::new());
+    let cdw = Cdw::with_config(
+        CdwConfig {
+            statement_latency: Duration::from_millis(20),
+            ..Default::default()
+        },
+        Some(Arc::clone(&store)),
+    );
+    let config = VirtualizerConfig {
+        max_concurrent_jobs: 1,
+        ..Default::default()
+    };
+    let v = Virtualizer::with_backends(config, cdw, store);
+    let server = v.listen_tcp("127.0.0.1:0").expect("bind");
+    let addr = server.addr().to_string();
+    let rejections_before = v.obs().gateway.admission_rejections.value();
+
+    let barrier = Arc::new(Barrier::new(SESSIONS));
+    let handles: Vec<_> = (0..SESSIONS)
+        .map(|i| {
+            let (addr, barrier) = (addr.clone(), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                let connector = TcpConnector::new(addr);
+                let mut session =
+                    Session::logon(&connector, &format!("u{i}"), "p", SessionRole::Control, 0)
+                        .unwrap();
+                session.set_read_timeout(Some(Duration::from_secs(20)));
+                let job = simple_import_job(&format!("T{i}"));
+                barrier.wait();
+                let reply = session.request(Message::BeginLoad(BeginLoad {
+                    target_table: job.target.clone(),
+                    error_table_et: job.error_table_et.clone(),
+                    error_table_uv: job.error_table_uv.clone(),
+                    layout: job.layout.clone(),
+                    format: job.format,
+                    sessions: 1,
+                    error_limit: 0,
+                    trace: None,
+                }));
+                // Keep the session (and so its job) open until every
+                // reply is in.
+                (reply, session)
+            })
+        })
+        .collect();
+    let outcomes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+
+    let admitted = outcomes
+        .iter()
+        .filter(|(r, _)| matches!(r, Ok(Message::BeginLoadOk { .. })))
+        .count();
+    let busy = outcomes
+        .iter()
+        .filter(|(r, _)| {
+            matches!(r, Err(ClientError::Server { code, .. }) if *code == ErrCode::SERVER_BUSY.0)
+        })
+        .count();
+    assert_eq!(
+        (admitted, busy),
+        (1, SESSIONS - 1),
+        "one slot, four requests: {:?}",
+        outcomes.iter().map(|(r, _)| r).collect::<Vec<_>>()
+    );
+    assert_eq!(
+        v.obs().gateway.admission_rejections.value() - rejections_before,
+        (SESSIONS - 1) as u64
+    );
+    for (_, session) in outcomes {
+        session.logoff();
+    }
+    wait_idle(&v);
+    server.shutdown();
 }
 
 /// The session registry refuses logons past `max_sessions` with

@@ -561,7 +561,7 @@ fn rejections_and_idle_timeouts_attributed_to_their_tenant() {
         Ok(_) => panic!("second logon must be refused"),
     }
 
-    // "holder" now sits idle past the timeout; the timer wheel reaps it.
+    // "holder" now sits idle past its idle deadline and is reaped.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     while v.active_sessions() > 0 {
         assert!(

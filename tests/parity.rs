@@ -9,25 +9,17 @@ use std::sync::Arc;
 
 use etlv_core::workload::{customer_workload, CustomerSpec};
 use etlv_core::{Virtualizer, VirtualizerConfig};
-use etlv_legacy_client::{ClientOptions, Connect, FnConnector, LegacyEtlClient};
+use etlv_legacy_client::{ClientOptions, Connect, LegacyEtlClient, TcpConnector};
 use etlv_legacy_server::LegacyServer;
-use etlv_protocol::transport::{duplex, Transport};
 use etlv_script::{compile, parse_script, JobPlan};
 
 mod common;
 use common::tcp_connector;
 
-/// The blocking oracle over the in-memory duplex it serves.
+/// The blocking oracle, served on a loopback port like the virtualizer.
 fn server_connector(server: &Arc<LegacyServer>) -> Arc<dyn Connect> {
-    let server = Arc::clone(server);
-    Arc::new(FnConnector(move || {
-        let (client_end, server_end) = duplex();
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || {
-            let _ = server.serve(server_end);
-        });
-        Ok(Box::new(client_end) as Box<dyn Transport>)
-    }))
+    let addr = server.listen_tcp("127.0.0.1:0").expect("bind loopback");
+    Arc::new(TcpConnector::new(addr.to_string()))
 }
 
 /// Run the workload against both systems (creating the target through the

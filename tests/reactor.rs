@@ -11,8 +11,10 @@
 //!   over real TCP parses exactly like one written whole.
 //! - **Partial-write resumption**: a reply flood that overruns the
 //!   socket buffer drains correctly, in order, without loss.
-//! - **Idle reaping**: the timer wheel reaps quiet sessions with the
+//! - **Idle reaping**: a quiet session's idle deadline reaps it with the
 //!   `IDLE_TIMEOUT` farewell and keeps the gauges truthful.
+//! - **Bounded close**: a closing connection whose peer never reads is
+//!   force-closed when its flush grace runs out.
 //! - **Disconnect safety**: a yanked connection aborts the jobs its
 //!   session owned, even mid-dispatch.
 
@@ -206,13 +208,13 @@ fn reply_flood_resumes_partial_writes_in_order() {
     server.shutdown();
 }
 
-/// Quiet sessions are reaped by the timer wheel: the client sees the
-/// `IDLE_TIMEOUT` farewell, the registry empties, the reap is counted.
+/// A quiet session is reaped when its idle deadline passes: the client
+/// sees the `IDLE_TIMEOUT` farewell, the registry empties, the reap is
+/// counted.
 #[test]
 fn idle_sessions_are_reaped_with_a_farewell() {
     let v = Virtualizer::new(VirtualizerConfig {
         session_idle_timeout: Duration::from_millis(150),
-        reactor_tick: Duration::from_millis(10),
         ..Default::default()
     });
     let server = v.listen_tcp("127.0.0.1:0").expect("bind");
@@ -253,6 +255,67 @@ fn idle_sessions_are_reaped_with_a_farewell() {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert!(v.obs().reactor.idle_closes.value() >= 1);
+    server.shutdown();
+}
+
+/// A connection that closes with reply bytes its peer never reads is
+/// force-closed once the 2 s flush grace runs out — even with an idle
+/// timeout armed 30 s out, which must not stand in for the grace.
+#[test]
+fn closing_connection_is_retired_within_the_flush_grace() {
+    let v = Virtualizer::new(VirtualizerConfig {
+        session_idle_timeout: Duration::from_secs(30),
+        ..Default::default()
+    });
+    let server = v.listen_tcp("127.0.0.1:0").expect("bind");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).unwrap();
+
+    let logon = encode(
+        Message::Logon(Logon {
+            username: "deaf".into(),
+            password: "p".into(),
+            role: SessionRole::Control,
+            job_token: 0,
+            trace: None,
+        }),
+        0,
+        0,
+    );
+    stream.write_all(&logon).unwrap();
+    let session = match &read_messages(&mut stream, 1)[0] {
+        Message::LogonOk(ok) => ok.session,
+        other => panic!("expected LogonOk, got {other:?}"),
+    };
+
+    // Flood keepalives without reading a reply until the server holds
+    // reply bytes the socket will not take.
+    const BATCH: u32 = 10_000;
+    let mut seq = 1;
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while v.obs().reactor.conns_writing.value() == 0 {
+        assert!(Instant::now() < deadline, "the writer never backed up");
+        let burst: Vec<u8> = (seq..seq + BATCH)
+            .flat_map(|s| encode(Message::Keepalive, session, s))
+            .collect();
+        stream.write_all(&burst).unwrap();
+        seq += BATCH;
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(v.obs().reactor.conns_writing.value(), 1);
+
+    // A second Logon is fatal: the connection starts closing with its
+    // writer still full, and the peer never reads.
+    stream.write_all(&logon).unwrap();
+    let t0 = Instant::now();
+    while v.active_sessions() > 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(6),
+            "a closing connection must be retired within the flush grace"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(stream);
     server.shutdown();
 }
 
