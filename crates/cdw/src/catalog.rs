@@ -161,7 +161,7 @@ impl Table {
     }
 
     /// Append pre-validated rows in one shot, maintaining every index
-    /// incrementally — the storage half of the CDW's batched ingest. Rows
+    /// incrementally — the storage half of INSERT and COPY. Rows
     /// are moved, never cloned; callers must have validated width, types,
     /// and (if enforced) uniqueness already. Returns the number of index
     /// maintenance operations performed.

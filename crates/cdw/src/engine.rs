@@ -19,28 +19,19 @@ use crate::plan::PlanStats;
 /// execution, so the failure is always side-effect free.
 pub type TransientFaultHook = Arc<dyn Fn() -> bool + Send + Sync>;
 
-/// Which execution entry point an [`ExecObserver`] callback reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecOp {
-    /// A SQL statement (`execute`/`execute_stmt`/`execute_script`).
-    Statement,
-    /// A batched ingest (`copy_batch`).
-    CopyBatch,
-}
-
-/// Observation callback invoked after every statement or batch:
-/// `(op, elapsed, ok)`. Installed by the virtualizer to feed its metrics
+/// Observation callback invoked after every statement:
+/// `(elapsed, ok)`. Installed by the virtualizer to feed its metrics
 /// registry; this crate carries no metrics machinery of its own.
-pub type ExecObserver = Arc<dyn Fn(ExecOp, Duration, bool) + Send + Sync>;
+pub type ExecObserver = Arc<dyn Fn(Duration, bool) + Send + Sync>;
 
-/// Plan observation callback invoked after every statement or batch that
-/// touched the planner, with that statement's access-path counters.
-/// Installed by the virtualizer to feed its metrics registry.
+/// Plan observation callback invoked after every statement that touched
+/// the planner, with that statement's access-path counters. Installed by
+/// the virtualizer to feed its metrics registry.
 pub type PlanObserver = Arc<dyn Fn(&PlanStats) + Send + Sync>;
 
 /// Lock-contention observation callback: `(site, wait, contended)` per
-/// acquisition of the catalog map or a per-table lock on the DML and
-/// batch-ingest paths. Sites are `"cdw.catalog"` and
+/// acquisition of the catalog map or a per-table lock on the DML
+/// path. Sites are `"cdw.catalog"` and
 /// `"cdw.table/<canonical name>"`. An uncontended acquisition reports
 /// `(site, ZERO, false)`; a blocked one reports how long it waited.
 /// Installed by the virtualizer to feed its lock-site profiles; this
@@ -140,9 +131,9 @@ impl Cdw {
     }
 
     /// Install (or clear) an execution observer. Shared across all clones
-    /// of this warehouse handle. The observer sees every statement and
-    /// batch — including ones failed by the transient-fault hook — with
-    /// its wall time and outcome.
+    /// of this warehouse handle. The observer sees every statement —
+    /// including ones failed by the transient-fault hook — with its wall
+    /// time and outcome.
     pub fn set_exec_observer(&self, observer: Option<ExecObserver>) {
         *self.inner.exec_observer.lock() = observer;
     }
@@ -150,15 +141,15 @@ impl Cdw {
     /// Install (or clear) a plan observer. Shared across all clones of
     /// this warehouse handle. The observer sees per-statement access-path
     /// counters (index seeks, full scans, index maintenance) for every
-    /// DML statement and batch.
+    /// DML statement.
     pub fn set_plan_observer(&self, observer: Option<PlanObserver>) {
         *self.inner.plan_observer.lock() = observer;
     }
 
     /// Install (or clear) a lock observer. Shared across all clones of
     /// this warehouse handle. The observer sees every catalog-map and
-    /// per-table lock acquisition on the DML and batch-ingest paths with
-    /// its wait time and whether it had to block.
+    /// per-table lock acquisition on the DML path with its wait time and
+    /// whether it had to block.
     pub fn set_lock_observer(&self, observer: Option<LockObserver>) {
         *self.inner.lock_observer.lock() = observer;
     }
@@ -184,26 +175,22 @@ impl Cdw {
 
     /// Run `f` under the installed observer (if any), timing it and
     /// reporting the outcome.
-    fn observed<T>(
-        &self,
-        op: ExecOp,
-        f: impl FnOnce() -> Result<T, CdwError>,
-    ) -> Result<T, CdwError> {
+    fn observed<T>(&self, f: impl FnOnce() -> Result<T, CdwError>) -> Result<T, CdwError> {
         let observer = self.inner.exec_observer.lock().clone();
         match observer {
             None => f(),
             Some(observer) => {
                 let start = std::time::Instant::now();
                 let result = f();
-                observer(op, start.elapsed(), result.is_ok());
+                observer(start.elapsed(), result.is_ok());
                 result
             }
         }
     }
 
-    /// Per-statement prelude shared by every execution entry point: consult
-    /// the transient-fault hook (failing side-effect free), then model the
-    /// client↔warehouse round-trip latency.
+    /// Per-statement prelude: consult the transient-fault hook (failing
+    /// side-effect free), then model the client↔warehouse round-trip
+    /// latency.
     fn begin_statement(&self) -> Result<(), CdwError> {
         let hook = self.inner.transient_fault.lock().clone();
         if let Some(hook) = hook {
@@ -221,7 +208,7 @@ impl Cdw {
 
     /// Execute one pre-parsed statement.
     pub fn execute_stmt(&self, stmt: &Stmt) -> Result<QueryResult, CdwError> {
-        self.observed(ExecOp::Statement, || {
+        self.observed(|| {
             self.begin_statement()?;
             match stmt {
                 // DDL takes the catalog map's write lock; DML never does.
@@ -291,48 +278,6 @@ impl Cdw {
         drop(ctx);
         self.record_plan(&stats);
         result
-    }
-
-    /// Batched ingest fast path: validate and append pre-materialized rows
-    /// to `table` under a single catalog-lock acquisition and a single
-    /// statement round-trip — no SQL text, no AST, no per-row cloning.
-    /// Semantics match a set-oriented `INSERT` of full-width rows: the
-    /// whole batch is validated (column count, NOT NULL, coercion, native
-    /// uniqueness) before any state changes, and aborts leave the table
-    /// untouched. Returns the number of rows appended.
-    pub fn copy_batch(
-        &self,
-        table: &str,
-        rows: Vec<Vec<etlv_protocol::data::Value>>,
-    ) -> Result<u64, CdwError> {
-        self.observed(ExecOp::CopyBatch, || {
-            self.begin_statement()?;
-            let lock_obs = self.inner.lock_observer.lock().clone();
-            let handle = read_observed(&self.inner.catalog, "cdw.catalog", lock_obs.as_ref())
-                .handle(table)?;
-            let canonical = canonical_name(table);
-            let guard = match &lock_obs {
-                None => handle.write(),
-                Some(obs) => {
-                    let site = format!("cdw.table/{canonical}");
-                    write_observed(&handle, &site, Some(obs))
-                }
-            };
-            let mut tables = TableSet::new();
-            tables.insert(canonical, TableGuard::Write(guard));
-            let mut ctx = ExecCtx {
-                tables,
-                store: self.inner.store.as_ref(),
-                native_unique: self.inner.config.native_unique,
-                planner: self.inner.config.planner,
-                stats: PlanStats::default(),
-            };
-            let result = crate::exec::copy_batch(&mut ctx, table, rows);
-            let stats = ctx.stats;
-            drop(ctx);
-            self.record_plan(&stats);
-            result
-        })
     }
 
     /// Execute a `;`-separated script, stopping at the first error.
@@ -582,18 +527,14 @@ mod tests {
     }
 
     #[test]
-    fn exec_observer_sees_statements_batches_and_failures() {
+    fn exec_observer_sees_statements_and_failures() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let cdw = setup();
         let statements = Arc::new(AtomicU64::new(0));
-        let batches = Arc::new(AtomicU64::new(0));
         let failures = Arc::new(AtomicU64::new(0));
-        let (s, b, f) = (statements.clone(), batches.clone(), failures.clone());
-        cdw.set_exec_observer(Some(Arc::new(move |op, _elapsed, ok| {
-            match op {
-                ExecOp::Statement => s.fetch_add(1, Ordering::Relaxed),
-                ExecOp::CopyBatch => b.fetch_add(1, Ordering::Relaxed),
-            };
+        let (s, f) = (statements.clone(), failures.clone());
+        cdw.set_exec_observer(Some(Arc::new(move |_elapsed, ok| {
+            s.fetch_add(1, Ordering::Relaxed);
             if !ok {
                 f.fetch_add(1, Ordering::Relaxed);
             }
@@ -601,25 +542,17 @@ mod tests {
 
         cdw.execute("INSERT INTO PROD.CUSTOMER VALUES ('1', 'A', DATE '2012-01-01')")
             .unwrap();
-        cdw.copy_batch(
-            "PROD.CUSTOMER",
-            vec![vec![
-                Value::Str("2".into()),
-                Value::Str("B".into()),
-                Value::Date(Date::new(2012, 1, 2).unwrap()),
-            ]],
-        )
-        .unwrap();
+        cdw.execute("INSERT INTO PROD.CUSTOMER VALUES ('2', 'B', DATE '2012-01-02')")
+            .unwrap();
         assert!(cdw.execute("SELECT * FROM NO.SUCH_TABLE").is_err());
 
-        assert_eq!(statements.load(Ordering::Relaxed), 2);
-        assert_eq!(batches.load(Ordering::Relaxed), 1);
+        assert_eq!(statements.load(Ordering::Relaxed), 3);
         assert_eq!(failures.load(Ordering::Relaxed), 1);
 
         // Clearing the observer stops reporting.
         cdw.set_exec_observer(None);
         cdw.execute("SELECT CUST_ID FROM PROD.CUSTOMER").unwrap();
-        assert_eq!(statements.load(Ordering::Relaxed), 2);
+        assert_eq!(statements.load(Ordering::Relaxed), 3);
     }
 
     #[test]
@@ -634,15 +567,8 @@ mod tests {
 
         cdw.execute("INSERT INTO PROD.CUSTOMER VALUES ('1', 'a', NULL)")
             .unwrap();
-        cdw.copy_batch(
-            "PROD.CUSTOMER",
-            vec![vec![
-                Value::Str("2".into()),
-                Value::Str("b".into()),
-                Value::Null,
-            ]],
-        )
-        .unwrap();
+        cdw.execute("INSERT INTO PROD.CUSTOMER VALUES ('2', 'b', NULL)")
+            .unwrap();
 
         let seen = seen.lock().unwrap().clone();
         let catalog = seen.iter().filter(|(s, _)| s == "cdw.catalog").count();
@@ -650,8 +576,8 @@ mod tests {
             .iter()
             .filter(|(s, _)| s == "cdw.table/PROD.CUSTOMER")
             .count();
-        assert_eq!(catalog, 2, "one catalog read per entry point: {seen:?}");
-        assert_eq!(table, 2, "one table write per entry point: {seen:?}");
+        assert_eq!(catalog, 2, "one catalog read per statement: {seen:?}");
+        assert_eq!(table, 2, "one table write per statement: {seen:?}");
         // Single-threaded: every acquisition takes the fast path.
         assert!(seen.iter().all(|(_, contended)| !contended), "{seen:?}");
 
@@ -820,83 +746,93 @@ mod tests {
     }
 
     #[test]
-    fn copy_batch_appends_and_validates_atomically() {
+    fn insert_values_coerces_and_validates_atomically() {
         let cdw = setup();
-        let n = cdw
-            .copy_batch(
-                "PROD.CUSTOMER",
-                vec![
-                    vec![
-                        Value::Str("1".into()),
-                        Value::Str("ann".into()),
-                        Value::Str("2012-01-01".into()),
-                    ],
-                    vec![
-                        Value::Str("2".into()),
-                        Value::Str("bob".into()),
-                        Value::Null,
-                    ],
-                ],
+        let r = cdw
+            .execute(
+                "INSERT INTO PROD.CUSTOMER VALUES ('1', 'ann', '2012-01-01'), ('2', 'bob', NULL)",
             )
             .unwrap();
-        assert_eq!(n, 2);
-        assert_eq!(cdw.table_len("PROD.CUSTOMER").unwrap(), 2);
+        assert_eq!(r.affected, 2);
         // The text date was coerced against the column type.
         let r = cdw
             .execute("SELECT JOIN_DATE FROM PROD.CUSTOMER WHERE CUST_ID = '1'")
             .unwrap();
         assert_eq!(r.rows[0][0], Value::Date(Date::new(2012, 1, 1).unwrap()));
 
-        // A NOT NULL violation anywhere aborts the whole batch.
+        // A NOT NULL violation in any row aborts the whole statement.
         let err = cdw
-            .copy_batch(
-                "PROD.CUSTOMER",
-                vec![
-                    vec![Value::Str("3".into()), Value::Null, Value::Null],
-                    vec![Value::Null, Value::Null, Value::Null],
-                ],
-            )
+            .execute("INSERT INTO PROD.CUSTOMER VALUES ('3', NULL, NULL), (NULL, NULL, NULL)")
             .unwrap_err();
         assert!(err.is_bulk_abort(), "{err}");
         assert_eq!(cdw.table_len("PROD.CUSTOMER").unwrap(), 2);
 
         // Width mismatches are rejected before any mutation.
         let err = cdw
-            .copy_batch("PROD.CUSTOMER", vec![vec![Value::Str("4".into())]])
+            .execute("INSERT INTO PROD.CUSTOMER VALUES ('4')")
             .unwrap_err();
-        assert!(matches!(err, CdwError::ColumnCount { .. }));
+        assert!(matches!(err, CdwError::ColumnCount { .. }), "{err}");
+        assert_eq!(cdw.table_len("PROD.CUSTOMER").unwrap(), 2);
+
+        // An injected transient fails a multi-row INSERT before it runs.
+        cdw.set_transient_fault(Some(Arc::new(|| true)));
+        let err = cdw
+            .execute("INSERT INTO PROD.CUSTOMER VALUES ('5', 'e', NULL), ('6', 'f', NULL)")
+            .unwrap_err();
+        assert!(err.is_transient(), "{err}");
         assert_eq!(cdw.table_len("PROD.CUSTOMER").unwrap(), 2);
     }
 
     #[test]
-    fn copy_batch_native_unique_and_faults() {
-        let cdw = Cdw::with_config(
-            CdwConfig {
-                native_unique: true,
-                ..Default::default()
-            },
-            None,
-        );
-        cdw.execute("CREATE TABLE T (A INTEGER, PRIMARY KEY (A))")
-            .unwrap();
-        cdw.copy_batch("T", vec![vec![Value::Int(1)]]).unwrap();
-        // Duplicate against existing rows and within the batch both abort.
-        let err = cdw.copy_batch("T", vec![vec![Value::Int(1)]]).unwrap_err();
-        assert!(err.is_uniqueness());
-        let err = cdw
-            .copy_batch("T", vec![vec![Value::Int(2)], vec![Value::Int(2)]])
-            .unwrap_err();
-        assert!(err.is_uniqueness());
-        assert_eq!(cdw.table_len("T").unwrap(), 1);
-        // The index stays consistent for subsequent statement-path inserts.
-        let err = cdw.execute("INSERT INTO T VALUES (1)").unwrap_err();
-        assert!(err.is_uniqueness());
+    fn aggregates_compare_as_values() {
+        let cdw = Cdw::new();
+        cdw.execute_script(
+            "CREATE TABLE X (TS TIMESTAMP, D DATE);
+             INSERT INTO X VALUES ('2023-01-02 03:04:05', DATE '2023-01-01');",
+        )
+        .unwrap();
+        for sql in [
+            "SELECT TS > D FROM X",
+            "SELECT MAX(TS) > MIN(D) FROM X",
+            "SELECT COUNT(*) FROM X HAVING MAX(TS) > MIN(D)",
+        ] {
+            let r = cdw.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            assert_eq!(r.rows, vec![vec![Value::Int(1)]], "{sql}");
+        }
+    }
 
-        // The transient-fault hook guards copy_batch like any statement.
-        cdw.set_transient_fault(Some(Arc::new(|| true)));
-        let err = cdw.copy_batch("T", vec![vec![Value::Int(9)]]).unwrap_err();
-        assert!(err.is_transient(), "{err}");
-        assert_eq!(cdw.table_len("T").unwrap(), 1);
+    #[test]
+    fn evaluation_raises_the_first_error_in_row_order() {
+        let cdw = Cdw::new();
+        cdw.execute_script(
+            "CREATE TABLE S (A VARCHAR(10), B VARCHAR(10), D DATE, E DATE);
+             INSERT INTO S (A, B) VALUES ('2020-01-01', 'bad1'), ('bad2', '2020-01-01');
+             CREATE TABLE X (K INTEGER);
+             INSERT INTO X VALUES (1);",
+        )
+        .unwrap();
+        // Row 1's second column fails before row 2's first column.
+        for sql in [
+            "SELECT TO_DATE(A, 'YYYY-MM-DD'), TO_DATE(B, 'YYYY-MM-DD') FROM S",
+            "SELECT A FROM S WHERE TO_DATE(A, 'YYYY-MM-DD') IS NOT NULL
+               AND TO_DATE(B, 'YYYY-MM-DD') IS NOT NULL",
+            "UPDATE S SET D = TO_DATE(A, 'YYYY-MM-DD'), E = TO_DATE(B, 'YYYY-MM-DD')",
+        ] {
+            let err = cdw.execute(sql).unwrap_err();
+            assert!(err.is_bulk_abort(), "{sql}: {err}");
+            assert!(err.to_string().contains("'bad1'"), "{sql}: {err}");
+        }
+
+        // A column that does not resolve fails only where evaluation
+        // reaches it.
+        let r = cdw.execute("SELECT NOPE FROM X WHERE 1 = 0").unwrap();
+        assert!(r.rows.is_empty());
+        let r = cdw
+            .execute("SELECT CASE WHEN K = 1 THEN 'one' ELSE NOPE END FROM X")
+            .unwrap();
+        assert_eq!(r.rows, vec![vec![Value::Str("one".into())]]);
+        let err = cdw.execute("SELECT NOPE FROM X").unwrap_err();
+        assert!(matches!(err, CdwError::ColumnNotFound(_)), "{err}");
     }
 
     #[test]

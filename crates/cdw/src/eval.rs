@@ -177,7 +177,7 @@ pub fn literal_value(lit: &Literal) -> Value {
 }
 
 /// Apply a unary operator to an already-evaluated value.
-pub(crate) fn apply_unary(op: UnaryOp, v: Value) -> Result<Value, CdwError> {
+fn apply_unary(op: UnaryOp, v: Value) -> Result<Value, CdwError> {
     match op {
         UnaryOp::Neg => negate(v),
         UnaryOp::Not => Ok(match v {
@@ -208,7 +208,7 @@ fn eval_binary(left: &Expr, op: BinaryOp, right: &Expr, env: &dyn Env) -> Result
 
 /// Apply a binary operator to two already-evaluated values. Both operands
 /// are always evaluated first (AND/OR are eager with Kleene tables), which
-/// is what lets the columnar batch evaluator reuse this verbatim.
+/// is what lets aggregate evaluation apply it to computed values.
 pub(crate) fn apply_binary(l: Value, op: BinaryOp, r: Value) -> Result<Value, CdwError> {
     // AND/OR need lazy-ish three-valued handling.
     if matches!(op, BinaryOp::And | BinaryOp::Or) {

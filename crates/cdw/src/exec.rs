@@ -16,10 +16,9 @@ use etlv_sql::ast::*;
 use etlv_sql::types::Charset;
 use etlv_sql::SqlType;
 
-use crate::batch;
 use crate::catalog::{Table, TableSet};
 use crate::error::{BulkAbortKind, CdwError};
-use crate::eval::{conv_err, eval, truthy, Env};
+use crate::eval::{apply_binary, conv_err, eval, truthy, Env};
 use crate::key::{cmp_values, RowKey};
 use crate::plan::{
     choose_access, family_of, normalize_probe, plan_equi_join, Access, Family, PlanStats, SeekPlan,
@@ -76,15 +75,73 @@ struct Relation {
     rows: Vec<Vec<Value>>,
 }
 
+/// Column reference → row position, or the error resolving it raised.
+type ColRef<'e> = (&'e ObjectName, Result<usize, CdwError>);
+
+/// An expression whose column references were resolved against a site's
+/// bindings once, before the site's row loop. Each reference is keyed by
+/// its address in the borrowed expression, so a lookup during evaluation
+/// compares pointers instead of names. A reference that does not resolve
+/// keeps its error, raised only if evaluation reaches it — so an empty
+/// input or an untaken CASE branch raises nothing.
+struct Resolved<'e> {
+    expr: &'e Expr,
+    cols: Vec<ColRef<'e>>,
+}
+
+impl<'e> Resolved<'e> {
+    fn new(expr: &'e Expr, bindings: &[Binding]) -> Resolved<'e> {
+        let mut cols = Vec::new();
+        expr.walk(&mut |n| {
+            if let Expr::Column(name) = n {
+                cols.push((name, resolve_column(bindings, name)));
+            }
+        });
+        Resolved { expr, cols }
+    }
+
+    /// One [`Resolved`] per expression, in order.
+    fn all(exprs: impl IntoIterator<Item = &'e Expr>, bindings: &[Binding]) -> Vec<Resolved<'e>> {
+        exprs
+            .into_iter()
+            .map(|e| Resolved::new(e, bindings))
+            .collect()
+    }
+
+    /// The environment evaluating this expression (or any subtree of it)
+    /// over `row`.
+    fn env<'a>(&'a self, row: &'a [Value]) -> RowEnv<'a> {
+        RowEnv {
+            cols: &self.cols,
+            row,
+        }
+    }
+
+    fn eval(&self, row: &[Value]) -> Result<Value, CdwError> {
+        eval(self.expr, &self.env(row))
+    }
+
+    /// Whether the expression, as a predicate, selects `row`.
+    fn holds(&self, row: &[Value]) -> Result<bool, CdwError> {
+        Ok(truthy(&self.eval(row)?))
+    }
+}
+
+/// Evaluation environment for one row: each column reference reads the
+/// position it was resolved to.
 struct RowEnv<'a> {
-    bindings: &'a [Binding],
+    cols: &'a [ColRef<'a>],
     row: &'a [Value],
 }
 
 impl Env for RowEnv<'_> {
     fn resolve(&self, name: &ObjectName) -> Result<Value, CdwError> {
-        let idx = resolve_column(self.bindings, name)?;
-        Ok(self.row[idx].clone())
+        match self.cols.iter().find(|(r, _)| std::ptr::eq(*r, name)) {
+            Some((_, pos)) => Ok(self.row[pos.clone()?].clone()),
+            None => Err(CdwError::Unsupported(format!(
+                "internal: column {name} was not resolved before evaluation"
+            ))),
+        }
     }
 }
 
@@ -113,6 +170,20 @@ fn resolve_column(bindings: &[Binding], name: &ObjectName) -> Result<usize, CdwE
         found = Some(i);
     }
     found.ok_or_else(|| CdwError::ColumnNotFound(name.dotted()))
+}
+
+/// The access path for a single-table filter: the planner's choice, or a
+/// scan when the planner is off.
+fn table_access(
+    planner: bool,
+    table: &Table,
+    selection: Option<&Expr>,
+    bindings: &[Binding],
+) -> Access {
+    if !planner {
+        return Access::Scan;
+    }
+    choose_access(table, selection, &mut |n| resolve_column(bindings, n).ok())
 }
 
 /// Execute one parsed DML/query statement. DDL never reaches here — the
@@ -220,9 +291,9 @@ fn coerce_row(table: &Table, row: Vec<Value>) -> Result<Vec<Value>, CdwError> {
 
 /// Validate batch uniqueness (native mode) against existing rows and within
 /// the batch itself, then append every row — the single append path shared
-/// by INSERT, COPY, and the batched-ingest fast path. `conflict` names the
-/// operation in the abort message ("duplicate key", "COPY", ...). Rows must
-/// already be full-width and coerced.
+/// by INSERT and COPY. `conflict` names the operation in the abort message
+/// ("duplicate key" or "COPY"). Rows must already be full-width and
+/// coerced.
 fn append_unique_checked(
     table: &mut Table,
     staged: Vec<Vec<Value>>,
@@ -253,35 +324,6 @@ fn append_unique_checked(
     Ok(n)
 }
 
-/// Batched ingest fast path: validate and append pre-materialized rows to
-/// `table_name` in one shot — no SQL, no AST, no per-row cloning, and the
-/// caller (the engine) holds the catalog lock exactly once for the whole
-/// batch. Semantics match `INSERT INTO t VALUES ...` over full-width rows:
-/// set-oriented validation (column count, NOT NULL, type coercion,
-/// uniqueness under native enforcement) before any table state changes.
-pub fn copy_batch(
-    ctx: &mut ExecCtx<'_>,
-    table_name: &str,
-    rows: Vec<Vec<Value>>,
-) -> Result<u64, CdwError> {
-    let table = ctx.tables.get(table_name)?;
-    let ncols = table.columns.len();
-    let mut staged: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
-    for row in rows {
-        if row.len() != ncols {
-            return Err(CdwError::ColumnCount {
-                expected: ncols,
-                actual: row.len(),
-            });
-        }
-        staged.push(coerce_row(table, row)?);
-    }
-    let native_unique = ctx.native_unique;
-    let stats = &mut ctx.stats;
-    let table = ctx.tables.get_mut(table_name)?;
-    append_unique_checked(table, staged, native_unique, "batched ingest", stats)
-}
-
 // ------------------------------------------------------------------ UPDATE
 
 fn exec_update(ctx: &mut ExecCtx<'_>, u: &Update) -> Result<QueryResult, CdwError> {
@@ -310,12 +352,7 @@ fn exec_update(ctx: &mut ExecCtx<'_>, u: &Update) -> Result<QueryResult, CdwErro
     // updated in place during phase 3, never cloned. The candidate set
     // comes from the planner: an index seek visits only the rows that can
     // match instead of scanning the table.
-    let mut resolve = |n: &ObjectName| resolve_column(&bindings, n).ok();
-    let access = if planner {
-        choose_access(table, u.selection.as_ref(), &mut resolve)
-    } else {
-        Access::Scan
-    };
+    let access = table_access(planner, table, u.selection.as_ref(), &bindings);
     let (candidates, residual): (Box<dyn Iterator<Item = usize>>, bool) = match &access {
         Access::Empty => (Box::new(std::iter::empty()), false),
         Access::Scan => {
@@ -330,23 +367,18 @@ fn exec_update(ctx: &mut ExecCtx<'_>, u: &Update) -> Result<QueryResult, CdwErro
             (Box::new(rowids.into_iter()), !p.consumed)
         }
     };
+    let filter = u.selection.as_ref().filter(|_| residual);
+    let filter = filter.map(|w| Resolved::new(w, &bindings));
+    let assigned = Resolved::all(u.assignments.iter().map(|(_, e)| e), &bindings);
     let mut updates: Vec<(usize, Vec<Value>)> = Vec::new();
     for i in candidates {
         let row = &table.rows[i];
-        let env = RowEnv {
-            bindings: &bindings,
-            row,
-        };
-        let hit = match (&u.selection, residual) {
-            (Some(w), true) => truthy(&eval(w, &env)?),
-            _ => true,
-        };
-        if !hit {
+        if !filter.as_ref().map_or(Ok(true), |w| w.holds(row))? {
             continue;
         }
         let mut vals: Vec<Value> = Vec::with_capacity(assignment_idx.len());
-        for (_, expr) in &u.assignments {
-            vals.push(eval(expr, &env)?);
+        for a in &assigned {
+            vals.push(a.eval(row)?);
         }
         // Coerce only values that actually land (duplicate assignments to
         // one column are overwritten uncoerced, as before).
@@ -420,12 +452,7 @@ fn exec_delete(ctx: &mut ExecCtx<'_>, d: &Delete) -> Result<QueryResult, CdwErro
     // Phase 1 (read-only): mark victims, so a WHERE evaluation error leaves
     // the table untouched (set-oriented, like every other mutation). The
     // planner narrows the candidate set to an index seek where possible.
-    let mut resolve = |n: &ObjectName| resolve_column(&bindings, n).ok();
-    let access = if planner {
-        choose_access(table, d.selection.as_ref(), &mut resolve)
-    } else {
-        Access::Scan
-    };
+    let access = table_access(planner, table, d.selection.as_ref(), &bindings);
     let (candidates, residual): (Box<dyn Iterator<Item = usize>>, bool) = match &access {
         Access::Empty => (Box::new(std::iter::empty()), false),
         Access::Scan => {
@@ -439,18 +466,14 @@ fn exec_delete(ctx: &mut ExecCtx<'_>, d: &Delete) -> Result<QueryResult, CdwErro
             (Box::new(rowids.into_iter()), !p.consumed)
         }
     };
+    let filter = d.selection.as_ref().filter(|_| residual);
+    let filter = filter.map(|w| Resolved::new(w, &bindings));
     let mut hits: Vec<bool> = vec![false; table.rows.len()];
     let mut removed = 0u64;
     for i in candidates {
-        let row = &table.rows[i];
-        let env = RowEnv {
-            bindings: &bindings,
-            row,
-        };
-        let hit = match (&d.selection, residual) {
-            (Some(w), true) => truthy(&eval(w, &env)?),
-            _ => true,
-        };
+        let hit = filter
+            .as_ref()
+            .map_or(Ok(true), |w| w.holds(&table.rows[i]))?;
         if hit && !hits[i] {
             removed += 1;
             hits[i] = true;
@@ -569,7 +592,7 @@ fn exec_select(ctx: &mut ExecCtx<'_>, sel: &SelectStmt) -> Result<QueryResult, C
 
 /// Produce the filtered source relation of a SELECT: FROM resolution plus
 /// WHERE, with predicate pushdown into a single named table (index seek or
-/// batch-evaluated scan) where the planner proves it safe.
+/// filtered scan) where the planner proves it safe.
 fn select_source(ctx: &mut ExecCtx<'_>, sel: &SelectStmt) -> Result<Relation, CdwError> {
     match &sel.from {
         None => {
@@ -609,12 +632,7 @@ fn single_table_select(
     let planner = ctx.planner;
     let table = ctx.tables.get(&name.dotted())?;
     let bindings = table_bindings(table, alias);
-    let mut resolve = |n: &ObjectName| resolve_column(&bindings, n).ok();
-    let access = if planner {
-        choose_access(table, selection, &mut resolve)
-    } else {
-        Access::Scan
-    };
+    let access = table_access(planner, table, selection, &bindings);
     let rows = match &access {
         Access::Empty => Vec::new(),
         Access::Scan => {
@@ -634,13 +652,10 @@ fn single_table_select(
                 // Emit in rowid order so results are byte-identical to a scan.
                 rowids.sort_unstable();
                 let w = selection.expect("a seek implies a filter");
+                let w = Resolved::new(w, &bindings);
                 let mut out = Vec::with_capacity(rowids.len());
                 for &i in &rowids {
-                    let env = RowEnv {
-                        bindings: &bindings,
-                        row: &table.rows[i],
-                    };
-                    if truthy(&eval(w, &env)?) {
+                    if w.holds(&table.rows[i])? {
                         out.push(table.rows[i].clone());
                     }
                 }
@@ -693,64 +708,33 @@ fn join_left_access(
     choose_access(left, selection, &mut resolve)
 }
 
-/// Filter borrowed rows, cloning only the hits. Tries the columnar batch
-/// evaluator first; any batch error falls back to row-major evaluation,
-/// which reproduces first-error ordering exactly.
+/// Filter borrowed rows in row order, cloning only the hits; the first
+/// evaluation error aborts.
 fn filter_hits(
     bindings: &[Binding],
     w: &Expr,
     rows: &[Vec<Value>],
 ) -> Result<Vec<Vec<Value>>, CdwError> {
-    let mut resolve = |n: &ObjectName| resolve_column(bindings, n).ok();
-    if let Some(node) = batch::compile(w, &mut resolve) {
-        if let Ok(mask) = batch::eval_column(&node, rows) {
-            return Ok(rows
-                .iter()
-                .zip(&mask)
-                .filter(|(_, m)| truthy(m))
-                .map(|(r, _)| r.clone())
-                .collect());
-        }
-    }
+    let w = Resolved::new(w, bindings);
     let mut out = Vec::new();
     for row in rows {
-        let env = RowEnv { bindings, row };
-        if truthy(&eval(w, &env)?) {
+        if w.holds(row)? {
             out.push(row.clone());
         }
     }
     Ok(out)
 }
 
-/// Filter owned rows in place (no cloning), batch-first like
-/// [`filter_hits`].
+/// Filter owned rows like [`filter_hits`], moving the hits (no cloning).
 fn filter_owned(
     bindings: &[Binding],
     w: &Expr,
-    mut rows: Vec<Vec<Value>>,
+    rows: Vec<Vec<Value>>,
 ) -> Result<Vec<Vec<Value>>, CdwError> {
-    let mut resolve = |n: &ObjectName| resolve_column(bindings, n).ok();
-    if let Some(node) = batch::compile(w, &mut resolve) {
-        if let Ok(mask) = batch::eval_column(&node, &rows) {
-            let mut i = 0;
-            rows.retain(|_| {
-                let keep = truthy(&mask[i]);
-                i += 1;
-                keep
-            });
-            return Ok(rows);
-        }
-    }
+    let w = Resolved::new(w, bindings);
     let mut out = Vec::with_capacity(rows.len());
     for row in rows {
-        let hit = {
-            let env = RowEnv {
-                bindings,
-                row: &row,
-            };
-            truthy(&eval(w, &env)?)
-        };
-        if hit {
+        if w.holds(&row)? {
             out.push(row);
         }
     }
@@ -829,17 +813,14 @@ fn resolve_from(
             let r = resolve_from(ctx, right, None)?;
             let mut bindings = l.bindings.clone();
             bindings.extend(r.bindings.iter().cloned());
+            let on = Resolved::new(on, &bindings);
             let mut rows = Vec::new();
             for lrow in &l.rows {
                 let mut matched = false;
                 for rrow in &r.rows {
                     let mut combined = lrow.clone();
                     combined.extend(rrow.iter().cloned());
-                    let env = RowEnv {
-                        bindings: &bindings,
-                        row: &combined,
-                    };
-                    if truthy(&eval(on, &env)?) {
+                    if on.holds(&combined)? {
                         matched = true;
                         rows.push(combined);
                     }
@@ -851,29 +832,6 @@ fn resolve_from(
                 }
             }
             Ok(Relation { bindings, rows })
-        }
-    }
-}
-
-/// Evaluation environment for index-join probe keys: resolves against the
-/// combined (left + right) bindings — so name resolution, including
-/// ambiguity, matches the nested loop exactly — but only left-side
-/// positions are materialized.
-struct LeftEnv<'a> {
-    bindings: &'a [Binding],
-    left_len: usize,
-    row: &'a [Value],
-}
-
-impl Env for LeftEnv<'_> {
-    fn resolve(&self, name: &ObjectName) -> Result<Value, CdwError> {
-        let idx = resolve_column(self.bindings, name)?;
-        if idx < self.left_len {
-            Ok(self.row[idx].clone())
-        } else {
-            Err(CdwError::Unsupported(
-                "internal: right-side reference in a probe key".into(),
-            ))
         }
     }
 }
@@ -926,18 +884,17 @@ fn try_index_join(
         return Ok(Some(Relation { bindings, rows }));
     }
     let ix = &rtable.indexes[plan.index];
+    // Keys resolve against the combined bindings — so name resolution,
+    // ambiguity included, matches the nested loop — and the planner
+    // admitted only keys whose every column lies on the left, so they
+    // evaluate over the left row alone.
+    let keys = Resolved::all(plan.keys.iter().map(|(e, _)| e), &bindings);
     for lrow in &l.rows {
-        let mut probes = Vec::with_capacity(plan.keys.len());
+        let mut probes = Vec::with_capacity(keys.len());
         let mut null_probe = false;
-        for ((expr, _), fam) in plan.keys.iter().zip(&fams) {
-            let env = LeftEnv {
-                bindings: &bindings,
-                left_len,
-                row: lrow,
-            };
-            let v = match eval(expr, &env) {
-                Ok(v) => v,
-                Err(_) => return Ok(None),
+        for (key, fam) in keys.iter().zip(&fams) {
+            let Ok(v) = key.eval(lrow) else {
+                return Ok(None);
             };
             if v.is_null() {
                 // NULL never equals anything: this left row matches no
@@ -1013,12 +970,7 @@ fn explain_filter(
 ) -> Result<(), CdwError> {
     let table = ctx.tables.get(&name.dotted())?;
     let bindings = table_bindings(table, None);
-    let mut resolve = |n: &ObjectName| resolve_column(&bindings, n).ok();
-    let access = if ctx.planner {
-        choose_access(table, selection, &mut resolve)
-    } else {
-        Access::Scan
-    };
+    let access = table_access(ctx.planner, table, selection, &bindings);
     lines.push(format!("{}{}", indent(depth), access.describe(table)));
     Ok(())
 }
@@ -1035,12 +987,7 @@ fn explain_select(
         Some(TableRef::Named { name, alias }) => {
             let table = ctx.tables.get(&name.dotted())?;
             let bindings = table_bindings(table, alias.as_deref());
-            let mut resolve = |n: &ObjectName| resolve_column(&bindings, n).ok();
-            let access = if ctx.planner {
-                choose_access(table, sel.selection.as_ref(), &mut resolve)
-            } else {
-                Access::Scan
-            };
+            let access = table_access(ctx.planner, table, sel.selection.as_ref(), &bindings);
             lines.push(format!("{}{}", indent(depth + 1), access.describe(table)));
         }
         Some(from) => explain_from(ctx, from, sel.selection.as_ref(), depth + 1, lines)?,
@@ -1145,36 +1092,24 @@ fn exec_plain(
 ) -> Result<ProjectedRows, CdwError> {
     let items = expand_projection(sel, bindings);
     let columns = projection_columns(&items, bindings)?;
-
-    // Unordered projections go through the columnar batch evaluator when
-    // every item compiles — the bulk merge path projects whole candidate
-    // sets without per-row expression dispatch. Any batch error falls back
-    // to the row-major loop below for exact first-error ordering.
-    if sel.order_by.is_empty() && !rows.is_empty() {
-        let mut resolve = |n: &ObjectName| resolve_column(bindings, n).ok();
-        let nodes: Option<Vec<batch::BatchNode>> = items
-            .iter()
-            .map(|(e, _)| batch::compile(e, &mut resolve))
-            .collect();
-        if let Some(nodes) = nodes {
-            if let Ok(out) = batch::eval_rows(&nodes, &rows) {
-                return Ok((out, columns));
-            }
-        }
-    }
+    let projected = Resolved::all(items.iter().map(|(e, _)| e), bindings);
+    let order = Resolved::all(sel.order_by.iter().map(|o| &o.expr), bindings);
+    let aliases = order_aliases(&sel.order_by, &items);
 
     // ORDER BY keys are computed against the *input* rows (so sorting by
     // non-projected columns works), carried alongside.
     let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(rows.len());
     for row in &rows {
-        let env = RowEnv { bindings, row };
         let mut out = Vec::with_capacity(items.len());
-        for (expr, _) in &items {
-            out.push(eval(expr, &env)?);
+        for item in &projected {
+            out.push(item.eval(row)?);
         }
-        let mut sort_key = Vec::with_capacity(sel.order_by.len());
-        for o in &sel.order_by {
-            sort_key.push(eval_order_expr(&o.expr, &items, &out, &env)?);
+        let mut sort_key = Vec::with_capacity(order.len());
+        for (key, alias) in order.iter().zip(&aliases) {
+            sort_key.push(match alias {
+                Some(pos) => out[*pos].clone(),
+                None => key.eval(row)?,
+            });
         }
         keyed.push((sort_key, out));
     }
@@ -1182,23 +1117,20 @@ fn exec_plain(
     Ok((keyed.into_iter().map(|(_, r)| r).collect(), columns))
 }
 
-/// Evaluate an ORDER BY expression: a bare name matching a projection alias
-/// refers to the projected value; anything else evaluates against the row.
-fn eval_order_expr(
-    expr: &Expr,
-    items: &[(Expr, String)],
-    projected: &[Value],
-    env: &dyn Env,
-) -> Result<Value, CdwError> {
-    if let Expr::Column(name) = expr {
-        if name.0.len() == 1 {
-            let target = name.0[0].to_ascii_uppercase();
-            if let Some(pos) = items.iter().position(|(_, alias)| *alias == target) {
-                return Ok(projected[pos].clone());
+/// For each ORDER BY key, the projection position it names: a bare name
+/// matching a projection alias sorts by the projected value; any other
+/// key (`None`) is evaluated.
+fn order_aliases(order_by: &[OrderItem], items: &[(Expr, String)]) -> Vec<Option<usize>> {
+    order_by
+        .iter()
+        .map(|o| match &o.expr {
+            Expr::Column(ObjectName(parts)) if parts.len() == 1 => {
+                let target = parts[0].to_ascii_uppercase();
+                items.iter().position(|(_, alias)| *alias == target)
             }
-        }
-    }
-    eval(expr, env)
+            _ => None,
+        })
+        .collect()
 }
 
 fn sort_by_order(keyed: &mut [(Vec<Value>, Vec<Value>)], order_by: &[OrderItem]) {
@@ -1385,13 +1317,14 @@ fn exec_aggregate(
         key_vals: Vec<Value>,
         states: Vec<AggState>,
     }
+    let group_by = Resolved::all(&sel.group_by, bindings);
+    let calls = Resolved::all(&agg_calls, bindings);
     let mut groups: HashMap<RowKey, Group> = HashMap::new();
     let mut order: Vec<RowKey> = Vec::new();
     for row in &rows {
-        let env = RowEnv { bindings, row };
-        let mut key_vals = Vec::with_capacity(sel.group_by.len());
-        for g in &sel.group_by {
-            key_vals.push(eval(g, &env)?);
+        let mut key_vals = Vec::with_capacity(group_by.len());
+        for g in &group_by {
+            key_vals.push(g.eval(row)?);
         }
         let key = RowKey(key_vals.clone());
         let group = match groups.get_mut(&key) {
@@ -1404,8 +1337,8 @@ fn exec_aggregate(
                 })
             }
         };
-        for (state, call) in group.states.iter_mut().zip(&agg_calls) {
-            state.update(call, &env)?;
+        for (state, call) in group.states.iter_mut().zip(&calls) {
+            state.update(call.expr, &call.env(row))?;
         }
     }
     // Global aggregate over zero rows still yields one group.
@@ -1423,6 +1356,7 @@ fn exec_aggregate(
 
     let items = expand_projection(sel, bindings);
     let columns = projection_columns(&items, bindings)?;
+    let aliases = order_aliases(&sel.order_by, &items);
 
     let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
     for key in &order {
@@ -1448,22 +1382,11 @@ fn exec_aggregate(
             out.push(agg_env.eval(expr)?);
         }
         let mut sort_key = Vec::with_capacity(sel.order_by.len());
-        for o in &sel.order_by {
-            // Aliases refer to projected values; otherwise aggregate-eval.
-            let v = if let Expr::Column(name) = &o.expr {
-                if name.0.len() == 1 {
-                    let target = name.0[0].to_ascii_uppercase();
-                    match items.iter().position(|(_, alias)| *alias == target) {
-                        Some(pos) => out[pos].clone(),
-                        None => agg_env.eval(&o.expr)?,
-                    }
-                } else {
-                    agg_env.eval(&o.expr)?
-                }
-            } else {
-                agg_env.eval(&o.expr)?
-            };
-            sort_key.push(v);
+        for (o, alias) in sel.order_by.iter().zip(&aliases) {
+            sort_key.push(match alias {
+                Some(pos) => out[*pos].clone(),
+                None => agg_env.eval(&o.expr)?,
+            });
         }
         keyed.push((sort_key, out));
     }
@@ -1489,24 +1412,12 @@ impl AggEnv<'_> {
         if let Some(pos) = self.sel.group_by.iter().position(|g| g == expr) {
             return Ok(self.key_vals[pos].clone());
         }
-        // Otherwise recurse structurally over non-leaf nodes.
+        // Otherwise a binary operator applies to its operands' computed
+        // values.
         match expr {
-            Expr::Literal(lit) => Ok(crate::eval::literal_value(lit)),
             Expr::Binary { left, op, right } => {
-                // Rebuild with resolved children via a tiny shim env.
-                let l = self.eval(left)?;
-                let r = self.eval(right)?;
-                let shim = Expr::Binary {
-                    left: Box::new(Expr::Literal(value_to_literal(&l))),
-                    op: *op,
-                    right: Box::new(Expr::Literal(value_to_literal(&r))),
-                };
-                eval(&shim, &crate::eval::EmptyEnv)
+                apply_binary(self.eval(left)?, *op, self.eval(right)?)
             }
-            Expr::Column(name) => Err(CdwError::Eval(format!(
-                "column {} must appear in GROUP BY or inside an aggregate",
-                name.dotted()
-            ))),
             other => {
                 // Generic fallback: evaluate with an env that reports the
                 // GROUP BY restriction violation for any column reference.
@@ -1522,20 +1433,6 @@ impl AggEnv<'_> {
                 eval(other, &NoColumns)
             }
         }
-    }
-}
-
-/// Lossless literal embedding used by [`AggEnv`] to re-evaluate composite
-/// expressions over already-computed values.
-fn value_to_literal(v: &Value) -> Literal {
-    match v {
-        Value::Null => Literal::Null,
-        Value::Int(x) => Literal::Integer(*x),
-        Value::Float(f) => Literal::Float(*f),
-        Value::Decimal(d) => Literal::Decimal(*d),
-        Value::Str(s) => Literal::Str(s.clone()),
-        Value::Date(d) => Literal::Date(*d),
-        Value::Bytes(_) | Value::Timestamp(_) => Literal::Str(v.display_text()),
     }
 }
 
@@ -1611,14 +1508,7 @@ impl AggState {
                 }
                 *acc = Some(match acc.take() {
                     None => v,
-                    Some(prev) => {
-                        let shim = Expr::Binary {
-                            left: Box::new(Expr::Literal(value_to_literal(&prev))),
-                            op: BinaryOp::Add,
-                            right: Box::new(Expr::Literal(value_to_literal(&v))),
-                        };
-                        eval(&shim, &crate::eval::EmptyEnv)?
-                    }
+                    Some(prev) => apply_binary(prev, BinaryOp::Add, v)?,
                 });
                 Ok(())
             }

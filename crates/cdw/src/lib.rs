@@ -24,7 +24,6 @@
 //!
 //! SQL comes in as text in the CDW dialect, parsed by [`etlv_sql`].
 
-pub mod batch;
 pub mod catalog;
 pub mod engine;
 pub mod error;
@@ -37,8 +36,7 @@ pub mod staged;
 
 pub use catalog::{Catalog, Column, Table};
 pub use engine::{
-    Cdw, CdwConfig, ExecObserver, ExecOp, LockObserver, PlanObserver, QueryResult,
-    TransientFaultHook,
+    Cdw, CdwConfig, ExecObserver, LockObserver, PlanObserver, QueryResult, TransientFaultHook,
 };
 pub use error::CdwError;
 pub use index::{IndexKey, OrderedIndex, SeekBound};

@@ -2,7 +2,7 @@
 //! byte-identical to the scan-only reference on random statement streams.
 //!
 //! Two engines run the same seeded stream: one with the planner on
-//! (index seeks, index-lookup joins, batch evaluation) and one with it
+//! (index seeks, index-lookup joins) and one with it
 //! off (full scans, nested loops — the pre-PR-7 semantics). After every
 //! statement both must produce identical `QueryResult`s or identical
 //! error renderings, and every index must validate against its table.

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use etlv_cdw::{Cdw, CdwConfig, ExecOp};
+use etlv_cdw::{Cdw, CdwConfig};
 use etlv_cloudstore::{
     BulkLoader, ChaosStore, LoaderConfig, MemStore, ObjectStore, ObservedStore, StoreOp,
 };
@@ -29,6 +29,7 @@ use etlv_protocol::message::{
 };
 use etlv_protocol::record::encode_rows;
 use etlv_protocol::trace::TraceContext;
+use etlv_sql::ast::{Expr, Insert, InsertSource, Literal, ObjectName, Stmt};
 use etlv_sql::types::SqlType;
 use etlv_sql::Dialect;
 use parking_lot::{Condvar, Mutex};
@@ -235,11 +236,8 @@ impl Virtualizer {
             cdw.set_transient_fault(Some(injector.cdw_hook()));
         }
         let cdw_obs = obs.cdw.clone();
-        cdw.set_exec_observer(Some(Arc::new(move |op, elapsed, ok| {
-            match op {
-                ExecOp::Statement => cdw_obs.statements.inc(),
-                ExecOp::CopyBatch => cdw_obs.batches.inc(),
-            }
+        cdw.set_exec_observer(Some(Arc::new(move |elapsed, ok| {
+            cdw_obs.statements.inc();
             if !ok {
                 cdw_obs.errors.inc();
             }
@@ -1098,13 +1096,7 @@ impl Virtualizer {
                     ErrorRows::Single(s) => s,
                     ErrorRows::Range(a, _) => a,
                 };
-                let mut row: Vec<Value> = e
-                    .uv_tuple
-                    .clone()
-                    .unwrap_or_default()
-                    .into_iter()
-                    .map(uv_column_value)
-                    .collect();
+                let mut row: Vec<Value> = e.uv_tuple.clone().unwrap_or_default();
                 // Pad if the tuple was unavailable.
                 while row.len() < job.spec.layout.arity() {
                     row.push(Value::Null);
@@ -1137,21 +1129,33 @@ impl Virtualizer {
         Ok(())
     }
 
-    /// Write error rows via the CDW's batched ingest fast path. The rows
-    /// are pre-built `Value`s, so no SQL text or VALUES AST is constructed
-    /// and the warehouse validates/appends the whole batch under one
-    /// catalog-lock acquisition.
+    /// Write error rows as one set-oriented `INSERT … VALUES` statement of
+    /// literals: the warehouse validates the whole batch before it
+    /// appends any row.
     fn insert_rows(
         &self,
         table: &str,
         rows: Vec<Vec<Value>>,
         retries: &mut u64,
     ) -> Result<(), String> {
+        let values = rows
+            .into_iter()
+            .map(|row| {
+                row.into_iter()
+                    .map(|v| Expr::Literal(value_literal(v)))
+                    .collect()
+            })
+            .collect();
+        let stmt = Stmt::Insert(Insert {
+            table: ObjectName::simple(table),
+            columns: None,
+            source: InsertSource::Values(values),
+        });
         retry_cdw(
             self.node.config.retry_policy(),
             self.node.config.fault_seed() ^ 0xE7,
             retries,
-            || self.node.cdw.copy_batch(table, rows.clone()),
+            || self.node.cdw.execute_stmt(&stmt),
         )
         .map(|_| ())
         .map_err(|e| format!("writing error table {table}: {e}"))
@@ -1304,13 +1308,18 @@ impl Virtualizer {
     }
 }
 
-/// Normalize a UV-table column the way the old INSERT literal path did:
-/// types without a SQL literal form (bytes, timestamps) are written as
-/// their display text; everything else passes through unchanged.
-fn uv_column_value(v: Value) -> Value {
+/// The SQL literal an error-table value is written as. Types without a
+/// literal form (bytes, timestamps) are written as their display text,
+/// which the warehouse coerces to the column's type.
+fn value_literal(v: Value) -> Literal {
     match v {
-        Value::Bytes(_) | Value::Timestamp(_) => Value::Str(v.display_text()),
-        other => other,
+        Value::Null => Literal::Null,
+        Value::Int(x) => Literal::Integer(x),
+        Value::Float(f) => Literal::Float(f),
+        Value::Decimal(d) => Literal::Decimal(d),
+        Value::Str(s) => Literal::Str(s),
+        Value::Date(d) => Literal::Date(d),
+        Value::Bytes(_) | Value::Timestamp(_) => Literal::Str(v.display_text()),
     }
 }
 

@@ -367,11 +367,9 @@ pub struct StoreObs {
 pub struct CdwObs {
     /// SQL statements executed.
     pub statements: Counter,
-    /// Batched ingests (`copy_batch`) executed.
-    pub batches: Counter,
-    /// Statements/batches that failed (including injected transients).
+    /// Statements that failed (including injected transients).
     pub errors: Counter,
-    /// Per-statement/batch wall time, µs.
+    /// Per-statement wall time, µs.
     pub exec_us: Histogram,
     /// Access paths planned as index seeks (point/range seeks and
     /// index-lookup joins), fed by the engine's plan observer.
@@ -610,7 +608,6 @@ impl Obs {
             },
             cdw: CdwObs {
                 statements: r.counter("cdw.statements"),
-                batches: r.counter("cdw.batches"),
                 errors: r.counter("cdw.errors"),
                 exec_us: r.histogram("cdw.exec_us"),
                 plan_index_seek: r.counter("cdw.plan.index_seek"),

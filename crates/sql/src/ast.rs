@@ -249,8 +249,9 @@ impl Expr {
         Expr::Literal(Literal::Str(v.into()))
     }
 
-    /// Walk the tree, invoking `f` on every node (pre-order).
-    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
+    /// Walk the tree, invoking `f` on every node (pre-order). The nodes
+    /// are borrowed from the tree itself, so `f` may keep them.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         f(self);
         match self {
             Expr::Literal(_) | Expr::Column(_) | Expr::Placeholder(_) | Expr::Wildcard => {}
