@@ -6,15 +6,16 @@
 //! filters ([`truthy`]).
 //!
 //! Data-dependent failures (a bad date, numeric overflow, a string too
-//! long for its target type) are reported as
-//! [`CdwError::BulkAbort`]`{kind: Conversion}` — the error class that
-//! aborts a whole set-oriented statement.
+//! long for its target type) are reported as [`CdwError::BulkAbort`] with
+//! the [`Cause`] the failing site names — the error class that aborts a
+//! whole set-oriented statement.
 
 use etlv_protocol::data::{Date, DateFormat, Decimal, Value};
+use etlv_protocol::errcode::Cause;
 use etlv_sql::ast::{BinaryOp, Expr, Literal, ObjectName, UnaryOp};
 use etlv_sql::SqlType;
 
-use crate::error::{BulkAbortKind, CdwError};
+use crate::error::CdwError;
 use crate::key::cmp_values;
 
 /// Resolves column references to values during evaluation.
@@ -32,12 +33,9 @@ impl Env for EmptyEnv {
     }
 }
 
-/// Construct the conversion-class bulk abort.
-pub fn conv_err(msg: impl Into<String>) -> CdwError {
-    CdwError::BulkAbort {
-        kind: BulkAbortKind::Conversion,
-        message: msg.into(),
-    }
+/// An abort for a value that does not convert ([`Cause::Value`]).
+fn bad_value(message: impl Into<String>) -> CdwError {
+    CdwError::abort(Cause::Value, message)
 }
 
 /// Whether a predicate result selects the row (NULL → false).
@@ -125,7 +123,7 @@ pub fn eval(expr: &Expr, env: &dyn Env) -> Result<Value, CdwError> {
                 return Ok(Value::Null);
             }
             let (Value::Str(s), Value::Str(pat)) = (&v, &p) else {
-                return Err(conv_err(format!(
+                return Err(bad_value(format!(
                     "LIKE requires strings, got {} LIKE {}",
                     v.type_name(),
                     p.type_name()
@@ -192,11 +190,11 @@ fn negate(v: Value) -> Result<Value, CdwError> {
         Value::Null => Value::Null,
         Value::Int(x) => Value::Int(
             x.checked_neg()
-                .ok_or_else(|| conv_err("integer overflow in negation"))?,
+                .ok_or_else(|| CdwError::abort(Cause::Overflow, "integer overflow in negation"))?,
         ),
         Value::Float(f) => Value::Float(-f),
         Value::Decimal(d) => Value::Decimal(Decimal::new(-d.unscaled(), d.scale())),
-        other => return Err(conv_err(format!("cannot negate {}", other.type_name()))),
+        other => return Err(bad_value(format!("cannot negate {}", other.type_name()))),
     })
 }
 
@@ -260,16 +258,10 @@ fn arith(l: Value, op: BinaryOp, r: Value) -> Result<Value, CdwError> {
     // Date arithmetic: DATE ± days, DATE - DATE.
     match (&l, op, &r) {
         (Date(d), BinaryOp::Add, Int(n)) | (Int(n), BinaryOp::Add, Date(d)) => {
-            return d
-                .add_days(*n)
-                .map(Value::Date)
-                .map_err(|e| conv_err(e.to_string()));
+            return Ok(Value::Date(d.add_days(*n)?));
         }
         (Date(d), BinaryOp::Sub, Int(n)) => {
-            return d
-                .add_days(-*n)
-                .map(Value::Date)
-                .map_err(|e| conv_err(e.to_string()));
+            return Ok(Value::Date(d.add_days(-*n)?));
         }
         (Date(a), BinaryOp::Sub, Date(b)) => {
             return Ok(Value::Int(a.to_ordinal() - b.to_ordinal()));
@@ -277,7 +269,7 @@ fn arith(l: Value, op: BinaryOp, r: Value) -> Result<Value, CdwError> {
         _ => {}
     }
     let msg = |l: &Value, r: &Value| {
-        conv_err(format!(
+        bad_value(format!(
             "cannot apply arithmetic to {} and {}",
             l.type_name(),
             r.type_name()
@@ -297,38 +289,32 @@ fn arith(l: Value, op: BinaryOp, r: Value) -> Result<Value, CdwError> {
             BinaryOp::Mul => a_f * b_f,
             BinaryOp::Div => {
                 if b_f == 0.0 {
-                    return Err(conv_err("division by zero"));
+                    return Err(bad_value("division by zero"));
                 }
                 a_f / b_f
             }
             BinaryOp::Mod => {
                 if b_f == 0.0 {
-                    return Err(conv_err("division by zero"));
+                    return Err(bad_value("division by zero"));
                 }
                 a_f % b_f
             }
             _ => unreachable!(),
         };
         if !res.is_finite() {
-            return Err(conv_err("floating-point overflow"));
+            return Err(CdwError::abort(Cause::Overflow, "floating-point overflow"));
         }
         Value::Float(res)
     } else if has_dec {
         let (a_d, b_d) = (ln.as_dec()?, rn.as_dec()?);
         match op {
-            BinaryOp::Add => {
-                Value::Decimal(a_d.checked_add(b_d).map_err(|e| conv_err(e.to_string()))?)
-            }
-            BinaryOp::Sub => {
-                Value::Decimal(a_d.checked_sub(b_d).map_err(|e| conv_err(e.to_string()))?)
-            }
-            BinaryOp::Mul => {
-                Value::Decimal(a_d.checked_mul(b_d).map_err(|e| conv_err(e.to_string()))?)
-            }
+            BinaryOp::Add => Value::Decimal(a_d.checked_add(b_d)?),
+            BinaryOp::Sub => Value::Decimal(a_d.checked_sub(b_d)?),
+            BinaryOp::Mul => Value::Decimal(a_d.checked_mul(b_d)?),
             BinaryOp::Div | BinaryOp::Mod => {
                 let (af, bf) = (a_d.to_f64(), b_d.to_f64());
                 if bf == 0.0 {
-                    return Err(conv_err("division by zero"));
+                    return Err(bad_value("division by zero"));
                 }
                 Value::Float(if op == BinaryOp::Div {
                     af / bf
@@ -345,25 +331,25 @@ fn arith(l: Value, op: BinaryOp, r: Value) -> Result<Value, CdwError> {
         match op {
             BinaryOp::Add => Value::Int(
                 a.checked_add(b)
-                    .ok_or_else(|| conv_err("integer overflow"))?,
+                    .ok_or_else(|| CdwError::abort(Cause::Overflow, "integer overflow"))?,
             ),
             BinaryOp::Sub => Value::Int(
                 a.checked_sub(b)
-                    .ok_or_else(|| conv_err("integer overflow"))?,
+                    .ok_or_else(|| CdwError::abort(Cause::Overflow, "integer overflow"))?,
             ),
             BinaryOp::Mul => Value::Int(
                 a.checked_mul(b)
-                    .ok_or_else(|| conv_err("integer overflow"))?,
+                    .ok_or_else(|| CdwError::abort(Cause::Overflow, "integer overflow"))?,
             ),
             BinaryOp::Div => {
                 if b == 0 {
-                    return Err(conv_err("division by zero"));
+                    return Err(bad_value("division by zero"));
                 }
                 Value::Int(a / b)
             }
             BinaryOp::Mod => {
                 if b == 0 {
-                    return Err(conv_err("division by zero"));
+                    return Err(bad_value("division by zero"));
                 }
                 Value::Int(a % b)
             }
@@ -392,7 +378,7 @@ impl Num {
         match self {
             Num::Int(v) => Ok(Decimal::from_i64(v)),
             Num::Dec(d) => Ok(d),
-            Num::Float(f) => Decimal::parse(&format!("{f}")).map_err(|e| conv_err(e.to_string())),
+            Num::Float(f) => Ok(Decimal::parse(&format!("{f}"))?),
         }
     }
 }
@@ -450,7 +436,7 @@ pub fn compare_ord(l: &Value, r: &Value) -> Result<std::cmp::Ordering, CdwError>
         // Numeric vs string: parse the string.
         (Int(_) | Float(_) | Decimal(_), Str(s)) => {
             let n = to_numeric(&Str(s.clone()))
-                .ok_or_else(|| conv_err(format!("'{s}' is not numeric")))?;
+                .ok_or_else(|| bad_value(format!("'{s}' is not numeric")))?;
             Some((
                 l.clone(),
                 match n {
@@ -474,7 +460,7 @@ pub fn compare_ord(l: &Value, r: &Value) -> Result<std::cmp::Ordering, CdwError>
             return Ok(swapped.reverse());
         }
         _ => {
-            return Err(conv_err(format!(
+            return Err(bad_value(format!(
                 "cannot compare {} with {}",
                 l.type_name(),
                 r.type_name()
@@ -488,7 +474,7 @@ pub fn compare_ord(l: &Value, r: &Value) -> Result<std::cmp::Ordering, CdwError>
 }
 
 pub(crate) fn parse_iso_date(s: &str) -> Result<Date, CdwError> {
-    Date::parse_iso(s).map_err(|e| conv_err(e.to_string()))
+    Ok(Date::parse_iso(s)?)
 }
 
 /// `%`/`_` pattern matching for LIKE.
@@ -564,9 +550,7 @@ fn eval_function(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, CdwE
             }
             let s = v.display_text();
             let chars: Vec<char> = s.chars().collect();
-            let Value::Int(start) = start
-                .coerce_to(etlv_protocol::data::LegacyType::BigInt)
-                .map_err(|e| conv_err(e.reason))?
+            let Value::Int(start) = start.coerce_to(etlv_protocol::data::LegacyType::BigInt)?
             else {
                 unreachable!()
             };
@@ -581,10 +565,10 @@ fn eval_function(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, CdwE
                     Value::Int(n) if n >= 0 => n as usize,
                     Value::Int(_) => 0,
                     other => {
-                        return Err(conv_err(format!(
-                            "SUBSTR length must be integer, got {}",
-                            other.type_name()
-                        )))
+                        return Err(CdwError::abort(
+                            Cause::Length,
+                            format!("SUBSTR length must be integer, got {}", other.type_name()),
+                        ))
                     }
                 }
             } else {
@@ -633,7 +617,7 @@ fn eval_function(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, CdwE
                 Value::Int(x) => Value::Int(x.abs()),
                 Value::Float(f) => Value::Float(f.abs()),
                 Value::Decimal(d) => Value::Decimal(Decimal::new(d.unscaled().abs(), d.scale())),
-                other => return Err(conv_err(format!("ABS of {}", other.type_name()))),
+                other => return Err(bad_value(format!("ABS of {}", other.type_name()))),
             })
         }
         "TO_DATE" => {
@@ -647,10 +631,8 @@ fn eval_function(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, CdwE
                 return Err(CdwError::Eval("TO_DATE format must be a string".into()));
             };
             let text = v.display_text();
-            let df = DateFormat::parse_pattern(&fmt).map_err(|e| conv_err(e.to_string()))?;
-            df.parse(&text)
-                .map(Value::Date)
-                .map_err(|e| conv_err(e.to_string()))
+            let df = DateFormat::parse_pattern(&fmt)?;
+            Ok(Value::Date(df.parse(&text)?))
         }
         "TO_CHAR" => {
             need(2)?;
@@ -664,8 +646,7 @@ fn eval_function(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, CdwE
             };
             match v {
                 Value::Date(d) => {
-                    let df =
-                        DateFormat::parse_pattern(&fmt).map_err(|e| conv_err(e.to_string()))?;
+                    let df = DateFormat::parse_pattern(&fmt)?;
                     Ok(Value::Str(df.format(d)))
                 }
                 other => Ok(Value::Str(other.display_text())),
@@ -681,25 +662,18 @@ pub fn cast_value(v: Value, ty: SqlType, format: Option<&str>) -> Result<Value, 
         return Ok(Value::Null);
     }
     if let Some(fmt) = format {
-        let df = DateFormat::parse_pattern(fmt).map_err(|e| conv_err(e.to_string()))?;
+        let df = DateFormat::parse_pattern(fmt)?;
         if ty == SqlType::Date {
-            let text = v.display_text();
-            return df
-                .parse(&text)
-                .map(Value::Date)
-                .map_err(|e| conv_err(e.to_string()));
+            return Ok(Value::Date(df.parse(&v.display_text())?));
         }
         if ty.is_character() {
             if let Value::Date(d) = v {
-                let s = df.format(d);
-                return Value::Str(s)
-                    .coerce_to(ty.to_legacy())
-                    .map_err(|e| conv_err(e.reason));
+                return Ok(Value::Str(df.format(d)).coerce_to(ty.to_legacy())?);
             }
         }
         // FORMAT on other types: fall through to a plain cast.
     }
-    v.coerce_to(ty.to_legacy()).map_err(|e| conv_err(e.reason))
+    Ok(v.coerce_to(ty.to_legacy())?)
 }
 
 #[cfg(test)]

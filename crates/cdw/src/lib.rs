@@ -8,9 +8,10 @@
 //! 1. **Set-oriented bulk semantics.** A DML statement either applies to
 //!    *all* qualifying rows or to none: the first conversion error or
 //!    constraint violation aborts the whole statement with no partial
-//!    effects, and the error does **not** identify the failing tuple. This
-//!    is exactly the behaviour that forces the virtualizer's adaptive
-//!    (chunk-splitting) error handler in §7.
+//!    effects, and the error names its cause and failing value but does
+//!    **not** identify the failing tuple. This is exactly the behaviour
+//!    that forces the virtualizer's adaptive (chunk-splitting) error
+//!    handler in §7.
 //! 2. **Object-store bulk loading.** `COPY INTO t FROM 'store://…'` ingests
 //!    staged delimited files (optionally LZSS-compressed) from the
 //!    cloud store, as in §6.

@@ -9,9 +9,10 @@
 //! per row, and files may be LZSS-compressed as a whole.
 
 use etlv_protocol::data::Value;
+use etlv_protocol::errcode::Cause;
 use etlv_protocol::vartext::{VartextError, VartextFormat};
 
-use crate::error::{BulkAbortKind, CdwError};
+use crate::error::CdwError;
 
 /// Writer/parser for staged files with a given delimiter.
 #[derive(Debug, Clone, Copy)]
@@ -93,9 +94,8 @@ impl StagedFormat {
     pub fn parse(&self, data: &[u8], arity: usize) -> Result<Vec<Vec<Value>>, CdwError> {
         self.inner
             .decode_lines(data, Some(arity))
-            .map_err(|e: VartextError| CdwError::BulkAbort {
-                kind: BulkAbortKind::BadFile,
-                message: format!("malformed staged file: {e}"),
+            .map_err(|e: VartextError| {
+                CdwError::abort(Cause::BadFile, format!("malformed staged file: {e}"))
             })
     }
 }
@@ -135,7 +135,7 @@ mod tests {
         assert!(matches!(
             err,
             CdwError::BulkAbort {
-                kind: BulkAbortKind::BadFile,
+                cause: Cause::BadFile,
                 ..
             }
         ));

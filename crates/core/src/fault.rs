@@ -441,14 +441,11 @@ mod tests {
 
     #[test]
     fn retry_cdw_passes_bulk_aborts_through() {
-        use etlv_cdw::error::BulkAbortKind;
+        use etlv_protocol::errcode::Cause;
         let mut retries = 0u64;
         let result: Result<(), CdwError> =
             retry_cdw(RetryPolicy::default(), 0, &mut retries, || {
-                Err(CdwError::BulkAbort {
-                    kind: BulkAbortKind::Conversion,
-                    message: "bad date".into(),
-                })
+                Err(CdwError::abort(Cause::Date, "bad date"))
             });
         assert!(result.unwrap_err().is_bulk_abort());
         assert_eq!(retries, 0, "per-tuple errors are not retried");

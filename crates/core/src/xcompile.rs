@@ -118,8 +118,9 @@ pub struct CompiledDml {
     /// CDW projection expressions over staging columns (RowWise only),
     /// in target-column order.
     pub projection: Vec<Expr>,
-    /// The original legacy statement (placeholders intact) — used for
-    /// per-tuple re-evaluation when attributing errors.
+    /// The original legacy statement (placeholders intact): the
+    /// singleton baseline binds it per tuple, and its VALUES items name
+    /// the field of a recorded error.
     pub original: Stmt,
     /// Staging table name.
     pub staging_table: String,

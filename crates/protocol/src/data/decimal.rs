@@ -6,12 +6,17 @@
 use std::cmp::Ordering;
 use std::fmt;
 
+use crate::errcode::Cause;
+
 /// Maximum supported precision (total digits).
 pub const MAX_PRECISION: u8 = 38;
 
 /// Error raised by decimal parsing or arithmetic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecimalError {
+    /// [`Cause::Overflow`] when the value does not fit, else
+    /// [`Cause::Value`].
+    pub cause: Cause,
     /// Human-readable description of the failure.
     pub reason: String,
 }
@@ -24,8 +29,9 @@ impl fmt::Display for DecimalError {
 
 impl std::error::Error for DecimalError {}
 
-fn err(reason: impl Into<String>) -> DecimalError {
+fn err(cause: Cause, reason: impl Into<String>) -> DecimalError {
     DecimalError {
+        cause,
         reason: reason.into(),
     }
 }
@@ -88,7 +94,7 @@ impl Decimal {
     pub fn parse(s: &str) -> Result<Decimal, DecimalError> {
         let s = s.trim();
         if s.is_empty() {
-            return Err(err("empty string"));
+            return Err(err(Cause::Value, "empty string"));
         }
         let (neg, digits) = match s.strip_prefix('-') {
             Some(rest) => (true, rest),
@@ -99,22 +105,28 @@ impl Decimal {
             None => (digits, ""),
         };
         if int_part.is_empty() && frac_part.is_empty() {
-            return Err(err(format!("'{s}' has no digits")));
+            return Err(err(Cause::Value, format!("'{s}' has no digits")));
         }
         if !int_part.chars().all(|c| c.is_ascii_digit())
             || !frac_part.chars().all(|c| c.is_ascii_digit())
         {
-            return Err(err(format!("'{s}' contains non-digit characters")));
+            return Err(err(
+                Cause::Value,
+                format!("'{s}' contains non-digit characters"),
+            ));
         }
         if int_part.len() + frac_part.len() > MAX_PRECISION as usize + 1 {
-            return Err(err(format!("'{s}' exceeds max precision {MAX_PRECISION}")));
+            return Err(err(
+                Cause::Overflow,
+                format!("'{s}' exceeds max precision {MAX_PRECISION}"),
+            ));
         }
         let mut unscaled: i128 = 0;
         for c in int_part.chars().chain(frac_part.chars()) {
             unscaled = unscaled
                 .checked_mul(10)
                 .and_then(|v| v.checked_add((c as u8 - b'0') as i128))
-                .ok_or_else(|| err("overflow"))?;
+                .ok_or_else(|| err(Cause::Overflow, "overflow"))?;
         }
         if neg {
             unscaled = -unscaled;
@@ -135,9 +147,9 @@ impl Decimal {
                 let unscaled = self
                     .unscaled
                     .checked_mul(factor)
-                    .ok_or_else(|| err("rescale overflow"))?;
+                    .ok_or_else(|| err(Cause::Overflow, "rescale overflow"))?;
                 if count_digits(unscaled) > MAX_PRECISION {
-                    return Err(err("rescale exceeds max precision"));
+                    return Err(err(Cause::Overflow, "rescale exceeds max precision"));
                 }
                 Ok(Decimal {
                     unscaled,
@@ -179,7 +191,7 @@ impl Decimal {
         let unscaled = a
             .unscaled
             .checked_add(b.unscaled)
-            .ok_or_else(|| err("addition overflow"))?;
+            .ok_or_else(|| err(Cause::Overflow, "addition overflow"))?;
         Ok(Decimal { unscaled, scale })
     }
 
@@ -196,12 +208,12 @@ impl Decimal {
         let unscaled = self
             .unscaled
             .checked_mul(other.unscaled)
-            .ok_or_else(|| err("multiplication overflow"))?;
+            .ok_or_else(|| err(Cause::Overflow, "multiplication overflow"))?;
         let scale = self
             .scale
             .checked_add(other.scale)
             .filter(|s| *s <= MAX_PRECISION)
-            .ok_or_else(|| err("scale overflow"))?;
+            .ok_or_else(|| err(Cause::Overflow, "scale overflow"))?;
         Ok(Decimal { unscaled, scale })
     }
 

@@ -2,11 +2,14 @@
 
 use std::fmt;
 
-use super::{Date, Decimal, LegacyType, Timestamp};
+use super::{Date, DateParseError, Decimal, DecimalError, LegacyType, Timestamp};
+use crate::errcode::Cause;
 
 /// Error raised when a value cannot be coerced to a target type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValueError {
+    /// Why the value does not convert.
+    pub cause: Cause,
     /// Human-readable description of the failure.
     pub reason: String,
 }
@@ -19,9 +22,27 @@ impl fmt::Display for ValueError {
 
 impl std::error::Error for ValueError {}
 
-fn err(reason: impl Into<String>) -> ValueError {
+fn err(cause: Cause, reason: impl Into<String>) -> ValueError {
     ValueError {
+        cause,
         reason: reason.into(),
+    }
+}
+
+/// `v`'s type has no conversion to `to` at all.
+fn cannot_cast(cause: Cause, v: &Value, to: &str) -> ValueError {
+    err(cause, format!("cannot cast {} to {to}", v.type_name()))
+}
+
+impl From<DateParseError> for ValueError {
+    fn from(e: DateParseError) -> ValueError {
+        err(Cause::Date, e.to_string())
+    }
+}
+
+impl From<DecimalError> for ValueError {
+    fn from(e: DecimalError) -> ValueError {
+        err(e.cause, e.to_string())
     }
 }
 
@@ -89,16 +110,22 @@ impl Value {
                 let d = self.to_decimal()?;
                 let d = d
                     .rescale(s)
-                    .map_err(|e| err(format!("cannot fit in DECIMAL({p},{s}): {e}")))?;
+                    .map_err(|e| err(e.cause, format!("cannot fit in DECIMAL({p},{s}): {e}")))?;
                 if !d.fits(p, s) {
-                    return Err(err(format!("value {d} exceeds DECIMAL({p},{s})")));
+                    return Err(err(
+                        Cause::Overflow,
+                        format!("value {d} exceeds DECIMAL({p},{s})"),
+                    ));
                 }
                 Ok(Value::Decimal(d))
             }
             LegacyType::Char(n) => {
                 let s = self.to_text()?;
                 if s.len() > n as usize {
-                    return Err(err(format!("string length {} exceeds CHAR({n})", s.len())));
+                    return Err(err(
+                        Cause::Length,
+                        format!("string length {} exceeds CHAR({n})", s.len()),
+                    ));
                 }
                 // CHAR is space padded to its declared width.
                 let mut padded = s;
@@ -110,45 +137,40 @@ impl Value {
             LegacyType::VarChar(n) | LegacyType::VarCharUnicode(n) => {
                 let s = self.to_text()?;
                 if s.len() > n as usize {
-                    return Err(err(format!(
-                        "string length {} exceeds VARCHAR({n})",
-                        s.len()
-                    )));
+                    return Err(err(
+                        Cause::Length,
+                        format!("string length {} exceeds VARCHAR({n})", s.len()),
+                    ));
                 }
                 Ok(Value::Str(s))
             }
             LegacyType::Date => match self {
                 Value::Date(d) => Ok(Value::Date(*d)),
-                Value::Str(s) => Date::parse_iso(s)
-                    .map(Value::Date)
-                    .map_err(|e| err(e.to_string())),
+                Value::Str(s) => Ok(Value::Date(Date::parse_iso(s)?)),
                 Value::Int(v) => {
-                    let v32 = i32::try_from(*v).map_err(|_| err("integer out of DATE range"))?;
-                    Date::from_legacy_int(v32)
-                        .map(Value::Date)
-                        .map_err(|e| err(e.to_string()))
+                    let v32 = i32::try_from(*v)
+                        .map_err(|_| err(Cause::Date, "integer out of DATE range"))?;
+                    Ok(Value::Date(Date::from_legacy_int(v32)?))
                 }
-                other => Err(err(format!("cannot cast {} to DATE", other.type_name()))),
+                other => Err(cannot_cast(Cause::Date, other, "DATE")),
             },
             LegacyType::Timestamp => match self {
                 Value::Timestamp(ts) => Ok(Value::Timestamp(*ts)),
                 Value::Date(d) => Ok(Value::Timestamp(Timestamp::from_date(*d))),
-                Value::Str(s) => Timestamp::parse(s)
-                    .map(Value::Timestamp)
-                    .map_err(|e| err(e.to_string())),
-                other => Err(err(format!(
-                    "cannot cast {} to TIMESTAMP",
-                    other.type_name()
-                ))),
+                Value::Str(s) => Ok(Value::Timestamp(Timestamp::parse(s)?)),
+                other => Err(cannot_cast(Cause::Value, other, "TIMESTAMP")),
             },
             LegacyType::VarByte(n) => match self {
                 Value::Bytes(b) => {
                     if b.len() > n as usize {
-                        return Err(err(format!("byte length {} exceeds VARBYTE({n})", b.len())));
+                        return Err(err(
+                            Cause::Length,
+                            format!("byte length {} exceeds VARBYTE({n})", b.len()),
+                        ));
                     }
                     Ok(Value::Bytes(b.clone()))
                 }
-                other => Err(err(format!("cannot cast {} to VARBYTE", other.type_name()))),
+                other => Err(cannot_cast(Cause::Value, other, "VARBYTE")),
             },
         }
     }
@@ -158,26 +180,30 @@ impl Value {
             Value::Int(v) => *v,
             Value::Float(f) => {
                 if f.fract() != 0.0 || *f < min as f64 || *f > max as f64 {
-                    return Err(err(format!("float {f} not representable as {tyname}")));
+                    return Err(err(
+                        Cause::Value,
+                        format!("float {f} not representable as {tyname}"),
+                    ));
                 }
                 *f as i64
             }
-            Value::Decimal(d) => d
-                .to_i64_exact()
-                .ok_or_else(|| err(format!("decimal {d} not integral for {tyname}")))?,
+            Value::Decimal(d) => d.to_i64_exact().ok_or_else(|| {
+                err(
+                    Cause::Value,
+                    format!("decimal {d} not integral for {tyname}"),
+                )
+            })?,
             Value::Str(s) => s
                 .trim()
                 .parse::<i64>()
-                .map_err(|_| err(format!("'{s}' is not a valid {tyname}")))?,
-            other => {
-                return Err(err(format!(
-                    "cannot cast {} to {tyname}",
-                    other.type_name()
-                )))
-            }
+                .map_err(|_| err(Cause::Value, format!("'{s}' is not a valid {tyname}")))?,
+            other => return Err(cannot_cast(Cause::Value, other, tyname)),
         };
         if v < min || v > max {
-            return Err(err(format!("{v} out of range for {tyname}")));
+            return Err(err(
+                Cause::Overflow,
+                format!("{v} out of range for {tyname}"),
+            ));
         }
         Ok(Value::Int(v))
     }
@@ -191,8 +217,8 @@ impl Value {
             Value::Str(s) => s
                 .trim()
                 .parse::<f64>()
-                .map_err(|_| err(format!("'{s}' is not a valid FLOAT"))),
-            other => Err(err(format!("cannot cast {} to FLOAT", other.type_name()))),
+                .map_err(|_| err(Cause::Value, format!("'{s}' is not a valid FLOAT"))),
+            other => Err(cannot_cast(Cause::Value, other, "FLOAT")),
         }
     }
 
@@ -201,9 +227,9 @@ impl Value {
         match self {
             Value::Int(v) => Ok(Decimal::from_i64(*v)),
             Value::Decimal(d) => Ok(*d),
-            Value::Str(s) => Decimal::parse(s).map_err(|e| err(e.to_string())),
-            Value::Float(f) => Decimal::parse(&format!("{f}")).map_err(|e| err(e.to_string())),
-            other => Err(err(format!("cannot cast {} to DECIMAL", other.type_name()))),
+            Value::Str(s) => Ok(Decimal::parse(s)?),
+            Value::Float(f) => Ok(Decimal::parse(&format!("{f}"))?),
+            other => Err(cannot_cast(Cause::Value, other, "DECIMAL")),
         }
     }
 
@@ -211,7 +237,7 @@ impl Value {
     /// [`Value::display_text`], NULL is an error here.
     pub fn to_text(&self) -> Result<String, ValueError> {
         match self {
-            Value::Null => Err(err("cannot render NULL as text")),
+            Value::Null => Err(err(Cause::Value, "cannot render NULL as text")),
             Value::Str(s) => Ok(s.clone()),
             other => Ok(other.display_text()),
         }

@@ -5,6 +5,8 @@
 //! `2666` (invalid date in acquisition), `2794` (uniqueness violation),
 //! `3103` (conversion failure during DML application), and `9057`
 //! (max-errors limit reached; a row *range* could not be processed).
+//! [`Cause`] is the typed class of a statement abort; [`Cause::code`]
+//! maps it to the per-tuple code.
 
 use std::fmt;
 
@@ -107,6 +109,41 @@ impl fmt::Display for ErrCode {
     }
 }
 
+/// Why a set-oriented statement aborted: the typed class a real
+/// warehouse reports as a SQLSTATE, named where the failure happens and
+/// never parsed back out of a message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Cause {
+    /// Text is not a valid date (SQLSTATE 22007).
+    Date,
+    /// A string or byte value is longer than its target type (22001).
+    Length,
+    /// A number does not fit its target type (22003).
+    Overflow,
+    /// Any other value that does not convert to its target type (22018).
+    Value,
+    /// NULL reached a NOT NULL column (23502).
+    Null,
+    /// A unique or primary key would be duplicated (23505).
+    Uniqueness,
+    /// A staged file could not be read during COPY.
+    BadFile,
+}
+
+impl Cause {
+    /// The per-tuple code the legacy EDW records for this cause (Figure
+    /// 5's `ERRCODE`).
+    pub fn code(self) -> ErrCode {
+        match self {
+            Cause::Date => ErrCode::BAD_DATE,
+            Cause::Length => ErrCode::STRING_TOO_LONG,
+            Cause::Overflow => ErrCode::NUMERIC_OVERFLOW,
+            Cause::Uniqueness => ErrCode::UNIQUENESS,
+            Cause::Value | Cause::Null | Cause::BadFile => ErrCode::BAD_VALUE,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,6 +161,8 @@ mod tests {
         assert!(ErrCode::UNIQUENESS.is_uniqueness());
         assert!(!ErrCode::BAD_DATE.is_uniqueness());
         assert!(!ErrCode::MAX_ERRORS.is_uniqueness());
+        assert!(Cause::Uniqueness.code().is_uniqueness());
+        assert!(!Cause::Date.code().is_uniqueness());
     }
 
     #[test]

@@ -142,3 +142,104 @@ fn error_rows_match_ground_truth() {
         .collect();
     assert_eq!(recorded, workload.bad_date_rows);
 }
+
+/// One load whose bad rows each fail for a different cause, plus one
+/// duplicate key: both servers record the same code and field per row.
+#[test]
+fn error_codes_and_fields_match_across_causes() {
+    use etlv_protocol::data::Value;
+
+    const SCRIPT: &str = ".logon h/u,p;
+.layout L;
+.field ID varchar(8);
+.field QTY varchar(8);
+.field AMT varchar(8);
+.field UPDATED_BY varchar(8);
+.begin import tables PROD.ORDERS errortables PROD.ORDERS_ET PROD.ORDERS_UV;
+.dml label Go;
+insert into PROD.ORDERS values (:ID, cast(:QTY as INTEGER), cast(:AMT as DECIMAL(5,2)), :UPDATED_BY);
+.import infile f format vartext '|' layout L apply Go;
+.end load
+";
+    const DDL: &str = "CREATE TABLE PROD.ORDERS (ID VARCHAR(8) NOT NULL, QTY INTEGER, \
+                       AMT DECIMAL(5,2), UPDATED_BY VARCHAR(3)) UNIQUE PRIMARY INDEX (ID)";
+    // Row 1 'UPDATE' is no number (its text merely contains "DATE"), row 2
+    // overflows DECIMAL(5,2), row 3 is too long for the target column
+    // UPDATED_BY, row 5 repeats row 4's key.
+    const DATA: &[u8] = b"o1|UPDATE|1.00|ab\n\
+                          o2|5|123456|ab\n\
+                          o3|5|1.00|toolong\n\
+                          o4|5|1.00|ab\n\
+                          o4|6|2.00|cd\n\
+                          o6|7|3.00|ef\n";
+    let JobPlan::Import(job) = compile(&parse_script(SCRIPT).unwrap()).unwrap() else {
+        panic!()
+    };
+    let run = |connector: Arc<dyn Connect>| {
+        let mut session = etlv_legacy_client::Session::logon(
+            connector.as_ref(),
+            "admin",
+            "pw",
+            etlv_protocol::message::SessionRole::Control,
+            0,
+        )
+        .unwrap();
+        session.sql(DDL).unwrap();
+        session.logoff();
+        LegacyEtlClient::new(connector)
+            .run_import_data(&job, DATA)
+            .unwrap()
+    };
+    let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().rows;
+    let text = |v: &Value| match v {
+        Value::Str(s) => Some(s.clone()),
+        _ => None,
+    };
+
+    let server = LegacyServer::new();
+    let legacy = run(server_connector(&server));
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    let virt = run(tcp_connector(&v));
+    assert_eq!(legacy.report.rows_applied, 2);
+    assert_eq!(virt.report.rows_applied, 2);
+
+    let oracle_et: Vec<(Value, Value, Option<String>)> = rows(
+        server.engine(),
+        "SELECT SEQNO, ERRCODE, ERRFIELD FROM PROD.ORDERS_ET ORDER BY SEQNO",
+    )
+    .iter()
+    .map(|r| (r[0].clone(), r[1].clone(), text(&r[2])))
+    .collect();
+    let field = |f: &str| Some(f.to_string());
+    assert_eq!(
+        oracle_et,
+        vec![
+            (Value::Int(1), Value::Int(2665), field("QTY")),
+            (Value::Int(2), Value::Int(2616), field("AMT")),
+            (Value::Int(3), Value::Int(2667), field("UPDATED_BY")),
+        ]
+    );
+
+    let gateway_et = rows(
+        v.cdw(),
+        "SELECT SEQNO, ERRFIELD, ERRMESSAGE FROM PROD.ORDERS_ET ORDER BY SEQNO",
+    );
+    let gateway_fields: Vec<(Value, Option<String>)> = gateway_et
+        .iter()
+        .map(|r| (r[0].clone(), text(&r[1])))
+        .collect();
+    let oracle_fields: Vec<(Value, Option<String>)> = oracle_et
+        .iter()
+        .map(|(seq, _, f)| (seq.clone(), f.clone()))
+        .collect();
+    assert_eq!(gateway_fields, oracle_fields);
+    for r in &gateway_et {
+        let message = text(&r[2]).unwrap();
+        assert!(message.starts_with("Conversion failed"), "{message}");
+    }
+
+    let uv_seqs =
+        |cdw: &etlv_cdw::Cdw| rows(cdw, "SELECT SEQNO FROM PROD.ORDERS_UV ORDER BY SEQNO");
+    assert_eq!(uv_seqs(server.engine()), vec![vec![Value::Int(5)]]);
+    assert_eq!(uv_seqs(v.cdw()), uv_seqs(server.engine()));
+}
