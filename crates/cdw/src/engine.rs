@@ -620,7 +620,41 @@ mod tests {
             .unwrap_err();
         assert!(err.is_bulk_abort(), "{err}");
         assert!(!format!("{err}").contains("row"), "no row identity: {err}");
+        assert_eq!(err.failed_row(), None, "STG has no integer key");
         assert_eq!(cdw.table_len("PROD.CUSTOMER").unwrap(), 0);
+    }
+
+    #[test]
+    fn a_projection_abort_names_its_integer_keyed_row() {
+        let cdw = setup();
+        cdw.execute(
+            "CREATE TABLE STG (SEQ BIGINT, ID VARCHAR(9), D VARCHAR(10), PRIMARY KEY (SEQ))",
+        )
+        .unwrap();
+        // Stored out of key order: the first failing row in storage order
+        // is the one named.
+        cdw.execute_script(
+            "INSERT INTO STG VALUES (3, '3', 'yyyy');
+             INSERT INTO STG VALUES (1, '1', '2012-01-01');
+             INSERT INTO STG VALUES (2, 'toolong99', 'xxxx');",
+        )
+        .unwrap();
+        let dml = "INSERT INTO PROD.CUSTOMER SELECT ID, 'n', TO_DATE(D, 'YYYY-MM-DD') FROM STG";
+        let err = cdw
+            .execute(&format!("{dml} WHERE SEQ >= 1 AND SEQ < 4"))
+            .unwrap_err();
+        let CdwError::BulkAbort { position, row, .. } = err else {
+            panic!("{err}")
+        };
+        assert_eq!((position, row), (Some(2), Some(3)));
+        // Row 2's date fails in the projection before its ID is coerced.
+        let err = cdw.execute(&format!("{dml} WHERE SEQ = 2")).unwrap_err();
+        assert_eq!(err.failed_row(), Some(2));
+        // Coercion into the target names no row.
+        cdw.execute("UPDATE STG SET D = '2012-01-02' WHERE SEQ = 2")
+            .unwrap();
+        let err = cdw.execute(&format!("{dml} WHERE SEQ = 2")).unwrap_err();
+        assert!(err.is_bulk_abort() && err.failed_row().is_none(), "{err}");
     }
 
     #[test]

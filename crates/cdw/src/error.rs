@@ -4,10 +4,13 @@
 //! Note the deliberate shape of [`CdwError::BulkAbort`]: it reports that a
 //! set-oriented statement failed, *why* (a typed [`Cause`], as a real
 //! warehouse's SQLSTATE) and *which value* of the row failed (as a real
-//! warehouse names the column), but not *which input row* was
-//! responsible. Modern CDWs surface bulk failures at statement
-//! granularity; recovering tuple-level error attribution is the
-//! virtualizer's job (paper §7, adaptive error handling).
+//! warehouse names the column). It names *which input row* failed only
+//! when a SELECT's projection fails on a row of one table keyed by a
+//! single integer column — the line number a warehouse's rejected-row
+//! report gives (Snowflake's `VALIDATE`, Redshift's `STL_LOAD_ERRORS`).
+//! A failure while coercing into the target, or a constraint violation,
+//! names no row. Recovering tuple-level error attribution from that is
+//! the virtualizer's job (paper §7, adaptive error handling).
 //! [`legacy_error`] turns an abort of a one-row statement into the
 //! `(cause, code, field)` both the legacy server and the virtualizer
 //! record.
@@ -33,7 +36,7 @@ pub enum CdwError {
     /// Ambiguous unqualified column reference.
     AmbiguousColumn(String),
     /// A set-oriented statement aborted on the first failure the engine
-    /// hit; no rows were affected. The input row is not identified.
+    /// hit; no rows were affected.
     BulkAbort {
         /// Why the statement aborted.
         cause: Cause,
@@ -44,6 +47,12 @@ pub enum CdwError {
         /// (a WHERE or ON clause, a GROUP BY key, an UPDATE, a uniqueness
         /// check, a staged file).
         position: Option<usize>,
+        /// Key of the input row whose projection failed, when a SELECT read
+        /// it from one table whose primary key is a single integer column
+        /// (a staging table's `__SEQ`). The first loop that names a row
+        /// wins; `None` for anything but a projection failure (coercion
+        /// into the target, NOT NULL, uniqueness, a WHERE or ON clause).
+        row: Option<i64>,
         /// Description of the failure, for people (never parsed).
         message: String,
     },
@@ -115,11 +124,12 @@ impl From<DecimalError> for CdwError {
 }
 
 impl CdwError {
-    /// A statement abort whose failing value no loop has named yet.
+    /// A statement abort whose failing value and row no loop has named yet.
     pub fn abort(cause: Cause, message: impl Into<String>) -> CdwError {
         CdwError::BulkAbort {
             cause,
             position: None,
+            row: None,
             message: message.into(),
         }
     }
@@ -131,6 +141,23 @@ impl CdwError {
             position.get_or_insert(pos);
         }
         self
+    }
+
+    /// Name the input row with key `key` as the one that failed, unless a
+    /// loop already named one (the first tag wins).
+    pub(crate) fn in_row(mut self, key: i64) -> CdwError {
+        if let CdwError::BulkAbort { row, .. } = &mut self {
+            row.get_or_insert(key);
+        }
+        self
+    }
+
+    /// The key of the input row an abort names, if any.
+    pub fn failed_row(&self) -> Option<i64> {
+        match self {
+            CdwError::BulkAbort { row, .. } => *row,
+            _ => None,
+        }
     }
 
     /// Whether this error came from a set-oriented statement abort caused

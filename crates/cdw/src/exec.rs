@@ -575,13 +575,17 @@ fn base_name(dotted: &str) -> String {
 }
 
 fn exec_select(ctx: &mut ExecCtx<'_>, sel: &SelectStmt) -> Result<QueryResult, CdwError> {
+    let row_key = match &sel.from {
+        Some(TableRef::Named { name, .. }) => integer_key(ctx.tables.get(&name.dotted())?),
+        _ => None,
+    };
     let Relation { bindings, rows } = select_source(ctx, sel)?;
 
     let has_aggregates = projection_has_aggregates(sel);
     let (mut out_rows, columns) = if has_aggregates || !sel.group_by.is_empty() {
         exec_aggregate(sel, &bindings, rows)?
     } else {
-        exec_plain(sel, &bindings, rows)?
+        exec_plain(sel, &bindings, rows, row_key)?
     };
 
     if sel.distinct {
@@ -599,6 +603,19 @@ fn exec_select(ctx: &mut ExecCtx<'_>, sel: &SelectStmt) -> Result<QueryResult, C
         rows: out_rows,
         affected,
     })
+}
+
+/// Position of `table`'s primary key when it is a single integer column:
+/// the key a projection abort names its failing row by.
+fn integer_key(table: &Table) -> Option<usize> {
+    match table.unique_columns.as_deref() {
+        Some(&[c]) => matches!(
+            table.columns[c].ty,
+            SqlType::ByteInt | SqlType::SmallInt | SqlType::Integer | SqlType::BigInt
+        )
+        .then_some(c),
+        _ => None,
+    }
 }
 
 /// Produce the filtered source relation of a SELECT: FROM resolution plus
@@ -1096,10 +1113,14 @@ fn bindings_of(ctx: &ExecCtx<'_>, from: &TableRef) -> Result<Vec<Binding>, CdwEr
 /// Projected result rows plus their output column names and types.
 type ProjectedRows = (Vec<Vec<Value>>, Vec<(String, SqlType)>);
 
+/// Project `rows`. A failing projection names its value's position and,
+/// when the rows come from one table keyed by the integer column at
+/// `row_key`, the failing row's key (read only on that error path).
 fn exec_plain(
     sel: &SelectStmt,
     bindings: &[Binding],
     rows: Vec<Vec<Value>>,
+    row_key: Option<usize>,
 ) -> Result<ProjectedRows, CdwError> {
     let items = expand_projection(sel, bindings);
     let columns = projection_columns(&items, bindings)?;
@@ -1113,7 +1134,13 @@ fn exec_plain(
     for row in &rows {
         let mut out = Vec::with_capacity(items.len());
         for (i, item) in projected.iter().enumerate() {
-            out.push(item.eval(row).map_err(|e| e.at(i))?);
+            out.push(item.eval(row).map_err(|e| {
+                let e = e.at(i);
+                match row_key.map(|k| &row[k]) {
+                    Some(Value::Int(key)) => e.in_row(*key),
+                    _ => e,
+                }
+            })?);
         }
         let mut sort_key = Vec::with_capacity(order.len());
         for (key, alias) in order.iter().zip(&aliases) {

@@ -8,10 +8,12 @@
 //! 1. **Set-oriented bulk semantics.** A DML statement either applies to
 //!    *all* qualifying rows or to none: the first conversion error or
 //!    constraint violation aborts the whole statement with no partial
-//!    effects, and the error names its cause and failing value but does
-//!    **not** identify the failing tuple. This is exactly the behaviour
-//!    that forces the virtualizer's adaptive (chunk-splitting) error
-//!    handler in §7.
+//!    effects, and the error names its cause and failing value. It names
+//!    the failing tuple only when a projection fails on a row keyed by a
+//!    single integer column (a rejected-row report's line number); a
+//!    failure while coercing into the target or checking a constraint
+//!    names none. This is exactly the behaviour that forces the
+//!    virtualizer's adaptive (range-cutting) error handler in §7.
 //! 2. **Object-store bulk loading.** `COPY INTO t FROM 'store://…'` ingests
 //!    staged delimited files (optionally LZSS-compressed) from the
 //!    cloud store, as in §6.

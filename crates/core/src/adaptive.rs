@@ -1,17 +1,33 @@
 //! Adaptive error handling (paper §7, Figure 6).
 //!
-//! The CDW aborts a whole set-oriented statement on the first bad tuple
-//! without identifying it. To recover legacy tuple-level error reporting,
-//! the virtualizer recursively bisects the failing staging range:
+//! The CDW aborts a whole set-oriented statement on the first bad tuple.
+//! To recover legacy tuple-level error reporting, the virtualizer applies
+//! the staging range in stretches and cuts each failing one where it
+//! fails, recording errors in row order:
 //!
-//! 1. apply the DML to `[lo, hi)`;
-//! 2. on failure of a singleton range, record the tuple in the ET or UV
-//!    table (with its row number) and continue — the abort's typed cause
-//!    picks the table and its value position names the ET row's field;
-//! 3. on failure of a wider range — if `max_errors` individual errors have
-//!    already been recorded, record the *range* with code 9057 instead of
-//!    splitting further; if the split depth exceeds `max_retries`, record
-//!    the range with code 9058; otherwise split in half and recurse.
+//! 1. With uniqueness emulated, the range's probe lists the rows that
+//!    collide with the target or repeat an earlier row's key. Each starts
+//!    a stretch that leaves it out of its DML, and is confirmed once the
+//!    rows before it are applied: it is a UV record if it still collides,
+//!    an ET record if its values do not convert (the legacy system
+//!    evaluates a row's values before its key), and applied otherwise.
+//! 2. An abort that names its failing row `f` cuts the stretch there: the
+//!    stretch is retried without `f`, and `f` is recorded from the abort
+//!    itself — the typed cause picks the table and the value position
+//!    names the ET row's field. A second named row resolves the rows up to
+//!    the first of the two before going on.
+//! 3. An abort that names no row (a value too long for its target column,
+//!    NOT NULL, a native uniqueness violation, a passthrough DML) falls
+//!    back to the paper's blind bisection: halve and recurse down to a
+//!    single row, which is recorded. Past `max_retries` halvings the
+//!    failing range is one 9058 record; a cut at a named row costs no
+//!    depth.
+//! 4. Once `max_errors` individual errors are recorded, the next error row
+//!    and every row after it are one 9057 range record; no row past a
+//!    possible error is applied while that error could be the one.
+//!
+//! So each error row costs one or two statements, not one per bisection
+//! level.
 
 use std::collections::HashMap;
 
@@ -24,7 +40,7 @@ use etlv_protocol::layout::Layout;
 use crate::emulate::UniqueEmulation;
 use crate::fault::{retry_cdw, RetryPolicy};
 use crate::obs::JobObs;
-use crate::xcompile::CompiledDml;
+use crate::xcompile::{CompiledDml, DmlKind};
 
 /// Which input rows an error record covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +73,8 @@ pub struct AdaptiveParams {
     /// Maximum individual errors to record before switching to range
     /// records (0 = unlimited).
     pub max_errors: u64,
-    /// Maximum split depth before giving up on a range.
+    /// Maximum halving depth before giving up on a range that fails
+    /// without naming its row.
     pub max_retries: u32,
     /// Retry policy for transient CDW failures. Only
     /// [`CdwError::is_retryable`] errors are retried; bulk aborts still
@@ -83,9 +100,10 @@ impl Default for AdaptiveParams {
 pub struct AdaptiveOutcome {
     /// Rows successfully applied.
     pub applied: u64,
-    /// Errors recorded, in discovery order.
+    /// Errors recorded, in row order.
     pub errors: Vec<RecordedError>,
-    /// Number of range splits performed.
+    /// Cuts performed: a failing range cut at the row its abort named or
+    /// at a row its probe listed, or halved.
     pub splits: u64,
     /// CDW statements issued (DML attempts + emulation checks + row
     /// fetches) — the cost the paper's Figure 11 measures. Transient
@@ -96,9 +114,9 @@ pub struct AdaptiveOutcome {
 }
 
 /// Apply `compiled` to staging rows `[lo, hi)` with adaptive error
-/// handling. `obs` (when supplied) journals every bisection decision and
-/// range failure under the owning job's token. The layout is not read:
-/// staged rows and aborts carry their values by position.
+/// handling. `obs` (when supplied) journals every cut and range failure
+/// under the owning job's token. The layout is not read: staged rows and
+/// aborts carry their values by position.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_adaptive(
     cdw: &Cdw,
@@ -110,7 +128,7 @@ pub fn apply_adaptive(
     params: AdaptiveParams,
     obs: Option<&JobObs>,
 ) -> Result<AdaptiveOutcome, CdwError> {
-    let mut job = Bisection {
+    let mut walk = Walk {
         cdw,
         compiled,
         emulation,
@@ -119,14 +137,20 @@ pub fn apply_adaptive(
         job_range: (lo, hi),
         staged: None,
         individual_errors: 0,
+        done: false,
         outcome: AdaptiveOutcome::default(),
     };
-    job.recurse(lo, hi, 0, false)?;
-    Ok(job.outcome)
+    walk.range(lo, hi, 0)?;
+    Ok(walk.outcome)
 }
 
-/// What one job's bisection shares across its recursion.
-struct Bisection<'a> {
+/// A row a stretch leaves out of its DML attempts, resolved once every
+/// row before it is: a row the probe listed (`None`: confirm it) or a row
+/// an abort named (`Some`: that abort).
+type Pending = (u64, Option<CdwError>);
+
+/// What one job's walk shares across its recursion.
+struct Walk<'a> {
     cdw: &'a Cdw,
     compiled: &'a CompiledDml,
     emulation: Option<&'a UniqueEmulation>,
@@ -135,15 +159,17 @@ struct Bisection<'a> {
     /// The job's whole staging range `[lo, hi)`.
     job_range: (u64, u64),
     /// Snapshot of the staging rows keyed by `__SEQ`, fetched at the first
-    /// UV record.
+    /// UV record no confirmation carried its tuple to (a native uniqueness
+    /// abort).
     staged: Option<HashMap<u64, Vec<Value>>>,
-    /// Individual (non-range) errors recorded so far: `max_errors` is
-    /// checked at every failing range, so it is counted, not rescanned.
+    /// Individual (non-range) errors recorded so far.
     individual_errors: u64,
+    /// Set by the 9057 record, which covers the rest of the job.
+    done: bool,
     outcome: AdaptiveOutcome,
 }
 
-impl Bisection<'_> {
+impl Walk<'_> {
     /// The staging tuple of row `seq`, for its UV record.
     ///
     /// Fetching the whole staging range once costs one statement instead
@@ -178,120 +204,298 @@ impl Bisection<'_> {
             .unwrap_or_default())
     }
 
-    /// Apply `[lo, hi)`, bisecting on a bulk abort.
-    ///
-    /// `unique_clean` is probe inheritance: an ancestor range's uniqueness
-    /// probe counted zero violations and only its DML aborted (a conversion
-    /// error). Then no row of that ancestor collides with the target as it
-    /// was, its keys are pairwise distinct, and the target has since gained
-    /// only rows of that same ancestor — so every sub-range is unique-clean
-    /// and goes straight to its DML. The one assumption: no other writer
-    /// inserts into the target mid-job, which probe-then-insert does not
-    /// protect against either.
-    fn recurse(
-        &mut self,
-        lo: u64,
-        hi: u64,
-        depth: u32,
-        mut unique_clean: bool,
-    ) -> Result<(), CdwError> {
-        if lo >= hi {
-            return Ok(());
+    /// Individual errors that may still be recorded before `max_errors`.
+    fn room(&self) -> u64 {
+        match self.params.max_errors {
+            0 => u64::MAX,
+            max => max.saturating_sub(self.individual_errors),
         }
-        let err = match self.try_apply_range(lo, hi, &mut unique_clean) {
-            Ok(applied) => {
-                self.outcome.applied += applied;
-                return Ok(());
-            }
-            Err(err) if err.is_bulk_abort() => err,
-            // Structural failures (missing tables, SQL errors) abort the job.
-            Err(err) => return Err(err),
-        };
-        if let Some(obs) = self.obs {
-            obs.range_error(lo, hi - 1);
-        }
-        if hi - lo == 1 {
-            let record = record_error(self.compiled, lo, err, || self.tuple(lo))?;
-            self.outcome.errors.push(record);
-            self.individual_errors += 1;
-            return Ok(());
-        }
-        let limit =
-            if self.params.max_errors > 0 && self.individual_errors >= self.params.max_errors {
-                Some((ErrCode::MAX_ERRORS, "errors"))
-            } else if depth >= self.params.max_retries {
-                Some((ErrCode::MAX_RETRIES, "retries"))
-            } else {
-                None
-            };
-        if let Some((code, what)) = limit {
-            self.outcome.errors.push(RecordedError {
-                code,
-                field: None,
-                message: format!(
-                    "Max number of {what} reached during DML on {}, row numbers: ({}, {})",
-                    self.compiled.target.dotted(),
-                    lo,
-                    hi - 1
-                ),
-                rows: ErrorRows::Range(lo, hi - 1),
-                uv_tuple: None,
-            });
-            return Ok(());
-        }
+    }
+
+    /// Count and journal one cut of the failing range `[lo, hi)`.
+    fn cut(&mut self, lo: u64, hi: u64) {
         self.outcome.splits += 1;
         if let Some(obs) = self.obs {
             obs.split(lo, hi - 1);
         }
-        let mid = lo + (hi - lo) / 2;
-        self.recurse(lo, mid, depth + 1, unique_clean)?;
-        self.recurse(mid, hi, depth + 1, unique_clean)
     }
 
-    /// One application attempt: emulated uniqueness pre-check (unless
-    /// `unique_clean` is inherited; a check that counts zero sets it),
-    /// then the range-restricted DML. A check that aborts on a bad key
-    /// value fails a wider range as it is; a single row runs its DML,
-    /// which evaluates the same key projections among its values in
-    /// order, so its own abort names the row's first failing value, as
-    /// the legacy system would. Transient CDW failures are retried
-    /// in place — both statements are safe to re-issue (the pre-check is a
-    /// read, the DML validates every tuple before mutating) — so
-    /// infrastructure blips never masquerade as data errors and trigger a
-    /// pointless bisection.
-    fn try_apply_range(
+    /// Record row `seq`, every row before it resolved: by the rule
+    /// [`record_error`] shares with singleton application (`uv_tuple`
+    /// saves a UV record its fetch), or — past `max_errors` — as the first
+    /// row of the 9057 record that ends the job.
+    fn record(
+        &mut self,
+        seq: u64,
+        err: CdwError,
+        uv_tuple: Option<Vec<Value>>,
+    ) -> Result<(), CdwError> {
+        if self.done {
+            return Ok(());
+        }
+        if self.room() == 0 && err.is_bulk_abort() {
+            self.push_range(ErrCode::MAX_ERRORS, seq, self.job_range.1);
+            self.done = true;
+            return Ok(());
+        }
+        let compiled = self.compiled;
+        let record = record_error(compiled, seq, err, || match uv_tuple {
+            Some(tuple) => Ok(tuple),
+            None => self.tuple(seq),
+        })?;
+        self.outcome.errors.push(record);
+        self.individual_errors += 1;
+        Ok(())
+    }
+
+    /// Record `[lo, hi)` as one range record with `code` (9057 or 9058).
+    fn push_range(&mut self, code: ErrCode, lo: u64, hi: u64) {
+        let what = if code == ErrCode::MAX_ERRORS {
+            "errors"
+        } else {
+            "retries"
+        };
+        self.outcome.errors.push(RecordedError {
+            code,
+            field: None,
+            message: format!(
+                "Max number of {what} reached during DML on {}, row numbers: ({}, {})",
+                self.compiled.target.dotted(),
+                lo,
+                hi - 1
+            ),
+            rows: ErrorRows::Range(lo, hi - 1),
+            uv_tuple: None,
+        });
+    }
+
+    /// Apply `[lo, hi)`, whose rows may collide with the target or with
+    /// each other: probe it, then run it as stretches that each leave out
+    /// one of the rows the probe lists and confirm it afterwards.
+    fn range(&mut self, lo: u64, hi: u64, depth: u32) -> Result<(), CdwError> {
+        if lo >= hi || self.done {
+            return Ok(());
+        }
+        let Some(emu) = self.emulation else {
+            return self.stretch(lo, hi, depth, Vec::new());
+        };
+        let cdw = self.cdw;
+        self.outcome.statements += 1;
+        let listed = retry_cdw(
+            self.params.retry,
+            self.params.retry_seed ^ lo ^ (hi << 20),
+            &mut self.outcome.transient_retries,
+            || emu.violations_in_range(cdw, lo, hi),
+        );
+        let listed = match listed {
+            Ok(listed) => listed,
+            Err(err) if err.is_bulk_abort() => return self.probe_aborted(lo, hi, depth),
+            Err(err) => return Err(err),
+        };
+        if !listed.is_empty() {
+            if let Some(obs) = self.obs {
+                obs.range_error(lo, hi - 1);
+            }
+        }
+        // Each listed row is left out of the stretch it starts (the first
+        // stretch starts at `lo`), which ends where the next one starts.
+        let mut start = lo;
+        let ends = listed.iter().skip(1).copied().chain([hi]);
+        for (&seq, end) in listed.iter().zip(ends) {
+            self.cut(seq, seq + 1);
+            self.stretch(start, end, depth, vec![(seq, None)])?;
+            start = end;
+        }
+        self.stretch(start, hi, depth, Vec::new())
+    }
+
+    /// `[lo, hi)`'s probe aborted on a key value. The DML evaluates the
+    /// same key projections, so it aborts too and names the failing row;
+    /// the rows on either side are probed again.
+    fn probe_aborted(&mut self, lo: u64, hi: u64, depth: u32) -> Result<(), CdwError> {
+        let Some(err) = self.attempt(lo, hi, &[])? else {
+            return Ok(());
+        };
+        match self.named(&err, lo, hi, &[]) {
+            Some(row) => {
+                self.cut(lo, hi);
+                self.range(lo, row, depth)?;
+                self.record(row, err, None)?;
+                self.range(row + 1, hi, depth)
+            }
+            None => self.bisect(lo, hi, depth, Vec::new(), err, false),
+        }
+    }
+
+    /// Apply the stretch `[lo, hi)` of rows that collide with nothing,
+    /// except its `pending` rows (ascending), which are resolved in row
+    /// order once the rest is applied. A row a `pending` listed row repeats
+    /// lies before it, so applying the rows after it first changes nothing
+    /// for it; but no row past a possible error is applied while that
+    /// error could be the one past `max_errors`.
+    fn stretch(
         &mut self,
         lo: u64,
         hi: u64,
-        unique_clean: &mut bool,
-    ) -> Result<u64, CdwError> {
-        let cdw = self.cdw;
-        let params = self.params;
-        let seed = params.retry_seed ^ lo ^ (hi << 20);
-        if let (Some(emu), false) = (self.emulation, *unique_clean) {
-            self.outcome.statements += 1;
-            let check = retry_cdw(
-                params.retry,
-                seed,
-                &mut self.outcome.transient_retries,
-                || emu.violations_in_range(cdw, lo, hi),
-            );
-            match check {
-                Ok(0) => *unique_clean = true,
-                Ok(_) => return Err(emu.violation_error()),
-                Err(e) if !e.is_bulk_abort() || hi - lo > 1 => return Err(e),
-                Err(_) => {}
+        depth: u32,
+        mut pending: Vec<Pending>,
+    ) -> Result<(), CdwError> {
+        loop {
+            if lo >= hi || self.done {
+                return Ok(());
             }
+            let strict = pending.len() as u64 > self.room();
+            if !pending.is_empty() && (strict || pending.len() as u64 == hi - lo) {
+                let rest = pending.split_off(1);
+                let (seq, abort) = pending.pop().expect("one pending row");
+                self.stretch(lo, seq, depth, Vec::new())?;
+                self.resolve((seq, abort))?;
+                return self.stretch(seq + 1, hi, depth, rest);
+            }
+            let skip: Vec<u64> = pending.iter().map(|(seq, _)| *seq).collect();
+            let Some(err) = self.attempt(lo, hi, &skip)? else {
+                for row in pending {
+                    self.resolve(row)?;
+                }
+                return Ok(());
+            };
+            let Some(row) = self.named(&err, lo, hi, &skip) else {
+                return self.bisect(lo, hi, depth, pending, err, true);
+            };
+            self.cut(lo, hi);
+            let known = pending.iter().position(|(_, abort)| abort.is_some());
+            let at = pending.partition_point(|(seq, _)| *seq < row);
+            pending.insert(at, (row, Some(err)));
+            let Some(known) = known else {
+                // Retry without the failing row.
+                continue;
+            };
+            // Two rows known to fail: resolve the rows up to the first.
+            let first = if known < at { known } else { at };
+            let after = pending.split_off(first + 1);
+            let (seq, abort) = pending.pop().expect("the first failing row");
+            self.stretch(lo, seq, depth, pending)?;
+            self.resolve((seq, abort))?;
+            return self.stretch(seq + 1, hi, depth, after);
         }
+    }
+
+    /// Resolve a pending row, every row before it resolved.
+    fn resolve(&mut self, (seq, abort): Pending) -> Result<(), CdwError> {
+        if let Some(err) = abort {
+            return self.record(seq, err, None);
+        }
+        if self.done {
+            return Ok(());
+        }
+        let emu = self.emulation.expect("only a probe lists rows");
+        let cdw = self.cdw;
         self.outcome.statements += 1;
-        let stmt = self.compiled.range_stmt(Some(lo), Some(hi));
-        retry_cdw(
-            params.retry,
-            seed ^ 1,
+        let confirmed = retry_cdw(
+            self.params.retry,
+            self.params.retry_seed ^ seq,
+            &mut self.outcome.transient_retries,
+            || emu.confirm(cdw, seq),
+        );
+        match confirmed {
+            Ok(Some(tuple)) => self.record(seq, emu.violation_error(), Some(tuple)),
+            Ok(None) => match self.attempt(seq, seq + 1, &[])? {
+                Some(err) => self.record(seq, err, None),
+                None => Ok(()),
+            },
+            Err(err) => self.record(seq, err, None),
+        }
+    }
+
+    /// `[lo, hi)` (except its `pending` rows) aborted with `err`, which
+    /// names no row: record a single row, give up past `max_retries`
+    /// halvings, or halve — each half a stretch if `clean`, else probed
+    /// again.
+    fn bisect(
+        &mut self,
+        lo: u64,
+        hi: u64,
+        depth: u32,
+        mut pending: Vec<Pending>,
+        err: CdwError,
+        clean: bool,
+    ) -> Result<(), CdwError> {
+        if hi - lo == 1 {
+            return self.record(lo, err, None);
+        }
+        if depth >= self.params.max_retries {
+            self.push_range(ErrCode::MAX_RETRIES, lo, hi);
+            return Ok(());
+        }
+        self.cut(lo, hi);
+        let mid = lo + (hi - lo) / 2;
+        let right = pending.split_off(pending.partition_point(|(seq, _)| *seq < mid));
+        if clean {
+            self.stretch(lo, mid, depth + 1, pending)?;
+            self.stretch(mid, hi, depth + 1, right)
+        } else {
+            self.range(lo, mid, depth + 1)?;
+            self.range(mid, hi, depth + 1)
+        }
+    }
+
+    /// Run the DML over `[lo, hi)` except `skip`. `Ok(None)` when it
+    /// applied; `Ok(Some(abort))` when a row aborted it. Transient CDW
+    /// failures are retried in place — the statement validates every
+    /// tuple before mutating, so it is safe to re-issue — so
+    /// infrastructure blips never masquerade as data errors.
+    fn attempt(&mut self, lo: u64, hi: u64, skip: &[u64]) -> Result<Option<CdwError>, CdwError> {
+        self.outcome.statements += 1;
+        // Skipped rows at either end narrow the range instead, so the
+        // range seek still consumes the whole filter.
+        let (mut from, mut to, mut skip) = (lo, hi, skip);
+        while let [first, rest @ ..] = skip {
+            if *first != from {
+                break;
+            }
+            (from, skip) = (from + 1, rest);
+        }
+        while let [rest @ .., last] = skip {
+            if *last + 1 != to {
+                break;
+            }
+            (to, skip) = (to - 1, rest);
+        }
+        let stmt = self
+            .compiled
+            .range_stmt_skipping(Some(from), Some(to), skip);
+        let cdw = self.cdw;
+        let seed = self.params.retry_seed ^ lo ^ (hi << 20) ^ 1;
+        match retry_cdw(
+            self.params.retry,
+            seed,
             &mut self.outcome.transient_retries,
             || cdw.execute_stmt(&stmt),
-        )
-        .map(|r| r.affected)
+        ) {
+            Ok(result) => {
+                self.outcome.applied += result.affected;
+                Ok(None)
+            }
+            Err(err) if err.is_bulk_abort() => {
+                if let Some(obs) = self.obs {
+                    obs.range_error(lo, hi - 1);
+                }
+                Ok(Some(err))
+            }
+            // Structural failures (missing tables, SQL errors) abort the job.
+            Err(err) => Err(err),
+        }
+    }
+
+    /// The staging row in `[lo, hi)`, outside `skip`, that `err` names.
+    /// Only a row-wise DML reads the staging table alone, so only its
+    /// abort's row is a `__SEQ`.
+    fn named(&self, err: &CdwError, lo: u64, hi: u64, skip: &[u64]) -> Option<u64> {
+        if self.compiled.kind != DmlKind::RowWise {
+            return None;
+        }
+        let row = u64::try_from(err.failed_row()?).ok()?;
+        ((lo..hi).contains(&row) && !skip.contains(&row)).then_some(row)
     }
 }
 
@@ -552,8 +756,31 @@ mod tests {
 
     #[test]
     fn max_retries_limits_depth() {
-        let (cdw, compiled, layout) = setup();
-        stage_figure5(&cdw);
+        // Names too long for their target column fail the insert's
+        // coercion, whose abort names no row: the walk halves.
+        let (cdw, _, layout) = setup();
+        cdw.execute(
+            "CREATE TABLE PROD.NARROW (CUST_ID VARCHAR(5), CUST_NAME VARCHAR(4), JOIN_DATE DATE, PRIMARY KEY (CUST_ID))",
+        )
+        .unwrap();
+        let compiled = compile_dml(
+            "insert into PROD.NARROW values (trim(:CUST_ID), trim(:CUST_NAME), cast(:JOIN_DATE as DATE format 'YYYY-MM-DD'))",
+            &layout,
+            "STG",
+        )
+        .unwrap();
+        for (seq, name) in [
+            (1, "Ann"),
+            (2, "Smith"),
+            (3, "Bob"),
+            (4, "Jones"),
+            (5, "Eve"),
+        ] {
+            cdw.execute(&format!(
+                "INSERT INTO STG VALUES ({seq}, 'id{seq}', '{name}', '2012-01-01')"
+            ))
+            .unwrap();
+        }
         let emu = emulate::plan(&cdw, &compiled).unwrap();
         let outcome = apply_adaptive(
             &cdw,

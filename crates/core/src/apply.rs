@@ -51,9 +51,10 @@ pub fn apply(
 /// Each tuple costs at least one CDW round trip (plus a uniqueness check
 /// when emulation is active), which is exactly why the paper's bulk
 /// approach wins at low error rates. A tuple whose DML aborts is recorded
-/// by the same rule bulk application uses. A check that aborts on a bad
-/// key value defers to the DML, whose abort names the tuple's first
-/// failing value.
+/// by the same rule bulk application uses. A tuple the check flags is
+/// confirmed as bulk application confirms a listed row: its values are
+/// converted before its key counts. A check that aborts on a bad key value
+/// defers to the DML, whose abort names the tuple's first failing value.
 fn apply_singleton(
     cdw: &Cdw,
     compiled: &CompiledDml,
@@ -91,10 +92,20 @@ fn apply_singleton(
                     || emu.violations_in_range(cdw, seq, seq + 1),
                 );
                 match check {
-                    Ok(0) => {}
-                    Ok(_) => return Err(emu.violation_error()),
+                    Ok(listed) if !listed.is_empty() => {
+                        outcome.statements += 1;
+                        let confirmed = retry_cdw(
+                            params.retry,
+                            params.retry_seed ^ seq ^ (2 << 32),
+                            &mut outcome.transient_retries,
+                            || emu.confirm(cdw, seq),
+                        );
+                        if confirmed?.is_some() {
+                            return Err(emu.violation_error());
+                        }
+                    }
                     Err(e) if !e.is_bulk_abort() => return Err(e),
-                    Err(_) => {}
+                    _ => {}
                 }
             }
             let bound = bind_placeholders(&compiled.original, |name| {
@@ -171,8 +182,9 @@ mod tests {
     }
 
     /// Row 2's key fails to convert; row 3's date fails before its key
-    /// does. The target already holds a row, so the uniqueness check
-    /// evaluates every key, and aborts, before the DML does.
+    /// does; row 4's date fails and its key collides with the row the
+    /// target already holds. So the uniqueness check evaluates every key,
+    /// and aborts, before the DML does.
     fn bad_keys(config: &CdwConfig) -> Job {
         let job = stage(
             config,
@@ -181,7 +193,12 @@ mod tests {
                 .field("D", T::VarChar(10))
                 .field("ID", T::VarChar(8)),
             "insert into PROD.K values (cast(:D as DATE format 'YYYY-MM-DD'), cast(:ID as INTEGER))",
-            &[&["2012-01-01", "1"], &["2012-01-02", "x1"], &["bad", "x2"]],
+            &[
+                &["2012-01-01", "1"],
+                &["2012-01-02", "x1"],
+                &["bad", "x2"],
+                &["bad", "9"],
+            ],
         );
         job.0
             .execute("INSERT INTO PROD.K VALUES (NULL, 9)")
@@ -235,7 +252,8 @@ mod tests {
     fn a_check_abort_is_recorded_at_the_first_failing_value() {
         // The uniqueness check evaluates only CAST(:ID AS INTEGER). Its
         // abort is a 3103 row, not a failed job, and names the row's
-        // first failing value: ID on row 2, the date D on row 3.
+        // first failing value: ID on row 2, the date D on row 3. Row 4
+        // collides, but its date fails first, as the oracle evaluates it.
         for config in configs() {
             for strategy in [ApplyStrategy::BulkAdaptive, ApplyStrategy::Singleton] {
                 let outcome = run(bad_keys(&config), strategy);
@@ -258,6 +276,11 @@ mod tests {
                             code,
                             Some("D"),
                             format!("DATE conversion failed {on}: 3").as_str()
+                        ),
+                        (
+                            code,
+                            Some("D"),
+                            format!("DATE conversion failed {on}: 4").as_str()
                         ),
                     ],
                     "{config:?} {strategy:?}"

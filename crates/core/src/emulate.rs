@@ -11,20 +11,24 @@
 //! - **intra-range duplicates**: a GROUP BY over the transformed staging
 //!   keys with `HAVING COUNT(*) > 1`.
 //!
-//! A positive count is treated exactly like a set-oriented uniqueness
-//! abort, which hands control to the adaptive splitter; at singleton
-//! granularity the violating tuple is recorded in the UV table.
+//! Both are counted first, so a clean range costs two COUNT statements.
+//! Only a non-zero count lists the offending `__SEQ`s, which the adaptive
+//! walk then confirms one by one: a listed row is a UV row only if it
+//! still collides once the rows before it are applied, and only if its
+//! values convert — the legacy system evaluates a row's values before it
+//! checks the row's key.
 //!
 //! The probes evaluate the DML's key projections, so a bad key value can
-//! abort them too. Such an abort does not say whether the row has an
-//! earlier failing value, so at a single row the caller runs the DML,
-//! whose own abort names the first one.
+//! abort them too. The caller then runs the DML, whose own abort names the
+//! failing row and its first failing value.
+
+use std::collections::HashMap;
 
 use etlv_cdw::error::CdwError;
-use etlv_cdw::Cdw;
+use etlv_cdw::{Cdw, RowKey};
 use etlv_protocol::data::Value;
 use etlv_protocol::errcode::Cause;
-use etlv_sql::ast::{BinaryOp, Expr, ObjectName, SelectItem, SelectStmt, Stmt, TableRef};
+use etlv_sql::ast::{BinaryOp, Expr, JoinKind, ObjectName, SelectItem, SelectStmt, Stmt, TableRef};
 use etlv_sql::transform::map_expr;
 
 use crate::xcompile::{CompiledDml, DmlKind, SEQ_COL};
@@ -46,6 +50,14 @@ pub struct UniqueEmulation {
     key_exprs: Vec<Expr>,
     /// Staging table name.
     staging: String,
+    /// The DML's values, then each value cast to the target column it
+    /// fills, in target-column order: the order the CDW evaluates and then
+    /// coerces an inserted row in.
+    converts: Vec<Expr>,
+    /// The value position each cast of `converts` converts.
+    cast_values: Vec<usize>,
+    /// Number of target columns.
+    target_width: usize,
 }
 
 /// Plan emulation for a compiled DML. Returns `None` when the target has
@@ -61,30 +73,54 @@ pub fn plan(cdw: &Cdw, compiled: &CompiledDml) -> Result<Option<UniqueEmulation>
     };
     let schema = cdw.table_schema(&target_name)?;
 
-    // Position of each unique column in the insert's projection.
+    // Position in the insert's projection of the value each target
+    // column takes.
+    let value_of = |col: usize| match &compiled.insert_columns {
+        Some(cols) => cols
+            .iter()
+            .position(|c| c.eq_ignore_ascii_case(&schema[col].0)),
+        None => Some(col).filter(|&c| c < compiled.projection.len()),
+    };
+    let values: Vec<Expr> = compiled
+        .projection
+        .iter()
+        .map(qualify_staging_columns)
+        .collect();
     let mut key_exprs = Vec::with_capacity(unique_cols.len());
     for ucol in &unique_cols {
-        let pos = match &compiled.insert_columns {
-            Some(cols) => cols.iter().position(|c| c.eq_ignore_ascii_case(ucol)),
-            None => schema
-                .iter()
-                .position(|(name, _)| name.eq_ignore_ascii_case(ucol)),
-        };
-        let Some(pos) = pos else {
+        let col = schema
+            .iter()
+            .position(|(name, _)| name.eq_ignore_ascii_case(ucol));
+        let Some(expr) = col.and_then(value_of).and_then(|pos| values.get(pos)) else {
             // The insert never touches the key column: every inserted row
             // has a NULL key; uniqueness over NULLs is not enforced.
             return Ok(None);
         };
-        let Some(expr) = compiled.projection.get(pos) else {
-            return Ok(None);
-        };
-        key_exprs.push(qualify_staging_columns(expr));
+        key_exprs.push(expr.clone());
     }
+    let casts: Vec<(usize, Expr)> = (0..schema.len())
+        .filter_map(|col| {
+            let pos = value_of(col)?;
+            let cast = Expr::Cast {
+                expr: Box::new(values.get(pos)?.clone()),
+                ty: schema[col].1,
+                format: None,
+            };
+            Some((pos, cast))
+        })
+        .collect();
+    let converts = values
+        .into_iter()
+        .chain(casts.iter().map(|(_, cast)| cast.clone()))
+        .collect();
     Ok(Some(UniqueEmulation {
         target: compiled.target.clone(),
         target_key_cols: unique_cols,
         key_exprs,
         staging: compiled.staging_table.clone(),
+        converts,
+        cast_values: casts.into_iter().map(|(pos, _)| pos).collect(),
+        target_width: schema.len(),
     }))
 }
 
@@ -99,7 +135,7 @@ fn qualify_staging_columns(expr: &Expr) -> Expr {
 }
 
 fn range_filter_qualified(lo: u64, hi: u64) -> Expr {
-    let seq = Expr::Column(ObjectName(vec![STG_ALIAS.into(), SEQ_COL.into()]));
+    let seq = staged_seq();
     Expr::binary(
         Expr::binary(
             seq.clone(),
@@ -115,6 +151,18 @@ fn range_filter_qualified(lo: u64, hi: u64) -> Expr {
     )
 }
 
+fn staged_seq() -> Expr {
+    Expr::Column(ObjectName(vec![STG_ALIAS.into(), SEQ_COL.into()]))
+}
+
+fn item(expr: Expr) -> SelectItem {
+    SelectItem::Expr { expr, alias: None }
+}
+
+fn target_col(col: &str) -> Expr {
+    Expr::Column(ObjectName(vec![TGT_ALIAS.into(), col.into()]))
+}
+
 fn count_of(cdw: &Cdw, stmt: &Stmt) -> Result<u64, CdwError> {
     let result = cdw.execute_stmt(stmt)?;
     match result.rows.first().and_then(|r| r.first()) {
@@ -125,19 +173,61 @@ fn count_of(cdw: &Cdw, stmt: &Stmt) -> Result<u64, CdwError> {
     }
 }
 
+/// The `__SEQ` leading each row of `rows`.
+fn seq_of(row: &[Value]) -> Result<u64, CdwError> {
+    match row.first() {
+        Some(Value::Int(seq)) => Ok(*seq as u64),
+        other => Err(CdwError::Eval(format!(
+            "emulation listing returned {other:?} for __SEQ"
+        ))),
+    }
+}
+
 impl UniqueEmulation {
-    /// Count uniqueness violations the staging range `lo..hi` would cause:
-    /// existing-row conflicts plus intra-range duplicates.
-    pub fn violations_in_range(&self, cdw: &Cdw, lo: u64, hi: u64) -> Result<u64, CdwError> {
+    /// The staging rows of `lo..hi` that violate uniqueness, ascending:
+    /// rows whose key the target already holds, plus every row repeating
+    /// the key of an earlier row of the range. A clean range costs the two
+    /// counts alone; a dirty one costs one or two counts and one listing.
+    /// A listed row is a UV row only if [`Self::confirm`] says so once the
+    /// rows before it are applied: the earlier row it repeats may not
+    /// convert.
+    pub fn violations_in_range(&self, cdw: &Cdw, lo: u64, hi: u64) -> Result<Vec<u64>, CdwError> {
         let existing = count_of(cdw, &self.existing_conflicts_stmt(lo, hi))?;
-        if existing > 0 {
-            return Ok(existing);
-        }
         // Singleton ranges cannot self-conflict.
         if hi - lo <= 1 {
-            return Ok(0);
+            return Ok(if existing > 0 { vec![lo] } else { Vec::new() });
         }
-        count_of(cdw, &self.intra_range_dups_stmt(lo, hi))
+        if existing == 0 && count_of(cdw, &self.intra_range_dups_stmt(lo, hi))? == 0 {
+            return Ok(Vec::new());
+        }
+        // One row per staged row (one per match, should the target hold
+        // a key twice): its __SEQ, the matching target key or NULL, and
+        // its key.
+        let items = [staged_seq(), target_col(&self.target_key_cols[0])];
+        let items = items.into_iter().chain(self.key_exprs.iter().cloned());
+        let listing = self.join_target(lo, hi, items.map(item).collect(), JoinKind::Left);
+        let mut seqs = Vec::new();
+        let mut groups: HashMap<RowKey, Vec<u64>> = HashMap::new();
+        let mut last = None;
+        for mut row in cdw.execute_stmt(&listing)?.rows {
+            let seq = seq_of(&row)?;
+            if !row[1].is_null() {
+                seqs.push(seq);
+            }
+            if last.replace(seq) != Some(seq) {
+                groups
+                    .entry(RowKey(row.split_off(2)))
+                    .or_default()
+                    .push(seq);
+            }
+        }
+        for mut group in groups.into_values() {
+            group.sort_unstable();
+            seqs.extend(&group[1..]);
+        }
+        seqs.sort_unstable();
+        seqs.dedup();
+        Ok(seqs)
     }
 
     /// `SELECT COUNT(*) FROM stg S JOIN target T ON key(S) = T.key WHERE range`
@@ -147,26 +237,26 @@ impl UniqueEmulation {
     /// the probe into index lookups against the target's PK index
     /// (public so plan-shape tests can EXPLAIN it).
     pub fn existing_conflicts_stmt(&self, lo: u64, hi: u64) -> Stmt {
+        let count = Expr::Function {
+            name: "COUNT".into(),
+            args: vec![Expr::Wildcard],
+            distinct: false,
+        };
+        self.join_target(lo, hi, vec![item(count)], JoinKind::Inner)
+    }
+
+    /// `SELECT items FROM stg S <kind> JOIN target T ON key(S) = T.key
+    /// WHERE range`
+    fn join_target(&self, lo: u64, hi: u64, items: Vec<SelectItem>, kind: JoinKind) -> Stmt {
         let mut on: Option<Expr> = None;
         for (expr, col) in self.key_exprs.iter().zip(&self.target_key_cols) {
-            let eq = Expr::binary(
-                expr.clone(),
-                BinaryOp::Eq,
-                Expr::Column(ObjectName(vec![TGT_ALIAS.into(), col.clone()])),
-            );
+            let eq = Expr::binary(expr.clone(), BinaryOp::Eq, target_col(col));
             on = Some(match on {
                 Some(prev) => Expr::binary(prev, BinaryOp::And, eq),
                 None => eq,
             });
         }
-        let mut sel = SelectStmt::new(vec![SelectItem::Expr {
-            expr: Expr::Function {
-                name: "COUNT".into(),
-                args: vec![Expr::Wildcard],
-                distinct: false,
-            },
-            alias: None,
-        }]);
+        let mut sel = SelectStmt::new(items);
         sel.from = Some(TableRef::Join {
             left: Box::new(TableRef::Named {
                 name: ObjectName::simple(self.staging.clone()),
@@ -176,7 +266,7 @@ impl UniqueEmulation {
                 name: self.target.clone(),
                 alias: Some(TGT_ALIAS.into()),
             }),
-            kind: etlv_sql::ast::JoinKind::Inner,
+            kind,
             on: Box::new(on.expect("at least one key column")),
         });
         sel.selection = Some(range_filter_qualified(lo, hi));
@@ -225,6 +315,46 @@ impl UniqueEmulation {
             alias: "Q".into(),
         });
         Stmt::Select(outer)
+    }
+
+    /// The staged tuple of row `seq` (its layout fields, without `__SEQ`)
+    /// if the row collides with the target as it is now and its values
+    /// convert; `None` if it does not collide. A colliding row's values are
+    /// evaluated and then cast to their target columns' types, in the order
+    /// the DML evaluates and then coerces an inserted row, so a conversion
+    /// abort names the value the DML's own abort would: the legacy system
+    /// evaluates a row's values before it checks its key. A key that fails
+    /// to evaluate aborts the join before any value is named; that row is
+    /// `None` too, for its DML to name the failing value. NOT NULL is not
+    /// checked: a colliding row with a NULL in a NOT NULL column is a UV
+    /// row here, an ET row on the legacy system.
+    pub fn confirm(&self, cdw: &Cdw, seq: u64) -> Result<Option<Vec<Value>>, CdwError> {
+        let mut items: Vec<SelectItem> = self.converts.iter().cloned().map(item).collect();
+        items.push(SelectItem::Wildcard);
+        let stmt = self.join_target(seq, seq + 1, items, JoinKind::Inner);
+        let rows = match cdw.execute_stmt(&stmt) {
+            Ok(result) => result.rows,
+            Err(CdwError::BulkAbort { position: None, .. }) => return Ok(None),
+            Err(mut err) => {
+                let values = self.converts.len() - self.cast_values.len();
+                if let CdwError::BulkAbort {
+                    position: Some(pos),
+                    ..
+                } = &mut err
+                {
+                    if let Some(cast) = pos.checked_sub(values) {
+                        *pos = self.cast_values[cast];
+                    }
+                }
+                return Err(err);
+            }
+        };
+        // Each row: the converted values, then the wildcard's staging
+        // columns (`__SEQ` first) and target columns.
+        Ok(rows.into_iter().next().map(|mut row| {
+            row.truncate(row.len() - self.target_width);
+            row.split_off(self.converts.len() + 1)
+        }))
     }
 
     /// The error the emulation reports, shaped like a native uniqueness
@@ -320,9 +450,9 @@ mod tests {
                 (2, "456", "Ok", "2012-01-01"),
             ],
         );
-        assert_eq!(emu.violations_in_range(&cdw, 1, 3).unwrap(), 1);
-        assert_eq!(emu.violations_in_range(&cdw, 2, 3).unwrap(), 0);
-        assert_eq!(emu.violations_in_range(&cdw, 1, 2).unwrap(), 1);
+        assert_eq!(emu.violations_in_range(&cdw, 1, 3).unwrap(), [1]);
+        assert_eq!(emu.violations_in_range(&cdw, 2, 3).unwrap(), []);
+        assert_eq!(emu.violations_in_range(&cdw, 1, 2).unwrap(), [1]);
     }
 
     #[test]
@@ -337,10 +467,10 @@ mod tests {
                 (3, "123", "c", "2012-01-01"),
             ],
         );
-        assert_eq!(emu.violations_in_range(&cdw, 1, 4).unwrap(), 1);
+        assert_eq!(emu.violations_in_range(&cdw, 1, 4).unwrap(), [3]);
         // Split below the duplicate pair: clean.
-        assert_eq!(emu.violations_in_range(&cdw, 1, 3).unwrap(), 0);
-        assert_eq!(emu.violations_in_range(&cdw, 3, 4).unwrap(), 0);
+        assert_eq!(emu.violations_in_range(&cdw, 1, 3).unwrap(), []);
+        assert_eq!(emu.violations_in_range(&cdw, 3, 4).unwrap(), []);
     }
 
     #[test]
@@ -356,7 +486,7 @@ mod tests {
                 (2, "99  ", "b", "2012-01-01"),
             ],
         );
-        assert_eq!(emu.violations_in_range(&cdw, 1, 3).unwrap(), 1);
+        assert_eq!(emu.violations_in_range(&cdw, 1, 3).unwrap(), [2]);
     }
 
     #[test]

@@ -402,10 +402,11 @@ pub struct MemoryObs {
     pub peak: Gauge,
 }
 
-/// Adaptive-application handles (COPY + DML + bisection).
+/// Adaptive-application handles (COPY + DML + range cuts).
 #[derive(Clone)]
 pub struct AdaptiveObs {
-    /// Range bisections performed while isolating erroring rows.
+    /// Cuts of failing ranges while isolating erroring rows: at a row an
+    /// abort named, at a row the uniqueness probe listed, or a halving.
     pub splits: Counter,
     /// CDW statements issued by application.
     pub statements: Counter,
@@ -696,14 +697,15 @@ impl JobObs<'_> {
             .emit_span(kind, ids, self.job, 0, lo, hi, Duration::ZERO);
     }
 
-    /// Record one bisection decision over rows `[lo, hi)`.
+    /// Record one cut of rows `[lo, hi)`: at a row an abort named, at a
+    /// row the uniqueness probe listed, or a halving.
     pub fn split(&self, lo: u64, hi: u64) {
         self.obs.adaptive.splits.inc();
         self.emit("apply.split", lo, hi);
     }
 
-    /// Record a range application attempt that failed with a row error
-    /// (the trigger for bisection or singleton isolation).
+    /// Record a range application attempt that failed with a row error,
+    /// or a probe that listed rows (the trigger for a cut).
     pub fn range_error(&self, lo: u64, hi: u64) {
         self.emit("apply.range_error", lo, hi);
     }

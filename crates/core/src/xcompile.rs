@@ -132,6 +132,11 @@ impl CompiledDml {
     /// The rewritten statement restricted to staging rows with
     /// `lo <= __SEQ < hi`. `None` bounds apply to the whole table.
     pub fn range_stmt(&self, lo: Option<u64>, hi: Option<u64>) -> Stmt {
+        self.range_stmt_skipping(lo, hi, &[])
+    }
+
+    /// [`Self::range_stmt`] without the staging rows `skip`.
+    pub fn range_stmt_skipping(&self, lo: Option<u64>, hi: Option<u64>, skip: &[u64]) -> Stmt {
         match self.kind {
             DmlKind::Passthrough => {
                 // Translate placeholders were already rejected; render the
@@ -153,7 +158,7 @@ impl CompiledDml {
                         name: ObjectName::simple(self.staging_table.clone()),
                         alias: None,
                     }),
-                    selection: range_filter(lo, hi),
+                    selection: range_filter(lo, hi, skip),
                     group_by: Vec::new(),
                     having: None,
                     order_by: Vec::new(),
@@ -177,7 +182,7 @@ impl CompiledDml {
             name: ObjectName::simple(self.staging_table.clone()),
             alias: None,
         });
-        sel.selection = range_filter(lo, hi);
+        sel.selection = range_filter(lo, hi, &[]);
         sel.order_by = vec![etlv_sql::ast::OrderItem {
             expr: Expr::col(SEQ_COL),
             desc: false,
@@ -186,27 +191,23 @@ impl CompiledDml {
     }
 }
 
-fn range_filter(lo: Option<u64>, hi: Option<u64>) -> Option<Expr> {
-    let mut pred: Option<Expr> = None;
-    if let Some(lo) = lo {
-        pred = Some(Expr::binary(
-            Expr::col(SEQ_COL),
-            BinaryOp::GtEq,
-            Expr::Literal(Literal::Integer(lo as i64)),
-        ));
-    }
-    if let Some(hi) = hi {
-        let upper = Expr::binary(
-            Expr::col(SEQ_COL),
-            BinaryOp::Lt,
-            Expr::Literal(Literal::Integer(hi as i64)),
-        );
-        pred = Some(match pred {
-            Some(p) => Expr::binary(p, BinaryOp::And, upper),
-            None => upper,
+fn range_filter(lo: Option<u64>, hi: Option<u64>, skip: &[u64]) -> Option<Expr> {
+    let seq = |n: u64| Expr::Literal(Literal::Integer(n as i64));
+    let bounds = [(lo, BinaryOp::GtEq), (hi, BinaryOp::Lt)];
+    let mut conjuncts: Vec<Expr> = bounds
+        .into_iter()
+        .filter_map(|(n, op)| Some(Expr::binary(Expr::col(SEQ_COL), op, seq(n?))))
+        .collect();
+    if !skip.is_empty() {
+        conjuncts.push(Expr::InList {
+            expr: Box::new(Expr::col(SEQ_COL)),
+            list: skip.iter().map(|&n| seq(n)).collect(),
+            negated: true,
         });
     }
-    pred
+    conjuncts
+        .into_iter()
+        .reduce(|p, q| Expr::binary(p, BinaryOp::And, q))
 }
 
 /// Cross-compile the job's DML against `layout` and `staging_table`.

@@ -1,10 +1,13 @@
-//! Adaptive apply must cost what the range it touches costs.
+//! Adaptive apply must cost what its errors cost.
 //!
-//! Counted, not timed: a dirty batch four times the size may issue about
-//! four times the statements (plus two bisection levels) and must scan no
-//! staging table per probe — the parent of this test's commit read the
-//! whole batch on every one of its probes, so its wall grew with the
-//! square of the batch (0.25 s at 500 rows, 4.7 s at 2,000).
+//! Counted, not timed. The walk cuts a failing range at the row the CDW's
+//! abort names and at the rows the uniqueness probe lists, so a dirty
+//! batch costs a few statements per error row, however long the batch:
+//! blind bisection paid one more statement per error for every doubling
+//! of the batch (174 / 729 cuts at 500 / 2,000 rows here, against 59 /
+//! 240 now). No probe may scan a staging table either — an earlier probe
+//! read the whole batch every time, so its wall grew with the square of
+//! the batch (0.25 s at 500 rows, 4.7 s at 2,000).
 
 use std::collections::BTreeSet;
 
@@ -22,16 +25,18 @@ use rand::{Rng, SeedableRng};
 
 const WARM_ROWS: u64 = 10_000;
 
-/// A seeded dirty batch of `rows` rows as `(key, date)` per `__SEQ` 1..:
-/// 6% bad dates, 2% keys repeating an earlier clean row of the batch, 2%
-/// keys colliding with a warm row of the target. Row 1 stays clean.
-fn dirty_batch(rows: u64) -> Vec<(String, &'static str)> {
-    let mut rng = StdRng::seed_from_u64(0x00E7_C019 ^ rows);
-    let mut order: Vec<usize> = (1..rows as usize).collect();
+/// A seeded batch of `rows` rows as `(key, date)` per `__SEQ` 1..: among
+/// its first `span` rows, `bad` bad dates, `dup` keys repeating an earlier
+/// clean row of the batch and `dup` keys colliding with a warm row of the
+/// target. Row 1 and every row past `span` stay clean, so batches of one
+/// `span` share their dirty rows.
+fn dirty_batch(rows: u64, span: u64, bad: u64, dup: u64) -> Vec<(String, &'static str)> {
+    let mut rng = StdRng::seed_from_u64(0x00E7_C019 ^ span);
+    let mut order: Vec<usize> = (1..span as usize).collect();
     for i in (1..order.len()).rev() {
         order.swap(i, rng.gen_range(0..=i));
     }
-    let (bad, dup) = ((rows * 6 / 100) as usize, (rows * 2 / 100) as usize);
+    let (bad, dup) = (bad as usize, dup as usize);
     let bad_date: BTreeSet<usize> = order[..bad].iter().copied().collect();
     let intra_dup: BTreeSet<usize> = order[bad..bad + dup].iter().copied().collect();
     let collision: BTreeSet<usize> = order[bad + dup..bad + 2 * dup].iter().copied().collect();
@@ -136,12 +141,12 @@ fn seqs(outcome: &AdaptiveOutcome, code: ErrCode) -> BTreeSet<u64> {
 }
 
 #[test]
-fn statements_scale_with_the_batch_and_probes_scan_nothing() {
-    // (batch rows, splits the parent commit performs on this input): probe
-    // inheritance skips statements, never a split.
-    let mut statements = Vec::new();
-    for (rows, parent_splits) in [(500u64, 174u64), (2_000, 729)] {
-        let batch = dirty_batch(rows);
+fn statements_scale_with_the_errors_and_probes_scan_nothing() {
+    // (batch rows, cuts): one per bad date, at the row its abort names,
+    // and one per row the probe lists (the UV rows plus the first row of
+    // each duplicate group).
+    for (rows, cuts) in [(500u64, 50u64), (2_000, 200)] {
+        let batch = dirty_batch(rows, rows, rows * 6 / 100, rows * 2 / 100);
         let (adaptive, stats) = run(&batch, ApplyStrategy::BulkAdaptive);
         let (singleton, _) = run(&batch, ApplyStrategy::Singleton);
 
@@ -168,11 +173,29 @@ fn statements_scale_with_the_batch_and_probes_scan_nothing() {
             "{rows} rows: {} full scans (one per probe before)",
             stats.full_scans
         );
-        assert_eq!(adaptive.splits, parent_splits, "{rows} rows");
-        statements.push(adaptive.statements);
+        assert_eq!(adaptive.splits, cuts, "{rows} rows");
+        let error_rows = adaptive.errors.len() as u64;
+        assert!(
+            adaptive.statements <= 3 * error_rows,
+            "{rows} rows: {} statements for {error_rows} error rows",
+            adaptive.statements
+        );
     }
+}
+
+#[test]
+fn a_fixed_error_count_costs_the_same_in_any_batch() {
+    // The same 30 dirty rows in a 500- and a 2,000-row batch.
+    let statements: Vec<u64> = [500, 2_000]
+        .map(|rows| {
+            let (outcome, _) = run(&dirty_batch(rows, 500, 18, 6), ApplyStrategy::BulkAdaptive);
+            assert_eq!(outcome.errors.len(), 30, "{rows} rows");
+            assert_eq!(outcome.applied, rows - 30, "{rows} rows");
+            outcome.statements
+        })
+        .into();
     assert!(
-        statements[1] <= 5 * statements[0],
-        "statements {statements:?}: four times the rows plus two bisection levels"
+        statements[0].abs_diff(statements[1]) <= 2,
+        "statements {statements:?}: four times the rows, the same errors"
     );
 }

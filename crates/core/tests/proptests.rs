@@ -1,26 +1,116 @@
 //! Property tests for the virtualizer's core invariants:
 //!
 //! - the adaptive error handler finds **exactly** the seeded bad rows for
-//!   any error pattern, and loads exactly the good ones;
+//!   any error pattern, and loads exactly the good ones — record for
+//!   record what the legacy oracle and the singleton baseline record;
 //! - the credit pool never exceeds capacity and never leaks under
 //!   arbitrary acquire/release interleavings.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-use etlv_cdw::Cdw;
-use etlv_core::adaptive::{apply_adaptive, AdaptiveParams, ErrorRows};
+use etlv_cdw::{Cdw, CdwConfig};
+use etlv_core::adaptive::{apply_adaptive, AdaptiveParams, ErrorRows, RecordedError};
+use etlv_core::apply::{apply, ApplyStrategy};
 use etlv_core::emulate;
 use etlv_core::xcompile::{compile_dml, staging_ddl};
-use etlv_protocol::data::LegacyType as T;
+use etlv_legacy_server::apply::apply_per_tuple;
+use etlv_protocol::data::{LegacyType as T, Value};
+use etlv_protocol::errcode::ErrCode;
 use etlv_protocol::layout::Layout;
+use etlv_sql::{parse_statement, Dialect};
 
-fn setup(
-    total_rows: u64,
-    bad: &HashSet<u64>,
-    dups: &HashSet<u64>,
-) -> (Cdw, etlv_core::xcompile::CompiledDml, Layout) {
+/// The dirty-batch load: `N` is wider in staging than in the target.
+const DML: &str = "insert into TGT values (trim(:ID), cast(:D as DATE format 'YYYY-MM-DD'), :N)";
+/// Keys the target holds before the load.
+const WARM: [&str; 3] = ["w1", "w2", "w3"];
+
+fn layout() -> Layout {
+    Layout::new("L")
+        .field("ID", T::VarChar(10))
+        .field("D", T::VarChar(10))
+        .field("N", T::VarChar(8))
+}
+
+/// The unique target, holding the warm keys.
+fn target(config: CdwConfig) -> Cdw {
+    let cdw = Cdw::with_config(config, None);
+    cdw.execute("CREATE TABLE TGT (ID VARCHAR(10), D DATE, N VARCHAR(4), PRIMARY KEY (ID))")
+        .unwrap();
+    for key in WARM {
+        cdw.execute(&format!("INSERT INTO TGT VALUES ('{key}', NULL, 'warm')"))
+            .unwrap();
+    }
+    cdw
+}
+
+/// The target's rows in key order.
+fn contents(cdw: &Cdw) -> Vec<Vec<Value>> {
+    cdw.execute("SELECT ID, D, N FROM TGT ORDER BY ID")
+        .unwrap()
+        .rows
+}
+
+/// The row of an individual record.
+fn single(e: &RecordedError) -> u64 {
+    match e.rows {
+        ErrorRows::Single(s) => s,
+        ErrorRows::Range(a, b) => panic!("range ({a}, {b}) with unlimited max_errors"),
+    }
+}
+
+/// `total` staged `(ID, D, N)` rows, `density`% of them dirty: scattered,
+/// or `clustered` in one run. A dirty row has a bad date, a key repeating
+/// an earlier row of the batch (bad rows included, padded or not), a warm
+/// key, both a bad date and a repeated key, or an `N` too long for the
+/// target column — which names no row, so the walk halves.
+fn dirty_rows(total: u64, density: u64, clustered: bool, seed: u64) -> Vec<[String; 3]> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let total = total as usize;
+    let run = total * density as usize / 100;
+    let start = rng.gen_range(0..=total - run);
+    let mut rows: Vec<[String; 3]> = Vec::with_capacity(total);
+    for i in 0..total {
+        let dirty = if clustered {
+            (start..start + run).contains(&i)
+        } else {
+            rng.gen_range(0..100u64) < density
+        };
+        let mut row = [
+            format!("id{}", i + 1),
+            "2020-01-01".to_string(),
+            "ok".to_string(),
+        ];
+        // An earlier row's key, padded or not (the first row keeps its own).
+        let repeated = rows.get(rng.gen_range(0..i.max(1))).map(|earlier| {
+            let key = earlier[0].trim();
+            if rng.gen_range(0..2) == 0 {
+                format!("{key} ")
+            } else {
+                key.to_string()
+            }
+        });
+        if dirty {
+            match rng.gen_range(0..5) {
+                0 => row[1] = "garbage".into(),
+                1 => row[0] = repeated.unwrap_or(row[0].clone()),
+                2 => row[0] = WARM[rng.gen_range(0..WARM.len())].into(),
+                3 => {
+                    row[0] = repeated.unwrap_or(row[0].clone());
+                    row[1] = "2020-13-45".into();
+                }
+                _ => row[2] = "toolong".into(),
+            }
+        }
+        rows.push(row);
+    }
+    rows
+}
+
+fn setup(total_rows: u64, bad: &HashSet<u64>) -> (Cdw, etlv_core::xcompile::CompiledDml, Layout) {
     let cdw = Cdw::new();
     cdw.execute("CREATE TABLE TGT (ID VARCHAR(10), D DATE, PRIMARY KEY (ID))")
         .unwrap();
@@ -35,12 +125,7 @@ fn setup(
     .unwrap();
     cdw.execute(&staging_ddl("STG", &layout)).unwrap();
     for seq in 1..=total_rows {
-        let id = if dups.contains(&seq) {
-            // Duplicate the first non-dup row's key.
-            "dup0".to_string()
-        } else {
-            format!("id{seq}")
-        };
+        let id = format!("id{seq}");
         let date = if bad.contains(&seq) {
             "garbage".to_string()
         } else {
@@ -61,7 +146,7 @@ proptest! {
         bad_bits in any::<u64>(),
     ) {
         let bad: HashSet<u64> = (1..=total).filter(|i| bad_bits & (1 << (i % 64)) != 0).collect();
-        let (cdw, compiled, layout) = setup(total, &bad, &HashSet::new());
+        let (cdw, compiled, layout) = setup(total, &bad);
         let emu = emulate::plan(&cdw, &compiled).unwrap();
         let outcome = apply_adaptive(
             &cdw,
@@ -89,60 +174,84 @@ proptest! {
 
     #[test]
     fn adaptive_with_dups_and_bad_dates(
-        total in 2u64..30,
-        bad_bits in any::<u64>(),
-        dup_bits in any::<u64>(),
+        total in 1u64..40,
+        density in 0u64..=30,
+        clustered in any::<bool>(),
+        seed in any::<u64>(),
+        planner in any::<bool>(),
+        max_errors in 1u64..6,
     ) {
-        // Row 1 is always the anchor "dup0" row so duplicates have a
-        // conflict target; duplicates and bad dates are disjoint sets.
-        let bad: HashSet<u64> = (2..=total)
-            .filter(|i| bad_bits & (1 << (i % 64)) != 0)
-            .collect();
-        let dups: HashSet<u64> = (2..=total)
-            .filter(|i| !bad.contains(i) && dup_bits & (1 << (i % 61)) != 0)
-            .collect();
-        // Seed the anchor row as a dup target.
-        let (cdw, compiled, layout) = setup(total, &bad, &dups);
-        cdw.execute("UPDATE STG SET ID = 'dup0' WHERE __SEQ = 1").unwrap();
+        let rows = dirty_rows(total, density, clustered, seed);
+        let oracle = |rows: &[[String; 3]]| {
+            let cdw = target(CdwConfig { native_unique: true, planner, ..Default::default() });
+            let dml = parse_statement(DML, Dialect::Legacy).unwrap();
+            let tuples: Vec<(u64, Vec<Value>)> = (1..)
+                .zip(rows)
+                .map(|(seq, row)| (seq, row.iter().map(|v| Value::Str(v.clone())).collect()))
+                .collect();
+            let outcome = apply_per_tuple(&cdw, &dml, &layout(), &tuples, 0);
+            (cdw, outcome)
+        };
+        let gateway = |strategy, max_errors| {
+            let cdw = target(CdwConfig { planner, ..Default::default() });
+            cdw.execute(&staging_ddl("STG", &layout())).unwrap();
+            for (seq, [id, d, n]) in (1..).zip(&rows) {
+                cdw.execute(&format!("INSERT INTO STG VALUES ({seq}, '{id}', '{d}', '{n}')"))
+                    .unwrap();
+            }
+            let compiled = compile_dml(DML, &layout(), "STG").unwrap();
+            let emu = emulate::plan(&cdw, &compiled).unwrap();
+            let params = AdaptiveParams { max_errors, ..AdaptiveParams::default() };
+            let outcome = apply(&cdw, &compiled, emu.as_ref(), &layout(), 1, total + 1, strategy, params, None)
+                .unwrap();
+            (cdw, outcome)
+        };
 
-        let emu = emulate::plan(&cdw, &compiled).unwrap();
-        let outcome = apply_adaptive(
-            &cdw,
-            &compiled,
-            emu.as_ref(),
-            &layout,
-            1,
-            total + 1,
-            AdaptiveParams::default(),
-            None,
-        )
-        .unwrap();
-        // Every bad-date row is an ET-class single error; every dup row
-        // (beyond the first 'dup0' occurrence, which loads) is a UV error.
-        let et: HashSet<u64> = outcome
+        // Unlimited errors: the oracle's target, ET (row, field) and UV
+        // (row, tuple), and the singleton baseline's records, exactly.
+        let (legacy, expected) = oracle(&rows);
+        let (cdw, adaptive) = gateway(ApplyStrategy::BulkAdaptive, 0);
+        let et: Vec<(u64, Option<String>)> = adaptive
             .errors
             .iter()
-            .filter(|e| e.uv_tuple.is_none())
-            .map(|e| match e.rows {
-                ErrorRows::Single(s) => s,
-                _ => panic!("range with unlimited max_errors"),
-            })
+            .filter(|e| e.code != ErrCode::UNIQUENESS)
+            .map(|e| (single(e), e.field.clone()))
             .collect();
-        let uv: HashSet<u64> = outcome
+        let uv: Vec<(u64, Vec<Value>)> = adaptive
             .errors
             .iter()
-            .filter(|e| e.uv_tuple.is_some())
-            .map(|e| match e.rows {
-                ErrorRows::Single(s) => s,
-                _ => panic!("range with unlimited max_errors"),
-            })
+            .filter(|e| e.code == ErrCode::UNIQUENESS)
+            .map(|e| (single(e), e.uv_tuple.clone().unwrap()))
             .collect();
-        prop_assert_eq!(&et, &bad);
-        prop_assert_eq!(&uv, &dups);
-        prop_assert_eq!(
-            outcome.applied,
-            total - bad.len() as u64 - dups.len() as u64
-        );
+        let oracle_et: Vec<(u64, Option<String>)> =
+            expected.et_errors.iter().map(|e| (e.seq, e.field.clone())).collect();
+        let oracle_uv: Vec<(u64, Vec<Value>)> =
+            expected.uv_errors.iter().map(|e| (e.seq, e.tuple.clone())).collect();
+        prop_assert_eq!(&et, &oracle_et, "{:?}", &rows);
+        prop_assert_eq!(&uv, &oracle_uv, "{:?}", &rows);
+        prop_assert_eq!(adaptive.applied, expected.applied);
+        prop_assert_eq!(contents(&cdw), contents(&legacy));
+        let (_, singleton) = gateway(ApplyStrategy::Singleton, 0);
+        prop_assert_eq!(&singleton.errors, &adaptive.errors);
+        prop_assert_eq!(singleton.applied, adaptive.applied);
+
+        // max_errors = k: the first k records, then one 9057 range from
+        // the next error row to the end, with only the rows before it
+        // applied.
+        let (cdw, capped) = gateway(ApplyStrategy::BulkAdaptive, max_errors);
+        let k = max_errors as usize;
+        match adaptive.errors.get(k) {
+            None => prop_assert_eq!(&capped.errors, &adaptive.errors),
+            Some(next) => {
+                let next = single(next);
+                prop_assert_eq!(&capped.errors[..k], &adaptive.errors[..k]);
+                prop_assert_eq!(capped.errors.len(), k + 1);
+                prop_assert_eq!(capped.errors[k].code, ErrCode::MAX_ERRORS);
+                prop_assert_eq!(capped.errors[k].rows, ErrorRows::Range(next, total));
+                let (prefix, _) = oracle(&rows[..next as usize - 1]);
+                prop_assert_eq!(contents(&cdw), contents(&prefix));
+            }
+        }
     }
 
     #[test]

@@ -165,13 +165,15 @@ insert into PROD.ORDERS values (:ID, cast(:QTY as INTEGER), cast(:AMT as DECIMAL
                        AMT DECIMAL(5,2), UPDATED_BY VARCHAR(3)) UNIQUE PRIMARY INDEX (ID)";
     // Row 1 'UPDATE' is no number (its text merely contains "DATE"), row 2
     // overflows DECIMAL(5,2), row 3 is too long for the target column
-    // UPDATED_BY, row 5 repeats row 4's key.
+    // UPDATED_BY, row 5 repeats row 4's key, and row 7 repeats it too but
+    // fails on its QTY first.
     const DATA: &[u8] = b"o1|UPDATE|1.00|ab\n\
                           o2|5|123456|ab\n\
                           o3|5|1.00|toolong\n\
                           o4|5|1.00|ab\n\
                           o4|6|2.00|cd\n\
-                          o6|7|3.00|ef\n";
+                          o6|7|3.00|ef\n\
+                          o4|bad|1.00|ab\n";
     let JobPlan::Import(job) = compile(&parse_script(SCRIPT).unwrap()).unwrap() else {
         panic!()
     };
@@ -217,6 +219,7 @@ insert into PROD.ORDERS values (:ID, cast(:QTY as INTEGER), cast(:AMT as DECIMAL
             (Value::Int(1), Value::Int(2665), field("QTY")),
             (Value::Int(2), Value::Int(2616), field("AMT")),
             (Value::Int(3), Value::Int(2667), field("UPDATED_BY")),
+            (Value::Int(7), Value::Int(2665), field("QTY")),
         ]
     );
 

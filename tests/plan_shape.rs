@@ -79,7 +79,7 @@ fn uv_probe_is_an_index_lookup_join_on_the_target_pk() {
     // The plan that runs is the plan EXPLAIN shows: executing the probe
     // scans nothing.
     let before = cdw.plan_stats();
-    assert_eq!(emu.violations_in_range(&cdw, 8, 12).unwrap(), 0);
+    assert!(emu.violations_in_range(&cdw, 8, 12).unwrap().is_empty());
     let after = cdw.plan_stats();
     assert_eq!(after.full_scans, before.full_scans, "probe scanned");
     assert!(after.index_seeks > before.index_seeks, "probe did not seek");
