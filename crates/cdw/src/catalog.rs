@@ -18,7 +18,7 @@ use parking_lot::RwLock;
 
 use crate::error::CdwError;
 use crate::index::OrderedIndex;
-use crate::key::RowKey;
+use crate::key::{cmp_rows, RowKey};
 use crate::plan::TableStats;
 
 /// A column of a table.
@@ -160,22 +160,20 @@ impl Table {
         Ok(())
     }
 
-    /// Append pre-validated rows in one shot, maintaining every index
-    /// incrementally — the storage half of INSERT and COPY. Rows
-    /// are moved, never cloned; callers must have validated width, types,
-    /// and (if enforced) uniqueness already. Returns the number of index
-    /// maintenance operations performed.
+    /// Append pre-validated rows in one shot — the storage half of INSERT
+    /// and COPY — then hand each index the new rowid range (an empty index
+    /// is built in one sorted pass, see [`OrderedIndex::insert_range`]).
+    /// Rows are moved, never cloned; callers must have validated width,
+    /// types, and (if enforced) uniqueness already. Returns the number of
+    /// index maintenance operations performed.
     pub fn append_rows(&mut self, rows: Vec<Vec<Value>>) -> usize {
-        self.rows.reserve(rows.len());
-        let mut ops = 0;
-        for row in rows {
-            let rowid = self.rows.len();
-            for ix in &mut self.indexes {
-                ops += ix.insert_row(&row, rowid);
-            }
-            self.rows.push(row);
-        }
-        ops
+        let start = self.rows.len();
+        self.rows.extend(rows);
+        let rows = &self.rows;
+        self.indexes
+            .iter_mut()
+            .map(|ix| ix.insert_range(rows, start))
+            .sum()
     }
 
     /// Re-key every index from current rows (after DELETE compaction).
@@ -207,7 +205,7 @@ impl Table {
 
     /// Exhaustive index/table consistency check (test harness hook):
     /// every index holds exactly one entry per row, rowids cover the
-    /// table, and every stored key matches the row it points at.
+    /// table, and every stored key orders equal to the row it points at.
     pub fn validate_indexes(&self) -> Result<(), String> {
         for ix in &self.indexes {
             if ix.len() != self.rows.len() {
@@ -229,8 +227,10 @@ impl Table {
                         ));
                     }
                     seen[rid] = true;
+                    // Keys the index orders as equal share one entry,
+                    // spelled as the first row inserted under it.
                     let expect = ix.key_of(&self.rows[rid]);
-                    if key != expect.as_slice() {
+                    if cmp_rows(key, &expect).is_ne() {
                         return Err(format!(
                             "{}.{}: stale key for rowid {rid}",
                             self.name, ix.name
@@ -462,6 +462,48 @@ mod tests {
         assert_eq!(ops, 2, "one maintenance op per row per index");
         assert_eq!(t.pk().unwrap().seek_eq(&[Value::Int(2)]), vec![1]);
         t.validate_indexes().unwrap();
+    }
+
+    #[test]
+    fn appending_keeps_the_entries_row_by_row_insertion_leaves() {
+        let dec = Value::Decimal(etlv_protocol::data::Decimal::parse("2.00").unwrap());
+        // Duplicate and NULL keys, and 2 as Int, Decimal, then Float; long
+        // enough that an unstable sort would reorder equal keys.
+        let (int, null, float) = (Value::Int, Value::Null, Value::Float(2.0));
+        let keys = [
+            [int(3), null.clone(), int(2), dec.clone()],
+            [int(1), null, float, int(3)],
+        ]
+        .concat();
+        let first: Vec<Value> = keys.iter().cycle().take(64).cloned().collect();
+        let second = vec![dec, Value::Null, int(2)];
+        let entries = |ix: &OrderedIndex| -> Vec<(Vec<Value>, Vec<usize>)> {
+            ix.entries()
+                .map(|(k, r)| (k.to_vec(), r.to_vec()))
+                .collect()
+        };
+        // Into an empty table (sorted build, then row by row) and into a
+        // non-empty one (row by row throughout).
+        for existing in [vec![], vec![Value::Float(3.0)]] {
+            let mut t = make_table("T");
+            t.create_index("IX_NAME", &["name".into()], false).unwrap();
+            for batch in [&existing, &first, &second] {
+                let name = |i: usize| Value::Str(format!("n{}", i % 2));
+                let rows = batch
+                    .iter()
+                    .enumerate()
+                    .map(|(i, k)| vec![k.clone(), name(i)]);
+                t.append_rows(rows.collect());
+            }
+            t.validate_indexes().unwrap();
+            for ix in &t.indexes {
+                let mut by_row = OrderedIndex::new("BY_ROW", ix.columns.clone(), false);
+                for (rowid, row) in t.rows.iter().enumerate() {
+                    by_row.insert_row(row, rowid);
+                }
+                assert_eq!(entries(ix), entries(&by_row), "{}", ix.name);
+            }
+        }
     }
 
     #[test]

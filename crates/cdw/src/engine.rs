@@ -1,5 +1,6 @@
 //! The engine facade: a thread-safe CDW handle with configuration.
 
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -271,10 +272,10 @@ impl Cdw {
             store: self.inner.store.as_ref(),
             native_unique: self.inner.config.native_unique,
             planner: self.inner.config.planner,
-            stats: PlanStats::default(),
+            stats: Cell::new(PlanStats::default()),
         };
         let result = execute(&mut ctx, stmt);
-        let stats = ctx.stats;
+        let stats = ctx.stats.get();
         drop(ctx);
         self.record_plan(&stats);
         result
@@ -327,7 +328,7 @@ impl Cdw {
             store: self.inner.store.as_ref(),
             native_unique: self.inner.config.native_unique,
             planner: self.inner.config.planner,
-            stats: PlanStats::default(),
+            stats: Cell::new(PlanStats::default()),
         };
         crate::exec::explain(&ctx, stmt)
     }
@@ -989,5 +990,50 @@ mod tests {
         // No partial effects.
         let r = cdw.execute("SELECT A FROM T ORDER BY A").unwrap();
         assert_eq!(r.rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
+    }
+
+    #[test]
+    fn clean_path_plan_counters_are_pinned() {
+        let store = Arc::new(MemStore::new());
+        let staged = b"1|C1 |a|2012-01-01\n2|C2|b|2012-01-02\n3|C3|c|bad\n";
+        store
+            .put("staging", "job1/part-000", staged.to_vec())
+            .unwrap();
+        let cdw = Cdw::with_config(CdwConfig::default(), Some(store as Arc<dyn ObjectStore>));
+        cdw.execute_script(
+            "CREATE TABLE STG (__SEQ BIGINT, ID VARCHAR(5), NAME VARCHAR(5), D VARCHAR(10),
+               PRIMARY KEY (__SEQ));
+             CREATE TABLE T (ID VARCHAR(5) NOT NULL, NAME VARCHAR(5), D DATE, PRIMARY KEY (ID));",
+        )
+        .unwrap();
+        let range = "(S.__SEQ >= 1) AND (S.__SEQ < 3)";
+        let dml = "INSERT INTO T SELECT TRIM(ID), NAME, TO_DATE(D, 'YYYY-MM-DD') FROM STG S WHERE";
+        let steps = [
+            "COPY INTO STG FROM 'store://staging/job1/' DELIMITER '|'".to_string(),
+            format!("SELECT COUNT(*) FROM STG S JOIN T ON TRIM(S.ID) = T.ID WHERE {range}"),
+            format!(
+                "SELECT COUNT(*) FROM (SELECT TRIM(S.ID) AS K0 FROM STG S WHERE {range} \
+                     GROUP BY TRIM(S.ID) HAVING COUNT(*) > 1) Q"
+            ),
+            format!("{dml} {range}"),
+            "SELECT * FROM T".into(),
+            format!("{dml} S.__SEQ >= 1"), // aborts on row 3's date; its seek counts
+        ];
+        // Cumulative (index_seeks, full_scans, index_maintains) after each.
+        let pinned = [
+            (0, 0, 3),
+            (2, 0, 3),
+            (3, 0, 3),
+            (4, 0, 5),
+            (4, 1, 5),
+            (5, 1, 5),
+        ];
+        for (i, (sql, expect)) in steps.iter().zip(pinned).enumerate() {
+            let result = cdw.execute(sql);
+            assert_eq!(result.is_ok(), i < 5, "{sql}: {result:?}");
+            let s = cdw.plan_stats();
+            let got = (s.index_seeks, s.full_scans, s.index_maintains);
+            assert_eq!(got, expect, "{sql}");
+        }
     }
 }

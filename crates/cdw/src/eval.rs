@@ -518,14 +518,21 @@ fn eval_function(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, CdwE
             if v.is_null() {
                 return Ok(Value::Null);
             }
-            let s = v.display_text();
+            let mut s = match v {
+                Value::Str(s) => s,
+                other => other.display_text(),
+            };
+            // The trims cut the argument in place: nothing is allocated.
+            if matches!(name, "TRIM" | "RTRIM") {
+                s.truncate(s.trim_end().len());
+            }
+            if matches!(name, "TRIM" | "LTRIM") {
+                s.drain(..s.len() - s.trim_start().len());
+            }
             Ok(Value::Str(match name {
-                "TRIM" => s.trim().to_string(),
-                "LTRIM" => s.trim_start().to_string(),
-                "RTRIM" => s.trim_end().to_string(),
                 "UPPER" => s.to_uppercase(),
                 "LOWER" => s.to_lowercase(),
-                _ => unreachable!(),
+                _ => s,
             }))
         }
         "LENGTH" | "CHAR_LENGTH" | "CHARACTER_LENGTH" => {
@@ -630,9 +637,7 @@ fn eval_function(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, CdwE
             let Value::Str(fmt) = f else {
                 return Err(CdwError::Eval("TO_DATE format must be a string".into()));
             };
-            let text = v.display_text();
-            let df = DateFormat::parse_pattern(&fmt)?;
-            Ok(Value::Date(df.parse(&text)?))
+            cast_value(v, SqlType::Date, Some(&fmt))
         }
         "TO_CHAR" => {
             need(2)?;
@@ -664,7 +669,12 @@ pub fn cast_value(v: Value, ty: SqlType, format: Option<&str>) -> Result<Value, 
     if let Some(fmt) = format {
         let df = DateFormat::parse_pattern(fmt)?;
         if ty == SqlType::Date {
-            return Ok(Value::Date(df.parse(&v.display_text())?));
+            // A string's text is parsed where it lies.
+            let date = match &v {
+                Value::Str(s) => df.parse(s)?,
+                other => df.parse(&other.display_text())?,
+            };
+            return Ok(Value::Date(date));
         }
         if ty.is_character() {
             if let Value::Date(d) = v {

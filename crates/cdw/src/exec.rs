@@ -6,6 +6,8 @@
 //! behaviour the virtualizer's adaptive error handler (§7) is built
 //! around.
 
+use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -58,8 +60,19 @@ pub struct ExecCtx<'a> {
     /// Whether the access-path planner is enabled (off = scan-only
     /// reference semantics for differential testing).
     pub planner: bool,
-    /// Planner decision counters accumulated over this statement.
-    pub stats: PlanStats,
+    /// Planner decision counters accumulated over this statement. A
+    /// cell, so read paths count through a shared context while they
+    /// borrow its tables' rows.
+    pub stats: Cell<PlanStats>,
+}
+
+impl ExecCtx<'_> {
+    /// Add to this statement's planner counters.
+    fn count(&self, f: impl FnOnce(&mut PlanStats)) {
+        let mut s = self.stats.get();
+        f(&mut s);
+        self.stats.set(s);
+    }
 }
 
 /// One column visible during evaluation: optional qualifier + name + type.
@@ -70,10 +83,15 @@ struct Binding {
     ty: SqlType,
 }
 
-/// A resolved FROM clause: visible columns plus the joined row set.
-struct Relation {
+/// A row of a relation: borrowed from a locked table, or built (a joined
+/// row, a subquery's result).
+type Row<'t> = Cow<'t, [Value]>;
+
+/// A resolved FROM clause: visible columns plus the joined row set, whose
+/// stored rows are borrowed for as long as the statement's read lasts.
+struct Relation<'t> {
     bindings: Vec<Binding>,
-    rows: Vec<Vec<Value>>,
+    rows: Vec<Row<'t>>,
 }
 
 /// Column reference → row position, or the error resolving it raised.
@@ -242,7 +260,8 @@ fn exec_insert(ctx: &mut ExecCtx<'_>, ins: &Insert) -> Result<QueryResult, CdwEr
     };
 
     // Validate and coerce every row BEFORE mutating (set-oriented). Source
-    // rows are consumed by value — no per-value clone on the ingest path.
+    // rows are consumed by value — no per-value clone on the ingest path,
+    // and a row filling every column in order is coerced where it lies.
     let mut staged: Vec<Vec<Value>> = Vec::with_capacity(src_rows.len());
     for row in src_rows {
         if row.len() != col_map.len() {
@@ -251,16 +270,21 @@ fn exec_insert(ctx: &mut ExecCtx<'_>, ins: &Insert) -> Result<QueryResult, CdwEr
                 actual: row.len(),
             });
         }
-        let mut full = vec![Value::Null; ncols];
-        for (v, &ci) in row.into_iter().zip(&col_map) {
-            full[ci] = v;
-        }
+        let full = if ins.columns.is_none() {
+            row
+        } else {
+            let mut full = vec![Value::Null; ncols];
+            for (v, &ci) in row.into_iter().zip(&col_map) {
+                full[ci] = v;
+            }
+            full
+        };
         staged.push(coerce_row(table, full, &col_map)?);
     }
 
     // Uniqueness (native mode) + append via the shared batch path.
     let native_unique = ctx.native_unique;
-    let stats = &mut ctx.stats;
+    let stats = ctx.stats.get_mut();
     let table = ctx.tables.get_mut(&ins.table.dotted())?;
     let n = append_unique_checked(table, staged, native_unique, "duplicate key", stats)?;
     Ok(QueryResult::dml(n))
@@ -286,19 +310,24 @@ fn coerce_col(table: &Table, ci: usize, v: Value) -> Result<Value, CdwError> {
     })
 }
 
-/// Coerce a full-width row to the table's column types, enforcing NOT NULL.
-/// An abort names the value that fed the failing column: `col_map[i]` is
-/// the column the statement's `i`-th value fills.
-fn coerce_row(table: &Table, row: Vec<Value>, col_map: &[usize]) -> Result<Vec<Value>, CdwError> {
-    row.into_iter()
-        .enumerate()
-        .map(|(ci, v)| {
-            coerce_col(table, ci, v).map_err(|e| match col_map.iter().position(|&c| c == ci) {
+/// Coerce a full-width row to the table's column types in place, enforcing
+/// NOT NULL. An abort names the value that fed the failing column:
+/// `col_map[i]` is the column the statement's `i`-th value fills.
+fn coerce_row(
+    table: &Table,
+    mut row: Vec<Value>,
+    col_map: &[usize],
+) -> Result<Vec<Value>, CdwError> {
+    for (ci, v) in row.iter_mut().enumerate() {
+        let value = std::mem::replace(v, Value::Null);
+        *v = coerce_col(table, ci, value).map_err(|e| {
+            match col_map.iter().position(|&c| c == ci) {
                 Some(i) => e.at(i),
                 None => e,
-            })
-        })
-        .collect()
+            }
+        })?;
+    }
+    Ok(row)
 }
 
 /// Validate batch uniqueness (native mode) against existing rows and within
@@ -368,11 +397,11 @@ fn exec_update(ctx: &mut ExecCtx<'_>, u: &Update) -> Result<QueryResult, CdwErro
     let (candidates, residual): (Box<dyn Iterator<Item = usize>>, bool) = match &access {
         Access::Empty => (Box::new(std::iter::empty()), false),
         Access::Scan => {
-            ctx.stats.full_scans += 1;
+            ctx.stats.get_mut().full_scans += 1;
             (Box::new(0..table.rows.len()), u.selection.is_some())
         }
         Access::Seek(p) => {
-            ctx.stats.index_seeks += 1;
+            ctx.stats.get_mut().index_seeks += 1;
             let ix = &table.indexes[p.index];
             let mut rowids = ix.seek(&p.prefix, p.lo.as_ref(), p.hi.as_ref());
             rowids.sort_unstable();
@@ -438,7 +467,7 @@ fn exec_update(ctx: &mut ExecCtx<'_>, u: &Update) -> Result<QueryResult, CdwErro
     // covering an assigned column are re-keyed (rowids are stable).
     let n = updates.len() as u64;
     let changed = !updates.is_empty();
-    let stats = &mut ctx.stats;
+    let stats = ctx.stats.get_mut();
     let table = ctx.tables.get_mut(&u.table.dotted())?;
     for (i, vals) in updates {
         for (&ci, v) in assignment_idx.iter().zip(vals) {
@@ -465,11 +494,11 @@ fn exec_delete(ctx: &mut ExecCtx<'_>, d: &Delete) -> Result<QueryResult, CdwErro
     let (candidates, residual): (Box<dyn Iterator<Item = usize>>, bool) = match &access {
         Access::Empty => (Box::new(std::iter::empty()), false),
         Access::Scan => {
-            ctx.stats.full_scans += 1;
+            ctx.stats.get_mut().full_scans += 1;
             (Box::new(0..table.rows.len()), d.selection.is_some())
         }
         Access::Seek(p) => {
-            ctx.stats.index_seeks += 1;
+            ctx.stats.get_mut().index_seeks += 1;
             let ix = &table.indexes[p.index];
             let rowids = ix.seek(&p.prefix, p.lo.as_ref(), p.hi.as_ref());
             (Box::new(rowids.into_iter()), !p.consumed)
@@ -490,7 +519,7 @@ fn exec_delete(ctx: &mut ExecCtx<'_>, d: &Delete) -> Result<QueryResult, CdwErro
     }
     // Phase 2: compact in place — survivors shift down, nothing is cloned.
     // Deletion shifts rowids, so every index is re-keyed.
-    let stats = &mut ctx.stats;
+    let stats = ctx.stats.get_mut();
     let table = ctx.tables.get_mut(&d.table.dotted())?;
     let mut idx = 0;
     table.rows.retain(|_| {
@@ -543,7 +572,7 @@ fn exec_copy(ctx: &mut ExecCtx<'_>, c: &CopyStmt) -> Result<QueryResult, CdwErro
     }
 
     let native_unique = ctx.native_unique;
-    let stats = &mut ctx.stats;
+    let stats = ctx.stats.get_mut();
     let table = ctx.tables.get_mut(&c.table.dotted())?;
     let n = append_unique_checked(table, staged, native_unique, "COPY", stats)?;
     Ok(QueryResult::dml(n))
@@ -574,7 +603,7 @@ fn base_name(dotted: &str) -> String {
         .to_ascii_uppercase()
 }
 
-fn exec_select(ctx: &mut ExecCtx<'_>, sel: &SelectStmt) -> Result<QueryResult, CdwError> {
+fn exec_select(ctx: &ExecCtx<'_>, sel: &SelectStmt) -> Result<QueryResult, CdwError> {
     let row_key = match &sel.from {
         Some(TableRef::Named { name, .. }) => integer_key(ctx.tables.get(&name.dotted())?),
         _ => None,
@@ -583,9 +612,9 @@ fn exec_select(ctx: &mut ExecCtx<'_>, sel: &SelectStmt) -> Result<QueryResult, C
 
     let has_aggregates = projection_has_aggregates(sel);
     let (mut out_rows, columns) = if has_aggregates || !sel.group_by.is_empty() {
-        exec_aggregate(sel, &bindings, rows)?
+        exec_aggregate(sel, &bindings, &rows)?
     } else {
-        exec_plain(sel, &bindings, rows, row_key)?
+        exec_plain(sel, &bindings, &rows, row_key)?
     };
 
     if sel.distinct {
@@ -621,12 +650,12 @@ fn integer_key(table: &Table) -> Option<usize> {
 /// Produce the filtered source relation of a SELECT: FROM resolution plus
 /// WHERE, with predicate pushdown into a single named table (index seek or
 /// filtered scan) where the planner proves it safe.
-fn select_source(ctx: &mut ExecCtx<'_>, sel: &SelectStmt) -> Result<Relation, CdwError> {
+fn select_source<'t>(ctx: &'t ExecCtx<'_>, sel: &SelectStmt) -> Result<Relation<'t>, CdwError> {
     match &sel.from {
         None => {
-            let mut rows = vec![Vec::new()];
+            let mut rows = vec![Cow::Owned(Vec::new())];
             if let Some(w) = &sel.selection {
-                rows = filter_owned(&[], w, rows)?;
+                rows = filter_rows(&[], w, rows)?;
             }
             Ok(Relation {
                 bindings: Vec::new(),
@@ -639,7 +668,7 @@ fn select_source(ctx: &mut ExecCtx<'_>, sel: &SelectStmt) -> Result<Relation, Cd
         Some(from) => {
             let rel = resolve_from(ctx, from, sel.selection.as_ref())?;
             let rows = match &sel.selection {
-                Some(w) => filter_owned(&rel.bindings, w, rel.rows)?,
+                Some(w) => filter_rows(&rel.bindings, w, rel.rows)?,
                 None => rel.rows,
             };
             Ok(Relation {
@@ -650,60 +679,54 @@ fn select_source(ctx: &mut ExecCtx<'_>, sel: &SelectStmt) -> Result<Relation, Cd
     }
 }
 
+/// Every stored row of `table`, borrowed.
+fn all_rows(table: &Table) -> Vec<Row<'_>> {
+    table.rows.iter().map(|r| Cow::Borrowed(&r[..])).collect()
+}
+
 /// Single-table FROM with the WHERE clause pushed into the access path.
-fn single_table_select(
-    ctx: &mut ExecCtx<'_>,
+fn single_table_select<'t>(
+    ctx: &'t ExecCtx<'_>,
     name: &ObjectName,
     alias: Option<&str>,
     selection: Option<&Expr>,
-) -> Result<Relation, CdwError> {
-    let planner = ctx.planner;
+) -> Result<Relation<'t>, CdwError> {
     let table = ctx.tables.get(&name.dotted())?;
     let bindings = table_bindings(table, alias);
-    let access = table_access(planner, table, selection, &bindings);
+    let access = table_access(ctx.planner, table, selection, &bindings);
     let rows = match &access {
         Access::Empty => Vec::new(),
         Access::Scan => {
-            ctx.stats.full_scans += 1;
+            ctx.count(|s| s.full_scans += 1);
             match selection {
-                None => table.rows.clone(),
-                Some(w) => filter_hits(&bindings, w, &table.rows)?,
+                None => all_rows(table),
+                Some(w) => filter_rows(&bindings, w, all_rows(table))?,
             }
         }
         Access::Seek(p) => {
-            ctx.stats.index_seeks += 1;
-            if p.consumed {
-                seek_rows(table, p)
-            } else {
-                let ix = &table.indexes[p.index];
-                let mut rowids = ix.seek(&p.prefix, p.lo.as_ref(), p.hi.as_ref());
-                // Emit in rowid order so results are byte-identical to a scan.
-                rowids.sort_unstable();
-                let w = selection.expect("a seek implies a filter");
-                let w = Resolved::new(w, &bindings);
-                let mut out = Vec::with_capacity(rowids.len());
-                for &i in &rowids {
-                    if w.holds(&table.rows[i])? {
-                        out.push(table.rows[i].clone());
-                    }
-                }
-                out
+            ctx.count(|s| s.index_seeks += 1);
+            let rows = seek_rows(table, p);
+            match selection {
+                Some(w) if !p.consumed => filter_rows(&bindings, w, rows)?,
+                _ => rows,
             }
         }
     };
     Ok(Relation { bindings, rows })
 }
 
-/// The rows a seek selects, in rowid order so results are byte-identical
-/// to a scan. A seek that returned every row clones the row vector, like
-/// the scan it replaces, instead of sorting rowids and cloning row by row.
-fn seek_rows(table: &Table, p: &SeekPlan) -> Vec<Vec<Value>> {
+/// The rows a seek selects, borrowed in rowid order so results are
+/// byte-identical to a scan.
+fn seek_rows<'t>(table: &'t Table, p: &SeekPlan) -> Vec<Row<'t>> {
     let mut rowids = table.indexes[p.index].seek(&p.prefix, p.lo.as_ref(), p.hi.as_ref());
     if rowids.len() == table.rows.len() {
-        return table.rows.clone();
+        return all_rows(table);
     }
     rowids.sort_unstable();
-    rowids.iter().map(|&i| table.rows[i].clone()).collect()
+    rowids
+        .iter()
+        .map(|&i| Cow::Borrowed(&table.rows[i][..]))
+        .collect()
 }
 
 /// Access path for the named left input of a join, with the enclosing
@@ -736,29 +759,13 @@ fn join_left_access(
     choose_access(left, selection, &mut resolve)
 }
 
-/// Filter borrowed rows in row order, cloning only the hits; the first
-/// evaluation error aborts.
-fn filter_hits(
+/// Keep the rows `w` selects, in row order, moving them (borrowed rows
+/// stay borrowed); the first evaluation error aborts.
+fn filter_rows<'t>(
     bindings: &[Binding],
     w: &Expr,
-    rows: &[Vec<Value>],
-) -> Result<Vec<Vec<Value>>, CdwError> {
-    let w = Resolved::new(w, bindings);
-    let mut out = Vec::new();
-    for row in rows {
-        if w.holds(row)? {
-            out.push(row.clone());
-        }
-    }
-    Ok(out)
-}
-
-/// Filter owned rows like [`filter_hits`], moving the hits (no cloning).
-fn filter_owned(
-    bindings: &[Binding],
-    w: &Expr,
-    rows: Vec<Vec<Value>>,
-) -> Result<Vec<Vec<Value>>, CdwError> {
+    rows: Vec<Row<'t>>,
+) -> Result<Vec<Row<'t>>, CdwError> {
     let w = Resolved::new(w, bindings);
     let mut out = Vec::with_capacity(rows.len());
     for row in rows {
@@ -769,22 +776,30 @@ fn filter_owned(
     Ok(out)
 }
 
+/// `lrow` padded with `width` NULLs: a LEFT join's unmatched row.
+fn null_padded(lrow: &[Value], width: usize) -> Row<'static> {
+    let mut combined = Vec::with_capacity(lrow.len() + width);
+    combined.extend_from_slice(lrow);
+    combined.extend(std::iter::repeat_n(Value::Null, width));
+    Cow::Owned(combined)
+}
+
 /// Resolve a FROM tree into its joined row set. `selection` is the
 /// enclosing SELECT's WHERE, which the caller applies in full afterwards;
 /// here it only narrows a join's named left input (see
 /// [`join_left_access`]).
-fn resolve_from(
-    ctx: &mut ExecCtx<'_>,
+fn resolve_from<'t>(
+    ctx: &'t ExecCtx<'_>,
     from: &TableRef,
     selection: Option<&Expr>,
-) -> Result<Relation, CdwError> {
+) -> Result<Relation<'t>, CdwError> {
     match from {
         TableRef::Named { name, alias } => {
             let table = ctx.tables.get(&name.dotted())?;
-            ctx.stats.full_scans += 1;
+            ctx.count(|s| s.full_scans += 1);
             Ok(Relation {
                 bindings: table_bindings(table, alias.as_deref()),
-                rows: table.rows.clone(),
+                rows: all_rows(table),
             })
         }
         TableRef::Subquery { query, alias } => {
@@ -800,7 +815,7 @@ fn resolve_from(
                         ty: *ty,
                     })
                     .collect(),
-                rows: result.rows,
+                rows: result.rows.into_iter().map(Cow::Owned).collect(),
             })
         }
         TableRef::Join {
@@ -815,12 +830,12 @@ fn resolve_from(
                     let rows =
                         match join_left_access(ctx, table, alias.as_deref(), right, selection) {
                             Access::Scan => {
-                                ctx.stats.full_scans += 1;
-                                table.rows.clone()
+                                ctx.count(|s| s.full_scans += 1);
+                                all_rows(table)
                             }
                             Access::Empty => Vec::new(),
                             Access::Seek(p) => {
-                                ctx.stats.index_seeks += 1;
+                                ctx.count(|s| s.index_seeks += 1);
                                 seek_rows(table, &p)
                             }
                         };
@@ -846,17 +861,14 @@ fn resolve_from(
             for lrow in &l.rows {
                 let mut matched = false;
                 for rrow in &r.rows {
-                    let mut combined = lrow.clone();
-                    combined.extend(rrow.iter().cloned());
+                    let combined = Cow::Owned([&lrow[..], &rrow[..]].concat());
                     if on.holds(&combined)? {
                         matched = true;
                         rows.push(combined);
                     }
                 }
                 if !matched && *kind == JoinKind::Left {
-                    let mut combined = lrow.clone();
-                    combined.extend(std::iter::repeat_n(Value::Null, r.bindings.len()));
-                    rows.push(combined);
+                    rows.push(null_padded(lrow, r.bindings.len()));
                 }
             }
             Ok(Relation { bindings, rows })
@@ -871,14 +883,14 @@ fn resolve_from(
 /// error, or an un-normalizable probe (the fallback then reproduces the
 /// error, in order). Evaluation is pure, so re-running it in the fallback
 /// is free of side effects.
-fn try_index_join(
-    ctx: &mut ExecCtx<'_>,
-    l: &Relation,
+fn try_index_join<'t>(
+    ctx: &'t ExecCtx<'_>,
+    l: &Relation<'t>,
     name: &ObjectName,
     alias: Option<&str>,
     kind: &JoinKind,
     on: &Expr,
-) -> Result<Option<Relation>, CdwError> {
+) -> Result<Option<Relation<'t>>, CdwError> {
     let Ok(rtable) = ctx.tables.get(&name.dotted()) else {
         // Missing table: the fallback raises TableNotFound at the same
         // point the nested loop would have.
@@ -902,13 +914,13 @@ fn try_index_join(
         // The nested loop never evaluates ON against an empty right side —
         // short-circuit before touching the key expressions.
         if *kind == JoinKind::Left {
-            for lrow in &l.rows {
-                let mut combined = lrow.clone();
-                combined.extend(std::iter::repeat_n(Value::Null, rwidth));
-                rows.push(combined);
-            }
+            rows = l
+                .rows
+                .iter()
+                .map(|lrow| null_padded(lrow, rwidth))
+                .collect();
         }
-        ctx.stats.index_seeks += 1;
+        ctx.count(|s| s.index_seeks += 1);
         return Ok(Some(Relation { bindings, rows }));
     }
     let ix = &rtable.indexes[plan.index];
@@ -941,18 +953,14 @@ fn try_index_join(
             rowids.sort_unstable();
             for rid in rowids {
                 matched = true;
-                let mut combined = lrow.clone();
-                combined.extend(rtable.rows[rid].iter().cloned());
-                rows.push(combined);
+                rows.push(Cow::Owned([&lrow[..], &rtable.rows[rid]].concat()));
             }
         }
         if !matched && *kind == JoinKind::Left {
-            let mut combined = lrow.clone();
-            combined.extend(std::iter::repeat_n(Value::Null, rwidth));
-            rows.push(combined);
+            rows.push(null_padded(lrow, rwidth));
         }
     }
-    ctx.stats.index_seeks += 1;
+    ctx.count(|s| s.index_seeks += 1);
     Ok(Some(Relation { bindings, rows }))
 }
 
@@ -1119,7 +1127,7 @@ type ProjectedRows = (Vec<Vec<Value>>, Vec<(String, SqlType)>);
 fn exec_plain(
     sel: &SelectStmt,
     bindings: &[Binding],
-    rows: Vec<Vec<Value>>,
+    rows: &[Row<'_>],
     row_key: Option<usize>,
 ) -> Result<ProjectedRows, CdwError> {
     let items = expand_projection(sel, bindings);
@@ -1131,7 +1139,7 @@ fn exec_plain(
     // ORDER BY keys are computed against the *input* rows (so sorting by
     // non-projected columns works), carried alongside.
     let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(rows.len());
-    for row in &rows {
+    for row in rows {
         let mut out = Vec::with_capacity(items.len());
         for (i, item) in projected.iter().enumerate() {
             out.push(item.eval(row).map_err(|e| {
@@ -1325,7 +1333,7 @@ fn projection_has_aggregates(sel: &SelectStmt) -> bool {
 fn exec_aggregate(
     sel: &SelectStmt,
     bindings: &[Binding],
-    rows: Vec<Vec<Value>>,
+    rows: &[Row<'_>],
 ) -> Result<ProjectedRows, CdwError> {
     // Collect the distinct aggregate calls appearing anywhere.
     let mut agg_calls: Vec<Expr> = Vec::new();
@@ -1350,46 +1358,37 @@ fn exec_aggregate(
         collect(&o.expr);
     }
 
-    // Group rows.
-    struct Group {
-        key_vals: Vec<Value>,
-        states: Vec<AggState>,
-    }
+    // Group rows: one map from key to group number, hashed once per row.
+    // Group `g`'s aggregate states are `states[g * width..][..width]`, in
+    // first-seen order.
     let group_by = Resolved::all(&sel.group_by, bindings);
     let calls = Resolved::all(&agg_calls, bindings);
-    let mut groups: HashMap<RowKey, Group> = HashMap::new();
-    let mut order: Vec<RowKey> = Vec::new();
-    for row in &rows {
+    let width = agg_calls.len();
+    let mut groups: HashMap<RowKey, usize> = HashMap::new();
+    let mut states: Vec<AggState> = Vec::new();
+    for row in rows {
         let mut key_vals = Vec::with_capacity(group_by.len());
         for g in &group_by {
             key_vals.push(g.eval(row)?);
         }
-        let key = RowKey(key_vals.clone());
-        let group = match groups.get_mut(&key) {
-            Some(g) => g,
-            None => {
-                order.push(key.clone());
-                groups.entry(key).or_insert(Group {
-                    key_vals,
-                    states: agg_calls.iter().map(AggState::new).collect(),
-                })
-            }
-        };
-        for (state, call) in group.states.iter_mut().zip(&calls) {
+        let next = groups.len();
+        let g = *groups.entry(RowKey(key_vals)).or_insert(next);
+        if g == next {
+            states.extend(agg_calls.iter().map(AggState::new));
+        }
+        for (state, call) in states[g * width..].iter_mut().zip(&calls) {
             state.update(call.expr, &call.env(row))?;
         }
     }
     // Global aggregate over zero rows still yields one group.
     if groups.is_empty() && sel.group_by.is_empty() {
-        let key = RowKey(Vec::new());
-        order.push(key.clone());
-        groups.insert(
-            key,
-            Group {
-                key_vals: Vec::new(),
-                states: agg_calls.iter().map(AggState::new).collect(),
-            },
-        );
+        groups.insert(RowKey(Vec::new()), 0);
+        states.extend(agg_calls.iter().map(AggState::new));
+    }
+    // The group keys in first-seen order, moved out of the map.
+    let mut keys = vec![Vec::new(); groups.len()];
+    for (key, g) in groups {
+        keys[g] = key.0;
     }
 
     let items = expand_projection(sel, bindings);
@@ -1397,18 +1396,17 @@ fn exec_aggregate(
     let aliases = order_aliases(&sel.order_by, &items);
 
     let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
-    for key in &order {
-        let group = &groups[key];
-        let agg_values: Vec<Value> = group
-            .states
-            .iter()
-            .map(|s| s.finalize())
-            .collect::<Result<_, _>>()?;
+    let mut agg_values: Vec<Value> = Vec::with_capacity(width);
+    for (g, key_vals) in keys.iter().enumerate() {
+        agg_values.clear();
+        for state in &states[g * width..][..width] {
+            agg_values.push(state.finalize()?);
+        }
         let agg_env = AggEnv {
             sel,
             agg_calls: &agg_calls,
             agg_values: &agg_values,
-            key_vals: &group.key_vals,
+            key_vals,
         };
         if let Some(h) = &sel.having {
             if !truthy(&agg_env.eval(h)?) {

@@ -98,15 +98,44 @@ impl OrderedIndex {
         1
     }
 
+    /// Index the rows `rows[start..]` under their rowids. A non-empty
+    /// index inserts them one by one; an empty one is built in one sorted
+    /// pass, with the same entries row-by-row insertion would leave: the
+    /// stable sort keeps equal keys in rowid order, so each key is stored
+    /// as its first-inserted row spells it, with ascending rowids. Returns
+    /// maintenance ops (one per row).
+    pub fn insert_range(&mut self, rows: &[Vec<Value>], start: usize) -> usize {
+        let new = &rows[start..];
+        if !self.is_empty() {
+            for (i, row) in new.iter().enumerate() {
+                self.insert_row(row, start + i);
+            }
+            return new.len();
+        }
+        let mut keyed: Vec<(IndexKey, usize)> = new
+            .iter()
+            .enumerate()
+            .map(|(i, row)| (IndexKey(self.key_of(row)), start + i))
+            .collect();
+        keyed.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut groups: Vec<(IndexKey, Vec<usize>)> = Vec::new();
+        for (key, rowid) in keyed {
+            match groups.last_mut() {
+                Some((last, rowids)) if IndexKey::cmp(last, &key).is_eq() => rowids.push(rowid),
+                _ => groups.push((key, vec![rowid])),
+            }
+        }
+        self.map = groups.into_iter().collect();
+        self.entries = new.len();
+        new.len()
+    }
+
     /// Drop everything and re-key every row. Returns maintenance ops (one
     /// per row).
     pub fn rebuild(&mut self, rows: &[Vec<Value>]) -> usize {
         self.map.clear();
         self.entries = 0;
-        for (i, row) in rows.iter().enumerate() {
-            self.insert_row(row, i);
-        }
-        rows.len()
+        self.insert_range(rows, 0)
     }
 
     /// Whether any row carries exactly `key` (full-width key).

@@ -23,6 +23,18 @@ impl Hash for RowKey {
     }
 }
 
+/// A borrowed value hashed and compared as a one-column [`RowKey`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ValueKey<'a>(pub &'a Value);
+
+impl Eq for ValueKey<'_> {}
+
+impl Hash for ValueKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        hash_value(self.0, state);
+    }
+}
+
 fn hash_value<H: Hasher>(v: &Value, state: &mut H) {
     match v {
         Value::Null => 0u8.hash(state),

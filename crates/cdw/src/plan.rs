@@ -22,7 +22,7 @@ use etlv_sql::SqlType;
 use crate::catalog::Table;
 use crate::eval::{literal_value, numeric_value_of_str, parse_iso_date};
 use crate::index::SeekBound;
-use crate::key::{cmp_values, RowKey};
+use crate::key::{cmp_values, ValueKey};
 
 /// Planner decision counters for one statement (or accumulated totals).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -74,12 +74,12 @@ impl TableStats {
     pub fn refresh(&mut self, rows: &[Vec<Value>], ncols: usize) {
         use std::collections::HashSet;
         let stride = (rows.len() / SAMPLE_CAP).max(1);
-        let mut sets: Vec<HashSet<RowKey>> = vec![HashSet::new(); ncols];
+        let mut sets: Vec<HashSet<ValueKey>> = vec![HashSet::new(); ncols];
         let mut sampled = 0usize;
         for row in rows.iter().step_by(stride) {
             sampled += 1;
             for (c, set) in sets.iter_mut().enumerate() {
-                set.insert(RowKey(vec![row[c].clone()]));
+                set.insert(ValueKey(&row[c]));
             }
         }
         self.sampled_len = rows.len();

@@ -10,7 +10,8 @@
 
 use etlv_protocol::data::Value;
 use etlv_protocol::errcode::Cause;
-use etlv_protocol::vartext::{VartextError, VartextFormat};
+use etlv_protocol::vartext::VartextError::{self, FieldCount};
+use etlv_protocol::vartext::VartextFormat;
 
 use crate::error::CdwError;
 
@@ -90,13 +91,33 @@ impl StagedFormat {
         out.push(b'\n');
     }
 
-    /// Parse a staged buffer into rows of text fields.
+    /// Parse a staged buffer into rows of text fields. Each line is
+    /// decoded in one streaming pass: a row is allocated at its arity and
+    /// each field's string at its exact length.
     pub fn parse(&self, data: &[u8], arity: usize) -> Result<Vec<Vec<Value>>, CdwError> {
-        self.inner
-            .decode_lines(data, Some(arity))
-            .map_err(|e: VartextError| {
-                CdwError::abort(Cause::BadFile, format!("malformed staged file: {e}"))
-            })
+        let malformed = |e: VartextError| {
+            CdwError::abort(Cause::BadFile, format!("malformed staged file: {e}"))
+        };
+        let mut rows = Vec::new();
+        let mut scratch = Vec::new();
+        for line in data.split(|&b| b == b'\n') {
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            if line.is_empty() {
+                continue;
+            }
+            let mut row = Vec::with_capacity(arity);
+            let push = |f: Option<&str>| row.push(f.map_or(Value::Null, |s| Value::Str(s.into())));
+            let fields = self.inner.decode_line_with(line, &mut scratch, push);
+            let actual = fields.map_err(malformed)?;
+            if actual != arity {
+                return Err(malformed(FieldCount {
+                    expected: arity,
+                    actual,
+                }));
+            }
+            rows.push(row);
+        }
+        Ok(rows)
     }
 }
 

@@ -35,7 +35,6 @@ use etlv_cdw::error::{legacy_error, CdwError};
 use etlv_cdw::Cdw;
 use etlv_protocol::data::Value;
 use etlv_protocol::errcode::{Cause, ErrCode};
-use etlv_protocol::layout::Layout;
 
 use crate::emulate::UniqueEmulation;
 use crate::fault::{retry_cdw, RetryPolicy};
@@ -115,14 +114,11 @@ pub struct AdaptiveOutcome {
 
 /// Apply `compiled` to staging rows `[lo, hi)` with adaptive error
 /// handling. `obs` (when supplied) journals every cut and range failure
-/// under the owning job's token. The layout is not read: staged rows and
-/// aborts carry their values by position.
-#[allow(clippy::too_many_arguments)]
+/// under the owning job's token.
 pub fn apply_adaptive(
     cdw: &Cdw,
     compiled: &CompiledDml,
     emulation: Option<&UniqueEmulation>,
-    _layout: &Layout,
     lo: u64,
     hi: u64,
     params: AdaptiveParams,
@@ -539,6 +535,7 @@ mod tests {
     use crate::emulate;
     use crate::xcompile::{compile_dml, staging_ddl};
     use etlv_protocol::data::LegacyType as T;
+    use etlv_protocol::layout::Layout;
 
     fn setup() -> (Cdw, CompiledDml, Layout) {
         let cdw = Cdw::new();
@@ -578,7 +575,7 @@ mod tests {
 
     #[test]
     fn clean_data_applies_in_one_statement() {
-        let (cdw, compiled, layout) = setup();
+        let (cdw, compiled, _) = setup();
         for seq in 1..=4u64 {
             cdw.execute(&format!(
                 "INSERT INTO STG VALUES ({seq}, 'id{seq}', 'n', '2012-01-0{seq}')"
@@ -590,7 +587,6 @@ mod tests {
             &cdw,
             &compiled,
             emu.as_ref(),
-            &layout,
             1,
             5,
             AdaptiveParams::default(),
@@ -611,7 +607,7 @@ mod tests {
         use std::sync::Arc;
         use std::time::Duration;
 
-        let (cdw, compiled, layout) = setup();
+        let (cdw, compiled, _) = setup();
         for seq in 1..=4u64 {
             cdw.execute(&format!(
                 "INSERT INTO STG VALUES ({seq}, 'id{seq}', 'n', '2012-01-0{seq}')"
@@ -637,8 +633,7 @@ mod tests {
             },
             ..AdaptiveParams::default()
         };
-        let outcome =
-            apply_adaptive(&cdw, &compiled, emu.as_ref(), &layout, 1, 5, params, None).unwrap();
+        let outcome = apply_adaptive(&cdw, &compiled, emu.as_ref(), 1, 5, params, None).unwrap();
         // The two injected blips are absorbed in place: same statement
         // count as the clean path, no bisection, no recorded errors.
         assert_eq!(outcome.applied, 4);
@@ -652,7 +647,7 @@ mod tests {
     fn transient_faults_beyond_budget_surface() {
         use std::time::Duration;
 
-        let (cdw, compiled, layout) = setup();
+        let (cdw, compiled, _) = setup();
         stage_figure5(&cdw);
         cdw.set_transient_fault(Some(std::sync::Arc::new(|| true)));
         let params = AdaptiveParams {
@@ -663,20 +658,19 @@ mod tests {
             },
             ..AdaptiveParams::default()
         };
-        let result = apply_adaptive(&cdw, &compiled, None, &layout, 1, 6, params, None);
+        let result = apply_adaptive(&cdw, &compiled, None, 1, 6, params, None);
         assert!(matches!(result, Err(CdwError::Transient(_))));
     }
 
     #[test]
     fn figure5_unlimited_errors() {
-        let (cdw, compiled, layout) = setup();
+        let (cdw, compiled, _) = setup();
         stage_figure5(&cdw);
         let emu = emulate::plan(&cdw, &compiled).unwrap();
         let outcome = apply_adaptive(
             &cdw,
             &compiled,
             emu.as_ref(),
-            &layout,
             1,
             6,
             AdaptiveParams::default(),
@@ -712,14 +706,13 @@ mod tests {
 
     #[test]
     fn figure6_max_errors_2() {
-        let (cdw, compiled, layout) = setup();
+        let (cdw, compiled, _) = setup();
         stage_figure5(&cdw);
         let emu = emulate::plan(&cdw, &compiled).unwrap();
         let outcome = apply_adaptive(
             &cdw,
             &compiled,
             emu.as_ref(),
-            &layout,
             1,
             6,
             AdaptiveParams {
@@ -786,7 +779,6 @@ mod tests {
             &cdw,
             &compiled,
             emu.as_ref(),
-            &layout,
             1,
             6,
             AdaptiveParams {
@@ -812,13 +804,12 @@ mod tests {
 
     #[test]
     fn empty_range_is_noop() {
-        let (cdw, compiled, layout) = setup();
+        let (cdw, compiled, _) = setup();
         let emu = emulate::plan(&cdw, &compiled).unwrap();
         let outcome = apply_adaptive(
             &cdw,
             &compiled,
             emu.as_ref(),
-            &layout,
             5,
             5,
             AdaptiveParams::default(),
@@ -839,16 +830,7 @@ mod tests {
         )
         .unwrap();
         stage_figure5(&cdw);
-        let result = apply_adaptive(
-            &cdw,
-            &broken,
-            None,
-            &layout,
-            1,
-            6,
-            AdaptiveParams::default(),
-            None,
-        );
+        let result = apply_adaptive(&cdw, &broken, None, 1, 6, AdaptiveParams::default(), None);
         assert!(matches!(result, Err(CdwError::TableNotFound(_))));
     }
 }

@@ -38,7 +38,7 @@ pub fn apply(
 ) -> Result<AdaptiveOutcome, CdwError> {
     match strategy {
         ApplyStrategy::BulkAdaptive => {
-            apply_adaptive(cdw, compiled, emulation, layout, lo, hi, params, obs)
+            apply_adaptive(cdw, compiled, emulation, lo, hi, params, obs)
         }
         ApplyStrategy::Singleton => {
             apply_singleton(cdw, compiled, emulation, layout, lo, hi, params)

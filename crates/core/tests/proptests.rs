@@ -146,13 +146,12 @@ proptest! {
         bad_bits in any::<u64>(),
     ) {
         let bad: HashSet<u64> = (1..=total).filter(|i| bad_bits & (1 << (i % 64)) != 0).collect();
-        let (cdw, compiled, layout) = setup(total, &bad);
+        let (cdw, compiled, _) = setup(total, &bad);
         let emu = emulate::plan(&cdw, &compiled).unwrap();
         let outcome = apply_adaptive(
             &cdw,
             &compiled,
             emu.as_ref(),
-            &layout,
             1,
             total + 1,
             AdaptiveParams::default(),

@@ -93,8 +93,10 @@ impl Value {
 
     /// Coerce this value to conform to `ty`, applying the legacy system's
     /// implicit-cast rules (numeric widening/narrowing with range checks,
-    /// string truncation checks, text→date via ISO format).
-    pub fn coerce_to(&self, ty: LegacyType) -> Result<Value, ValueError> {
+    /// string truncation checks, text→date via ISO format). The value is
+    /// consumed: a string or byte string that already fits is moved, not
+    /// copied.
+    pub fn coerce_to(self, ty: LegacyType) -> Result<Value, ValueError> {
         if self.is_null() {
             return Ok(Value::Null);
         }
@@ -120,7 +122,7 @@ impl Value {
                 Ok(Value::Decimal(d))
             }
             LegacyType::Char(n) => {
-                let s = self.to_text()?;
+                let s = self.into_text();
                 if s.len() > n as usize {
                     return Err(err(
                         Cause::Length,
@@ -135,7 +137,7 @@ impl Value {
                 Ok(Value::Str(padded))
             }
             LegacyType::VarChar(n) | LegacyType::VarCharUnicode(n) => {
-                let s = self.to_text()?;
+                let s = self.into_text();
                 if s.len() > n as usize {
                     return Err(err(
                         Cause::Length,
@@ -145,20 +147,20 @@ impl Value {
                 Ok(Value::Str(s))
             }
             LegacyType::Date => match self {
-                Value::Date(d) => Ok(Value::Date(*d)),
-                Value::Str(s) => Ok(Value::Date(Date::parse_iso(s)?)),
+                Value::Date(d) => Ok(Value::Date(d)),
+                Value::Str(s) => Ok(Value::Date(Date::parse_iso(&s)?)),
                 Value::Int(v) => {
-                    let v32 = i32::try_from(*v)
+                    let v32 = i32::try_from(v)
                         .map_err(|_| err(Cause::Date, "integer out of DATE range"))?;
                     Ok(Value::Date(Date::from_legacy_int(v32)?))
                 }
-                other => Err(cannot_cast(Cause::Date, other, "DATE")),
+                other => Err(cannot_cast(Cause::Date, &other, "DATE")),
             },
             LegacyType::Timestamp => match self {
-                Value::Timestamp(ts) => Ok(Value::Timestamp(*ts)),
-                Value::Date(d) => Ok(Value::Timestamp(Timestamp::from_date(*d))),
-                Value::Str(s) => Ok(Value::Timestamp(Timestamp::parse(s)?)),
-                other => Err(cannot_cast(Cause::Value, other, "TIMESTAMP")),
+                Value::Timestamp(ts) => Ok(Value::Timestamp(ts)),
+                Value::Date(d) => Ok(Value::Timestamp(Timestamp::from_date(d))),
+                Value::Str(s) => Ok(Value::Timestamp(Timestamp::parse(&s)?)),
+                other => Err(cannot_cast(Cause::Value, &other, "TIMESTAMP")),
             },
             LegacyType::VarByte(n) => match self {
                 Value::Bytes(b) => {
@@ -168,9 +170,9 @@ impl Value {
                             format!("byte length {} exceeds VARBYTE({n})", b.len()),
                         ));
                     }
-                    Ok(Value::Bytes(b.clone()))
+                    Ok(Value::Bytes(b))
                 }
-                other => Err(cannot_cast(Cause::Value, other, "VARBYTE")),
+                other => Err(cannot_cast(Cause::Value, &other, "VARBYTE")),
             },
         }
     }
@@ -233,13 +235,12 @@ impl Value {
         }
     }
 
-    /// Text rendering used when coercing to character types. Unlike
-    /// [`Value::display_text`], NULL is an error here.
-    pub fn to_text(&self) -> Result<String, ValueError> {
+    /// Text rendering used when coercing to character types: a string is
+    /// moved, anything else rendered by [`Value::display_text`].
+    fn into_text(self) -> String {
         match self {
-            Value::Null => Err(err(Cause::Value, "cannot render NULL as text")),
-            Value::Str(s) => Ok(s.clone()),
-            other => Ok(other.display_text()),
+            Value::Str(s) => s,
+            other => other.display_text(),
         }
     }
 
@@ -388,10 +389,18 @@ mod tests {
     }
 
     #[test]
+    fn a_fitting_string_is_moved_not_copied() {
+        let s = String::from("abc");
+        let ptr = s.as_ptr();
+        let coerced = Value::Str(s).coerce_to(LegacyType::VarChar(5)).unwrap();
+        assert!(matches!(coerced, Value::Str(out) if out.as_ptr() == ptr));
+    }
+
+    #[test]
     fn decimal_fit() {
         let v = Value::Str("123.456".into());
         assert_eq!(
-            v.coerce_to(LegacyType::Decimal(6, 2)).unwrap(),
+            v.clone().coerce_to(LegacyType::Decimal(6, 2)).unwrap(),
             Value::Decimal(Decimal::parse("123.46").unwrap())
         );
         assert!(v.coerce_to(LegacyType::Decimal(4, 2)).is_err());

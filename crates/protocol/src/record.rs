@@ -135,7 +135,7 @@ impl RecordEncoder {
                 out[ind_pos + i / 8] |= 0x80 >> (i % 8);
                 continue;
             }
-            let coerced = value.coerce_to(field.ty)?;
+            let coerced = value.clone().coerce_to(field.ty)?;
             encode_value(&coerced, field.ty, out)?;
         }
 
