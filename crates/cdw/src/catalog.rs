@@ -1,5 +1,5 @@
-//! The CDW catalog: schemas, row storage, ordered indexes, statistics,
-//! and per-table locking.
+//! The CDW catalog: schemas, row storage, the one ordered index each
+//! table keeps on its declared key, and per-table locking.
 //!
 //! The catalog maps canonical table names to `Arc<RwLock<Table>>` handles
 //! so statements lock exactly the tables they touch — readers of
@@ -18,8 +18,7 @@ use parking_lot::RwLock;
 
 use crate::error::CdwError;
 use crate::index::OrderedIndex;
-use crate::key::{cmp_rows, RowKey};
-use crate::plan::TableStats;
+use crate::key::cmp_rows;
 
 /// A column of a table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,24 +31,18 @@ pub struct Column {
     pub not_null: bool,
 }
 
-/// A stored table: schema, rows, ordered indexes, and statistics.
+/// A stored table: schema, rows, and the ordered index on its key.
 #[derive(Debug, Clone)]
 pub struct Table {
     /// Canonical (upper-cased, dotted) name.
     pub name: String,
     /// Column definitions.
     pub columns: Vec<Column>,
-    /// Indexes of the unique-constrained columns, if any.
-    pub unique_columns: Option<Vec<usize>>,
     /// Row storage.
     pub rows: Vec<Vec<Value>>,
-    /// Ordered secondary indexes, maintained through every mutation.
-    pub indexes: Vec<OrderedIndex>,
-    /// Position in `indexes` of the primary-key index, when a unique
-    /// constraint is declared.
-    pub pk_index: Option<usize>,
-    /// Planner statistics (refreshed lazily on drift).
-    pub stats: TableStats,
+    /// The ordered index on the declared UNIQUE / PRIMARY KEY columns,
+    /// maintained through every mutation. Its columns are the key.
+    pub pk: Option<OrderedIndex>,
 }
 
 impl Table {
@@ -67,7 +60,7 @@ impl Table {
                 not_null: c.not_null,
             })
             .collect();
-        let mut unique_columns = None;
+        let mut pk = None;
         for c in constraints {
             let TableConstraint::Unique { columns: ucols, .. } = c;
             let mut idxs = Vec::with_capacity(ucols.len());
@@ -80,28 +73,18 @@ impl Table {
                 idxs.push(idx);
             }
             // Multiple unique constraints collapse to the first (the
-            // legacy scripts in scope declare at most one).
-            if unique_columns.is_none() {
-                unique_columns = Some(idxs);
+            // legacy scripts in scope declare at most one). The index is
+            // maintained even with native uniqueness enforcement off: the
+            // emulation probe and the planner both seek it.
+            if pk.is_none() {
+                pk = Some(OrderedIndex::new(idxs));
             }
-        }
-        let mut indexes = Vec::new();
-        let mut pk_index = None;
-        if let Some(idxs) = &unique_columns {
-            // The PK index is always maintained, even with native
-            // uniqueness enforcement off: the executor's emulation probe
-            // and the planner both seek it.
-            indexes.push(OrderedIndex::new("PK", idxs.clone(), true));
-            pk_index = Some(0);
         }
         Ok(Table {
             name,
             columns: cols,
-            unique_columns,
             rows: Vec::new(),
-            indexes,
-            pk_index,
-            stats: TableStats::default(),
+            pk,
         })
     }
 
@@ -109,18 +92,6 @@ impl Table {
     pub fn column_index(&self, name: &str) -> Option<usize> {
         let up = name.to_ascii_uppercase();
         self.columns.iter().position(|c| c.name == up)
-    }
-
-    /// The key of `row` under the unique constraint, if one is declared.
-    pub fn unique_key(&self, row: &[Value]) -> Option<RowKey> {
-        self.unique_columns
-            .as_ref()
-            .map(|idxs| RowKey(idxs.iter().map(|&i| row[i].clone()).collect()))
-    }
-
-    /// The primary-key ordered index, if a unique constraint is declared.
-    pub fn pk(&self) -> Option<&OrderedIndex> {
-        self.pk_index.map(|i| &self.indexes[i])
     }
 
     /// Number of rows.
@@ -133,109 +104,59 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Create a named ordered index over `columns`.
-    pub fn create_index(
-        &mut self,
-        name: &str,
-        columns: &[String],
-        unique: bool,
-    ) -> Result<(), CdwError> {
-        let name = name.to_ascii_uppercase();
-        if self.indexes.iter().any(|ix| ix.name == name) {
-            return Err(CdwError::Unsupported(format!(
-                "index {name} already exists on {}",
-                self.name
-            )));
-        }
-        let mut cols = Vec::with_capacity(columns.len());
-        for c in columns {
-            cols.push(
-                self.column_index(c)
-                    .ok_or_else(|| CdwError::ColumnNotFound(c.clone()))?,
-            );
-        }
-        let mut ix = OrderedIndex::new(name, cols, unique);
-        ix.rebuild(&self.rows);
-        self.indexes.push(ix);
-        Ok(())
-    }
-
     /// Append pre-validated rows in one shot — the storage half of INSERT
-    /// and COPY — then hand each index the new rowid range (an empty index
-    /// is built in one sorted pass, see [`OrderedIndex::insert_range`]).
-    /// Rows are moved, never cloned; callers must have validated width,
-    /// types, and (if enforced) uniqueness already. Returns the number of
-    /// index maintenance operations performed.
+    /// and COPY — then hand the key index the new rowid range (an empty
+    /// index is built in one sorted pass, see
+    /// [`OrderedIndex::insert_range`]). Rows are moved, never cloned;
+    /// callers must have validated width, types, and (if enforced)
+    /// uniqueness already. Returns the number of index maintenance
+    /// operations performed.
     pub fn append_rows(&mut self, rows: Vec<Vec<Value>>) -> usize {
         let start = self.rows.len();
         self.rows.extend(rows);
-        let rows = &self.rows;
-        self.indexes
-            .iter_mut()
-            .map(|ix| ix.insert_range(rows, start))
-            .sum()
-    }
-
-    /// Re-key every index from current rows (after DELETE compaction).
-    /// Returns index maintenance operations.
-    pub fn rebuild_all_indexes(&mut self) -> usize {
-        let rows = &self.rows;
-        self.indexes.iter_mut().map(|ix| ix.rebuild(rows)).sum()
-    }
-
-    /// Re-key only the indexes covering any of `cols` (after UPDATE, where
-    /// rowids are stable but assigned columns changed). Returns index
-    /// maintenance operations.
-    pub fn rebuild_indexes_touching(&mut self, cols: &[usize]) -> usize {
-        let rows = &self.rows;
-        self.indexes
-            .iter_mut()
-            .filter(|ix| ix.columns.iter().any(|c| cols.contains(c)))
-            .map(|ix| ix.rebuild(rows))
-            .sum()
-    }
-
-    /// Refresh planner statistics if they have drifted.
-    pub fn maybe_refresh_stats(&mut self) {
-        if self.stats.stale(self.rows.len()) {
-            let ncols = self.columns.len();
-            self.stats.refresh(&self.rows, ncols);
+        match &mut self.pk {
+            Some(pk) => pk.insert_range(&self.rows, start),
+            None => 0,
         }
     }
 
-    /// Exhaustive index/table consistency check (test harness hook):
-    /// every index holds exactly one entry per row, rowids cover the
-    /// table, and every stored key orders equal to the row it points at.
+    /// Re-key the key index from current rows (after DELETE compaction,
+    /// or an UPDATE that assigned a key column). Returns index
+    /// maintenance operations.
+    pub fn rebuild_pk(&mut self) -> usize {
+        match &mut self.pk {
+            Some(pk) => pk.rebuild(&self.rows),
+            None => 0,
+        }
+    }
+
+    /// Exhaustive index/table consistency check (test harness hook): the
+    /// key index holds exactly one entry per row, rowids cover the table,
+    /// and every stored key orders equal to the row it points at.
     pub fn validate_indexes(&self) -> Result<(), String> {
-        for ix in &self.indexes {
-            if ix.len() != self.rows.len() {
-                return Err(format!(
-                    "{}.{}: {} entries for {} rows",
-                    self.name,
-                    ix.name,
-                    ix.len(),
-                    self.rows.len()
-                ));
-            }
-            let mut seen = vec![false; self.rows.len()];
-            for (key, rowids) in ix.entries() {
-                for &rid in rowids {
-                    if rid >= self.rows.len() || seen[rid] {
-                        return Err(format!(
-                            "{}.{}: rowid {rid} out of range or duplicated",
-                            self.name, ix.name
-                        ));
-                    }
-                    seen[rid] = true;
-                    // Keys the index orders as equal share one entry,
-                    // spelled as the first row inserted under it.
-                    let expect = ix.key_of(&self.rows[rid]);
-                    if cmp_rows(key, &expect).is_ne() {
-                        return Err(format!(
-                            "{}.{}: stale key for rowid {rid}",
-                            self.name, ix.name
-                        ));
-                    }
+        let Some(ix) = &self.pk else {
+            return Ok(());
+        };
+        let name = &self.name;
+        if ix.len() != self.rows.len() {
+            return Err(format!(
+                "{name}.PK: {} entries for {} rows",
+                ix.len(),
+                self.rows.len()
+            ));
+        }
+        let mut seen = vec![false; self.rows.len()];
+        for (key, rowids) in ix.entries() {
+            for &rid in rowids {
+                if rid >= self.rows.len() || seen[rid] {
+                    return Err(format!("{name}.PK: rowid {rid} out of range or duplicated"));
+                }
+                seen[rid] = true;
+                // Keys the index orders as equal share one entry,
+                // spelled as the first row inserted under it.
+                let expect = ix.key_of(&self.rows[rid]);
+                if cmp_rows(key, &expect).is_ne() {
+                    return Err(format!("{name}.PK: stale key for rowid {rid}"));
                 }
             }
         }
@@ -417,13 +338,11 @@ mod tests {
     #[test]
     fn unique_constraint_resolution() {
         let t = make_table("T");
-        assert_eq!(t.unique_columns, Some(vec![0]));
-        let key = t.unique_key(&[Value::Int(5), Value::Str("x".into())]);
-        assert_eq!(key, Some(RowKey(vec![Value::Int(5)])));
         // The declared constraint materializes as an always-on PK index.
-        let pk = t.pk().expect("pk index");
-        assert!(pk.unique);
+        let pk = t.pk.expect("pk index");
         assert_eq!(pk.columns, vec![0]);
+        let key = pk.key_of(&[Value::Int(5), Value::Str("x".into())]);
+        assert_eq!(key, vec![Value::Int(5)]);
     }
 
     #[test]
@@ -452,15 +371,15 @@ mod tests {
     }
 
     #[test]
-    fn append_rows_maintains_every_index() {
+    fn append_rows_maintains_the_pk() {
         let mut t = make_table("T");
         let ops = t.append_rows(vec![
             vec![Value::Int(1), Value::Null],
             vec![Value::Int(2), Value::Null],
         ]);
         assert_eq!(t.len(), 2);
-        assert_eq!(ops, 2, "one maintenance op per row per index");
-        assert_eq!(t.pk().unwrap().seek_eq(&[Value::Int(2)]), vec![1]);
+        assert_eq!(ops, 2, "one maintenance op per row");
+        assert_eq!(t.pk.as_ref().unwrap().seek_eq(&[Value::Int(2)]), vec![1]);
         t.validate_indexes().unwrap();
     }
 
@@ -486,45 +405,35 @@ mod tests {
         // non-empty one (row by row throughout).
         for existing in [vec![], vec![Value::Float(3.0)]] {
             let mut t = make_table("T");
-            t.create_index("IX_NAME", &["name".into()], false).unwrap();
             for batch in [&existing, &first, &second] {
-                let name = |i: usize| Value::Str(format!("n{}", i % 2));
-                let rows = batch
-                    .iter()
-                    .enumerate()
-                    .map(|(i, k)| vec![k.clone(), name(i)]);
+                let rows = batch.iter().map(|k| vec![k.clone(), Value::Null]);
                 t.append_rows(rows.collect());
             }
             t.validate_indexes().unwrap();
-            for ix in &t.indexes {
-                let mut by_row = OrderedIndex::new("BY_ROW", ix.columns.clone(), false);
-                for (rowid, row) in t.rows.iter().enumerate() {
-                    by_row.insert_row(row, rowid);
-                }
-                assert_eq!(entries(ix), entries(&by_row), "{}", ix.name);
+            let pk = t.pk.as_ref().unwrap();
+            let mut by_row = OrderedIndex::new(pk.columns.clone());
+            for (rowid, row) in t.rows.iter().enumerate() {
+                by_row.insert_row(row, rowid);
             }
+            assert_eq!(entries(pk), entries(&by_row));
         }
     }
 
     #[test]
-    fn secondary_index_creation_and_rebuild() {
+    fn stale_pk_key_detected_and_rebuilt() {
         let mut t = make_table("T");
         t.append_rows(vec![
             vec![Value::Int(1), Value::Str("b".into())],
             vec![Value::Int(2), Value::Str("a".into())],
         ]);
-        t.create_index("ix_name", &["name".into()], false).unwrap();
-        assert!(t.create_index("IX_NAME", &["name".into()], false).is_err());
-        assert!(t.create_index("ix2", &["nope".into()], false).is_err());
-        let ix = t.indexes.iter().find(|ix| ix.name == "IX_NAME").unwrap();
-        assert_eq!(ix.seek_eq(&[Value::Str("a".into())]), vec![1]);
         t.validate_indexes().unwrap();
 
-        // Mutate a row in place, then re-key.
-        t.rows[1][1] = Value::Str("z".into());
+        // Mutate a key cell in place, then re-key.
+        t.rows[1][0] = Value::Int(9);
         assert!(t.validate_indexes().is_err(), "stale key detected");
-        t.rebuild_indexes_touching(&[1]);
+        assert_eq!(t.rebuild_pk(), 2);
         t.validate_indexes().unwrap();
+        assert_eq!(t.pk.as_ref().unwrap().seek_eq(&[Value::Int(9)]), vec![1]);
     }
 
     #[test]

@@ -20,15 +20,12 @@ use crate::plan::PlanStats;
 /// execution, so the failure is always side-effect free.
 pub type TransientFaultHook = Arc<dyn Fn() -> bool + Send + Sync>;
 
-/// Observation callback invoked after every statement:
-/// `(elapsed, ok)`. Installed by the virtualizer to feed its metrics
-/// registry; this crate carries no metrics machinery of its own.
-pub type ExecObserver = Arc<dyn Fn(Duration, bool) + Send + Sync>;
-
-/// Plan observation callback invoked after every statement that touched
-/// the planner, with that statement's access-path counters. Installed by
-/// the virtualizer to feed its metrics registry.
-pub type PlanObserver = Arc<dyn Fn(&PlanStats) + Send + Sync>;
+/// Observation callback invoked once after every statement:
+/// `(elapsed, ok, access-path counters)`. The counters are empty for DDL
+/// and for a statement the transient-fault hook failed. Installed by the
+/// virtualizer to feed its metrics registry; this crate carries no
+/// metrics machinery of its own.
+pub type ExecObserver = Arc<dyn Fn(Duration, bool, &PlanStats) + Send + Sync>;
 
 /// Lock-contention observation callback: `(site, wait, contended)` per
 /// acquisition of the catalog map or a per-table lock on the DML
@@ -51,8 +48,9 @@ pub struct CdwConfig {
     /// singleton-insert baseline slow.
     pub statement_latency: Duration,
     /// Use index-aware access planning. Defaults to `true`; turning it
-    /// off forces full scans and nested-loop joins (indexes are still
-    /// maintained), which is the reference engine for differential tests.
+    /// off forces full scans and nested-loop joins (the key index is
+    /// still maintained), which is the reference engine for differential
+    /// tests.
     pub planner: bool,
 }
 
@@ -81,7 +79,6 @@ struct Inner {
     config: CdwConfig,
     transient_fault: Mutex<Option<TransientFaultHook>>,
     exec_observer: Mutex<Option<ExecObserver>>,
-    plan_observer: Mutex<Option<PlanObserver>>,
     lock_observer: Mutex<Option<LockObserver>>,
     plan_totals: Mutex<PlanStats>,
 }
@@ -101,7 +98,6 @@ impl Cdw {
                 config,
                 transient_fault: Mutex::new(None),
                 exec_observer: Mutex::new(None),
-                plan_observer: Mutex::new(None),
                 lock_observer: Mutex::new(None),
                 plan_totals: Mutex::new(PlanStats::default()),
             }),
@@ -131,20 +127,13 @@ impl Cdw {
         *self.inner.transient_fault.lock() = hook;
     }
 
-    /// Install (or clear) an execution observer. Shared across all clones
-    /// of this warehouse handle. The observer sees every statement —
-    /// including ones failed by the transient-fault hook — with its wall
-    /// time and outcome.
+    /// Install (or clear) the statement observer. Shared across all
+    /// clones of this warehouse handle. The observer sees every statement
+    /// — including ones failed by the transient-fault hook — with its
+    /// wall time, outcome and access-path counters (index seeks, full
+    /// scans, index maintenance).
     pub fn set_exec_observer(&self, observer: Option<ExecObserver>) {
         *self.inner.exec_observer.lock() = observer;
-    }
-
-    /// Install (or clear) a plan observer. Shared across all clones of
-    /// this warehouse handle. The observer sees per-statement access-path
-    /// counters (index seeks, full scans, index maintenance) for every
-    /// DML statement.
-    pub fn set_plan_observer(&self, observer: Option<PlanObserver>) {
-        *self.inner.plan_observer.lock() = observer;
     }
 
     /// Install (or clear) a lock observer. Shared across all clones of
@@ -158,35 +147,6 @@ impl Cdw {
     /// Cumulative access-path counters since the engine was created.
     pub fn plan_stats(&self) -> PlanStats {
         *self.inner.plan_totals.lock()
-    }
-
-    /// Fold one statement's counters into the totals and notify the plan
-    /// observer. Called on success *and* failure — a statement that
-    /// scanned and then aborted still scanned.
-    fn record_plan(&self, stats: &PlanStats) {
-        if stats.is_empty() {
-            return;
-        }
-        self.inner.plan_totals.lock().merge(stats);
-        let observer = self.inner.plan_observer.lock().clone();
-        if let Some(observer) = observer {
-            observer(stats);
-        }
-    }
-
-    /// Run `f` under the installed observer (if any), timing it and
-    /// reporting the outcome.
-    fn observed<T>(&self, f: impl FnOnce() -> Result<T, CdwError>) -> Result<T, CdwError> {
-        let observer = self.inner.exec_observer.lock().clone();
-        match observer {
-            None => f(),
-            Some(observer) => {
-                let start = std::time::Instant::now();
-                let result = f();
-                observer(start.elapsed(), result.is_ok());
-                result
-            }
-        }
     }
 
     /// Per-statement prelude: consult the transient-fault hook (failing
@@ -207,34 +167,44 @@ impl Cdw {
         Ok(())
     }
 
-    /// Execute one pre-parsed statement.
+    /// Execute one pre-parsed statement, then fold its access-path
+    /// counters into the totals and report it to the observer. Counters
+    /// are kept on success *and* failure — a statement that scanned and
+    /// then aborted still scanned.
     pub fn execute_stmt(&self, stmt: &Stmt) -> Result<QueryResult, CdwError> {
-        self.observed(|| {
-            self.begin_statement()?;
-            match stmt {
-                // DDL takes the catalog map's write lock; DML never does.
-                Stmt::CreateTable(ct) => {
-                    let table = Table::from_create(ct.name.dotted(), &ct.columns, &ct.constraints)?;
-                    self.inner.catalog.write().create(table, ct.if_not_exists)?;
-                    Ok(QueryResult::dml(0))
-                }
-                Stmt::DropTable { name, if_exists } => {
-                    self.inner
-                        .catalog
-                        .write()
-                        .drop_table(&name.dotted(), *if_exists)?;
-                    Ok(QueryResult::dml(0))
-                }
-                _ => self.run_dml(stmt),
+        let start = std::time::Instant::now();
+        let mut stats = PlanStats::default();
+        let result = self.begin_statement().and_then(|()| match stmt {
+            // DDL takes the catalog map's write lock; DML never does.
+            Stmt::CreateTable(ct) => {
+                let table = Table::from_create(ct.name.dotted(), &ct.columns, &ct.constraints)?;
+                self.inner.catalog.write().create(table, ct.if_not_exists)?;
+                Ok(QueryResult::dml(0))
             }
-        })
+            Stmt::DropTable { name, if_exists } => {
+                self.inner
+                    .catalog
+                    .write()
+                    .drop_table(&name.dotted(), *if_exists)?;
+                Ok(QueryResult::dml(0))
+            }
+            _ => self.run_dml(stmt, &mut stats),
+        });
+        if !stats.is_empty() {
+            self.inner.plan_totals.lock().merge(&stats);
+        }
+        let observer = self.inner.exec_observer.lock().clone();
+        if let Some(observer) = observer {
+            observer(start.elapsed(), result.is_ok(), &stats);
+        }
+        result
     }
 
     /// Execute a non-DDL statement: resolve the tables it touches, lock
     /// exactly those (write locks for mutation targets, read locks for
-    /// sources, acquired in sorted-name order to stay deadlock-free), run
-    /// the executor, and record its access-path counters.
-    fn run_dml(&self, stmt: &Stmt) -> Result<QueryResult, CdwError> {
+    /// sources, acquired in sorted-name order to stay deadlock-free), and
+    /// run the executor, leaving its access-path counters in `stats`.
+    fn run_dml(&self, stmt: &Stmt, stats: &mut PlanStats) -> Result<QueryResult, CdwError> {
         let specs = stmt_tables(stmt);
         let lock_obs = self.inner.lock_observer.lock().clone();
         // Clone the per-table lock handles out while holding only the
@@ -275,9 +245,7 @@ impl Cdw {
             stats: Cell::new(PlanStats::default()),
         };
         let result = execute(&mut ctx, stmt);
-        let stats = ctx.stats.get();
-        drop(ctx);
-        self.record_plan(&stats);
+        *stats = ctx.stats.get();
         result
     }
 
@@ -333,22 +301,7 @@ impl Cdw {
         crate::exec::explain(&ctx, stmt)
     }
 
-    /// Create a named ordered secondary index on `table` over `columns`.
-    /// The index is built from current rows and maintained through every
-    /// subsequent mutation.
-    pub fn create_index(
-        &self,
-        table: &str,
-        name: &str,
-        columns: &[String],
-        unique: bool,
-    ) -> Result<(), CdwError> {
-        let handle = self.inner.catalog.read().handle(table)?;
-        let mut t = handle.write();
-        t.create_index(name, columns, unique)
-    }
-
-    /// Exhaustively check every index of every table against its rows.
+    /// Exhaustively check every table's key index against its rows.
     /// Test-harness hook for the differential suite.
     pub fn validate_indexes(&self) -> Result<(), String> {
         let catalog = self.inner.catalog.read();
@@ -386,9 +339,12 @@ impl Cdw {
     pub fn table_unique_columns(&self, table: &str) -> Result<Option<Vec<String>>, CdwError> {
         let handle = self.inner.catalog.read().handle(table)?;
         let t = handle.read();
-        Ok(t.unique_columns
-            .as_ref()
-            .map(|idxs| idxs.iter().map(|&i| t.columns[i].name.clone()).collect()))
+        Ok(t.pk.as_ref().map(|pk| {
+            pk.columns
+                .iter()
+                .map(|&i| t.columns[i].name.clone())
+                .collect()
+        }))
     }
 }
 
@@ -534,7 +490,7 @@ mod tests {
         let statements = Arc::new(AtomicU64::new(0));
         let failures = Arc::new(AtomicU64::new(0));
         let (s, f) = (statements.clone(), failures.clone());
-        cdw.set_exec_observer(Some(Arc::new(move |_elapsed, ok| {
+        cdw.set_exec_observer(Some(Arc::new(move |_elapsed, ok, _stats| {
             s.fetch_add(1, Ordering::Relaxed);
             if !ok {
                 f.fetch_add(1, Ordering::Relaxed);
@@ -990,6 +946,24 @@ mod tests {
         // No partial effects.
         let r = cdw.execute("SELECT A FROM T ORDER BY A").unwrap();
         assert_eq!(r.rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
+    }
+
+    #[test]
+    fn only_an_update_of_a_key_column_rekeys_the_pk() {
+        let cdw = setup();
+        cdw.execute(
+            "INSERT INTO PROD.CUSTOMER VALUES ('1', 'a', NULL), ('2', 'b', NULL), ('3', 'c', NULL)",
+        )
+        .unwrap();
+        let maintains = || cdw.plan_stats().index_maintains;
+        let before = maintains();
+        cdw.execute("UPDATE PROD.CUSTOMER SET CUST_NAME = 'z' WHERE CUST_ID = '1'")
+            .unwrap();
+        assert_eq!(maintains() - before, 0, "a non-key column keeps the PK");
+        cdw.execute("UPDATE PROD.CUSTOMER SET CUST_ID = '9' WHERE CUST_ID = '1'")
+            .unwrap();
+        assert_eq!(maintains() - before, 3, "a key column re-keys every row");
+        cdw.validate_indexes().unwrap();
     }
 
     #[test]

@@ -342,16 +342,15 @@ fn append_unique_checked(
     conflict: &str,
     stats: &mut PlanStats,
 ) -> Result<u64, CdwError> {
-    if native_unique && table.unique_columns.is_some() {
+    if let Some(pk) = table.pk.as_ref().filter(|_| native_unique) {
         // O(log n) probes against the always-maintained PK ordered index
         // (plus an O(1) intra-batch hash probe) — the statement path is no
         // longer a scan per row.
-        let pk = table.pk().expect("unique constraint has a PK index");
         stats.index_seeks += 1;
         let mut batch_keys: HashMap<RowKey, ()> = HashMap::with_capacity(staged.len());
         for row in &staged {
-            let key = table.unique_key(row).expect("unique declared");
-            if pk.contains_key(&key.0) || batch_keys.insert(key, ()).is_some() {
+            let key = pk.key_of(row);
+            if pk.contains_key(&key) || batch_keys.insert(RowKey(key), ()).is_some() {
                 return Err(CdwError::abort(
                     Cause::Uniqueness,
                     format!("{conflict} violates unique constraint on {}", table.name),
@@ -361,7 +360,6 @@ fn append_unique_checked(
     }
     let n = staged.len() as u64;
     stats.index_maintains += table.append_rows(staged) as u64;
-    table.maybe_refresh_stats();
     Ok(n)
 }
 
@@ -402,10 +400,7 @@ fn exec_update(ctx: &mut ExecCtx<'_>, u: &Update) -> Result<QueryResult, CdwErro
         }
         Access::Seek(p) => {
             ctx.stats.get_mut().index_seeks += 1;
-            let ix = &table.indexes[p.index];
-            let mut rowids = ix.seek(&p.prefix, p.lo.as_ref(), p.hi.as_ref());
-            rowids.sort_unstable();
-            (Box::new(rowids.into_iter()), !p.consumed)
+            (Box::new(p.seek(table).into_iter()), !p.consumed)
         }
     };
     let filter = u.selection.as_ref().filter(|_| residual);
@@ -433,40 +428,42 @@ fn exec_update(ctx: &mut ExecCtx<'_>, u: &Update) -> Result<QueryResult, CdwErro
     // Phase 2: uniqueness re-validation under native enforcement, using
     // each row's *effective* key (assigned values where present, stored
     // values elsewhere).
-    if ctx.native_unique {
-        if let Some(unique_cols) = &table.unique_columns {
-            let updated: HashMap<usize, &Vec<Value>> =
-                updates.iter().map(|(i, vals)| (*i, vals)).collect();
-            let mut keys: HashMap<RowKey, ()> = HashMap::new();
-            for (i, row) in table.rows.iter().enumerate() {
-                let key = match updated.get(&i) {
-                    Some(vals) => RowKey(
-                        unique_cols
-                            .iter()
-                            .map(
-                                |&uc| match assignment_idx.iter().rposition(|&ci| ci == uc) {
-                                    Some(p) => vals[p].clone(),
-                                    None => row[uc].clone(),
-                                },
-                            )
-                            .collect(),
-                    ),
-                    None => table.unique_key(row).expect("unique declared"),
-                };
-                if keys.insert(key, ()).is_some() {
-                    return Err(CdwError::abort(
-                        Cause::Uniqueness,
-                        format!("UPDATE would violate unique constraint on {}", table.name),
-                    ));
-                }
+    if let Some(pk) = table.pk.as_ref().filter(|_| ctx.native_unique) {
+        let updated: HashMap<usize, &Vec<Value>> =
+            updates.iter().map(|(i, vals)| (*i, vals)).collect();
+        let mut keys: HashMap<RowKey, ()> = HashMap::new();
+        for (i, row) in table.rows.iter().enumerate() {
+            let key = match updated.get(&i) {
+                Some(vals) => pk
+                    .columns
+                    .iter()
+                    .map(
+                        |&uc| match assignment_idx.iter().rposition(|&ci| ci == uc) {
+                            Some(p) => vals[p].clone(),
+                            None => row[uc].clone(),
+                        },
+                    )
+                    .collect(),
+                None => pk.key_of(row),
+            };
+            if keys.insert(RowKey(key), ()).is_some() {
+                return Err(CdwError::abort(
+                    Cause::Uniqueness,
+                    format!("UPDATE would violate unique constraint on {}", table.name),
+                ));
             }
         }
     }
 
-    // Phase 3: apply in place — only the assigned cells change. Indexes
-    // covering an assigned column are re-keyed (rowids are stable).
+    // Phase 3: apply in place — only the assigned cells change. The key
+    // index is re-keyed only when a key column was assigned (rowids are
+    // stable).
     let n = updates.len() as u64;
-    let changed = !updates.is_empty();
+    let rekey = !updates.is_empty()
+        && table
+            .pk
+            .as_ref()
+            .is_some_and(|pk| pk.columns.iter().any(|c| assignment_idx.contains(c)));
     let stats = ctx.stats.get_mut();
     let table = ctx.tables.get_mut(&u.table.dotted())?;
     for (i, vals) in updates {
@@ -474,9 +471,8 @@ fn exec_update(ctx: &mut ExecCtx<'_>, u: &Update) -> Result<QueryResult, CdwErro
             table.rows[i][ci] = v;
         }
     }
-    if changed {
-        stats.index_maintains += table.rebuild_indexes_touching(&assignment_idx) as u64;
-        table.maybe_refresh_stats();
+    if rekey {
+        stats.index_maintains += table.rebuild_pk() as u64;
     }
     Ok(QueryResult::dml(n))
 }
@@ -499,9 +495,7 @@ fn exec_delete(ctx: &mut ExecCtx<'_>, d: &Delete) -> Result<QueryResult, CdwErro
         }
         Access::Seek(p) => {
             ctx.stats.get_mut().index_seeks += 1;
-            let ix = &table.indexes[p.index];
-            let rowids = ix.seek(&p.prefix, p.lo.as_ref(), p.hi.as_ref());
-            (Box::new(rowids.into_iter()), !p.consumed)
+            (Box::new(p.seek(table).into_iter()), !p.consumed)
         }
     };
     let filter = d.selection.as_ref().filter(|_| residual);
@@ -518,7 +512,7 @@ fn exec_delete(ctx: &mut ExecCtx<'_>, d: &Delete) -> Result<QueryResult, CdwErro
         }
     }
     // Phase 2: compact in place — survivors shift down, nothing is cloned.
-    // Deletion shifts rowids, so every index is re-keyed.
+    // Deletion shifts rowids, so the key index is re-keyed.
     let stats = ctx.stats.get_mut();
     let table = ctx.tables.get_mut(&d.table.dotted())?;
     let mut idx = 0;
@@ -528,8 +522,7 @@ fn exec_delete(ctx: &mut ExecCtx<'_>, d: &Delete) -> Result<QueryResult, CdwErro
         keep
     });
     if removed > 0 {
-        stats.index_maintains += table.rebuild_all_indexes() as u64;
-        table.maybe_refresh_stats();
+        stats.index_maintains += table.rebuild_pk() as u64;
     }
     Ok(QueryResult::dml(removed))
 }
@@ -637,7 +630,7 @@ fn exec_select(ctx: &ExecCtx<'_>, sel: &SelectStmt) -> Result<QueryResult, CdwEr
 /// Position of `table`'s primary key when it is a single integer column:
 /// the key a projection abort names its failing row by.
 fn integer_key(table: &Table) -> Option<usize> {
-    match table.unique_columns.as_deref() {
+    match table.pk.as_ref().map(|pk| &pk.columns[..]) {
         Some(&[c]) => matches!(
             table.columns[c].ty,
             SqlType::ByteInt | SqlType::SmallInt | SqlType::Integer | SqlType::BigInt
@@ -718,14 +711,9 @@ fn single_table_select<'t>(
 /// The rows a seek selects, borrowed in rowid order so results are
 /// byte-identical to a scan.
 fn seek_rows<'t>(table: &'t Table, p: &SeekPlan) -> Vec<Row<'t>> {
-    let mut rowids = table.indexes[p.index].seek(&p.prefix, p.lo.as_ref(), p.hi.as_ref());
-    if rowids.len() == table.rows.len() {
-        return all_rows(table);
-    }
-    rowids.sort_unstable();
-    rowids
-        .iter()
-        .map(|&i| Cow::Borrowed(&table.rows[i][..]))
+    p.seek(table)
+        .into_iter()
+        .map(|i| Cow::Borrowed(&table.rows[i][..]))
         .collect()
 }
 
@@ -923,7 +911,7 @@ fn try_index_join<'t>(
         ctx.count(|s| s.index_seeks += 1);
         return Ok(Some(Relation { bindings, rows }));
     }
-    let ix = &rtable.indexes[plan.index];
+    let pk = rtable.pk.as_ref().expect("a join is only planned on a key");
     // Keys resolve against the combined bindings — so name resolution,
     // ambiguity included, matches the nested loop — and the planner
     // admitted only keys whose every column lies on the left, so they
@@ -949,7 +937,7 @@ fn try_index_join<'t>(
         }
         let mut matched = false;
         if !null_probe {
-            let mut rowids = ix.seek_eq(&probes);
+            let mut rowids = pk.seek_eq(&probes);
             rowids.sort_unstable();
             for rid in rowids {
                 matched = true;
@@ -1057,9 +1045,8 @@ fn explain_from(
                         let mut resolve = |n: &ObjectName| resolve_column(&bindings, n).ok();
                         let plan = plan_equi_join(rtable, on, lb.len(), &mut resolve)?;
                         Some(format!(
-                            "index_lookup_join table={} index={} keys={}",
+                            "index_lookup_join table={} index=PK keys={}",
                             rtable.name,
-                            rtable.indexes[plan.index].name,
                             plan.keys.len()
                         ))
                     })

@@ -1,4 +1,4 @@
-//! Ordered secondary indexes.
+//! The ordered index each table keeps on its declared key.
 //!
 //! A B+tree-style multi-map from a tuple of column values to the row ids
 //! holding that tuple, ordered by [`cmp_rows`]. Because `cmp_rows`
@@ -7,10 +7,9 @@
 //! multi-column prefix seeks (`eq` on the first k columns, optionally a
 //! range on column k+1) a single ordered-range walk.
 //!
-//! Indexes are structural only: even a `unique` index stores duplicate
-//! keys faithfully, because with native uniqueness enforcement off (the
-//! CDW default the paper is built around) duplicate keys legitimately
-//! land in the table. Enforcement lives in the executor.
+//! The index is structural only: it stores duplicate keys faithfully,
+//! because with native uniqueness enforcement off (the CDW default the
+//! paper is built around) duplicate keys legitimately land in the table. Enforcement lives in the executor.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -52,23 +51,17 @@ pub struct SeekBound {
 /// An ordered (B+tree-style) index over a table's columns.
 #[derive(Debug, Clone)]
 pub struct OrderedIndex {
-    /// Index name (unique within its table).
-    pub name: String,
     /// Indexed column positions, in key order.
     pub columns: Vec<usize>,
-    /// Declared unique (planner metadata; not structurally enforced).
-    pub unique: bool,
     map: BTreeMap<IndexKey, Vec<usize>>,
     entries: usize,
 }
 
 impl OrderedIndex {
     /// New empty index over `columns`.
-    pub fn new(name: impl Into<String>, columns: Vec<usize>, unique: bool) -> OrderedIndex {
+    pub fn new(columns: Vec<usize>) -> OrderedIndex {
         OrderedIndex {
-            name: name.into(),
             columns,
-            unique,
             map: BTreeMap::new(),
             entries: 0,
         }
@@ -231,7 +224,7 @@ mod tests {
     }
 
     fn built() -> OrderedIndex {
-        let mut ix = OrderedIndex::new("IX", vec![0, 1], false);
+        let mut ix = OrderedIndex::new(vec![0, 1]);
         ix.rebuild(&rows());
         ix
     }
@@ -283,7 +276,7 @@ mod tests {
 
     #[test]
     fn range_on_first_column_with_empty_prefix() {
-        let mut ix = OrderedIndex::new("PK", vec![1], true);
+        let mut ix = OrderedIndex::new(vec![1]);
         ix.rebuild(&rows());
         let lo = SeekBound {
             value: Value::Int(7),
@@ -300,8 +293,8 @@ mod tests {
 
     #[test]
     fn incremental_insert_matches_rebuild() {
-        let mut a = OrderedIndex::new("IX", vec![0], false);
-        let mut b = OrderedIndex::new("IX", vec![0], false);
+        let mut a = OrderedIndex::new(vec![0]);
+        let mut b = OrderedIndex::new(vec![0]);
         let rs = rows();
         for (i, r) in rs.iter().enumerate() {
             a.insert_row(r, i);

@@ -1,5 +1,5 @@
 //! Hashable/orderable wrappers for [`Value`] so rows can key hash maps
-//! (uniqueness indexes, GROUP BY) and sort (ORDER BY).
+//! (uniqueness checks, GROUP BY) and sort (ORDER BY).
 
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
@@ -20,18 +20,6 @@ impl Hash for RowKey {
         for v in &self.0 {
             hash_value(v, state);
         }
-    }
-}
-
-/// A borrowed value hashed and compared as a one-column [`RowKey`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ValueKey<'a>(pub &'a Value);
-
-impl Eq for ValueKey<'_> {}
-
-impl Hash for ValueKey<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        hash_value(self.0, state);
     }
 }
 

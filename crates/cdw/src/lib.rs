@@ -24,6 +24,12 @@
 //! 4. **Tunable per-statement latency**, modelling the network round trip
 //!    between the virtualizer node and the warehouse; this is what makes
 //!    singleton-insert loading (the Figure 11 baseline) expensive.
+//! 5. **One index per table, on its key.** Like the warehouses it stands
+//!    in for, the engine offers no user-defined indexes. A declared
+//!    UNIQUE / PRIMARY KEY is kept as one ordered index — maintained
+//!    whether or not uniqueness is enforced — which the uniqueness probe
+//!    and the staging `__SEQ` range seeks read. The planner seeks it by
+//!    rule, with no statistics or cost model.
 //!
 //! SQL comes in as text in the CDW dialect, parsed by [`etlv_sql`].
 
@@ -38,10 +44,8 @@ pub mod plan;
 pub mod staged;
 
 pub use catalog::{Catalog, Column, Table};
-pub use engine::{
-    Cdw, CdwConfig, ExecObserver, LockObserver, PlanObserver, QueryResult, TransientFaultHook,
-};
+pub use engine::{Cdw, CdwConfig, ExecObserver, LockObserver, QueryResult, TransientFaultHook};
 pub use error::CdwError;
 pub use index::{IndexKey, OrderedIndex, SeekBound};
 pub use key::RowKey;
-pub use plan::{PlanStats, TableStats};
+pub use plan::PlanStats;

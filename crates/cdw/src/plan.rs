@@ -1,10 +1,13 @@
 //! The access-path planner.
 //!
 //! Turns equality/range predicates over a single table — and equi-join ON
-//! clauses — into ordered-index seeks. Decisions are cost-guided by
-//! per-table statistics (exact row count, sampled per-column distinct
-//! estimates) and are shared verbatim by execution and the EXPLAIN
-//! surface, so a plan a test asserts on is the plan that runs.
+//! clauses — into seeks of the table's one ordered index, the one on its
+//! declared key. It plans by rule, with no statistics: seek when the
+//! WHERE pins a prefix of the key or bounds the key column after that
+//! prefix, otherwise scan; probe the key in a join when the ON columns
+//! are exactly a key prefix, otherwise nested-loop. Decisions are shared
+//! verbatim by execution and the EXPLAIN surface, so a plan a test
+//! asserts on is the plan that runs.
 //!
 //! Correctness discipline: a seek is only chosen when it provably returns
 //! the same rows the scalar evaluator would select. Probe values are
@@ -22,7 +25,7 @@ use etlv_sql::SqlType;
 use crate::catalog::Table;
 use crate::eval::{literal_value, numeric_value_of_str, parse_iso_date};
 use crate::index::SeekBound;
-use crate::key::{cmp_values, ValueKey};
+use crate::key::cmp_values;
 
 /// Planner decision counters for one statement (or accumulated totals).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,59 +49,6 @@ impl PlanStats {
     /// Whether nothing was counted.
     pub fn is_empty(&self) -> bool {
         *self == PlanStats::default()
-    }
-}
-
-/// Per-table statistics backing the cost model. The row count is always
-/// read exactly from storage; distinct estimates come from the last
-/// refresh, which mutating statements trigger once drift exceeds ~25%.
-#[derive(Debug, Clone, Default)]
-pub struct TableStats {
-    /// Row count at the last refresh.
-    pub sampled_len: usize,
-    /// Per-column distinct-value estimates (scaled from the sample).
-    pub distinct: Vec<u64>,
-}
-
-/// Rows examined per refresh — estimates, not an exact profile.
-const SAMPLE_CAP: usize = 4096;
-
-impl TableStats {
-    /// Whether the stored estimates have drifted too far from `len` rows.
-    pub fn stale(&self, len: usize) -> bool {
-        let drift = len.abs_diff(self.sampled_len);
-        drift * 4 > self.sampled_len.max(16)
-    }
-
-    /// Recompute distinct estimates from (a sample of) `rows`.
-    pub fn refresh(&mut self, rows: &[Vec<Value>], ncols: usize) {
-        use std::collections::HashSet;
-        let stride = (rows.len() / SAMPLE_CAP).max(1);
-        let mut sets: Vec<HashSet<ValueKey>> = vec![HashSet::new(); ncols];
-        let mut sampled = 0usize;
-        for row in rows.iter().step_by(stride) {
-            sampled += 1;
-            for (c, set) in sets.iter_mut().enumerate() {
-                set.insert(ValueKey(&row[c]));
-            }
-        }
-        self.sampled_len = rows.len();
-        self.distinct = sets
-            .into_iter()
-            .map(|s| {
-                if sampled == 0 {
-                    return 1;
-                }
-                // Crude scale-up, clamped to [observed, total rows].
-                let scaled = (s.len() as u64).saturating_mul(rows.len() as u64) / sampled as u64;
-                scaled.clamp(s.len() as u64, rows.len() as u64).max(1)
-            })
-            .collect();
-    }
-
-    /// Distinct estimate for column `col` (≥ 1).
-    pub fn distinct_of(&self, col: usize) -> u64 {
-        self.distinct.get(col).copied().unwrap_or(1).max(1)
     }
 }
 
@@ -246,11 +196,9 @@ fn conjunct_atoms(
 
 // ------------------------------------------------------------- access path
 
-/// A chosen index seek.
+/// A chosen seek of the table's key index.
 #[derive(Debug, Clone)]
 pub struct SeekPlan {
-    /// Position of the index in `table.indexes`.
-    pub index: usize,
     /// Normalized equality-prefix probe values.
     pub prefix: Vec<Value>,
     /// Lower bound on the column after the prefix.
@@ -260,8 +208,22 @@ pub struct SeekPlan {
     /// Whether the seek consumes the entire WHERE clause (no residual
     /// re-evaluation needed).
     pub consumed: bool,
-    /// Cost-model row estimate.
-    pub est_rows: u64,
+}
+
+impl SeekPlan {
+    /// The rowids this seek selects from `table`, in rowid order so
+    /// results are identical to a scan's.
+    pub fn seek(&self, table: &Table) -> Vec<usize> {
+        let pk = table.pk.as_ref().expect("a seek is only planned on a key");
+        let mut rowids = pk.seek(&self.prefix, self.lo.as_ref(), self.hi.as_ref());
+        if rowids.len() == table.rows.len() {
+            // A seek that covered the table selected every rowid: no sort.
+            rowids.iter_mut().enumerate().for_each(|(i, r)| *r = i);
+        } else {
+            rowids.sort_unstable();
+        }
+        rowids
+    }
 }
 
 /// How a single-table access executes.
@@ -283,21 +245,19 @@ impl Access {
             Access::Scan => format!("full_scan table={} rows={}", table.name, table.rows.len()),
             Access::Empty => format!("const_empty table={} (NULL probe)", table.name),
             Access::Seek(p) => {
-                let ix = &table.indexes[p.index];
-                let cols: Vec<&str> = ix
+                let pk = table.pk.as_ref().expect("a seek is only planned on a key");
+                let cols: Vec<&str> = pk
                     .columns
                     .iter()
                     .map(|&c| table.columns[c].name.as_str())
                     .collect();
                 format!(
-                    "index_seek table={} index={} cols=({}) eq_prefix={} range={} residual={} est_rows={}",
+                    "index_seek table={} index=PK cols=({}) eq_prefix={} range={} residual={}",
                     table.name,
-                    ix.name,
                     cols.join(","),
                     p.prefix.len(),
                     p.lo.is_some() || p.hi.is_some(),
                     !p.consumed,
-                    p.est_rows,
                 )
             }
         }
@@ -362,148 +322,117 @@ pub fn choose_access(
         return Access::Scan;
     }
 
-    let rows = table.rows.len() as u64;
-    let mut best: Option<(usize, SeekPlan)> = None; // (score, plan)
-    for (ix_pos, ix) in table.indexes.iter().enumerate() {
-        // Greedy equality prefix.
-        let mut prefix: Vec<Value> = Vec::new();
-        let mut used: Vec<usize> = Vec::new(); // atom positions consumed
-        for &col in &ix.columns {
-            let Some(apos) = atoms
-                .iter()
-                .position(|a| a.usable && a.col == col && a.op == AtomOp::Eq)
-            else {
-                break;
+    let Some(pk) = &table.pk else {
+        return Access::Scan;
+    };
+
+    // Greedy equality prefix.
+    let mut prefix: Vec<Value> = Vec::new();
+    let mut used: Vec<usize> = Vec::new(); // atom positions consumed
+    for &col in &pk.columns {
+        let Some(apos) = atoms
+            .iter()
+            .position(|a| a.usable && a.col == col && a.op == AtomOp::Eq)
+        else {
+            break;
+        };
+        prefix.push(atoms[apos].value.clone());
+        used.push(apos);
+    }
+    // Range bounds on the next key column.
+    let (mut lo, mut hi): (Option<SeekBound>, Option<SeekBound>) = (None, None);
+    if let Some(&range_col) = pk.columns.get(prefix.len()) {
+        for (apos, a) in atoms.iter().enumerate() {
+            if !a.usable || a.col != range_col {
+                continue;
+            }
+            let bound = |inclusive| SeekBound {
+                value: a.value.clone(),
+                inclusive,
             };
-            prefix.push(atoms[apos].value.clone());
-            used.push(apos);
-        }
-        // Range bounds on the next key column.
-        let (mut lo, mut hi): (Option<SeekBound>, Option<SeekBound>) = (None, None);
-        if let Some(&range_col) = ix.columns.get(prefix.len()) {
-            for (apos, a) in atoms.iter().enumerate() {
-                if !a.usable || a.col != range_col {
-                    continue;
-                }
-                let bound = |inclusive| SeekBound {
-                    value: a.value.clone(),
-                    inclusive,
-                };
-                match a.op {
-                    AtomOp::Gt | AtomOp::GtEq => {
-                        let b = bound(a.op == AtomOp::GtEq);
-                        let tighter = match &lo {
-                            None => true,
-                            Some(cur) => match cmp_values(&b.value, &cur.value) {
-                                std::cmp::Ordering::Greater => true,
-                                std::cmp::Ordering::Equal => !b.inclusive && cur.inclusive,
-                                std::cmp::Ordering::Less => false,
-                            },
-                        };
-                        if tighter {
-                            lo = Some(b);
-                        }
-                        used.push(apos);
+            match a.op {
+                AtomOp::Gt | AtomOp::GtEq => {
+                    let b = bound(a.op == AtomOp::GtEq);
+                    let tighter = match &lo {
+                        None => true,
+                        Some(cur) => match cmp_values(&b.value, &cur.value) {
+                            std::cmp::Ordering::Greater => true,
+                            std::cmp::Ordering::Equal => !b.inclusive && cur.inclusive,
+                            std::cmp::Ordering::Less => false,
+                        },
+                    };
+                    if tighter {
+                        lo = Some(b);
                     }
-                    AtomOp::Lt | AtomOp::LtEq => {
-                        let b = bound(a.op == AtomOp::LtEq);
-                        let tighter = match &hi {
-                            None => true,
-                            Some(cur) => match cmp_values(&b.value, &cur.value) {
-                                std::cmp::Ordering::Less => true,
-                                std::cmp::Ordering::Equal => !b.inclusive && cur.inclusive,
-                                std::cmp::Ordering::Greater => false,
-                            },
-                        };
-                        if tighter {
-                            hi = Some(b);
-                        }
-                        used.push(apos);
-                    }
-                    AtomOp::Eq => {}
+                    used.push(apos);
                 }
+                AtomOp::Lt | AtomOp::LtEq => {
+                    let b = bound(a.op == AtomOp::LtEq);
+                    let tighter = match &hi {
+                        None => true,
+                        Some(cur) => match cmp_values(&b.value, &cur.value) {
+                            std::cmp::Ordering::Less => true,
+                            std::cmp::Ordering::Equal => !b.inclusive && cur.inclusive,
+                            std::cmp::Ordering::Greater => false,
+                        },
+                    };
+                    if tighter {
+                        hi = Some(b);
+                    }
+                    used.push(apos);
+                }
+                AtomOp::Eq => {}
             }
         }
-        let ranged = lo.is_some() || hi.is_some();
-        let score = prefix.len() * 2 + usize::from(ranged);
-        if score == 0 {
-            continue;
-        }
+    }
+    // The rule: neither a pinned prefix nor a bound on the next key
+    // column means there is nothing to seek on.
+    if prefix.is_empty() && lo.is_none() && hi.is_none() {
+        return Access::Scan;
+    }
 
-        // Cost model: selectivity from distinct estimates; a full-width
-        // unique prefix pins the estimate to one row.
-        let mut est = rows.max(1);
-        for (k, _) in prefix.iter().enumerate() {
-            est = (est / table.stats.distinct_of(ix.columns[k])).max(1);
-        }
-        if ranged {
-            est = (est / 3).max(1);
-        }
-        if ix.unique && prefix.len() == ix.columns.len() {
-            est = 1;
-        }
-
-        // Consumed: every conjunct's atoms were folded into this seek.
-        let consumed = (0..conjuncts.len()).all(|ci| {
-            sargable[ci]
-                && atoms
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| a.conjunct == ci)
-                    .all(|(apos, a)| {
-                        if used.contains(&apos) {
-                            // Eq atoms must agree with the prefix value
-                            // actually probed (duplicate `A=1 AND A=2`
-                            // keeps the second as residual).
-                            if a.op == AtomOp::Eq {
-                                let k = ix.columns.iter().position(|&c| c == a.col);
-                                return k.is_some_and(|k| {
-                                    k < prefix.len()
-                                        && cmp_values(&a.value, &prefix[k])
-                                            == std::cmp::Ordering::Equal
-                                });
-                            }
-                            true
-                        } else {
-                            false
+    // Consumed: every conjunct's atoms were folded into this seek.
+    let consumed = (0..conjuncts.len()).all(|ci| {
+        sargable[ci]
+            && atoms
+                .iter()
+                .enumerate()
+                .filter(|(_, a)| a.conjunct == ci)
+                .all(|(apos, a)| {
+                    if used.contains(&apos) {
+                        // Eq atoms must agree with the prefix value
+                        // actually probed (duplicate `A=1 AND A=2`
+                        // keeps the second as residual).
+                        if a.op == AtomOp::Eq {
+                            let k = pk.columns.iter().position(|&c| c == a.col);
+                            return k.is_some_and(|k| {
+                                k < prefix.len()
+                                    && cmp_values(&a.value, &prefix[k]) == std::cmp::Ordering::Equal
+                            });
                         }
-                    })
-        });
+                        true
+                    } else {
+                        false
+                    }
+                })
+    });
 
-        let plan = SeekPlan {
-            index: ix_pos,
-            prefix,
-            lo,
-            hi,
-            consumed,
-            est_rows: est,
-        };
-        let better = match &best {
-            None => true,
-            Some((bscore, bplan)) => {
-                score > *bscore || (score == *bscore && plan.est_rows < bplan.est_rows)
-            }
-        };
-        if better {
-            best = Some((score, plan));
-        }
-    }
-    match best {
-        Some((_, plan)) => Access::Seek(plan),
-        None => Access::Scan,
-    }
+    Access::Seek(SeekPlan {
+        prefix,
+        lo,
+        hi,
+        consumed,
+    })
 }
 
 // -------------------------------------------------------------- equi-joins
 
-/// A planned index-lookup join: probe the right table's ordered index with
+/// A planned index-lookup join: probe the right table's key index with
 /// key expressions evaluated per left row.
 #[derive(Debug, Clone)]
 pub struct JoinPlan {
-    /// Position of the probed index in the right table's `indexes`.
-    pub index: usize,
     /// `(left-side key expression, right column)` pairs, ordered to match
-    /// the index key prefix.
+    /// the key prefix.
     pub keys: Vec<(Expr, usize)>,
 }
 
@@ -526,9 +455,9 @@ fn refs_only_left(
     ok
 }
 
-/// Plan an equi-join against `right`'s indexes. Strict by design: every ON
-/// conjunct must be `left-expr = right-column` (either orientation) and
-/// the probed columns must exactly form a prefix of one index — anything
+/// Plan an equi-join against `right`'s key index. Strict by design: every
+/// ON conjunct must be `left-expr = right-column` (either orientation) and
+/// the probed columns must exactly form a prefix of the key — anything
 /// else nested-loops, so evaluation-order semantics never change.
 /// `resolve` works over the combined (left + right) bindings; right-table
 /// columns map to `left_len + column_position`.
@@ -575,28 +504,20 @@ pub fn plan_equi_join(
     if pairs.is_empty() {
         return None;
     }
-    // The probed column set must be exactly a prefix of some index.
-    for (ix_pos, ix) in right.indexes.iter().enumerate() {
-        if ix.columns.len() < pairs.len() {
-            continue;
-        }
-        let prefix = &ix.columns[..pairs.len()];
-        let covers = prefix.iter().all(|c| pairs.iter().any(|(rc, _)| rc == c))
-            && pairs.iter().all(|(rc, _)| prefix.contains(rc));
-        if !covers {
-            continue;
-        }
-        let keys = prefix
-            .iter()
-            .map(|c| {
-                let (_, e) = pairs.iter().find(|(rc, _)| rc == c).expect("covered");
-                (e.clone(), *c)
-            })
-            .collect();
-        return Some(JoinPlan {
-            index: ix_pos,
-            keys,
-        });
+    // The probed column set must be exactly a prefix of the key.
+    let pk = right.pk.as_ref()?;
+    let prefix = pk.columns.get(..pairs.len())?;
+    let covers = prefix.iter().all(|c| pairs.iter().any(|(rc, _)| rc == c))
+        && pairs.iter().all(|(rc, _)| prefix.contains(rc));
+    if !covers {
+        return None;
     }
-    None
+    let keys = prefix
+        .iter()
+        .map(|c| {
+            let (_, e) = pairs.iter().find(|(rc, _)| rc == c).expect("covered");
+            (e.clone(), *c)
+        })
+        .collect();
+    Some(JoinPlan { keys })
 }

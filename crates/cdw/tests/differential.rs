@@ -49,18 +49,17 @@ fn setup(planner: bool, native_unique: bool) -> Cdw {
         "CREATE TABLE T1 (A INTEGER, B INTEGER, C VARCHAR(10), PRIMARY KEY (A));
          CREATE TABLE T2 (K INTEGER, V VARCHAR(10), PRIMARY KEY (K));
          CREATE TABLE T3 (J INTEGER, V VARCHAR(10), PRIMARY KEY (J));
+         CREATE TABLE T4 (A INTEGER, B INTEGER, V VARCHAR(10), PRIMARY KEY (A, B));
          INSERT INTO T3 VALUES (1, 'c1'), (2, 'c2'), (3, 'c1'), (50, 'u9');",
     )
     .unwrap();
-    cdw.create_index("T1", "IX_B", &["B".into()], false)
-        .unwrap();
     cdw
 }
 
 /// One random statement. Key domains are deliberately small so inserts
 /// collide (exercising uniqueness paths) and predicates actually match.
 fn gen_stmt(rng: &mut Rng) -> String {
-    match rng.below(11) {
+    match rng.below(12) {
         0..=2 => {
             // Multi-row INSERT into T1.
             let n = 1 + rng.below(3);
@@ -163,6 +162,50 @@ fn gen_stmt(rng: &mut Rng) -> String {
                 200 + rng.below(200)
             ),
         },
+        // T4's composite key: prefix seeks, re-keying updates, and a
+        // lookup join on the key's first column.
+        10 => match rng.below(8) {
+            0 | 1 => {
+                let n = 1 + rng.below(3);
+                let rows: Vec<String> = (0..n)
+                    .map(|_| {
+                        format!(
+                            "({}, {}, 'w{}')",
+                            rng.below(8),
+                            rng.below(12),
+                            rng.below(5)
+                        )
+                    })
+                    .collect();
+                format!("INSERT INTO T4 VALUES {}", rows.join(", "))
+            }
+            2 => format!(
+                "SELECT A, B, V FROM T4 WHERE A = {} AND B > {} AND B <= {} ORDER BY A, B, V",
+                rng.below(8),
+                rng.below(6),
+                6 + rng.below(6)
+            ),
+            // No key prefix: a scan.
+            3 => format!(
+                "SELECT A, B, V FROM T4 WHERE B = {} ORDER BY A, B, V",
+                rng.below(12)
+            ),
+            4 => format!("UPDATE T4 SET B = B + 1 WHERE A = {}", rng.below(8)),
+            5 => format!(
+                "UPDATE T4 SET V = 'u{}' WHERE A = {} AND B = {}",
+                rng.below(5),
+                rng.below(8),
+                rng.below(12)
+            ),
+            6 => format!(
+                "DELETE FROM T4 WHERE A = {} AND B < {}",
+                rng.below(8),
+                rng.below(12)
+            ),
+            _ => "SELECT T2.K, T4.B, T4.V FROM T2 JOIN T4 ON T4.A = T2.K \
+                  ORDER BY T2.K, T4.B, T4.V"
+                .into(),
+        },
         _ => match rng.below(3) {
             0 => format!("SELECT COUNT(*) FROM T1 WHERE A >= {} AND A < {}", rng.below(200), 200 + rng.below(200)),
             1 => "SELECT T1.C, COUNT(*) AS N FROM T1 GROUP BY T1.C ORDER BY T1.C".into(),
@@ -211,7 +254,7 @@ fn run_stream(seed: u64, native_unique: bool, statements: usize) {
             .unwrap_or_else(|e| panic!("reference engine corrupt after stmt {i} ({sql}): {e}"));
     }
     // Final deep comparison of full table contents.
-    for table in ["T1", "T2"] {
+    for table in ["T1", "T2", "T4"] {
         let q = format!("SELECT * FROM {table}");
         let ra = indexed.execute(&q).unwrap();
         let rb = reference.execute(&q).unwrap();

@@ -48,11 +48,11 @@ pub fn apply(
 
 /// The Figure 11 baseline: fetch the staging rows once, then apply the
 /// original legacy DML one tuple at a time with values bound as literals.
-/// Each tuple costs at least one CDW round trip (plus a uniqueness check
+/// Each tuple costs at least one CDW round trip (plus one uniqueness check
 /// when emulation is active), which is exactly why the paper's bulk
 /// approach wins at low error rates. A tuple whose DML aborts is recorded
-/// by the same rule bulk application uses. A tuple the check flags is
-/// confirmed as bulk application confirms a listed row: its values are
+/// by the same rule bulk application uses. The check is the confirmation
+/// bulk application runs on a listed row: a colliding tuple's values are
 /// converted before its key counts. A check that aborts on a bad key value
 /// defers to the DML, whose abort names the tuple's first failing value.
 fn apply_singleton(
@@ -81,31 +81,22 @@ fn apply_singleton(
         };
         let seq = *seq as u64;
         let tuple = row[1..].to_vec();
-        // Emulated uniqueness check for this one tuple, then its DML.
+        // Emulated uniqueness check for this one tuple, then its DML. One
+        // statement answers the check: no collision (or a key that fails
+        // to evaluate) runs the DML, which names the failing value; a
+        // colliding tuple is a UV row, or the positioned record of the
+        // value that fails to convert first.
         let mut attempt = || {
             if let Some(emu) = emulation {
                 outcome.statements += 1;
-                let check = retry_cdw(
+                let confirmed = retry_cdw(
                     params.retry,
                     params.retry_seed ^ seq,
                     &mut outcome.transient_retries,
-                    || emu.violations_in_range(cdw, seq, seq + 1),
+                    || emu.confirm(cdw, seq),
                 );
-                match check {
-                    Ok(listed) if !listed.is_empty() => {
-                        outcome.statements += 1;
-                        let confirmed = retry_cdw(
-                            params.retry,
-                            params.retry_seed ^ seq ^ (2 << 32),
-                            &mut outcome.transient_retries,
-                            || emu.confirm(cdw, seq),
-                        );
-                        if confirmed?.is_some() {
-                            return Err(emu.violation_error());
-                        }
-                    }
-                    Err(e) if !e.is_bulk_abort() => return Err(e),
-                    _ => {}
+                if confirmed?.is_some() {
+                    return Err(emu.violation_error());
                 }
             }
             let bound = bind_placeholders(&compiled.original, |name| {

@@ -236,18 +236,15 @@ impl Virtualizer {
             cdw.set_transient_fault(Some(injector.cdw_hook()));
         }
         let cdw_obs = obs.cdw.clone();
-        cdw.set_exec_observer(Some(Arc::new(move |elapsed, ok| {
+        cdw.set_exec_observer(Some(Arc::new(move |elapsed, ok, stats| {
             cdw_obs.statements.inc();
             if !ok {
                 cdw_obs.errors.inc();
             }
             cdw_obs.exec_us.record_duration(elapsed);
-        })));
-        let plan_obs = obs.cdw.clone();
-        cdw.set_plan_observer(Some(Arc::new(move |stats| {
-            plan_obs.plan_index_seek.add(stats.index_seeks);
-            plan_obs.plan_full_scan.add(stats.full_scans);
-            plan_obs.index_maintain.add(stats.index_maintains);
+            cdw_obs.plan_index_seek.add(stats.index_seeks);
+            cdw_obs.plan_full_scan.add(stats.full_scans);
+            cdw_obs.index_maintain.add(stats.index_maintains);
         })));
         // Lock-contention attribution: every catalog/table acquisition
         // the engine reports lands in a named lock site
