@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use criterion::{BenchmarkId, Criterion, Throughput};
-use etlv_core::convert::DataConverter;
+use etlv_core::convert::{ConvertScratch, DataConverter};
 use etlv_core::credit::CreditManager;
 use etlv_protocol::data::{Date, Decimal, LegacyType as T, Value};
 use etlv_protocol::layout::Layout;
@@ -91,8 +91,15 @@ fn bench_convert(c: &mut Criterion) {
     }
     let mut group = c.benchmark_group("data_converter");
     group.throughput(Throughput::Bytes(data.len() as u64));
+    // The kernel the pipeline runs: one output buffer and one scratch,
+    // reused chunk after chunk.
+    let mut out = Vec::new();
+    let mut scratch = ConvertScratch::new();
     group.bench_function("vartext_chunk_1k_rows", |b| {
-        b.iter(|| conv.convert(1, &data).unwrap())
+        b.iter(|| {
+            out.clear();
+            conv.convert_into(1, &data, &mut out, &mut scratch).unwrap()
+        })
     });
 
     // Binary conversion does typed decoding + text rendering.
@@ -103,7 +110,12 @@ fn bench_convert(c: &mut Criterion) {
     let conv_bin = DataConverter::new(typed, RecordFormat::Binary, b'|');
     group.throughput(Throughput::Bytes(encoded.len() as u64));
     group.bench_function("binary_chunk_1k_rows", |b| {
-        b.iter(|| conv_bin.convert(1, &encoded).unwrap())
+        b.iter(|| {
+            out.clear();
+            conv_bin
+                .convert_into(1, &encoded, &mut out, &mut scratch)
+                .unwrap()
+        })
     });
     group.finish();
 }

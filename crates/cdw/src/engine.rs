@@ -264,43 +264,6 @@ impl Cdw {
         Ok(last)
     }
 
-    /// Explain the access plan for one SQL statement without executing
-    /// it: no latency, no fault injection, no observers. Returns one line
-    /// per plan node (indented by depth).
-    pub fn explain(&self, sql: &str) -> Result<Vec<String>, CdwError> {
-        let stmts = parse_statements(sql, Dialect::Cdw)?;
-        let [stmt] = stmts.as_slice() else {
-            return Err(CdwError::Unsupported(
-                "explain() takes exactly one statement".into(),
-            ));
-        };
-        self.explain_stmt(stmt)
-    }
-
-    /// Explain a pre-parsed statement. See [`Cdw::explain`].
-    pub fn explain_stmt(&self, stmt: &Stmt) -> Result<Vec<String>, CdwError> {
-        let specs = stmt_tables(stmt);
-        let handles: Vec<(String, Arc<RwLock<Table>>)> = {
-            let catalog = self.inner.catalog.read();
-            specs
-                .iter()
-                .filter_map(|(name, _)| catalog.handle_opt(name).map(|h| (name.clone(), h)))
-                .collect()
-        };
-        let mut tables = TableSet::new();
-        for (name, handle) in &handles {
-            tables.insert(name.clone(), TableGuard::Read(handle.read()));
-        }
-        let ctx = ExecCtx {
-            tables,
-            store: self.inner.store.as_ref(),
-            native_unique: self.inner.config.native_unique,
-            planner: self.inner.config.planner,
-            stats: Cell::new(PlanStats::default()),
-        };
-        crate::exec::explain(&ctx, stmt)
-    }
-
     /// Exhaustively check every table's key index against its rows.
     /// Test-harness hook for the differential suite.
     pub fn validate_indexes(&self) -> Result<(), String> {

@@ -952,128 +952,8 @@ fn try_index_join<'t>(
     Ok(Some(Relation { bindings, rows }))
 }
 
-// ------------------------------------------------------------------ EXPLAIN
-
-/// Render an EXPLAIN-style plan for `stmt` without executing it. Access
-/// decisions are computed by the same planner entry points execution uses,
-/// so the rendered plan is the plan that runs.
-pub fn explain(ctx: &ExecCtx<'_>, stmt: &Stmt) -> Result<Vec<String>, CdwError> {
-    let mut lines = Vec::new();
-    match stmt {
-        Stmt::Select(sel) => explain_select(ctx, sel, 0, &mut lines)?,
-        Stmt::Insert(ins) => {
-            lines.push(format!("insert table={}", ins.table.dotted()));
-            if let InsertSource::Select(sel) = &ins.source {
-                explain_select(ctx, sel, 1, &mut lines)?;
-            }
-        }
-        Stmt::Update(u) => {
-            lines.push(format!("update table={}", u.table.dotted()));
-            explain_filter(ctx, &u.table, u.selection.as_ref(), 1, &mut lines)?;
-        }
-        Stmt::Delete(d) => {
-            lines.push(format!("delete table={}", d.table.dotted()));
-            explain_filter(ctx, &d.table, d.selection.as_ref(), 1, &mut lines)?;
-        }
-        Stmt::Copy(c) => lines.push(format!("copy table={}", c.table.dotted())),
-        Stmt::CreateTable(_) | Stmt::DropTable { .. } => lines.push("ddl".into()),
-    }
-    Ok(lines)
-}
-
-fn indent(depth: usize) -> String {
-    "  ".repeat(depth)
-}
-
-fn explain_filter(
-    ctx: &ExecCtx<'_>,
-    name: &ObjectName,
-    selection: Option<&Expr>,
-    depth: usize,
-    lines: &mut Vec<String>,
-) -> Result<(), CdwError> {
-    let table = ctx.tables.get(&name.dotted())?;
-    let bindings = table_bindings(table, None);
-    let access = table_access(ctx.planner, table, selection, &bindings);
-    lines.push(format!("{}{}", indent(depth), access.describe(table)));
-    Ok(())
-}
-
-fn explain_select(
-    ctx: &ExecCtx<'_>,
-    sel: &SelectStmt,
-    depth: usize,
-    lines: &mut Vec<String>,
-) -> Result<(), CdwError> {
-    lines.push(format!("{}select", indent(depth)));
-    match &sel.from {
-        None => lines.push(format!("{}const_row", indent(depth + 1))),
-        Some(TableRef::Named { name, alias }) => {
-            let table = ctx.tables.get(&name.dotted())?;
-            let bindings = table_bindings(table, alias.as_deref());
-            let access = table_access(ctx.planner, table, sel.selection.as_ref(), &bindings);
-            lines.push(format!("{}{}", indent(depth + 1), access.describe(table)));
-        }
-        Some(from) => explain_from(ctx, from, sel.selection.as_ref(), depth + 1, lines)?,
-    }
-    Ok(())
-}
-
-/// `selection` is the enclosing SELECT's WHERE, as in [`resolve_from`].
-fn explain_from(
-    ctx: &ExecCtx<'_>,
-    from: &TableRef,
-    selection: Option<&Expr>,
-    depth: usize,
-    lines: &mut Vec<String>,
-) -> Result<(), CdwError> {
-    match from {
-        TableRef::Named { name, .. } => {
-            let table = ctx.tables.get(&name.dotted())?;
-            lines.push(format!("{}{}", indent(depth), Access::Scan.describe(table)));
-        }
-        TableRef::Subquery { query, .. } => explain_select(ctx, query, depth, lines)?,
-        TableRef::Join {
-            left, right, on, ..
-        } => {
-            let lb = bindings_of(ctx, left)?;
-            let index_join = match &**right {
-                TableRef::Named { name, alias } if ctx.planner => {
-                    ctx.tables.get(&name.dotted()).ok().and_then(|rtable| {
-                        let mut bindings = lb.clone();
-                        bindings.extend(table_bindings(rtable, alias.as_deref()));
-                        let mut resolve = |n: &ObjectName| resolve_column(&bindings, n).ok();
-                        let plan = plan_equi_join(rtable, on, lb.len(), &mut resolve)?;
-                        Some(format!(
-                            "index_lookup_join table={} index=PK keys={}",
-                            rtable.name,
-                            plan.keys.len()
-                        ))
-                    })
-                }
-                _ => None,
-            };
-            let nested = index_join.is_none();
-            let join = index_join.unwrap_or_else(|| "nested_loop_join".into());
-            lines.push(format!("{}{join}", indent(depth)));
-            match &**left {
-                TableRef::Named { name, alias } => {
-                    let table = ctx.tables.get(&name.dotted())?;
-                    let access = join_left_access(ctx, table, alias.as_deref(), right, selection);
-                    lines.push(format!("{}{}", indent(depth + 1), access.describe(table)));
-                }
-                other => explain_from(ctx, other, None, depth + 1, lines)?,
-            }
-            if nested {
-                explain_from(ctx, right, None, depth + 1, lines)?;
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Visible bindings of a FROM tree, computed without executing anything
-/// (EXPLAIN, and the planner's view of a join's right input).
+/// (the planner's view of a join's right input).
 fn bindings_of(ctx: &ExecCtx<'_>, from: &TableRef) -> Result<Vec<Binding>, CdwError> {
     match from {
         TableRef::Named { name, alias } => Ok(table_bindings(

@@ -5,9 +5,9 @@
 //! declared key. It plans by rule, with no statistics: seek when the
 //! WHERE pins a prefix of the key or bounds the key column after that
 //! prefix, otherwise scan; probe the key in a join when the ON columns
-//! are exactly a key prefix, otherwise nested-loop. Decisions are shared
-//! verbatim by execution and the EXPLAIN surface, so a plan a test
-//! asserts on is the plan that runs.
+//! are exactly a key prefix, otherwise nested-loop. Each access a
+//! statement executes is counted in its [`PlanStats`], so a plan a test
+//! asserts on is the plan that ran.
 //!
 //! Correctness discipline: a seek is only chosen when it provably returns
 //! the same rows the scalar evaluator would select. Probe values are
@@ -235,33 +235,6 @@ pub enum Access {
     Empty,
     /// Ordered-index seek.
     Seek(SeekPlan),
-}
-
-impl Access {
-    /// One EXPLAIN line for this access. Marker tokens (`full_scan`,
-    /// `index_seek`, `const_empty`) are what plan-shape tests pin.
-    pub fn describe(&self, table: &Table) -> String {
-        match self {
-            Access::Scan => format!("full_scan table={} rows={}", table.name, table.rows.len()),
-            Access::Empty => format!("const_empty table={} (NULL probe)", table.name),
-            Access::Seek(p) => {
-                let pk = table.pk.as_ref().expect("a seek is only planned on a key");
-                let cols: Vec<&str> = pk
-                    .columns
-                    .iter()
-                    .map(|&c| table.columns[c].name.as_str())
-                    .collect();
-                format!(
-                    "index_seek table={} index=PK cols=({}) eq_prefix={} range={} residual={}",
-                    table.name,
-                    cols.join(","),
-                    p.prefix.len(),
-                    p.lo.is_some() || p.hi.is_some(),
-                    !p.consumed,
-                )
-            }
-        }
-    }
 }
 
 /// Choose the access path for a single-table SELECT/UPDATE/DELETE filter.

@@ -4,14 +4,13 @@
 //! utilities the virtualizer uses to stage data for the CDW — the stand-in
 //! for S3/Azure Blob and `aws s3 cp`/AzCopy in the paper's §6.
 //!
-//! - [`store`]: the [`ObjectStore`] trait with in-memory ([`MemStore`]) and
-//!   on-disk ([`DirStore`]) backends, both addressable through
-//!   `store://bucket/key` URLs.
-//! - [`compress`]: a self-contained LZSS block codec used for compressed
+//! - [`store`]: the [`ObjectStore`] trait and its in-memory backend
+//!   ([`MemStore`]), addressable through `store://bucket/key` URLs.
+//! - [`compress`](mod@compress): a self-contained LZSS block codec used for compressed
 //!   staged files (the paper: "data compression can improve upload speed if
 //!   the communication link ... is slow").
-//! - [`loader`]: the [`BulkLoader`] utility — uploads files or directories,
-//!   optionally compressing, with configurable part size.
+//! - [`loader`]: the [`BulkLoader`] utility — uploads one staged file per
+//!   call, optionally compressing it.
 //! - [`throttle`]: bandwidth/latency shaping so benches can model slow
 //!   links between the virtualizer node and the cloud.
 //! - [`observe`]: the [`ObservedStore`] decorator reporting put/get
@@ -26,7 +25,7 @@ pub mod throttle;
 
 pub use chaos::{ChaosStore, StoreFault, StoreFaultHook, StoreOp};
 pub use compress::{compress, decompress, CompressError};
-pub use loader::{BulkLoader, LoaderConfig, UploadReport};
+pub use loader::{BulkLoader, LoaderConfig};
 pub use observe::{ObservedStore, StoreObserver};
 pub use store::{parse_url, MemStore, ObjectStore, StoreError, StoreUrl};
 pub use throttle::Throttle;

@@ -1,12 +1,10 @@
 //! The cloud bulk-upload utility — the stand-in for `aws s3 cp` / AzCopy.
 //!
-//! The virtualizer hands finalized staging files to a [`BulkLoader`], which
-//! optionally compresses them and writes them to the object store through a
-//! [`Throttle`]d link. Directory upload (many parts under one prefix) is
-//! the normal mode, mirroring the paper's note that uploading a directory
-//! of files can beat uploading files one at a time.
+//! The virtualizer hands each finalized staging file to a [`BulkLoader`],
+//! which optionally compresses it and writes it to the object store
+//! through a [`Throttle`]d link: one upload call per staged file, the
+//! bulk-upload step of the paper's §6.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::compress;
@@ -35,123 +33,31 @@ impl LoaderConfig {
     }
 }
 
-/// Cumulative statistics for a loader.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct UploadReport {
-    /// Parts uploaded.
-    pub parts: u64,
-    /// Raw bytes before compression.
-    pub bytes_in: u64,
-    /// Bytes actually transferred.
-    pub bytes_out: u64,
-}
-
 /// The bulk-upload utility.
 pub struct BulkLoader {
     store: Arc<dyn ObjectStore>,
     config: LoaderConfig,
-    parts: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
 }
 
 impl BulkLoader {
     /// Create a loader over `store` with `config`.
     pub fn new(store: Arc<dyn ObjectStore>, config: LoaderConfig) -> BulkLoader {
-        BulkLoader {
-            store,
-            config,
-            parts: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-        }
+        BulkLoader { store, config }
     }
 
-    /// The loader's configuration.
-    pub fn config(&self) -> &LoaderConfig {
-        &self.config
-    }
-
-    /// Upload one part to `key` (e.g. `job42/part-00007`). Returns the
-    /// transferred (possibly compressed) size.
-    pub fn upload_part(&self, key: &str, data: Vec<u8>) -> Result<u64, StoreError> {
-        let raw_len = data.len() as u64;
-        let payload = if self.config.compress {
-            compress::compress(&data)
-        } else {
-            data
-        };
-        self.transfer(key, raw_len, payload)
-    }
-
-    /// Like [`upload_part`](BulkLoader::upload_part) but borrows the data,
-    /// so the caller can retry the same part after a failed transfer.
+    /// Upload one part to `key` (e.g. `job42/part-00007`), borrowing the
+    /// data so the caller can retry the same part after a failed
+    /// transfer. Returns the transferred (possibly compressed) size.
     pub fn upload_part_from(&self, key: &str, data: &[u8]) -> Result<u64, StoreError> {
-        let raw_len = data.len() as u64;
         let payload = if self.config.compress {
             compress::compress(data)
         } else {
             data.to_vec()
         };
-        self.transfer(key, raw_len, payload)
-    }
-
-    fn transfer(&self, key: &str, raw_len: u64, payload: Vec<u8>) -> Result<u64, StoreError> {
         let out_len = payload.len() as u64;
         self.config.throttle.consume(out_len);
         self.store.put(&self.config.bucket, key, payload)?;
-        self.parts.fetch_add(1, Ordering::Relaxed);
-        self.bytes_in.fetch_add(raw_len, Ordering::Relaxed);
-        self.bytes_out.fetch_add(out_len, Ordering::Relaxed);
         Ok(out_len)
-    }
-
-    /// Upload a whole directory of local files under `prefix`, preserving
-    /// file names. Returns the keys uploaded.
-    pub fn upload_dir(
-        &self,
-        dir: &std::path::Path,
-        prefix: &str,
-    ) -> Result<Vec<String>, StoreError> {
-        let mut keys = Vec::new();
-        let entries = std::fs::read_dir(dir).map_err(|e| StoreError::Io(e.to_string()))?;
-        let mut files: Vec<_> = entries
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.is_file())
-            .collect();
-        files.sort();
-        for path in files {
-            let name = path
-                .file_name()
-                .expect("file path has name")
-                .to_string_lossy()
-                .to_string();
-            let data = std::fs::read(&path).map_err(|e| StoreError::Io(e.to_string()))?;
-            let key = format!("{prefix}{name}");
-            self.upload_part(&key, data)?;
-            keys.push(key);
-        }
-        Ok(keys)
-    }
-
-    /// Fetch and (if needed) decompress an uploaded part.
-    pub fn fetch_part(&self, key: &str) -> Result<Vec<u8>, StoreError> {
-        let data = self.store.get(&self.config.bucket, key)?;
-        if compress::is_compressed(&data) {
-            compress::decompress(&data).map_err(|e| StoreError::Io(e.to_string()))
-        } else {
-            Ok(data)
-        }
-    }
-
-    /// Snapshot of cumulative statistics.
-    pub fn report(&self) -> UploadReport {
-        UploadReport {
-            parts: self.parts.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -160,57 +66,34 @@ mod tests {
     use super::*;
     use crate::store::MemStore;
 
-    fn loader(compress: bool) -> BulkLoader {
+    fn loader(compress: bool) -> (Arc<MemStore>, BulkLoader) {
+        let store = Arc::new(MemStore::new());
         let mut cfg = LoaderConfig::new("staging");
         cfg.compress = compress;
-        BulkLoader::new(Arc::new(MemStore::new()), cfg)
-    }
-
-    #[test]
-    fn upload_part_from_matches_owned_upload() {
-        let l = loader(true);
-        let data: Vec<u8> = b"row|row|row\n".repeat(50);
-        let n1 = l.upload_part("j/a", data.clone()).unwrap();
-        let n2 = l.upload_part_from("j/b", &data).unwrap();
-        assert_eq!(n1, n2);
-        assert_eq!(l.fetch_part("j/b").unwrap(), data);
-        assert_eq!(l.report().parts, 2);
+        (store.clone(), BulkLoader::new(store, cfg))
     }
 
     #[test]
     fn plain_upload_roundtrip() {
-        let l = loader(false);
-        l.upload_part("j/part-0", b"hello world".to_vec()).unwrap();
-        assert_eq!(l.fetch_part("j/part-0").unwrap(), b"hello world");
-        let r = l.report();
-        assert_eq!(r.parts, 1);
-        assert_eq!(r.bytes_in, 11);
-        assert_eq!(r.bytes_out, 11);
+        let (store, l) = loader(false);
+        let sent = l.upload_part_from("j/part-0", b"hello world").unwrap();
+        assert_eq!(sent, 11);
+        assert_eq!(store.get("staging", "j/part-0").unwrap(), b"hello world");
     }
 
     #[test]
     fn compressed_upload_roundtrip() {
-        let l = loader(true);
+        let (store, l) = loader(true);
         let data: Vec<u8> = b"repetitive|row|data\n".repeat(100);
-        l.upload_part("j/part-0", data.clone()).unwrap();
-        assert_eq!(l.fetch_part("j/part-0").unwrap(), data);
-        let r = l.report();
-        assert!(r.bytes_out < r.bytes_in, "{r:?}");
-    }
-
-    #[test]
-    fn upload_dir_preserves_names() {
-        let dir = std::env::temp_dir().join(format!("etlv-loader-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("part-000"), b"a").unwrap();
-        std::fs::write(dir.join("part-001"), b"b").unwrap();
-        let l = loader(false);
-        let keys = l.upload_dir(&dir, "job7/").unwrap();
-        assert_eq!(
-            keys,
-            vec!["job7/part-000".to_string(), "job7/part-001".to_string()]
+        let sent = l.upload_part_from("j/part-0", &data).unwrap();
+        let stored = store.get("staging", "j/part-0").unwrap();
+        assert_eq!(sent, stored.len() as u64);
+        assert!(
+            stored.len() < data.len(),
+            "{} >= {}",
+            stored.len(),
+            data.len()
         );
-        assert_eq!(l.fetch_part("job7/part-001").unwrap(), b"b");
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(compress::decompress(&stored).unwrap(), data);
     }
 }

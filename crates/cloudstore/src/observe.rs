@@ -2,8 +2,8 @@
 //!
 //! [`ObservedStore`] decorates any [`ObjectStore`] with a callback invoked
 //! after every `put`/`get`, reporting the operation, the byte count moved,
-//! the wall time, and whether it succeeded. Like [`ChaosStore`]
-//! (crate::chaos), the wrapper carries no policy of its own — the
+//! the wall time, and whether it succeeded. Like
+//! [`ChaosStore`](crate::chaos::ChaosStore), the wrapper carries no policy of its own — the
 //! virtualizer installs a hook that feeds its metrics registry, so this
 //! crate stays free of any dependency on the observability subsystem.
 

@@ -1,9 +1,8 @@
-//! Object-store abstraction: `store://bucket/key` addressing over
-//! in-memory or on-disk backends.
+//! Object-store abstraction: `store://bucket/key` addressing over an
+//! in-memory backend.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -15,7 +14,7 @@ pub enum StoreError {
     NotFound(String),
     /// The URL is not a valid `store://bucket/key`.
     BadUrl(String),
-    /// Underlying I/O failure (DirStore).
+    /// The transfer failed (`ChaosStore`'s injected faults).
     Io(String),
 }
 
@@ -38,13 +37,6 @@ pub struct StoreUrl {
     pub bucket: String,
     /// Object key or key prefix.
     pub key: String,
-}
-
-impl StoreUrl {
-    /// Render back to URL form.
-    pub fn to_url(&self) -> String {
-        format!("store://{}/{}", self.bucket, self.key)
-    }
 }
 
 /// Parse a `store://bucket/key` URL. The key may be empty or end with `/`
@@ -81,15 +73,6 @@ pub trait ObjectStore: Send + Sync {
 
     /// Delete the object (idempotent).
     fn delete(&self, bucket: &str, key: &str) -> Result<(), StoreError>;
-
-    /// Total bytes stored under `prefix`.
-    fn size_of_prefix(&self, bucket: &str, prefix: &str) -> Result<u64, StoreError> {
-        let mut total = 0u64;
-        for key in self.list(bucket, prefix)? {
-            total += self.get(bucket, &key)?.len() as u64;
-        }
-        Ok(total)
-    }
 }
 
 /// One bucket's objects, keyed by object key.
@@ -158,92 +141,6 @@ impl ObjectStore for MemStore {
     }
 }
 
-/// Filesystem-backed store: each bucket is a directory, each key a file
-/// (slashes in keys become subdirectories).
-#[derive(Debug)]
-pub struct DirStore {
-    root: PathBuf,
-}
-
-impl DirStore {
-    /// Create a store rooted at `root` (created if missing).
-    pub fn new(root: impl Into<PathBuf>) -> Result<DirStore, StoreError> {
-        let root = root.into();
-        std::fs::create_dir_all(&root).map_err(|e| StoreError::Io(e.to_string()))?;
-        Ok(DirStore { root })
-    }
-
-    fn path_of(&self, bucket: &str, key: &str) -> PathBuf {
-        let mut p = self.root.join(bucket);
-        for part in key.split('/').filter(|s| !s.is_empty()) {
-            p.push(part);
-        }
-        p
-    }
-}
-
-impl ObjectStore for DirStore {
-    fn put(&self, bucket: &str, key: &str, data: Vec<u8>) -> Result<(), StoreError> {
-        let path = self.path_of(bucket, key);
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent).map_err(|e| StoreError::Io(e.to_string()))?;
-        }
-        std::fs::write(&path, data).map_err(|e| StoreError::Io(e.to_string()))
-    }
-
-    fn get(&self, bucket: &str, key: &str) -> Result<Vec<u8>, StoreError> {
-        let path = self.path_of(bucket, key);
-        std::fs::read(&path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                StoreError::NotFound(format!("{bucket}/{key}"))
-            } else {
-                StoreError::Io(e.to_string())
-            }
-        })
-    }
-
-    fn list(&self, bucket: &str, prefix: &str) -> Result<Vec<String>, StoreError> {
-        let dir = self.root.join(bucket);
-        let mut keys = Vec::new();
-        if !dir.exists() {
-            return Ok(keys);
-        }
-        let mut stack = vec![dir.clone()];
-        while let Some(d) = stack.pop() {
-            let entries = std::fs::read_dir(&d).map_err(|e| StoreError::Io(e.to_string()))?;
-            for entry in entries {
-                let entry = entry.map_err(|e| StoreError::Io(e.to_string()))?;
-                let path = entry.path();
-                if path.is_dir() {
-                    stack.push(path);
-                } else {
-                    let key = path
-                        .strip_prefix(&dir)
-                        .expect("under bucket dir")
-                        .components()
-                        .map(|c| c.as_os_str().to_string_lossy())
-                        .collect::<Vec<_>>()
-                        .join("/");
-                    if key.starts_with(prefix) {
-                        keys.push(key);
-                    }
-                }
-            }
-        }
-        keys.sort();
-        Ok(keys)
-    }
-
-    fn delete(&self, bucket: &str, key: &str) -> Result<(), StoreError> {
-        let path = self.path_of(bucket, key);
-        match std::fs::remove_file(&path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(StoreError::Io(e.to_string())),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,7 +155,6 @@ mod tests {
             store.list("b", "job1/").unwrap(),
             vec!["job1/part-000".to_string(), "job1/part-001".to_string()]
         );
-        assert_eq!(store.size_of_prefix("b", "job1/").unwrap(), 7);
         assert!(matches!(
             store.get("b", "missing"),
             Err(StoreError::NotFound(_))
@@ -280,19 +176,10 @@ mod tests {
     }
 
     #[test]
-    fn dir_store() {
-        let dir = std::env::temp_dir().join(format!("etlv-dirstore-{}", std::process::id()));
-        let store = DirStore::new(&dir).unwrap();
-        exercise(&store);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn url_parsing() {
         let u = parse_url("store://bucket/a/b/c").unwrap();
         assert_eq!(u.bucket, "bucket");
         assert_eq!(u.key, "a/b/c");
-        assert_eq!(u.to_url(), "store://bucket/a/b/c");
 
         let u = parse_url("store://bucket").unwrap();
         assert_eq!(u.key, "");

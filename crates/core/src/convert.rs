@@ -12,12 +12,11 @@
 //! table — mirroring the legacy per-tuple acquisition semantics.
 
 use etlv_cdw::staged::StagedFormat;
-use etlv_protocol::data::Value;
 use etlv_protocol::errcode::ErrCode;
 use etlv_protocol::layout::Layout;
 use etlv_protocol::message::RecordFormat;
 use etlv_protocol::record::{FieldRef, RecordDecoder, RecordError};
-use etlv_protocol::vartext::{VartextError, VartextFormat};
+use etlv_protocol::vartext::VartextError;
 
 /// An error attached to one input record during acquisition.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,19 +43,6 @@ impl std::fmt::Display for ConvertFatal {
 }
 
 impl std::error::Error for ConvertFatal {}
-
-/// Output of converting one chunk.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConvertedChunk {
-    /// 1-based row number of the first input record.
-    pub base_seq: u64,
-    /// Rows successfully converted.
-    pub rows: u32,
-    /// Staged bytes (delimited text, `__SEQ` first).
-    pub bytes: Vec<u8>,
-    /// Records skipped with data errors.
-    pub errors: Vec<AcqError>,
-}
 
 /// Reusable scratch state for the zero-allocation conversion kernel.
 ///
@@ -264,19 +250,6 @@ impl DataConverter {
         }
     }
 
-    /// Convert one raw chunk into a fresh buffer.
-    pub fn convert(&self, base_seq: u64, data: &[u8]) -> Result<ConvertedChunk, ConvertFatal> {
-        let mut out = Vec::new();
-        let mut scratch = ConvertScratch::new();
-        let rows = self.convert_into(base_seq, data, &mut out, &mut scratch)?;
-        Ok(ConvertedChunk {
-            base_seq,
-            rows,
-            bytes: out,
-            errors: scratch.take_errors(),
-        })
-    }
-
     /// Convert one raw chunk, appending staged text to `out` and reusing
     /// `scratch` across calls — the zero-allocation streaming kernel.
     ///
@@ -284,9 +257,9 @@ impl DataConverter {
     /// intermediate `Vec<Value>` row) and field text is rendered straight
     /// into `out`; the only heap traffic in the steady state is amortized
     /// buffer growth. Output bytes, row counts, acquisition errors and
-    /// fatal errors are byte-for-byte identical to
-    /// [`convert_reference`](Self::convert_reference) (proven by
-    /// `tests/convert_differential.rs`).
+    /// fatal errors are byte-for-byte identical to the materializing
+    /// reference path kept in `tests/convert_differential.rs`, which
+    /// proves it.
     ///
     /// On `Err`, the contents of `out` are unspecified; callers recycle
     /// the buffer. Acquisition errors land in `scratch` (cleared on
@@ -435,151 +408,12 @@ impl DataConverter {
         }
         Ok(rows)
     }
-
-    /// The original materializing conversion path, retained as the
-    /// reference implementation for differential tests: every record is
-    /// decoded into an owned `Vec<Value>` row and rendered through
-    /// [`StagedFormat::write_row`]. Must stay semantically frozen so
-    /// `convert_into` can be proven byte-identical against it.
-    pub fn convert_reference(
-        &self,
-        base_seq: u64,
-        data: &[u8],
-    ) -> Result<ConvertedChunk, ConvertFatal> {
-        let mut out = Vec::with_capacity(data.len() + data.len() / 8 + 64);
-        let mut errors = Vec::new();
-        let mut rows = 0u32;
-        match self.wire {
-            RecordFormat::Vartext { delimiter, quote } => {
-                let vt = VartextFormat { delimiter, quote };
-                let arity = self.layout.arity();
-                let mut seq = base_seq;
-                for line in data.split(|&b| b == b'\n') {
-                    let line = line.strip_suffix(b"\r").unwrap_or(line);
-                    if line.is_empty() {
-                        continue;
-                    }
-                    match vt.decode_line(line, Some(arity)) {
-                        Ok(fields) => {
-                            self.write_staged_row(seq, &fields, &mut out);
-                            rows += 1;
-                        }
-                        Err(e) => {
-                            let code = match e {
-                                etlv_protocol::vartext::VartextError::FieldCount { .. } => {
-                                    ErrCode::FIELD_COUNT
-                                }
-                                _ => ErrCode::BAD_VALUE,
-                            };
-                            errors.push(AcqError {
-                                seq,
-                                code,
-                                message: e.to_string(),
-                            });
-                        }
-                    }
-                    seq += 1;
-                }
-            }
-            RecordFormat::Binary => {
-                let decoder = RecordDecoder::new(self.layout.clone());
-                let mut buf: &[u8] = data;
-                let mut seq = base_seq;
-                while !buf.is_empty() {
-                    match decoder.decode_record(&mut buf) {
-                        Ok(values) => {
-                            self.write_staged_row(seq, &values, &mut out);
-                            rows += 1;
-                        }
-                        Err(etlv_protocol::record::RecordError::BadValue(msg)) => {
-                            // The framing advanced past the record; the
-                            // value inside was bad. Record and continue...
-                            // except BadValue can also leave `buf`
-                            // unadvanced mid-record, so resynchronization
-                            // is unsafe: treat as fatal.
-                            return Err(ConvertFatal {
-                                message: format!("bad value in binary record {seq}: {msg}"),
-                            });
-                        }
-                        Err(e) => {
-                            return Err(ConvertFatal {
-                                message: format!(
-                                    "binary chunk framing broken at record {seq}: {e}"
-                                ),
-                            })
-                        }
-                    }
-                    seq += 1;
-                }
-            }
-        }
-        Ok(ConvertedChunk {
-            base_seq,
-            rows,
-            bytes: out,
-            errors,
-        })
-    }
-
-    /// Serialize one converted row: `__SEQ` plus the CDW text rendering of
-    /// each field (nulls as empty fields, empty strings quoted, special
-    /// characters escaped — the staged format handles all three).
-    ///
-    /// Deliberately frozen as the pre-kernel implementation, including an
-    /// inlined copy of the original per-byte escape loop: the reference
-    /// path must not share optimized primitives with the streaming kernel,
-    /// both so differential tests compare independently-written code and
-    /// so benchmarks measure the kernel against the true pre-change hot
-    /// path.
-    fn write_staged_row(&self, seq: u64, values: &[Value], out: &mut Vec<u8>) {
-        let mut row: Vec<Value> = Vec::with_capacity(values.len() + 1);
-        row.push(Value::Int(seq as i64));
-        for v in values {
-            // The staged format stores text renderings; conversion to the
-            // CDW value model happens at COPY against the staging schema.
-            row.push(match v {
-                Value::Null => Value::Null,
-                Value::Str(s) => Value::Str(s.clone()),
-                other => Value::Str(other.display_text()),
-            });
-        }
-        let (delimiter, quote) = (self.staged.delimiter(), self.staged.quote());
-        for (i, v) in row.iter().enumerate() {
-            if i > 0 {
-                out.push(delimiter);
-            }
-            match v {
-                Value::Null => {}
-                Value::Str(s) if s.is_empty() => {
-                    out.push(quote);
-                    out.push(quote);
-                }
-                other => {
-                    for &b in other.display_text().as_bytes() {
-                        if b == delimiter || b == quote || b == b'\\' || b == b'\n' || b == b'\r' {
-                            out.push(b'\\');
-                            if b == b'\n' {
-                                out.push(b'n');
-                                continue;
-                            }
-                            if b == b'\r' {
-                                out.push(b'r');
-                                continue;
-                            }
-                        }
-                        out.push(b);
-                    }
-                }
-            }
-        }
-        out.push(b'\n');
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etlv_protocol::data::{Date, Decimal, LegacyType as T};
+    use etlv_protocol::data::{Date, Decimal, LegacyType as T, Value};
     use etlv_protocol::record::RecordEncoder;
 
     const WIRE_VT: RecordFormat = RecordFormat::Vartext {
@@ -594,25 +428,38 @@ mod tests {
             .field("C", T::VarChar(10))
     }
 
+    /// One chunk through the kernel with fresh buffers: rows converted,
+    /// staged bytes, acquisition errors.
+    fn convert(
+        conv: &DataConverter,
+        base_seq: u64,
+        data: &[u8],
+    ) -> Result<(u32, Vec<u8>, Vec<AcqError>), ConvertFatal> {
+        let mut out = Vec::new();
+        let mut scratch = ConvertScratch::new();
+        let rows = conv.convert_into(base_seq, data, &mut out, &mut scratch)?;
+        Ok((rows, out, scratch.take_errors()))
+    }
+
     #[test]
     fn vartext_conversion_prefixes_seq() {
         let conv = DataConverter::new(vt_layout(), WIRE_VT, b'|');
-        let out = conv.convert(11, b"x|y|z\na||c\n").unwrap();
-        assert_eq!(out.rows, 2);
-        assert!(out.errors.is_empty());
-        let text = String::from_utf8(out.bytes).unwrap();
+        let (rows, bytes, errors) = convert(&conv, 11, b"x|y|z\na||c\n").unwrap();
+        assert_eq!(rows, 2);
+        assert!(errors.is_empty());
+        let text = String::from_utf8(bytes).unwrap();
         assert_eq!(text, "11|x|y|z\n12|a||c\n");
     }
 
     #[test]
     fn field_count_errors_skipped_not_fatal() {
         let conv = DataConverter::new(vt_layout(), WIRE_VT, b'|');
-        let out = conv.convert(1, b"a|b|c\nwrong|count\nd|e|f\n").unwrap();
-        assert_eq!(out.rows, 2);
-        assert_eq!(out.errors.len(), 1);
-        assert_eq!(out.errors[0].seq, 2);
-        assert_eq!(out.errors[0].code, ErrCode::FIELD_COUNT);
-        let text = String::from_utf8(out.bytes).unwrap();
+        let (rows, bytes, errors) = convert(&conv, 1, b"a|b|c\nwrong|count\nd|e|f\n").unwrap();
+        assert_eq!(rows, 2);
+        assert_eq!(errors.len(), 1);
+        assert_eq!(errors[0].seq, 2);
+        assert_eq!(errors[0].code, ErrCode::FIELD_COUNT);
+        let text = String::from_utf8(bytes).unwrap();
         assert_eq!(text, "1|a|b|c\n3|d|e|f\n");
     }
 
@@ -640,9 +487,9 @@ mod tests {
         ];
         let data = enc.encode_batch(&rows).unwrap();
         let conv = DataConverter::new(layout, RecordFormat::Binary, b'|');
-        let out = conv.convert(7, &data).unwrap();
-        assert_eq!(out.rows, 2);
-        let text = String::from_utf8(out.bytes).unwrap();
+        let (rows, bytes, _) = convert(&conv, 7, &data).unwrap();
+        assert_eq!(rows, 2);
+        let text = String::from_utf8(bytes).unwrap();
         // Dates become ISO, decimals keep scale, delimiter escaped, nulls
         // empty, empty string quoted.
         assert_eq!(text, "7|42|2012-01-05|3.50|hi\\|there\n8||||\"\"\n");
@@ -655,15 +502,15 @@ mod tests {
         let mut data = enc.encode_batch(&[vec![Value::Int(1)]]).unwrap();
         data.pop();
         let conv = DataConverter::new(layout, RecordFormat::Binary, b'|');
-        assert!(conv.convert(1, &data).is_err());
+        assert!(convert(&conv, 1, &data).is_err());
     }
 
     #[test]
     fn staged_output_parses_back() {
         let conv = DataConverter::new(vt_layout(), WIRE_VT, b'|');
-        let out = conv.convert(1, b"a|b|c\n\"\"||z\n").unwrap();
+        let (_, bytes, _) = convert(&conv, 1, b"a|b|c\n\"\"||z\n").unwrap();
         let staged = StagedFormat::new(b'|');
-        let rows = staged.parse(&out.bytes, 4).unwrap();
+        let rows = staged.parse(&bytes, 4).unwrap();
         assert_eq!(rows[0][0], Value::Str("1".into()));
         assert_eq!(rows[1][1], Value::Str(String::new())); // empty string preserved
         assert_eq!(rows[1][2], Value::Null); // null preserved

@@ -234,9 +234,8 @@ impl UniqueEmulation {
     ///
     /// The target sits on the *right* of the join with every ON conjunct
     /// probing one of its unique-key columns, so the CDW planner turns
-    /// the probe into index lookups against the target's PK index
-    /// (public so plan-shape tests can EXPLAIN it).
-    pub fn existing_conflicts_stmt(&self, lo: u64, hi: u64) -> Stmt {
+    /// the probe into index lookups against the target's PK index.
+    fn existing_conflicts_stmt(&self, lo: u64, hi: u64) -> Stmt {
         let count = Expr::Function {
             name: "COUNT".into(),
             args: vec![Expr::Wildcard],
@@ -274,8 +273,7 @@ impl UniqueEmulation {
     }
 
     /// `SELECT COUNT(*) FROM (SELECT key(S) FROM stg S WHERE range GROUP BY key(S) HAVING COUNT(*) > 1) q`
-    /// (public so plan-shape tests can EXPLAIN it).
-    pub fn intra_range_dups_stmt(&self, lo: u64, hi: u64) -> Stmt {
+    fn intra_range_dups_stmt(&self, lo: u64, hi: u64) -> Stmt {
         let mut inner = SelectStmt::new(
             self.key_exprs
                 .iter()

@@ -58,6 +58,8 @@
 //! - [`workload`]: deterministic workload generators for tests, examples,
 //!   and the figure benches.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod adaptive;
 pub mod apply;
 pub mod config;

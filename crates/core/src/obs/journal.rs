@@ -83,25 +83,28 @@ impl Journal {
         value: u64,
         dur: Duration,
     ) {
-        let event = SpanEvent {
-            seq: self.inner.seq.fetch_add(1, Ordering::Relaxed),
-            at_micros: self.inner.epoch.elapsed().as_micros() as u64,
-            kind,
-            ids,
-            job,
-            session,
-            chunk,
-            value,
-            dur_micros: dur.as_micros() as u64,
-        };
-        {
+        // `seq` and `at_micros` are taken under the ring lock, so the
+        // ring holds events in `seq` order and `tail` is oldest first.
+        let event = {
             let mut ring = self.inner.ring.lock();
+            let event = SpanEvent {
+                seq: self.inner.seq.fetch_add(1, Ordering::Relaxed),
+                at_micros: self.inner.epoch.elapsed().as_micros() as u64,
+                kind,
+                ids,
+                job,
+                session,
+                chunk,
+                value,
+                dur_micros: dur.as_micros() as u64,
+            };
             if ring.len() == self.inner.capacity {
                 ring.pop_front();
                 self.inner.dropped.fetch_add(1, Ordering::Relaxed);
             }
             ring.push_back(event);
-        }
+            event
+        };
         if let Some(sink) = &self.inner.sink {
             let mut w = sink.lock();
             let _ = writeln!(w, "{}", event.to_json());
@@ -173,6 +176,35 @@ mod tests {
         assert!(tail.windows(2).all(|w| w[0].seq < w[1].seq));
         assert_eq!(j.tail(2).len(), 2);
         assert_eq!(j.tail(2)[1].job, 4);
+    }
+
+    #[test]
+    fn concurrent_emitters_keep_the_ring_in_seq_order() {
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 5_000;
+        let j = Journal::new((THREADS * PER_THREAD) as usize, None);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (j, start) = (&j, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        j.emit("t", t, 0, i, 0, Duration::ZERO);
+                    }
+                });
+            }
+        });
+        let tail = j.tail(usize::MAX);
+        assert_eq!(tail.len() as u64, THREADS * PER_THREAD);
+        for w in tail.windows(2) {
+            assert!(w[0].seq < w[1].seq, "seq out of order: {:?}", w);
+            assert!(
+                w[0].at_micros <= w[1].at_micros,
+                "time out of order: {:?}",
+                w
+            );
+        }
     }
 
     #[test]

@@ -351,7 +351,7 @@ impl MetricsRegistry {
     }
 
     /// Intern (or fetch) the per-tenant handle block for `name`. The
-    /// distinct-label cardinality is bounded: once [`TENANT_LIMIT`] blocks
+    /// distinct-label cardinality is bounded: once `TENANT_LIMIT` blocks
     /// exist, further names all share the [`super::TENANT_OVERFLOW`]
     /// block, so a hostile stream of logon usernames cannot grow the
     /// registry without bound.
@@ -406,7 +406,7 @@ impl MetricsRegistry {
     }
 
     /// Intern (or fetch) the lock-site block for `name`. Bounded like
-    /// tenants: past [`LOCK_SITE_LIMIT`] distinct sites, further names
+    /// tenants: past `LOCK_SITE_LIMIT` distinct sites, further names
     /// share one `~overflow` block. Lookup scans the site table only, so
     /// the CDW lock observer's per-acquisition call never walks the
     /// series table.

@@ -32,9 +32,8 @@ pub use slo::{
 
 mod profile;
 pub use profile::{
-    folded_flamegraph, render_flame_ascii, thread_cpu_time, CpuTimer, LockSiteObs,
-    LockSiteSnapshot, PoolProfile, ProfileReport, StageCpuProfile, TrackedCondvar, TrackedMutex,
-    TrackedMutexGuard, PROFILE_TOP_K,
+    folded_flamegraph, thread_cpu_time, CpuTimer, LockSiteObs, LockSiteSnapshot, PoolProfile,
+    ProfileReport, StageCpuProfile, TrackedCondvar, TrackedMutex, TrackedMutexGuard, PROFILE_TOP_K,
 };
 
 mod journal;

@@ -17,8 +17,8 @@
 //! 3. **The span journal** — completed jobs' critical-path attribution
 //!    ([`crate::trace::JobTrace`]) is re-aggregated into folded
 //!    flamegraph lines (`job;acquisition;convert 1234`), the input format
-//!    of every flamegraph renderer, plus the ASCII flame tree
-//!    `obs_dump --profile` prints.
+//!    of every flamegraph renderer (`obs_dump --profile` draws them as an
+//!    ASCII flame tree).
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -51,8 +51,12 @@ pub fn thread_cpu_time() -> Option<Duration> {
         tv_sec: 0,
         tv_nsec: 0,
     };
+    // SAFETY: `ts` is a live, initialized `struct timespec` with the C
+    // layout (two 64-bit fields on the Linux targets this builds for); the
+    // call writes it and keeps no pointer to it.
     let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
     if rc == 0 {
+        debug_assert!((0..1_000_000_000).contains(&ts.tv_nsec), "{}", ts.tv_nsec);
         Some(Duration::new(ts.tv_sec.max(0) as u64, ts.tv_nsec as u32))
     } else {
         None
@@ -349,64 +353,6 @@ pub fn folded_flamegraph(events: &[SpanEvent]) -> (String, u64) {
     (out, jobs)
 }
 
-/// Render folded-stack text as an ASCII flame tree: one row per frame,
-/// indented by depth, with each frame's inclusive share of the root and
-/// a proportional bar. Input lines that fail to parse are skipped.
-pub fn render_flame_ascii(folded: &str) -> String {
-    use std::collections::BTreeMap;
-
-    #[derive(Default)]
-    struct Node {
-        own: u64,
-        children: BTreeMap<String, Node>,
-    }
-    impl Node {
-        fn total(&self) -> u64 {
-            self.own + self.children.values().map(Node::total).sum::<u64>()
-        }
-    }
-
-    let mut root = Node::default();
-    for line in folded.lines() {
-        let Some((path, value)) = line.rsplit_once(' ') else {
-            continue;
-        };
-        let Ok(value) = value.parse::<u64>() else {
-            continue;
-        };
-        let mut node = &mut root;
-        for frame in path.split(';') {
-            node = node.children.entry(frame.to_string()).or_default();
-        }
-        node.own += value;
-    }
-
-    let grand = root.total();
-    if grand == 0 {
-        return "flame: (empty — no completed jobs in the journal)\n".to_string();
-    }
-    fn push(out: &mut String, name: &str, node: &Node, depth: usize, grand: u64) {
-        let total = node.total();
-        let pct = total as f64 * 100.0 / grand as f64;
-        let bar_len = ((total as f64 / grand as f64) * 32.0).round() as usize;
-        out.push_str(&format!(
-            "{:indent$}{name:<width$} {total:>10}us {pct:>5.1}% |{bar}\n",
-            "",
-            indent = depth * 2,
-            width = 24usize.saturating_sub(depth * 2),
-            bar = "#".repeat(bar_len.max(if total > 0 { 1 } else { 0 })),
-        ));
-        for (child_name, child) in &node.children {
-            push(out, child_name, child, depth + 1, grand);
-        }
-    }
-    let mut out = format!("flame: {grand}us total\n");
-    for (name, node) in &root.children {
-        push(&mut out, name, node, 0, grand);
-    }
-    out
-}
-
 // ----------------------------------------------------------- the report
 
 /// One stage's CPU/wall accounting in a [`ProfileReport`].
@@ -534,48 +480,6 @@ impl ProfileReport {
             super::render::json_escape(&self.folded)
         ));
         out.push_str("}\n");
-        out
-    }
-
-    /// Human-readable rendering: stage table, contended-site table, pool
-    /// line, and the ASCII flame tree.
-    pub fn render_ascii(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("profile\n\n");
-        out.push_str("stage      wall_us      cpu_us  samples  cpu/wall\n");
-        for s in &self.stages {
-            let ratio = if s.wall_us > 0 {
-                s.cpu_us as f64 / s.wall_us as f64
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "{:<9} {:>9} {:>11} {:>8}  {ratio:>7.2}\n",
-                s.stage, s.wall_us, s.cpu_us, s.samples
-            ));
-        }
-        out.push('\n');
-        if self.locks.is_empty() {
-            out.push_str("lock contention: none observed\n");
-        } else {
-            out.push_str("contended lock sites (by total wait):\n");
-            out.push_str("site                          acquires  contended   wait_us(sum/p99)   hold_us(p99)\n");
-            for l in &self.locks {
-                out.push_str(&format!(
-                    "{:<29} {:>8} {:>10}  {:>9}/{:<9} {:>8}\n",
-                    l.site, l.acquires, l.contended, l.wait_us.sum, l.wait_us.p99, l.hold_us.p99
-                ));
-            }
-        }
-        out.push_str(&format!(
-            "\npool: {}/{} busy, {} idle wakeups, {} rr skips\n\n",
-            self.pool.busy_workers, self.pool.workers, self.pool.idle_wakeups, self.pool.rr_skips,
-        ));
-        out.push_str(&format!(
-            "folded stacks from {} job(s):\n",
-            self.folded_jobs
-        ));
-        out.push_str(&render_flame_ascii(&self.folded));
         out
     }
 }
@@ -708,19 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn flame_ascii_renders_tree() {
-        let folded = "job;acquisition;convert 300\njob;application;apply 500\njob;other 200\n";
-        let art = render_flame_ascii(folded);
-        assert!(art.contains("flame: 1000us total"), "{art}");
-        assert!(art.contains("job"), "{art}");
-        assert!(art.contains("acquisition"), "{art}");
-        assert!(art.contains("convert"), "{art}");
-        assert!(art.contains("100.0%"), "{art}");
-        let empty = render_flame_ascii("");
-        assert!(empty.contains("empty"), "{empty}");
-    }
-
-    #[test]
     fn cpu_timer_is_monotone_or_absent() {
         let timer = CpuTimer::start();
         // Burn a little CPU so a working clock shows progress.
@@ -774,9 +665,5 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }
-        let ascii = report.render_ascii();
-        assert!(ascii.contains("convert"), "{ascii}");
-        assert!(ascii.contains("cdw.table/\"T\""), "{ascii}");
-        assert!(ascii.contains("flame:"), "{ascii}");
     }
 }

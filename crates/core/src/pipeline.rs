@@ -466,7 +466,7 @@ impl Pipeline {
         let tail = std::mem::take(&mut *self.job.accum.lock());
         if !tail.is_empty() && !self.job.aborted.load(Ordering::Relaxed) {
             let part = self.job.next_part.fetch_add(1, Ordering::Relaxed);
-            upload_part(&self.shared, &self.job, tail, part);
+            upload_staged_part(&self.shared, &self.job, tail, part);
         }
         self.unregister();
         self.report()
@@ -630,7 +630,7 @@ fn stage_chunk(shared: &RtShared, job: &JobRt, chunk: RawChunk, staged: &[u8], r
             data.len() as u64,
             Duration::ZERO,
         );
-        upload_part(shared, job, data, part);
+        upload_staged_part(shared, job, data, part);
     }
     shared.retire(job, raw_len);
 }
@@ -657,7 +657,7 @@ fn fail_chunk(shared: &RtShared, job: &JobRt, chunk: RawChunk, message: String) 
 /// is simply re-put (object stores overwrite whole objects, so a retry
 /// erases a partial write). When the budget runs dry the failure is
 /// recorded and the job fails cleanly at EndLoad — never a hang.
-fn upload_part(shared: &RtShared, job: &JobRt, file: Vec<u8>, part: u32) {
+fn upload_staged_part(shared: &RtShared, job: &JobRt, file: Vec<u8>, part: u32) {
     let obs = &shared.obs;
     let key = format!("{}part-{part:05}", job.prefix);
     let mut retries = 0u64;

@@ -2,16 +2,16 @@
 //! multiplexing every TCP session (DESIGN §10).
 //!
 //! One OS thread per connection is fine at 16 legacy job slots and
-//! hopeless at 10k keepalive sessions. Here a small number of loops ([`LOOP_THREADS`]) own all the sockets through one
-//! epoll instance each; every connection is a [`SessionCore`] state
+//! hopeless at 10k keepalive sessions. Here a small number of loops (`LOOP_THREADS`) own all the sockets through one
+//! epoll instance each; every connection is a `SessionCore` state
 //! machine fed whole frames by the nonblocking decoder and drained
 //! through a resumable [`FrameWriter`]. Nothing on a loop thread may
 //! block:
 //!
 //! - inline steps (logon, keepalive, logoff, protocol errors) are
 //!   answered on the loop;
-//! - blocking-capable gateway work travels as a [`DispatchCall`] to a
-//!   fixed dispatch pool and comes back as a [`LoopMsg::Complete`]
+//! - blocking-capable gateway work travels as a `DispatchCall` to a
+//!   fixed dispatch pool and comes back as a `LoopMsg::Complete`
 //!   through the owning loop's mailbox + waker pipe.
 //!
 //! One dispatch may be in flight per connection; while it runs the

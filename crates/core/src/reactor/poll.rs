@@ -94,6 +94,9 @@ pub(crate) struct Poller {
 
 impl Poller {
     pub(crate) fn new() -> io::Result<Poller> {
+        // SAFETY: `epoll_create1` takes no pointers; any flag value is
+        // memory-safe. The returned fd is owned by the `Poller` from here
+        // on and closed exactly once, in `Drop`.
         let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Poller { epfd })
     }
@@ -104,6 +107,9 @@ impl Poller {
             events: interest.mask(),
             data: token,
         };
+        // SAFETY: `ev` is a live, initialized `epoll_event` with the
+        // kernel's layout; the kernel only reads it during the call and
+        // keeps no pointer to it. `self.epfd` is open while `self` lives.
         cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_ADD, fd, &mut ev) })?;
         Ok(())
     }
@@ -114,6 +120,7 @@ impl Poller {
             events: interest.mask(),
             data: token,
         };
+        // SAFETY: as in `add`: `ev` outlives the call, which only reads it.
         cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_MOD, fd, &mut ev) })?;
         Ok(())
     }
@@ -122,6 +129,8 @@ impl Poller {
     /// closed fds itself, but explicit removal keeps bookkeeping sane).
     pub(crate) fn remove(&self, fd: RawFd) -> io::Result<()> {
         let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: as in `add`. `EPOLL_CTL_DEL` ignores the event, but
+        // kernels before 2.6.9 require a non-null pointer, so pass one.
         cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) })?;
         Ok(())
     }
@@ -136,14 +145,19 @@ impl Poller {
             Some(t) => i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX),
             None => -1,
         };
+        debug_assert!(timeout_ms >= -1, "epoll_wait timeout {timeout_ms}");
         const CAP: usize = 256;
         let mut raw = [EpollEvent { events: 0, data: 0 }; CAP];
+        // SAFETY: `raw` is a live buffer of exactly `CAP` initialized
+        // events, and `maxevents` is `CAP`, so the kernel writes at most
+        // `CAP` entries into it; nothing keeps the pointer past the call.
         let n =
             match cvt(unsafe { epoll_wait(self.epfd, raw.as_mut_ptr(), CAP as i32, timeout_ms) }) {
                 Ok(n) => n as usize,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
                 Err(e) => return Err(e),
             };
+        debug_assert!(n <= CAP, "epoll_wait returned {n} > {CAP} events");
         for ev in &raw[..n] {
             let bits = ev.events;
             out.push(Event {
@@ -159,6 +173,8 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
+        // SAFETY: `self.epfd` came from `epoll_create1` in `new`, is owned
+        // by this `Poller` alone and is closed here, once.
         unsafe {
             close(self.epfd);
         }

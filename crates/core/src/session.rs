@@ -1,20 +1,20 @@
 //! The session layer: the per-connection protocol state machine, the
 //! node-wide session registry, and disconnect-safe teardown.
 //!
-//! The protocol logic lives in [`SessionCore`], an explicit state
+//! The protocol logic lives in `SessionCore`, an explicit state
 //! machine driven one frame at a time. Each frame either produces an
 //! inline reply (logon, keepalive, logoff, protocol errors — nothing
-//! that can block) or a [`DispatchCall`]: a self-contained description
+//! that can block) or a `DispatchCall`: a self-contained description
 //! of blocking-capable gateway work (loads, chunks, exports, stats)
 //! that the reactor hands to a fixed dispatch pool, feeding the
-//! completion back through [`SessionCore::complete`].
+//! completion back through `SessionCore::complete`.
 //!
-//! A successful logon registers a [`SessionEntry`] in the node's
-//! [`SessionRegistry`] (bounded by `max_sessions` — a full table
+//! A successful logon registers a `SessionEntry` in the node's
+//! `SessionRegistry` (bounded by `max_sessions` — a full table
 //! answers with retryable `SERVER_BUSY`). The entry tracks the jobs
 //! the session *owns* (its `BeginLoad`s and `BeginExport`s); when the
 //! session ends — explicit logoff, peer disconnect, idle timeout, or
-//! server shutdown — [`close_session`] aborts whatever those jobs
+//! server shutdown — `close_session` aborts whatever those jobs
 //! still have in flight, so a yanked cable never leaks credits, memory
 //! reservations, staging tables, or staged objects.
 

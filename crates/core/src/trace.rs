@@ -345,66 +345,6 @@ impl JobTrace {
         out.push_str("\n  ]\n}\n");
         out
     }
-
-    /// Render the span tree as indented ASCII, critical-path stages
-    /// marked with `*` (used by `examples/obs_dump.rs --trace`).
-    pub fn render_ascii(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "job {} trace {:#x} wall {}us ({})\n",
-            self.job,
-            self.trace_id,
-            self.wall_micros,
-            self.outcome.unwrap_or("incomplete")
-        ));
-        out.push_str("attribution:\n");
-        for (name, micros) in &self.attribution {
-            let pct = if self.wall_micros > 0 {
-                *micros as f64 * 100.0 / self.wall_micros as f64
-            } else {
-                0.0
-            };
-            let mark = if *name == self.critical_stage {
-                " *"
-            } else {
-                ""
-            };
-            out.push_str(&format!("  {name:<10} {micros:>10}us {pct:5.1}%{mark}\n"));
-        }
-        out.push_str("spans:\n");
-        self.render_node(&mut out, self.root, 1);
-        out
-    }
-
-    fn render_node(&self, out: &mut String, idx: usize, depth: usize) {
-        let n = &self.nodes[idx];
-        let critical = Stage::classify(n.kind)
-            .map(|s| s.name() == self.critical_stage)
-            .unwrap_or(false);
-        out.push_str(&format!(
-            "{}{} {}{} [span {}]",
-            "  ".repeat(depth),
-            if critical { "*" } else { "-" },
-            n.kind,
-            if n.chunk != 0 || n.kind.starts_with("chunk") {
-                format!(" #{}", n.chunk)
-            } else {
-                String::new()
-            },
-            n.span,
-        ));
-        if n.dur_micros > 0 {
-            out.push_str(&format!(" {}us", n.dur_micros));
-        }
-        if n.value > 0 {
-            out.push_str(&format!(" ({})", n.value));
-        }
-        out.push('\n');
-        // Children in journal (time) order.
-        for &c in &n.children {
-            self.render_node(out, c, depth + 1);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -516,7 +456,6 @@ mod tests {
         );
         assert_eq!(t.attributed_total(), t.wall_micros);
         assert!(t.to_json().contains("\"outcome\": \"fail\""));
-        assert!(t.render_ascii().contains("(fail)"));
 
         let aborted = vec![events[0], ev("job.abort", r, 1500, 500, 0, 0)];
         let t = JobTrace::assemble(&aborted).unwrap();
@@ -552,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn json_and_ascii_render() {
+    fn json_render() {
         let r = root_ids();
         let events = vec![
             ev("job.begin", r, 0, 0, 0, 1),
@@ -565,10 +504,5 @@ mod tests {
         assert!(json.contains("\"critical_stage\": \"convert\""), "{json}");
         assert!(json.contains("\"attribution\""), "{json}");
         assert!(json.contains("\"kind\": \"chunk.convert\""), "{json}");
-
-        let ascii = t.render_ascii();
-        assert!(ascii.contains("job 7"), "{ascii}");
-        assert!(ascii.contains("convert"), "{ascii}");
-        assert!(ascii.contains('*'), "critical path marked: {ascii}");
     }
 }

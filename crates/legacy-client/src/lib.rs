@@ -4,7 +4,7 @@
 //! ingestion pipelines around (the FastLoad/FastExport analog of the
 //! paper's §2).
 //!
-//! The client executes compiled [`JobPlan`](etlv_script::JobPlan)s:
+//! The client executes compiled [`JobPlan`]s:
 //!
 //! - **Import**: opens a control session, begins the load (the server
 //!   creates the error tables), opens N parallel data sessions, pumps the

@@ -138,7 +138,7 @@ impl Decimal {
     }
 
     /// Change the scale, rounding half away from zero when reducing it.
-    /// Fails if the result would exceed [`MAX_PRECISION`] digits.
+    /// Fails if the result would exceed `MAX_PRECISION` digits.
     pub fn rescale(self, new_scale: u8) -> Result<Decimal, DecimalError> {
         match new_scale.cmp(&self.scale) {
             Ordering::Equal => Ok(self),

@@ -22,7 +22,7 @@
 //! ```
 //!
 //! [`parse_script`] produces a [`Script`] (flat command list);
-//! [`compile`](plan::compile) validates it and builds a [`plan::JobPlan`]
+//! [`compile`] validates it and builds a [`plan::JobPlan`]
 //! the legacy client executes. These scripts run *unchanged* whether the
 //! client talks to the reference legacy server or to the virtualizer —
 //! that is the paper's entire point.

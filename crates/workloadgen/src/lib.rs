@@ -27,7 +27,7 @@
 //!    exact planned count of bad-date and duplicate-key rows plus the
 //!    seed its payload bytes derive from. Same scenario, same trace,
 //!    event for event.
-//! 3. [`replay`] executes a trace against a node through any
+//! 3. [`replay()`] executes a trace against a node through any
 //!    [`Connect`](etlv_legacy_client::Connect)or (TCP in the tests):
 //!    one dispatcher per tenant issues that tenant's jobs at their
 //!    scheduled offsets through the real client with `busy_retry`, and

@@ -27,6 +27,7 @@
 
 use std::sync::Arc;
 
+use etlv_core::trace::{JobTrace, Stage};
 use etlv_core::{Virtualizer, VirtualizerConfig};
 use etlv_legacy_client::{ClientOptions, LegacyEtlClient, TcpConnector};
 use etlv_protocol::message::{Format, SessionRole, Topic};
@@ -120,7 +121,7 @@ fn main() {
         match v.trace(job) {
             Some(trace) => {
                 println!("\n== span tree for job {job} (critical path marked *) ==");
-                print!("{}", trace.render_ascii());
+                print!("{}", render_trace_ascii(&trace));
                 println!("\n== wall-clock attribution ==");
                 for (stage, micros) in &trace.attribution {
                     let share = if trace.wall_micros > 0 {
@@ -160,7 +161,15 @@ fn main() {
     if show_profile {
         let report = v.profile();
         println!("\n== continuous profile: flame tree from the span journal ==");
-        print!("{}", report.render_ascii());
+        println!("folded stacks from {} job(s):", report.folded_jobs);
+        print!("{}", render_flame_ascii(&report.folded));
+        println!(
+            "pool: {}/{} busy, {} idle wakeups, {} rr skips",
+            report.pool.busy_workers,
+            report.pool.workers,
+            report.pool.idle_wakeups,
+            report.pool.rr_skips,
+        );
         println!("\n== per-stage CPU vs wall accounting ==");
         for s in &report.stages {
             println!(
@@ -254,4 +263,122 @@ fn main() {
         reply.body.len()
     );
     session.logoff();
+}
+
+/// Render the span tree as indented ASCII, critical-path stages
+/// marked with `*`.
+fn render_trace_ascii(trace: &JobTrace) -> String {
+    let mut out = String::new();
+    out.push_str(&format!(
+        "job {} trace {:#x} wall {}us ({})\n",
+        trace.job,
+        trace.trace_id,
+        trace.wall_micros,
+        trace.outcome.unwrap_or("incomplete")
+    ));
+    out.push_str("attribution:\n");
+    for (name, micros) in &trace.attribution {
+        let pct = if trace.wall_micros > 0 {
+            *micros as f64 * 100.0 / trace.wall_micros as f64
+        } else {
+            0.0
+        };
+        let mark = if *name == trace.critical_stage {
+            " *"
+        } else {
+            ""
+        };
+        out.push_str(&format!("  {name:<10} {micros:>10}us {pct:5.1}%{mark}\n"));
+    }
+    out.push_str("spans:\n");
+    render_node(trace, &mut out, trace.root, 1);
+    out
+}
+
+fn render_node(trace: &JobTrace, out: &mut String, idx: usize, depth: usize) {
+    let n = &trace.nodes[idx];
+    let critical = Stage::classify(n.kind)
+        .map(|s| s.name() == trace.critical_stage)
+        .unwrap_or(false);
+    out.push_str(&format!(
+        "{}{} {}{} [span {}]",
+        "  ".repeat(depth),
+        if critical { "*" } else { "-" },
+        n.kind,
+        if n.chunk != 0 || n.kind.starts_with("chunk") {
+            format!(" #{}", n.chunk)
+        } else {
+            String::new()
+        },
+        n.span,
+    ));
+    if n.dur_micros > 0 {
+        out.push_str(&format!(" {}us", n.dur_micros));
+    }
+    if n.value > 0 {
+        out.push_str(&format!(" ({})", n.value));
+    }
+    out.push('\n');
+    // Children in journal (time) order.
+    for &c in &n.children {
+        render_node(trace, out, c, depth + 1);
+    }
+}
+
+/// Render folded-stack text as an ASCII flame tree: one row per frame,
+/// indented by depth, with each frame's inclusive share of the root and
+/// a proportional bar. Input lines that fail to parse are skipped.
+fn render_flame_ascii(folded: &str) -> String {
+    use std::collections::BTreeMap;
+
+    #[derive(Default)]
+    struct Node {
+        own: u64,
+        children: BTreeMap<String, Node>,
+    }
+    impl Node {
+        fn total(&self) -> u64 {
+            self.own + self.children.values().map(Node::total).sum::<u64>()
+        }
+    }
+
+    let mut root = Node::default();
+    for line in folded.lines() {
+        let Some((path, value)) = line.rsplit_once(' ') else {
+            continue;
+        };
+        let Ok(value) = value.parse::<u64>() else {
+            continue;
+        };
+        let mut node = &mut root;
+        for frame in path.split(';') {
+            node = node.children.entry(frame.to_string()).or_default();
+        }
+        node.own += value;
+    }
+
+    let grand = root.total();
+    if grand == 0 {
+        return "flame: (empty — no completed jobs in the journal)\n".to_string();
+    }
+    fn push(out: &mut String, name: &str, node: &Node, depth: usize, grand: u64) {
+        let total = node.total();
+        let pct = total as f64 * 100.0 / grand as f64;
+        let bar_len = ((total as f64 / grand as f64) * 32.0).round() as usize;
+        out.push_str(&format!(
+            "{:indent$}{name:<width$} {total:>10}us {pct:>5.1}% |{bar}\n",
+            "",
+            indent = depth * 2,
+            width = 24usize.saturating_sub(depth * 2),
+            bar = "#".repeat(bar_len.max(if total > 0 { 1 } else { 0 })),
+        ));
+        for (child_name, child) in &node.children {
+            push(out, child_name, child, depth + 1, grand);
+        }
+    }
+    let mut out = format!("flame: {grand}us total\n");
+    for (name, node) in &root.children {
+        push(&mut out, name, node, 0, grand);
+    }
+    out
 }
