@@ -45,8 +45,6 @@ pub struct VirtualizerConfig {
     /// error — the deterministic stand-in for the paper's one-million
     /// credit crash.
     pub memory_cap: usize,
-    /// Rows per export chunk handed to client sessions.
-    pub export_chunk_rows: u32,
     /// Ignored: export read-ahead, in chunks. The export cursor serves
     /// slices of a result the CDW returns whole, so there is nothing to
     /// read ahead. Kept because `etlv-bench` passes it to
@@ -83,15 +81,6 @@ pub struct VirtualizerConfig {
     /// as one JSON object per line. `None` (the default) keeps the
     /// journal in-memory only.
     pub journal_jsonl: Option<std::path::PathBuf>,
-    /// Time-series sampler tick. `Duration::ZERO` (the default) disables
-    /// the background sampler entirely; a nonzero tick snapshots the
-    /// metrics named in [`SAMPLER_METRICS`] every tick into bounded rings
-    /// (the `Series` introspection topic).
-    pub sampler_tick: Duration,
-    /// Points retained per sampled metric (sliding window). Must be ≥ 2
-    /// when the sampler is enabled, so rates can be derived from
-    /// consecutive deltas.
-    pub sampler_capacity: usize,
     /// Maximum concurrently connected sessions per node. A logon beyond
     /// this limit is refused with retryable `SERVER_BUSY`. Must be ≥ 1.
     pub max_sessions: usize,
@@ -125,7 +114,6 @@ impl Default for VirtualizerConfig {
             max_errors: 0,
             max_retries: 64,
             memory_cap: 0,
-            export_chunk_rows: 4096,
             export_prefetch_chunks: 4,
             drain_timeout: Duration::from_secs(600),
             simulated_convert_cost_per_mb: Duration::ZERO,
@@ -136,8 +124,6 @@ impl Default for VirtualizerConfig {
             report_history: 16,
             journal_capacity: 4096,
             journal_jsonl: None,
-            sampler_tick: Duration::ZERO,
-            sampler_capacity: 512,
             max_sessions: 256,
             max_concurrent_jobs: 64,
             session_idle_timeout: Duration::ZERO,
@@ -152,32 +138,6 @@ pub(crate) fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())
 }
 
-/// Counters and gauges the background sampler tracks: the series the
-/// paper's Fig. 8/9 plots are built from (rows/sec, bytes/sec, credit
-/// occupancy, adaptive/upload retry rates), plus — one ring per tenant —
-/// enough `tenant.*` series to plot each tenant's throughput and error
-/// contribution over time.
-pub const SAMPLER_METRICS: [&str; 18] = [
-    "pipeline.convert_rows",
-    "pipeline.convert_bytes",
-    "gateway.chunks_received",
-    "gateway.chunk_bytes",
-    "cloudstore.put_bytes",
-    "credit.in_flight",
-    "memory.in_flight",
-    "pipeline.upload_retries",
-    "adaptive.transient_retries",
-    "gateway.active_sessions",
-    "gateway.active_jobs",
-    "pool.busy_workers",
-    "lock.wait_us",
-    "tenant.chunks",
-    "tenant.rows_applied",
-    "tenant.errors_et",
-    "tenant.errors_uv",
-    "tenant.active_jobs",
-];
-
 impl VirtualizerConfig {
     /// Validate invariants; returns a description of the first violation.
     pub fn validate(&self) -> Result<(), String> {
@@ -186,9 +146,6 @@ impl VirtualizerConfig {
         }
         if self.file_size_threshold == 0 {
             return Err("file_size_threshold must be positive".into());
-        }
-        if self.export_chunk_rows == 0 {
-            return Err("export_chunk_rows must be positive".into());
         }
         if self.retry_base_delay > self.retry_max_delay {
             return Err("retry_base_delay must not exceed retry_max_delay".into());
@@ -204,9 +161,6 @@ impl VirtualizerConfig {
         }
         if self.journal_capacity == 0 {
             return Err("journal_capacity must be at least 1".into());
-        }
-        if !self.sampler_tick.is_zero() && self.sampler_capacity < 2 {
-            return Err("sampler_capacity must be at least 2 when the sampler is enabled".into());
         }
         if self.slo.fast_window.is_zero() || self.slo.slow_window.is_zero() {
             return Err("slo windows must be nonzero".into());
@@ -303,18 +257,6 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
-        let c = VirtualizerConfig {
-            sampler_tick: Duration::from_millis(10),
-            sampler_capacity: 1,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = VirtualizerConfig {
-            sampler_tick: Duration::from_millis(10),
-            sampler_capacity: 2,
-            ..Default::default()
-        };
-        assert!(c.validate().is_ok());
         let mut c = VirtualizerConfig::default();
         c.slo.fast_window = c.slo.slow_window;
         assert!(c.validate().is_err());

@@ -80,7 +80,7 @@ impl TdfCursor {
         CursorChunk {
             index,
             rows,
-            last: index + 1 >= total,
+            last: index.saturating_add(1) >= total,
         }
     }
 }
@@ -126,6 +126,10 @@ mod tests {
             })
             .collect();
         assert_eq!(all, (0..10).collect::<Vec<_>>());
+        // The index arrives from the wire unchecked: even the largest one
+        // is an empty terminal chunk.
+        let end = cursor.chunk(u64::MAX);
+        assert!(end.last && end.rows.is_empty());
     }
 
     #[test]

@@ -36,7 +36,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::adaptive::{AdaptiveParams, ErrorRows, RecordedError};
 use crate::apply::apply;
-use crate::config::{VirtualizerConfig, SAMPLER_METRICS};
+use crate::config::VirtualizerConfig;
 use crate::convert::DataConverter;
 use crate::credit::CreditManager;
 use crate::cursor::TdfCursor;
@@ -45,13 +45,17 @@ use crate::fault::{retry_cdw, FaultCounts, FaultInjector};
 use crate::memory::MemoryGauge;
 use crate::obs::{
     stats_json, stats_prometheus, CpuTimer, HealthReport, JobObs, Obs, OverloadInput,
-    ProfileReport, Sampler, SloEngine, SpanIds, TenantObs,
+    ProfileReport, SloEngine, SpanIds, TenantObs,
 };
 use crate::pipeline::{ChunkSink, Pipeline, PipelineReport, RawChunk, WorkerRuntime};
 use crate::report::{JobReport, NodeMetrics};
 use crate::session::SessionRegistry;
 use crate::trace::JobTrace;
 use crate::xcompile;
+
+/// Rows per export chunk when the client leaves the size to the server
+/// (`BeginExport::chunk_rows` 0).
+const EXPORT_CHUNK_ROWS: u32 = 4096;
 
 pub(crate) struct ImportJobState {
     spec: BeginLoad,
@@ -114,8 +118,6 @@ pub(crate) struct Node {
     /// Ring of the most recent completed load reports, newest last
     /// (capacity `config.report_history`).
     pub(crate) reports: Mutex<VecDeque<JobReport>>,
-    /// Background time-series sampler (`config.sampler_tick > 0` only).
-    pub(crate) sampler: Option<Sampler>,
     /// The node-wide worker runtime every load job registers with.
     pub(crate) runtime: WorkerRuntime,
     /// Per-tenant SLO burn-rate engine behind the `Health` endpoint.
@@ -128,14 +130,6 @@ pub(crate) struct Node {
     /// Notified (under the `jobs` mutex) on every job removal, so
     /// drain can block instead of sleep-polling `active_jobs()`.
     pub(crate) jobs_drained: Condvar,
-}
-
-impl Drop for Node {
-    fn drop(&mut self) {
-        if let Some(sampler) = &self.sampler {
-            sampler.stop();
-        }
-    }
 }
 
 /// A job slot claimed by [`Virtualizer::admit`] and held while the job
@@ -264,32 +258,6 @@ impl Virtualizer {
         let credits = CreditManager::with_obs(config.credits, obs.credit.clone());
         let memory = MemoryGauge::new(config.memory_cap);
         let slo = SloEngine::new(config.slo.clone());
-        let sampler = if !config.sampler_tick.is_zero() {
-            // The sampler's refresh mirrors `refresh_gauges` so gauge
-            // series (credit occupancy, memory) are current every tick;
-            // it also feeds the SLO engine's burn-rate windows, so health
-            // evaluation stays current without its own thread.
-            let refresh: Box<dyn Fn() + Send + Sync> = {
-                let obs = Arc::clone(&obs);
-                let credits = credits.clone();
-                let memory = memory.clone();
-                let injector = injector.clone();
-                let slo = slo.clone();
-                Box::new(move || {
-                    refresh_gauges_into(&obs, &credits, &memory, injector.as_deref());
-                    slo.observe(&obs);
-                })
-            };
-            Some(Sampler::start(
-                Arc::clone(&obs),
-                refresh,
-                config.sampler_tick,
-                config.sampler_capacity,
-                &SAMPLER_METRICS,
-            ))
-        } else {
-            None
-        };
         let runtime = WorkerRuntime::start(&config, Arc::clone(&obs), injector.clone());
         let registry = SessionRegistry::new(
             config.max_sessions,
@@ -309,7 +277,6 @@ impl Virtualizer {
                 next_token: AtomicU64::new(1),
                 next_session: AtomicU32::new(1),
                 reports: Mutex::new(VecDeque::new()),
-                sampler,
                 runtime,
                 slo,
                 registry,
@@ -391,17 +358,24 @@ impl Virtualizer {
     /// the registry's gauges so a snapshot is self-consistent.
     fn refresh_gauges(&self) {
         let node = &self.node;
-        refresh_gauges_into(
-            &node.obs,
-            &node.credits,
-            &node.memory,
-            node.injector.as_deref(),
-        );
+        let obs = &node.obs;
+        obs.credit.in_flight.set(node.credits.in_flight() as u64);
+        obs.memory.in_flight.set(node.memory.in_flight());
+        obs.memory.peak.set(node.memory.peak());
+        if let Some(injector) = &node.injector {
+            let c = injector.counts();
+            obs.fault.injected_total.set(c.total());
+            obs.fault.injected_store_put.set(c.store_put);
+            obs.fault.injected_store_get.set(c.store_get);
+            obs.fault.injected_cdw_exec.set(c.cdw_exec);
+            obs.fault.injected_convert.set(c.convert);
+            obs.fault.injected_transport.set(c.transport);
+        }
     }
 
     /// Evaluate per-tenant SLO burn rates and node overload right now.
-    /// Feeds the engine a fresh observation first, so health answers are
-    /// current even when the background sampler is disabled.
+    /// Feeds the engine a fresh observation first — its only feed — so
+    /// health answers are always current.
     pub fn health(&self) -> HealthReport {
         let node = &self.node;
         self.refresh_gauges();
@@ -438,7 +412,7 @@ impl Virtualizer {
     /// renderer. [`Format`] states which topics have a text rendering.
     pub fn introspect(&self, topic: Topic, format: Format) -> IntrospectReply {
         let format = match topic {
-            Topic::Series | Topic::Trace { .. } => Format::Json,
+            Topic::Trace { .. } => Format::Json,
             Topic::Stats | Topic::Health | Topic::Profile => format,
         };
         let body = match (topic, format) {
@@ -460,12 +434,6 @@ impl Virtualizer {
                     }
                 })
             }
-            // A disabled sampler (`sampler_tick = 0`) still answers, so
-            // callers can always parse the same shape.
-            (Topic::Series, _) => Some(match &self.node.sampler {
-                Some(sampler) => sampler.series_json(),
-                None => "{\"enabled\": false, \"tick_micros\": 0, \"series\": []}\n".to_string(),
-            }),
             (Topic::Health, Format::Json) => Some(self.health().to_json()),
             (Topic::Health, Format::Text) => Some(self.health().to_prometheus()),
             (Topic::Profile, Format::Json) => Some(self.profile().to_json()),
@@ -477,16 +445,6 @@ impl Virtualizer {
             format,
             found: body.is_some(),
             body: body.unwrap_or_default(),
-        }
-    }
-
-    /// Stop the background sampler (idempotent). Freezes the series
-    /// document — after this, successive `Topic::Series` requests (local
-    /// or over the wire) return identical bytes, which is what
-    /// exact-comparison tests need.
-    pub fn stop_sampler(&self) {
-        if let Some(sampler) = &self.node.sampler {
-            sampler.stop();
         }
     }
 
@@ -1234,7 +1192,7 @@ impl Virtualizer {
             Err(e) => return error_msg(ErrCode::SQL_ERROR, e.to_string(), true),
         };
         let chunk_rows = if spec.chunk_rows == 0 {
-            node.config.export_chunk_rows
+            EXPORT_CHUNK_ROWS
         } else {
             spec.chunk_rows
         };
@@ -1317,28 +1275,6 @@ fn value_literal(v: Value) -> Literal {
         Value::Str(s) => Literal::Str(s),
         Value::Date(d) => Literal::Date(d),
         Value::Bytes(_) | Value::Timestamp(_) => Literal::Str(v.display_text()),
-    }
-}
-
-/// Shared gauge refresh used by both the snapshot path and the sampler
-/// thread.
-fn refresh_gauges_into(
-    obs: &Obs,
-    credits: &CreditManager,
-    memory: &MemoryGauge,
-    injector: Option<&FaultInjector>,
-) {
-    obs.credit.in_flight.set(credits.in_flight() as u64);
-    obs.memory.in_flight.set(memory.in_flight());
-    obs.memory.peak.set(memory.peak());
-    if let Some(injector) = injector {
-        let c = injector.counts();
-        obs.fault.injected_total.set(c.total());
-        obs.fault.injected_store_put.set(c.store_put);
-        obs.fault.injected_store_get.set(c.store_get);
-        obs.fault.injected_cdw_exec.set(c.cdw_exec);
-        obs.fault.injected_convert.set(c.convert);
-        obs.fault.injected_transport.set(c.transport);
     }
 }
 

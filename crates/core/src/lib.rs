@@ -50,8 +50,8 @@
 //!   policy hardening the acquisition pipeline (§9, DESIGN §7).
 //! - [`cursor`]: TDFCursor, serving slices of the CDW's query result by
 //!   index to parallel export sessions (§3, §4).
-//! - [`obs`]: observability — sharded metrics registry, span journal,
-//!   time-series sampler, and the stats snapshot renderers (§9, DESIGN §9).
+//! - [`obs`]: observability — sharded metrics registry, span journal, SLO
+//!   engine, and the stats snapshot renderers (§9, DESIGN §9).
 //! - [`trace`]: causal job tracing — assembles journal events into a
 //!   per-job span tree with critical-path attribution (DESIGN §9).
 //! - [`report`]: phase-timed job reports and node metrics (§9).

@@ -288,17 +288,13 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn view(&self, label: Option<(&'static str, String)>) -> MetricsRegistry {
-        MetricsRegistry {
-            inner: Arc::clone(&self.inner),
-            label,
-        }
-    }
-
     /// A view of this registry whose `counter`/`gauge`/`histogram`
     /// register under the label `key="value"`.
     pub fn labelled(&self, key: &'static str, value: &str) -> MetricsRegistry {
-        self.view(Some((key, value.to_string())))
+        MetricsRegistry {
+            inner: Arc::clone(&self.inner),
+            label: Some((key, value.to_string())),
+        }
     }
 
     fn register(&self, name: &str, new: fn() -> Handle) -> Handle {
@@ -423,16 +419,13 @@ impl MetricsRegistry {
         if let Some(s) = sites.iter().find(|s| s.site == effective) {
             return Arc::clone(s);
         }
-        let (r, all) = (self.labelled("site", effective), self.view(None));
+        let r = self.labelled("site", effective);
         let s = Arc::new(LockSiteObs {
             site: effective.to_string(),
             acquires: r.counter("lock.site.acquires"),
             contended: r.counter("lock.site.contended"),
             wait_us: r.histogram("lock.site.wait_us"),
             hold_us: r.histogram("lock.site.hold_us"),
-            agg_acquires: all.counter("lock.acquires"),
-            agg_contended: all.counter("lock.contended"),
-            agg_wait_us: all.counter("lock.wait_us"),
         });
         sites.push(Arc::clone(&s));
         s
@@ -739,14 +732,6 @@ mod tests {
             snap.get("lock.site.wait_us", Some("runtime.state")),
             Some(&SeriesValue::Histogram(site.wait_us.clone()))
         );
-        // Aggregates follow every per-site record.
-        let agg = |name: &str| match snap.get(name, None) {
-            Some(SeriesValue::Counter(v)) => *v,
-            other => panic!("missing {name}: {other:?}"),
-        };
-        assert_eq!(agg("lock.acquires"), 2);
-        assert_eq!(agg("lock.contended"), 1);
-        assert!(agg("lock.wait_us") >= 150);
         // Cardinality bound: past the limit, sites share the overflow
         // block.
         for i in 0..LOCK_SITE_LIMIT + 4 {

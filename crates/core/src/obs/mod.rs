@@ -38,10 +38,8 @@ pub use profile::{
 
 mod journal;
 mod metrics;
-mod sampler;
 pub use journal::Journal;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-pub use sampler::Sampler;
 
 /// Point-in-time view of one histogram.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -98,8 +98,6 @@ impl CpuTimer {
 /// handles are the registered `lock.site.*{site="<name>"}` series. Wait
 /// time is how long a contended acquire blocked; hold time is how long
 /// the guard lived.
-/// Every record also bumps the registry-level `lock.*` aggregates so the
-/// sampler can follow total contention as one rate series.
 pub struct LockSiteObs {
     /// The static site name, e.g. `"runtime.state"` or `"cdw.table/T1"`.
     pub site: String,
@@ -111,11 +109,6 @@ pub struct LockSiteObs {
     pub wait_us: Histogram,
     /// Guard lifetime per acquisition, µs.
     pub hold_us: Histogram,
-    /// Registry-wide aggregate clones (`lock.acquires`, `lock.contended`,
-    /// `lock.wait_us`) bumped alongside the per-site handles.
-    pub(crate) agg_acquires: Counter,
-    pub(crate) agg_contended: Counter,
-    pub(crate) agg_wait_us: Counter,
 }
 
 impl LockSiteObs {
@@ -123,19 +116,14 @@ impl LockSiteObs {
     #[inline]
     pub fn acquired_uncontended(&self) {
         self.acquires.inc();
-        self.agg_acquires.inc();
     }
 
     /// Record an acquisition that blocked for `wait`.
     #[inline]
     pub fn acquired_after(&self, wait: Duration) {
-        let us = wait.as_micros() as u64;
         self.acquires.inc();
-        self.agg_acquires.inc();
         self.contended.inc();
-        self.agg_contended.inc();
-        self.wait_us.record(us);
-        self.agg_wait_us.add(us);
+        self.wait_us.record_duration(wait);
     }
 
     /// Record how long a guard was held.

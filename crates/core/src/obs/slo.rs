@@ -3,14 +3,14 @@
 //!
 //! The engine is deliberately passive: it never spawns a thread. Cheap
 //! cumulative-counter samples are pushed into bounded per-tenant rings by
-//! [`SloEngine::observe`] — called from the background sampler's refresh
-//! hook and from every `Health` evaluation — and burn rates are derived
-//! on demand from the ring. A burn rate is the SRE-style ratio
-//! `bad_fraction_over_window / error_budget` where the budget is
-//! `1 - objective`: burn 1.0 consumes the budget exactly at the rate the
-//! objective allows, burn 14.4 exhausts a 30-day budget in 2 days. An
-//! alert fires only when **both** the fast and the slow window burn
-//! exceed their thresholds — the fast window gives detection latency,
+//! [`SloEngine::observe`] — called from every `Health` evaluation, its
+//! only feed — and burn rates are derived on demand from the ring. These
+//! rings are the node's one time-series store. A burn rate is the
+//! SRE-style ratio `bad_fraction_over_window / error_budget` where the
+//! budget is `1 - objective`: burn 1.0 consumes the budget exactly at the
+//! rate the objective allows, burn 14.4 exhausts a 30-day budget in 2
+//! days. An alert fires only when **both** the fast and the slow window
+//! burn exceed their thresholds — the fast window gives detection latency,
 //! the slow window keeps a short blip from paging.
 
 use std::collections::VecDeque;
@@ -367,8 +367,8 @@ impl SloEngine {
     }
 
     /// Sample every interned tenant's counters into the rings. Called
-    /// from the sampler's refresh hook each tick and from every health
-    /// evaluation; cost is a handful of relaxed loads per tenant.
+    /// from every health evaluation; cost is a handful of relaxed loads
+    /// per tenant.
     pub fn observe(&self, obs: &Obs) {
         let now = Instant::now();
         let keep = self

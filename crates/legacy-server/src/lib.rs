@@ -25,4 +25,4 @@
 pub mod apply;
 pub mod server;
 
-pub use server::{LegacyServer, ServerConfig};
+pub use server::LegacyServer;

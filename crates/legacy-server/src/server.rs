@@ -26,16 +26,9 @@ use parking_lot::Mutex;
 
 use crate::apply::{apply_per_tuple, ApplyOutcome};
 
-/// Server configuration.
-#[derive(Debug, Clone, Default)]
-pub struct ServerConfig {
-    /// Engine configuration for the internal storage engine. Legacy
-    /// systems enforce uniqueness natively, so `native_unique` is forced
-    /// on regardless of this value.
-    pub engine: CdwConfig,
-    /// Rows per export chunk (0 = default 1024).
-    pub export_chunk_rows: u32,
-}
+/// Rows per export chunk when the client leaves the size to the server
+/// (`BeginExport::chunk_rows` 0).
+const EXPORT_CHUNK_ROWS: usize = 1024;
 
 struct ImportJob {
     spec: BeginLoad,
@@ -60,31 +53,21 @@ pub struct LegacyServer {
     jobs: Mutex<HashMap<u64, Job>>,
     next_token: AtomicU64,
     next_session: AtomicU32,
-    export_chunk_rows: u32,
 }
 
 impl LegacyServer {
-    /// Create a server with default configuration.
+    /// Create a server. Legacy systems enforce uniqueness natively, so
+    /// the internal engine runs with `native_unique` on.
     pub fn new() -> Arc<LegacyServer> {
-        LegacyServer::with_config(ServerConfig::default())
-    }
-
-    /// Create a server with explicit configuration.
-    pub fn with_config(config: ServerConfig) -> Arc<LegacyServer> {
         let engine_config = CdwConfig {
             native_unique: true,
-            ..config.engine
+            ..CdwConfig::default()
         };
         Arc::new(LegacyServer {
             engine: Cdw::with_config(engine_config, None),
             jobs: Mutex::new(HashMap::new()),
             next_token: AtomicU64::new(1),
             next_session: AtomicU32::new(1),
-            export_chunk_rows: if config.export_chunk_rows == 0 {
-                1024
-            } else {
-                config.export_chunk_rows
-            },
         })
     }
 
@@ -460,7 +443,7 @@ impl LegacyServer {
         };
         let layout = layout_of_columns(&result.columns);
         let chunk_rows = if spec.chunk_rows == 0 {
-            self.export_chunk_rows as usize
+            EXPORT_CHUNK_ROWS
         } else {
             spec.chunk_rows as usize
         };

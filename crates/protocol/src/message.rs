@@ -220,9 +220,6 @@ pub enum Topic {
     /// Metrics snapshot: node metrics, every registered counter, gauge
     /// and histogram, the recent-report ring, journal occupancy.
     Stats,
-    /// The background sampler's time-series rings (Fig. 8/9-style
-    /// rate-over-time data).
-    Series,
     /// Per-tenant SLO burn rates, active alerts, node overload state.
     Health,
     /// Continuous-profiling report: stage CPU/wall, lock sites, worker
@@ -239,7 +236,6 @@ impl Topic {
     fn encode(self, buf: &mut impl BufMut) {
         match self {
             Topic::Stats => buf.put_u8(0),
-            Topic::Series => buf.put_u8(1),
             Topic::Health => buf.put_u8(2),
             Topic::Profile => buf.put_u8(3),
             Topic::Trace { job } => {
@@ -255,7 +251,8 @@ impl Topic {
         }
         match buf.get_u8() {
             0 => Ok(Topic::Stats),
-            1 => Ok(Topic::Series),
+            // Byte 1 stays unassigned: a peer that still sends it gets
+            // `Malformed`, never another topic.
             2 => Ok(Topic::Health),
             3 => Ok(Topic::Profile),
             4 => {
@@ -274,9 +271,9 @@ impl Topic {
 /// Rendering requested for an introspection document. `Text` is
 /// Prometheus text exposition for [`Topic::Stats`] and [`Topic::Health`]
 /// and folded-stack text (the flamegraph input format) for
-/// [`Topic::Profile`]. [`Topic::Series`] and [`Topic::Trace`] have only a
-/// JSON rendering: a `Text` request for them is answered in JSON. The
-/// reply's `format` always names the rendering that was sent.
+/// [`Topic::Profile`]. [`Topic::Trace`] has only a JSON rendering: a
+/// `Text` request for it is answered in JSON. The reply's `format` always
+/// names the rendering that was sent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Format {
     /// JSON document.
@@ -1088,14 +1085,12 @@ mod tests {
     fn introspect_roundtrip() {
         let topics = [
             Topic::Stats,
-            Topic::Series,
             Topic::Health,
             Topic::Profile,
             Topic::Trace { job: 17 },
         ];
         let bodies = [
             "{\"counters\": {\"gateway.chunks_received\": 12}}",
-            "etlv_gateway_chunks_received 12\n",
             "etlv_slo_alert{tenant=\"wg_t00\",objective=\"error_rate\"} 1\n",
             "job;acquisition;convert 300\njob;application;apply 500\n",
             "{\"job\": 17, \"wall_micros\": 1200}",
@@ -1123,8 +1118,9 @@ mod tests {
         });
         assert_eq!(roundtrip(msg.clone()), msg);
 
-        // Unknown topic and format bytes are malformed, not defaulted.
-        for payload in [&[5u8, 0][..], &[0, 2]] {
+        // Unknown topic and format bytes are malformed, not defaulted;
+        // byte 1 is the retired `Series` topic.
+        for payload in [&[5u8, 0][..], &[1, 0], &[0, 2]] {
             let frame = Frame::new(MsgKind::Introspect, 0, 0, payload.to_vec());
             assert!(matches!(
                 Message::from_frame(&frame),

@@ -1,9 +1,7 @@
-//! PR 4 causal tracing, end to end: wire-propagated trace context, span
-//! trees assembled over the `Trace` request, critical-path attribution
-//! that sums to the measured wall time, the time-series sampler, and
-//! backward compatibility with trace-free legacy clients.
-
-use std::time::Duration;
+//! Causal tracing, end to end: wire-propagated trace context, span trees
+//! assembled over the `Trace` request, critical-path attribution that
+//! sums to the measured wall time, and backward compatibility with
+//! trace-free legacy clients.
 
 use etlv_core::VirtualizerConfig;
 use etlv_legacy_client::{ClientOptions, LegacyEtlClient, Session};
@@ -176,95 +174,6 @@ fn multi_chunk_import_yields_complete_span_tree() {
         failed.nodes[failed.root].children.len(),
         failed.nodes.len() - 1
     );
-}
-
-/// The background sampler captures a non-empty rows/sec series during a
-/// load, renderable as JSON locally and over the wire (the `Series`
-/// topic).
-#[test]
-fn sampler_records_rows_per_second_series() {
-    let v = customer_virtualizer(VirtualizerConfig {
-        sampler_tick: Duration::from_millis(2),
-        sampler_capacity: 4096,
-        file_size_threshold: 512,
-        // Stretch the job over enough ticks to see the series move.
-        simulated_convert_cost_per_mb: Duration::from_millis(400),
-        ..Default::default()
-    });
-    let client = LegacyEtlClient::with_options(
-        tcp_connector(&v),
-        ClientOptions {
-            chunk_rows: 25,
-            sessions: Some(2),
-            ..Default::default()
-        },
-    );
-    let result = client
-        .run_import_data(&customer_import_job(), &customer_rows(400))
-        .unwrap();
-    assert_eq!(result.report.rows_applied, 400);
-
-    let json = v.introspect(Topic::Series, Format::Json).body;
-    assert!(json.contains("\"enabled\": true"), "{json}");
-    assert!(
-        json.contains("\"metric\": \"pipeline.convert_rows\", \"kind\": \"counter\""),
-        "{json}"
-    );
-    assert!(json.contains("\"rate_per_s\""), "{json}");
-    // At least one sampled point carries a nonzero convert_rows total.
-    let at = json.find("pipeline.convert_rows").unwrap();
-    let window = &json[at..json[at..].find("]}").map_or(json.len(), |e| at + e)];
-    assert!(
-        window.contains("\"value\": 4") || window.contains("\"value\": 400"),
-        "rows/sec series saw conversion progress: {window}"
-    );
-    // Gauges sampled alongside counters.
-    assert!(
-        json.contains("\"metric\": \"credit.in_flight\", \"kind\": \"gauge\""),
-        "{json}"
-    );
-
-    // Freeze the sampler before comparing: a live sampler keeps
-    // appending points between the local snapshot and the wire request,
-    // so exact equality would race the tick.
-    v.stop_sampler();
-    let json = v.introspect(Topic::Series, Format::Json).body;
-
-    // The same series over the wire.
-    let mut session = Session::logon(
-        client.connector().as_ref(),
-        "admin",
-        "pw",
-        SessionRole::Control,
-        0,
-    )
-    .unwrap();
-    let reply = session.introspect(Topic::Series, Format::Json).unwrap();
-    assert_eq!((reply.topic, reply.format), (Topic::Series, Format::Json));
-    assert_eq!(reply.body, json, "wire body is the sampler document");
-    session.logoff();
-}
-
-/// A sampler that is configured off (the default) answers the Series
-/// request with a disabled document instead of failing — in JSON, the
-/// topic's only rendering, whichever format was asked for.
-#[test]
-fn series_request_with_sampler_disabled() {
-    let v = customer_virtualizer(VirtualizerConfig::default());
-    let client = LegacyEtlClient::new(tcp_connector(&v));
-    let mut session = Session::logon(
-        client.connector().as_ref(),
-        "admin",
-        "pw",
-        SessionRole::Control,
-        0,
-    )
-    .unwrap();
-    let reply = session.introspect(Topic::Series, Format::Json).unwrap();
-    assert!(reply.body.contains("\"enabled\": false"), "{}", reply.body);
-    let text = session.introspect(Topic::Series, Format::Text).unwrap();
-    assert_eq!((text.format, &text.body), (Format::Json, &reply.body));
-    session.logoff();
 }
 
 /// Backward compatibility: an unmodified legacy client — no trace trailer
