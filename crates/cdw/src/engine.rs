@@ -809,6 +809,51 @@ mod tests {
         assert_eq!(r.rows[2][0], Value::Str("gamma".into()));
     }
 
+    /// COPY of a clean part plus `corrupt`: the statement must abort with
+    /// `Cause::BadFile`, naming the part and `why`, and load nothing, not
+    /// even the clean part's rows.
+    fn copy_rejects_part(corrupt: Vec<u8>, why: &str) {
+        let store = Arc::new(MemStore::new());
+        store
+            .put("staging", "job1/part-000", b"1|alpha\n".to_vec())
+            .unwrap();
+        store.put("staging", "job1/part-001", corrupt).unwrap();
+        let cdw = Cdw::with_config(CdwConfig::default(), Some(store as Arc<dyn ObjectStore>));
+        cdw.execute("CREATE TABLE STG (ID VARCHAR(5), NAME VARCHAR(20))")
+            .unwrap();
+        let err = cdw
+            .execute("COPY INTO STG FROM 'store://staging/job1/' DELIMITER '|'")
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CdwError::BulkAbort {
+                    cause: etlv_protocol::errcode::Cause::BadFile,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("part-001"), "{err}");
+        assert!(err.to_string().contains(why), "{err}");
+        assert_eq!(cdw.table_len("STG").unwrap(), 0);
+    }
+
+    #[test]
+    fn copy_rejects_truncated_compressed_part() {
+        let part = compress::compress(&b"2|beta|beta|beta|beta\n".repeat(20));
+        copy_rejects_part(part[..part.len() - 2].to_vec(), "truncated");
+    }
+
+    #[test]
+    fn copy_rejects_compressed_part_with_bad_reference() {
+        let mut part = compress::compress(b"2|beta\n");
+        // Append a flag byte and a match reaching 64 KiB back, far before
+        // the start of the output.
+        part.extend_from_slice(&[0b0000_0000, 0xFF, 0xFF, 0x00]);
+        copy_rejects_part(part, "back-reference out of range");
+    }
+
     #[test]
     fn copy_without_store_unsupported() {
         let cdw = Cdw::new();

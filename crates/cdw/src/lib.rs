@@ -15,7 +15,7 @@
 //!    names none. This is exactly the behaviour that forces the
 //!    virtualizer's adaptive (range-cutting) error handler in §7.
 //! 2. **Object-store bulk loading.** `COPY INTO t FROM 'store://…'` ingests
-//!    staged delimited files (optionally LZSS-compressed) from the
+//!    staged delimited files (optionally LZ-compressed) from the
 //!    cloud store, as in §6.
 //! 3. **Optional native uniqueness.** Real CDWs often do not enforce
 //!    UNIQUE constraints; the engine models both modes. With native

@@ -6,7 +6,7 @@
 //! format (a zero-length field is NULL, `""` is the empty string,
 //! backslash escapes) — but the *semantics* differ: staged fields are the
 //! already-converted, CDW-compatible text renderings of values, one line
-//! per row, and files may be LZSS-compressed as a whole.
+//! per row, and files may be LZ-compressed as a whole.
 
 use etlv_protocol::data::Value;
 use etlv_protocol::errcode::Cause;

@@ -6,7 +6,7 @@
 //!
 //! - [`store`]: the [`ObjectStore`] trait and its in-memory backend
 //!   ([`MemStore`]), addressable through `store://bucket/key` URLs.
-//! - [`compress`](mod@compress): a self-contained LZSS block codec used for compressed
+//! - [`compress`](mod@compress): a self-contained LZ block codec used for compressed
 //!   staged files (the paper: "data compression can improve upload speed if
 //!   the communication link ... is slow").
 //! - [`loader`]: the [`BulkLoader`] utility — uploads one staged file per

@@ -1196,12 +1196,24 @@ impl Virtualizer {
         } else {
             spec.chunk_rows
         };
-        let cursor = match TdfCursor::open(
-            &node.cdw,
-            &translated,
-            chunk_rows,
-            node.config.export_prefetch_chunks,
-        ) {
+        // The export's SELECT retries transient blips like any other
+        // statement: a warehouse fault fails before it runs.
+        let mut retries = 0u64;
+        let opened = retry_cdw(
+            node.config.retry_policy(),
+            node.config.fault_seed() ^ 0xE5,
+            &mut retries,
+            || {
+                TdfCursor::open(
+                    &node.cdw,
+                    &translated,
+                    chunk_rows,
+                    node.config.export_prefetch_chunks,
+                )
+            },
+        );
+        tenant.retries.add(retries);
+        let cursor = match opened {
             Ok(c) => c,
             Err(e) => return error_msg(ErrCode::SQL_ERROR, e.to_string(), true),
         };

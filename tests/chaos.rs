@@ -19,8 +19,8 @@ use etlv_legacy_client::{ClientError, ClientOptions, LegacyEtlClient, Session, T
 use etlv_protocol::message::{BeginLoad, DataChunk, Message, SessionRole};
 mod common;
 use common::{
-    assert_quiescent, chaos_tcp_connector, create_simple_target, kv_rows, simple_import_job,
-    tcp_connector,
+    assert_quiescent, chaos_tcp_connector, create_simple_target, export_job, kv_rows,
+    simple_import_job, tcp_connector,
 };
 
 fn config_with(plan: FaultPlan) -> VirtualizerConfig {
@@ -186,6 +186,33 @@ fn cdw_transient_budget_exhaustion_fails_cleanly() {
     // the best-effort staging-table DROP in job cleanup (which is exactly
     // why that DROP is best-effort).
     assert_eq!(v.fault_counts().unwrap().cdw_exec, 5);
+    assert_quiescent(&v);
+}
+
+#[test]
+fn cdw_transient_fault_on_export_select_is_retried() {
+    // The export's SELECT is the only statement an export runs: fault it
+    // once, and the export must still return every row.
+    let mut plan = FaultPlan::seeded(18);
+    plan.cdw_exec = FaultSpec::AtOps(vec![0]);
+    let v = Virtualizer::new(config_with(plan));
+    let connector = tcp_connector(&v);
+
+    v.cdw().set_transient_fault(None);
+    create_simple_target(connector.as_ref(), "T");
+    let client = LegacyEtlClient::new(connector.clone());
+    client
+        .run_import_data(&simple_import_job("T"), &kv_rows(40))
+        .unwrap();
+    v.cdw()
+        .set_transient_fault(Some(v.fault_injector().unwrap().cdw_hook()));
+
+    let result = client
+        .run_export(&export_job("select A, B from T order by A"))
+        .unwrap();
+    assert_eq!(result.rows, 40);
+    assert_eq!(result.data, kv_rows(40));
+    assert_eq!(v.fault_counts().unwrap().cdw_exec, 1);
     assert_quiescent(&v);
 }
 
