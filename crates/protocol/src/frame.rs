@@ -253,14 +253,16 @@ impl FrameDecoder {
         if expected != actual {
             return Err(FrameError::BadCrc { expected, actual });
         }
-        let mut frame_bytes = self.buf.split_to(total);
-        frame_bytes.advance(HEADER_LEN);
-        frame_bytes.truncate(payload_len);
+        // Copy the payload out once and step past the frame; the buffer
+        // compacts lazily on a later feed, so draining n buffered frames
+        // costs O(bytes), not O(n * bytes).
+        let payload = Bytes::copy_from_slice(&self.buf[HEADER_LEN..HEADER_LEN + payload_len]);
+        self.buf.advance(total);
         Ok(Some(Frame {
             kind,
             session,
             seq,
-            payload: frame_bytes.freeze(),
+            payload,
         }))
     }
 }

@@ -66,9 +66,10 @@ impl VartextFormat {
         }
     }
 
-    /// Encode one row as a vartext line (no trailing newline). Values are
-    /// rendered as their canonical text; NULL becomes a zero-length field;
-    /// the empty string becomes `""`.
+    /// Encode one row as a vartext line (no trailing newline). Strings are
+    /// escaped straight from their bytes; other values are rendered as
+    /// their canonical text; NULL becomes a zero-length field; the empty
+    /// string becomes `""`.
     pub fn encode_row(&self, values: &[Value], out: &mut Vec<u8>) {
         for (i, v) in values.iter().enumerate() {
             if i > 0 {
@@ -80,7 +81,8 @@ impl VartextFormat {
                     out.push(self.quote);
                     out.push(self.quote);
                 }
-                other => self.escape_into(&other.display_text(), out),
+                Value::Str(s) => self.escape_bytes_into(s.as_bytes(), out),
+                other => self.escape_bytes_into(other.display_text().as_bytes(), out),
             }
         }
     }
@@ -92,14 +94,10 @@ impl VartextFormat {
         String::from_utf8(out).expect("vartext encoding is UTF-8")
     }
 
-    fn escape_into(&self, s: &str, out: &mut Vec<u8>) {
-        self.escape_bytes_into(s.as_bytes(), out);
-    }
-
     /// Escape raw field bytes into `out`: the delimiter, quote and
     /// backslash get a backslash prefix, newline becomes `\n` and carriage
-    /// return `\r`. This is the allocation-free twin of the `&str` path —
-    /// the conversion kernel feeds it pre-rendered field bytes directly.
+    /// return `\r`. String values and the conversion kernel's pre-rendered
+    /// field bytes are escaped without an intermediate allocation.
     pub fn escape_bytes_into(&self, bytes: &[u8], out: &mut Vec<u8>) {
         // Copy maximal runs of clean bytes in one shot; fields rarely
         // contain escapable bytes, so the common case is a single memcpy.

@@ -7,7 +7,8 @@ use proptest::prelude::*;
 use etlv_protocol::data::{Date, Decimal, LegacyType, Value};
 use etlv_protocol::frame::{Frame, FrameDecoder, MsgKind};
 use etlv_protocol::layout::Layout;
-use etlv_protocol::record::{RecordDecoder, RecordEncoder};
+use etlv_protocol::message::RecordFormat;
+use etlv_protocol::record::{encode_rows, RecordDecoder, RecordEncoder};
 use etlv_protocol::vartext::VartextFormat;
 
 /// A strategy producing a (type, conforming value) pair.
@@ -106,29 +107,63 @@ proptest! {
     }
 
     #[test]
-    fn vartext_roundtrip(fields in proptest::collection::vec(
-        prop_oneof![
+    fn vartext_roundtrip((arity, rows) in (1usize..10).prop_flat_map(|arity| {
+        let field = prop_oneof![
             Just(None),
-            proptest::string::string_regex("[ -~]{0,40}").unwrap().prop_map(Some)
-        ],
-        1..10
-    )) {
-        let row: Vec<Value> = fields
-            .iter()
-            .map(|f| match f {
-                None => Value::Null,
-                Some(s) => Value::Str(s.clone()),
+            Just(Some(String::new())),
+            // Printable ASCII covers the delimiter, the quote and the
+            // backslash; newline and carriage return are added.
+            proptest::string::string_regex("[ -~\n\r]{0,40}").unwrap().prop_map(Some),
+            proptest::collection::vec(
+                prop_oneof![Just('|'), Just('"'), Just('\\'), Just('\n'), Just('\r'), Just('a')],
+                1..8,
+            )
+            .prop_map(|cs| Some(cs.into_iter().collect())),
+        ];
+        (
+            Just(arity),
+            proptest::collection::vec(proptest::collection::vec(field, arity), 1..8),
+        )
+    })) {
+        let rows: Vec<Vec<Value>> = rows
+            .into_iter()
+            .map(|fields| {
+                fields
+                    .into_iter()
+                    .map(|f| f.map_or(Value::Null, Value::Str))
+                    .collect()
             })
             .collect();
         let fmt = VartextFormat::default();
-        let line = fmt.encode_line(&row);
-        let decoded = fmt.decode_line(line.as_bytes(), Some(row.len())).unwrap();
-        prop_assert_eq!(decoded, row);
+        let mut layout = Layout::new("V");
+        for i in 0..arity {
+            layout = layout.field(format!("F{i}"), LegacyType::VarChar(40));
+        }
+        let format = RecordFormat::Vartext {
+            delimiter: fmt.delimiter,
+            quote: fmt.quote,
+        };
+        // The export encoder writes exactly each row's line plus `\n`.
+        let encoded = encode_rows(&layout, format, &rows).unwrap();
+        let mut expected = Vec::new();
+        for row in &rows {
+            expected.extend_from_slice(fmt.encode_line(row).as_bytes());
+            expected.push(b'\n');
+        }
+        prop_assert_eq!(&encoded, &expected);
+        // Escaping keeps every line free of raw newlines, so splitting the
+        // chunk recovers the rows.
+        let lines: Vec<&[u8]> = encoded[..encoded.len() - 1].split(|&b| b == b'\n').collect();
+        prop_assert_eq!(lines.len(), rows.len());
+        for (line, row) in lines.into_iter().zip(&rows) {
+            let decoded = fmt.decode_line(line, Some(arity)).unwrap();
+            prop_assert_eq!(&decoded, row);
+        }
     }
 
     #[test]
     fn frame_decoder_handles_any_fragmentation(
-        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..200), 1..6),
+        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..200), 1..64),
         cut_seed in any::<u64>(),
     ) {
         let frames: Vec<Frame> = payloads
@@ -140,14 +175,17 @@ proptest! {
         for f in &frames {
             stream.extend_from_slice(&f.to_bytes());
         }
-        // Deterministic pseudo-random fragmentation from the seed.
+        // Deterministic pseudo-random cuts of 1..=4096 bytes: a feed may
+        // end mid-header, mid-payload or mid-CRC, or hold several whole
+        // frames, so the decoder drains many frames per feed and compacts
+        // its buffer mid-stream.
         let mut decoder = FrameDecoder::new();
         let mut out = Vec::new();
         let mut pos = 0usize;
         let mut state = cut_seed | 1;
         while pos < stream.len() {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let take = ((state >> 33) as usize % 37) + 1;
+            let take = ((state >> 33) as usize % 4096) + 1;
             let end = (pos + take).min(stream.len());
             decoder.feed(&stream[pos..end]);
             pos = end;
@@ -155,6 +193,7 @@ proptest! {
                 out.push(frame);
             }
         }
+        prop_assert_eq!(decoder.buffered(), 0);
         prop_assert_eq!(out, frames);
     }
 

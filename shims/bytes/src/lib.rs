@@ -145,8 +145,9 @@ impl std::hash::Hash for Bytes {
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct BytesMut {
     buf: Vec<u8>,
-    /// Read offset: everything before it has been consumed via `advance`
-    /// or `split_to`. Compacted lazily to keep those operations cheap.
+    /// Read offset: everything before it has been consumed via `advance`.
+    /// Compacted lazily (see [`BytesMut::compact_lazily`]) so consuming
+    /// stays O(1) and appending stays amortized O(1) per byte.
     head: usize,
 }
 
@@ -176,32 +177,14 @@ impl BytesMut {
 
     /// Reserve room for `additional` more bytes.
     pub fn reserve(&mut self, additional: usize) {
-        self.compact();
+        self.compact_lazily();
         self.buf.reserve(additional);
     }
 
     /// Append `data`.
     pub fn extend_from_slice(&mut self, data: &[u8]) {
+        self.compact_lazily();
         self.buf.extend_from_slice(data);
-    }
-
-    /// Truncate the unconsumed portion to `len` bytes.
-    pub fn truncate(&mut self, len: usize) {
-        if len < self.len() {
-            self.buf.truncate(self.head + len);
-        }
-    }
-
-    /// Split off and return the first `at` bytes; `self` keeps the rest.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        assert!(at <= self.len(), "split_to out of bounds");
-        let front = self[..at].to_vec();
-        self.head += at;
-        self.compact();
-        BytesMut {
-            buf: front,
-            head: 0,
-        }
     }
 
     /// Freeze into an immutable [`Bytes`].
@@ -214,6 +197,15 @@ impl BytesMut {
         if self.head > 0 {
             self.buf.drain(..self.head);
             self.head = 0;
+        }
+    }
+
+    /// Compact only once the consumed prefix is at least as long as the
+    /// unconsumed rest: each byte moved is paid for by a byte consumed
+    /// since the last compaction.
+    fn compact_lazily(&mut self) {
+        if self.head >= self.len() {
+            self.compact();
         }
     }
 }
@@ -487,17 +479,31 @@ mod tests {
     }
 
     #[test]
-    fn bytes_mut_split_advance_truncate() {
+    fn bytes_mut_advance_freeze() {
         let mut m = BytesMut::new();
         m.extend_from_slice(b"hello world");
-        let head = m.split_to(6);
-        assert_eq!(&head[..], b"hello ");
+        m.advance(6);
         assert_eq!(&m[..], b"world");
         m.advance(1);
         assert_eq!(&m[..], b"orld");
-        m.truncate(2);
-        assert_eq!(&m[..], b"or");
-        assert_eq!(&m.freeze()[..], b"or");
+        assert_eq!(&m.freeze()[..], b"orld");
+    }
+
+    #[test]
+    fn bytes_mut_compacts_lazily() {
+        let mut m = BytesMut::new();
+        m.extend_from_slice(b"abcdefgh");
+        m.advance(3);
+        // Consumed 3 < unconsumed 5: the append leaves the prefix.
+        m.extend_from_slice(b"ij");
+        assert_eq!((m.head, &m[..]), (3, &b"defghij"[..]));
+        m.advance(2);
+        // Consumed 5 >= unconsumed 5: the append compacts first.
+        m.extend_from_slice(b"k");
+        assert_eq!((m.head, &m[..]), (0, &b"fghijk"[..]));
+        m.advance(6);
+        m.reserve(4);
+        assert_eq!((m.head, m.len()), (0, 0));
     }
 
     #[test]
