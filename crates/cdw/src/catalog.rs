@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::sync::{RwLockReadGuard, RwLockWriteGuard};
 
 use etlv_protocol::data::Value;
+use etlv_protocol::errcode::Cause;
 use etlv_sql::ast::{ColumnDef, TableConstraint};
 use etlv_sql::SqlType;
 use parking_lot::RwLock;
@@ -29,6 +30,29 @@ pub struct Column {
     pub ty: SqlType,
     /// NOT NULL?
     pub not_null: bool,
+}
+
+impl Column {
+    /// Coerce one value of table `table` into this column, enforcing NOT
+    /// NULL: the rule INSERT and UPDATE apply to each value that lands.
+    #[inline]
+    pub fn coerce(&self, table: &str, v: Value) -> Result<Value, CdwError> {
+        if v.is_null() {
+            if self.not_null {
+                return Err(CdwError::abort(
+                    Cause::Null,
+                    format!("NULL in NOT NULL column {table}.{}", self.name),
+                ));
+            }
+            return Ok(Value::Null);
+        }
+        v.coerce_to(self.ty.to_legacy()).map_err(|e| {
+            CdwError::abort(
+                e.cause,
+                format!("column {table}.{}: {}", self.name, e.reason),
+            )
+        })
+    }
 }
 
 /// A stored table: schema, rows, and the ordered index on its key.

@@ -6,10 +6,10 @@ use std::time::Duration;
 
 use etlv_cloudstore::store::ObjectStore;
 use etlv_sql::ast::{InsertSource, ObjectName, SelectStmt, TableRef};
-use etlv_sql::{parse_statements, Dialect, SqlType, Stmt};
+use etlv_sql::{parse_statements, Dialect, Stmt};
 use parking_lot::{Mutex, RwLock};
 
-use crate::catalog::{canonical_name, Catalog, Table, TableGuard, TableSet};
+use crate::catalog::{canonical_name, Catalog, Column, Table, TableGuard, TableSet};
 use crate::error::CdwError;
 pub use crate::exec::QueryResult;
 use crate::exec::{execute, ExecCtx};
@@ -26,15 +26,6 @@ pub type TransientFaultHook = Arc<dyn Fn() -> bool + Send + Sync>;
 /// virtualizer to feed its metrics registry; this crate carries no
 /// metrics machinery of its own.
 pub type ExecObserver = Arc<dyn Fn(Duration, bool, &PlanStats) + Send + Sync>;
-
-/// Lock-contention observation callback: `(site, wait, contended)` per
-/// acquisition of the catalog map or a per-table lock on the DML
-/// path. Sites are `"cdw.catalog"` and
-/// `"cdw.table/<canonical name>"`. An uncontended acquisition reports
-/// `(site, ZERO, false)`; a blocked one reports how long it waited.
-/// Installed by the virtualizer to feed its lock-site profiles; this
-/// crate carries no metrics machinery of its own.
-pub type LockObserver = Arc<dyn Fn(&str, Duration, bool) + Send + Sync>;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -79,7 +70,6 @@ struct Inner {
     config: CdwConfig,
     transient_fault: Mutex<Option<TransientFaultHook>>,
     exec_observer: Mutex<Option<ExecObserver>>,
-    lock_observer: Mutex<Option<LockObserver>>,
     plan_totals: Mutex<PlanStats>,
 }
 
@@ -98,7 +88,6 @@ impl Cdw {
                 config,
                 transient_fault: Mutex::new(None),
                 exec_observer: Mutex::new(None),
-                lock_observer: Mutex::new(None),
                 plan_totals: Mutex::new(PlanStats::default()),
             }),
         }
@@ -134,14 +123,6 @@ impl Cdw {
     /// scans, index maintenance).
     pub fn set_exec_observer(&self, observer: Option<ExecObserver>) {
         *self.inner.exec_observer.lock() = observer;
-    }
-
-    /// Install (or clear) a lock observer. Shared across all clones of
-    /// this warehouse handle. The observer sees every catalog-map and
-    /// per-table lock acquisition on the DML path with its wait time and
-    /// whether it had to block.
-    pub fn set_lock_observer(&self, observer: Option<LockObserver>) {
-        *self.inner.lock_observer.lock() = observer;
     }
 
     /// Cumulative access-path counters since the engine was created.
@@ -206,13 +187,12 @@ impl Cdw {
     /// run the executor, leaving its access-path counters in `stats`.
     fn run_dml(&self, stmt: &Stmt, stats: &mut PlanStats) -> Result<QueryResult, CdwError> {
         let specs = stmt_tables(stmt);
-        let lock_obs = self.inner.lock_observer.lock().clone();
         // Clone the per-table lock handles out while holding only the
         // catalog map's read lock; names that don't resolve are simply
         // skipped so execution raises TableNotFound at the same place the
         // old single-lock catalog lookup would have.
         let handles: Vec<(String, bool, Arc<RwLock<Table>>)> = {
-            let catalog = read_observed(&self.inner.catalog, "cdw.catalog", lock_obs.as_ref());
+            let catalog = self.inner.catalog.read();
             specs
                 .iter()
                 .filter_map(|(name, write)| {
@@ -222,18 +202,10 @@ impl Cdw {
         };
         let mut tables = TableSet::new();
         for (name, write, handle) in &handles {
-            let guard = match &lock_obs {
-                None if *write => TableGuard::Write(handle.write()),
-                None => TableGuard::Read(handle.read()),
-                Some(obs) => {
-                    // The site string is only built when someone listens.
-                    let site = format!("cdw.table/{name}");
-                    if *write {
-                        TableGuard::Write(write_observed(handle, &site, Some(obs)))
-                    } else {
-                        TableGuard::Read(read_observed(handle, &site, Some(obs)))
-                    }
-                }
+            let guard = if *write {
+                TableGuard::Write(handle.write())
+            } else {
+                TableGuard::Read(handle.read())
             };
             tables.insert(name.clone(), guard);
         }
@@ -288,11 +260,11 @@ impl Cdw {
         self.inner.catalog.read().exists(table)
     }
 
-    /// Column names and types of `table`.
-    pub fn table_schema(&self, table: &str) -> Result<Vec<(String, SqlType)>, CdwError> {
+    /// The columns of `table`: names, types and NOT NULL flags.
+    pub fn table_schema(&self, table: &str) -> Result<Vec<Column>, CdwError> {
         let handle = self.inner.catalog.read().handle(table)?;
-        let t = handle.read();
-        Ok(t.columns.iter().map(|c| (c.name.clone(), c.ty)).collect())
+        let columns = handle.read().columns.clone();
+        Ok(columns)
     }
 
     /// Names of the unique-constrained columns of `table`, if a unique
@@ -309,46 +281,6 @@ impl Cdw {
                 .collect()
         }))
     }
-}
-
-/// Shared acquisition of `lock`, reported to `obs` when present: the
-/// try-lock fast path counts an uncontended acquire, the blocking path
-/// times how long the caller waited.
-fn read_observed<'a, T>(
-    lock: &'a RwLock<T>,
-    site: &str,
-    obs: Option<&LockObserver>,
-) -> parking_lot::RwLockReadGuard<'a, T> {
-    let Some(obs) = obs else {
-        return lock.read();
-    };
-    if let Some(guard) = lock.try_read() {
-        obs(site, Duration::ZERO, false);
-        return guard;
-    }
-    let start = std::time::Instant::now();
-    let guard = lock.read();
-    obs(site, start.elapsed(), true);
-    guard
-}
-
-/// Exclusive counterpart of [`read_observed`].
-fn write_observed<'a, T>(
-    lock: &'a RwLock<T>,
-    site: &str,
-    obs: Option<&LockObserver>,
-) -> parking_lot::RwLockWriteGuard<'a, T> {
-    let Some(obs) = obs else {
-        return lock.write();
-    };
-    if let Some(guard) = lock.try_write() {
-        obs(site, Duration::ZERO, false);
-        return guard;
-    }
-    let start = std::time::Instant::now();
-    let guard = lock.write();
-    obs(site, start.elapsed(), true);
-    guard
 }
 
 /// The tables a statement touches, as `(canonical name, needs write)`
@@ -473,38 +405,6 @@ mod tests {
         cdw.set_exec_observer(None);
         cdw.execute("SELECT CUST_ID FROM PROD.CUSTOMER").unwrap();
         assert_eq!(statements.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn lock_observer_reports_catalog_and_table_sites() {
-        use std::sync::Mutex as StdMutex;
-        let cdw = setup();
-        let seen: Arc<StdMutex<Vec<(String, bool)>>> = Arc::new(StdMutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        cdw.set_lock_observer(Some(Arc::new(move |site, _wait, contended| {
-            sink.lock().unwrap().push((site.to_string(), contended));
-        })));
-
-        cdw.execute("INSERT INTO PROD.CUSTOMER VALUES ('1', 'a', NULL)")
-            .unwrap();
-        cdw.execute("INSERT INTO PROD.CUSTOMER VALUES ('2', 'b', NULL)")
-            .unwrap();
-
-        let seen = seen.lock().unwrap().clone();
-        let catalog = seen.iter().filter(|(s, _)| s == "cdw.catalog").count();
-        let table = seen
-            .iter()
-            .filter(|(s, _)| s == "cdw.table/PROD.CUSTOMER")
-            .count();
-        assert_eq!(catalog, 2, "one catalog read per statement: {seen:?}");
-        assert_eq!(table, 2, "one table write per statement: {seen:?}");
-        // Single-threaded: every acquisition takes the fast path.
-        assert!(seen.iter().all(|(_, contended)| !contended), "{seen:?}");
-
-        // Clearing the observer stops reporting.
-        cdw.set_lock_observer(None);
-        cdw.execute("SELECT CUST_ID FROM PROD.CUSTOMER").unwrap();
-        assert_eq!(seen.len(), 4);
     }
 
     #[test]

@@ -136,7 +136,7 @@ impl CdwError {
 
     /// Name `position` as the failing value of an abort, unless an inner
     /// evaluation loop already named one (the innermost tag wins).
-    pub(crate) fn at(mut self, pos: usize) -> CdwError {
+    pub fn at(mut self, pos: usize) -> CdwError {
         if let CdwError::BulkAbort { position, .. } = &mut self {
             position.get_or_insert(pos);
         }

@@ -290,26 +290,6 @@ fn exec_insert(ctx: &mut ExecCtx<'_>, ins: &Insert) -> Result<QueryResult, CdwEr
     Ok(QueryResult::dml(n))
 }
 
-/// Coerce one value to its column's type, enforcing NOT NULL.
-fn coerce_col(table: &Table, ci: usize, v: Value) -> Result<Value, CdwError> {
-    let col = &table.columns[ci];
-    if v.is_null() {
-        if col.not_null {
-            return Err(CdwError::abort(
-                Cause::Null,
-                format!("NULL in NOT NULL column {}.{}", table.name, col.name),
-            ));
-        }
-        return Ok(Value::Null);
-    }
-    v.coerce_to(col.ty.to_legacy()).map_err(|e| {
-        CdwError::abort(
-            e.cause,
-            format!("column {}.{}: {}", table.name, col.name, e.reason),
-        )
-    })
-}
-
 /// Coerce a full-width row to the table's column types in place, enforcing
 /// NOT NULL. An abort names the value that fed the failing column:
 /// `col_map[i]` is the column the statement's `i`-th value fills.
@@ -320,7 +300,7 @@ fn coerce_row(
 ) -> Result<Vec<Value>, CdwError> {
     for (ci, v) in row.iter_mut().enumerate() {
         let value = std::mem::replace(v, Value::Null);
-        *v = coerce_col(table, ci, value).map_err(|e| {
+        *v = table.columns[ci].coerce(&table.name, value).map_err(|e| {
             match col_map.iter().position(|&c| c == ci) {
                 Some(i) => e.at(i),
                 None => e,
@@ -420,7 +400,7 @@ fn exec_update(ctx: &mut ExecCtx<'_>, u: &Update) -> Result<QueryResult, CdwErro
         // one column are overwritten uncoerced, as before).
         for &p in &final_positions {
             let v = std::mem::replace(&mut vals[p], Value::Null);
-            vals[p] = coerce_col(table, assignment_idx[p], v)?;
+            vals[p] = table.columns[assignment_idx[p]].coerce(&table.name, v)?;
         }
         updates.push((i, vals));
     }

@@ -44,7 +44,7 @@ pub mod plan;
 pub mod staged;
 
 pub use catalog::{Catalog, Column, Table};
-pub use engine::{Cdw, CdwConfig, ExecObserver, LockObserver, QueryResult, TransientFaultHook};
+pub use engine::{Cdw, CdwConfig, ExecObserver, QueryResult, TransientFaultHook};
 pub use error::CdwError;
 pub use index::{IndexKey, OrderedIndex, SeekBound};
 pub use key::RowKey;

@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 
 use etlv_cdw::error::CdwError;
-use etlv_cdw::{Cdw, RowKey};
+use etlv_cdw::{Cdw, Column, RowKey};
 use etlv_protocol::data::Value;
 use etlv_protocol::errcode::Cause;
 use etlv_sql::ast::{BinaryOp, Expr, JoinKind, ObjectName, SelectItem, SelectStmt, Stmt, TableRef};
@@ -50,14 +50,12 @@ pub struct UniqueEmulation {
     key_exprs: Vec<Expr>,
     /// Staging table name.
     staging: String,
-    /// The DML's values, then each value cast to the target column it
-    /// fills, in target-column order: the order the CDW evaluates and then
-    /// coerces an inserted row in.
-    converts: Vec<Expr>,
-    /// The value position each cast of `converts` converts.
-    cast_values: Vec<usize>,
-    /// Number of target columns.
-    target_width: usize,
+    /// The DML's values, qualified with the staging alias.
+    values: Vec<Expr>,
+    /// The target's columns in order, each with the position in `values`
+    /// of the value it takes (`None`: it takes NULL): the order the CDW
+    /// coerces an inserted row in, once its values are evaluated.
+    columns: Vec<(Option<usize>, Column)>,
 }
 
 /// Plan emulation for a compiled DML. Returns `None` when the target has
@@ -75,11 +73,14 @@ pub fn plan(cdw: &Cdw, compiled: &CompiledDml) -> Result<Option<UniqueEmulation>
 
     // Position in the insert's projection of the value each target
     // column takes.
-    let value_of = |col: usize| match &compiled.insert_columns {
-        Some(cols) => cols
-            .iter()
-            .position(|c| c.eq_ignore_ascii_case(&schema[col].0)),
-        None => Some(col).filter(|&c| c < compiled.projection.len()),
+    let value_of = |col: usize| {
+        match &compiled.insert_columns {
+            Some(cols) => cols
+                .iter()
+                .position(|c| c.eq_ignore_ascii_case(&schema[col].name)),
+            None => Some(col),
+        }
+        .filter(|&pos| pos < compiled.projection.len())
     };
     let values: Vec<Expr> = compiled
         .projection
@@ -90,37 +91,25 @@ pub fn plan(cdw: &Cdw, compiled: &CompiledDml) -> Result<Option<UniqueEmulation>
     for ucol in &unique_cols {
         let col = schema
             .iter()
-            .position(|(name, _)| name.eq_ignore_ascii_case(ucol));
-        let Some(expr) = col.and_then(value_of).and_then(|pos| values.get(pos)) else {
+            .position(|c| c.name.eq_ignore_ascii_case(ucol));
+        let Some(pos) = col.and_then(value_of) else {
             // The insert never touches the key column: every inserted row
             // has a NULL key; uniqueness over NULLs is not enforced.
             return Ok(None);
         };
-        key_exprs.push(expr.clone());
+        key_exprs.push(values[pos].clone());
     }
-    let casts: Vec<(usize, Expr)> = (0..schema.len())
-        .filter_map(|col| {
-            let pos = value_of(col)?;
-            let cast = Expr::Cast {
-                expr: Box::new(values.get(pos)?.clone()),
-                ty: schema[col].1,
-                format: None,
-            };
-            Some((pos, cast))
-        })
-        .collect();
-    let converts = values
-        .into_iter()
-        .chain(casts.iter().map(|(_, cast)| cast.clone()))
+    let columns = (0..schema.len())
+        .map(value_of)
+        .zip(schema.iter().cloned())
         .collect();
     Ok(Some(UniqueEmulation {
         target: compiled.target.clone(),
         target_key_cols: unique_cols,
         key_exprs,
         staging: compiled.staging_table.clone(),
-        converts,
-        cast_values: casts.into_iter().map(|(pos, _)| pos).collect(),
-        target_width: schema.len(),
+        values,
+        columns,
     }))
 }
 
@@ -317,42 +306,38 @@ impl UniqueEmulation {
 
     /// The staged tuple of row `seq` (its layout fields, without `__SEQ`)
     /// if the row collides with the target as it is now and its values
-    /// convert; `None` if it does not collide. A colliding row's values are
-    /// evaluated and then cast to their target columns' types, in the order
-    /// the DML evaluates and then coerces an inserted row, so a conversion
-    /// abort names the value the DML's own abort would: the legacy system
-    /// evaluates a row's values before it checks its key. A key that fails
-    /// to evaluate aborts the join before any value is named; that row is
-    /// `None` too, for its DML to name the failing value. NOT NULL is not
-    /// checked: a colliding row with a NULL in a NOT NULL column is a UV
-    /// row here, an ET row on the legacy system.
+    /// land; `None` if it does not collide. A colliding row's values are
+    /// evaluated and then coerced into the target's columns, NOT NULL
+    /// checked, in column order: the order the DML evaluates and then
+    /// coerces an inserted row in, so an abort names the value the DML's
+    /// own abort would. The legacy system evaluates a row's values before
+    /// it checks its key. A key that fails to evaluate aborts the join
+    /// before any value is named; that row is `None` too, for its DML to
+    /// name the failing value.
     pub fn confirm(&self, cdw: &Cdw, seq: u64) -> Result<Option<Vec<Value>>, CdwError> {
-        let mut items: Vec<SelectItem> = self.converts.iter().cloned().map(item).collect();
+        let mut items: Vec<SelectItem> = self.values.iter().cloned().map(item).collect();
         items.push(SelectItem::Wildcard);
         let stmt = self.join_target(seq, seq + 1, items, JoinKind::Inner);
         let rows = match cdw.execute_stmt(&stmt) {
             Ok(result) => result.rows,
             Err(CdwError::BulkAbort { position: None, .. }) => return Ok(None),
-            Err(mut err) => {
-                let values = self.converts.len() - self.cast_values.len();
-                if let CdwError::BulkAbort {
-                    position: Some(pos),
-                    ..
-                } = &mut err
-                {
-                    if let Some(cast) = pos.checked_sub(values) {
-                        *pos = self.cast_values[cast];
-                    }
-                }
-                return Err(err);
-            }
+            Err(err) => return Err(err),
         };
-        // Each row: the converted values, then the wildcard's staging
-        // columns (`__SEQ` first) and target columns.
-        Ok(rows.into_iter().next().map(|mut row| {
-            row.truncate(row.len() - self.target_width);
-            row.split_off(self.converts.len() + 1)
-        }))
+        let Some(mut row) = rows.into_iter().next() else {
+            return Ok(None);
+        };
+        let target = self.target.dotted();
+        for (pos, col) in &self.columns {
+            let value = pos.map_or(Value::Null, |pos| row[pos].clone());
+            col.coerce(&target, value).map_err(|e| match pos {
+                Some(pos) => e.at(*pos),
+                None => e,
+            })?;
+        }
+        // The row: the values, then the wildcard's staging columns
+        // (`__SEQ` first) and target columns.
+        row.truncate(row.len() - self.columns.len());
+        Ok(Some(row.split_off(self.values.len() + 1)))
     }
 
     /// The error the emulation reports, shaped like a native uniqueness

@@ -240,29 +240,11 @@ impl Virtualizer {
             cdw_obs.plan_full_scan.add(stats.full_scans);
             cdw_obs.index_maintain.add(stats.index_maintains);
         })));
-        // Lock-contention attribution: every catalog/table acquisition
-        // the engine reports lands in a named lock site
-        // (`cdw.catalog`, `cdw.table/<name>`). Interning is bounded by
-        // the registry's site limit, so hostile table churn cannot
-        // grow the registry without bound. Hold time is not tracked
-        // for CDW sites — the engine only reports the acquisition.
-        let lock_reg = obs.registry.clone();
-        cdw.set_lock_observer(Some(Arc::new(move |site, wait, contended| {
-            let site = lock_reg.lock_site(site);
-            if contended {
-                site.acquired_after(wait);
-            } else {
-                site.acquired_uncontended();
-            }
-        })));
         let credits = CreditManager::with_obs(config.credits, obs.credit.clone());
         let memory = MemoryGauge::new(config.memory_cap);
         let slo = SloEngine::new(config.slo.clone());
         let runtime = WorkerRuntime::start(&config, Arc::clone(&obs), injector.clone());
-        let registry = SessionRegistry::new(
-            config.max_sessions,
-            obs.registry.lock_site("gateway.sessions"),
-        );
+        let registry = SessionRegistry::new(config.max_sessions);
         Virtualizer {
             node: Arc::new(Node {
                 credits,
@@ -400,9 +382,8 @@ impl Virtualizer {
     }
 
     /// The continuous-profiling report: per-stage CPU/wall accounting,
-    /// top-K contended lock sites, worker-pool utilization, and the
-    /// folded-stack flamegraph aggregated from the journal's retained
-    /// spans.
+    /// worker-pool utilization, and the folded-stack flamegraph aggregated
+    /// from the journal's retained spans.
     pub fn profile(&self) -> ProfileReport {
         ProfileReport::collect(&self.node.obs)
     }

@@ -7,24 +7,12 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use super::{
-    HistogramSnapshot, LockSiteObs, LockSiteSnapshot, RegistrySnapshot, SeriesSnapshot,
-    SeriesValue, TenantObs,
-};
+use super::{HistogramSnapshot, RegistrySnapshot, SeriesSnapshot, SeriesValue, TenantObs};
 
 /// Cap on distinct tenant label values: tenants interned past it share
 /// the `~overflow` block, so label cardinality stays bounded no matter
 /// how many usernames connect.
 const TENANT_LIMIT: usize = 64;
-
-/// Cap on distinct lock-site labels. Sites are static names plus a
-/// bounded per-table family (`cdw.table/<name>`), so the bound exists
-/// only to stop a hostile DDL stream from growing the registry; overflow
-/// sites share the `~overflow` block like tenants do.
-const LOCK_SITE_LIMIT: usize = 256;
-
-/// The catch-all lock-site name once [`LOCK_SITE_LIMIT`] is reached.
-const LOCK_SITE_OVERFLOW: &str = "~overflow";
 
 /// Shards per counter. Converter pools top out well below this on the
 /// testbed; more shards only pad the (cheap) snapshot merge.
@@ -262,12 +250,6 @@ struct RegistryInner {
     series: Mutex<Vec<Series>>,
     /// Interned per-tenant views over `tenant.*{tenant=…}` series.
     tenants: Mutex<Vec<Arc<TenantObs>>>,
-    /// Interned per-site views over `lock.site.*{site=…}` series,
-    /// bounded like tenants.
-    lock_sites: Mutex<Vec<Arc<LockSiteObs>>>,
-    /// The registry's own lock site (`metrics.registry`), lazily interned
-    /// so registries that never serve a tenant pay nothing.
-    self_site: std::sync::OnceLock<Arc<LockSiteObs>>,
 }
 
 /// Owns every registered series; handles stay valid for the registry's
@@ -352,7 +334,7 @@ impl MetricsRegistry {
     /// block, so a hostile stream of logon usernames cannot grow the
     /// registry without bound.
     pub fn tenant(&self, name: &str) -> Arc<TenantObs> {
-        let mut tenants = self.lock_tenants();
+        let mut tenants = self.inner.tenants.lock();
         if let Some(t) = tenants.iter().find(|t| t.name == name) {
             return Arc::clone(t);
         }
@@ -399,78 +381,6 @@ impl MetricsRegistry {
     /// directly rather than going through a full snapshot).
     pub fn tenant_handles(&self) -> Vec<Arc<TenantObs>> {
         self.inner.tenants.lock().clone()
-    }
-
-    /// Intern (or fetch) the lock-site block for `name`. Bounded like
-    /// tenants: past `LOCK_SITE_LIMIT` distinct sites, further names
-    /// share one `~overflow` block. Lookup scans the site table only, so
-    /// the CDW lock observer's per-acquisition call never walks the
-    /// series table.
-    pub fn lock_site(&self, name: &str) -> Arc<LockSiteObs> {
-        let mut sites = self.inner.lock_sites.lock();
-        if let Some(s) = sites.iter().find(|s| s.site == name) {
-            return Arc::clone(s);
-        }
-        let effective = if sites.len() < LOCK_SITE_LIMIT {
-            name
-        } else {
-            LOCK_SITE_OVERFLOW
-        };
-        if let Some(s) = sites.iter().find(|s| s.site == effective) {
-            return Arc::clone(s);
-        }
-        let r = self.labelled("site", effective);
-        let s = Arc::new(LockSiteObs {
-            site: effective.to_string(),
-            acquires: r.counter("lock.site.acquires"),
-            contended: r.counter("lock.site.contended"),
-            wait_us: r.histogram("lock.site.wait_us"),
-            hold_us: r.histogram("lock.site.hold_us"),
-        });
-        sites.push(Arc::clone(&s));
-        s
-    }
-
-    /// Snapshot every interned lock site, site-sorted.
-    pub fn lock_site_snapshots(&self) -> Vec<LockSiteSnapshot> {
-        let mut sites: Vec<LockSiteSnapshot> = self
-            .inner
-            .lock_sites
-            .lock()
-            .iter()
-            .map(|s| s.snapshot())
-            .collect();
-        sites.sort_by(|a, b| a.site.cmp(&b.site));
-        sites
-    }
-
-    /// The registry's own lock site — the tenant table is the one
-    /// registry structure on a request path (logon resolves tenant
-    /// blocks), so its mutex is tracked like any other hot lock.
-    fn self_site(&self) -> &Arc<LockSiteObs> {
-        self.inner
-            .self_site
-            .get_or_init(|| self.lock_site("metrics.registry"))
-    }
-
-    /// Acquire the tenant table, reporting contention to the
-    /// `metrics.registry` site. Hand-rolled (rather than a
-    /// [`super::TrackedMutex`]) because the site lives *inside* the
-    /// registry being locked.
-    fn lock_tenants(&self) -> parking_lot::MutexGuard<'_, Vec<Arc<TenantObs>>> {
-        let site = Arc::clone(self.self_site());
-        match self.inner.tenants.try_lock() {
-            Some(guard) => {
-                site.acquired_uncontended();
-                guard
-            }
-            None => {
-                let blocked = std::time::Instant::now();
-                let guard = self.inner.tenants.lock();
-                site.acquired_after(blocked.elapsed());
-                guard
-            }
-        }
     }
 
     /// Snapshot every series, sorted by name then label.
@@ -702,57 +612,6 @@ mod tests {
                 assert!(rel < 0.25, "relative error {rel} ≥ 25% at scale {scale}");
             }
         }
-    }
-
-    #[test]
-    fn lock_site_interning_bounded_and_snapshotted() {
-        let reg = MetricsRegistry::new();
-        let a = reg.lock_site("runtime.state");
-        let a2 = reg.lock_site("runtime.state");
-        assert!(Arc::ptr_eq(&a, &a2), "same site, same block");
-        a.acquired_uncontended();
-        a.acquired_after(Duration::from_micros(150));
-        a.held(Duration::from_micros(40));
-        let sites = reg.lock_site_snapshots();
-        let site = sites
-            .iter()
-            .find(|s| s.site == "runtime.state")
-            .expect("site in the typed view");
-        assert_eq!(site.acquires, 2);
-        assert_eq!(site.contended, 1);
-        assert!(site.wait_us.sum >= 150);
-        assert_eq!(site.hold_us.count, 1);
-        // The view reads the registered series, not a copy of them.
-        let snap = reg.snapshot();
-        assert_eq!(
-            snap.get("lock.site.acquires", Some("runtime.state")),
-            Some(&SeriesValue::Counter(2))
-        );
-        assert_eq!(
-            snap.get("lock.site.wait_us", Some("runtime.state")),
-            Some(&SeriesValue::Histogram(site.wait_us.clone()))
-        );
-        // Cardinality bound: past the limit, sites share the overflow
-        // block.
-        for i in 0..LOCK_SITE_LIMIT + 4 {
-            reg.lock_site(&format!("flood.{i}"));
-        }
-        let x = reg.lock_site("one.more");
-        let y = reg.lock_site("another");
-        assert_eq!(x.site, LOCK_SITE_OVERFLOW);
-        assert!(Arc::ptr_eq(&x, &y));
-    }
-
-    #[test]
-    fn tenant_lock_self_instrumented() {
-        let reg = MetricsRegistry::new();
-        reg.tenant("alice");
-        let sites = reg.lock_site_snapshots();
-        let site = sites
-            .iter()
-            .find(|s| s.site == "metrics.registry")
-            .expect("registry self-site interned on first tenant access");
-        assert!(site.acquires >= 1);
     }
 
     #[test]

@@ -32,8 +32,7 @@ pub use slo::{
 
 mod profile;
 pub use profile::{
-    folded_flamegraph, thread_cpu_time, CpuTimer, LockSiteObs, LockSiteSnapshot, PoolProfile,
-    ProfileReport, StageCpuProfile, TrackedCondvar, TrackedMutex, TrackedMutexGuard, PROFILE_TOP_K,
+    folded_flamegraph, thread_cpu_time, CpuTimer, PoolProfile, ProfileReport, StageCpuProfile,
 };
 
 mod journal;

@@ -1,8 +1,8 @@
-//! Always-on continuous profiling: per-stage CPU vs wall
-//! accounting, instrumented lock primitives, and the collapsed-stack
-//! ("folded") flamegraph behind the `Profile` introspection topic.
+//! Always-on continuous profiling: per-stage CPU vs wall accounting and
+//! the collapsed-stack ("folded") flamegraph behind the `Profile`
+//! introspection topic.
 //!
-//! Three data sources feed one report:
+//! Two data sources feed one report:
 //!
 //! 1. **Thread CPU clocks** — [`CpuTimer`] samples the calling thread's
 //!    CPU clock (`CLOCK_THREAD_CPUTIME_ID` on Linux) at span boundaries,
@@ -10,23 +10,15 @@
 //!    stage whose CPU ≪ wall is blocked (lock, I/O, sleep); CPU ≈ wall
 //!    means compute-bound. Platforms without the clock degrade to
 //!    wall-only (samples stay 0, nothing breaks).
-//! 2. **Tracked locks** — [`TrackedMutex`]/[`TrackedCondvar`] wrap the
-//!    parking_lot primitives with a static site name, counting
-//!    acquisitions, contended acquisitions (the fast `try_lock` missed),
-//!    wait-time and hold-time histograms.
-//! 3. **The span journal** — completed jobs' critical-path attribution
+//! 2. **The span journal** — completed jobs' critical-path attribution
 //!    ([`crate::trace::JobTrace`]) is re-aggregated into folded
 //!    flamegraph lines (`job;acquisition;convert 1234`), the input format
 //!    of every flamegraph renderer (`obs_dump --profile` draws them as an
 //!    ASCII flame tree).
 
-use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
-
-use super::{Counter, Histogram, HistogramSnapshot, Obs, SpanEvent};
+use super::{Obs, SpanEvent};
 use crate::trace::JobTrace;
 
 // --------------------------------------------------------------- CPU clock
@@ -88,204 +80,6 @@ impl CpuTimer {
     pub fn elapsed(&self) -> Option<Duration> {
         let started = self.0?;
         thread_cpu_time().map(|now| now.saturating_sub(started))
-    }
-}
-
-// ----------------------------------------------------------- lock sites
-
-/// Per-site lock statistics: one block per static site name, interned in
-/// the registry like tenants (bounded cardinality) — a typed view whose
-/// handles are the registered `lock.site.*{site="<name>"}` series. Wait
-/// time is how long a contended acquire blocked; hold time is how long
-/// the guard lived.
-pub struct LockSiteObs {
-    /// The static site name, e.g. `"runtime.state"` or `"cdw.table/T1"`.
-    pub site: String,
-    /// Total acquisitions (contended + uncontended).
-    pub acquires: Counter,
-    /// Acquisitions that missed the fast path and had to block.
-    pub contended: Counter,
-    /// Blocked time per contended acquire, µs.
-    pub wait_us: Histogram,
-    /// Guard lifetime per acquisition, µs.
-    pub hold_us: Histogram,
-}
-
-impl LockSiteObs {
-    /// Record an acquisition that took the fast path.
-    #[inline]
-    pub fn acquired_uncontended(&self) {
-        self.acquires.inc();
-    }
-
-    /// Record an acquisition that blocked for `wait`.
-    #[inline]
-    pub fn acquired_after(&self, wait: Duration) {
-        self.acquires.inc();
-        self.contended.inc();
-        self.wait_us.record_duration(wait);
-    }
-
-    /// Record how long a guard was held.
-    #[inline]
-    pub fn held(&self, dur: Duration) {
-        self.hold_us.record_duration(dur);
-    }
-
-    /// Point-in-time view of this site.
-    pub fn snapshot(&self) -> LockSiteSnapshot {
-        LockSiteSnapshot {
-            site: self.site.clone(),
-            acquires: self.acquires.value(),
-            contended: self.contended.value(),
-            wait_us: self.wait_us.snapshot(),
-            hold_us: self.hold_us.snapshot(),
-        }
-    }
-}
-
-/// Point-in-time view of one lock site.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LockSiteSnapshot {
-    /// Site name.
-    pub site: String,
-    /// Total acquisitions.
-    pub acquires: u64,
-    /// Contended acquisitions.
-    pub contended: u64,
-    /// Blocked-time histogram, µs.
-    pub wait_us: HistogramSnapshot,
-    /// Hold-time histogram, µs.
-    pub hold_us: HistogramSnapshot,
-}
-
-impl LockSiteSnapshot {
-    /// One JSON object (embedded in the Profile document).
-    pub fn to_json(&self) -> String {
-        let h = super::render::histogram_json;
-        format!(
-            "{{\"site\": \"{}\", \"acquires\": {}, \"contended\": {}, \
-             \"wait_us\": {}, \"hold_us\": {}}}",
-            super::render::json_escape(&self.site),
-            self.acquires,
-            self.contended,
-            h(&self.wait_us),
-            h(&self.hold_us),
-        )
-    }
-}
-
-// --------------------------------------------------------- tracked locks
-
-/// A `parking_lot::Mutex` that reports to a [`LockSiteObs`]. The fast
-/// path is one `try_lock`; only a miss times the wait.
-pub struct TrackedMutex<T> {
-    inner: Mutex<T>,
-    site: Arc<LockSiteObs>,
-}
-
-impl<T> TrackedMutex<T> {
-    /// Wrap `value` under the given site.
-    pub fn new(site: Arc<LockSiteObs>, value: T) -> TrackedMutex<T> {
-        TrackedMutex {
-            inner: Mutex::new(value),
-            site,
-        }
-    }
-
-    /// Acquire, recording contention and (on drop) hold time.
-    pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
-        let guard = match self.inner.try_lock() {
-            Some(guard) => {
-                self.site.acquired_uncontended();
-                guard
-            }
-            None => {
-                let blocked = Instant::now();
-                let guard = self.inner.lock();
-                self.site.acquired_after(blocked.elapsed());
-                guard
-            }
-        };
-        TrackedMutexGuard {
-            guard,
-            site: &self.site,
-            held_from: Instant::now(),
-        }
-    }
-
-    /// The site this lock reports to.
-    pub fn site(&self) -> &Arc<LockSiteObs> {
-        &self.site
-    }
-}
-
-/// Guard for [`TrackedMutex`]; records hold time on drop.
-pub struct TrackedMutexGuard<'a, T> {
-    guard: MutexGuard<'a, T>,
-    site: &'a Arc<LockSiteObs>,
-    held_from: Instant,
-}
-
-impl<T> Deref for TrackedMutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T> DerefMut for TrackedMutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
-}
-
-impl<T> Drop for TrackedMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        self.site.held(self.held_from.elapsed());
-    }
-}
-
-/// A `parking_lot::Condvar` that reports wait time to a [`LockSiteObs`].
-/// The guard's hold timer pauses across the wait, so `hold_us` measures
-/// time actually holding the lock, not time asleep on the condvar.
-pub struct TrackedCondvar {
-    inner: Condvar,
-    site: Arc<LockSiteObs>,
-}
-
-impl TrackedCondvar {
-    /// New condvar reporting under `site`.
-    pub fn new(site: Arc<LockSiteObs>) -> TrackedCondvar {
-        TrackedCondvar {
-            inner: Condvar::new(),
-            site,
-        }
-    }
-
-    /// Block until notified. Records the sleep as a contended acquire of
-    /// the site (wait histogram + contended counter).
-    pub fn wait<T>(&self, guard: &mut TrackedMutexGuard<'_, T>) {
-        guard.site.held(guard.held_from.elapsed());
-        let slept = Instant::now();
-        self.inner.wait(&mut guard.guard);
-        self.site.acquired_after(slept.elapsed());
-        guard.held_from = Instant::now();
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake every waiter.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-
-    /// The site this condvar reports to.
-    pub fn site(&self) -> &Arc<LockSiteObs> {
-        &self.site
     }
 }
 
@@ -369,21 +163,13 @@ pub struct PoolProfile {
     pub rr_skips: u64,
 }
 
-/// How many contended lock sites the Profile reply ranks.
-pub const PROFILE_TOP_K: usize = 16;
-
 /// The full profiling view behind `Virtualizer::profile()` and the
-/// `Profile` introspection topic: per-stage CPU/wall, top-K contended lock
-/// sites (ranked by total wait, contended-only), pool utilization, and
-/// the folded flamegraph.
+/// `Profile` introspection topic: per-stage CPU/wall, pool utilization,
+/// and the folded flamegraph.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileReport {
     /// Per-stage CPU/wall accounting.
     pub stages: Vec<StageCpuProfile>,
-    /// Top-K lock sites with at least one contended acquire, ranked by
-    /// total blocked time descending. Uncontended sites never rank — a
-    /// cold system reports an empty list.
-    pub locks: Vec<LockSiteSnapshot>,
     /// Worker-pool utilization counters.
     pub pool: PoolProfile,
     /// Jobs whose traces contributed to the folded flamegraph.
@@ -393,8 +179,8 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Collect the report from a node's hub: stage counters, the
-    /// registry's interned lock sites, pool gauges, and the journal.
+    /// Collect the report from a node's hub: stage counters, pool
+    /// gauges, and the journal.
     pub fn collect(obs: &Obs) -> ProfileReport {
         let stage = |name: &'static str, p: &super::StageProf| StageCpuProfile {
             stage: name,
@@ -408,19 +194,6 @@ impl ProfileReport {
             stage("copy", &obs.profile.copy),
             stage("apply", &obs.profile.apply),
         ];
-        let mut locks: Vec<LockSiteSnapshot> = obs
-            .registry
-            .lock_site_snapshots()
-            .into_iter()
-            .filter(|s| s.contended > 0)
-            .collect();
-        locks.sort_by(|a, b| {
-            b.wait_us
-                .sum
-                .cmp(&a.wait_us.sum)
-                .then_with(|| a.site.cmp(&b.site))
-        });
-        locks.truncate(PROFILE_TOP_K);
         let pool = PoolProfile {
             workers: obs.runtime.workers.value(),
             busy_workers: obs.pool.busy_workers.value(),
@@ -430,7 +203,6 @@ impl ProfileReport {
         let (folded, folded_jobs) = folded_flamegraph(&obs.journal.tail(obs.journal.retained()));
         ProfileReport {
             stages,
-            locks,
             pool,
             folded_jobs,
             folded,
@@ -449,12 +221,6 @@ impl ProfileReport {
                 "    {{\"stage\": \"{}\", \"wall_us\": {}, \"cpu_us\": {}, \"samples\": {}}}",
                 s.stage, s.wall_us, s.cpu_us, s.samples
             ));
-        }
-        out.push_str("\n  ],\n");
-        out.push_str("  \"locks\": [");
-        for (i, l) in self.locks.iter().enumerate() {
-            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            out.push_str(&l.to_json());
         }
         out.push_str("\n  ],\n");
         out.push_str(&format!(
@@ -476,77 +242,6 @@ impl ProfileReport {
 mod tests {
     use super::super::SpanIds;
     use super::*;
-
-    fn site(registry: &super::super::MetricsRegistry, name: &str) -> Arc<LockSiteObs> {
-        registry.lock_site(name)
-    }
-
-    #[test]
-    fn tracked_mutex_counts_uncontended_acquires() {
-        let reg = super::super::MetricsRegistry::new();
-        let m = TrackedMutex::new(site(&reg, "test.m"), 7u64);
-        {
-            let mut guard = m.lock();
-            *guard += 1;
-        }
-        assert_eq!(*m.lock(), 8);
-        let snap = m.site().snapshot();
-        assert_eq!(snap.acquires, 2);
-        assert_eq!(snap.contended, 0);
-        assert_eq!(snap.hold_us.count, 2, "hold recorded on both drops");
-    }
-
-    #[test]
-    fn tracked_mutex_detects_contention() {
-        let reg = super::super::MetricsRegistry::new();
-        let m = Arc::new(TrackedMutex::new(site(&reg, "test.contended"), 0u64));
-        let m2 = Arc::clone(&m);
-        let guard = m.lock();
-        let t = std::thread::spawn(move || {
-            let mut g = m2.lock();
-            *g += 1;
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        drop(guard);
-        t.join().unwrap();
-        let snap = m.site().snapshot();
-        assert_eq!(snap.acquires, 2);
-        assert_eq!(snap.contended, 1, "second acquire blocked");
-        assert!(
-            snap.wait_us.sum >= 10_000,
-            "blocked ≥ 10ms, saw {}us",
-            snap.wait_us.sum
-        );
-    }
-
-    #[test]
-    fn tracked_condvar_records_wait_and_pauses_hold() {
-        let reg = super::super::MetricsRegistry::new();
-        let m = Arc::new(TrackedMutex::new(site(&reg, "test.cv.lock"), false));
-        let cv = Arc::new(TrackedCondvar::new(site(&reg, "test.cv")));
-        let (m2, cv2) = (Arc::clone(&m), Arc::clone(&cv));
-        let waiter = std::thread::spawn(move || {
-            let mut guard = m2.lock();
-            while !*guard {
-                cv2.wait(&mut guard);
-            }
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        *m.lock() = true;
-        cv.notify_all();
-        waiter.join().unwrap();
-        let cv_snap = cv.site().snapshot();
-        assert!(cv_snap.contended >= 1, "condvar wait recorded");
-        assert!(cv_snap.wait_us.sum >= 5_000, "slept ≥ 5ms");
-        // The waiter held the lock across a 20ms sleep, but hold time
-        // pauses during the wait — p99 hold must be far below the sleep.
-        let lock_snap = m.site().snapshot();
-        assert!(
-            lock_snap.hold_us.max < 15_000,
-            "hold timer paused during wait, saw {}us",
-            lock_snap.hold_us.max
-        );
-    }
 
     fn ev(kind: &'static str, span: u64, parent: u64, at: u64, dur: u64, job: u64) -> SpanEvent {
         SpanEvent {
@@ -626,12 +321,6 @@ mod tests {
                 cpu_us: 80,
                 samples: 4,
             }],
-            locks: vec![LockSiteSnapshot {
-                site: "cdw.table/\"T\"".into(),
-                acquires: 10,
-                contended: 3,
-                ..Default::default()
-            }],
             pool: PoolProfile {
                 workers: 4,
                 busy_workers: 2,
@@ -645,8 +334,6 @@ mod tests {
             "\"stage\": \"convert\"",
             "\"wall_us\": 100",
             "\"cpu_us\": 80",
-            "\"site\": \"cdw.table/\\\"T\\\"\"",
-            "\"contended\": 3",
             "\"pool\": {\"workers\": 4, \"busy_workers\": 2",
             "\"folded_jobs\": 1",
             "\"folded\": \"job;other 5\\n\"",

@@ -260,16 +260,6 @@ mod tests {
             push("tenant.active_jobs", t, SeriesValue::Gauge(1));
             push("tenant.job_us", t, hist(3, 9000, 4000, 3000, 4000, 4000));
         }
-        let hot = Some(("site", "cdw.table/or\"ders"));
-        push("lock.site.acquires", hot, SeriesValue::Counter(20));
-        push("lock.site.contended", hot, SeriesValue::Counter(5));
-        push("lock.site.wait_us", hot, hist(5, 750, 300, 100, 280, 300));
-        push("lock.site.hold_us", hot, hist(20, 400, 60, 15, 50, 60));
-        let quiet = Some(("site", "runtime.state"));
-        push("lock.site.acquires", quiet, SeriesValue::Counter(100));
-        push("lock.site.contended", quiet, SeriesValue::Counter(2));
-        push("lock.site.wait_us", quiet, hist(0, 0, 0, 0, 0, 0));
-        push("lock.site.hold_us", quiet, hist(0, 0, 0, 0, 0, 0));
         // Name-then-label order, as `MetricsRegistry::snapshot` yields it.
         series.sort_by(|a, b| (&a.name, &a.label).cmp(&(&b.name, &b.label)));
         RegistrySnapshot { series }
@@ -315,10 +305,6 @@ mod tests {
             "\"series\": [",
             "\"tenant.rows_applied\": 400, \"kind\": \"counter\", \"tenant\": \"alice\"",
             "\"tenant.job_us\": {\"count\": 3",
-            "\"site\": \"cdw.table/or\\\"ders\"",
-            "\"lock.site.contended\": 5",
-            "\"lock.site.wait_us\": {\"count\": 5, \"sum\": 750",
-            "\"site\": \"runtime.state\"",
         ] {
             assert!(doc.contains(needle), "missing {needle} in:\n{doc}");
         }
@@ -342,12 +328,6 @@ mod tests {
             "etlv_tenant_active_jobs{tenant=\"alice\"} 1\n",
             "etlv_tenant_job_us_count{tenant=\"alice\"} 3\n",
             "etlv_tenant_job_us{tenant=\"alice\",quantile=\"0.95\"} 4000\n",
-            "etlv_lock_site_acquires{site=\"cdw.table/or\\\"ders\"} 20\n",
-            "etlv_lock_site_contended{site=\"cdw.table/or\\\"ders\"} 5\n",
-            "etlv_lock_site_acquires{site=\"runtime.state\"} 100\n",
-            "etlv_lock_site_wait_us_sum{site=\"cdw.table/or\\\"ders\"} 750\n",
-            "etlv_lock_site_wait_us{site=\"cdw.table/or\\\"ders\",quantile=\"0.99\"} 300\n",
-            "etlv_lock_site_hold_us_count{site=\"cdw.table/or\\\"ders\"} 20\n",
         ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
@@ -360,17 +340,6 @@ mod tests {
         );
         assert_eq!(
             text.matches("# TYPE etlv_tenant_job_us summary\n").count(),
-            1
-        );
-        // Lock-site families likewise: one TYPE line across two sites.
-        assert_eq!(
-            text.matches("# TYPE etlv_lock_site_acquires counter\n")
-                .count(),
-            1
-        );
-        assert_eq!(
-            text.matches("# TYPE etlv_lock_site_wait_us summary\n")
-                .count(),
             1
         );
     }

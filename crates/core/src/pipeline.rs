@@ -33,7 +33,7 @@ use crate::convert::{AcqError, ConvertScratch, DataConverter};
 use crate::credit::Credit;
 use crate::fault::{retry_with, FaultInjector, RetryPolicy};
 use crate::memory::MemGuard;
-use crate::obs::{CpuTimer, Obs, SpanIds, TenantObs, TrackedCondvar, TrackedMutex};
+use crate::obs::{CpuTimer, Obs, SpanIds, TenantObs};
 
 /// A raw chunk travelling from a session handler into the pipeline. The
 /// credit and memory reservation ride along.
@@ -124,15 +124,11 @@ struct RtShared {
     /// pops, and the closed/aborted transitions all serialize here, which
     /// is what makes the wait/notify protocol race-free. The critical
     /// sections are a queue op plus a notify — conversion and upload work
-    /// happen outside it. Tracked (site `runtime.state`) because this is
-    /// the runtime's hottest shared lock: every chunk crosses it on push
-    /// and on pop.
-    state: TrackedMutex<RtState>,
+    /// happen outside it.
+    state: Mutex<RtState>,
     /// Workers sleep here; signalled `notify_one` per chunk enqueued, so
-    /// a push wakes one worker rather than the whole pool. Tracked (site
-    /// `runtime.raw_work`): the wait histogram is how long workers sat
-    /// idle waiting for work.
-    raw_work: TrackedCondvar,
+    /// a push wakes one worker rather than the whole pool.
+    raw_work: Condvar,
     stop: AtomicBool,
     converters: usize,
     threshold: usize,
@@ -209,17 +205,12 @@ impl WorkerRuntime {
         injector: Option<Arc<FaultInjector>>,
     ) -> WorkerRuntime {
         let converters = config.converter_threads.max(1);
-        let state_site = obs.registry.lock_site("runtime.state");
-        let raw_site = obs.registry.lock_site("runtime.raw_work");
         let shared = Arc::new(RtShared {
-            state: TrackedMutex::new(
-                state_site,
-                RtState {
-                    jobs: Vec::new(),
-                    next: 0,
-                },
-            ),
-            raw_work: TrackedCondvar::new(raw_site),
+            state: Mutex::new(RtState {
+                jobs: Vec::new(),
+                next: 0,
+            }),
+            raw_work: Condvar::new(),
             stop: AtomicBool::new(false),
             converters,
             threshold: config.file_size_threshold,

@@ -22,6 +22,10 @@ const EPOLLERR: u32 = 0x8;
 const EPOLLHUP: u32 = 0x10;
 const EPOLLRDHUP: u32 = 0x2000;
 
+/// Most events one `wait` delivers; level-triggered fds left over are
+/// reported by the next call.
+const CAP: usize = 256;
+
 /// `struct epoll_event`. The kernel ABI packs it on x86-64 (12 bytes);
 /// other architectures use natural alignment.
 #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
@@ -146,7 +150,6 @@ impl Poller {
             None => -1,
         };
         debug_assert!(timeout_ms >= -1, "epoll_wait timeout {timeout_ms}");
-        const CAP: usize = 256;
         let mut raw = [EpollEvent { events: 0, data: 0 }; CAP];
         // SAFETY: `raw` is a live buffer of exactly `CAP` initialized
         // events, and `maxevents` is `CAP`, so the kernel writes at most
@@ -184,25 +187,27 @@ impl Drop for Poller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::io::Write;
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
+    use std::time::Instant;
+
+    const READ: Interest = Interest {
+        read: true,
+        write: false,
+    };
+
+    /// Held by the tests that open many fds or depend on which number the
+    /// next one gets, so they do not run at once.
+    static FD_NUMBERS: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
     #[test]
     fn readiness_roundtrip() {
         let poller = Poller::new().unwrap();
         let (a, mut b) = UnixStream::pair().unwrap();
         a.set_nonblocking(true).unwrap();
-        poller
-            .add(
-                a.as_raw_fd(),
-                7,
-                Interest {
-                    read: true,
-                    write: false,
-                },
-            )
-            .unwrap();
+        poller.add(a.as_raw_fd(), 7, READ).unwrap();
 
         let mut events = Vec::new();
         poller
@@ -259,5 +264,105 @@ mod tests {
             .wait(&mut events, Some(Duration::from_secs(2)))
             .unwrap();
         assert!(events.iter().any(|e| e.token == 1 && e.writable));
+    }
+
+    #[test]
+    fn zero_timeout_with_nothing_ready_returns_at_once() {
+        let poller = Poller::new().unwrap();
+        let (a, _b) = UnixStream::pair().unwrap();
+        poller.add(a.as_raw_fd(), 1, READ).unwrap();
+        let stale = Event {
+            token: 9,
+            readable: true,
+            writable: false,
+            closed: false,
+        };
+        let mut events = vec![stale];
+        let started = Instant::now();
+        poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
+        assert!(events.is_empty(), "the batch is cleared and stays empty");
+        assert!(started.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn more_ready_fds_than_cap_span_two_waits() {
+        let _numbers = FD_NUMBERS.lock();
+        let poller = Poller::new().unwrap();
+        let pairs: Vec<(UnixStream, UnixStream)> =
+            (0..CAP + 4).map(|_| UnixStream::pair().unwrap()).collect();
+        for (token, (a, b)) in pairs.iter().enumerate() {
+            poller.add(a.as_raw_fd(), token as u64, READ).unwrap();
+            (&*b).write_all(&[1]).unwrap();
+        }
+        let mut first = Vec::new();
+        poller
+            .wait(&mut first, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert_eq!(first.len(), CAP, "one wait delivers at most CAP events");
+        let seen: HashSet<u64> = first.iter().map(|e| e.token).collect();
+        assert_eq!(seen.len(), CAP, "no fd reported twice in a batch");
+        // Nothing was read, so every fd is still ready: the next wait
+        // reports the ones the first batch left out.
+        let mut second = Vec::new();
+        poller
+            .wait(&mut second, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert!(second.len() <= CAP);
+        let rest: HashSet<u64> = (0..pairs.len() as u64)
+            .filter(|t| !seen.contains(t))
+            .collect();
+        assert_eq!(rest.len(), 4);
+        let again: HashSet<u64> = second.iter().map(|e| e.token).collect();
+        assert!(rest.is_subset(&again), "{rest:?} not in the second batch");
+        assert!(first.iter().chain(&second).all(|e| e.readable));
+    }
+
+    #[test]
+    fn ctl_on_the_wrong_registration_state_is_an_error() {
+        let poller = Poller::new().unwrap();
+        let (a, _b) = UnixStream::pair().unwrap();
+        let fd = a.as_raw_fd();
+        let err = poller.modify(fd, 1, READ).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
+        let err = poller.remove(fd).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
+        poller.add(fd, 1, READ).unwrap();
+        let err = poller.add(fd, 2, READ).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists, "{err}");
+        poller.remove(fd).unwrap();
+    }
+
+    #[test]
+    fn a_reused_fd_number_reports_only_its_new_token() {
+        let _numbers = FD_NUMBERS.lock();
+        let poller = Poller::new().unwrap();
+        let (a, b) = UnixStream::pair().unwrap();
+        let fd = a.as_raw_fd();
+        poller.add(fd, 1, READ).unwrap();
+        (&b).write_all(&[1]).unwrap();
+        // Closing the fd drops its registration without a `remove`.
+        drop(a);
+        // A new socket takes the lowest free number: keep any lower ones
+        // open until the closed number comes back.
+        let mut held = Vec::new();
+        let (c, d) = loop {
+            let (c, d) = UnixStream::pair().unwrap();
+            if c.as_raw_fd() == fd {
+                break (c, d);
+            }
+            if d.as_raw_fd() == fd {
+                break (d, c);
+            }
+            held.push((c, d));
+            assert!(held.len() < 64, "fd {fd} was not handed out again");
+        };
+        poller.add(c.as_raw_fd(), 2, READ).unwrap();
+        (&d).write_all(&[1]).unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .unwrap();
+        let tokens: Vec<u64> = events.iter().map(|e| e.token).collect();
+        assert_eq!(tokens, [2]);
     }
 }

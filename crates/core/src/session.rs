@@ -29,7 +29,7 @@ use etlv_protocol::message::{Message, SessionRole};
 use parking_lot::Mutex;
 
 use crate::gateway::{error_msg, Virtualizer};
-use crate::obs::{LockSiteObs, TenantObs, TrackedMutex};
+use crate::obs::TenantObs;
 
 /// One logged-on session's registry entry.
 pub(crate) struct SessionEntry {
@@ -43,18 +43,17 @@ pub(crate) struct SessionEntry {
     pub(crate) tenant: Arc<TenantObs>,
 }
 
-/// The node-wide active-session table. The table mutex is tracked (site
-/// `gateway.sessions`): every logon, teardown, and gauge refresh crosses
-/// it, so contention here shows up directly in the Profile report.
+/// The node-wide active-session table: every logon, teardown, and gauge
+/// refresh crosses its mutex.
 pub(crate) struct SessionRegistry {
-    sessions: TrackedMutex<HashMap<u32, Arc<SessionEntry>>>,
+    sessions: Mutex<HashMap<u32, Arc<SessionEntry>>>,
     max_sessions: usize,
 }
 
 impl SessionRegistry {
-    pub(crate) fn new(max_sessions: usize, site: Arc<LockSiteObs>) -> SessionRegistry {
+    pub(crate) fn new(max_sessions: usize) -> SessionRegistry {
         SessionRegistry {
-            sessions: TrackedMutex::new(site, HashMap::new()),
+            sessions: Mutex::new(HashMap::new()),
             max_sessions,
         }
     }
@@ -373,10 +372,7 @@ mod tests {
 
     #[test]
     fn registry_enforces_max_sessions() {
-        let site = crate::obs::Obs::default()
-            .registry
-            .lock_site("gateway.sessions");
-        let reg = SessionRegistry::new(2, site);
+        let reg = SessionRegistry::new(2);
         assert!(reg.register(entry(1)));
         assert!(reg.register(entry(2)));
         assert!(!reg.register(entry(3)), "third session refused");

@@ -222,8 +222,8 @@ pub enum Topic {
     Stats,
     /// Per-tenant SLO burn rates, active alerts, node overload state.
     Health,
-    /// Continuous-profiling report: stage CPU/wall, lock sites, worker
-    /// pool, folded stacks.
+    /// Continuous-profiling report: stage CPU/wall, worker pool, folded
+    /// stacks.
     Profile,
     /// One job's causal trace: span tree plus critical-path attribution.
     Trace {

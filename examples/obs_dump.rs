@@ -21,9 +21,9 @@
 //! topic. The two flags compose.
 //!
 //! With `--profile` the example prints the continuous-profiling report:
-//! the ASCII flame tree aggregated from the journal, per-stage CPU/wall
-//! accounting, the top contended lock sites, and the folded-stack text
-//! fetched over the wire with the `Profile` topic's text rendering.
+//! the ASCII flame tree aggregated from the journal, pool utilisation,
+//! per-stage CPU/wall accounting, and the folded-stack text fetched over
+//! the wire with the `Profile` topic's text rendering.
 
 use std::sync::Arc;
 
@@ -175,16 +175,6 @@ fn main() {
             println!(
                 "  {:<8} wall {:>10} us  cpu {:>10} us  samples {}",
                 s.stage, s.wall_us, s.cpu_us, s.samples
-            );
-        }
-        println!("\n== top contended lock sites ==");
-        if report.locks.is_empty() {
-            println!("  (no contended acquisitions observed)");
-        }
-        for l in &report.locks {
-            println!(
-                "  {:<24} acquires {:>8}  contended {:>6}  waited {:>8} us",
-                l.site, l.acquires, l.contended, l.wait_us.sum
             );
         }
 

@@ -246,3 +246,63 @@ insert into PROD.ORDERS values (:ID, cast(:QTY as INTEGER), cast(:AMT as DECIMAL
     assert_eq!(uv_seqs(server.engine()), vec![vec![Value::Int(5)]]);
     assert_eq!(uv_seqs(v.cdw()), uv_seqs(server.engine()));
 }
+
+/// A row that repeats a key and carries a NULL (an empty vartext field)
+/// into a NOT NULL column fails its value before its key: an ET row on
+/// both servers, naming the same field, while a clean repeat stays UV.
+#[test]
+fn colliding_null_in_not_null_column_is_et_on_both_servers() {
+    use etlv_protocol::data::Value;
+
+    const SCRIPT: &str = ".logon h/u,p;
+.layout L;
+.field ID varchar(8);
+.field QTY varchar(8);
+.field NOTE varchar(8);
+.begin import tables PROD.ITEMS errortables PROD.ITEMS_ET PROD.ITEMS_UV;
+.dml label Go;
+insert into PROD.ITEMS values (:ID, cast(:QTY as INTEGER), :NOTE);
+.import infile f format vartext '|' layout L apply Go;
+.end load
+";
+    const DDL: &str = "CREATE TABLE PROD.ITEMS (ID VARCHAR(8) NOT NULL, QTY INTEGER NOT NULL, \
+                       NOTE VARCHAR(8)) UNIQUE PRIMARY INDEX (ID)";
+    // Row 2 repeats row 1's key with no QTY; row 4 repeats row 3's key
+    // with every value present.
+    const DATA: &[u8] = b"i1|5|ab\ni1||cd\ni2|6|ef\ni2|7|gh\n";
+    let JobPlan::Import(job) = compile(&parse_script(SCRIPT).unwrap()).unwrap() else {
+        panic!()
+    };
+    let run = |connector: Arc<dyn Connect>| {
+        let mut session = etlv_legacy_client::Session::logon(
+            connector.as_ref(),
+            "admin",
+            "pw",
+            etlv_protocol::message::SessionRole::Control,
+            0,
+        )
+        .unwrap();
+        session.sql(DDL).unwrap();
+        session.logoff();
+        LegacyEtlClient::new(connector)
+            .run_import_data(&job, DATA)
+            .unwrap()
+    };
+    let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().rows;
+    let et = "SELECT SEQNO, ERRFIELD FROM PROD.ITEMS_ET ORDER BY SEQNO";
+    let uv = "SELECT SEQNO FROM PROD.ITEMS_UV ORDER BY SEQNO";
+
+    let server = LegacyServer::new();
+    let legacy = run(server_connector(&server));
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    let virt = run(tcp_connector(&v));
+    assert_eq!(legacy.report.rows_applied, 2);
+    assert_eq!(virt.report.rows_applied, 2);
+    assert_eq!(
+        rows(server.engine(), et),
+        vec![vec![Value::Int(2), Value::Str("QTY".into())]]
+    );
+    assert_eq!(rows(v.cdw(), et), rows(server.engine(), et));
+    assert_eq!(rows(server.engine(), uv), vec![vec![Value::Int(4)]]);
+    assert_eq!(rows(v.cdw(), uv), rows(server.engine(), uv));
+}
