@@ -70,10 +70,6 @@ pub struct VirtualizerConfig {
     /// injection entirely; a plan arms the store, CDW, converter, and
     /// transport hooks with the plan's seed.
     pub fault_plan: Option<FaultPlan>,
-    /// How many recent [`JobReport`](crate::report::JobReport)s the node
-    /// retains (ring buffer, oldest evicted). Exposed through
-    /// `recent_job_reports()` and the stats snapshot. Must be ≥ 1.
-    pub report_history: usize,
     /// Capacity of the in-memory span/event journal (ring buffer). Must
     /// be ≥ 1.
     pub journal_capacity: usize,
@@ -121,7 +117,6 @@ impl Default for VirtualizerConfig {
             retry_base_delay: Duration::from_millis(2),
             retry_max_delay: Duration::from_millis(200),
             fault_plan: None,
-            report_history: 16,
             journal_capacity: 4096,
             journal_jsonl: None,
             max_sessions: 256,
@@ -155,9 +150,6 @@ impl VirtualizerConfig {
         }
         if self.max_concurrent_jobs == 0 {
             return Err("max_concurrent_jobs must be at least 1".into());
-        }
-        if self.report_history == 0 {
-            return Err("report_history must be at least 1".into());
         }
         if self.journal_capacity == 0 {
             return Err("journal_capacity must be at least 1".into());
@@ -234,11 +226,6 @@ mod tests {
         let c = VirtualizerConfig {
             retry_base_delay: Duration::from_secs(1),
             retry_max_delay: Duration::from_millis(1),
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = VirtualizerConfig {
-            report_history: 0,
             ..Default::default()
         };
         assert!(c.validate().is_err());

@@ -11,7 +11,7 @@
 //! [`crate::server`]. This module owns the node state and the request
 //! handlers they dispatch into.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,8 +44,8 @@ use crate::emulate;
 use crate::fault::{retry_cdw, FaultCounts, FaultInjector};
 use crate::memory::MemoryGauge;
 use crate::obs::{
-    stats_json, stats_prometheus, CpuTimer, HealthReport, JobObs, Obs, OverloadInput,
-    ProfileReport, SloEngine, SpanIds, TenantObs,
+    stats_json, stats_prometheus, CpuTimer, HealthReport, JobObs, Obs, OverloadInput, SloEngine,
+    SpanIds, TenantObs,
 };
 use crate::pipeline::{ChunkSink, Pipeline, PipelineReport, RawChunk, WorkerRuntime};
 use crate::report::{JobReport, NodeMetrics};
@@ -115,9 +115,8 @@ pub(crate) struct Node {
     admitting: AtomicUsize,
     pub(crate) next_token: AtomicU64,
     pub(crate) next_session: AtomicU32,
-    /// Ring of the most recent completed load reports, newest last
-    /// (capacity `config.report_history`).
-    pub(crate) reports: Mutex<VecDeque<JobReport>>,
+    /// The most recent completed or aborted load job's report.
+    pub(crate) last_report: Mutex<Option<JobReport>>,
     /// The node-wide worker runtime every load job registers with.
     pub(crate) runtime: WorkerRuntime,
     /// Per-tenant SLO burn-rate engine behind the `Health` endpoint.
@@ -258,7 +257,7 @@ impl Virtualizer {
                 admitting: AtomicUsize::new(0),
                 next_token: AtomicU64::new(1),
                 next_session: AtomicU32::new(1),
-                reports: Mutex::new(VecDeque::new()),
+                last_report: Mutex::new(None),
                 runtime,
                 slo,
                 registry,
@@ -308,7 +307,7 @@ impl Virtualizer {
         NodeMetrics {
             jobs_completed: gateway.jobs_completed.value(),
             jobs_failed: gateway.jobs_failed.value(),
-            exports_completed: export.jobs.value(),
+            exports_started: export.jobs.value(),
             jobs_aborted: gateway.jobs_aborted.value(),
             rows_ingested: gateway.rows_ingested.value(),
             rows_exported: export.rows.value(),
@@ -319,16 +318,10 @@ impl Virtualizer {
         }
     }
 
-    /// The most recent completed load job's report (benches read phase
-    /// timings here).
+    /// The most recent completed or aborted load job's report (benches
+    /// read phase timings here).
     pub fn last_job_report(&self) -> Option<JobReport> {
-        self.node.reports.lock().back().cloned()
-    }
-
-    /// The retained ring of recent load reports, oldest first (capacity
-    /// [`VirtualizerConfig::report_history`]).
-    pub fn recent_job_reports(&self) -> Vec<JobReport> {
-        self.node.reports.lock().iter().cloned().collect()
+        self.node.last_report.lock().clone()
     }
 
     /// The node's observability hub (registry + journal + handles).
@@ -381,44 +374,31 @@ impl Virtualizer {
         JobTrace::assemble(&self.node.obs.journal.events_for_job(job))
     }
 
-    /// The continuous-profiling report: per-stage CPU/wall accounting,
-    /// worker-pool utilization, and the folded-stack flamegraph aggregated
-    /// from the journal's retained spans.
-    pub fn profile(&self) -> ProfileReport {
-        ProfileReport::collect(&self.node.obs)
-    }
-
     /// Render one monitoring document — what an `Introspect` wire request
     /// returns, and the only place a (topic, format) pair is mapped to a
     /// renderer. [`Format`] states which topics have a text rendering.
     pub fn introspect(&self, topic: Topic, format: Format) -> IntrospectReply {
         let format = match topic {
             Topic::Trace { .. } => Format::Json,
-            Topic::Stats | Topic::Health | Topic::Profile => format,
+            Topic::Stats | Topic::Health => format,
         };
         let body = match (topic, format) {
             (Topic::Stats, _) => {
                 self.refresh_gauges();
-                let (metrics, snap) = (self.metrics(), self.node.obs.snapshot());
+                let snap = self.node.obs.snapshot();
                 let journal = &self.node.obs.journal;
                 Some(match format {
                     Format::Json => stats_json(
-                        &metrics,
                         &snap,
-                        &self.recent_job_reports(),
                         journal.emitted(),
                         journal.retained(),
                         journal.dropped(),
                     ),
-                    Format::Text => {
-                        stats_prometheus(&metrics, &snap, journal.emitted(), journal.dropped())
-                    }
+                    Format::Text => stats_prometheus(&snap, journal.emitted(), journal.dropped()),
                 })
             }
             (Topic::Health, Format::Json) => Some(self.health().to_json()),
             (Topic::Health, Format::Text) => Some(self.health().to_prometheus()),
-            (Topic::Profile, Format::Json) => Some(self.profile().to_json()),
-            (Topic::Profile, Format::Text) => Some(self.profile().folded),
             (Topic::Trace { job }, _) => self.trace(job).map(|t| t.to_json()),
         };
         IntrospectReply {
@@ -770,8 +750,8 @@ impl Virtualizer {
 
     /// The one place a job's outcome is booked, once each: the node
     /// counter, the tenant's counter and `active_jobs`, a completed job's
-    /// tenant totals, the terminal journal span, and the report ring. The
-    /// caller has already taken the job out of the job table.
+    /// tenant totals, the terminal journal span, and the last job report.
+    /// The caller has already taken the job out of the job table.
     fn end_job(&self, token: u64, job: &Job, outcome: JobOutcome) {
         let node = &self.node;
         let gateway = &node.obs.gateway;
@@ -829,11 +809,7 @@ impl Virtualizer {
             .journal
             .emit_span(kind, job.ids, token, 0, 0, value, wall);
         if let Some(report) = report {
-            let mut reports = node.reports.lock();
-            while reports.len() >= node.config.report_history {
-                reports.pop_front();
-            }
-            reports.push_back(report);
+            *node.last_report.lock() = Some(report);
         }
     }
 
@@ -1121,7 +1097,7 @@ impl Virtualizer {
     /// lifecycle. For an import: discard the pipeline's queued and
     /// in-flight chunks (credits and memory release immediately), drop
     /// the staging and error tables, delete staged objects, and record an
-    /// aborted [`JobReport`] so the loss is visible in `recent_job_reports`.
+    /// aborted [`JobReport`] so the loss is visible in `last_job_report`.
     /// For an export: deregister the cursor. A `clean` close (explicit
     /// logoff) silently retires exports — they have no end-of-job message,
     /// so logoff *is* their normal completion — but an import still open

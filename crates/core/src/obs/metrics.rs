@@ -330,9 +330,8 @@ impl MetricsRegistry {
 
     /// Intern (or fetch) the per-tenant handle block for `name`. The
     /// distinct-label cardinality is bounded: once `TENANT_LIMIT` blocks
-    /// exist, further names all share the [`super::TENANT_OVERFLOW`]
-    /// block, so a hostile stream of logon usernames cannot grow the
-    /// registry without bound.
+    /// exist, further names all share the `~overflow` block, so a hostile
+    /// stream of logon usernames cannot grow the registry without bound.
     pub fn tenant(&self, name: &str) -> Arc<TenantObs> {
         let mut tenants = self.inner.tenants.lock();
         if let Some(t) = tenants.iter().find(|t| t.name == name) {
@@ -642,7 +641,7 @@ mod tests {
             "same pair, same series"
         );
         assert_eq!(rows[1].label, Some(("tenant", "bob".to_string())));
-        let text = crate::obs::stats_prometheus(&Default::default(), &snap, 0, 0);
+        let text = crate::obs::stats_prometheus(&snap, 0, 0);
         assert_eq!(text.matches("# TYPE etlv_t_rows counter\n").count(), 1);
         assert!(text.contains("etlv_t_rows{tenant=\"alice\"} 5\n"), "{text}");
         assert!(text.contains("etlv_t_rows{tenant=\"bob\"} 2\n"), "{text}");

@@ -23,7 +23,7 @@
 use std::time::Duration;
 
 mod render;
-pub use render::{prom_escape_label, stats_json, stats_prometheus};
+pub(crate) use render::{stats_json, stats_prometheus};
 
 mod slo;
 pub use slo::{
@@ -31,9 +31,7 @@ pub use slo::{
 };
 
 mod profile;
-pub use profile::{
-    folded_flamegraph, thread_cpu_time, CpuTimer, PoolProfile, ProfileReport, StageCpuProfile,
-};
+pub use profile::CpuTimer;
 
 mod journal;
 mod metrics;
@@ -101,7 +99,7 @@ impl RegistrySnapshot {
 /// The catch-all tenant name used once the registry's tenant cardinality
 /// bound is reached — further usernames share this block instead of
 /// growing the label space.
-pub const TENANT_OVERFLOW: &str = "~overflow";
+pub(crate) const TENANT_OVERFLOW: &str = "~overflow";
 
 /// Pre-registered per-tenant handles: one block per interned Logon
 /// username, covering the whole job lifecycle (admission → queue →
@@ -429,8 +427,7 @@ pub struct ExportObs {
 /// meaningful on platforms without the clock.
 #[derive(Clone)]
 pub struct StageProf {
-    /// Wall time per execution, µs — the stage's latency histogram, whose
-    /// `sum` is the total the Profile report shows.
+    /// Wall time per execution, µs — the stage's latency histogram.
     pub wall_us: Histogram,
     /// Thread CPU time across sampled executions, µs.
     pub cpu_us: Counter,
@@ -450,8 +447,8 @@ impl StageProf {
     }
 }
 
-/// Per-stage CPU/wall profiles: the four attributable stages the
-/// Profile report breaks down.
+/// Per-stage CPU/wall profiles of the four attributable stages: each
+/// stage's wall histogram plus `profile.<stage>.{cpu_us,samples}`.
 #[derive(Clone)]
 pub struct ProfileObs {
     /// Per-chunk conversion (converter workers): `pipeline.convert_us`.

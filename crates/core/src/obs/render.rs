@@ -2,8 +2,6 @@
 //! exposition behind the `Stats` introspection topic.
 //! Hand-rolled (the workspace carries no serialization dependency).
 
-use crate::report::{JobReport, NodeMetrics};
-
 use super::{HistogramSnapshot, RegistrySnapshot, SeriesSnapshot, SeriesValue};
 
 /// Escape a string for embedding in a JSON string literal.
@@ -23,26 +21,6 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-/// The node-level totals, named once for both renderings (the JSON
-/// `node` object's keys, the `etlv_node_*` gauges).
-fn node_fields(node: &NodeMetrics) -> [(&'static str, u64); 10] {
-    [
-        ("jobs_completed", node.jobs_completed),
-        ("jobs_failed", node.jobs_failed),
-        ("jobs_aborted", node.jobs_aborted),
-        ("exports_completed", node.exports_completed),
-        ("rows_ingested", node.rows_ingested),
-        ("rows_exported", node.rows_exported),
-        ("bytes_exported", node.bytes_exported),
-        ("credit_stalls", node.credit_stalls),
-        (
-            "credit_stall_micros",
-            node.credit_stall_time.as_micros() as u64,
-        ),
-        ("peak_memory", node.peak_memory),
-    ]
-}
-
 /// One histogram summary as a JSON object.
 pub(crate) fn histogram_json(h: &HistogramSnapshot) -> String {
     format!(
@@ -51,49 +29,17 @@ pub(crate) fn histogram_json(h: &HistogramSnapshot) -> String {
     )
 }
 
-fn push_job(out: &mut String, job: &JobReport) {
-    out.push_str(&format!(
-        "{{\"rows_received\": {}, \"rows_applied\": {}, \"errors_et\": {}, \
-         \"errors_uv\": {}, \"acquisition_micros\": {}, \"application_micros\": {}, \
-         \"other_micros\": {}, \"files_staged\": {}, \"bytes_staged\": {}, \
-         \"upload_retries\": {}, \"cdw_retries\": {}, \"faults_injected\": {}, \
-         \"aborted\": {}}}",
-        job.rows_received,
-        job.rows_applied,
-        job.errors_et,
-        job.errors_uv,
-        job.acquisition.as_micros(),
-        job.application.as_micros(),
-        job.other.as_micros(),
-        job.files_staged,
-        job.bytes_staged,
-        job.upload_retries,
-        job.cdw_retries,
-        job.faults_injected,
-        job.aborted,
-    ));
-}
-
 /// Render the full stats snapshot as a JSON document. `series` holds one
 /// object per registered series: its name keyed to its value (a number,
 /// or a histogram summary), its kind, and its label when it has one.
-pub fn stats_json(
-    node: &NodeMetrics,
+pub(crate) fn stats_json(
     snap: &RegistrySnapshot,
-    recent_jobs: &[JobReport],
     journal_emitted: u64,
     journal_retained: usize,
     journal_dropped: u64,
 ) -> String {
     let mut out = String::with_capacity(4096);
-    out.push_str("{\n  \"node\": {");
-    for (i, (name, value)) in node_fields(node).iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!("    \"{name}\": {value}"));
-    }
-    out.push_str("\n  },\n");
-
-    out.push_str("  \"series\": [");
+    out.push_str("{\n  \"series\": [");
     for (i, s) in snap.series.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         let (kind, value) = match &s.value {
@@ -109,13 +55,6 @@ pub fn stats_json(
             out.push_str(&format!(", \"{key}\": \"{}\"", json_escape(label)));
         }
         out.push('}');
-    }
-    out.push_str("\n  ],\n");
-
-    out.push_str("  \"recent_jobs\": [");
-    for (i, job) in recent_jobs.iter().enumerate() {
-        out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        push_job(&mut out, job);
     }
     out.push_str("\n  ],\n");
 
@@ -139,7 +78,7 @@ fn prom_name(name: &str) -> String {
 /// Escape a label value per the Prometheus text exposition format:
 /// backslash, double quote, and newline must be escaped inside the
 /// quoted value.
-pub fn prom_escape_label(value: &str) -> String {
+pub(crate) fn prom_escape_label(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {
@@ -157,32 +96,24 @@ pub fn prom_escape_label(value: &str) -> String {
 /// `_count`/`_sum`/`_max` plus `quantile`-labelled samples. Metric-major:
 /// the snapshot is name-sorted, so a family's label values are adjacent
 /// and it gets exactly one `# TYPE` line however many there are.
-pub fn stats_prometheus(
-    node: &NodeMetrics,
+pub(crate) fn stats_prometheus(
     snap: &RegistrySnapshot,
     journal_emitted: u64,
     journal_dropped: u64,
 ) -> String {
-    let scalar = |name: String, value: SeriesValue| SeriesSnapshot {
-        name,
-        label: None,
-        value,
-    };
-    let node_series =
-        node_fields(node).map(|(name, v)| scalar(format!("node.{name}"), SeriesValue::Gauge(v)));
     let journal_series = [
         ("journal.events_emitted", journal_emitted),
         ("journal.events_dropped", journal_dropped),
     ]
-    .map(|(name, v)| scalar(name.to_string(), SeriesValue::Counter(v)));
+    .map(|(name, v)| SeriesSnapshot {
+        name: name.to_string(),
+        label: None,
+        value: SeriesValue::Counter(v),
+    });
 
     let mut out = String::with_capacity(4096);
     let mut family = "";
-    for s in node_series
-        .iter()
-        .chain(&snap.series)
-        .chain(&journal_series)
-    {
+    for s in snap.series.iter().chain(&journal_series) {
         let base = prom_name(&s.name);
         if s.name != family {
             let kind = match s.value {
@@ -228,7 +159,6 @@ pub fn stats_prometheus(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn sample_snapshot() -> RegistrySnapshot {
         let hist = |count, sum, max, p50, p95, p99| {
@@ -265,40 +195,14 @@ mod tests {
         RegistrySnapshot { series }
     }
 
-    fn sample_node() -> NodeMetrics {
-        NodeMetrics {
-            jobs_completed: 2,
-            jobs_aborted: 1,
-            rows_ingested: 480,
-            credit_stalls: 5,
-            credit_stall_time: Duration::from_micros(1500),
-            peak_memory: 65536,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn json_document_contains_all_sections() {
-        let job = JobReport {
-            rows_received: 240,
-            upload_retries: 1,
-            cdw_retries: 2,
-            aborted: true,
-            ..Default::default()
-        };
-        let doc = stats_json(&sample_node(), &sample_snapshot(), &[job], 40, 30, 10);
+        let doc = stats_json(&sample_snapshot(), 40, 30, 10);
         for needle in [
-            "\"jobs_completed\": 2",
-            "\"jobs_aborted\": 1",
-            "\"aborted\": true",
-            "\"credit_stalls\": 5",
-            "\"credit_stall_micros\": 1500",
             "\"gateway.chunks_received\": 12",
             "\"credit.in_flight\": 3",
             "\"pipeline.convert_us\": {\"count\": 12",
             "\"p95\": 85",
-            "\"upload_retries\": 1",
-            "\"cdw_retries\": 2",
             "\"journal\": {\"emitted\": 40, \"retained\": 30, \"dropped\": 10}",
             "\"tenant\": \"alice\"",
             "\"tenant\": \"bo\\\"b\"",
@@ -312,11 +216,8 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_shape() {
-        let text = stats_prometheus(&sample_node(), &sample_snapshot(), 40, 10);
+        let text = stats_prometheus(&sample_snapshot(), 40, 10);
         for needle in [
-            "etlv_node_jobs_completed 2\n",
-            "etlv_node_jobs_aborted 1\n",
-            "etlv_node_peak_memory 65536\n",
             "etlv_gateway_chunks_received 12\n",
             "etlv_credit_in_flight 3\n",
             "etlv_journal_events_emitted 40\n",
@@ -349,7 +250,7 @@ mod tests {
         // Every sample line must parse as `name{labels} value` or
         // `name value` with a sane metric name, and every metric family
         // must be preceded by exactly one `# TYPE` line naming it.
-        let text = stats_prometheus(&sample_node(), &sample_snapshot(), 1, 0);
+        let text = stats_prometheus(&sample_snapshot(), 1, 0);
         let mut typed: std::collections::HashSet<String> = std::collections::HashSet::new();
         for line in text.lines() {
             if let Some(rest) = line.strip_prefix("# TYPE ") {

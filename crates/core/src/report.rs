@@ -71,8 +71,8 @@ pub struct NodeMetrics {
     pub jobs_completed: u64,
     /// Load jobs failed.
     pub jobs_failed: u64,
-    /// Export jobs served.
-    pub exports_completed: u64,
+    /// Export jobs started (counted when `BeginExport` is accepted).
+    pub exports_started: u64,
     /// Jobs aborted mid-flight (disconnect, idle timeout, shutdown).
     pub jobs_aborted: u64,
     /// Total records ingested.

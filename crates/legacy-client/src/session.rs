@@ -127,7 +127,7 @@ impl Session {
     }
 
     /// Request one of the node's monitoring documents: metrics snapshot,
-    /// SLO health, profile, or a job's trace (see
+    /// SLO health, or a job's trace (see
     /// [`Topic`]; [`Format`] says which renderings each has). For a
     /// trace, `found` is false when the job's events have aged out of
     /// the server's journal ring.

@@ -217,14 +217,11 @@ pub struct ExportChunk {
 /// The monitoring document a [`Message::Introspect`] request asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topic {
-    /// Metrics snapshot: node metrics, every registered counter, gauge
-    /// and histogram, the recent-report ring, journal occupancy.
+    /// Metrics snapshot: every registered counter, gauge and histogram,
+    /// plus journal occupancy.
     Stats,
     /// Per-tenant SLO burn rates, active alerts, node overload state.
     Health,
-    /// Continuous-profiling report: stage CPU/wall, worker pool, folded
-    /// stacks.
-    Profile,
     /// One job's causal trace: span tree plus critical-path attribution.
     Trace {
         /// The job id to trace.
@@ -237,7 +234,6 @@ impl Topic {
         match self {
             Topic::Stats => buf.put_u8(0),
             Topic::Health => buf.put_u8(2),
-            Topic::Profile => buf.put_u8(3),
             Topic::Trace { job } => {
                 buf.put_u8(4);
                 buf.put_u64_le(job);
@@ -251,10 +247,9 @@ impl Topic {
         }
         match buf.get_u8() {
             0 => Ok(Topic::Stats),
-            // Byte 1 stays unassigned: a peer that still sends it gets
-            // `Malformed`, never another topic.
+            // Bytes 1 and 3 stay unassigned: a peer that still sends
+            // either gets `Malformed`, never another topic.
             2 => Ok(Topic::Health),
-            3 => Ok(Topic::Profile),
             4 => {
                 if buf.remaining() < 8 {
                     return Err(FrameError::Truncated);
@@ -269,11 +264,10 @@ impl Topic {
 }
 
 /// Rendering requested for an introspection document. `Text` is
-/// Prometheus text exposition for [`Topic::Stats`] and [`Topic::Health`]
-/// and folded-stack text (the flamegraph input format) for
-/// [`Topic::Profile`]. [`Topic::Trace`] has only a JSON rendering: a
-/// `Text` request for it is answered in JSON. The reply's `format` always
-/// names the rendering that was sent.
+/// Prometheus text exposition for [`Topic::Stats`] and [`Topic::Health`].
+/// [`Topic::Trace`] has only a JSON rendering: a `Text` request for it is
+/// answered in JSON. The reply's `format` always names the rendering that
+/// was sent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Format {
     /// JSON document.
@@ -1083,16 +1077,10 @@ mod tests {
 
     #[test]
     fn introspect_roundtrip() {
-        let topics = [
-            Topic::Stats,
-            Topic::Health,
-            Topic::Profile,
-            Topic::Trace { job: 17 },
-        ];
+        let topics = [Topic::Stats, Topic::Health, Topic::Trace { job: 17 }];
         let bodies = [
             "{\"counters\": {\"gateway.chunks_received\": 12}}",
             "etlv_slo_alert{tenant=\"wg_t00\",objective=\"error_rate\"} 1\n",
-            "job;acquisition;convert 300\njob;application;apply 500\n",
             "{\"job\": 17, \"wall_micros\": 1200}",
         ];
         for (topic, body) in topics.into_iter().zip(bodies) {
@@ -1119,8 +1107,9 @@ mod tests {
         assert_eq!(roundtrip(msg.clone()), msg);
 
         // Unknown topic and format bytes are malformed, not defaulted;
-        // byte 1 is the retired `Series` topic.
-        for payload in [&[5u8, 0][..], &[1, 0], &[0, 2]] {
+        // byte 1 is the retired `Series` topic, byte 3 the retired
+        // `Profile` topic.
+        for payload in [&[5u8, 0][..], &[1, 0], &[3, 0], &[0, 2]] {
             let frame = Frame::new(MsgKind::Introspect, 0, 0, payload.to_vec());
             assert!(matches!(
                 Message::from_frame(&frame),

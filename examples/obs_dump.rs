@@ -15,15 +15,10 @@
 //! ```
 //!
 //! With `--tenants` the example prints the Prometheus exposition alone
-//! (node totals plus the tenant-labeled families); with `--slo` it prints
-//! the SLO/overload health report — burn rates, active alerts, node
+//! (node-wide families plus the tenant-labeled ones); with `--slo` it
+//! prints the SLO/overload health report — burn rates, active alerts, node
 //! saturation — both directly and fetched over the wire with the `Health`
 //! topic. The two flags compose.
-//!
-//! With `--profile` the example prints the continuous-profiling report:
-//! the ASCII flame tree aggregated from the journal, pool utilisation,
-//! per-stage CPU/wall accounting, and the folded-stack text fetched over
-//! the wire with the `Profile` topic's text rendering.
 
 use std::sync::Arc;
 
@@ -62,7 +57,6 @@ fn main() {
         .map(|j| j.parse().expect("--trace takes a numeric job token"));
     let show_tenants = args.iter().any(|a| a == "--tenants");
     let show_slo = args.iter().any(|a| a == "--slo");
-    let show_profile = args.iter().any(|a| a == "--profile");
 
     let v = Virtualizer::new(VirtualizerConfig {
         file_size_threshold: 4096, // several staged files for this data size
@@ -158,50 +152,12 @@ fn main() {
         return;
     }
 
-    if show_profile {
-        let report = v.profile();
-        println!("\n== continuous profile: flame tree from the span journal ==");
-        println!("folded stacks from {} job(s):", report.folded_jobs);
-        print!("{}", render_flame_ascii(&report.folded));
-        println!(
-            "pool: {}/{} busy, {} idle wakeups, {} rr skips",
-            report.pool.busy_workers,
-            report.pool.workers,
-            report.pool.idle_wakeups,
-            report.pool.rr_skips,
-        );
-        println!("\n== per-stage CPU vs wall accounting ==");
-        for s in &report.stages {
-            println!(
-                "  {:<8} wall {:>10} us  cpu {:>10} us  samples {}",
-                s.stage, s.wall_us, s.cpu_us, s.samples
-            );
-        }
-
-        // The folded-stack text over the wire: a control session's
-        // Profile topic in its text rendering.
-        let client = LegacyEtlClient::new(connector.clone());
-        let mut session = etlv_legacy_client::Session::logon(
-            client.connector().as_ref(),
-            "admin",
-            "pw",
-            SessionRole::Control,
-            0,
-        )
-        .unwrap();
-        let reply = session.introspect(Topic::Profile, Format::Text).unwrap();
-        println!("\n== Profile over the legacy wire protocol (folded stacks) ==");
-        print!("{}", reply.body);
-        session.logoff();
-        return;
-    }
-
     if show_tenants || show_slo {
         if show_tenants {
             // The load above logged on as "user" (the script's .logon),
             // so its work shows up under that tenant label. The whole
-            // exposition is printed so node totals can be checked against
-            // the tenant-labelled families.
+            // exposition is printed so node-wide counters can be checked
+            // against the tenant-labelled families.
             println!("\n== Stats exposition (Prometheus; etlv_tenant_* carry the tenant label) ==");
             print!("{}", v.introspect(Topic::Stats, Format::Text).body);
         }
@@ -313,62 +269,4 @@ fn render_node(trace: &JobTrace, out: &mut String, idx: usize, depth: usize) {
     for &c in &n.children {
         render_node(trace, out, c, depth + 1);
     }
-}
-
-/// Render folded-stack text as an ASCII flame tree: one row per frame,
-/// indented by depth, with each frame's inclusive share of the root and
-/// a proportional bar. Input lines that fail to parse are skipped.
-fn render_flame_ascii(folded: &str) -> String {
-    use std::collections::BTreeMap;
-
-    #[derive(Default)]
-    struct Node {
-        own: u64,
-        children: BTreeMap<String, Node>,
-    }
-    impl Node {
-        fn total(&self) -> u64 {
-            self.own + self.children.values().map(Node::total).sum::<u64>()
-        }
-    }
-
-    let mut root = Node::default();
-    for line in folded.lines() {
-        let Some((path, value)) = line.rsplit_once(' ') else {
-            continue;
-        };
-        let Ok(value) = value.parse::<u64>() else {
-            continue;
-        };
-        let mut node = &mut root;
-        for frame in path.split(';') {
-            node = node.children.entry(frame.to_string()).or_default();
-        }
-        node.own += value;
-    }
-
-    let grand = root.total();
-    if grand == 0 {
-        return "flame: (empty — no completed jobs in the journal)\n".to_string();
-    }
-    fn push(out: &mut String, name: &str, node: &Node, depth: usize, grand: u64) {
-        let total = node.total();
-        let pct = total as f64 * 100.0 / grand as f64;
-        let bar_len = ((total as f64 / grand as f64) * 32.0).round() as usize;
-        out.push_str(&format!(
-            "{:indent$}{name:<width$} {total:>10}us {pct:>5.1}% |{bar}\n",
-            "",
-            indent = depth * 2,
-            width = 24usize.saturating_sub(depth * 2),
-            bar = "#".repeat(bar_len.max(if total > 0 { 1 } else { 0 })),
-        ));
-        for (child_name, child) in &node.children {
-            push(out, child_name, child, depth + 1, grand);
-        }
-    }
-    let mut out = format!("flame: {grand}us total\n");
-    for (name, node) in &root.children {
-        push(&mut out, name, node, 0, grand);
-    }
-    out
 }

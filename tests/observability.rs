@@ -1,6 +1,7 @@
-//! The PR 3 observability surface, end to end: concurrent metric
+//! The observability surface, end to end: concurrent metric
 //! aggregation, registry wiring through real import/export jobs, the
-//! recent-report ring, and the `Stats` wire round trip.
+//! `Stats` wire round trip, and the top-level shape of the Stats and
+//! Health documents.
 
 use std::sync::Arc;
 
@@ -101,8 +102,9 @@ fn import_populates_every_subsystem() {
     }
 }
 
-/// The snapshot JSON carries all five required subsystems and stays
-/// numerically consistent with `NodeMetrics` (credit stalls, peak memory).
+/// The snapshot JSON carries all five required subsystems, and the
+/// registry series `NodeMetrics` reads agree with it (credit stalls, peak
+/// memory, rows ingested).
 #[test]
 fn stats_snapshot_consistent_with_node_metrics() {
     let v = customer_virtualizer(VirtualizerConfig {
@@ -123,9 +125,9 @@ fn stats_snapshot_consistent_with_node_metrics() {
 
     let snapshot = v.introspect(Topic::Stats, Format::Json).body;
     let metrics = v.metrics();
-    assert_eq!(counter(&snapshot, "credit_stalls"), metrics.credit_stalls);
-    assert_eq!(counter(&snapshot, "peak_memory"), metrics.peak_memory);
-    assert_eq!(counter(&snapshot, "rows_ingested"), 100);
+    assert_eq!(counter(&snapshot, "credit.stalls"), metrics.credit_stalls);
+    assert_eq!(counter(&snapshot, "gateway.rows_ingested"), 100);
+    assert_eq!(metrics.rows_ingested, 100);
     for subsystem in ["gateway.", "pipeline.", "cloudstore.", "cdw.", "credit."] {
         assert!(snapshot.contains(subsystem), "snapshot missing {subsystem}");
     }
@@ -134,7 +136,6 @@ fn stats_snapshot_consistent_with_node_metrics() {
         metrics.peak_memory,
         "gauge refreshed at snapshot"
     );
-    assert_eq!(counter(&snapshot, "credit.stalls"), metrics.credit_stalls);
 }
 
 /// The `Stats` topic round-trips over the wire in both renderings.
@@ -156,14 +157,12 @@ fn stats_wire_round_trip() {
     .unwrap();
     let json = session.introspect(Topic::Stats, Format::Json).unwrap();
     assert_eq!(json.format, Format::Json);
-    assert!(json.body.contains("\"node\""), "{}", json.body);
-    assert!(json.body.contains("\"recent_jobs\""), "{}", json.body);
-    assert_eq!(counter(&json.body, "jobs_completed"), 1);
+    assert_eq!(counter(&json.body, "gateway.jobs_completed"), 1);
 
     let prom = session.introspect(Topic::Stats, Format::Text).unwrap();
     assert_eq!(prom.format, Format::Text);
     assert!(
-        prom.body.contains("etlv_node_jobs_completed 1"),
+        prom.body.contains("\netlv_gateway_jobs_completed 1\n"),
         "{}",
         prom.body
     );
@@ -187,32 +186,6 @@ fn stats_wire_round_trip() {
         session.introspect(trace, Format::Json).unwrap().body
     );
     session.logoff();
-}
-
-/// The node retains a bounded ring of recent reports, newest last.
-#[test]
-fn report_ring_is_bounded() {
-    let v = customer_virtualizer(VirtualizerConfig {
-        report_history: 2,
-        ..Default::default()
-    });
-    for n in [10usize, 20, 30] {
-        let client = LegacyEtlClient::new(tcp_connector(&v));
-        client
-            .run_import_data(&customer_import_job(), &customer_rows(n))
-            .unwrap();
-    }
-    let recent = v.recent_job_reports();
-    assert_eq!(recent.len(), 2, "oldest report evicted");
-    assert_eq!(recent[0].rows_received, 20);
-    assert_eq!(recent[1].rows_received, 30);
-    assert_eq!(v.last_job_report().unwrap().rows_received, 30);
-    let snapshot = v.introspect(Topic::Stats, Format::Json).body;
-    assert_eq!(
-        snapshot.matches("\"rows_received\"").count(),
-        2,
-        "ring exposed through the snapshot"
-    );
 }
 
 /// Export accounting: `NodeMetrics` row/byte totals and the export
@@ -385,8 +358,8 @@ fn plan_counters_reach_the_wire() {
 
 /// The PR 5 session-lifecycle surface: session open/close counters stay
 /// symmetric, the active-session/job gauges return to zero, and an
-/// abandoned job shows up as `jobs_aborted` in both snapshot formats —
-/// with the Prometheus rendering carrying TYPE metadata for each.
+/// abandoned job shows up as `gateway.jobs_aborted` in both snapshot
+/// formats — with the Prometheus rendering carrying TYPE metadata for each.
 #[test]
 fn session_lifecycle_metrics_are_symmetric_and_rendered() {
     use etlv_legacy_client::Session;
@@ -452,7 +425,7 @@ fn session_lifecycle_metrics_are_symmetric_and_rendered() {
     assert_eq!(obs.gateway.jobs_aborted.value(), 1);
     assert!(obs.runtime.threads_started.value() >= 1, "shared pool ran");
 
-    // JSON snapshot carries the new counters and the node-level total.
+    // JSON snapshot carries the session counters and the abort.
     let snapshot = v.introspect(Topic::Stats, Format::Json).body;
     assert!(counter(&snapshot, "gateway.sessions_opened") >= 4);
     assert_eq!(
@@ -462,11 +435,10 @@ fn session_lifecycle_metrics_are_symmetric_and_rendered() {
     assert_eq!(counter(&snapshot, "gateway.active_sessions"), 0);
     assert_eq!(counter(&snapshot, "gateway.active_jobs"), 0);
     assert_eq!(counter(&snapshot, "gateway.jobs_aborted"), 1);
-    assert_eq!(counter(&snapshot, "jobs_aborted"), 1, "node section");
 
     // Prometheus: samples present, each under its own TYPE line.
     let prom = v.introspect(Topic::Stats, Format::Text).body;
-    assert!(prom.contains("etlv_node_jobs_aborted 1\n"), "{prom}");
+    assert!(prom.contains("\netlv_gateway_jobs_aborted 1\n"), "{prom}");
     for metric in [
         "etlv_gateway_sessions_closed",
         "etlv_gateway_active_sessions",
@@ -483,8 +455,9 @@ fn session_lifecycle_metrics_are_symmetric_and_rendered() {
 
 /// The worker-pool surface after a many-rotation, two-session import:
 /// every row lands, `pool.busy_workers` is back to 0 in the registry, the
-/// Stats JSON and the Prometheus rendering, and the series of the
-/// cross-thread buffer freelist the runtime no longer has are gone.
+/// Stats JSON and the Prometheus rendering, the series of the
+/// cross-thread buffer freelist the runtime no longer has are gone, and
+/// the stage clocks sampled the convert and apply stages.
 #[test]
 fn pool_recycling_observed_in_stats() {
     let v = customer_virtualizer(VirtualizerConfig {
@@ -516,6 +489,22 @@ fn pool_recycling_observed_in_stats() {
     );
     let snapshot = v.introspect(Topic::Stats, Format::Json).body;
     assert_eq!(counter(&snapshot, "pool.busy_workers"), 0);
+    let samples = counter(&snapshot, "profile.convert.samples");
+    assert!(samples >= 1, "convert stage sampled");
+    assert!(
+        counter(&snapshot, "profile.apply.samples") >= 1,
+        "apply stage sampled"
+    );
+    // Single-threaded spans can't burn (much) more CPU than wall; the two
+    // clocks tick independently, so allow per-sample granularity jitter
+    // rather than demanding cpu <= wall exactly.
+    let cpu = counter(&snapshot, "profile.convert.cpu_us");
+    let convert_us = snapshot.find("\"pipeline.convert_us\"").unwrap();
+    let wall = counter(&snapshot[convert_us..], "sum");
+    assert!(
+        cpu <= wall + 200 * samples,
+        "thread CPU time implausibly exceeds wall time: cpu={cpu} wall={wall} samples={samples}"
+    );
     let prom = v.introspect(Topic::Stats, Format::Text).body;
     assert!(prom.contains("\netlv_pool_busy_workers 0\n"));
     // Exactly the runtime's three pool families: the freelist's recycle
@@ -725,7 +714,7 @@ fn node_totals_equal_the_sum_over_tenants() {
     assert_eq!(metrics.rows_ingested, 60, "the completed job's rows only");
     assert_eq!(gateway.rows_ingested.value(), 60);
     assert_eq!(over_tenants("tenant.rows_applied"), 60);
-    assert_eq!(metrics.exports_completed, 1);
+    assert_eq!(metrics.exports_started, 1);
     assert_eq!(metrics.rows_exported, 60);
     assert_eq!(metrics.rows_exported, obs.export.rows.value());
     assert_eq!(metrics.bytes_exported, obs.export.bytes.value());
@@ -743,4 +732,49 @@ fn node_totals_equal_the_sum_over_tenants() {
             "{held} back to zero for every tenant"
         );
     }
+}
+
+/// The keys of a JSON document's top-level object, in document order.
+fn top_level_keys(json: &str) -> Vec<String> {
+    let (mut depth, mut keys, mut chars) = (0, Vec::new(), json.chars());
+    while let Some(c) = chars.next() {
+        match c {
+            '{' | '[' => depth += 1,
+            '}' | ']' => depth -= 1,
+            '"' => {
+                let mut text = String::new();
+                while let Some(c) = chars.next() {
+                    match c {
+                        '\\' => text.extend(chars.next()),
+                        '"' => break,
+                        c => text.push(c),
+                    }
+                }
+                let next = chars.clone().find(|c| !c.is_whitespace());
+                if depth == 1 && next == Some(':') {
+                    keys.push(text);
+                }
+            }
+            _ => {}
+        }
+    }
+    keys
+}
+
+/// Each number has one name: the Stats document is the registry's series
+/// plus journal occupancy, with no second `node` copy of registry totals
+/// and no ring of load reports, and the Health document is the overload
+/// standing plus the tenants.
+#[test]
+fn introspection_documents_have_one_schema() {
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    let stats = v.introspect(Topic::Stats, Format::Json).body;
+    assert_eq!(top_level_keys(&stats), ["series", "journal"], "{stats}");
+    let health = v.introspect(Topic::Health, Format::Json).body;
+    assert_eq!(top_level_keys(&health), ["overload", "tenants"], "{health}");
+
+    let text = v.introspect(Topic::Stats, Format::Text).body;
+    assert!(text.contains("# TYPE etlv_"), "{text}");
+    assert!(!text.contains("etlv_node_"), "{text}");
+    assert!(!text.contains("etlv_lock"), "{text}");
 }

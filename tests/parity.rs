@@ -144,7 +144,8 @@ fn error_rows_match_ground_truth() {
 }
 
 /// One load whose bad rows each fail for a different cause, plus one
-/// duplicate key: both servers record the same code and field per row.
+/// duplicate key: both servers record the same rows and fields; the codes
+/// split on purpose (Figure 5 on the oracle, Figure 6 on the gateway).
 #[test]
 fn error_codes_and_fields_match_across_causes() {
     use etlv_protocol::data::Value;
@@ -225,7 +226,7 @@ insert into PROD.ORDERS values (:ID, cast(:QTY as INTEGER), cast(:AMT as DECIMAL
 
     let gateway_et = rows(
         v.cdw(),
-        "SELECT SEQNO, ERRFIELD, ERRMESSAGE FROM PROD.ORDERS_ET ORDER BY SEQNO",
+        "SELECT SEQNO, ERRFIELD, ERRMESSAGE, ERRCODE FROM PROD.ORDERS_ET ORDER BY SEQNO",
     );
     let gateway_fields: Vec<(Value, Option<String>)> = gateway_et
         .iter()
@@ -236,15 +237,22 @@ insert into PROD.ORDERS values (:ID, cast(:QTY as INTEGER), cast(:AMT as DECIMAL
         .map(|(seq, _, f)| (seq.clone(), f.clone()))
         .collect();
     assert_eq!(gateway_fields, oracle_fields);
+    // The README's Figure 5 vs Figure 6 contrast: the oracle applies row
+    // by row and records each cause's own code (2665/2616/2667), while the
+    // gateway finds value errors inside a failed DML statement and records
+    // each as the Figure 6 DML-time code 3103.
     for r in &gateway_et {
         let message = text(&r[2]).unwrap();
         assert!(message.starts_with("Conversion failed"), "{message}");
+        assert_eq!(r[3], Value::Int(3103), "{r:?}");
     }
 
-    let uv_seqs =
-        |cdw: &etlv_cdw::Cdw| rows(cdw, "SELECT SEQNO FROM PROD.ORDERS_UV ORDER BY SEQNO");
-    assert_eq!(uv_seqs(server.engine()), vec![vec![Value::Int(5)]]);
-    assert_eq!(uv_seqs(v.cdw()), uv_seqs(server.engine()));
+    let uv = "SELECT SEQNO, ERRCODE FROM PROD.ORDERS_UV ORDER BY SEQNO";
+    assert_eq!(
+        rows(server.engine(), uv),
+        vec![vec![Value::Int(5), Value::Int(2794)]]
+    );
+    assert_eq!(rows(v.cdw(), uv), rows(server.engine(), uv));
 }
 
 /// A row that repeats a key and carries a NULL (an empty vartext field)
@@ -290,7 +298,8 @@ insert into PROD.ITEMS values (:ID, cast(:QTY as INTEGER), :NOTE);
     };
     let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().rows;
     let et = "SELECT SEQNO, ERRFIELD FROM PROD.ITEMS_ET ORDER BY SEQNO";
-    let uv = "SELECT SEQNO FROM PROD.ITEMS_UV ORDER BY SEQNO";
+    let et_codes = "SELECT ERRCODE FROM PROD.ITEMS_ET ORDER BY SEQNO";
+    let uv = "SELECT SEQNO, ERRCODE FROM PROD.ITEMS_UV ORDER BY SEQNO";
 
     let server = LegacyServer::new();
     let legacy = run(server_connector(&server));
@@ -303,6 +312,15 @@ insert into PROD.ITEMS values (:ID, cast(:QTY as INTEGER), :NOTE);
         vec![vec![Value::Int(2), Value::Str("QTY".into())]]
     );
     assert_eq!(rows(v.cdw(), et), rows(server.engine(), et));
-    assert_eq!(rows(server.engine(), uv), vec![vec![Value::Int(4)]]);
+    // Figure 5's code for the NULL on the oracle, Figure 6's on the gateway.
+    assert_eq!(
+        rows(server.engine(), et_codes),
+        vec![vec![Value::Int(2665)]]
+    );
+    assert_eq!(rows(v.cdw(), et_codes), vec![vec![Value::Int(3103)]]);
+    assert_eq!(
+        rows(server.engine(), uv),
+        vec![vec![Value::Int(4), Value::Int(2794)]]
+    );
     assert_eq!(rows(v.cdw(), uv), rows(server.engine(), uv));
 }
