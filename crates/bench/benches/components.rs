@@ -49,9 +49,6 @@ fn bench_record_codec(c: &mut Criterion) {
     group.bench_function("decode_1k_rows", |b| {
         b.iter(|| decoder.decode_batch(&encoded).unwrap())
     });
-    group.bench_function("count_1k_rows", |b| {
-        b.iter(|| decoder.count_records(&encoded).unwrap())
-    });
     group.finish();
 }
 

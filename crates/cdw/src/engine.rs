@@ -755,6 +755,11 @@ mod tests {
     }
 
     #[test]
+    fn copy_rejects_part_with_wrong_field_count() {
+        copy_rejects_part(b"2|beta|extra\n".to_vec(), "expected 2 fields, found 3");
+    }
+
+    #[test]
     fn copy_without_store_unsupported() {
         let cdw = Cdw::new();
         cdw.execute("CREATE TABLE STG (A VARCHAR(5))").unwrap();

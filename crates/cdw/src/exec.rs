@@ -15,6 +15,7 @@ use etlv_cloudstore::compress;
 use etlv_cloudstore::store::{parse_url, ObjectStore};
 use etlv_protocol::data::Value;
 use etlv_protocol::errcode::Cause;
+use etlv_protocol::vartext::VartextFormat;
 use etlv_sql::ast::*;
 use etlv_sql::types::Charset;
 use etlv_sql::SqlType;
@@ -24,9 +25,8 @@ use crate::error::CdwError;
 use crate::eval::{apply_binary, eval, truthy, Env};
 use crate::key::{cmp_values, RowKey};
 use crate::plan::{
-    choose_access, family_of, normalize_probe, plan_equi_join, Access, Family, PlanStats, SeekPlan,
+    choose_access, family_of, normalize_probe, plan_equi_join, Access, Family, PlanStats,
 };
-use crate::staged::StagedFormat;
 
 /// The result of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,18 +191,51 @@ fn resolve_column(bindings: &[Binding], name: &ObjectName) -> Result<usize, CdwE
     found.ok_or_else(|| CdwError::ColumnNotFound(name.dotted()))
 }
 
-/// The access path for a single-table filter: the planner's choice, or a
-/// scan when the planner is off.
-fn table_access(
-    planner: bool,
-    table: &Table,
-    selection: Option<&Expr>,
-    bindings: &[Binding],
-) -> Access {
-    if !planner {
-        return Access::Scan;
+/// The rows a filtered read of `table` visits, as rowids in order, and the
+/// part of `selection` still to apply to them. With the planner on,
+/// `choose_access` may pick an index seek over the conjuncts `resolve`
+/// admits (the filter stays unless the seek consumed it) or prove the
+/// read empty; otherwise the read is a full scan under the whole filter.
+/// Counts the seek or the scan.
+fn candidate_rows<'t, 'e>(
+    ctx: &ExecCtx<'_>,
+    table: &'t Table,
+    selection: Option<&'e Expr>,
+    resolve: &mut dyn FnMut(&ObjectName) -> Option<usize>,
+) -> (Box<dyn Iterator<Item = usize> + 't>, Option<&'e Expr>) {
+    let access = match selection {
+        Some(_) if ctx.planner => choose_access(table, selection, resolve),
+        _ => Access::Scan,
+    };
+    match access {
+        Access::Empty => (Box::new(std::iter::empty()), None),
+        Access::Scan => {
+            ctx.count(|s| s.full_scans += 1);
+            (Box::new(0..table.rows.len()), selection)
+        }
+        Access::Seek(p) => {
+            ctx.count(|s| s.index_seeks += 1);
+            let residual = selection.filter(|_| !p.consumed);
+            (Box::new(p.seek(table).into_iter()), residual)
+        }
     }
-    choose_access(table, selection, &mut |n| resolve_column(bindings, n).ok())
+}
+
+/// [`candidate_rows`] for a filter over `table` alone.
+fn table_candidates<'t, 'e>(
+    ctx: &ExecCtx<'_>,
+    table: &'t Table,
+    selection: Option<&'e Expr>,
+    bindings: &[Binding],
+) -> (Box<dyn Iterator<Item = usize> + 't>, Option<&'e Expr>) {
+    candidate_rows(ctx, table, selection, &mut |n| {
+        resolve_column(bindings, n).ok()
+    })
+}
+
+/// Borrow the rows at `rowids`.
+fn borrow_rows(table: &Table, rowids: impl Iterator<Item = usize>) -> Vec<Row<'_>> {
+    rowids.map(|i| Cow::Borrowed(&table.rows[i][..])).collect()
 }
 
 /// Execute one parsed DML/query statement. DDL never reaches here — the
@@ -346,7 +379,6 @@ fn append_unique_checked(
 // ------------------------------------------------------------------ UPDATE
 
 fn exec_update(ctx: &mut ExecCtx<'_>, u: &Update) -> Result<QueryResult, CdwError> {
-    let planner = ctx.planner;
     let table = ctx.tables.get(&u.table.dotted())?;
     let bindings = table_bindings(table, None);
     let mut assignment_idx = Vec::with_capacity(u.assignments.len());
@@ -371,19 +403,7 @@ fn exec_update(ctx: &mut ExecCtx<'_>, u: &Update) -> Result<QueryResult, CdwErro
     // updated in place during phase 3, never cloned. The candidate set
     // comes from the planner: an index seek visits only the rows that can
     // match instead of scanning the table.
-    let access = table_access(planner, table, u.selection.as_ref(), &bindings);
-    let (candidates, residual): (Box<dyn Iterator<Item = usize>>, bool) = match &access {
-        Access::Empty => (Box::new(std::iter::empty()), false),
-        Access::Scan => {
-            ctx.stats.get_mut().full_scans += 1;
-            (Box::new(0..table.rows.len()), u.selection.is_some())
-        }
-        Access::Seek(p) => {
-            ctx.stats.get_mut().index_seeks += 1;
-            (Box::new(p.seek(table).into_iter()), !p.consumed)
-        }
-    };
-    let filter = u.selection.as_ref().filter(|_| residual);
+    let (candidates, filter) = table_candidates(ctx, table, u.selection.as_ref(), &bindings);
     let filter = filter.map(|w| Resolved::new(w, &bindings));
     let assigned = Resolved::all(u.assignments.iter().map(|(_, e)| e), &bindings);
     let mut updates: Vec<(usize, Vec<Value>)> = Vec::new();
@@ -460,25 +480,12 @@ fn exec_update(ctx: &mut ExecCtx<'_>, u: &Update) -> Result<QueryResult, CdwErro
 // ------------------------------------------------------------------ DELETE
 
 fn exec_delete(ctx: &mut ExecCtx<'_>, d: &Delete) -> Result<QueryResult, CdwError> {
-    let planner = ctx.planner;
     let table = ctx.tables.get(&d.table.dotted())?;
     let bindings = table_bindings(table, None);
     // Phase 1 (read-only): mark victims, so a WHERE evaluation error leaves
     // the table untouched (set-oriented, like every other mutation). The
     // planner narrows the candidate set to an index seek where possible.
-    let access = table_access(planner, table, d.selection.as_ref(), &bindings);
-    let (candidates, residual): (Box<dyn Iterator<Item = usize>>, bool) = match &access {
-        Access::Empty => (Box::new(std::iter::empty()), false),
-        Access::Scan => {
-            ctx.stats.get_mut().full_scans += 1;
-            (Box::new(0..table.rows.len()), d.selection.is_some())
-        }
-        Access::Seek(p) => {
-            ctx.stats.get_mut().index_seeks += 1;
-            (Box::new(p.seek(table).into_iter()), !p.consumed)
-        }
-    };
-    let filter = d.selection.as_ref().filter(|_| residual);
+    let (candidates, filter) = table_candidates(ctx, table, d.selection.as_ref(), &bindings);
     let filter = filter.map(|w| Resolved::new(w, &bindings));
     let mut hits: Vec<bool> = vec![false; table.rows.len()];
     let mut removed = 0u64;
@@ -518,7 +525,7 @@ fn exec_copy(ctx: &mut ExecCtx<'_>, c: &CopyStmt) -> Result<QueryResult, CdwErro
     let keys = store
         .list(&url.bucket, &url.key)
         .map_err(|e| CdwError::Store(e.to_string()))?;
-    let format = StagedFormat::new(c.delimiter);
+    let format = VartextFormat::with_delimiter(c.delimiter);
 
     let table = ctx.tables.get(&c.table.dotted())?;
     let arity = table.columns.len();
@@ -539,7 +546,10 @@ fn exec_copy(ctx: &mut ExecCtx<'_>, c: &CopyStmt) -> Result<QueryResult, CdwErro
         } else {
             raw
         };
-        for row in format.parse(&data, arity)? {
+        let rows = format.decode_lines(&data, Some(arity)).map_err(|e| {
+            CdwError::abort(Cause::BadFile, format!("malformed staged part {key}: {e}"))
+        })?;
+        for row in rows {
             staged.push(coerce_row(table, row, &[])?);
         }
     }
@@ -652,11 +662,6 @@ fn select_source<'t>(ctx: &'t ExecCtx<'_>, sel: &SelectStmt) -> Result<Relation<
     }
 }
 
-/// Every stored row of `table`, borrowed.
-fn all_rows(table: &Table) -> Vec<Row<'_>> {
-    table.rows.iter().map(|r| Cow::Borrowed(&r[..])).collect()
-}
-
 /// Single-table FROM with the WHERE clause pushed into the access path.
 fn single_table_select<'t>(
     ctx: &'t ExecCtx<'_>,
@@ -666,38 +671,16 @@ fn single_table_select<'t>(
 ) -> Result<Relation<'t>, CdwError> {
     let table = ctx.tables.get(&name.dotted())?;
     let bindings = table_bindings(table, alias);
-    let access = table_access(ctx.planner, table, selection, &bindings);
-    let rows = match &access {
-        Access::Empty => Vec::new(),
-        Access::Scan => {
-            ctx.count(|s| s.full_scans += 1);
-            match selection {
-                None => all_rows(table),
-                Some(w) => filter_rows(&bindings, w, all_rows(table))?,
-            }
-        }
-        Access::Seek(p) => {
-            ctx.count(|s| s.index_seeks += 1);
-            let rows = seek_rows(table, p);
-            match selection {
-                Some(w) if !p.consumed => filter_rows(&bindings, w, rows)?,
-                _ => rows,
-            }
-        }
+    let (candidates, filter) = table_candidates(ctx, table, selection, &bindings);
+    let rows = borrow_rows(table, candidates);
+    let rows = match filter {
+        Some(w) => filter_rows(&bindings, w, rows)?,
+        None => rows,
     };
     Ok(Relation { bindings, rows })
 }
 
-/// The rows a seek selects, borrowed in rowid order so results are
-/// byte-identical to a scan.
-fn seek_rows<'t>(table: &'t Table, p: &SeekPlan) -> Vec<Row<'t>> {
-    p.seek(table)
-        .into_iter()
-        .map(|i| Cow::Borrowed(&table.rows[i][..]))
-        .collect()
-}
-
-/// Access path for the named left input of a join, with the enclosing
+/// The rows of the named left input of a join, with the enclosing
 /// SELECT's WHERE pushed through the join. The planner sees the whole
 /// WHERE but a resolver that admits only columns resolving — in the
 /// combined bindings of both inputs, unambiguously — to the left table,
@@ -707,24 +690,25 @@ fn seek_rows<'t>(table: &'t Table, p: &SeekPlan) -> Vec<Row<'t>> {
 /// columns are never NULL-padded, so this holds for LEFT joins too).
 /// Anything unprovable — including a right input whose bindings cannot be
 /// computed — is a scan.
-fn join_left_access(
-    ctx: &ExecCtx<'_>,
-    left: &Table,
-    left_alias: Option<&str>,
+fn join_left_rows<'t>(
+    ctx: &'t ExecCtx<'_>,
+    left: &'t Table,
+    left_bindings: &[Binding],
     right: &TableRef,
     selection: Option<&Expr>,
-) -> Access {
-    if !ctx.planner || selection.is_none() {
-        return Access::Scan;
-    }
-    let Ok(right_bindings) = bindings_of(ctx, right) else {
-        return Access::Scan;
+) -> Vec<Row<'t>> {
+    let mut bindings = left_bindings.to_vec();
+    let pushed = match selection.map(|_| bindings_of(ctx, right)) {
+        Some(Ok(right_bindings)) => {
+            bindings.extend(right_bindings);
+            selection
+        }
+        _ => None,
     };
-    let mut bindings = table_bindings(left, left_alias);
-    let left_len = bindings.len();
-    bindings.extend(right_bindings);
+    let left_len = left_bindings.len();
     let mut resolve = |n: &ObjectName| resolve_column(&bindings, n).ok().filter(|&i| i < left_len);
-    choose_access(left, selection, &mut resolve)
+    let (candidates, _) = candidate_rows(ctx, left, pushed, &mut resolve);
+    borrow_rows(left, candidates)
 }
 
 /// Keep the rows `w` selects, in row order, moving them (borrowed rows
@@ -767,7 +751,7 @@ fn resolve_from<'t>(
             ctx.count(|s| s.full_scans += 1);
             Ok(Relation {
                 bindings: table_bindings(table, alias.as_deref()),
-                rows: all_rows(table),
+                rows: borrow_rows(table, 0..table.rows.len()),
             })
         }
         TableRef::Subquery { query, alias } => {
@@ -795,22 +779,9 @@ fn resolve_from<'t>(
             let l = match &**left {
                 TableRef::Named { name, alias } => {
                     let table = ctx.tables.get(&name.dotted())?;
-                    let rows =
-                        match join_left_access(ctx, table, alias.as_deref(), right, selection) {
-                            Access::Scan => {
-                                ctx.count(|s| s.full_scans += 1);
-                                all_rows(table)
-                            }
-                            Access::Empty => Vec::new(),
-                            Access::Seek(p) => {
-                                ctx.count(|s| s.index_seeks += 1);
-                                seek_rows(table, &p)
-                            }
-                        };
-                    Relation {
-                        bindings: table_bindings(table, alias.as_deref()),
-                        rows,
-                    }
+                    let bindings = table_bindings(table, alias.as_deref());
+                    let rows = join_left_rows(ctx, table, &bindings, right, selection);
+                    Relation { bindings, rows }
                 }
                 other => resolve_from(ctx, other, None)?,
             };

@@ -15,8 +15,9 @@
 //!    names none. This is exactly the behaviour that forces the
 //!    virtualizer's adaptive (range-cutting) error handler in §7.
 //! 2. **Object-store bulk loading.** `COPY INTO t FROM 'store://…'` ingests
-//!    staged delimited files (optionally LZ-compressed) from the
-//!    cloud store, as in §6.
+//!    staged files (optionally LZ-compressed) from the cloud store, as in
+//!    §6. A staged file is vartext rows, decoded with
+//!    [`etlv_protocol::vartext::VartextFormat::decode_lines`].
 //! 3. **Optional native uniqueness.** Real CDWs often do not enforce
 //!    UNIQUE constraints; the engine models both modes. With native
 //!    enforcement off (the default), the virtualizer must emulate
@@ -41,7 +42,6 @@ pub mod exec;
 pub mod index;
 pub mod key;
 pub mod plan;
-pub mod staged;
 
 pub use catalog::{Catalog, Column, Table};
 pub use engine::{Cdw, CdwConfig, ExecObserver, QueryResult, TransientFaultHook};

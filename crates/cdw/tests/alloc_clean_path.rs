@@ -29,10 +29,11 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use etlv_cdw::staged::StagedFormat;
 use etlv_cdw::{Cdw, CdwConfig};
 use etlv_cloudstore::store::ObjectStore;
 use etlv_cloudstore::MemStore;
+use etlv_protocol::data::Value;
+use etlv_protocol::vartext::VartextFormat;
 use etlv_sql::{parse_statement, Dialect};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -96,7 +97,7 @@ fn allocs_per_row(f: impl FnOnce()) -> f64 {
 /// One staged file of `ROWS` clean rows: `__SEQ`, then the layout's four
 /// text fields, as the gateway's converter writes them.
 fn staged_file() -> Vec<u8> {
-    let format = StagedFormat::new(b'|');
+    let format = VartextFormat::with_delimiter(b'|');
     let mut out = Vec::new();
     for seq in 1..=ROWS {
         let payload: String = (0..PAYLOAD)
@@ -109,7 +110,8 @@ fn staged_file() -> Vec<u8> {
             format!("20{:02}-{:02}-{:02}", seq % 25, 1 + seq % 12, 1 + seq % 28),
             payload,
         ];
-        format.write_text_row(fields.iter().map(|f| Some(f.as_str())), &mut out);
+        format.encode_row(&fields.map(Value::Str), &mut out);
+        out.push(b'\n');
     }
     out
 }

@@ -2,21 +2,21 @@
 //!
 //! Conversion covers the discrepancies the paper lists: binary format
 //! decoding (endianness, null-indicator bits, packed dates, scaled
-//! decimals), null detection, empty-string handling, and escaping for the
-//! staged text format. Each converted row is prefixed with its `__SEQ`
-//! input row number.
+//! decimals), null detection, empty-string handling, and escaping. The
+//! staged text is vartext: each converted row is its `__SEQ` input row
+//! number, then its fields, in [`VartextFormat`]'s encoding with the
+//! staging delimiter, ending in `\n`.
 //!
 //! Per-record *data errors* (wrong field count, invalid UTF-8, malformed
 //! values) do not fail the chunk: the offending record is skipped and
 //! recorded as an acquisition error, which the job later lands in the ET
 //! table — mirroring the legacy per-tuple acquisition semantics.
 
-use etlv_cdw::staged::StagedFormat;
 use etlv_protocol::errcode::ErrCode;
 use etlv_protocol::layout::Layout;
 use etlv_protocol::message::RecordFormat;
 use etlv_protocol::record::{FieldRef, RecordDecoder, RecordError};
-use etlv_protocol::vartext::VartextError;
+use etlv_protocol::vartext::{records, VartextError, VartextFormat};
 
 /// An error attached to one input record during acquisition.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,12 +103,12 @@ const CL_WIRE_ESCAPE: u8 = 2;
 const CL_STAGED: u8 = 4;
 const CL_HIGH: u8 = 8;
 
-/// Converts chunks of one job's wire format into the staged format.
+/// Converts chunks of one job's wire format into staged vartext rows.
 #[derive(Debug, Clone)]
 pub struct DataConverter {
     layout: Layout,
     wire: RecordFormat,
-    staged: StagedFormat,
+    staged: VartextFormat,
     decoder: RecordDecoder,
     vt_class: [u8; 256],
 }
@@ -116,13 +116,13 @@ pub struct DataConverter {
 impl DataConverter {
     /// Converter for a job.
     pub fn new(layout: Layout, wire: RecordFormat, staging_delimiter: u8) -> DataConverter {
-        let staged = StagedFormat::new(staging_delimiter);
+        let staged = VartextFormat::with_delimiter(staging_delimiter);
         let mut vt_class = [0u8; 256];
         if let RecordFormat::Vartext { delimiter, .. } = wire {
             vt_class[delimiter as usize] |= CL_WIRE_DELIM;
         }
         vt_class[b'\\' as usize] |= CL_WIRE_ESCAPE;
-        for b in [staged.delimiter(), staged.quote(), b'\\', b'\n', b'\r'] {
+        for b in [staged.delimiter, staged.quote, b'\\', b'\n', b'\r'] {
             vt_class[b as usize] |= CL_STAGED;
         }
         for c in vt_class.iter_mut().skip(0x80) {
@@ -147,9 +147,10 @@ impl DataConverter {
     /// equivalent to validating the raw content).
     ///
     /// Each field is preceded by a staged delimiter (the `__SEQ` column is
-    /// already in `out`). Semantics mirror [`VartextFormat::decode_line`]
-    /// exactly, including error precedence — proven byte-for-byte by
-    /// `tests/convert_differential.rs`.
+    /// already in `out`). Semantics mirror
+    /// [`VartextFormat::decode_line_with`] exactly, including error
+    /// precedence, without calling it — proven byte-for-byte by
+    /// `tests/convert_differential.rs`, whose reference decodes with it.
     fn stage_vartext_line(
         &self,
         delimiter: u8,
@@ -165,14 +166,14 @@ impl DataConverter {
         let mut nfields = 0usize;
         let mut i = 0usize;
         loop {
-            self.staged.push_delimiter(out);
+            out.push(self.staged.delimiter);
             if probe_quote
                 && i + 1 < line.len()
                 && line[i] == quote
                 && line[i + 1] == quote
                 && (i + 2 == line.len() || line[i + 2] == delimiter)
             {
-                self.staged.push_empty(out);
+                out.extend_from_slice(&[self.staged.quote; 2]);
                 i += 2;
             } else {
                 let field_start = i;
@@ -282,16 +283,11 @@ impl DataConverter {
         match self.wire {
             RecordFormat::Vartext { delimiter, quote } => {
                 let arity = self.layout.arity();
-                let mut seq = base_seq;
-                for line in data.split(|&b| b == b'\n') {
-                    let line = line.strip_suffix(b"\r").unwrap_or(line);
-                    if line.is_empty() {
-                        continue;
-                    }
+                for (seq, line) in (base_seq..).zip(records(data)) {
                     let row_start = out.len();
                     field.clear();
                     render_into(field, format_args!("{}", seq as i64));
-                    self.staged.push_escaped(field, out);
+                    self.staged.escape_bytes_into(field, out);
                     let res = self
                         .stage_vartext_line(delimiter, quote, line, out)
                         .and_then(|actual| {
@@ -306,23 +302,18 @@ impl DataConverter {
                         });
                     match res {
                         Ok(()) => {
-                            self.staged.end_row(out);
+                            out.push(b'\n');
                             rows += 1;
                         }
                         Err(e) => {
                             out.truncate(row_start);
-                            let code = match e {
-                                VartextError::FieldCount { .. } => ErrCode::FIELD_COUNT,
-                                _ => ErrCode::BAD_VALUE,
-                            };
                             errors.push(AcqError {
                                 seq,
-                                code,
+                                code: e.code(),
                                 message: e.to_string(),
                             });
                         }
                     }
-                    seq += 1;
                 }
             }
             RecordFormat::Binary => {
@@ -332,26 +323,26 @@ impl DataConverter {
                     let row_start = out.len();
                     field.clear();
                     render_into(field, format_args!("{}", seq as i64));
-                    self.staged.push_escaped(field, out);
+                    self.staged.escape_bytes_into(field, out);
                     let res = self.decoder.decode_record_with(&mut buf, |f| {
-                        self.staged.push_delimiter(out);
+                        out.push(self.staged.delimiter);
                         match f {
                             FieldRef::Null => {}
-                            FieldRef::Str("") => self.staged.push_empty(out),
-                            FieldRef::Str(s) => self.staged.push_escaped(s.as_bytes(), out),
-                            FieldRef::Bytes([]) => self.staged.push_empty(out),
+                            FieldRef::Str("") => out.extend_from_slice(&[self.staged.quote; 2]),
+                            FieldRef::Str(s) => self.staged.escape_bytes_into(s.as_bytes(), out),
+                            FieldRef::Bytes([]) => out.extend_from_slice(&[self.staged.quote; 2]),
                             FieldRef::Bytes(b) => {
                                 unescape.clear();
                                 for &x in b {
                                     unescape.push(HEX[(x >> 4) as usize]);
                                     unescape.push(HEX[(x & 0x0F) as usize]);
                                 }
-                                self.staged.push_escaped(unescape, out);
+                                self.staged.escape_bytes_into(unescape, out);
                             }
                             FieldRef::Int(v) => {
                                 field.clear();
                                 render_into(field, format_args!("{v}"));
-                                self.staged.push_escaped(field, out);
+                                self.staged.escape_bytes_into(field, out);
                             }
                             FieldRef::Float(v) => {
                                 field.clear();
@@ -360,28 +351,28 @@ impl DataConverter {
                                 } else {
                                     render_into(field, format_args!("{v}"));
                                 }
-                                self.staged.push_escaped(field, out);
+                                self.staged.escape_bytes_into(field, out);
                             }
                             FieldRef::Decimal(d) => {
                                 field.clear();
                                 render_into(field, format_args!("{d}"));
-                                self.staged.push_escaped(field, out);
+                                self.staged.escape_bytes_into(field, out);
                             }
                             FieldRef::Date(d) => {
                                 field.clear();
                                 render_into(field, format_args!("{d}"));
-                                self.staged.push_escaped(field, out);
+                                self.staged.escape_bytes_into(field, out);
                             }
                             FieldRef::Timestamp(ts) => {
                                 field.clear();
                                 render_into(field, format_args!("{ts}"));
-                                self.staged.push_escaped(field, out);
+                                self.staged.escape_bytes_into(field, out);
                             }
                         }
                     });
                     match res {
                         Ok(()) => {
-                            self.staged.end_row(out);
+                            out.push(b'\n');
                             rows += 1;
                         }
                         Err(RecordError::BadValue(msg)) => {
@@ -509,8 +500,9 @@ mod tests {
     fn staged_output_parses_back() {
         let conv = DataConverter::new(vt_layout(), WIRE_VT, b'|');
         let (_, bytes, _) = convert(&conv, 1, b"a|b|c\n\"\"||z\n").unwrap();
-        let staged = StagedFormat::new(b'|');
-        let rows = staged.parse(&bytes, 4).unwrap();
+        let rows = VartextFormat::with_delimiter(b'|')
+            .decode_lines(&bytes, Some(4))
+            .unwrap();
         assert_eq!(rows[0][0], Value::Str("1".into()));
         assert_eq!(rows[1][1], Value::Str(String::new())); // empty string preserved
         assert_eq!(rows[1][2], Value::Null); // null preserved

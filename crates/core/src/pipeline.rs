@@ -19,7 +19,7 @@
 //! session teardown when a client disconnects mid-load).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -66,9 +66,6 @@ pub struct PipelineReport {
     pub fatal: Vec<String>,
     /// Upload attempts retried after transient store failures.
     pub upload_retries: u64,
-    /// Converter worker threads serving the job — with the shared runtime
-    /// this is the node's fixed pool size, never the chunk or job count.
-    pub converter_workers: usize,
 }
 
 /// Per-job state registered with the runtime. The queue is only ever
@@ -130,14 +127,12 @@ struct RtShared {
     /// a push wakes one worker rather than the whole pool.
     raw_work: Condvar,
     stop: AtomicBool,
-    converters: usize,
     threshold: usize,
     sim_cost: Duration,
     retry_policy: RetryPolicy,
     retry_seed: u64,
     injector: Option<Arc<FaultInjector>>,
     obs: Arc<Obs>,
-    threads_started: AtomicUsize,
 }
 
 impl RtShared {
@@ -212,21 +207,18 @@ impl WorkerRuntime {
             }),
             raw_work: Condvar::new(),
             stop: AtomicBool::new(false),
-            converters,
             threshold: config.file_size_threshold,
             sim_cost: config.simulated_convert_cost_per_mb,
             retry_policy: config.retry_policy(),
             retry_seed: config.fault_seed(),
             injector,
             obs,
-            threads_started: AtomicUsize::new(0),
         });
         shared.obs.runtime.workers.set(converters as u64);
         let threads = (0..converters)
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || {
-                    shared.threads_started.fetch_add(1, Ordering::Relaxed);
                     shared.obs.runtime.threads_started.inc();
                     let mut scratch = ConvertScratch::new();
                     let mut out = Vec::new();
@@ -288,18 +280,6 @@ impl WorkerRuntime {
             job: job_rt,
             drain_timeout,
         }
-    }
-
-    /// Worker threads in the pool.
-    pub fn converter_workers(&self) -> usize {
-        self.shared.converters
-    }
-
-    /// Worker threads actually started over the runtime's lifetime —
-    /// the bounded-thread-count evidence: stays at `converter_workers()`
-    /// no matter how many jobs run.
-    pub fn threads_started(&self) -> usize {
-        self.shared.threads_started.load(Ordering::Relaxed)
     }
 
     /// Jobs currently registered.
@@ -432,7 +412,6 @@ impl Pipeline {
             acq_errors: std::mem::take(&mut *self.job.errors.lock()),
             fatal: std::mem::take(&mut *self.job.fatal.lock()),
             upload_retries: self.job.upload_retries.load(Ordering::Relaxed),
-            converter_workers: self.shared.converters,
         };
         report.acq_errors.sort_by_key(|e| e.seq);
         report
@@ -783,9 +762,14 @@ mod tests {
         // Joining first makes the count exact: a worker the scheduler has
         // not run yet still counts itself before it sees the stop flag.
         runtime.stop();
+        let series = &runtime.shared.obs.runtime;
         assert_eq!(
-            runtime.threads_started(),
-            runtime.converter_workers(),
+            series.workers.value(),
+            config.converter_threads.max(1) as u64
+        );
+        assert_eq!(
+            series.threads_started.value(),
+            series.workers.value(),
             "worker threads spawned once for the runtime, not per chunk"
         );
         (report, store)
@@ -813,10 +797,7 @@ mod tests {
         let mut total_lines = 0;
         for key in &report.files {
             let data = store.get(&config.staging_bucket, key).unwrap();
-            total_lines += data
-                .split(|&b| b == b'\n')
-                .filter(|l| !l.is_empty())
-                .count();
+            total_lines += etlv_protocol::vartext::records(&data).count();
         }
         assert_eq!(total_lines, 200);
     }
@@ -834,8 +815,8 @@ mod tests {
         let (report, _) = run_pipeline(&config, 20, 5);
         assert!(report.fatal.is_empty());
         assert_eq!(report.rows_staged, 100);
-        // The pool is persistent: 8 workers for 20 chunks, not 20 threads.
-        assert_eq!(report.converter_workers, 8);
+        // The pool is persistent: `run_pipeline` reads 8 workers started
+        // for 20 chunks off the registry, not 20 threads.
     }
 
     #[test]
@@ -844,9 +825,9 @@ mod tests {
             converter_threads: 3,
             ..Default::default()
         };
+        // `run_pipeline` reads 3 workers started off the registry.
         let (report, _) = run_pipeline(&config, 50, 4);
         assert_eq!(report.rows_staged, 200);
-        assert_eq!(report.converter_workers, 3);
     }
 
     #[test]
@@ -1148,7 +1129,6 @@ mod tests {
             let report = pipeline.finish();
             assert!(report.fatal.is_empty(), "job {j}: {:?}", report.fatal);
             assert_eq!(report.rows_staged, 50, "job {j}");
-            assert_eq!(report.converter_workers, 2);
             for key in &report.files {
                 assert!(
                     key.starts_with(&format!("job{j}/")),
@@ -1158,9 +1138,11 @@ mod tests {
         }
         assert_eq!(runtime.active_jobs(), 0, "jobs deregister at finish");
         runtime.stop();
+        let series = &runtime.shared.obs.runtime;
+        assert_eq!(series.workers.value(), 2);
         assert_eq!(
-            runtime.threads_started(),
-            runtime.converter_workers(),
+            series.threads_started.value(),
+            2,
             "worker threads spawned once for the runtime, not per job"
         );
         assert_eq!(credits.available(), config.credits);

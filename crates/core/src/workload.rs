@@ -262,11 +262,7 @@ mod tests {
         assert!((0.06..=0.14).contains(&bad), "bad rate {bad}");
         assert!((0.02..=0.08).contains(&dup), "dup rate {dup}");
         // Row counts line up with the data.
-        let lines = w
-            .data
-            .split(|&b| b == b'\n')
-            .filter(|l| !l.is_empty())
-            .count();
+        let lines = etlv_protocol::vartext::records(&w.data).count();
         assert_eq!(lines as u64, w.rows);
     }
 

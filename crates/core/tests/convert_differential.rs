@@ -6,17 +6,19 @@
 //! counts, identical `AcqError` sequences, and identical fatal errors —
 //! for arbitrary layouts, null patterns, malformed records, and corrupted
 //! chunk framing.
+//!
+//! The reference decodes vartext with `VartextFormat::decode_line`, a
+//! collector over `decode_line_with`, which the kernel's fused scan does
+//! not call: the two decoders are written independently.
 
 use proptest::prelude::*;
 
-use etlv_cdw::staged::StagedFormat;
 use etlv_core::convert::{AcqError, ConvertFatal, ConvertScratch, DataConverter};
 use etlv_protocol::data::{Date, Decimal, LegacyType, Timestamp, Value};
-use etlv_protocol::errcode::ErrCode;
 use etlv_protocol::layout::Layout;
 use etlv_protocol::message::RecordFormat;
 use etlv_protocol::record::{RecordDecoder, RecordEncoder};
-use etlv_protocol::vartext::VartextFormat;
+use etlv_protocol::vartext::{records, VartextFormat};
 
 /// Output of converting one chunk.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,13 +52,13 @@ fn convert(
 
 /// The original materializing conversion path, retained as the
 /// reference implementation for differential tests: every record is
-/// decoded into an owned `Vec<Value>` row and rendered through
-/// [`StagedFormat::write_row`]. Must stay semantically frozen so
-/// `convert_into` can be proven byte-identical against it.
+/// decoded into an owned `Vec<Value>` row and rendered by
+/// [`write_staged_row`]. Must stay semantically frozen so `convert_into`
+/// can be proven byte-identical against it.
 fn convert_reference(
     layout: &Layout,
     wire: RecordFormat,
-    staged: &StagedFormat,
+    staged: &VartextFormat,
     base_seq: u64,
     data: &[u8],
 ) -> Result<ConvertedChunk, ConvertFatal> {
@@ -67,32 +69,20 @@ fn convert_reference(
         RecordFormat::Vartext { delimiter, quote } => {
             let vt = VartextFormat { delimiter, quote };
             let arity = layout.arity();
-            let mut seq = base_seq;
-            for line in data.split(|&b| b == b'\n') {
-                let line = line.strip_suffix(b"\r").unwrap_or(line);
-                if line.is_empty() {
-                    continue;
-                }
+            for (seq, line) in (base_seq..).zip(records(data)) {
                 match vt.decode_line(line, Some(arity)) {
                     Ok(fields) => {
                         write_staged_row(staged, seq, &fields, &mut out);
                         rows += 1;
                     }
                     Err(e) => {
-                        let code = match e {
-                            etlv_protocol::vartext::VartextError::FieldCount { .. } => {
-                                ErrCode::FIELD_COUNT
-                            }
-                            _ => ErrCode::BAD_VALUE,
-                        };
                         errors.push(AcqError {
                             seq,
-                            code,
+                            code: e.code(),
                             message: e.to_string(),
                         });
                     }
                 }
-                seq += 1;
             }
         }
         RecordFormat::Binary => {
@@ -135,7 +125,7 @@ fn convert_reference(
 
 /// Serialize one converted row: `__SEQ` plus the CDW text rendering of
 /// each field (nulls as empty fields, empty strings quoted, special
-/// characters escaped — the staged format handles all three).
+/// characters escaped).
 ///
 /// Deliberately frozen as the pre-kernel implementation, including an
 /// inlined copy of the original per-byte escape loop: the reference
@@ -143,7 +133,7 @@ fn convert_reference(
 /// both so differential tests compare independently-written code and
 /// so benchmarks measure the kernel against the true pre-change hot
 /// path.
-fn write_staged_row(staged: &StagedFormat, seq: u64, values: &[Value], out: &mut Vec<u8>) {
+fn write_staged_row(staged: &VartextFormat, seq: u64, values: &[Value], out: &mut Vec<u8>) {
     let mut row: Vec<Value> = Vec::with_capacity(values.len() + 1);
     row.push(Value::Int(seq as i64));
     for v in values {
@@ -155,7 +145,7 @@ fn write_staged_row(staged: &StagedFormat, seq: u64, values: &[Value], out: &mut
             other => Value::Str(other.display_text()),
         });
     }
-    let (delimiter, quote) = (staged.delimiter(), staged.quote());
+    let (delimiter, quote) = (staged.delimiter, staged.quote);
     for (i, v) in row.iter().enumerate() {
         if i > 0 {
             out.push(delimiter);
@@ -188,8 +178,8 @@ fn write_staged_row(staged: &StagedFormat, seq: u64, values: &[Value], out: &mut
 }
 
 /// The staged format every converter in this file writes.
-fn staged() -> StagedFormat {
-    StagedFormat::new(b'|')
+fn staged() -> VartextFormat {
+    VartextFormat::with_delimiter(b'|')
 }
 
 /// Small deterministic generator so one proptest seed drives layout,
@@ -450,6 +440,53 @@ proptest! {
                     prop_assert_eq!(fast.is_err(), slow.is_err(), "panic mismatch on round {}", round);
                     out.clear();
                 }
+            }
+        }
+    }
+}
+
+/// Lines whose decoding turns on escape, quote and error precedence:
+/// each must stage the same bytes, or fail with the same error, through
+/// the kernel and the reference, at every arity and on two delimiters.
+#[test]
+fn tricky_lines_match_reference() {
+    let cases: &[&[u8]] = &[
+        b"123|Smith|2012-01-01",
+        b"a||c",
+        b"\"\"|",
+        b"a\\|b|c\\\\d|e\\\"f|g\\nh|i\\rj",
+        b"say \"hi\"",
+        b"",
+        b"|",
+        b"\"\"",
+        b"\"\"x|y",
+        b"x\"\"|y",
+        b"\\\"\"|tail",
+        b"abc\\",
+        b"\xff|ok",
+        b"ok|\\\xff",
+        b"only_one",
+    ];
+    for delimiter in [b'|', b','] {
+        let wire = RecordFormat::Vartext {
+            delimiter,
+            quote: b'"',
+        };
+        for arity in 1..=3 {
+            let mut layout = Layout::new("TRICKY");
+            for i in 0..arity {
+                layout = layout.field(format!("F{i}"), LegacyType::VarChar(64));
+            }
+            let conv = DataConverter::new(layout.clone(), wire, b'|');
+            for &line in cases {
+                let data = [line, b"\n"].concat();
+                assert_eq!(
+                    convert(&conv, 1, &data),
+                    convert_reference(&layout, wire, &staged(), 1, &data),
+                    "line {:?} delimiter {:?} arity {arity}",
+                    String::from_utf8_lossy(line),
+                    delimiter as char,
+                );
             }
         }
     }

@@ -7,6 +7,7 @@
 use bytes::Buf;
 
 use etlv_protocol::message::RecordFormat;
+use etlv_protocol::vartext::records;
 
 use crate::error::ClientError;
 
@@ -41,11 +42,7 @@ fn split_vartext(data: &[u8], chunk_rows: usize) -> Result<Vec<InputChunk>, Clie
     let mut count = 0u32;
     let mut next_seq = 1u64;
     let mut base = next_seq;
-    for line in data.split(|&b| b == b'\n') {
-        let line = line.strip_suffix(b"\r").unwrap_or(line);
-        if line.is_empty() {
-            continue;
-        }
+    for line in records(data) {
         cur.extend_from_slice(line);
         cur.push(b'\n');
         count += 1;
@@ -172,7 +169,8 @@ mod tests {
         // Each chunk decodes cleanly on its own.
         let dec = etlv_protocol::record::RecordDecoder::new(layout);
         for c in &chunks {
-            assert_eq!(dec.count_records(&c.data).unwrap(), c.record_count);
+            let rows = dec.decode_batch(&c.data).unwrap();
+            assert_eq!(rows.len(), c.record_count as usize);
         }
     }
 

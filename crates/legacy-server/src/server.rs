@@ -16,15 +16,15 @@ use etlv_protocol::message::RecordFormat;
 use etlv_protocol::message::{
     BeginExportOk, BeginLoad, ExportChunk, LoadReport, Message, SessionRole, SqlResult, WireError,
 };
-use etlv_protocol::record::RecordDecoder;
+use etlv_protocol::record::{encode_rows, RecordDecoder};
 use etlv_protocol::transport::Transport;
-use etlv_protocol::vartext::VartextFormat;
+use etlv_protocol::vartext::{records, VartextFormat};
 use etlv_sql::ast::{Expr, Insert, InsertSource, Literal, ObjectName, Stmt};
 use etlv_sql::types::SqlType;
 use etlv_sql::{parse_statement, Dialect};
 use parking_lot::Mutex;
 
-use crate::apply::{apply_per_tuple, ApplyOutcome};
+use crate::apply::{apply_per_tuple, ApplyOutcome, LoadError};
 
 /// Rows per export chunk when the client leaves the size to the server
 /// (`BeginExport::chunk_rows` 0).
@@ -33,6 +33,8 @@ const EXPORT_CHUNK_ROWS: usize = 1024;
 struct ImportJob {
     spec: BeginLoad,
     rows: Mutex<Vec<(u64, Vec<Value>)>>,
+    /// Records that did not decode: ET rows, outside `errlimit`.
+    bad: Mutex<Vec<LoadError>>,
     started: Instant,
 }
 
@@ -223,6 +225,7 @@ impl LegacyServer {
             Job::Import(Arc::new(ImportJob {
                 spec,
                 rows: Mutex::new(Vec::new()),
+                bad: Mutex::new(Vec::new()),
                 started: Instant::now(),
             })),
         );
@@ -281,30 +284,42 @@ impl LegacyServer {
         };
         // The reference server decodes synchronously — it has no cloud
         // conversion pipeline to hide; this is the behaviour the
-        // virtualizer must match from the client's point of view.
-        let decoded = match job.spec.format {
-            RecordFormat::Binary => RecordDecoder::new(job.spec.layout.clone())
-                .decode_batch(&chunk.data)
-                .map_err(|e| e.to_string()),
-            RecordFormat::Vartext { delimiter, .. } => VartextFormat::with_delimiter(delimiter)
-                .decode_lines(&chunk.data, Some(job.spec.layout.arity()))
-                .map_err(|e| e.to_string()),
-        };
-        match decoded {
-            Ok(rows) => {
-                let mut buffer = job.rows.lock();
-                for (i, row) in rows.into_iter().enumerate() {
-                    buffer.push((chunk.base_seq + i as u64, row));
-                }
-                Message::Ack {
-                    chunk_seq: chunk.chunk_seq,
+        // virtualizer must match from the client's point of view. A
+        // vartext record that does not decode is an ET row under its own
+        // SEQNO and the load goes on; a broken binary chunk is fatal.
+        match job.spec.format {
+            RecordFormat::Binary => {
+                match RecordDecoder::new(job.spec.layout.clone()).decode_batch(&chunk.data) {
+                    Ok(rows) => job.rows.lock().extend((chunk.base_seq..).zip(rows)),
+                    Err(e) => {
+                        return Message::Error(WireError {
+                            code: ErrCode::BAD_VALUE.0,
+                            message: e.to_string(),
+                            fatal: true,
+                        })
+                    }
                 }
             }
-            Err(e) => Message::Error(WireError {
-                code: ErrCode::BAD_VALUE.0,
-                message: e,
-                fatal: true,
-            }),
+            RecordFormat::Vartext { delimiter, quote } => {
+                let format = VartextFormat { delimiter, quote };
+                let arity = job.spec.layout.arity();
+                let mut rows = job.rows.lock();
+                let mut bad = job.bad.lock();
+                for (seq, record) in (chunk.base_seq..).zip(records(&chunk.data)) {
+                    match format.decode_line(record, Some(arity)) {
+                        Ok(row) => rows.push((seq, row)),
+                        Err(e) => bad.push(LoadError {
+                            seq,
+                            code: e.code(),
+                            field: None,
+                            tuple: Vec::new(),
+                        }),
+                    }
+                }
+            }
+        }
+        Message::Ack {
+            chunk_seq: chunk.chunk_seq,
         }
     }
 
@@ -335,16 +350,18 @@ impl LegacyServer {
         };
         let mut rows = std::mem::take(&mut *job.rows.lock());
         rows.sort_by_key(|(seq, _)| *seq);
-        let rows_received = rows.len() as u64;
+        let bad = std::mem::take(&mut *job.bad.lock());
+        let rows_received = (rows.len() + bad.len()) as u64;
 
         let apply_started = Instant::now();
-        let outcome = apply_per_tuple(
+        let mut outcome = apply_per_tuple(
             &self.engine,
             &stmt,
             &job.spec.layout,
             &rows,
             job.spec.error_limit,
         );
+        outcome.et_errors.extend(bad);
         if let Err(e) = self.record_errors(&job.spec, &outcome) {
             return Message::Error(WireError {
                 code: ErrCode::INTERNAL.0,
@@ -496,7 +513,7 @@ impl LegacyServer {
             Err(e) => {
                 return Message::Error(WireError {
                     code: ErrCode::INTERNAL.0,
-                    message: e,
+                    message: e.to_string(),
                     fatal: true,
                 })
             }
@@ -519,13 +536,4 @@ pub fn layout_of_columns(columns: &[(String, SqlType)]) -> Layout {
             .map(|(name, ty)| FieldDef::new(name.clone(), ty.to_legacy()))
             .collect(),
     }
-}
-
-/// Encode result rows in the requested wire format.
-pub fn encode_rows(
-    layout: &Layout,
-    format: RecordFormat,
-    rows: &[Vec<Value>],
-) -> Result<Vec<u8>, String> {
-    etlv_protocol::record::encode_rows(layout, format, rows).map_err(|e| e.to_string())
 }

@@ -323,27 +323,6 @@ impl RecordDecoder {
         }
         Ok(rows)
     }
-
-    /// Count the records in `data` without materializing values. This is
-    /// the "minimal processing before acknowledging" path from the paper's
-    /// §5 — the virtualizer counts records to ack a chunk but defers full
-    /// decoding to the background converters.
-    pub fn count_records(&self, data: &[u8]) -> Result<u32, RecordError> {
-        let mut buf = data;
-        let mut n = 0u32;
-        while buf.remaining() >= 2 {
-            let body_len = buf.get_u16_le() as usize;
-            if buf.remaining() < body_len {
-                return Err(RecordError::Truncated);
-            }
-            buf.advance(body_len);
-            n += 1;
-        }
-        if buf.has_remaining() {
-            return Err(RecordError::Truncated);
-        }
-        Ok(n)
-    }
 }
 
 fn decode_value(ty: LegacyType, body: &mut &[u8]) -> Result<Value, RecordError> {
@@ -603,7 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_roundtrip_and_count() {
+    fn batch_roundtrip() {
         let layout = Layout::new("L")
             .field("A", T::Integer)
             .field("B", T::VarChar(10));
@@ -613,7 +592,6 @@ mod tests {
             .map(|i| vec![Value::Int(i), Value::Str(format!("row{i}"))])
             .collect();
         let buf = enc.encode_batch(&rows).unwrap();
-        assert_eq!(dec.count_records(&buf).unwrap(), 50);
         assert_eq!(dec.decode_batch(&buf).unwrap(), rows);
     }
 
@@ -639,7 +617,7 @@ mod tests {
             let mut slice = &buf[..cut];
             assert!(dec.decode_record(&mut slice).is_err(), "cut at {cut}");
         }
-        assert!(dec.count_records(&buf[..buf.len() - 1]).is_err());
+        assert!(dec.decode_batch(&buf[..buf.len() - 1]).is_err());
     }
 
     #[test]

@@ -11,8 +11,15 @@
 //! newline (`\n`), and itself. These are precisely the "detecting null
 //! values, handling empty strings, and escaping special characters" concerns
 //! the paper's §4 lists for the DataConverter.
+//!
+//! Staged files are vartext rows too: the converter writes each row as
+//! `__SEQ` plus its fields in this encoding, and `COPY` decodes them with
+//! [`VartextFormat::decode_lines`]. [`records`] is the one rule that
+//! splits a buffer into records, so the client's row numbers, the
+//! servers' SEQNOs and the staged rows all count the same lines.
 
 use crate::data::Value;
+use crate::errcode::ErrCode;
 
 /// Configuration of a vartext encoding: delimiter and quote characters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +64,26 @@ impl std::fmt::Display for VartextError {
 
 impl std::error::Error for VartextError {}
 
+impl VartextError {
+    /// The code the ET table records for a record that fails to decode:
+    /// a wrong field count is 2673, any other defect 2665.
+    pub fn code(&self) -> ErrCode {
+        match self {
+            VartextError::FieldCount { .. } => ErrCode::FIELD_COUNT,
+            VartextError::BadUtf8 | VartextError::DanglingEscape => ErrCode::BAD_VALUE,
+        }
+    }
+}
+
+/// The records of a vartext buffer: lines split on `\n`, a trailing `\r`
+/// stripped, blank lines skipped (they consume no row number). A last
+/// line without a newline is a record.
+pub fn records(data: &[u8]) -> impl Iterator<Item = &[u8]> {
+    data.split(|&b| b == b'\n')
+        .map(|line| line.strip_suffix(b"\r").unwrap_or(line))
+        .filter(|line| !line.is_empty())
+}
+
 impl VartextFormat {
     /// New format with the given delimiter and the default quote.
     pub fn with_delimiter(delimiter: u8) -> VartextFormat {
@@ -85,13 +112,6 @@ impl VartextFormat {
                 other => self.escape_bytes_into(other.display_text().as_bytes(), out),
             }
         }
-    }
-
-    /// Encode one row to a `String` line.
-    pub fn encode_line(&self, values: &[Value]) -> String {
-        let mut out = Vec::new();
-        self.encode_row(values, &mut out);
-        String::from_utf8(out).expect("vartext encoding is UTF-8")
     }
 
     /// Escape raw field bytes into `out`: the delimiter, quote and
@@ -130,69 +150,38 @@ impl VartextFormat {
         line: &[u8],
         expected_arity: Option<usize>,
     ) -> Result<Vec<Value>, VartextError> {
-        let mut fields: Vec<Value> = Vec::new();
-        let mut cur: Vec<u8> = Vec::new();
-        let mut quoted_empty = false;
-        let mut i = 0usize;
-        // Track whether the current field is exactly `""`.
-        let mut field_start = 0usize;
-        while i < line.len() {
-            let b = line[i];
-            if b == b'\\' {
-                if i + 1 >= line.len() {
-                    return Err(VartextError::DanglingEscape);
-                }
-                let nxt = line[i + 1];
-                cur.push(match nxt {
-                    b'n' => b'\n',
-                    b'r' => b'\r',
-                    other => other,
-                });
-                i += 2;
-                continue;
-            }
-            if b == self.delimiter {
-                fields.push(finish_field(cur, quoted_empty)?);
-                cur = Vec::new();
-                quoted_empty = false;
-                i += 1;
-                field_start = i;
-                continue;
-            }
-            if b == self.quote
-                && i == field_start
-                && i + 1 < line.len()
-                && line[i + 1] == self.quote
-                && (i + 2 == line.len() || line[i + 2] == self.delimiter)
-            {
-                quoted_empty = true;
-                i += 2;
-                continue;
-            }
-            cur.push(b);
-            i += 1;
-        }
-        fields.push(finish_field(cur, quoted_empty)?);
-        if let Some(expected) = expected_arity {
-            if fields.len() != expected {
-                return Err(VartextError::FieldCount {
-                    expected,
-                    actual: fields.len(),
-                });
-            }
-        }
-        Ok(fields)
+        self.collect_line(line, expected_arity, &mut Vec::new())
     }
 
-    /// Streaming twin of [`decode_line`](Self::decode_line): decode one
-    /// line, handing each field to `emit` without allocating. A field
-    /// borrows from `line` when it contains no escape sequences and from
-    /// `scratch` (reused across fields and calls) when it does. `None` is
-    /// NULL (zero-length field); `Some("")` is the quoted empty string.
+    /// [`decode_line`](Self::decode_line) with a caller-owned unescape
+    /// buffer: the row is allocated at its arity and each field's string
+    /// at its exact length.
+    fn collect_line(
+        &self,
+        line: &[u8],
+        expected_arity: Option<usize>,
+        scratch: &mut Vec<u8>,
+    ) -> Result<Vec<Value>, VartextError> {
+        let mut row = Vec::with_capacity(expected_arity.unwrap_or(0));
+        let push = |f: Option<&str>| row.push(f.map_or(Value::Null, |s| Value::Str(s.into())));
+        let actual = self.decode_line_with(line, scratch, push)?;
+        match expected_arity {
+            Some(expected) if expected != actual => {
+                Err(VartextError::FieldCount { expected, actual })
+            }
+            _ => Ok(row),
+        }
+    }
+
+    /// The vartext decoder: decode one line, handing each field to `emit`
+    /// without allocating. A field borrows from `line` when it contains no
+    /// escape sequences and from `scratch` (reused across fields and
+    /// calls) when it does. `None` is NULL (zero-length field); `Some("")`
+    /// is the quoted empty string.
     ///
     /// Returns the field count; arity enforcement is the caller's job, so
-    /// field-level errors (bad UTF-8, dangling escape) keep precedence
-    /// over the count check exactly as `decode_line` orders them.
+    /// field-level errors (bad UTF-8, dangling escape) take precedence
+    /// over the count check.
     pub fn decode_line_with(
         &self,
         line: &[u8],
@@ -281,35 +270,18 @@ impl VartextFormat {
         Ok(nfields)
     }
 
-    /// Split a byte buffer into lines (handling a trailing line without a
-    /// newline) and decode each.
+    /// Decode every record of a buffer (see [`records`]); the first
+    /// record that fails to decode fails the whole buffer.
     pub fn decode_lines(
         &self,
         data: &[u8],
         expected_arity: Option<usize>,
     ) -> Result<Vec<Vec<Value>>, VartextError> {
-        let mut rows = Vec::new();
-        for line in data.split(|&b| b == b'\n') {
-            let line = line.strip_suffix(b"\r").unwrap_or(line);
-            if line.is_empty() {
-                continue;
-            }
-            rows.push(self.decode_line(line, expected_arity)?);
-        }
-        Ok(rows)
+        let mut scratch = Vec::new();
+        records(data)
+            .map(|line| self.collect_line(line, expected_arity, &mut scratch))
+            .collect()
     }
-}
-
-fn finish_field(bytes: Vec<u8>, quoted_empty: bool) -> Result<Value, VartextError> {
-    if quoted_empty && bytes.is_empty() {
-        return Ok(Value::Str(String::new()));
-    }
-    if bytes.is_empty() {
-        return Ok(Value::Null);
-    }
-    String::from_utf8(bytes)
-        .map(Value::Str)
-        .map_err(|_| VartextError::BadUtf8)
 }
 
 #[cfg(test)]
@@ -324,10 +296,17 @@ mod tests {
         vals.iter().map(|s| Value::Str(s.to_string())).collect()
     }
 
+    /// `row` encoded as one line, as text.
+    fn encode(f: &VartextFormat, row: &[Value]) -> String {
+        let mut out = Vec::new();
+        f.encode_row(row, &mut out);
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn simple_roundtrip() {
         let row = strs(&["123", "Smith", "2012-01-01"]);
-        let line = fmt().encode_line(&row);
+        let line = encode(&fmt(), &row);
         assert_eq!(line, "123|Smith|2012-01-01");
         assert_eq!(fmt().decode_line(line.as_bytes(), Some(3)).unwrap(), row);
     }
@@ -335,7 +314,7 @@ mod tests {
     #[test]
     fn null_is_empty_field() {
         let row = vec![Value::Str("a".into()), Value::Null, Value::Str("c".into())];
-        let line = fmt().encode_line(&row);
+        let line = encode(&fmt(), &row);
         assert_eq!(line, "a||c");
         assert_eq!(fmt().decode_line(line.as_bytes(), Some(3)).unwrap(), row);
     }
@@ -343,7 +322,7 @@ mod tests {
     #[test]
     fn empty_string_distinct_from_null() {
         let row = vec![Value::Str(String::new()), Value::Null];
-        let line = fmt().encode_line(&row);
+        let line = encode(&fmt(), &row);
         assert_eq!(line, "\"\"|");
         let decoded = fmt().decode_line(line.as_bytes(), Some(2)).unwrap();
         assert_eq!(decoded[0], Value::Str(String::new()));
@@ -353,7 +332,7 @@ mod tests {
     #[test]
     fn escaping_roundtrip() {
         let row = strs(&["a|b", "c\\d", "e\"f", "g\nh", "i\rj"]);
-        let line = fmt().encode_line(&row);
+        let line = encode(&fmt(), &row);
         assert!(!line.contains('\n'));
         assert_eq!(fmt().decode_line(line.as_bytes(), Some(5)).unwrap(), row);
     }
@@ -361,7 +340,7 @@ mod tests {
     #[test]
     fn literal_quotes_inside_field_survive() {
         let row = strs(&["say \"hi\""]);
-        let line = fmt().encode_line(&row);
+        let line = encode(&fmt(), &row);
         assert_eq!(fmt().decode_line(line.as_bytes(), Some(1)).unwrap(), row);
     }
 
@@ -380,7 +359,7 @@ mod tests {
     fn custom_delimiter() {
         let f = VartextFormat::with_delimiter(b',');
         let row = strs(&["x,y", "z"]);
-        let line = f.encode_line(&row);
+        let line = encode(&f, &row);
         assert_eq!(line, "x\\,y,z");
         assert_eq!(f.decode_line(line.as_bytes(), Some(2)).unwrap(), row);
     }
@@ -394,70 +373,29 @@ mod tests {
     }
 
     #[test]
+    fn records_skip_blank_lines_and_strip_cr() {
+        let recs: Vec<&[u8]> = records(b"a\r\n\n\r\nb|c\n\nd").collect();
+        assert_eq!(recs, [&b"a"[..], b"b|c", b"d"]);
+        assert_eq!(records(b"").count(), 0);
+    }
+
+    #[test]
+    fn error_codes() {
+        let count = VartextError::FieldCount {
+            expected: 2,
+            actual: 1,
+        };
+        assert_eq!(count.code(), ErrCode::FIELD_COUNT);
+        assert_eq!(VartextError::BadUtf8.code(), ErrCode::BAD_VALUE);
+        assert_eq!(VartextError::DanglingEscape.code(), ErrCode::BAD_VALUE);
+    }
+
+    #[test]
     fn dangling_escape_rejected() {
         assert!(matches!(
             fmt().decode_line(b"abc\\", Some(1)),
             Err(VartextError::DanglingEscape)
         ));
-    }
-
-    /// Run `decode_line_with` and collect into the `decode_line` value
-    /// model for direct comparison.
-    fn stream_decode(
-        f: &VartextFormat,
-        line: &[u8],
-        expected_arity: Option<usize>,
-    ) -> Result<Vec<Value>, VartextError> {
-        let mut scratch = Vec::new();
-        let mut fields = Vec::new();
-        let n = f.decode_line_with(line, &mut scratch, |field| {
-            fields.push(match field {
-                None => Value::Null,
-                Some(s) => Value::Str(s.to_string()),
-            });
-        })?;
-        if let Some(expected) = expected_arity {
-            if n != expected {
-                return Err(VartextError::FieldCount {
-                    expected,
-                    actual: n,
-                });
-            }
-        }
-        Ok(fields)
-    }
-
-    #[test]
-    fn streaming_decode_matches_decode_line() {
-        let cases: &[&[u8]] = &[
-            b"123|Smith|2012-01-01",
-            b"a||c",
-            b"\"\"|",
-            b"a\\|b|c\\\\d|e\\\"f|g\\nh|i\\rj",
-            b"say \"hi\"",
-            b"",
-            b"|",
-            b"\"\"",
-            b"\"\"x|y",
-            b"x\"\"|y",
-            b"\\\"\"|tail",
-            b"abc\\",
-            b"\xff|ok",
-            b"ok|\\\xff",
-            b"only_one",
-        ];
-        for f in [fmt(), VartextFormat::with_delimiter(b',')] {
-            for &line in cases {
-                for arity in [None, Some(1), Some(2), Some(3)] {
-                    assert_eq!(
-                        stream_decode(&f, line, arity),
-                        f.decode_line(line, arity),
-                        "line {:?} arity {arity:?}",
-                        String::from_utf8_lossy(line)
-                    );
-                }
-            }
-        }
     }
 
     #[test]

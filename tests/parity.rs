@@ -324,3 +324,67 @@ insert into PROD.ITEMS values (:ID, cast(:QTY as INTEGER), :NOTE);
     );
     assert_eq!(rows(v.cdw(), uv), rows(server.engine(), uv));
 }
+
+/// Records the client sends but that do not decode (a short record,
+/// invalid UTF-8) are ET rows with their own SEQNO on both servers, after
+/// a CRLF line and a blank line that must not shift the numbering, and
+/// the rest of the load goes on.
+#[test]
+fn malformed_vartext_records_are_et_rows_on_both_servers() {
+    use etlv_protocol::data::Value;
+
+    const SCRIPT: &str = ".logon h/u,p;
+.layout L;
+.field ID varchar(8);
+.field QTY varchar(8);
+.field NOTE varchar(8);
+.begin import tables PROD.LINES errortables PROD.LINES_ET PROD.LINES_UV;
+.dml label Go;
+insert into PROD.LINES values (:ID, cast(:QTY as INTEGER), :NOTE);
+.import infile f format vartext '|' layout L apply Go;
+.end load
+";
+    const DDL: &str = "CREATE TABLE PROD.LINES (ID VARCHAR(8) NOT NULL, QTY INTEGER, \
+                       NOTE VARCHAR(8)) UNIQUE PRIMARY INDEX (ID)";
+    // Row 1 ends in CRLF, a blank line follows, row 2 is one field short,
+    // row 3 holds invalid UTF-8 and row 4 is clean.
+    const DATA: &[u8] = b"l1|1|ab\r\n\nl2|2\nl3|3|\xff\nl4|4|cd\n";
+    let JobPlan::Import(job) = compile(&parse_script(SCRIPT).unwrap()).unwrap() else {
+        panic!()
+    };
+    let run = |connector: Arc<dyn Connect>| {
+        let mut session = etlv_legacy_client::Session::logon(
+            connector.as_ref(),
+            "admin",
+            "pw",
+            etlv_protocol::message::SessionRole::Control,
+            0,
+        )
+        .unwrap();
+        session.sql(DDL).unwrap();
+        session.logoff();
+        LegacyEtlClient::new(connector)
+            .run_import_data(&job, DATA)
+            .unwrap()
+    };
+    let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().rows;
+    let et = "SELECT SEQNO, ERRCODE FROM PROD.LINES_ET ORDER BY SEQNO";
+
+    let server = LegacyServer::new();
+    let legacy = run(server_connector(&server));
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    let virt = run(tcp_connector(&v));
+    for report in [&legacy.report, &virt.report] {
+        assert_eq!(report.rows_received, 4);
+        assert_eq!(report.rows_applied, 2);
+        assert_eq!(report.errors_et, 2);
+    }
+    assert_eq!(
+        rows(server.engine(), et),
+        vec![
+            vec![Value::Int(2), Value::Int(2673)],
+            vec![Value::Int(3), Value::Int(2665)],
+        ]
+    );
+    assert_eq!(rows(v.cdw(), et), rows(server.engine(), et));
+}
