@@ -690,6 +690,53 @@ mod tests {
     }
 
     #[test]
+    fn a_malformed_format_pattern_fails_only_where_a_value_reaches_it() {
+        use etlv_protocol::errcode::Cause;
+        let cdw = Cdw::new();
+        cdw.execute_script(
+            "CREATE TABLE T (K INTEGER, D DATE);
+             CREATE TABLE STG (SEQ BIGINT, D VARCHAR(10), PRIMARY KEY (SEQ));
+             INSERT INTO STG VALUES (1, NULL), (2, '2012-01'), (3, '2012-02');",
+        )
+        .unwrap();
+        let run =
+            |sql: &str| cdw.execute_stmt(&etlv_sql::parse_statement(sql, Dialect::Legacy).unwrap());
+        // The pattern has no day token: an empty range and a NULL raise
+        // nothing, and the first non-NULL value aborts, naming value 1
+        // and, in a SELECT over STG, row 2.
+        let abort = |row| CdwError::BulkAbort {
+            cause: Cause::Date,
+            position: Some(1),
+            row,
+            message: "invalid date: pattern 'YYYY-MM' must contain exactly one year, month, \
+                      and day token"
+                .into(),
+        };
+        // The legacy FORMAT cast the gateway runs, and the call the CDW
+        // dialect renders it as.
+        for (cast, constant) in [
+            (
+                "CAST(D AS DATE FORMAT 'YYYY-MM')",
+                "CAST('2012-01' AS DATE FORMAT 'YYYY-MM')",
+            ),
+            ("TO_DATE(D, 'YYYY-MM')", "TO_DATE('2012-01', 'YYYY-MM')"),
+        ] {
+            let dml = format!("INSERT INTO T SELECT SEQ, {cast} FROM STG");
+            assert_eq!(run(&format!("{dml} WHERE SEQ > 5")).unwrap().affected, 0);
+            assert_eq!(run(&format!("{dml} WHERE SEQ = 1")).unwrap().affected, 1);
+            assert_eq!(run(&format!("{dml} WHERE SEQ >= 1")), Err(abort(Some(2))));
+            assert_eq!(
+                run(&format!("INSERT INTO T VALUES (1, {constant})")),
+                Err(abort(None))
+            );
+        }
+        assert_eq!(
+            cdw.execute("SELECT K, D FROM T").unwrap().rows,
+            vec![vec![Value::Int(1), Value::Null]; 2]
+        );
+    }
+
+    #[test]
     fn copy_from_store() {
         let store = Arc::new(MemStore::new());
         // Two staged parts, one compressed.

@@ -10,6 +10,8 @@
 //! the [`Cause`] the failing site names — the error class that aborts a
 //! whole set-oriented statement.
 
+use std::borrow::Cow;
+
 use etlv_protocol::data::{Date, DateFormat, Decimal, Value};
 use etlv_protocol::errcode::Cause;
 use etlv_sql::ast::{BinaryOp, Expr, Literal, ObjectName, UnaryOp};
@@ -18,10 +20,20 @@ use etlv_sql::SqlType;
 use crate::error::CdwError;
 use crate::key::cmp_values;
 
-/// Resolves column references to values during evaluation.
+/// Resolves column references to values, and literal date patterns to
+/// their compiled formats, during evaluation.
 pub trait Env {
     /// Resolve a (possibly qualified) column reference.
     fn resolve(&self, name: &ObjectName) -> Result<Value, CdwError>;
+
+    /// The compiled `pattern` of `site`: a FORMAT cast, or a
+    /// `TO_DATE`/`TO_CHAR` call whose pattern is a string literal. This
+    /// default compiles it on every call; an environment that compiled its
+    /// expression's patterns up front returns the one compiled for `site`,
+    /// or the error compiling it raised.
+    fn date_format(&self, _site: &Expr, pattern: &str) -> Result<Cow<'_, DateFormat>, CdwError> {
+        Ok(Cow::Owned(compile_format(pattern)?))
+    }
 }
 
 /// An environment with no columns (constant expressions only).
@@ -154,10 +166,20 @@ pub fn eval(expr: &Expr, env: &dyn Env) -> Result<Value, CdwError> {
                 None => Ok(Value::Null),
             }
         }
-        Expr::Function { name, args, .. } => eval_function(name, args, env),
-        Expr::Cast { expr, ty, format } => {
-            let v = eval(expr, env)?;
-            cast_value(v, *ty, format.as_deref())
+        Expr::Function { name, args, .. } => eval_function(expr, name, args, env),
+        Expr::Cast {
+            expr: input,
+            ty,
+            format,
+        } => {
+            let v = eval(input, env)?;
+            match format {
+                // A NULL converts without reading the pattern.
+                Some(pattern) if !v.is_null() => {
+                    cast_value(v, *ty, Some(&*env.date_format(expr, pattern)?))
+                }
+                _ => cast_value(v, *ty, None),
+            }
         }
     }
 }
@@ -388,7 +410,7 @@ impl Num {
 /// compare against. The planner uses this to normalize index probes so a
 /// seek matches exactly the rows [`compare_eq`] would.
 pub(crate) fn numeric_value_of_str(s: &str) -> Option<Value> {
-    to_numeric(&Value::Str(s.to_string())).map(|n| match n {
+    str_numeric(s).map(|n| match n {
         Num::Int(v) => Value::Int(v),
         Num::Dec(d) => Value::Decimal(d),
         Num::Float(f) => Value::Float(f),
@@ -400,17 +422,20 @@ fn to_numeric(v: &Value) -> Option<Num> {
         Value::Int(x) => Some(Num::Int(*x)),
         Value::Float(f) => Some(Num::Float(*f)),
         Value::Decimal(d) => Some(Num::Dec(*d)),
-        Value::Str(s) => {
-            let t = s.trim();
-            if let Ok(i) = t.parse::<i64>() {
-                Some(Num::Int(i))
-            } else if let Ok(d) = Decimal::parse(t) {
-                Some(Num::Dec(d))
-            } else {
-                t.parse::<f64>().ok().map(Num::Float)
-            }
-        }
+        Value::Str(s) => str_numeric(s),
         _ => None,
+    }
+}
+
+/// A string's number, parsed where it lies.
+fn str_numeric(s: &str) -> Option<Num> {
+    let t = s.trim();
+    if let Ok(i) = t.parse::<i64>() {
+        Some(Num::Int(i))
+    } else if let Ok(d) = Decimal::parse(t) {
+        Some(Num::Dec(d))
+    } else {
+        t.parse::<f64>().ok().map(Num::Float)
     }
 }
 
@@ -435,16 +460,9 @@ pub fn compare_ord(l: &Value, r: &Value) -> Result<std::cmp::Ordering, CdwError>
         | (Bytes(_), Bytes(_)) => None,
         // Numeric vs string: parse the string.
         (Int(_) | Float(_) | Decimal(_), Str(s)) => {
-            let n = to_numeric(&Str(s.clone()))
+            let n = numeric_value_of_str(s)
                 .ok_or_else(|| bad_value(format!("'{s}' is not numeric")))?;
-            Some((
-                l.clone(),
-                match n {
-                    Num::Int(v) => Int(v),
-                    Num::Dec(d) => Decimal(d),
-                    Num::Float(f) => Float(f),
-                },
-            ))
+            Some((l.clone(), n))
         }
         (Str(_), Int(_) | Float(_) | Decimal(_)) => {
             let swapped = compare_ord(r, l)?;
@@ -477,29 +495,49 @@ pub(crate) fn parse_iso_date(s: &str) -> Result<Date, CdwError> {
     Ok(Date::parse_iso(s)?)
 }
 
-/// `%`/`_` pattern matching for LIKE.
+/// `%`/`_` pattern matching for LIKE, in O(len(s) · len(pattern)) steps.
+///
+/// Two cursors walk the text and the pattern. At a `%` the matcher records
+/// where the pattern resumes and what the `%` has matched so far (nothing);
+/// on a later mismatch it lets the last `%` swallow one more character and
+/// retries from there. Only the last `%` ever needs to grow: whatever an
+/// earlier one would swallow, the later one can.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    fn rec(s: &[char], p: &[char]) -> bool {
-        match p.split_first() {
-            None => s.is_empty(),
-            Some(('%', rest)) => {
-                for i in 0..=s.len() {
-                    if rec(&s[i..], rest) {
-                        return true;
-                    }
-                }
-                false
+    // Byte offsets into `s` and `pattern`, always on char boundaries.
+    let (mut si, mut pi) = (0, 0);
+    // After the last `%`: where the pattern resumes and where its match of
+    // the text ends.
+    let mut star: Option<(usize, usize)> = None;
+    loop {
+        let p = pattern[pi..].chars().next();
+        if p == Some('%') {
+            pi += 1;
+            star = Some((pi, si));
+            continue;
+        }
+        let Some(c) = s[si..].chars().next() else {
+            // The text is spent: only `%`s may be left.
+            return pattern[pi..].chars().all(|c| c == '%');
+        };
+        match p {
+            Some(pc) if pc == '_' || pc == c => {
+                pi += pc.len_utf8();
+                si += c.len_utf8();
             }
-            Some(('_', rest)) => !s.is_empty() && rec(&s[1..], rest),
-            Some((c, rest)) => s.first() == Some(c) && rec(&s[1..], rest),
+            _ => {
+                let Some((resume, end)) = star else {
+                    return false;
+                };
+                let end = end + s[end..].chars().next().map_or(0, char::len_utf8);
+                star = Some((resume, end));
+                (pi, si) = (resume, end);
+            }
         }
     }
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    rec(&s, &p)
 }
 
-fn eval_function(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, CdwError> {
+/// Evaluate the call `site` of function `name` on `args`.
+fn eval_function(site: &Expr, name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, CdwError> {
     let argv = |i: usize| -> Result<Value, CdwError> { eval(&args[i], env) };
     let need = |n: usize| -> Result<(), CdwError> {
         if args.len() != n {
@@ -627,47 +665,67 @@ fn eval_function(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, CdwE
                 other => return Err(bad_value(format!("ABS of {}", other.type_name()))),
             })
         }
-        "TO_DATE" => {
+        "TO_DATE" | "TO_CHAR" => {
             need(2)?;
             let v = argv(0)?;
-            let f = argv(1)?;
+            // A literal pattern was compiled with the statement; any other
+            // is evaluated, and compiled, on every row.
+            let literal = literal_format(site);
+            let computed = literal.is_none().then(|| argv(1)).transpose()?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
-            let Value::Str(fmt) = f else {
-                return Err(CdwError::Eval("TO_DATE format must be a string".into()));
+            let pattern = match (literal, &computed) {
+                (Some(p), _) => p,
+                (None, Some(Value::Str(p))) => p.as_str(),
+                _ => return Err(CdwError::Eval(format!("{name} format must be a string"))),
             };
-            cast_value(v, SqlType::Date, Some(&fmt))
-        }
-        "TO_CHAR" => {
-            need(2)?;
-            let v = argv(0)?;
-            let f = argv(1)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let Value::Str(fmt) = f else {
-                return Err(CdwError::Eval("TO_CHAR format must be a string".into()));
+            let format = || match literal {
+                Some(_) => env.date_format(site, pattern),
+                None => Ok(Cow::Owned(compile_format(pattern)?)),
             };
-            match v {
-                Value::Date(d) => {
-                    let df = DateFormat::parse_pattern(&fmt)?;
-                    Ok(Value::Str(df.format(d)))
-                }
-                other => Ok(Value::Str(other.display_text())),
+            if name == "TO_DATE" {
+                return cast_value(v, SqlType::Date, Some(&*format()?));
             }
+            Ok(Value::Str(match v {
+                Value::Date(d) => format()?.format(d),
+                other => other.display_text(),
+            }))
         }
         other => Err(CdwError::Unsupported(format!("function {other}"))),
     }
 }
 
-/// CAST implementation, including legacy FORMAT-pattern casts.
-pub fn cast_value(v: Value, ty: SqlType, format: Option<&str>) -> Result<Value, CdwError> {
+/// The literal date pattern `site` applies, if it is a FORMAT cast or a
+/// `TO_DATE`/`TO_CHAR` call whose pattern is a string literal: the sites
+/// [`Env::date_format`] serves.
+pub(crate) fn literal_format(site: &Expr) -> Option<&str> {
+    match site {
+        Expr::Cast {
+            format: Some(p), ..
+        } => Some(p),
+        Expr::Function { name, args, .. } if matches!(name.as_str(), "TO_DATE" | "TO_CHAR") => {
+            match args.as_slice() {
+                [_, Expr::Literal(Literal::Str(p))] => Some(p),
+                _ => None,
+            }
+        }
+        _ => None,
+    }
+}
+
+/// Compile a date pattern; a malformed one is a [`Cause::Date`] abort.
+pub(crate) fn compile_format(pattern: &str) -> Result<DateFormat, CdwError> {
+    Ok(DateFormat::parse_pattern(pattern)?)
+}
+
+/// CAST implementation, including legacy FORMAT-pattern casts with the
+/// pattern already compiled.
+pub fn cast_value(v: Value, ty: SqlType, format: Option<&DateFormat>) -> Result<Value, CdwError> {
     if v.is_null() {
         return Ok(Value::Null);
     }
-    if let Some(fmt) = format {
-        let df = DateFormat::parse_pattern(fmt)?;
+    if let Some(df) = format {
         if ty == SqlType::Date {
             // A string's text is parsed where it lies.
             let date = match &v {

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use etlv_cloudstore::compress;
 use etlv_cloudstore::store::{parse_url, ObjectStore};
-use etlv_protocol::data::Value;
+use etlv_protocol::data::{DateFormat, Value};
 use etlv_protocol::errcode::Cause;
 use etlv_protocol::vartext::VartextFormat;
 use etlv_sql::ast::*;
@@ -22,7 +22,7 @@ use etlv_sql::SqlType;
 
 use crate::catalog::{Table, TableSet};
 use crate::error::CdwError;
-use crate::eval::{apply_binary, eval, truthy, Env};
+use crate::eval::{apply_binary, compile_format, eval, literal_format, truthy, Env};
 use crate::key::{cmp_values, RowKey};
 use crate::plan::{
     choose_access, family_of, normalize_probe, plan_equi_join, Access, Family, PlanStats,
@@ -97,26 +97,39 @@ struct Relation<'t> {
 /// Column reference → row position, or the error resolving it raised.
 type ColRef<'e> = (&'e ObjectName, Result<usize, CdwError>);
 
+/// Literal date pattern's site → its compiled format, or the error
+/// compiling it raised.
+type FormatRef<'e> = (&'e Expr, Result<DateFormat, CdwError>);
+
 /// An expression whose column references were resolved against a site's
-/// bindings once, before the site's row loop. Each reference is keyed by
-/// its address in the borrowed expression, so a lookup during evaluation
-/// compares pointers instead of names. A reference that does not resolve
-/// keeps its error, raised only if evaluation reaches it — so an empty
-/// input or an untaken CASE branch raises nothing.
+/// bindings, and whose literal date patterns were compiled, once, before
+/// the site's row loop. Each reference and pattern is keyed by its node's
+/// address in the borrowed expression, so a lookup during evaluation
+/// compares pointers instead of names. A reference that does not resolve,
+/// or a pattern that does not compile, keeps its error, raised only if
+/// evaluation reaches it — so an empty input, a NULL cast or an untaken
+/// CASE branch raises nothing.
 struct Resolved<'e> {
     expr: &'e Expr,
     cols: Vec<ColRef<'e>>,
+    formats: Vec<FormatRef<'e>>,
 }
 
 impl<'e> Resolved<'e> {
     fn new(expr: &'e Expr, bindings: &[Binding]) -> Resolved<'e> {
-        let mut cols = Vec::new();
+        let (mut cols, mut formats) = (Vec::new(), Vec::new());
         expr.walk(&mut |n| {
             if let Expr::Column(name) = n {
                 cols.push((name, resolve_column(bindings, name)));
+            } else if let Some(pattern) = literal_format(n) {
+                formats.push((n, compile_format(pattern)));
             }
         });
-        Resolved { expr, cols }
+        Resolved {
+            expr,
+            cols,
+            formats,
+        }
     }
 
     /// One [`Resolved`] per expression, in order.
@@ -132,6 +145,7 @@ impl<'e> Resolved<'e> {
     fn env<'a>(&'a self, row: &'a [Value]) -> RowEnv<'a> {
         RowEnv {
             cols: &self.cols,
+            formats: &self.formats,
             row,
         }
     }
@@ -147,9 +161,11 @@ impl<'e> Resolved<'e> {
 }
 
 /// Evaluation environment for one row: each column reference reads the
-/// position it was resolved to.
+/// position it was resolved to, and each literal date pattern is the
+/// format compiled for it.
 struct RowEnv<'a> {
     cols: &'a [ColRef<'a>],
+    formats: &'a [FormatRef<'a>],
     row: &'a [Value],
 }
 
@@ -159,6 +175,16 @@ impl Env for RowEnv<'_> {
             Some((_, pos)) => Ok(self.row[pos.clone()?].clone()),
             None => Err(CdwError::Unsupported(format!(
                 "internal: column {name} was not resolved before evaluation"
+            ))),
+        }
+    }
+
+    fn date_format(&self, site: &Expr, pattern: &str) -> Result<Cow<'_, DateFormat>, CdwError> {
+        match self.formats.iter().find(|(s, _)| std::ptr::eq(*s, site)) {
+            Some((_, Ok(format))) => Ok(Cow::Borrowed(format)),
+            Some((_, Err(e))) => Err(e.clone()),
+            None => Err(CdwError::Unsupported(format!(
+                "internal: pattern '{pattern}' was not compiled before evaluation"
             ))),
         }
     }

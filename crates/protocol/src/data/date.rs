@@ -7,7 +7,7 @@
 //! `CAST(:F AS DATE FORMAT 'YYYY-MM-DD')`; the format pattern language is
 //! implemented by [`DateFormat`].
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Error raised when text cannot be parsed as a date, or a date is invalid.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,9 +135,14 @@ impl Date {
 
     /// Parse from ISO `YYYY-MM-DD` text.
     pub fn parse_iso(s: &str) -> Result<Date, DateParseError> {
-        DateFormat::parse_pattern("YYYY-MM-DD")
-            .expect("builtin pattern")
-            .parse(s)
+        const ISO: [Token; 5] = [
+            Token::Year4,
+            Token::Lit('-'),
+            Token::Month,
+            Token::Lit('-'),
+            Token::Day,
+        ];
+        parse_tokens(&ISO, "YYYY-MM-DD", s)
     }
 }
 
@@ -285,34 +290,24 @@ impl DateFormat {
     /// Compile a pattern. Fails if the pattern does not contain a year, a
     /// month, and a day token exactly once each.
     pub fn parse_pattern(pattern: &str) -> Result<DateFormat, DateParseError> {
-        let chars: Vec<char> = pattern.chars().collect();
         let mut tokens = Vec::new();
-        let mut i = 0;
-        while i < chars.len() {
-            if chars[i..].starts_with(&['Y', 'Y', 'Y', 'Y']) {
-                tokens.push(Token::Year4);
-                i += 4;
-            } else if chars[i..].starts_with(&['Y', 'Y']) {
-                tokens.push(Token::Year2);
-                i += 2;
-            } else if chars[i..].starts_with(&['M', 'M']) {
-                tokens.push(Token::Month);
-                i += 2;
-            } else if chars[i..].starts_with(&['D', 'D']) {
-                tokens.push(Token::Day);
-                i += 2;
-            } else {
-                tokens.push(Token::Lit(chars[i]));
-                i += 1;
-            }
+        let mut rest = pattern;
+        while let Some(c) = rest.chars().next() {
+            let (token, len) = match rest.as_bytes() {
+                [b'Y', b'Y', b'Y', b'Y', ..] => (Token::Year4, 4),
+                [b'Y', b'Y', ..] => (Token::Year2, 2),
+                [b'M', b'M', ..] => (Token::Month, 2),
+                [b'D', b'D', ..] => (Token::Day, 2),
+                _ => (Token::Lit(c), c.len_utf8()),
+            };
+            tokens.push(token);
+            rest = &rest[len..];
         }
-        let years = tokens
-            .iter()
-            .filter(|t| matches!(t, Token::Year4 | Token::Year2))
-            .count();
-        let months = tokens.iter().filter(|t| matches!(t, Token::Month)).count();
-        let days = tokens.iter().filter(|t| matches!(t, Token::Day)).count();
-        if years != 1 || months != 1 || days != 1 {
+        let count = |f: fn(&Token) -> bool| tokens.iter().filter(|t| f(t)).count();
+        if count(|t| matches!(t, Token::Year4 | Token::Year2)) != 1
+            || count(|t| *t == Token::Month) != 1
+            || count(|t| *t == Token::Day) != 1
+        {
             return Err(err(format!(
                 "pattern '{pattern}' must contain exactly one year, month, and day token"
             )));
@@ -328,75 +323,80 @@ impl DateFormat {
         &self.pattern
     }
 
-    /// Parse `text` according to this pattern.
+    /// Parse `text` according to this pattern. The text is read where it
+    /// lies: nothing is allocated unless the parse fails.
     pub fn parse(&self, text: &str) -> Result<Date, DateParseError> {
-        let text = text.trim();
-        let chars: Vec<char> = text.chars().collect();
-        let mut pos = 0usize;
-        let mut year: Option<i32> = None;
-        let mut month: Option<u8> = None;
-        let mut day: Option<u8> = None;
-
-        let read_digits = |pos: &mut usize, n: usize| -> Result<i32, DateParseError> {
-            if *pos + n > chars.len() {
-                return Err(err(format!(
-                    "'{text}' too short for pattern '{}'",
-                    self.pattern
-                )));
-            }
-            let slice = &chars[*pos..*pos + n];
-            if !slice.iter().all(|c| c.is_ascii_digit()) {
-                return Err(err(format!(
-                    "expected {n} digits at position {} of '{text}'",
-                    *pos
-                )));
-            }
-            *pos += n;
-            Ok(slice
-                .iter()
-                .fold(0i32, |acc, c| acc * 10 + (*c as i32 - '0' as i32)))
-        };
-
-        for token in &self.tokens {
-            match token {
-                Token::Year4 => year = Some(read_digits(&mut pos, 4)?),
-                Token::Year2 => {
-                    let y = read_digits(&mut pos, 2)?;
-                    year = Some(if y <= 69 { 2000 + y } else { 1900 + y });
-                }
-                Token::Month => month = Some(read_digits(&mut pos, 2)? as u8),
-                Token::Day => day = Some(read_digits(&mut pos, 2)? as u8),
-                Token::Lit(c) => {
-                    if pos >= chars.len() || chars[pos] != *c {
-                        return Err(err(format!(
-                            "expected '{c}' at position {pos} of '{text}' for pattern '{}'",
-                            self.pattern
-                        )));
-                    }
-                    pos += 1;
-                }
-            }
-        }
-        if pos != chars.len() {
-            return Err(err(format!("trailing characters in '{text}'")));
-        }
-        Date::new(year.unwrap(), month.unwrap(), day.unwrap())
+        parse_tokens(&self.tokens, &self.pattern, text)
     }
 
     /// Format `date` according to this pattern.
     pub fn format(&self, date: Date) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.pattern.len());
         for token in &self.tokens {
-            match token {
-                Token::Year4 => out.push_str(&format!("{:04}", date.year())),
-                Token::Year2 => out.push_str(&format!("{:02}", date.year().rem_euclid(100))),
-                Token::Month => out.push_str(&format!("{:02}", date.month())),
-                Token::Day => out.push_str(&format!("{:02}", date.day())),
-                Token::Lit(c) => out.push(*c),
-            }
+            // Writing to a `String` cannot fail.
+            let _ = match token {
+                Token::Year4 => write!(out, "{:04}", date.year()),
+                Token::Year2 => write!(out, "{:02}", date.year().rem_euclid(100)),
+                Token::Month => write!(out, "{:02}", date.month()),
+                Token::Day => write!(out, "{:02}", date.day()),
+                Token::Lit(c) => out.write_char(*c),
+            };
         }
         out
     }
+}
+
+/// Parse `text` (trimmed) by `tokens`, the compiled form of `pattern`.
+/// Positions in error messages count characters, not bytes.
+fn parse_tokens(tokens: &[Token], pattern: &str, text: &str) -> Result<Date, DateParseError> {
+    let text = text.trim();
+    let mut rest = text.chars();
+    let mut pos = 0usize;
+    let (mut year, mut month, mut day) = (0, 0, 0);
+    for token in tokens {
+        let width = match token {
+            Token::Year4 => 4,
+            Token::Year2 | Token::Month | Token::Day => 2,
+            Token::Lit(c) => {
+                if rest.next() != Some(*c) {
+                    return Err(err(format!(
+                        "expected '{c}' at position {pos} of '{text}' for pattern '{pattern}'"
+                    )));
+                }
+                pos += 1;
+                continue;
+            }
+        };
+        // Too short wins over a non-digit among the characters that are
+        // there.
+        let (mut value, mut digits) = (0i32, true);
+        for _ in 0..width {
+            let c = rest
+                .next()
+                .ok_or_else(|| err(format!("'{text}' too short for pattern '{pattern}'")))?;
+            match c.to_digit(10) {
+                Some(d) => value = value * 10 + d as i32,
+                None => digits = false,
+            }
+        }
+        if !digits {
+            return Err(err(format!(
+                "expected {width} digits at position {pos} of '{text}'"
+            )));
+        }
+        pos += width;
+        match token {
+            Token::Year4 => year = value,
+            Token::Year2 if value <= 69 => year = 2000 + value,
+            Token::Year2 => year = 1900 + value,
+            Token::Month => month = value as u8,
+            _ => day = value as u8,
+        }
+    }
+    if rest.next().is_some() {
+        return Err(err(format!("trailing characters in '{text}'")));
+    }
+    Date::new(year, month, day)
 }
 
 #[cfg(test)]

@@ -388,3 +388,67 @@ insert into PROD.LINES values (:ID, cast(:QTY as INTEGER), :NOTE);
     );
     assert_eq!(rows(v.cdw(), et), rows(server.engine(), et));
 }
+
+/// A DML whose FORMAT pattern is malformed fails only on the rows whose
+/// value reaches the cast: a NULL converts to NULL, every other row is an
+/// ET row naming the cast's field, on both servers alike.
+#[test]
+fn malformed_format_pattern_fails_each_non_null_row_on_both_servers() {
+    use etlv_protocol::data::Value;
+
+    const SCRIPT: &str = ".logon h/u,p;
+.layout L;
+.field ID varchar(8);
+.field D varchar(10);
+.begin import tables PROD.EVENTS errortables PROD.EVENTS_ET PROD.EVENTS_UV;
+.dml label Go;
+insert into PROD.EVENTS values (:ID, cast(:D as DATE FORMAT 'YYYY-MM'));
+.import infile f format vartext '|' layout L apply Go;
+.end load
+";
+    const DDL: &str = "CREATE TABLE PROD.EVENTS (ID VARCHAR(8) NOT NULL, D DATE) \
+                       UNIQUE PRIMARY INDEX (ID)";
+    // The pattern has no day token: rows 1 and 3 fail, row 2's empty
+    // field is NULL and loads.
+    const DATA: &[u8] = b"e1|2012-01\ne2|\ne3|2012-02\n";
+    let JobPlan::Import(job) = compile(&parse_script(SCRIPT).unwrap()).unwrap() else {
+        panic!()
+    };
+    let run = |connector: Arc<dyn Connect>| {
+        let mut session = etlv_legacy_client::Session::logon(
+            connector.as_ref(),
+            "admin",
+            "pw",
+            etlv_protocol::message::SessionRole::Control,
+            0,
+        )
+        .unwrap();
+        session.sql(DDL).unwrap();
+        session.logoff();
+        LegacyEtlClient::new(connector)
+            .run_import_data(&job, DATA)
+            .unwrap()
+    };
+    let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().rows;
+    let et = "SELECT SEQNO, ERRCODE, ERRFIELD FROM PROD.EVENTS_ET ORDER BY SEQNO";
+
+    let server = LegacyServer::new();
+    let legacy = run(server_connector(&server));
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    let virt = run(tcp_connector(&v));
+    for report in [&legacy.report, &virt.report] {
+        assert_eq!(report.rows_received, 3);
+        assert_eq!(report.rows_applied, 1);
+        assert_eq!(report.errors_et, 2);
+    }
+    // The same rows and fields on both servers; the codes differ as in
+    // `error_codes_and_fields_match_across_causes`: the oracle records the
+    // bad date's own code, the gateway the DML-time code.
+    let et_rows = |code: i64| {
+        [1, 3]
+            .map(|seq| vec![Value::Int(seq), Value::Int(code), Value::Str("D".into())])
+            .to_vec()
+    };
+    assert_eq!(rows(server.engine(), et), et_rows(2666));
+    assert_eq!(rows(v.cdw(), et), et_rows(3103));
+}
