@@ -12,10 +12,11 @@
 //! recorded as an acquisition error, which the job later lands in the ET
 //! table — mirroring the legacy per-tuple acquisition semantics.
 
+use etlv_protocol::data::FieldRef;
 use etlv_protocol::errcode::ErrCode;
 use etlv_protocol::layout::Layout;
 use etlv_protocol::message::RecordFormat;
-use etlv_protocol::record::{FieldRef, RecordDecoder, RecordError};
+use etlv_protocol::record::{RecordDecoder, RecordError};
 use etlv_protocol::vartext::{records, VartextError, VartextFormat};
 
 /// An error attached to one input record during acquisition.
@@ -47,17 +48,10 @@ impl std::error::Error for ConvertFatal {}
 /// Reusable scratch state for the zero-allocation conversion kernel.
 ///
 /// One instance lives with each converter worker for the life of the
-/// pipeline; the buffers grow to the high-water mark of the workload and
-/// are then reused, so the steady-state convert loop performs no heap
-/// allocation (see `tests/alloc_convert.rs`).
+/// pipeline and is reused, so the steady-state convert loop performs no
+/// heap allocation (see `tests/alloc_convert.rs`).
 #[derive(Debug, Default)]
 pub struct ConvertScratch {
-    /// Render buffer for numeric/temporal field text and the `__SEQ`
-    /// prefix.
-    field: Vec<u8>,
-    /// Unescape buffer loaned to the vartext streaming decoder, and hex
-    /// render buffer for VARBYTE fields.
-    unescape: Vec<u8>,
     /// Acquisition errors collected by the last [`DataConverter::convert_into`]
     /// call. Allocates only when a record actually fails.
     errors: Vec<AcqError>,
@@ -85,14 +79,6 @@ impl ConvertScratch {
         std::mem::take(&mut self.errors)
     }
 }
-
-/// `write!` into a byte buffer; infallible for `Vec<u8>`.
-fn render_into(buf: &mut Vec<u8>, args: std::fmt::Arguments<'_>) {
-    use std::io::Write;
-    buf.write_fmt(args).expect("write to Vec<u8> cannot fail");
-}
-
-const HEX: &[u8; 16] = b"0123456789ABCDEF";
 
 /// Byte classes for the fused vartext scan (`stage_vartext_line`): a byte
 /// with class 0 is plain ASCII content that needs neither wire unescaping,
@@ -272,11 +258,7 @@ impl DataConverter {
         out: &mut Vec<u8>,
         scratch: &mut ConvertScratch,
     ) -> Result<u32, ConvertFatal> {
-        let ConvertScratch {
-            field,
-            unescape,
-            errors,
-        } = scratch;
+        let errors = &mut scratch.errors;
         errors.clear();
         out.reserve(data.len() + data.len() / 8 + 64);
         let mut rows = 0u32;
@@ -285,9 +267,7 @@ impl DataConverter {
                 let arity = self.layout.arity();
                 for (seq, line) in (base_seq..).zip(records(data)) {
                     let row_start = out.len();
-                    field.clear();
-                    render_into(field, format_args!("{}", seq as i64));
-                    self.staged.escape_bytes_into(field, out);
+                    self.staged.encode_field(FieldRef::Int(seq as i64), out);
                     let res = self
                         .stage_vartext_line(delimiter, quote, line, out)
                         .and_then(|actual| {
@@ -321,54 +301,10 @@ impl DataConverter {
                 let mut seq = base_seq;
                 while !buf.is_empty() {
                     let row_start = out.len();
-                    field.clear();
-                    render_into(field, format_args!("{}", seq as i64));
-                    self.staged.escape_bytes_into(field, out);
+                    self.staged.encode_field(FieldRef::Int(seq as i64), out);
                     let res = self.decoder.decode_record_with(&mut buf, |f| {
                         out.push(self.staged.delimiter);
-                        match f {
-                            FieldRef::Null => {}
-                            FieldRef::Str("") => out.extend_from_slice(&[self.staged.quote; 2]),
-                            FieldRef::Str(s) => self.staged.escape_bytes_into(s.as_bytes(), out),
-                            FieldRef::Bytes([]) => out.extend_from_slice(&[self.staged.quote; 2]),
-                            FieldRef::Bytes(b) => {
-                                unescape.clear();
-                                for &x in b {
-                                    unescape.push(HEX[(x >> 4) as usize]);
-                                    unescape.push(HEX[(x & 0x0F) as usize]);
-                                }
-                                self.staged.escape_bytes_into(unescape, out);
-                            }
-                            FieldRef::Int(v) => {
-                                field.clear();
-                                render_into(field, format_args!("{v}"));
-                                self.staged.escape_bytes_into(field, out);
-                            }
-                            FieldRef::Float(v) => {
-                                field.clear();
-                                if v.fract() == 0.0 && v.abs() < 1e15 {
-                                    render_into(field, format_args!("{v:.1}"));
-                                } else {
-                                    render_into(field, format_args!("{v}"));
-                                }
-                                self.staged.escape_bytes_into(field, out);
-                            }
-                            FieldRef::Decimal(d) => {
-                                field.clear();
-                                render_into(field, format_args!("{d}"));
-                                self.staged.escape_bytes_into(field, out);
-                            }
-                            FieldRef::Date(d) => {
-                                field.clear();
-                                render_into(field, format_args!("{d}"));
-                                self.staged.escape_bytes_into(field, out);
-                            }
-                            FieldRef::Timestamp(ts) => {
-                                field.clear();
-                                render_into(field, format_args!("{ts}"));
-                                self.staged.escape_bytes_into(field, out);
-                            }
-                        }
+                        self.staged.encode_field(f, out);
                     });
                     match res {
                         Ok(()) => {

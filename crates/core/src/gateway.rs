@@ -1053,8 +1053,8 @@ impl Virtualizer {
         let values = rows
             .into_iter()
             .map(|row| {
-                row.into_iter()
-                    .map(|v| Expr::Literal(value_literal(v)))
+                row.iter()
+                    .map(|v| Expr::Literal(Literal::from_value(v)))
                     .collect()
             })
             .collect();
@@ -1229,21 +1229,6 @@ impl Virtualizer {
             last: chunk.last,
             data: data.into(),
         })
-    }
-}
-
-/// The SQL literal an error-table value is written as. Types without a
-/// literal form (bytes, timestamps) are written as their display text,
-/// which the warehouse coerces to the column's type.
-fn value_literal(v: Value) -> Literal {
-    match v {
-        Value::Null => Literal::Null,
-        Value::Int(x) => Literal::Integer(x),
-        Value::Float(f) => Literal::Float(f),
-        Value::Decimal(d) => Literal::Decimal(d),
-        Value::Str(s) => Literal::Str(s),
-        Value::Date(d) => Literal::Date(d),
-        Value::Bytes(_) | Value::Timestamp(_) => Literal::Str(v.display_text()),
     }
 }
 

@@ -7,8 +7,7 @@
 //! dates and duplicate keys — for the error-handling study (Figure 11).
 //! Everything is seeded, so tests can assert exact error attributions.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use etlv_protocol::rng::SeededRng;
 
 /// Specification of the canonical customer-load workload (the Example 2.1
 /// shape: id, name, date, plus a payload column that pads rows to the
@@ -74,7 +73,7 @@ impl Workload {
 
 /// Generate the customer workload.
 pub fn customer_workload(spec: &CustomerSpec) -> Workload {
-    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let mut rng = SeededRng::new(spec.seed);
     // Fixed overhead: id (≤8) + name (≤12) + date (10) + 3 delimiters.
     let payload_width = spec.row_bytes.saturating_sub(34).max(1);
 
@@ -86,23 +85,23 @@ pub fn customer_workload(spec: &CustomerSpec) -> Workload {
         let is_dup = i > 1 && rng.gen_bool(spec.dup_rate.clamp(0.0, 1.0));
         let id = if is_dup {
             dup_rows.push(i);
-            rng.gen_range(1..i)
+            rng.gen_range(1, i)
         } else {
             i
         };
         let is_bad_date = rng.gen_bool(spec.date_error_rate.clamp(0.0, 1.0));
         let date = if is_bad_date {
             bad_date_rows.push(i);
-            format!("bad{:05}", rng.gen_range(0..100_000))
+            format!("bad{:05}", rng.gen_range(0, 100_000))
         } else {
-            let year = 2000 + (rng.gen_range(0..20i32));
-            let month = rng.gen_range(1..=12u8);
-            let day = rng.gen_range(1..=28u8);
+            let year = 2000 + rng.gen_range(0, 20);
+            let month = rng.gen_range(1, 13);
+            let day = rng.gen_range(1, 29);
             format!("{year:04}-{month:02}-{day:02}")
         };
-        let name = format!("name{:07}", rng.gen_range(0..10_000_000));
+        let name = format!("name{:07}", rng.gen_range(0, 10_000_000));
         let payload: String = (0..payload_width)
-            .map(|_| (b'a' + rng.gen_range(0..26u8)) as char)
+            .map(|_| (b'a' + rng.gen_range(0, 26) as u8) as char)
             .collect();
         data.extend_from_slice(format!("C{id:07}|{name}|{date}|{payload}\n").as_bytes());
     }
@@ -152,7 +151,7 @@ insert into PROD.CUSTOMER values (
 /// Generate a wide-table workload: `cols` payload columns of `col_width`
 /// bytes each (the Figure 10 experiment loads a 50-column table).
 pub fn wide_workload(rows: u64, cols: usize, col_width: usize, seed: u64) -> Workload {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SeededRng::new(seed);
     let cols = cols.max(2);
     let mut data = Vec::with_capacity(rows as usize * cols * (col_width + 1));
     for i in 1..=rows {
@@ -160,7 +159,7 @@ pub fn wide_workload(rows: u64, cols: usize, col_width: usize, seed: u64) -> Wor
         for _ in 1..cols {
             line.push('|');
             for _ in 0..col_width {
-                line.push((b'a' + rng.gen_range(0..26u8)) as char);
+                line.push((b'a' + rng.gen_range(0, 26) as u8) as char);
             }
         }
         line.push('\n');

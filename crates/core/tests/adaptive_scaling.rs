@@ -20,8 +20,7 @@ use etlv_core::xcompile::{compile_dml, staging_ddl};
 use etlv_protocol::data::LegacyType as T;
 use etlv_protocol::errcode::ErrCode;
 use etlv_protocol::layout::Layout;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use etlv_protocol::rng::SeededRng;
 
 const WARM_ROWS: u64 = 10_000;
 
@@ -31,10 +30,10 @@ const WARM_ROWS: u64 = 10_000;
 /// target. Row 1 and every row past `span` stay clean, so batches of one
 /// `span` share their dirty rows.
 fn dirty_batch(rows: u64, span: u64, bad: u64, dup: u64) -> Vec<(String, &'static str)> {
-    let mut rng = StdRng::seed_from_u64(0x00E7_C019 ^ span);
+    let mut rng = SeededRng::new(0x00E7_C019 ^ span);
     let mut order: Vec<usize> = (1..span as usize).collect();
     for i in (1..order.len()).rev() {
-        order.swap(i, rng.gen_range(0..=i));
+        order.swap(i, rng.gen_range(0, i as u64 + 1) as usize);
     }
     let (bad, dup) = (bad as usize, dup as usize);
     let bad_date: BTreeSet<usize> = order[..bad].iter().copied().collect();
@@ -47,11 +46,11 @@ fn dirty_batch(rows: u64, span: u64, bad: u64, dup: u64) -> Vec<(String, &'stati
             if bad_date.contains(&i) {
                 (fresh, "2012-13-45")
             } else if intra_dup.contains(&i) {
-                let k = rng.gen_range(0..clean_keys.len());
+                let k = rng.gen_range(0, clean_keys.len() as u64) as usize;
                 (clean_keys[k].clone(), "2012-01-01")
             } else if collision.contains(&i) {
                 (
-                    format!("W{:07}", rng.gen_range(1..=WARM_ROWS)),
+                    format!("W{:07}", rng.gen_range(1, WARM_ROWS + 1)),
                     "2012-01-01",
                 )
             } else {

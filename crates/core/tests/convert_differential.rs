@@ -9,15 +9,19 @@
 //!
 //! The reference decodes vartext with `VartextFormat::decode_line`, a
 //! collector over `decode_line_with`, which the kernel's fused scan does
-//! not call: the two decoders are written independently.
+//! not call: the two decoders are written independently. Binary records
+//! and field text go through a decoder and a renderer frozen in this file
+//! (`reference_decode_record`, `reference_display_text`), so the kernel
+//! and the reference share no binary decode or render code.
 
+use bytes::Buf;
 use proptest::prelude::*;
 
 use etlv_core::convert::{AcqError, ConvertFatal, ConvertScratch, DataConverter};
 use etlv_protocol::data::{Date, Decimal, LegacyType, Timestamp, Value};
 use etlv_protocol::layout::Layout;
 use etlv_protocol::message::RecordFormat;
-use etlv_protocol::record::{RecordDecoder, RecordEncoder};
+use etlv_protocol::record::{RecordEncoder, RecordError};
 use etlv_protocol::vartext::{records, VartextFormat};
 
 /// Output of converting one chunk.
@@ -86,16 +90,15 @@ fn convert_reference(
             }
         }
         RecordFormat::Binary => {
-            let decoder = RecordDecoder::new(layout.clone());
             let mut buf: &[u8] = data;
             let mut seq = base_seq;
             while !buf.is_empty() {
-                match decoder.decode_record(&mut buf) {
+                match reference_decode_record(layout, &mut buf) {
                     Ok(values) => {
                         write_staged_row(staged, seq, &values, &mut out);
                         rows += 1;
                     }
-                    Err(etlv_protocol::record::RecordError::BadValue(msg)) => {
+                    Err(RecordError::BadValue(msg)) => {
                         // The framing advanced past the record; the
                         // value inside was bad. Record and continue...
                         // except BadValue can also leave `buf`
@@ -142,7 +145,7 @@ fn write_staged_row(staged: &VartextFormat, seq: u64, values: &[Value], out: &mu
         row.push(match v {
             Value::Null => Value::Null,
             Value::Str(s) => Value::Str(s.clone()),
-            other => Value::Str(other.display_text()),
+            other => Value::Str(reference_display_text(other)),
         });
     }
     let (delimiter, quote) = (staged.delimiter, staged.quote);
@@ -157,7 +160,7 @@ fn write_staged_row(staged: &VartextFormat, seq: u64, values: &[Value], out: &mu
                 out.push(quote);
             }
             other => {
-                for &b in other.display_text().as_bytes() {
+                for &b in reference_display_text(other).as_bytes() {
                     if b == delimiter || b == quote || b == b'\\' || b == b'\n' || b == b'\r' {
                         out.push(b'\\');
                         if b == b'\n' {
@@ -175,6 +178,149 @@ fn write_staged_row(staged: &VartextFormat, seq: u64, values: &[Value], out: &mu
         }
     }
     out.push(b'\n');
+}
+
+/// One binary record decoded into owned values: the record decoder as it
+/// was before the kernel's borrowed-field decoder became the only one,
+/// kept frozen as the reference's own.
+fn reference_decode_record(layout: &Layout, buf: &mut &[u8]) -> Result<Vec<Value>, RecordError> {
+    if buf.remaining() < 2 {
+        return Err(RecordError::Truncated);
+    }
+    let body_len = buf.get_u16_le() as usize;
+    if buf.remaining() < body_len {
+        return Err(RecordError::Truncated);
+    }
+    let (mut body, rest) = buf.split_at(body_len);
+    *buf = rest;
+
+    let ind_bytes = layout.indicator_bytes();
+    if body.len() < ind_bytes {
+        return Err(RecordError::Truncated);
+    }
+    let indicators = &body[..ind_bytes].to_vec();
+    body.advance(ind_bytes);
+
+    let mut values = Vec::with_capacity(layout.arity());
+    for (i, field) in layout.fields.iter().enumerate() {
+        let is_null = indicators[i / 8] & (0x80 >> (i % 8)) != 0;
+        if is_null {
+            values.push(Value::Null);
+            continue;
+        }
+        values.push(reference_decode_value(field.ty, &mut body)?);
+    }
+    if body.has_remaining() {
+        return Err(RecordError::LengthMismatch {
+            declared: body_len,
+            actual: body_len - body.remaining(),
+        });
+    }
+    Ok(values)
+}
+
+/// One non-NULL binary field as an owned value (frozen, as above).
+fn reference_decode_value(ty: LegacyType, body: &mut &[u8]) -> Result<Value, RecordError> {
+    macro_rules! need {
+        ($n:expr) => {
+            if body.remaining() < $n {
+                return Err(RecordError::Truncated);
+            }
+        };
+    }
+    Ok(match ty {
+        LegacyType::ByteInt => {
+            need!(1);
+            Value::Int(body.get_i8() as i64)
+        }
+        LegacyType::SmallInt => {
+            need!(2);
+            Value::Int(body.get_i16_le() as i64)
+        }
+        LegacyType::Integer => {
+            need!(4);
+            Value::Int(body.get_i32_le() as i64)
+        }
+        LegacyType::BigInt => {
+            need!(8);
+            Value::Int(body.get_i64_le())
+        }
+        LegacyType::Float => {
+            need!(8);
+            Value::Float(body.get_f64_le())
+        }
+        LegacyType::Decimal(_, s) => {
+            need!(16);
+            Value::Decimal(Decimal::new(body.get_i128_le(), s))
+        }
+        LegacyType::Date => {
+            need!(4);
+            let raw = body.get_i32_le();
+            Value::Date(
+                Date::from_legacy_int(raw).map_err(|e| RecordError::BadValue(e.to_string()))?,
+            )
+        }
+        LegacyType::Timestamp => {
+            need!(8);
+            Value::Timestamp(Timestamp::from_micros(body.get_i64_le()))
+        }
+        LegacyType::Char(n) => {
+            need!(n as usize);
+            let mut bytes = vec![0u8; n as usize];
+            body.copy_to_slice(&mut bytes);
+            let s = String::from_utf8(bytes)
+                .map_err(|_| RecordError::BadValue("CHAR field is not UTF-8".into()))?;
+            Value::Str(s)
+        }
+        LegacyType::VarChar(max) | LegacyType::VarCharUnicode(max) => {
+            need!(2);
+            let len = body.get_u16_le() as usize;
+            if len > max as usize {
+                return Err(RecordError::BadValue(format!(
+                    "VARCHAR length {len} exceeds declared {max}"
+                )));
+            }
+            need!(len);
+            let mut bytes = vec![0u8; len];
+            body.copy_to_slice(&mut bytes);
+            let s = String::from_utf8(bytes)
+                .map_err(|_| RecordError::BadValue("VARCHAR field is not UTF-8".into()))?;
+            Value::Str(s)
+        }
+        LegacyType::VarByte(max) => {
+            need!(2);
+            let len = body.get_u16_le() as usize;
+            if len > max as usize {
+                return Err(RecordError::BadValue(format!(
+                    "VARBYTE length {len} exceeds declared {max}"
+                )));
+            }
+            need!(len);
+            let mut bytes = vec![0u8; len];
+            body.copy_to_slice(&mut bytes);
+            Value::Bytes(bytes)
+        }
+    })
+}
+
+/// A value's text (frozen, as above; NULL renders as the empty string).
+fn reference_display_text(v: &Value) -> String {
+    match v {
+        Value::Null => String::new(),
+        Value::Int(v) => v.to_string(),
+        Value::Float(f) => {
+            if f.fract() == 0.0 && f.abs() < 1e15 {
+                format!("{:.1}", f)
+            } else {
+                format!("{f}")
+            }
+        }
+        Value::Decimal(d) => d.to_string(),
+        Value::Str(s) => s.clone(),
+        Value::Bytes(b) => b.iter().map(|x| format!("{x:02X}")).collect(),
+        Value::Date(d) => d.to_string(),
+        Value::Timestamp(ts) => ts.to_string(),
+    }
 }
 
 /// The staged format every converter in this file writes.
@@ -489,6 +635,59 @@ fn tricky_lines_match_reference() {
                 );
             }
         }
+    }
+}
+
+/// One record of every binary field type, cut short at five points and
+/// with each byte flipped in turn: the kernel and the reference stage the
+/// same bytes, fail with the same fatal error, or both panic.
+#[test]
+fn corrupt_binary_records_match_reference() {
+    let layout = Layout::new("CORRUPT")
+        .field("BI", LegacyType::ByteInt)
+        .field("SI", LegacyType::SmallInt)
+        .field("I", LegacyType::Integer)
+        .field("B", LegacyType::BigInt)
+        .field("F", LegacyType::Float)
+        .field("DEC", LegacyType::Decimal(10, 2))
+        .field("C", LegacyType::Char(4))
+        .field("VC", LegacyType::VarChar(20))
+        .field("D", LegacyType::Date)
+        .field("TS", LegacyType::Timestamp)
+        .field("VB", LegacyType::VarByte(8));
+    let row = vec![
+        Value::Int(-5),
+        Value::Int(1234),
+        Value::Int(-100_000),
+        Value::Int(1 << 40),
+        Value::Float(2.5),
+        Value::Decimal(Decimal::parse("123.45").unwrap()),
+        Value::Str("ab".into()),
+        Value::Str("hello".into()),
+        Value::Date(Date::new(2012, 1, 1).unwrap()),
+        Value::Timestamp(Timestamp::parse("2020-06-01 10:20:30").unwrap()),
+        Value::Bytes(vec![1, 2, 3]),
+    ];
+    let mut one = Vec::new();
+    RecordEncoder::new(layout.clone())
+        .encode_record(&row, &mut one)
+        .unwrap();
+    let mut corruptions: Vec<Vec<u8>> = [0, 1, 3, one.len() / 2, one.len() - 1]
+        .iter()
+        .map(|&cut| one[..cut].to_vec())
+        .collect();
+    for i in 0..one.len() {
+        let mut c = one.clone();
+        c[i] ^= 0xFF;
+        corruptions.push(c);
+    }
+    let conv = DataConverter::new(layout.clone(), RecordFormat::Binary, b'|');
+    for c in corruptions {
+        assert_eq!(
+            catching(|| convert(&conv, 1, &c)),
+            catching(|| convert_reference(&layout, RecordFormat::Binary, &staged(), 1, &c)),
+            "corrupt input {c:02X?}"
+        );
     }
 }
 

@@ -9,8 +9,6 @@
 use std::collections::HashSet;
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use etlv_cdw::{Cdw, CdwConfig};
 use etlv_core::adaptive::{apply_adaptive, AdaptiveParams, ErrorRows, RecordedError};
@@ -21,6 +19,7 @@ use etlv_legacy_server::apply::apply_per_tuple;
 use etlv_protocol::data::{LegacyType as T, Value};
 use etlv_protocol::errcode::ErrCode;
 use etlv_protocol::layout::Layout;
+use etlv_protocol::rng::SeededRng;
 use etlv_sql::{parse_statement, Dialect};
 
 /// The dirty-batch load: `N` is wider in staging than in the target.
@@ -68,16 +67,16 @@ fn single(e: &RecordedError) -> u64 {
 /// key, both a bad date and a repeated key, or an `N` too long for the
 /// target column — which names no row, so the walk halves.
 fn dirty_rows(total: u64, density: u64, clustered: bool, seed: u64) -> Vec<[String; 3]> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SeededRng::new(seed);
     let total = total as usize;
     let run = total * density as usize / 100;
-    let start = rng.gen_range(0..=total - run);
+    let start = rng.gen_range(0, (total - run + 1) as u64) as usize;
     let mut rows: Vec<[String; 3]> = Vec::with_capacity(total);
     for i in 0..total {
         let dirty = if clustered {
             (start..start + run).contains(&i)
         } else {
-            rng.gen_range(0..100u64) < density
+            rng.gen_range(0, 100) < density
         };
         let mut row = [
             format!("id{}", i + 1),
@@ -85,19 +84,21 @@ fn dirty_rows(total: u64, density: u64, clustered: bool, seed: u64) -> Vec<[Stri
             "ok".to_string(),
         ];
         // An earlier row's key, padded or not (the first row keeps its own).
-        let repeated = rows.get(rng.gen_range(0..i.max(1))).map(|earlier| {
-            let key = earlier[0].trim();
-            if rng.gen_range(0..2) == 0 {
-                format!("{key} ")
-            } else {
-                key.to_string()
-            }
-        });
+        let repeated = rows
+            .get(rng.gen_range(0, i.max(1) as u64) as usize)
+            .map(|earlier| {
+                let key = earlier[0].trim();
+                if rng.gen_range(0, 2) == 0 {
+                    format!("{key} ")
+                } else {
+                    key.to_string()
+                }
+            });
         if dirty {
-            match rng.gen_range(0..5) {
+            match rng.gen_range(0, 5) {
                 0 => row[1] = "garbage".into(),
                 1 => row[0] = repeated.unwrap_or(row[0].clone()),
-                2 => row[0] = WARM[rng.gen_range(0..WARM.len())].into(),
+                2 => row[0] = WARM[rng.gen_range(0, WARM.len() as u64) as usize].into(),
                 3 => {
                     row[0] = repeated.unwrap_or(row[0].clone());
                     row[1] = "2020-13-45".into();

@@ -4,9 +4,8 @@
 //! parsing field contents — the minimal work needed to stamp row numbers
 //! and keep chunks record-aligned. Validation happens server-side.
 
-use bytes::Buf;
-
 use etlv_protocol::message::RecordFormat;
+use etlv_protocol::record::take_record;
 use etlv_protocol::vartext::records;
 
 use crate::error::ClientError;
@@ -23,93 +22,48 @@ pub struct InputChunk {
     pub data: Vec<u8>,
 }
 
-/// Split `data` into chunks of at most `chunk_rows` records.
+/// Split `data` into chunks of at most `chunk_rows` records. Vartext
+/// records are the lines [`records`] yields, each re-terminated by `\n`;
+/// binary records are those [`take_record`] frames, copied whole.
 pub fn split_chunks(
     data: &[u8],
     format: RecordFormat,
     chunk_rows: usize,
 ) -> Result<Vec<InputChunk>, ClientError> {
-    match format {
-        RecordFormat::Vartext { .. } => split_vartext(data, chunk_rows),
-        RecordFormat::Binary => split_binary(data, chunk_rows),
-    }
-}
-
-fn split_vartext(data: &[u8], chunk_rows: usize) -> Result<Vec<InputChunk>, ClientError> {
-    let chunk_rows = chunk_rows.max(1);
-    let mut chunks = Vec::new();
-    let mut cur = Vec::new();
-    let mut count = 0u32;
-    let mut next_seq = 1u64;
-    let mut base = next_seq;
-    for line in records(data) {
-        cur.extend_from_slice(line);
-        cur.push(b'\n');
-        count += 1;
-        next_seq += 1;
-        if count as usize >= chunk_rows {
-            chunks.push(InputChunk {
-                base_seq: base,
-                record_count: count,
-                data: std::mem::take(&mut cur),
+    let (input, terminator): (Box<dyn Iterator<Item = _>>, &[u8]) = match format {
+        RecordFormat::Vartext { .. } => (Box::new(records(data).map(Ok)), b"\n"),
+        RecordFormat::Binary => {
+            let mut rest = data;
+            let framed = std::iter::from_fn(move || {
+                let start = data.len() - rest.len();
+                (!rest.is_empty()).then(|| match take_record(&mut rest) {
+                    Ok(_) => Ok(&data[start..data.len() - rest.len()]),
+                    Err(_) => Err(ClientError::Input(format!(
+                        "truncated binary record at offset {start}"
+                    ))),
+                })
             });
-            count = 0;
-            base = next_seq;
+            (Box::new(framed), b"")
         }
-    }
-    if count > 0 {
-        chunks.push(InputChunk {
-            base_seq: base,
-            record_count: count,
-            data: cur,
-        });
-    }
-    Ok(chunks)
-}
-
-fn split_binary(data: &[u8], chunk_rows: usize) -> Result<Vec<InputChunk>, ClientError> {
+    };
     let chunk_rows = chunk_rows.max(1);
-    let mut chunks = Vec::new();
-    let mut buf = data;
-    let mut chunk_start = data.len() - buf.remaining();
-    let mut count = 0u32;
-    let mut next_seq = 1u64;
-    let mut base = next_seq;
-    while buf.remaining() >= 2 {
-        let mut peek = buf;
-        let len = peek.get_u16_le() as usize;
-        if peek.remaining() < len {
-            return Err(ClientError::Input(format!(
-                "truncated binary record at offset {}",
-                data.len() - buf.remaining()
-            )));
-        }
-        buf.advance(2 + len);
-        count += 1;
-        next_seq += 1;
-        if count as usize >= chunk_rows {
-            let end = data.len() - buf.remaining();
-            chunks.push(InputChunk {
-                base_seq: base,
-                record_count: count,
-                data: data[chunk_start..end].to_vec(),
-            });
-            chunk_start = end;
-            count = 0;
-            base = next_seq;
-        }
-    }
-    if buf.has_remaining() {
-        return Err(ClientError::Input(
-            "trailing bytes after last binary record".into(),
-        ));
-    }
-    if count > 0 {
-        chunks.push(InputChunk {
-            base_seq: base,
-            record_count: count,
-            data: data[chunk_start..].to_vec(),
-        });
+    let mut chunks: Vec<InputChunk> = Vec::new();
+    for (seq, record) in (1u64..).zip(input) {
+        let record = record?;
+        let chunk = match chunks.last_mut() {
+            Some(chunk) if (chunk.record_count as usize) < chunk_rows => chunk,
+            _ => {
+                chunks.push(InputChunk {
+                    base_seq: seq,
+                    record_count: 0,
+                    data: Vec::new(),
+                });
+                chunks.last_mut().expect("just pushed")
+            }
+        };
+        chunk.data.extend_from_slice(record);
+        chunk.data.extend_from_slice(terminator);
+        chunk.record_count += 1;
     }
     Ok(chunks)
 }

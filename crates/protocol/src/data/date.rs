@@ -229,12 +229,15 @@ impl Timestamp {
         let (sec, frac_micros) = match sec_str.split_once('.') {
             Some((sp, fp)) => {
                 let sec: i64 = sp.parse().map_err(|_| err("bad second"))?;
-                let mut frac = fp.to_string();
-                while frac.len() < 6 {
-                    frac.push('0');
+                if !fp.bytes().all(|b| b.is_ascii_digit()) {
+                    return Err(err("bad fraction"));
                 }
-                frac.truncate(6);
-                let micros: i64 = frac.parse().map_err(|_| err("bad fraction"))?;
+                // Microseconds: the first six digits, zero padded.
+                let micros = fp
+                    .bytes()
+                    .chain(std::iter::repeat(b'0'))
+                    .take(6)
+                    .fold(0, |acc, b| acc * 10 + i64::from(b - b'0'));
                 (sec, micros)
             }
             None => (sec_str.parse().map_err(|_| err("bad second"))?, 0),
@@ -516,6 +519,17 @@ mod tests {
         let ts = Timestamp::parse("2023-07-04").unwrap();
         assert_eq!(ts.to_string(), "2023-07-04 00:00:00");
         assert!(Timestamp::parse("2023-07-04 25:00:00").is_err());
+    }
+
+    #[test]
+    fn timestamp_fraction_must_be_ascii_digits() {
+        let ts = Timestamp::parse("2023-07-04 12:30:45.1234567").unwrap();
+        assert_eq!(ts.to_string(), "2023-07-04 12:30:45.123456");
+        // Byte 6 of this fraction falls inside the two-byte 'é'.
+        for frac in ["12345é", "1é", "-1", "12x"] {
+            let err = Timestamp::parse(&format!("2023-07-04 12:30:45.{frac}")).unwrap_err();
+            assert!(err.to_string().contains("bad fraction"), "{frac}: {err}");
+        }
     }
 
     #[test]

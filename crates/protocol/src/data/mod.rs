@@ -11,7 +11,7 @@ mod value;
 
 pub use date::{Date, DateFormat, DateParseError, Timestamp};
 pub use decimal::{Decimal, DecimalError};
-pub use value::{Value, ValueError};
+pub use value::{FieldRef, Value, ValueError};
 
 use std::fmt;
 

@@ -245,23 +245,98 @@ impl Value {
     }
 
     /// Canonical text rendering (NULL renders as the empty string; callers
-    /// that need NULL-awareness must check [`Value::is_null`] first).
+    /// that need NULL-awareness must check [`Value::is_null`] first): the
+    /// text [`FieldRef::render_into`] writes.
     pub fn display_text(&self) -> String {
+        let mut out = Vec::new();
+        self.as_field_ref().render_into(&mut out);
+        String::from_utf8(out).expect("rendered text is UTF-8")
+    }
+
+    /// This value as a borrowed [`FieldRef`].
+    pub fn as_field_ref(&self) -> FieldRef<'_> {
         match self {
-            Value::Null => String::new(),
-            Value::Int(v) => v.to_string(),
-            Value::Float(f) => {
-                if f.fract() == 0.0 && f.abs() < 1e15 {
-                    format!("{:.1}", f)
-                } else {
-                    format!("{f}")
-                }
+            Value::Null => FieldRef::Null,
+            Value::Int(v) => FieldRef::Int(*v),
+            Value::Float(f) => FieldRef::Float(*f),
+            Value::Decimal(d) => FieldRef::Decimal(*d),
+            Value::Str(s) => FieldRef::Str(s),
+            Value::Bytes(b) => FieldRef::Bytes(b),
+            Value::Date(d) => FieldRef::Date(*d),
+            Value::Timestamp(ts) => FieldRef::Timestamp(*ts),
+        }
+    }
+}
+
+/// A typed field that borrows its variable-width data: the allocation-free
+/// view of a [`Value`]. The binary record decoder hands these out straight
+/// from the record body, and every text encoding of a typed field renders
+/// one through [`FieldRef::render_into`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FieldRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// Any integer type.
+    Int(i64),
+    /// FLOAT.
+    Float(f64),
+    /// DECIMAL.
+    Decimal(Decimal),
+    /// DATE.
+    Date(Date),
+    /// TIMESTAMP.
+    Timestamp(Timestamp),
+    /// CHAR/VARCHAR.
+    Str(&'a str),
+    /// VARBYTE.
+    Bytes(&'a [u8]),
+}
+
+impl FieldRef<'_> {
+    /// The one text renderer: append this field's canonical text to `out`.
+    /// Integers, decimals, dates and timestamps print in their `Display`
+    /// form, a float with no fractional part below 10^15 keeps one decimal
+    /// (`2.0`), bytes print as upper-case hex, a string as itself, and
+    /// NULL as nothing. Allocates only when `out` grows.
+    pub fn render_into(self, out: &mut Vec<u8>) {
+        use std::io::Write;
+        const HEX: &[u8; 16] = b"0123456789ABCDEF";
+        let written = match self {
+            FieldRef::Null => Ok(()),
+            FieldRef::Int(v) => write!(out, "{v}"),
+            FieldRef::Float(f) if f.fract() == 0.0 && f.abs() < 1e15 => write!(out, "{f:.1}"),
+            FieldRef::Float(f) => write!(out, "{f}"),
+            FieldRef::Decimal(d) => write!(out, "{d}"),
+            FieldRef::Date(d) => write!(out, "{d}"),
+            FieldRef::Timestamp(ts) => write!(out, "{ts}"),
+            FieldRef::Str(s) => {
+                out.extend_from_slice(s.as_bytes());
+                Ok(())
             }
-            Value::Decimal(d) => d.to_string(),
-            Value::Str(s) => s.clone(),
-            Value::Bytes(b) => b.iter().map(|x| format!("{x:02X}")).collect(),
-            Value::Date(d) => d.to_string(),
-            Value::Timestamp(ts) => ts.to_string(),
+            FieldRef::Bytes(b) => {
+                out.reserve(2 * b.len());
+                for &x in b {
+                    out.push(HEX[(x >> 4) as usize]);
+                    out.push(HEX[(x & 0x0F) as usize]);
+                }
+                Ok(())
+            }
+        };
+        written.expect("writing to a Vec<u8> cannot fail");
+    }
+}
+
+impl From<FieldRef<'_>> for Value {
+    fn from(f: FieldRef<'_>) -> Value {
+        match f {
+            FieldRef::Null => Value::Null,
+            FieldRef::Int(v) => Value::Int(v),
+            FieldRef::Float(v) => Value::Float(v),
+            FieldRef::Decimal(d) => Value::Decimal(d),
+            FieldRef::Date(d) => Value::Date(d),
+            FieldRef::Timestamp(ts) => Value::Timestamp(ts),
+            FieldRef::Str(s) => Value::Str(s.to_string()),
+            FieldRef::Bytes(b) => Value::Bytes(b.to_vec()),
         }
     }
 }

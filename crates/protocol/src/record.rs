@@ -25,7 +25,7 @@
 
 use bytes::{Buf, BufMut};
 
-use crate::data::{Date, Decimal, LegacyType, Timestamp, Value, ValueError};
+use crate::data::{Date, Decimal, FieldRef, LegacyType, Timestamp, Value, ValueError};
 use crate::frame::FrameError;
 use crate::layout::Layout;
 use crate::message::RecordFormat;
@@ -192,29 +192,6 @@ fn encode_value(value: &Value, ty: LegacyType, out: &mut Vec<u8>) -> Result<(), 
     Ok(())
 }
 
-/// One field decoded from a binary record, borrowing variable-width data
-/// from the record body — the allocation-free twin of [`Value`] used by
-/// the conversion kernel's streaming decode.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FieldRef<'a> {
-    /// SQL NULL (indicator bit set).
-    Null,
-    /// Any integer type.
-    Int(i64),
-    /// FLOAT.
-    Float(f64),
-    /// DECIMAL (scale from the layout).
-    Decimal(Decimal),
-    /// DATE.
-    Date(Date),
-    /// TIMESTAMP.
-    Timestamp(Timestamp),
-    /// CHAR/VARCHAR, borrowed from the record body.
-    Str(&'a str),
-    /// VARBYTE, borrowed from the record body.
-    Bytes(&'a [u8]),
-}
-
 /// Decodes legacy binary records back into [`Value`] rows.
 #[derive(Debug, Clone)]
 pub struct RecordDecoder {
@@ -232,72 +209,32 @@ impl RecordDecoder {
         &self.layout
     }
 
-    /// Decode one record from the front of `buf`, advancing it.
+    /// Decode one record from the front of `buf`, advancing it: the
+    /// fields [`decode_record_with`](Self::decode_record_with) hands out,
+    /// as owned values.
     pub fn decode_record(&self, buf: &mut &[u8]) -> Result<Vec<Value>, RecordError> {
-        if buf.remaining() < 2 {
-            return Err(RecordError::Truncated);
-        }
-        let body_len = buf.get_u16_le() as usize;
-        if buf.remaining() < body_len {
-            return Err(RecordError::Truncated);
-        }
-        let (mut body, rest) = buf.split_at(body_len);
-        *buf = rest;
-
-        let ind_bytes = self.layout.indicator_bytes();
-        if body.len() < ind_bytes {
-            return Err(RecordError::Truncated);
-        }
-        let indicators = &body[..ind_bytes].to_vec();
-        body.advance(ind_bytes);
-
         let mut values = Vec::with_capacity(self.layout.arity());
-        for (i, field) in self.layout.fields.iter().enumerate() {
-            let is_null = indicators[i / 8] & (0x80 >> (i % 8)) != 0;
-            if is_null {
-                values.push(Value::Null);
-                continue;
-            }
-            values.push(decode_value(field.ty, &mut body)?);
-        }
-        if body.has_remaining() {
-            return Err(RecordError::LengthMismatch {
-                declared: body_len,
-                actual: body_len - body.remaining(),
-            });
-        }
+        self.decode_record_with(buf, |f| values.push(f.into()))?;
         Ok(values)
     }
 
-    /// Streaming twin of [`decode_record`](Self::decode_record): decode
-    /// one record from the front of `buf`, handing each field to `emit` as
-    /// a borrowed [`FieldRef`] — no per-field allocation. Like
-    /// `decode_record`, `buf` advances past the whole record before field
-    /// decode, so framing errors leave the caller at the same position
-    /// either way; `emit` may have observed a prefix of the fields when an
-    /// error is returned.
+    /// The binary record decoder: take one record off the front of `buf`
+    /// ([`take_record`]) and hand each field to `emit` as a [`FieldRef`]
+    /// that borrows from the record body, with no per-field allocation.
+    /// `buf` advances past the whole record before any field is decoded;
+    /// `emit` may have seen a prefix of the fields when an error is
+    /// returned.
     pub fn decode_record_with<'a>(
         &self,
         buf: &mut &'a [u8],
         mut emit: impl FnMut(FieldRef<'a>),
     ) -> Result<(), RecordError> {
-        if buf.remaining() < 2 {
-            return Err(RecordError::Truncated);
-        }
-        let body_len = buf.get_u16_le() as usize;
-        if buf.remaining() < body_len {
-            return Err(RecordError::Truncated);
-        }
-        let (record, rest) = buf.split_at(body_len);
-        *buf = rest;
-
+        let record = take_record(buf)?;
         let ind_bytes = self.layout.indicator_bytes();
         if record.len() < ind_bytes {
             return Err(RecordError::Truncated);
         }
-        let indicators = &record[..ind_bytes];
-        let mut body = &record[ind_bytes..];
-
+        let (indicators, mut body) = record.split_at(ind_bytes);
         for (i, field) in self.layout.fields.iter().enumerate() {
             if indicators[i / 8] & (0x80 >> (i % 8)) != 0 {
                 emit(FieldRef::Null);
@@ -307,8 +244,8 @@ impl RecordDecoder {
         }
         if body.has_remaining() {
             return Err(RecordError::LengthMismatch {
-                declared: body_len,
-                actual: body_len - body.remaining(),
+                declared: record.len(),
+                actual: record.len() - body.remaining(),
             });
         }
         Ok(())
@@ -325,92 +262,26 @@ impl RecordDecoder {
     }
 }
 
-fn decode_value(ty: LegacyType, body: &mut &[u8]) -> Result<Value, RecordError> {
-    macro_rules! need {
-        ($n:expr) => {
-            if body.remaining() < $n {
-                return Err(RecordError::Truncated);
-            }
-        };
+/// The binary framing rule: take one whole record off the front of `buf`
+/// and return its body (indicator and field bytes, without the `u16`
+/// length prefix), or [`RecordError::Truncated`] when the buffer ends
+/// first, leaving `buf` as it was.
+pub fn take_record<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], RecordError> {
+    let whole: &'a [u8] = buf;
+    if whole.len() < 2 {
+        return Err(RecordError::Truncated);
     }
-    Ok(match ty {
-        LegacyType::ByteInt => {
-            need!(1);
-            Value::Int(body.get_i8() as i64)
-        }
-        LegacyType::SmallInt => {
-            need!(2);
-            Value::Int(body.get_i16_le() as i64)
-        }
-        LegacyType::Integer => {
-            need!(4);
-            Value::Int(body.get_i32_le() as i64)
-        }
-        LegacyType::BigInt => {
-            need!(8);
-            Value::Int(body.get_i64_le())
-        }
-        LegacyType::Float => {
-            need!(8);
-            Value::Float(body.get_f64_le())
-        }
-        LegacyType::Decimal(_, s) => {
-            need!(16);
-            Value::Decimal(Decimal::new(body.get_i128_le(), s))
-        }
-        LegacyType::Date => {
-            need!(4);
-            let raw = body.get_i32_le();
-            Value::Date(
-                Date::from_legacy_int(raw).map_err(|e| RecordError::BadValue(e.to_string()))?,
-            )
-        }
-        LegacyType::Timestamp => {
-            need!(8);
-            Value::Timestamp(Timestamp::from_micros(body.get_i64_le()))
-        }
-        LegacyType::Char(n) => {
-            need!(n as usize);
-            let mut bytes = vec![0u8; n as usize];
-            body.copy_to_slice(&mut bytes);
-            let s = String::from_utf8(bytes)
-                .map_err(|_| RecordError::BadValue("CHAR field is not UTF-8".into()))?;
-            Value::Str(s)
-        }
-        LegacyType::VarChar(max) | LegacyType::VarCharUnicode(max) => {
-            need!(2);
-            let len = body.get_u16_le() as usize;
-            if len > max as usize {
-                return Err(RecordError::BadValue(format!(
-                    "VARCHAR length {len} exceeds declared {max}"
-                )));
-            }
-            need!(len);
-            let mut bytes = vec![0u8; len];
-            body.copy_to_slice(&mut bytes);
-            let s = String::from_utf8(bytes)
-                .map_err(|_| RecordError::BadValue("VARCHAR field is not UTF-8".into()))?;
-            Value::Str(s)
-        }
-        LegacyType::VarByte(max) => {
-            need!(2);
-            let len = body.get_u16_le() as usize;
-            if len > max as usize {
-                return Err(RecordError::BadValue(format!(
-                    "VARBYTE length {len} exceeds declared {max}"
-                )));
-            }
-            need!(len);
-            let mut bytes = vec![0u8; len];
-            body.copy_to_slice(&mut bytes);
-            Value::Bytes(bytes)
-        }
-    })
+    let body_len = u16::from_le_bytes([whole[0], whole[1]]) as usize;
+    if whole.len() - 2 < body_len {
+        return Err(RecordError::Truncated);
+    }
+    let (body, rest) = whole[2..].split_at(body_len);
+    *buf = rest;
+    Ok(body)
 }
 
-/// Borrowed-field twin of [`decode_value`]: identical wire layout, length
-/// guards and error messages, but variable-width fields stay slices of the
-/// record body instead of owned `String`/`Vec` values.
+/// The binary field decoder: read one non-NULL field of type `ty` off the
+/// front of `body`. Variable-width fields stay slices of the record body.
 fn decode_field_ref<'a>(ty: LegacyType, body: &mut &'a [u8]) -> Result<FieldRef<'a>, RecordError> {
     macro_rules! need {
         ($n:expr) => {
@@ -636,70 +507,21 @@ mod tests {
         ));
     }
 
-    fn field_ref_to_value(f: FieldRef<'_>) -> Value {
-        match f {
-            FieldRef::Null => Value::Null,
-            FieldRef::Int(v) => Value::Int(v),
-            FieldRef::Float(v) => Value::Float(v),
-            FieldRef::Decimal(d) => Value::Decimal(d),
-            FieldRef::Date(d) => Value::Date(d),
-            FieldRef::Timestamp(ts) => Value::Timestamp(ts),
-            FieldRef::Str(s) => Value::Str(s.to_string()),
-            FieldRef::Bytes(b) => Value::Bytes(b.to_vec()),
-        }
-    }
-
     #[test]
-    fn streaming_decode_matches_decode_record() {
-        let layout = full_layout();
-        let enc = RecordEncoder::new(layout.clone());
-        let dec = RecordDecoder::new(layout.clone());
-
-        let mut rows: Vec<Vec<Value>> = vec![sample_row(), vec![Value::Null; layout.arity()]];
-        // Row with alternating nulls.
-        let mut alt = sample_row();
-        for (i, v) in alt.iter_mut().enumerate() {
-            if i % 2 == 1 {
-                *v = Value::Null;
-            }
-        }
-        rows.push(alt);
-        let buf = enc.encode_batch(&rows).unwrap();
-
-        // Valid batch: both decoders agree field-for-field and consume
-        // identical byte spans.
-        let mut a = buf.as_slice();
-        let mut b = buf.as_slice();
-        for _ in 0..rows.len() {
-            let owned = dec.decode_record(&mut a).unwrap();
-            let mut streamed = Vec::new();
-            dec.decode_record_with(&mut b, |f| streamed.push(field_ref_to_value(f)))
-                .unwrap();
-            assert_eq!(owned, streamed);
-            assert_eq!(a.len(), b.len());
-        }
-        assert!(b.is_empty());
-
-        // Corrupted inputs: identical errors at identical positions.
-        let mut one = Vec::new();
-        enc.encode_record(&sample_row(), &mut one).unwrap();
-        let mut corruptions: Vec<Vec<u8>> = Vec::new();
-        for cut in [0, 1, 3, one.len() / 2, one.len() - 1] {
-            corruptions.push(one[..cut].to_vec());
-        }
-        for i in 0..one.len() {
-            let mut c = one.clone();
-            c[i] ^= 0xFF;
-            corruptions.push(c);
-        }
-        for c in corruptions {
-            let mut a = c.as_slice();
-            let mut b = c.as_slice();
-            let owned = dec.decode_record(&mut a);
-            let streamed = dec.decode_record_with(&mut b, |_| {});
-            assert_eq!(owned.err(), streamed.err(), "corrupt input {c:02X?}");
-            assert_eq!(a.len(), b.len());
-        }
+    fn empty_varbyte_exports_as_non_null_vartext() {
+        let layout = Layout::new("L")
+            .field("B", T::VarByte(4))
+            .field("N", T::VarByte(4));
+        let format = RecordFormat::Vartext {
+            delimiter: b'|',
+            quote: b'"',
+        };
+        let out = encode_rows(&layout, format, &[vec![Value::Bytes(vec![]), Value::Null]]).unwrap();
+        assert_eq!(out, b"\"\"|\n");
+        let rows = VartextFormat::default()
+            .decode_lines(&out, Some(2))
+            .unwrap();
+        assert_eq!(rows, vec![vec![Value::Str(String::new()), Value::Null]]);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! splits a buffer into records, so the client's row numbers, the
 //! servers' SEQNOs and the staged rows all count the same lines.
 
-use crate::data::Value;
+use crate::data::{FieldRef, Value};
 use crate::errcode::ErrCode;
 
 /// Configuration of a vartext encoding: delimiter and quote characters.
@@ -93,39 +93,53 @@ impl VartextFormat {
         }
     }
 
-    /// Encode one row as a vartext line (no trailing newline). Strings are
-    /// escaped straight from their bytes; other values are rendered as
-    /// their canonical text; NULL becomes a zero-length field; the empty
-    /// string becomes `""`.
+    /// Encode one row as a vartext line (no trailing newline), each field
+    /// through [`encode_field`](Self::encode_field).
     pub fn encode_row(&self, values: &[Value], out: &mut Vec<u8>) {
         for (i, v) in values.iter().enumerate() {
             if i > 0 {
                 out.push(self.delimiter);
             }
-            match v {
-                Value::Null => {}
-                Value::Str(s) if s.is_empty() => {
-                    out.push(self.quote);
-                    out.push(self.quote);
+            self.encode_field(v.as_field_ref(), out);
+        }
+    }
+
+    /// The vartext field encoder: NULL writes nothing (a zero-length
+    /// field), an empty string or empty byte string writes `""`, and any
+    /// other field writes its text ([`FieldRef::render_into`]), escaped.
+    /// Allocates only when `out` grows, or when the delimiter or quote is a
+    /// character a rendered number, date or hex string can contain.
+    pub fn encode_field(&self, field: FieldRef<'_>, out: &mut Vec<u8>) {
+        match field {
+            FieldRef::Null => {}
+            FieldRef::Str("") | FieldRef::Bytes([]) => out.extend_from_slice(&[self.quote; 2]),
+            FieldRef::Str(s) => self.escape_bytes_into(s.as_bytes(), out),
+            typed => {
+                let start = out.len();
+                typed.render_into(out);
+                if out[start..].iter().any(|&b| self.needs_escape(b)) {
+                    let text = out.split_off(start);
+                    self.escape_bytes_into(&text, out);
                 }
-                Value::Str(s) => self.escape_bytes_into(s.as_bytes(), out),
-                other => self.escape_bytes_into(other.display_text().as_bytes(), out),
             }
         }
     }
 
+    fn needs_escape(&self, b: u8) -> bool {
+        b == self.delimiter || b == self.quote || b == b'\\' || b == b'\n' || b == b'\r'
+    }
+
     /// Escape raw field bytes into `out`: the delimiter, quote and
     /// backslash get a backslash prefix, newline becomes `\n` and carriage
-    /// return `\r`. String values and the conversion kernel's pre-rendered
-    /// field bytes are escaped without an intermediate allocation.
-    pub fn escape_bytes_into(&self, bytes: &[u8], out: &mut Vec<u8>) {
+    /// return `\r`.
+    fn escape_bytes_into(&self, bytes: &[u8], out: &mut Vec<u8>) {
         // Copy maximal runs of clean bytes in one shot; fields rarely
         // contain escapable bytes, so the common case is a single memcpy.
         let mut run_start = 0usize;
         let mut i = 0usize;
         while i < bytes.len() {
             let b = bytes[i];
-            if b == self.delimiter || b == self.quote || b == b'\\' || b == b'\n' || b == b'\r' {
+            if self.needs_escape(b) {
                 out.extend_from_slice(&bytes[run_start..i]);
                 out.push(b'\\');
                 out.push(match b {

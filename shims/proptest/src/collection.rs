@@ -2,8 +2,6 @@
 
 use std::ops::{Range, RangeInclusive};
 
-use rand::Rng;
-
 use crate::{Strategy, TestRng};
 
 /// An inclusive length range for generated collections.

@@ -17,22 +17,13 @@ use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
 use std::rc::Rc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
-
 pub mod collection;
 pub mod option;
 pub mod string;
 
-/// The deterministic RNG handed to strategies.
+/// The deterministic RNG handed to strategies: a SplitMix64 stream.
 pub struct TestRng {
-    inner: StdRng,
-}
-
-impl RngCore for TestRng {
-    fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
+    state: u64,
 }
 
 impl TestRng {
@@ -46,10 +37,70 @@ impl TestRng {
             hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
         }
         TestRng {
-            inner: StdRng::seed_from_u64(hash ^ ((case as u64) << 1 | 1)),
+            state: hash ^ ((case as u64) << 1 | 1),
         }
     }
+
+    /// Next raw word.
+    pub fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform draw from an integer range: the next word modulo the
+    /// range's width, added to its start.
+    pub(crate) fn gen_range<T, R: SampleRange<T>>(&mut self, range: R) -> T {
+        let (start, span) = range.start_and_span();
+        R::from_i128(start + ((self.next_u64() as u128) % span) as i128)
+    }
+
+    /// Bernoulli draw: `true` with probability `p` (clamped to [0, 1]).
+    pub(crate) fn gen_bool(&mut self, p: f64) -> bool {
+        // 53 uniform mantissa bits, exactly representable in f64.
+        let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        unit < p.clamp(0.0, 1.0)
+    }
 }
+
+/// Integer ranges [`TestRng::gen_range`] samples.
+pub(crate) trait SampleRange<T> {
+    /// The range's first value and its (non-zero) count of values.
+    fn start_and_span(self) -> (i128, u128);
+    /// Narrow a value inside the range back to `T`.
+    fn from_i128(v: i128) -> T;
+}
+
+macro_rules! sample_range_impl {
+    ($($ty:ty),* $(,)?) => {
+        $(
+            impl SampleRange<$ty> for Range<$ty> {
+                fn start_and_span(self) -> (i128, u128) {
+                    assert!(self.start < self.end, "empty range");
+                    (self.start as i128, (self.end as i128 - self.start as i128) as u128)
+                }
+                fn from_i128(v: i128) -> $ty {
+                    v as $ty
+                }
+            }
+
+            impl SampleRange<$ty> for RangeInclusive<$ty> {
+                fn start_and_span(self) -> (i128, u128) {
+                    let (start, end) = (*self.start(), *self.end());
+                    assert!(start <= end, "empty range");
+                    (start as i128, (end as i128 - start as i128) as u128 + 1)
+                }
+                fn from_i128(v: i128) -> $ty {
+                    v as $ty
+                }
+            }
+        )*
+    };
+}
+
+sample_range_impl!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 /// Configuration accepted by `proptest! { #![proptest_config(...)] ... }`.
 #[derive(Debug, Clone)]

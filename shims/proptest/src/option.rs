@@ -1,7 +1,5 @@
 //! Option strategies (`proptest::option::of`).
 
-use rand::Rng;
-
 use crate::{Strategy, TestRng};
 
 /// Strategy for `Option<T>`; mostly `Some`, with enough `None`s to

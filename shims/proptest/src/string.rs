@@ -11,8 +11,6 @@
 //!
 //! Anything else returns [`Error`] rather than silently misgenerating.
 
-use rand::Rng;
-
 use crate::{Strategy, TestRng};
 
 /// Pattern rejected by the parser.

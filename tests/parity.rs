@@ -452,3 +452,64 @@ insert into PROD.EVENTS values (:ID, cast(:D as DATE FORMAT 'YYYY-MM'));
     assert_eq!(rows(server.engine(), et), et_rows(2666));
     assert_eq!(rows(v.cdw(), et), et_rows(3103));
 }
+
+/// A timestamp whose fraction holds a non-ASCII character is a bad
+/// value on both servers: the row lands in ET with its SEQNO, the good
+/// row loads, and the load gets its reply.
+#[test]
+fn non_ascii_timestamp_fraction_is_an_et_row_on_both_servers() {
+    use etlv_protocol::data::Value;
+
+    const SCRIPT: &str = ".logon h/u,p;
+.layout L;
+.field ID varchar(8);
+.field T varchar(40);
+.begin import tables PROD.STAMPS errortables PROD.STAMPS_ET PROD.STAMPS_UV;
+.dml label Go;
+insert into PROD.STAMPS values (:ID, :T);
+.import infile f format vartext '|' layout L apply Go;
+.end load
+";
+    const DDL: &str = "CREATE TABLE PROD.STAMPS (ID VARCHAR(8) NOT NULL, T TIMESTAMP) \
+                       UNIQUE PRIMARY INDEX (ID)";
+    // Byte 6 of row 2's fraction falls inside the two-byte 'é'.
+    const DATA: &[u8] = "e1|2023-07-04 12:30:45.5\ne2|2023-07-04 12:30:45.12345é\n".as_bytes();
+    let JobPlan::Import(job) = compile(&parse_script(SCRIPT).unwrap()).unwrap() else {
+        panic!()
+    };
+    let run = |connector: Arc<dyn Connect>| {
+        let mut session = etlv_legacy_client::Session::logon(
+            connector.as_ref(),
+            "admin",
+            "pw",
+            etlv_protocol::message::SessionRole::Control,
+            0,
+        )
+        .unwrap();
+        session.sql(DDL).unwrap();
+        session.logoff();
+        // A server that loses the job ends the client's wait after 30 s
+        // rather than blocking it forever.
+        let options = ClientOptions {
+            read_timeout: Some(std::time::Duration::from_secs(30)),
+            ..Default::default()
+        };
+        LegacyEtlClient::with_options(connector, options)
+            .run_import_data(&job, DATA)
+            .unwrap()
+    };
+    let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().rows;
+    let et = "SELECT SEQNO FROM PROD.STAMPS_ET ORDER BY SEQNO";
+
+    let server = LegacyServer::new();
+    let legacy = run(server_connector(&server));
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    let virt = run(tcp_connector(&v));
+    for report in [&legacy.report, &virt.report] {
+        assert_eq!(report.rows_received, 2);
+        assert_eq!(report.rows_applied, 1);
+        assert_eq!(report.errors_et, 1);
+    }
+    assert_eq!(rows(server.engine(), et), vec![vec![Value::Int(2)]]);
+    assert_eq!(rows(v.cdw(), et), rows(server.engine(), et));
+}
