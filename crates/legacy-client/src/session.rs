@@ -1,5 +1,6 @@
 //! A logged-on protocol session.
 
+use std::io;
 use std::time::Duration;
 
 use etlv_protocol::message::{
@@ -83,8 +84,9 @@ impl Session {
     /// Bound every subsequent [`recv`](Session::recv) by `timeout`: if no
     /// reply arrives in time the call fails with [`ClientError::Timeout`]
     /// instead of blocking forever — the difference between a job that
-    /// reports a severed link and one that hangs on it. `None` (the
-    /// default) restores unbounded blocking reads.
+    /// reports a silent link and one that hangs on it. A connection the
+    /// peer closed fails at once as "connection closed", timeout or not.
+    /// `None` (the default) restores unbounded blocking reads.
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) {
         self.read_timeout = timeout;
     }
@@ -92,28 +94,24 @@ impl Session {
     /// Receive the next message; server [`Message::Error`]s become
     /// [`ClientError::Server`]. Honors the configured read timeout.
     pub fn recv(&mut self) -> Result<Message, ClientError> {
-        let frame = match self.read_timeout {
-            Some(timeout) => self
-                .transport
-                .recv_timeout(timeout)?
-                .map(Some)
-                .ok_or(ClientError::Timeout(timeout))?,
-            None => self.transport.recv()?,
-        };
-        match frame {
-            Some(frame) => {
-                let msg = Message::from_frame(&frame)
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                if let Message::Error(e) = &msg {
-                    return Err(ClientError::Server {
-                        code: e.code,
-                        message: e.message.clone(),
-                    });
-                }
-                Ok(msg)
+        let frame = match self.transport.recv(self.read_timeout) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return Err(ClientError::Protocol("connection closed".into())),
+            Err(e) => {
+                return Err(match self.read_timeout {
+                    Some(t) if e.kind() == io::ErrorKind::TimedOut => ClientError::Timeout(t),
+                    _ => e.into(),
+                })
             }
-            None => Err(ClientError::Protocol("connection closed".into())),
+        };
+        let msg = Message::from_frame(&frame).map_err(|e| ClientError::Protocol(e.to_string()))?;
+        if let Message::Error(e) = &msg {
+            return Err(ClientError::Server {
+                code: e.code,
+                message: e.message.clone(),
+            });
         }
+        Ok(msg)
     }
 
     /// Run a SQL statement on this (control) session.
@@ -145,7 +143,7 @@ impl Session {
     /// Log off cleanly (best-effort; consumes the session).
     pub fn logoff(mut self) {
         let _ = self.send(Message::Logoff);
-        let _ = self.transport.recv_timeout(Duration::from_millis(200));
+        let _ = self.transport.recv(Some(Duration::from_millis(200)));
     }
 }
 

@@ -86,7 +86,7 @@ impl LegacyServer {
         let mut role = SessionRole::Control;
         let mut job_token = 0u64;
 
-        while let Some(frame) = transport.recv()? {
+        while let Some(frame) = transport.recv(None)? {
             let msg = match Message::from_frame(&frame) {
                 Ok(m) => m,
                 Err(e) => {

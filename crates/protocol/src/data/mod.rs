@@ -10,7 +10,7 @@ mod decimal;
 mod value;
 
 pub use date::{Date, DateFormat, DateParseError, Timestamp};
-pub use decimal::{Decimal, DecimalError};
+pub use decimal::{Decimal, DecimalError, MAX_PRECISION};
 pub use value::{FieldRef, Value, ValueError};
 
 use std::fmt;
@@ -69,7 +69,18 @@ impl LegacyType {
         }
     }
 
-    /// Reconstruct a type from its wire tag plus the two parameter bytes.
+    /// `DECIMAL(p, s)`, if `1 ≤ p ≤ MAX_PRECISION` and `s ≤ p`. The one
+    /// rule for a declared decimal: the SQL type parser (and so `.field`
+    /// declarations) and the wire decoder both apply it.
+    pub fn decimal(p: u64, s: u64) -> Option<LegacyType> {
+        ((1..=MAX_PRECISION as u64).contains(&p) && s <= p)
+            .then_some(LegacyType::Decimal(p as u8, s as u8))
+    }
+
+    /// Reconstruct a type from its wire tag plus the two parameters;
+    /// `None` for an unknown tag or a `DECIMAL` outside [`decimal`]'s rule.
+    ///
+    /// [`decimal`]: LegacyType::decimal
     pub fn from_tag(tag: u8, p1: u16, p2: u16) -> Option<LegacyType> {
         Some(match tag {
             1 => LegacyType::ByteInt,
@@ -77,7 +88,7 @@ impl LegacyType {
             3 => LegacyType::Integer,
             4 => LegacyType::BigInt,
             5 => LegacyType::Float,
-            6 => LegacyType::Decimal(p1 as u8, p2 as u8),
+            6 => return LegacyType::decimal(p1.into(), p2.into()),
             7 => LegacyType::Char(p1),
             8 => LegacyType::VarChar(p1),
             9 => LegacyType::VarCharUnicode(p1),

@@ -8,6 +8,7 @@ use bytes::{Buf, BufMut};
 
 use crate::data::LegacyType;
 use crate::frame::FrameError;
+use crate::wire::{put_legacy_type, write_string, WireReader, LEGACY_TYPE_LEN};
 
 /// One field of a record layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,89 +87,33 @@ impl Layout {
 
     /// Serialize the layout for transmission in a `BeginLoad` message.
     pub fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u16_le(self.name.len() as u16);
-        buf.put_slice(self.name.as_bytes());
+        write_string(buf, &self.name);
         buf.put_u16_le(self.fields.len() as u16);
         for f in &self.fields {
-            buf.put_u16_le(f.name.len() as u16);
-            buf.put_slice(f.name.as_bytes());
-            buf.put_u8(f.ty.tag());
-            let (p1, p2) = f.ty.params();
-            buf.put_u16_le(p1);
-            buf.put_u16_le(p2);
+            write_string(buf, &f.name);
+            put_legacy_type(buf, f.ty);
             buf.put_u8(f.nullable as u8);
         }
     }
 
     /// Deserialize a layout from a message payload.
     pub fn decode(buf: &mut impl Buf) -> Result<Layout, FrameError> {
-        let name = read_string(buf)?;
-        if buf.remaining() < 2 {
-            return Err(FrameError::Truncated);
-        }
-        let nfields = buf.get_u16_le() as usize;
-        let mut fields = Vec::with_capacity(nfields);
-        for _ in 0..nfields {
-            let fname = read_string(buf)?;
-            if buf.remaining() < 1 + 2 + 2 + 1 {
-                return Err(FrameError::Truncated);
-            }
-            let tag = buf.get_u8();
-            let p1 = buf.get_u16_le();
-            let p2 = buf.get_u16_le();
-            let nullable = buf.get_u8() != 0;
-            let ty = LegacyType::from_tag(tag, p1, p2)
-                .ok_or(FrameError::Malformed("unknown type tag in layout"))?;
-            fields.push(FieldDef {
-                name: fname,
-                ty,
-                nullable,
-            });
-        }
+        // A field is at least an empty name, a type and its nullable flag.
+        const MIN_FIELD_LEN: usize = 2 + LEGACY_TYPE_LEN + 1;
+        let r = &mut WireReader::new(buf);
+        let name = r.string()?;
+        let n = r.u16()?.into();
+        let fields = (0..r.count(n, MIN_FIELD_LEN)?)
+            .map(|_| {
+                Ok(FieldDef {
+                    name: r.string()?,
+                    ty: r.legacy_type()?,
+                    nullable: r.flag()?,
+                })
+            })
+            .collect::<Result<_, FrameError>>()?;
         Ok(Layout { name, fields })
     }
-}
-
-/// Read a u16-length-prefixed UTF-8 string.
-pub(crate) fn read_string(buf: &mut impl Buf) -> Result<String, FrameError> {
-    if buf.remaining() < 2 {
-        return Err(FrameError::Truncated);
-    }
-    let len = buf.get_u16_le() as usize;
-    if buf.remaining() < len {
-        return Err(FrameError::Truncated);
-    }
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|_| FrameError::Malformed("invalid UTF-8 string"))
-}
-
-/// Write a u16-length-prefixed UTF-8 string.
-pub(crate) fn write_string(buf: &mut impl BufMut, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize, "string too long for wire");
-    buf.put_u16_le(s.len() as u16);
-    buf.put_slice(s.as_bytes());
-}
-
-/// Read a u32-length-prefixed UTF-8 string (for SQL payloads, which can
-/// exceed 64 KiB).
-pub(crate) fn read_lstring(buf: &mut impl Buf) -> Result<String, FrameError> {
-    if buf.remaining() < 4 {
-        return Err(FrameError::Truncated);
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(FrameError::Truncated);
-    }
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|_| FrameError::Malformed("invalid UTF-8 string"))
-}
-
-/// Write a u32-length-prefixed UTF-8 string.
-pub(crate) fn write_lstring(buf: &mut impl BufMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
 }
 
 #[cfg(test)]

@@ -22,6 +22,8 @@
 //! - [`layout`]: record layouts (`.layout` / `.field` declarations).
 //! - [`frame`]: low-level message framing (magic, kind, session, seq, CRC).
 //! - [`message`]: typed protocol messages and their payload codecs.
+//! - [`wire`]: [`WireReader`], the one bounds-checked payload reader every
+//!   payload decoder reads through.
 //! - [`record`]: the legacy binary record codec.
 //! - [`vartext`]: the delimited-text record codec.
 //! - [`errcode`]: the legacy error-code table (2666, 2794, 3103, 9057, ...).
@@ -50,6 +52,7 @@ pub mod rng;
 pub mod trace;
 pub mod transport;
 pub mod vartext;
+pub mod wire;
 
 pub use backoff::{Backoff, RetryPolicy};
 pub use data::{Date, Decimal, LegacyType, Value};
@@ -61,3 +64,4 @@ pub use nio::{pump_frames, FrameWriter, NioError, ReadStatus};
 pub use record::{RecordDecoder, RecordEncoder};
 pub use trace::TraceContext;
 pub use transport::Transport;
+pub use wire::WireReader;

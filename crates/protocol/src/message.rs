@@ -6,10 +6,11 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::data::{Date, Decimal, LegacyType, Timestamp, Value};
+use crate::data::{Date, Decimal, LegacyType, Timestamp, Value, MAX_PRECISION};
 use crate::frame::{Frame, FrameError, MsgKind};
-use crate::layout::{read_lstring, read_string, write_lstring, write_string, Layout};
+use crate::layout::Layout;
 use crate::trace::TraceContext;
+use crate::wire::{put_legacy_type, write_lstring, write_string, WireReader, LEGACY_TYPE_LEN};
 
 /// The role a session plays within a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,21 +47,13 @@ impl RecordFormat {
         }
     }
 
-    fn decode(buf: &mut impl Buf) -> Result<RecordFormat, FrameError> {
-        if buf.remaining() < 1 {
-            return Err(FrameError::Truncated);
-        }
-        match buf.get_u8() {
+    fn decode(r: &mut WireReader<impl Buf>) -> Result<RecordFormat, FrameError> {
+        match r.u8()? {
             0 => Ok(RecordFormat::Binary),
-            1 => {
-                if buf.remaining() < 2 {
-                    return Err(FrameError::Truncated);
-                }
-                Ok(RecordFormat::Vartext {
-                    delimiter: buf.get_u8(),
-                    quote: buf.get_u8(),
-                })
-            }
+            1 => Ok(RecordFormat::Vartext {
+                delimiter: r.u8()?,
+                quote: r.u8()?,
+            }),
             _ => Err(FrameError::Malformed("unknown record format")),
         }
     }
@@ -241,23 +234,13 @@ impl Topic {
         }
     }
 
-    fn decode(buf: &mut impl Buf) -> Result<Topic, FrameError> {
-        if buf.remaining() < 1 {
-            return Err(FrameError::Truncated);
-        }
-        match buf.get_u8() {
+    fn decode(r: &mut WireReader<impl Buf>) -> Result<Topic, FrameError> {
+        match r.u8()? {
             0 => Ok(Topic::Stats),
             // Bytes 1 and 3 stay unassigned: a peer that still sends
             // either gets `Malformed`, never another topic.
             2 => Ok(Topic::Health),
-            4 => {
-                if buf.remaining() < 8 {
-                    return Err(FrameError::Truncated);
-                }
-                Ok(Topic::Trace {
-                    job: buf.get_u64_le(),
-                })
-            }
+            4 => Ok(Topic::Trace { job: r.u64()? }),
             _ => Err(FrameError::Malformed("unknown introspection topic")),
         }
     }
@@ -281,11 +264,8 @@ impl Format {
         buf.put_u8(matches!(self, Format::Text) as u8);
     }
 
-    fn decode(buf: &mut impl Buf) -> Result<Format, FrameError> {
-        if buf.remaining() < 1 {
-            return Err(FrameError::Truncated);
-        }
-        match buf.get_u8() {
+    fn decode(r: &mut WireReader<impl Buf>) -> Result<Format, FrameError> {
+        match r.u8()? {
             0 => Ok(Format::Json),
             1 => Ok(Format::Text),
             _ => Err(FrameError::Malformed("unknown introspection format")),
@@ -434,10 +414,7 @@ impl Message {
                 buf.put_u16_le(m.columns.len() as u16);
                 for (name, ty) in &m.columns {
                     write_string(buf, name);
-                    buf.put_u8(ty.tag());
-                    let (p1, p2) = ty.params();
-                    buf.put_u16_le(p1);
-                    buf.put_u16_le(p2);
+                    put_legacy_type(buf, *ty);
                 }
                 buf.put_u32_le(m.rows.len() as u32);
                 for row in &m.rows {
@@ -516,246 +493,118 @@ impl Message {
         }
     }
 
-    /// Decode a message from a frame.
+    /// Decode a message from a frame. Every read goes through one
+    /// [`WireReader`], so a short or hostile payload is an error, never a
+    /// panic or an allocation its bytes could not fill.
     pub fn from_frame(frame: &Frame) -> Result<Message, FrameError> {
-        let buf = &mut frame.payload.clone();
+        let r = &mut WireReader::new(frame.payload.clone());
         Ok(match frame.kind {
-            MsgKind::Logon => {
-                let username = read_string(buf)?;
-                let password = read_string(buf)?;
-                if buf.remaining() < 9 {
-                    return Err(FrameError::Truncated);
-                }
-                let role = if buf.get_u8() != 0 {
+            MsgKind::Logon => Message::Logon(Logon {
+                username: r.string()?,
+                password: r.string()?,
+                role: if r.flag()? {
                     SessionRole::Data
                 } else {
                     SessionRole::Control
-                };
-                let job_token = buf.get_u64_le();
-                let trace = TraceContext::decode_opt(buf)?;
-                Message::Logon(Logon {
-                    username,
-                    password,
-                    role,
-                    job_token,
-                    trace,
-                })
-            }
-            MsgKind::LogonOk => {
-                if buf.remaining() < 4 {
-                    return Err(FrameError::Truncated);
-                }
-                let session = buf.get_u32_le();
-                let banner = read_string(buf)?;
-                Message::LogonOk(LogonOk { session, banner })
-            }
-            MsgKind::Sql => Message::Sql {
-                text: read_lstring(buf)?,
-            },
+                },
+                job_token: r.u64()?,
+                trace: r.trace()?,
+            }),
+            MsgKind::LogonOk => Message::LogonOk(LogonOk {
+                session: r.u32()?,
+                banner: r.string()?,
+            }),
+            MsgKind::Sql => Message::Sql { text: r.lstring()? },
             MsgKind::SqlResult => {
-                if buf.remaining() < 10 {
-                    return Err(FrameError::Truncated);
-                }
-                let activity_count = buf.get_u64_le();
-                let ncols = buf.get_u16_le() as usize;
-                let mut columns = Vec::with_capacity(ncols);
-                for _ in 0..ncols {
-                    let name = read_string(buf)?;
-                    if buf.remaining() < 5 {
-                        return Err(FrameError::Truncated);
-                    }
-                    let tag = buf.get_u8();
-                    let p1 = buf.get_u16_le();
-                    let p2 = buf.get_u16_le();
-                    let ty = LegacyType::from_tag(tag, p1, p2)
-                        .ok_or(FrameError::Malformed("unknown column type"))?;
-                    columns.push((name, ty));
-                }
-                if buf.remaining() < 4 {
-                    return Err(FrameError::Truncated);
-                }
-                let nrows = buf.get_u32_le() as usize;
-                let mut rows = Vec::with_capacity(nrows);
-                for _ in 0..nrows {
-                    let mut row = Vec::with_capacity(ncols);
-                    for _ in 0..ncols {
-                        row.push(decode_value(buf)?);
-                    }
-                    rows.push(row);
-                }
+                let activity_count = r.u64()?;
+                // A column is at least an empty name and its type.
+                let n = r.u16()?.into();
+                let columns: Vec<(String, LegacyType)> = (0..r.count(n, 2 + LEGACY_TYPE_LEN)?)
+                    .map(|_| Ok((r.string()?, r.legacy_type()?)))
+                    .collect::<Result<_, FrameError>>()?;
+                // A row is at least one tag byte per column: zero columns
+                // carry zero rows.
+                let n = r.u32()? as usize;
+                let rows = (0..r.count(n, columns.len())?)
+                    .map(|_| columns.iter().map(|_| decode_value(r)).collect())
+                    .collect::<Result<_, FrameError>>()?;
                 Message::SqlResult(SqlResult {
                     activity_count,
                     columns,
                     rows,
                 })
             }
-            MsgKind::BeginLoad => {
-                let target_table = read_string(buf)?;
-                let error_table_et = read_string(buf)?;
-                let error_table_uv = read_string(buf)?;
-                let layout = Layout::decode(buf)?;
-                let format = RecordFormat::decode(buf)?;
-                if buf.remaining() < 10 {
-                    return Err(FrameError::Truncated);
-                }
-                let sessions = buf.get_u16_le();
-                let error_limit = buf.get_u64_le();
-                let trace = TraceContext::decode_opt(buf)?;
-                Message::BeginLoad(BeginLoad {
-                    target_table,
-                    error_table_et,
-                    error_table_uv,
-                    layout,
-                    format,
-                    sessions,
-                    error_limit,
-                    trace,
-                })
-            }
-            MsgKind::BeginLoadOk => {
-                if buf.remaining() < 8 {
-                    return Err(FrameError::Truncated);
-                }
-                Message::BeginLoadOk {
-                    load_token: buf.get_u64_le(),
-                }
-            }
-            MsgKind::DataChunk => {
-                if buf.remaining() < 24 {
-                    return Err(FrameError::Truncated);
-                }
-                let chunk_seq = buf.get_u64_le();
-                let base_seq = buf.get_u64_le();
-                let record_count = buf.get_u32_le();
-                let len = buf.get_u32_le() as usize;
-                if buf.remaining() < len {
-                    return Err(FrameError::Truncated);
-                }
-                let data = buf.copy_to_bytes(len);
-                Message::DataChunk(DataChunk {
-                    chunk_seq,
-                    base_seq,
-                    record_count,
-                    data,
-                })
-            }
-            MsgKind::Ack => {
-                if buf.remaining() < 8 {
-                    return Err(FrameError::Truncated);
-                }
-                Message::Ack {
-                    chunk_seq: buf.get_u64_le(),
-                }
-            }
-            MsgKind::EndLoad => Message::EndLoad(EndLoad {
-                dml: read_lstring(buf)?,
+            MsgKind::BeginLoad => Message::BeginLoad(BeginLoad {
+                target_table: r.string()?,
+                error_table_et: r.string()?,
+                error_table_uv: r.string()?,
+                layout: r.layout()?,
+                format: RecordFormat::decode(r)?,
+                sessions: r.u16()?,
+                error_limit: r.u64()?,
+                trace: r.trace()?,
             }),
-            MsgKind::LoadReport => {
-                if buf.remaining() < 88 {
-                    return Err(FrameError::Truncated);
-                }
-                Message::LoadReport(LoadReport {
-                    rows_received: buf.get_u64_le(),
-                    rows_applied: buf.get_u64_le(),
-                    errors_et: buf.get_u64_le(),
-                    errors_uv: buf.get_u64_le(),
-                    acquisition_micros: buf.get_u64_le(),
-                    application_micros: buf.get_u64_le(),
-                    other_micros: buf.get_u64_le(),
-                    retries: buf.get_u64_le(),
-                    faults_injected: buf.get_u64_le(),
-                    upload_retries: buf.get_u64_le(),
-                    cdw_retries: buf.get_u64_le(),
-                })
-            }
-            MsgKind::BeginExport => {
-                let select = read_lstring(buf)?;
-                let format = RecordFormat::decode(buf)?;
-                if buf.remaining() < 6 {
-                    return Err(FrameError::Truncated);
-                }
-                let sessions = buf.get_u16_le();
-                let chunk_rows = buf.get_u32_le();
-                Message::BeginExport(BeginExport {
-                    select,
-                    format,
-                    sessions,
-                    chunk_rows,
-                })
-            }
-            MsgKind::BeginExportOk => {
-                if buf.remaining() < 8 {
-                    return Err(FrameError::Truncated);
-                }
-                let export_token = buf.get_u64_le();
-                let layout = Layout::decode(buf)?;
-                Message::BeginExportOk(BeginExportOk {
-                    export_token,
-                    layout,
-                })
-            }
-            MsgKind::ExportChunkReq => {
-                if buf.remaining() < 8 {
-                    return Err(FrameError::Truncated);
-                }
-                Message::ExportChunkReq {
-                    index: buf.get_u64_le(),
-                }
-            }
-            MsgKind::ExportChunk => {
-                if buf.remaining() < 17 {
-                    return Err(FrameError::Truncated);
-                }
-                let index = buf.get_u64_le();
-                let record_count = buf.get_u32_le();
-                let last = buf.get_u8() != 0;
-                let len = buf.get_u32_le() as usize;
-                if buf.remaining() < len {
-                    return Err(FrameError::Truncated);
-                }
-                let data = buf.copy_to_bytes(len);
-                Message::ExportChunk(ExportChunk {
-                    index,
-                    record_count,
-                    last,
-                    data,
-                })
-            }
-            MsgKind::Error => {
-                if buf.remaining() < 3 {
-                    return Err(FrameError::Truncated);
-                }
-                let code = buf.get_u16_le();
-                let fatal = buf.get_u8() != 0;
-                let message = read_lstring(buf)?;
-                Message::Error(WireError {
-                    code,
-                    message,
-                    fatal,
-                })
-            }
+            MsgKind::BeginLoadOk => Message::BeginLoadOk {
+                load_token: r.u64()?,
+            },
+            MsgKind::DataChunk => Message::DataChunk(DataChunk {
+                chunk_seq: r.u64()?,
+                base_seq: r.u64()?,
+                record_count: r.u32()?,
+                data: r.lbytes()?,
+            }),
+            MsgKind::Ack => Message::Ack {
+                chunk_seq: r.u64()?,
+            },
+            MsgKind::EndLoad => Message::EndLoad(EndLoad { dml: r.lstring()? }),
+            MsgKind::LoadReport => Message::LoadReport(LoadReport {
+                rows_received: r.u64()?,
+                rows_applied: r.u64()?,
+                errors_et: r.u64()?,
+                errors_uv: r.u64()?,
+                acquisition_micros: r.u64()?,
+                application_micros: r.u64()?,
+                other_micros: r.u64()?,
+                retries: r.u64()?,
+                faults_injected: r.u64()?,
+                upload_retries: r.u64()?,
+                cdw_retries: r.u64()?,
+            }),
+            MsgKind::BeginExport => Message::BeginExport(BeginExport {
+                select: r.lstring()?,
+                format: RecordFormat::decode(r)?,
+                sessions: r.u16()?,
+                chunk_rows: r.u32()?,
+            }),
+            MsgKind::BeginExportOk => Message::BeginExportOk(BeginExportOk {
+                export_token: r.u64()?,
+                layout: r.layout()?,
+            }),
+            MsgKind::ExportChunkReq => Message::ExportChunkReq { index: r.u64()? },
+            MsgKind::ExportChunk => Message::ExportChunk(ExportChunk {
+                index: r.u64()?,
+                record_count: r.u32()?,
+                last: r.flag()?,
+                data: r.lbytes()?,
+            }),
+            MsgKind::Error => Message::Error(WireError {
+                code: r.u16()?,
+                fatal: r.flag()?,
+                message: r.lstring()?,
+            }),
             MsgKind::Logoff => Message::Logoff,
             MsgKind::LogoffOk => Message::LogoffOk,
             MsgKind::Keepalive => Message::Keepalive,
             MsgKind::Introspect => Message::Introspect {
-                topic: Topic::decode(buf)?,
-                format: Format::decode(buf)?,
+                topic: Topic::decode(r)?,
+                format: Format::decode(r)?,
             },
-            MsgKind::IntrospectReply => {
-                let topic = Topic::decode(buf)?;
-                let format = Format::decode(buf)?;
-                if buf.remaining() < 1 {
-                    return Err(FrameError::Truncated);
-                }
-                let found = buf.get_u8() != 0;
-                let body = read_lstring(buf)?;
-                Message::IntrospectReply(IntrospectReply {
-                    topic,
-                    format,
-                    found,
-                    body,
-                })
-            }
+            MsgKind::IntrospectReply => Message::IntrospectReply(IntrospectReply {
+                topic: Topic::decode(r)?,
+                format: Format::decode(r)?,
+                found: r.flag()?,
+                body: r.lstring()?,
+            }),
         })
     }
 }
@@ -798,53 +647,27 @@ fn encode_value(v: &Value, buf: &mut BytesMut) {
     }
 }
 
-fn decode_value(buf: &mut Bytes) -> Result<Value, FrameError> {
-    if buf.remaining() < 1 {
-        return Err(FrameError::Truncated);
-    }
-    macro_rules! need {
-        ($n:expr) => {
-            if buf.remaining() < $n {
-                return Err(FrameError::Truncated);
-            }
-        };
-    }
-    Ok(match buf.get_u8() {
+fn decode_value(r: &mut WireReader<impl Buf>) -> Result<Value, FrameError> {
+    Ok(match r.u8()? {
         0 => Value::Null,
-        1 => {
-            need!(8);
-            Value::Int(buf.get_i64_le())
-        }
-        2 => {
-            need!(8);
-            Value::Float(buf.get_f64_le())
-        }
+        1 => Value::Int(r.i64()?),
+        2 => Value::Float(r.f64()?),
         3 => {
-            need!(17);
-            let unscaled = buf.get_i128_le();
-            let scale = buf.get_u8();
+            let unscaled = r.i128()?;
+            let scale = r.u8()?;
+            if scale > MAX_PRECISION {
+                return Err(FrameError::Malformed(
+                    "decimal scale above the maximum precision",
+                ));
+            }
             Value::Decimal(Decimal::new(unscaled, scale))
         }
-        4 => Value::Str(read_lstring(buf)?),
-        5 => {
-            need!(4);
-            let len = buf.get_u32_le() as usize;
-            need!(len);
-            let mut bytes = vec![0u8; len];
-            buf.copy_to_slice(&mut bytes);
-            Value::Bytes(bytes)
-        }
-        6 => {
-            need!(4);
-            Value::Date(
-                Date::from_legacy_int(buf.get_i32_le())
-                    .map_err(|_| FrameError::Malformed("bad date value"))?,
-            )
-        }
-        7 => {
-            need!(8);
-            Value::Timestamp(Timestamp::from_micros(buf.get_i64_le()))
-        }
+        4 => Value::Str(r.lstring()?),
+        5 => Value::Bytes(r.lbytes()?.to_vec()),
+        6 => Value::Date(
+            Date::from_legacy_int(r.i32()?).map_err(|_| FrameError::Malformed("bad date value"))?,
+        ),
+        7 => Value::Timestamp(Timestamp::from_micros(r.i64()?)),
         _ => return Err(FrameError::Malformed("unknown value tag")),
     })
 }

@@ -24,9 +24,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{Buf, BufMut};
 
 use crate::frame::FrameError;
+use crate::wire::WireReader;
 
 /// First byte of an encoded trace trailer. Deliberately not a printable
 /// ASCII character so truncated text payloads cannot alias into one.
@@ -80,20 +81,20 @@ impl TraceContext {
     /// fields. Empty remainder or a non-marker first byte ⇒ `Ok(None)`
     /// (legacy peer / unknown extension); a marker followed by a short or
     /// unversioned trailer ⇒ corruption.
-    pub fn decode_opt(buf: &mut Bytes) -> Result<Option<TraceContext>, FrameError> {
-        if !buf.has_remaining() || buf.chunk()[0] != TRACE_MARKER {
+    pub fn decode_opt(buf: &mut impl Buf) -> Result<Option<TraceContext>, FrameError> {
+        let r = &mut WireReader::new(buf);
+        if r.peek_u8() != Some(TRACE_MARKER) {
             return Ok(None);
         }
-        if buf.remaining() < TRACE_TRAILER_LEN {
-            return Err(FrameError::Malformed("truncated trace context"));
-        }
-        buf.advance(1);
-        let version = buf.get_u8();
-        if version != TRACE_VERSION {
+        let trailer = r
+            .bytes(TRACE_TRAILER_LEN)
+            .map_err(|_| FrameError::Malformed("truncated trace context"))?;
+        let t = &mut WireReader::new(trailer);
+        t.u8()?; // the marker
+        if t.u8()? != TRACE_VERSION {
             return Err(FrameError::Malformed("unknown trace context version"));
         }
-        let trace_id = buf.get_u64_le();
-        let parent_span = buf.get_u64_le();
+        let (trace_id, parent_span) = (t.u64()?, t.u64()?);
         if trace_id == 0 {
             return Err(FrameError::Malformed("zero trace id"));
         }
@@ -122,7 +123,7 @@ pub fn mint_trace_id() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
+    use bytes::{Bytes, BytesMut};
 
     #[test]
     fn roundtrip_present() {

@@ -18,11 +18,10 @@ pub trait Transport: Send {
     /// Send one frame.
     fn send(&mut self, frame: &Frame) -> io::Result<()>;
 
-    /// Receive the next frame. Returns `Ok(None)` on clean end-of-stream.
-    fn recv(&mut self) -> io::Result<Option<Frame>>;
-
-    /// Receive with a timeout; `Ok(None)` means timeout or end-of-stream.
-    fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<Frame>>;
+    /// Receive the next frame, waiting at most `timeout` for each read
+    /// (`None` blocks). `Ok(None)` means only that the peer closed the
+    /// connection; a timeout is an [`io::ErrorKind::TimedOut`] error.
+    fn recv(&mut self, timeout: Option<Duration>) -> io::Result<Option<Frame>>;
 
     /// Write raw bytes to the peer without framing — they land in the
     /// peer's [`FrameDecoder`] as-is. Only fault injection uses this (to
@@ -45,6 +44,9 @@ pub struct TcpTransport {
     stream: TcpStream,
     decoder: FrameDecoder,
     read_buf: Vec<u8>,
+    /// The socket's current read timeout, so `recv` sets it only when a
+    /// caller asks for a different one.
+    read_timeout: Option<Duration>,
 }
 
 impl TcpTransport {
@@ -56,20 +58,13 @@ impl TcpTransport {
             stream,
             decoder: FrameDecoder::new(),
             read_buf: vec![0u8; 64 * 1024],
+            read_timeout: None,
         })
     }
 
     /// Connect to `addr`.
     pub fn connect(addr: &str) -> io::Result<TcpTransport> {
         TcpTransport::new(TcpStream::connect(addr)?)
-    }
-
-    fn fill(&mut self) -> io::Result<usize> {
-        let n = self.stream.read(&mut self.read_buf)?;
-        if n > 0 {
-            self.decoder.feed(&self.read_buf[..n]);
-        }
-        Ok(n)
     }
 }
 
@@ -83,40 +78,24 @@ impl Transport for TcpTransport {
         self.stream.write_all(bytes)
     }
 
-    fn recv(&mut self) -> io::Result<Option<Frame>> {
+    fn recv(&mut self, timeout: Option<Duration>) -> io::Result<Option<Frame>> {
+        if timeout != self.read_timeout {
+            self.stream.set_read_timeout(timeout)?;
+            self.read_timeout = timeout;
+        }
         loop {
             if let Some(frame) = self.decoder.next_frame().map_err(frame_err)? {
                 return Ok(Some(frame));
             }
-            if self.fill()? == 0 {
-                return Ok(None);
-            }
-        }
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<Frame>> {
-        if let Some(frame) = self.decoder.next_frame().map_err(frame_err)? {
-            return Ok(Some(frame));
-        }
-        self.stream.set_read_timeout(Some(timeout))?;
-        let result = (|| loop {
-            if let Some(frame) = self.decoder.next_frame().map_err(frame_err)? {
-                return Ok(Some(frame));
-            }
-            match self.fill() {
+            match self.stream.read(&mut self.read_buf) {
                 Ok(0) => return Ok(None),
-                Ok(_) => continue,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(None)
+                Ok(n) => self.decoder.feed(&self.read_buf[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    return Err(io::ErrorKind::TimedOut.into())
                 }
                 Err(e) => return Err(e),
             }
-        })();
-        self.stream.set_read_timeout(None)?;
-        result
+        }
     }
 }
 
@@ -192,16 +171,9 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         }
     }
 
-    fn recv(&mut self) -> io::Result<Option<Frame>> {
+    fn recv(&mut self, timeout: Option<Duration>) -> io::Result<Option<Frame>> {
         match self.inner.as_mut() {
-            Some(inner) => inner.recv(),
-            None => Err(Self::severed()),
-        }
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<Frame>> {
-        match self.inner.as_mut() {
-            Some(inner) => inner.recv_timeout(timeout),
+            Some(inner) => inner.recv(timeout),
             None => Err(Self::severed()),
         }
     }
@@ -229,15 +201,24 @@ mod tests {
         (client, TcpTransport::new(stream).unwrap())
     }
 
-    /// `recv_timeout` backs the client's `read_timeout`: a silent peer
-    /// times out, and the socket still reads normally afterwards.
+    /// A timed `recv` backs the client's `read_timeout`: a silent peer
+    /// times out with `TimedOut`, the socket still reads normally
+    /// afterwards, and only a closed connection reads `Ok(None)`.
     #[test]
     fn tcp_recv_timeout() {
         let (mut a, mut b) = tcp_pair();
-        assert!(a.recv_timeout(Duration::from_millis(10)).unwrap().is_none());
+        let err = a.recv(Some(Duration::from_millis(10))).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
         let f = Frame::new(MsgKind::Keepalive, 1, 1, Vec::new());
         b.send(&f).unwrap();
-        assert_eq!(a.recv_timeout(Duration::from_secs(5)).unwrap(), Some(f));
+        assert_eq!(
+            a.recv(Some(Duration::from_secs(5))).unwrap(),
+            Some(f.clone())
+        );
+        b.send(&f).unwrap();
+        assert_eq!(a.recv(None).unwrap(), Some(f));
+        drop(b);
+        assert_eq!(a.recv(Some(Duration::from_secs(5))).unwrap(), None);
     }
 
     #[test]
@@ -257,11 +238,11 @@ mod tests {
         chaos.send(&f).unwrap(); // silently dropped
         chaos.send(&f).unwrap(); // torn prefix delivered, then cut
         assert!(chaos.send(&f).is_err(), "severed after truncate");
-        assert!(chaos.recv().is_err());
+        assert!(chaos.recv(None).is_err());
 
         // Peer: one whole frame, then EOF with the torn prefix pending.
-        assert_eq!(server.recv().unwrap().unwrap(), f);
-        assert!(server.recv().unwrap().is_none());
+        assert_eq!(server.recv(None).unwrap().unwrap(), f);
+        assert!(server.recv(None).unwrap().is_none());
     }
 
     #[test]
@@ -272,7 +253,7 @@ mod tests {
         let mut chaos = ChaosTransport::new(client, hook);
         let f = Frame::new(MsgKind::Keepalive, 0, 0, Vec::new());
         assert!(chaos.send(&f).is_err());
-        assert!(server.recv().unwrap().is_none(), "peer sees EOF");
+        assert!(server.recv(None).unwrap().is_none(), "peer sees EOF");
     }
 
     #[test]
@@ -282,7 +263,7 @@ mod tests {
         let server = thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let mut t = TcpTransport::new(stream).unwrap();
-            while let Some(frame) = t.recv().unwrap() {
+            while let Some(frame) = t.recv(None).unwrap() {
                 // Echo with bumped seq.
                 let reply = Frame::new(frame.kind, frame.session, frame.seq + 1, frame.payload);
                 t.send(&reply).unwrap();
@@ -292,7 +273,7 @@ mod tests {
         let mut client = TcpTransport::connect(&addr.to_string()).unwrap();
         let f = Frame::new(MsgKind::Sql, 5, 10, b"SELECT 1".to_vec());
         client.send(&f).unwrap();
-        let reply = client.recv().unwrap().unwrap();
+        let reply = client.recv(None).unwrap().unwrap();
         assert_eq!(reply.seq, 11);
         assert_eq!(&reply.payload[..], b"SELECT 1");
         drop(client);

@@ -98,7 +98,7 @@ fn blocking_reference(data: &[u8], count: usize) -> Vec<Frame> {
     let mut transport = TcpTransport::new(stream).unwrap();
     let mut out = Vec::new();
     for _ in 0..count {
-        out.push(transport.recv().unwrap().expect("peer closed early"));
+        out.push(transport.recv(None).unwrap().expect("peer closed early"));
     }
     writer.join().unwrap();
     out

@@ -787,6 +787,15 @@ insert into T values (:A, :B);
         assert!(err.message.contains("bad field type"));
     }
 
+    /// `.field` types go through the SQL type parser's one `DECIMAL`
+    /// rule; `decimal(300,2)` used to become `DECIMAL(44,2)`.
+    #[test]
+    fn out_of_range_decimal_field_rejected() {
+        let err = parse_script(".field A decimal(300,2);").unwrap_err();
+        assert!(err.message.contains("bad field type"), "{err}");
+        assert!(parse_script(".field A decimal(10,11);").is_err());
+    }
+
     #[test]
     fn semicolons_inside_quotes_ignored() {
         let src = ".dml label X;\ninsert into T values (';');\n.end load";

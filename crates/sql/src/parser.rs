@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use etlv_protocol::data::{Date, Decimal};
+use etlv_protocol::data::{Date, Decimal, LegacyType, MAX_PRECISION};
 
 use crate::ast::*;
 use crate::dialect::Dialect;
@@ -320,14 +320,21 @@ impl Parser {
             }
             "DECIMAL" | "NUMERIC" => {
                 self.expect_punct(Punct::LParen)?;
-                let p = self.parse_u64()? as u8;
+                let p = self.parse_u64()?;
                 let s = if self.eat_punct(Punct::Comma) {
-                    self.parse_u64()? as u8
+                    self.parse_u64()?
                 } else {
                     0
                 };
                 self.expect_punct(Punct::RParen)?;
-                SqlType::Decimal(p, s)
+                match LegacyType::decimal(p, s) {
+                    Some(ty) => SqlType::from_legacy(ty),
+                    None => {
+                        return Err(self.err(format!(
+                            "DECIMAL({p},{s}) needs 1 <= precision <= {MAX_PRECISION} and scale <= precision"
+                        )))
+                    }
+                }
             }
             "CHAR" | "CHARACTER" => {
                 let n = self.parse_len()?;
@@ -1055,6 +1062,28 @@ mod tests {
                 assert_eq!(format.as_deref(), Some("YYYY-MM-DD"));
             }
             other => panic!("expected cast, got {other:?}"),
+        }
+    }
+
+    /// One `DECIMAL(p, s)` rule: `1 <= p <= 38` and `s <= p`. The parser
+    /// used to truncate with `as u8`: DECIMAL(300,2) became precision 44,
+    /// and any scale passed.
+    #[test]
+    fn decimal_types_obey_one_rule() {
+        let ty = |text: &str| Parser::new(text, Dialect::Legacy).unwrap().parse_type();
+        assert_eq!(ty("DECIMAL(38,38)").unwrap(), SqlType::Decimal(38, 38));
+        assert_eq!(ty("NUMERIC(10)").unwrap(), SqlType::Decimal(10, 0));
+        for bad in [
+            "DECIMAL(300,2)",
+            "DECIMAL(38,150)",
+            "DECIMAL(0)",
+            "DECIMAL(39,0)",
+            "DECIMAL(5,6)",
+        ] {
+            assert!(ty(bad).is_err(), "{bad}");
+        }
+        for dialect in [Dialect::Legacy, Dialect::Cdw] {
+            assert!(parse_statement("select cast(1.5 as decimal(38,150))", dialect).is_err());
         }
     }
 

@@ -31,11 +31,11 @@
 //!    [`Connect`](etlv_legacy_client::Connect)or (TCP in the tests):
 //!    one dispatcher per tenant issues that tenant's jobs at their
 //!    scheduled offsets through the real client with `busy_retry`, and
-//!    records per-job latency, admission retries, rejections, server
-//!    retries, and error-table attribution.
-//! 4. [`ReplayReport::slo`] folds the outcomes into an [`SloSummary`] —
-//!    p50/p95/p99 job latency, admission-rejection rate, retry and error
-//!    totals.
+//!    records each job's status, rows, server retries and error-table
+//!    attribution.
+//! 4. [`ReplayReport::counts`] folds the outcomes into [`OutcomeCounts`]:
+//!    job statuses, rows applied and exported, ET/UV totals — the
+//!    projection that must be equal across replays of one trace.
 //!
 //! Determinism model (DESIGN.md §11): every random draw comes from
 //! [`SeededRng`](etlv_protocol::rng::SeededRng) streams derived from the
@@ -50,10 +50,8 @@ pub mod dist;
 pub mod gen;
 pub mod replay;
 pub mod scenario;
-pub mod slo;
 
 pub use data::{table_name, tenant_user, ImportPayload};
 pub use gen::{synthesize, ImportSpec, JobKind, TraceEvent, WorkloadTrace};
 pub use replay::{replay, JobStatus, OutcomeCounts, ReplayOptions, ReplayReport};
 pub use scenario::{ArrivalKind, Scenario};
-pub use slo::SloSummary;

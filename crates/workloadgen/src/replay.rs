@@ -6,7 +6,7 @@
 //! that is the multi-session pressure the harness exists to apply — but
 //! a single tenant never overlaps its own jobs, so each tenant's table
 //! state (and therefore every export row count and error attribution) is
-//! a pure function of the trace. Wall-clock latencies are real and vary
+//! a pure function of the trace. Wall-clock timing is real and varies
 //! run to run; [`OutcomeCounts`] isolates the fields that must not.
 
 use std::collections::BTreeSet;
@@ -22,7 +22,6 @@ use etlv_script::{compile, parse_script, JobPlan};
 
 use crate::data::{export_script, target_ddl, tenant_user};
 use crate::gen::{JobKind, TraceEvent, WorkloadTrace};
-use crate::slo::{percentile, SloSummary};
 
 /// Replay tuning.
 #[derive(Debug, Clone)]
@@ -84,10 +83,6 @@ pub struct JobOutcome {
     pub kind: &'static str,
     /// Terminal state.
     pub status: JobStatus,
-    /// Scheduled arrival → completion (includes queueing), µs.
-    pub latency_us: u64,
-    /// Dispatch → completion (service time alone), µs.
-    pub service_us: u64,
     /// Rows applied (import) or exported (export).
     pub rows: u64,
     /// Rows this job put in its ET table.
@@ -96,15 +91,12 @@ pub struct JobOutcome {
     pub errors_uv: u64,
     /// Server-side cloud-call retries attributed to this job.
     pub server_retries: u64,
-    /// `SERVER_BUSY` rejections absorbed by the client's backoff.
-    pub admission_retries: u64,
     /// Failure detail when `status == Failed`.
     pub error: Option<String>,
 }
 
 /// The deterministic projection of a replay: equal across runs of the
-/// same trace (latencies and admission retries are timing-dependent and
-/// deliberately excluded).
+/// same trace (server retries depend on timing and are excluded).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OutcomeCounts {
     /// Total jobs.
@@ -130,8 +122,6 @@ pub struct OutcomeCounts {
 pub struct ReplayReport {
     /// Per-job outcomes, in trace order.
     pub outcomes: Vec<JobOutcome>,
-    /// Total wall time (prepare excluded).
-    pub wall: Duration,
 }
 
 impl ReplayReport {
@@ -158,47 +148,6 @@ impl ReplayReport {
             }
         }
         c
-    }
-
-    /// Fold to the SLO rollup, labelled `scenario`.
-    pub fn slo(&self, scenario: &str) -> SloSummary {
-        let c = self.counts();
-        let mut latencies: Vec<u64> = self
-            .outcomes
-            .iter()
-            .filter(|o| o.status == JobStatus::Completed)
-            .map(|o| o.latency_us)
-            .collect();
-        latencies.sort_unstable();
-        let mean_us = if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
-        };
-        SloSummary {
-            scenario: scenario.to_string(),
-            jobs: c.jobs,
-            completed: c.completed,
-            rejected: c.rejected,
-            failed: c.failed,
-            p50_ms: percentile(&latencies, 50.0) as f64 / 1000.0,
-            p95_ms: percentile(&latencies, 95.0) as f64 / 1000.0,
-            p99_ms: percentile(&latencies, 99.0) as f64 / 1000.0,
-            max_ms: latencies.last().copied().unwrap_or(0) as f64 / 1000.0,
-            mean_ms: mean_us / 1000.0,
-            admission_rejection_rate: if c.jobs == 0 {
-                0.0
-            } else {
-                c.rejected as f64 / c.jobs as f64
-            },
-            admission_retries: self.outcomes.iter().map(|o| o.admission_retries).sum(),
-            server_retries: self.outcomes.iter().map(|o| o.server_retries).sum(),
-            errors_et: c.errors_et,
-            errors_uv: c.errors_uv,
-            rows_applied: c.rows_applied,
-            rows_exported: c.rows_exported,
-            wall_ms: self.wall.as_secs_f64() * 1000.0,
-        }
     }
 }
 
@@ -230,8 +179,8 @@ fn run_event(
     connector: &Arc<dyn Connect>,
     event: &TraceEvent,
     options: &ClientOptions,
-) -> Result<(u64, u64, u64, u64, u64), ClientError> {
-    // Returns (rows, errors_et, errors_uv, server_retries, admission_retries).
+) -> Result<(u64, u64, u64, u64), ClientError> {
+    // Returns (rows, errors_et, errors_uv, server_retries).
     match &event.kind {
         JobKind::Import(spec) => {
             let result = run_import(connector, &spec.job(), &spec.payload().data, options)?;
@@ -240,7 +189,6 @@ fn run_event(
                 result.report.errors_et,
                 result.report.errors_uv,
                 result.report.retries,
-                result.admission_retries,
             ))
         }
         JobKind::Export { table } => {
@@ -252,7 +200,7 @@ fn run_event(
                 _ => unreachable!("export script compiles to an export job"),
             };
             let result = run_export(connector, &job, options)?;
-            Ok((result.rows, 0, 0, 0, result.admission_retries))
+            Ok((result.rows, 0, 0, 0))
         }
         JobKind::Sql { table } => {
             let user = tenant_user(event.tenant);
@@ -260,7 +208,7 @@ fn run_event(
                 Session::logon(connector.as_ref(), &user, "secret", SessionRole::Control, 0)?;
             let result = session.sql(&format!("SEL COUNT(*) FROM {table}"))?;
             session.logoff();
-            Ok((result.activity_count, 0, 0, 0, 0))
+            Ok((result.activity_count, 0, 0, 0))
         }
     }
 }
@@ -340,27 +288,22 @@ pub fn replay(
                 if due > now {
                     std::thread::sleep(due - now);
                 }
-                let dispatched = Instant::now();
-                let result = run_event(&connector, &event, &client_options);
-                let finished = Instant::now();
-                let (status, numbers, error) = match result {
+                let (status, numbers, error) = match run_event(&connector, &event, &client_options)
+                {
                     Ok(numbers) => (JobStatus::Completed, numbers, None),
-                    Err(e) if e.is_busy() => (JobStatus::Rejected, (0, 0, 0, 0, 0), None),
-                    Err(e) => (JobStatus::Failed, (0, 0, 0, 0, 0), Some(e.to_string())),
+                    Err(e) if e.is_busy() => (JobStatus::Rejected, (0, 0, 0, 0), None),
+                    Err(e) => (JobStatus::Failed, (0, 0, 0, 0), Some(e.to_string())),
                 };
-                let (rows, errors_et, errors_uv, server_retries, admission_retries) = numbers;
+                let (rows, errors_et, errors_uv, server_retries) = numbers;
                 outcomes.push(JobOutcome {
                     seq: event.seq,
                     tenant: event.tenant,
                     kind: event.kind.tag(),
                     status,
-                    latency_us: finished.saturating_duration_since(due).as_micros() as u64,
-                    service_us: finished.saturating_duration_since(dispatched).as_micros() as u64,
                     rows,
                     errors_et,
                     errors_uv,
                     server_retries,
-                    admission_retries,
                     error,
                 });
             }
@@ -376,7 +319,6 @@ pub fn replay(
             Err(_) => dispatcher_panicked = true,
         }
     }
-    let wall = t0.elapsed();
     stop_holders.store(true, Ordering::Relaxed);
     if let Some(holder) = holder {
         let _ = holder.join();
@@ -385,5 +327,5 @@ pub fn replay(
         return Err(ClientError::Protocol("replay dispatcher panicked".into()));
     }
     outcomes.sort_by_key(|o| o.seq);
-    Ok(ReplayReport { outcomes, wall })
+    Ok(ReplayReport { outcomes })
 }

@@ -59,7 +59,7 @@ impl std::error::Error for ScenarioParseError {}
 /// form; field order here matches line order there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
-    /// Scenario name (labels the replay's [`SloSummary`](crate::SloSummary)).
+    /// Scenario name.
     pub name: String,
     /// Master seed — the only source of randomness anywhere downstream.
     pub seed: u64,

@@ -341,6 +341,12 @@ impl Buf for Bytes {
         assert!(cnt <= self.len(), "advance past end");
         self.start += cnt;
     }
+    /// A slice sharing this buffer's storage: no copy.
+    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
+        let out = self.slice(..len);
+        self.advance(len);
+        out
+    }
 }
 
 impl Buf for BytesMut {
@@ -365,6 +371,9 @@ impl<T: Buf + ?Sized> Buf for &mut T {
     }
     fn advance(&mut self, cnt: usize) {
         (**self).advance(cnt)
+    }
+    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
+        (**self).copy_to_bytes(len)
     }
 }
 
@@ -512,5 +521,19 @@ mod tests {
         let front = b.copy_to_bytes(3);
         assert_eq!(&front[..], &[1, 2, 3]);
         assert_eq!(b.remaining(), 1);
+    }
+
+    #[test]
+    fn bytes_copy_to_bytes_shares_storage() {
+        let whole = Bytes::from(vec![1, 2, 3, 4]);
+        let mut b = whole.clone();
+        b.advance(1);
+        // Through `&mut Bytes`, as a generic reader holds it.
+        fn take(mut buf: impl Buf, len: usize) -> Bytes {
+            buf.copy_to_bytes(len)
+        }
+        let mid = take(&mut b, 2);
+        assert_eq!(mid.as_ptr(), whole[1..].as_ptr());
+        assert_eq!(&b[..], &[4]);
     }
 }

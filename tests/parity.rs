@@ -513,3 +513,41 @@ insert into PROD.STAMPS values (:ID, :T);
     assert_eq!(rows(server.engine(), et), vec![vec![Value::Int(2)]]);
     assert_eq!(rows(v.cdw(), et), rows(server.engine(), et));
 }
+
+/// One `DECIMAL(p, s)` rule on both servers: a cast to a precision above
+/// 38 or a scale above the precision is a SQL error with the same code.
+/// The gateway used to answer `DECIMAL(38,150)` with an unscaled 0 at
+/// scale 150, a value no renderer can print.
+#[test]
+fn out_of_range_decimal_cast_is_a_sql_error_on_both_servers() {
+    use etlv_legacy_client::ClientError;
+    use etlv_protocol::data::{Decimal, Value};
+
+    let run = |connector: Arc<dyn Connect>| {
+        let mut session = etlv_legacy_client::Session::logon(
+            connector.as_ref(),
+            "admin",
+            "pw",
+            etlv_protocol::message::SessionRole::Control,
+            0,
+        )
+        .unwrap();
+        let ok = session.sql("select cast(1.5 as decimal(38,2))").unwrap();
+        assert_eq!(ok.rows, vec![vec![Value::Decimal(Decimal::new(150, 2))]]);
+        let codes: Vec<u16> = ["decimal(38,150)", "decimal(300,2)", "decimal(5,6)"]
+            .iter()
+            .map(
+                |ty| match session.sql(&format!("select cast(1.5 as {ty})")) {
+                    Err(ClientError::Server { code, .. }) => code,
+                    other => panic!("{ty}: expected a SQL error, got {other:?}"),
+                },
+            )
+            .collect();
+        session.logoff();
+        codes
+    };
+    let server = LegacyServer::new();
+    let legacy = run(server_connector(&server));
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    assert_eq!(run(tcp_connector(&v)), legacy);
+}

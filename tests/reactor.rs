@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use etlv_core::{Virtualizer, VirtualizerConfig};
 use etlv_legacy_client::{Session, TcpConnector};
 use etlv_protocol::errcode::ErrCode;
-use etlv_protocol::frame::FrameDecoder;
+use etlv_protocol::frame::{Frame, FrameDecoder, MsgKind};
 use etlv_protocol::message::{BeginExport, BeginLoad, Logon, Message, RecordFormat, SessionRole};
 
 mod common;
@@ -412,6 +412,47 @@ fn request_before_logon_is_refused_and_leaves_no_job() {
     }
     assert_eq!(v.credits().available(), v.credits().capacity());
     assert_eq!(v.memory().in_flight(), 0);
+}
+
+/// A hostile payload is a protocol error, not a crash. This 34-byte
+/// `SqlResult` announces zero columns and `u32::MAX` rows; it once sized
+/// a 103 GB row vector inside `Message::from_frame` and aborted the whole
+/// node. Now the count is refused: a fatal `PROTOCOL` error, the
+/// connection closes, and the node serves the next client.
+#[test]
+fn hostile_row_count_before_logon_is_a_protocol_error() {
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    let server = v.listen_tcp("127.0.0.1:0").expect("bind");
+
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&0u64.to_le_bytes()); // activity count
+    payload.extend_from_slice(&0u16.to_le_bytes()); // columns
+    payload.extend_from_slice(&u32::MAX.to_le_bytes()); // rows
+    let frame = Frame::new(MsgKind::SqlResult, 0, 0, payload).to_bytes();
+    assert_eq!(frame.len(), 34);
+
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.write_all(&frame).unwrap();
+    match &read_messages(&mut stream, 1)[0] {
+        Message::Error(e) => {
+            assert_eq!(e.code, ErrCode::PROTOCOL.0);
+            assert!(e.fatal, "the connection ends with the refusal");
+        }
+        other => panic!("expected a fatal PROTOCOL error, got {other:?}"),
+    }
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    assert!(
+        matches!(stream.read(&mut [0u8; 64]), Ok(0)),
+        "the server closes the connection"
+    );
+
+    let connector = TcpConnector::new(server.addr().to_string());
+    let mut session = Session::logon(&connector, "next", "p", SessionRole::Control, 0).unwrap();
+    assert_eq!(session.sql("select 1").unwrap().rows.len(), 1);
+    session.logoff();
+    server.shutdown();
 }
 
 /// A second Logon on a logged-on connection would register a second
