@@ -73,10 +73,6 @@ pub struct VirtualizerConfig {
     /// Capacity of the in-memory span/event journal (ring buffer). Must
     /// be ≥ 1.
     pub journal_capacity: usize,
-    /// Optional JSONL sink: every journal event is appended to this file
-    /// as one JSON object per line. `None` (the default) keeps the
-    /// journal in-memory only.
-    pub journal_jsonl: Option<std::path::PathBuf>,
     /// Maximum concurrently connected sessions per node. A logon beyond
     /// this limit is refused with retryable `SERVER_BUSY`. Must be ≥ 1.
     pub max_sessions: usize,
@@ -118,7 +114,6 @@ impl Default for VirtualizerConfig {
             retry_max_delay: Duration::from_millis(200),
             fault_plan: None,
             journal_capacity: 4096,
-            journal_jsonl: None,
             max_sessions: 256,
             max_concurrent_jobs: 64,
             session_idle_timeout: Duration::ZERO,

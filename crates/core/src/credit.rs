@@ -8,13 +8,15 @@
 //! acquiring session blocks — which, because the ack for the *previous*
 //! chunk has already been sent, stalls exactly one chunk of client
 //! progress per session: lightweight, self-clocking back-pressure.
+//! The pool writes `credit.in_flight` as its count moves; a [`Credit`]
+//! charged to a tenant holds the tenant's `credit_held` until it drops.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::obs::{Counter, CreditObs, Gauge, Histogram};
+use crate::obs::{Counter, CreditObs, Gauge, Histogram, TenantObs};
 
 struct Pool {
     available: Mutex<usize>,
@@ -24,6 +26,20 @@ struct Pool {
     /// latency histogram `stalls()`/`stall_time()`/`total_acquired()`
     /// read back.
     obs: CreditObs,
+}
+
+impl Pool {
+    /// Hand out one credit; the caller holds the lock and has seen one
+    /// available.
+    fn take(self: &Arc<Self>, available: &mut usize) -> Credit {
+        *available -= 1;
+        self.obs.in_flight.set((self.capacity - *available) as u64);
+        self.obs.acquires.inc();
+        Credit {
+            pool: Arc::clone(self),
+            holder: None,
+        }
+    }
 }
 
 /// A shared credit pool.
@@ -38,6 +54,9 @@ pub struct CreditManager {
 #[must_use = "dropping the Credit immediately returns it to the pool"]
 pub struct Credit {
     pool: Arc<Pool>,
+    /// The holder's gauge (a tenant's `credit_held`) this credit is also
+    /// charged to.
+    holder: Option<Gauge>,
 }
 
 impl CreditManager {
@@ -80,11 +99,7 @@ impl CreditManager {
             }
             self.pool.obs.stall_us.record_duration(start.elapsed());
         }
-        *available -= 1;
-        self.pool.obs.acquires.inc();
-        Credit {
-            pool: Arc::clone(&self.pool),
-        }
+        self.pool.take(&mut available)
     }
 
     /// Acquire with a timeout; `None` if the pool stayed empty.
@@ -92,25 +107,12 @@ impl CreditManager {
         let deadline = Instant::now() + timeout;
         let mut available = self.pool.available.lock();
         while *available == 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            if self
-                .pool
-                .returned
-                .wait_until(&mut available, deadline)
-                .timed_out()
-                && *available == 0
-            {
+            let waited = self.pool.returned.wait_until(&mut available, deadline);
+            if waited.timed_out() && *available == 0 {
                 return None;
             }
         }
-        *available -= 1;
-        self.pool.obs.acquires.inc();
-        Some(Credit {
-            pool: Arc::clone(&self.pool),
-        })
+        Some(self.pool.take(&mut available))
     }
 
     /// Pool capacity.
@@ -144,11 +146,26 @@ impl CreditManager {
     }
 }
 
+impl Credit {
+    /// Charge this credit to `tenant`'s `credit_held` until it drops.
+    pub(crate) fn charge(mut self, tenant: &TenantObs) -> Credit {
+        debug_assert!(self.holder.is_none(), "credit charged twice");
+        tenant.credit_held.add(1);
+        self.holder = Some(tenant.credit_held.clone());
+        self
+    }
+}
+
 impl Drop for Credit {
     fn drop(&mut self) {
+        if let Some(holder) = &self.holder {
+            holder.sub(1);
+        }
         let mut available = self.pool.available.lock();
         *available += 1;
         debug_assert!(*available <= self.pool.capacity, "credit over-return");
+        let in_flight = (self.pool.capacity - *available) as u64;
+        self.pool.obs.in_flight.set(in_flight);
         drop(available);
         self.pool.returned.notify_one();
     }
@@ -249,7 +266,12 @@ mod tests {
     fn obs_handles_record_acquires_and_stalls() {
         let obs = crate::obs::Obs::default();
         let mgr = CreditManager::with_obs(1, obs.credit.clone());
-        let held = mgr.acquire();
+        let tenant = obs.tenant("t");
+        let held = mgr.acquire().charge(&tenant);
+        assert_eq!(
+            (obs.credit.in_flight.value(), tenant.credit_held.value()),
+            (1, 1)
+        );
         let mgr2 = mgr.clone();
         let t = thread::spawn(move || {
             let _c = mgr2.acquire();
@@ -265,6 +287,10 @@ mod tests {
         // The manager's own atomics agree with the obs handles.
         assert_eq!(mgr.stalls(), 1);
         assert_eq!(mgr.total_acquired(), 2);
+        assert_eq!(
+            (obs.credit.in_flight.value(), tenant.credit_held.value()),
+            (0, 0)
+        );
     }
 
     #[test]

@@ -14,13 +14,15 @@
 //! all of them from the single plan, keeping seeding and accounting in
 //! one place.
 //!
-//! The consumer side lives here too: [`RetryPolicy`] and [`Backoff`]
-//! implement capped exponential backoff with deterministic jitter, and
-//! [`retry_with`] is the loop the uploader and the application phase run
-//! their statements through.
+//! The consumer side is [`RetryPolicy::retry`], the one retry loop
+//! (capped exponential backoff with deterministic jitter, shared with
+//! the legacy client): the uploader runs its puts through it, and every
+//! CDW statement runs through [`retry_cdw`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use crate::obs::{Counter, FaultObs};
 
 use etlv_cdw::error::CdwError;
 use etlv_cdw::TransientFaultHook;
@@ -54,13 +56,6 @@ pub enum FaultSpec {
         /// Cap on total faults at this point (0 = unlimited).
         limit: u32,
     },
-}
-
-impl FaultSpec {
-    /// Whether this spec can ever fire.
-    pub fn is_active(&self) -> bool {
-        !matches!(self, FaultSpec::Never)
-    }
 }
 
 /// How injected store-put faults present.
@@ -184,20 +179,38 @@ impl FaultCounts {
 }
 
 /// Applies a [`FaultPlan`]: counts operations per injection point and
-/// decides, deterministically, which ones fault.
+/// decides, deterministically, which ones fault. Each fault it fires is
+/// added to that point's `fault.injected_*` counter, the one place the
+/// count lives.
 pub struct FaultInjector {
     plan: FaultPlan,
     ops: [AtomicU64; POINT_COUNT],
-    injected: [AtomicU64; POINT_COUNT],
+    injected: [Counter; POINT_COUNT],
 }
 
 impl FaultInjector {
-    /// New injector for `plan`.
+    /// New injector for `plan`, counting into counters no registry
+    /// exposes.
     pub fn new(plan: FaultPlan) -> FaultInjector {
         FaultInjector {
             plan,
             ops: Default::default(),
-            injected: Default::default(),
+            injected: std::array::from_fn(|_| Counter::new()),
+        }
+    }
+
+    /// New injector for `plan`, counting into pre-registered counters.
+    pub fn with_obs(plan: FaultPlan, obs: FaultObs) -> FaultInjector {
+        FaultInjector {
+            plan,
+            ops: Default::default(),
+            injected: [
+                obs.injected_store_put,
+                obs.injected_store_get,
+                obs.injected_cdw_exec,
+                obs.injected_convert,
+                obs.injected_transport,
+            ],
         }
     }
 
@@ -219,9 +232,6 @@ impl FaultInjector {
     /// Count one operation at `point` and decide whether it faults.
     pub fn decide(&self, point: InjectionPoint) -> bool {
         let spec = self.spec(point);
-        if !spec.is_active() {
-            return false;
-        }
         let p = point.index();
         let index = self.ops[p].fetch_add(1, Ordering::Relaxed);
         let hit = match spec {
@@ -229,20 +239,20 @@ impl FaultInjector {
             FaultSpec::FirstN(n) => index < *n as u64,
             FaultSpec::AtOps(indices) => indices.contains(&index),
             FaultSpec::Random { rate_ppm, limit } => {
-                (*limit == 0 || self.injected[p].load(Ordering::Relaxed) < *limit as u64)
+                (*limit == 0 || self.injected[p].value() < *limit as u64)
                     && splitmix64(self.plan.seed ^ point.salt() ^ index) % 1_000_000
                         < *rate_ppm as u64
             }
         };
         if hit {
-            self.injected[p].fetch_add(1, Ordering::Relaxed);
+            self.injected[p].inc();
         }
         hit
     }
 
     /// Snapshot of faults injected so far.
     pub fn counts(&self) -> FaultCounts {
-        let n = |point: InjectionPoint| self.injected[point.index()].load(Ordering::Relaxed);
+        let n = |point: InjectionPoint| self.injected[point.index()].value();
         FaultCounts {
             store_put: n(InjectionPoint::StorePut),
             store_get: n(InjectionPoint::StoreGet),
@@ -305,56 +315,24 @@ impl FaultInjector {
             }
         })
     }
-
-    /// Whether the converter worker handling the current chunk should
-    /// fail (the pipeline consults this once per chunk).
-    pub fn convert_should_fail(&self) -> bool {
-        self.decide(InjectionPoint::Convert)
-    }
 }
 
-/// Run `op`, retrying failures `is_retryable` accepts up to
-/// `policy.budget` times with backoff. Increments `retries` once per
-/// retry performed; returns the final result either way.
-pub fn retry_with<T, E>(
-    policy: RetryPolicy,
-    seed: u64,
-    retries: &mut u64,
-    is_retryable: impl Fn(&E) -> bool,
-    mut op: impl FnMut() -> Result<T, E>,
-) -> Result<T, E> {
-    let mut backoff = policy.backoff(seed);
-    let mut attempts = 0u32;
-    loop {
-        match op() {
-            Ok(value) => return Ok(value),
-            Err(e) if attempts < policy.budget && is_retryable(&e) => {
-                attempts += 1;
-                *retries += 1;
-                std::thread::sleep(backoff.next_delay());
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// [`retry_with`] specialized to CDW statements: retries
-/// [`CdwError::is_retryable`] failures (transient + store I/O) only.
-/// Bulk aborts and structural errors surface immediately so the adaptive
-/// error handler still sees every per-tuple failure.
+/// [`RetryPolicy::retry`] for CDW statements, counting into `retries`:
+/// retries [`CdwError::is_retryable`] failures (transient + store I/O)
+/// only. Bulk aborts and structural errors surface immediately so the
+/// adaptive error handler still sees every per-tuple failure.
 pub fn retry_cdw<T>(
     policy: RetryPolicy,
     seed: u64,
     retries: &mut u64,
     op: impl FnMut() -> Result<T, CdwError>,
 ) -> Result<T, CdwError> {
-    retry_with(policy, seed, retries, CdwError::is_retryable, op)
+    policy.retry(seed, CdwError::is_retryable, || *retries += 1, op)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn first_n_and_at_ops_specs() {
@@ -395,48 +373,6 @@ mod tests {
         assert_eq!(a.iter().filter(|h| **h).count(), 3, "limit respected");
         plan.seed = 43;
         assert_ne!(run(plan), a, "different seed, different sequence");
-    }
-
-    #[test]
-    fn retry_with_respects_budget_and_counts() {
-        let policy = RetryPolicy {
-            budget: 3,
-            base: Duration::from_micros(10),
-            cap: Duration::from_micros(50),
-        };
-        // Succeeds on the third attempt.
-        let mut retries = 0u64;
-        let mut failures_left = 2;
-        let result: Result<u32, &str> = retry_with(
-            policy,
-            0,
-            &mut retries,
-            |_| true,
-            || {
-                if failures_left > 0 {
-                    failures_left -= 1;
-                    Err("flaky")
-                } else {
-                    Ok(99)
-                }
-            },
-        );
-        assert_eq!(result, Ok(99));
-        assert_eq!(retries, 2);
-
-        // Budget exhausted: the error surfaces, retries counted.
-        let mut retries = 0u64;
-        let result: Result<u32, &str> =
-            retry_with(policy, 0, &mut retries, |_| true, || Err("down"));
-        assert_eq!(result, Err("down"));
-        assert_eq!(retries, 3);
-
-        // Non-retryable error fails immediately.
-        let mut retries = 0u64;
-        let result: Result<u32, &str> =
-            retry_with(policy, 0, &mut retries, |_| false, || Err("fatal"));
-        assert_eq!(result, Err("fatal"));
-        assert_eq!(retries, 0);
     }
 
     #[test]

@@ -44,8 +44,8 @@ use crate::emulate;
 use crate::fault::{retry_cdw, FaultCounts, FaultInjector};
 use crate::memory::MemoryGauge;
 use crate::obs::{
-    stats_json, stats_prometheus, CpuTimer, HealthReport, JobObs, Obs, OverloadInput, SloEngine,
-    SpanIds, TenantObs,
+    stats_json, stats_prometheus, Counter, CpuTimer, HealthReport, JobObs, Obs, OverloadInput,
+    SloEngine, SpanIds, TenantObs,
 };
 use crate::pipeline::{ChunkSink, Pipeline, PipelineReport, RawChunk, WorkerRuntime};
 use crate::report::{JobReport, NodeMetrics};
@@ -77,8 +77,11 @@ pub(crate) struct ImportJobState {
     rows_received: AtomicU64,
     oom: Mutex<Option<String>>,
     started: Instant,
+    /// Faults the node had injected when `BeginLoad` arrived; the report
+    /// carries the difference.
+    faults_at_begin: u64,
     /// The owning session's tenant metric block — every job-scoped count
-    /// and latency lands here as well as in the node-global registry.
+    /// and latency lands here; the node's job totals are sums over these.
     tenant: Arc<TenantObs>,
 }
 
@@ -173,19 +176,10 @@ impl Virtualizer {
     /// in a [`ChaosStore`] *before* the CDW is constructed over it, so
     /// injected store faults hit both the uploader's puts and COPY's gets.
     pub fn new(config: VirtualizerConfig) -> Virtualizer {
-        let obs = build_obs(&config);
-        let injector = config
-            .fault_plan
-            .clone()
-            .map(|plan| Arc::new(FaultInjector::new(plan)));
-        let mut store: Arc<dyn ObjectStore> = Arc::new(MemStore::new());
-        if let Some(injector) = &injector {
-            store = Arc::new(ChaosStore::new(store, injector.store_hook()));
-        }
-        // The observed decorator wraps *outside* the chaos layer and
-        // *before* the CDW is constructed, so both the uploader's puts and
-        // COPY's gets — injected faults included — land in the registry.
-        store = Arc::new(ObservedStore::new(store, store_observer(&obs)));
+        let (obs, injector) = build_obs(&config);
+        // Decorated *before* the CDW is constructed over it, so both the
+        // uploader's puts and COPY's gets land in the registry.
+        let store = decorate(Arc::new(MemStore::new()), &injector, &obs);
         let cdw = Cdw::with_config(CdwConfig::default(), Some(Arc::clone(&store)));
         Virtualizer::assemble(config, cdw, store, injector, obs)
     }
@@ -200,18 +194,8 @@ impl Virtualizer {
         cdw: Cdw,
         store: Arc<dyn ObjectStore>,
     ) -> Virtualizer {
-        let obs = build_obs(&config);
-        let injector = config
-            .fault_plan
-            .clone()
-            .map(|plan| Arc::new(FaultInjector::new(plan)));
-        let store = match &injector {
-            Some(injector) => {
-                Arc::new(ChaosStore::new(store, injector.store_hook())) as Arc<dyn ObjectStore>
-            }
-            None => store,
-        };
-        let store: Arc<dyn ObjectStore> = Arc::new(ObservedStore::new(store, store_observer(&obs)));
+        let (obs, injector) = build_obs(&config);
+        let store = decorate(store, &injector, &obs);
         Virtualizer::assemble(config, cdw, store, injector, obs)
     }
 
@@ -240,7 +224,7 @@ impl Virtualizer {
             cdw_obs.index_maintain.add(stats.index_maintains);
         })));
         let credits = CreditManager::with_obs(config.credits, obs.credit.clone());
-        let memory = MemoryGauge::new(config.memory_cap);
+        let memory = MemoryGauge::with_obs(config.memory_cap, obs.memory.clone());
         let slo = SloEngine::new(config.slo.clone());
         let runtime = WorkerRuntime::start(&config, Arc::clone(&obs), injector.clone());
         let registry = SessionRegistry::new(config.max_sessions);
@@ -300,16 +284,22 @@ impl Virtualizer {
     }
 
     /// Node-level totals: a view read off the registry handles, the
-    /// credit pool and the memory gauge — nothing is counted twice.
+    /// credit pool and the memory gauge — nothing is counted twice. The
+    /// job totals are sums over the tenants (plus aborted exports, which
+    /// no tenant books).
     pub fn metrics(&self) -> NodeMetrics {
         let node = &self.node;
-        let (gateway, export) = (&node.obs.gateway, &node.obs.export);
+        let export = &node.obs.export;
+        let tenants = node.obs.registry.tenant_handles();
+        let sum = |count: fn(&TenantObs) -> &Counter| -> u64 {
+            tenants.iter().map(|t| count(t).value()).sum()
+        };
         NodeMetrics {
-            jobs_completed: gateway.jobs_completed.value(),
-            jobs_failed: gateway.jobs_failed.value(),
+            jobs_completed: sum(|t| &t.jobs_completed),
+            jobs_failed: sum(|t| &t.jobs_failed),
             exports_started: export.jobs.value(),
-            jobs_aborted: gateway.jobs_aborted.value(),
-            rows_ingested: gateway.rows_ingested.value(),
+            jobs_aborted: sum(|t| &t.jobs_aborted) + export.aborted.value(),
+            rows_ingested: node.obs.gateway.rows_ingested.value(),
             rows_exported: export.rows.value(),
             bytes_exported: export.bytes.value(),
             credit_stalls: node.credits.stalls(),
@@ -329,31 +319,11 @@ impl Virtualizer {
         &self.node.obs
     }
 
-    /// Copy point-in-time state (credit/memory/fault-injector levels) into
-    /// the registry's gauges so a snapshot is self-consistent.
-    fn refresh_gauges(&self) {
-        let node = &self.node;
-        let obs = &node.obs;
-        obs.credit.in_flight.set(node.credits.in_flight() as u64);
-        obs.memory.in_flight.set(node.memory.in_flight());
-        obs.memory.peak.set(node.memory.peak());
-        if let Some(injector) = &node.injector {
-            let c = injector.counts();
-            obs.fault.injected_total.set(c.total());
-            obs.fault.injected_store_put.set(c.store_put);
-            obs.fault.injected_store_get.set(c.store_get);
-            obs.fault.injected_cdw_exec.set(c.cdw_exec);
-            obs.fault.injected_convert.set(c.convert);
-            obs.fault.injected_transport.set(c.transport);
-        }
-    }
-
     /// Evaluate per-tenant SLO burn rates and node overload right now.
     /// Feeds the engine a fresh observation first — its only feed — so
     /// health answers are always current.
     pub fn health(&self) -> HealthReport {
         let node = &self.node;
-        self.refresh_gauges();
         node.slo.observe(&node.obs);
         node.slo.evaluate(&OverloadInput {
             active_jobs: node.jobs.lock().len() as u64,
@@ -384,7 +354,6 @@ impl Virtualizer {
         };
         let body = match (topic, format) {
             (Topic::Stats, _) => {
-                self.refresh_gauges();
                 let snap = self.node.obs.snapshot();
                 let journal = &self.node.obs.journal;
                 Some(match format {
@@ -479,6 +448,7 @@ impl Virtualizer {
 
     pub(crate) fn handle_begin_load(&self, spec: BeginLoad, tenant: Arc<TenantObs>) -> Message {
         let node = &self.node;
+        let faults_at_begin = self.fault_counts().map_or(0, |c| c.total());
         let admission = match self.admit(&tenant) {
             Ok(admission) => admission,
             Err((code, message)) => return error_msg(code, message, false),
@@ -526,7 +496,6 @@ impl Virtualizer {
             Arc::clone(&tenant),
         );
         let sink = pipeline.sink();
-        node.obs.gateway.jobs_started.inc();
         tenant.jobs_started.inc();
         tenant.active_jobs.add(1);
         // The job clock starts before `job.begin` is stamped, so the trace
@@ -557,6 +526,7 @@ impl Virtualizer {
                 rows_received: AtomicU64::new(0),
                 oom: Mutex::new(None),
                 started,
+                faults_at_begin,
                 tenant,
             })),
         );
@@ -578,7 +548,6 @@ impl Virtualizer {
         let jobs = node.jobs.lock();
         if jobs.len() + node.admitting.load(Ordering::Relaxed) >= node.config.max_concurrent_jobs {
             drop(jobs);
-            node.obs.gateway.admission_rejections.inc();
             tenant.admission_rejections.inc();
             let limit = node.config.max_concurrent_jobs;
             return Err((
@@ -665,9 +634,12 @@ impl Virtualizer {
         if let Some(oom) = job.oom.lock().clone() {
             return error_msg(ErrCode::OUT_OF_MEMORY, oom, true);
         }
-        let credit = self.node.credits.acquire();
+        // The guards charge the tenant's held-resource gauges and release
+        // them when they drop, on whichever path that happens.
+        let tenant = &job.tenant;
+        let credit = self.node.credits.acquire().charge(tenant);
         let memory = match self.node.memory.reserve(chunk.data.len()) {
-            Ok(m) => m,
+            Ok(m) => m.charge(tenant),
             Err(e) => {
                 *job.oom.lock() = Some(e.to_string());
                 return error_msg(ErrCode::OUT_OF_MEMORY, e.to_string(), true);
@@ -680,12 +652,6 @@ impl Virtualizer {
         let chunk_seq = chunk.chunk_seq;
         job.rows_received
             .fetch_add(chunk.record_count as u64, Ordering::Relaxed);
-        // Held-resource gauges increment *before* the push: the pipeline
-        // decrements them when it retires the chunk, and a retire must
-        // never be able to observe the gauge before the increment landed.
-        let tenant = &job.tenant;
-        tenant.credit_held.add(1);
-        tenant.memory_held.add(chunk_bytes);
         if !sink.push(RawChunk {
             base_seq: chunk.base_seq,
             data: chunk.data,
@@ -693,19 +659,16 @@ impl Virtualizer {
             memory,
             enqueued: handle_started,
         }) {
-            // Refused chunks never reach the pipeline; unwind the gauges.
-            tenant.credit_held.sub(1);
-            tenant.memory_held.sub(chunk_bytes);
             return error_msg(ErrCode::INTERNAL, "acquisition pipeline closed", true);
         }
-        let obs = &self.node.obs.gateway;
-        obs.chunks_received.inc();
-        obs.chunk_bytes.add(chunk_bytes);
-        // Tenant attribution: four relaxed atomics per accepted chunk.
         tenant.chunks.inc();
         tenant.chunk_bytes.add(chunk_bytes);
         let handle_elapsed = handle_started.elapsed();
-        obs.chunk_handle_us.record_duration(handle_elapsed);
+        self.node
+            .obs
+            .gateway
+            .chunk_handle_us
+            .record_duration(handle_elapsed);
         // One relaxed add per chunk — the only tracing cost on this path;
         // the aggregate becomes the job's `ack.wait` span at job end.
         job.ack_wait_micros
@@ -731,7 +694,16 @@ impl Virtualizer {
                 }
             }
         };
-        match self.finish_load(token, &job, dml) {
+        // The job is out of the table, so session teardown can no longer
+        // abort it: a handler panic from here on discards it first.
+        let finished = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.finish_load(token, &job, dml)
+        }));
+        let finished = finished.unwrap_or_else(|panic| {
+            self.discard_job(token, Job::Import(Arc::clone(&job)));
+            std::panic::resume_unwind(panic)
+        });
+        match finished {
             Ok(report) => {
                 let wire = report.to_wire();
                 self.end_job(token, &Job::Import(job), JobOutcome::Completed(report));
@@ -748,22 +720,17 @@ impl Virtualizer {
         }
     }
 
-    /// The one place a job's outcome is booked, once each: the node
-    /// counter, the tenant's counter and `active_jobs`, a completed job's
-    /// tenant totals, the terminal journal span, and the last job report.
-    /// The caller has already taken the job out of the job table.
+    /// The one place a job's outcome is booked, once each: the tenant's
+    /// counter and `active_jobs`, a completed job's tenant totals, the
+    /// terminal journal span, and the last job report. The caller has
+    /// already taken the job out of the job table.
     fn end_job(&self, token: u64, job: &Job, outcome: JobOutcome) {
         let node = &self.node;
-        let gateway = &node.obs.gateway;
-        match outcome {
-            JobOutcome::Completed(_) => gateway.jobs_completed.inc(),
-            JobOutcome::Failed(_) => gateway.jobs_failed.inc(),
-            JobOutcome::Aborted => gateway.jobs_aborted.inc(),
-        }
         let Job::Import(job) = job else {
             // An abandoned export counts on the node only: exports never
             // entered a tenant's `jobs_started`, so booking their aborts
             // there would bend the SLO availability ratio.
+            node.obs.export.aborted.inc();
             node.obs
                 .journal
                 .emit("job.abort", token, 0, 0, 0, Duration::ZERO);
@@ -774,7 +741,7 @@ impl Virtualizer {
         let elapsed = job.started.elapsed();
         let (kind, value, wall, report) = match outcome {
             JobOutcome::Completed(report) => {
-                gateway.rows_ingested.add(report.rows_received);
+                node.obs.gateway.rows_ingested.add(report.rows_received);
                 let total = report.total();
                 t.jobs_completed.inc();
                 t.rows_applied.add(report.rows_applied);
@@ -968,11 +935,7 @@ impl Virtualizer {
             bytes_staged: pipe_report.bytes_staged,
             upload_retries: pipe_report.upload_retries,
             cdw_retries,
-            faults_injected: node
-                .injector
-                .as_ref()
-                .map(|i| i.counts().total())
-                .unwrap_or(0),
+            faults_injected: self.fault_counts().map_or(0, |c| c.total()) - job.faults_at_begin,
             aborted: false,
             // Taken last: the three phases partition the job's one clock,
             // so whatever the phase stopwatches did not cover (span
@@ -1114,20 +1077,27 @@ impl Virtualizer {
             node.jobs_drained.notify_all();
             job
         };
-        match &job {
-            Job::Import(import) => {
-                let pipeline = import.pipeline.lock().take();
-                drop(import.sink.lock().take());
-                if let Some(pipeline) = pipeline {
-                    let _ = pipeline.abort();
-                }
-                self.cleanup_job(import);
-                for table in [&import.spec.error_table_et, &import.spec.error_table_uv] {
-                    let _ = node.cdw.execute(&format!("DROP TABLE IF EXISTS {table}"));
-                }
+        if !(clean && matches!(job, Job::Export(_))) {
+            self.discard_job(token, job);
+        }
+    }
+
+    /// Abort a job already out of the job table: for an import, discard
+    /// its pipeline, staged objects and tables; then book it aborted.
+    fn discard_job(&self, token: u64, job: Job) {
+        if let Job::Import(import) = &job {
+            let pipeline = import.pipeline.lock().take();
+            drop(import.sink.lock().take());
+            if let Some(pipeline) = pipeline {
+                let _ = pipeline.abort();
             }
-            Job::Export(_) if clean => return,
-            Job::Export(_) => {}
+            self.cleanup_job(import);
+            for table in [&import.spec.error_table_et, &import.spec.error_table_uv] {
+                let _ = self
+                    .node
+                    .cdw
+                    .execute(&format!("DROP TABLE IF EXISTS {table}"));
+            }
         }
         self.end_job(token, &job, JobOutcome::Aborted);
     }
@@ -1232,12 +1202,29 @@ impl Virtualizer {
     }
 }
 
-/// The node's observability hub, shaped by the config's journal knobs.
-fn build_obs(config: &VirtualizerConfig) -> Arc<Obs> {
-    Arc::new(Obs::new(
-        config.journal_capacity,
-        config.journal_jsonl.as_deref(),
-    ))
+/// The node's observability hub and, when a fault plan is configured,
+/// its fault injector.
+fn build_obs(config: &VirtualizerConfig) -> (Arc<Obs>, Option<Arc<FaultInjector>>) {
+    let obs = Arc::new(Obs::new(config.journal_capacity, None));
+    let injector = config
+        .fault_plan
+        .clone()
+        .map(|plan| Arc::new(FaultInjector::with_obs(plan, obs.fault.clone())));
+    (obs, injector)
+}
+
+/// Wrap `store` in the chaos layer (with a fault plan) and, outside it,
+/// the observed decorator, so injected faults are observed failures.
+fn decorate(
+    store: Arc<dyn ObjectStore>,
+    injector: &Option<Arc<FaultInjector>>,
+    obs: &Obs,
+) -> Arc<dyn ObjectStore> {
+    let store = match injector {
+        Some(injector) => Arc::new(ChaosStore::new(store, injector.store_hook())),
+        None => store,
+    };
+    Arc::new(ObservedStore::new(store, store_observer(obs)))
 }
 
 /// The callback an [`ObservedStore`] feeds: op counts, byte totals, error
@@ -1272,6 +1259,15 @@ pub(crate) fn error_msg(code: ErrCode, message: impl Into<String>, fatal: bool) 
         message: message.into(),
         fatal,
     })
+}
+
+/// The message a caught panic carried, if it was a string.
+pub(crate) fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
+    panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic".into())
 }
 
 /// Combine the node's `max_errors` with the script's `errlimit` (both 0 =

@@ -5,10 +5,12 @@
 //! million credits "Hyper-Q ran out of memory and crashed"; here the same
 //! condition is detected deterministically and surfaced as
 //! [`OutOfMemory`], failing the job instead of the process.
+//! The counts *are* the registry's `memory.{in_flight,peak}` series; a
+//! [`MemGuard`] charged to a tenant holds its `memory_held` until it drops.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+
+use crate::obs::{Gauge, MemoryObs, TenantObs};
 
 /// The node's in-flight memory cap was exceeded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,88 +35,91 @@ impl fmt::Display for OutOfMemory {
 
 impl std::error::Error for OutOfMemory {}
 
-#[derive(Debug)]
-struct Gauge {
-    in_flight: AtomicU64,
-    peak: AtomicU64,
-    cap: u64,
-}
-
 /// Tracks in-flight bytes against a cap (0 = unlimited).
 #[derive(Clone)]
 pub struct MemoryGauge {
-    gauge: Arc<Gauge>,
+    obs: MemoryObs,
+    cap: u64,
 }
 
 /// An accounted reservation; releases on drop.
 #[derive(Debug)]
 pub struct MemGuard {
-    gauge: Arc<Gauge>,
+    in_flight: Gauge,
     bytes: u64,
+    /// The holder's gauge (a tenant's `memory_held`) the bytes are also
+    /// charged to.
+    holder: Option<Gauge>,
 }
 
 impl MemoryGauge {
-    /// New gauge with `cap` bytes (0 disables the cap).
+    /// New gauge with `cap` bytes (0 disables the cap), counting into
+    /// handles no registry exposes.
     pub fn new(cap: usize) -> MemoryGauge {
-        MemoryGauge {
-            gauge: Arc::new(Gauge {
-                in_flight: AtomicU64::new(0),
-                peak: AtomicU64::new(0),
-                cap: cap as u64,
-            }),
-        }
+        let (in_flight, peak) = (Gauge::new(), Gauge::new());
+        MemoryGauge::with_obs(cap, MemoryObs { in_flight, peak })
+    }
+
+    /// Gauge counting into pre-registered observability handles.
+    pub fn with_obs(cap: usize, obs: MemoryObs) -> MemoryGauge {
+        let cap = cap as u64;
+        MemoryGauge { obs, cap }
     }
 
     /// Reserve `bytes`; fails if the cap would be exceeded.
     pub fn reserve(&self, bytes: usize) -> Result<MemGuard, OutOfMemory> {
-        let bytes = bytes as u64;
-        let mut cur = self.gauge.in_flight.load(Ordering::Relaxed);
-        loop {
-            let next = cur + bytes;
-            if self.gauge.cap != 0 && next > self.gauge.cap {
-                return Err(OutOfMemory {
-                    in_flight: cur,
-                    requested: bytes,
-                    cap: self.gauge.cap,
-                });
+        let (in_flight, bytes, cap) = (&self.obs.in_flight, bytes as u64, self.cap);
+        match in_flight.add_within(bytes, cap) {
+            Ok(now) => {
+                self.obs.peak.fetch_max(now);
+                let in_flight = in_flight.clone();
+                Ok(MemGuard {
+                    in_flight,
+                    bytes,
+                    holder: None,
+                })
             }
-            match self.gauge.in_flight.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    self.gauge.peak.fetch_max(next, Ordering::Relaxed);
-                    return Ok(MemGuard {
-                        gauge: Arc::clone(&self.gauge),
-                        bytes,
-                    });
-                }
-                Err(actual) => cur = actual,
-            }
+            Err(in_flight) => Err(OutOfMemory {
+                in_flight,
+                requested: bytes,
+                cap,
+            }),
         }
     }
 
     /// Bytes currently in flight.
     pub fn in_flight(&self) -> u64 {
-        self.gauge.in_flight.load(Ordering::Relaxed)
+        self.obs.in_flight.value()
     }
 
     /// Highest in-flight watermark observed.
     pub fn peak(&self) -> u64 {
-        self.gauge.peak.load(Ordering::Relaxed)
+        self.obs.peak.value()
     }
 
     /// The configured cap (0 = unlimited).
     pub fn cap(&self) -> u64 {
-        self.gauge.cap
+        self.cap
+    }
+}
+
+impl MemGuard {
+    /// Charge these bytes to `tenant`'s `memory_held` until the guard
+    /// drops.
+    pub(crate) fn charge(mut self, tenant: &TenantObs) -> MemGuard {
+        debug_assert!(self.holder.is_none(), "reservation charged twice");
+        tenant.memory_held.add(self.bytes);
+        self.holder = Some(tenant.memory_held.clone());
+        self
     }
 }
 
 impl Drop for MemGuard {
     fn drop(&mut self) {
-        self.gauge.in_flight.fetch_sub(self.bytes, Ordering::AcqRel);
+        if let Some(holder) = &self.holder {
+            holder.sub(self.bytes);
+        }
+        self.in_flight.sub(self.bytes);
     }
 }
 

@@ -76,7 +76,7 @@ impl Counter {
 }
 
 /// A last-writer-wins gauge.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct Gauge {
     cell: Arc<AtomicU64>,
 }
@@ -104,6 +104,16 @@ impl Gauge {
     #[inline]
     pub fn add(&self, n: u64) {
         self.cell.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Add `n` unless the sum would exceed `cap` (0 = no cap): the new
+    /// value, or the value that left no room.
+    pub(crate) fn add_within(&self, n: u64, cap: u64) -> Result<u64, u64> {
+        let fits = |v: u64| (cap == 0 || v + n <= cap).then_some(v + n);
+        let prev = self
+            .cell
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, fits)?;
+        Ok(prev + n)
     }
 
     /// Subtract `n`, saturating at zero so a release racing a snapshot

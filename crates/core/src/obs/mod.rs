@@ -69,7 +69,7 @@ pub enum SeriesValue {
 /// Point-in-time view of one registered series.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeriesSnapshot {
-    /// Family name, e.g. `gateway.chunks_received` or `tenant.rows_applied`.
+    /// Family name, e.g. `pipeline.convert_rows` or `tenant.rows_applied`.
     pub name: String,
     /// The series' one label as `(key, value)`, e.g. `("tenant", "alice")`.
     pub label: Option<(&'static str, String)>,
@@ -137,9 +137,11 @@ pub struct TenantObs {
     pub slow_jobs: Counter,
     /// Import jobs currently active.
     pub active_jobs: Gauge,
-    /// Back-pressure credits currently held by in-flight chunks.
+    /// Back-pressure credits this tenant's chunks hold: charged on each
+    /// `Credit`, released when it drops, just before the chunk is written.
     pub credit_held: Gauge,
-    /// Staging memory bytes currently reserved by in-flight chunks.
+    /// Staging memory bytes this tenant's chunks hold: charged on each
+    /// `MemGuard`, released when it drops.
     pub memory_held: Gauge,
     /// End-to-end job latency (BeginLoad → report), µs.
     pub job_us: Histogram,
@@ -236,23 +238,8 @@ pub struct GatewayObs {
     pub active_sessions: Gauge,
     /// Jobs currently in the node's job table (eagerly maintained gauge).
     pub active_jobs: Gauge,
-    /// Data chunks accepted.
-    pub chunks_received: Counter,
-    /// Raw bytes accepted in data chunks.
-    pub chunk_bytes: Counter,
-    /// Load jobs begun.
-    pub jobs_started: Counter,
-    /// Load jobs completed successfully.
-    pub jobs_completed: Counter,
     /// Records received by completed load jobs.
     pub rows_ingested: Counter,
-    /// Load jobs failed.
-    pub jobs_failed: Counter,
-    /// Jobs aborted by session teardown (disconnect, idle timeout, or
-    /// server shutdown) rather than a client-visible failure.
-    pub jobs_aborted: Counter,
-    /// Logons or job admissions rejected with `SERVER_BUSY`.
-    pub admission_rejections: Counter,
     /// Chunk intake handling time (credit acquire + enqueue), µs.
     pub chunk_handle_us: Histogram,
 }
@@ -383,11 +370,13 @@ pub struct CreditObs {
     pub stalls: Counter,
     /// Per-stall blocked time, µs.
     pub stall_us: Histogram,
-    /// Credits currently in flight (refreshed at snapshot).
+    /// Credits currently in flight, written by the pool as it moves.
     pub in_flight: Gauge,
 }
 
-/// Memory-gauge handles (refreshed at snapshot).
+/// Memory-gauge handles, written by the [`MemoryGauge`] as it moves.
+///
+/// [`MemoryGauge`]: crate::memory::MemoryGauge
 #[derive(Clone)]
 pub struct MemoryObs {
     /// In-flight staging memory, bytes.
@@ -413,6 +402,9 @@ pub struct AdaptiveObs {
 pub struct ExportObs {
     /// Export jobs begun.
     pub jobs: Counter,
+    /// Export jobs aborted by session teardown (no tenant books these:
+    /// exports never enter a tenant's `jobs_started`).
+    pub aborted: Counter,
     /// Export chunks served.
     pub chunks: Counter,
     /// Rows exported.
@@ -475,21 +467,20 @@ pub struct PoolObs {
     pub rr_skips: Counter,
 }
 
-/// Fault-injector gauges, copied from the injector at snapshot time.
+/// Fault-injector counters, added to by the injector as each fault
+/// fires.
 #[derive(Clone)]
 pub struct FaultObs {
-    /// All faults fired.
-    pub injected_total: Gauge,
     /// Store-put faults fired.
-    pub injected_store_put: Gauge,
+    pub injected_store_put: Counter,
     /// Store-get faults fired.
-    pub injected_store_get: Gauge,
+    pub injected_store_get: Counter,
     /// CDW transient faults fired.
-    pub injected_cdw_exec: Gauge,
+    pub injected_cdw_exec: Counter,
     /// Converter faults fired.
-    pub injected_convert: Gauge,
+    pub injected_convert: Counter,
     /// Transport faults fired.
-    pub injected_transport: Gauge,
+    pub injected_transport: Counter,
 }
 
 /// The node's observability hub: one registry, one journal, and
@@ -521,7 +512,7 @@ pub struct Obs {
     pub adaptive: AdaptiveObs,
     /// Export handles.
     pub export: ExportObs,
-    /// Fault-injector gauges.
+    /// Fault-injector counters.
     pub fault: FaultObs,
     /// Per-stage CPU/wall profiles.
     pub profile: ProfileObs,
@@ -547,14 +538,7 @@ impl Obs {
                 sessions_closed: r.counter("gateway.sessions_closed"),
                 active_sessions: r.gauge("gateway.active_sessions"),
                 active_jobs: r.gauge("gateway.active_jobs"),
-                chunks_received: r.counter("gateway.chunks_received"),
-                chunk_bytes: r.counter("gateway.chunk_bytes"),
-                jobs_started: r.counter("gateway.jobs_started"),
-                jobs_completed: r.counter("gateway.jobs_completed"),
                 rows_ingested: r.counter("gateway.rows_ingested"),
-                jobs_failed: r.counter("gateway.jobs_failed"),
-                jobs_aborted: r.counter("gateway.jobs_aborted"),
-                admission_rejections: r.counter("gateway.admission_rejections"),
                 chunk_handle_us: r.histogram("gateway.chunk_handle_us"),
             },
             server: ServerObs {
@@ -625,17 +609,17 @@ impl Obs {
             },
             export: ExportObs {
                 jobs: r.counter("export.jobs"),
+                aborted: r.counter("export.aborted"),
                 chunks: r.counter("export.chunks"),
                 rows: r.counter("export.rows"),
                 bytes: r.counter("export.bytes"),
             },
             fault: FaultObs {
-                injected_total: r.gauge("fault.injected_total"),
-                injected_store_put: r.gauge("fault.injected_store_put"),
-                injected_store_get: r.gauge("fault.injected_store_get"),
-                injected_cdw_exec: r.gauge("fault.injected_cdw_exec"),
-                injected_convert: r.gauge("fault.injected_convert"),
-                injected_transport: r.gauge("fault.injected_transport"),
+                injected_store_put: r.counter("fault.injected_store_put"),
+                injected_store_get: r.counter("fault.injected_store_get"),
+                injected_cdw_exec: r.counter("fault.injected_cdw_exec"),
+                injected_convert: r.counter("fault.injected_convert"),
+                injected_transport: r.counter("fault.injected_transport"),
             },
             profile: ProfileObs {
                 convert: stage("convert", "pipeline.convert_us"),
@@ -737,17 +721,14 @@ mod tests {
     #[test]
     fn hub_registers_all_subsystems() {
         let obs = Obs::default();
-        obs.gateway.chunks_received.add(2);
+        obs.gateway.rows_ingested.add(2);
         obs.pipeline.convert_rows.add(10);
         obs.store.put_ops.inc();
         obs.cdw.statements.inc();
         obs.credit.acquires.inc();
         let snap = obs.snapshot();
         let find = |name: &str| snap.get(name, None).cloned();
-        assert_eq!(
-            find("gateway.chunks_received"),
-            Some(SeriesValue::Counter(2))
-        );
+        assert_eq!(find("gateway.rows_ingested"), Some(SeriesValue::Counter(2)));
         assert_eq!(
             find("pipeline.convert_rows"),
             Some(SeriesValue::Counter(10))

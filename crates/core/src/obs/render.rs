@@ -179,7 +179,7 @@ mod tests {
                 value,
             })
         };
-        push("gateway.chunks_received", None, SeriesValue::Counter(12));
+        push("pipeline.convert_chunks", None, SeriesValue::Counter(12));
         push("pipeline.convert_rows", None, SeriesValue::Counter(480));
         push("credit.in_flight", None, SeriesValue::Gauge(3));
         push("pipeline.convert_us", None, hist(12, 600, 90, 47, 85, 90));
@@ -199,7 +199,7 @@ mod tests {
     fn json_document_contains_all_sections() {
         let doc = stats_json(&sample_snapshot(), 40, 30, 10);
         for needle in [
-            "\"gateway.chunks_received\": 12",
+            "\"pipeline.convert_chunks\": 12",
             "\"credit.in_flight\": 3",
             "\"pipeline.convert_us\": {\"count\": 12",
             "\"p95\": 85",
@@ -218,7 +218,7 @@ mod tests {
     fn prometheus_exposition_shape() {
         let text = stats_prometheus(&sample_snapshot(), 40, 10);
         for needle in [
-            "etlv_gateway_chunks_received 12\n",
+            "etlv_pipeline_convert_chunks 12\n",
             "etlv_credit_in_flight 3\n",
             "etlv_journal_events_emitted 40\n",
             "etlv_journal_events_dropped 10\n",

@@ -301,8 +301,6 @@ struct EngineInner {
     /// instead of growing it, bounding ring size in tight health loops.
     min_gap: Duration,
     rings: Mutex<Vec<TenantRing>>,
-    /// Node-global admission-rejection samples (for overload).
-    node_rejections: Mutex<VecDeque<(Instant, u64)>>,
 }
 
 /// The burn-rate engine. Cloneable handle; all state is shared.
@@ -311,16 +309,16 @@ pub struct SloEngine {
     inner: Arc<EngineInner>,
 }
 
-/// Locate the cumulative value at `now - window`: the newest point no
+/// Locate the cumulative counts at `now - window`: the newest point no
 /// younger than the window start, else the implicit zero origin (every
 /// counter was zero when the tenant first appeared).
-fn at_window_start<T: Copy + Default>(
-    points: &VecDeque<(Instant, T)>,
+fn at_window_start(
+    points: &VecDeque<(Instant, CumCounts)>,
     now: Instant,
     window: Duration,
-) -> T {
+) -> CumCounts {
     let start = now.checked_sub(window);
-    let mut origin = T::default();
+    let mut origin = CumCounts::default();
     if let Some(start) = start {
         for (at, value) in points {
             if *at <= start {
@@ -356,7 +354,6 @@ impl SloEngine {
                 policy,
                 min_gap,
                 rings: Mutex::new(Vec::new()),
-                node_rejections: Mutex::new(VecDeque::new()),
             }),
         }
     }
@@ -412,19 +409,6 @@ impl SloEngine {
             {
                 ring.points.pop_front();
             }
-        }
-        let mut node = self.inner.node_rejections.lock();
-        let rejections = obs.gateway.admission_rejections.value();
-        match node.back_mut() {
-            Some((at, tail)) if now.duration_since(*at) < self.inner.min_gap => *tail = rejections,
-            _ => node.push_back((now, rejections)),
-        }
-        while node.len() > MAX_POINTS
-            || node
-                .front()
-                .is_some_and(|(at, _)| now.duration_since(*at) > keep)
-        {
-            node.pop_front();
         }
     }
 
@@ -494,14 +478,18 @@ impl SloEngine {
             .iter()
             .map(|ring| self.tenant_health(ring, now))
             .collect();
+        // The node's rejections are the sum over its tenants: every
+        // refused logon or job has one.
+        let recent_rejections = rings
+            .iter()
+            .map(|ring| {
+                let latest = ring.points.back().map_or(0, |(_, c)| c.rejections);
+                let origin = at_window_start(&ring.points, now, policy.fast_window);
+                latest.saturating_sub(origin.rejections)
+            })
+            .sum();
         drop(rings);
         tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-
-        let node = self.inner.node_rejections.lock();
-        let latest_rejections = node.back().map(|(_, v)| *v).unwrap_or(0);
-        let origin = at_window_start(&node, now, policy.fast_window);
-        drop(node);
-        let recent_rejections = latest_rejections.saturating_sub(origin);
 
         let ratio = |used: u64, cap: u64| {
             if cap == 0 {
@@ -702,7 +690,8 @@ mod tests {
         let obs = Obs::default();
         let engine = SloEngine::new(policy_ms(60, 120));
         engine.observe(&obs);
-        obs.gateway.admission_rejections.add(3);
+        obs.tenant("a").admission_rejections.add(2);
+        obs.tenant("b").admission_rejections.add(1);
         std::thread::sleep(Duration::from_millis(5));
         engine.observe(&obs);
         let report = engine.evaluate(&OverloadInput::default());

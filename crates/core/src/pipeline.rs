@@ -31,7 +31,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::config::VirtualizerConfig;
 use crate::convert::{AcqError, ConvertScratch, DataConverter};
 use crate::credit::Credit;
-use crate::fault::{retry_with, FaultInjector, RetryPolicy};
+use crate::fault::{FaultInjector, InjectionPoint, RetryPolicy};
 use crate::memory::MemGuard;
 use crate::obs::{CpuTimer, Obs, SpanIds, TenantObs};
 
@@ -75,7 +75,7 @@ struct JobRt {
     job: u64,
     ids: SpanIds,
     /// The owning session's tenant metric block: stage latencies land
-    /// here, and the held-resource gauges are decremented on retirement.
+    /// here.
     tenant: Arc<TenantObs>,
     converter: DataConverter,
     loader: Arc<BulkLoader>,
@@ -105,6 +105,14 @@ struct JobRt {
 impl JobRt {
     fn drained(&self) -> bool {
         self.retired.load(Ordering::Acquire) >= self.queued.load(Ordering::Acquire)
+    }
+
+    /// Mark `n` chunks fully processed — staged, failed or discarded —
+    /// and wake the drain waiter.
+    fn retire(&self, n: u64) {
+        let _guard = self.done_lock.lock();
+        self.retired.fetch_add(n, Ordering::Release);
+        self.done.notify_all();
     }
 }
 
@@ -136,18 +144,6 @@ struct RtShared {
 }
 
 impl RtShared {
-    /// Mark one chunk of `job` fully processed and wake its drain waiter.
-    /// `raw_bytes` is the chunk's original wire size; every retirement
-    /// path — staged, failed, discarded — releases the tenant's
-    /// held-resource gauges by exactly what admission charged.
-    fn retire(&self, job: &JobRt, raw_bytes: u64) {
-        job.tenant.credit_held.sub(1);
-        job.tenant.memory_held.sub(raw_bytes);
-        let _guard = job.done_lock.lock();
-        job.retired.fetch_add(1, Ordering::Release);
-        job.done.notify_all();
-    }
-
     /// Pop the next raw chunk, round-robin across jobs; blocks until work
     /// arrives or the runtime stops.
     fn next_chunk(&self) -> Option<(Arc<JobRt>, RawChunk)> {
@@ -375,13 +371,8 @@ impl Pipeline {
             return;
         }
         let retired = queued.len() as u64;
-        let raw_bytes: u64 = queued.iter().map(|c| c.data.len() as u64).sum();
         drop(queued); // credit + memory release
-        self.job.tenant.credit_held.sub(retired);
-        self.job.tenant.memory_held.sub(raw_bytes);
-        let _guard = self.job.done_lock.lock();
-        self.job.retired.fetch_add(retired, Ordering::Release);
-        self.job.done.notify_all();
+        self.job.retire(retired);
     }
 
     /// Wait until every accepted chunk is retired; `false` on timeout.
@@ -467,7 +458,7 @@ fn convert_work(
     out: &mut Vec<u8>,
 ) {
     if job.aborted.load(Ordering::Relaxed) {
-        discard(shared, job, chunk);
+        discard(job, chunk);
         return;
     }
     let obs = &shared.obs;
@@ -493,7 +484,7 @@ fn convert_work(
     if shared
         .injector
         .as_deref()
-        .is_some_and(|i| i.convert_should_fail())
+        .is_some_and(|i| i.decide(InjectionPoint::Convert))
     {
         let message = format!(
             "injected fault: converter worker failed on chunk at row {}",
@@ -515,11 +506,7 @@ fn convert_work(
     let result = match outcome {
         Ok(result) => result,
         Err(panic) => {
-            let what = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic".into());
+            let what = crate::gateway::panic_text(&*panic);
             fail_chunk(
                 shared,
                 job,
@@ -562,10 +549,9 @@ fn convert_work(
 /// `finish()` finds every staged byte in the buffer or the store.
 fn stage_chunk(shared: &RtShared, job: &JobRt, chunk: RawChunk, staged: &[u8], rows: u32) {
     if job.aborted.load(Ordering::Relaxed) {
-        discard(shared, job, chunk);
+        discard(job, chunk);
         return;
     }
-    let raw_len = chunk.data.len() as u64;
     // Figure 4: the credit returns to the pool just before the data is
     // written out.
     drop(chunk.credit);
@@ -602,24 +588,23 @@ fn stage_chunk(shared: &RtShared, job: &JobRt, chunk: RawChunk, staged: &[u8], r
         );
         upload_staged_part(shared, job, data, part);
     }
-    shared.retire(job, raw_len);
+    job.retire(1);
 }
 
 /// Retire a chunk that will not be staged. Its guards — not the happy
 /// path — own its credit and memory reservation, and they release
 /// *before* the chunk retires: `finish()`/`abort()` return as soon as the
 /// last chunk retires, and their callers count credits.
-fn discard(shared: &RtShared, job: &JobRt, chunk: RawChunk) {
-    let raw_len = chunk.data.len() as u64;
+fn discard(job: &JobRt, chunk: RawChunk) {
     drop(chunk);
-    shared.retire(job, raw_len);
+    job.retire(1);
 }
 
 /// Fail one chunk with a job-fatal `message`, then [`discard`] it.
 fn fail_chunk(shared: &RtShared, job: &JobRt, chunk: RawChunk, message: String) {
     shared.obs.pipeline.convert_errors.inc();
     job.fatal.lock().push(message);
-    discard(shared, job, chunk);
+    discard(job, chunk);
 }
 
 /// Upload one finalized staging part. Each part gets `retry_budget`
@@ -633,11 +618,10 @@ fn upload_staged_part(shared: &RtShared, job: &JobRt, file: Vec<u8>, part: u32) 
     let mut retries = 0u64;
     let upload_started = Instant::now();
     let cpu = CpuTimer::start();
-    let attempt = retry_with(
-        shared.retry_policy,
+    let attempt = shared.retry_policy.retry(
         shared.retry_seed ^ (part as u64 + 1),
-        &mut retries,
         |_| true,
+        || retries += 1,
         || job.loader.upload_part_from(&key, &file),
     );
     let elapsed = upload_started.elapsed();

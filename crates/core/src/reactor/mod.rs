@@ -43,12 +43,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use etlv_protocol::errcode::ErrCode;
 use etlv_protocol::frame::{Frame, FrameDecoder};
 use etlv_protocol::message::Message;
 use etlv_protocol::nio::{pump_frames, FrameWriter, ReadStatus};
 use parking_lot::Mutex;
 
-use crate::gateway::Virtualizer;
+use crate::gateway::{error_msg, panic_text, Virtualizer};
 use crate::obs::ReactorObs;
 use crate::session::{DispatchCall, SessionCore, Step};
 use poll::{Event, Interest, Poller};
@@ -299,7 +300,7 @@ fn dispatch_worker(v: Virtualizer, rx: Arc<Mutex<Receiver<DispatchJob>>>, shared
         };
         let Ok(job) = job else { return };
         let (session_id, seq) = (job.call.session_id, job.call.seq);
-        let reply = job.call.run(&v);
+        let reply = answer(|| job.call.run(&v));
         let ls = &shared.loops[job.loop_id];
         ls.queue.lock().push(LoopMsg::Complete {
             token: job.token,
@@ -309,6 +310,16 @@ fn dispatch_worker(v: Virtualizer, rx: Arc<Mutex<Receiver<DispatchJob>>>, shared
         });
         ls.waker.wake();
     }
+}
+
+/// Run one dispatched call. A handler panic becomes a fatal `INTERNAL`
+/// reply: the session hears of it at once and closes, and the dispatch
+/// thread lives on to serve the next call.
+fn answer(call: impl FnOnce() -> Message) -> Message {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).unwrap_or_else(|panic| {
+        let what = format!("request handler panicked: {}", panic_text(&*panic));
+        error_msg(ErrCode::INTERNAL, what, true)
+    })
 }
 
 /// One multiplexed connection.
@@ -894,5 +905,20 @@ impl EventLoop {
                 Disposition::Close => self.finalize(token, conn),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_handler_panic_is_a_fatal_internal_reply() {
+        let Message::Error(e) = answer(|| panic!("handler bug")) else {
+            panic!("expected an error reply")
+        };
+        assert_eq!((e.code, e.fatal), (ErrCode::INTERNAL.0, true));
+        assert!(e.message.contains("handler bug"), "{}", e.message);
+        assert!(matches!(answer(|| Message::Keepalive), Message::Keepalive));
     }
 }

@@ -32,8 +32,9 @@ pub struct JobReport {
     /// CDW statements retried after transient engine/store failures
     /// (COPY trigger, application DML, error-table writes).
     pub cdw_retries: u64,
-    /// Faults injected by the node's fault plan over the job's lifetime
-    /// (0 when no plan is configured).
+    /// Faults the node's fault plan injected between the job's
+    /// `BeginLoad` and its report (0 when no plan is configured); jobs
+    /// that overlap can count each other's faults.
     pub faults_injected: u64,
     /// The job was aborted mid-flight (client disconnect, idle timeout,
     /// or shutdown) rather than running to completion or a clean failure.

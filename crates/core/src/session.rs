@@ -199,7 +199,6 @@ impl SessionCore {
                         tenant,
                     });
                     if !node.registry.register(Arc::clone(&entry)) {
-                        node.obs.gateway.admission_rejections.inc();
                         entry.tenant.admission_rejections.inc();
                         error_msg(
                             ErrCode::SERVER_BUSY,

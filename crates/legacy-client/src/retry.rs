@@ -34,8 +34,9 @@ impl ClientError {
     }
 }
 
-/// Run `op`, retrying `SERVER_BUSY` rejections under `policy` and
-/// accumulating every backed-off re-attempt into `retries`. The seed
+/// Run `op` through the one retry loop ([`RetryPolicy::retry`]),
+/// retrying `SERVER_BUSY` rejections under `policy` and accumulating
+/// every backed-off re-attempt into `retries`. The seed
 /// decorrelates concurrent clients' schedules — pass something unique to
 /// the job (the trace id) so a thundering herd spreads out. The counter
 /// is atomic because a job's admission points span its control session
@@ -46,20 +47,12 @@ pub(crate) fn with_busy_retry_counted<T>(
     policy: RetryPolicy,
     seed: u64,
     retries: &AtomicU64,
-    mut op: impl FnMut() -> Result<T, ClientError>,
+    op: impl FnMut() -> Result<T, ClientError>,
 ) -> Result<T, ClientError> {
-    let mut backoff = policy.backoff(seed);
-    let mut attempts = 0u32;
-    loop {
-        match op() {
-            Err(e) if e.is_busy() && attempts < policy.budget => {
-                attempts += 1;
-                retries.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(backoff.next_delay());
-            }
-            other => return other,
-        }
-    }
+    let counted = || {
+        retries.fetch_add(1, Ordering::Relaxed);
+    };
+    policy.retry(seed, ClientError::is_busy, counted, op)
 }
 
 #[cfg(test)]
@@ -82,58 +75,20 @@ mod tests {
         }
     }
 
+    /// The loop's own cases live with `RetryPolicy::retry`; this one
+    /// pins which client errors it retries and what it counts.
     #[test]
-    fn retries_busy_until_success() {
-        let mut calls = 0;
-        let result = with_busy_retry_counted(policy(), 7, &AtomicU64::new(0), || {
-            calls += 1;
-            if calls < 3 {
-                Err(busy())
-            } else {
-                Ok(42)
-            }
-        });
-        assert_eq!(result.unwrap(), 42);
-        assert_eq!(calls, 3);
-    }
-
-    #[test]
-    fn budget_exhaustion_surfaces_busy() {
-        let mut calls = 0;
-        let result: Result<(), _> =
-            with_busy_retry_counted(policy(), 7, &AtomicU64::new(0), || {
-                calls += 1;
-                Err(busy())
-            });
-        assert!(result.unwrap_err().is_busy());
-        assert_eq!(calls, 4, "initial attempt + budget retries");
-    }
-
-    #[test]
-    fn non_busy_errors_pass_through_immediately() {
-        let mut calls = 0;
-        let result: Result<(), _> =
-            with_busy_retry_counted(policy(), 7, &AtomicU64::new(0), || {
-                calls += 1;
-                Err(ClientError::Protocol("boom".into()))
-            });
-        assert!(matches!(result.unwrap_err(), ClientError::Protocol(_)));
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn counted_variant_accumulates_retries() {
+    fn busy_is_retried_and_counted_other_errors_pass_through() {
         let retries = AtomicU64::new(0);
-        let mut calls = 0;
-        let result = with_busy_retry_counted(policy(), 7, &retries, || {
-            calls += 1;
-            if calls < 3 {
-                Err(busy())
-            } else {
-                Ok(1)
-            }
-        });
-        assert_eq!(result.unwrap(), 1);
+        let mut errors = vec![ClientError::Protocol("boom".into()), busy(), busy()];
+        let result =
+            with_busy_retry_counted(policy(), 7, &retries, || errors.pop().map_or(Ok(()), Err));
+        assert!(matches!(result.unwrap_err(), ClientError::Protocol(_)));
+        assert_eq!(
+            errors.len(),
+            0,
+            "two busy replies retried, then the third call"
+        );
         assert_eq!(retries.load(Ordering::Relaxed), 2);
     }
 

@@ -1,9 +1,10 @@
 //! Capped exponential backoff with deterministic jitter.
 //!
-//! This is the retry *schedule* shared by both sides of the wire: the
-//! virtualizer's uploader and application phase retry transient cloud
-//! failures through it, and the legacy client uses the same machinery to
-//! back off when the server answers `SERVER_BUSY` at admission. It lives
+//! This is the retry schedule *and loop* shared by both sides of the
+//! wire: the virtualizer's uploader and application phase retry transient
+//! cloud failures through [`RetryPolicy::retry`], and the legacy client
+//! runs the same loop to back off when the server answers `SERVER_BUSY`
+//! at admission. It lives
 //! in the protocol crate because the client links only against the
 //! protocol layer, never the virtualizer core.
 //!
@@ -52,6 +53,31 @@ impl RetryPolicy {
             prev: Duration::ZERO,
         }
     }
+
+    /// Run `op`, retrying the failures `retryable` accepts up to `budget`
+    /// times, sleeping this policy's backoff (jittered by `seed`) before
+    /// each retry and calling `counted` once per retry, so each caller
+    /// keeps its own count. Returns the last result either way.
+    pub fn retry<T, E>(
+        &self,
+        seed: u64,
+        retryable: impl Fn(&E) -> bool,
+        mut counted: impl FnMut(),
+        mut op: impl FnMut() -> Result<T, E>,
+    ) -> Result<T, E> {
+        let mut backoff = self.backoff(seed);
+        let mut attempts = 0u32;
+        loop {
+            match op() {
+                Err(e) if attempts < self.budget && retryable(&e) => {
+                    attempts += 1;
+                    counted();
+                    std::thread::sleep(backoff.next_delay());
+                }
+                result => return result,
+            }
+        }
+    }
 }
 
 /// Capped exponential backoff with deterministic jitter.
@@ -87,6 +113,43 @@ impl Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Run the loop over an `op` that fails `failures` times with `err`
+    /// (retryable when it is "busy"), then succeeds: (result, calls,
+    /// retries counted).
+    fn run(failures: u32, err: &'static str) -> (Result<u32, &'static str>, u32, u64) {
+        let policy = RetryPolicy {
+            budget: 3,
+            base: Duration::from_micros(10),
+            cap: Duration::from_micros(100),
+        };
+        let (mut calls, mut retries) = (0, 0);
+        let result = policy.retry(
+            7,
+            |e: &&str| *e == "busy",
+            || retries += 1,
+            || {
+                calls += 1;
+                if calls <= failures {
+                    Err(err)
+                } else {
+                    Ok(calls)
+                }
+            },
+        );
+        (result, calls, retries)
+    }
+
+    #[test]
+    fn retry_loop_budget_predicate_and_count() {
+        // Succeeds on the third attempt, each retry counted once.
+        assert_eq!(run(2, "busy"), (Ok(3), 3, 2));
+        // Budget exhausted: the initial attempt plus three retries, then
+        // the last error surfaces.
+        assert_eq!(run(9, "busy"), (Err("busy"), 4, 3));
+        // An error the predicate refuses passes through at once.
+        assert_eq!(run(9, "fatal"), (Err("fatal"), 1, 0));
+    }
 
     #[test]
     fn backoff_is_monotone_capped_and_deterministic() {

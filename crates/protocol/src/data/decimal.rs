@@ -115,6 +115,14 @@ impl Decimal {
                 format!("'{s}' contains non-digit characters"),
             ));
         }
+        // One scale rule with `LegacyType::decimal` and the wire decoder:
+        // a scale above `MAX_PRECISION` has no power of ten in `i128`.
+        if frac_part.len() > MAX_PRECISION as usize {
+            return Err(err(
+                Cause::Overflow,
+                format!("'{s}' has more than {MAX_PRECISION} fractional digits"),
+            ));
+        }
         if int_part.len() + frac_part.len() > MAX_PRECISION as usize + 1 {
             return Err(err(
                 Cause::Overflow,
@@ -306,6 +314,20 @@ mod tests {
         assert!(Decimal::parse("-").is_err());
         assert!(Decimal::parse(".").is_err());
         assert!(Decimal::parse("1e5").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_the_scale_at_max_precision() {
+        let max = format!(".{}1", "0".repeat(MAX_PRECISION as usize - 1));
+        let d = Decimal::parse(&max).unwrap();
+        assert_eq!(
+            (d.scale(), d.to_string()),
+            (MAX_PRECISION, format!("0{max}"))
+        );
+        // One fractional digit more has no power of ten in `i128`.
+        for over in [format!("{max}1"), format!("-0{max}1")] {
+            assert_eq!(Decimal::parse(&over).unwrap_err().cause, Cause::Overflow);
+        }
     }
 
     #[test]

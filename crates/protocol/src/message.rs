@@ -162,8 +162,10 @@ pub struct LoadReport {
     /// (uploads + CDW statements). Always `upload_retries + cdw_retries`;
     /// retained so existing clients keep a single total to assert on.
     pub retries: u64,
-    /// Faults injected by the server's fault plan during the job (0 in
-    /// production — nonzero only under chaos testing).
+    /// Faults the server's fault plan injected between the job's
+    /// `BeginLoad` and this report (0 in production — nonzero only under
+    /// chaos testing). Exact for jobs that run one at a time; jobs that
+    /// overlap can count each other's faults.
     pub faults_injected: u64,
     /// Staging-upload operations retried (subset of `retries`).
     pub upload_retries: u64,
@@ -902,7 +904,7 @@ mod tests {
     fn introspect_roundtrip() {
         let topics = [Topic::Stats, Topic::Health, Topic::Trace { job: 17 }];
         let bodies = [
-            "{\"counters\": {\"gateway.chunks_received\": 12}}",
+            "{\"counters\": {\"pipeline.convert_chunks\": 12}}",
             "etlv_slo_alert{tenant=\"wg_t00\",objective=\"error_rate\"} 1\n",
             "{\"job\": 17, \"wall_micros\": 1200}",
         ];

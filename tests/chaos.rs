@@ -51,6 +51,36 @@ fn store_put_flake_is_retried_to_success() {
     assert_quiescent(&v);
 }
 
+/// A load reports the faults injected during it, not the node's
+/// lifetime total: the plan's two store-put faults land in the first of
+/// two serial loads on one node, so the second reports none.
+#[test]
+fn each_load_reports_its_own_faults() {
+    let mut plan = FaultPlan::seeded(11);
+    plan.store_put = FaultSpec::FirstN(2);
+    let v = Virtualizer::new(config_with(plan));
+    let connector = tcp_connector(&v);
+    create_simple_target(connector.as_ref(), "T");
+
+    let client = LegacyEtlClient::new(connector.clone());
+    let first = client
+        .run_import_data(&simple_import_job("T"), &kv_rows(40))
+        .unwrap();
+    assert_eq!(first.report.faults_injected, 2);
+    assert_eq!(first.report.retries, 2);
+    let second = client
+        .run_import_data(&simple_import_job("T"), &kv_rows(40))
+        .unwrap();
+    assert_eq!(second.report.retries, 0, "the plan is spent");
+    assert_eq!(
+        second.report.faults_injected, 0,
+        "the second job's own faults"
+    );
+    assert_eq!(v.last_job_report().unwrap().faults_injected, 0);
+    assert_eq!(v.fault_counts().unwrap().total(), 2, "the node's total");
+    assert_quiescent(&v);
+}
+
 #[test]
 fn store_put_partial_write_is_absorbed_by_retry() {
     let mut plan = FaultPlan::seeded(12);

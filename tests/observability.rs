@@ -80,10 +80,12 @@ fn import_populates_every_subsystem() {
 
     let obs = v.obs();
     assert_eq!(obs.pipeline.convert_rows.value(), rows as u64);
-    assert_eq!(obs.gateway.chunks_received.value(), 20);
-    assert_eq!(obs.gateway.chunk_bytes.value(), data.len() as u64);
-    assert_eq!(obs.gateway.jobs_started.value(), 1);
-    assert_eq!(obs.gateway.jobs_completed.value(), 1);
+    let tenant = obs.registry.tenant(&customer_import_job().logon.user);
+    assert_eq!(tenant.chunks.value(), 20);
+    assert_eq!(tenant.chunk_bytes.value(), data.len() as u64);
+    assert_eq!(tenant.jobs_started.value(), 1);
+    assert_eq!(tenant.jobs_completed.value(), 1);
+    assert_eq!(v.metrics().jobs_completed, 1);
     assert!(obs.pipeline.upload_parts.value() >= 1);
     assert!(obs.store.put_ops.value() >= obs.pipeline.upload_parts.value());
     assert!(obs.store.get_ops.value() >= 1, "COPY reads staged files");
@@ -134,7 +136,7 @@ fn stats_snapshot_consistent_with_node_metrics() {
     assert_eq!(
         counter(&snapshot, "memory.peak"),
         metrics.peak_memory,
-        "gauge refreshed at snapshot"
+        "the gauge's own series"
     );
 }
 
@@ -157,17 +159,24 @@ fn stats_wire_round_trip() {
     .unwrap();
     let json = session.introspect(Topic::Stats, Format::Json).unwrap();
     assert_eq!(json.format, Format::Json);
-    assert_eq!(counter(&json.body, "gateway.jobs_completed"), 1);
+    assert!(
+        json.body.contains(
+            "{\"tenant.jobs_completed\": 1, \"kind\": \"counter\", \"tenant\": \"user\"}"
+        ),
+        "{}",
+        json.body
+    );
 
     let prom = session.introspect(Topic::Stats, Format::Text).unwrap();
     assert_eq!(prom.format, Format::Text);
     assert!(
-        prom.body.contains("\netlv_gateway_jobs_completed 1\n"),
+        prom.body
+            .contains("\netlv_tenant_jobs_completed{tenant=\"user\"} 1\n"),
         "{}",
         prom.body
     );
     assert!(
-        prom.body.contains("etlv_gateway_chunks_received"),
+        prom.body.contains("etlv_tenant_chunks{tenant=\"user\"}"),
         "{}",
         prom.body
     );
@@ -270,8 +279,13 @@ fn load_report_retry_split_consistent() {
         v.obs().pipeline.upload_retries.value(),
         report.upload_retries
     );
+    // Two store puts and one statement faulted, all inside the job: the
+    // injector's counters and the job's own report agree.
     let snapshot = v.introspect(Topic::Stats, Format::Json).body;
-    assert!(counter(&snapshot, "fault.injected_total") >= 3);
+    assert_eq!(counter(&snapshot, "fault.injected_store_put"), 2);
+    assert_eq!(counter(&snapshot, "fault.injected_cdw_exec"), 1);
+    assert_eq!(report.faults_injected, 3);
+    assert_eq!(node_report.faults_injected, 3);
 }
 
 /// The PR 7 plan counters: an import into a unique-keyed target makes
@@ -358,8 +372,9 @@ fn plan_counters_reach_the_wire() {
 
 /// The PR 5 session-lifecycle surface: session open/close counters stay
 /// symmetric, the active-session/job gauges return to zero, and an
-/// abandoned job shows up as `gateway.jobs_aborted` in both snapshot
-/// formats — with the Prometheus rendering carrying TYPE metadata for each.
+/// abandoned job shows up as its tenant's `tenant.jobs_aborted` in both
+/// snapshot formats — with the Prometheus rendering carrying TYPE
+/// metadata for each.
 #[test]
 fn session_lifecycle_metrics_are_symmetric_and_rendered() {
     use etlv_legacy_client::Session;
@@ -422,7 +437,7 @@ fn session_lifecycle_metrics_are_symmetric_and_rendered() {
     );
     assert_eq!(obs.gateway.active_sessions.value(), 0);
     assert_eq!(obs.gateway.active_jobs.value(), 0);
-    assert_eq!(obs.gateway.jobs_aborted.value(), 1);
+    assert_eq!(obs.registry.tenant("u").jobs_aborted.value(), 1);
     assert!(obs.runtime.threads_started.value() >= 1, "shared pool ran");
 
     // JSON snapshot carries the session counters and the abort.
@@ -434,17 +449,18 @@ fn session_lifecycle_metrics_are_symmetric_and_rendered() {
     );
     assert_eq!(counter(&snapshot, "gateway.active_sessions"), 0);
     assert_eq!(counter(&snapshot, "gateway.active_jobs"), 0);
-    assert_eq!(counter(&snapshot, "gateway.jobs_aborted"), 1);
+    assert_eq!(counter(&snapshot, "tenant.jobs_aborted"), 1);
 
     // Prometheus: samples present, each under its own TYPE line.
     let prom = v.introspect(Topic::Stats, Format::Text).body;
-    assert!(prom.contains("\netlv_gateway_jobs_aborted 1\n"), "{prom}");
+    assert!(
+        prom.contains("\netlv_tenant_jobs_aborted{tenant=\"u\"} 1\n"),
+        "{prom}"
+    );
     for metric in [
         "etlv_gateway_sessions_closed",
         "etlv_gateway_active_sessions",
         "etlv_gateway_active_jobs",
-        "etlv_gateway_jobs_aborted",
-        "etlv_gateway_admission_rejections",
         "etlv_server_connections",
         "etlv_runtime_threads_started",
     ] {
@@ -575,9 +591,9 @@ fn rejections_and_idle_timeouts_attributed_to_their_tenant() {
     );
     assert_eq!(registry.tenant("noisy").idle_timeouts.value(), 0);
     assert_eq!(
-        v.obs().gateway.admission_rejections.value(),
+        v.health().overload.recent_rejections,
         1,
-        "node total"
+        "node total: the sum over tenants"
     );
 
     let prom = v.introspect(Topic::Stats, Format::Text).body;
@@ -592,13 +608,15 @@ fn rejections_and_idle_timeouts_attributed_to_their_tenant() {
 }
 
 /// One ledger, checked at all four job exits: a completed load, a failed
-/// one, an abandoned one and an export, spread over two tenants. The node
-/// counter, the sum of the tenant-labelled series and the `NodeMetrics`
-/// view must tell the same story, and nothing may stay "held" afterwards.
+/// one, an abandoned one and an export (one read to its end, one
+/// abandoned), spread over two tenants. The `NodeMetrics` view must equal
+/// the sum of the tenant-labelled series — plus `export.aborted` for the
+/// aborted export, which no tenant books — and nothing may stay "held"
+/// afterwards.
 #[test]
 fn node_totals_equal_the_sum_over_tenants() {
     use etlv_legacy_client::Session;
-    use etlv_protocol::message::{BeginLoad, DataChunk, Message};
+    use etlv_protocol::message::{BeginExport, BeginLoad, DataChunk, Message};
 
     let v = customer_virtualizer(VirtualizerConfig::default());
     let connector = tcp_connector(&v);
@@ -664,6 +682,18 @@ fn node_totals_equal_the_sum_over_tenants() {
     export.logon.user = "bob".into();
     let exported = client.run_export(&export).unwrap();
     assert_eq!(exported.rows, 60);
+    let mut control =
+        Session::logon(connector.as_ref(), "bob", "pw", SessionRole::Control, 0).unwrap();
+    let reply = control
+        .request(Message::BeginExport(BeginExport {
+            select: export.select.clone(),
+            format: export.format,
+            sessions: 1,
+            chunk_rows: 0,
+        }))
+        .unwrap();
+    assert!(matches!(reply, Message::BeginExportOk(_)));
+    drop(control);
     wait_idle(&v);
 
     let (obs, metrics, snap) = (v.obs(), v.metrics(), v.obs().snapshot());
@@ -680,47 +710,35 @@ fn node_totals_equal_the_sum_over_tenants() {
         assert!(values.len() >= 2, "{name}: one series per tenant");
         values.iter().sum()
     };
-    let gateway = &obs.gateway;
-    assert_eq!(gateway.jobs_started.value(), 3, "exports are not load jobs");
-    assert_eq!(over_tenants("tenant.jobs_started"), 3);
-    for (what, node, tenants, view) in [
-        (
-            "completed",
-            &gateway.jobs_completed,
-            "tenant.jobs_completed",
-            metrics.jobs_completed,
-        ),
-        (
-            "failed",
-            &gateway.jobs_failed,
-            "tenant.jobs_failed",
-            metrics.jobs_failed,
-        ),
-        (
-            "aborted",
-            &gateway.jobs_aborted,
-            "tenant.jobs_aborted",
-            metrics.jobs_aborted,
-        ),
+    assert_eq!(
+        over_tenants("tenant.jobs_started"),
+        3,
+        "exports are not load jobs"
+    );
+    for (what, tenants, view) in [
+        ("completed", "tenant.jobs_completed", metrics.jobs_completed),
+        ("failed", "tenant.jobs_failed", metrics.jobs_failed),
+        ("aborted", "tenant.jobs_aborted", metrics.jobs_aborted - 1),
     ] {
-        assert_eq!(node.value(), 1, "node counter: one job {what}");
-        assert_eq!(over_tenants(tenants), 1, "tenant series: one job {what}");
-        assert_eq!(view, 1, "NodeMetrics: one job {what}");
+        assert_eq!(over_tenants(tenants), 1, "tenant series: one load {what}");
+        assert_eq!(view, 1, "NodeMetrics: one load {what}");
     }
+    assert_eq!(obs.export.aborted.value(), 1, "the abandoned export");
+    assert_eq!(metrics.jobs_aborted, 2, "one load and one export aborted");
     assert_eq!(obs.registry.tenant("alice").jobs_completed.value(), 1);
     assert_eq!(obs.registry.tenant("alice").jobs_failed.value(), 1);
     assert_eq!(obs.registry.tenant("bob").jobs_aborted.value(), 1);
 
     assert_eq!(metrics.rows_ingested, 60, "the completed job's rows only");
-    assert_eq!(gateway.rows_ingested.value(), 60);
+    assert_eq!(obs.gateway.rows_ingested.value(), 60);
     assert_eq!(over_tenants("tenant.rows_applied"), 60);
-    assert_eq!(metrics.exports_started, 1);
+    assert_eq!(metrics.exports_started, 2);
     assert_eq!(metrics.rows_exported, 60);
     assert_eq!(metrics.rows_exported, obs.export.rows.value());
     assert_eq!(metrics.bytes_exported, obs.export.bytes.value());
     assert!(metrics.bytes_exported >= exported.data.len() as u64);
 
-    assert_eq!(gateway.active_jobs.value(), 0);
+    assert_eq!(obs.gateway.active_jobs.value(), 0);
     for held in [
         "tenant.active_jobs",
         "tenant.credit_held",
@@ -731,6 +749,132 @@ fn node_totals_equal_the_sum_over_tenants() {
             0,
             "{held} back to zero for every tenant"
         );
+    }
+}
+
+/// An object store whose puts wait until the test opens the gate.
+#[derive(Default)]
+struct GatedStore {
+    inner: etlv_cloudstore::MemStore,
+    open: std::sync::Mutex<bool>,
+    opened: std::sync::Condvar,
+    puts_waiting: std::sync::atomic::AtomicU64,
+}
+
+impl GatedStore {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+impl etlv_cloudstore::ObjectStore for GatedStore {
+    fn put(
+        &self,
+        bucket: &str,
+        key: &str,
+        data: Vec<u8>,
+    ) -> Result<(), etlv_cloudstore::StoreError> {
+        use std::sync::atomic::Ordering;
+        self.puts_waiting.fetch_add(1, Ordering::SeqCst);
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+        drop(open);
+        self.puts_waiting.fetch_sub(1, Ordering::SeqCst);
+        self.inner.put(bucket, key, data)
+    }
+
+    fn get(&self, bucket: &str, key: &str) -> Result<Vec<u8>, etlv_cloudstore::StoreError> {
+        self.inner.get(bucket, key)
+    }
+
+    fn list(&self, bucket: &str, prefix: &str) -> Result<Vec<String>, etlv_cloudstore::StoreError> {
+        self.inner.list(bucket, prefix)
+    }
+
+    fn delete(&self, bucket: &str, key: &str) -> Result<(), etlv_cloudstore::StoreError> {
+        self.inner.delete(bucket, key)
+    }
+}
+
+/// Figure 4's moment, seen from Stats: a chunk's credit returns just
+/// before the FileWriter writes it, and its tenant's charge goes with
+/// it. While a rotated part's upload is stuck, the chunk that filled the
+/// part has given its credit and memory back but is not yet retired, and
+/// the chunks queued behind it hold theirs: the tenant sums must still
+/// equal what the node's pool and gauge hold.
+#[test]
+fn held_resources_reconcile_while_an_upload_is_stuck() {
+    use std::sync::atomic::Ordering;
+    use std::time::{Duration, Instant};
+
+    let store = Arc::new(GatedStore::default());
+    let shared: Arc<dyn etlv_cloudstore::ObjectStore> = store.clone();
+    let cdw = etlv_cdw::Cdw::with_config(etlv_cdw::CdwConfig::default(), Some(shared.clone()));
+    let v = Virtualizer::with_backends(
+        VirtualizerConfig {
+            credits: 16,
+            converter_threads: 1,
+            // 10-row chunks stage ~280 bytes each: the third rotates a part.
+            file_size_threshold: 700,
+            ..Default::default()
+        },
+        cdw,
+        shared,
+    );
+    v.cdw()
+        .execute("CREATE TABLE PROD.CUSTOMER (CUST_ID VARCHAR(5), CUST_NAME VARCHAR(50), JOIN_DATE DATE)")
+        .unwrap();
+    let client = LegacyEtlClient::with_options(
+        tcp_connector(&v),
+        ClientOptions {
+            chunk_rows: 10,
+            sessions: Some(1),
+            ..Default::default()
+        },
+    );
+    let loader = std::thread::spawn(move || {
+        client
+            .run_import_data(&customer_import_job(), &customer_rows(100))
+            .unwrap()
+    });
+
+    // Wait until the part's put is stuck and every chunk has been acked:
+    // from then on nothing moves until the gate opens.
+    let tenant = v.obs().registry.tenant("user");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while store.puts_waiting.load(Ordering::SeqCst) == 0 || tenant.chunks.value() < 10 {
+        assert!(Instant::now() < deadline, "the upload never blocked");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let stats = v.introspect(Topic::Stats, Format::Json).body;
+    let in_flight = counter(&stats, "credit.in_flight");
+    assert!(
+        (1..10).contains(&in_flight),
+        "queued chunks hold credits, staged ones gave theirs back: {in_flight}"
+    );
+    assert_eq!(counter(&stats, "tenant.credit_held"), in_flight, "{stats}");
+    assert_eq!(
+        counter(&stats, "tenant.memory_held"),
+        counter(&stats, "memory.in_flight"),
+        "{stats}"
+    );
+
+    store.open();
+    let result = loader.join().unwrap();
+    assert_eq!(result.report.rows_applied, 100);
+    let staged = v.last_job_report().unwrap().files_staged;
+    assert!(staged >= 2, "a part rotated mid-load: {staged}");
+    let stats = v.introspect(Topic::Stats, Format::Json).body;
+    for held in [
+        "credit.in_flight",
+        "tenant.credit_held",
+        "memory.in_flight",
+        "tenant.memory_held",
+    ] {
+        assert_eq!(counter(&stats, held), 0, "{held} after the load");
     }
 }
 

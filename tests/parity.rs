@@ -551,3 +551,39 @@ fn out_of_range_decimal_cast_is_a_sql_error_on_both_servers() {
     let v = Virtualizer::new(VirtualizerConfig::default());
     assert_eq!(run(tcp_connector(&v)), legacy);
 }
+
+/// One `DECIMAL` scale rule for literals too: more than 38 fractional
+/// digits is a SQL error with the same code on both servers, and the
+/// session stays usable. A 39-digit fraction used to parse to scale 39,
+/// whose power of ten overflows `i128` when the value is rendered.
+#[test]
+fn over_scaled_decimal_literal_is_a_sql_error_on_both_servers() {
+    use etlv_legacy_client::ClientError;
+    use etlv_protocol::data::{Decimal, Value};
+
+    let run = |connector: Arc<dyn Connect>| {
+        let mut session = etlv_legacy_client::Session::logon(
+            connector.as_ref(),
+            "admin",
+            "pw",
+            etlv_protocol::message::SessionRole::Control,
+            0,
+        )
+        .unwrap();
+        session.set_read_timeout(Some(std::time::Duration::from_secs(10)));
+        let ok = session.sql("select .01").unwrap();
+        assert_eq!(ok.rows, vec![vec![Value::Decimal(Decimal::new(1, 2))]]);
+        let over = format!("select .{}1", "0".repeat(38));
+        let code = match session.sql(&over) {
+            Err(ClientError::Server { code, .. }) => code,
+            other => panic!("expected a SQL error, got {other:?}"),
+        };
+        assert!(session.sql("select 1").is_ok(), "the session still serves");
+        session.logoff();
+        code
+    };
+    let server = LegacyServer::new();
+    let legacy = run(server_connector(&server));
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    assert_eq!(run(tcp_connector(&v)), legacy);
+}
