@@ -1,6 +1,11 @@
 //! The CDW catalog: schemas, row storage, the one ordered index each
 //! table keeps on its declared key, and per-table locking.
 //!
+//! A table's rows are one shared, copy-on-write *version*
+//! ([`RowVersion`]). A whole-table read hands out the version itself —
+//! an `Arc` clone, no row touched — and a writer copies it only while
+//! such a reader still holds it, so the reader keeps the rows it read.
+//!
 //! The catalog maps canonical table names to `Arc<RwLock<Table>>` handles
 //! so statements lock exactly the tables they touch — readers of
 //! different tables (and readers of the same table) no longer serialize
@@ -20,6 +25,10 @@ use parking_lot::RwLock;
 use crate::error::CdwError;
 use crate::index::OrderedIndex;
 use crate::key::cmp_rows;
+
+/// One version of a table's rows, shared copy-on-write between the table
+/// and the results that read all of it.
+pub type RowVersion = Arc<Vec<Vec<Value>>>;
 
 /// A column of a table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,8 +71,9 @@ pub struct Table {
     pub name: String,
     /// Column definitions.
     pub columns: Vec<Column>,
-    /// Row storage.
-    pub rows: Vec<Vec<Value>>,
+    /// Row storage: read through [`Table::rows`], written only through
+    /// [`Table::rows_mut`].
+    rows: RowVersion,
     /// The ordered index on the declared UNIQUE / PRIMARY KEY columns,
     /// maintained through every mutation. Its columns are the key.
     pub pk: Option<OrderedIndex>,
@@ -107,7 +117,7 @@ impl Table {
         Ok(Table {
             name,
             columns: cols,
-            rows: Vec::new(),
+            rows: RowVersion::default(),
             pk,
         })
     }
@@ -116,6 +126,27 @@ impl Table {
     pub fn column_index(&self, name: &str) -> Option<usize> {
         let up = name.to_ascii_uppercase();
         self.columns.iter().position(|c| c.name == up)
+    }
+
+    /// The rows, in rowid order.
+    pub(crate) fn rows(&self) -> &[Vec<Value>] {
+        &self.rows
+    }
+
+    /// The current version of the rows, shared: a reader holding it keeps
+    /// these rows whatever is written afterwards.
+    pub(crate) fn version(&self) -> RowVersion {
+        Arc::clone(&self.rows)
+    }
+
+    /// The rows, for writing. A version some reader still holds is copied
+    /// first, and the table moves to the copy; the copy is counted in
+    /// `copies`.
+    pub(crate) fn rows_mut(&mut self, copies: &mut u64) -> &mut Vec<Vec<Value>> {
+        if Arc::get_mut(&mut self.rows).is_none() {
+            *copies += 1;
+        }
+        Arc::make_mut(&mut self.rows)
     }
 
     /// Number of rows.
@@ -134,10 +165,12 @@ impl Table {
     /// [`OrderedIndex::insert_range`]). Rows are moved, never cloned;
     /// callers must have validated width, types, and (if enforced)
     /// uniqueness already. Returns the number of index maintenance
-    /// operations performed.
-    pub fn append_rows(&mut self, rows: Vec<Vec<Value>>) -> usize {
-        let start = self.rows.len();
-        self.rows.extend(rows);
+    /// operations performed; a version copy, if one was made, is counted
+    /// in `copies`.
+    pub fn append_rows(&mut self, rows: Vec<Vec<Value>>, copies: &mut u64) -> usize {
+        let stored = self.rows_mut(copies);
+        let start = stored.len();
+        stored.extend(rows);
         match &mut self.pk {
             Some(pk) => pk.insert_range(&self.rows, start),
             None => 0,
@@ -397,12 +430,17 @@ mod tests {
     #[test]
     fn append_rows_maintains_the_pk() {
         let mut t = make_table("T");
-        let ops = t.append_rows(vec![
-            vec![Value::Int(1), Value::Null],
-            vec![Value::Int(2), Value::Null],
-        ]);
+        let mut copies = 0;
+        let ops = t.append_rows(
+            vec![
+                vec![Value::Int(1), Value::Null],
+                vec![Value::Int(2), Value::Null],
+            ],
+            &mut copies,
+        );
         assert_eq!(t.len(), 2);
         assert_eq!(ops, 2, "one maintenance op per row");
+        assert_eq!(copies, 0, "no reader held the version");
         assert_eq!(t.pk.as_ref().unwrap().seek_eq(&[Value::Int(2)]), vec![1]);
         t.validate_indexes().unwrap();
     }
@@ -431,12 +469,12 @@ mod tests {
             let mut t = make_table("T");
             for batch in [&existing, &first, &second] {
                 let rows = batch.iter().map(|k| vec![k.clone(), Value::Null]);
-                t.append_rows(rows.collect());
+                t.append_rows(rows.collect(), &mut 0);
             }
             t.validate_indexes().unwrap();
             let pk = t.pk.as_ref().unwrap();
             let mut by_row = OrderedIndex::new(pk.columns.clone());
-            for (rowid, row) in t.rows.iter().enumerate() {
+            for (rowid, row) in t.rows().iter().enumerate() {
                 by_row.insert_row(row, rowid);
             }
             assert_eq!(entries(pk), entries(&by_row));
@@ -446,14 +484,17 @@ mod tests {
     #[test]
     fn stale_pk_key_detected_and_rebuilt() {
         let mut t = make_table("T");
-        t.append_rows(vec![
-            vec![Value::Int(1), Value::Str("b".into())],
-            vec![Value::Int(2), Value::Str("a".into())],
-        ]);
+        t.append_rows(
+            vec![
+                vec![Value::Int(1), Value::Str("b".into())],
+                vec![Value::Int(2), Value::Str("a".into())],
+            ],
+            &mut 0,
+        );
         t.validate_indexes().unwrap();
 
         // Mutate a key cell in place, then re-key.
-        t.rows[1][0] = Value::Int(9);
+        t.rows_mut(&mut 0)[1][0] = Value::Int(9);
         assert!(t.validate_indexes().is_err(), "stale key detected");
         assert_eq!(t.rebuild_pk(), 2);
         t.validate_indexes().unwrap();

@@ -1,6 +1,7 @@
 //! The engine facade: a thread-safe CDW handle with configuration.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -71,6 +72,7 @@ struct Inner {
     transient_fault: Mutex<Option<TransientFaultHook>>,
     exec_observer: Mutex<Option<ExecObserver>>,
     plan_totals: Mutex<PlanStats>,
+    version_copies: AtomicU64,
 }
 
 impl Cdw {
@@ -89,6 +91,7 @@ impl Cdw {
                 transient_fault: Mutex::new(None),
                 exec_observer: Mutex::new(None),
                 plan_totals: Mutex::new(PlanStats::default()),
+                version_copies: AtomicU64::new(0),
             }),
         }
     }
@@ -128,6 +131,14 @@ impl Cdw {
     /// Cumulative access-path counters since the engine was created.
     pub fn plan_stats(&self) -> PlanStats {
         *self.inner.plan_totals.lock()
+    }
+
+    /// Row versions copied since the engine was created: writes that found
+    /// a table's rows still shared with a reader (an open export, say) and
+    /// so copied them before writing. A write no reader overlaps copies
+    /// nothing.
+    pub fn version_copies(&self) -> u64 {
+        self.inner.version_copies.load(Ordering::Relaxed)
     }
 
     /// Per-statement prelude: consult the transient-fault hook (failing
@@ -215,9 +226,13 @@ impl Cdw {
             native_unique: self.inner.config.native_unique,
             planner: self.inner.config.planner,
             stats: Cell::new(PlanStats::default()),
+            version_copies: 0,
         };
         let result = execute(&mut ctx, stmt);
         *stats = ctx.stats.get();
+        self.inner
+            .version_copies
+            .fetch_add(ctx.version_copies, Ordering::Relaxed);
         result
     }
 
@@ -225,11 +240,7 @@ impl Cdw {
     /// Returns the result of the last statement.
     pub fn execute_script(&self, sql: &str) -> Result<QueryResult, CdwError> {
         let stmts = parse_statements(sql, Dialect::Cdw)?;
-        let mut last = QueryResult {
-            columns: Vec::new(),
-            rows: Vec::new(),
-            affected: 0,
-        };
+        let mut last = QueryResult::dml(0);
         for stmt in &stmts {
             last = self.execute_stmt(stmt)?;
         }
@@ -596,7 +607,7 @@ mod tests {
         let r = cdw
             .execute("SELECT DISTINCT A FROM T ORDER BY A DESC LIMIT 2")
             .unwrap();
-        assert_eq!(r.rows, vec![vec![Value::Int(3)], vec![Value::Int(2)]]);
+        assert_eq!(*r.rows, vec![vec![Value::Int(3)], vec![Value::Int(2)]]);
     }
 
     #[test]
@@ -651,7 +662,7 @@ mod tests {
             "SELECT COUNT(*) FROM X HAVING MAX(TS) > MIN(D)",
         ] {
             let r = cdw.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
-            assert_eq!(r.rows, vec![vec![Value::Int(1)]], "{sql}");
+            assert_eq!(*r.rows, vec![vec![Value::Int(1)]], "{sql}");
         }
     }
 
@@ -684,7 +695,7 @@ mod tests {
         let r = cdw
             .execute("SELECT CASE WHEN K = 1 THEN 'one' ELSE NOPE END FROM X")
             .unwrap();
-        assert_eq!(r.rows, vec![vec![Value::Str("one".into())]]);
+        assert_eq!(*r.rows, vec![vec![Value::Str("one".into())]]);
         let err = cdw.execute("SELECT NOPE FROM X").unwrap_err();
         assert!(matches!(err, CdwError::ColumnNotFound(_)), "{err}");
     }
@@ -731,7 +742,7 @@ mod tests {
             );
         }
         assert_eq!(
-            cdw.execute("SELECT K, D FROM T").unwrap().rows,
+            *cdw.execute("SELECT K, D FROM T").unwrap().rows,
             vec![vec![Value::Int(1), Value::Null]; 2]
         );
     }
@@ -827,7 +838,7 @@ mod tests {
         let r = cdw
             .execute("SELECT G FROM (SELECT G, SUM(V) AS S FROM T GROUP BY G HAVING SUM(V) > 10) q")
             .unwrap();
-        assert_eq!(r.rows, vec![vec![Value::Int(1)]]);
+        assert_eq!(*r.rows, vec![vec![Value::Int(1)]]);
     }
 
     #[test]
@@ -905,7 +916,7 @@ mod tests {
         assert!(err.is_uniqueness());
         // No partial effects.
         let r = cdw.execute("SELECT A FROM T ORDER BY A").unwrap();
-        assert_eq!(r.rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
+        assert_eq!(*r.rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
     }
 
     #[test]

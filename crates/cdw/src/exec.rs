@@ -13,14 +13,14 @@ use std::sync::Arc;
 
 use etlv_cloudstore::compress;
 use etlv_cloudstore::store::{parse_url, ObjectStore};
-use etlv_protocol::data::{DateFormat, Value};
+use etlv_protocol::data::{DateFormat, Value, MAX_PRECISION};
 use etlv_protocol::errcode::Cause;
 use etlv_protocol::vartext::VartextFormat;
 use etlv_sql::ast::*;
 use etlv_sql::types::Charset;
 use etlv_sql::SqlType;
 
-use crate::catalog::{Table, TableSet};
+use crate::catalog::{RowVersion, Table, TableSet};
 use crate::error::CdwError;
 use crate::eval::{apply_binary, compile_format, eval, literal_format, truthy, Env};
 use crate::key::{cmp_values, RowKey};
@@ -33,8 +33,10 @@ use crate::plan::{
 pub struct QueryResult {
     /// Result-set columns (empty for DML/DDL).
     pub columns: Vec<(String, SqlType)>,
-    /// Result rows (empty for DML/DDL).
-    pub rows: Vec<Vec<Value>>,
+    /// Result rows (empty for DML/DDL). A SELECT that reads one table
+    /// whole and unchanged returns the table's own row version, shared;
+    /// every other result owns the rows it built.
+    pub rows: RowVersion,
     /// Rows affected (DML) or returned (queries).
     pub affected: u64,
 }
@@ -43,9 +45,15 @@ impl QueryResult {
     pub(crate) fn dml(affected: u64) -> QueryResult {
         QueryResult {
             columns: Vec::new(),
-            rows: Vec::new(),
+            rows: RowVersion::default(),
             affected,
         }
+    }
+
+    /// The rows, owned: moved out when nothing else holds them, copied
+    /// when a table (or another result) still shares them.
+    pub fn into_rows(self) -> Vec<Vec<Value>> {
+        Arc::unwrap_or_clone(self.rows)
     }
 }
 
@@ -64,6 +72,9 @@ pub struct ExecCtx<'a> {
     /// cell, so read paths count through a shared context while they
     /// borrow its tables' rows.
     pub stats: Cell<PlanStats>,
+    /// Row versions this statement's writes copied because a reader
+    /// still held them.
+    pub version_copies: u64,
 }
 
 impl ExecCtx<'_> {
@@ -237,7 +248,7 @@ fn candidate_rows<'t, 'e>(
         Access::Empty => (Box::new(std::iter::empty()), None),
         Access::Scan => {
             ctx.count(|s| s.full_scans += 1);
-            (Box::new(0..table.rows.len()), selection)
+            (Box::new(0..table.len()), selection)
         }
         Access::Seek(p) => {
             ctx.count(|s| s.index_seeks += 1);
@@ -261,7 +272,9 @@ fn table_candidates<'t, 'e>(
 
 /// Borrow the rows at `rowids`.
 fn borrow_rows(table: &Table, rowids: impl Iterator<Item = usize>) -> Vec<Row<'_>> {
-    rowids.map(|i| Cow::Borrowed(&table.rows[i][..])).collect()
+    rowids
+        .map(|i| Cow::Borrowed(&table.rows()[i][..]))
+        .collect()
 }
 
 /// Execute one parsed DML/query statement. DDL never reaches here — the
@@ -296,7 +309,7 @@ fn exec_insert(ctx: &mut ExecCtx<'_>, ins: &Insert) -> Result<QueryResult, CdwEr
             }
             out
         }
-        InsertSource::Select(sel) => exec_select(ctx, sel)?.rows,
+        InsertSource::Select(sel) => exec_select(ctx, sel)?.into_rows(),
     };
 
     let table = ctx.tables.get(&ins.table.dotted())?;
@@ -342,10 +355,7 @@ fn exec_insert(ctx: &mut ExecCtx<'_>, ins: &Insert) -> Result<QueryResult, CdwEr
     }
 
     // Uniqueness (native mode) + append via the shared batch path.
-    let native_unique = ctx.native_unique;
-    let stats = ctx.stats.get_mut();
-    let table = ctx.tables.get_mut(&ins.table.dotted())?;
-    let n = append_unique_checked(table, staged, native_unique, "duplicate key", stats)?;
+    let n = append_unique_checked(ctx, &ins.table, staged, "duplicate key")?;
     Ok(QueryResult::dml(n))
 }
 
@@ -370,17 +380,19 @@ fn coerce_row(
 }
 
 /// Validate batch uniqueness (native mode) against existing rows and within
-/// the batch itself, then append every row — the single append path shared
-/// by INSERT and COPY. `conflict` names the operation in the abort message
-/// ("duplicate key" or "COPY"). Rows must already be full-width and
-/// coerced.
+/// the batch itself, then append every row to `target` — the single append
+/// path shared by INSERT and COPY. `conflict` names the operation in the
+/// abort message ("duplicate key" or "COPY"). Rows must already be
+/// full-width and coerced.
 fn append_unique_checked(
-    table: &mut Table,
+    ctx: &mut ExecCtx<'_>,
+    target: &ObjectName,
     staged: Vec<Vec<Value>>,
-    native_unique: bool,
     conflict: &str,
-    stats: &mut PlanStats,
 ) -> Result<u64, CdwError> {
+    let native_unique = ctx.native_unique;
+    let stats = ctx.stats.get_mut();
+    let table = ctx.tables.get_mut(&target.dotted())?;
     if let Some(pk) = table.pk.as_ref().filter(|_| native_unique) {
         // O(log n) probes against the always-maintained PK ordered index
         // (plus an O(1) intra-batch hash probe) — the statement path is no
@@ -398,7 +410,7 @@ fn append_unique_checked(
         }
     }
     let n = staged.len() as u64;
-    stats.index_maintains += table.append_rows(staged) as u64;
+    stats.index_maintains += table.append_rows(staged, &mut ctx.version_copies) as u64;
     Ok(n)
 }
 
@@ -434,7 +446,7 @@ fn exec_update(ctx: &mut ExecCtx<'_>, u: &Update) -> Result<QueryResult, CdwErro
     let assigned = Resolved::all(u.assignments.iter().map(|(_, e)| e), &bindings);
     let mut updates: Vec<(usize, Vec<Value>)> = Vec::new();
     for i in candidates {
-        let row = &table.rows[i];
+        let row = &table.rows()[i];
         if !filter.as_ref().map_or(Ok(true), |w| w.holds(row))? {
             continue;
         }
@@ -458,7 +470,7 @@ fn exec_update(ctx: &mut ExecCtx<'_>, u: &Update) -> Result<QueryResult, CdwErro
         let updated: HashMap<usize, &Vec<Value>> =
             updates.iter().map(|(i, vals)| (*i, vals)).collect();
         let mut keys: HashMap<RowKey, ()> = HashMap::new();
-        for (i, row) in table.rows.iter().enumerate() {
+        for (i, row) in table.rows().iter().enumerate() {
             let key = match updated.get(&i) {
                 Some(vals) => pk
                     .columns
@@ -481,20 +493,24 @@ fn exec_update(ctx: &mut ExecCtx<'_>, u: &Update) -> Result<QueryResult, CdwErro
         }
     }
 
-    // Phase 3: apply in place — only the assigned cells change. The key
+    // Phase 3: apply in place — only the assigned cells change (the
+    // version is copied first only if a reader still holds it). The key
     // index is re-keyed only when a key column was assigned (rowids are
     // stable).
+    if updates.is_empty() {
+        return Ok(QueryResult::dml(0));
+    }
     let n = updates.len() as u64;
-    let rekey = !updates.is_empty()
-        && table
-            .pk
-            .as_ref()
-            .is_some_and(|pk| pk.columns.iter().any(|c| assignment_idx.contains(c)));
+    let rekey = table
+        .pk
+        .as_ref()
+        .is_some_and(|pk| pk.columns.iter().any(|c| assignment_idx.contains(c)));
     let stats = ctx.stats.get_mut();
     let table = ctx.tables.get_mut(&u.table.dotted())?;
+    let rows = table.rows_mut(&mut ctx.version_copies);
     for (i, vals) in updates {
         for (&ci, v) in assignment_idx.iter().zip(vals) {
-            table.rows[i][ci] = v;
+            rows[i][ci] = v;
         }
     }
     if rekey {
@@ -513,30 +529,32 @@ fn exec_delete(ctx: &mut ExecCtx<'_>, d: &Delete) -> Result<QueryResult, CdwErro
     // planner narrows the candidate set to an index seek where possible.
     let (candidates, filter) = table_candidates(ctx, table, d.selection.as_ref(), &bindings);
     let filter = filter.map(|w| Resolved::new(w, &bindings));
-    let mut hits: Vec<bool> = vec![false; table.rows.len()];
+    let mut hits: Vec<bool> = vec![false; table.len()];
     let mut removed = 0u64;
     for i in candidates {
         let hit = filter
             .as_ref()
-            .map_or(Ok(true), |w| w.holds(&table.rows[i]))?;
+            .map_or(Ok(true), |w| w.holds(&table.rows()[i]))?;
         if hit && !hits[i] {
             removed += 1;
             hits[i] = true;
         }
     }
-    // Phase 2: compact in place — survivors shift down, nothing is cloned.
+    // Phase 2: compact in place — survivors shift down, nothing is cloned
+    // (unless a reader still holds the version, which is copied first).
     // Deletion shifts rowids, so the key index is re-keyed.
+    if removed == 0 {
+        return Ok(QueryResult::dml(0));
+    }
     let stats = ctx.stats.get_mut();
     let table = ctx.tables.get_mut(&d.table.dotted())?;
     let mut idx = 0;
-    table.rows.retain(|_| {
+    table.rows_mut(&mut ctx.version_copies).retain(|_| {
         let keep = !hits[idx];
         idx += 1;
         keep
     });
-    if removed > 0 {
-        stats.index_maintains += table.rebuild_pk() as u64;
-    }
+    stats.index_maintains += table.rebuild_pk() as u64;
     Ok(QueryResult::dml(removed))
 }
 
@@ -580,10 +598,7 @@ fn exec_copy(ctx: &mut ExecCtx<'_>, c: &CopyStmt) -> Result<QueryResult, CdwErro
         }
     }
 
-    let native_unique = ctx.native_unique;
-    let stats = ctx.stats.get_mut();
-    let table = ctx.tables.get_mut(&c.table.dotted())?;
-    let n = append_unique_checked(table, staged, native_unique, "COPY", stats)?;
+    let n = append_unique_checked(ctx, &c.table, staged, "COPY")?;
     Ok(QueryResult::dml(n))
 }
 
@@ -613,6 +628,9 @@ fn base_name(dotted: &str) -> String {
 }
 
 fn exec_select(ctx: &ExecCtx<'_>, sel: &SelectStmt) -> Result<QueryResult, CdwError> {
+    if let Some(result) = identity_scan(ctx, sel)? {
+        return Ok(result);
+    }
     let row_key = match &sel.from {
         Some(TableRef::Named { name, .. }) => integer_key(ctx.tables.get(&name.dotted())?),
         _ => None,
@@ -638,9 +656,56 @@ fn exec_select(ctx: &ExecCtx<'_>, sel: &SelectStmt) -> Result<QueryResult, CdwEr
     let affected = out_rows.len() as u64;
     Ok(QueryResult {
         columns,
-        rows: out_rows,
+        rows: Arc::new(out_rows),
         affected,
     })
+}
+
+/// The result of `sel` when it is an *identity scan*: it reads one named
+/// table with no WHERE, GROUP BY, HAVING, DISTINCT, ORDER BY or LIMIT, and
+/// its projection names every column once, in table order (`*` or the
+/// full list). The result is the table's own row version, shared — no row
+/// is touched — and the read still counts as the full scan it stands for.
+/// `None` for any other plan.
+fn identity_scan(ctx: &ExecCtx<'_>, sel: &SelectStmt) -> Result<Option<QueryResult>, CdwError> {
+    let Some(TableRef::Named { name, alias }) = &sel.from else {
+        return Ok(None);
+    };
+    if sel.selection.is_some()
+        || !sel.group_by.is_empty()
+        || sel.having.is_some()
+        || sel.distinct
+        || !sel.order_by.is_empty()
+        || sel.limit.is_some()
+    {
+        return Ok(None);
+    }
+    let table = ctx.tables.get(&name.dotted())?;
+    let width: usize = sel
+        .projection
+        .iter()
+        .map(|item| match item {
+            SelectItem::Wildcard => table.columns.len(),
+            SelectItem::Expr { .. } => 1,
+        })
+        .sum();
+    if width != table.columns.len() {
+        return Ok(None);
+    }
+    let bindings = table_bindings(table, alias.as_deref());
+    let items = expand_projection(sel, &bindings);
+    let in_order = items.iter().enumerate().all(|(i, (expr, _))| {
+        matches!(expr, Expr::Column(n) if resolve_column(&bindings, n).ok() == Some(i))
+    });
+    if !in_order {
+        return Ok(None);
+    }
+    ctx.count(|s| s.full_scans += 1);
+    Ok(Some(QueryResult {
+        columns: projection_columns(&items, &bindings)?,
+        rows: table.version(),
+        affected: table.len() as u64,
+    }))
 }
 
 /// Position of `table`'s primary key when it is a single integer column:
@@ -777,7 +842,7 @@ fn resolve_from<'t>(
             ctx.count(|s| s.full_scans += 1);
             Ok(Relation {
                 bindings: table_bindings(table, alias.as_deref()),
-                rows: borrow_rows(table, 0..table.rows.len()),
+                rows: borrow_rows(table, 0..table.len()),
             })
         }
         TableRef::Subquery { query, alias } => {
@@ -793,7 +858,7 @@ fn resolve_from<'t>(
                         ty: *ty,
                     })
                     .collect(),
-                rows: result.rows.into_iter().map(Cow::Owned).collect(),
+                rows: result.into_rows().into_iter().map(Cow::Owned).collect(),
             })
         }
         TableRef::Join {
@@ -875,7 +940,7 @@ fn try_index_join<'t>(
         .collect();
     let rwidth = rtable.columns.len();
     let mut rows = Vec::new();
-    if rtable.rows.is_empty() {
+    if rtable.is_empty() {
         // The nested loop never evaluates ON against an empty right side —
         // short-circuit before touching the key expressions.
         if *kind == JoinKind::Left {
@@ -918,7 +983,7 @@ fn try_index_join<'t>(
             rowids.sort_unstable();
             for rid in rowids {
                 matched = true;
-                rows.push(Cow::Owned([&lrow[..], &rtable.rows[rid]].concat()));
+                rows.push(Cow::Owned([&lrow[..], &rtable.rows()[rid]].concat()));
             }
         }
         if !matched && *kind == JoinKind::Left {
@@ -1086,7 +1151,17 @@ fn projection_columns(
 fn infer_type(expr: &Expr, bindings: &[Binding]) -> SqlType {
     match expr {
         Expr::Literal(Literal::Integer(_)) => SqlType::BigInt,
-        Expr::Literal(Literal::Decimal(d)) => SqlType::Decimal(18, d.scale()),
+        Expr::Literal(Literal::Decimal(d)) => {
+            // Wide enough for every digit written, the scale's included:
+            // 18 at least, and at most the 38 the wire carries.
+            let digits = d
+                .unscaled()
+                .unsigned_abs()
+                .checked_ilog10()
+                .map_or(1, |l| l as u8 + 1)
+                .max(d.scale());
+            SqlType::Decimal(digits.clamp(18, MAX_PRECISION), d.scale())
+        }
         Expr::Literal(Literal::Float(_)) => SqlType::Float,
         Expr::Literal(Literal::Str(_)) | Expr::Literal(Literal::Null) => {
             SqlType::VarChar(4096, Charset::Latin)
@@ -1447,5 +1522,172 @@ impl AggState {
                 }
             }
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::Cdw;
+    use etlv_sql::types::Charset;
+
+    /// `T (K INTEGER PK, S VARCHAR(8))` holding `(3,'c'), (1,'a'), (2,'b')`,
+    /// and `U (K INTEGER PK, N INTEGER)` holding `(1,10), (3,30)`.
+    fn setup() -> Cdw {
+        let cdw = Cdw::new();
+        for sql in [
+            "CREATE TABLE T (K INTEGER NOT NULL, S VARCHAR(8), PRIMARY KEY (K))",
+            "INSERT INTO T VALUES (3, 'c'), (1, 'a'), (2, 'b')",
+            "CREATE TABLE U (K INTEGER NOT NULL, N INTEGER, PRIMARY KEY (K))",
+            "INSERT INTO U VALUES (1, 10), (3, 30)",
+        ] {
+            cdw.execute(sql).unwrap();
+        }
+        cdw
+    }
+
+    fn row(k: i64, s: &str) -> Vec<Value> {
+        vec![Value::Int(k), Value::Str(s.into())]
+    }
+
+    #[test]
+    fn identity_scans_share_the_tables_version() {
+        let cdw = setup();
+        let scans = cdw.plan_stats().full_scans;
+        let star = cdw.execute("SELECT * FROM T").unwrap();
+        let listed = cdw.execute("SELECT K, S FROM T").unwrap();
+        let aliased = cdw.execute("SELECT X.K, S FROM T X").unwrap();
+        assert!(Arc::ptr_eq(&star.rows, &listed.rows));
+        assert!(Arc::ptr_eq(&star.rows, &aliased.rows));
+        assert_eq!(*star.rows, vec![row(3, "c"), row(1, "a"), row(2, "b")]);
+        assert_eq!(star.affected, 3);
+        let columns = vec![
+            ("K".to_string(), SqlType::Integer),
+            ("S".to_string(), SqlType::VarChar(8, Charset::Latin)),
+        ];
+        assert_eq!(star.columns, columns);
+        assert_eq!(listed.columns, columns);
+        // Each still counts the full scan it stands for.
+        assert_eq!(cdw.plan_stats().full_scans, scans + 3);
+        assert_eq!(cdw.version_copies(), 0);
+    }
+
+    #[test]
+    fn a_write_after_a_scan_copies_the_version_and_leaves_the_result() {
+        let cdw = setup();
+        for (write, after) in [
+            (
+                "INSERT INTO T VALUES (4, 'd')",
+                vec![row(3, "c"), row(1, "a"), row(2, "b"), row(4, "d")],
+            ),
+            (
+                "UPDATE T SET S = 'z' WHERE K = 1",
+                vec![row(3, "c"), row(1, "z"), row(2, "b"), row(4, "d")],
+            ),
+            (
+                "DELETE FROM T WHERE K = 3",
+                vec![row(1, "z"), row(2, "b"), row(4, "d")],
+            ),
+        ] {
+            let held = cdw.execute("SELECT * FROM T").unwrap();
+            let before = (*held.rows).clone();
+            let copies = cdw.version_copies();
+            cdw.execute(write).unwrap();
+            assert_eq!(*held.rows, before, "{write}: the earlier result moved");
+            assert_eq!(cdw.version_copies(), copies + 1, "{write}");
+            let now = cdw.execute("SELECT * FROM T").unwrap();
+            assert!(!Arc::ptr_eq(&held.rows, &now.rows), "{write}");
+            assert_eq!(*now.rows, after, "{write}");
+            cdw.validate_indexes().unwrap();
+        }
+        // With no reader holding the version, a write copies nothing — and
+        // a write that changes no row does not touch the version at all.
+        let copies = cdw.version_copies();
+        cdw.execute("INSERT INTO T VALUES (5, 'e')").unwrap();
+        let held = cdw.execute("SELECT * FROM T").unwrap();
+        cdw.execute("UPDATE T SET S = 'y' WHERE K = 99").unwrap();
+        cdw.execute("DELETE FROM T WHERE K = 99").unwrap();
+        assert_eq!(cdw.version_copies(), copies);
+        let again = cdw.execute("SELECT * FROM T").unwrap();
+        assert!(Arc::ptr_eq(&held.rows, &again.rows));
+    }
+
+    #[test]
+    fn other_plans_build_their_own_rows() {
+        let cdw = setup();
+        let version = cdw.execute("SELECT * FROM T").unwrap().rows;
+        let int = Value::Int;
+        let s = |v: &str| Value::Str(v.into());
+        let cases = [
+            (
+                "SELECT K FROM T",
+                vec!["K"],
+                vec![vec![int(3)], vec![int(1)], vec![int(2)]],
+            ),
+            (
+                "SELECT S, K FROM T",
+                vec!["S", "K"],
+                vec![
+                    vec![s("c"), int(3)],
+                    vec![s("a"), int(1)],
+                    vec![s("b"), int(2)],
+                ],
+            ),
+            (
+                "SELECT K, K FROM T",
+                vec!["K", "K"],
+                vec![vec![int(3); 2], vec![int(1); 2], vec![int(2); 2]],
+            ),
+            (
+                "SELECT * FROM T WHERE K > 1",
+                vec!["K", "S"],
+                vec![row(3, "c"), row(2, "b")],
+            ),
+            (
+                "SELECT * FROM T ORDER BY K",
+                vec!["K", "S"],
+                vec![row(1, "a"), row(2, "b"), row(3, "c")],
+            ),
+            (
+                "SELECT DISTINCT * FROM T",
+                vec!["K", "S"],
+                vec![row(3, "c"), row(1, "a"), row(2, "b")],
+            ),
+            (
+                "SELECT * FROM T LIMIT 2",
+                vec!["K", "S"],
+                vec![row(3, "c"), row(1, "a")],
+            ),
+            (
+                "SELECT * FROM T JOIN U ON T.K = U.K",
+                vec!["K", "S", "K", "N"],
+                vec![
+                    vec![int(3), s("c"), int(3), int(30)],
+                    vec![int(1), s("a"), int(1), int(10)],
+                ],
+            ),
+        ];
+        for (sql, columns, rows) in cases {
+            let r = cdw.execute(sql).unwrap();
+            let names: Vec<&str> = r.columns.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(names, columns, "{sql}");
+            assert_eq!(*r.rows, rows, "{sql}");
+            assert_eq!(r.affected, rows.len() as u64, "{sql}");
+            assert!(!Arc::ptr_eq(&r.rows, &version), "{sql}");
+        }
+    }
+
+    #[test]
+    fn into_rows_moves_an_unshared_result_and_copies_a_shared_one() {
+        let cdw = setup();
+        let subset = cdw.execute("SELECT K FROM T").unwrap();
+        let at = subset.rows.as_ptr();
+        let moved = subset.into_rows();
+        assert_eq!(moved.as_ptr(), at, "an unshared result moves");
+        let whole = cdw.execute("SELECT * FROM T").unwrap();
+        let rows = whole.into_rows();
+        assert_eq!(rows.len(), 3);
+        // The table kept its version: the copy went to the caller.
+        assert_eq!(*cdw.execute("SELECT * FROM T").unwrap().rows, rows);
     }
 }

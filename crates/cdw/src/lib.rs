@@ -43,7 +43,7 @@ pub mod index;
 pub mod key;
 pub mod plan;
 
-pub use catalog::{Catalog, Column, Table};
+pub use catalog::{Catalog, Column, RowVersion, Table};
 pub use engine::{Cdw, CdwConfig, ExecObserver, QueryResult, TransientFaultHook};
 pub use error::CdwError;
 pub use index::{IndexKey, OrderedIndex, SeekBound};

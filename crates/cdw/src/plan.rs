@@ -216,7 +216,7 @@ impl SeekPlan {
     pub fn seek(&self, table: &Table) -> Vec<usize> {
         let pk = table.pk.as_ref().expect("a seek is only planned on a key");
         let mut rowids = pk.seek(&self.prefix, self.lo.as_ref(), self.hi.as_ref());
-        if rowids.len() == table.rows.len() {
+        if rowids.len() == table.len() {
             // A seek that covered the table selected every rowid: no sort.
             rowids.iter_mut().enumerate().for_each(|(i, r)| *r = i);
         } else {

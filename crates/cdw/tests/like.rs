@@ -58,5 +58,5 @@ fn like_with_many_wildcards_is_polynomial() {
     let r = Cdw::new()
         .execute(&format!("SELECT '{text}' LIKE '{pattern}'"))
         .unwrap();
-    assert_eq!(r.rows, vec![vec![Value::Int(0)]]);
+    assert_eq!(*r.rows, vec![vec![Value::Int(0)]]);
 }

@@ -184,7 +184,7 @@ impl Walk<'_> {
                 || cdw.execute_stmt(&scan),
             )?;
             let mut map = HashMap::with_capacity(result.rows.len());
-            for row in result.rows {
+            for row in result.rows.iter() {
                 if let Some(Value::Int(s)) = row.first() {
                     map.insert(*s as u64, row[1..].to_vec());
                 }

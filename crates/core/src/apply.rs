@@ -75,7 +75,7 @@ fn apply_singleton(
     )?
     .rows;
 
-    for row in rows {
+    for row in rows.iter() {
         let Some(Value::Int(seq)) = row.first() else {
             return Err(CdwError::Eval("staging row without __SEQ".into()));
         };

@@ -1,13 +1,18 @@
 //! TDFCursor: retrieval of export result chunks by index (paper §3/§4).
 //!
 //! The cursor executes the cross-compiled SELECT on the CDW once and
-//! keeps the typed result it returns. Chunk `i` is the slice of rows
-//! `[i·n, (i+1)·n)`, served **by index** to parallel client export
-//! sessions in any order, as often as they ask: the cursor is immutable
-//! after `open`, so concurrent sessions need no lock and a repeated
-//! request is answered again, as the legacy server answers it.
+//! holds the row version the CDW answers with. For a whole-table read
+//! (`SELECT *` or every column in order, nothing else) that is the
+//! table's own version, shared copy-on-write: opening copies no row, and
+//! a later write to the table copies the version instead, so the cursor
+//! keeps serving the table as it was at open. Any other SELECT answers
+//! with rows of its own. Chunk `i` is the slice of rows `[i·n, (i+1)·n)`,
+//! served **by index** to parallel client export sessions in any order,
+//! as often as they ask: the cursor is immutable after `open`, so
+//! concurrent sessions need no lock and a repeated request is answered
+//! again, as the legacy server answers it.
 
-use etlv_cdw::{Cdw, CdwError};
+use etlv_cdw::{Cdw, CdwError, RowVersion};
 use etlv_protocol::data::{LegacyType, Value};
 
 /// A chunk served to an export session.
@@ -15,7 +20,7 @@ use etlv_protocol::data::{LegacyType, Value};
 pub struct CursorChunk<'a> {
     /// Chunk index.
     pub index: u64,
-    /// The chunk's rows, borrowed from the cursor's result.
+    /// The chunk's rows, borrowed from the cursor's row version.
     pub rows: &'a [Vec<Value>],
     /// Whether this is at/after the end of the result.
     pub last: bool,
@@ -24,13 +29,16 @@ pub struct CursorChunk<'a> {
 /// The TDF cursor: an immutable view over one query result.
 pub struct TdfCursor {
     columns: Vec<(String, LegacyType)>,
-    rows: Vec<Vec<Value>>,
+    rows: RowVersion,
     chunk_rows: usize,
 }
 
 impl TdfCursor {
     /// Execute `select_cdw` (CDW dialect text) and open a cursor over the
-    /// result with `chunk_rows` rows per chunk. `_prefetch` is ignored:
+    /// row version it answers with — the table's own, shared, for a
+    /// whole-table read — with `chunk_rows` rows per chunk. The cursor
+    /// serves that version even if the table is written or dropped while
+    /// it is open. `_prefetch` is ignored:
     /// the whole result is in memory once the CDW returns it, so there is
     /// nothing to read ahead. It stays in the signature because
     /// `etlv-bench` passes `VirtualizerConfig::export_prefetch_chunks`.

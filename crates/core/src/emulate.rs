@@ -198,7 +198,7 @@ impl UniqueEmulation {
         let mut seqs = Vec::new();
         let mut groups: HashMap<RowKey, Vec<u64>> = HashMap::new();
         let mut last = None;
-        for mut row in cdw.execute_stmt(&listing)?.rows {
+        for mut row in cdw.execute_stmt(&listing)?.into_rows() {
             let seq = seq_of(&row)?;
             if !row[1].is_null() {
                 seqs.push(seq);
@@ -319,7 +319,7 @@ impl UniqueEmulation {
         items.push(SelectItem::Wildcard);
         let stmt = self.join_target(seq, seq + 1, items, JoinKind::Inner);
         let rows = match cdw.execute_stmt(&stmt) {
-            Ok(result) => result.rows,
+            Ok(result) => result.into_rows(),
             Err(CdwError::BulkAbort { position: None, .. }) => return Ok(None),
             Err(err) => return Err(err),
         };

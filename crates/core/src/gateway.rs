@@ -438,7 +438,7 @@ impl Virtualizer {
                     .iter()
                     .map(|(n, ty)| (n.clone(), ty.to_legacy()))
                     .collect(),
-                rows: result.rows,
+                rows: result.into_rows(),
             }),
             Err(e) => error_msg(ErrCode::SQL_ERROR, e.to_string(), false),
         }

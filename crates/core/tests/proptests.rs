@@ -50,7 +50,7 @@ fn target(config: CdwConfig) -> Cdw {
 fn contents(cdw: &Cdw) -> Vec<Vec<Value>> {
     cdw.execute("SELECT ID, D, N FROM TGT ORDER BY ID")
         .unwrap()
-        .rows
+        .into_rows()
 }
 
 /// The row of an individual record.

@@ -74,7 +74,7 @@ fn figure5_error_tables_on_legacy_server() {
         .execute("SELECT SEQNO, ERRCODE, ERRFIELD FROM PROD.CUSTOMER_ET ORDER BY SEQNO")
         .unwrap();
     assert_eq!(
-        et.rows,
+        *et.rows,
         vec![
             vec![
                 Value::Int(2),
@@ -93,7 +93,7 @@ fn figure5_error_tables_on_legacy_server() {
         .execute("SELECT CUST_ID, CUST_NAME, SEQNO, ERRCODE FROM PROD.CUSTOMER_UV")
         .unwrap();
     assert_eq!(
-        uv.rows,
+        *uv.rows,
         vec![vec![
             Value::Str("123".into()),
             Value::Str("Jones".into()),
@@ -106,7 +106,7 @@ fn figure5_error_tables_on_legacy_server() {
         .execute("SELECT CUST_ID, CUST_NAME, JOIN_DATE FROM PROD.CUSTOMER ORDER BY CUST_ID")
         .unwrap();
     assert_eq!(
-        target.rows,
+        *target.rows,
         vec![
             vec![
                 Value::Str("123".into()),
@@ -144,7 +144,7 @@ fn parallel_sessions_and_small_chunks() {
         .engine()
         .execute("SELECT SEQNO FROM PROD.CUSTOMER_ET ORDER BY SEQNO")
         .unwrap();
-    assert_eq!(et.rows, vec![vec![Value::Int(2)], vec![Value::Int(3)]]);
+    assert_eq!(*et.rows, vec![vec![Value::Int(2)], vec![Value::Int(3)]]);
 }
 
 #[test]

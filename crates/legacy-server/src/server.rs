@@ -200,7 +200,7 @@ impl LegacyServer {
                     .iter()
                     .map(|(n, ty)| (n.clone(), ty.to_legacy()))
                     .collect(),
-                rows: result.rows,
+                rows: result.into_rows(),
             }),
             Err(e) => Message::Error(WireError {
                 code: ErrCode::SQL_ERROR.0,

@@ -193,7 +193,7 @@ insert into PROD.ORDERS values (:ID, cast(:QTY as INTEGER), cast(:AMT as DECIMAL
             .run_import_data(&job, DATA)
             .unwrap()
     };
-    let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().rows;
+    let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().into_rows();
     let text = |v: &Value| match v {
         Value::Str(s) => Some(s.clone()),
         _ => None,
@@ -296,7 +296,7 @@ insert into PROD.ITEMS values (:ID, cast(:QTY as INTEGER), :NOTE);
             .run_import_data(&job, DATA)
             .unwrap()
     };
-    let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().rows;
+    let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().into_rows();
     let et = "SELECT SEQNO, ERRFIELD FROM PROD.ITEMS_ET ORDER BY SEQNO";
     let et_codes = "SELECT ERRCODE FROM PROD.ITEMS_ET ORDER BY SEQNO";
     let uv = "SELECT SEQNO, ERRCODE FROM PROD.ITEMS_UV ORDER BY SEQNO";
@@ -367,7 +367,7 @@ insert into PROD.LINES values (:ID, cast(:QTY as INTEGER), :NOTE);
             .run_import_data(&job, DATA)
             .unwrap()
     };
-    let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().rows;
+    let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().into_rows();
     let et = "SELECT SEQNO, ERRCODE FROM PROD.LINES_ET ORDER BY SEQNO";
 
     let server = LegacyServer::new();
@@ -429,7 +429,7 @@ insert into PROD.EVENTS values (:ID, cast(:D as DATE FORMAT 'YYYY-MM'));
             .run_import_data(&job, DATA)
             .unwrap()
     };
-    let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().rows;
+    let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().into_rows();
     let et = "SELECT SEQNO, ERRCODE, ERRFIELD FROM PROD.EVENTS_ET ORDER BY SEQNO";
 
     let server = LegacyServer::new();
@@ -498,7 +498,7 @@ insert into PROD.STAMPS values (:ID, :T);
             .run_import_data(&job, DATA)
             .unwrap()
     };
-    let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().rows;
+    let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().into_rows();
     let et = "SELECT SEQNO FROM PROD.STAMPS_ET ORDER BY SEQNO";
 
     let server = LegacyServer::new();
@@ -581,6 +581,49 @@ fn over_scaled_decimal_literal_is_a_sql_error_on_both_servers() {
         assert!(session.sql("select 1").is_ok(), "the session still serves");
         session.logoff();
         code
+    };
+    let server = LegacyServer::new();
+    let legacy = run(server_connector(&server));
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    assert_eq!(run(tcp_connector(&v)), legacy);
+}
+
+/// A decimal literal is typed wide enough for every digit it writes: a
+/// scale-19 and a scale-38 literal answer, and decode, with the same type
+/// and value on both servers. Typed `DECIMAL(18, scale)`, a literal with
+/// more than 18 fractional digits was a type the client rejects as
+/// invalid.
+#[test]
+fn wide_scale_decimal_literals_answer_on_both_servers() {
+    use etlv_protocol::data::{Decimal, LegacyType, Value};
+
+    let run = |connector: Arc<dyn Connect>| {
+        let mut session = etlv_legacy_client::Session::logon(
+            connector.as_ref(),
+            "admin",
+            "pw",
+            etlv_protocol::message::SessionRole::Control,
+            0,
+        )
+        .unwrap();
+        session.set_read_timeout(Some(std::time::Duration::from_secs(10)));
+        let answers: Vec<_> = [19u8, 38]
+            .into_iter()
+            .map(|scale| {
+                let literal = format!(".{}1", "0".repeat(scale as usize - 1));
+                let r = session
+                    .sql(&format!("select {literal} as D"))
+                    .unwrap_or_else(|e| panic!("scale {scale}: {e}"));
+                assert_eq!(
+                    r.columns,
+                    vec![("D".to_string(), LegacyType::Decimal(scale, scale))]
+                );
+                assert_eq!(r.rows, vec![vec![Value::Decimal(Decimal::new(1, scale))]]);
+                r
+            })
+            .collect();
+        session.logoff();
+        answers
     };
     let server = LegacyServer::new();
     let legacy = run(server_connector(&server));

@@ -2,13 +2,16 @@
 //! slice by index → legacy wire encoding → client output file. Includes full
 //! import-then-export roundtrips.
 
+use std::sync::Arc;
+
 use etlv_core::{Virtualizer, VirtualizerConfig};
-use etlv_legacy_client::{ClientOptions, LegacyEtlClient};
+use etlv_legacy_client::{ClientOptions, Connect, LegacyEtlClient, Session};
 use etlv_protocol::data::{Date, Value};
+use etlv_protocol::message::{BeginExport, Message, RecordFormat, SessionRole};
 use etlv_script::{compile, parse_script, JobPlan};
 
 mod common;
-use common::tcp_connector;
+use common::{create_simple_target, kv_rows, simple_import_job, tcp_connector, wait_idle};
 
 fn seeded_virtualizer(rows: usize) -> Virtualizer {
     let v = Virtualizer::new(VirtualizerConfig::default());
@@ -148,4 +151,113 @@ insert into PROD.CUSTOMER values (
         String::from_utf8(exported.data).unwrap(),
         "1|alpha|2020-01-01\n2|beta|2020-06-15\n3|gamma|2021-12-31\n"
     );
+}
+
+/// Open a vartext export of `select` on its own session, in chunks of
+/// `chunk_rows`, and return the session, ready for chunk requests.
+fn open_export(connector: &dyn Connect, select: &str, chunk_rows: u32) -> Session {
+    let mut s = Session::logon(connector, "reader", "p", SessionRole::Control, 0).unwrap();
+    let begin = Message::BeginExport(BeginExport {
+        select: select.into(),
+        format: RecordFormat::Vartext {
+            delimiter: b'|',
+            quote: b'"',
+        },
+        sessions: 1,
+        chunk_rows,
+    });
+    match s.request(begin).unwrap() {
+        Message::BeginExportOk(_) => s,
+        other => panic!("expected BeginExportOk, got {other:?}"),
+    }
+}
+
+/// Fetch every chunk of the export open on `s`, in order, then log off.
+fn fetch_all(mut s: Session) -> Vec<u8> {
+    let mut data = Vec::new();
+    for index in 0.. {
+        let Message::ExportChunk(chunk) = s.request(Message::ExportChunkReq { index }).unwrap()
+        else {
+            panic!("expected ExportChunk");
+        };
+        data.extend_from_slice(&chunk.data);
+        if chunk.last {
+            break;
+        }
+    }
+    s.logoff();
+    data
+}
+
+/// An export serves the table as it was when the export opened: another
+/// session's import into the table and `DELETE` from it, both finished
+/// before the first chunk is fetched, change nothing the export returns.
+/// The import is the one write that finds the version shared, so it is
+/// the one copy; the `DELETE` after it writes the import's own version.
+#[test]
+fn export_serves_the_table_as_it_was_at_open() {
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    let connector = tcp_connector(&v);
+    create_simple_target(connector.as_ref(), "SNAP");
+    let client = LegacyEtlClient::new(Arc::clone(&connector));
+    let job = simple_import_job("SNAP");
+    client.run_import_data(&job, &kv_rows(50)).unwrap();
+
+    let export = open_export(connector.as_ref(), "SELECT * FROM SNAP", 7);
+    let copies = v.cdw().version_copies();
+    let report = client.run_import_data(&job, &kv_rows(20)).unwrap().report;
+    assert_eq!(report.rows_applied, 20);
+    let mut writer =
+        Session::logon(connector.as_ref(), "ops", "pw", SessionRole::Control, 0).unwrap();
+    assert_eq!(writer.sql("DELETE FROM SNAP").unwrap().activity_count, 70);
+    writer.logoff();
+    assert_eq!(v.cdw().version_copies(), copies + 1);
+
+    assert_eq!(fetch_all(export), kv_rows(50));
+    assert_eq!(v.cdw().table_len("SNAP").unwrap(), 0);
+}
+
+/// `DROP TABLE` while an export of the table is open: the export still
+/// serves every chunk.
+#[test]
+fn export_outlives_a_dropped_table() {
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    let connector = tcp_connector(&v);
+    create_simple_target(connector.as_ref(), "GONE");
+    let client = LegacyEtlClient::new(Arc::clone(&connector));
+    client
+        .run_import_data(&simple_import_job("GONE"), &kv_rows(30))
+        .unwrap();
+
+    let export = open_export(connector.as_ref(), "SELECT * FROM GONE", 4);
+    let mut ops = Session::logon(connector.as_ref(), "ops", "pw", SessionRole::Control, 0).unwrap();
+    ops.sql("DROP TABLE GONE").unwrap();
+    ops.logoff();
+    assert!(!v.cdw().table_exists("GONE"));
+
+    assert_eq!(fetch_all(export), kv_rows(30));
+}
+
+/// A `bulk_narrow`-shaped cycle — import, whole-table export, re-import —
+/// copies no row version: the export's cursor is retired when its
+/// sessions log off, so the re-import finds the version unshared.
+#[test]
+fn import_export_reimport_copies_no_version() {
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    let connector = tcp_connector(&v);
+    create_simple_target(connector.as_ref(), "CYCLE");
+    let client = LegacyEtlClient::new(Arc::clone(&connector));
+    let job = simple_import_job("CYCLE");
+    let copies = v.cdw().version_copies();
+
+    client.run_import_data(&job, &kv_rows(200)).unwrap();
+    let exported = client
+        .run_export(&export_job("select * from CYCLE", 2, "vartext '|'"))
+        .unwrap();
+    assert_eq!(exported.data, kv_rows(200));
+    wait_idle(&v);
+    client.run_import_data(&job, &kv_rows(200)).unwrap();
+
+    assert_eq!(v.cdw().table_len("CYCLE").unwrap(), 400);
+    assert_eq!(v.cdw().version_copies(), copies);
 }

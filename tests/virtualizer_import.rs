@@ -87,7 +87,7 @@ fn figure5_semantics_through_virtualizer() {
         .execute("SELECT CUST_ID, CUST_NAME, JOIN_DATE FROM PROD.CUSTOMER ORDER BY CUST_ID")
         .unwrap();
     assert_eq!(
-        target.rows,
+        *target.rows,
         vec![
             vec![
                 Value::Str("123".into()),
@@ -108,7 +108,7 @@ fn figure5_semantics_through_virtualizer() {
         .execute("SELECT SEQNO, ERRCODE, ERRFIELD FROM PROD.CUSTOMER_ET ORDER BY SEQNO")
         .unwrap();
     assert_eq!(
-        et.rows,
+        *et.rows,
         vec![
             vec![
                 Value::Int(2),
@@ -130,7 +130,7 @@ fn figure5_semantics_through_virtualizer() {
         .execute("SELECT CUST_ID, CUST_NAME, SEQNO, ERRCODE FROM PROD.CUSTOMER_UV")
         .unwrap();
     assert_eq!(
-        uv.rows,
+        *uv.rows,
         vec![vec![
             Value::Str("123".into()),
             Value::Str("Jones".into()),
@@ -246,7 +246,7 @@ fn acquisition_data_errors_reach_et_table() {
         .cdw()
         .execute("SELECT SEQNO, ERRCODE FROM PROD.CUSTOMER_ET")
         .unwrap();
-    assert_eq!(et.rows, vec![vec![Value::Int(2), Value::Int(2673)]]);
+    assert_eq!(*et.rows, vec![vec![Value::Int(2), Value::Int(2673)]]);
 }
 
 #[test]
