@@ -251,14 +251,19 @@ impl Catalog {
         Ok(())
     }
 
-    /// Drop a table. (Named `drop_table` so calls through lock guards
+    /// Drop a table, returning its handle (`None` for `IF EXISTS` on a
+    /// missing table) so the caller frees its rows after releasing the
+    /// catalog lock. (Named `drop_table` so calls through lock guards
     /// don't resolve to `Drop::drop`.)
-    pub fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<(), CdwError> {
-        let key = canonical_name(name);
-        if self.tables.remove(&key).is_none() && !if_exists {
-            return Err(CdwError::TableNotFound(name.to_string()));
+    pub fn drop_table(
+        &mut self,
+        name: &str,
+        if_exists: bool,
+    ) -> Result<Option<Arc<RwLock<Table>>>, CdwError> {
+        match self.tables.remove(&canonical_name(name)) {
+            None if !if_exists => Err(CdwError::TableNotFound(name.to_string())),
+            removed => Ok(removed),
         }
-        Ok(())
     }
 
     /// Lock handle for table `name`.
@@ -390,6 +395,20 @@ mod tests {
             Err(CdwError::TableNotFound(_))
         ));
         cat.drop_table("PROD.T", true).unwrap();
+    }
+
+    #[test]
+    fn drop_returns_the_removed_handle() {
+        let mut cat = Catalog::new();
+        cat.create(make_table("PROD.T"), false).unwrap();
+        let held = cat.handle("PROD.T").unwrap();
+        let dropped = cat.drop_table("prod.t", false).unwrap().expect("handle");
+        assert!(Arc::ptr_eq(&dropped, &held), "the catalog's own table");
+        assert_eq!(dropped.read().name, "PROD.T");
+        assert!(!cat.exists("PROD.T"));
+        // IF EXISTS on a missing table: nothing removed, no error.
+        assert!(cat.drop_table("PROD.T", true).unwrap().is_none());
+        assert!(cat.drop_table("PROD.MISSING", true).unwrap().is_none());
     }
 
     #[test]

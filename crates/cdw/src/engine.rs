@@ -174,10 +174,14 @@ impl Cdw {
                 Ok(QueryResult::dml(0))
             }
             Stmt::DropTable { name, if_exists } => {
-                self.inner
+                let dropped = self
+                    .inner
                     .catalog
                     .write()
                     .drop_table(&name.dotted(), *if_exists)?;
+                // The guard is gone: free the rows (unless another session
+                // still holds the table) without blocking the catalog.
+                drop(dropped);
                 Ok(QueryResult::dml(0))
             }
             _ => self.run_dml(stmt, &mut stats),
@@ -804,11 +808,25 @@ mod tests {
     }
 
     #[test]
+    fn copy_rejects_truncated_second_frame() {
+        let mut part = compress::compress(b"2|beta\n");
+        let second = compress::compress(&b"3|gamma|gamma|gamma\n".repeat(20));
+        part.extend_from_slice(&second[..second.len() - 2]);
+        copy_rejects_part(part, "truncated");
+    }
+
+    #[test]
     fn copy_rejects_compressed_part_with_bad_reference() {
         let mut part = compress::compress(b"2|beta\n");
-        // Append a flag byte and a match reaching 64 KiB back, far before
-        // the start of the output.
-        part.extend_from_slice(&[0b0000_0000, 0xFF, 0xFF, 0x00]);
+        // The frame's one sequence is its literal tail; give it a 4-byte
+        // match reaching 64 KiB back, far before the start of the output,
+        // and grow the header's raw (bytes 4..12) and body (12..20)
+        // lengths to match.
+        part.extend_from_slice(&[0xFF, 0xFF]);
+        for (at, grow) in [(4, 4u64), (12, 2)] {
+            let len = u64::from_le_bytes(part[at..at + 8].try_into().unwrap());
+            part[at..at + 8].copy_from_slice(&(len + grow).to_le_bytes());
+        }
         copy_rejects_part(part, "back-reference out of range");
     }
 

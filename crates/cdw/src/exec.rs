@@ -663,8 +663,8 @@ fn exec_select(ctx: &ExecCtx<'_>, sel: &SelectStmt) -> Result<QueryResult, CdwEr
 
 /// The result of `sel` when it is an *identity scan*: it reads one named
 /// table with no WHERE, GROUP BY, HAVING, DISTINCT, ORDER BY or LIMIT, and
-/// its projection names every column once, in table order (`*` or the
-/// full list). The result is the table's own row version, shared — no row
+/// its projection names every column once, in table order (`*`, `T.*` or
+/// the full list). The result is the table's own row version, shared — no row
 /// is touched — and the read still counts as the full scan it stands for.
 /// `None` for any other plan.
 fn identity_scan(ctx: &ExecCtx<'_>, sel: &SelectStmt) -> Result<Option<QueryResult>, CdwError> {
@@ -685,7 +685,7 @@ fn identity_scan(ctx: &ExecCtx<'_>, sel: &SelectStmt) -> Result<Option<QueryResu
         .projection
         .iter()
         .map(|item| match item {
-            SelectItem::Wildcard => table.columns.len(),
+            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => table.columns.len(),
             SelectItem::Expr { .. } => 1,
         })
         .sum();
@@ -693,7 +693,7 @@ fn identity_scan(ctx: &ExecCtx<'_>, sel: &SelectStmt) -> Result<Option<QueryResu
         return Ok(None);
     }
     let bindings = table_bindings(table, alias.as_deref());
-    let items = expand_projection(sel, &bindings);
+    let items = expand_projection(sel, &bindings)?;
     let in_order = items.iter().enumerate().all(|(i, (expr, _))| {
         matches!(expr, Expr::Column(n) if resolve_column(&bindings, n).ok() == Some(i))
     });
@@ -1007,7 +1007,7 @@ fn bindings_of(ctx: &ExecCtx<'_>, from: &TableRef) -> Result<Vec<Binding>, CdwEr
                 Some(f) => bindings_of(ctx, f)?,
                 None => Vec::new(),
             };
-            let items = expand_projection(query, &inner);
+            let items = expand_projection(query, &inner)?;
             let cols = projection_columns(&items, &inner)?;
             let q = alias.to_ascii_uppercase();
             Ok(cols
@@ -1039,7 +1039,7 @@ fn exec_plain(
     rows: &[Row<'_>],
     row_key: Option<usize>,
 ) -> Result<ProjectedRows, CdwError> {
-    let items = expand_projection(sel, bindings);
+    let items = expand_projection(sel, bindings)?;
     let columns = projection_columns(&items, bindings)?;
     let projected = Resolved::all(items.iter().map(|(e, _)| e), bindings);
     let order = Resolved::all(sel.order_by.iter().map(|o| &o.expr), bindings);
@@ -1104,19 +1104,35 @@ fn sort_by_order(keyed: &mut [(Vec<Value>, Vec<Value>)], order_by: &[OrderItem])
     });
 }
 
-/// Expand `*` and attach output names.
-fn expand_projection(sel: &SelectStmt, bindings: &[Binding]) -> Vec<(Expr, String)> {
+/// Expand `*` and `T.*` and attach output names. A `T.*` whose `T`
+/// names no table or alias of the FROM clause is an error.
+fn expand_projection(
+    sel: &SelectStmt,
+    bindings: &[Binding],
+) -> Result<Vec<(Expr, String)>, CdwError> {
     let mut items = Vec::new();
     let mut anon = 0usize;
+    let column = |b: &Binding| {
+        let mut name = ObjectName::simple(b.name.clone());
+        if let Some(q) = &b.qualifier {
+            name = ObjectName(vec![q.clone(), b.name.clone()]);
+        }
+        (Expr::Column(name), b.name.clone())
+    };
     for item in &sel.projection {
         match item {
-            SelectItem::Wildcard => {
-                for b in bindings {
-                    let mut name = ObjectName::simple(b.name.clone());
-                    if let Some(q) = &b.qualifier {
-                        name = ObjectName(vec![q.clone(), b.name.clone()]);
-                    }
-                    items.push((Expr::Column(name), b.name.clone()));
+            SelectItem::Wildcard => items.extend(bindings.iter().map(column)),
+            SelectItem::QualifiedWildcard(qualifier) => {
+                let qualifier = qualifier.to_ascii_uppercase();
+                let start = items.len();
+                items.extend(
+                    bindings
+                        .iter()
+                        .filter(|b| b.qualifier.as_deref() == Some(qualifier.as_str()))
+                        .map(column),
+                );
+                if items.len() == start {
+                    return Err(CdwError::ColumnNotFound(format!("{qualifier}.*")));
                 }
             }
             SelectItem::Expr { expr, alias } => {
@@ -1134,7 +1150,7 @@ fn expand_projection(sel: &SelectStmt, bindings: &[Binding]) -> Vec<(Expr, Strin
             }
         }
     }
-    items
+    Ok(items)
 }
 
 fn projection_columns(
@@ -1241,7 +1257,7 @@ fn expr_has_aggregate(e: &Expr) -> bool {
 fn projection_has_aggregates(sel: &SelectStmt) -> bool {
     sel.projection.iter().any(|item| match item {
         SelectItem::Expr { expr, .. } => expr_has_aggregate(expr),
-        SelectItem::Wildcard => false,
+        SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => false,
     }) || sel.having.as_ref().is_some_and(expr_has_aggregate)
         || sel.order_by.iter().any(|o| expr_has_aggregate(&o.expr))
 }
@@ -1310,7 +1326,7 @@ fn exec_aggregate(
         keys[g] = key.0;
     }
 
-    let items = expand_projection(sel, bindings);
+    let items = expand_projection(sel, bindings)?;
     let columns = projection_columns(&items, bindings)?;
     let aliases = order_aliases(&sel.order_by, &items);
 
@@ -1557,8 +1573,12 @@ mod tests {
         let star = cdw.execute("SELECT * FROM T").unwrap();
         let listed = cdw.execute("SELECT K, S FROM T").unwrap();
         let aliased = cdw.execute("SELECT X.K, S FROM T X").unwrap();
+        let qualified = cdw.execute("SELECT T.* FROM T").unwrap();
+        let alias_star = cdw.execute("SELECT S.* FROM T S").unwrap();
         assert!(Arc::ptr_eq(&star.rows, &listed.rows));
         assert!(Arc::ptr_eq(&star.rows, &aliased.rows));
+        assert!(Arc::ptr_eq(&star.rows, &qualified.rows));
+        assert!(Arc::ptr_eq(&star.rows, &alias_star.rows));
         assert_eq!(*star.rows, vec![row(3, "c"), row(1, "a"), row(2, "b")]);
         assert_eq!(star.affected, 3);
         let columns = vec![
@@ -1567,8 +1587,9 @@ mod tests {
         ];
         assert_eq!(star.columns, columns);
         assert_eq!(listed.columns, columns);
+        assert_eq!(alias_star.columns, columns);
         // Each still counts the full scan it stands for.
-        assert_eq!(cdw.plan_stats().full_scans, scans + 3);
+        assert_eq!(cdw.plan_stats().full_scans, scans + 5);
         assert_eq!(cdw.version_copies(), 0);
     }
 
@@ -1666,6 +1687,30 @@ mod tests {
                     vec![int(1), s("a"), int(1), int(10)],
                 ],
             ),
+            (
+                "SELECT T.* FROM T JOIN U ON T.K = U.K",
+                vec!["K", "S"],
+                vec![row(3, "c"), row(1, "a")],
+            ),
+            (
+                "SELECT B.N, A.* FROM T A JOIN U B ON A.K = B.K",
+                vec!["N", "K", "S"],
+                vec![vec![int(30), int(3), s("c")], vec![int(10), int(1), s("a")]],
+            ),
+            (
+                "SELECT T.*, K FROM T",
+                vec!["K", "S", "K"],
+                vec![
+                    vec![int(3), s("c"), int(3)],
+                    vec![int(1), s("a"), int(1)],
+                    vec![int(2), s("b"), int(2)],
+                ],
+            ),
+            (
+                "SELECT Q.* FROM (SELECT S FROM T WHERE K < 3) Q",
+                vec!["S"],
+                vec![vec![s("a")], vec![s("b")]],
+            ),
         ];
         for (sql, columns, rows) in cases {
             let r = cdw.execute(sql).unwrap();
@@ -1674,6 +1719,23 @@ mod tests {
             assert_eq!(*r.rows, rows, "{sql}");
             assert_eq!(r.affected, rows.len() as u64, "{sql}");
             assert!(!Arc::ptr_eq(&r.rows, &version), "{sql}");
+        }
+    }
+
+    #[test]
+    fn a_star_of_an_unknown_qualifier_is_an_error() {
+        let cdw = setup();
+        // An alias hides its table's name, as it does for a column.
+        for (sql, star) in [
+            ("SELECT X.* FROM T", "X.*"),
+            ("SELECT T.* FROM T S", "T.*"),
+            ("SELECT U.* FROM T JOIN T S ON T.K = S.K", "U.*"),
+        ] {
+            assert_eq!(
+                cdw.execute(sql).map(|r| r.columns),
+                Err(CdwError::ColumnNotFound(star.into())),
+                "{sql}"
+            );
         }
     }
 

@@ -6,11 +6,12 @@
 //!
 //! - [`store`]: the [`ObjectStore`] trait and its in-memory backend
 //!   ([`MemStore`]), addressable through `store://bucket/key` URLs.
-//! - [`compress`](mod@compress): a self-contained LZ block codec used for compressed
-//!   staged files (the paper: "data compression can improve upload speed if
-//!   the communication link ... is slow").
+//! - [`compress`](mod@compress): a self-contained LZ codec whose
+//!   self-delimiting frames make up compressed staged files (the paper:
+//!   "data compression can improve upload speed if the communication link
+//!   ... is slow").
 //! - [`loader`]: the [`BulkLoader`] utility — uploads one staged file per
-//!   call, optionally compressing it.
+//!   call, as given.
 //! - [`throttle`]: bandwidth/latency shaping so benches can model slow
 //!   links between the virtualizer node and the cloud.
 //! - [`observe`]: the [`ObservedStore`] decorator reporting put/get

@@ -1,13 +1,13 @@
 //! The cloud bulk-upload utility — the stand-in for `aws s3 cp` / AzCopy.
 //!
 //! The virtualizer hands each finalized staging file to a [`BulkLoader`],
-//! which optionally compresses it and writes it to the object store
-//! through a [`Throttle`]d link: one upload call per staged file, the
-//! bulk-upload step of the paper's §6.
+//! which writes it to the object store through a [`Throttle`]d link: one
+//! upload call per staged file, the bulk-upload step of the paper's §6.
+//! A compressed part arrives already compressed: the pipeline's workers
+//! build its frames as they stage it.
 
 use std::sync::Arc;
 
-use crate::compress;
 use crate::store::{ObjectStore, StoreError};
 use crate::throttle::Throttle;
 
@@ -16,7 +16,9 @@ use crate::throttle::Throttle;
 pub struct LoaderConfig {
     /// Destination bucket.
     pub bucket: String,
-    /// Compress parts before upload.
+    /// Stage parts as LZ frames ([`compress`](mod@crate::compress)): the
+    /// pipeline compresses what it stages, and the loader puts it as
+    /// given.
     pub compress: bool,
     /// Link model applied to each upload.
     pub throttle: Throttle,
@@ -45,18 +47,19 @@ impl BulkLoader {
         BulkLoader { store, config }
     }
 
-    /// Upload one part to `key` (e.g. `job42/part-00007`), borrowing the
-    /// data so the caller can retry the same part after a failed
-    /// transfer. Returns the transferred (possibly compressed) size.
+    /// Whether the parts this loader puts are compressed
+    /// ([`LoaderConfig::compress`]).
+    pub fn compresses(&self) -> bool {
+        self.config.compress
+    }
+
+    /// Upload one part to `key` (e.g. `job42/part-00007`) as given,
+    /// borrowing the data so the caller can retry the same part after a
+    /// failed transfer. Returns the transferred size.
     pub fn upload_part_from(&self, key: &str, data: &[u8]) -> Result<u64, StoreError> {
-        let payload = if self.config.compress {
-            compress::compress(data)
-        } else {
-            data.to_vec()
-        };
-        let out_len = payload.len() as u64;
+        let out_len = data.len() as u64;
         self.config.throttle.consume(out_len);
-        self.store.put(&self.config.bucket, key, payload)?;
+        self.store.put(&self.config.bucket, key, data.to_vec())?;
         Ok(out_len)
     }
 }
@@ -82,18 +85,16 @@ mod tests {
     }
 
     #[test]
-    fn compressed_upload_roundtrip() {
+    fn compressed_part_is_put_as_given() {
         let (store, l) = loader(true);
+        assert!(l.compresses());
         let data: Vec<u8> = b"repetitive|row|data\n".repeat(100);
-        let sent = l.upload_part_from("j/part-0", &data).unwrap();
+        let mut part = crate::compress(&data[..700]);
+        part.extend_from_slice(&crate::compress(&data[700..]));
+        let sent = l.upload_part_from("j/part-0", &part).unwrap();
         let stored = store.get("staging", "j/part-0").unwrap();
-        assert_eq!(sent, stored.len() as u64);
-        assert!(
-            stored.len() < data.len(),
-            "{} >= {}",
-            stored.len(),
-            data.len()
-        );
-        assert_eq!(compress::decompress(&stored).unwrap(), data);
+        assert_eq!(sent, part.len() as u64);
+        assert_eq!(stored, part);
+        assert_eq!(crate::decompress(&stored).unwrap(), data);
     }
 }

@@ -1,8 +1,9 @@
 //! Property tests: the LZ codec roundtrips on arbitrary inputs, including
 //! adversarial repetition structures, inputs past its 64 KiB window and
-//! its 259-byte match cap, and staged-text-shaped data; a damaged block
-//! decodes to an error or to the declared length, never a panic; and the
-//! object store behaves like a map.
+//! its 259-byte match cap, and staged-text-shaped data; any split of an
+//! input into frames decodes to the input; a damaged frame decodes to an
+//! error or to the declared length, never a panic; and the object store
+//! behaves like a map.
 
 use proptest::prelude::*;
 
@@ -91,12 +92,30 @@ proptest! {
     }
 
     #[test]
+    fn lz_any_split_into_frames_decodes_to_the_concatenation(
+        seed in any::<u64>(),
+        rows in 1usize..12,
+        cuts in proptest::collection::vec(any::<u16>(), 0..6),
+    ) {
+        let data = dictionary_text(seed, rows, 8);
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c as usize % (data.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut object = Vec::new();
+        let mut from = 0;
+        for cut in cuts.into_iter().chain([data.len()]) {
+            object.extend_from_slice(&compress(&data[from..cut]));
+            from = cut;
+        }
+        prop_assert_eq!(decompress(&object).unwrap(), data);
+    }
+
+    #[test]
     fn lz_damaged_block_never_panics(seed in any::<u64>(), rows in 1usize..4) {
-        // Every prefix of a valid block is an error. A single-byte flip
+        // Every prefix of a valid frame is an error. A single-byte flip
         // decodes to an error or to output of the declared length: the
         // format has no checksum, so a flipped literal or offset can
         // decode to other bytes, but never to a different length, and a
-        // flip in the header is always caught. None of it panics.
+        // flip in the 20-byte header is always caught. None of it panics.
         let data = dictionary_text(seed, rows, 4);
         let c = compress(&data);
         for cut in 0..c.len() {
@@ -107,7 +126,7 @@ proptest! {
             for bit in 0..8 {
                 flipped[at] ^= 1 << bit;
                 if let Ok(out) = decompress(&flipped) {
-                    prop_assert!(at >= 12, "header flip at {} bit {} decoded", at, bit);
+                    prop_assert!(at >= 20, "header flip at {} bit {} decoded", at, bit);
                     prop_assert_eq!(out.len(), data.len(), "flip at {} bit {}", at, bit);
                 }
                 flipped[at] ^= 1 << bit;

@@ -149,7 +149,8 @@ pub struct TenantObs {
     pub queue_wait_us: Histogram,
     /// Per-chunk conversion time, µs.
     pub convert_us: Histogram,
-    /// Per-part upload time, µs.
+    /// Per-part upload time, and per-frame compression time of a
+    /// compressing job, µs.
     pub upload_us: Histogram,
     /// Whole-application (apply) time per job, µs.
     pub apply_us: Histogram,
@@ -446,7 +447,8 @@ pub struct ProfileObs {
     /// Per-chunk conversion (converter workers): `pipeline.convert_us`.
     pub convert: StageProf,
     /// Per-part upload including retries (runtime workers at rotation,
-    /// the gateway finish path for the last part): `pipeline.upload_us`.
+    /// the gateway finish path for the last part), and per-frame
+    /// compression of a compressing job: `pipeline.upload_us`.
     pub upload: StageProf,
     /// COPY INTO (gateway finish path): `adaptive.copy_us`.
     pub copy: StageProf,

@@ -79,9 +79,46 @@ impl VartextError {
 /// stripped, blank lines skipped (they consume no row number). A last
 /// line without a newline is a record.
 pub fn records(data: &[u8]) -> impl Iterator<Item = &[u8]> {
-    data.split(|&b| b == b'\n')
-        .map(|line| line.strip_suffix(b"\r").unwrap_or(line))
-        .filter(|line| !line.is_empty())
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        while at < data.len() {
+            let end = find_either(data, at, b'\n', b'\n');
+            let line = &data[at..end];
+            at = end + 1;
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            if !line.is_empty() {
+                return Some(line);
+            }
+        }
+        None
+    })
+}
+
+/// Position of the first byte at or after `from` that is `a` or `b`, or
+/// `data.len()`: eight bytes per step, each a `u64` whose bytes are
+/// compared with both at once.
+fn find_either(data: &[u8], from: usize, a: u8, b: u8) -> usize {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let (splat_a, splat_b) = (LOW * a as u64, LOW * b as u64);
+    let mut i = from;
+    while let Some(word) = data.get(i..i + 8) {
+        let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+        // A byte of `word ^ splat` is zero where `word` holds the needle.
+        // The zero-byte test can also flag a byte above a true zero, but
+        // never one below the first: the lowest flag is exact.
+        let (xa, xb) = (word ^ splat_a, word ^ splat_b);
+        let zero = (xa.wrapping_sub(LOW) & !xa) | (xb.wrapping_sub(LOW) & !xb);
+        let hit = zero & HIGH;
+        if hit != 0 {
+            return i + hit.trailing_zeros() as usize / 8;
+        }
+        i += 8;
+    }
+    while i < data.len() && data[i] != a && data[i] != b {
+        i += 1;
+    }
+    i
 }
 
 impl VartextFormat {
@@ -274,11 +311,9 @@ impl VartextFormat {
             }
             // Clean-span fast path: past the field's first byte only a
             // backslash or the delimiter can change state, so skip the
-            // whole run in a tight scan (the field borrows from `line`).
-            i += 1;
-            while i < line.len() && line[i] != b'\\' && line[i] != self.delimiter {
-                i += 1;
-            }
+            // whole run eight bytes at a time (the field borrows from
+            // `line`).
+            i = find_either(line, i + 1, b'\\', self.delimiter);
         }
         finish!(line.len());
         Ok(nfields)
@@ -391,6 +426,50 @@ mod tests {
         let recs: Vec<&[u8]> = records(b"a\r\n\n\r\nb|c\n\nd").collect();
         assert_eq!(recs, [&b"a"[..], b"b|c", b"d"]);
         assert_eq!(records(b"").count(), 0);
+    }
+
+    #[test]
+    fn find_either_matches_a_bytewise_scan() {
+        // Needles at every offset of an 8-byte word, beside bytes that
+        // differ from a needle by one bit or by the high bit, plus a tail
+        // shorter than a word.
+        let filler = [b'a', b'|' ^ 1, b'|' | 0x80, 0x00, 0xFF, b'\\' ^ 2];
+        for len in 0..40 {
+            for at in 0..=len {
+                for fill in filler {
+                    let mut data = vec![fill; len];
+                    for (needle, other) in [(b'|', b'\\'), (b'\\', b'|'), (b'\n', b'\n')] {
+                        if at < len {
+                            data[at] = needle;
+                        }
+                        for from in 0..=len {
+                            let want = (from..len)
+                                .find(|&i| data[i] == needle || data[i] == other)
+                                .unwrap_or(len);
+                            assert_eq!(
+                                find_either(&data, from, needle, other),
+                                want,
+                                "{data:?} from {from}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn records_match_a_split_on_newlines() {
+        let data = b"a|b\r\n\n\r\nlonger record with words|x\nq\n\n\r\r\nlast";
+        for end in 0..=data.len() {
+            let data = &data[..end];
+            let want: Vec<&[u8]> = data
+                .split(|&b| b == b'\n')
+                .map(|line| line.strip_suffix(b"\r").unwrap_or(line))
+                .filter(|line| !line.is_empty())
+                .collect();
+            assert_eq!(records(data).collect::<Vec<_>>(), want, "{data:?}");
+        }
     }
 
     #[test]

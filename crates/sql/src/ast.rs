@@ -322,6 +322,8 @@ impl Expr {
 pub enum SelectItem {
     /// `*`
     Wildcard,
+    /// `T.*`: every column of the table or alias `T`, in order.
+    QualifiedWildcard(String),
     /// Expression with optional alias.
     Expr {
         /// The projected expression.

@@ -156,6 +156,18 @@ impl Parser {
         }
     }
 
+    /// Whether the next tokens are `name . *`.
+    fn at_qualified_star(&self) -> bool {
+        matches!(
+            self.tokens.get(self.pos..self.pos + 3),
+            Some([
+                Token::Word(_) | Token::QuotedIdent(_),
+                Token::Punct(Punct::Dot),
+                Token::Punct(Punct::Star)
+            ])
+        )
+    }
+
     fn parse_ident(&mut self) -> Result<String, ParseError> {
         match self.bump() {
             Some(Token::Word(w)) => Ok(w),
@@ -549,6 +561,11 @@ impl Parser {
         loop {
             if self.eat_punct(Punct::Star) {
                 projection.push(SelectItem::Wildcard);
+            } else if self.at_qualified_star() {
+                let qualifier = self.parse_ident()?;
+                self.expect_punct(Punct::Dot)?;
+                self.expect_punct(Punct::Star)?;
+                projection.push(SelectItem::QualifiedWildcard(qualifier));
             } else {
                 let expr = self.parse_expr()?;
                 let alias = if self.eat_keyword("AS")
@@ -1170,6 +1187,29 @@ mod tests {
         };
         assert_eq!(sel.limit, Some(5));
         assert_eq!(sel.projection, vec![SelectItem::Wildcard]);
+    }
+
+    #[test]
+    fn qualified_star_in_both_dialects() {
+        for stmt in [
+            legacy("SEL a.*, K, b.* FROM T a JOIN S b ON a.K = b.K"),
+            cdw("SELECT a.*, K, b.* FROM T a JOIN S b ON a.K = b.K"),
+        ] {
+            let Stmt::Select(sel) = stmt else { panic!() };
+            assert_eq!(sel.projection.len(), 3);
+            assert_eq!(sel.projection[0], SelectItem::QualifiedWildcard("A".into()));
+            assert!(matches!(sel.projection[1], SelectItem::Expr { .. }));
+            assert_eq!(sel.projection[2], SelectItem::QualifiedWildcard("B".into()));
+        }
+        let Stmt::Select(sel) = cdw("SELECT \"q\".* FROM T AS \"q\"") else {
+            panic!()
+        };
+        assert_eq!(
+            sel.projection,
+            vec![SelectItem::QualifiedWildcard("q".into())]
+        );
+        // A star is still no operand.
+        assert!(parse_statement("SELECT T.* + 1 FROM T", Dialect::Cdw).is_err());
     }
 
     #[test]

@@ -190,6 +190,10 @@ fn write_select(out: &mut String, sel: &SelectStmt, d: Dialect) {
         }
         match item {
             SelectItem::Wildcard => out.push('*'),
+            SelectItem::QualifiedWildcard(qualifier) => {
+                ident(out, qualifier);
+                out.push_str(".*");
+            }
             SelectItem::Expr { expr, alias } => {
                 write_expr(out, expr, d);
                 if let Some(a) = alias {
@@ -506,6 +510,7 @@ mod tests {
             "DELETE FROM T WHERE A BETWEEN 1 AND 9",
             "SELECT CASE WHEN A = 1 THEN 'x' ELSE 'y' END FROM T",
             "SELECT COUNT(DISTINCT A) FROM T GROUP BY B HAVING COUNT(*) > 2",
+            "SELECT T.*, S.A FROM T JOIN S ON T.K = S.K",
         ] {
             roundtrip(sql, Dialect::Legacy);
         }
@@ -518,6 +523,7 @@ mod tests {
             "INSERT INTO T (A, B) SELECT X, Y FROM S JOIN R ON S.K = R.K",
             "SELECT N FROM (SELECT COUNT(*) AS N FROM T) q WHERE N > 0",
             "SELECT A || 'x' FROM T LIMIT 3",
+            "SELECT q.*, 1 FROM T q",
         ] {
             roundtrip(sql, Dialect::Cdw);
         }

@@ -52,7 +52,7 @@ fn map_select(sel: &SelectStmt, f: &mut impl FnMut(Expr) -> Expr) -> SelectStmt 
             .projection
             .iter()
             .map(|item| match item {
-                SelectItem::Wildcard => SelectItem::Wildcard,
+                SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => item.clone(),
                 SelectItem::Expr { expr, alias } => SelectItem::Expr {
                     expr: map_expr(expr, f),
                     alias: alias.clone(),

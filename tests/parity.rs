@@ -630,3 +630,60 @@ fn wide_scale_decimal_literals_answer_on_both_servers() {
     let v = Virtualizer::new(VirtualizerConfig::default());
     assert_eq!(run(tcp_connector(&v)), legacy);
 }
+
+/// A qualified star (`T.*`) expands to the columns of that table or
+/// alias, in order — alone, beside a column and across a join — with the
+/// same columns and rows on both servers.
+#[test]
+fn qualified_star_answers_on_both_servers() {
+    use etlv_protocol::data::Value;
+
+    let run = |connector: Arc<dyn Connect>| {
+        let mut session = etlv_legacy_client::Session::logon(
+            connector.as_ref(),
+            "admin",
+            "pw",
+            etlv_protocol::message::SessionRole::Control,
+            0,
+        )
+        .unwrap();
+        session.set_read_timeout(Some(std::time::Duration::from_secs(10)));
+        for sql in [
+            "create table QA (K integer not null, S varchar(8), primary key (K))",
+            "create table QB (K integer, N integer)",
+            "insert into QA values (2, 'two')",
+            "insert into QA values (1, 'one')",
+            "insert into QB values (1, 10)",
+        ] {
+            session.sql(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        }
+        let answers: Vec<_> = [
+            "sel QA.* from QA",
+            "select x.*, x.K from QA x order by x.K",
+            "sel b.N, a.* from QA a join QB b on a.K = b.K",
+        ]
+        .into_iter()
+        .map(|sql| {
+            let r = session.sql(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let names: Vec<String> = r.columns.iter().map(|(n, _)| n.clone()).collect();
+            (names, r.columns, r.rows)
+        })
+        .collect();
+        session.logoff();
+        answers
+    };
+    let server = LegacyServer::new();
+    let legacy = run(server_connector(&server));
+    let (int, s) = (Value::Int, |v: &str| Value::Str(v.into()));
+    assert_eq!(legacy[0].0, ["K", "S"]);
+    assert_eq!(
+        legacy[0].2,
+        vec![vec![int(2), s("two")], vec![int(1), s("one")]]
+    );
+    assert_eq!(legacy[1].0, ["K", "S", "K"]);
+    assert_eq!(legacy[1].2[0], vec![int(1), s("one"), int(1)]);
+    assert_eq!(legacy[2].0, ["N", "K", "S"]);
+    assert_eq!(legacy[2].2, vec![vec![int(10), int(1), s("one")]]);
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    assert_eq!(run(tcp_connector(&v)), legacy);
+}
