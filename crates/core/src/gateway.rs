@@ -57,10 +57,24 @@ use crate::xcompile;
 /// (`BeginExport::chunk_rows` 0).
 const EXPORT_CHUNK_ROWS: u32 = 4096;
 
+/// What a load's `DataChunk`s share; one may outlive the job.
 pub(crate) struct ImportJobState {
+    /// Accumulated gateway-side ack turnaround (credit acquire + memory
+    /// reserve + enqueue per chunk), µs — emitted as one aggregate
+    /// `ack.wait` span at job end so the hot path stays journal-free.
+    ack_wait_micros: AtomicU64,
+    sink: ChunkSink,
+    rows_received: AtomicU64,
+    oom: Mutex<Option<String>>,
+    /// The owning session's tenant metric block — every job-scoped count
+    /// and latency lands here; the node's job totals are sums over these.
+    tenant: Arc<TenantObs>,
+}
+
+/// A load job as its owner holds it.
+pub(crate) struct ImportJob {
+    chunks: Arc<ImportJobState>,
     spec: BeginLoad,
-    staging_table: String,
-    prefix: String,
     /// CDW statements retried while creating the job's tables — folded
     /// into the report's `cdw_retries` at job end.
     setup_retries: u64,
@@ -68,21 +82,10 @@ pub(crate) struct ImportJobState {
     /// `TraceContext` (or minted on entry), root span parenting every
     /// stage span the job emits.
     ids: SpanIds,
-    /// Accumulated gateway-side ack turnaround (credit acquire + memory
-    /// reserve + enqueue per chunk), µs — emitted as one aggregate
-    /// `ack.wait` span at job end so the hot path stays journal-free.
-    ack_wait_micros: AtomicU64,
-    pipeline: Mutex<Option<Pipeline>>,
-    sink: Mutex<Option<ChunkSink>>,
-    rows_received: AtomicU64,
-    oom: Mutex<Option<String>>,
     started: Instant,
     /// Faults the node had injected when `BeginLoad` arrived; the report
     /// carries the difference.
     faults_at_begin: u64,
-    /// The owning session's tenant metric block — every job-scoped count
-    /// and latency lands here; the node's job totals are sums over these.
-    tenant: Arc<TenantObs>,
 }
 
 pub(crate) struct ExportJobState {
@@ -92,15 +95,55 @@ pub(crate) struct ExportJobState {
 }
 
 pub(crate) enum Job {
-    Import(Arc<ImportJobState>),
+    Import(Box<ImportJob>),
     Export(Arc<ExportJobState>),
 }
 
-/// How a job left the job table — what [`Virtualizer::end_job`] books.
+/// How a job ended — what [`JobOwner::end_job`] books.
 enum JobOutcome {
     Completed(JobReport),
     Failed(ErrCode),
     Aborted,
+}
+
+/// What a load holds on the node, the warehouse and the store, recorded
+/// as setup creates it: the pipeline (until `EndLoad` finishes it), the
+/// staged objects' prefix, and the staging table, ET and UV in that
+/// order.
+#[derive(Default)]
+pub(crate) struct Residue {
+    pipeline: Option<Pipeline>,
+    prefix: Option<String>,
+    tables: Vec<String>,
+}
+
+impl Residue {
+    /// Release what is still held, in one order: abort the pipeline,
+    /// delete the staged objects, drop the tables — ET and UV stay when
+    /// `keep_error_tables`. The DROPs retry like every other statement;
+    /// returns their retries. It runs in `Drop`, so it never panics.
+    fn release(&mut self, node: &Node, keep_error_tables: bool) -> u64 {
+        if let Some(pipeline) = self.pipeline.take() {
+            pipeline.abort();
+        }
+        let bucket = &node.config.staging_bucket;
+        if let Some(prefix) = self.prefix.take() {
+            for key in node.store.list(bucket, &prefix).unwrap_or_default() {
+                let _ = node.store.delete(bucket, &key);
+            }
+        }
+        if keep_error_tables {
+            self.tables.truncate(1);
+        }
+        let (policy, seed) = (node.config.retry_policy(), node.config.fault_seed());
+        let mut retries = 0;
+        for table in self.tables.drain(..) {
+            let drop = format!("DROP TABLE IF EXISTS {table}");
+            // Past the retry budget there is no one left to tell.
+            let _ = retry_cdw(policy, seed, &mut retries, || node.cdw.execute(&drop));
+        }
+        retries
+    }
 }
 
 pub(crate) struct Node {
@@ -111,7 +154,7 @@ pub(crate) struct Node {
     pub(crate) credits: CreditManager,
     pub(crate) memory: MemoryGauge,
     pub(crate) obs: Arc<Obs>,
-    pub(crate) jobs: Mutex<HashMap<u64, Job>>,
+    pub(crate) jobs: Mutex<HashMap<u64, (Job, Residue)>>,
     /// Jobs admitted but still in setup, not yet in `jobs`; they count
     /// against `max_concurrent_jobs` too. Raised only under the `jobs`
     /// lock, so admission's check-and-claim is one step.
@@ -134,28 +177,116 @@ pub(crate) struct Node {
     pub(crate) jobs_drained: Condvar,
 }
 
-/// A job slot claimed by [`Virtualizer::admit`] and held while the job
-/// is set up. [`enter`](Admission::enter) moves the job into the table
-/// and the slot with it; dropping the admission gives the slot back.
-struct Admission<'a> {
+/// A job's one owner outside the job table: from [`Virtualizer::admit`]
+/// through setup, and from [`Virtualizer::take_job`] to the job's end.
+/// [`settle`](JobOwner::settle) ends the job; dropped unsettled (a setup
+/// error, a panic, a session gone), the owner aborts it. It borrows the
+/// node, so the job table holds no handle to the node that holds it.
+pub(crate) struct JobOwner<'a> {
     node: &'a Node,
+    token: u64,
+    /// Holds an admission slot (from admission until the table entry).
+    admitting: bool,
+    /// `None` in setup, or when no job had the token.
+    job: Option<Job>,
+    residue: Residue,
 }
 
-impl Admission<'_> {
-    fn enter(self, token: u64, job: Job) {
+impl JobOwner<'_> {
+    fn enter(mut self, token: u64, job: Job) {
         let node = self.node;
         let mut jobs = node.jobs.lock();
-        jobs.insert(token, job);
+        jobs.insert(token, (job, std::mem::take(&mut self.residue)));
         node.obs.gateway.active_jobs.set(jobs.len() as u64);
         // The slot moves to the table under the lock: no admission sees
         // it counted twice or not at all.
         drop(self);
     }
+
+    /// Let go of a job its session left: it is aborted — unless `clean`
+    /// and an export, whose normal end a logoff is (it has no end-of-job
+    /// message).
+    pub(crate) fn abandon(mut self, clean: bool) {
+        if clean && matches!(self.job, Some(Job::Export(_))) {
+            self.job = None;
+        }
+    }
+
+    /// Release what the job holds, keeping ET and UV for the client, and
+    /// book how it ended.
+    fn settle(mut self, outcome: JobOutcome) {
+        self.residue.release(self.node, true);
+        self.end_job(outcome);
+    }
+
+    /// The one place a job's outcome is booked, once each: the tenant's
+    /// counter and `active_jobs`, a completed job's tenant totals, the
+    /// terminal journal span, and the last job report.
+    fn end_job(&mut self, outcome: JobOutcome) {
+        let (node, token) = (self.node, self.token);
+        let Some(job) = self.job.take() else { return };
+        let Job::Import(job) = job else {
+            // An abandoned export counts on the node only: exports never
+            // entered a tenant's `jobs_started`, so booking their aborts
+            // there would bend the SLO availability ratio.
+            node.obs.export.aborted.inc();
+            node.obs
+                .journal
+                .emit("job.abort", token, 0, 0, 0, Duration::ZERO);
+            return;
+        };
+        let t = &job.chunks.tenant;
+        t.active_jobs.sub(1);
+        let elapsed = job.started.elapsed();
+        let (kind, value, wall, report) = match outcome {
+            JobOutcome::Completed(report) => {
+                node.obs.gateway.rows_ingested.add(report.rows_received);
+                let total = report.total();
+                t.jobs_completed.inc();
+                t.rows_applied.add(report.rows_applied);
+                t.errors_et.add(report.errors_et);
+                t.errors_uv.add(report.errors_uv);
+                t.retries.add(report.upload_retries + report.cdw_retries);
+                t.job_us.record_duration(total);
+                // A job slower than the tenant's latency target is an SLO
+                // "bad event" for the latency objective.
+                if total > node.config.slo.latency_target {
+                    t.slow_jobs.inc();
+                }
+                ("job.end", report.rows_received, total, Some(report))
+            }
+            JobOutcome::Failed(code) => {
+                t.jobs_failed.inc();
+                ("job.fail", code.0 as u64, elapsed, None)
+            }
+            JobOutcome::Aborted => {
+                t.jobs_aborted.inc();
+                let rows_received = job.chunks.rows_received.load(Ordering::Relaxed);
+                let report = JobReport {
+                    rows_received,
+                    acquisition: elapsed,
+                    aborted: true,
+                    ..JobReport::default()
+                };
+                ("job.abort", rows_received, elapsed, Some(report))
+            }
+        };
+        node.obs
+            .journal
+            .emit_span(kind, job.ids, token, 0, 0, value, wall);
+        if let Some(report) = report {
+            *node.last_report.lock() = Some(report);
+        }
+    }
 }
 
-impl Drop for Admission<'_> {
+impl Drop for JobOwner<'_> {
     fn drop(&mut self) {
-        self.node.admitting.fetch_sub(1, Ordering::Relaxed);
+        self.residue.release(self.node, false);
+        self.end_job(JobOutcome::Aborted);
+        if self.admitting {
+            self.node.admitting.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -400,16 +531,9 @@ impl Virtualizer {
     /// Returns `true` when the table emptied in time.
     pub fn wait_jobs_drained(&self, deadline: Instant) -> bool {
         let mut jobs = self.node.jobs.lock();
+        let drained = &self.node.jobs_drained;
         while !jobs.is_empty() {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            if self
-                .node
-                .jobs_drained
-                .wait_until(&mut jobs, deadline)
-                .timed_out()
-            {
+            if drained.wait_until(&mut jobs, deadline).timed_out() {
                 return jobs.is_empty();
             }
         }
@@ -449,13 +573,11 @@ impl Virtualizer {
     pub(crate) fn handle_begin_load(&self, spec: BeginLoad, tenant: Arc<TenantObs>) -> Message {
         let node = &self.node;
         let faults_at_begin = self.fault_counts().map_or(0, |c| c.total());
-        let admission = match self.admit(&tenant) {
-            Ok(admission) => admission,
+        let mut owner = match self.admit(&tenant) {
+            Ok(owner) => owner,
             Err((code, message)) => return error_msg(code, message, false),
         };
         let token = node.next_token.fetch_add(1, Ordering::Relaxed);
-        let staging_table = xcompile::staging_table_name(token);
-        let prefix = xcompile::staging_prefix(token);
 
         // Causal identity: adopt the client's trace context; a trace-free
         // legacy client gets one minted here, so every job is traceable.
@@ -467,7 +589,7 @@ impl Virtualizer {
         };
 
         // Staging + error tables on the CDW.
-        let setup_retries = match self.create_job_tables(&spec, &staging_table) {
+        let setup_retries = match self.create_job_tables(&spec, token, &mut owner.residue) {
             Ok(retries) => retries,
             Err(e) => return error_msg(ErrCode::SQL_ERROR, e, true),
         };
@@ -486,16 +608,18 @@ impl Virtualizer {
                 throttle: node.config.upload_throttle,
             },
         ));
+        owner.residue.prefix = Some(xcompile::staging_prefix(token));
         let pipeline = node.runtime.begin_job(
             converter,
             loader,
-            prefix.clone(),
+            xcompile::staging_prefix(token),
             token,
             ids,
             node.config.drain_timeout,
             Arc::clone(&tenant),
         );
         let sink = pipeline.sink();
+        owner.residue.pipeline = Some(pipeline);
         tenant.jobs_started.inc();
         tenant.active_jobs.add(1);
         // The job clock starts before `job.begin` is stamped, so the trace
@@ -512,22 +636,21 @@ impl Virtualizer {
             Duration::ZERO,
         );
 
-        admission.enter(
+        owner.enter(
             token,
-            Job::Import(Arc::new(ImportJobState {
+            Job::Import(Box::new(ImportJob {
+                chunks: Arc::new(ImportJobState {
+                    ack_wait_micros: AtomicU64::new(0),
+                    sink,
+                    rows_received: AtomicU64::new(0),
+                    oom: Mutex::new(None),
+                    tenant,
+                }),
                 spec,
-                staging_table,
-                prefix,
                 setup_retries,
                 ids,
-                ack_wait_micros: AtomicU64::new(0),
-                pipeline: Mutex::new(Some(pipeline)),
-                sink: Mutex::new(Some(sink)),
-                rows_received: AtomicU64::new(0),
-                oom: Mutex::new(None),
                 started,
                 faults_at_begin,
-                tenant,
             })),
         );
         Message::BeginLoadOk { load_token: token }
@@ -536,11 +659,10 @@ impl Virtualizer {
     /// Job admission, the one check both `BeginLoad` and `BeginExport`
     /// pass: refuse while draining, and answer a node already running
     /// `max_concurrent_jobs` with retryable `SERVER_BUSY` (the legacy
-    /// client backs off and re-issues). An admitted job holds its slot
+    /// client backs off and re-issues). The owner holds the job's slot
     /// through setup — concurrent requests cannot all pass the check —
-    /// until [`Admission::enter`] hands it to the job table, or until
-    /// setup fails and the [`Admission`] is dropped.
-    fn admit(&self, tenant: &TenantObs) -> Result<Admission<'_>, (ErrCode, String)> {
+    /// until it enters the table or is dropped.
+    fn admit(&self, tenant: &TenantObs) -> Result<JobOwner<'_>, (ErrCode, String)> {
         let node = &self.node;
         if node.draining.load(Ordering::Relaxed) {
             return Err((ErrCode::SHUTTING_DOWN, "server is draining".into()));
@@ -556,12 +678,41 @@ impl Virtualizer {
             ));
         }
         node.admitting.fetch_add(1, Ordering::Relaxed);
-        Ok(Admission { node })
+        Ok(JobOwner {
+            node,
+            token: 0,
+            admitting: true,
+            job: None,
+            residue: Residue::default(),
+        })
     }
 
-    /// Create the job's staging + error tables; returns how many setup
-    /// statements had to be retried after transient faults.
-    fn create_job_tables(&self, spec: &BeginLoad, staging_table: &str) -> Result<u64, String> {
+    /// Take a job out of the table: no request finds it any more, and
+    /// the owner alone holds it.
+    pub(crate) fn take_job(&self, token: u64) -> JobOwner<'_> {
+        let node = &self.node;
+        let mut jobs = node.jobs.lock();
+        let (job, residue) = jobs.remove(&token).unzip();
+        node.obs.gateway.active_jobs.set(jobs.len() as u64);
+        node.jobs_drained.notify_all();
+        JobOwner {
+            node,
+            token,
+            admitting: false,
+            job,
+            residue: residue.unwrap_or_default(),
+        }
+    }
+
+    /// Create the job's staging + error tables, recording each in
+    /// `residue` once it exists; returns how many setup statements had to
+    /// be retried after transient faults.
+    fn create_job_tables(
+        &self,
+        spec: &BeginLoad,
+        token: u64,
+        residue: &mut Residue,
+    ) -> Result<u64, String> {
         // Job setup DDL retries transient blips like any other statement —
         // with an armed cdw_exec fault spec these are the first statements
         // the plan can hit.
@@ -573,13 +724,16 @@ impl Virtualizer {
                 .map(|_| ())
                 .map_err(|e| format!("{sql}: {e}"))
         };
+        let staging_table = xcompile::staging_table_name(token);
         run(&format!("DROP TABLE IF EXISTS {staging_table}"))?;
-        run(&xcompile::staging_ddl(staging_table, &spec.layout))?;
+        run(&xcompile::staging_ddl(&staging_table, &spec.layout))?;
+        residue.tables.push(staging_table);
         run(&format!("DROP TABLE IF EXISTS {}", spec.error_table_et))?;
         run(&format!(
             "CREATE TABLE {} (SEQNO BIGINT, ERRCODE INTEGER, ERRFIELD VARCHAR(128), ERRMESSAGE VARCHAR(512))",
             spec.error_table_et
         ))?;
+        residue.tables.push(spec.error_table_et.clone());
         run(&format!("DROP TABLE IF EXISTS {}", spec.error_table_uv))?;
         let mut uv_cols: Vec<String> = spec
             .layout
@@ -602,6 +756,7 @@ impl Virtualizer {
             spec.error_table_uv,
             uv_cols.join(", ")
         ))?;
+        residue.tables.push(spec.error_table_uv.clone());
         Ok(retries)
     }
 
@@ -618,18 +773,9 @@ impl Virtualizer {
         // pre-registered sharded handles, no journal event per chunk.
         let handle_started = Instant::now();
         let chunk_bytes = chunk.data.len() as u64;
-        let job = {
-            let jobs = self.node.jobs.lock();
-            match jobs.get(&token) {
-                Some(Job::Import(j)) => Arc::clone(j),
-                _ => {
-                    return error_msg(
-                        ErrCode::PROTOCOL,
-                        format!("no import job for token {token}"),
-                        true,
-                    )
-                }
-            }
+        let job = match self.node.jobs.lock().get(&token) {
+            Some((Job::Import(j), _)) => Arc::clone(&j.chunks),
+            _ => return no_job("import", token),
         };
         if let Some(oom) = job.oom.lock().clone() {
             return error_msg(ErrCode::OUT_OF_MEMORY, oom, true);
@@ -645,14 +791,11 @@ impl Virtualizer {
                 return error_msg(ErrCode::OUT_OF_MEMORY, e.to_string(), true);
             }
         };
-        let sink = match job.sink.lock().as_ref() {
-            Some(s) => s.clone(),
-            None => return error_msg(ErrCode::PROTOCOL, "data chunk after the load ended", true),
-        };
         let chunk_seq = chunk.chunk_seq;
         job.rows_received
             .fetch_add(chunk.record_count as u64, Ordering::Relaxed);
-        if !sink.push(RawChunk {
+        // A chunk that lost the race to `EndLoad` finds the pipeline shut.
+        if !job.sink.push(RawChunk {
             base_seq: chunk.base_seq,
             data: chunk.data,
             credit,
@@ -677,41 +820,24 @@ impl Virtualizer {
     }
 
     pub(crate) fn handle_end_load(&self, token: u64, dml: &str) -> Message {
-        let job = {
-            let mut jobs = self.node.jobs.lock();
-            match jobs.remove(&token) {
-                Some(Job::Import(j)) => {
-                    self.node.obs.gateway.active_jobs.set(jobs.len() as u64);
-                    self.node.jobs_drained.notify_all();
-                    j
-                }
-                _ => {
-                    return error_msg(
-                        ErrCode::PROTOCOL,
-                        format!("no import job for token {token}"),
-                        true,
-                    )
-                }
-            }
+        // A return before `settle`, or a panic, aborts the job.
+        let mut owner = self.take_job(token);
+        let JobOwner {
+            job: Some(Job::Import(job)),
+            residue,
+            ..
+        } = &mut owner
+        else {
+            return no_job("import", token);
         };
-        // The job is out of the table, so session teardown can no longer
-        // abort it: a handler panic from here on discards it first.
-        let finished = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.finish_load(token, &job, dml)
-        }));
-        let finished = finished.unwrap_or_else(|panic| {
-            self.discard_job(token, Job::Import(Arc::clone(&job)));
-            std::panic::resume_unwind(panic)
-        });
-        match finished {
+        match self.finish_load(token, job, residue, dml) {
             Ok(report) => {
                 let wire = report.to_wire();
-                self.end_job(token, &Job::Import(job), JobOutcome::Completed(report));
+                owner.settle(JobOutcome::Completed(report));
                 Message::LoadReport(wire)
             }
             Err((code, message)) => {
-                self.cleanup_job(&job);
-                self.end_job(token, &Job::Import(job), JobOutcome::Failed(code));
+                owner.settle(JobOutcome::Failed(code));
                 // A failed load is a clean job failure, not a session
                 // failure: the client gets the error reply and the control
                 // session stays usable for diagnostics or another attempt.
@@ -720,83 +846,23 @@ impl Virtualizer {
         }
     }
 
-    /// The one place a job's outcome is booked, once each: the tenant's
-    /// counter and `active_jobs`, a completed job's tenant totals, the
-    /// terminal journal span, and the last job report. The caller has
-    /// already taken the job out of the job table.
-    fn end_job(&self, token: u64, job: &Job, outcome: JobOutcome) {
-        let node = &self.node;
-        let Job::Import(job) = job else {
-            // An abandoned export counts on the node only: exports never
-            // entered a tenant's `jobs_started`, so booking their aborts
-            // there would bend the SLO availability ratio.
-            node.obs.export.aborted.inc();
-            node.obs
-                .journal
-                .emit("job.abort", token, 0, 0, 0, Duration::ZERO);
-            return;
-        };
-        let t = &job.tenant;
-        t.active_jobs.sub(1);
-        let elapsed = job.started.elapsed();
-        let (kind, value, wall, report) = match outcome {
-            JobOutcome::Completed(report) => {
-                node.obs.gateway.rows_ingested.add(report.rows_received);
-                let total = report.total();
-                t.jobs_completed.inc();
-                t.rows_applied.add(report.rows_applied);
-                t.errors_et.add(report.errors_et);
-                t.errors_uv.add(report.errors_uv);
-                t.retries.add(report.upload_retries + report.cdw_retries);
-                t.job_us.record_duration(total);
-                // A job slower than the tenant's latency target is an SLO
-                // "bad event" for the latency objective.
-                if total > node.config.slo.latency_target {
-                    t.slow_jobs.inc();
-                }
-                ("job.end", report.rows_received, total, Some(report))
-            }
-            JobOutcome::Failed(code) => {
-                t.jobs_failed.inc();
-                ("job.fail", code.0 as u64, elapsed, None)
-            }
-            JobOutcome::Aborted => {
-                t.jobs_aborted.inc();
-                let rows_received = job.rows_received.load(Ordering::Relaxed);
-                let report = JobReport {
-                    rows_received,
-                    acquisition: elapsed,
-                    aborted: true,
-                    ..JobReport::default()
-                };
-                ("job.abort", rows_received, elapsed, Some(report))
-            }
-        };
-        node.obs
-            .journal
-            .emit_span(kind, job.ids, token, 0, 0, value, wall);
-        if let Some(report) = report {
-            *node.last_report.lock() = Some(report);
-        }
-    }
-
     fn finish_load(
         &self,
         token: u64,
-        job: &ImportJobState,
+        job: &ImportJob,
+        residue: &mut Residue,
         dml: &str,
     ) -> Result<JobReport, (ErrCode, String)> {
         let node = &self.node;
+        let staging_table = xcompile::staging_table_name(token);
 
         // Drain the pipeline: all chunks converted, staged, uploaded.
-        let pipeline = job
+        let pipeline = residue
             .pipeline
-            .lock()
             .take()
             .ok_or((ErrCode::PROTOCOL, "load already ended".to_string()))?;
-        drop(job.sink.lock().take());
         let pipe_report: PipelineReport = pipeline.finish();
-        if let Some(oom) = job.oom.lock().clone() {
+        if let Some(oom) = job.chunks.oom.lock().clone() {
             return Err((ErrCode::OUT_OF_MEMORY, oom));
         }
         if !pipe_report.fatal.is_empty() {
@@ -813,9 +879,9 @@ impl Virtualizer {
         if !pipe_report.files.is_empty() {
             let copy = format!(
                 "COPY INTO {} FROM 'store://{}/{}' DELIMITER '{}'{}",
-                job.staging_table,
+                staging_table,
                 node.config.staging_bucket,
-                job.prefix,
+                xcompile::staging_prefix(token),
                 node.config.staging_delimiter as char,
                 if node.config.compress_staged {
                     " COMPRESSED"
@@ -849,11 +915,11 @@ impl Virtualizer {
         // Application phase: cross-compile, plan emulation, apply.
         let application_started = Instant::now();
         let apply_cpu = CpuTimer::start();
-        let compiled = xcompile::compile_dml(dml, &job.spec.layout, &job.staging_table)
+        let compiled = xcompile::compile_dml(dml, &job.spec.layout, &staging_table)
             .map_err(|e| (ErrCode::SQL_ERROR, e.to_string()))?;
         let emulation =
             emulate::plan(&node.cdw, &compiled).map_err(|e| (ErrCode::SQL_ERROR, e.to_string()))?;
-        let rows_received = job.rows_received.load(Ordering::Relaxed);
+        let rows_received = job.chunks.rows_received.load(Ordering::Relaxed);
         let params = AdaptiveParams {
             max_errors: effective_max_errors(node.config.max_errors, job.spec.error_limit),
             max_retries: node.config.max_retries,
@@ -889,7 +955,7 @@ impl Virtualizer {
             .adaptive
             .transient_retries
             .add(outcome.transient_retries);
-        job.tenant.apply_us.record_duration(application);
+        job.chunks.tenant.apply_us.record_duration(application);
         node.obs.journal.emit_span(
             "apply",
             apply_ids,
@@ -899,7 +965,7 @@ impl Virtualizer {
             outcome.applied,
             application,
         );
-        let ack_wait = Duration::from_micros(job.ack_wait_micros.load(Ordering::Relaxed));
+        let ack_wait = Duration::from_micros(job.chunks.ack_wait_micros.load(Ordering::Relaxed));
         if !ack_wait.is_zero() {
             node.obs.journal.emit_span(
                 "ack.wait",
@@ -915,7 +981,8 @@ impl Virtualizer {
         // Error tables: acquisition errors + application errors.
         self.write_error_tables(job, &pipe_report, &outcome.errors, &mut cdw_retries)
             .map_err(|e| (ErrCode::INTERNAL, e))?;
-        self.cleanup_job(job);
+        // Teardown inside the job's clock (ET and UV stay).
+        cdw_retries += residue.release(node, true);
 
         let errors_uv = outcome
             .errors
@@ -950,7 +1017,7 @@ impl Virtualizer {
 
     fn write_error_tables(
         &self,
-        job: &ImportJobState,
+        job: &ImportJob,
         pipe_report: &PipelineReport,
         app_errors: &[RecordedError],
         retries: &mut u64,
@@ -1036,72 +1103,6 @@ impl Virtualizer {
         .map_err(|e| format!("writing error table {table}: {e}"))
     }
 
-    fn cleanup_job(&self, job: &ImportJobState) {
-        let _ = self
-            .node
-            .cdw
-            .execute(&format!("DROP TABLE IF EXISTS {}", job.staging_table));
-        if let Ok(keys) = self
-            .node
-            .store
-            .list(&self.node.config.staging_bucket, &job.prefix)
-        {
-            for key in keys {
-                let _ = self
-                    .node
-                    .store
-                    .delete(&self.node.config.staging_bucket, &key);
-            }
-        }
-    }
-
-    /// Abort one job its owning session abandoned (disconnect, idle
-    /// timeout, or shutdown) — the disconnect-safe half of the job
-    /// lifecycle. For an import: discard the pipeline's queued and
-    /// in-flight chunks (credits and memory release immediately), drop
-    /// the staging and error tables, delete staged objects, and record an
-    /// aborted [`JobReport`] so the loss is visible in `last_job_report`.
-    /// For an export: deregister the cursor. A `clean` close (explicit
-    /// logoff) silently retires exports — they have no end-of-job message,
-    /// so logoff *is* their normal completion — but an import still open
-    /// at logoff was abandoned mid-load and is aborted like a disconnect.
-    /// Unknown tokens (job already completed) are a no-op.
-    pub(crate) fn abort_job(&self, token: u64, clean: bool) {
-        let node = &self.node;
-        let job = {
-            let mut jobs = node.jobs.lock();
-            let Some(job) = jobs.remove(&token) else {
-                return;
-            };
-            node.obs.gateway.active_jobs.set(jobs.len() as u64);
-            node.jobs_drained.notify_all();
-            job
-        };
-        if !(clean && matches!(job, Job::Export(_))) {
-            self.discard_job(token, job);
-        }
-    }
-
-    /// Abort a job already out of the job table: for an import, discard
-    /// its pipeline, staged objects and tables; then book it aborted.
-    fn discard_job(&self, token: u64, job: Job) {
-        if let Job::Import(import) = &job {
-            let pipeline = import.pipeline.lock().take();
-            drop(import.sink.lock().take());
-            if let Some(pipeline) = pipeline {
-                let _ = pipeline.abort();
-            }
-            self.cleanup_job(import);
-            for table in [&import.spec.error_table_et, &import.spec.error_table_uv] {
-                let _ = self
-                    .node
-                    .cdw
-                    .execute(&format!("DROP TABLE IF EXISTS {table}"));
-            }
-        }
-        self.end_job(token, &job, JobOutcome::Aborted);
-    }
-
     // ------------------------------------------------------------ export
 
     pub(crate) fn handle_begin_export(
@@ -1110,8 +1111,8 @@ impl Virtualizer {
         tenant: Arc<TenantObs>,
     ) -> Message {
         let node = &self.node;
-        let admission = match self.admit(&tenant) {
-            Ok(admission) => admission,
+        let owner = match self.admit(&tenant) {
+            Ok(owner) => owner,
             Err((code, message)) => return error_msg(code, message, false),
         };
         let translated = match xcompile::translate_sql(&spec.select) {
@@ -1153,7 +1154,7 @@ impl Virtualizer {
                 .collect(),
         };
         let token = node.next_token.fetch_add(1, Ordering::Relaxed);
-        admission.enter(
+        owner.enter(
             token,
             Job::Export(Arc::new(ExportJobState {
                 cursor,
@@ -1171,18 +1172,9 @@ impl Virtualizer {
     /// Serve one export chunk: encode the cursor's slice of the result in
     /// the legacy wire format (the PXC's result conversion, §4).
     pub(crate) fn handle_export_req(&self, token: u64, index: u64) -> Message {
-        let job = {
-            let jobs = self.node.jobs.lock();
-            match jobs.get(&token) {
-                Some(Job::Export(j)) => Arc::clone(j),
-                _ => {
-                    return error_msg(
-                        ErrCode::PROTOCOL,
-                        format!("no export job for token {token}"),
-                        true,
-                    )
-                }
-            }
+        let job = match self.node.jobs.lock().get(&token) {
+            Some((Job::Export(j), _)) => Arc::clone(j),
+            _ => return no_job("export", token),
         };
         let chunk = job.cursor.chunk(index);
         let data = match encode_rows(&job.layout, job.format, chunk.rows) {
@@ -1261,6 +1253,12 @@ pub(crate) fn error_msg(code: ErrCode, message: impl Into<String>, fatal: bool) 
     })
 }
 
+/// The fatal reply to a request that names no job of its kind.
+fn no_job(kind: &str, token: u64) -> Message {
+    let message = format!("no {kind} job for token {token}");
+    error_msg(ErrCode::PROTOCOL, message, true)
+}
+
 /// The message a caught panic carried, if it was a string.
 pub(crate) fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
     panic
@@ -1303,6 +1301,79 @@ mod tests {
             credits: 0,
             ..Default::default()
         });
+    }
+
+    /// A handler that panics while it owns a job — the `finish_load` path
+    /// — aborts the job from the owner's `Drop`: credits and memory come
+    /// home, the staged objects and the staging and error tables go, and
+    /// the loss is on record.
+    #[test]
+    fn a_panic_while_owning_a_job_aborts_it() {
+        use etlv_protocol::data::LegacyType;
+        use etlv_protocol::message::DataChunk;
+
+        // One-byte parts: the chunk's staged text uploads as an object.
+        let v = Virtualizer::new(VirtualizerConfig {
+            file_size_threshold: 1,
+            ..Default::default()
+        });
+        let spec = BeginLoad {
+            target_table: "T".into(),
+            error_table_et: "T_ET".into(),
+            error_table_uv: "T_UV".into(),
+            layout: Layout::new("L").field("A", LegacyType::VarChar(10)),
+            format: RecordFormat::Vartext {
+                delimiter: b'|',
+                quote: b'"',
+            },
+            sessions: 1,
+            error_limit: 0,
+            trace: None,
+        };
+        let tenant = v.node.obs.registry.tenant("t");
+        let Message::BeginLoadOk { load_token: token } = v.handle_begin_load(spec, tenant) else {
+            panic!("load not admitted");
+        };
+        let chunk = DataChunk {
+            chunk_seq: 1,
+            base_seq: 1,
+            record_count: 2,
+            data: bytes::Bytes::from_static(b"a\nb\n"),
+        };
+        let reply = v.handle_data_chunk(token, chunk);
+        assert!(matches!(reply, Message::Ack { chunk_seq: 1 }), "{reply:?}");
+        let bucket = &v.config().staging_bucket;
+        let prefix = xcompile::staging_prefix(token);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while v.node.store.list(bucket, &prefix).unwrap().is_empty() {
+            assert!(Instant::now() < deadline, "the chunk was never staged");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let owner = v.take_job(token);
+        assert!(owner.job.is_some(), "the job is in the table");
+        // The panic unwinds a scoped thread, as a handler's unwinds a
+        // dispatch worker up to the reactor's catch.
+        let unwound = std::thread::scope(|s| {
+            s.spawn(move || {
+                let _owner = owner;
+                panic!("a handler panicked while it owned the job");
+            })
+            .join()
+        });
+        assert!(unwound.is_err());
+
+        assert_eq!(v.credits().available(), v.credits().capacity());
+        assert_eq!(v.memory().in_flight(), 0);
+        assert_eq!(v.active_jobs(), 0);
+        for table in [xcompile::staging_table_name(token).as_str(), "T_ET", "T_UV"] {
+            assert!(!v.cdw().table_exists(table), "{table} left");
+        }
+        assert_eq!(
+            v.node.store.list(bucket, &prefix).unwrap(),
+            Vec::<String>::new()
+        );
+        assert!(v.last_job_report().expect("abort recorded").aborted);
     }
 
     #[test]

@@ -338,7 +338,7 @@ pub(crate) fn close_session(v: &Virtualizer, entry: &SessionEntry, clean: bool) 
     let node = &v.node;
     let owned: Vec<u64> = std::mem::take(&mut *entry.jobs.lock());
     for token in owned {
-        v.abort_job(token, clean);
+        v.take_job(token).abandon(clean);
     }
     node.registry.unregister(entry.id);
     node.obs.gateway.sessions_closed.inc();

@@ -177,8 +177,21 @@ impl Parser {
     }
 
     fn parse_object_name(&mut self) -> Result<ObjectName, ParseError> {
-        let mut parts = vec![self.parse_ident()?];
+        let first = self.parse_ident()?;
+        self.parse_name_tail(first)
+    }
+
+    /// The `.`-separated parts after a name's first. An unquoted reserved
+    /// word there is an error, not a name: `SELECT T. FROM T` must not
+    /// read as column `T.FROM`; `T."FROM"` still names one.
+    fn parse_name_tail(&mut self, first: String) -> Result<ObjectName, ParseError> {
+        let mut parts = vec![first];
         while self.eat_punct(Punct::Dot) {
+            if let Some(Token::Word(w)) = self.peek() {
+                if is_reserved(w) {
+                    return Err(self.err(format!("expected identifier after '.', found {w}")));
+                }
+            }
             parts.push(self.parse_ident()?);
         }
         Ok(ObjectName(parts))
@@ -873,7 +886,7 @@ impl Parser {
             Some(Token::Word(w)) => self.parse_word_prefix(w),
             Some(Token::QuotedIdent(w)) => {
                 self.pos += 1;
-                self.parse_column_tail(w)
+                self.parse_name_tail(w).map(Expr::Column)
             }
             other => Err(self.err(format!("expected expression, found {other:?}"))),
         }
@@ -913,19 +926,10 @@ impl Parser {
                 if self.at_punct(Punct::LParen) {
                     self.parse_function(word)
                 } else {
-                    self.parse_column_tail(word)
+                    self.parse_name_tail(word).map(Expr::Column)
                 }
             }
         }
-    }
-
-    fn parse_column_tail(&mut self, first: String) -> Result<Expr, ParseError> {
-        let mut parts = vec![first];
-        while self.at_punct(Punct::Dot) {
-            self.pos += 1;
-            parts.push(self.parse_ident()?);
-        }
-        Ok(Expr::Column(ObjectName(parts)))
     }
 
     fn parse_function(&mut self, name: String) -> Result<Expr, ParseError> {
@@ -1210,6 +1214,31 @@ mod tests {
         );
         // A star is still no operand.
         assert!(parse_statement("SELECT T.* + 1 FROM T", Dialect::Cdw).is_err());
+    }
+
+    #[test]
+    fn reserved_word_after_a_dot_is_an_error() {
+        for d in [Dialect::Legacy, Dialect::Cdw] {
+            for sql in ["SELECT T. FROM T", "SELECT A FROM S.WHERE"] {
+                assert!(parse_statement(sql, d).is_err(), "{sql} parsed in {d}");
+            }
+            let Stmt::Select(sel) =
+                parse_statement("SELECT T.\"FROM\" FROM S.\"WHERE\"", d).unwrap()
+            else {
+                panic!()
+            };
+            let SelectItem::Expr { expr, .. } = &sel.projection[0] else {
+                panic!()
+            };
+            assert_eq!(
+                expr,
+                &Expr::Column(ObjectName(vec!["T".into(), "FROM".into()]))
+            );
+            let Some(TableRef::Named { name, .. }) = &sel.from else {
+                panic!()
+            };
+            assert_eq!(name.dotted(), "S.WHERE");
+        }
     }
 
     #[test]

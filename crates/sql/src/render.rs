@@ -246,8 +246,10 @@ fn write_table_ref(out: &mut String, t: &TableRef, d: Dialect) {
     match t {
         TableRef::Named { name, alias } => {
             object_name(out, name);
+            // With `AS`: the parser takes a bare alias only when it is a
+            // plain non-reserved word, and a quoted one is not.
             if let Some(a) = alias {
-                out.push(' ');
+                out.push_str(" AS ");
                 ident(out, a);
             }
         }
@@ -511,6 +513,7 @@ mod tests {
             "SELECT CASE WHEN A = 1 THEN 'x' ELSE 'y' END FROM T",
             "SELECT COUNT(DISTINCT A) FROM T GROUP BY B HAVING COUNT(*) > 2",
             "SELECT T.*, S.A FROM T JOIN S ON T.K = S.K",
+            "SELECT \"weird q\".* FROM T AS \"weird q\"",
         ] {
             roundtrip(sql, Dialect::Legacy);
         }
@@ -524,6 +527,7 @@ mod tests {
             "SELECT N FROM (SELECT COUNT(*) AS N FROM T) q WHERE N > 0",
             "SELECT A || 'x' FROM T LIMIT 3",
             "SELECT q.*, 1 FROM T q",
+            "SELECT \"weird q\".* FROM T AS \"weird q\"",
         ] {
             roundtrip(sql, Dialect::Cdw);
         }

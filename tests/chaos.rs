@@ -212,10 +212,46 @@ fn cdw_transient_budget_exhaustion_fails_cleanly() {
         ClientError::Server { message, .. } => assert!(message.contains("COPY"), "{message}"),
         other => panic!("expected a server-reported job failure, got {other:?}"),
     }
-    // The initial attempt plus three budget retries faulted, and so did
-    // the best-effort staging-table DROP in job cleanup (which is exactly
-    // why that DROP is best-effort).
-    assert_eq!(v.fault_counts().unwrap().cdw_exec, 5);
+    // The COPY's initial attempt and its three budget retries faulted
+    // (ops 6..=9), and so did the failed job's teardown DROP of the
+    // staging table, which retries like every other statement (ops
+    // 10..=13).
+    assert_eq!(v.fault_counts().unwrap().cdw_exec, 8);
+    assert_quiescent(&v);
+}
+
+/// A failed job's teardown rides out a transient fault: the staging
+/// table's DROP is retried, not left to chance. Every staged put fails,
+/// so the job fails at `EndLoad`; op 6 — the first statement after the
+/// six setup statements — is that DROP.
+#[test]
+fn a_faulted_teardown_drop_is_retried() {
+    let mut plan = FaultPlan::seeded(19);
+    plan.store_put = FaultSpec::FirstN(1000);
+    plan.cdw_exec = FaultSpec::AtOps(vec![6]);
+    let mut config = config_with(plan);
+    config.retry_budget = 2;
+    let v = Virtualizer::new(config);
+    let connector = tcp_connector(&v);
+
+    v.cdw().set_transient_fault(None);
+    create_simple_target(connector.as_ref(), "T");
+    v.cdw()
+        .set_transient_fault(Some(v.fault_injector().unwrap().cdw_hook()));
+
+    let client = LegacyEtlClient::new(connector.clone());
+    let err = client
+        .run_import_data(&simple_import_job("T"), &kv_rows(40))
+        .unwrap_err();
+    match err {
+        ClientError::Server { code, .. } => assert_eq!(code, 8999),
+        other => panic!("expected a server-reported job failure, got {other:?}"),
+    }
+    assert_eq!(v.fault_counts().unwrap().cdw_exec, 1);
+    assert!(!v.cdw().table_exists("ETLV_STG_1"), "staging table left");
+    // A failed load keeps its error tables for the client, as before.
+    assert!(v.cdw().table_exists("T_ET") && v.cdw().table_exists("T_UV"));
+    assert_eq!(v.active_jobs(), 0);
     assert_quiescent(&v);
 }
 
@@ -511,6 +547,50 @@ fn client_disconnect_mid_load_leaves_no_residue() {
     server.shutdown();
 }
 
+/// A `BeginLoad` whose setup fails part-way leaves nothing behind. The
+/// UV table name does not parse, so setup stops after creating the
+/// staging table and ET; both are dropped again before the error reply,
+/// the job slot comes back, and the next valid load is admitted.
+#[test]
+fn a_failed_begin_load_leaves_no_residue() {
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    let connector = tcp_connector(&v);
+    create_simple_target(connector.as_ref(), "T");
+    let job = simple_import_job("T");
+    let begin = |error_table_uv: &str| {
+        Message::BeginLoad(BeginLoad {
+            target_table: job.target.clone(),
+            error_table_et: job.error_table_et.clone(),
+            error_table_uv: error_table_uv.into(),
+            layout: job.layout.clone(),
+            format: job.format,
+            sessions: 1,
+            error_limit: 0,
+            trace: None,
+        })
+    };
+
+    let mut control =
+        Session::logon(connector.as_ref(), "u", "p", SessionRole::Control, 0).unwrap();
+    match control.request(begin("T_UV (")) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, 3807),
+        other => panic!("expected a setup failure, got {other:?}"),
+    }
+    drop(control);
+    assert!(!v.cdw().table_exists("ETLV_STG_1"), "staging table left");
+    assert!(!v.cdw().table_exists("T_ET"), "ET left");
+    assert_eq!(v.active_jobs(), 0);
+
+    let mut control =
+        Session::logon(connector.as_ref(), "u", "p", SessionRole::Control, 0).unwrap();
+    let reply = control.request(begin(&job.error_table_uv)).unwrap();
+    assert!(
+        matches!(reply, Message::BeginLoadOk { .. }),
+        "the next load is admitted: {reply:?}"
+    );
+    control.logoff();
+}
+
 /// The chaos matrix meets the workload harness: a bursty multi-tenant
 /// trace from `etlv-workloadgen` replays through the real client while
 /// the node randomly flakes object-store puts and CDW statements
@@ -588,8 +668,7 @@ fn workload_trace_replays_clean_under_fault_matrix() {
     );
 
     // The matrix actually fired, and every flaky put was paid for by a
-    // server-side retry attributed to some job (CDW faults on best-effort
-    // cleanup DROPs are the one place a fault can fire without a retry).
+    // server-side retry attributed to some job.
     let faults = v.fault_counts().unwrap();
     assert!(faults.store_put > 0, "store-put chaos never fired");
     let server_retries: u64 = report.outcomes.iter().map(|o| o.server_retries).sum();
