@@ -11,9 +11,16 @@
 //! as often as they ask: the cursor is immutable after `open`, so
 //! concurrent sessions need no lock and a repeated request is answered
 //! again, as the legacy server answers it.
+//!
+//! A `ChunkWindow` holds what an export job encoded ahead of its
+//! requests: at most one chunk per export session (four at most) beyond
+//! the last chunk served, each taken by the request for its index.
+
+use std::collections::BTreeMap;
 
 use etlv_cdw::{Cdw, CdwError, RowVersion};
 use etlv_protocol::data::{LegacyType, Value};
+use parking_lot::{Condvar, Mutex};
 
 /// A chunk served to an export session.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,8 +47,11 @@ impl TdfCursor {
     /// serves that version even if the table is written or dropped while
     /// it is open. `_prefetch` is ignored:
     /// the whole result is in memory once the CDW returns it, so there is
-    /// nothing to read ahead. It stays in the signature because
-    /// `etlv-bench` passes `VirtualizerConfig::export_prefetch_chunks`.
+    /// no row to read ahead, and what the export does work ahead on —
+    /// encoding chunks before they are asked for — is sized by the
+    /// export's session count, not by a knob (see `ChunkWindow`). It
+    /// stays in the signature because `etlv-bench` passes
+    /// `VirtualizerConfig::export_prefetch_chunks`.
     pub fn open(
         cdw: &Cdw,
         select_cdw: &str,
@@ -89,6 +99,150 @@ impl TdfCursor {
             index,
             rows,
             last: index.saturating_add(1) >= total,
+        }
+    }
+}
+
+/// Chunks of one export encoded ahead of their requests. A chunk is
+/// claimed for encoding while the window has room — fewer than `depth`
+/// indexes claimed past the last one served — and taken by the request
+/// for its index, which waits out an encode in progress. A request whose
+/// chunk was not encoded ahead (or was already served once) encodes it
+/// itself. Closing the window drops what it holds and refuses further
+/// claims and fills.
+pub(crate) struct ChunkWindow<T> {
+    state: Mutex<WindowState<T>>,
+    filled: Condvar,
+    depth: u64,
+    total: u64,
+}
+
+struct WindowState<T> {
+    slots: BTreeMap<u64, Slot<T>>,
+    /// One past the highest index served.
+    served_end: u64,
+    /// The next index to claim: past every index served or claimed.
+    frontier: u64,
+    closed: bool,
+}
+
+enum Slot<T> {
+    Encoding,
+    Ready(T),
+}
+
+impl<T> ChunkWindow<T> {
+    /// A window over `total` chunks, `depth` of them ahead of the last one
+    /// served.
+    pub(crate) fn new(depth: u64, total: u64) -> ChunkWindow<T> {
+        ChunkWindow {
+            state: Mutex::new(WindowState {
+                slots: BTreeMap::new(),
+                served_end: 0,
+                frontier: 0,
+                closed: false,
+            }),
+            filled: Condvar::new(),
+            depth,
+            total,
+        }
+    }
+
+    /// Serve chunk `index`: the chunk encoded ahead, once its encode is
+    /// done, or `None` when it was not encoded ahead — the request
+    /// encodes it itself. Either way the index is served: no claim is
+    /// made for it or for any index before it from now on.
+    pub(crate) fn take(&self, index: u64) -> Option<T> {
+        let mut state = self.state.lock();
+        state.served_end = state.served_end.max(index.saturating_add(1));
+        state.frontier = state.frontier.max(state.served_end);
+        loop {
+            match state.slots.remove(&index) {
+                Some(Slot::Ready(chunk)) => return Some(chunk),
+                Some(Slot::Encoding) => {
+                    state.slots.insert(index, Slot::Encoding);
+                    self.filled.wait(&mut state);
+                }
+                None => return None,
+            }
+        }
+    }
+
+    /// Claim the next chunk to encode ahead, if the window has room.
+    pub(crate) fn claim(&self) -> Option<Claim<'_, T>> {
+        let mut state = self.state.lock();
+        let index = state.frontier;
+        let room = index < self.total && index < state.served_end.saturating_add(self.depth);
+        if state.closed || !room {
+            return None;
+        }
+        state.frontier += 1;
+        state.slots.insert(index, Slot::Encoding);
+        Some(Claim {
+            window: self,
+            index,
+            open: true,
+        })
+    }
+
+    /// Drop every chunk held and refuse further claims and fills.
+    pub(crate) fn close(&self) {
+        let slots = {
+            let mut state = self.state.lock();
+            state.closed = true;
+            std::mem::take(&mut state.slots)
+        };
+        self.filled.notify_all();
+        drop(slots);
+    }
+
+    /// Land a claimed chunk: `Some` for its request to take, `None` when
+    /// it could not be encoded ahead. A closed window drops it.
+    fn land(&self, index: u64, chunk: Option<T>) {
+        let refused = {
+            let mut state = self.state.lock();
+            match chunk {
+                Some(chunk) if !state.closed => {
+                    state.slots.insert(index, Slot::Ready(chunk));
+                    None
+                }
+                chunk => {
+                    state.slots.remove(&index);
+                    chunk
+                }
+            }
+        };
+        self.filled.notify_all();
+        drop(refused);
+    }
+}
+
+/// A chunk index claimed for encoding ahead. [`fill`](Claim::fill)
+/// lands it; a claim dropped unfilled (the job is gone, the encode
+/// panicked) lands nothing, so no request waits on it.
+pub(crate) struct Claim<'a, T> {
+    window: &'a ChunkWindow<T>,
+    index: u64,
+    open: bool,
+}
+
+impl<T> Claim<'_, T> {
+    /// The claimed chunk's index.
+    pub(crate) fn index(&self) -> u64 {
+        self.index
+    }
+
+    /// Land the encoded chunk, or `None` when it could not be encoded.
+    pub(crate) fn fill(mut self, chunk: Option<T>) {
+        self.open = false;
+        self.window.land(self.index, chunk);
+    }
+}
+
+impl<T> Drop for Claim<'_, T> {
+    fn drop(&mut self) {
+        if self.open {
+            self.window.land(self.index, None);
         }
     }
 }
@@ -225,5 +379,66 @@ mod tests {
     fn query_errors_surface() {
         let cdw = Cdw::new();
         assert!(TdfCursor::open(&cdw, "SELECT A FROM MISSING", 10, 2).is_err());
+    }
+
+    /// The window claims in index order, no further than `depth` past the
+    /// last chunk served and never past the end; a request takes what was
+    /// landed for it once, and encodes for itself otherwise.
+    #[test]
+    fn window_claims_ahead_of_the_last_served_chunk() {
+        let window = ChunkWindow::<u64>::new(2, 5);
+        let (a, b) = (window.claim().unwrap(), window.claim().unwrap());
+        assert_eq!((a.index(), b.index()), (0, 1));
+        assert!(window.claim().is_none(), "two ahead of nothing served");
+        a.fill(Some(100));
+        b.fill(None);
+        assert_eq!(window.take(0), Some(100));
+        assert_eq!(window.take(1), None, "not encoded: the request encodes it");
+        assert_eq!(window.take(0), None, "a repeated request re-encodes");
+        // Served up to 1: room for 2 and 3.
+        let claims: Vec<_> = std::iter::from_fn(|| window.claim()).collect();
+        assert_eq!(claims.iter().map(Claim::index).collect::<Vec<_>>(), [2, 3]);
+        drop(claims);
+        // A request past the frontier moves it: 4 is served, nothing
+        // is left to claim before the end.
+        assert_eq!(window.take(4), None);
+        assert!(window.claim().is_none());
+    }
+
+    /// A request for a chunk being encoded ahead waits for it; a claim
+    /// dropped unfilled (a panicking encoder) releases its waiter empty.
+    #[test]
+    fn a_request_waits_for_its_chunk_in_progress() {
+        let window = ChunkWindow::<u64>::new(1, 10);
+        std::thread::scope(|s| {
+            let claim = window.claim().unwrap();
+            let taker = s.spawn(|| window.take(0));
+            claim.fill(Some(7));
+            assert_eq!(taker.join().unwrap(), Some(7));
+
+            window.take(1);
+            let claim = window.claim().unwrap();
+            assert_eq!(claim.index(), 2);
+            let taker = s.spawn(|| window.take(2));
+            drop(claim);
+            assert_eq!(taker.join().unwrap(), None);
+        });
+    }
+
+    /// Closing drops what the window holds, lands nothing more, and
+    /// claims nothing more.
+    #[test]
+    fn a_closed_window_holds_nothing() {
+        let held = Arc::new(());
+        let window = ChunkWindow::<Arc<()>>::new(3, 10);
+        window.claim().unwrap().fill(Some(Arc::clone(&held)));
+        let late = window.claim().unwrap();
+        assert_eq!(Arc::strong_count(&held), 2);
+        window.close();
+        assert_eq!(Arc::strong_count(&held), 1, "a ready chunk outlived close");
+        late.fill(Some(Arc::clone(&held)));
+        assert_eq!(Arc::strong_count(&held), 1, "a closed window took a chunk");
+        assert!(window.claim().is_none());
+        assert_eq!(window.take(1), None);
     }
 }

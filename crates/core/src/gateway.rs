@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use etlv_cdw::{Cdw, CdwConfig};
@@ -24,10 +24,10 @@ use etlv_protocol::data::Value;
 use etlv_protocol::errcode::ErrCode;
 use etlv_protocol::layout::Layout;
 use etlv_protocol::message::{
-    BeginExportOk, BeginLoad, ExportChunk, Format, IntrospectReply, Message, RecordFormat,
+    BeginExportOk, BeginLoad, ChunkFrame, Format, IntrospectReply, Message, RecordFormat,
     SqlResult, Topic, WireError,
 };
-use etlv_protocol::record::encode_rows;
+use etlv_protocol::record::RecordError;
 use etlv_protocol::trace::TraceContext;
 use etlv_sql::ast::{Expr, Insert, InsertSource, Literal, ObjectName, Stmt};
 use etlv_sql::types::SqlType;
@@ -39,23 +39,28 @@ use crate::apply::apply;
 use crate::config::VirtualizerConfig;
 use crate::convert::DataConverter;
 use crate::credit::CreditManager;
-use crate::cursor::TdfCursor;
+use crate::cursor::{ChunkWindow, TdfCursor};
 use crate::emulate;
 use crate::fault::{retry_cdw, FaultCounts, FaultInjector};
-use crate::memory::MemoryGauge;
+use crate::memory::{MemGuard, MemoryGauge};
 use crate::obs::{
     stats_json, stats_prometheus, Counter, CpuTimer, HealthReport, JobObs, Obs, OverloadInput,
     SloEngine, SpanIds, TenantObs,
 };
 use crate::pipeline::{ChunkSink, Pipeline, PipelineReport, RawChunk, WorkerRuntime};
 use crate::report::{JobReport, NodeMetrics};
-use crate::session::SessionRegistry;
+use crate::session::{Reply, SessionRegistry};
 use crate::trace::JobTrace;
 use crate::xcompile;
 
 /// Rows per export chunk when the client leaves the size to the server
 /// (`BeginExport::chunk_rows` 0).
 const EXPORT_CHUNK_ROWS: u32 = 4096;
+
+/// The most chunks an export encodes ahead of the last one served: one
+/// per data session (`BeginExport::sessions`), up to this many, since
+/// the session count is the client's to choose.
+const MAX_CHUNKS_AHEAD: u16 = 4;
 
 /// What a load's `DataChunk`s share; one may outlive the job.
 pub(crate) struct ImportJobState {
@@ -88,10 +93,78 @@ pub(crate) struct ImportJob {
     faults_at_begin: u64,
 }
 
+/// An export job: the cursor its chunks are cut from and the window of
+/// chunks encoded ahead of their requests.
 pub(crate) struct ExportJobState {
     cursor: TdfCursor,
     format: RecordFormat,
     layout: Layout,
+    /// The tenant whose session opened the export: chunks held ahead are
+    /// charged to its `memory_held`.
+    tenant: Arc<TenantObs>,
+    /// Its own handle, so an encoder ahead holds the window without the
+    /// cursor (see [`EncodeAhead`]).
+    window: Arc<ChunkWindow<AheadChunk>>,
+}
+
+/// A chunk encoded ahead of its request, and the memory it is charged.
+pub(crate) struct AheadChunk {
+    chunk: ChunkFrame,
+    _held: MemGuard,
+}
+
+impl ExportJobState {
+    /// Encode chunk `index` of the result straight into its frame.
+    fn encode(&self, index: u64) -> Result<ChunkFrame, RecordError> {
+        let chunk = self.cursor.chunk(index);
+        ChunkFrame::encode(index, chunk.last, &self.layout, self.format, chunk.rows)
+    }
+}
+
+impl Drop for ExportJobState {
+    /// The job is gone: what its window holds goes too, and nothing lands
+    /// there any more.
+    fn drop(&mut self) {
+        self.window.close();
+    }
+}
+
+/// The work a served export request leaves its dispatch thread, after
+/// the reply is posted: encode chunks ahead until the window is full.
+/// It holds the job weakly, and holds the cursor only while it encodes:
+/// a request that waits for its chunk is woken after the encoder let go
+/// of the cursor, so an export the client finished holds no row version
+/// through a straggling encoder.
+pub(crate) struct EncodeAhead {
+    job: Weak<ExportJobState>,
+    window: Arc<ChunkWindow<AheadChunk>>,
+}
+
+impl EncodeAhead {
+    pub(crate) fn run(self, v: &Virtualizer) {
+        while let Some(claim) = self.window.claim() {
+            let Some(job) = self.job.upgrade() else {
+                return;
+            };
+            // An encode error lands nothing: the request encodes the chunk
+            // itself and answers the error. Work ahead takes only spare
+            // memory, so a chunk that would take the gauge past half its
+            // cap is left for its request, and so are the ones after it.
+            let ahead = job.encode(claim.index()).ok().and_then(|chunk| {
+                let held = v.node.memory.reserve_spare(chunk.footprint())?;
+                Some(AheadChunk {
+                    chunk,
+                    _held: held.charge(&job.tenant),
+                })
+            });
+            drop(job);
+            let landed = ahead.is_some();
+            claim.fill(ahead);
+            if !landed {
+                return;
+            }
+        }
+    }
 }
 
 pub(crate) enum Job {
@@ -119,9 +192,11 @@ pub(crate) struct Residue {
 
 impl Residue {
     /// Release what is still held, in one order: abort the pipeline,
-    /// delete the staged objects, drop the tables — ET and UV stay when
-    /// `keep_error_tables`. The DROPs retry like every other statement;
-    /// returns their retries. It runs in `Drop`, so it never panics.
+    /// delete the staged objects, then, if the job holds tables, retry
+    /// the staging tables earlier teardowns gave up on and drop its own —
+    /// ET and UV stay when `keep_error_tables`. The DROPs retry like every
+    /// other statement; returns the retries of the job's own. It runs in
+    /// `Drop`, so it never panics.
     fn release(&mut self, node: &Node, keep_error_tables: bool) -> u64 {
         if let Some(pipeline) = self.pipeline.take() {
             pipeline.abort();
@@ -132,15 +207,22 @@ impl Residue {
                 let _ = node.store.delete(bucket, &key);
             }
         }
-        if keep_error_tables {
-            self.tables.truncate(1);
-        }
-        let (policy, seed) = (node.config.retry_policy(), node.config.fault_seed());
+        let mut tables = std::mem::take(&mut self.tables).into_iter();
+        let Some(staging) = tables.next() else {
+            return 0;
+        };
+        node.drop_orphans();
         let mut retries = 0;
-        for table in self.tables.drain(..) {
-            let drop = format!("DROP TABLE IF EXISTS {table}");
-            // Past the retry budget there is no one left to tell.
-            let _ = retry_cdw(policy, seed, &mut retries, || node.cdw.execute(&drop));
+        if !node.drop_table(&staging, &mut retries) {
+            node.orphan([staging]);
+        }
+        // ET and UV carry the names the client gave them, which a later
+        // job may create again: one whose DROP fails is left as it is,
+        // not kept for a retry that would drop that job's tables.
+        if !keep_error_tables {
+            for table in tables {
+                node.drop_table(&table, &mut retries);
+            }
         }
         retries
     }
@@ -175,6 +257,43 @@ pub(crate) struct Node {
     /// Notified (under the `jobs` mutex) on every job removal, so
     /// drain can block instead of sleep-polling `active_jobs()`.
     pub(crate) jobs_drained: Condvar,
+    /// Staging tables whose teardown `DROP` used up its retry budget:
+    /// retried at every later release and at drain, counted in
+    /// `gateway.orphaned_tables`. Only staging tables, which are named
+    /// by their job's token, so no later job creates one again.
+    orphans: Mutex<Vec<String>>,
+}
+
+impl Node {
+    /// Drop `table`, the DROP retried under the node's policy and its
+    /// retries added to `retries`; false when it failed past the budget.
+    fn drop_table(&self, table: &str, retries: &mut u64) -> bool {
+        let (policy, seed) = (self.config.retry_policy(), self.config.fault_seed());
+        let drop = format!("DROP TABLE IF EXISTS {table}");
+        retry_cdw(policy, seed, retries, || self.cdw.execute(&drop)).is_ok()
+    }
+
+    /// Retry the orphans' DROPs; the ones that fail again stay orphans.
+    /// Issues no statement while there are none.
+    pub(crate) fn drop_orphans(&self) {
+        let orphans = std::mem::take(&mut *self.orphans.lock());
+        if orphans.is_empty() {
+            return;
+        }
+        let mut retries = 0;
+        let left: Vec<String> = orphans
+            .into_iter()
+            .filter(|table| !self.drop_table(table, &mut retries))
+            .collect();
+        self.orphan(left);
+    }
+
+    /// Keep `tables` as orphans, and count them in `gateway.orphaned_tables`.
+    fn orphan(&self, tables: impl IntoIterator<Item = String>) {
+        let mut held = self.orphans.lock();
+        held.extend(tables);
+        self.obs.gateway.orphaned_tables.set(held.len() as u64);
+    }
 }
 
 /// A job's one owner outside the job table: from [`Virtualizer::admit`]
@@ -378,6 +497,7 @@ impl Virtualizer {
                 registry,
                 draining: AtomicBool::new(false),
                 jobs_drained: Condvar::new(),
+                orphans: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -1154,12 +1274,16 @@ impl Virtualizer {
                 .collect(),
         };
         let token = node.next_token.fetch_add(1, Ordering::Relaxed);
+        let depth = spec.sessions.clamp(1, MAX_CHUNKS_AHEAD);
+        let window = ChunkWindow::new(u64::from(depth), cursor.total_chunks());
         owner.enter(
             token,
             Job::Export(Arc::new(ExportJobState {
                 cursor,
                 format: spec.format,
                 layout: layout.clone(),
+                tenant,
+                window: Arc::new(window),
             })),
         );
         node.obs.export.jobs.inc();
@@ -1169,28 +1293,43 @@ impl Virtualizer {
         })
     }
 
-    /// Serve one export chunk: encode the cursor's slice of the result in
-    /// the legacy wire format (the PXC's result conversion, §4).
-    pub(crate) fn handle_export_req(&self, token: u64, index: u64) -> Message {
+    /// Serve one export chunk: the cursor's slice of the result in the
+    /// legacy wire format (the PXC's result conversion, §4), taken from
+    /// the chunks encoded ahead or encoded here, and framed whole for the
+    /// requesting session. The work left to do after the reply is posted
+    /// is to encode ahead.
+    pub(crate) fn handle_export_req(
+        &self,
+        token: u64,
+        index: u64,
+        session_id: u32,
+        seq: u32,
+    ) -> (Reply, Option<EncodeAhead>) {
         let job = match self.node.jobs.lock().get(&token) {
             Some((Job::Export(j), _)) => Arc::clone(j),
-            _ => return no_job("export", token),
+            _ => return (no_job("export", token).into(), None),
         };
-        let chunk = job.cursor.chunk(index);
-        let data = match encode_rows(&job.layout, job.format, chunk.rows) {
-            Ok(d) => d,
-            Err(e) => return error_msg(ErrCode::INTERNAL, e.to_string(), true),
+        let chunk = match job.window.take(index) {
+            Some(ahead) => ahead.chunk,
+            None => match job.encode(index) {
+                Ok(chunk) => chunk,
+                Err(e) => {
+                    return (
+                        error_msg(ErrCode::INTERNAL, e.to_string(), true).into(),
+                        None,
+                    )
+                }
+            },
         };
         let export = &self.node.obs.export;
         export.chunks.inc();
-        export.rows.add(chunk.rows.len() as u64);
-        export.bytes.add(data.len() as u64);
-        Message::ExportChunk(ExportChunk {
-            index,
-            record_count: chunk.rows.len() as u32,
-            last: chunk.last,
-            data: data.into(),
-        })
+        export.rows.add(u64::from(chunk.record_count()));
+        export.bytes.add(chunk.data_len() as u64);
+        let ahead = EncodeAhead {
+            job: Arc::downgrade(&job),
+            window: Arc::clone(&job.window),
+        };
+        (Reply::Framed(chunk.seal(session_id, seq)), Some(ahead))
     }
 }
 
@@ -1374,6 +1513,107 @@ mod tests {
             Vec::<String>::new()
         );
         assert!(v.last_job_report().expect("abort recorded").aborted);
+    }
+
+    /// A node whose table `T` holds `n` rows of 200-byte strings, and a
+    /// vartext export of it in 5-row chunks for `sessions` data sessions:
+    /// the node and the export's token.
+    fn node_exporting(config: VirtualizerConfig, n: usize, sessions: u16) -> (Virtualizer, u64) {
+        let v = Virtualizer::new(config);
+        v.cdw()
+            .execute("CREATE TABLE T (A INTEGER, B VARCHAR(200))")
+            .unwrap();
+        let wide = "w".repeat(200);
+        for i in 0..n {
+            v.cdw()
+                .execute(&format!("INSERT INTO T VALUES ({i}, '{wide}')"))
+                .unwrap();
+        }
+        let spec = etlv_protocol::message::BeginExport {
+            select: "SELECT A, B FROM T ORDER BY A".into(),
+            format: RecordFormat::Vartext {
+                delimiter: b'|',
+                quote: b'"',
+            },
+            sessions,
+            chunk_rows: 5,
+        };
+        let tenant = v.node.obs.registry.tenant("t");
+        let Message::BeginExportOk(ok) = v.handle_begin_export(spec, tenant) else {
+            panic!("export not opened");
+        };
+        (v, ok.export_token)
+    }
+
+    /// Serve chunk `index`, then encode ahead as its dispatch thread does
+    /// once the reply is posted.
+    fn serve(v: &Virtualizer, token: u64, index: u64) {
+        let (reply, ahead) = v.handle_export_req(token, index, 1, 1);
+        assert!(matches!(reply, Reply::Framed(_)), "chunk {index} served");
+        ahead.expect("a served chunk leaves work ahead").run(v);
+    }
+
+    /// However many sessions the client announces, an export encodes at
+    /// most `MAX_CHUNKS_AHEAD` chunks past the last one served.
+    #[test]
+    fn work_ahead_is_capped_whatever_the_session_count() {
+        let (v, token) = node_exporting(VirtualizerConfig::default(), 100, u16::MAX);
+        serve(&v, token, 0);
+        let window = match v.node.jobs.lock().get(&token) {
+            Some((Job::Export(job), _)) => Arc::clone(&job.window),
+            _ => panic!("the export is open"),
+        };
+        for index in 1..=u64::from(MAX_CHUNKS_AHEAD) {
+            assert!(window.take(index).is_some(), "chunk {index} ahead");
+        }
+        assert!(window.take(5).is_none(), "chunk 5 is past the cap");
+    }
+
+    /// Chunks encoded ahead take at most half the memory cap, so a load's
+    /// chunk that fits in the other half is admitted while an export holds
+    /// its work ahead. Each 5-row chunk holds over a kilobyte: four ahead
+    /// would leave less than half of the 4 KiB cap.
+    #[test]
+    fn work_ahead_leaves_a_load_half_the_memory_cap() {
+        use etlv_protocol::data::LegacyType;
+        use etlv_protocol::message::DataChunk;
+
+        let cap = 4 << 10;
+        let config = VirtualizerConfig {
+            memory_cap: cap,
+            ..Default::default()
+        };
+        let (v, export) = node_exporting(config, 100, 4);
+        serve(&v, export, 0);
+        let ahead = v.memory().in_flight();
+        assert!(ahead > 0 && ahead <= cap as u64 / 2, "{ahead} bytes ahead");
+
+        let spec = BeginLoad {
+            target_table: "L".into(),
+            error_table_et: "L_ET".into(),
+            error_table_uv: "L_UV".into(),
+            layout: Layout::new("L").field("A", LegacyType::VarChar(10)),
+            format: RecordFormat::Vartext {
+                delimiter: b'|',
+                quote: b'"',
+            },
+            sessions: 1,
+            error_limit: 0,
+            trace: None,
+        };
+        let tenant = v.node.obs.registry.tenant("t");
+        let Message::BeginLoadOk { load_token } = v.handle_begin_load(spec, tenant) else {
+            panic!("load not admitted");
+        };
+        let chunk = DataChunk {
+            chunk_seq: 1,
+            base_seq: 1,
+            record_count: cap as u32 / 4,
+            data: bytes::Bytes::from("a\n".repeat(cap / 4).into_bytes()),
+        };
+        let reply = v.handle_data_chunk(load_token, chunk);
+        assert!(matches!(reply, Message::Ack { chunk_seq: 1 }), "{reply:?}");
+        drop(v.take_job(load_token));
     }
 
     #[test]

@@ -68,7 +68,20 @@ impl MemoryGauge {
 
     /// Reserve `bytes`; fails if the cap would be exceeded.
     pub fn reserve(&self, bytes: usize) -> Result<MemGuard, OutOfMemory> {
-        let (in_flight, bytes, cap) = (&self.obs.in_flight, bytes as u64, self.cap);
+        self.reserve_within(bytes, self.cap)
+    }
+
+    /// Reserve `bytes` for work done before anyone needs it; fails if it
+    /// would take in-flight memory past half the cap, so such work never
+    /// takes the headroom a job's own data needs.
+    pub(crate) fn reserve_spare(&self, bytes: usize) -> Option<MemGuard> {
+        self.reserve_within(bytes, self.cap.div_ceil(2)).ok()
+    }
+
+    /// Reserve `bytes` if in-flight memory stays within `cap` (0 = no
+    /// limit).
+    fn reserve_within(&self, bytes: usize, cap: u64) -> Result<MemGuard, OutOfMemory> {
+        let (in_flight, bytes) = (&self.obs.in_flight, bytes as u64);
         match in_flight.add_within(bytes, cap) {
             Ok(now) => {
                 self.obs.peak.fetch_max(now);
@@ -150,6 +163,20 @@ mod tests {
         let _c = g.reserve(59).unwrap();
         drop(b);
         assert_eq!(g.peak(), 100);
+    }
+
+    /// Work done ahead takes at most half the cap, and none of what the
+    /// cap's other half holds; without a cap it takes what it asks for.
+    #[test]
+    fn spare_reservations_leave_half_the_cap() {
+        let g = MemoryGauge::new(101);
+        let a = g.reserve_spare(51).expect("half the cap, rounded up");
+        assert!(g.reserve_spare(1).is_none());
+        let _b = g.reserve(50).expect("the other half is left");
+        drop(a);
+        let _c = g.reserve(10).unwrap();
+        assert!(g.reserve_spare(1).is_none(), "jobs' own data holds 60");
+        assert!(MemoryGauge::new(0).reserve_spare(usize::MAX / 4).is_some());
     }
 
     #[test]

@@ -239,6 +239,9 @@ pub struct GatewayObs {
     pub active_sessions: Gauge,
     /// Jobs currently in the node's job table (eagerly maintained gauge).
     pub active_jobs: Gauge,
+    /// Tables a teardown `DROP` gave up on after its retry budget, kept
+    /// on the node until a later teardown or drain drops them.
+    pub orphaned_tables: Gauge,
     /// Records received by completed load jobs.
     pub rows_ingested: Counter,
     /// Chunk intake handling time (credit acquire + enqueue), µs.
@@ -540,6 +543,7 @@ impl Obs {
                 sessions_closed: r.counter("gateway.sessions_closed"),
                 active_sessions: r.gauge("gateway.active_sessions"),
                 active_jobs: r.gauge("gateway.active_jobs"),
+                orphaned_tables: r.gauge("gateway.orphaned_tables"),
                 rows_ingested: r.counter("gateway.rows_ingested"),
                 chunk_handle_us: r.histogram("gateway.chunk_handle_us"),
             },

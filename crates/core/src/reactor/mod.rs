@@ -45,13 +45,12 @@ use std::time::{Duration, Instant};
 
 use etlv_protocol::errcode::ErrCode;
 use etlv_protocol::frame::{Frame, FrameDecoder};
-use etlv_protocol::message::Message;
 use etlv_protocol::nio::{pump_frames, FrameWriter, ReadStatus};
 use parking_lot::Mutex;
 
-use crate::gateway::{error_msg, panic_text, Virtualizer};
+use crate::gateway::{error_msg, panic_text, EncodeAhead, Virtualizer};
 use crate::obs::ReactorObs;
-use crate::session::{DispatchCall, SessionCore, Step};
+use crate::session::{DispatchCall, Reply, SessionCore, Step};
 use poll::{Event, Interest, Poller};
 
 /// Token of each loop's waker pipe.
@@ -92,7 +91,7 @@ enum LoopMsg {
         token: u64,
         session_id: u32,
         seq: u32,
-        reply: Message,
+        reply: Reply,
     },
 }
 
@@ -289,7 +288,8 @@ impl Drop for Reactor {
 }
 
 /// Dispatch-pool worker: run blocking-capable gateway calls, post the
-/// reply back to the owning loop's mailbox.
+/// reply back to the owning loop's mailbox, then do what the call left
+/// to do after its reply (an export's encoding ahead).
 fn dispatch_worker(v: Virtualizer, rx: Arc<Mutex<Receiver<DispatchJob>>>, shared: Arc<Shared>) {
     loop {
         // Release the receiver lock before running the (possibly slow)
@@ -300,7 +300,7 @@ fn dispatch_worker(v: Virtualizer, rx: Arc<Mutex<Receiver<DispatchJob>>>, shared
         };
         let Ok(job) = job else { return };
         let (session_id, seq) = (job.call.session_id, job.call.seq);
-        let reply = answer(|| job.call.run(&v));
+        let (reply, ahead) = answer(|| job.call.run(&v));
         let ls = &shared.loops[job.loop_id];
         ls.queue.lock().push(LoopMsg::Complete {
             token: job.token,
@@ -309,16 +309,21 @@ fn dispatch_worker(v: Virtualizer, rx: Arc<Mutex<Receiver<DispatchJob>>>, shared
             reply,
         });
         ls.waker.wake();
+        if let Some(ahead) = ahead {
+            // A panicking encoder lands nothing (its request encodes the
+            // chunk and answers the panic); the thread serves on.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ahead.run(&v)));
+        }
     }
 }
 
 /// Run one dispatched call. A handler panic becomes a fatal `INTERNAL`
 /// reply: the session hears of it at once and closes, and the dispatch
 /// thread lives on to serve the next call.
-fn answer(call: impl FnOnce() -> Message) -> Message {
+fn answer(call: impl FnOnce() -> (Reply, Option<EncodeAhead>)) -> (Reply, Option<EncodeAhead>) {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).unwrap_or_else(|panic| {
         let what = format!("request handler panicked: {}", panic_text(&*panic));
-        error_msg(ErrCode::INTERNAL, what, true)
+        (error_msg(ErrCode::INTERNAL, what, true).into(), None)
     })
 }
 
@@ -363,6 +368,23 @@ impl Conn {
         if end {
             self.closing = true;
             self.deadline = Some(Instant::now() + SHUTDOWN_FLUSH_GRACE);
+        }
+    }
+
+    /// Take a dispatched call's reply: book it (even for a dead socket:
+    /// a BeginLoadOk that misses its session would leak the job at
+    /// teardown), then queue its frame unless the socket is gone. A
+    /// reply framed on the dispatch thread is queued as it is.
+    fn deliver(&mut self, reply: Reply, session_id: u32, seq: u32) {
+        match reply {
+            Reply::Message(reply) => {
+                let (frame, end) = self.core.complete(reply, session_id, seq);
+                if !self.dead {
+                    self.queue(&frame, end);
+                }
+            }
+            Reply::Framed(frame) if !self.dead => self.writer.queue_encoded(frame),
+            Reply::Framed(_) => {}
         }
     }
 }
@@ -702,14 +724,14 @@ impl EventLoop {
                     };
                     if let Err(send_err) = self.dispatch_tx.send(job) {
                         // Pool gone (tear-down race): run inline so the
-                        // client still gets an answer.
+                        // client still gets an answer, and encode nothing
+                        // ahead on the loop.
                         let call = send_err.0.call;
                         let (session_id, seq) = (call.session_id, call.seq);
-                        let reply = call.run(&self.v);
+                        let (reply, _) = call.run(&self.v);
                         conn.dispatching = false;
                         self.obs.conns_dispatching.sub(1);
-                        let (frame, end) = conn.core.complete(reply, session_id, seq);
-                        conn.queue(&frame, end);
+                        conn.deliver(reply, session_id, seq);
                     }
                 }
             }
@@ -717,20 +739,17 @@ impl EventLoop {
     }
 
     /// A dispatched reply came back from the pool.
-    fn on_complete(&mut self, token: u64, session_id: u32, seq: u32, reply: Message) {
+    fn on_complete(&mut self, token: u64, session_id: u32, seq: u32, reply: Reply) {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
         conn.dispatching = false;
         self.obs.conns_dispatching.sub(1);
-        // Bookkeeping must run even for a dead socket: a BeginLoadOk
-        // that misses its session would leak the job at teardown.
-        let (frame, end) = conn.core.complete(reply, session_id, seq);
+        conn.deliver(reply, session_id, seq);
         if conn.dead {
             self.retire(conn);
             return;
         }
-        conn.queue(&frame, end);
         if self.shutting_down && !conn.closing {
             let farewell = conn.core.shutdown_frame();
             conn.queue(&farewell, true);
@@ -911,14 +930,18 @@ impl EventLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use etlv_protocol::message::Message;
 
     #[test]
     fn a_handler_panic_is_a_fatal_internal_reply() {
-        let Message::Error(e) = answer(|| panic!("handler bug")) else {
+        let (Reply::Message(Message::Error(e)), None) = answer(|| panic!("handler bug")) else {
             panic!("expected an error reply")
         };
         assert_eq!((e.code, e.fatal), (ErrCode::INTERNAL.0, true));
         assert!(e.message.contains("handler bug"), "{}", e.message);
-        assert!(matches!(answer(|| Message::Keepalive), Message::Keepalive));
+        assert!(matches!(
+            answer(|| (Message::Keepalive.into(), None)),
+            (Reply::Message(Message::Keepalive), None)
+        ));
     }
 }

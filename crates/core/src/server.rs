@@ -75,6 +75,8 @@ impl ServerHandle {
         let deadline = Instant::now() + self.v.config().drain_timeout;
         let drained = self.v.wait_jobs_drained(deadline);
         self.stop();
+        // The last chance to drop what earlier teardowns could not.
+        self.v.node.drop_orphans();
         drained
     }
 

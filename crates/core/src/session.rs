@@ -23,12 +23,13 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::Bytes;
 use etlv_protocol::errcode::ErrCode;
 use etlv_protocol::frame::Frame;
 use etlv_protocol::message::{Message, SessionRole};
 use parking_lot::Mutex;
 
-use crate::gateway::{error_msg, Virtualizer};
+use crate::gateway::{error_msg, EncodeAhead, Virtualizer};
 use crate::obs::TenantObs;
 
 /// One logged-on session's registry entry.
@@ -90,6 +91,21 @@ pub(crate) enum Step {
     Dispatch(DispatchCall),
 }
 
+/// What a dispatched call answers.
+pub(crate) enum Reply {
+    /// A message for [`SessionCore::complete`] to book and frame.
+    Message(Message),
+    /// An export chunk framed whole — header, payload and CRC — on the
+    /// dispatch thread: the loop writes these bytes as they are.
+    Framed(Bytes),
+}
+
+impl From<Message> for Reply {
+    fn from(msg: Message) -> Reply {
+        Reply::Message(msg)
+    }
+}
+
 /// A self-contained unit of gateway work lifted out of the session
 /// loop: the parsed message plus everything the handlers need, captured
 /// at parse time so the call can run on any thread.
@@ -106,15 +122,18 @@ pub(crate) struct DispatchCall {
 impl DispatchCall {
     /// Execute the gateway handler. May block (credit backpressure,
     /// pipeline drain, CDW apply) — never call on a reactor loop
-    /// thread.
-    pub(crate) fn run(self, v: &Virtualizer) -> Message {
-        match self.msg {
+    /// thread. An export chunk request also returns the encoding to do
+    /// ahead once its reply is posted.
+    pub(crate) fn run(self, v: &Virtualizer) -> (Reply, Option<EncodeAhead>) {
+        let reply = match self.msg {
             Message::Sql { text } => v.handle_sql(&text),
             Message::BeginLoad(spec) => v.handle_begin_load(spec, self.tenant),
             Message::DataChunk(chunk) => v.handle_data_chunk(self.job_token, chunk),
             Message::EndLoad(end) => v.handle_end_load(self.job_token, &end.dml),
             Message::BeginExport(spec) => v.handle_begin_export(spec, self.tenant),
-            Message::ExportChunkReq { index } => v.handle_export_req(self.job_token, index),
+            Message::ExportChunkReq { index } => {
+                return v.handle_export_req(self.job_token, index, self.session_id, self.seq)
+            }
             Message::Introspect { topic, format } => {
                 Message::IntrospectReply(v.introspect(topic, format))
             }
@@ -123,7 +142,8 @@ impl DispatchCall {
                 format!("unexpected message {:?}", other.kind()),
                 true,
             ),
-        }
+        };
+        (reply.into(), None)
     }
 }
 

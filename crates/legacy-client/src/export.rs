@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use etlv_protocol::layout::Layout;
-use etlv_protocol::message::{BeginExport, Message, SessionRole};
+use etlv_protocol::message::{BeginExport, ExportChunk, Message, SessionRole};
 use etlv_script::ExportJob;
 use parking_lot::Mutex;
 
@@ -74,11 +74,11 @@ pub fn run_export(
         })?;
 
     // Parallel sessions claim chunk indexes from a shared counter; each
-    // chunk lands in the ordered buffer as (index, data, record count).
-    type ReceivedChunk = (u64, Vec<u8>, u32);
+    // chunk lands in the ordered buffer as it arrived, its data still a
+    // slice of its frame.
     let next_index = Arc::new(AtomicU64::new(0));
     let done = Arc::new(AtomicBool::new(false));
-    let received: Arc<Mutex<Vec<ReceivedChunk>>> = Arc::new(Mutex::new(Vec::new()));
+    let received: Arc<Mutex<Vec<ExportChunk>>> = Arc::new(Mutex::new(Vec::new()));
 
     let mut workers = Vec::new();
     for _ in 0..sessions {
@@ -114,12 +114,11 @@ pub fn run_export(
                     Message::ExportChunk(c) => c,
                     other => return Err(unexpected("ExportChunk", &other)),
                 };
+                let last = chunk.last;
                 if chunk.record_count > 0 {
-                    received
-                        .lock()
-                        .push((chunk.index, chunk.data.to_vec(), chunk.record_count));
+                    received.lock().push(chunk);
                 }
-                if chunk.last {
+                if last {
                     done.store(true, Ordering::Release);
                     break;
                 }
@@ -138,11 +137,11 @@ pub fn run_export(
     let mut chunks = Arc::try_unwrap(received)
         .map_err(|_| ClientError::Protocol("chunk buffer still shared".into()))?
         .into_inner();
-    chunks.sort_by_key(|(i, _, _)| *i);
-    let rows: u64 = chunks.iter().map(|(_, _, n)| *n as u64).sum();
-    let mut data = Vec::with_capacity(chunks.iter().map(|(_, d, _)| d.len()).sum());
-    for (_, chunk, _) in chunks {
-        data.extend_from_slice(&chunk);
+    chunks.sort_by_key(|c| c.index);
+    let rows: u64 = chunks.iter().map(|c| u64::from(c.record_count)).sum();
+    let mut data = Vec::with_capacity(chunks.iter().map(|c| c.data.len()).sum());
+    for chunk in chunks {
+        data.extend_from_slice(&chunk.data);
     }
     Ok(ExportResult {
         data,

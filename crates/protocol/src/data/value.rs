@@ -297,32 +297,114 @@ impl FieldRef<'_> {
     /// Integers, decimals, dates and timestamps print in their `Display`
     /// form, a float with no fractional part below 10^15 keeps one decimal
     /// (`2.0`), bytes print as upper-case hex, a string as itself, and
-    /// NULL as nothing. Allocates only when `out` grows.
+    /// NULL as nothing. Integers, decimals, dates and timestamps write
+    /// their digits directly, byte for byte what `Display` writes, without
+    /// `core::fmt`. Allocates only when `out` grows.
     pub fn render_into(self, out: &mut Vec<u8>) {
         use std::io::Write;
         const HEX: &[u8; 16] = b"0123456789ABCDEF";
-        let written = match self {
-            FieldRef::Null => Ok(()),
-            FieldRef::Int(v) => write!(out, "{v}"),
-            FieldRef::Float(f) if f.fract() == 0.0 && f.abs() < 1e15 => write!(out, "{f:.1}"),
-            FieldRef::Float(f) => write!(out, "{f}"),
-            FieldRef::Decimal(d) => write!(out, "{d}"),
-            FieldRef::Date(d) => write!(out, "{d}"),
-            FieldRef::Timestamp(ts) => write!(out, "{ts}"),
-            FieldRef::Str(s) => {
-                out.extend_from_slice(s.as_bytes());
-                Ok(())
+        match self {
+            FieldRef::Null => {}
+            FieldRef::Int(v) => {
+                if v < 0 {
+                    out.push(b'-');
+                }
+                push_u128(out, u128::from(v.unsigned_abs()), 1);
             }
+            FieldRef::Float(f) => {
+                let written = if f.fract() == 0.0 && f.abs() < 1e15 {
+                    write!(out, "{f:.1}")
+                } else {
+                    write!(out, "{f}")
+                };
+                written.expect("writing to a Vec<u8> cannot fail");
+            }
+            FieldRef::Decimal(d) => push_decimal(out, d),
+            FieldRef::Date(d) => push_date(out, d),
+            FieldRef::Timestamp(ts) => {
+                // `Timestamp`'s `Display`: the date, then the time of day,
+                // with six digits of fraction only when it is not zero.
+                push_date(out, ts.date());
+                let rem = ts.micros().rem_euclid(86_400 * 1_000_000);
+                let (secs, micros) = (rem / 1_000_000, rem % 1_000_000);
+                let (h, m, s) = (secs / 3600, (secs % 3600) / 60, secs % 60);
+                for (sep, n) in [(b' ', h), (b':', m), (b':', s)] {
+                    out.push(sep);
+                    push_u128(out, n as u128, 2);
+                }
+                if micros != 0 {
+                    out.push(b'.');
+                    push_u128(out, micros as u128, 6);
+                }
+            }
+            FieldRef::Str(s) => out.extend_from_slice(s.as_bytes()),
             FieldRef::Bytes(b) => {
                 out.reserve(2 * b.len());
                 for &x in b {
                     out.push(HEX[(x >> 4) as usize]);
                     out.push(HEX[(x & 0x0F) as usize]);
                 }
-                Ok(())
             }
-        };
-        written.expect("writing to a Vec<u8> cannot fail");
+        }
+    }
+}
+
+/// Append `n` in decimal, left-padded with zeros to at least `width`
+/// digits (`{n:0width$}`).
+fn push_u128(out: &mut Vec<u8>, mut n: u128, width: usize) {
+    // u128::MAX has 39 digits; a width beyond that pads with zeros only.
+    let mut digits = [b'0'; 39];
+    let mut at = digits.len();
+    // Peel 19 digits at a time with one wide division, then work in u64.
+    while n > u128::from(u64::MAX) {
+        let low = (n % 10_000_000_000_000_000_000) as u64;
+        n /= 10_000_000_000_000_000_000;
+        at -= 19;
+        push_u64_into(&mut digits[at..at + 19], low);
+    }
+    let mut low = n as u64;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (low % 10) as u8;
+        low /= 10;
+        if low == 0 {
+            break;
+        }
+    }
+    let len = digits.len() - at;
+    out.extend(std::iter::repeat_n(b'0', width.saturating_sub(len)));
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Write `n` right-aligned in `slot` in decimal, the free places zero.
+fn push_u64_into(slot: &mut [u8], mut n: u64) {
+    for d in slot.iter_mut().rev() {
+        *d = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+}
+
+/// `Date`'s `Display`: `YYYY-MM-DD`.
+fn push_date(out: &mut Vec<u8>, d: Date) {
+    // A date's year is 1..=9999 (`Date::new` checks it), so `{:04}`
+    // is its four digits.
+    push_u128(out, d.year() as u128, 4);
+    out.push(b'-');
+    push_u128(out, u128::from(d.month()), 2);
+    out.push(b'-');
+    push_u128(out, u128::from(d.day()), 2);
+}
+
+/// `Decimal`'s `Display`: the unscaled digits with a point before the
+/// last `scale` of them, padded so at least one digit precedes the point.
+fn push_decimal(out: &mut Vec<u8>, d: Decimal) {
+    let (unscaled, scale) = (d.unscaled(), d.scale() as usize);
+    if unscaled < 0 {
+        out.push(b'-');
+    }
+    push_u128(out, unscaled.unsigned_abs(), scale + 1);
+    if scale > 0 {
+        out.insert(out.len() - scale, b'.');
     }
 }
 

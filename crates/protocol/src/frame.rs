@@ -179,12 +179,12 @@ impl Frame {
     pub fn encode(&self, out: &mut BytesMut) {
         let start = out.len();
         out.reserve(self.encoded_len());
-        out.put_u16_le(MAGIC);
-        out.put_u8(VERSION);
-        out.put_u8(self.kind as u8);
-        out.put_u32_le(self.session);
-        out.put_u32_le(self.seq);
-        out.put_u32_le(self.payload.len() as u32);
+        out.put_slice(&header(
+            self.kind,
+            self.session,
+            self.seq,
+            self.payload.len(),
+        ));
         out.put_slice(&self.payload);
         let crc = crc32(&out[start..]);
         out.put_u32_le(crc);
@@ -195,6 +195,69 @@ impl Frame {
         let mut buf = BytesMut::with_capacity(self.encoded_len());
         self.encode(&mut buf);
         buf.to_vec()
+    }
+}
+
+/// A frame's header: magic, version, kind, session, seq and payload
+/// length, little-endian.
+fn header(kind: MsgKind, session: u32, seq: u32, payload_len: usize) -> [u8; HEADER_LEN] {
+    let mut header = [0u8; HEADER_LEN];
+    header[..2].copy_from_slice(&MAGIC.to_le_bytes());
+    header[2] = VERSION;
+    header[3] = kind as u8;
+    header[4..8].copy_from_slice(&session.to_le_bytes());
+    header[8..12].copy_from_slice(&seq.to_le_bytes());
+    header[12..].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    header
+}
+
+/// A frame built in place: the payload is written straight after room
+/// left for the header, and [`seal`](FrameBuf::seal) writes the header
+/// in front and the CRC behind — the bytes [`Frame::encode`] writes,
+/// without copying the payload into a second buffer.
+#[derive(Debug)]
+pub struct FrameBuf {
+    kind: MsgKind,
+    /// `HEADER_LEN` bytes of room, then the payload.
+    buf: Vec<u8>,
+}
+
+impl FrameBuf {
+    /// Build a `kind` frame whose payload `write` appends, with room for
+    /// `capacity` payload bytes reserved. `write` is handed the frame's
+    /// buffer: everything it appends is payload, and whatever it leaves
+    /// in the first [`HEADER_LEN`] bytes is overwritten by `seal`.
+    pub fn build<E>(
+        kind: MsgKind,
+        capacity: usize,
+        write: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
+    ) -> Result<FrameBuf, E> {
+        let mut buf = Vec::with_capacity(HEADER_LEN + capacity + TRAILER_LEN);
+        buf.resize(HEADER_LEN, 0);
+        write(&mut buf)?;
+        assert!(buf.len() >= HEADER_LEN, "a payload writer only appends");
+        Ok(FrameBuf { kind, buf })
+    }
+
+    /// The payload.
+    pub fn payload(&self) -> &[u8] {
+        &self.buf[HEADER_LEN..]
+    }
+
+    /// Bytes this frame holds.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Write the header (with `session` and `seq`) and the CRC around the
+    /// payload: the whole frame, ready for the socket.
+    pub fn seal(mut self, session: u32, seq: u32) -> Bytes {
+        let payload_len = self.buf.len() - HEADER_LEN;
+        let header = header(self.kind, session, seq, payload_len);
+        self.buf[..HEADER_LEN].copy_from_slice(&header);
+        let crc = crc32(&self.buf);
+        self.buf.put_u32_le(crc);
+        Bytes::from(self.buf)
     }
 }
 
@@ -273,6 +336,27 @@ mod tests {
 
     fn sample_frame() -> Frame {
         Frame::new(MsgKind::DataChunk, 7, 42, vec![1u8, 2, 3, 4, 5])
+    }
+
+    /// A frame built in place seals to the bytes `Frame::encode` writes,
+    /// for any payload length and header.
+    #[test]
+    fn frame_buf_seals_to_the_encoded_frame() {
+        for len in [0usize, 1, 15, 16, 17, 1000, 70_000] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            let built = FrameBuf::build(MsgKind::ExportChunk, 8, |buf| {
+                buf.extend_from_slice(&payload);
+                Ok::<_, ()>(())
+            })
+            .unwrap();
+            assert_eq!(built.payload(), &payload[..]);
+            let want = Frame::new(MsgKind::ExportChunk, 3, u32::MAX - len as u32, payload);
+            assert_eq!(
+                built.seal(3, u32::MAX - len as u32),
+                want.to_bytes(),
+                "{len}"
+            );
+        }
     }
 
     #[test]

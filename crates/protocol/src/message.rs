@@ -7,8 +7,9 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::data::{Date, Decimal, LegacyType, Timestamp, Value, MAX_PRECISION};
-use crate::frame::{Frame, FrameError, MsgKind};
+use crate::frame::{Frame, FrameBuf, FrameError, MsgKind};
 use crate::layout::Layout;
+use crate::record::{encode_rows_into, RecordError};
 use crate::trace::TraceContext;
 use crate::wire::{put_legacy_type, write_lstring, write_string, WireReader, LEGACY_TYPE_LEN};
 
@@ -207,6 +208,83 @@ pub struct ExportChunk {
     pub last: bool,
     /// Encoded records.
     pub data: Bytes,
+}
+
+/// Payload bytes of an [`ExportChunk`] before its records: index,
+/// record count, last flag and data length.
+const EXPORT_CHUNK_HEAD: usize = 8 + 4 + 1 + 4;
+
+/// Write an [`ExportChunk`]'s payload head, the `EXPORT_CHUNK_HEAD`
+/// bytes its records follow; the data length comes last.
+fn put_export_chunk_head(
+    buf: &mut impl BufMut,
+    index: u64,
+    record_count: u32,
+    last: bool,
+    data_len: u32,
+) {
+    buf.put_u64_le(index);
+    buf.put_u32_le(record_count);
+    buf.put_u8(last as u8);
+    buf.put_u32_le(data_len);
+}
+
+/// An [`ExportChunk`] encoded straight into its frame: its records are
+/// written once, into the frame's payload, and [`seal`](Self::seal)
+/// frames them for the session and sequence number of the request that
+/// takes them — the bytes `Message::ExportChunk(..).into_frame(..)`
+/// would encode.
+#[derive(Debug)]
+pub struct ChunkFrame {
+    frame: FrameBuf,
+    record_count: u32,
+}
+
+impl ChunkFrame {
+    /// Encode chunk `index` of `rows` in `format`.
+    pub fn encode(
+        index: u64,
+        last: bool,
+        layout: &Layout,
+        format: RecordFormat,
+        rows: &[Vec<Value>],
+    ) -> Result<ChunkFrame, RecordError> {
+        let record_count = rows.len() as u32;
+        // `encode_rows_into` sizes the buffer for the records.
+        let frame = FrameBuf::build(MsgKind::ExportChunk, EXPORT_CHUNK_HEAD, |buf| {
+            // The data length is patched in once the records are written.
+            put_export_chunk_head(buf, index, record_count, last, 0);
+            let data_start = buf.len();
+            encode_rows_into(layout, format, rows, buf)?;
+            let data_len = (buf.len() - data_start) as u32;
+            buf[data_start - 4..data_start].copy_from_slice(&data_len.to_le_bytes());
+            Ok::<_, RecordError>(())
+        })?;
+        Ok(ChunkFrame {
+            frame,
+            record_count,
+        })
+    }
+
+    /// Records in the chunk.
+    pub fn record_count(&self) -> u32 {
+        self.record_count
+    }
+
+    /// Bytes of encoded records.
+    pub fn data_len(&self) -> usize {
+        self.frame.payload().len() - EXPORT_CHUNK_HEAD
+    }
+
+    /// Bytes of memory the encoded chunk holds.
+    pub fn footprint(&self) -> usize {
+        self.frame.capacity()
+    }
+
+    /// The whole frame, header and CRC included.
+    pub fn seal(self, session: u32, seq: u32) -> Bytes {
+        self.frame.seal(session, seq)
+    }
 }
 
 /// The monitoring document a [`Message::Introspect`] request asks for.
@@ -470,10 +548,8 @@ impl Message {
             }
             Message::ExportChunkReq { index } => buf.put_u64_le(*index),
             Message::ExportChunk(m) => {
-                buf.put_u64_le(m.index);
-                buf.put_u32_le(m.record_count);
-                buf.put_u8(m.last as u8);
-                buf.put_u32_le(m.data.len() as u32);
+                let data_len = m.data.len() as u32;
+                put_export_chunk_head(buf, m.index, m.record_count, m.last, data_len);
                 buf.put_slice(&m.data);
             }
             Message::Error(m) => {
@@ -974,5 +1050,56 @@ mod tests {
         buf.put_u8(0xEE); // bad value tag
         let frame = Frame::new(MsgKind::SqlResult, 0, 0, buf.freeze());
         assert!(Message::from_frame(&frame).is_err());
+    }
+
+    /// A chunk encoded straight into its frame is the frame the message
+    /// path encodes, byte for byte, whatever the format and row count
+    /// (the vartext buffer is sized after its first 8 rows).
+    #[test]
+    fn chunk_frame_matches_the_message_frame() {
+        let layout = Layout::new("EXPORT")
+            .field("I", T::Integer)
+            .field("S", T::VarChar(20))
+            .field("D", T::Date);
+        let rows: Vec<Vec<Value>> = (0..40)
+            .map(|i| {
+                vec![
+                    Value::Int(i * 7 - 100),
+                    if i % 5 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Str(format!("v|{i}"))
+                    },
+                    Value::Date(Date::new(2000 + i as i32, 1 + i as u8 % 12, 1).unwrap()),
+                ]
+            })
+            .collect();
+        let formats = [
+            RecordFormat::Binary,
+            RecordFormat::Vartext {
+                delimiter: b'|',
+                quote: b'"',
+            },
+        ];
+        for format in formats {
+            for n in [0, 1, 8, 9, 40] {
+                let rows = &rows[..n];
+                let chunk = ChunkFrame::encode(3, n == 40, &layout, format, rows).unwrap();
+                let data = crate::record::encode_rows(&layout, format, rows).unwrap();
+                assert_eq!(
+                    (chunk.record_count(), chunk.data_len()),
+                    (n as u32, data.len())
+                );
+                let want = Message::ExportChunk(ExportChunk {
+                    index: 3,
+                    record_count: n as u32,
+                    last: n == 40,
+                    data: data.into(),
+                })
+                .into_frame(7, 11)
+                .to_bytes();
+                assert_eq!(chunk.seal(7, 11), want, "{format:?}, {n} rows");
+            }
+        }
     }
 }

@@ -14,17 +14,18 @@
 //!
 //! - [`pump_frames`]: read until `WouldBlock` (or a fairness cap),
 //!   feeding the decoder and collecting every completed frame.
-//! - [`FrameWriter`]: an encode-side staging buffer whose
+//! - [`FrameWriter`]: an encode-side queue of whole frames whose
 //!   [`flush`](FrameWriter::flush) resumes partial writes across
-//!   `WouldBlock` without re-encoding.
+//!   `WouldBlock` without re-encoding or copying.
 //!
 //! Neither half owns a socket; the reactor in `etlv-core` wires them to
 //! real `TcpStream`s, and the tests here wire them to scripted readers
 //! and writers that tear the byte stream at every possible boundary.
 
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
-use bytes::{Buf, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 
 use crate::frame::{Frame, FrameDecoder, FrameError};
 
@@ -125,17 +126,25 @@ fn drain_decoder(decoder: &mut FrameDecoder, out: &mut Vec<Frame>) -> Result<(),
     Ok(())
 }
 
-/// Encode-side staging buffer with `WouldBlock`-resumable draining.
+/// Encode-side staging queue with `WouldBlock`-resumable draining.
 ///
-/// Replies are encoded once into the pending buffer by
-/// [`queue`](FrameWriter::queue); [`flush`](FrameWriter::flush) then
+/// Replies are encoded once by [`queue`](FrameWriter::queue), onto the
+/// end of one buffer, or arrive already encoded through
+/// [`queue_encoded`](FrameWriter::queue_encoded), which queues the frame
+/// whole behind what was queued before it: its bytes go from its own
+/// buffer to the socket, uncopied. [`flush`](FrameWriter::flush) then
 /// writes as much as the socket will take, keeping the unwritten tail
-/// for the next writability event. The reactor registers the
-/// connection for `EPOLLOUT` exactly while
-/// [`is_empty`](FrameWriter::is_empty) is false.
+/// for the next writability event. The reactor registers the connection
+/// for `EPOLLOUT` exactly while [`is_empty`](FrameWriter::is_empty) is
+/// false.
 #[derive(Debug, Default)]
 pub struct FrameWriter {
-    buf: BytesMut,
+    /// Frames ahead of `tail`, oldest first: runs of queued frames and
+    /// frames queued encoded. The front one loses its written bytes as
+    /// they leave.
+    frames: VecDeque<Bytes>,
+    /// The frames queued since the last one queued encoded, back to back.
+    tail: BytesMut,
 }
 
 impl FrameWriter {
@@ -144,42 +153,73 @@ impl FrameWriter {
         FrameWriter::default()
     }
 
-    /// Encode `frame` onto the end of the pending buffer.
+    /// Encode `frame` onto the end of the queue.
     pub fn queue(&mut self, frame: &Frame) {
-        frame.encode(&mut self.buf);
+        frame.encode(&mut self.tail);
+    }
+
+    /// Queue a frame already encoded whole, header and CRC included (a
+    /// [`FrameBuf`](crate::frame::FrameBuf) sealed off the writer's
+    /// thread): its bytes are written as they are.
+    pub fn queue_encoded(&mut self, frame: Bytes) {
+        if frame.is_empty() {
+            return;
+        }
+        if !self.tail.is_empty() {
+            let run = std::mem::take(&mut self.tail);
+            self.frames.push_back(run.freeze());
+        }
+        self.frames.push_back(frame);
     }
 
     /// Bytes encoded but not yet accepted by the socket.
     pub fn pending(&self) -> usize {
-        self.buf.len()
+        self.frames.iter().map(|f| f.len()).sum::<usize>() + self.tail.len()
     }
 
     /// True when every queued byte has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.frames.is_empty() && self.tail.is_empty()
     }
 
     /// Write pending bytes until drained or the destination would
-    /// block. Returns `Ok(true)` when the buffer is empty, `Ok(false)`
+    /// block. Returns `Ok(true)` when the queue is empty, `Ok(false)`
     /// when bytes remain (re-arm for writability). `Interrupted`
     /// writes are retried; a zero-length write is reported as
     /// [`io::ErrorKind::WriteZero`].
     pub fn flush(&mut self, dst: &mut impl Write) -> io::Result<bool> {
-        while !self.buf.is_empty() {
-            match dst.write(&self.buf) {
+        loop {
+            let next: &[u8] = match self.frames.front() {
+                Some(front) => front,
+                None if self.tail.is_empty() => return Ok(true),
+                None => &self.tail,
+            };
+            match dst.write(next) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::WriteZero,
                         "socket accepted zero bytes",
                     ))
                 }
-                Ok(n) => self.buf.advance(n),
+                Ok(n) => self.written(n),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
-        Ok(true)
+    }
+
+    /// `n` bytes of the next pending buffer left for the socket.
+    fn written(&mut self, n: usize) {
+        match self.frames.front_mut() {
+            Some(front) => {
+                front.advance(n);
+                if front.is_empty() {
+                    self.frames.pop_front();
+                }
+            }
+            None => self.tail.advance(n),
+        }
     }
 }
 
@@ -277,6 +317,64 @@ mod tests {
         }
         assert!(w.is_empty());
         assert_eq!(sink.out, expect);
+    }
+
+    /// Frames the writer encodes share one buffer, so a run of small
+    /// replies leaves in one write, and a frame queued encoded between
+    /// two runs adds one more.
+    #[test]
+    fn queued_frames_leave_in_one_write() {
+        let mut w = FrameWriter::new();
+        let mut sink = Vec::new();
+        for f in frames() {
+            w.queue(&f);
+        }
+        assert_eq!(w.frames.len(), 0, "one buffer");
+        w.queue_encoded(Bytes::from(frames()[0].to_bytes()));
+        w.queue(&frames()[1]);
+        assert_eq!(w.frames.len(), 2, "the run, then the encoded frame");
+        assert!(w.flush(&mut sink).unwrap());
+        let want: Vec<u8> = frames()
+            .iter()
+            .chain([&frames()[0], &frames()[1]])
+            .flat_map(|f| f.to_bytes())
+            .collect();
+        assert_eq!(sink, want);
+    }
+
+    /// Frames queued encoded go out as they are, in queue order with
+    /// the frames the writer encodes, through partial writes.
+    #[test]
+    fn encoded_frames_keep_their_place() {
+        let mut w = FrameWriter::new();
+        let mut expect = Vec::new();
+        for (i, f) in frames().into_iter().enumerate() {
+            let bytes = f.to_bytes();
+            expect.extend_from_slice(&bytes);
+            if i % 2 == 0 {
+                w.queue_encoded(Bytes::from(bytes));
+            } else {
+                w.queue(&f);
+            }
+        }
+        w.queue_encoded(Bytes::new());
+        assert_eq!(w.pending(), expect.len());
+        let mut out = Vec::new();
+        // A sink that takes at most 5 bytes a call.
+        struct Narrow<'a>(&'a mut Vec<u8>);
+        impl Write for Narrow<'_> {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let n = buf.len().min(5);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        assert!(w.flush(&mut Narrow(&mut out)).unwrap());
+        assert!(w.is_empty());
+        assert_eq!(out, expect);
     }
 
     #[test]

@@ -38,18 +38,49 @@ pub fn encode_rows(
     format: RecordFormat,
     rows: &[Vec<Value>],
 ) -> Result<Vec<u8>, RecordError> {
+    let mut out = Vec::new();
+    encode_rows_into(layout, format, rows, &mut out)?;
+    Ok(out)
+}
+
+/// [`encode_rows`], appending to `out`. The buffer is sized before the
+/// bulk of the rows is written: a binary chunk from the layout's record
+/// width, a vartext chunk from the length of its first rows, with an
+/// eighth to spare, so a chunk of rows of like length grows `out` once.
+pub fn encode_rows_into(
+    layout: &Layout,
+    format: RecordFormat,
+    rows: &[Vec<Value>],
+    out: &mut Vec<u8>,
+) -> Result<(), RecordError> {
     match format {
-        RecordFormat::Binary => RecordEncoder::new(layout.clone()).encode_batch(rows),
-        RecordFormat::Vartext { delimiter, .. } => {
-            let f = VartextFormat::with_delimiter(delimiter);
-            let mut out = Vec::new();
+        RecordFormat::Binary => {
+            out.reserve(rows.len() * (layout.max_record_len() / 2).max(16));
             for row in rows {
-                f.encode_row(row, &mut out);
-                out.push(b'\n');
+                encode_record(layout, row, out)?;
             }
-            Ok(out)
+        }
+        RecordFormat::Vartext { delimiter, .. } => {
+            /// Rows encoded before the rest are sized from them.
+            const SAMPLE_ROWS: usize = 8;
+            let f = VartextFormat::with_delimiter(delimiter);
+            let encode = |rows: &[Vec<Value>], out: &mut Vec<u8>| {
+                for row in rows {
+                    f.encode_row(row, out);
+                    out.push(b'\n');
+                }
+            };
+            let (sample, rest) = rows.split_at(rows.len().min(SAMPLE_ROWS));
+            let start = out.len();
+            encode(sample, out);
+            if !rest.is_empty() {
+                let want = (out.len() - start).div_ceil(sample.len()) * rest.len();
+                out.reserve(want + want / 8);
+            }
+            encode(rest, out);
         }
     }
+    Ok(())
 }
 
 /// Error raised while decoding a record or encoding a value.
@@ -116,45 +147,46 @@ impl RecordEncoder {
     /// declared field types first; coercion failure is an error (the legacy
     /// client validated what it put on the wire).
     pub fn encode_record(&self, values: &[Value], out: &mut Vec<u8>) -> Result<(), RecordError> {
-        if values.len() != self.layout.arity() {
-            return Err(RecordError::LengthMismatch {
-                declared: self.layout.arity(),
-                actual: values.len(),
-            });
-        }
-        let len_pos = out.len();
-        out.put_u16_le(0); // patched below
-        let body_start = out.len();
-
-        let ind_bytes = self.layout.indicator_bytes();
-        let ind_pos = out.len();
-        out.resize(out.len() + ind_bytes, 0);
-
-        for (i, (value, field)) in values.iter().zip(&self.layout.fields).enumerate() {
-            if value.is_null() {
-                out[ind_pos + i / 8] |= 0x80 >> (i % 8);
-                continue;
-            }
-            let coerced = value.clone().coerce_to(field.ty)?;
-            encode_value(&coerced, field.ty, out)?;
-        }
-
-        let body_len = out.len() - body_start;
-        if body_len > u16::MAX as usize {
-            return Err(RecordError::TooManyFields);
-        }
-        out[len_pos..len_pos + 2].copy_from_slice(&(body_len as u16).to_le_bytes());
-        Ok(())
+        encode_record(&self.layout, values, out)
     }
 
     /// Encode a batch of records into a fresh buffer.
     pub fn encode_batch(&self, rows: &[Vec<Value>]) -> Result<Vec<u8>, RecordError> {
-        let mut out = Vec::with_capacity(rows.len() * (self.layout.max_record_len() / 2).max(16));
-        for row in rows {
-            self.encode_record(row, &mut out)?;
-        }
-        Ok(out)
+        encode_rows(&self.layout, RecordFormat::Binary, rows)
     }
+}
+
+/// The binary record encoder behind [`RecordEncoder::encode_record`].
+fn encode_record(layout: &Layout, values: &[Value], out: &mut Vec<u8>) -> Result<(), RecordError> {
+    if values.len() != layout.arity() {
+        return Err(RecordError::LengthMismatch {
+            declared: layout.arity(),
+            actual: values.len(),
+        });
+    }
+    let len_pos = out.len();
+    out.put_u16_le(0); // patched below
+    let body_start = out.len();
+
+    let ind_bytes = layout.indicator_bytes();
+    let ind_pos = out.len();
+    out.resize(out.len() + ind_bytes, 0);
+
+    for (i, (value, field)) in values.iter().zip(&layout.fields).enumerate() {
+        if value.is_null() {
+            out[ind_pos + i / 8] |= 0x80 >> (i % 8);
+            continue;
+        }
+        let coerced = value.clone().coerce_to(field.ty)?;
+        encode_value(&coerced, field.ty, out)?;
+    }
+
+    let body_len = out.len() - body_start;
+    if body_len > u16::MAX as usize {
+        return Err(RecordError::TooManyFields);
+    }
+    out[len_pos..len_pos + 2].copy_from_slice(&(body_len as u16).to_le_bytes());
+    Ok(())
 }
 
 fn encode_value(value: &Value, ty: LegacyType, out: &mut Vec<u8>) -> Result<(), RecordError> {

@@ -82,7 +82,7 @@ pub fn records(data: &[u8]) -> impl Iterator<Item = &[u8]> {
     let mut at = 0;
     std::iter::from_fn(move || {
         while at < data.len() {
-            let end = find_either(data, at, b'\n', b'\n');
+            let end = find_any(data, at, [b'\n']);
             let line = &data[at..end];
             at = end + 1;
             let line = line.strip_suffix(b"\r").unwrap_or(line);
@@ -94,28 +94,32 @@ pub fn records(data: &[u8]) -> impl Iterator<Item = &[u8]> {
     })
 }
 
-/// Position of the first byte at or after `from` that is `a` or `b`, or
-/// `data.len()`: eight bytes per step, each a `u64` whose bytes are
-/// compared with both at once.
-fn find_either(data: &[u8], from: usize, a: u8, b: u8) -> usize {
+/// Position of the first byte at or after `from` that is one of
+/// `needles`, or `data.len()`: eight bytes per step, each a `u64` whose
+/// bytes are compared with every needle at once. The one scanning kernel
+/// of the codec: the decoder's clean spans and the encoder's escapes.
+fn find_any<const N: usize>(data: &[u8], from: usize, needles: [u8; N]) -> usize {
     const LOW: u64 = 0x0101_0101_0101_0101;
     const HIGH: u64 = 0x8080_8080_8080_8080;
-    let (splat_a, splat_b) = (LOW * a as u64, LOW * b as u64);
+    let splats = needles.map(|n| LOW * n as u64);
     let mut i = from;
     while let Some(word) = data.get(i..i + 8) {
         let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
         // A byte of `word ^ splat` is zero where `word` holds the needle.
         // The zero-byte test can also flag a byte above a true zero, but
-        // never one below the first: the lowest flag is exact.
-        let (xa, xb) = (word ^ splat_a, word ^ splat_b);
-        let zero = (xa.wrapping_sub(LOW) & !xa) | (xb.wrapping_sub(LOW) & !xb);
+        // never one below the first: the lowest flag of each needle is
+        // exact, and so is the lowest of their union.
+        let zero = splats.iter().fold(0, |zero, splat| {
+            let x = word ^ splat;
+            zero | (x.wrapping_sub(LOW) & !x)
+        });
         let hit = zero & HIGH;
         if hit != 0 {
             return i + hit.trailing_zeros() as usize / 8;
         }
         i += 8;
     }
-    while i < data.len() && data[i] != a && data[i] != b {
+    while i < data.len() && !needles.iter().any(|&n| n == data[i]) {
         i += 1;
     }
     i
@@ -145,7 +149,8 @@ impl VartextFormat {
     /// field), an empty string or empty byte string writes `""`, and any
     /// other field writes its text ([`FieldRef::render_into`]), escaped.
     /// Allocates only when `out` grows, or when the delimiter or quote is a
-    /// character a rendered number, date or hex string can contain.
+    /// character a rendered number, date or hex string can contain. The
+    /// converter's binary path stages every field through it too.
     pub fn encode_field(&self, field: FieldRef<'_>, out: &mut Vec<u8>) {
         match field {
             FieldRef::Null => {}
@@ -154,7 +159,7 @@ impl VartextFormat {
             typed => {
                 let start = out.len();
                 typed.render_into(out);
-                if out[start..].iter().any(|&b| self.needs_escape(b)) {
+                if find_any(out, start, self.escapable()) < out.len() {
                     let text = out.split_off(start);
                     self.escape_bytes_into(&text, out);
                 }
@@ -162,35 +167,31 @@ impl VartextFormat {
         }
     }
 
-    fn needs_escape(&self, b: u8) -> bool {
-        b == self.delimiter || b == self.quote || b == b'\\' || b == b'\n' || b == b'\r'
+    /// The bytes a field's text escapes: the delimiter, the quote, the
+    /// backslash, newline and carriage return.
+    fn escapable(&self) -> [u8; 5] {
+        [self.delimiter, self.quote, b'\\', b'\n', b'\r']
     }
 
     /// Escape raw field bytes into `out`: the delimiter, quote and
     /// backslash get a backslash prefix, newline becomes `\n` and carriage
-    /// return `\r`.
+    /// return `\r`. Runs of clean bytes between escapes, found a word at a
+    /// time, are copied whole; a field without escapes is one copy.
     fn escape_bytes_into(&self, bytes: &[u8], out: &mut Vec<u8>) {
-        // Copy maximal runs of clean bytes in one shot; fields rarely
-        // contain escapable bytes, so the common case is a single memcpy.
-        let mut run_start = 0usize;
-        let mut i = 0usize;
-        while i < bytes.len() {
-            let b = bytes[i];
-            if self.needs_escape(b) {
-                out.extend_from_slice(&bytes[run_start..i]);
-                out.push(b'\\');
-                out.push(match b {
-                    b'\n' => b'n',
-                    b'\r' => b'r',
-                    other => other,
-                });
-                i += 1;
-                run_start = i;
-            } else {
-                i += 1;
-            }
+        let escapable = self.escapable();
+        let mut run_start = 0;
+        loop {
+            let at = find_any(bytes, run_start, escapable);
+            out.extend_from_slice(&bytes[run_start..at]);
+            let Some(&b) = bytes.get(at) else { return };
+            let escaped = match b {
+                b'\n' => b'n',
+                b'\r' => b'r',
+                other => other,
+            };
+            out.extend_from_slice(&[b'\\', escaped]);
+            run_start = at + 1;
         }
-        out.extend_from_slice(&bytes[run_start..]);
     }
 
     /// Decode one vartext line into field values. All non-null fields come
@@ -313,7 +314,7 @@ impl VartextFormat {
             // backslash or the delimiter can change state, so skip the
             // whole run eight bytes at a time (the field borrows from
             // `line`).
-            i = find_either(line, i + 1, b'\\', self.delimiter);
+            i = find_any(line, i + 1, [b'\\', self.delimiter]);
         }
         finish!(line.len());
         Ok(nfields)
@@ -429,7 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn find_either_matches_a_bytewise_scan() {
+    fn find_any_matches_a_bytewise_scan() {
         // Needles at every offset of an 8-byte word, beside bytes that
         // differ from a needle by one bit or by the high bit, plus a tail
         // shorter than a word.
@@ -447,7 +448,7 @@ mod tests {
                                 .find(|&i| data[i] == needle || data[i] == other)
                                 .unwrap_or(len);
                             assert_eq!(
-                                find_either(&data, from, needle, other),
+                                find_any(&data, from, [needle, other]),
                                 want,
                                 "{data:?} from {from}"
                             );

@@ -23,10 +23,12 @@ fn resolve_range(range: impl RangeBounds<usize>, len: usize) -> (usize, usize) {
     (start, end)
 }
 
-/// A cheaply-cloneable immutable byte buffer.
+/// A cheaply-cloneable immutable byte buffer. Like upstream `bytes`, it
+/// keeps the `Vec` it was made from behind its shared handle, so
+/// `From<Vec<u8>>` moves the buffer instead of copying it.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -37,12 +39,14 @@ impl Bytes {
         Bytes::from(Vec::new())
     }
 
-    /// Buffer over a static slice (copied; the shim has no zero-copy path).
+    /// Buffer over a static slice, copied once: the shim keeps no
+    /// borrowed storage, so unlike upstream `bytes` this is not free.
     pub fn from_static(data: &'static [u8]) -> Bytes {
         Bytes::copy_from_slice(data)
     }
 
-    /// Buffer copied from `data`.
+    /// Buffer copied from `data`: one copy, into the `Vec` the buffer
+    /// then keeps.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
         Bytes::from(data.to_vec())
     }
@@ -82,10 +86,11 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes the vector's buffer as it is: no byte is copied.
     fn from(data: Vec<u8>) -> Bytes {
         let end = data.len();
         Bytes {
-            data: data.into(),
+            data: Arc::new(data),
             start: 0,
             end,
         }
@@ -452,7 +457,36 @@ mod tests {
         let b = Bytes::from(vec![1, 2, 3, 4, 5]);
         let s = b.slice(1..4);
         assert_eq!(&s[..], &[2, 3, 4]);
+        assert_eq!(s.as_ptr(), b[1..].as_ptr());
+        assert_eq!(s.slice(1..).as_ptr(), b[2..].as_ptr());
         assert_eq!(b.len(), 5);
+    }
+
+    #[test]
+    fn bytes_from_vec_keeps_the_vec_buffer() {
+        let v = vec![9u8; 64];
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at, "From<Vec<u8>> must move, not copy");
+        // A slice and a clone view the same storage.
+        assert_eq!(b.slice(8..).as_ptr(), at.wrapping_add(8));
+        assert_eq!(b.clone().as_ptr(), at);
+        // So does a frozen `BytesMut` with nothing consumed.
+        let mut m = BytesMut::with_capacity(16);
+        m.extend_from_slice(b"frame");
+        let at = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), at);
+    }
+
+    #[test]
+    fn copy_from_slice_copies_once_into_its_own_storage() {
+        let src = [1u8, 2, 3, 4];
+        let b = Bytes::copy_from_slice(&src);
+        assert_ne!(b.as_ptr(), src.as_ptr());
+        assert_eq!(&b[..], &src);
+        let tail = b.slice(2..);
+        assert_eq!(tail.as_ptr(), b[2..].as_ptr());
+        assert_eq!(&tail[..], &[3, 4]);
     }
 
     #[test]

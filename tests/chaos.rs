@@ -16,11 +16,11 @@ use etlv_core::{
     FaultPlan, FaultSpec, StorePutFailure, TransportFailure, Virtualizer, VirtualizerConfig,
 };
 use etlv_legacy_client::{ClientError, ClientOptions, LegacyEtlClient, Session, TcpConnector};
-use etlv_protocol::message::{BeginLoad, DataChunk, Message, SessionRole};
+use etlv_protocol::message::{BeginLoad, DataChunk, Format, Message, SessionRole, Topic};
 mod common;
 use common::{
-    assert_quiescent, chaos_tcp_connector, create_simple_target, export_job, kv_rows,
-    simple_import_job, tcp_connector,
+    assert_quiescent, chaos_tcp_connector, counter, create_simple_target, export_job, kv_rows,
+    simple_import_job, tcp_connector, wait_idle,
 };
 
 fn config_with(plan: FaultPlan) -> VirtualizerConfig {
@@ -218,6 +218,110 @@ fn cdw_transient_budget_exhaustion_fails_cleanly() {
     // 10..=13).
     assert_eq!(v.fault_counts().unwrap().cdw_exec, 8);
     assert_quiescent(&v);
+}
+
+/// A teardown DROP that uses up its retry budget leaves its table an
+/// orphan on the node, not a table nobody knows of: the next load's
+/// teardown drops it. The plan is `cdw_transient_budget_exhaustion_fails_cleanly`'s:
+/// the COPY and then all four attempts of the staging table's DROP fault.
+#[test]
+fn an_orphaned_staging_table_is_dropped_by_the_next_load() {
+    let mut plan = FaultPlan::seeded(16);
+    plan.cdw_exec = FaultSpec::AtOps((6..36).collect());
+    let mut config = config_with(plan);
+    config.retry_budget = 3;
+    let v = Virtualizer::new(config);
+    let connector = tcp_connector(&v);
+
+    v.cdw().set_transient_fault(None);
+    create_simple_target(connector.as_ref(), "T");
+    v.cdw()
+        .set_transient_fault(Some(v.fault_injector().unwrap().cdw_hook()));
+
+    let client = LegacyEtlClient::new(connector.clone());
+    let job = simple_import_job("T");
+    assert!(client.run_import_data(&job, &kv_rows(40)).is_err());
+    assert!(v.cdw().table_exists("ETLV_STG_1"), "the DROP was to fail");
+    assert_eq!(orphaned_tables(&v), 1);
+
+    v.cdw().set_transient_fault(None);
+    let report = client.run_import_data(&job, &kv_rows(40)).unwrap().report;
+    assert_eq!(report.rows_applied, 40);
+    assert!(!v.cdw().table_exists("ETLV_STG_1"), "orphan left behind");
+    assert!(!v.cdw().table_exists("ETLV_STG_2"));
+    assert_eq!(orphaned_tables(&v), 0);
+    assert_quiescent(&v);
+}
+
+/// An error table whose DROP fails past the budget is not kept for a
+/// retry: its name is the client's, and the rerun of the same script
+/// creates it again. The first load is aborted — its control session
+/// drops the link after `BeginLoad` — and every attempt at its ET's
+/// DROP faults (ops 7..=10; op 6 is the staging table's DROP). The
+/// rerun completes with an error row, and its ET keeps it: no retry of
+/// the first job's DROP takes the second job's table.
+#[test]
+fn a_rerun_keeps_error_tables_an_abort_failed_to_drop() {
+    let mut plan = FaultPlan::seeded(17);
+    plan.cdw_exec = FaultSpec::AtOps((7..11).collect());
+    let mut config = config_with(plan);
+    config.retry_budget = 3;
+    let v = Virtualizer::new(config);
+    let connector = tcp_connector(&v);
+
+    v.cdw().set_transient_fault(None);
+    create_simple_target(connector.as_ref(), "T");
+    v.cdw()
+        .set_transient_fault(Some(v.fault_injector().unwrap().cdw_hook()));
+
+    let job = simple_import_job("T");
+    let mut control =
+        Session::logon(connector.as_ref(), "u", "p", SessionRole::Control, 0).unwrap();
+    let reply = control
+        .request(Message::BeginLoad(BeginLoad {
+            target_table: job.target.clone(),
+            error_table_et: job.error_table_et.clone(),
+            error_table_uv: job.error_table_uv.clone(),
+            layout: job.layout.clone(),
+            format: job.format,
+            sessions: 1,
+            error_limit: 0,
+            trace: None,
+        }))
+        .unwrap();
+    assert!(
+        matches!(reply, Message::BeginLoadOk { load_token: 1 }),
+        "{reply:?}"
+    );
+    drop(control);
+    wait_idle(&v);
+    assert_eq!(
+        v.fault_counts().unwrap().cdw_exec,
+        4,
+        "ET's DROP was to fail"
+    );
+    assert!(v.cdw().table_exists("T_ET"));
+    assert!(!v.cdw().table_exists("ETLV_STG_1") && !v.cdw().table_exists("T_UV"));
+    assert_eq!(orphaned_tables(&v), 0);
+
+    let mut rows = kv_rows(10);
+    rows.extend_from_slice(b"k|v|extra\n");
+    let client = LegacyEtlClient::new(connector.clone());
+    let report = client.run_import_data(&job, &rows).unwrap().report;
+    assert_eq!((report.rows_applied, report.errors_et), (10, 1));
+    assert_eq!(
+        v.cdw().table_len("T_ET").unwrap(),
+        1,
+        "the rerun's error row"
+    );
+    assert!(v.cdw().table_exists("T_UV"));
+    assert_quiescent(&v);
+}
+
+/// The node's `gateway.orphaned_tables` gauge, read off the Stats topic.
+fn orphaned_tables(v: &Virtualizer) -> u64 {
+    let stats = v.introspect(Topic::Stats, Format::Json).body;
+    counter(&stats, "gateway.orphaned_tables")
 }
 
 /// A failed job's teardown rides out a transient fault: the staging

@@ -3,6 +3,7 @@
 //! import-then-export roundtrips.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use etlv_core::{Virtualizer, VirtualizerConfig};
 use etlv_legacy_client::{ClientOptions, Connect, LegacyEtlClient, Session};
@@ -260,4 +261,108 @@ fn import_export_reimport_copies_no_version() {
 
     assert_eq!(v.cdw().table_len("CYCLE").unwrap(), 400);
     assert_eq!(v.cdw().version_copies(), copies);
+}
+
+/// Open a vartext export of `select` for `sessions` data sessions, in
+/// chunks of `chunk_rows`, on a control session of its own: the session
+/// and the export token.
+fn open_windowed(
+    connector: &dyn Connect,
+    select: &str,
+    sessions: u16,
+    chunk_rows: u32,
+) -> (Session, u64) {
+    let mut s = Session::logon(connector, "reader", "p", SessionRole::Control, 0).unwrap();
+    let begin = Message::BeginExport(BeginExport {
+        select: select.into(),
+        format: RecordFormat::Vartext {
+            delimiter: b'|',
+            quote: b'"',
+        },
+        sessions,
+        chunk_rows,
+    });
+    match s.request(begin).unwrap() {
+        Message::BeginExportOk(ok) => (s, ok.export_token),
+        other => panic!("expected BeginExportOk, got {other:?}"),
+    }
+}
+
+/// What one chunk request answers: index, record count, last flag, data.
+fn chunk_at(s: &mut Session, index: u64) -> (u64, u32, bool, Vec<u8>) {
+    match s.request(Message::ExportChunkReq { index }).unwrap() {
+        Message::ExportChunk(c) => (c.index, c.record_count, c.last, c.data.to_vec()),
+        other => panic!("expected ExportChunk, got {other:?}"),
+    }
+}
+
+/// Chunks encoded ahead of their requests are the chunks a serial export
+/// serves: two data sessions that ask out of order — past the window (a
+/// miss), inside it (a hit), one index twice (a re-encode) and past the
+/// end — get, index by index, what one session asking in order gets.
+#[test]
+fn windowed_export_serves_what_a_serial_export_serves() {
+    let v = seeded_virtualizer(100);
+    let connector = tcp_connector(&v);
+    let select = "select CUST_ID, CUST_NAME, JOIN_DATE from PROD.CUSTOMER order by CUST_ID";
+
+    let (mut serial, _) = open_windowed(connector.as_ref(), select, 1, 7);
+    let mut want = Vec::new();
+    for index in 0.. {
+        want.push(chunk_at(&mut serial, index));
+        if want[index as usize].2 {
+            break;
+        }
+    }
+    assert_eq!(want.len(), 15);
+    want.push(chunk_at(&mut serial, 15));
+    serial.logoff();
+
+    let (control, token) = open_windowed(connector.as_ref(), select, 2, 7);
+    let mut a =
+        Session::logon(connector.as_ref(), "reader", "p", SessionRole::Data, token).unwrap();
+    let mut b =
+        Session::logon(connector.as_ref(), "reader", "p", SessionRole::Data, token).unwrap();
+    let order = [
+        0, 3, 1, 2, 2, 5, 4, 9, 6, 7, 8, 8, 0, 14, 10, 11, 13, 12, 15, 1,
+    ];
+    for (turn, index) in order.into_iter().enumerate() {
+        let session = if turn % 2 == 0 { &mut a } else { &mut b };
+        let got = chunk_at(session, index);
+        assert_eq!(got, want[index as usize], "chunk {index}, request {turn}");
+    }
+    a.logoff();
+    b.logoff();
+    control.logoff();
+    wait_idle(&v);
+    assert_eq!(v.memory().in_flight(), 0);
+}
+
+/// An export abandoned after chunk 0 — its control session drops the
+/// socket while chunks are held encoded ahead — gives back its job and
+/// every byte those chunks were charged.
+#[test]
+fn an_abandoned_windowed_export_releases_its_chunks() {
+    let v = seeded_virtualizer(100);
+    let connector = tcp_connector(&v);
+    let (mut s, _) = open_windowed(connector.as_ref(), "SELECT * FROM PROD.CUSTOMER", 2, 7);
+    assert_eq!(chunk_at(&mut s, 0).1, 7);
+    // The dispatch thread encodes chunks 1 and 2 ahead after it answers
+    // chunk 0, and charges them to the memory gauge.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while v.memory().in_flight() == 0 {
+        assert!(Instant::now() < deadline, "no chunk was encoded ahead");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(s);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while v.active_jobs() > 0 || v.memory().in_flight() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "an abandoned export kept {} jobs and {} bytes",
+            v.active_jobs(),
+            v.memory().in_flight()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
