@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::sync::{RwLockReadGuard, RwLockWriteGuard};
 
-use etlv_protocol::data::Value;
+use etlv_protocol::data::{coerce_text, Value, ValueError};
 use etlv_protocol::errcode::Cause;
 use etlv_sql::ast::{ColumnDef, TableConstraint};
 use etlv_sql::SqlType;
@@ -47,20 +47,41 @@ impl Column {
     #[inline]
     pub fn coerce(&self, table: &str, v: Value) -> Result<Value, CdwError> {
         if v.is_null() {
-            if self.not_null {
-                return Err(CdwError::abort(
-                    Cause::Null,
-                    format!("NULL in NOT NULL column {table}.{}", self.name),
-                ));
-            }
-            return Ok(Value::Null);
+            return self.null(table);
         }
-        v.coerce_to(self.ty.to_legacy()).map_err(|e| {
-            CdwError::abort(
-                e.cause,
-                format!("column {table}.{}: {}", self.name, e.reason),
-            )
-        })
+        v.coerce_to(self.ty.to_legacy())
+            .map_err(|e| self.value_error(table, e))
+    }
+
+    /// [`coerce`](Self::coerce) for a staged text field, `None` being
+    /// NULL: the rule COPY applies as it decodes, through
+    /// [`coerce_text`], so only character data allocates.
+    #[inline]
+    pub fn coerce_text(&self, table: &str, text: Option<&str>) -> Result<Value, CdwError> {
+        match text {
+            None => self.null(table),
+            Some(text) => {
+                coerce_text(text, self.ty.to_legacy()).map_err(|e| self.value_error(table, e))
+            }
+        }
+    }
+
+    /// NULL in this column: an abort if it is NOT NULL.
+    fn null(&self, table: &str) -> Result<Value, CdwError> {
+        if self.not_null {
+            return Err(CdwError::abort(
+                Cause::Null,
+                format!("NULL in NOT NULL column {table}.{}", self.name),
+            ));
+        }
+        Ok(Value::Null)
+    }
+
+    fn value_error(&self, table: &str, e: ValueError) -> CdwError {
+        CdwError::abort(
+            e.cause,
+            format!("column {table}.{}: {}", self.name, e.reason),
+        )
     }
 }
 

@@ -15,7 +15,7 @@ use etlv_cloudstore::compress;
 use etlv_cloudstore::store::{parse_url, ObjectStore};
 use etlv_protocol::data::{DateFormat, Value, MAX_PRECISION};
 use etlv_protocol::errcode::Cause;
-use etlv_protocol::vartext::VartextFormat;
+use etlv_protocol::vartext::{records, VartextError, VartextFormat};
 use etlv_sql::ast::*;
 use etlv_sql::types::Charset;
 use etlv_sql::SqlType;
@@ -23,7 +23,7 @@ use etlv_sql::SqlType;
 use crate::catalog::{RowVersion, Table, TableSet};
 use crate::error::CdwError;
 use crate::eval::{apply_binary, compile_format, eval, literal_format, truthy, Env};
-use crate::key::{cmp_values, RowKey};
+use crate::key::{cmp_group_keys, cmp_values, RowKey};
 use crate::plan::{
     choose_access, family_of, normalize_probe, plan_equi_join, Access, Family, PlanStats,
 };
@@ -572,10 +572,10 @@ fn exec_copy(ctx: &mut ExecCtx<'_>, c: &CopyStmt) -> Result<QueryResult, CdwErro
     let format = VartextFormat::with_delimiter(c.delimiter);
 
     let table = ctx.tables.get(&c.table.dotted())?;
-    let arity = table.columns.len();
 
-    // Parse and coerce everything first (set-oriented COPY).
+    // Decode and coerce everything first (set-oriented COPY).
     let mut staged: Vec<Vec<Value>> = Vec::new();
+    let mut scratch = Vec::new();
     for key in &keys {
         let raw = store
             .get(&url.bucket, key)
@@ -590,16 +590,72 @@ fn exec_copy(ctx: &mut ExecCtx<'_>, c: &CopyStmt) -> Result<QueryResult, CdwErro
         } else {
             raw
         };
-        let rows = format.decode_lines(&data, Some(arity)).map_err(|e| {
-            CdwError::abort(Cause::BadFile, format!("malformed staged part {key}: {e}"))
+        copy_part(table, &format, &data, &mut scratch, &mut staged).map_err(|e| match e {
+            PartError::Malformed(e) => {
+                CdwError::abort(Cause::BadFile, format!("malformed staged part {key}: {e}"))
+            }
+            PartError::Value(e) => e,
         })?;
-        for row in rows {
-            staged.push(coerce_row(table, row, &[])?);
-        }
     }
 
     let n = append_unique_checked(ctx, &c.table, staged, "COPY")?;
     Ok(QueryResult::dml(n))
+}
+
+/// Why a staged part does not load.
+enum PartError {
+    /// A line does not decode, or has the wrong number of fields.
+    Malformed(VartextError),
+    /// A field does not coerce into its column.
+    Value(CdwError),
+}
+
+/// Decode the lines of one staged part into `staged`, each field coerced
+/// into its column as it is decoded ([`Column::coerce_text`]), so a
+/// number or date never becomes a string first. A malformed line anywhere
+/// in the part fails it ahead of any value that does not coerce, as if
+/// the whole part were decoded first; otherwise the first value that does
+/// not coerce, in row and then column order, fails it.
+///
+/// [`Column::coerce_text`]: crate::catalog::Column::coerce_text
+fn copy_part(
+    table: &Table,
+    format: &VartextFormat,
+    data: &[u8],
+    scratch: &mut Vec<u8>,
+    staged: &mut Vec<Vec<Value>>,
+) -> Result<(), PartError> {
+    let arity = table.columns.len();
+    let mut bad_value = None;
+    for line in records(data) {
+        let mut row = Vec::new();
+        if bad_value.is_none() {
+            row.reserve_exact(arity);
+        }
+        let fields = format.decode_line_with(line, scratch, |field| {
+            // Past a bad value the part is only checked for malformed
+            // lines; fields past the arity fail the count check below.
+            let Some(column) = table.columns.get(row.len()).filter(|_| bad_value.is_none()) else {
+                return;
+            };
+            match column.coerce_text(&table.name, field) {
+                Ok(v) => row.push(v),
+                Err(e) => bad_value = Some(e),
+            }
+        });
+        match fields {
+            Err(e) => return Err(PartError::Malformed(e)),
+            Ok(actual) if actual != arity => {
+                return Err(PartError::Malformed(VartextError::FieldCount {
+                    expected: arity,
+                    actual,
+                }))
+            }
+            Ok(_) if bad_value.is_none() => staged.push(row),
+            Ok(_) => {}
+        }
+    }
+    bad_value.map_or(Ok(()), |e| Err(PartError::Value(e)))
 }
 
 // ------------------------------------------------------------------ SELECT
@@ -936,7 +992,7 @@ fn try_index_join<'t>(
     let fams: Vec<Family> = plan
         .keys
         .iter()
-        .map(|(_, rc)| family_of(rtable.columns[*rc].ty))
+        .map(|key| family_of(rtable.columns[key.column].ty))
         .collect();
     let rwidth = rtable.columns.len();
     let mut rows = Vec::new();
@@ -958,15 +1014,21 @@ fn try_index_join<'t>(
     // ambiguity included, matches the nested loop — and the planner
     // admitted only keys whose every column lies on the left, so they
     // evaluate over the left row alone.
-    let keys = Resolved::all(plan.keys.iter().map(|(e, _)| e), &bindings);
+    let keys = Resolved::all(plan.keys.iter().map(|key| &key.expr), &bindings);
     for lrow in &l.rows {
         let mut probes = Vec::with_capacity(keys.len());
         let mut null_probe = false;
-        for (key, fam) in keys.iter().zip(&fams) {
+        for ((key, fam), planned) in keys.iter().zip(&fams).zip(&plan.keys) {
             let Ok(v) = key.eval(lrow) else {
                 return Ok(None);
             };
             if v.is_null() {
+                if planned.null_safe {
+                    // A null-safe NULL matches the NULLs of the column,
+                    // which the index holds first.
+                    probes.push(v);
+                    continue;
+                }
                 // NULL never equals anything: this left row matches no
                 // right row (and comparison with NULL cannot error).
                 null_probe = true;
@@ -1262,7 +1324,7 @@ fn projection_has_aggregates(sel: &SelectStmt) -> bool {
         || sel.order_by.iter().any(|o| expr_has_aggregate(&o.expr))
 }
 
-/// Aggregate executor: hash grouping + aggregate computation, then
+/// Aggregate executor: grouping by sort + aggregate computation, then
 /// post-aggregation projection/HAVING/ORDER BY evaluation where aggregate
 /// sub-expressions and GROUP BY expressions resolve to computed values.
 fn exec_aggregate(
@@ -1293,37 +1355,69 @@ fn exec_aggregate(
         collect(&o.expr);
     }
 
-    // Group rows: one map from key to group number, hashed once per row.
-    // Group `g`'s aggregate states are `states[g * width..][..width]`, in
-    // first-seen order.
+    // Group rows by sorting: every row's group key goes into one flat
+    // buffer (row `i`'s is `keys[i * k..][..k]`), the row indexes are
+    // stable-sorted by key, and each run of equal keys is a group, in
+    // row order. `cmp_group_keys` holds keys equal exactly when `RowKey`
+    // does, so these are the groups hashing finds.
     let group_by = Resolved::all(&sel.group_by, bindings);
     let calls = Resolved::all(&agg_calls, bindings);
     let width = agg_calls.len();
-    let mut groups: HashMap<RowKey, usize> = HashMap::new();
-    let mut states: Vec<AggState> = Vec::new();
-    for row in rows {
-        let mut key_vals = Vec::with_capacity(group_by.len());
+    let k = group_by.len();
+    let mut keys: Vec<Value> = Vec::with_capacity(rows.len() * k);
+    // The first error in row order wins, as if each row's key were
+    // evaluated and then its aggregates updated before the next row's:
+    // a key that fails at row `i` leaves rows `..i` to update.
+    let mut first_err: Option<(usize, CdwError)> = None;
+    'rows: for (i, row) in rows.iter().enumerate() {
         for g in &group_by {
-            key_vals.push(g.eval(row)?);
-        }
-        let next = groups.len();
-        let g = *groups.entry(RowKey(key_vals)).or_insert(next);
-        if g == next {
-            states.extend(agg_calls.iter().map(AggState::new));
-        }
-        for (state, call) in states[g * width..].iter_mut().zip(&calls) {
-            state.update(call.expr, &call.env(row))?;
+            match g.eval(row) {
+                Ok(v) => keys.push(v),
+                Err(e) => {
+                    first_err = Some((i, e));
+                    break 'rows;
+                }
+            }
         }
     }
+    let keyed_rows = first_err.as_ref().map_or(rows.len(), |(i, _)| *i);
+    let key = |i: usize| &keys[i * k..][..k];
+    let mut order: Vec<usize> = (0..keyed_rows).collect();
+    if k > 0 {
+        order.sort_by(|&a, &b| cmp_group_keys(key(a), key(b)));
+    }
+    // The groups in first-seen order: by the first row of each run.
+    let mut groups: Vec<&[usize]> = order
+        .chunk_by(|&a, &b| cmp_group_keys(key(a), key(b)).is_eq())
+        .collect();
+    groups.sort_unstable_by_key(|run| run[0]);
     // Global aggregate over zero rows still yields one group.
-    if groups.is_empty() && sel.group_by.is_empty() {
-        groups.insert(RowKey(Vec::new()), 0);
+    if groups.is_empty() && k == 0 {
+        groups.push(&[]);
+    }
+
+    // Group `g`'s aggregate states are `states[g * width..][..width]`,
+    // each updated in row order, so a float SUM adds as it always has.
+    let mut states: Vec<AggState> = Vec::with_capacity(groups.len() * width);
+    for _ in &groups {
         states.extend(agg_calls.iter().map(AggState::new));
     }
-    // The group keys in first-seen order, moved out of the map.
-    let mut keys = vec![Vec::new(); groups.len()];
-    for (key, g) in groups {
-        keys[g] = key.0;
+    for (g, run) in groups.iter().enumerate() {
+        let states = &mut states[g * width..][..width];
+        'group: for &i in *run {
+            if first_err.as_ref().is_some_and(|(at, _)| *at <= i) {
+                break;
+            }
+            for (state, call) in states.iter_mut().zip(&calls) {
+                if let Err(e) = state.update(call.expr, &call.env(&rows[i])) {
+                    first_err = Some((i, e));
+                    break 'group;
+                }
+            }
+        }
+    }
+    if let Some((_, e)) = first_err {
+        return Err(e);
     }
 
     let items = expand_projection(sel, bindings)?;
@@ -1332,7 +1426,7 @@ fn exec_aggregate(
 
     let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
     let mut agg_values: Vec<Value> = Vec::with_capacity(width);
-    for (g, key_vals) in keys.iter().enumerate() {
+    for (g, run) in groups.iter().enumerate() {
         agg_values.clear();
         for state in &states[g * width..][..width] {
             agg_values.push(state.finalize()?);
@@ -1341,7 +1435,7 @@ fn exec_aggregate(
             sel,
             agg_calls: &agg_calls,
             agg_values: &agg_values,
-            key_vals,
+            key_vals: run.first().map_or(&[], |&i| key(i)),
         };
         if let Some(h) = &sel.having {
             if !truthy(&agg_env.eval(h)?) {
@@ -1751,5 +1845,92 @@ mod tests {
         assert_eq!(rows.len(), 3);
         // The table kept its version: the copy went to the caller.
         assert_eq!(*cdw.execute("SELECT * FROM T").unwrap().rows, rows);
+    }
+
+    #[test]
+    fn a_null_safe_join_seeks_the_nulls_and_answers_as_the_nested_loop() {
+        let engines = [true, false].map(|planner| {
+            let cdw = Cdw::with_config(
+                crate::engine::CdwConfig {
+                    planner,
+                    ..Default::default()
+                },
+                None,
+            );
+            for sql in [
+                "CREATE TABLE L (A VARCHAR(4), B INTEGER)",
+                "INSERT INTO L VALUES ('x', 1), (NULL, 2), ('y', 3), (NULL, 4)",
+                "CREATE TABLE R (K VARCHAR(4), V INTEGER, PRIMARY KEY (K))",
+                "INSERT INTO R VALUES (NULL, 10), ('x', 20), (NULL, 30), ('z', 40)",
+            ] {
+                cdw.execute(sql).unwrap();
+            }
+            cdw
+        });
+        let sql =
+            "SELECT L.B, R.V FROM L LEFT JOIN R ON (L.A = R.K) OR (L.A IS NULL AND R.K IS NULL)";
+        let [planned, nested] = engines.map(|cdw| {
+            let before = cdw.plan_stats();
+            let rows = cdw.execute(sql).unwrap().into_rows();
+            (rows, cdw.plan_stats().index_seeks - before.index_seeks)
+        });
+        let int = Value::Int;
+        assert_eq!(
+            planned.0,
+            vec![
+                vec![int(1), int(20)],
+                vec![int(2), int(10)],
+                vec![int(2), int(30)],
+                vec![int(3), Value::Null],
+                vec![int(4), int(10)],
+                vec![int(4), int(30)],
+            ]
+        );
+        assert_eq!(planned.0, nested.0);
+        assert_eq!(
+            (planned.1, nested.1),
+            (1, 0),
+            "a lookup join, then a nested loop"
+        );
+    }
+
+    #[test]
+    fn a_grouped_statement_fails_on_its_first_error_in_row_order() {
+        let cdw = Cdw::new();
+        for sql in [
+            "CREATE TABLE G (S VARCHAR(4), N BIGINT)",
+            // Row 1 overflows its group's SUM; row 2's key does not cast.
+            "INSERT INTO G VALUES ('1', 9223372036854775807), ('1', 1), ('x', 0)",
+        ] {
+            cdw.execute(sql).unwrap();
+        }
+        let err = cdw
+            .execute("SELECT SUM(N) FROM G GROUP BY CAST(S AS INTEGER)")
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CdwError::BulkAbort {
+                    cause: Cause::Overflow,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        // With the overflow gone, the key that does not cast fails.
+        cdw.execute("DELETE FROM G WHERE N = 1").unwrap();
+        let err = cdw
+            .execute("SELECT SUM(N) FROM G GROUP BY CAST(S AS INTEGER)")
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CdwError::BulkAbort {
+                    cause: Cause::Value,
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 }

@@ -12,6 +12,7 @@
 //! paper is built around) duplicate keys legitimately land in the table. Enforcement lives in the executor.
 
 use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -21,9 +22,38 @@ use crate::key::cmp_rows;
 
 /// A tuple of values ordered by [`cmp_rows`] (NULL first, numerics
 /// cross-type, then by tuple length — so prefixes sort before their
-/// extensions).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexKey(pub Vec<Value>);
+/// extensions). A one-column key holds its value inline, so an entry of a
+/// one-column index allocates nothing of its own.
+#[derive(Debug, Clone)]
+pub enum IndexKey {
+    /// A one-value tuple.
+    One(Value),
+    /// Any other tuple (a wider key, or a shorter seek prefix).
+    Many(Box<[Value]>),
+}
+
+impl IndexKey {
+    fn from_vec(values: Vec<Value>) -> IndexKey {
+        match <[Value; 1]>::try_from(values) {
+            Ok([v]) => IndexKey::One(v),
+            Err(values) => IndexKey::Many(values.into_boxed_slice()),
+        }
+    }
+
+    /// The tuple's values.
+    pub fn values(&self) -> &[Value] {
+        match self {
+            IndexKey::One(v) => std::slice::from_ref(v),
+            IndexKey::Many(vs) => vs,
+        }
+    }
+}
+
+impl PartialEq for IndexKey {
+    fn eq(&self, other: &IndexKey) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
 
 impl Eq for IndexKey {}
 
@@ -35,7 +65,31 @@ impl PartialOrd for IndexKey {
 
 impl Ord for IndexKey {
     fn cmp(&self, other: &IndexKey) -> Ordering {
-        cmp_rows(&self.0, &other.0)
+        cmp_rows(self.values(), other.values())
+    }
+}
+
+/// The rows holding one key: a key held by one row (every key of a
+/// unique index) keeps its rowid inline; only a repeated key has a list.
+#[derive(Debug, Clone)]
+enum RowIds {
+    One(usize),
+    Many(Vec<usize>),
+}
+
+impl RowIds {
+    fn push(&mut self, rowid: usize) {
+        match self {
+            RowIds::One(first) => *self = RowIds::Many(vec![*first, rowid]),
+            RowIds::Many(rowids) => rowids.push(rowid),
+        }
+    }
+
+    fn as_slice(&self) -> &[usize] {
+        match self {
+            RowIds::One(rowid) => std::slice::from_ref(rowid),
+            RowIds::Many(rowids) => rowids,
+        }
     }
 }
 
@@ -53,7 +107,7 @@ pub struct SeekBound {
 pub struct OrderedIndex {
     /// Indexed column positions, in key order.
     pub columns: Vec<usize>,
-    map: BTreeMap<IndexKey, Vec<usize>>,
+    map: BTreeMap<IndexKey, RowIds>,
     entries: usize,
 }
 
@@ -72,6 +126,14 @@ impl OrderedIndex {
         self.columns.iter().map(|&c| row[c].clone()).collect()
     }
 
+    /// The key of `row` as the index stores it.
+    fn index_key(&self, row: &[Value]) -> IndexKey {
+        match self.columns[..] {
+            [c] => IndexKey::One(row[c].clone()),
+            _ => IndexKey::Many(self.columns.iter().map(|&c| row[c].clone()).collect()),
+        }
+    }
+
     /// Number of (key, rowid) entries.
     pub fn len(&self) -> usize {
         self.entries
@@ -85,8 +147,12 @@ impl OrderedIndex {
     /// Insert `rowid` under the key of `row`. Returns the number of index
     /// maintenance operations performed (always 1).
     pub fn insert_row(&mut self, row: &[Value], rowid: usize) -> usize {
-        let key = IndexKey(self.key_of(row));
-        self.map.entry(key).or_default().push(rowid);
+        match self.map.entry(self.index_key(row)) {
+            Entry::Vacant(e) => {
+                e.insert(RowIds::One(rowid));
+            }
+            Entry::Occupied(mut e) => e.get_mut().push(rowid),
+        }
         self.entries += 1;
         1
     }
@@ -108,14 +174,14 @@ impl OrderedIndex {
         let mut keyed: Vec<(IndexKey, usize)> = new
             .iter()
             .enumerate()
-            .map(|(i, row)| (IndexKey(self.key_of(row)), start + i))
+            .map(|(i, row)| (self.index_key(row), start + i))
             .collect();
         keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut groups: Vec<(IndexKey, Vec<usize>)> = Vec::new();
+        let mut groups: Vec<(IndexKey, RowIds)> = Vec::with_capacity(keyed.len());
         for (key, rowid) in keyed {
             match groups.last_mut() {
-                Some((last, rowids)) if IndexKey::cmp(last, &key).is_eq() => rowids.push(rowid),
-                _ => groups.push((key, vec![rowid])),
+                Some((last, rowids)) if *last == key => rowids.push(rowid),
+                _ => groups.push((key, RowIds::One(rowid))),
             }
         }
         self.map = groups.into_iter().collect();
@@ -133,7 +199,7 @@ impl OrderedIndex {
 
     /// Whether any row carries exactly `key` (full-width key).
     pub fn contains_key(&self, key: &[Value]) -> bool {
-        self.map.contains_key(&IndexKey(key.to_vec()))
+        self.map.contains_key(&IndexKey::from_vec(key.to_vec()))
     }
 
     /// Row ids whose first `prefix.len()` key columns equal `prefix`,
@@ -168,14 +234,15 @@ impl OrderedIndex {
         let mut out = Vec::new();
         for (key, rowids) in self
             .map
-            .range((Bound::Included(IndexKey(start)), Bound::Unbounded))
+            .range((Bound::Included(IndexKey::from_vec(start)), Bound::Unbounded))
         {
             // Stop as soon as the equality prefix diverges (keys are sorted).
-            if key.0.len() < p || cmp_rows(&key.0[..p], prefix) != Ordering::Equal {
+            let key = key.values();
+            if key.len() < p || cmp_rows(&key[..p], prefix) != Ordering::Equal {
                 break;
             }
             if ranged {
-                let Some(v) = key.0.get(p) else { continue };
+                let Some(v) = key.get(p) else { continue };
                 if v.is_null() {
                     // NULL sorts first within the prefix group; skip, a
                     // later key may still be in range.
@@ -196,14 +263,14 @@ impl OrderedIndex {
                     }
                 }
             }
-            out.extend_from_slice(rowids);
+            out.extend_from_slice(rowids.as_slice());
         }
         out
     }
 
     /// Every (key, rowids) entry in key order — consistency checks only.
     pub fn entries(&self) -> impl Iterator<Item = (&[Value], &[usize])> {
-        self.map.iter().map(|(k, v)| (k.0.as_slice(), v.as_slice()))
+        self.map.iter().map(|(k, v)| (k.values(), v.as_slice()))
     }
 }
 

@@ -4,14 +4,22 @@
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 
-use etlv_protocol::data::Value;
+use etlv_protocol::data::{Decimal, Value};
 
-/// A totally-ordered, hashable key over a tuple of values.
+/// A hashable key over a tuple of values.
 ///
-/// NULLs compare equal to each other and sort first; floats hash by bit
-/// pattern (NaN never appears — the evaluator rejects NaN results).
-#[derive(Debug, Clone, PartialEq)]
+/// Two keys are equal when [`cmp_group_keys`] holds them equal, which is
+/// when they hash alike: NULLs equal each other, values of two types never
+/// do, floats are equal when their bits are and decimals when their
+/// values are.
+#[derive(Debug, Clone)]
 pub struct RowKey(pub Vec<Value>);
+
+impl PartialEq for RowKey {
+    fn eq(&self, other: &RowKey) -> bool {
+        cmp_group_keys(&self.0, &other.0).is_eq()
+    }
+}
 
 impl Eq for RowKey {}
 
@@ -24,44 +32,76 @@ impl Hash for RowKey {
 }
 
 fn hash_value<H: Hasher>(v: &Value, state: &mut H) {
+    type_tag(v).hash(state);
     match v {
-        Value::Null => 0u8.hash(state),
-        Value::Int(x) => {
-            1u8.hash(state);
-            x.hash(state);
+        Value::Null => {}
+        Value::Int(x) => x.hash(state),
+        Value::Float(f) => f.to_bits().hash(state),
+        // Normalized so 1.5 and 1.50 hash identically (they compare
+        // equal).
+        Value::Decimal(d) => normalized(*d).hash(state),
+        Value::Str(s) => s.hash(state),
+        Value::Bytes(b) => b.hash(state),
+        Value::Date(d) => d.to_legacy_int().hash(state),
+        Value::Timestamp(ts) => ts.micros().hash(state),
+    }
+}
+
+/// A decimal as `(unscaled, scale)` with the trailing zeros of its
+/// unscaled value stripped: two decimals are equal exactly when their
+/// normalized forms are.
+fn normalized(d: Decimal) -> (i128, u8) {
+    let (mut unscaled, mut scale) = (d.unscaled(), d.scale());
+    while scale > 0 && unscaled % 10 == 0 {
+        unscaled /= 10;
+        scale -= 1;
+    }
+    (unscaled, scale)
+}
+
+/// The order GROUP BY sorts its keys in, and [`RowKey`]'s equality. It is
+/// not a value order: it holds two keys equal exactly when they hash
+/// alike, so sorting and taking runs of equal keys finds the groups a
+/// hash map of [`RowKey`]s does.
+///
+/// Values compare by type first, so an INTEGER 2 and a FLOAT 2.0 stay
+/// two groups while NULLs group together; floats compare by the total
+/// order of their bits, so -0.0 and 0.0 stay two groups, as their hashes
+/// do; and decimals compare by their exact value (not through `f64`, as
+/// [`cmp_values`] does).
+pub fn cmp_group_keys(a: &[Value], b: &[Value]) -> Ordering {
+    use Value::*;
+    for (x, y) in a.iter().zip(b) {
+        let ord = match (x, y) {
+            (Int(x), Int(y)) => x.cmp(y),
+            (Float(x), Float(y)) => x.total_cmp(y),
+            (Decimal(x), Decimal(y)) => normalized(*x).cmp(&normalized(*y)),
+            (Str(x), Str(y)) => x.cmp(y),
+            (Bytes(x), Bytes(y)) => x.cmp(y),
+            (Date(x), Date(y)) => x.cmp(y),
+            (Timestamp(x), Timestamp(y)) => x.cmp(y),
+            // NULLs, and values of two types.
+            _ => type_tag(x).cmp(&type_tag(y)),
+        };
+        if ord.is_ne() {
+            return ord;
         }
-        Value::Float(f) => {
-            2u8.hash(state);
-            f.to_bits().hash(state);
-        }
-        Value::Decimal(d) => {
-            // Normalize so 1.5 and 1.50 hash identically (they compare
-            // equal): strip trailing zeros from the unscaled value.
-            let (mut unscaled, mut scale) = (d.unscaled(), d.scale());
-            while scale > 0 && unscaled % 10 == 0 {
-                unscaled /= 10;
-                scale -= 1;
-            }
-            3u8.hash(state);
-            unscaled.hash(state);
-            scale.hash(state);
-        }
-        Value::Str(s) => {
-            4u8.hash(state);
-            s.hash(state);
-        }
-        Value::Bytes(b) => {
-            5u8.hash(state);
-            b.hash(state);
-        }
-        Value::Date(d) => {
-            6u8.hash(state);
-            d.to_legacy_int().hash(state);
-        }
-        Value::Timestamp(ts) => {
-            7u8.hash(state);
-            ts.micros().hash(state);
-        }
+    }
+    a.len().cmp(&b.len())
+}
+
+/// Each type apart, unlike [`type_rank`]: the tag a key hashes and
+/// compares first.
+fn type_tag(v: &Value) -> u8 {
+    match v {
+        Value::Null => 0,
+        Value::Int(_) => 1,
+        Value::Float(_) => 2,
+        Value::Decimal(_) => 3,
+        Value::Str(_) => 4,
+        Value::Bytes(_) => 5,
+        Value::Date(_) => 6,
+        Value::Timestamp(_) => 7,
     }
 }
 
@@ -123,7 +163,7 @@ pub fn cmp_rows(a: &[Value], b: &[Value]) -> Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etlv_protocol::data::{Date, Decimal};
+    use etlv_protocol::data::Date;
     use std::collections::HashMap;
 
     #[test]

@@ -404,9 +404,52 @@ pub fn choose_access(
 /// key expressions evaluated per left row.
 #[derive(Debug, Clone)]
 pub struct JoinPlan {
-    /// `(left-side key expression, right column)` pairs, ordered to match
-    /// the key prefix.
-    pub keys: Vec<(Expr, usize)>,
+    /// The probes, ordered to match the key prefix.
+    pub keys: Vec<JoinKey>,
+}
+
+/// One probe of a [`JoinPlan`].
+#[derive(Debug, Clone)]
+pub struct JoinKey {
+    /// The left-side key expression.
+    pub expr: Expr,
+    /// The right column it probes.
+    pub column: usize,
+    /// Whether a NULL probe matches the NULLs of the column (the conjunct
+    /// is [`null_safe_eq`]'s form) instead of matching nothing.
+    pub null_safe: bool,
+}
+
+/// The equality of a null-safe conjunct `(a = b) OR (a IS NULL AND b IS
+/// NULL)`: true when both sides are equal or both are NULL. The
+/// uniqueness emulation matches a nullable key this way.
+pub fn null_safe_eq(conjunct: &Expr) -> Option<&Expr> {
+    let Expr::Binary {
+        left: eq,
+        op: BinaryOp::Or,
+        right: both_null,
+    } = conjunct
+    else {
+        return None;
+    };
+    let (
+        Expr::Binary {
+            left: a,
+            op: BinaryOp::Eq,
+            right: b,
+        },
+        Expr::Binary {
+            left: a_null,
+            op: BinaryOp::And,
+            right: b_null,
+        },
+    ) = (&**eq, &**both_null)
+    else {
+        return None;
+    };
+    let is_null_of =
+        |e: &Expr, of: &Expr| matches!(e, Expr::IsNull { expr, negated: false } if **expr == *of);
+    (is_null_of(a_null, a) && is_null_of(b_null, b)).then_some(&**eq)
 }
 
 /// Whether every column reference in `e` resolves strictly into the left
@@ -429,9 +472,10 @@ fn refs_only_left(
 }
 
 /// Plan an equi-join against `right`'s key index. Strict by design: every
-/// ON conjunct must be `left-expr = right-column` (either orientation) and
-/// the probed columns must exactly form a prefix of the key — anything
-/// else nested-loops, so evaluation-order semantics never change.
+/// ON conjunct must be `left-expr = right-column` (either orientation),
+/// or that equality made null-safe ([`null_safe_eq`]), and the probed
+/// columns must exactly form a prefix of the key — anything else
+/// nested-loops, so evaluation-order semantics never change.
 /// `resolve` works over the combined (left + right) bindings; right-table
 /// columns map to `left_len + column_position`.
 pub fn plan_equi_join(
@@ -442,14 +486,18 @@ pub fn plan_equi_join(
 ) -> Option<JoinPlan> {
     let mut conjuncts = Vec::new();
     flatten_and(on, &mut conjuncts);
-    // (right column, left key expr) per conjunct.
-    let mut pairs: Vec<(usize, Expr)> = Vec::new();
+    // One probe per conjunct.
+    let mut probes: Vec<JoinKey> = Vec::new();
     for c in conjuncts {
+        let (eq, null_safe) = match null_safe_eq(c) {
+            Some(eq) => (eq, true),
+            None => (c, false),
+        };
         let Expr::Binary {
             left,
             op: BinaryOp::Eq,
             right: rhs,
-        } = c
+        } = eq
         else {
             return None;
         };
@@ -466,30 +514,34 @@ pub fn plan_equi_join(
             }
             Some((i - left_len, expr_side.clone()))
         };
-        let pair = try_orient(rhs, left).or_else(|| try_orient(left, rhs))?;
+        let (column, expr) = try_orient(rhs, left).or_else(|| try_orient(left, rhs))?;
         // Duplicate probes on one right column: bail, keep exact nested
         // semantics.
-        if pairs.iter().any(|(rc, _)| *rc == pair.0) {
+        if probes.iter().any(|k| k.column == column) {
             return None;
         }
-        pairs.push(pair);
+        probes.push(JoinKey {
+            expr,
+            column,
+            null_safe,
+        });
     }
-    if pairs.is_empty() {
+    if probes.is_empty() {
         return None;
     }
     // The probed column set must be exactly a prefix of the key.
     let pk = right.pk.as_ref()?;
-    let prefix = pk.columns.get(..pairs.len())?;
-    let covers = prefix.iter().all(|c| pairs.iter().any(|(rc, _)| rc == c))
-        && pairs.iter().all(|(rc, _)| prefix.contains(rc));
+    let prefix = pk.columns.get(..probes.len())?;
+    let covers = prefix.iter().all(|c| probes.iter().any(|k| k.column == *c))
+        && probes.iter().all(|k| prefix.contains(&k.column));
     if !covers {
         return None;
     }
     let keys = prefix
         .iter()
         .map(|c| {
-            let (_, e) = pairs.iter().find(|(rc, _)| rc == c).expect("covered");
-            (e.clone(), *c)
+            let probe = probes.iter().find(|k| k.column == *c);
+            probe.expect("covered").clone()
         })
         .collect();
     Some(JoinPlan { keys })

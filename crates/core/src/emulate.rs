@@ -18,6 +18,11 @@
 //! values convert — the legacy system evaluates a row's values before it
 //! checks the row's key.
 //!
+//! Keys match as the legacy system's native enforcement matches them: a
+//! NULL in a nullable key column equals another NULL there. Such a column
+//! joins on `(k = T.k) OR (k IS NULL AND T.k IS NULL)`, which the CDW
+//! plans as the same index lookup as `=`; a NOT NULL column joins on `=`.
+//!
 //! The probes evaluate the DML's key projections, so a bad key value can
 //! abort them too. The caller then runs the DML, whose own abort names the
 //! failing row and its first failing value.
@@ -28,7 +33,9 @@ use etlv_cdw::error::CdwError;
 use etlv_cdw::{Cdw, Column, RowKey};
 use etlv_protocol::data::Value;
 use etlv_protocol::errcode::Cause;
-use etlv_sql::ast::{BinaryOp, Expr, JoinKind, ObjectName, SelectItem, SelectStmt, Stmt, TableRef};
+use etlv_sql::ast::{
+    BinaryOp, Expr, JoinKind, Literal, ObjectName, SelectItem, SelectStmt, Stmt, TableRef,
+};
 use etlv_sql::transform::map_expr;
 
 use crate::xcompile::{CompiledDml, DmlKind, SEQ_COL};
@@ -48,6 +55,8 @@ pub struct UniqueEmulation {
     /// Transformed key expressions over staging columns, qualified with
     /// the staging alias (for join queries).
     key_exprs: Vec<Expr>,
+    /// The join condition matching a staged row's key to the target's.
+    on: Expr,
     /// Staging table name.
     staging: String,
     /// The DML's values, qualified with the staging alias.
@@ -88,16 +97,40 @@ pub fn plan(cdw: &Cdw, compiled: &CompiledDml) -> Result<Option<UniqueEmulation>
         .map(qualify_staging_columns)
         .collect();
     let mut key_exprs = Vec::with_capacity(unique_cols.len());
+    let mut on: Option<Expr> = None;
     for ucol in &unique_cols {
         let col = schema
             .iter()
-            .position(|c| c.name.eq_ignore_ascii_case(ucol));
-        let Some(pos) = col.and_then(value_of) else {
-            // The insert never touches the key column: every inserted row
-            // has a NULL key; uniqueness over NULLs is not enforced.
-            return Ok(None);
+            .position(|c| c.name.eq_ignore_ascii_case(ucol))
+            .expect("a unique column is a column");
+        let key = match value_of(col) {
+            Some(pos) => values[pos].clone(),
+            // The insert never sets a nullable key column: every row's
+            // key is NULL there, and NULLs collide.
+            None if !schema[col].not_null => Expr::Literal(Literal::Null),
+            // Nor a NOT NULL one: every row fails before its key counts.
+            None => return Ok(None),
         };
-        key_exprs.push(values[pos].clone());
+        let eq = Expr::binary(key.clone(), BinaryOp::Eq, target_col(ucol));
+        let eq = if schema[col].not_null {
+            eq
+        } else {
+            let is_null = |e: Expr| Expr::IsNull {
+                expr: Box::new(e),
+                negated: false,
+            };
+            let both_null = Expr::binary(
+                is_null(key.clone()),
+                BinaryOp::And,
+                is_null(target_col(ucol)),
+            );
+            Expr::binary(eq, BinaryOp::Or, both_null)
+        };
+        on = Some(match on {
+            Some(prev) => Expr::binary(prev, BinaryOp::And, eq),
+            None => eq,
+        });
+        key_exprs.push(key);
     }
     let columns = (0..schema.len())
         .map(value_of)
@@ -107,6 +140,7 @@ pub fn plan(cdw: &Cdw, compiled: &CompiledDml) -> Result<Option<UniqueEmulation>
         target: compiled.target.clone(),
         target_key_cols: unique_cols,
         key_exprs,
+        on: on.expect("a unique constraint has a column"),
         staging: compiled.staging_table.clone(),
         values,
         columns,
@@ -190,25 +224,36 @@ impl UniqueEmulation {
             return Ok(Vec::new());
         }
         // One row per staged row (one per match, should the target hold
-        // a key twice): its __SEQ, the matching target key or NULL, and
+        // a key twice): its __SEQ, the matching target key or NULLs, and
         // its key.
-        let items = [staged_seq(), target_col(&self.target_key_cols[0])];
-        let items = items.into_iter().chain(self.key_exprs.iter().cloned());
+        let width = self.target_key_cols.len();
+        let items = std::iter::once(staged_seq())
+            .chain(self.target_key_cols.iter().map(|c| target_col(c)))
+            .chain(self.key_exprs.iter().cloned());
         let listing = self.join_target(lo, hi, items.map(item).collect(), JoinKind::Left);
         let mut seqs = Vec::new();
+        // A match shows a non-NULL target key, except a match of an
+        // all-NULL key, which looks like no match: those rows match if
+        // the count found more matches than the listing shows.
+        let mut shown = 0;
+        let mut null_keys = Vec::new();
         let mut groups: HashMap<RowKey, Vec<u64>> = HashMap::new();
         let mut last = None;
         for mut row in cdw.execute_stmt(&listing)?.into_rows() {
             let seq = seq_of(&row)?;
-            if !row[1].is_null() {
+            let key = row.split_off(1 + width);
+            if row[1..].iter().any(|v| !v.is_null()) {
                 seqs.push(seq);
+                shown += 1;
+            } else if key.iter().all(Value::is_null) {
+                null_keys.push(seq);
             }
             if last.replace(seq) != Some(seq) {
-                groups
-                    .entry(RowKey(row.split_off(2)))
-                    .or_default()
-                    .push(seq);
+                groups.entry(RowKey(key)).or_default().push(seq);
             }
+        }
+        if existing > shown {
+            seqs.extend(null_keys);
         }
         for mut group in groups.into_values() {
             group.sort_unstable();
@@ -236,14 +281,6 @@ impl UniqueEmulation {
     /// `SELECT items FROM stg S <kind> JOIN target T ON key(S) = T.key
     /// WHERE range`
     fn join_target(&self, lo: u64, hi: u64, items: Vec<SelectItem>, kind: JoinKind) -> Stmt {
-        let mut on: Option<Expr> = None;
-        for (expr, col) in self.key_exprs.iter().zip(&self.target_key_cols) {
-            let eq = Expr::binary(expr.clone(), BinaryOp::Eq, target_col(col));
-            on = Some(match on {
-                Some(prev) => Expr::binary(prev, BinaryOp::And, eq),
-                None => eq,
-            });
-        }
         let mut sel = SelectStmt::new(items);
         sel.from = Some(TableRef::Join {
             left: Box::new(TableRef::Named {
@@ -255,7 +292,7 @@ impl UniqueEmulation {
                 alias: Some(TGT_ALIAS.into()),
             }),
             kind,
-            on: Box::new(on.expect("at least one key column")),
+            on: Box::new(self.on.clone()),
         });
         sel.selection = Some(range_filter_qualified(lo, hi));
         Stmt::Select(sel)

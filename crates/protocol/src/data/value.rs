@@ -1,5 +1,6 @@
 //! The legacy value model: a dynamically-typed datum plus coercion rules.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use super::{Date, DateParseError, Decimal, DecimalError, LegacyType, Timestamp};
@@ -44,6 +45,114 @@ impl From<DecimalError> for ValueError {
     fn from(e: DecimalError) -> ValueError {
         err(e.cause, e.to_string())
     }
+}
+
+/// The one rule for coercing text to `ty`: what
+/// `Value::Str(text.into()).coerce_to(ty)` returns, allocating only for
+/// character data. COPY hands each staged field through it as it decodes,
+/// so a number, date or timestamp is parsed straight from the staged
+/// bytes.
+pub fn coerce_text(text: &str, ty: LegacyType) -> Result<Value, ValueError> {
+    coerce_str(Cow::Borrowed(text), ty)
+}
+
+/// [`coerce_text`] over text that may already be owned: character data
+/// that fits keeps an owned string instead of copying it.
+fn coerce_str(text: Cow<'_, str>, ty: LegacyType) -> Result<Value, ValueError> {
+    match ty {
+        LegacyType::ByteInt | LegacyType::SmallInt | LegacyType::Integer | LegacyType::BigInt => {
+            let v = text.trim().parse::<i64>().map_err(|_| {
+                err(
+                    Cause::Value,
+                    format!("'{text}' is not a valid {}", int_name(ty)),
+                )
+            })?;
+            int_in_range(v, ty)
+        }
+        LegacyType::Float => Ok(Value::Float(parse_float(&text)?)),
+        LegacyType::Decimal(p, s) => fit_decimal(Decimal::parse(&text)?, p, s),
+        LegacyType::Char(_) | LegacyType::VarChar(_) | LegacyType::VarCharUnicode(_) => {
+            fit_text(text, ty)
+        }
+        LegacyType::Date => Ok(Value::Date(Date::parse_iso(&text)?)),
+        LegacyType::Timestamp => Ok(Value::Timestamp(Timestamp::parse(&text)?)),
+        LegacyType::VarByte(_) => Err(err(Cause::Value, "cannot cast VARCHAR to VARBYTE")),
+    }
+}
+
+/// The SQL name of an integer type.
+fn int_name(ty: LegacyType) -> &'static str {
+    match ty {
+        LegacyType::ByteInt => "BYTEINT",
+        LegacyType::SmallInt => "SMALLINT",
+        LegacyType::Integer => "INTEGER",
+        _ => "BIGINT",
+    }
+}
+
+/// The inclusive range of an integer type.
+fn int_range(ty: LegacyType) -> (i64, i64) {
+    match ty {
+        LegacyType::ByteInt => (i8::MIN as i64, i8::MAX as i64),
+        LegacyType::SmallInt => (i16::MIN as i64, i16::MAX as i64),
+        LegacyType::Integer => (i32::MIN as i64, i32::MAX as i64),
+        _ => (i64::MIN, i64::MAX),
+    }
+}
+
+/// `v` as a value of the integer type `ty`, if it is in range.
+fn int_in_range(v: i64, ty: LegacyType) -> Result<Value, ValueError> {
+    let (min, max) = int_range(ty);
+    if v < min || v > max {
+        return Err(err(
+            Cause::Overflow,
+            format!("{v} out of range for {}", int_name(ty)),
+        ));
+    }
+    Ok(Value::Int(v))
+}
+
+/// Text as a FLOAT.
+fn parse_float(text: &str) -> Result<f64, ValueError> {
+    text.trim()
+        .parse::<f64>()
+        .map_err(|_| err(Cause::Value, format!("'{text}' is not a valid FLOAT")))
+}
+
+/// `d` rescaled to `DECIMAL(p, s)`, if it fits.
+fn fit_decimal(d: Decimal, p: u8, s: u8) -> Result<Value, ValueError> {
+    let d = d
+        .rescale(s)
+        .map_err(|e| err(e.cause, format!("cannot fit in DECIMAL({p},{s}): {e}")))?;
+    if !d.fits(p, s) {
+        return Err(err(
+            Cause::Overflow,
+            format!("value {d} exceeds DECIMAL({p},{s})"),
+        ));
+    }
+    Ok(Value::Decimal(d))
+}
+
+/// Text as a value of the character type `ty`, if it fits: CHAR is space
+/// padded to its declared width, VARCHAR kept as it is.
+fn fit_text(text: Cow<'_, str>, ty: LegacyType) -> Result<Value, ValueError> {
+    let (n, name) = match ty {
+        LegacyType::Char(n) => (n, "CHAR"),
+        LegacyType::VarChar(n) | LegacyType::VarCharUnicode(n) => (n, "VARCHAR"),
+        other => unreachable!("{other} is not character data"),
+    };
+    let n = n as usize;
+    if text.len() > n {
+        return Err(err(
+            Cause::Length,
+            format!("string length {} exceeds {name}({n})", text.len()),
+        ));
+    }
+    let mut s = text.into_owned();
+    if let LegacyType::Char(_) = ty {
+        s.extend(std::iter::repeat_n(' ', n - s.len()));
+    }
+    Ok(Value::Str(s))
 }
 
 /// A dynamically-typed datum in the legacy data model.
@@ -95,60 +204,53 @@ impl Value {
     /// implicit-cast rules (numeric widening/narrowing with range checks,
     /// string truncation checks, text→date via ISO format). The value is
     /// consumed: a string or byte string that already fits is moved, not
-    /// copied.
+    /// copied. Text follows [`coerce_text`], the one rule for it.
     pub fn coerce_to(self, ty: LegacyType) -> Result<Value, ValueError> {
-        if self.is_null() {
-            return Ok(Value::Null);
+        match self {
+            Value::Null => Ok(Value::Null),
+            Value::Str(s) => coerce_str(Cow::Owned(s), ty),
+            typed => typed.coerce_typed(ty),
         }
+    }
+
+    /// [`coerce_to`](Self::coerce_to) for a value that is neither NULL
+    /// nor text.
+    fn coerce_typed(self, ty: LegacyType) -> Result<Value, ValueError> {
         match ty {
-            LegacyType::ByteInt => self.to_int_ranged(i8::MIN as i64, i8::MAX as i64, "BYTEINT"),
-            LegacyType::SmallInt => {
-                self.to_int_ranged(i16::MIN as i64, i16::MAX as i64, "SMALLINT")
+            LegacyType::ByteInt
+            | LegacyType::SmallInt
+            | LegacyType::Integer
+            | LegacyType::BigInt => {
+                let tyname = int_name(ty);
+                let v = match self {
+                    Value::Int(v) => v,
+                    Value::Float(f) => {
+                        let (min, max) = int_range(ty);
+                        if f.fract() != 0.0 || f < min as f64 || f > max as f64 {
+                            return Err(err(
+                                Cause::Value,
+                                format!("float {f} not representable as {tyname}"),
+                            ));
+                        }
+                        f as i64
+                    }
+                    Value::Decimal(d) => d.to_i64_exact().ok_or_else(|| {
+                        err(
+                            Cause::Value,
+                            format!("decimal {d} not integral for {tyname}"),
+                        )
+                    })?,
+                    other => return Err(cannot_cast(Cause::Value, &other, tyname)),
+                };
+                int_in_range(v, ty)
             }
-            LegacyType::Integer => self.to_int_ranged(i32::MIN as i64, i32::MAX as i64, "INTEGER"),
-            LegacyType::BigInt => self.to_int_ranged(i64::MIN, i64::MAX, "BIGINT"),
             LegacyType::Float => Ok(Value::Float(self.to_f64()?)),
-            LegacyType::Decimal(p, s) => {
-                let d = self.to_decimal()?;
-                let d = d
-                    .rescale(s)
-                    .map_err(|e| err(e.cause, format!("cannot fit in DECIMAL({p},{s}): {e}")))?;
-                if !d.fits(p, s) {
-                    return Err(err(
-                        Cause::Overflow,
-                        format!("value {d} exceeds DECIMAL({p},{s})"),
-                    ));
-                }
-                Ok(Value::Decimal(d))
-            }
-            LegacyType::Char(n) => {
-                let s = self.into_text();
-                if s.len() > n as usize {
-                    return Err(err(
-                        Cause::Length,
-                        format!("string length {} exceeds CHAR({n})", s.len()),
-                    ));
-                }
-                // CHAR is space padded to its declared width.
-                let mut padded = s;
-                while padded.len() < n as usize {
-                    padded.push(' ');
-                }
-                Ok(Value::Str(padded))
-            }
-            LegacyType::VarChar(n) | LegacyType::VarCharUnicode(n) => {
-                let s = self.into_text();
-                if s.len() > n as usize {
-                    return Err(err(
-                        Cause::Length,
-                        format!("string length {} exceeds VARCHAR({n})", s.len()),
-                    ));
-                }
-                Ok(Value::Str(s))
+            LegacyType::Decimal(p, s) => fit_decimal(self.to_decimal()?, p, s),
+            LegacyType::Char(_) | LegacyType::VarChar(_) | LegacyType::VarCharUnicode(_) => {
+                fit_text(Cow::Owned(self.display_text()), ty)
             }
             LegacyType::Date => match self {
                 Value::Date(d) => Ok(Value::Date(d)),
-                Value::Str(s) => Ok(Value::Date(Date::parse_iso(&s)?)),
                 Value::Int(v) => {
                     let v32 = i32::try_from(v)
                         .map_err(|_| err(Cause::Date, "integer out of DATE range"))?;
@@ -159,7 +261,6 @@ impl Value {
             LegacyType::Timestamp => match self {
                 Value::Timestamp(ts) => Ok(Value::Timestamp(ts)),
                 Value::Date(d) => Ok(Value::Timestamp(Timestamp::from_date(d))),
-                Value::Str(s) => Ok(Value::Timestamp(Timestamp::parse(&s)?)),
                 other => Err(cannot_cast(Cause::Value, &other, "TIMESTAMP")),
             },
             LegacyType::VarByte(n) => match self {
@@ -177,49 +278,13 @@ impl Value {
         }
     }
 
-    fn to_int_ranged(&self, min: i64, max: i64, tyname: &str) -> Result<Value, ValueError> {
-        let v = match self {
-            Value::Int(v) => *v,
-            Value::Float(f) => {
-                if f.fract() != 0.0 || *f < min as f64 || *f > max as f64 {
-                    return Err(err(
-                        Cause::Value,
-                        format!("float {f} not representable as {tyname}"),
-                    ));
-                }
-                *f as i64
-            }
-            Value::Decimal(d) => d.to_i64_exact().ok_or_else(|| {
-                err(
-                    Cause::Value,
-                    format!("decimal {d} not integral for {tyname}"),
-                )
-            })?,
-            Value::Str(s) => s
-                .trim()
-                .parse::<i64>()
-                .map_err(|_| err(Cause::Value, format!("'{s}' is not a valid {tyname}")))?,
-            other => return Err(cannot_cast(Cause::Value, other, tyname)),
-        };
-        if v < min || v > max {
-            return Err(err(
-                Cause::Overflow,
-                format!("{v} out of range for {tyname}"),
-            ));
-        }
-        Ok(Value::Int(v))
-    }
-
     /// Numeric value as `f64` (errors for non-numeric types).
     pub fn to_f64(&self) -> Result<f64, ValueError> {
         match self {
             Value::Int(v) => Ok(*v as f64),
             Value::Float(f) => Ok(*f),
             Value::Decimal(d) => Ok(d.to_f64()),
-            Value::Str(s) => s
-                .trim()
-                .parse::<f64>()
-                .map_err(|_| err(Cause::Value, format!("'{s}' is not a valid FLOAT"))),
+            Value::Str(s) => parse_float(s),
             other => Err(cannot_cast(Cause::Value, other, "FLOAT")),
         }
     }
@@ -232,15 +297,6 @@ impl Value {
             Value::Str(s) => Ok(Decimal::parse(s)?),
             Value::Float(f) => Ok(Decimal::parse(&format!("{f}"))?),
             other => Err(cannot_cast(Cause::Value, other, "DECIMAL")),
-        }
-    }
-
-    /// Text rendering used when coercing to character types: a string is
-    /// moved, anything else rendered by [`Value::display_text`].
-    fn into_text(self) -> String {
-        match self {
-            Value::Str(s) => s,
-            other => other.display_text(),
         }
     }
 

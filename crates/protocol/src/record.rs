@@ -60,10 +60,10 @@ pub fn encode_rows_into(
                 encode_record(layout, row, out)?;
             }
         }
-        RecordFormat::Vartext { delimiter, .. } => {
+        RecordFormat::Vartext { delimiter, quote } => {
             /// Rows encoded before the rest are sized from them.
             const SAMPLE_ROWS: usize = 8;
-            let f = VartextFormat::with_delimiter(delimiter);
+            let f = VartextFormat { delimiter, quote };
             let encode = |rows: &[Vec<Value>], out: &mut Vec<u8>| {
                 for row in rows {
                     f.encode_row(row, out);

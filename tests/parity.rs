@@ -687,3 +687,160 @@ fn qualified_star_answers_on_both_servers() {
     let v = Virtualizer::new(VirtualizerConfig::default());
     assert_eq!(run(tcp_connector(&v)), legacy);
 }
+
+/// A NULL in a nullable key column collides with another NULL there, as
+/// the legacy system's native enforcement has it: the second NULL-keyed
+/// row of a load is a UV row on both servers, and so is a later load's
+/// NULL-keyed row once the target holds one.
+#[test]
+fn null_keys_collide_in_a_nullable_key_column_on_both_servers() {
+    use etlv_protocol::data::Value;
+
+    let script = |job: &str| {
+        format!(
+            ".logon h/u,p;
+.layout L;
+.field K varchar(5);
+.field V varchar(5);
+.begin import tables PROD.NK errortables PROD.NK_ET{job} PROD.NK_UV{job};
+.dml label Go;
+insert into PROD.NK values (:K, :V);
+.import infile f format vartext '|' layout L apply Go;
+.end load
+"
+        )
+    };
+    const DDL: &str = "CREATE TABLE PROD.NK (K VARCHAR(5), V VARCHAR(5), PRIMARY KEY (K))";
+    // Load 1: rows 1 and 2 have a NULL key; load 2: row 1 has one.
+    let loads: [(&str, &[u8]); 2] = [("1", b"|a\n|b\nx|c\n"), ("2", b"|d\ny|e\n")];
+    let run = |connector: Arc<dyn Connect>| {
+        let mut session = etlv_legacy_client::Session::logon(
+            connector.as_ref(),
+            "admin",
+            "pw",
+            etlv_protocol::message::SessionRole::Control,
+            0,
+        )
+        .unwrap();
+        session.sql(DDL).unwrap();
+        session.logoff();
+        loads
+            .iter()
+            .map(|(job, data)| {
+                let JobPlan::Import(job) = compile(&parse_script(&script(job)).unwrap()).unwrap()
+                else {
+                    panic!()
+                };
+                let result = LegacyEtlClient::new(Arc::clone(&connector))
+                    .run_import_data(&job, data)
+                    .unwrap();
+                result.report.rows_applied
+            })
+            .collect::<Vec<_>>()
+    };
+    let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().into_rows();
+    let uv = |job: &str| format!("SELECT SEQNO, ERRCODE FROM PROD.NK_UV{job} ORDER BY SEQNO");
+    let target = "SELECT K, V FROM PROD.NK ORDER BY V";
+
+    let server = LegacyServer::new();
+    let legacy = run(server_connector(&server));
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    let virt = run(tcp_connector(&v));
+    assert_eq!(legacy, [2, 1]);
+    assert_eq!(virt, legacy);
+    let (int, s) = (Value::Int, |v: &str| Value::Str(v.into()));
+    assert_eq!(
+        rows(server.engine(), &uv("1")),
+        vec![vec![int(2), int(2794)]]
+    );
+    assert_eq!(
+        rows(server.engine(), &uv("2")),
+        vec![vec![int(1), int(2794)]]
+    );
+    for job in ["1", "2"] {
+        assert_eq!(rows(v.cdw(), &uv(job)), rows(server.engine(), &uv(job)));
+    }
+    assert_eq!(
+        rows(server.engine(), target),
+        vec![
+            vec![Value::Null, s("a")],
+            vec![s("x"), s("c")],
+            vec![s("y"), s("e")],
+        ]
+    );
+    assert_eq!(rows(v.cdw(), target), rows(server.engine(), target));
+}
+
+/// A vartext export whose format names a quote other than `"` writes an
+/// empty string as two of that quote and escapes that quote inside data,
+/// so the legacy client's file decodes back to the rows in that format,
+/// on both servers alike.
+#[test]
+fn export_in_a_single_quote_vartext_round_trips_on_both_servers() {
+    use etlv_protocol::data::Value;
+    use etlv_protocol::message::RecordFormat;
+    use etlv_protocol::vartext::{records, VartextFormat};
+
+    const SCRIPT: &str = ".logon h/u,p;
+.begin export sessions 2;
+.export outfile out format vartext '|';
+select K, S from PROD.QUOTED order by K;
+.end export;
+";
+    let JobPlan::Export(mut job) = compile(&parse_script(SCRIPT).unwrap()).unwrap() else {
+        panic!()
+    };
+    let format = VartextFormat {
+        delimiter: b'|',
+        quote: b'\'',
+    };
+    job.format = RecordFormat::Vartext {
+        delimiter: format.delimiter,
+        quote: format.quote,
+    };
+    let run = |connector: Arc<dyn Connect>| {
+        let mut session = etlv_legacy_client::Session::logon(
+            connector.as_ref(),
+            "admin",
+            "pw",
+            etlv_protocol::message::SessionRole::Control,
+            0,
+        )
+        .unwrap();
+        for sql in [
+            "create table PROD.QUOTED (K integer not null, S varchar(12), primary key (K))",
+            "insert into PROD.QUOTED values (1, '')",
+            "insert into PROD.QUOTED values (2, 'it''s')",
+            "insert into PROD.QUOTED values (3, '''')",
+            "insert into PROD.QUOTED values (4, NULL)",
+            "insert into PROD.QUOTED values (5, '\"\"')",
+        ] {
+            session.sql(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        }
+        session.logoff();
+        let data = LegacyEtlClient::new(connector)
+            .run_export(&job)
+            .unwrap()
+            .data;
+        let rows: Vec<Vec<Value>> = records(&data)
+            .map(|line| format.decode_line(line, Some(2)).unwrap())
+            .collect();
+        (data, rows)
+    };
+    let server = LegacyServer::new();
+    let (legacy_data, legacy) = run(server_connector(&server));
+    let s = |v: &str| Value::Str(v.into());
+    assert_eq!(
+        legacy,
+        vec![
+            vec![s("1"), s("")],
+            vec![s("2"), s("it's")],
+            vec![s("3"), s("'")],
+            vec![s("4"), Value::Null],
+            vec![s("5"), s("\"\"")],
+        ]
+    );
+    assert_eq!(legacy_data, b"1|''\n2|it\\'s\n3|\\'\n4|\n5|\"\"\n");
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    assert_eq!(run(tcp_connector(&v)), (legacy_data, legacy));
+}
