@@ -435,7 +435,7 @@ fn str_numeric(s: &str) -> Option<Num> {
     } else if let Ok(d) = Decimal::parse(t) {
         Some(Num::Dec(d))
     } else {
-        t.parse::<f64>().ok().map(Num::Float)
+        etlv_protocol::data::parse_float(t).ok().map(Num::Float)
     }
 }
 

@@ -4,7 +4,7 @@
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 
-use etlv_protocol::data::{Decimal, Value};
+use etlv_protocol::data::Value;
 
 /// A hashable key over a tuple of values.
 ///
@@ -37,26 +37,14 @@ fn hash_value<H: Hasher>(v: &Value, state: &mut H) {
         Value::Null => {}
         Value::Int(x) => x.hash(state),
         Value::Float(f) => f.to_bits().hash(state),
-        // Normalized so 1.5 and 1.50 hash identically (they compare
-        // equal).
-        Value::Decimal(d) => normalized(*d).hash(state),
+        // `Decimal`'s hash normalizes, so 1.5 and 1.50 (equal) hash
+        // identically.
+        Value::Decimal(d) => d.hash(state),
         Value::Str(s) => s.hash(state),
         Value::Bytes(b) => b.hash(state),
         Value::Date(d) => d.to_legacy_int().hash(state),
         Value::Timestamp(ts) => ts.micros().hash(state),
     }
-}
-
-/// A decimal as `(unscaled, scale)` with the trailing zeros of its
-/// unscaled value stripped: two decimals are equal exactly when their
-/// normalized forms are.
-fn normalized(d: Decimal) -> (i128, u8) {
-    let (mut unscaled, mut scale) = (d.unscaled(), d.scale());
-    while scale > 0 && unscaled % 10 == 0 {
-        unscaled /= 10;
-        scale -= 1;
-    }
-    (unscaled, scale)
 }
 
 /// The order GROUP BY sorts its keys in, and [`RowKey`]'s equality. It is
@@ -67,15 +55,14 @@ fn normalized(d: Decimal) -> (i128, u8) {
 /// Values compare by type first, so an INTEGER 2 and a FLOAT 2.0 stay
 /// two groups while NULLs group together; floats compare by the total
 /// order of their bits, so -0.0 and 0.0 stay two groups, as their hashes
-/// do; and decimals compare by their exact value (not through `f64`, as
-/// [`cmp_values`] does).
+/// do; and decimals compare by their exact value.
 pub fn cmp_group_keys(a: &[Value], b: &[Value]) -> Ordering {
     use Value::*;
     for (x, y) in a.iter().zip(b) {
         let ord = match (x, y) {
             (Int(x), Int(y)) => x.cmp(y),
             (Float(x), Float(y)) => x.total_cmp(y),
-            (Decimal(x), Decimal(y)) => normalized(*x).cmp(&normalized(*y)),
+            (Decimal(x), Decimal(y)) => x.cmp(y),
             (Str(x), Str(y)) => x.cmp(y),
             (Bytes(x), Bytes(y)) => x.cmp(y),
             (Date(x), Date(y)) => x.cmp(y),
@@ -106,7 +93,8 @@ fn type_tag(v: &Value) -> u8 {
 }
 
 /// Total order over values for ORDER BY: NULL first, then by type group,
-/// numerics compared numerically across Int/Float/Decimal.
+/// numerics compared numerically across Int/Float/Decimal — exactly for
+/// INTEGER and DECIMAL pairs, through `f64` when a FLOAT is involved.
 pub fn cmp_values(a: &Value, b: &Value) -> Ordering {
     use Value::*;
     match (a, b) {
@@ -114,6 +102,9 @@ pub fn cmp_values(a: &Value, b: &Value) -> Ordering {
         (Null, _) => Ordering::Less,
         (_, Null) => Ordering::Greater,
         (Int(x), Int(y)) => x.cmp(y),
+        (Decimal(x), Decimal(y)) => x.cmp(y),
+        (Int(x), Decimal(y)) => etlv_protocol::data::Decimal::from_i64(*x).cmp(y),
+        (Decimal(x), Int(y)) => x.cmp(&etlv_protocol::data::Decimal::from_i64(*y)),
         (Int(_) | Float(_) | Decimal(_), Int(_) | Float(_) | Decimal(_)) => {
             let (xf, yf) = (num_f64(a), num_f64(b));
             xf.partial_cmp(&yf).unwrap_or(Ordering::Equal)
@@ -163,7 +154,7 @@ pub fn cmp_rows(a: &[Value], b: &[Value]) -> Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etlv_protocol::data::Date;
+    use etlv_protocol::data::{Date, Decimal};
     use std::collections::HashMap;
 
     #[test]

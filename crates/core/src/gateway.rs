@@ -349,9 +349,15 @@ impl JobOwner<'_> {
             // entered a tenant's `jobs_started`, so booking their aborts
             // there would bend the SLO availability ratio.
             node.obs.export.aborted.inc();
-            node.obs
-                .journal
-                .emit("job.abort", token, 0, 0, 0, Duration::ZERO);
+            node.obs.journal.emit_span(
+                "job.abort",
+                SpanIds::default(),
+                token,
+                0,
+                0,
+                0,
+                Duration::ZERO,
+            );
             return;
         };
         let t = &job.chunks.tenant;
@@ -1016,10 +1022,11 @@ impl Virtualizer {
             })
             .map_err(|e| (ErrCode::INTERNAL, format!("COPY failed: {e}")))?;
             let copy_elapsed = copy_started.elapsed();
-            node.obs
-                .profile
-                .copy
-                .record(copy_elapsed, copy_cpu.elapsed());
+            node.obs.profile.copy.record(
+                &node.obs.adaptive.copy_us,
+                copy_elapsed,
+                copy_cpu.elapsed(),
+            );
             node.obs.journal.emit_span(
                 "copy",
                 job.ids.child(node.obs.journal.next_span_id()),
@@ -1066,16 +1073,16 @@ impl Virtualizer {
         .map_err(|e| (ErrCode::SQL_ERROR, format!("application failed: {e}")))?;
         cdw_retries += outcome.transient_retries;
         let application = application_started.elapsed();
-        node.obs
-            .profile
-            .apply
-            .record(application, apply_cpu.elapsed());
+        node.obs.profile.apply.record(
+            &job.chunks.tenant.apply_us,
+            application,
+            apply_cpu.elapsed(),
+        );
         node.obs.adaptive.statements.add(outcome.statements);
         node.obs
             .adaptive
             .transient_retries
             .add(outcome.transient_retries);
-        job.chunks.tenant.apply_us.record_duration(application);
         node.obs.journal.emit_span(
             "apply",
             apply_ids,

@@ -57,21 +57,9 @@ impl Journal {
         }
     }
 
-    /// Emit one untraced event (zero span ids). `chunk` and `value` are
-    /// kind-specific payloads (see [`SpanEvent`]).
-    pub fn emit(
-        &self,
-        kind: &'static str,
-        job: u64,
-        session: u64,
-        chunk: u64,
-        value: u64,
-        dur: Duration,
-    ) {
-        self.emit_span(kind, SpanIds::default(), job, session, chunk, value, dur);
-    }
-
-    /// Emit one event carrying a causal identity.
+    /// Emit one event carrying a causal identity (`SpanIds::default()`
+    /// for an untraced one). `chunk` and `value` are kind-specific
+    /// payloads (see [`SpanEvent`]).
     #[allow(clippy::too_many_arguments)]
     pub fn emit_span(
         &self,
@@ -162,7 +150,7 @@ mod tests {
     fn ring_bounds_and_ordering() {
         let j = Journal::new(3, None);
         for i in 0..5u64 {
-            j.emit("t", i, 0, 0, 0, Duration::ZERO);
+            j.emit_span("t", SpanIds::default(), i, 0, 0, 0, Duration::ZERO);
         }
         assert_eq!(j.emitted(), 5);
         assert_eq!(j.retained(), 3);
@@ -190,7 +178,7 @@ mod tests {
                 s.spawn(move || {
                     start.wait();
                     for i in 0..PER_THREAD {
-                        j.emit("t", t, 0, i, 0, Duration::ZERO);
+                        j.emit_span("t", SpanIds::default(), t, 0, i, 0, Duration::ZERO);
                     }
                 });
             }
@@ -212,7 +200,7 @@ mod tests {
         let j = Journal::new(3, None);
         assert_eq!(j.dropped(), 0);
         for i in 0..5u64 {
-            j.emit("t", i, 0, 0, 0, Duration::ZERO);
+            j.emit_span("t", SpanIds::default(), i, 0, 0, 0, Duration::ZERO);
         }
         assert_eq!(j.dropped(), 2);
     }
@@ -226,7 +214,7 @@ mod tests {
             parent: 0,
         };
         j.emit_span("job.begin", root, 7, 1, 0, 0, Duration::ZERO);
-        j.emit("noise", 8, 0, 0, 0, Duration::ZERO);
+        j.emit_span("noise", SpanIds::default(), 8, 0, 0, 0, Duration::ZERO);
         j.emit_span(
             "chunk.convert",
             root.child(j.next_span_id()),
@@ -250,8 +238,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("sink-{}.jsonl", std::process::id()));
         let j = Journal::new(8, Some(&path));
-        j.emit("upload.part", 1, 0, 2, 1024, Duration::from_micros(55));
-        j.emit("copy", 1, 0, 0, 0, Duration::from_micros(900));
+        let ids = SpanIds::default();
+        j.emit_span("upload.part", ids, 1, 0, 2, 1024, Duration::from_micros(55));
+        j.emit_span("copy", ids, 1, 0, 0, 0, Duration::from_micros(900));
         j.flush();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -268,7 +257,7 @@ mod tests {
     #[test]
     fn unwritable_sink_degrades_to_memory_only() {
         let j = Journal::new(4, Some(Path::new("/no/such/dir/x.jsonl")));
-        j.emit("t", 0, 0, 0, 0, Duration::ZERO);
+        j.emit_span("t", SpanIds::default(), 0, 0, 0, 0, Duration::ZERO);
         assert_eq!(j.retained(), 1);
     }
 }

@@ -157,9 +157,8 @@ pub struct TenantObs {
 }
 
 /// Causal identity of a journal event: which trace it belongs to, which
-/// span it *is*, and which span caused it. All-zero means "untraced" —
-/// events emitted through the legacy [`Journal::emit`] path carry zero
-/// ids.
+/// span it *is*, and which span caused it. All-zero (the default) means
+/// "untraced".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanIds {
     /// Trace identifier shared by every span of one job (0 = untraced).
@@ -399,6 +398,8 @@ pub struct AdaptiveObs {
     pub statements: Counter,
     /// Application statements retried after transient failures.
     pub transient_retries: Counter,
+    /// COPY INTO wall time per job, µs.
+    pub copy_us: Histogram,
 }
 
 /// Export-path handles.
@@ -417,14 +418,11 @@ pub struct ExportObs {
     pub bytes: Counter,
 }
 
-/// One pipeline stage's CPU/wall accounting. `record` records the
-/// wall time unconditionally; CPU time and the sample count accrue only
-/// when the thread CPU clock produced a pair, so `cpu_us / samples` stays
-/// meaningful on platforms without the clock.
+/// One pipeline stage's CPU accounting. CPU time and the sample count
+/// accrue only when the thread CPU clock produced a pair, so
+/// `cpu_us / samples` stays meaningful on platforms without the clock.
 #[derive(Clone)]
 pub struct StageProf {
-    /// Wall time per execution, µs — the stage's latency histogram.
-    pub wall_us: Histogram,
     /// Thread CPU time across sampled executions, µs.
     pub cpu_us: Counter,
     /// Executions where a CPU sample pair succeeded.
@@ -432,10 +430,11 @@ pub struct StageProf {
 }
 
 impl StageProf {
-    /// Record one execution: wall always, CPU when sampled.
+    /// Record one execution: its wall time into `wall_us`, the stage's
+    /// one wall clock, and its CPU when sampled.
     #[inline]
-    pub fn record(&self, wall: Duration, cpu: Option<Duration>) {
-        self.wall_us.record_duration(wall);
+    pub fn record(&self, wall_us: &Histogram, wall: Duration, cpu: Option<Duration>) {
+        wall_us.record_duration(wall);
         if let Some(cpu) = cpu {
             self.cpu_us.add(cpu.as_micros() as u64);
             self.samples.inc();
@@ -443,20 +442,21 @@ impl StageProf {
     }
 }
 
-/// Per-stage CPU/wall profiles of the four attributable stages: each
-/// stage's wall histogram plus `profile.<stage>.{cpu_us,samples}`.
+/// `profile.<stage>.{cpu_us,samples}` of the four attributable stages.
+/// Convert, upload and apply record their wall time into the tenant's
+/// histogram (the node's view is the sum over
+/// [`MetricsRegistry::tenant_handles`]), COPY into `adaptive.copy_us`.
 #[derive(Clone)]
 pub struct ProfileObs {
-    /// Per-chunk conversion (converter workers): `pipeline.convert_us`.
+    /// Per-chunk conversion (converter workers).
     pub convert: StageProf,
     /// Per-part upload including retries (runtime workers at rotation,
     /// the gateway finish path for the last part), and per-frame
-    /// compression of a compressing job: `pipeline.upload_us`.
+    /// compression of a compressing job.
     pub upload: StageProf,
-    /// COPY INTO (gateway finish path): `adaptive.copy_us`.
+    /// COPY INTO (gateway finish path).
     pub copy: StageProf,
-    /// Whole adaptive application per job (gateway finish path):
-    /// `adaptive.apply_us`.
+    /// Whole adaptive application per job (gateway finish path).
     pub apply: StageProf,
 }
 
@@ -519,7 +519,7 @@ pub struct Obs {
     pub export: ExportObs,
     /// Fault-injector counters.
     pub fault: FaultObs,
-    /// Per-stage CPU/wall profiles.
+    /// Per-stage CPU profiles.
     pub profile: ProfileObs,
     /// Worker-pool utilization handles.
     pub pool: PoolObs,
@@ -532,8 +532,7 @@ impl Obs {
     pub fn new(journal_capacity: usize, jsonl: Option<&std::path::Path>) -> Obs {
         let registry = MetricsRegistry::new();
         let r = &registry;
-        let stage = |name: &str, wall_us: &str| StageProf {
-            wall_us: r.histogram(wall_us),
+        let stage = |name: &str| StageProf {
             cpu_us: r.counter(&format!("profile.{name}.cpu_us")),
             samples: r.counter(&format!("profile.{name}.samples")),
         };
@@ -612,6 +611,7 @@ impl Obs {
                 splits: r.counter("adaptive.splits"),
                 statements: r.counter("adaptive.statements"),
                 transient_retries: r.counter("adaptive.transient_retries"),
+                copy_us: r.histogram("adaptive.copy_us"),
             },
             export: ExportObs {
                 jobs: r.counter("export.jobs"),
@@ -628,10 +628,10 @@ impl Obs {
                 injected_transport: r.counter("fault.injected_transport"),
             },
             profile: ProfileObs {
-                convert: stage("convert", "pipeline.convert_us"),
-                upload: stage("upload", "pipeline.upload_us"),
-                copy: stage("copy", "adaptive.copy_us"),
-                apply: stage("apply", "adaptive.apply_us"),
+                convert: stage("convert"),
+                upload: stage("upload"),
+                copy: stage("copy"),
+                apply: stage("apply"),
             },
             pool: PoolObs {
                 busy_workers: r.gauge("pool.busy_workers"),

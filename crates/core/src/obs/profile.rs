@@ -1,8 +1,9 @@
 //! Per-thread CPU clock behind the stage profiles ([`super::StageProf`]):
 //! [`CpuTimer`] samples the calling thread's CPU clock
 //! (`CLOCK_THREAD_CPUTIME_ID` on Linux) at span boundaries, so each
-//! pipeline stage accumulates wall *and* CPU microseconds in the
-//! `profile.<stage>.{cpu_us,samples}` series. A stage whose CPU ≪ wall is
+//! pipeline stage accumulates CPU microseconds in the
+//! `profile.<stage>.{cpu_us,samples}` series beside its wall histogram
+//! (the tenant's, or `adaptive.copy_us`). A stage whose CPU ≪ wall is
 //! blocked (lock, I/O, sleep); CPU ≈ wall means compute-bound. Platforms
 //! without the clock degrade to wall-only (samples stay 0, nothing
 //! breaks).

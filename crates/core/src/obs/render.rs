@@ -182,7 +182,7 @@ mod tests {
         push("pipeline.convert_chunks", None, SeriesValue::Counter(12));
         push("pipeline.convert_rows", None, SeriesValue::Counter(480));
         push("credit.in_flight", None, SeriesValue::Gauge(3));
-        push("pipeline.convert_us", None, hist(12, 600, 90, 47, 85, 90));
+        push("cdw.exec_us", None, hist(12, 600, 90, 47, 85, 90));
         for (tenant, rows) in [("alice", 400), ("bo\"b", 80)] {
             let t = Some(("tenant", tenant));
             push("tenant.jobs_started", t, SeriesValue::Counter(3));
@@ -201,7 +201,7 @@ mod tests {
         for needle in [
             "\"pipeline.convert_chunks\": 12",
             "\"credit.in_flight\": 3",
-            "\"pipeline.convert_us\": {\"count\": 12",
+            "\"cdw.exec_us\": {\"count\": 12",
             "\"p95\": 85",
             "\"journal\": {\"emitted\": 40, \"retained\": 30, \"dropped\": 10}",
             "\"tenant\": \"alice\"",
@@ -222,8 +222,8 @@ mod tests {
             "etlv_credit_in_flight 3\n",
             "etlv_journal_events_emitted 40\n",
             "etlv_journal_events_dropped 10\n",
-            "etlv_pipeline_convert_us_count 12\n",
-            "etlv_pipeline_convert_us{quantile=\"0.95\"} 85\n",
+            "etlv_cdw_exec_us_count 12\n",
+            "etlv_cdw_exec_us{quantile=\"0.95\"} 85\n",
             "etlv_tenant_rows_applied{tenant=\"alice\"} 400\n",
             "etlv_tenant_rows_applied{tenant=\"bo\\\"b\"} 80\n",
             "etlv_tenant_active_jobs{tenant=\"alice\"} 1\n",
@@ -286,7 +286,7 @@ mod tests {
             );
         }
         // Histograms are announced as summaries.
-        assert!(text.contains("# TYPE etlv_pipeline_convert_us summary\n"));
+        assert!(text.contains("# TYPE etlv_cdw_exec_us summary\n"));
     }
 
     #[test]

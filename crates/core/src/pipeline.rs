@@ -587,8 +587,9 @@ fn convert_work(
             obs.pipeline.convert_chunks.inc();
             obs.pipeline.convert_rows.add(rows as u64);
             obs.pipeline.convert_bytes.add(out.len() as u64);
-            obs.profile.convert.record(elapsed, cpu.elapsed());
-            job.tenant.convert_us.record_duration(elapsed);
+            obs.profile
+                .convert
+                .record(&job.tenant.convert_us, elapsed, cpu.elapsed());
             obs.journal.emit_span(
                 "chunk.convert",
                 job.ids.child(obs.journal.next_span_id()),
@@ -673,8 +674,11 @@ fn compress_frame(shared: &RtShared, job: &JobRt, text: &[u8]) -> Vec<u8> {
     let cpu = CpuTimer::start();
     let frame = compress::compress(text);
     let elapsed = started.elapsed();
-    shared.obs.profile.upload.record(elapsed, cpu.elapsed());
-    job.tenant.upload_us.record_duration(elapsed);
+    shared
+        .obs
+        .profile
+        .upload
+        .record(&job.tenant.upload_us, elapsed, cpu.elapsed());
     frame
 }
 
@@ -712,8 +716,9 @@ fn upload_staged_part(shared: &RtShared, job: &JobRt, file: Vec<u8>, part: u32) 
         || job.loader.upload_part_from(&key, &file),
     );
     let elapsed = upload_started.elapsed();
-    obs.profile.upload.record(elapsed, cpu.elapsed());
-    job.tenant.upload_us.record_duration(elapsed);
+    obs.profile
+        .upload
+        .record(&job.tenant.upload_us, elapsed, cpu.elapsed());
     if retries > 0 {
         obs.pipeline.upload_retries.add(retries);
         obs.journal.emit_span(

@@ -30,7 +30,7 @@ use etlv_protocol::message::{Message, SessionRole};
 use parking_lot::Mutex;
 
 use crate::gateway::{error_msg, EncodeAhead, Virtualizer};
-use crate::obs::TenantObs;
+use crate::obs::{SpanIds, TenantObs};
 
 /// One logged-on session's registry entry.
 pub(crate) struct SessionEntry {
@@ -237,8 +237,9 @@ impl SessionCore {
                         self.job_token = logon.job_token;
                         self.session = Some(entry);
                         node.obs.gateway.sessions_opened.inc();
-                        node.obs.journal.emit(
+                        node.obs.journal.emit_span(
                             "session.logon",
+                            SpanIds::default(),
                             self.job_token,
                             id as u64,
                             0,
@@ -366,8 +367,9 @@ pub(crate) fn close_session(v: &Virtualizer, entry: &SessionEntry, clean: bool) 
         .gateway
         .active_sessions
         .set(node.registry.active() as u64);
-    node.obs.journal.emit(
+    node.obs.journal.emit_span(
         "session.close",
+        SpanIds::default(),
         0,
         entry.id as u64,
         u64::from(clean),

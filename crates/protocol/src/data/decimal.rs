@@ -265,16 +265,17 @@ impl PartialOrd for Decimal {
 
 impl Ord for Decimal {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Compare by aligning scales; fall back to f64 on overflow (only for
-        // pathological 38-digit values).
+        // Exact for any two decimals: the integer parts first (floored, so
+        // each fraction is non-negative), then the fractions at the larger
+        // scale, where each stays below 10^38 and so fits in `i128`.
+        let (fa, fb) = (pow10(self.scale), pow10(other.scale));
         let scale = self.scale.max(other.scale);
-        match (self.rescale(scale), other.rescale(scale)) {
-            (Ok(a), Ok(b)) => a.unscaled.cmp(&b.unscaled),
-            _ => self
-                .to_f64()
-                .partial_cmp(&other.to_f64())
-                .unwrap_or(Ordering::Equal),
-        }
+        let frac = |d: &Decimal, f: i128| d.unscaled.rem_euclid(f) * pow10(scale - d.scale);
+        (self
+            .unscaled
+            .div_euclid(fa)
+            .cmp(&other.unscaled.div_euclid(fb)))
+        .then_with(|| frac(self, fa).cmp(&frac(other, fb)))
     }
 }
 
@@ -371,6 +372,38 @@ mod tests {
         assert_eq!(a, b);
         assert!(a < c);
         assert!(c > b);
+    }
+
+    #[test]
+    fn ordering_is_exact_at_full_precision() {
+        let d = |s: &str| Decimal::parse(s).unwrap();
+        // Aligning these to scale 10 needs 39 digits; through `f64` they
+        // compared equal.
+        let big = d("10000000000000000000000000000");
+        let below = d("9999999999999999999999999999.9999999999");
+        assert_eq!(below.cmp(&big), Ordering::Less);
+        assert_ne!(below, big);
+        assert!(
+            d("-9999999999999999999999999999.9999999999") > d("-10000000000000000000000000000")
+        );
+        assert!(d("1234567890123456.78") < d("1234567890123456.79"));
+        // Floored integer parts keep negative fractions in order.
+        assert!(d("-1.5") < d("-1.49"));
+        assert!(d("-0.5") < d("0") && d("0.00") == d("-0"));
+        let values = [
+            "-2.5", "-2.50", "-2", "-0.01", "0", "0.1", "0.10", "2", "2.5",
+        ];
+        for x in values {
+            for y in values {
+                let (a, b) = (d(x), d(y));
+                let scale = a.scale().max(b.scale());
+                let aligned = a.rescale(scale).unwrap().unscaled();
+                assert_eq!(
+                    a.cmp(&b),
+                    aligned.cmp(&b.rescale(scale).unwrap().unscaled())
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ mod value;
 
 pub use date::{Date, DateFormat, DateParseError, Timestamp};
 pub use decimal::{Decimal, DecimalError, MAX_PRECISION};
-pub use value::{coerce_text, FieldRef, Value, ValueError};
+pub use value::{coerce_text, parse_float, FieldRef, Value, ValueError};
 
 use std::fmt;
 

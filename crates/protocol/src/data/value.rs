@@ -112,11 +112,18 @@ fn int_in_range(v: i64, ty: LegacyType) -> Result<Value, ValueError> {
     Ok(Value::Int(v))
 }
 
-/// Text as a FLOAT.
-fn parse_float(text: &str) -> Result<f64, ValueError> {
-    text.trim()
-        .parse::<f64>()
-        .map_err(|_| err(Cause::Value, format!("'{text}' is not a valid FLOAT")))
+/// Text as a FLOAT: the one text → float rule, for loads, casts and
+/// comparisons alike. A FLOAT is finite, so `NaN`, `inf` and `infinity`
+/// are not numbers, and digits beyond `f64`'s range (`1e999`) overflow.
+pub fn parse_float(text: &str) -> Result<f64, ValueError> {
+    match text.trim().parse::<f64>() {
+        Ok(f) if f.is_finite() => Ok(f),
+        Ok(f) if f.is_infinite() && text.bytes().any(|b| b.is_ascii_digit()) => Err(err(
+            Cause::Overflow,
+            format!("'{text}' exceeds the FLOAT range"),
+        )),
+        _ => Err(err(Cause::Value, format!("'{text}' is not a valid FLOAT"))),
+    }
 }
 
 /// `d` rescaled to `DECIMAL(p, s)`, if it fits.

@@ -3,7 +3,8 @@
 //! seeded text (signs, spaces, exponents, over-long and non-ASCII
 //! values), both give the same value or the same error.
 
-use etlv_protocol::data::{coerce_text, LegacyType as T, Value, ValueError};
+use etlv_protocol::data::{coerce_text, parse_float, LegacyType as T, Value, ValueError};
+use etlv_protocol::errcode::Cause;
 use etlv_protocol::rng::SeededRng;
 
 const TYPES: [T; 16] = [
@@ -26,7 +27,7 @@ const TYPES: [T; 16] = [
 ];
 
 /// Whole texts worth trying as they are.
-const TEXTS: [&str; 30] = [
+const TEXTS: [&str; 35] = [
     "",
     " ",
     "0",
@@ -43,7 +44,12 @@ const TEXTS: [&str; 30] = [
     "-0.005",
     "1e3",
     "NaN",
+    "nan",
     "inf",
+    "-Infinity",
+    " infinity ",
+    "1e999",
+    "-1e999",
     "123.456",
     "99999999999999999999999999999.5",
     "2012-01-01",
@@ -134,4 +140,28 @@ fn only_character_types_keep_text() {
         coerce_text("4x2", T::Integer).unwrap_err().reason,
         "'4x2' is not a valid INTEGER"
     );
+}
+
+#[test]
+fn no_nan_or_infinity_from_text() {
+    for text in ["NaN", "nan", " NaN ", "-nan", "inf", "+inf", "-inf", "INF"]
+        .into_iter()
+        .chain(["Infinity", "infinity", "-Infinity", " infinity "])
+    {
+        for value in [
+            coerce_text(text, T::Float),
+            Value::Str(text.into()).coerce_to(T::Float),
+        ] {
+            let e = value.unwrap_err();
+            assert_eq!(e.cause, Cause::Value, "{text:?}");
+            assert_eq!(e.reason, format!("'{text}' is not a valid FLOAT"));
+        }
+        assert!(parse_float(text).is_err(), "{text:?}");
+    }
+    for text in ["1e999", "-1e999"] {
+        let e = coerce_text(text, T::Float).unwrap_err();
+        assert_eq!(e.cause, Cause::Overflow, "{text:?}");
+    }
+    assert_eq!(coerce_text(" 1e3 ", T::Float), Ok(Value::Float(1000.0)));
+    assert_eq!(parse_float("-0.5"), Ok(-0.5));
 }

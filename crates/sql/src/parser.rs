@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use etlv_protocol::data::{Date, Decimal, LegacyType, MAX_PRECISION};
+use etlv_protocol::data::{parse_float, Date, Decimal, LegacyType, MAX_PRECISION};
 
 use crate::ast::*;
 use crate::dialect::Dialect;
@@ -860,7 +860,7 @@ impl Parser {
             Some(Token::Number(n)) => {
                 self.pos += 1;
                 if n.contains(['e', 'E']) {
-                    n.parse::<f64>()
+                    parse_float(&n)
                         .map(|v| Expr::Literal(Literal::Float(v)))
                         .map_err(|_| self.err(format!("bad float '{n}'")))
                 } else {

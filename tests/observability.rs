@@ -27,14 +27,12 @@ fn concurrent_counter_and_histogram_aggregation() {
     let mut handles = Vec::new();
     for t in 0..THREADS {
         let obs = Arc::clone(&obs);
+        let tenant = obs.tenant("t");
         handles.push(std::thread::spawn(move || {
             for i in 0..PER_THREAD {
                 obs.pipeline.convert_rows.inc();
                 obs.pipeline.convert_bytes.add(3);
-                obs.profile
-                    .convert
-                    .wall_us
-                    .record(t as u64 * PER_THREAD + i);
+                tenant.convert_us.record(t as u64 * PER_THREAD + i);
             }
         }));
     }
@@ -45,8 +43,8 @@ fn concurrent_counter_and_histogram_aggregation() {
     assert_eq!(obs.pipeline.convert_rows.value(), total);
     assert_eq!(obs.pipeline.convert_bytes.value(), 3 * total);
     let snap = obs.snapshot();
-    let Some(SeriesValue::Histogram(hist)) = snap.get("pipeline.convert_us", None) else {
-        panic!("pipeline.convert_us is a registered histogram")
+    let Some(SeriesValue::Histogram(hist)) = snap.get("tenant.convert_us", Some("t")) else {
+        panic!("tenant.convert_us is a registered histogram")
     };
     assert_eq!(hist.count, total, "every recorded value landed in a bucket");
     assert_eq!(hist.max, total - 1);
@@ -515,8 +513,11 @@ fn pool_recycling_observed_in_stats() {
     // clocks tick independently, so allow per-sample granularity jitter
     // rather than demanding cpu <= wall exactly.
     let cpu = counter(&snapshot, "profile.convert.cpu_us");
-    let convert_us = snapshot.find("\"pipeline.convert_us\"").unwrap();
-    let wall = counter(&snapshot[convert_us..], "sum");
+    // The stage's wall clock is its tenants' histograms, summed.
+    let wall: u64 = snapshot
+        .match_indices("\"tenant.convert_us\"")
+        .map(|(at, _)| counter(&snapshot[at..], "sum"))
+        .sum();
     assert!(
         cpu <= wall + 200 * samples,
         "thread CPU time implausibly exceeds wall time: cpu={cpu} wall={wall} samples={samples}"
@@ -752,6 +753,67 @@ fn node_totals_equal_the_sum_over_tenants() {
     }
 }
 
+/// One writer per histogram: each convert, upload and apply execution
+/// lands its wall time once, in its tenant's histogram, so on a
+/// two-tenant load each stage's counts over the tenants equal its
+/// executions: chunks converted; frames compressed plus parts put; jobs
+/// applied. The plain node rotates a part every few chunks; on the
+/// compressing one each job's text stays under one frame, so it is framed
+/// once, at EndLoad, and put as one part.
+#[test]
+fn each_stage_execution_lands_once_in_its_tenants_histogram() {
+    for compress in [false, true] {
+        let v = customer_virtualizer(VirtualizerConfig {
+            compress_staged: compress,
+            file_size_threshold: if compress { 1 << 20 } else { 256 },
+            ..Default::default()
+        });
+        let client = LegacyEtlClient::with_options(
+            tcp_connector(&v),
+            ClientOptions {
+                chunk_rows: 10,
+                sessions: Some(2),
+                ..Default::default()
+            },
+        );
+        for user in ["alice", "bob"] {
+            let mut job = customer_import_job();
+            job.logon.user = user.into();
+            let done = client.run_import_data(&job, &customer_rows(80)).unwrap();
+            assert_eq!(done.report.rows_applied, 80);
+        }
+        let (obs, snap) = (v.obs(), v.obs().snapshot());
+        let counts = |name: &str| -> Vec<u64> {
+            snap.series
+                .iter()
+                .filter(|s| s.name == name)
+                .map(|s| match &s.value {
+                    SeriesValue::Histogram(h) => h.count,
+                    _ => panic!("{name} is a histogram"),
+                })
+                .collect()
+        };
+        let jobs = 2;
+        let parts = obs.pipeline.upload_parts.value();
+        let frames = if compress { jobs } else { 0 };
+        assert!(parts >= jobs, "compress={compress}: {parts} part(s)");
+        for (name, executions) in [
+            ("tenant.convert_us", obs.pipeline.convert_chunks.value()),
+            ("tenant.upload_us", frames + parts),
+            ("tenant.apply_us", jobs),
+        ] {
+            let per_tenant = counts(name);
+            assert_eq!(per_tenant.len(), 2, "{name}: one series per tenant");
+            assert!(per_tenant.iter().all(|&n| n > 0), "{name}: {per_tenant:?}");
+            assert_eq!(
+                per_tenant.iter().sum::<u64>(),
+                executions,
+                "compress={compress}: {name} over the tenants"
+            );
+        }
+    }
+}
+
 /// An object store whose puts wait until the test opens the gate.
 #[derive(Default)]
 struct GatedStore {
@@ -921,4 +983,31 @@ fn introspection_documents_have_one_schema() {
     assert!(text.contains("# TYPE etlv_"), "{text}");
     assert!(!text.contains("etlv_node_"), "{text}");
     assert!(!text.contains("etlv_lock"), "{text}");
+}
+
+/// The Stats exposition's family list, pinned: the sorted `# TYPE` lines
+/// of a fresh node after one load, against `tests/golden/stats_types.txt`.
+/// A change that adds, removes or retypes a family edits that file, and
+/// its diff is the change's record of what moved (a retype reads as one
+/// line removed and one added).
+#[test]
+fn stats_families_match_the_golden_list() {
+    let v = customer_virtualizer(VirtualizerConfig::default());
+    let client = LegacyEtlClient::new(tcp_connector(&v));
+    let result = client
+        .run_import_data(&customer_import_job(), &customer_rows(20))
+        .unwrap();
+    assert_eq!(result.report.rows_applied, 20);
+    let text = v.introspect(Topic::Stats, Format::Text).body;
+    let mut got: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+    got.sort_unstable();
+    let want: Vec<&str> = include_str!("golden/stats_types.txt").lines().collect();
+    let added: Vec<&str> = got.iter().filter(|l| !want.contains(l)).copied().collect();
+    let removed: Vec<&str> = want.iter().filter(|l| !got.contains(l)).copied().collect();
+    assert!(
+        added.is_empty() && removed.is_empty(),
+        "the Stats families moved against tests/golden/stats_types.txt\n\
+         added: {added:#?}\nremoved: {removed:#?}"
+    );
+    assert_eq!(got, want, "the golden list is sorted, one line per family");
 }
