@@ -43,7 +43,9 @@ pub struct Column {
 
 impl Column {
     /// Coerce one value of table `table` into this column, enforcing NOT
-    /// NULL: the rule INSERT and UPDATE apply to each value that lands.
+    /// NULL: the rule INSERT and UPDATE apply to each value that lands. A
+    /// value that already fits the column is returned as it is (see
+    /// [`Value::coerce_to`]).
     #[inline]
     pub fn coerce(&self, table: &str, v: Value) -> Result<Value, CdwError> {
         if v.is_null() {
@@ -181,11 +183,10 @@ impl Table {
     }
 
     /// Append pre-validated rows in one shot — the storage half of INSERT
-    /// and COPY — then hand the key index the new rowid range (an empty
-    /// index is built in one sorted pass, see
-    /// [`OrderedIndex::insert_range`]). Rows are moved, never cloned;
-    /// callers must have validated width, types, and (if enforced)
-    /// uniqueness already. Returns the number of index maintenance
+    /// and COPY — then hand the key index the new rowid range, which it
+    /// sorts and merges in (see [`OrderedIndex::insert_range`]). Rows are
+    /// moved, never cloned; callers must have validated width, types, and
+    /// (if enforced) uniqueness already. Returns the number of index maintenance
     /// operations performed; a version copy, if one was made, is counted
     /// in `copies`.
     pub fn append_rows(&mut self, rows: Vec<Vec<Value>>, copies: &mut u64) -> usize {
@@ -209,33 +210,41 @@ impl Table {
     }
 
     /// Exhaustive index/table consistency check (test harness hook): the
-    /// key index holds exactly one entry per row, rowids cover the table,
-    /// and every stored key orders equal to the row it points at.
+    /// key index is a permutation of the rowids, in key order, ties by
+    /// rowid, each beside its key's prefix.
     pub fn validate_indexes(&self) -> Result<(), String> {
         let Some(ix) = &self.pk else {
             return Ok(());
         };
-        let name = &self.name;
-        if ix.len() != self.rows.len() {
+        let (name, order) = (&self.name, ix.rowids());
+        if order.len() != self.rows.len() {
             return Err(format!(
                 "{name}.PK: {} entries for {} rows",
-                ix.len(),
+                order.len(),
                 self.rows.len()
             ));
         }
         let mut seen = vec![false; self.rows.len()];
-        for (key, rowids) in ix.entries() {
-            for &rid in rowids {
-                if rid >= self.rows.len() || seen[rid] {
-                    return Err(format!("{name}.PK: rowid {rid} out of range or duplicated"));
-                }
-                seen[rid] = true;
-                // Keys the index orders as equal share one entry,
-                // spelled as the first row inserted under it.
-                let expect = ix.key_of(&self.rows[rid]);
-                if cmp_rows(key, &expect).is_ne() {
-                    return Err(format!("{name}.PK: stale key for rowid {rid}"));
-                }
+        for (&rid, &prefix) in order.iter().zip(ix.prefixes()) {
+            let rid = rid as usize;
+            if rid >= self.rows.len() || seen[rid] {
+                return Err(format!("{name}.PK: rowid {rid} out of range or duplicated"));
+            }
+            seen[rid] = true;
+            if prefix != ix.prefix_of(&self.rows[rid]) {
+                return Err(format!("{name}.PK: stale key prefix for rowid {rid}"));
+            }
+        }
+        for pair in order.windows(2) {
+            let key = |rid: u32| ix.key_of(&self.rows[rid as usize]);
+            if cmp_rows(&key(pair[0]), &key(pair[1]))
+                .then(pair[0].cmp(&pair[1]))
+                .is_ge()
+            {
+                return Err(format!(
+                    "{name}.PK: rowid {} out of key order after rowid {}",
+                    pair[1], pair[0]
+                ));
             }
         }
         Ok(())
@@ -481,12 +490,15 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(ops, 2, "one maintenance op per row");
         assert_eq!(copies, 0, "no reader held the version");
-        assert_eq!(t.pk.as_ref().unwrap().seek_eq(&[Value::Int(2)]), vec![1]);
+        assert_eq!(
+            t.pk.as_ref().unwrap().seek_eq(t.rows(), &[Value::Int(2)]),
+            vec![1]
+        );
         t.validate_indexes().unwrap();
     }
 
     #[test]
-    fn appending_keeps_the_entries_row_by_row_insertion_leaves() {
+    fn appending_in_batches_orders_rowids_as_one_build() {
         let dec = Value::Decimal(etlv_protocol::data::Decimal::parse("2.00").unwrap());
         // Duplicate and NULL keys, and 2 as Int, Decimal, then Float; long
         // enough that an unstable sort would reorder equal keys.
@@ -498,27 +510,38 @@ mod tests {
         .concat();
         let first: Vec<Value> = keys.iter().cycle().take(64).cloned().collect();
         let second = vec![dec, Value::Null, int(2)];
-        let entries = |ix: &OrderedIndex| -> Vec<(Vec<Value>, Vec<usize>)> {
-            ix.entries()
-                .map(|(k, r)| (k.to_vec(), r.to_vec()))
-                .collect()
-        };
-        // Into an empty table (sorted build, then row by row) and into a
-        // non-empty one (row by row throughout).
+        // Into an empty table (sorted build, then a merge) and into a
+        // non-empty one (merges throughout); batches, then row by row.
         for existing in [vec![], vec![Value::Float(3.0)]] {
-            let mut t = make_table("T");
+            let mut batched = make_table("T");
+            let mut by_row = make_table("T");
             for batch in [&existing, &first, &second] {
                 let rows = batch.iter().map(|k| vec![k.clone(), Value::Null]);
-                t.append_rows(rows.collect(), &mut 0);
+                batched.append_rows(rows.collect(), &mut 0);
+                for k in batch {
+                    by_row.append_rows(vec![vec![k.clone(), Value::Null]], &mut 0);
+                }
             }
-            t.validate_indexes().unwrap();
-            let pk = t.pk.as_ref().unwrap();
-            let mut by_row = OrderedIndex::new(pk.columns.clone());
-            for (rowid, row) in t.rows().iter().enumerate() {
-                by_row.insert_row(row, rowid);
-            }
-            assert_eq!(entries(pk), entries(&by_row));
+            batched.validate_indexes().unwrap();
+            let pk = batched.pk.as_ref().unwrap();
+            let mut built = OrderedIndex::new(pk.columns.clone());
+            built.rebuild(batched.rows());
+            assert_eq!(pk.rowids(), built.rowids());
+            assert_eq!(by_row.pk.as_ref().unwrap().rowids(), built.rowids());
         }
+    }
+
+    #[test]
+    fn the_index_holds_one_u32_rowid_and_one_u64_key_prefix_per_row() {
+        let mut t = make_table("T");
+        let rows = (0..20_000).map(|i| vec![Value::Int(i), Value::Null]);
+        t.append_rows(rows.collect(), &mut 0);
+        let pk = t.pk.as_ref().unwrap();
+        let (rowids, prefixes) = (pk.rowids(), pk.prefixes());
+        assert_eq!((rowids.len(), prefixes.len()), (20_000, 20_000));
+        assert_eq!(std::mem::size_of_val(rowids), 20_000 * size_of::<u32>());
+        assert_eq!(std::mem::size_of_val(prefixes), 20_000 * size_of::<u64>());
+        t.validate_indexes().unwrap();
     }
 
     #[test]
@@ -533,12 +556,14 @@ mod tests {
         );
         t.validate_indexes().unwrap();
 
-        // Mutate a key cell in place, then re-key.
-        t.rows_mut(&mut 0)[1][0] = Value::Int(9);
+        // Mutate a key cell in place, out of key order, then re-key.
+        t.rows_mut(&mut 0)[0][0] = Value::Int(9);
         assert!(t.validate_indexes().is_err(), "stale key detected");
         assert_eq!(t.rebuild_pk(), 2);
         t.validate_indexes().unwrap();
-        assert_eq!(t.pk.as_ref().unwrap().seek_eq(&[Value::Int(9)]), vec![1]);
+        let pk = t.pk.as_ref().unwrap();
+        assert_eq!(pk.seek_eq(t.rows(), &[Value::Int(9)]), vec![0]);
+        assert_eq!(pk.rowids(), [1, 0]);
     }
 
     #[test]

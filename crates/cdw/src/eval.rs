@@ -485,9 +485,16 @@ pub fn compare_ord(l: &Value, r: &Value) -> Result<std::cmp::Ordering, CdwError>
             )))
         }
     };
-    Ok(match &coerced {
-        Some((a, b)) => cmp_values(a, b),
-        None => cmp_values(l, r),
+    let (a, b) = match &coerced {
+        Some((a, b)) => (a, b),
+        None => (l, r),
+    };
+    // A FLOAT meets an exact number as FLOAT, as in SQL: `0.1` and a
+    // FLOAT 0.1 are equal, though they differ in `cmp_values`' order.
+    Ok(match (a, b) {
+        (Float(_), Int(_) | Decimal(_)) => cmp_values(a, &Float(b.to_f64()?)),
+        (Int(_) | Decimal(_), Float(_)) => cmp_values(&Float(a.to_f64()?), b),
+        _ => cmp_values(a, b),
     })
 }
 

@@ -401,7 +401,7 @@ fn append_unique_checked(
         let mut batch_keys: HashMap<RowKey, ()> = HashMap::with_capacity(staged.len());
         for row in &staged {
             let key = pk.key_of(row);
-            if pk.contains_key(&key) || batch_keys.insert(RowKey(key), ()).is_some() {
+            if pk.contains_key(table.rows(), &key) || batch_keys.insert(RowKey(key), ()).is_some() {
                 return Err(CdwError::abort(
                     Cause::Uniqueness,
                     format!("{conflict} violates unique constraint on {}", table.name),
@@ -1041,7 +1041,7 @@ fn try_index_join<'t>(
         }
         let mut matched = false;
         if !null_probe {
-            let mut rowids = pk.seek_eq(&probes);
+            let mut rowids = pk.seek_eq(rtable.rows(), &probes);
             rowids.sort_unstable();
             for rid in rowids {
                 matched = true;
@@ -1932,5 +1932,42 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn an_insert_select_evaluates_every_row_before_it_coerces() {
+        let cdw = Cdw::new();
+        cdw.execute_script(
+            "CREATE TABLE S (ID INTEGER NOT NULL, A VARCHAR(12), D VARCHAR(10), PRIMARY KEY (ID));
+             CREATE TABLE T (A VARCHAR(4), B VARCHAR(4), D DATE);
+             INSERT INTO S VALUES (1, 'toolong', 'not a date');",
+        )
+        .unwrap();
+        let insert = "INSERT INTO T SELECT A, 'b', CAST(D AS DATE) FROM S WHERE ID >= 1";
+        let abort = |sql: &str| match cdw.execute(sql).unwrap_err() {
+            CdwError::BulkAbort {
+                cause,
+                position,
+                row,
+                ..
+            } => (cause, position, row),
+            other => panic!("{other}"),
+        };
+        // One row: its values are all evaluated before any is coerced, so
+        // the date that does not cast (position 2) fails it, not the
+        // over-long value in position 0.
+        assert_eq!(abort(insert), (Cause::Date, Some(2), Some(1)));
+        // Two rows: the SELECT runs to the end before anything is
+        // coerced, so the second row's evaluation error wins over the
+        // first row's coercion error.
+        cdw.execute_script(
+            "UPDATE S SET D = '2020-01-01';
+             INSERT INTO S VALUES (2, 'ok', 'not a date');",
+        )
+        .unwrap();
+        assert_eq!(abort(insert), (Cause::Date, Some(2), Some(2)));
+        cdw.execute("DELETE FROM S WHERE ID = 2").unwrap();
+        assert_eq!(abort(insert), (Cause::Length, Some(0), None));
+        assert_eq!(cdw.table_len("T").unwrap(), 0, "nothing landed");
     }
 }

@@ -1,97 +1,29 @@
 //! The ordered index each table keeps on its declared key.
 //!
-//! A B+tree-style multi-map from a tuple of column values to the row ids
-//! holding that tuple, ordered by [`cmp_rows`]. Because `cmp_rows`
-//! compares element-wise and then by length, a key *prefix* sorts
-//! immediately before every key extending it — which is what makes
-//! multi-column prefix seeks (`eq` on the first k columns, optionally a
-//! range on column k+1) a single ordered-range walk.
+//! The index is the table's rowids, one `u32` per row, sorted by their
+//! rows' key (the key columns compared in turn by [`cmp_values`]), ties by
+//! rowid. It holds no key of its own: a comparison reads the key out of
+//! the row, so each call is handed the rows the index orders. Beside each
+//! rowid sits its key's 8-byte [`key_prefix`], which orders two keys
+//! whenever it differs, so most comparisons of a search stay in the
+//! index's own arrays. Because keys compare column by column, the rows
+//! whose first k key columns equal a prefix are one contiguous run, and a
+//! range on column k+1 is a contiguous run inside it: every seek is a
+//! binary search.
 //!
 //! The index is structural only: it stores duplicate keys faithfully,
 //! because with native uniqueness enforcement off (the CDW default the
-//! paper is built around) duplicate keys legitimately land in the table. Enforcement lives in the executor.
+//! paper is built around) duplicate keys legitimately land in the table.
+//! Enforcement lives in the executor.
 
 use std::cmp::Ordering;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
-use std::ops::Bound;
 
 use etlv_protocol::data::Value;
 
-use crate::key::cmp_rows;
+use crate::key::cmp_values;
 
-/// A tuple of values ordered by [`cmp_rows`] (NULL first, numerics
-/// cross-type, then by tuple length — so prefixes sort before their
-/// extensions). A one-column key holds its value inline, so an entry of a
-/// one-column index allocates nothing of its own.
-#[derive(Debug, Clone)]
-pub enum IndexKey {
-    /// A one-value tuple.
-    One(Value),
-    /// Any other tuple (a wider key, or a shorter seek prefix).
-    Many(Box<[Value]>),
-}
-
-impl IndexKey {
-    fn from_vec(values: Vec<Value>) -> IndexKey {
-        match <[Value; 1]>::try_from(values) {
-            Ok([v]) => IndexKey::One(v),
-            Err(values) => IndexKey::Many(values.into_boxed_slice()),
-        }
-    }
-
-    /// The tuple's values.
-    pub fn values(&self) -> &[Value] {
-        match self {
-            IndexKey::One(v) => std::slice::from_ref(v),
-            IndexKey::Many(vs) => vs,
-        }
-    }
-}
-
-impl PartialEq for IndexKey {
-    fn eq(&self, other: &IndexKey) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-
-impl Eq for IndexKey {}
-
-impl PartialOrd for IndexKey {
-    fn partial_cmp(&self, other: &IndexKey) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for IndexKey {
-    fn cmp(&self, other: &IndexKey) -> Ordering {
-        cmp_rows(self.values(), other.values())
-    }
-}
-
-/// The rows holding one key: a key held by one row (every key of a
-/// unique index) keeps its rowid inline; only a repeated key has a list.
-#[derive(Debug, Clone)]
-enum RowIds {
-    One(usize),
-    Many(Vec<usize>),
-}
-
-impl RowIds {
-    fn push(&mut self, rowid: usize) {
-        match self {
-            RowIds::One(first) => *self = RowIds::Many(vec![*first, rowid]),
-            RowIds::Many(rowids) => rowids.push(rowid),
-        }
-    }
-
-    fn as_slice(&self) -> &[usize] {
-        match self {
-            RowIds::One(rowid) => std::slice::from_ref(rowid),
-            RowIds::Many(rowids) => rowids,
-        }
-    }
-}
+/// The rows an index orders, by rowid.
+type Rows = [Vec<Value>];
 
 /// An inclusive/exclusive bound on the range column of a seek.
 #[derive(Debug, Clone)]
@@ -102,13 +34,32 @@ pub struct SeekBound {
     pub inclusive: bool,
 }
 
-/// An ordered (B+tree-style) index over a table's columns.
+/// An ordered index over a table's columns: its rowids in key order.
 #[derive(Debug, Clone)]
 pub struct OrderedIndex {
     /// Indexed column positions, in key order.
     pub columns: Vec<usize>,
-    map: BTreeMap<IndexKey, RowIds>,
-    entries: usize,
+    order: Vec<u32>,
+    /// `prefixes[i]` is the [`key_prefix`] of `order[i]`'s row.
+    prefixes: Vec<u64>,
+}
+
+/// An order-preserving summary of a key's first value: two values whose
+/// prefixes differ order as their prefixes do under [`cmp_values`];
+/// equal prefixes decide nothing. Text keeps its first 8 bytes,
+/// zero-padded, big-endian. Every other value takes the end of the range
+/// its type group sorts at: NULLs and numbers sort before text and take
+/// 0; bytes, dates and timestamps sort after it and take `u64::MAX`.
+pub fn key_prefix(v: &Value) -> u64 {
+    match v {
+        Value::Str(s) => {
+            let (mut head, n) = ([0; 8], s.len().min(8));
+            head[..n].copy_from_slice(&s.as_bytes()[..n]);
+            u64::from_be_bytes(head)
+        }
+        Value::Bytes(_) | Value::Date(_) | Value::Timestamp(_) => u64::MAX,
+        Value::Null | Value::Int(_) | Value::Float(_) | Value::Decimal(_) => 0,
+    }
 }
 
 impl OrderedIndex {
@@ -116,8 +67,8 @@ impl OrderedIndex {
     pub fn new(columns: Vec<usize>) -> OrderedIndex {
         OrderedIndex {
             columns,
-            map: BTreeMap::new(),
-            entries: 0,
+            order: Vec::new(),
+            prefixes: Vec::new(),
         }
     }
 
@@ -126,86 +77,104 @@ impl OrderedIndex {
         self.columns.iter().map(|&c| row[c].clone()).collect()
     }
 
-    /// The key of `row` as the index stores it.
-    fn index_key(&self, row: &[Value]) -> IndexKey {
-        match self.columns[..] {
-            [c] => IndexKey::One(row[c].clone()),
-            _ => IndexKey::Many(self.columns.iter().map(|&c| row[c].clone()).collect()),
-        }
+    /// The [`key_prefix`] of `row`'s key.
+    pub fn prefix_of(&self, row: &[Value]) -> u64 {
+        self.columns.first().map_or(0, |&c| key_prefix(&row[c]))
     }
 
-    /// Number of (key, rowid) entries.
+    /// Number of indexed rows.
     pub fn len(&self) -> usize {
-        self.entries
+        self.order.len()
     }
 
-    /// Whether the index holds no entries.
+    /// Whether the index holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.entries == 0
+        self.order.is_empty()
     }
 
-    /// Insert `rowid` under the key of `row`. Returns the number of index
-    /// maintenance operations performed (always 1).
-    pub fn insert_row(&mut self, row: &[Value], rowid: usize) -> usize {
-        match self.map.entry(self.index_key(row)) {
-            Entry::Vacant(e) => {
-                e.insert(RowIds::One(rowid));
-            }
-            Entry::Occupied(mut e) => e.get_mut().push(rowid),
-        }
-        self.entries += 1;
-        1
+    /// The rowids in key order — consistency checks only.
+    pub fn rowids(&self) -> &[u32] {
+        &self.order
     }
 
-    /// Index the rows `rows[start..]` under their rowids. A non-empty
-    /// index inserts them one by one; an empty one is built in one sorted
-    /// pass, with the same entries row-by-row insertion would leave: the
-    /// stable sort keeps equal keys in rowid order, so each key is stored
-    /// as its first-inserted row spells it, with ascending rowids. Returns
-    /// maintenance ops (one per row).
-    pub fn insert_range(&mut self, rows: &[Vec<Value>], start: usize) -> usize {
-        let new = &rows[start..];
-        if !self.is_empty() {
-            for (i, row) in new.iter().enumerate() {
-                self.insert_row(row, start + i);
-            }
-            return new.len();
-        }
-        let mut keyed: Vec<(IndexKey, usize)> = new
-            .iter()
-            .enumerate()
-            .map(|(i, row)| (self.index_key(row), start + i))
+    /// The key prefix beside each rowid — consistency checks only.
+    pub fn prefixes(&self) -> &[u64] {
+        &self.prefixes
+    }
+
+    /// Order two rows by key.
+    fn cmp_keys(&self, rows: &Rows, a: u32, b: u32) -> Ordering {
+        let (a, b) = (&rows[a as usize], &rows[b as usize]);
+        (self.columns.iter())
+            .map(|&c| cmp_values(&a[c], &b[c]))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+
+    /// Order `row`'s first `prefix.len()` key columns against `prefix`.
+    fn cmp_prefix(&self, row: &[Value], prefix: &[Value]) -> Ordering {
+        (self.columns.iter().zip(prefix))
+            .map(|(&c, v)| cmp_values(&row[c], v))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+
+    /// The positions, among the first `end`, whose key prefix is `p`: the
+    /// only ones a key with prefix `p` must be compared with in full.
+    fn prefix_block(&self, end: usize, p: u64) -> (usize, usize) {
+        let from = self.prefixes[..end].partition_point(|&q| q < p);
+        (from, from + run_len(&self.prefixes[from..end], |q| q == p))
+    }
+
+    /// Index the rows `rows[start..]` under their rowids: sort them by
+    /// key (a stable sort, so ties keep rowid order, and linear on input
+    /// already in key order), then merge them in place behind the rows
+    /// of equal keys, each with one binary search. Returns maintenance
+    /// ops (one per row).
+    pub fn insert_range(&mut self, rows: &Rows, start: usize) -> usize {
+        let rowid = |i: usize| u32::try_from(i).expect("a table holds fewer than 2^32 rows");
+        let mut new: Vec<(u64, u32)> = (start..rows.len())
+            .map(|i| (self.prefix_of(&rows[i]), rowid(i)))
             .collect();
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut groups: Vec<(IndexKey, RowIds)> = Vec::with_capacity(keyed.len());
-        for (key, rowid) in keyed {
-            match groups.last_mut() {
-                Some((last, rowids)) if *last == key => rowids.push(rowid),
-                _ => groups.push((key, RowIds::One(rowid))),
-            }
+        new.sort_by(|a, b| (a.0.cmp(&b.0)).then_with(|| self.cmp_keys(rows, a.1, b.1)));
+        if self.order.is_empty() {
+            (self.prefixes, self.order) = new.into_iter().unzip();
+            return self.order.len();
         }
-        self.map = groups.into_iter().collect();
-        self.entries = new.len();
+        // Place the new rowids from the largest key down: each lands after
+        // every old row of a key no larger, and shifts the old rows past it
+        // once.
+        let mut end = self.order.len();
+        self.order.resize(end + new.len(), 0);
+        self.prefixes.resize(end + new.len(), 0);
+        for (j, &(p, r)) in new.iter().enumerate().rev() {
+            let (from, to) = self.prefix_block(end, p);
+            let at =
+                from + self.order[from..to].partition_point(|&o| self.cmp_keys(rows, o, r).is_le());
+            self.order.copy_within(at..end, at + j + 1);
+            self.prefixes.copy_within(at..end, at + j + 1);
+            (self.order[at + j], self.prefixes[at + j]) = (r, p);
+            end = at;
+        }
         new.len()
     }
 
     /// Drop everything and re-key every row. Returns maintenance ops (one
     /// per row).
-    pub fn rebuild(&mut self, rows: &[Vec<Value>]) -> usize {
-        self.map.clear();
-        self.entries = 0;
+    pub fn rebuild(&mut self, rows: &Rows) -> usize {
+        (self.order, self.prefixes) = (Vec::new(), Vec::new());
         self.insert_range(rows, 0)
     }
 
     /// Whether any row carries exactly `key` (full-width key).
-    pub fn contains_key(&self, key: &[Value]) -> bool {
-        self.map.contains_key(&IndexKey::from_vec(key.to_vec()))
+    pub fn contains_key(&self, rows: &Rows, key: &[Value]) -> bool {
+        !self.seek_eq(rows, key).is_empty()
     }
 
     /// Row ids whose first `prefix.len()` key columns equal `prefix`,
     /// in key order (callers sort by rowid when scan order matters).
-    pub fn seek_eq(&self, prefix: &[Value]) -> Vec<usize> {
-        self.seek(prefix, None, None)
+    pub fn seek_eq(&self, rows: &Rows, prefix: &[Value]) -> Vec<usize> {
+        self.seek(rows, prefix, None, None)
     }
 
     /// Prefix-equality seek plus an optional range on the next key column:
@@ -214,64 +183,57 @@ impl OrderedIndex {
     /// never match (SQL comparison semantics).
     pub fn seek(
         &self,
+        rows: &Rows,
         prefix: &[Value],
         lo: Option<&SeekBound>,
         hi: Option<&SeekBound>,
     ) -> Vec<usize> {
-        let p = prefix.len();
-        let ranged = p < self.columns.len() && (lo.is_some() || hi.is_some());
-        // Start at the tightest expressible lower bound: the prefix alone,
-        // or the prefix extended with the lower range value. A prefix sorts
-        // before all its extensions, so Included() never skips a match.
-        let start: Vec<Value> = match (ranged, lo) {
-            (true, Some(b)) => {
-                let mut k = prefix.to_vec();
-                k.push(b.value.clone());
-                k
-            }
-            _ => prefix.to_vec(),
+        let row = |r: u32| &rows[r as usize][..];
+        let (from, to) = match prefix.first() {
+            Some(v) => self.prefix_block(self.len(), key_prefix(v)),
+            None => (0, self.len()),
         };
-        let mut out = Vec::new();
-        for (key, rowids) in self
-            .map
-            .range((Bound::Included(IndexKey::from_vec(start)), Bound::Unbounded))
+        let block = &self.order[from..to];
+        let mut run = &block[block.partition_point(|&r| self.cmp_prefix(row(r), prefix).is_lt())..];
+        run = &run[..run_len(run, |r| self.cmp_prefix(row(r), prefix).is_eq())];
+        if let Some(&c) = self
+            .columns
+            .get(prefix.len())
+            .filter(|_| lo.is_some() || hi.is_some())
         {
-            // Stop as soon as the equality prefix diverges (keys are sorted).
-            let key = key.values();
-            if key.len() < p || cmp_rows(&key[..p], prefix) != Ordering::Equal {
-                break;
-            }
-            if ranged {
-                let Some(v) = key.get(p) else { continue };
-                if v.is_null() {
-                    // NULL sorts first within the prefix group; skip, a
-                    // later key may still be in range.
-                    continue;
-                }
-                if let Some(b) = lo {
-                    match crate::key::cmp_values(v, &b.value) {
-                        Ordering::Less => continue,
-                        Ordering::Equal if !b.inclusive => continue,
-                        _ => {}
-                    }
-                }
-                if let Some(b) = hi {
-                    match crate::key::cmp_values(v, &b.value) {
-                        Ordering::Greater => break,
-                        Ordering::Equal if !b.inclusive => break,
-                        _ => {}
-                    }
-                }
-            }
-            out.extend_from_slice(rowids.as_slice());
+            // NULL sorts first in column `c`, before any bound.
+            let below = |r: u32| {
+                let v = &row(r)[c];
+                v.is_null()
+                    || lo.is_some_and(|b| match cmp_values(v, &b.value) {
+                        Ordering::Equal => !b.inclusive,
+                        o => o.is_lt(),
+                    })
+            };
+            run = &run[run.partition_point(|&r| below(r))..];
+            let within = |r: u32| {
+                hi.is_none_or(|b| match cmp_values(&row(r)[c], &b.value) {
+                    Ordering::Equal => b.inclusive,
+                    o => o.is_lt(),
+                })
+            };
+            run = &run[..run_len(run, within)];
         }
-        out
+        run.iter().map(|&r| r as usize).collect()
     }
+}
 
-    /// Every (key, rowids) entry in key order — consistency checks only.
-    pub fn entries(&self) -> impl Iterator<Item = (&[Value], &[usize])> {
-        self.map.iter().map(|(k, v)| (k.values(), v.as_slice()))
+/// The length of the head of `run` that `pred` holds on, for a predicate
+/// that holds on a head and fails after it: probes 1, 2, 4, … ahead
+/// before it bisects, so a head of k entries costs O(log k) probes.
+fn run_len<T: Copy>(run: &[T], pred: impl Fn(T) -> bool) -> usize {
+    let (mut held, mut step) = (0, 1);
+    while held + step <= run.len() && pred(run[held + step - 1]) {
+        held += step;
+        step *= 2;
     }
+    let end = (held + step).min(run.len());
+    held + run[held..end].partition_point(|&r| pred(r))
 }
 
 #[cfg(test)]
@@ -296,79 +258,63 @@ mod tests {
         ix
     }
 
+    fn bound(v: i64, inclusive: bool) -> SeekBound {
+        SeekBound {
+            value: Value::Int(v),
+            inclusive,
+        }
+    }
+
     #[test]
-    fn eq_prefix_seek_returns_all_extensions() {
-        let ix = built();
-        let mut hit = ix.seek_eq(&[Value::Int(1)]);
-        hit.sort_unstable();
-        assert_eq!(hit, vec![0, 1, 5]);
-        assert!(ix.seek_eq(&[Value::Int(9)]).is_empty());
+    fn eq_prefix_seek_returns_all_extensions_in_key_order() {
+        let (ix, rs) = (built(), rows());
+        assert_eq!(ix.seek_eq(&rs, &[Value::Int(1)]), vec![0, 1, 5]);
+        assert!(ix.seek_eq(&rs, &[Value::Int(9)]).is_empty());
+        assert_eq!(ix.rowids(), [0, 1, 5, 3, 2, 4]);
     }
 
     #[test]
     fn full_key_seek_and_duplicates() {
-        let ix = built();
-        let mut hit = ix.seek_eq(&[Value::Int(1), Value::Int(20)]);
-        hit.sort_unstable();
-        assert_eq!(hit, vec![1, 5], "duplicate keys both stored");
-        assert!(ix.contains_key(&[Value::Int(2), Value::Null]));
+        let (ix, rs) = (built(), rows());
+        let hit = ix.seek_eq(&rs, &[Value::Int(1), Value::Int(20)]);
+        assert_eq!(hit, vec![1, 5], "duplicate keys both stored, by rowid");
+        assert!(ix.contains_key(&rs, &[Value::Int(2), Value::Null]));
         assert_eq!(ix.len(), 6);
     }
 
     #[test]
     fn range_seek_respects_bounds_and_skips_nulls() {
-        let ix = built();
-        let lo = SeekBound {
-            value: Value::Int(5),
-            inclusive: true,
-        };
-        let hi = SeekBound {
-            value: Value::Int(5),
-            inclusive: true,
-        };
-        assert_eq!(ix.seek(&[Value::Int(2)], Some(&lo), Some(&hi)), vec![2]);
+        let (ix, rs) = (built(), rows());
+        let two = [Value::Int(2)];
+        let (five, five_x) = (bound(5, true), bound(5, false));
+        assert_eq!(ix.seek(&rs, &two, Some(&five), Some(&five)), vec![2]);
         // Exclusive bound drops the equal row; the NULL row never matches.
-        let lo_x = SeekBound {
-            value: Value::Int(5),
-            inclusive: false,
-        };
-        assert!(ix.seek(&[Value::Int(2)], Some(&lo_x), None).is_empty());
+        assert!(ix.seek(&rs, &two, Some(&five_x), None).is_empty());
         // Unbounded-low range still skips the NULL.
-        let hi9 = SeekBound {
-            value: Value::Int(9),
-            inclusive: true,
-        };
-        assert_eq!(ix.seek(&[Value::Int(2)], None, Some(&hi9)), vec![2]);
+        assert_eq!(ix.seek(&rs, &two, None, Some(&bound(9, true))), vec![2]);
     }
 
     #[test]
     fn range_on_first_column_with_empty_prefix() {
-        let mut ix = OrderedIndex::new(vec![1]);
-        ix.rebuild(&rows());
-        let lo = SeekBound {
-            value: Value::Int(7),
-            inclusive: true,
-        };
-        let hi = SeekBound {
-            value: Value::Int(20),
-            inclusive: false,
-        };
-        let mut hit = ix.seek(&[], Some(&lo), Some(&hi));
-        hit.sort_unstable();
-        assert_eq!(hit, vec![0, 4], "10 and 7 in [7,20); 20s and NULL out");
+        let (mut ix, rs) = (OrderedIndex::new(vec![1]), rows());
+        ix.rebuild(&rs);
+        let hit = ix.seek(&rs, &[], Some(&bound(7, true)), Some(&bound(20, false)));
+        assert_eq!(hit, vec![4, 0], "7 and 10 in [7,20); 20s and NULL out");
     }
 
     #[test]
-    fn incremental_insert_matches_rebuild() {
-        let mut a = OrderedIndex::new(vec![0]);
-        let mut b = OrderedIndex::new(vec![0]);
+    fn appends_of_any_size_order_rowids_as_one_build() {
         let rs = rows();
-        for (i, r) in rs.iter().enumerate() {
-            a.insert_row(r, i);
+        let mut by_row = OrderedIndex::new(vec![0]);
+        let mut batched = OrderedIndex::new(vec![0]);
+        for end in 1..=rs.len() {
+            assert_eq!(by_row.insert_range(&rs[..end], end - 1), 1);
         }
-        b.rebuild(&rs);
-        let av: Vec<_> = a.entries().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
-        let bv: Vec<_> = b.entries().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
-        assert_eq!(av, bv);
+        batched.insert_range(&rs[..2], 0);
+        batched.insert_range(&rs, 2);
+        let mut built = OrderedIndex::new(vec![0]);
+        built.rebuild(&rs);
+        assert_eq!(by_row.rowids(), built.rowids());
+        assert_eq!(batched.rowids(), built.rowids());
     }
 }

@@ -93,9 +93,10 @@ fn type_tag(v: &Value) -> u8 {
 }
 
 /// Total order over values for ORDER BY: NULL first, then by type group,
-/// numerics compared numerically across Int/Float/Decimal — exactly for
-/// INTEGER and DECIMAL pairs, through `f64` when a FLOAT is involved.
+/// numerics compared exactly across Int/Float/Decimal (a NaN FLOAT after
+/// every number, -0.0 equal to 0.0).
 pub fn cmp_values(a: &Value, b: &Value) -> Ordering {
+    use etlv_protocol::data::Decimal as D;
     use Value::*;
     match (a, b) {
         (Null, Null) => Ordering::Equal,
@@ -103,12 +104,14 @@ pub fn cmp_values(a: &Value, b: &Value) -> Ordering {
         (_, Null) => Ordering::Greater,
         (Int(x), Int(y)) => x.cmp(y),
         (Decimal(x), Decimal(y)) => x.cmp(y),
-        (Int(x), Decimal(y)) => etlv_protocol::data::Decimal::from_i64(*x).cmp(y),
-        (Decimal(x), Int(y)) => x.cmp(&etlv_protocol::data::Decimal::from_i64(*y)),
-        (Int(_) | Float(_) | Decimal(_), Int(_) | Float(_) | Decimal(_)) => {
-            let (xf, yf) = (num_f64(a), num_f64(b));
-            xf.partial_cmp(&yf).unwrap_or(Ordering::Equal)
-        }
+        (Int(x), Decimal(y)) => D::from_i64(*x).cmp(y),
+        (Decimal(x), Int(y)) => x.cmp(&D::from_i64(*y)),
+        (Float(x), Float(y)) => x
+            .partial_cmp(y)
+            .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan())),
+        (Float(x), Int(y)) => cmp_float_decimal(*x, D::from_i64(*y)),
+        (Float(x), Decimal(y)) => cmp_float_decimal(*x, *y),
+        (Int(_) | Decimal(_), Float(_)) => cmp_values(b, a).reverse(),
         (Str(x), Str(y)) => x.cmp(y),
         (Bytes(x), Bytes(y)) => x.cmp(y),
         (Date(x), Date(y)) => x.cmp(y),
@@ -120,13 +123,46 @@ pub fn cmp_values(a: &Value, b: &Value) -> Ordering {
     }
 }
 
-fn num_f64(v: &Value) -> f64 {
-    match v {
-        Value::Int(x) => *x as f64,
-        Value::Float(f) => *f,
-        Value::Decimal(d) => d.to_f64(),
-        _ => f64::NAN,
+/// Order a FLOAT against a decimal exactly: a negative float as its
+/// magnitude against the decimal's negation, reversed; else integer parts
+/// first (each floored, so both fractions are non-negative), then the
+/// fractions. The float's fraction is `m / 2^k` with `m < 2^53`, the
+/// decimal's `n / 10^s`; they compare as `floor(m * 10^s / 2^k)` against
+/// `n`, a non-zero remainder breaking a tie upwards. `m * 10^s` fits in
+/// 192 bits.
+fn cmp_float_decimal(f: f64, d: etlv_protocol::data::Decimal) -> Ordering {
+    const TWO_127: f64 = (1u128 << 127) as f64;
+    if f < 0.0 {
+        let neg = etlv_protocol::data::Decimal::new(-d.unscaled(), d.scale());
+        return cmp_float_decimal(-f, neg).reverse();
     }
+    let floor = f.floor();
+    // A decimal's magnitude stays below 2^127 (its unscaled `i128`).
+    if f.is_nan() || floor >= TWO_127 {
+        return Ordering::Greater;
+    }
+    let ten_s = 10i128.pow(d.scale() as u32) as u128;
+    let by_int = (floor as i128).cmp(&d.unscaled().div_euclid(ten_s as i128));
+    if by_int.is_ne() {
+        return by_int;
+    }
+    // For `f >= 0`, `f - floor` drops only bits `f` holds, so it is exact,
+    // in [0, 1): a subnormal or normal float.
+    let bits = (f - floor).to_bits();
+    let (exp, mantissa) = ((bits >> 52) as u32, (bits & ((1 << 52) - 1)) as u128);
+    let (m, k) = match exp {
+        0 => (mantissa, 1074),
+        _ => (mantissa | 1 << 52, 1075 - exp),
+    };
+    // m * 10^s as three 64-bit limbs, least significant first.
+    let (lo, hi) = (m * (ten_s as u64 as u128), m * (ten_s >> 64));
+    let mid = (lo >> 64) + (hi as u64 as u128);
+    let limbs = [lo as u64, mid as u64, ((hi >> 64) + (mid >> 64)) as u64];
+    let bit = |i: u32| i < 192 && limbs[i as usize / 64] >> (i % 64) & 1 == 1;
+    let quotient = (k..192).rev().fold(0u128, |q, i| q << 1 | bit(i) as u128);
+    let remainder = (0..k.min(192)).any(bit);
+    let n = d.unscaled().rem_euclid(ten_s as i128) as u128;
+    quotient.cmp(&n).then(remainder.cmp(&false))
 }
 
 fn type_rank(v: &Value) -> u8 {
@@ -200,6 +236,49 @@ mod tests {
             ),
             Ordering::Equal
         );
+    }
+
+    #[test]
+    fn floats_compare_exactly_with_integers_and_decimals() {
+        use Ordering::*;
+        let dec = |s: &str| Value::Decimal(Decimal::parse(s).unwrap());
+        let two53 = 9007199254740992.0;
+        let cases = [
+            (Value::Float(two53), Value::Int(9007199254740993), Less),
+            (Value::Float(two53), Value::Int(9007199254740992), Equal),
+            (Value::Float(two53), dec("9007199254740992.5"), Less),
+            (Value::Float(two53), dec("9007199254740991.999999"), Greater),
+            (Value::Float(0.1), dec("0.1"), Greater),
+            (
+                Value::Float(0.1),
+                dec("0.1000000000000000055511151231257828"),
+                Less,
+            ),
+            (Value::Float(0.5), dec("0.50"), Equal),
+            (Value::Float(-0.5), dec("-0.5"), Equal),
+            (Value::Float(-0.5), Value::Int(-1), Greater),
+            (Value::Float(-0.0), Value::Int(0), Equal),
+            (Value::Float(1e-300), Value::Int(0), Greater),
+            (Value::Float(-1e-300), dec("0.000"), Less),
+            (Value::Float(-0.1), dec("-0.1"), Less),
+            (Value::Float(-0.1), dec("-0.09999999999999998"), Less),
+            (
+                Value::Float(-0.1),
+                dec("-0.1000000000000000055511151231257828"),
+                Greater,
+            ),
+            (Value::Float(-2.75), dec("-2.75"), Equal),
+            (Value::Float(-2.75), Value::Int(-3), Greater),
+            (Value::Float(1e39), dec(&"9".repeat(38)), Greater),
+            (Value::Float(-1e39), Value::Int(i64::MIN), Less),
+            (Value::Float(f64::NAN), Value::Int(i64::MAX), Greater),
+            (Value::Float(f64::NAN), Value::Float(f64::INFINITY), Greater),
+            (Value::Float(f64::NAN), Value::Float(f64::NAN), Equal),
+        ];
+        for (a, b, want) in cases {
+            assert_eq!(cmp_values(&a, &b), want, "{a:?} vs {b:?}");
+            assert_eq!(cmp_values(&b, &a), want.reverse(), "{b:?} vs {a:?}");
+        }
     }
 
     #[test]

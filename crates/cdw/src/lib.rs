@@ -46,6 +46,6 @@ pub mod plan;
 pub use catalog::{Catalog, Column, RowVersion, Table};
 pub use engine::{Cdw, CdwConfig, ExecObserver, QueryResult, TransientFaultHook};
 pub use error::CdwError;
-pub use index::{IndexKey, OrderedIndex, SeekBound};
+pub use index::{OrderedIndex, SeekBound};
 pub use key::RowKey;
 pub use plan::PlanStats;

@@ -55,8 +55,11 @@ impl PlanStats {
 /// Value family of a column, for probe normalization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
-    /// Integer/decimal/float.
+    /// Integer or decimal.
     Numeric,
+    /// FLOAT, which a comparison meets as FLOAT (see
+    /// [`crate::eval::compare_ord`]).
+    Float,
     /// Fixed or variable-width character.
     Text,
     /// DATE.
@@ -69,6 +72,8 @@ pub enum Family {
 pub fn family_of(ty: SqlType) -> Family {
     if ty == SqlType::Date {
         Family::Date
+    } else if ty == SqlType::Float {
+        Family::Float
     } else if ty.is_numeric() {
         Family::Numeric
     } else if ty.is_character() {
@@ -81,13 +86,20 @@ pub fn family_of(ty: SqlType) -> Family {
 /// Normalize a probe value against the target column's family so an
 /// ordered-index seek compares exactly like [`crate::eval::compare_eq`].
 /// `None` means the comparison cannot be reproduced by a seek (wrong
-/// family, unparsable string) — the caller must fall back. NULL passes
-/// through; callers treat it as "matches nothing".
+/// family, unparsable string, a FLOAT probe of an exact column, which
+/// the comparison meets as FLOAT) — the caller must fall back. A probe of
+/// a FLOAT column becomes a FLOAT. NULL passes through; callers treat it
+/// as "matches nothing".
 pub fn normalize_probe(v: &Value, family: Family) -> Option<Value> {
+    let numeric = || match v {
+        Value::Int(_) | Value::Float(_) | Value::Decimal(_) => Some(v.clone()),
+        Value::Str(s) => numeric_value_of_str(s),
+        _ => None,
+    };
     match (family, v) {
         (_, Value::Null) => Some(Value::Null),
-        (Family::Numeric, Value::Int(_) | Value::Float(_) | Value::Decimal(_)) => Some(v.clone()),
-        (Family::Numeric, Value::Str(s)) => numeric_value_of_str(s),
+        (Family::Numeric, _) => numeric().filter(|n| !matches!(n, Value::Float(_))),
+        (Family::Float, _) => Some(Value::Float(numeric()?.to_f64().ok()?)),
         (Family::Text, Value::Str(_)) => Some(v.clone()),
         (Family::Date, Value::Date(_)) => Some(v.clone()),
         (Family::Date, Value::Str(s)) => parse_iso_date(s).ok().map(Value::Date),
@@ -215,7 +227,12 @@ impl SeekPlan {
     /// results are identical to a scan's.
     pub fn seek(&self, table: &Table) -> Vec<usize> {
         let pk = table.pk.as_ref().expect("a seek is only planned on a key");
-        let mut rowids = pk.seek(&self.prefix, self.lo.as_ref(), self.hi.as_ref());
+        let mut rowids = pk.seek(
+            table.rows(),
+            &self.prefix,
+            self.lo.as_ref(),
+            self.hi.as_ref(),
+        );
         if rowids.len() == table.len() {
             // A seek that covered the table selected every rowid: no sort.
             rowids.iter_mut().enumerate().for_each(|(i, r)| *r = i);

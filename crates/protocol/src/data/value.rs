@@ -211,8 +211,28 @@ impl Value {
     /// implicit-cast rules (numeric widening/narrowing with range checks,
     /// string truncation checks, text→date via ISO format). The value is
     /// consumed: a string or byte string that already fits is moved, not
-    /// copied. Text follows [`coerce_text`], the one rule for it.
+    /// copied. Text follows [`coerce_text`], the one rule for it. A value
+    /// already of type `ty` (text within a VARCHAR's length, a DATE into
+    /// DATE, an integer within its type's range) is returned as it is.
+    #[inline]
     pub fn coerce_to(self, ty: LegacyType) -> Result<Value, ValueError> {
+        let fits = match (&self, ty) {
+            (Value::Str(s), LegacyType::VarChar(n) | LegacyType::VarCharUnicode(n)) => {
+                s.len() <= n as usize
+            }
+            (Value::Date(_), LegacyType::Date) => true,
+            (Value::Int(v), LegacyType::ByteInt)
+            | (Value::Int(v), LegacyType::SmallInt)
+            | (Value::Int(v), LegacyType::Integer)
+            | (Value::Int(v), LegacyType::BigInt) => {
+                let (min, max) = int_range(ty);
+                (min..=max).contains(v)
+            }
+            _ => false,
+        };
+        if fits {
+            return Ok(self);
+        }
         match self {
             Value::Null => Ok(Value::Null),
             Value::Str(s) => coerce_str(Cow::Owned(s), ty),

@@ -2,8 +2,10 @@
 //! oracle and the gateway share this engine, so parity cannot see a
 //! wrong order): INTEGER and DECIMAL values compare exactly however many
 //! digits they carry, in `=`, `<`, ORDER BY, MIN/MAX and the key index;
-//! and a text that spells NaN or infinity is no number, so it is a bad
-//! value on load and a "not numeric" error in a comparison.
+//! a FLOAT meets an INTEGER or DECIMAL as FLOAT in a predicate, as in
+//! SQL, though ORDER BY orders the three exactly; and a text that spells
+//! NaN or infinity is no number, so it is a bad value on load and a "not
+//! numeric" error in a comparison.
 
 use etlv_cdw::{Cdw, CdwConfig};
 
@@ -123,4 +125,78 @@ fn nan_and_infinity_texts_are_no_numbers() {
     }
     assert_eq!(cdw.table_len("F").unwrap(), 2);
     assert_eq!(column(&cdw, "SELECT K FROM F WHERE X = '1.5'"), ["1"]);
+}
+
+#[test]
+fn floats_past_two_to_the_53_order_exactly_among_integers_and_decimals() {
+    let cdw = cdw(false);
+    cdw.execute("CREATE TABLE M (ID INTEGER, I BIGINT, F FLOAT, D DECIMAL(18,1))")
+        .unwrap();
+    for row in [
+        "1, 9007199254740993, NULL, NULL",
+        "2, NULL, 9007199254740992.0, NULL",
+        "3, NULL, NULL, 9007199254740992.5",
+    ] {
+        cdw.execute(&format!("INSERT INTO M VALUES ({row})"))
+            .unwrap();
+    }
+    let sql = "SELECT COALESCE(I, F, D), ID FROM M ORDER BY COALESCE(I, F, D)";
+    assert_eq!(
+        column(&cdw, sql),
+        ["9007199254740992", "9007199254740992.5", "9007199254740993"]
+    );
+    assert_eq!(
+        column(&cdw, "SELECT ID FROM M ORDER BY COALESCE(I, F, D) DESC"),
+        ["1", "3", "2"]
+    );
+}
+
+#[test]
+fn a_float_equals_its_decimal_spelling_in_a_predicate() {
+    for native_unique in [false, true] {
+        let cdw = cdw(native_unique);
+        cdw.execute_script(
+            "CREATE TABLE F (F FLOAT, K INTEGER);
+             CREATE TABLE P (F FLOAT, K INTEGER, PRIMARY KEY (F));
+             INSERT INTO F VALUES (0.1, 1);
+             INSERT INTO F VALUES (-0.1, 2);
+             INSERT INTO P SELECT F, K FROM F;",
+        )
+        .unwrap();
+        // Scanned (F) and sought through the key index (P) alike.
+        for t in ["F", "P"] {
+            let rows = |pred: &str| column(&cdw, &format!("SELECT K FROM {t} WHERE {pred}"));
+            assert_eq!(rows("F = 0.1"), ["1"], "{t}");
+            assert_eq!(rows("F = '0.1'"), ["1"], "{t}");
+            assert_eq!(rows("0.1 = F"), ["1"], "{t}");
+            assert_eq!(rows("F = -0.1"), ["2"], "{t}");
+            assert_eq!(rows("F <= 0.1 AND F > -0.1"), ["1"], "{t}");
+            assert!(rows("F > 0.1").is_empty(), "{t}");
+            assert!(rows("F < '-0.1'").is_empty(), "{t}");
+        }
+    }
+}
+
+#[test]
+fn an_exact_key_meets_a_float_probe_as_float() {
+    let cdw = cdw(false);
+    cdw.execute_script(
+        "CREATE TABLE B (I BIGINT, PRIMARY KEY (I));
+         INSERT INTO B VALUES (9007199254740992);
+         INSERT INTO B VALUES (9007199254740993);
+         CREATE TABLE D (X DECIMAL(4,1), PRIMARY KEY (X));
+         INSERT INTO D VALUES (0.1);",
+    )
+    .unwrap();
+    // Both integers are 2^53 as FLOAT, so both equal it; the seek a FLOAT
+    // probe cannot reproduce falls back to a scan.
+    assert_eq!(
+        column(
+            &cdw,
+            "SELECT I FROM B WHERE I = 9007199254740992e0 ORDER BY I"
+        ),
+        ["9007199254740992", "9007199254740993"]
+    );
+    assert!(column(&cdw, "SELECT I FROM B WHERE I < 9007199254740992e0").is_empty());
+    assert_eq!(column(&cdw, "SELECT X FROM D WHERE X = 1e-1"), ["0.1"]);
 }

@@ -255,6 +255,60 @@ insert into PROD.ORDERS values (:ID, cast(:QTY as INTEGER), cast(:AMT as DECIMAL
     assert_eq!(rows(v.cdw(), uv), rows(server.engine(), uv));
 }
 
+/// A row with an over-long value in its first column and a date that does
+/// not cast in its third fails on the date on both servers: every value of
+/// a row is evaluated before any is coerced into the target.
+#[test]
+fn a_row_fails_on_its_evaluation_before_its_coercion_on_both_servers() {
+    use etlv_protocol::data::Value;
+
+    const SCRIPT: &str = ".logon h/u,p;
+.layout L;
+.field CODE varchar(12);
+.field NAME varchar(8);
+.field SEEN varchar(10);
+.begin import tables PROD.SIGHTINGS errortables PROD.SIGHTINGS_ET PROD.SIGHTINGS_UV;
+.dml label Go;
+insert into PROD.SIGHTINGS values (:CODE, :NAME, cast(:SEEN as DATE format 'YYYY-MM-DD'));
+.import infile f format vartext '|' layout L apply Go;
+.end load
+";
+    const DDL: &str = "CREATE TABLE PROD.SIGHTINGS (CODE VARCHAR(4), NAME VARCHAR(8), SEEN DATE)";
+    const DATA: &[u8] = b"toolongcode|owl|20x0-01-01\nab|wren|2020-01-02\n";
+    let JobPlan::Import(job) = compile(&parse_script(SCRIPT).unwrap()).unwrap() else {
+        panic!()
+    };
+    let run = |connector: Arc<dyn Connect>| {
+        let mut session = etlv_legacy_client::Session::logon(
+            connector.as_ref(),
+            "admin",
+            "pw",
+            etlv_protocol::message::SessionRole::Control,
+            0,
+        )
+        .unwrap();
+        session.sql(DDL).unwrap();
+        session.logoff();
+        LegacyEtlClient::new(connector)
+            .run_import_data(&job, DATA)
+            .unwrap()
+    };
+    let rows = |cdw: &etlv_cdw::Cdw, sql: &str| cdw.execute(sql).unwrap().into_rows();
+    let et = "SELECT SEQNO, ERRFIELD FROM PROD.SIGHTINGS_ET ORDER BY SEQNO";
+
+    let server = LegacyServer::new();
+    let legacy = run(server_connector(&server));
+    let v = Virtualizer::new(VirtualizerConfig::default());
+    let virt = run(tcp_connector(&v));
+    assert_eq!(legacy.report.rows_applied, 1);
+    assert_eq!(virt.report.rows_applied, 1);
+    assert_eq!(
+        rows(server.engine(), et),
+        vec![vec![Value::Int(1), Value::Str("SEEN".into())]]
+    );
+    assert_eq!(rows(v.cdw(), et), rows(server.engine(), et));
+}
+
 /// A row that repeats a key and carries a NULL (an empty vartext field)
 /// into a NOT NULL column fails its value before its key: an ET row on
 /// both servers, naming the same field, while a clean repeat stays UV.
